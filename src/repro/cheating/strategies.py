@@ -34,9 +34,37 @@ class ComputedWork:
     @property
     def honesty_ratio(self) -> float:
         """Realized ``r = |D'| / |D|``."""
-        if not self.leaf_payloads:
+        return self.summary().honesty_ratio
+
+    def summary(self) -> "WorkSummary":
+        """The two counts every consumer outside this process reads."""
+        return WorkSummary(
+            n_inputs=len(self.leaf_payloads),
+            n_honest=len(self.honest_indices),
+        )
+
+
+@dataclass(frozen=True)
+class WorkSummary:
+    """Ground truth reduced to counts: ``|D|`` and ``|D'|``.
+
+    What :func:`repro.engine.jobs.execute_batch` returns in place of a
+    :class:`ComputedWork`, so a run's leaf vector never leaves the
+    process that computed it; ``honesty_ratio`` reads the same on both.
+    """
+
+    n_inputs: int
+    n_honest: int
+
+    @property
+    def honesty_ratio(self) -> float:
+        """Realized ``r = |D'| / |D|``."""
+        if not self.n_inputs:
             return 1.0
-        return len(self.honest_indices) / len(self.leaf_payloads)
+        return self.n_honest / self.n_inputs
+
+    def summary(self) -> "WorkSummary":
+        return self
 
 
 class Behavior(abc.ABC):

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cheating.strategies import Behavior, ComputedWork
+from repro.cheating.strategies import Behavior, ComputedWork, WorkSummary
 from repro.accounting import CostLedger
 from repro.tasks.result import TaskAssignment
 
@@ -69,13 +69,17 @@ class SchemeRunResult:
     """Everything produced by one scheme execution.
 
     ``work`` is ground truth (which indices were honestly computed);
-    analyses use it to label runs as true/false accept/reject.
+    analyses use it to label runs as true/false accept/reject.  A
+    direct :meth:`VerificationScheme.run` carries the full
+    :class:`ComputedWork`; a result returned through any engine
+    :class:`~repro.engine.executor.Executor` carries its
+    :class:`WorkSummary` (same ``honesty_ratio``, no leaf vector).
     """
 
     outcome: VerificationOutcome
     participant_ledger: CostLedger
     supervisor_ledger: CostLedger
-    work: ComputedWork | None = None
+    work: ComputedWork | WorkSummary | None = None
     #: Ledger for third parties (broker, replicas); zero for 2-party runs.
     other_ledger: CostLedger = field(default_factory=CostLedger)
 

@@ -344,6 +344,14 @@ class _Coordinator:
             ("plane",),
             buckets=SIZE_BUCKETS,
         ).labels(plane="coordinator")
+        # The return path's wire budget, per accepted result: a leaf
+        # vector creeping back into results shows here first.
+        self._m_result_bytes = self.registry.histogram(
+            "repro_result_bytes",
+            "Encoded per-job result payload bytes, by plane",
+            ("plane",),
+            buckets=SIZE_BUCKETS,
+        ).labels(plane="coordinator")
         self._m_cache_hits = self.registry.counter(
             "repro_scheme_cache_hits_total",
             "Scheme-cache hits (schemes reused across chunks), by plane",
@@ -392,6 +400,10 @@ class _Coordinator:
     @property
     def auth_rejects(self) -> int:
         return int(self._m_auth_rejects.value)
+
+    @property
+    def result_bytes(self) -> int:
+        return int(self._m_result_bytes.sum)
 
     @property
     def scheme_cache_hits(self) -> int:
@@ -932,6 +944,7 @@ class _Coordinator:
                 continue
             self._m_jobs_completed.inc()
             if ok:
+                self._m_result_bytes.observe(len(payload))
                 try:
                     result = decode_cluster_payload(payload)
                 except CodecError as exc:
@@ -1363,13 +1376,14 @@ class ClusterExecutor(Executor):
     @property
     def stats(self) -> dict:
         """Scheduling counters (jobs/chunks completed and requeued,
-        streamed parts, worker churn, per-worker EWMA rates)."""
+        streamed parts, accepted result bytes, worker churn, per-worker
+        EWMA rates)."""
         co = self._co
         if co is None:
             return {"jobs_completed": 0, "jobs_requeued": 0,
                     "chunks_completed": 0, "chunks_requeued": 0,
-                    "result_parts": 0, "workers_lost": 0,
-                    "auth_rejects": 0,
+                    "result_parts": 0, "result_bytes": 0,
+                    "workers_lost": 0, "auth_rejects": 0,
                     "scheme_cache_hits": 0, "scheme_cache_misses": 0,
                     "workers_live": 0, "worker_rates": {}}
         return {
@@ -1378,6 +1392,7 @@ class ClusterExecutor(Executor):
             "chunks_completed": co.chunks_completed,
             "chunks_requeued": co.chunks_requeued,
             "result_parts": co.result_parts,
+            "result_bytes": co.result_bytes,
             "workers_lost": co.workers_lost,
             "auth_rejects": co.auth_rejects,
             "scheme_cache_hits": co.scheme_cache_hits,

@@ -126,6 +126,12 @@ def _worker_metrics():
                 ("plane",),
                 buckets=SIZE_BUCKETS,
             ),
+            reg.histogram(
+                "repro_result_bytes",
+                "Encoded per-job result payload bytes, by plane",
+                ("plane",),
+                buckets=SIZE_BUCKETS,
+            ),
             reg.counter(
                 "repro_scheme_cache_hits_total",
                 "Scheme-cache hits (schemes reused across chunks), by plane",
@@ -372,6 +378,7 @@ async def run_worker(
                 m_jobs,
                 m_dispatch,
                 m_job_bytes,
+                m_result_bytes,
                 m_cache_hits,
                 m_cache_misses,
             ) = _worker_metrics()
@@ -456,6 +463,10 @@ async def run_worker(
             cache_misses = report["cache_misses"]
             for size in report["job_bytes"]:
                 m_job_bytes.labels(plane="worker").observe(size)
+            observe_result = m_result_bytes.labels(plane="worker").observe
+            for ok, payload in entries:
+                if ok:
+                    observe_result(len(payload))
             if cache_hits:
                 m_cache_hits.labels(plane="worker").inc(cache_hits)
             if cache_misses:

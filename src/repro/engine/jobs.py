@@ -23,7 +23,9 @@ across all chunks of a population.
 chunk the jobs, map the batches over an executor, flatten in order.
 Chunking never affects results — only how work is distributed — so the
 serial, thread, process and cluster backends return identical result
-lists.
+lists: lean ones, whose ``work`` is a two-int
+:class:`~repro.cheating.strategies.WorkSummary` (see
+:func:`execute_batch`).
 """
 
 from __future__ import annotations
@@ -64,8 +66,19 @@ class SchemeBatch:
 
 
 def execute_batch(batch: SchemeBatch) -> list["SchemeRunResult"]:
-    """Run one batch (worker-side entry point for process pools)."""
-    return batch.scheme.run_batch(batch.jobs)
+    """Run one batch (the unit every backend executes).
+
+    Each result's ground-truth ``work`` is reduced to its
+    :class:`~repro.cheating.strategies.WorkSummary` here, on every
+    backend alike: the leaf vector stays in the process that computed
+    it, and what comes back is O(m) per participant whatever ``|D|``
+    is.  Call ``scheme.run()`` directly for the full record.
+    """
+    results = batch.scheme.run_batch(batch.jobs)
+    for result in results:
+        if result.work is not None:
+            result.work = result.work.summary()
+    return results
 
 
 def split_batches(

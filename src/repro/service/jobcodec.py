@@ -64,6 +64,7 @@ worker, not once per chunk.  Cache traffic is counted on
 
 from __future__ import annotations
 
+import operator
 import struct as _struct
 import threading
 from typing import Any, Callable, NamedTuple
@@ -947,10 +948,10 @@ def _register_defaults() -> None:
     )
     from repro.cheating.strategies import (
         ColludingCheater,
-        ComputedWork,
         HonestBehavior,
         MaliciousBehavior,
         SemiHonestCheater,
+        WorkSummary,
     )
     from repro.core.cbs import CBSScheme
     from repro.core.ni_cbs import NICBSScheme
@@ -1246,85 +1247,156 @@ def _register_defaults() -> None:
     )
 
     # --- outcome records (the result plane) -------------------------
-    register_struct(
-        "reject_reason",
-        RejectReason,
-        lambda r: (r.value,),
-        lambda f: RejectReason(f[0]),
+    # Packed, not nested: one result is ~a dozen primitive terms (see
+    # the README's "Result records"), where a struct per verdict and
+    # per reason cost a sub-encoder each.  Any value that will not fit
+    # its fixed record exactly rides the generic term path instead.
+    reasons = tuple(RejectReason)  # wire code = position: append only
+    reason_codes = {reason: code for code, reason in enumerate(reasons)}
+    verdict_record = _struct.Struct(">IB")  # index, accepted<<7 | reason
+    ledger_fields = (
+        "evaluation_cost", "evaluations", "verification_cost",
+        "verifications", "hash_cost", "hashes", "bytes_sent",
+        "bytes_received", "messages_sent", "messages_received",
+        "storage_digests", "screening_cost",
     )
+    ledger_layout = "dqdqdqqqqqqd"  # costs binary64, counts int64
+    ledger_record = _struct.Struct(">" + ledger_layout)
+    ledger_types = tuple(float if c == "d" else int for c in ledger_layout)
+    ledger_values = operator.attrgetter(*ledger_fields)
+    zero_ledger = (ledger_record.pack(*ledger_values(CostLedger())), None)
+
+    def _reason_code(reason: RejectReason) -> int:
+        if type(reason) is not RejectReason:
+            raise CodecError(f"not a RejectReason: {reason!r}")
+        return reason_codes[reason]
+
+    def _reason(code: Any) -> RejectReason:
+        if type(code) is not int or not 0 <= code < len(reasons):
+            raise CodecError(f"unknown reject-reason code {code!r}")
+        return reasons[code]
+
+    def _pack_verdicts(verdicts: Any) -> bytes | list:
+        out = bytearray()
+        for v in verdicts:
+            if (
+                type(v) is not SampleVerdict
+                or type(v.index) is not int
+                or not 0 <= v.index <= 0xFFFFFFFF
+                or type(v.accepted) is not bool
+                or type(v.reason) is not RejectReason
+            ):
+                return list(verdicts)
+            out += verdict_record.pack(
+                v.index, v.accepted << 7 | reason_codes[v.reason]
+            )
+        return bytes(out)
+
+    def _unpack_verdicts(packed: Any) -> list[SampleVerdict]:
+        if type(packed) is list:
+            if any(type(v) is not SampleVerdict for v in packed):
+                raise CodecError("verdict list holds a non-verdict")
+            return packed
+        if type(packed) is not bytes or len(packed) % verdict_record.size:
+            raise CodecError("verdict blob is not a whole number of records")
+        return [
+            SampleVerdict(index, byte >= 0x80, _reason(byte & 0x7F))
+            for index, byte in verdict_record.iter_unpack(packed)
+        ]
+
+    def _pack_outcome(o: VerificationOutcome) -> tuple:
+        return (
+            o.task_id, o.accepted, _reason_code(o.reason),
+            _pack_verdicts(o.verdicts),
+        )
+
+    def _unpack_outcome(f: tuple) -> VerificationOutcome:
+        task_id, accepted, code, verdicts = f
+        return VerificationOutcome(
+            task_id=task_id,
+            accepted=accepted,
+            verdicts=_unpack_verdicts(verdicts),
+            reason=_reason(code),
+        )
+
+    def _pack_ledger(ledger: CostLedger) -> tuple:
+        record: Any = ledger_values(ledger)
+        if tuple(map(type, record)) == ledger_types:
+            try:
+                record = ledger_record.pack(*record)
+            except _struct.error:
+                pass  # a count beyond int64: the bigint term carries it
+        return record, ledger.counters or None
+
+    def _unpack_ledger(f: tuple) -> CostLedger:
+        record, counters = f
+        if type(record) is bytes:
+            if len(record) != ledger_record.size:
+                raise CodecError("ledger record has the wrong length")
+            record = ledger_record.unpack(record)
+        elif type(record) is not tuple or len(record) != len(ledger_fields):
+            raise CodecError("ledger record has the wrong shape")
+        if counters is None:
+            counters = {}
+        elif type(counters) is not dict:
+            raise CodecError("ledger counters are not a dict")
+        return CostLedger(**dict(zip(ledger_fields, record)), counters=counters)
+
+    def _pack_result(r: SchemeRunResult) -> tuple:
+        if r.work is None:
+            work = None
+        elif type(r.work) is WorkSummary:
+            work = (r.work.n_inputs, r.work.n_honest)
+        else:
+            raise CodecError(
+                f"a result's work crosses the wire as a WorkSummary, not "
+                f"{type(r.work).__name__}: leaf vectors stay where they "
+                "were computed (engine.jobs.execute_batch summarizes)"
+            )
+        other = _pack_ledger(r.other_ledger)
+        return (
+            *_pack_outcome(r.outcome),
+            *_pack_ledger(r.participant_ledger),
+            *_pack_ledger(r.supervisor_ledger),
+            *((None, None) if other == zero_ledger else other),
+            work,
+        )
+
+    def _unpack_result(f: tuple) -> SchemeRunResult:
+        if len(f) != 11:
+            raise CodecError(f"scheme_run_result has {len(f)} fields, not 11")
+        work = f[10]
+        if work is not None:
+            if type(work) is not tuple or [*map(type, work)] != [int, int]:
+                raise CodecError("work summary is not a pair of counts")
+            work = WorkSummary(*work)
+        return SchemeRunResult(
+            outcome=_unpack_outcome(f[0:4]),
+            participant_ledger=_unpack_ledger(f[4:6]),
+            supervisor_ledger=_unpack_ledger(f[6:8]),
+            work=work,
+            other_ledger=(
+                CostLedger() if f[8] is None else _unpack_ledger(f[8:10])
+            ),
+        )
+
     register_struct(
         "sample_verdict",
         SampleVerdict,
-        lambda v: (v.index, v.accepted, v.reason),
-        lambda f: SampleVerdict(index=f[0], accepted=f[1], reason=f[2]),
+        lambda v: (v.index, v.accepted, _reason_code(v.reason)),
+        lambda f: SampleVerdict(
+            index=f[0], accepted=f[1], reason=_reason(f[2])
+        ),
     )
     register_struct(
         "verification_outcome",
         VerificationOutcome,
-        lambda o: (o.task_id, o.accepted, o.verdicts, o.reason),
-        lambda f: VerificationOutcome(
-            task_id=f[0], accepted=f[1], verdicts=f[2], reason=f[3]
-        ),
+        _pack_outcome,
+        _unpack_outcome,
     )
-
-    def _pack_ledger(ledger: CostLedger) -> tuple:
-        return (
-            ledger.evaluation_cost,
-            ledger.evaluations,
-            ledger.verification_cost,
-            ledger.verifications,
-            ledger.hash_cost,
-            ledger.hashes,
-            ledger.bytes_sent,
-            ledger.bytes_received,
-            ledger.messages_sent,
-            ledger.messages_received,
-            ledger.storage_digests,
-            ledger.screening_cost,
-            dict(ledger.counters),
-        )
-
-    def _unpack_ledger(f: tuple) -> CostLedger:
-        return CostLedger(
-            evaluation_cost=f[0],
-            evaluations=f[1],
-            verification_cost=f[2],
-            verifications=f[3],
-            hash_cost=f[4],
-            hashes=f[5],
-            bytes_sent=f[6],
-            bytes_received=f[7],
-            messages_sent=f[8],
-            messages_received=f[9],
-            storage_digests=f[10],
-            screening_cost=f[11],
-            counters=f[12],
-        )
-
     register_struct("cost_ledger", CostLedger, _pack_ledger, _unpack_ledger)
     register_struct(
-        "computed_work",
-        ComputedWork,
-        lambda w: (w.leaf_payloads, w.honest_indices),
-        lambda f: ComputedWork(leaf_payloads=f[0], honest_indices=f[1]),
-    )
-    register_struct(
-        "scheme_run_result",
-        SchemeRunResult,
-        lambda r: (
-            r.outcome,
-            r.participant_ledger,
-            r.supervisor_ledger,
-            r.work,
-            r.other_ledger,
-        ),
-        lambda f: SchemeRunResult(
-            outcome=f[0],
-            participant_ledger=f[1],
-            supervisor_ledger=f[2],
-            work=f[3],
-            other_ledger=f[4],
-        ),
+        "scheme_run_result", SchemeRunResult, _pack_result, _unpack_result
     )
 
     # --- protocol messages (reuse their canonical binary codecs) ----

@@ -868,6 +868,336 @@ class TestRegisteredSchemeRoundTrip:
         assert encode_cluster_payload(back) == raw
 
 
+def _raw_struct(name: str, fields: tuple) -> bytes:
+    """A struct term spelled by hand, so a test can put any field tuple
+    (valid or hostile) behind a registered struct name."""
+    from repro.service.jobcodec import Tag
+    from repro.utils.encoding import encode_uint
+
+    body = encode_cluster_payload(fields)
+    spelled = name.encode("utf-8")
+    return (
+        bytes([Tag.STRUCT]) + encode_uint(0) + encode_uint(len(spelled))
+        + spelled + encode_uint(len(body)) + body
+    )
+
+
+def _ledger_bits(ledger) -> tuple:
+    """Every ledger field, with floats as their IEEE-754 bytes (NaN and
+    -0.0 compare by representation, and an int never equals a float)."""
+    import struct
+
+    return tuple(
+        struct.pack(">d", value) if type(value) is float else (type(value), value)
+        for value in (*list(ledger.as_dict().values())[:12], ledger.counters)
+    )
+
+
+def _result_bits(result) -> tuple:
+    o = result.outcome
+    return (
+        o.task_id, o.accepted, o.reason,
+        [(type(v.index), v.index, v.accepted, v.reason) for v in o.verdicts],
+        _ledger_bits(result.participant_ledger),
+        _ledger_bits(result.supervisor_ledger),
+        _ledger_bits(result.other_ledger),
+        result.work,
+    )
+
+
+_LEDGER_INTS = st.one_of(
+    st.integers(-5, 1 << 20),
+    st.sampled_from(
+        [(1 << 63) - 1, 1 << 63, (1 << 80) + 7, -(1 << 63), -(1 << 63) - 1]
+    ),
+)
+_LEDGER_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.integers(0, 9),  # an int where a cost belongs: must stay an int
+)
+
+
+@st.composite
+def _ledgers(draw):
+    from repro.accounting import CostLedger
+
+    f, i = _LEDGER_FLOATS, _LEDGER_INTS
+    return CostLedger(
+        draw(f), draw(i), draw(f), draw(i), draw(f), draw(i), draw(i),
+        draw(i), draw(i), draw(i), draw(i), draw(f),
+        counters=draw(
+            st.dictionaries(st.text(max_size=8), st.integers(0, 1 << 70), max_size=3)
+        ),
+    )
+
+
+@st.composite
+def _scheme_run_results(draw):
+    from repro.accounting import CostLedger
+    from repro.cheating.strategies import WorkSummary
+    from repro.core.scheme import (
+        RejectReason,
+        SampleVerdict,
+        SchemeRunResult,
+        VerificationOutcome,
+    )
+
+    reasons = st.sampled_from(list(RejectReason))
+    indices = st.one_of(
+        st.integers(0, (1 << 32) - 1),
+        st.sampled_from([-1, 1 << 32, 1 << 70]),  # beyond u32: fallback
+    )
+    verdicts = draw(
+        st.lists(
+            st.builds(SampleVerdict, indices, st.booleans(), reasons),
+            max_size=6,
+        )
+    )
+    counts = st.integers(0, 1 << 40)
+    return SchemeRunResult(
+        outcome=VerificationOutcome(
+            draw(st.text(max_size=12)), draw(st.booleans()), verdicts,
+            draw(reasons),
+        ),
+        participant_ledger=draw(_ledgers()),
+        supervisor_ledger=draw(_ledgers()),
+        work=draw(st.none() | st.builds(WorkSummary, counts, counts)),
+        other_ledger=draw(st.just(CostLedger()) | _ledgers()),
+    )
+
+
+class TestPackedResultRecords:
+    """The result plane's packed records: exact round trips for every
+    value (through the fixed records or the generic fallback), and
+    CodecError — never a crash, never a truncation — on junk."""
+
+    @staticmethod
+    def real_results():
+        from repro.baselines import DoubleCheckScheme, RingerScheme
+        from repro.cheating.strategies import HonestBehavior, SemiHonestCheater
+        from repro.core.cbs import CBSScheme
+        from repro.core.ni_cbs import NICBSScheme
+        from repro.engine.jobs import SchemeBatch, SchemeJob, execute_batch
+        from repro.tasks.domain import RangeDomain
+        from repro.tasks.result import TaskAssignment
+        from repro.tasks.workloads import PasswordSearch
+
+        task = TaskAssignment("t-0", RangeDomain(0, 96), PasswordSearch())
+        jobs = (
+            SchemeJob(task, HonestBehavior(), seed=1),
+            SchemeJob(task, SemiHonestCheater(0.4), seed=2),
+        )
+        return [
+            result
+            for scheme in (
+                CBSScheme(n_samples=8, stop_on_first_failure=False),
+                NICBSScheme(n_samples=8),
+                DoubleCheckScheme(replication=2),  # non-zero other_ledger
+                RingerScheme(n_ringers=3),
+            )
+            for result in execute_batch(SchemeBatch(scheme, jobs))
+        ]
+
+    def test_real_results_round_trip(self):
+        results = self.real_results()
+        assert any(r.other_ledger.evaluations for r in results)
+        raw = encode_cluster_payload(results)
+        back = decode_cluster_payload(raw)
+        assert back == results
+        assert [_result_bits(r) for r in back] == [
+            _result_bits(r) for r in results
+        ]
+        assert encode_cluster_payload(back) == raw
+
+    @given(result=_scheme_run_results())
+    @settings(max_examples=150, deadline=None)
+    def test_any_result_round_trips_exactly(self, result):
+        raw = encode_cluster_payload(result)
+        back = decode_cluster_payload(raw)
+        assert _result_bits(back) == _result_bits(result)
+        assert encode_cluster_payload(back) == raw
+
+    def test_values_beyond_the_fixed_records_take_the_generic_path(self):
+        from repro.accounting import CostLedger
+        from repro.core.scheme import SampleVerdict, VerificationOutcome
+
+        packed = len(encode_cluster_payload(CostLedger(evaluations=-5)))
+        for ledger in (
+            CostLedger(evaluations=1 << 63),
+            CostLedger(bytes_sent=-(1 << 63) - 1),
+            CostLedger(evaluation_cost=3),  # int in a float slot
+            CostLedger(hashes=True),  # bool in an int slot
+        ):
+            raw = encode_cluster_payload(ledger)
+            assert len(raw) != packed  # not the 96-byte record
+            assert _ledger_bits(decode_cluster_payload(raw)) == _ledger_bits(ledger)
+        for index in (-1, 1 << 32):
+            outcome = VerificationOutcome(
+                "t", False, [SampleVerdict(index, False)]
+            )
+            assert decode_cluster_payload(encode_cluster_payload(outcome)) == outcome
+
+    def test_zero_other_ledger_costs_one_byte_and_signed_zero_survives(self):
+        import math
+
+        from repro.accounting import CostLedger
+
+        result = self.real_results()[0]
+        assert result.other_ledger == CostLedger()
+        lean = encode_cluster_payload(result)
+        result.other_ledger = CostLedger(screening_cost=-0.0)
+        signed = encode_cluster_payload(result)
+        assert len(signed) > len(lean) + 90  # the record is back
+        back = decode_cluster_payload(signed)
+        assert math.copysign(1.0, back.other_ledger.screening_cost) == -1.0
+
+    def test_service_verification_outcomes_ride_the_same_packing(self):
+        from repro.cheating.strategies import SemiHonestCheater
+        from repro.core.cbs import CBSParticipant, CBSSupervisor
+        from repro.core.ni_cbs import NICBSParticipant
+        from repro.core.scheme import VerificationOutcome
+        from repro.engine.cluster.worker import execute_payload
+        from repro.merkle.hashing import get_hash
+        from repro.service.jobcodec import encode_job
+        from repro.service.verification_jobs import (
+            verify_cbs_job,
+            verify_nicbs_job,
+        )
+        from repro.tasks.domain import RangeDomain
+        from repro.tasks.result import TaskAssignment
+        from repro.tasks.workloads import PasswordSearch
+
+        task = TaskAssignment("svc-0", RangeDomain(0, 64), PasswordSearch())
+        sha = get_hash("sha256")
+        hashed = LeafEncoding.HASHED.value
+        prover = CBSParticipant(task, SemiHonestCheater(0.5), hash_fn=sha)
+        commitment = prover.compute_and_commit()
+        supervisor = CBSSupervisor(task, n_samples=8, hash_fn=sha, seed=7)
+        supervisor.receive_commitment(commitment)
+        bundle = prover.prove(supervisor.make_challenge())
+        submission = NICBSParticipant(
+            task, SemiHonestCheater(0.5), n_samples=8, sample_hash=sha,
+            hash_fn=sha,
+        ).compute_and_submit()
+        for job in (
+            encode_job(
+                verify_cbs_job,
+                (task, 8, "sha256", hashed, 7, commitment, bundle), {},
+            ),
+            encode_job(
+                verify_nicbs_job,
+                (task, 8, "sha256", "sha256", hashed, submission), {},
+            ),
+        ):
+            outcome = execute_payload(job)
+            assert type(outcome) is VerificationOutcome and outcome.verdicts
+            raw = encode_cluster_payload(outcome)
+            assert decode_cluster_payload(raw) == outcome
+            # One blob, not a struct per verdict: 5 bytes each.
+            assert len(raw) < 40 + 5 * len(outcome.verdicts)
+
+    def test_leaf_vectors_cannot_ride_the_wire(self):
+        from repro.cheating.strategies import ComputedWork, HonestBehavior
+        from repro.core.cbs import CBSScheme
+        from repro.service.jobcodec import registered_structs
+        from repro.tasks.domain import RangeDomain
+        from repro.tasks.result import TaskAssignment
+        from repro.tasks.workloads import PasswordSearch
+
+        assert "computed_work" not in registered_structs()
+        task = TaskAssignment("t-0", RangeDomain(0, 32), PasswordSearch())
+        full = CBSScheme(n_samples=4).run(task, HonestBehavior(), seed=1)
+        assert type(full.work) is ComputedWork
+        with pytest.raises(CodecError, match="WorkSummary"):
+            encode_cluster_payload(full)
+        with pytest.raises(CodecError, match="not encodable"):
+            encode_cluster_payload(full.work)
+
+    def test_truncated_and_bit_flipped_results_rejected_cleanly(self):
+        encoded = encode_cluster_payload(self.real_results()[1])
+        for cut in range(len(encoded)):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(encoded[:cut])
+        for position in range(len(encoded)):
+            flipped = bytearray(encoded)
+            flipped[position] ^= 0xFF
+            try:
+                decode_cluster_payload(bytes(flipped))
+            except CodecError:
+                pass  # a changed-but-valid value is fine; a crash is not
+
+    def test_junk_verdict_blobs_rejected(self):
+        good = bytes([0, 0, 0, 7, 0x80]) * 3
+        assert len(
+            decode_cluster_payload(
+                _raw_struct("verification_outcome", ("t", True, 0, good))
+            ).verdicts
+        ) == 3
+        for blob in (
+            good[:-1],  # truncated: not a whole number of records
+            good + b"\x00",  # over-long by one byte
+            bytes([0, 0, 0, 7, 0x09]),  # reason code past the table
+            bytes([0, 0, 0, 7, 0xFF]),
+            "not-bytes", 17, None, (1, 2), [1, 2],
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(
+                    _raw_struct("verification_outcome", ("t", True, 0, blob))
+                )
+
+    @pytest.mark.parametrize("code", [9, -1, 1 << 40, True, "ok", None, 0.0])
+    def test_out_of_range_reason_codes_rejected(self, code):
+        for name, fields in (
+            ("verification_outcome", ("t", False, code, b"")),
+            ("sample_verdict", (3, False, code)),
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(_raw_struct(name, fields))
+
+    def test_junk_ledger_records_rejected(self):
+        from repro.accounting import CostLedger
+
+        record = bytes(96)
+        assert decode_cluster_payload(
+            _raw_struct("cost_ledger", (record, None))
+        ) == CostLedger()
+        for fields in (
+            (record[:-1], None),  # truncated
+            (record + b"\x00", None),  # over-long
+            (b"", None),
+            ((0.0,) * 11, None),  # generic path, one field short
+            ((0.0,) * 13, None),
+            ([0.0] * 12, None),
+            (None, None),
+            (record, [("k", 1)]),  # counters must be a dict
+            (record, 5),
+            (record,),  # arity
+            (record, None, None),
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(_raw_struct("cost_ledger", fields))
+
+    def test_junk_result_shapes_rejected(self):
+        record = bytes(96)
+        good = ("t", True, 0, b"", record, None, record, None, None, None, (4, 4))
+        assert decode_cluster_payload(
+            _raw_struct("scheme_run_result", good)
+        ).work.honesty_ratio == 1.0
+        for fields in (
+            good[:-1],
+            good + (None,),
+            good[:-1] + ((4,),),
+            good[:-1] + ((4, 4, 4),),
+            good[:-1] + ((4, "4"),),
+            good[:-1] + ([4, 4],),
+            good[:-1] + (b"leaf vector",),
+            good[:4] + (record[:5],) + good[5:],
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(_raw_struct("scheme_run_result", fields))
+
+
 class TestVersionSkewHandshake:
     """Live version gate: a v4 (pickle-era) peer dialing a v5
     coordinator is turned away at ``hello`` with a clear upgrade

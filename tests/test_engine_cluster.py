@@ -18,9 +18,18 @@ import time
 
 import pytest
 
+from repro.baselines import NaiveSamplingScheme
 from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.cheating.strategies import ComputedWork, WorkSummary
 from repro.core import CBSScheme, NICBSScheme
-from repro.engine import ClusterExecutor, get_executor
+from repro.engine import (
+    ClusterExecutor,
+    SchemeBatch,
+    SchemeJob,
+    execute_batch,
+    get_executor,
+    run_scheme_jobs,
+)
 from repro.engine.cluster.coordinator import _Coordinator, _WorkerLink
 from repro.engine.cluster.worker import (
     execute_chunk,
@@ -29,7 +38,12 @@ from repro.engine.cluster.worker import (
     run_worker,
 )
 from repro.exceptions import CodecError, EngineError
-from repro.grid.simulation import run_population
+from repro.grid.faults import FlakyParticipant, RetryingScheme
+from repro.grid.simulation import (
+    GridSimulation,
+    SimulationConfig,
+    run_population,
+)
 from repro.service.codec import (
     MAX_CLUSTER_FRAME_BYTES,
     ResultEndFrame,
@@ -42,7 +56,8 @@ from repro.service.codec import (
     encode_cluster_payload,
 )
 from repro.service.jobcodec import encode_job
-from repro.tasks import PasswordSearch, RangeDomain
+from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.utils.encoding import encode_uint
 
 from cluster_helpers import (
     _boom,
@@ -86,6 +101,34 @@ def population(scheme, engine, n=1 << 10, participants=8, **kwargs):
         engine=engine,
         **kwargs,
     )
+
+
+def sigkill_mid_population(executor, victim, run, n_jobs):
+    """Run ``run`` on a thread; SIGKILL ``victim`` provably mid-flight.
+
+    Event-driven, not a sleep: the kill fires once ``executor.stats``
+    shows at least one of the population's ``n_jobs`` accepted while
+    the rest are still outstanding, however fast results ship.
+    Returns the stats once the coordinator has noticed the death.
+    """
+    before = executor.stats["jobs_completed"]
+    thread = threading.Thread(target=run)
+    thread.start()
+    deadline = time.monotonic() + 60.0
+    done = 0
+    while done < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+        done = executor.stats["jobs_completed"] - before
+    os.kill(victim, signal.SIGKILL)
+    assert 1 <= done < n_jobs, f"kill missed the population: {done}/{n_jobs}"
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    # The EOF for the killed worker may still be in flight right after
+    # the map returns; give the loop a moment.
+    deadline = time.monotonic() + 10.0
+    while executor.stats["workers_lost"] < 1 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return executor.stats
 
 
 #: Worker-side registration hook for this module's job functions: the
@@ -231,6 +274,89 @@ class TestPopulationParity:
         assert stats["scheme_cache_hits"] > stats["scheme_cache_misses"]
 
 
+class TestLeanResults:
+    """What comes back through an executor is verdicts, not work: the
+    same lean results on every backend, O(m) bytes whatever |D| is."""
+
+    @staticmethod
+    def jobs(participants=6):
+        return GridSimulation(
+            SimulationConfig(
+                domain=RangeDomain(0, 1 << 9),
+                function=PasswordSearch(),
+                scheme=CBSScheme(n_samples=8),  # jobs() never reads it
+                n_participants=participants,
+                behaviors=[HonestBehavior(), SemiHonestCheater(0.6)],
+                seed=3,
+            )
+        ).jobs()
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [CBSScheme(n_samples=8), NICBSScheme(n_samples=8),
+         NaiveSamplingScheme(8)],
+        ids=lambda s: s.name,
+    )
+    def test_every_engine_returns_the_same_lean_results(self, cluster, scheme):
+        jobs = self.jobs()
+        direct = [scheme.run(j.assignment, j.behavior, seed=j.seed) for j in jobs]
+        assert all(type(r.work) is ComputedWork for r in direct)
+        serial = run_scheme_jobs(scheme, jobs, engine="serial")
+        for engine in ("threads", "processes", cluster):
+            assert run_scheme_jobs(scheme, jobs, engine=engine, workers=2) == serial
+        for lean, full in zip(serial, direct):
+            assert type(lean.work) is WorkSummary
+            assert lean.work.honesty_ratio == full.work.honesty_ratio
+            assert lean.work == full.work.summary()
+            assert lean.cheated == full.cheated
+            assert lean.outcome == full.outcome
+
+    def test_unreturned_work_stays_none(self):
+        scheme = RetryingScheme(CBSScheme(n_samples=4), max_retries=0)
+        jobs = [
+            SchemeJob(j.assignment, FlakyParticipant(j.behavior, 0.999), j.seed)
+            for j in self.jobs(participants=4)
+        ]
+        for engine in ("serial", "threads"):
+            results = run_scheme_jobs(scheme, jobs, engine=engine)
+            assert [r.work for r in results] == [None] * 4
+
+    def test_result_bytes_do_not_grow_with_the_domain(self):
+        """The return path is O(m): at the same m, 64x the inputs cost
+        only the varint width of the two counts."""
+
+        def encoded(n):
+            task = TaskAssignment("task-0", RangeDomain(0, n), PasswordSearch())
+            job = SchemeJob(task, HonestBehavior(), seed=5)
+            batch = SchemeBatch(CBSScheme(n_samples=16), (job,))
+            return encode_cluster_payload(execute_batch(batch))
+
+        def count_width(n):  # a non-negative int term: zigzag varint
+            return len(encode_uint(n << 1))
+
+        small, large = encoded(1 << 8), encoded(1 << 14)
+        assert len(large) - len(small) == 2 * (
+            count_width(1 << 14) - count_width(1 << 8)
+        )
+        assert len(large) < 512
+
+    def test_wire_budget_per_result(self, cluster):
+        """Deterministic: a payload vector creeping back into results
+        (83 KB each at this size before they went lean) fails here."""
+        before = cluster.stats
+        population(
+            CBSScheme(n_samples=16), engine=cluster, n=16 * 4096,
+            participants=16, batch_size=1,
+        )
+        after = cluster.stats
+        results = after["jobs_completed"] - before["jobs_completed"]
+        assert results == 16
+        per_result = (after["result_bytes"] - before["result_bytes"]) / results
+        assert 0 < per_result < 1024
+        coordinator_side = cluster._co.registry.snapshot()["repro_result_bytes"]
+        assert coordinator_side["values"][0]["labels"] == {"plane": "coordinator"}
+
+
 class TestFaultTolerance:
     def test_sigkill_one_worker_mid_population(self):
         """The ISSUE acceptance test: requeue keeps the report identical."""
@@ -238,7 +364,11 @@ class TestFaultTolerance:
         serial = report_fingerprint(
             population(scheme, engine="serial", n=1 << 16, participants=32)
         )
-        with ClusterExecutor(workers=2, worker_preload=PRELOAD) as executor:
+        # chunk_max=2 with batch_size=1: at least 16 chunks, so the
+        # first accepted result leaves most of the run outstanding.
+        with ClusterExecutor(
+            workers=2, chunk_max=2, worker_preload=PRELOAD
+        ) as executor:
             executor.map(_square, [0])  # force startup; pids known
             victim = executor.local_worker_pids[0]
             report_box: list = []
@@ -250,18 +380,13 @@ class TestFaultTolerance:
                         engine=executor,
                         n=1 << 16,
                         participants=32,
-                        batch_size=1,  # many small chunks: kill lands mid-run
+                        batch_size=1,
                     )
                 )
 
-            thread = threading.Thread(target=run)
-            thread.start()
-            time.sleep(0.35)  # let the first chunks reach the workers
-            os.kill(victim, signal.SIGKILL)
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-            stats = executor.stats
+            stats = sigkill_mid_population(executor, victim, run, n_jobs=32)
         assert stats["workers_lost"] >= 1
+        assert stats["jobs_requeued"] >= 1  # the victim died holding work
         assert report_fingerprint(report_box[0]) == serial
 
     def test_slow_worker_chunk_requeued(self):
@@ -947,21 +1072,7 @@ class TestStreamedEndToEnd:
                     )
                 )
 
-            thread = threading.Thread(target=run)
-            thread.start()
-            time.sleep(0.15)  # let the first streams start
-            os.kill(victim, signal.SIGKILL)
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-            # The EOF for the killed worker may still be in flight
-            # right after the map returns; give the loop a moment.
-            deadline = time.monotonic() + 10.0
-            while (
-                executor.stats["workers_lost"] < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            stats = executor.stats
+            stats = sigkill_mid_population(executor, victim, run, n_jobs=32)
         assert stats["workers_lost"] >= 1
         assert report_fingerprint(report_box[0]) == serial
 

@@ -14,8 +14,6 @@ The acceptance properties of PR 5:
 """
 
 import asyncio
-import os
-import signal
 import socket
 import threading
 import time
@@ -38,6 +36,7 @@ from test_engine_cluster import (
     _square,
     population,
     report_fingerprint,
+    sigkill_mid_population,
 )
 
 
@@ -94,7 +93,7 @@ class TestClusterAuthTLS:
         )
         with ClusterExecutor(
             workers=2, secret_file=secret_file, tls_cert=cert, tls_key=key,
-            worker_preload=PRELOAD,
+            chunk_max=2, worker_preload=PRELOAD,
         ) as executor:
             executor.map(_square, [0])  # force startup; pids known
             victim = executor.local_worker_pids[0]
@@ -111,19 +110,7 @@ class TestClusterAuthTLS:
                     )
                 )
 
-            thread = threading.Thread(target=run)
-            thread.start()
-            time.sleep(0.35)
-            os.kill(victim, signal.SIGKILL)
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-            deadline = time.monotonic() + 10.0
-            while (
-                executor.stats["workers_lost"] < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            stats = executor.stats
+            stats = sigkill_mid_population(executor, victim, run, n_jobs=32)
         assert stats["workers_lost"] >= 1
         assert stats["auth_rejects"] == 0
         assert report_fingerprint(report_box[0]) == serial
@@ -188,7 +175,15 @@ class TestClusterAuthTLS:
             serial = report_fingerprint(population(scheme, engine="serial"))
             secured = report_fingerprint(population(scheme, engine=executor))
             assert secured == serial
-            stats = executor.stats
+            # One registered worker is enough to finish this small
+            # population, so the other two dialers may still be mid-
+            # handshake when the map returns: wait for them to land.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                stats = executor.stats
+                if stats["auth_rejects"] >= 1 and stats["workers_live"] == 2:
+                    break
+                time.sleep(0.02)
             assert stats["auth_rejects"] >= 1  # the impostor bounced
             assert stats["workers_live"] == 2  # honest pool intact
         finally:
