@@ -4,7 +4,9 @@ Decomposes the participant hot path at a pinned domain size into
 phase-attributed wall-clock: task-function evaluation, batched leaf
 hashing, Merkle-root construction, the full CBS protocol run, cluster
 (de)serialization, frame I/O, and warm-pool scheduling overhead (cold
-pool spawn vs prewarmed dispatch).  Two gates ride on the numbers:
+pool spawn vs prewarmed dispatch) — and the Merkle *read* path
+(``prove`` → ``bundle_encode`` → ``bundle_decode`` → ``verify``) at two
+fixed shapes, in µs per proof.  Two gates ride on the numbers:
 
 * **Speedup** — the batched-hashing Merkle path must hold >= 2x over
   the pre-batching implementation, reproduced verbatim from the seed
@@ -16,8 +18,11 @@ pool spawn vs prewarmed dispatch).  Two gates ride on the numbers:
   second at the pinned domain) is appended to
   ``benchmarks/results/perf_trajectory.jsonl`` and compared against
   the latest committed record from the same machine fingerprint: a
-  >30% drop fails the bench.  The CI smoke job runs this ``--quick``
-  on every PR and uploads the JSON as an artifact.
+  >30% drop fails the bench.  The read path rides the same gate as
+  proofs/sec per shape, so a per-digest call chain creeping back into
+  the proof codec or the path fold fails here the way a slow Merkle
+  build does.  The CI smoke job runs this ``--quick`` on every PR and
+  uploads the JSON as an artifact.
 
 ``--quick`` shrinks the domain (2^12 instead of 2^16) and skips the
 absolute 2x assertion while keeping the whole harness — phases,
@@ -31,14 +36,15 @@ import time
 import _perf
 from repro.analysis import format_table
 from repro.cheating import HonestBehavior
-from repro.core import CBSScheme
+from repro.core import CBSScheme, NICBSParticipant, NICBSSupervisor
+from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
 from repro.engine import default_workers, get_executor
 from repro.grid import run_population
 from repro.merkle import get_hash
 from repro.merkle.tree import _LEAF_TAG, _NODE_TAG, LeafEncoding, chunked_root
 from repro.net.framing import frame_buffer, split_frame_buffer
 from repro.service.codec import decode_cluster_payload, encode_cluster_payload
-from repro.tasks import PasswordSearch, RangeDomain
+from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 D_EXP = 16
 D_EXP_QUICK = 12
@@ -47,6 +53,10 @@ ROUNDS = 6
 ROUNDS_QUICK = 3
 TARGET_SPEEDUP = 2.0
 SCHED_ITEMS = 128
+# The read path's two shapes (leaves, proofs): the ledger's proof-heavy
+# submission (many short paths) and a few tall ones.  Fixed, not
+# scaled by --quick: each is milliseconds.
+READ_SHAPES = ((512, 256), (4096, 16))
 
 FN = PasswordSearch()
 
@@ -171,6 +181,44 @@ def _phase_breakdown(n: int, payloads: list, raw_payload: bytes) -> dict:
     return phases
 
 
+def _read_path(n: int, m: int, rounds: int) -> dict:
+    """µs per proof through prove / encode / decode / verify at (n, m).
+
+    One honest NI-CBS submission; the four phases are interleaved
+    best-of-``rounds`` like the Merkle contenders, on the message the
+    wire actually carries (the decoded bundle is what ``verify`` sees).
+    """
+    task = TaskAssignment("bench-read", RangeDomain(0, n), FN)
+    participant = NICBSParticipant(task, HonestBehavior(), n_samples=m)
+    submission = participant.compute_and_submit()
+    challenge = SampleChallengeMsg(
+        task_id=task.task_id, indices=tuple(p.index for p in submission.proofs)
+    )
+    raw = submission.encode()
+    decoded = NICBSSubmissionMsg.decode(raw)
+    assert decoded == submission
+
+    def verify() -> None:
+        assert NICBSSupervisor(task, n_samples=m).verify(decoded).accepted
+
+    best = _interleaved_best(
+        {
+            "prove": lambda: participant.prove(challenge),
+            "bundle_encode": submission.encode,
+            "bundle_decode": lambda: NICBSSubmissionMsg.decode(raw),
+            "verify": verify,
+        },
+        rounds,
+    )
+    record = {
+        f"{phase}_us_per_proof": round(seconds / m * 1e6, 3)
+        for phase, seconds in best.items()
+    }
+    record["bundle_bytes"] = len(raw)
+    record["proofs_per_s"] = round(m / sum(best.values()), 1)
+    return record
+
+
 def test_profile_worker_second(save_json, save_table, trajectory, quick):
     d_exp = D_EXP_QUICK if quick else D_EXP
     rounds = ROUNDS_QUICK if quick else ROUNDS
@@ -192,6 +240,10 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
     participants_per_s = 1.0 / best["current"]
 
     phases = _phase_breakdown(n, payloads, raw_payload)
+    read_path = {
+        f"n{leaves}_m{proofs}": _read_path(leaves, proofs, 4 * rounds)
+        for leaves, proofs in READ_SHAPES
+    }
 
     # Wire economy of the serialize phase: the same payload list
     # through the typed codec vs the retired pickle envelope, as
@@ -226,6 +278,13 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
             ),
         ),
     )
+    save_table(
+        "profile_read_path",
+        format_table(
+            [{"shape": shape, **record} for shape, record in read_path.items()],
+            title="Merkle read path, one honest NI-CBS submission per shape",
+        ),
+    )
     save_json(
         "profile",
         {
@@ -236,6 +295,7 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
             "rounds": rounds,
             "phases_s": {k: round(v, 6) for k, v in phases.items()},
             "serialize_wire": serialize_wire,
+            "read_path": read_path,
             "merkle_legacy_s": round(best["legacy"], 6),
             "merkle_current_s": round(best["current"], 6),
             "speedup_vs_legacy": round(speedup, 3),
@@ -247,16 +307,20 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
     # Regression gate first (it also applies --quick, i.e. on every
     # PR): fall below the machine's own committed trajectory by >30%
     # and the bench fails before recording the regressed point.
-    baseline = trajectory.baseline(
-        "profile", "participants_per_s", domain_size=n
-    )
-    floor = None if baseline is None else (1.0 - _perf.MAX_REGRESSION) * baseline
-    if floor is not None:
-        assert participants_per_s >= floor, (
-            f"participants/sec regressed >30% below this machine's "
-            f"committed trajectory: {participants_per_s:.2f} vs "
-            f"baseline {baseline:.2f} (floor {floor:.2f})"
-        )
+    read_rates = {
+        f"read_proofs_per_s_{shape}": record["proofs_per_s"]
+        for shape, record in read_path.items()
+    }
+    gated = {"participants_per_s": participants_per_s, **read_rates}
+    for metric, rate in gated.items():
+        baseline = trajectory.baseline("profile", metric, domain_size=n)
+        if baseline is not None:
+            floor = (1.0 - _perf.MAX_REGRESSION) * baseline
+            assert rate >= floor, (
+                f"{metric} regressed >30% below this machine's committed "
+                f"trajectory: {rate:.2f} vs baseline {baseline:.2f} "
+                f"(floor {floor:.2f})"
+            )
     if not quick:
         assert speedup >= TARGET_SPEEDUP, (
             f"batched Merkle path must hold >= {TARGET_SPEEDUP}x over the "
@@ -274,4 +338,11 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
         speedup_vs_legacy=round(speedup, 3),
         merkle_current_s=round(best["current"], 6),
         merkle_legacy_s=round(best["legacy"], 6),
+        **read_rates,
+        **{
+            f"{field}_{shape}": value
+            for shape, record in read_path.items()
+            for field, value in record.items()
+            if field.endswith("_us_per_proof")
+        },
     )

@@ -43,7 +43,7 @@ from repro.core.scheme import (
     VerificationScheme,
 )
 from repro.core.storage_opt import TreeBackend
-from repro.core.verification import verify_sample_proof
+from repro.core.verification import verify_proof_bundle
 from repro.exceptions import ProtocolError, ReproError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
@@ -144,19 +144,17 @@ class CBSParticipant:
                 f"expected {self.assignment.task_id!r}"
             )
         n = self.assignment.n_inputs
-        proofs = []
         for index in challenge.indices:
             if not 0 <= index < n:
                 raise ProtocolError(f"challenged index {index} outside [0, {n})")
-            proofs.append(
-                SampleProof(
-                    index=index,
-                    claimed_result=self.backend.committed_payload(index),
-                    path=self.backend.auth_path(index),
-                )
-            )
+        payload_at = self.backend.committed_payload
+        path_to = self.backend.auth_path
+        proofs = tuple(
+            SampleProof(index, payload_at(index), path_to(index))
+            for index in challenge.indices
+        )
         self.ledger.bump("proofs", len(proofs))
-        return ProofBundleMsg(task_id=self.assignment.task_id, proofs=tuple(proofs))
+        return ProofBundleMsg(task_id=self.assignment.task_id, proofs=proofs)
 
     def prove_batch(self, challenge: SampleChallengeMsg) -> BatchProofMsg:
         """Step 3 with one compressed multiproof for all samples (E11).
@@ -318,24 +316,19 @@ class CBSSupervisor:
             outcome.reason = RejectReason.MALFORMED_PROOF
             return outcome
 
-        for proof, expected_index in zip(bundle.proofs, expected):
-            self.ledger.bump("samples_verified")
-            verdict = verify_sample_proof(
-                proof=proof,
-                expected_index=expected_index,
-                root=self._commitment.root,
-                n_leaves=self._commitment.n_leaves,
-                domain=self.assignment.domain,
-                function=self._metered,
-                hash_fn=self.hash_fn,
-                leaf_encoding=self.leaf_encoding,
-            )
-            outcome.verdicts.append(verdict)
-            if not verdict.accepted:
-                outcome.accepted = False
-                outcome.reason = verdict.reason
-                if self.stop_on_first_failure:
-                    break
+        verdicts = verify_proof_bundle(
+            bundle.proofs,
+            expected,
+            root=self._commitment.root,
+            n_leaves=self._commitment.n_leaves,
+            domain=self.assignment.domain,
+            function=self._metered,
+            hash_fn=self.hash_fn,
+            leaf_encoding=self.leaf_encoding,
+            stop_on_first_failure=self.stop_on_first_failure,
+        )
+        self.ledger.bump("samples_verified", len(verdicts))
+        outcome.record(verdicts)
         return outcome
 
     def verify_batch(self, msg: BatchProofMsg) -> VerificationOutcome:

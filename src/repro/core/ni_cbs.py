@@ -32,7 +32,7 @@ from repro.core.scheme import (
     VerificationOutcome,
     VerificationScheme,
 )
-from repro.core.verification import verify_sample_proof
+from repro.core.verification import verify_proof_bundle
 from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
@@ -180,24 +180,19 @@ class NICBSSupervisor:
             outcome.reason = RejectReason.SAMPLE_MISMATCH
             return outcome
 
-        for proof, expected_index in zip(submission.proofs, expected):
-            self.ledger.bump("samples_verified")
-            verdict = verify_sample_proof(
-                proof=proof,
-                expected_index=expected_index,
-                root=submission.root,
-                n_leaves=submission.n_leaves,
-                domain=self.assignment.domain,
-                function=self._metered,
-                hash_fn=self.hash_fn,
-                leaf_encoding=self.leaf_encoding,
-            )
-            outcome.verdicts.append(verdict)
-            if not verdict.accepted:
-                outcome.accepted = False
-                outcome.reason = verdict.reason
-                if self.stop_on_first_failure:
-                    break
+        verdicts = verify_proof_bundle(
+            submission.proofs,
+            expected,
+            root=submission.root,
+            n_leaves=submission.n_leaves,
+            domain=self.assignment.domain,
+            function=self._metered,
+            hash_fn=self.hash_fn,
+            leaf_encoding=self.leaf_encoding,
+            stop_on_first_failure=self.stop_on_first_failure,
+        )
+        self.ledger.bump("samples_verified", len(verdicts))
+        outcome.record(verdicts)
         return outcome
 
 

@@ -21,6 +21,7 @@ the wire) — the ``O(n)`` cost CBS eliminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.exceptions import CodecError
 from repro.merkle.proof import AuthenticationPath
@@ -51,6 +52,37 @@ def _decode_text(raw: bytes, what: str) -> str:
 def _read_task_id(data: bytes, offset: int) -> tuple[str, int]:
     raw, pos = read_bytes(data, offset)
     return _decode_text(raw, "task id"), pos
+
+
+def _encode_proofs(head: bytes, proofs: Sequence[SampleProof]) -> bytes:
+    """``head`` followed by a run of proofs — the one proof encoder.
+
+    Per proof: ``index ‖ claimed result ‖ authentication path``.
+    :class:`ProofBundleMsg` and :class:`NICBSSubmissionMsg` pass their
+    header and proof count as ``head``; :meth:`SampleProof.encode` is a
+    run of one behind an empty head.
+    """
+    parts = [head]
+    append = parts.append
+    for proof in proofs:
+        append(encode_uint(proof.index))
+        append(encode_bytes(proof.claimed_result))
+        append(encode_auth_path(proof.path))
+    return b"".join(parts)
+
+
+def _read_proofs(
+    data: bytes, pos: int, count: int
+) -> tuple[tuple[SampleProof, ...], int]:
+    """Decode a run of ``count`` proofs at ``pos`` — the one proof decoder."""
+    proofs = []
+    append = proofs.append
+    for _ in range(count):
+        index, pos = read_uint(data, pos)
+        claimed, pos = read_bytes(data, pos)
+        path, pos = decode_auth_path(data, pos)
+        append(SampleProof(index, claimed, path))
+    return tuple(proofs), pos
 
 
 @dataclass(frozen=True)
@@ -112,18 +144,12 @@ class SampleProof:
     path: AuthenticationPath
 
     def encode(self) -> bytes:
-        return (
-            encode_uint(self.index)
-            + encode_bytes(self.claimed_result)
-            + encode_auth_path(self.path)
-        )
+        return _encode_proofs(b"", (self,))
 
     @classmethod
     def decode_at(cls, data: bytes, offset: int) -> tuple["SampleProof", int]:
-        index, pos = read_uint(data, offset)
-        claimed, pos = read_bytes(data, pos)
-        path, pos = decode_auth_path(data, pos)
-        return cls(index=index, claimed_result=claimed, path=path), pos
+        (proof,), pos = _read_proofs(data, offset, 1)
+        return proof, pos
 
     def wire_size(self) -> int:
         return len(self.encode())
@@ -137,23 +163,17 @@ class ProofBundleMsg:
     proofs: tuple[SampleProof, ...]
 
     def encode(self) -> bytes:
-        out = bytearray(_encode_task_id(self.task_id))
-        out += encode_uint(len(self.proofs))
-        for proof in self.proofs:
-            out += proof.encode()
-        return bytes(out)
+        head = _encode_task_id(self.task_id) + encode_uint(len(self.proofs))
+        return _encode_proofs(head, self.proofs)
 
     @classmethod
     def decode(cls, data: bytes) -> "ProofBundleMsg":
         task_id, pos = _read_task_id(data, 0)
         count, pos = read_uint(data, pos)
-        proofs: list[SampleProof] = []
-        for _ in range(count):
-            proof, pos = SampleProof.decode_at(data, pos)
-            proofs.append(proof)
+        proofs, pos = _read_proofs(data, pos, count)
         if pos != len(data):
             raise CodecError("trailing bytes in ProofBundleMsg")
-        return cls(task_id=task_id, proofs=tuple(proofs))
+        return cls(task_id=task_id, proofs=proofs)
 
     def wire_size(self) -> int:
         return len(self.encode())
@@ -179,7 +199,7 @@ class BatchProofMsg:
         return (
             _encode_task_id(self.task_id)
             + encode_uint_list(list(self.indices))
-            + encode_bytes_list(list(self.claimed_results))
+            + encode_bytes_list(self.claimed_results)
             + encode_bytes(self.proof_bytes)
         )
 
@@ -216,13 +236,13 @@ class NICBSSubmissionMsg:
     proofs: tuple[SampleProof, ...]
 
     def encode(self) -> bytes:
-        out = bytearray(_encode_task_id(self.task_id))
-        out += encode_bytes(self.root)
-        out += encode_uint(self.n_leaves)
-        out += encode_uint(len(self.proofs))
-        for proof in self.proofs:
-            out += proof.encode()
-        return bytes(out)
+        head = (
+            _encode_task_id(self.task_id)
+            + encode_bytes(self.root)
+            + encode_uint(self.n_leaves)
+            + encode_uint(len(self.proofs))
+        )
+        return _encode_proofs(head, self.proofs)
 
     @classmethod
     def decode(cls, data: bytes) -> "NICBSSubmissionMsg":
@@ -230,13 +250,10 @@ class NICBSSubmissionMsg:
         root, pos = read_bytes(data, pos)
         n_leaves, pos = read_uint(data, pos)
         count, pos = read_uint(data, pos)
-        proofs: list[SampleProof] = []
-        for _ in range(count):
-            proof, pos = SampleProof.decode_at(data, pos)
-            proofs.append(proof)
+        proofs, pos = _read_proofs(data, pos, count)
         if pos != len(data):
             raise CodecError("trailing bytes in NICBSSubmissionMsg")
-        return cls(task_id=task_id, root=root, n_leaves=n_leaves, proofs=tuple(proofs))
+        return cls(task_id=task_id, root=root, n_leaves=n_leaves, proofs=proofs)
 
     def wire_size(self) -> int:
         return len(self.encode())
@@ -250,7 +267,7 @@ class FullResultsMsg:
     results: tuple[bytes, ...]
 
     def encode(self) -> bytes:
-        return _encode_task_id(self.task_id) + encode_bytes_list(list(self.results))
+        return _encode_task_id(self.task_id) + encode_bytes_list(self.results)
 
     @classmethod
     def decode(cls, data: bytes) -> "FullResultsMsg":

@@ -55,6 +55,18 @@ class VerificationOutcome:
     verdicts: list[SampleVerdict] = field(default_factory=list)
     reason: RejectReason = RejectReason.OK
 
+    def record(self, verdicts: Sequence[SampleVerdict]) -> None:
+        """Append sample verdicts; any rejected one rejects the task.
+
+        The task's reason is that of the latest rejected sample, which
+        under stop-on-first-failure is the only one.
+        """
+        self.verdicts.extend(verdicts)
+        for verdict in verdicts:
+            if not verdict.accepted:
+                self.accepted = False
+                self.reason = verdict.reason
+
     @property
     def first_failure(self) -> SampleVerdict | None:
         """The first rejected sample, if any."""

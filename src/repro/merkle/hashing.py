@@ -81,9 +81,10 @@ class HashFunction:
         return self._fn(data)
 
     # ------------------------------------------------------------------
-    # Batched digests — the Merkle builders' call boundary.
+    # Batched digests — the Merkle call boundary: three level-wide
+    # methods for the builders, :meth:`fold_path` for the verifier.
     #
-    # All three methods are byte-identical to their per-digest loops;
+    # All four methods are byte-identical to their per-digest loops;
     # registry entries dispatch through a cached constructor (and, for
     # the tagged forms, a pre-seeded hasher copied per item, skipping
     # the ``tag + blob`` concatenation), while wrappers
@@ -142,6 +143,47 @@ class HashFunction:
             or hasher.digest()
             for left, right in zip(pairs, pairs)
         ]
+
+    def fold_path(
+        self,
+        tag: bytes,
+        leaf: bytes,
+        index: int,
+        siblings: Sequence[bytes],
+    ) -> bytes:
+        """Fold one authentication path to its root in a single call.
+
+        The read-side sibling of :meth:`tagged_digest_pairs`: starting
+        from ``leaf``, each sibling is combined as
+        ``digest(tag + left + right)``, the running digest on the right
+        when the matching bit of ``index`` (least significant first) is
+        set.  Equals the per-level ``digest`` loop byte for byte; the
+        registry entries copy one pre-seeded hasher per level instead
+        of concatenating.
+        """
+        digest = leaf
+        factory = self._factory
+        if factory is None:
+            fn = self.digest
+            for sibling in siblings:
+                if index & 1:
+                    digest = fn(tag + sibling + digest)
+                else:
+                    digest = fn(tag + digest + sibling)
+                index >>= 1
+            return digest
+        copy = factory(tag).copy
+        for sibling in siblings:
+            hasher = copy()
+            if index & 1:
+                hasher.update(sibling)
+                hasher.update(digest)
+            else:
+                hasher.update(digest)
+                hasher.update(sibling)
+            digest = hasher.digest()
+            index >>= 1
+        return digest
 
     def __call__(self, data: bytes) -> bytes:
         return self.digest(data)
@@ -203,6 +245,25 @@ class IteratedHash(HashFunction):
             digests = self.base.digest_many(digests)
         return digests
 
+    def fold_path(
+        self,
+        tag: bytes,
+        leaf: bytes,
+        index: int,
+        siblings: Sequence[bytes],
+    ) -> bytes:
+        # ``h^k`` feeds each level's output back through ``h``, so the
+        # levels cannot share one base fold; each is a one-sibling fold
+        # plus ``k - 1`` plain rounds.
+        base, extra = self.base, self.rounds - 1
+        digest = leaf
+        for sibling in siblings:
+            digest = base.fold_path(tag, digest, index & 1, (sibling,))
+            for _ in range(extra):
+                digest = base.digest(digest)
+            index >>= 1
+        return digest
+
 
 class CountingHash(HashFunction):
     """Wrap a hash so every invocation is charged to a ledger.
@@ -245,6 +306,16 @@ class CountingHash(HashFunction):
         for _ in range(len(level) // 2):
             charge(cost)
         return self.inner.tagged_digest_pairs(tag, level)
+
+    def fold_path(
+        self,
+        tag: bytes,
+        leaf: bytes,
+        index: int,
+        siblings: Sequence[bytes],
+    ) -> bytes:
+        self._charge_each(siblings)
+        return self.inner.fold_path(tag, leaf, index, siblings)
 
     def _charge_each(self, blobs: Sequence[bytes]) -> None:
         charge, cost = self.ledger.charge_hash, self.inner.cost

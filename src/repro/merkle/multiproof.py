@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import MerkleError, ProofShapeError
 from repro.merkle.hashing import HashFunction
+from repro.merkle.serialize import ENCODING_CODES, ENCODING_FROM_CODE
 from repro.merkle.tree import LeafEncoding, MerkleTree, combine, encode_leaf
 from repro.utils.encoding import (
     encode_bytes_list,
@@ -76,9 +77,9 @@ class MerkleMultiProof:
     def encode(self) -> bytes:
         out = bytearray()
         out += encode_uint(self.n_leaves)
-        out += encode_uint(0 if self.leaf_encoding is LeafEncoding.HASHED else 1)
+        out += encode_uint(ENCODING_CODES[self.leaf_encoding])
         out += encode_uint_list(list(self.leaf_indices))
-        out += encode_bytes_list(list(self.siblings))
+        out += encode_bytes_list(self.siblings)
         return bytes(out)
 
     @classmethod
@@ -89,13 +90,15 @@ class MerkleMultiProof:
         siblings, pos = read_bytes_list(data, pos)
         if pos != len(data):
             raise MerkleError("trailing bytes in MerkleMultiProof")
+        if code not in ENCODING_FROM_CODE:
+            raise MerkleError(
+                f"unknown leaf-encoding code {code} in MerkleMultiProof"
+            )
         return cls(
             leaf_indices=tuple(indices),
             siblings=tuple(siblings),
             n_leaves=n_leaves,
-            leaf_encoding=(
-                LeafEncoding.HASHED if code == 0 else LeafEncoding.RAW
-            ),
+            leaf_encoding=ENCODING_FROM_CODE[code],
         )
 
     # ------------------------------------------------------------------

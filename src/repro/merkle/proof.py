@@ -11,15 +11,23 @@ that the participant knew ``f(x)`` *before* committing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.exceptions import ProofShapeError
 from repro.merkle import hashing
+
+#: Domain-separation tag of the internal-node rule (Eq. 1).  Defined
+#: here, not beside the leaf tags in :mod:`repro.merkle.tree`, because
+#: that module imports this one and the path fold needs it.
+NODE_TAG = b"\x01"
+
+_new = object.__new__
 
 
 def compute_root_from_path(
     leaf_phi: bytes,
     leaf_index: int,
-    siblings: list[bytes],
+    siblings: Sequence[bytes],
     hash_fn: "hashing.HashFunction",
 ) -> bytes:
     """Reconstruct ``Φ(R')`` from a leaf ``Φ`` value and its siblings.
@@ -27,19 +35,10 @@ def compute_root_from_path(
     This is ``Λ(Φ(L), λ1..λH)``: starting at the leaf, combine with each
     sibling in leaf-to-root order; the bit ``j`` of ``leaf_index``
     determines whether the running digest is the left or right child at
-    level ``H − j``.
+    level ``H − j``.  The whole path crosses the hash wrapper stack
+    once, through :meth:`~repro.merkle.hashing.HashFunction.fold_path`.
     """
-    from repro.merkle.tree import combine  # local import: avoid cycle
-
-    digest = leaf_phi
-    node = leaf_index
-    for sibling in siblings:
-        if node & 1:
-            digest = combine(hash_fn, sibling, digest)
-        else:
-            digest = combine(hash_fn, digest, sibling)
-        node >>= 1
-    return digest
+    return hash_fn.fold_path(NODE_TAG, leaf_phi, leaf_index, siblings)
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,34 @@ class AuthenticationPath:
         if len(sizes) > 1:
             raise ProofShapeError(f"inconsistent sibling digest sizes: {sizes}")
 
+    @classmethod
+    def from_uniform(
+        cls,
+        leaf_index: int,
+        siblings: list[bytes],
+        n_leaves: int,
+        leaf_encoding: "object",
+    ) -> "AuthenticationPath":
+        """Build a path whose siblings are already known to be equal-length.
+
+        For the two producers that have just established that — a tree
+        handing out its own digest rows, the wire decoder after its
+        uniform-run check — so a bundle of ``m`` paths does not re-scan
+        ``m·H`` digest lengths.  The index checks are kept: a bad index
+        takes the validating constructor and raises as it always has.
+        """
+        if leaf_index < 0 or (n_leaves and leaf_index >= n_leaves):
+            return cls(leaf_index, siblings, n_leaves, leaf_encoding)
+        path = _new(cls)
+        # Frozen dataclass: fill the instance dict directly, which is
+        # what the generated ``__init__`` does one setattr at a time.
+        fields_ = path.__dict__
+        fields_["leaf_index"] = leaf_index
+        fields_["siblings"] = siblings
+        fields_["n_leaves"] = n_leaves
+        fields_["leaf_encoding"] = leaf_encoding
+        return path
+
     @property
     def height(self) -> int:
         """Path length ``H`` (number of sibling digests)."""
@@ -95,7 +122,7 @@ class AuthenticationPath:
     ) -> bytes:
         """Reconstruct the root from an already-encoded leaf ``Φ`` value."""
         return compute_root_from_path(
-            leaf_phi, self.leaf_index, list(self.siblings), hash_fn
+            leaf_phi, self.leaf_index, self.siblings, hash_fn
         )
 
     def verify(

@@ -17,21 +17,33 @@ from repro.utils.encoding import (
     read_bytes,
     read_bytes_list,
     read_uint,
+    read_uniform_run,
 )
 
-_ENCODING_CODES = {LeafEncoding.HASHED: 0, LeafEncoding.RAW: 1}
-_ENCODING_FROM_CODE = {code: enc for enc, code in _ENCODING_CODES.items()}
+#: Wire code of each leaf encoding, shared with the multiproof codec.
+ENCODING_CODES = {LeafEncoding.HASHED: 0, LeafEncoding.RAW: 1}
+ENCODING_FROM_CODE = {code: enc for enc, code in ENCODING_CODES.items()}
+# The code field as it sits on the wire (a one-byte varint); ``None``
+# is a path built without an encoding, which has always meant HASHED.
+_CODE_BYTES = {enc: encode_uint(code) for enc, code in ENCODING_CODES.items()}
+_CODE_BYTES[None] = _CODE_BYTES[LeafEncoding.HASHED]
 
 
 def encode_auth_path(path: AuthenticationPath) -> bytes:
-    """Serialize an authentication path."""
-    encoding = path.leaf_encoding or LeafEncoding.HASHED
-    out = bytearray()
-    out += encode_uint(path.leaf_index)
-    out += encode_uint(path.n_leaves)
-    out += encode_uint(_ENCODING_CODES[encoding])
-    out += encode_bytes_list(list(path.siblings))
-    return bytes(out)
+    """Serialize an authentication path.
+
+    ``leaf_index ‖ n_leaves ‖ encoding code ‖ sibling list``; the
+    sibling list is a uniform run (see :mod:`repro.utils.encoding`), so
+    a path costs a handful of calls however tall the tree is.
+    """
+    return b"".join(
+        (
+            encode_uint(path.leaf_index),
+            encode_uint(path.n_leaves),
+            _CODE_BYTES[path.leaf_encoding],
+            encode_bytes_list(path.siblings),
+        )
+    )
 
 
 def decode_auth_path(data: bytes, offset: int = 0) -> tuple[AuthenticationPath, int]:
@@ -39,16 +51,22 @@ def decode_auth_path(data: bytes, offset: int = 0) -> tuple[AuthenticationPath, 
     leaf_index, pos = read_uint(data, offset)
     n_leaves, pos = read_uint(data, pos)
     code, pos = read_uint(data, pos)
-    if code not in _ENCODING_FROM_CODE:
+    encoding = ENCODING_FROM_CODE.get(code)
+    if encoding is None:
         raise CodecError(f"unknown leaf-encoding code {code}")
-    siblings, pos = read_bytes_list(data, pos)
-    path = AuthenticationPath(
-        leaf_index=leaf_index,
-        siblings=siblings,
-        n_leaves=n_leaves,
-        leaf_encoding=_ENCODING_FROM_CODE[code],
-    )
-    return path, pos
+    count, run_pos = read_uint(data, pos)
+    run = read_uniform_run(data, run_pos, count)
+    if run is None:
+        # Not a uniform run: the generic list reader decodes or rejects
+        # it, and the validating constructor checks the sibling sizes.
+        siblings, pos = read_bytes_list(data, pos)
+        build = AuthenticationPath
+    else:
+        # Every length prefix was just checked equal — the path's own
+        # sibling-size invariant — so only the index checks remain.
+        siblings, pos = run
+        build = AuthenticationPath.from_uniform
+    return build(leaf_index, siblings, n_leaves, encoding), pos
 
 
 def encode_digest(digest: bytes) -> bytes:

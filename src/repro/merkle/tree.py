@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.exceptions import EmptyTreeError, LeafIndexError, MerkleError
 from repro.merkle.hashing import HashFunction, get_hash
+from repro.merkle.proof import NODE_TAG as _NODE_TAG
 from repro.merkle.proof import AuthenticationPath
 from repro.utils.bitmath import next_power_of_two, tree_height
 
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.executor import Executor
 
 _LEAF_TAG = b"\x00"
-_NODE_TAG = b"\x01"
 _EMPTY_TAG = b"\x02repro/empty"
 
 
@@ -446,17 +446,16 @@ class MerkleTree:
         (paper §3.1 and footnote 1).  Siblings are ordered leaf-upward.
         """
         self._check_leaf_index(index)
-        siblings: list[bytes] = []
-        node = index
-        # Walk from the leaf level (last) up to level 1 (children of root).
-        for level in range(len(self._levels) - 1, 0, -1):
-            siblings.append(self._levels[level][node ^ 1])
-            node >>= 1
-        return AuthenticationPath(
-            leaf_index=index,
-            siblings=siblings,
-            n_leaves=self.n_leaves,
-            leaf_encoding=self.leaf_encoding,
+        # Leaf level (last) up to level 1 (children of the root); the
+        # rows are this tree's own digests, so equal-length already.
+        return AuthenticationPath.from_uniform(
+            index,
+            [
+                level[(index >> depth) ^ 1]
+                for depth, level in enumerate(self._levels[:0:-1])
+            ],
+            self.n_leaves,
+            self.leaf_encoding,
         )
 
     def __len__(self) -> int:

@@ -6,15 +6,33 @@ simulated network (:mod:`repro.grid.network`) can account communication
 costs in *actual bytes on the wire* rather than hand-waved O(·) terms.
 The format is the LEB128-style varint used by protobuf: 7 payload bits
 per byte, most-significant-bit set on every byte except the last.
+
+Two shapes dominate real traffic and take a short path that produces
+and accepts exactly the bytes the generic loops do: a varint below 128
+is one table lookup / one index, and a *uniform run* — a list whose
+items all have one length below 128, which is what a sibling-digest
+list or a results vector is — is one ``join`` to encode and one
+strided compare of every length prefix to decode.  Which path runs is
+decided from the values or the bytes themselves; anything else
+(mixed lengths, long items, multi-byte or overlong prefixes, truncated
+input) goes through the generic loops.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.exceptions import CodecError
+
+# The 128 single-byte varints, which are also the length prefixes of
+# every item shorter than 128 bytes.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
 
 
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise CodecError(f"cannot varint-encode negative value {value}")
     out = bytearray()
@@ -30,6 +48,8 @@ def encode_uint(value: int) -> bytes:
 
 def read_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; return ``(value, next_offset)``."""
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     value = 0
     shift = 0
     pos = offset
@@ -96,17 +116,48 @@ def read_uint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
     return values, pos
 
 
-def encode_bytes_list(items: list[bytes]) -> bytes:
+def encode_bytes_list(items: Sequence[bytes]) -> bytes:
     """Encode a list of byte strings (count, then length-prefixed items)."""
+    sizes = set(map(len, items))
+    if len(sizes) == 1 and (size := sizes.pop()) < 0x80:
+        # Uniform run: every item carries the same one-byte prefix.
+        prefix = _ONE_BYTE[size]
+        return encode_uint(len(items)) + prefix + prefix.join(items)
     out = bytearray(encode_uint(len(items)))
     for item in items:
         out += encode_bytes(item)
     return bytes(out)
 
 
+def read_uniform_run(
+    data: bytes, pos: int, count: int
+) -> tuple[list[bytes], int] | None:
+    """``count`` length-prefixed items at ``pos`` if they form a uniform run.
+
+    Returns ``(items, next_offset)`` when the bytes hold ``count``
+    items that all carry the same single-byte length prefix, checking
+    *every* prefix (one strided compare) before slicing; ``None`` when
+    they do not have that shape — empty, mixed, long, multi-byte
+    prefixed or truncated — which is for the generic loop to decode or
+    reject.
+    """
+    if count < 1 or pos >= len(data) or (size := data[pos]) >= 0x80:
+        return None
+    stride = size + 1
+    end = pos + count * stride
+    # Bounds before the compare: a lying count must not size a buffer.
+    if end > len(data) or data[pos:end:stride] != _ONE_BYTE[size] * count:
+        return None
+    starts = range(pos + 1, end + 1, stride)
+    return [data[start : start + size] for start in starts], end
+
+
 def read_bytes_list(data: bytes, offset: int = 0) -> tuple[list[bytes], int]:
     """Decode a list written by :func:`encode_bytes_list`."""
     count, pos = read_uint(data, offset)
+    run = read_uniform_run(data, pos, count)
+    if run is not None:
+        return run
     items: list[bytes] = []
     for _ in range(count):
         item, pos = read_bytes(data, pos)

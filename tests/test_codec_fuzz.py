@@ -119,6 +119,43 @@ class TestGarbageRejection:
             _try_decode(SampleChallengeMsg.decode, bytes(mutated))
 
 
+class TestMultiProofFuzz:
+    @given(code=st.integers(min_value=2, max_value=1 << 40))
+    @settings(max_examples=40, deadline=None)
+    def test_unknown_leaf_encoding_codes_rejected(self, code):
+        # Codes outside the table used to decode as RAW, so one proof
+        # had many encodings; only 0 and 1 name a leaf encoding.
+        from repro.utils.encoding import encode_uint
+
+        proof = MerkleMultiProof(
+            leaf_indices=(1, 4), siblings=(b"\x11" * 8,) * 3, n_leaves=6
+        )
+        encoded = proof.encode()
+        assert encoded[:2] == b"\x06\x00"
+        with pytest.raises(ReproError):
+            MerkleMultiProof.decode(
+                encoded[:1] + encode_uint(code) + encoded[2:]
+            )
+
+    def test_every_truncation_and_bit_flip_rejected_cleanly(self):
+        proof = MerkleMultiProof(
+            leaf_indices=(1, 4),
+            siblings=(b"\x11" * 8,) * 3,
+            n_leaves=6,
+            leaf_encoding=LeafEncoding.RAW,
+        )
+        encoded = proof.encode()
+        assert MerkleMultiProof.decode(encoded) == proof
+        for cut in range(len(encoded)):
+            with pytest.raises(ReproError):
+                MerkleMultiProof.decode(encoded[:cut])
+        for i in range(len(encoded)):
+            for bit in range(8):
+                mutated = bytearray(encoded)
+                mutated[i] ^= 1 << bit
+                _try_decode(MerkleMultiProof.decode, bytes(mutated))
+
+
 _task_ids = st.text(max_size=12)
 _digests = st.binary(min_size=8, max_size=8)
 

@@ -1,5 +1,7 @@
 """Tests for the non-interactive CBS scheme (paper §4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
@@ -9,6 +11,7 @@ from repro.core.protocol import NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
 from repro.exceptions import SchemeConfigurationError
 from repro.merkle import get_hash
+from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 
@@ -163,6 +166,47 @@ class TestSupervisorChecks:
         outcome = supervisor.verify(submission)
         assert not outcome.accepted
         assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+
+
+    def test_path_naming_another_leaf_encoding_is_malformed(
+        self, password_task
+    ):
+        # First path relabelled RAW over a 16-byte result: this used to
+        # escape NICBSSupervisor.verify as a MerkleError.
+        submission = self.make_submission(password_task)
+        first = submission.proofs[0]
+        relabelled = dataclasses.replace(
+            first,
+            path=dataclasses.replace(first.path, leaf_encoding=LeafEncoding.RAW),
+        )
+        hostile = NICBSSubmissionMsg(
+            task_id=submission.task_id,
+            root=submission.root,
+            n_leaves=submission.n_leaves,
+            proofs=(relabelled,) + submission.proofs[1:],
+        )
+        outcome = NICBSSupervisor(password_task, n_samples=8).verify(hostile)
+        assert not outcome.accepted
+        assert outcome.reason == RejectReason.MALFORMED_PROOF
+        assert [v.accepted for v in outcome.verdicts] == [False]
+
+    def test_raw_commitment_rejected_by_hashed_supervisor(self):
+        # 32-byte results under sha256 make a RAW tree well-formed; a
+        # supervisor configured HASHED used to verify it as RAW because
+        # the paths said so.
+        task = TaskAssignment(
+            "task-raw", RangeDomain(0, 64), PasswordSearch(digest_bytes=32)
+        )
+        submission = NICBSParticipant(
+            task, HonestBehavior(), n_samples=8, leaf_encoding=LeafEncoding.RAW
+        ).compute_and_submit()
+        raw_side = NICBSSupervisor(
+            task, n_samples=8, leaf_encoding=LeafEncoding.RAW
+        )
+        assert raw_side.verify(submission).accepted
+        outcome = NICBSSupervisor(task, n_samples=8).verify(submission)
+        assert not outcome.accepted
+        assert outcome.reason == RejectReason.MALFORMED_PROOF
 
 
 class TestSamplesDependOnCommitment:

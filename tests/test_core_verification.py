@@ -5,6 +5,8 @@ tests tamper with every field of a valid proof and assert rejection
 with the right reason.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.protocol import SampleProof
@@ -144,3 +146,75 @@ class TestTamperedProofsRejected:
         verdict = verify(proof, 2, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
+
+
+class TestLeafEncodingIsTheSupervisors:
+    """The leaf encoding on a path is the peer's claim, not a setting:
+    the supervisor hashes leaves its own way and treats a path that
+    names another encoding as malformed."""
+
+    @staticmethod
+    def relabelled(path, encoding) -> AuthenticationPath:
+        return dataclasses.replace(path, leaf_encoding=encoding)
+
+    def test_raw_label_on_short_result_is_a_verdict_not_an_exception(
+        self, setup
+    ):
+        # 16-byte results under sha256: taking the peer's RAW label at
+        # its word used to raise MerkleError out of the verifier.
+        fn, domain, leaves, tree = setup
+        proof = SampleProof(
+            index=4,
+            claimed_result=leaves[4],
+            path=self.relabelled(tree.auth_path(4), LeafEncoding.RAW),
+        )
+        verdict = verify(proof, 4, tree, domain, fn)
+        assert not verdict.accepted
+        assert verdict.reason == RejectReason.MALFORMED_PROOF
+
+    def test_raw_tree_over_digest_sized_results_rejected_when_hashed(self):
+        # Results as wide as the digest: the RAW tree is well-formed
+        # and every path verifies *as RAW*, which a HASHED supervisor
+        # must not do on the participant's say-so.
+        fn = PasswordSearch(digest_bytes=32)
+        domain = RangeDomain(0, 16)
+        leaves = [fn.evaluate(x) for x in domain]
+        tree = MerkleTree(leaves, leaf_encoding=LeafEncoding.RAW)
+        proof = proof_for(tree, leaves, 9)
+        assert proof.path.verify(leaves[9], tree.root, get_hash("sha256"))
+        verdict = verify(proof, 9, tree, domain, fn)
+        assert not verdict.accepted
+        assert verdict.reason == RejectReason.MALFORMED_PROOF
+
+    def test_unlabelled_path_still_means_hashed(self, setup):
+        fn, domain, leaves, tree = setup
+        proof = SampleProof(
+            index=4,
+            claimed_result=leaves[4],
+            path=self.relabelled(tree.auth_path(4), None),
+        )
+        assert verify(proof, 4, tree, domain, fn).accepted
+
+    def test_raw_supervisor_rejects_a_leaf_that_is_not_digest_sized(
+        self, setup
+    ):
+        # A RAW leaf *is* its Φ value, so a 16-byte claim under sha256
+        # has the wrong shape whatever the function check says.
+        fn, domain, leaves, tree = setup
+        proof = SampleProof(
+            index=4,
+            claimed_result=leaves[4],
+            path=self.relabelled(tree.auth_path(4), LeafEncoding.RAW),
+        )
+        verdict = verify_sample_proof(
+            proof=proof,
+            expected_index=4,
+            root=tree.root,
+            n_leaves=16,
+            domain=domain,
+            function=fn,
+            hash_fn=get_hash("sha256"),
+            leaf_encoding=LeafEncoding.RAW,
+        )
+        assert not verdict.accepted
+        assert verdict.reason == RejectReason.MALFORMED_PROOF

@@ -8,6 +8,7 @@ from repro.exceptions import MerkleError, ProofShapeError
 from repro.merkle import MerkleTree, build_multiproof, get_hash
 from repro.merkle.multiproof import MerkleMultiProof
 from repro.merkle.serialize import encode_auth_path
+from repro.merkle.tree import LeafEncoding
 
 
 def make(n: int):
@@ -146,6 +147,23 @@ class TestCodec:
             tree.root,
             tree.hash_fn,
         )
+
+    def test_raw_encoding_survives(self):
+        digests = [get_hash("sha256").digest(bytes([i])) for i in range(8)]
+        tree = MerkleTree(digests, leaf_encoding=LeafEncoding.RAW)
+        proof = build_multiproof(tree, [2, 5])
+        assert MerkleMultiProof.decode(proof.encode()) == proof
+
+    @pytest.mark.parametrize("code", [2, 9, 127])
+    def test_unknown_encoding_code_rejected(self, code):
+        # Byte layout: n_leaves varint (1B for 20), then the encoding
+        # code.  Every non-zero code used to decode as RAW.
+        tree, _leaves = make(20)
+        data = bytearray(build_multiproof(tree, [1, 7]).encode())
+        assert data[1] == 0
+        data[1] = code
+        with pytest.raises(MerkleError, match="leaf-encoding code"):
+            MerkleMultiProof.decode(bytes(data))
 
 
 class TestPropertyBased:

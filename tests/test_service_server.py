@@ -9,12 +9,15 @@ order.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme, NICBSScheme
+from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg
+from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, derive_seed, run_scheme_jobs
 from repro.exceptions import ProtocolError
 from repro.grid import GridSimulation, Network, ParticipantNode, SimulationConfig, SupervisorNode
@@ -32,6 +35,8 @@ from repro.service import (
     read_frame,
     write_frame,
 )
+from repro.merkle.tree import LeafEncoding
+from repro.service.sessions import SessionState
 from repro.tasks import PasswordSearch, RangeDomain
 
 D = RangeDomain(0, 1 << 9)
@@ -309,6 +314,53 @@ class TestProtocolPolicing:
 
         run = asyncio.run(scenario())
         assert run.accepted
+
+    def test_submission_naming_another_leaf_encoding_gets_a_verdict(self):
+        # One path relabelled RAW over a 16-byte result.  The verifier
+        # used to take the label at its word and raise out of the
+        # offloaded job: an error frame, and a session parked in
+        # VERIFYING with no verdict until the TTL swept it.
+        cfg = config("ni-cbs")
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="threads", workers=2)
+            try:
+                reader, writer = server.connect_memory()
+                await write_frame(writer, TaskRequest(participant=0))
+                assign = await read_frame(reader)
+                task_id = assign.assign.task_id
+                honest = NICBSParticipant(
+                    server.sessions.peek(task_id).assignment,
+                    HonestBehavior(),
+                    n_samples=cfg.n_samples,
+                ).compute_and_submit()
+                first = honest.proofs[0]
+                relabelled = dataclasses.replace(
+                    first,
+                    path=dataclasses.replace(
+                        first.path, leaf_encoding=LeafEncoding.RAW
+                    ),
+                )
+                hostile = NICBSSubmissionMsg(
+                    task_id=task_id,
+                    root=honest.root,
+                    n_leaves=honest.n_leaves,
+                    proofs=(relabelled,) + honest.proofs[1:],
+                )
+                await write_frame(writer, SubmissionFrame(msg=hostile))
+                reply = await read_frame(reader)
+                writer.close()
+                return reply, server.sessions.peek(task_id), server
+            finally:
+                await server.stop()
+
+        reply, session, server = asyncio.run(scenario())
+        assert isinstance(reply, VerdictFrame)
+        assert not reply.msg.accepted
+        assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
+        assert session.state is SessionState.DONE
+        assert session.outcome.reason == RejectReason.MALFORMED_PROOF
+        assert server.stats.errors == 0
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):
         cfg = config("ni-cbs")
