@@ -9,8 +9,7 @@ from repro.devtools.lint.checkers.exceptions import SwallowedException
 from repro.devtools.lint.checkers.metrics import MetricsNaming
 from repro.devtools.lint.checkers.wire_schema import WireSchemaCoverage
 
-#: Every shipped rule, in rule-ID order.  Instantiated fresh per run
-#: (RL006 carries per-project state from ``begin_project``).
+#: Every shipped rule, in rule-ID order.  Instantiated fresh per run.
 ALL_CHECKERS = (
     PickleContainment,
     LockDiscipline,

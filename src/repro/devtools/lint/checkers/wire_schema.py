@@ -1,25 +1,8 @@
-"""RL006: the wire schema stays closed and size-capped.
+"""RL006: the typed job codec stays closed and size-capped.
 
-The codec (``repro/service/codec.py``) is the single definition of
-what travels on the wire.  This rule cross-references its three tag
-tables so they can never drift apart, and keeps raw frames from being
-hand-built elsewhere:
-
-Inside the codec:
-
-* every tag emitted by ``_payload_dict`` has a matching decode branch
-  in ``decode_frame_payload`` (and vice versa — counting the
-  ``_MSG_FRAMES`` protocol-message table both sides share);
-* every tag appears in ``_WIRE_TAGS`` (the per-type frame metrics
-  would otherwise report ``unknown``);
-* every payload-bearing encode branch (a dict literal with a ``"p"``
-  key) calls ``check_payload_size`` before the bytes leave;
-* the decode side never reads ``"p"`` directly — it must go through
-  the size-capped ``_cluster_payload_field`` helper (which itself must
-  call ``check_payload_size``).
-
-Inside the job codec (``repro/service/jobcodec.py``, the typed value
-layer the frame codec carries):
+The job codec (``repro/service/jobcodec.py``) is the value layer every
+cluster frame carries, and it spells its vocabulary in three tables a
+reader has to keep in step by hand:
 
 * the ``Tag`` byte table, the ``_DECODERS`` dispatch table and the
   ``_TAG_NAMES`` name table must agree member-for-member — a tag with
@@ -32,234 +15,35 @@ layer the frame codec carries):
   ``take``/``uint``/``name`` accessors, so a lying length field cannot
   turn into an silent short read.
 
-Outside the codec:
-
-* no dict literal with a ``"t"`` key naming a known wire tag — frames
-  are built from the typed dataclasses + ``encode_frame``, never as
-  raw dicts that silently bypass validation and size caps.
+The frame codec (``repro/service/codec.py``) needs no rule: each frame
+type is one row of its ``FRAMES`` table, a duplicate tag byte, wire
+name or class fails at import, and ``tests/test_service_codec.py``
+holds the table to the frame dataclasses and every length-delimited
+field to a declared cap.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.devtools.lint.framework import Checker, FileContext, Finding
 
-CODEC_SUFFIX = "service/codec.py"
 JOBCODEC_SUFFIX = "service/jobcodec.py"
-
-
-def _const_str(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _dict_key_value(node: ast.Dict, key: str) -> str | None:
-    """String-constant value of ``key`` in a dict literal, if present."""
-    for k, v in zip(node.keys, node.values):
-        if k is not None and _const_str(k) == key:
-            return _const_str(v)
-    return None
-
-
-def _dict_has_key(node: ast.Dict, key: str) -> bool:
-    return any(k is not None and _const_str(k) == key for k in node.keys)
 
 
 class WireSchemaCoverage(Checker):
     rule = "RL006"
     name = "wire-schema-coverage"
     description = (
-        "codec tag tables (encode/decode/_WIRE_TAGS) must agree, "
-        "jobcodec Tag/_DECODERS/_TAG_NAMES must agree, payload "
-        "branches and envelope entry points must call "
-        "check_payload_size, byte reads go through bounds-checked "
-        "accessors, and no raw dict-literal frames outside the codec"
+        "jobcodec Tag/_DECODERS/_TAG_NAMES must agree, envelope entry "
+        "points must call check_payload_size, and byte reads go "
+        "through the bounds-checked _Decoder accessors"
     )
 
-    def __init__(self) -> None:
-        self._codec_rel: str | None = None
-        self._known_tags: frozenset[str] = frozenset()
-
-    def begin_project(self, contexts: Sequence[FileContext]) -> None:
-        for ctx in contexts:
-            if ctx.rel_path.endswith(CODEC_SUFFIX):
-                self._codec_rel = ctx.rel_path
-                enc, dec, wire, msg = self._tag_tables(ctx.tree)
-                self._known_tags = frozenset(
-                    {t for t, _ in enc} | dec | wire | msg
-                )
-                break
-
-    # -- codec table extraction -------------------------------------
-
-    @staticmethod
-    def _tag_tables(tree: ast.Module):
-        """(encode [(tag, If-branch)], decode tags, _WIRE_TAGS values,
-        _MSG_FRAMES keys)."""
-        encode: list[tuple[str, ast.If | None]] = []
-        decode: set[str] = set()
-        wire: set[str] = set()
-        msg: set[str] = set()
-        payload_fn = decode_fn = None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                if node.name == "_payload_dict":
-                    payload_fn = node
-                elif node.name == "decode_frame_payload":
-                    decode_fn = node
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    if target.id == "_WIRE_TAGS" and isinstance(
-                        node.value, ast.Dict
-                    ):
-                        wire = {
-                            v
-                            for val in node.value.values
-                            if (v := _const_str(val)) is not None
-                        }
-                    elif target.id == "_MSG_FRAMES" and isinstance(
-                        node.value, ast.Dict
-                    ):
-                        msg = {
-                            k
-                            for key in node.value.keys
-                            if key is not None
-                            and (k := _const_str(key)) is not None
-                        }
-        if payload_fn is not None:
-            for branch in ast.walk(payload_fn):
-                if not isinstance(branch, ast.If):
-                    continue
-                for sub in ast.walk(branch):
-                    if isinstance(sub, ast.Dict):
-                        tag = _dict_key_value(sub, "t")
-                        if tag is not None:
-                            encode.append((tag, branch))
-        if decode_fn is not None:
-            for sub in ast.walk(decode_fn):
-                if (
-                    isinstance(sub, ast.Compare)
-                    and isinstance(sub.left, ast.Name)
-                    and sub.left.id == "tag"
-                    and len(sub.ops) == 1
-                    and isinstance(sub.ops[0], ast.Eq)
-                ):
-                    tag = _const_str(sub.comparators[0])
-                    if tag is not None:
-                        decode.add(tag)
-        return encode, decode, wire, msg
-
-    # -- per-file checks --------------------------------------------
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.rel_path.endswith(CODEC_SUFFIX):
-            yield from self._check_codec(ctx)
-        elif ctx.rel_path.endswith(JOBCODEC_SUFFIX):
+        if ctx.rel_path.endswith(JOBCODEC_SUFFIX):
             yield from self._check_jobcodec(ctx)
-        elif self._known_tags:
-            yield from self._check_outside(ctx)
-
-    def _check_codec(self, ctx: FileContext) -> Iterator[Finding]:
-        encode, decode, wire, msg = self._tag_tables(ctx.tree)
-        encode_tags = {tag for tag, _ in encode}
-        for tag in sorted(encode_tags - decode - msg):
-            yield self.finding(
-                ctx, ctx.tree,
-                f"encoded frame tag {tag!r} has no decode branch — "
-                "the peer cannot handle this frame type", line=1,
-            )
-        for tag in sorted(decode - encode_tags - msg):
-            yield self.finding(
-                ctx, ctx.tree,
-                f"decoded frame tag {tag!r} has no encode branch — "
-                "dead handler or missing _payload_dict case", line=1,
-            )
-        if wire:
-            for tag in sorted((encode_tags | decode) - wire - msg):
-                yield self.finding(
-                    ctx, ctx.tree,
-                    f"frame tag {tag!r} missing from _WIRE_TAGS — "
-                    "per-type frame metrics would report 'unknown'",
-                    line=1,
-                )
-        seen_branches: set[int] = set()
-        for tag, branch in encode:
-            if branch is None or id(branch) in seen_branches:
-                continue
-            seen_branches.add(id(branch))
-            has_payload = any(
-                isinstance(sub, ast.Dict) and _dict_has_key(sub, "p")
-                for sub in ast.walk(branch)
-            )
-            if not has_payload:
-                continue
-            capped = any(
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "check_payload_size"
-                for sub in ast.walk(branch)
-            )
-            if not capped:
-                yield self.finding(
-                    ctx, branch,
-                    f"payload-bearing encode branch for tag {tag!r} "
-                    "does not call check_payload_size — unbounded "
-                    "frames reach the wire",
-                )
-        yield from self._check_decode_payload_access(ctx)
-
-    def _check_decode_payload_access(
-        self, ctx: FileContext
-    ) -> Iterator[Finding]:
-        helper_capped = False
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if node.name == "_cluster_payload_field":
-                helper_capped = any(
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Name)
-                    and sub.func.id == "check_payload_size"
-                    for sub in ast.walk(node)
-                )
-            elif node.name == "decode_frame_payload":
-                for sub in ast.walk(node):
-                    direct = (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "get"
-                        and sub.args
-                        and _const_str(sub.args[0]) == "p"
-                    ) or (
-                        isinstance(sub, ast.Subscript)
-                        and _const_str(sub.slice) == "p"
-                    )
-                    if direct:
-                        yield self.finding(
-                            ctx, sub,
-                            "decode reads payload field 'p' directly — "
-                            "go through the size-capped "
-                            "_cluster_payload_field helper",
-                        )
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name == "_cluster_payload_field"
-                and not helper_capped
-            ):
-                yield self.finding(
-                    ctx, node,
-                    "_cluster_payload_field does not call "
-                    "check_payload_size — decoded payloads are "
-                    "unbounded",
-                )
-
-    # -- the typed job codec ----------------------------------------
 
     def _check_jobcodec(self, ctx: FileContext) -> Iterator[Finding]:
         tag_members: set[str] = set()
@@ -343,15 +127,3 @@ class WireSchemaCoverage(Checker):
                     "outside _Decoder — byte reads must go through the "
                     "bounds-checked take/uint/name accessors",
                 )
-
-    def _check_outside(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Dict):
-                tag = _dict_key_value(node, "t")
-                if tag is not None and tag in self._known_tags:
-                    yield self.finding(
-                        ctx, node,
-                        f"dict literal builds wire frame {tag!r} outside "
-                        "the codec — use the typed frame dataclass + "
-                        "encode_frame so validation and size caps apply",
-                    )

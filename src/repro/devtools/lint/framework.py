@@ -155,18 +155,13 @@ class Checker:
     """Base class for one rule.
 
     Subclasses set ``rule`` (stable ID), ``name``, ``description`` and
-    implement :meth:`check`.  :meth:`begin_project` runs once per lint
-    invocation with every parsed file, for rules that need whole-project
-    context (RL006 reads the codec's tag tables there).
+    implement :meth:`check`.
     """
 
     rule: str = "RL000"
     name: str = "unnamed"
     severity: str = "error"
     description: str = ""
-
-    def begin_project(self, contexts: Sequence[FileContext]) -> None:
-        """Optional whole-project pre-pass."""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -250,8 +245,6 @@ def lint_paths(
                     message=f"cannot lint file: {exc}",
                 )
             )
-    for checker in checkers:
-        checker.begin_project(contexts)
     for ctx in contexts:
         for checker in checkers:
             for finding in checker.check(ctx):

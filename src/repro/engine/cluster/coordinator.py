@@ -83,7 +83,6 @@ from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, log_buckets
 from repro.obs.spans import Span, SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace, current_trace, new_span_id
 from repro.service.codec import (
-    COMPAT_CLUSTER_WIRE_VERSIONS,
     CLUSTER_WIRE_VERSION,
     DEFAULT_STREAM_THRESHOLD_BYTES,
     MAX_CLUSTER_FRAME_BYTES,
@@ -642,8 +641,7 @@ class _Coordinator:
             if self.security is not None:
                 # The repro.net HMAC handshake gates the job plane: a
                 # peer without the shared secret is rejected here,
-                # before any envelope — frame JSON or typed payload —
-                # is decoded.
+                # before any frame or typed payload is decoded.
                 try:
                     await self.security.authenticate_inbound(reader, writer)
                 except (ReproError, ConnectionError, OSError) as exc:
@@ -665,11 +663,10 @@ class _Coordinator:
                         max_frame=self.max_frame,
                     )
                 return
-            if frame.version not in COMPAT_CLUSTER_WIRE_VERSIONS:
-                # Version skew (e.g. a v4 pickle-era worker): refuse
-                # loudly with the required version so the operator
-                # knows exactly what to upgrade, then hang up before
-                # any job bytes flow.
+            if frame.version != CLUSTER_WIRE_VERSION:
+                # Version skew: refuse loudly with the required
+                # version so the operator knows exactly what to
+                # upgrade, then hang up before any job bytes flow.
                 log_event(
                     _log,
                     "worker_version_rejected",
@@ -684,8 +681,8 @@ class _Coordinator:
                             reason=(
                                 f"incompatible cluster wire version "
                                 f"{frame.version}: this coordinator "
-                                f"speaks v{CLUSTER_WIRE_VERSION} (typed "
-                                f"job codec); upgrade the worker"
+                                f"speaks v{CLUSTER_WIRE_VERSION}; "
+                                f"upgrade the worker"
                             )
                         ),
                         max_frame=self.max_frame,

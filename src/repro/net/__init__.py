@@ -13,8 +13,7 @@ This package is the one transport subsystem both planes now share:
 * :mod:`repro.net.auth` — the mutual HMAC-SHA256 shared-secret
   challenge/response handshake (per-connection nonces, constant-time
   compare), run underneath the application codec so an
-  unauthenticated peer is rejected before any JSON or pickle envelope
-  is ever decoded.
+  unauthenticated peer is rejected before any frame is ever decoded.
 * :mod:`repro.net.transport` — connection lifecycle:
   :class:`SecurityConfig` (secret + optional TLS material, one object
   for both roles), connect-with-retry/backoff, graceful close and the

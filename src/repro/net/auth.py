@@ -6,7 +6,7 @@ pickled job frames from anyone is a remote-code-execution invitation,
 and the participant socket deserves an operator-gated mode too.  This
 module implements a mutual challenge/response handshake that runs
 *before* the application codec: an unauthenticated peer is rejected
-before any JSON or pickle envelope is ever decoded.
+before any frame is ever decoded.
 
 Protocol (three tiny frames over :mod:`repro.net.framing`, each capped
 at :data:`~repro.net.framing.MAX_AUTH_FRAME_BYTES`):
@@ -184,7 +184,7 @@ async def authenticate_server(
 
     Raises :class:`~repro.exceptions.AuthError` on any failure —
     before which no application frame has been read, so an
-    unauthenticated peer never reaches the JSON or pickle decoders.
+    unauthenticated peer never reaches the frame decoder.
     """
     server_nonce = secrets.token_bytes(NONCE_BYTES)
     await write_frame_bytes(

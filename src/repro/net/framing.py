@@ -9,11 +9,11 @@ together with the size-cap constants that used to be duplicated
 across the service codec and the cluster envelope.
 
 The framing layer is deliberately payload-agnostic: it deals in
-``bytes`` and leaves the JSON/pickle vocabulary to
+``bytes`` and leaves the frame vocabulary (tag byte + typed fields) to
 :mod:`repro.service.codec`.  That split is what lets the
 authentication handshake (:mod:`repro.net.auth`) run *underneath* the
 application codec — an unauthenticated peer is rejected before any
-JSON or pickle envelope is ever decoded.
+frame is ever decoded.
 
 Error contract: truncation, oversized length prefixes and short reads
 raise :class:`~repro.exceptions.ProtocolError`; size-cap violations on
@@ -48,19 +48,20 @@ INLINE_FRAME_BYTES = 64 * 1024
 #: length prefix cannot balloon server memory.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-#: Ceiling on one pickled ``job``/``result`` payload (pre-base64).  A
-#: chunk of scheme batches or their results at large domains fits with
-#: room to spare; anything bigger is a misconfigured batch size or a
-#: hostile frame.
+#: Ceiling on one typed ``job``/``result`` payload (the jobcodec
+#: bytes a cluster frame carries).  A chunk of scheme batches or their
+#: results at large domains fits with room to spare; anything bigger
+#: is a misconfigured batch size or a hostile frame.
 MAX_CLUSTER_PAYLOAD_BYTES = 32 * 1024 * 1024
 
-#: Frame ceiling for cluster-plane connections: the payload cap after
-#: base64 expansion (4/3) plus envelope slack.
-MAX_CLUSTER_FRAME_BYTES = MAX_CLUSTER_PAYLOAD_BYTES // 3 * 4 + 64 * 1024
+#: Frame ceiling for cluster-plane connections: the payload rides raw,
+#: so the cap is the payload cap plus slack for the frame's other
+#: fields (ids, trace context, a span export).
+MAX_CLUSTER_FRAME_BYTES = MAX_CLUSTER_PAYLOAD_BYTES + 64 * 1024
 
 #: Default worker-side ceiling on one streamed ``result_part``
 #: payload.  A chunk whose encoded outcomes exceed this is shipped as
-#: multiple bounded sub-frames instead of one giant pickle envelope,
+#: multiple bounded sub-frames instead of one giant ``result`` frame,
 #: so neither side ever materialises an unbounded result frame.
 DEFAULT_STREAM_THRESHOLD_BYTES = 1 * 1024 * 1024
 

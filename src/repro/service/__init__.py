@@ -6,9 +6,10 @@ in-process function calls; this package runs them as a service — the
 storage-subnet work uses for commitment verification against remote,
 untrusted clients:
 
-* :mod:`repro.service.codec` — length-prefixed JSON frames wrapping
-  the canonical binary protocol messages (base64 payloads), plus the
-  shared workload catalogue.
+* :mod:`repro.service.codec` — the binary frame table (tag byte plus
+  typed fields) that carries the canonical protocol messages and typed
+  job payloads as raw length-delimited bytes, plus the shared workload
+  catalogue.
 * :mod:`repro.service.sessions` — the assignment → commitment →
   outcome lifecycle store with TTL eviction of abandoned sessions.
 * :mod:`repro.service.server` — :class:`SupervisorServer`, a

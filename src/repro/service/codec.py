@@ -1,76 +1,48 @@
-"""Length-prefixed JSON frame codec for the grid service wire protocol.
+"""Binary frame codec for the grid service wire protocol.
 
-The asyncio service (:mod:`repro.service.server`) speaks framed JSON
-over a byte stream: every frame is a 4-byte big-endian payload length
-followed by a UTF-8 JSON object carrying a ``"t"`` type tag.  The
-length-prefix mechanics and the size-cap constants live in
-:mod:`repro.net.framing` (the transport layer both planes share —
-this module owns only the message vocabulary on top).  Protocol
-messages — commitments, challenges, proof bundles, one-shot NI-CBS
-submissions, verdicts — are *not* re-modelled in JSON: their canonical
-binary encodings from :mod:`repro.core.protocol` (which in turn reuse
-:mod:`repro.merkle.serialize` for authentication paths) ride inside
-the envelope base64-encoded, so the wire bytes the E3 accounting
-measures are exactly the bytes a remote participant ships.
+Every stream in the repository moves length-prefixed frames
+(:mod:`repro.net.framing` owns the 4-byte prefix and the size caps);
+this module owns what is inside one: ``tag byte ‖ fields``.  Each of
+the 19 frame types is one row of :data:`FRAMES` — tag byte, wire name,
+dataclass, ordered field specs — and one generic encoder and one
+generic decoder walk that table.  Field kinds are the primitives of
+:mod:`repro.utils.encoding` that :mod:`repro.core.protocol` and
+:mod:`repro.service.jobcodec` already use (varints, length-prefixed
+bytes, bounds-checked before any slice), so a protocol message or a
+typed job payload rides as the raw, length-delimited bytes it already
+is: the wire bytes the E3 accounting measures are the bytes a remote
+participant ships.  README "Frame wire format" lists every row.
 
-Frame vocabulary (client ↔ supervisor):
+* Client ↔ supervisor: ``task_request`` → ``assign``, then the
+  interactive CBS round of §3.1 (``commitment`` → ``challenge`` →
+  ``proofs`` → ``verdict``) or the one-shot NI-CBS flow of §4
+  (``submission`` → ``verdict``); ``error`` before a hang-up.
+* Worker ↔ coordinator (:mod:`repro.engine.cluster`): ``hello``,
+  ``heartbeat``, ``job`` out and ``result`` back — or a sequenced run
+  of bounded ``result_part`` frames closed by ``result_end``.
+  Payloads are *data, never code*: typed job chunks and outcome lists,
+  size-capped at encode and decode, behind an exact wire version.
+* Either plane: ``stats_request`` → ``stats``, ``trace_get`` →
+  ``trace``, and ``bye``.
 
-* ``task_request`` → ``assign`` — a participant asks for (or names)
-  its slot; the supervisor answers with the :class:`AssignMsg` plus
-  the service envelope (domain bounds, scheme parameters, seed) the
-  client needs to reconstruct the :class:`TaskAssignment` locally.
-* ``commitment`` → ``challenge`` → ``proofs`` → ``verdict`` — the
-  interactive CBS round of §3.1.
-* ``submission`` → ``verdict`` — the one-shot NI-CBS flow of §4.
-* ``error`` — the supervisor's terminal complaint before it closes a
-  misbehaving connection.
+JSON survives in one field kind, the *observability blob* (``stats``
+snapshots, span exports): human-facing data whose shape belongs to
+:mod:`repro.obs`, on the per-job path only while tracing is on.
 
-Cluster vocabulary (worker ↔ coordinator, the distributed execution
-engine of :mod:`repro.engine.cluster`):
-
-* ``hello`` — a worker registers with the coordinator, declaring its
-  id, execution capacity and wire version;
-* ``heartbeat`` — periodic worker liveness beacon;
-* ``job`` / ``result`` — one engine chunk out, one chunk's results
-  back.  A job payload is a *chunk*: an ordered tuple of typed job
-  specs (:func:`encode_cluster_chunk`), which is what lets the
-  coordinator resize chunks per worker without a new frame type.  A
-  result payload is the matching ordered list of per-job
-  ``(ok, payload)`` outcomes (:func:`encode_cluster_outcomes`).
-  Payloads are *data, never code*: the typed binary job codec
-  (:mod:`repro.service.jobcodec`, wire v5) encodes a job as a
-  registered callable name plus tagged, size-capped values — no
-  pickle anywhere on the wire — and rides base64 inside the envelope
-  with an explicit version tag and a hard size cap.  Corrupted,
-  truncated, oversized, wrong-version or out-of-vocabulary payloads
-  raise :class:`~repro.exceptions.CodecError`, never crash a worker,
-  and can never execute attacker-chosen code.
-* ``result_part`` / ``result_end`` — a worker streaming one giant
-  chunk's outcomes in bounded sub-frames instead of a single huge
-  ``result`` envelope: ``result_part`` carries a contiguous slice of
-  the outcome list (sequenced, size-capped), ``result_end`` closes the
-  stream with the expected part count so the coordinator can verify it
-  reassembled the whole chunk — and requeue cleanly if the worker died
-  mid-stream.
-* ``stats_request`` → ``stats`` — an authenticated client pulls the
-  registry snapshot; ``trace_get`` → ``trace`` — it pulls one
-  assembled trace (the spans of a distributed waterfall) by id.
-* ``bye`` — either side announces an orderly departure.
-
-Hostile bytes are a fact of life for a listening socket: every decode
-path raises :class:`~repro.exceptions.ProtocolError` (frame layer) or
-:class:`~repro.exceptions.CodecError` (inner binary message / typed
-job envelope) — both :class:`~repro.exceptions.ReproError` — and never
-an uncaught ``KeyError``/``UnicodeDecodeError``/``binascii.Error``.
+Every decode path raises a :class:`~repro.exceptions.ReproError` and
+nothing else: :class:`~repro.exceptions.ProtocolError` for an unknown
+tag byte, trailing bytes or a value outside its declared range,
+:class:`~repro.exceptions.CodecError` for malformed encodings
+(truncated or overlong varints, lying length prefixes), oversized
+payloads, a wrong wire version, or an inner message that fails to
+decode.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields as dataclass_fields
+from typing import Any, Callable, NamedTuple, Union
 
 from repro.core.protocol import (
     AssignMsg,
@@ -80,10 +52,13 @@ from repro.core.protocol import (
     SampleChallengeMsg,
     VerdictMsg,
 )
-from repro.exceptions import CodecError, ProtocolError
+from repro.exceptions import CodecError, ProtocolError, ReproError
 from repro.obs.metrics import SIZE_BUCKETS, default_registry
 from repro.obs.spans import validate_wire_spans
 from repro.obs.trace import MAX_TRACE_ID_LEN
+# Framing geometry and size caps live in repro.net.framing, the cluster
+# job envelope in repro.service.jobcodec; both are re-exported because
+# this module is the wire-level import home for both planes.
 from repro.net.framing import (
     DEFAULT_STREAM_THRESHOLD_BYTES as DEFAULT_STREAM_THRESHOLD_BYTES,
     FRAME_HEADER_BYTES as FRAME_HEADER_BYTES,
@@ -96,10 +71,6 @@ from repro.net.framing import (
     split_frame_buffer,
     write_frame_bytes,
 )
-# The cluster job envelope is the typed binary codec of
-# repro.service.jobcodec (value vocabulary, registries, size caps, the
-# worker scheme cache); re-exported here because this module is the
-# wire-level import home for both planes.
 from repro.service.jobcodec import (
     decode_cluster_chunk as decode_cluster_chunk,
     decode_cluster_outcomes as decode_cluster_outcomes,
@@ -118,39 +89,30 @@ from repro.tasks.workloads import (
     PasswordSearch,
     SignalSearch,
 )
+from repro.utils.encoding import (
+    encode_bytes,
+    encode_uint,
+    read_bytes,
+    read_uint,
+    unzigzag,
+    zigzag,
+)
 
-# Framing geometry and size caps live in repro.net.framing (the shared
-# transport layer); re-exported here so wire-level call sites keep one
-# import home.  FRAME_HEADER_BYTES / MAX_FRAME_BYTES /
-# MAX_CLUSTER_PAYLOAD_BYTES / MAX_CLUSTER_FRAME_BYTES /
-# DEFAULT_STREAM_THRESHOLD_BYTES: see that module.
+#: Version every cluster peer declares in ``hello`` and every
+#: payload-bearing cluster frame leads with.  There is no compat
+#: window: ``hello`` decodes any plausible version so the coordinator
+#: can answer a skewed peer with a ``bye`` naming the version it speaks
+#: (:meth:`coordinator._serve_worker`); everything else must match.
+#: v6: frames are ``tag byte ‖ typed binary fields``; a v5 peer's JSON
+#: object frames are refused as an unknown tag byte at the first ``{``.
+CLUSTER_WIRE_VERSION = 6
 
-#: Version tag every cluster payload carries on the wire.  A
-#: coordinator and its workers must agree byte-for-byte on the job
-#: format; bumping this number fences off incompatible deployments.
-#: v2: ``job`` payloads became multi-job chunks and results gained the
-#: ``result_part``/``result_end`` streaming frames.
-#: v3: frames may carry optional ``tid``/``sid`` trace-context fields
-#: (absent unless tracing is on; decoders treat them as optional, so
-#: the payload format itself is unchanged).
-#: v4: ``result``/``result_end`` frames may carry an optional ``sp``
-#: field — the worker's completed spans for the chunk, as a bounded
-#: list of validated span dicts (see :mod:`repro.obs.spans`).
-#: v5: the payload format itself changed — job and result payloads are
-#: the typed binary encoding of :mod:`repro.service.jobcodec` (tagged
-#: terms, registered structs/callables, per-field size caps), not
-#: pickle.  ``result``/``result_end`` frames may carry optional
-#: ``ch``/``cm`` scheme-cache hit/miss counts.  v5 bytes are
-#: meaningless to a v4 unpickler and vice versa, so there is no compat
-#: window: a v4 peer is rejected at ``hello`` with a clear upgrade
-#: message (see :meth:`coordinator._serve_worker`), never half-spoken
-#: to.
-CLUSTER_WIRE_VERSION = 5
-
-#: Versions this codec decodes.  The typed-codec cutover is a hard
-#: fence: v4 and earlier moved pickles, which v5 will not even
-#: attempt to parse.
-COMPAT_CLUSTER_WIRE_VERSIONS = frozenset({CLUSTER_WIRE_VERSION})
+#: Byte ceilings on text fields: a worker id (it becomes a metrics
+#: label, a log field and a ``bye`` reason on the coordinator), a scheme
+#: parameter name, and free text (``error`` messages, ``bye`` reasons).
+MAX_WORKER_ID_BYTES = 128
+MAX_NAME_BYTES = 128
+MAX_TEXT_BYTES = 64 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +152,7 @@ class TaskRequest:
     so runs are reproducible); ``None`` asks for the next free one.
     ``trace_id``/``span_id`` are the optional trace context the client
     minted for this session; the supervisor attaches them to every log
-    record and verdict for the task.  Old servers ignore the fields.
+    record and verdict for the task.
     """
 
     participant: int | None = None
@@ -254,11 +216,12 @@ class ErrorFrame:
 class WorkerHello:
     """Worker → coordinator: register with id, capacity and version.
 
-    ``version`` is decoded *leniently* (any non-negative int), unlike
+    ``version`` is decoded *leniently* (any plausible value), unlike
     every payload-bearing cluster frame: the coordinator must be able
     to read an incompatible peer's hello so it can answer with a clear
     ``bye`` naming the required version, instead of dying in the
-    decoder where the peer learns nothing.
+    decoder where the peer learns nothing.  ``worker_id`` becomes a
+    metrics label and a log field, so it is short and non-empty.
     """
 
     worker_id: str
@@ -300,16 +263,13 @@ class ResultFrame:
     error description (``False``) — a job that raises must come back
     as data, never crash the worker.
 
-    ``spans`` (wire v4, optional) carries the worker's completed
-    spans for this chunk as validated wire dicts
-    (:func:`repro.obs.spans.validate_wire_spans`), so the coordinator
-    can assemble one distributed timeline.  Empty unless the chunk
-    was traced.
-
-    ``cache_hits``/``cache_misses`` (wire v5, optional) report the
-    worker's scheme-cache traffic while executing this chunk, so the
-    coordinator can aggregate fleet-wide cache effectiveness into its
-    own registry without scraping every worker.
+    ``spans`` carries the worker's completed spans for this chunk as
+    validated wire dicts (:func:`repro.obs.spans.validate_wire_spans`),
+    so the coordinator can assemble one distributed timeline; empty
+    unless the chunk was traced.  ``cache_hits``/``cache_misses``
+    report the worker's scheme-cache traffic while executing this
+    chunk, so the coordinator can aggregate fleet-wide cache
+    effectiveness without scraping every worker.
     """
 
     job_id: int
@@ -344,10 +304,9 @@ class ResultEndFrame:
     ``parts`` is the number of ``result_part`` frames the worker sent;
     a mismatch with what arrived means the stream is incomplete and
     the chunk must be requeued, never partially accepted.  ``spans``
-    is the same optional wire-v4 span export as on ``result``, and
-    ``cache_hits``/``cache_misses`` the same optional wire-v5
-    scheme-cache counts (the streamed path closes with this frame, so
-    both ride here).
+    and ``cache_hits``/``cache_misses`` are the same span export and
+    scheme-cache counts as on ``result`` (the streamed path closes
+    with this frame, so both ride here).
     """
 
     job_id: int
@@ -374,7 +333,7 @@ class StatsReply:
 
     ``stats`` is the plain-dict form of
     :meth:`repro.obs.MetricsRegistry.snapshot` — JSON all the way
-    down, so it rides the frame envelope without a binary encoding.
+    down, so it rides the frame as an observability blob.
     """
 
     stats: dict
@@ -397,7 +356,7 @@ class TraceReply:
     """Supervisor → client: one trace's spans, timeline-ordered.
 
     ``spans`` is a tuple of wire span dicts (the same validated shape
-    that rides result envelopes) — ``repro.cli trace view`` renders
+    that rides result frames) — ``repro.cli trace view`` renders
     it directly.  Empty means the trace id is unknown or already
     evicted from the bounded buffer.
     """
@@ -413,464 +372,286 @@ class ByeFrame:
     reason: str = ""
 
 
-Frame = Union[
-    TaskRequest,
-    TaskAssign,
-    CommitmentFrame,
-    ChallengeFrame,
-    ProofsFrame,
-    SubmissionFrame,
-    VerdictFrame,
-    ErrorFrame,
-    WorkerHello,
-    HeartbeatFrame,
-    JobFrame,
-    ResultFrame,
-    ResultPartFrame,
-    ResultEndFrame,
-    StatsRequest,
-    StatsReply,
-    TraceGetRequest,
-    TraceReply,
-    ByeFrame,
-]
-
-#: type tag ↔ (frame class, wrapped binary message class)
-_MSG_FRAMES = {
-    "commitment": (CommitmentFrame, CommitmentMsg),
-    "challenge": (ChallengeFrame, SampleChallengeMsg),
-    "proofs": (ProofsFrame, ProofBundleMsg),
-    "submission": (SubmissionFrame, NICBSSubmissionMsg),
-    "verdict": (VerdictFrame, VerdictMsg),
-}
-_FRAME_TAGS = {cls: tag for tag, (cls, _msg) in _MSG_FRAMES.items()}
-
-
 # ----------------------------------------------------------------------
-# Field helpers (validation-first: hostile JSON must not crash)
+# Field specs (validation-first: hostile bytes must not crash)
 # ----------------------------------------------------------------------
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+class Field(NamedTuple):
+    """One frame field: attribute, wire kind, and the bounds the
+    decoder holds the peer to (raising ``error`` when they are broken).
 
-
-def _unb64(value: object, what: str) -> bytes:
-    if not isinstance(value, str):
-        raise ProtocolError(f"{what}: expected base64 string")
-    try:
-        return base64.b64decode(value, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise ProtocolError(f"{what}: invalid base64: {exc}") from exc
-
-
-def _int_field(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProtocolError(f"frame field {key!r} must be an integer")
-    return value
-
-
-def _str_field(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise ProtocolError(f"frame field {key!r} must be a string")
-    return value
-
-
-def _trace_field(obj: dict, key: str) -> str | None:
-    """Optional trace/span id: absent (or null) is fine, junk is not."""
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(
-            f"frame field {key!r} must be a non-empty string"
-        )
-    if len(value) > MAX_TRACE_ID_LEN:
-        raise ProtocolError(
-            f"frame field {key!r} exceeds {MAX_TRACE_ID_LEN} chars"
-        )
-    return value
-
-
-# ----------------------------------------------------------------------
-# Cluster frame field helpers
-# ----------------------------------------------------------------------
-
-
-def _cluster_version_field(obj: dict) -> int:
-    version = _int_field(obj, "v")
-    if version not in COMPAT_CLUSTER_WIRE_VERSIONS:
-        raise CodecError(
-            f"cluster wire version {version} incompatible with "
-            f"{sorted(COMPAT_CLUSTER_WIRE_VERSIONS)}"
-        )
-    return version
-
-
-def _hello_version_field(obj: dict) -> int:
-    """Lenient version for ``hello`` only: shape-checked, not gated.
-
-    The coordinator does its own compatibility check after decoding so
-    an incompatible peer gets a ``bye`` naming the required version; a
-    negative or absurd value is still junk.
+    ``uint`` is an unsigned varint in ``lo..hi``, ``int`` a zigzag
+    varint in ``-hi-1..hi``, ``flag`` one byte, 0 or 1.  The other
+    kinds are length-prefixed byte strings of ``lo..hi`` bytes, ``hi``
+    being the cap each must declare: ``str`` is UTF-8 (one of ``arg``,
+    if given), ``msg`` the canonical encoding of protocol message class
+    ``arg``, ``payload`` a typed job payload (``check_payload_size`` at
+    encode *and* decode), and ``json`` the observability blob — UTF-8
+    JSON whose shape :mod:`repro.obs` owns; ``arg`` is ``(empty,
+    validate)`` and zero length stands for ``empty()``, so an untraced
+    result frame never touches ``json``.  An ``optional`` field leads
+    with a presence flag byte and is ``None`` when it is clear.
     """
-    version = _int_field(obj, "v")
-    if not 0 <= version < 1 << 16:
-        raise CodecError(f"implausible cluster wire version {version}")
-    return version
+
+    attr: str
+    kind: str
+    lo: int = 0
+    hi: int = (1 << 63) - 1
+    arg: Any = None
+    optional: bool = False
+    error: type = ProtocolError
 
 
-def _cache_count_field(obj: dict, key: str) -> int:
-    """Optional ``ch``/``cm`` scheme-cache count: absent means zero."""
-    if key not in obj or obj[key] is None:
-        return 0
-    count = _int_field(obj, key)
-    if not 0 <= count < 1 << 53:
-        raise ProtocolError(
-            f"frame field {key!r} must be a non-negative count"
-        )
-    return count
+def _encode_field(field: Field, value: Any) -> bytes:
+    """Encoding trusts its local caller, except that a payload over
+    its cap never leaves."""
+    attr, kind, _lo, hi, _arg, optional, _error = field
+    if optional and value is None:
+        return b"\x00"
+    if kind == "uint":
+        body = encode_uint(value)
+    elif kind == "str":
+        body = encode_bytes(value.encode("utf-8"))
+    elif kind == "payload":
+        check_payload_size(attr, len(value), hi)
+        body = encode_bytes(value)
+    elif kind == "msg":
+        body = encode_bytes(value.encode())
+    elif kind == "int":
+        body = encode_uint(zigzag(value))
+    elif kind == "flag":
+        body = b"\x01" if value else b"\x00"
+    elif value:  # json
+        text = json.dumps(value, separators=(",", ":"), sort_keys=True)
+        body = encode_bytes(text.encode("utf-8"))
+    else:
+        body = b"\x00"
+    return b"\x01" + body if optional else body
 
 
-def _spans_field(obj: dict) -> tuple:
-    """Optional ``sp`` span list: absent is fine, junk is rejected.
+def _read_flag(data: bytes, pos: int) -> tuple[bool, int]:
+    if pos >= len(data):
+        raise CodecError("truncated flag byte")
+    if data[pos] > 1:
+        raise ProtocolError(f"flag byte must be 0 or 1, got {data[pos]}")
+    return data[pos] == 1, pos + 1
 
-    Same policy as ``tid``/``sid``: validation happens here at the
-    codec boundary so a hostile peer's frame dies with a
-    :class:`ProtocolError` (one clean rejection) instead of reaching
-    the trace store.
-    """
-    value = obj.get("sp")
-    if value is None:
-        return ()
+
+def _read_field(field: Field, data: bytes, pos: int) -> tuple[Any, int]:
+    """Decoding polices everything the peer sent: ranges, sizes, UTF-8,
+    inner encodings."""
+    attr, kind, lo, hi, arg, optional, error = field
+    if optional:
+        present, pos = _read_flag(data, pos)
+        if not present:
+            return None, pos
+    if kind == "uint" or kind == "int":
+        value, pos = read_uint(data, pos)
+        if kind == "int":
+            value, lo = unzigzag(value), -hi - 1
+        if not lo <= value <= hi:
+            raise error(f"must be in {lo}..{hi}, got {value}")
+        return value, pos
+    if kind == "flag":
+        return _read_flag(data, pos)
+    raw, pos = read_bytes(data, pos)
+    if kind == "payload":
+        check_payload_size(attr, len(raw), hi)
+        return raw, pos
+    if not lo <= len(raw) <= hi:
+        raise error(f"must be {lo}..{hi} bytes, got {len(raw)}")
+    if kind == "msg":
+        return arg.decode(raw), pos
     try:
-        return validate_wire_spans(value)
-    except ValueError as exc:
-        raise ProtocolError(f"frame field 'sp': {exc}") from exc
+        text = raw.decode("utf-8")
+        if kind == "json":
+            empty, validate = arg
+            return (validate(json.loads(text)) if raw else empty()), pos
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"bad {kind}: {exc}") from exc
+    if arg and text not in arg:
+        raise ProtocolError(f"must be one of {arg}, got {text!r}")
+    return text, pos
 
 
-def _cluster_payload_field(obj: dict, what: str) -> bytes:
-    raw = _unb64(obj.get("p"), what)
-    check_payload_size(what, len(raw), MAX_CLUSTER_PAYLOAD_BYTES)
-    return raw
+def _stats_object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("stats must be an object")
+    return value
+
+
+_TRACE_ID = Field("trace_id", "str", 1, MAX_TRACE_ID_LEN)
+_TRACE_CONTEXT = (
+    _TRACE_ID._replace(optional=True),
+    _TRACE_ID._replace(attr="span_id", optional=True),
+)
+_WORKER_ID = Field("worker_id", "str", 1, MAX_WORKER_ID_BYTES)
+# Exact on every payload-bearing frame; ``hello`` alone reads any
+# plausible version, so the coordinator can answer a skewed peer.
+_CHUNK = (
+    Field(
+        "version", "uint", CLUSTER_WIRE_VERSION, CLUSTER_WIRE_VERSION,
+        error=CodecError,
+    ),
+    Field("job_id", "uint"),
+)
+_PAYLOAD = Field("payload", "payload", hi=MAX_CLUSTER_PAYLOAD_BYTES)
+_SPANS = Field("spans", "json", hi=MAX_FRAME_BYTES, arg=(tuple, validate_wire_spans))
+_CLOSING = (Field("cache_hits", "uint"), Field("cache_misses", "uint"), _SPANS)
 
 
 # ----------------------------------------------------------------------
-# Encode
+# The frame table
 # ----------------------------------------------------------------------
 
 
-def _payload_dict(frame: Frame) -> dict:
-    if isinstance(frame, TaskRequest):
-        obj: dict = {"t": "task_request"}
-        if frame.participant is not None:
-            obj["participant"] = frame.participant
-        if frame.trace_id is not None:
-            obj["tid"] = frame.trace_id
-        if frame.span_id is not None:
-            obj["sid"] = frame.span_id
-        return obj
-    if isinstance(frame, TaskAssign):
-        return {
-            "t": "assign",
-            "m": _b64(frame.assign.encode()),
-            "participant": frame.participant,
-            "domain": [frame.domain_start, frame.domain_stop],
-            "protocol": frame.protocol,
-            "n_samples": frame.n_samples,
-            "hash": frame.hash_name,
-            "sample_hash": frame.sample_hash_name,
-            "leaf_encoding": frame.leaf_encoding,
-            "seed": frame.seed,
-        }
-    if isinstance(frame, ErrorFrame):
-        return {"t": "error", "message": frame.message}
-    if isinstance(frame, WorkerHello):
-        return {
-            "t": "hello",
-            "worker": frame.worker_id,
-            "capacity": frame.capacity,
-            "v": frame.version,
-        }
-    if isinstance(frame, HeartbeatFrame):
-        return {"t": "heartbeat", "worker": frame.worker_id}
-    if isinstance(frame, JobFrame):
-        check_payload_size(
-            "job payload", len(frame.payload), MAX_CLUSTER_PAYLOAD_BYTES
+class FrameRow(NamedTuple):
+    """One frame type: tag byte, wire name, dataclass, the ordered
+    fields that follow the tag, and an optional cross-field check on a
+    decoded frame."""
+
+    tag: int
+    name: str
+    cls: type
+    fields: tuple[Field, ...] = ()
+    check: Callable[[Any], None] | None = None
+
+
+def _nonempty_domain(frame: TaskAssign) -> None:
+    if frame.domain_stop <= frame.domain_start:
+        raise ProtocolError(
+            f"assign frame: domain [{frame.domain_start}, {frame.domain_stop}) "
+            "is empty"
         )
-        obj = {
-            "t": "job",
-            "id": frame.job_id,
-            "p": _b64(frame.payload),
-            "v": frame.version,
-        }
-        if frame.trace_id is not None:
-            obj["tid"] = frame.trace_id
-        if frame.span_id is not None:
-            obj["sid"] = frame.span_id
-        return obj
-    if isinstance(frame, ResultFrame):
-        check_payload_size(
-            "result payload", len(frame.payload), MAX_CLUSTER_PAYLOAD_BYTES
-        )
-        obj = {
-            "t": "result",
-            "id": frame.job_id,
-            "ok": frame.ok,
-            "p": _b64(frame.payload),
-            "v": frame.version,
-        }
-        if frame.spans:
-            obj["sp"] = list(frame.spans)
-        if frame.cache_hits:
-            obj["ch"] = frame.cache_hits
-        if frame.cache_misses:
-            obj["cm"] = frame.cache_misses
-        return obj
-    if isinstance(frame, ResultPartFrame):
-        check_payload_size(
-            "result part payload",
-            len(frame.payload),
-            MAX_CLUSTER_PAYLOAD_BYTES,
-        )
-        return {
-            "t": "result_part",
-            "id": frame.job_id,
-            "seq": frame.seq,
-            "p": _b64(frame.payload),
-            "v": frame.version,
-        }
-    if isinstance(frame, ResultEndFrame):
-        obj = {
-            "t": "result_end",
-            "id": frame.job_id,
-            "parts": frame.parts,
-            "v": frame.version,
-        }
-        if frame.spans:
-            obj["sp"] = list(frame.spans)
-        if frame.cache_hits:
-            obj["ch"] = frame.cache_hits
-        if frame.cache_misses:
-            obj["cm"] = frame.cache_misses
-        return obj
-    if isinstance(frame, StatsRequest):
-        return {"t": "stats_request"}
-    if isinstance(frame, StatsReply):
-        return {"t": "stats", "stats": frame.stats}
-    if isinstance(frame, TraceGetRequest):
-        return {"t": "trace_get", "tid": frame.trace_id}
-    if isinstance(frame, TraceReply):
-        return {"t": "trace", "tid": frame.trace_id, "sp": list(frame.spans)}
-    if isinstance(frame, ByeFrame):
-        return {"t": "bye", "reason": frame.reason}
-    tag = _FRAME_TAGS.get(type(frame))
-    if tag is not None:
-        return {"t": tag, "m": _b64(frame.msg.encode())}
-    raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
+
+
+def _msg_row(tag: int, name: str, cls: type, msg_cls: type) -> FrameRow:
+    return FrameRow(
+        tag, name, cls, (Field("msg", "msg", hi=MAX_FRAME_BYTES, arg=msg_cls),)
+    )
+
+
+#: The wire vocabulary — the only place a frame's tag byte, wire name
+#: or layout is spelled.  Wire order is row order.
+FRAMES: tuple[FrameRow, ...] = (
+    FrameRow(0x01, "task_request", TaskRequest, (
+        Field("participant", "uint", optional=True),
+        *_TRACE_CONTEXT,
+    )),
+    FrameRow(0x02, "assign", TaskAssign, (
+        Field("assign", "msg", hi=MAX_FRAME_BYTES, arg=AssignMsg),
+        Field("participant", "uint"),
+        Field("domain_start", "int"),
+        Field("domain_stop", "int"),
+        Field("protocol", "str", hi=MAX_NAME_BYTES, arg=("cbs", "ni-cbs")),
+        Field("n_samples", "uint", lo=1),
+        Field("hash_name", "str", hi=MAX_NAME_BYTES),
+        Field("sample_hash_name", "str", hi=MAX_NAME_BYTES),
+        Field("leaf_encoding", "str", hi=MAX_NAME_BYTES, arg=("hashed", "raw")),
+        Field("seed", "uint"),
+    ), _nonempty_domain),
+    _msg_row(0x03, "commitment", CommitmentFrame, CommitmentMsg),
+    _msg_row(0x04, "challenge", ChallengeFrame, SampleChallengeMsg),
+    _msg_row(0x05, "proofs", ProofsFrame, ProofBundleMsg),
+    _msg_row(0x06, "submission", SubmissionFrame, NICBSSubmissionMsg),
+    _msg_row(0x07, "verdict", VerdictFrame, VerdictMsg),
+    FrameRow(0x08, "error", ErrorFrame, (Field("message", "str", hi=MAX_TEXT_BYTES),)),
+    FrameRow(0x09, "hello", WorkerHello, (
+        Field("version", "uint", hi=0xFFFF, error=CodecError),
+        _WORKER_ID,
+        Field("capacity", "uint", lo=1),
+    )),
+    FrameRow(0x0A, "heartbeat", HeartbeatFrame, (_WORKER_ID,)),
+    FrameRow(0x0B, "job", JobFrame, (*_CHUNK, *_TRACE_CONTEXT, _PAYLOAD)),
+    FrameRow(0x0C, "result", ResultFrame, (
+        *_CHUNK, Field("ok", "flag"), *_CLOSING, _PAYLOAD,
+    )),
+    FrameRow(0x0D, "result_part", ResultPartFrame, (
+        *_CHUNK, Field("seq", "uint"), _PAYLOAD,
+    )),
+    FrameRow(0x0E, "result_end", ResultEndFrame, (
+        *_CHUNK, Field("parts", "uint", lo=1), *_CLOSING,
+    )),
+    FrameRow(0x0F, "stats_request", StatsRequest),
+    FrameRow(0x10, "stats", StatsReply, (
+        Field("stats", "json", hi=MAX_FRAME_BYTES, arg=(dict, _stats_object)),
+    )),
+    FrameRow(0x11, "trace_get", TraceGetRequest, (_TRACE_ID,)),
+    FrameRow(0x12, "trace", TraceReply, (_TRACE_ID, _SPANS)),
+    FrameRow(0x13, "bye", ByeFrame, (Field("reason", "str", hi=MAX_TEXT_BYTES),)),
+)
+
+
+def _index_frames(rows: tuple[FrameRow, ...]) -> tuple[dict, dict]:
+    """Index the table by tag byte and by class.  A duplicate tag, name
+    or class, or a row that does not cover its dataclass's fields
+    exactly, raises here — at import."""
+    by_tag = {row.tag: row for row in rows}
+    by_cls = {row.cls: row for row in rows}
+    names = {row.name for row in rows}
+    if not len(by_tag) == len(by_cls) == len(names) == len(rows):
+        raise ValueError("duplicate tag byte, wire name or class in FRAMES")
+    for row in rows:
+        declared = sorted(field.name for field in dataclass_fields(row.cls))
+        if sorted(field.attr for field in row.fields) != declared:
+            raise ValueError(f"frame row {row.name!r} != {row.cls.__name__} fields")
+    return by_tag, by_cls
+
+
+_BY_TAG, _BY_CLASS = _index_frames(FRAMES)
+
+#: Any frame: the union of the table's dataclasses, in row order.
+Frame = Union[tuple(row.cls for row in FRAMES)]
+
+
+# ----------------------------------------------------------------------
+# Encode / decode: one walk over the table each
+# ----------------------------------------------------------------------
 
 
 def _encode_payload(frame: Frame) -> bytes:
-    """One frame's canonical JSON payload bytes (no length prefix) —
-    the single serialization rule both the sync and async writers use,
-    so the two wire paths can never diverge."""
-    return json.dumps(
-        _payload_dict(frame), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    """One frame's payload bytes (no length prefix) — the single
+    serialization rule both the sync and async writers use, so the two
+    wire paths can never diverge."""
+    row = _BY_CLASS.get(type(frame))
+    if row is None:
+        raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
+    parts = [bytes((row.tag,))]
+    try:
+        for field in row.fields:
+            parts.append(_encode_field(field, getattr(frame, field.attr)))
+    except ReproError as exc:
+        raise type(exc)(f"{row.name} frame, field {field.attr}: {exc}") from exc
+    return b"".join(parts)
 
 
 def encode_frame(frame: Frame, max_frame: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one frame: 4-byte length prefix + JSON payload."""
+    """Serialize one frame: 4-byte length prefix + tag byte + fields."""
     return frame_buffer(_encode_payload(frame), max_frame=max_frame)
 
 
-# ----------------------------------------------------------------------
-# Decode
-# ----------------------------------------------------------------------
-
-
 def decode_frame_payload(payload: bytes) -> Frame:
-    """Decode the JSON payload of one frame (length prefix stripped)."""
+    """Decode the payload of one frame (length prefix stripped)."""
+    row = _BY_TAG.get(payload[0]) if payload else None
+    if row is None:
+        raise ProtocolError(
+            f"unknown frame tag {payload[:1].hex() or '(empty payload)'}: "
+            f"wire v{CLUSTER_WIRE_VERSION} frames are binary — is the peer older?"
+        )
+    values = {}
+    pos = 1
     try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed frame payload: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError("frame payload must be a JSON object")
-    tag = obj.get("t")
-    if not isinstance(tag, str):
-        raise ProtocolError("frame missing string type tag 't'")
-
-    if tag == "task_request":
-        participant: int | None = None
-        if "participant" in obj and obj["participant"] is not None:
-            participant = _int_field(obj, "participant")
-            if participant < 0:
-                raise ProtocolError("participant index must be >= 0")
-        return TaskRequest(
-            participant=participant,
-            trace_id=_trace_field(obj, "tid"),
-            span_id=_trace_field(obj, "sid"),
-        )
-
-    if tag == "assign":
-        assign = AssignMsg.decode(_unb64(obj.get("m"), "assign message"))
-        domain = obj.get("domain")
-        if (
-            not isinstance(domain, list)
-            or len(domain) != 2
-            or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in domain
-            )
-        ):
-            raise ProtocolError("assign 'domain' must be [start, stop] ints")
-        if domain[1] <= domain[0]:
-            raise ProtocolError(
-                f"assign domain [{domain[0]}, {domain[1]}) is empty"
-            )
-        # Value-level validation: a client must never crash with a
-        # non-ReproError because a buggy or hostile supervisor sent
-        # legal JSON with illegal values.
-        protocol = _str_field(obj, "protocol")
-        if protocol not in ("cbs", "ni-cbs"):
-            raise ProtocolError(f"unknown protocol {protocol!r}")
-        leaf_encoding = _str_field(obj, "leaf_encoding")
-        if leaf_encoding not in ("hashed", "raw"):
-            raise ProtocolError(f"unknown leaf encoding {leaf_encoding!r}")
-        n_samples = _int_field(obj, "n_samples")
-        if n_samples < 1:
-            raise ProtocolError(f"n_samples must be >= 1, got {n_samples}")
-        participant = _int_field(obj, "participant")
-        if participant < 0:
-            raise ProtocolError("participant index must be >= 0")
-        seed = _int_field(obj, "seed")
-        if not 0 <= seed < 1 << 63:
-            raise ProtocolError(f"seed {seed} outside [0, 2^63)")
-        return TaskAssign(
-            assign=assign,
-            participant=participant,
-            domain_start=domain[0],
-            domain_stop=domain[1],
-            protocol=protocol,
-            n_samples=n_samples,
-            hash_name=_str_field(obj, "hash"),
-            sample_hash_name=_str_field(obj, "sample_hash"),
-            leaf_encoding=leaf_encoding,
-            seed=seed,
-        )
-
-    if tag == "error":
-        return ErrorFrame(message=_str_field(obj, "message"))
-
-    if tag == "hello":
-        capacity = _int_field(obj, "capacity")
-        if capacity < 1:
-            raise ProtocolError(f"worker capacity must be >= 1, got {capacity}")
-        return WorkerHello(
-            worker_id=_str_field(obj, "worker"),
-            capacity=capacity,
-            version=_hello_version_field(obj),
-        )
-
-    if tag == "heartbeat":
-        return HeartbeatFrame(worker_id=_str_field(obj, "worker"))
-
-    if tag == "job":
-        version = _cluster_version_field(obj)
-        job_id = _int_field(obj, "id")
-        if job_id < 0:
-            raise ProtocolError(f"job id must be >= 0, got {job_id}")
-        return JobFrame(
-            job_id=job_id,
-            payload=_cluster_payload_field(obj, "job payload"),
-            version=version,
-            trace_id=_trace_field(obj, "tid"),
-            span_id=_trace_field(obj, "sid"),
-        )
-
-    if tag == "result":
-        version = _cluster_version_field(obj)
-        job_id = _int_field(obj, "id")
-        if job_id < 0:
-            raise ProtocolError(f"job id must be >= 0, got {job_id}")
-        ok = obj.get("ok")
-        if not isinstance(ok, bool):
-            raise ProtocolError("result frame field 'ok' must be a boolean")
-        return ResultFrame(
-            job_id=job_id,
-            ok=ok,
-            payload=_cluster_payload_field(obj, "result payload"),
-            version=version,
-            spans=_spans_field(obj),
-            cache_hits=_cache_count_field(obj, "ch"),
-            cache_misses=_cache_count_field(obj, "cm"),
-        )
-
-    if tag == "result_part":
-        version = _cluster_version_field(obj)
-        job_id = _int_field(obj, "id")
-        if job_id < 0:
-            raise ProtocolError(f"job id must be >= 0, got {job_id}")
-        seq = _int_field(obj, "seq")
-        if seq < 0:
-            raise ProtocolError(f"result part seq must be >= 0, got {seq}")
-        return ResultPartFrame(
-            job_id=job_id,
-            seq=seq,
-            payload=_cluster_payload_field(obj, "result part payload"),
-            version=version,
-        )
-
-    if tag == "result_end":
-        version = _cluster_version_field(obj)
-        job_id = _int_field(obj, "id")
-        if job_id < 0:
-            raise ProtocolError(f"job id must be >= 0, got {job_id}")
-        parts = _int_field(obj, "parts")
-        if parts < 1:
-            raise ProtocolError(
-                f"result stream must have >= 1 parts, got {parts}"
-            )
-        return ResultEndFrame(
-            job_id=job_id,
-            parts=parts,
-            version=version,
-            spans=_spans_field(obj),
-            cache_hits=_cache_count_field(obj, "ch"),
-            cache_misses=_cache_count_field(obj, "cm"),
-        )
-
-    if tag == "stats_request":
-        return StatsRequest()
-
-    if tag == "stats":
-        stats = obj.get("stats")
-        if not isinstance(stats, dict):
-            raise ProtocolError("stats frame field 'stats' must be an object")
-        return StatsReply(stats=stats)
-
-    if tag == "trace_get":
-        trace_id = _trace_field(obj, "tid")
-        if trace_id is None:
-            raise ProtocolError("trace_get frame requires a 'tid' field")
-        return TraceGetRequest(trace_id=trace_id)
-
-    if tag == "trace":
-        trace_id = _trace_field(obj, "tid")
-        if trace_id is None:
-            raise ProtocolError("trace frame requires a 'tid' field")
-        return TraceReply(trace_id=trace_id, spans=_spans_field(obj))
-
-    if tag == "bye":
-        return ByeFrame(reason=_str_field(obj, "reason"))
-
-    entry = _MSG_FRAMES.get(tag)
-    if entry is None:
-        raise ProtocolError(f"unknown frame type {tag!r}")
-    frame_cls, msg_cls = entry
-    return frame_cls(msg=msg_cls.decode(_unb64(obj.get("m"), f"{tag} message")))
+        for field in row.fields:
+            values[field.attr], pos = _read_field(field, payload, pos)
+    except ReproError as exc:
+        raise type(exc)(f"{row.name} frame, field {field.attr}: {exc}") from exc
+    if pos != len(payload):
+        raise ProtocolError(f"{row.name} frame: {len(payload) - pos} trailing bytes")
+    frame = row.cls(**values)
+    if row.check is not None:
+        row.check(frame)
+    return frame
 
 
 def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> Frame:
@@ -881,25 +662,6 @@ def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> Frame:
 # ----------------------------------------------------------------------
 # Async stream helpers (framing mechanics live in repro.net.framing)
 # ----------------------------------------------------------------------
-
-#: frame class → wire tag, for the per-type frame counter below.
-_WIRE_TAGS: dict[type, str] = {
-    TaskRequest: "task_request",
-    TaskAssign: "assign",
-    ErrorFrame: "error",
-    WorkerHello: "hello",
-    HeartbeatFrame: "heartbeat",
-    JobFrame: "job",
-    ResultFrame: "result",
-    ResultPartFrame: "result_part",
-    ResultEndFrame: "result_end",
-    StatsRequest: "stats_request",
-    StatsReply: "stats",
-    TraceGetRequest: "trace_get",
-    TraceReply: "trace",
-    ByeFrame: "bye",
-    **{cls: tag for tag, (cls, _msg) in _MSG_FRAMES.items()},
-}
 
 # Net-plane instrumentation lives on the process-global registry (one
 # transport, one scrape), created lazily so importing the codec never
@@ -928,8 +690,7 @@ def _net_metrics():
 
 def _record_frame(frame: Frame, payload_len: int, direction: str) -> None:
     frames, sizes = _net_metrics()
-    tag = _WIRE_TAGS.get(type(frame), "unknown")
-    frames.labels(type=tag, direction=direction).inc()
+    frames.labels(type=_BY_CLASS[type(frame)].name, direction=direction).inc()
     sizes.labels(direction=direction).observe(payload_len)
 
 
@@ -947,9 +708,7 @@ async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> Frame | None:
     return frame
 
 
-async def write_frame(
-    writer, frame: Frame, max_frame: int = MAX_FRAME_BYTES
-) -> None:
+async def write_frame(writer, frame: Frame, max_frame: int = MAX_FRAME_BYTES) -> None:
     """Write one frame and drain — the backpressure point for senders."""
     payload = _encode_payload(frame)
     _record_frame(frame, len(payload), "out")

@@ -71,7 +71,14 @@ from typing import Any, Callable, NamedTuple
 
 from repro.exceptions import CodecError
 from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES, check_payload_size
-from repro.utils.encoding import encode_uint, read_uint
+from repro.utils.encoding import (
+    encode_bytes_list,
+    encode_uint,
+    read_bytes_list,
+    read_uint,
+    unzigzag,
+    zigzag,
+)
 
 __all__ = [
     "MAX_CONTAINER_ITEMS",
@@ -333,8 +340,7 @@ class _Encoder:
     def _int(self, obj: int) -> None:
         if -_INT_LIMIT < obj < _INT_LIMIT:
             self.out.append(Tag.INT)
-            zigzag = (obj << 1) ^ (obj >> 63) if obj < 0 else obj << 1
-            self.out += encode_uint(zigzag)
+            self.out += encode_uint(zigzag(obj))
             return
         magnitude = abs(obj)
         raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
@@ -488,10 +494,10 @@ def _dec_false(dec: _Decoder, depth: int) -> bool:
 
 
 def _dec_int(dec: _Decoder, depth: int) -> int:
-    zigzag = dec.uint("int")
-    if zigzag >> 64:
-        raise CodecError(f"int term out of range: zigzag {zigzag}")
-    return -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
+    folded = dec.uint("int")
+    if folded >> 64:
+        raise CodecError(f"int term out of range: zigzag {folded}")
+    return unzigzag(folded)
 
 
 def _dec_bigint(dec: _Decoder, depth: int) -> int:
@@ -811,13 +817,9 @@ def encode_cluster_chunk(
     if not payloads:
         raise CodecError("cluster chunk must contain at least one job")
     _check_count("chunk", len(payloads))
-    out = bytearray(encode_uint(len(payloads)))
-    for payload in payloads:
-        if not isinstance(payload, (bytes, bytearray)):
-            raise CodecError("cluster chunk entries must be bytes")
-        out += encode_uint(len(payload))
-        out += payload
-    raw = bytes(out)
+    if not all(isinstance(payload, (bytes, bytearray)) for payload in payloads):
+        raise CodecError("cluster chunk entries must be bytes")
+    raw = encode_bytes_list(payloads)
     check_payload_size("cluster chunk", len(raw), max_bytes)
     return raw
 
@@ -828,19 +830,11 @@ def decode_cluster_chunk(
     """Split a chunk body back into per-job payload spans."""
     check_payload_size("cluster chunk", len(raw), max_bytes)
     data = bytes(raw)
-    count, pos = read_uint(data, 0)
+    count, _ = read_uint(data, 0)
     _check_count("chunk", count)
     if count == 0:
         raise CodecError("cluster chunk must contain at least one job")
-    payloads = []
-    for _ in range(count):
-        length, pos = read_uint(data, pos)
-        _check_field_size("chunk entry", length, MAX_CLUSTER_PAYLOAD_BYTES)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated cluster chunk entry")
-        payloads.append(data[pos:end])
-        pos = end
+    payloads, pos = read_bytes_list(data, 0)
     if pos != len(data):
         raise CodecError(
             f"{len(data) - pos} trailing bytes after cluster chunk"

@@ -1,4 +1,4 @@
-"""Canonical wire codec: unsigned varints and length-prefixed bytes.
+"""Canonical wire codec: varints, zigzag and length-prefixed bytes.
 
 Protocol messages (commitments, sample challenges, proofs — see
 :mod:`repro.core.protocol`) are serialized with this codec so the
@@ -72,6 +72,20 @@ def decode_uint(data: bytes) -> int:
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after varint")
     return value
+
+
+def zigzag(value: int) -> int:
+    """Fold a signed 64-bit integer onto the unsigned ones for a varint.
+
+    Small magnitudes of either sign stay small: 0, -1, 1, -2 map to
+    0, 1, 2, 3.  The caller bounds ``value`` to ``[-2^63, 2^63)``.
+    """
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+
+
+def unzigzag(value: int) -> int:
+    """Inverse of :func:`zigzag`."""
+    return -(value >> 1) - 1 if value & 1 else value >> 1
 
 
 def encode_bytes(payload: bytes) -> bytes:

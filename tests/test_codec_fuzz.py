@@ -3,11 +3,15 @@
 A production wire layer faces hostile bytes; every ``decode`` in the
 protocol either returns a valid message or raises a codec/Merkle error
 — no ``IndexError``/``OverflowError``/silent nonsense.  The same
-contract covers the service layer's length-prefixed JSON frames
+contract covers the service layer's length-prefixed binary frames
 (:mod:`repro.service.codec`): a listening supervisor socket must shrug
 off truncation, corruption and arbitrary bytes with a clean
-:class:`~repro.exceptions.ProtocolError`.
+:class:`~repro.exceptions.ProtocolError` or
+:class:`~repro.exceptions.CodecError`.
 """
+
+import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,8 @@ from repro.merkle.tree import LeafEncoding
 from repro.exceptions import CodecError
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
-    COMPAT_CLUSTER_WIRE_VERSIONS,
+    FRAME_HEADER_BYTES,
+    FRAMES,
     ByeFrame,
     ChallengeFrame,
     CommitmentFrame,
@@ -63,6 +68,11 @@ from repro.service.codec import (
     encode_cluster_payload,
     encode_frame,
 )
+from repro.utils.encoding import encode_bytes, encode_uint
+
+#: wire name -> tag byte, so crafted hostile frames read by name.
+TAG = {row.name: bytes((row.tag,)) for row in FRAMES}
+VERSION = encode_uint(CLUSTER_WIRE_VERSION)
 
 DECODERS = [
     CommitmentMsg.decode,
@@ -246,11 +256,11 @@ def _wire_frames(draw):
         )
     if kind == 8:
         return WorkerHello(
-            worker_id=draw(st.text(max_size=16)),
+            worker_id=draw(st.text(min_size=1, max_size=16)),
             capacity=draw(st.integers(min_value=1, max_value=256)),
         )
     if kind == 9:
-        return HeartbeatFrame(worker_id=draw(st.text(max_size=16)))
+        return HeartbeatFrame(worker_id=draw(st.text(min_size=1, max_size=16)))
     if kind == 10:
         return JobFrame(
             job_id=draw(st.integers(min_value=0, max_value=1 << 32)),
@@ -298,7 +308,8 @@ def _wire_frames(draw):
             span_id=draw(_trace_ids),
         )
     if kind == 1:
-        start = draw(st.integers(min_value=0, max_value=1 << 16))
+        # RangeDomain allows negative starts: the bounds are signed.
+        start = draw(st.integers(min_value=-(1 << 16), max_value=1 << 16))
         size = draw(st.integers(min_value=1, max_value=1 << 10))
         return TaskAssign(
             assign=AssignMsg(
@@ -366,7 +377,7 @@ def _wire_frames(draw):
 
 
 class TestServiceFrames:
-    """The service's JSON frame layer honours the same contract."""
+    """The service's binary frame layer honours the same contract."""
 
     @given(frame=_wire_frames())
     @settings(max_examples=80, deadline=None)
@@ -403,13 +414,52 @@ class TestServiceFrames:
             pass  # rejection is fine; crashing is not
 
     def test_payload_fuzz_without_header(self):
-        for payload in (b"", b"{", b"null", b"[]", b'{"t": 1}',
-                        b'{"t": "nope"}', b'{"t": "commitment"}',
-                        b'{"t": "commitment", "m": "!!!"}',
-                        b'{"t": "assign", "m": 3}',
-                        b'\xff\xfe{"t": "error"}'):
+        for payload in (
+            b"",                                        # no tag byte
+            TAG["commitment"],                          # tag, then nothing
+            TAG["commitment"] + b"\x05abc",             # lying length
+            TAG["commitment"] + b"\xff" * 11,           # overlong varint
+            TAG["commitment"] + encode_bytes(b"junk"),  # inner message junk
+            TAG["assign"] + encode_bytes(b""),          # empty AssignMsg
+            TAG["error"] + encode_bytes(b"\xff\xfe"),   # not UTF-8
+            TAG["error"] + encode_bytes(b"ok") + b"x",  # trailing bytes
+            TAG["stats_request"] + b"\x00",             # ditto, empty row
+            TAG["task_request"] + b"\x02",              # flag byte not 0/1
+            TAG["task_request"] + b"\x01" + b"\xff" * 9 + b"\x01",  # >= 2^63
+        ):
             with pytest.raises(ReproError):
                 decode_frame_payload(payload)
+
+    def test_every_unknown_tag_byte_rejected(self):
+        known = {row.tag for row in FRAMES}
+        assert len(known) == len(FRAMES) == 19
+        for tag in set(range(256)) - known:
+            for body in (b"", b"\x00" * 8, encode_bytes(b"x")):
+                with pytest.raises(ProtocolError, match="unknown frame tag"):
+                    decode_frame_payload(bytes((tag,)) + body)
+
+    def test_json_peer_rejected_at_first_byte(self):
+        """A pre-v6 peer speaks JSON objects: its first byte is ``{``,
+        which must never be a tag — there is no JSON decode path."""
+        assert ord("{") not in {row.tag for row in FRAMES}
+        for payload in (
+            b"{",
+            b'{"t":"task_request"}',
+            b'{"capacity":1,"t":"hello","v":5,"worker":"w-old"}',
+            b"null",
+            b"[]",
+        ):
+            with pytest.raises(ProtocolError, match="unknown frame tag"):
+                decode_frame_payload(payload)
+
+
+def _result_with_span_blob(blob: bytes) -> bytes:
+    """A ``result`` frame payload whose span blob is ``blob``, verbatim."""
+    return (
+        TAG["result"] + VERSION + encode_uint(0) + b"\x01"
+        + encode_uint(0) + encode_uint(0)
+        + encode_bytes(blob) + encode_bytes(b"x")
+    )
 
 
 class TestClusterEnvelope:
@@ -457,27 +507,30 @@ class TestClusterEnvelope:
             encode_cluster_payload(lambda: None)
 
     @pytest.mark.parametrize(
-        "tag", ["job", "result", "result_part", "result_end"]
+        "frame",
+        [
+            JobFrame(job_id=0, payload=b"x"),
+            ResultFrame(job_id=0, ok=True, payload=b"x"),
+            ResultPartFrame(job_id=0, seq=0, payload=b"x"),
+            ResultEndFrame(job_id=0, parts=1),
+        ],
+        ids=lambda frame: type(frame).__name__,
     )
-    def test_wrong_version_rejected(self, tag):
-        import base64
-        import json
-
-        obj = {
-            "t": tag,
-            "id": 0,
-            "p": base64.b64encode(b"x").decode("ascii"),
-            "v": CLUSTER_WIRE_VERSION + 1,
-        }
-        if tag == "result":
-            obj["ok"] = True
-        if tag == "result_part":
-            obj["seq"] = 0
-        if tag == "result_end":
-            del obj["p"]
-            obj["parts"] = 1
-        with pytest.raises(CodecError):
-            decode_frame_payload(json.dumps(obj).encode("utf-8"))
+    def test_wrong_version_rejected(self, frame):
+        """No compat window: every payload-bearing frame leads with
+        the wire version and is refused unless it matches exactly —
+        a v5 (JSON-era) or future frame never reaches a field decoder."""
+        assert CLUSTER_WIRE_VERSION == 6
+        payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
+        assert payload[1] == CLUSTER_WIRE_VERSION
+        for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
+            payload[1] = skewed
+            with pytest.raises(CodecError, match="version"):
+                decode_frame_payload(bytes(payload))
+            # The encoder trusts its caller: a skewed local frame
+            # leaves, and dies at the peer exactly like the crafted one.
+            shipped = encode_frame(dataclasses.replace(frame, version=skewed))
+            assert shipped[FRAME_HEADER_BYTES:] == bytes(payload)
 
     def test_oversized_job_frame_rejected_at_encode(self):
         from repro.service.codec import MAX_CLUSTER_PAYLOAD_BYTES
@@ -496,74 +549,70 @@ class TestClusterEnvelope:
             with pytest.raises(ProtocolError):
                 decode_frame(encoded[:cut])
 
-    def test_malformed_cluster_json_rejected(self):
-        v = CLUSTER_WIRE_VERSION
-        for payload in (
-            b'{"t": "job"}',
-            b'{"t": "job", "id": -1, "p": "", "v": %d}' % v,
-            b'{"t": "job", "id": 0, "p": "!!", "v": %d}' % v,
-            b'{"t": "result", "id": 0, "p": "", "v": %d}' % v,
-            b'{"t": "result", "id": 0, "p": "", "ok": "yes", "v": %d}' % v,
-            b'{"t": "hello", "worker": "w", "capacity": 0, "v": %d}' % v,
-            b'{"t": "hello", "worker": "w", "capacity": 1}',
-            b'{"t": "heartbeat"}',
-            b'{"t": "bye"}',
-            b'{"t": "result_part"}',
-            b'{"t": "result_part", "id": 0, "p": "", "v": %d}' % v,
-            b'{"t": "result_part", "id": 0, "seq": -1, "p": "", "v": %d}' % v,
-            b'{"t": "result_part", "id": -1, "seq": 0, "p": "", "v": %d}' % v,
-            b'{"t": "result_part", "id": 0, "seq": 0, "p": "!!", "v": %d}' % v,
-            b'{"t": "result_part", "id": 0, "seq": true, "p": "", "v": %d}' % v,
-            b'{"t": "result_end"}',
-            b'{"t": "result_end", "id": 0, "v": %d}' % v,
-            b'{"t": "result_end", "id": 0, "parts": 0, "v": %d}' % v,
-            b'{"t": "result_end", "id": -3, "parts": 1, "v": %d}' % v,
-            b'{"t": "result_end", "id": 0, "parts": "many", "v": %d}' % v,
+    def test_malformed_cluster_frames_rejected(self):
+        u, b = encode_uint, encode_bytes
+        head = VERSION + u(0)  # version, job id
+        for payload, error in (
+            (TAG["job"], CodecError),                        # nothing
+            (TAG["job"] + VERSION, CodecError),              # no id
+            (TAG["job"] + head + b"\x00\x00", CodecError),   # no payload
+            (TAG["job"] + head + b"\x00\x00\x09x", CodecError),  # lying
+            (TAG["job"] + VERSION + b"\xff" * 9 + b"\x01" + b"\x00\x00"
+             + b(b"x"), ProtocolError),                      # id >= 2^63
+            (TAG["job"] + head + b"\x02\x00" + b(b"x"), ProtocolError),
+            (TAG["result"] + head, CodecError),              # no ok flag
+            (TAG["result"] + head + b"\x02" + u(0) + u(0) + b(b"") + b(b"x"),
+             ProtocolError),                                 # ok not 0/1
+            (TAG["hello"] + VERSION + b(b"w") + u(0), ProtocolError),
+            (TAG["hello"] + VERSION + b(b"w"), CodecError),  # no capacity
+            (TAG["hello"] + u(1 << 16) + b(b"w") + u(1), CodecError),
+            (TAG["heartbeat"], CodecError),
+            (TAG["bye"], CodecError),
+            (TAG["result_part"], CodecError),
+            (TAG["result_part"] + head + b(b"x"), CodecError),   # no seq
+            (TAG["result_part"] + head + u(0) + b"\x05x", CodecError),
+            (TAG["result_end"], CodecError),
+            (TAG["result_end"] + head, CodecError),          # no parts
+            (TAG["result_end"] + head + u(0) + u(0) + u(0) + b(b""),
+             ProtocolError),                                 # parts == 0
+            (TAG["result_end"] + head + u(1) + u(1 << 63) + u(0) + b(b""),
+             ProtocolError),                                 # count >= 2^63
+            (TAG["result_end"] + head + u(1) + u(0) + u(0) + b(b"") + b"x",
+             ProtocolError),                                 # trailing
         ):
-            with pytest.raises(ReproError):
+            with pytest.raises(error):
                 decode_frame_payload(payload)
 
-    def test_pre_v5_payload_frames_rejected(self):
-        """Wire v5 replaced the job payload encoding wholesale (typed
-        codec instead of pickle), so there is no cross-version payload
-        compatibility: v3/v4 job and result frames must be refused —
-        accepting one would hand pickle bytes to a typed decoder."""
-        import base64
-        import json
-
-        assert COMPAT_CLUSTER_WIRE_VERSIONS == frozenset(
-            {CLUSTER_WIRE_VERSION}
-        )
-        assert CLUSTER_WIRE_VERSION == 5
-        payload = base64.b64encode(b"x").decode("ascii")
-        for old in (3, 4):
-            with pytest.raises(CodecError):
-                decode_frame_payload(json.dumps(
-                    {"t": "result", "id": 7, "ok": True,
-                     "p": payload, "v": old}
-                ).encode())
-            with pytest.raises(CodecError):
-                decode_frame_payload(json.dumps(
-                    {"t": "job", "id": 7, "p": payload, "v": old}
-                ).encode())
-            with pytest.raises(CodecError):
-                decode_frame_payload(json.dumps(
-                    {"t": "result_end", "id": 7, "parts": 2, "v": old}
-                ).encode())
-
-    def test_pre_v5_hello_still_parses_for_polite_rejection(self):
+    def test_skewed_hello_still_parses_for_polite_rejection(self):
         """The ``hello`` version field is shape-checked but not gated
-        at decode: the coordinator must be able to *read* a v4 peer's
-        hello so it can answer with a clear upgrade message instead of
-        a silent parse error (the gate lives in ``_serve_worker``)."""
-        import json
+        at decode: the coordinator must be able to *read* a skewed
+        peer's hello so it can answer with a clear upgrade message
+        instead of a silent parse error (the gate lives in
+        ``_serve_worker``)."""
+        for version in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
+            hello = decode_frame_payload(
+                TAG["hello"] + encode_uint(version) + encode_bytes(b"w-old")
+                + encode_uint(2)
+            )
+            assert hello == WorkerHello("w-old", 2, version=version)
 
-        hello = decode_frame_payload(json.dumps(
-            {"t": "hello", "worker": "w-old", "capacity": 2, "v": 4}
-        ).encode())
-        assert isinstance(hello, WorkerHello)
-        assert hello.version == 4
-        assert hello.version not in COMPAT_CLUSTER_WIRE_VERSIONS
+    @pytest.mark.parametrize(
+        "worker_id", [b"", b"w" * 129, "é".encode() * 65, b"\xff"]
+    )
+    def test_worker_ids_are_short_nonempty_text(self, worker_id):
+        """A worker id becomes a metrics label and a log field on the
+        coordinator: empty, oversized (by UTF-8 bytes) or non-UTF-8
+        ids die in the codec, on ``hello`` and ``heartbeat`` alike."""
+        for payload in (
+            TAG["hello"] + VERSION + encode_bytes(worker_id) + encode_uint(1),
+            TAG["heartbeat"] + encode_bytes(worker_id),
+        ):
+            with pytest.raises(ProtocolError, match="worker_id"):
+                decode_frame_payload(payload)
+        longest = "w" * 128
+        assert decode_frame(encode_frame(HeartbeatFrame(longest))) == (
+            HeartbeatFrame(longest)
+        )
 
     def test_result_spans_round_trip(self):
         spans = (
@@ -594,22 +643,21 @@ class TestClusterEnvelope:
         ],
     )
     def test_junk_span_payloads_rejected(self, sp):
-        """Hostile ``sp`` values are ProtocolErrors — same policy as
-        junk ``tid``/``sid``: reject the frame, never crash."""
-        import base64
-        import json
+        """Hostile span blobs are ProtocolErrors — same policy as junk
+        trace ids: reject the frame, never crash."""
+        with pytest.raises(ProtocolError, match="spans"):
+            decode_frame_payload(_result_with_span_blob(json.dumps(sp).encode()))
 
-        obj = {
-            "t": "result", "id": 0, "ok": True,
-            "p": base64.b64encode(b"x").decode("ascii"),
-            "v": CLUSTER_WIRE_VERSION, "sp": sp,
-        }
-        with pytest.raises(ProtocolError):
-            decode_frame_payload(json.dumps(obj).encode("utf-8"))
+    @pytest.mark.parametrize(
+        "blob",
+        [b"{", b"\xff\xfe[]", b"null", b"[" * 100_000, b"[NaN"],
+        ids=["not-json", "not-utf8", "null", "deep-nesting", "truncated"],
+    )
+    def test_undecodable_span_blobs_rejected(self, blob):
+        with pytest.raises(ProtocolError, match="spans"):
+            decode_frame_payload(_result_with_span_blob(blob))
 
     def test_trace_frames_round_trip_and_reject_junk(self):
-        import json
-
         frame = TraceReply(
             trace_id="t1",
             spans=({"tid": "t1", "sid": "s1", "name": "n",
@@ -618,15 +666,17 @@ class TestClusterEnvelope:
         assert decode_frame(encode_frame(frame)) == frame
         request = TraceGetRequest(trace_id="t1")
         assert decode_frame(encode_frame(request)) == request
-        for payload in (
-            {"t": "trace_get"},                      # tid required
-            {"t": "trace_get", "tid": ""},
-            {"t": "trace_get", "tid": "t" * 200},
-            {"t": "trace", "sp": []},                # tid required
-            {"t": "trace", "tid": "t1", "sp": "x"},  # junk span list
+        b = encode_bytes
+        for payload, error in (
+            (TAG["trace_get"], CodecError),                  # tid required
+            (TAG["trace_get"] + b(b""), ProtocolError),
+            (TAG["trace_get"] + b(b"t" * 200), ProtocolError),
+            (TAG["trace"] + b(b""), ProtocolError),          # tid required
+            (TAG["trace"] + b(b"t1"), CodecError),           # no span blob
+            (TAG["trace"] + b(b"t1") + b(b'"x"'), ProtocolError),
         ):
-            with pytest.raises(ProtocolError):
-                decode_frame_payload(json.dumps(payload).encode("utf-8"))
+            with pytest.raises(error):
+                decode_frame_payload(payload)
 
     def test_oversized_result_part_rejected_at_encode(self):
         from repro.service.codec import MAX_CLUSTER_PAYLOAD_BYTES
@@ -678,6 +728,25 @@ class TestChunkAndOutcomeEnvelopes:
         assert decode_cluster_outcomes(
             encode_cluster_outcomes(entries)
         ) == entries
+
+    @given(
+        payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=12),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_layout_is_count_then_length_prefixed_items(
+        self, payloads, uniform
+    ):
+        """The chunk envelope delegates to ``encode_bytes_list``; its
+        bytes stay ``count ‖ (length ‖ item)*`` whichever path that
+        takes (a uniform run of short items, or the generic loop)."""
+        if uniform:
+            payloads = [payloads[0][:100]] * len(payloads)
+        spelled = encode_uint(len(payloads)) + b"".join(
+            encode_uint(len(item)) + item for item in payloads
+        )
+        assert encode_cluster_chunk(payloads) == spelled
+        assert decode_cluster_chunk(spelled) == tuple(payloads)
 
     def test_wrong_shapes_rejected(self):
         # Typed *value* payloads are junk to the chunk/outcome span
@@ -1236,12 +1305,11 @@ class TestPackedResultRecords:
 
 
 class TestVersionSkewHandshake:
-    """Live version gate: a v4 (pickle-era) peer dialing a v5
-    coordinator is turned away at ``hello`` with a clear upgrade
-    message, and a worker refused this way exits loudly instead of
-    retrying forever."""
+    """Live version gate: a peer one wire version behind is turned
+    away at ``hello`` with a clear upgrade message, and a worker
+    refused this way exits loudly instead of retrying forever."""
 
-    def test_v4_worker_turned_away_with_upgrade_message(self):
+    def test_skewed_worker_turned_away_with_upgrade_message(self):
         import asyncio
         import contextlib
         import socket
@@ -1280,10 +1348,10 @@ class TestVersionSkewHandshake:
         thread.start()
         replies = []
         try:
-            # A genuine v5 worker registers and serves jobs...
+            # A current-version worker registers and serves jobs...
             assert executor.map(_triple, range(4)) == [0, 3, 6, 9]
 
-            async def v4_dial() -> None:
+            async def skewed_dial() -> None:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", port
                 )
@@ -1291,7 +1359,9 @@ class TestVersionSkewHandshake:
                     await write_frame(
                         writer,
                         WorkerHello(
-                            worker_id="w-v4", capacity=1, version=4
+                            worker_id="w-old",
+                            capacity=1,
+                            version=CLUSTER_WIRE_VERSION - 1,
                         ),
                     )
                     replies.append(
@@ -1302,16 +1372,18 @@ class TestVersionSkewHandshake:
                     with contextlib.suppress(Exception):
                         await writer.wait_closed()
 
-            # ...while a v4 peer is refused at hello...
-            asyncio.run(v4_dial())
-            # ...without disturbing the registered v5 worker.
+            # ...while a skewed peer is refused at hello...
+            asyncio.run(skewed_dial())
+            # ...without disturbing the registered worker.
             assert executor.map(_triple, range(4)) == [0, 3, 6, 9]
         finally:
             executor.close()
         thread.join(timeout=10)
         (bye,) = replies
         assert isinstance(bye, ByeFrame)
-        assert bye.reason.startswith("incompatible cluster wire version 4")
+        assert bye.reason.startswith(
+            f"incompatible cluster wire version {CLUSTER_WIRE_VERSION - 1}"
+        )
         assert "upgrade the worker" in bye.reason
 
     def test_refused_worker_exits_loudly(self):

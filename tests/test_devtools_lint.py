@@ -352,114 +352,9 @@ class TestMetricsNaming:
 
 
 # ----------------------------------------------------------------------
-# RL006 wire-schema coverage
+# RL006 wire-schema coverage (the typed job codec; the frame codec's
+# table is checked at import and in test_service_codec.TestFrameTable)
 # ----------------------------------------------------------------------
-
-MINI_CODEC_OK = """
-    _MSG_FRAMES = {"submission": (None, None)}
-    _WIRE_TAGS = {"PingFrame": "ping", "DataFrame": "data"}
-
-    def check_payload_size(what, size, cap):
-        pass
-
-    def _cluster_payload_field(obj, what):
-        raw = obj.get("p_raw")
-        check_payload_size(what, len(raw), 1024)
-        return raw
-
-    def _payload_dict(frame):
-        if isinstance(frame, PingFrame):
-            return {"t": "ping"}
-        if isinstance(frame, DataFrame):
-            check_payload_size("data", len(frame.payload), 1024)
-            return {"t": "data", "p": frame.payload}
-        raise ValueError(frame)
-
-    def decode_frame_payload(payload):
-        tag = payload.get("t")
-        if tag == "ping":
-            return PingFrame()
-        if tag == "data":
-            return DataFrame(_cluster_payload_field(payload, "data"))
-        raise ValueError(tag)
-"""
-
-MINI_CODEC_DRIFTED = """
-    _WIRE_TAGS = {"PingFrame": "ping"}
-
-    def check_payload_size(what, size, cap):
-        pass
-
-    def _payload_dict(frame):
-        if isinstance(frame, PingFrame):
-            return {"t": "ping"}
-        if isinstance(frame, DataFrame):
-            return {"t": "data", "p": frame.payload}
-        raise ValueError(frame)
-
-    def decode_frame_payload(payload):
-        tag = payload.get("t")
-        if tag == "ping":
-            return PingFrame()
-        raise ValueError(tag)
-"""
-
-
-class TestWireSchemaCoverage:
-    def test_consistent_codec_passes(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {"repro/service/codec.py": MINI_CODEC_OK},
-            rules={"RL006"},
-        )
-        assert findings == []
-
-    def test_drifted_codec_is_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {"repro/service/codec.py": MINI_CODEC_DRIFTED},
-            rules={"RL006"},
-        )
-        messages = " | ".join(f.message for f in findings)
-        # 'data' is encoded but not decoded, missing from _WIRE_TAGS,
-        # and its payload branch carries no size cap.
-        assert "no decode branch" in messages
-        assert "_WIRE_TAGS" in messages
-        assert "check_payload_size" in messages
-
-    def test_dict_literal_frame_outside_codec_is_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {
-                "repro/service/codec.py": MINI_CODEC_OK,
-                "client.py": 'FRAME = {"t": "ping"}\n',
-            },
-            rules={"RL006"},
-        )
-        assert [f.path for f in findings] == ["client.py"]
-        assert "bypasses" in findings[0].message or "outside" in findings[0].message
-
-    def test_unknown_tags_outside_codec_pass(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {
-                "repro/service/codec.py": MINI_CODEC_OK,
-                "client.py": 'CONFIG = {"t": "not_a_wire_tag"}\n',
-            },
-            rules={"RL006"},
-        )
-        assert findings == []
-
-    def test_direct_payload_read_in_decode_is_flagged(self, tmp_path):
-        source = MINI_CODEC_OK.replace(
-            '_cluster_payload_field(payload, "data")',
-            'payload.get("p")',
-        )
-        findings = run_lint(
-            tmp_path, {"repro/service/codec.py": source}, rules={"RL006"}
-        )
-        assert any("directly" in f.message for f in findings)
-
 
 MINI_JOBCODEC_OK = """
     class Tag:

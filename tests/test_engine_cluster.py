@@ -37,27 +37,31 @@ from repro.engine.cluster.worker import (
     pack_outcome_parts,
     run_worker,
 )
-from repro.exceptions import CodecError, EngineError
+from repro.exceptions import CodecError, EngineError, ProtocolError
 from repro.grid.faults import FlakyParticipant, RetryingScheme
 from repro.grid.simulation import (
     GridSimulation,
     SimulationConfig,
     run_population,
 )
+from repro.net.framing import frame_buffer
 from repro.service.codec import (
+    CLUSTER_WIRE_VERSION,
+    FRAMES,
     MAX_CLUSTER_FRAME_BYTES,
     ResultEndFrame,
     ResultFrame,
     ResultPartFrame,
     decode_cluster_chunk,
     decode_frame,
+    decode_frame_payload,
     encode_cluster_chunk,
     encode_cluster_outcomes,
     encode_cluster_payload,
 )
 from repro.service.jobcodec import encode_job
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
-from repro.utils.encoding import encode_uint
+from repro.utils.encoding import encode_bytes, encode_uint
 
 from cluster_helpers import (
     _boom,
@@ -505,6 +509,58 @@ class TestExternalWorkers:
         # close() sends bye; the external worker exits cleanly.
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+    @pytest.mark.parametrize(
+        "worker_id", [b"", b"w" * 129, b"\xff\xfe"],
+        ids=["empty", "oversized", "not-utf8"],
+    )
+    def test_hostile_worker_id_never_becomes_a_label(self, cluster, worker_id):
+        """A worker id turns into a metrics label, a log field and a
+        ``bye`` reason: a hello whose id is empty, over 128 bytes or
+        not UTF-8 dies in the codec, before anything is registered."""
+        (hello_tag,) = (row.tag for row in FRAMES if row.name == "hello")
+        hello = (
+            bytes((hello_tag,)) + encode_uint(CLUSTER_WIRE_VERSION)
+            + encode_bytes(worker_id) + encode_uint(1)
+        )
+        with pytest.raises(ProtocolError, match="worker_id"):
+            decode_frame_payload(hello)
+
+        assert cluster.map(_square, range(2)) == [0, 1]  # pool is up
+        registry = cluster._co.registry
+        before = registry.snapshot()
+        rejected_before = _error_count(before, "cluster.worker_conn")
+
+        async def dial() -> bytes:
+            reader, writer = await asyncio.open_connection(*cluster.address)
+            try:
+                writer.write(frame_buffer(hello))
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), 10)
+            finally:
+                writer.close()
+
+        assert asyncio.run(dial()) == b""  # hung up on, no bye owed
+        after = registry.snapshot()
+        assert _error_count(after, "cluster.worker_conn") == rejected_before + 1
+        assert _worker_labels(after) == _worker_labels(before)
+        assert after["repro_cluster_workers_live"] == before[
+            "repro_cluster_workers_live"
+        ]
+
+
+def _error_count(snapshot: dict, site: str) -> float:
+    return sum(
+        entry["value"]
+        for entry in snapshot["repro_errors_total"]["values"]
+        if entry["labels"] == {"site": site}
+    )
+
+
+def _worker_labels(snapshot: dict) -> set:
+    rates = snapshot.get("repro_cluster_worker_rate_jobs_per_s", {"values": []})
+    return {entry["labels"]["worker"] for entry in rates["values"]}
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,23 @@ class TestConstants:
         assert codec.MAX_CLUSTER_PAYLOAD_BYTES == MAX_CLUSTER_PAYLOAD_BYTES
         assert codec.MAX_CLUSTER_FRAME_BYTES == MAX_CLUSTER_FRAME_BYTES
 
-    def test_cluster_frame_cap_covers_base64_expansion(self):
-        assert MAX_CLUSTER_FRAME_BYTES > MAX_CLUSTER_PAYLOAD_BYTES * 4 // 3
+    def test_cluster_frame_cap_covers_a_full_payload(self):
+        """Payloads ride raw: the frame cap is the payload cap plus
+        room for the frame's other fields, not a 4/3 expansion."""
+        from repro.service.codec import JobFrame, encode_frame
+
+        payload = b"\x00" * 1024
+        frame = JobFrame(
+            job_id=(1 << 63) - 1, payload=payload,
+            trace_id="t" * 64, span_id="s" * 64,
+        )
+        overhead = len(encode_frame(frame)) - FRAME_HEADER_BYTES - len(payload)
+        longer_length_prefix = 4
+        assert (
+            MAX_CLUSTER_PAYLOAD_BYTES + overhead + longer_length_prefix
+            <= MAX_CLUSTER_FRAME_BYTES
+            < MAX_CLUSTER_PAYLOAD_BYTES * 4 // 3
+        )
 
 
 class TestCheckPayloadSize:

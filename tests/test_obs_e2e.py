@@ -31,6 +31,7 @@ from repro.obs.spans import Span, SpanBuffer, render_waterfall
 from repro.obs.trace import bind_trace, new_trace_id
 from repro.service.client import ServiceClient
 from repro.service.codec import (
+    FRAMES,
     JobFrame,
     StatsReply,
     StatsRequest,
@@ -41,7 +42,13 @@ from repro.service.codec import (
 )
 from repro.service.server import ServiceConfig, SupervisorServer
 from repro.tasks import RangeDomain
+from repro.utils.encoding import encode_bytes
 from test_engine_cluster import PRELOAD, _square
+
+# Tag bytes of the two frames the codec tests below craft by hand.
+TASK_REQUEST, STATS = (
+    bytes((row.tag,)) for row in FRAMES if row.name in ("task_request", "stats")
+)
 
 
 def _free_port() -> int:
@@ -207,21 +214,25 @@ class TestTraceFieldCodec:
         assert (out.trace_id, out.span_id) == ("a" * 16, "b" * 8)
 
     def test_absent_fields_decode_as_none(self):
-        raw = json.dumps({"t": "task_request"}).encode()
-        out = decode_frame_payload(raw)
+        # participant, trace id, span id: three presence flags, all clear.
+        out = decode_frame_payload(TASK_REQUEST + b"\x00\x00\x00")
+        assert out == TaskRequest()
         assert out.trace_id is None and out.span_id is None
 
-    @pytest.mark.parametrize("junk", [7, [], {}, True, 1.5])
-    def test_non_string_tid_rejected(self, junk):
-        raw = json.dumps({"t": "task_request", "tid": junk}).encode()
+    @pytest.mark.parametrize("junk", [b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])
+    def test_non_utf8_tid_rejected(self, junk):
+        raw = TASK_REQUEST + b"\x00\x01" + encode_bytes(junk) + b"\x00"
         with pytest.raises(ProtocolError):
             decode_frame_payload(raw)
 
     def test_empty_and_oversized_ids_rejected(self):
-        for bad in ("", "x" * 65):
-            raw = json.dumps({"t": "task_request", "sid": bad}).encode()
+        for bad in (b"", b"x" * 65):
+            raw = TASK_REQUEST + b"\x00\x00\x01" + encode_bytes(bad)
             with pytest.raises(ProtocolError):
                 decode_frame_payload(raw)
+        for bad in ("", "x" * 65):
+            with pytest.raises(ProtocolError):
+                decode_frame(encode_frame(TaskRequest(trace_id=bad)))
 
     def test_job_frame_carries_trace_ids(self):
         frame = JobFrame(
@@ -237,9 +248,12 @@ class TestTraceFieldCodec:
 
     def test_stats_reply_requires_object(self):
         for bad in (None, 3, "x", []):
-            raw = json.dumps({"t": "stats", "stats": bad}).encode()
+            raw = STATS + encode_bytes(json.dumps(bad).encode())
             with pytest.raises(ProtocolError):
                 decode_frame_payload(raw)
+        for junk in (b"{", b"\xff{}", b"{" * 100_000):
+            with pytest.raises(ProtocolError):
+                decode_frame_payload(STATS + encode_bytes(junk))
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,33 @@
 """Unit tests for the service frame codec (repro.service.codec)."""
 
 import asyncio
+import dataclasses
+import pathlib
+import typing
 
 import pytest
 
 from repro.core.protocol import (
     AssignMsg,
     CommitmentMsg,
+    NICBSSubmissionMsg,
+    ProofBundleMsg,
     SampleChallengeMsg,
+    SampleProof,
     VerdictMsg,
 )
-from repro.exceptions import ProtocolError, ReproError
+from repro.exceptions import CodecError, ProtocolError, ReproError
+from repro.merkle.proof import AuthenticationPath
+from repro.merkle.tree import LeafEncoding
+from repro.service import codec
 from repro.service import (
     FRAME_HEADER_BYTES,
     WORKLOADS,
     ChallengeFrame,
     CommitmentFrame,
     ErrorFrame,
+    ProofsFrame,
+    SubmissionFrame,
     TaskAssign,
     TaskRequest,
     VerdictFrame,
@@ -29,6 +40,10 @@ from repro.service import (
     write_frame,
 )
 from repro.tasks import PasswordSearch
+from repro.utils.encoding import encode_bytes, encode_uint
+
+#: wire name -> tag byte, so crafted hostile frames read by name.
+TAG = {row.name: bytes((row.tag,)) for row in codec.FRAMES}
 
 
 def sample_assign() -> TaskAssign:
@@ -86,7 +101,7 @@ class TestRejection:
     def test_oversized_length_prefix_rejected_on_decode(self):
         encoded = encode_frame(TaskRequest())
         with pytest.raises(ProtocolError):
-            decode_frame(encoded, max_frame=4)
+            decode_frame(encoded, max_frame=len(encoded) - FRAME_HEADER_BYTES - 1)
 
     def test_length_mismatch_rejected(self):
         encoded = encode_frame(TaskRequest())
@@ -95,59 +110,282 @@ class TestRejection:
         with pytest.raises(ProtocolError):
             decode_frame(encoded[:-1])
 
-    def test_non_object_payloads_rejected(self):
-        for payload in (b"null", b"[]", b'"t"', b"3"):
+    def test_empty_and_json_payloads_rejected(self):
+        for payload in (b"", b"null", b"[]", b'"t"', b"3", b'{"t": "error"}'):
             with pytest.raises(ProtocolError):
                 decode_frame_payload(payload)
 
     def test_unknown_type_tag_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_frame_payload(b'{"t": "teapot"}')
+            decode_frame_payload(b"\x7f")
 
     def test_assign_value_validation(self):
-        # Legal JSON, illegal values: a hostile supervisor must not be
-        # able to crash a client with ValueError/OverflowError later.
+        # Well-formed bytes, illegal values: a hostile supervisor must
+        # not be able to crash a client with ValueError/OverflowError
+        # later.  The encoder trusts its local caller, so a hostile
+        # frame is just a dataclass with bad values, shipped.
         base = sample_assign()
-        encoded = encode_frame(base)
-        import json
-
-        payload = json.loads(encoded[FRAME_HEADER_BYTES:])
-        for key, value in [
+        for field, value in (
             ("leaf_encoding", "bogus"),
             ("protocol", "pigeon"),
             ("n_samples", 0),
-            ("seed", -1),
-            ("seed", 1 << 70),
-            ("participant", -2),
-            ("domain", [5, 5]),
-        ]:
-            mutated = dict(payload, **{key: value})
-            with pytest.raises(ProtocolError):
-                decode_frame_payload(
-                    json.dumps(mutated).encode("utf-8")
-                )
+            ("seed", 1 << 63),
+            ("participant", 1 << 63),
+            ("domain_stop", base.domain_start),
+            ("domain_stop", -base.domain_stop),
+            ("domain_start", -(1 << 63) - 1),
+            ("hash_name", "h" * 129),
+            ("sample_hash_name", "é" * 65),
+        ):
+            hostile = encode_frame(dataclasses.replace(base, **{field: value}))
+            with pytest.raises(ProtocolError, match="assign frame"):
+                decode_frame(hostile)
 
-    def test_bad_base64_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_frame_payload(b'{"t": "commitment", "m": "%%%"}')
+    def test_signed_domain_bounds_round_trip(self):
+        frame = dataclasses.replace(
+            sample_assign(), domain_start=-64, domain_stop=-1
+        )
+        assert decode_frame(encode_frame(frame)) == frame
 
-    def test_wrong_field_types_rejected(self):
+    def test_malformed_fields_rejected(self):
         # The assign case trips the inner binary decoder (CodecError);
-        # the rest fail frame-level validation (ProtocolError).  Both
-        # honour the one contract that matters: a ReproError, never an
-        # uncaught TypeError/KeyError.
+        # the rest fail frame-level validation.  Both honour the one
+        # contract that matters: a ReproError, never an uncaught
+        # IndexError/UnicodeDecodeError.
+        frame = sample_assign()
         bad_payloads = [
-            b'{"t": "task_request", "participant": "zero"}',
-            b'{"t": "task_request", "participant": -1}',
-            b'{"t": "task_request", "participant": true}',
-            b'{"t": "error", "message": 5}',
-            b'{"t": "assign", "m": "", "participant": 0, "domain": "x",'
-            b' "protocol": "cbs", "n_samples": 1, "hash": "sha256",'
-            b' "sample_hash": "sha256", "leaf_encoding": "hashed", "seed": 0}',
+            TAG["task_request"] + b"\x03",                # flag not 0/1
+            TAG["task_request"] + b"\x01",                # flagged, absent
+            TAG["task_request"] + b"\x01" + b"\xff" * 11,  # overlong varint
+            TAG["error"] + b"\x05ab",                     # lying length
+            TAG["error"] + encode_bytes(b"\xc3\x28"),     # not UTF-8
+            TAG["assign"] + encode_bytes(b"") + encode_frame(frame)[-40:],
         ]
         for payload in bad_payloads:
             with pytest.raises(ReproError):
                 decode_frame_payload(payload)
+
+
+class TestFrameTable:
+    """The table is the vocabulary: what RL006 used to cross-check
+    between four copies is now true by construction, or checked here."""
+
+    def test_every_frame_type_has_exactly_one_row(self):
+        """``Frame`` is derived from the table, so the thing to check is
+        that no frame dataclass was defined and left out of it."""
+        defined = {
+            obj
+            for obj in vars(codec).values()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == codec.__name__
+        }
+        union = set(typing.get_args(codec.Frame))
+        assert {row.cls for row in codec.FRAMES} == union == defined
+        assert len(codec.FRAMES) == len(union) == 19
+        assert len({row.tag for row in codec.FRAMES}) == 19
+        assert len({row.name for row in codec.FRAMES}) == 19
+
+    def test_every_length_delimited_field_declares_a_cap(self):
+        """``Field.hi`` defaults to the varint ceiling, so a bytes/str
+        field that forgot its cap shows up as a 2^63-byte one."""
+        kinds = set()
+        for row in codec.FRAMES:
+            for field in row.fields:
+                kinds.add(field.kind)
+                if field.kind in ("uint", "int", "flag"):
+                    continue
+                assert field.kind in ("str", "msg", "json", "payload")
+                assert 0 < field.hi <= codec.MAX_CLUSTER_PAYLOAD_BYTES, (
+                    row.name, field.attr,
+                )
+        assert kinds == {"uint", "int", "flag", "str", "msg", "json", "payload"}
+
+    def test_payload_fields_are_checked_at_both_ends(self):
+        limit = codec.MAX_CLUSTER_PAYLOAD_BYTES
+        payload_fields = {
+            field
+            for row in codec.FRAMES
+            for field in row.fields
+            if field.attr == "payload"
+        }
+        (field,) = payload_fields  # one spec, shared by job/result/result_part
+        assert (field.kind, field.hi) == ("payload", limit)
+        with pytest.raises(CodecError, match="exceeds limit"):
+            codec._encode_field(field, b"\x00" * (limit + 1))
+        oversized = encode_uint(limit + 1) + b"\x00" * (limit + 1)
+        with pytest.raises(CodecError, match="exceeds limit"):
+            codec._read_field(field, oversized, 0)
+
+    @pytest.mark.parametrize(
+        "tag, name, cls, keep_fields",
+        [
+            (0x13, "adieu", TaskRequest, True),     # tag byte taken
+            (0x14, "bye", TaskRequest, True),       # wire name taken
+            (0x14, "adieu", codec.ByeFrame, True),  # class already has a row
+            (0x14, "adieu", TaskRequest, False),    # fields not covered
+        ],
+    )
+    def test_drifted_table_fails_to_build(self, tag, name, cls, keep_fields):
+        fields = codec._BY_CLASS[cls].fields if keep_fields else ()
+        rows = tuple(
+            row for row in codec.FRAMES
+            if row.cls is not cls or cls is codec.ByeFrame
+        )
+        codec._index_frames(rows)  # the rest of the table is sound
+        with pytest.raises(ValueError):
+            codec._index_frames(rows + (codec.FrameRow(tag, name, cls, fields),))
+        if not keep_fields:
+            codec._index_frames(
+                rows + (codec.FrameRow(tag, name, cls, codec._BY_CLASS[cls].fields),)
+            )
+
+
+def _size(n: int) -> str:
+    for unit, scale in (("MiB", 1 << 20), ("KiB", 1 << 10)):
+        if n >= scale and n % scale == 0:
+            return f"{n // scale} {unit}"
+    return f"{n} B"
+
+
+def _readme_field(field: codec.Field) -> str:
+    if field.kind == "uint":
+        if field.lo == field.hi:
+            spec = f"uvarint = {field.lo}"
+        elif field.hi != codec.Field("x", "uint").hi:
+            spec = f"uvarint {field.lo}..{field.hi}"
+        else:
+            spec = "uvarint" if field.lo == 0 else f"uvarint ≥ {field.lo}"
+    elif field.kind == "str":
+        spec = f"str {field.lo}..{_size(field.hi)}"
+        if field.arg:
+            spec += " ∈ {" + ", ".join(field.arg) + "}"
+    elif field.kind == "msg":
+        spec = f"{field.arg.__name__} ≤ {_size(field.hi)}"
+    elif field.kind in ("json", "payload"):
+        spec = f"{'JSON' if field.kind == 'json' else 'bytes'} ≤ {_size(field.hi)}"
+    else:
+        spec = {"int": "zigzag varint", "flag": "flag byte"}[field.kind]
+    return f"`{field.attr}`{'?' if field.optional else ''} {spec}"
+
+
+class TestReadmeTable:
+    def test_frame_wire_format_table_matches_the_code(self):
+        """README "Frame wire format" is rendered from ``FRAMES``: a
+        tag, name, field, range or cap that moves must move there too."""
+        readme = (
+            pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        ).read_text(encoding="utf-8")
+        for row in codec.FRAMES:
+            layout = " · ".join(map(_readme_field, row.fields)) or "—"
+            assert f"| `0x{row.tag:02X}` | `{row.name}` | {layout} |" in readme
+
+
+_SPAN = {"tid": "t1", "sid": "s1", "name": "worker.execute", "ts": 1.5, "dur": 0.25}
+_PROOF = SampleProof(
+    index=1,
+    claimed_result=b"\xaa\xbb",
+    path=AuthenticationPath(
+        leaf_index=1,
+        siblings=[b"\x11" * 4, b"\x22" * 4],
+        n_leaves=4,
+        leaf_encoding=LeafEncoding.HASHED,
+    ),
+)
+_SPAN_HEX = (
+    "455b7b22647572223a302e32352c226e616d65223a22776f726b65722e65786563757465"
+    "222c22736964223a227331222c22746964223a227431222c227473223a312e357d5d"
+)
+
+#: One committed vector per frame type (payload hex, length prefix
+#: stripped).  A change to any of these is a wire format change: bump
+#: ``CLUSTER_WIRE_VERSION`` and the README table with it.
+GOLDEN = [
+    (TaskRequest(participant=7, trace_id="t1"), "0101070102743100"),
+    (
+        TaskAssign(
+            assign=AssignMsg(
+                task_id="task-3", n_inputs=64, workload="PasswordSearch"
+            ),
+            participant=3,
+            domain_start=-64,
+            domain_stop=0,
+            protocol="ni-cbs",
+            n_samples=16,
+            hash_name="sha256",
+            sample_hash_name="md5^3",
+            leaf_encoding="hashed",
+            seed=3_000_012,
+        ),
+        "0217067461736b2d33400e50617373776f7264536561726368037f00066e692d"
+        "6362731006736861323536056d64355e3306686173686564cc8db701",
+    ),
+    (
+        CommitmentFrame(CommitmentMsg(task_id="t", root=b"\x01" * 8, n_leaves=4)),
+        "030c017408010101010101010104",
+    ),
+    (
+        ChallengeFrame(SampleChallengeMsg(task_id="t", indices=(1, 300))),
+        "040601740201ac02",
+    ),
+    (
+        ProofsFrame(ProofBundleMsg(task_id="t", proofs=(_PROOF,))),
+        "05150174010102aabb0104000204111111110422222222",
+    ),
+    (
+        SubmissionFrame(
+            NICBSSubmissionMsg(
+                task_id="t", root=b"\x01" * 8, n_leaves=4, proofs=(_PROOF,)
+            )
+        ),
+        "061f017408010101010101010104010102aabb0104000204111111110422222222",
+    ),
+    (
+        VerdictFrame(VerdictMsg(task_id="t", accepted=False, reason="wrong_result")),
+        "07100174000c77726f6e675f726573756c74",
+    ),
+    (ErrorFrame("nope"), "08046e6f7065"),
+    (codec.WorkerHello("w-0", 2), "090603772d3002"),
+    (codec.HeartbeatFrame("w-0"), "0a03772d30"),
+    (
+        codec.JobFrame(
+            job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
+        ),
+        "0b06ac02010274310102733103000102",
+    ),
+    (
+        codec.ResultFrame(
+            job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
+            cache_hits=2, cache_misses=1,
+        ),
+        "0c06ac02010201" + _SPAN_HEX + "020304",
+    ),
+    (codec.ResultPartFrame(job_id=300, seq=1, payload=b"\x05"), "0d06ac02010105"),
+    (codec.ResultEndFrame(job_id=300, parts=2, cache_hits=1), "0e06ac0202010000"),
+    (codec.StatsRequest(), "0f"),
+    (
+        codec.StatsReply({"repro_x_total": {"type": "counter", "value": 3}}),
+        "102e7b22726570726f5f785f746f74616c223a7b2274797065223a22636f756e74"
+        "6572222c2276616c7565223a337d7d",
+    ),
+    (codec.TraceGetRequest("t1"), "11027431"),
+    (codec.TraceReply("t1", (_SPAN,)), "12027431" + _SPAN_HEX),
+    (codec.ByeFrame("done"), "1304646f6e65"),
+]
+
+
+class TestGoldenVectors:
+    def test_one_vector_per_frame_type(self):
+        assert [type(frame) for frame, _ in GOLDEN] == [
+            row.cls for row in codec.FRAMES
+        ]
+
+    @pytest.mark.parametrize(
+        "frame, payload_hex", GOLDEN, ids=lambda v: type(v).__name__
+    )
+    def test_encoding_is_pinned(self, frame, payload_hex):
+        payload = bytes.fromhex(payload_hex)
+        assert encode_frame(frame)[FRAME_HEADER_BYTES:] == payload
+        assert decode_frame_payload(payload) == frame
+        assert payload[0] == codec._BY_CLASS[type(frame)].tag
 
 
 class TestWorkloadCatalogue:
