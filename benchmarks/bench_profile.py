@@ -21,8 +21,10 @@ fixed shapes, in µs per proof.  Two gates ride on the numbers:
   >30% drop fails the bench.  The read path rides the same gate as
   proofs/sec per shape, so a per-digest call chain creeping back into
   the proof codec or the path fold fails here the way a slow Merkle
-  build does.  The CI smoke job runs this ``--quick`` on every PR and
-  uploads the JSON as an artifact.
+  build does, and so does ``evaluate_us_per_input``, timed through the
+  behaviour's batch entry (the call the participant makes).  The CI
+  smoke job runs this ``--quick`` on every PR and uploads the JSON as
+  an artifact.
 
 ``--quick`` shrinks the domain (2^12 instead of 2^16) and skips the
 absolute 2x assertion while keeping the whole harness — phases,
@@ -139,7 +141,13 @@ def _phase_breakdown(n: int, payloads: list, raw_payload: bytes) -> dict:
     """Single-pass wall-clock attribution of the worker hot path."""
     hash_fn = get_hash("sha256")
     phases = {}
-    phases["evaluate"] = _time(lambda: [FN.evaluate(i) for i in range(n)])
+    # The participant's own entry: the behaviour's batch over the whole
+    # assignment, routed to ``FN.evaluate_many`` (best-of-3: it is gated).
+    task = TaskAssignment("bench-evaluate", RangeDomain(0, n), FN)
+    phases["evaluate"] = min(
+        _time(lambda: HonestBehavior().produce(task, FN.evaluate))
+        for _ in range(3)
+    )
     phases["leaf_hash"] = _time(
         lambda: hash_fn.tagged_digest_many(_LEAF_TAG, payloads)
     )
@@ -223,7 +231,7 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
     d_exp = D_EXP_QUICK if quick else D_EXP
     rounds = ROUNDS_QUICK if quick else ROUNDS
     n = 1 << d_exp
-    payloads = [FN.evaluate(i) for i in range(n)]
+    payloads = FN.evaluate_many(range(n))
     raw_payload = encode_cluster_payload(payloads[: 1 << 10])
 
     legacy_hash = _LegacyHash()
@@ -240,6 +248,7 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
     participants_per_s = 1.0 / best["current"]
 
     phases = _phase_breakdown(n, payloads, raw_payload)
+    evaluate_us_per_input = phases["evaluate"] / n * 1e6
     read_path = {
         f"n{leaves}_m{proofs}": _read_path(leaves, proofs, 4 * rounds)
         for leaves, proofs in READ_SHAPES
@@ -300,6 +309,7 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
             "merkle_current_s": round(best["current"], 6),
             "speedup_vs_legacy": round(speedup, 3),
             "participants_per_s": round(participants_per_s, 2),
+            "evaluate_us_per_input": round(evaluate_us_per_input, 3),
             "fingerprint": trajectory.fingerprint,
         },
     )
@@ -321,6 +331,16 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
                 f"trajectory: {rate:.2f} vs baseline {baseline:.2f} "
                 f"(floor {floor:.2f})"
             )
+    # The same gate for the one cost metric: a per-input call chain
+    # creeping back under ``evaluate_many`` reads as us/input going up.
+    baseline = trajectory.baseline("profile", "evaluate_us_per_input", domain_size=n)
+    if baseline is not None:
+        ceiling = baseline / (1.0 - _perf.MAX_REGRESSION)
+        assert evaluate_us_per_input <= ceiling, (
+            f"evaluate_us_per_input regressed >30% above this machine's "
+            f"committed trajectory: {evaluate_us_per_input:.3f} vs baseline "
+            f"{baseline:.3f} (ceiling {ceiling:.3f})"
+        )
     if not quick:
         assert speedup >= TARGET_SPEEDUP, (
             f"batched Merkle path must hold >= {TARGET_SPEEDUP}x over the "
@@ -338,6 +358,7 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
         speedup_vs_legacy=round(speedup, 3),
         merkle_current_s=round(best["current"], 6),
         merkle_legacy_s=round(best["legacy"], 6),
+        evaluate_us_per_input=round(evaluate_us_per_input, 3),
         **read_rates,
         **{
             f"{field}_{shape}": value

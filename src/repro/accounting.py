@@ -22,6 +22,26 @@ from dataclasses import dataclass, field, fields
 from repro.exceptions import LedgerError
 
 
+def _add_repeated(total: float, cost: float, count: int) -> float:
+    """``total`` after ``count`` successive ``total += cost``, bit for bit.
+
+    Float addition rounds at every step, so ``total + cost * count``
+    drifts from the repeated sum for costs like 0.1, and a bulk charge
+    must not show in the books.  Integer-valued floats below 2**53 add
+    and multiply without rounding, so there (the default unit costs)
+    the product is the same number; any other cost takes the additions,
+    in a local instead of through one method call each.
+    """
+    total, cost = float(total), float(cost)
+    if total.is_integer() and cost.is_integer():
+        bulk = total + cost * count
+        if bulk < 2.0**53:
+            return bulk
+    for _ in range(count):
+        total += cost
+    return total
+
+
 @dataclass
 class CostLedger:
     """Mutable cost accumulator with named counters.
@@ -71,6 +91,14 @@ class CostLedger:
         self.evaluation_cost += cost
         self.evaluations += 1
 
+    def charge_evaluations(self, cost: float, count: int) -> None:
+        """Record ``count`` evaluations of ``cost`` each, as that many
+        :meth:`charge_evaluation` calls would."""
+        self._check(cost, "evaluation")
+        self._check(count, "evaluation count")
+        self.evaluation_cost = _add_repeated(self.evaluation_cost, cost, count)
+        self.evaluations += count
+
     def charge_verification(self, cost: float) -> None:
         """Record one result verification of the given cost."""
         self._check(cost, "verification")
@@ -82,6 +110,14 @@ class CostLedger:
         self._check(cost, "hash")
         self.hash_cost += cost
         self.hashes += 1
+
+    def charge_hashes(self, cost: float, count: int) -> None:
+        """Record ``count`` hash invocations of ``cost`` each, as that
+        many :meth:`charge_hash` calls would."""
+        self._check(cost, "hash")
+        self._check(count, "hash count")
+        self.hash_cost = _add_repeated(self.hash_cost, cost, count)
+        self.hashes += count
 
     def charge_screening(self, cost: float) -> None:
         """Record one screener invocation."""

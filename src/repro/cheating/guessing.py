@@ -19,10 +19,11 @@ is free by definition.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import TaskError
-from repro.utils.prf import prf_bytes, prf_coin, prf_int
+from repro.utils.prf import PrfPrefix, prf_bytes, prf_coin, prf_int
 
 
 class GuessModel(abc.ABC):
@@ -48,6 +49,32 @@ class GuessModel(abc.ABC):
         fabrications.
         """
 
+    def guess_many(
+        self,
+        indices: Sequence[int],
+        inputs: Sequence[Any],
+        oracle: Callable[[Any], bytes],
+        result_size: int,
+        salt: bytes = b"",
+    ) -> list[bytes]:
+        """Fabricate the leaves at ``indices`` in one call.
+
+        ``inputs`` is the whole assignment's input sequence, read at
+        ``inputs[index]``; ``oracle`` is the zero-cost ``f`` behind
+        every ``true_result``.  Equals :meth:`guess` per index, which
+        is the default; models override it to hoist shared work.
+        """
+        return [
+            self.guess(
+                index=index,
+                x=inputs[index],
+                true_result=partial(oracle, inputs[index]),
+                result_size=result_size,
+                salt=salt,
+            )
+            for index in indices
+        ]
+
 
 class ZeroGuess(GuessModel):
     """``q ≈ 0``: random bytes, never equal to the true result in practice.
@@ -68,6 +95,18 @@ class ZeroGuess(GuessModel):
     ) -> bytes:
         return prf_bytes(
             b"zero-guess", salt, index.to_bytes(8, "big"), n_bytes=result_size
+        )
+
+    def guess_many(
+        self,
+        indices: Sequence[int],
+        inputs: Sequence[Any],
+        oracle: Callable[[Any], bytes],
+        result_size: int,
+        salt: bytes = b"",
+    ) -> list[bytes]:
+        return PrfPrefix(b"zero-guess", salt).bytes_many(
+            (index.to_bytes(8, "big") for index in indices), n_bytes=result_size
         )
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cheating.guessing import GuessModel, ZeroGuess
 from repro.exceptions import TaskError
+from repro.tasks.function import TaskFunction
 from repro.tasks.result import TaskAssignment
-from repro.utils.prf import prf_int
+from repro.utils.prf import PrfPrefix
 
 
 @dataclass
@@ -67,6 +68,55 @@ class WorkSummary:
         return self
 
 
+def _evaluate_many(
+    evaluate: Callable[[Any], bytes], xs: Sequence[Any]
+) -> list[bytes]:
+    """``f`` over ``xs`` through the caller's ``evaluate``.
+
+    A bound :meth:`TaskFunction.evaluate` (what the CBS participants
+    pass, metered) takes the batch in one ``evaluate_many`` call; any
+    other callable is called exactly once per input, in order, so a
+    counting or charging closure still sees every evaluation.
+    """
+    owner = getattr(evaluate, "__self__", None)
+    if (
+        isinstance(owner, TaskFunction)
+        and getattr(evaluate, "__func__", None) is type(owner).evaluate
+    ):
+        return owner.evaluate_many(xs)
+    return [evaluate(x) for x in xs]
+
+
+def _leaf_vector(
+    assignment: TaskAssignment,
+    evaluate: Callable[[Any], bytes],
+    honest: set[int],
+    guesser: GuessModel | None = None,
+    salt: bytes = b"",
+) -> ComputedWork:
+    """The one place leaves are produced: ``f`` on the ``honest``
+    indices in one batch, ``guesser`` on the rest in another."""
+    inputs = assignment.domain.inputs()
+    n = len(inputs)
+    if len(honest) == n:
+        return ComputedWork(_evaluate_many(evaluate, inputs), honest)
+    computed = iter(
+        _evaluate_many(evaluate, [inputs[i] for i in range(n) if i in honest])
+    )
+    fabricated = iter(
+        guesser.guess_many(
+            [i for i in range(n) if i not in honest],
+            inputs,
+            # Zero-cost oracle: realizes lucky guesses only.
+            assignment.function.evaluate,
+            assignment.function.result_size,
+            salt,
+        )
+    )
+    payloads = [next(computed if i in honest else fabricated) for i in range(n)]
+    return ComputedWork(payloads, honest)
+
+
 class Behavior(abc.ABC):
     """Strategy deciding how an assignment's results are produced."""
 
@@ -104,11 +154,7 @@ class HonestBehavior(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        payloads = [evaluate(assignment.domain[i]) for i in assignment.domain.indices()]
-        return ComputedWork(
-            leaf_payloads=payloads,
-            honest_indices=set(assignment.domain.indices()),
-        )
+        return _leaf_vector(assignment, evaluate, set(assignment.domain.indices()))
 
 
 class SemiHonestCheater(Behavior):
@@ -155,11 +201,16 @@ class SemiHonestCheater(Behavior):
         n_honest = min(max(n_honest, 0), n)
         if self.selection == "prefix":
             return set(range(n_honest))
-        # PRF-keyed partial Fisher–Yates: uniform n_honest-subset.
-        key = (b"dprime", task_id.encode("utf-8"), salt)
+        # PRF-keyed partial Fisher–Yates: uniform n_honest-subset.  Draw
+        # ``i`` depends on nothing but ``i``, so all come from one keyed
+        # prefix before the swaps.
+        draws = PrfPrefix(b"dprime", task_id.encode("utf-8"), salt).int_many(
+            (i.to_bytes(8, "big") for i in range(n_honest)),
+            range(n, n - n_honest, -1),
+        )
         order = list(range(n))
-        for i in range(n_honest):
-            j = i + prf_int(*key, i.to_bytes(8, "big"), bound=n - i)
+        for i, draw in enumerate(draws):
+            j = i + draw
             order[i], order[j] = order[j], order[i]
         return set(order[:n_honest])
 
@@ -169,26 +220,8 @@ class SemiHonestCheater(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        n = assignment.n_inputs
-        honest = self._choose_honest(n, assignment.task_id, salt)
-        result_size = assignment.function.result_size
-        payloads: list[bytes] = []
-        for i in range(n):
-            x = assignment.domain[i]
-            if i in honest:
-                payloads.append(evaluate(x))
-            else:
-                payloads.append(
-                    self.guesser.guess(
-                        index=i,
-                        x=x,
-                        # Zero-cost oracle: realizes lucky guesses only.
-                        true_result=lambda x=x: assignment.function.evaluate(x),
-                        result_size=result_size,
-                        salt=salt,
-                    )
-                )
-        return ComputedWork(leaf_payloads=payloads, honest_indices=honest)
+        honest = self._choose_honest(assignment.n_inputs, assignment.task_id, salt)
+        return _leaf_vector(assignment, evaluate, honest, self.guesser, salt)
 
 
 class ColludingCheater(SemiHonestCheater):
@@ -257,11 +290,7 @@ class MaliciousBehavior(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        payloads = [evaluate(assignment.domain[i]) for i in assignment.domain.indices()]
-        return ComputedWork(
-            leaf_payloads=payloads,
-            honest_indices=set(assignment.domain.indices()),
-        )
+        return _leaf_vector(assignment, evaluate, set(assignment.domain.indices()))
 
     def corrupt_report(self, report: str | None, index: int) -> str | None:
         from repro.utils.prf import prf_coin

@@ -383,7 +383,7 @@ async def run_worker(
                 m_cache_misses,
             ) = _worker_metrics()
             queued_at = time.perf_counter()
-            # Span export (wire v4): a traced chunk's execution is
+            # Span export: a traced chunk's execution is
             # timed as a span parented under the coordinator's chunk
             # span, recorded locally (flight recorder) and attached to
             # the result envelope so the coordinator can assemble the

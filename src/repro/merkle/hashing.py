@@ -268,7 +268,8 @@ class IteratedHash(HashFunction):
 class CountingHash(HashFunction):
     """Wrap a hash so every invocation is charged to a ledger.
 
-    The ledger interface is duck-typed (`charge_hash(cost)`) to avoid a
+    The ledger interface is duck-typed (``charge_hash(cost)`` for one
+    digest, ``charge_hashes(cost, count)`` for a batch) to avoid a
     circular import with :mod:`repro.grid.accounting`.
     """
 
@@ -287,24 +288,22 @@ class CountingHash(HashFunction):
         return self.inner.digest(data)
 
     def digest_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        """Batched digests with per-invocation ledger charges preserved."""
+        """Batched digests, charged as one invocation per blob."""
         blobs = blobs if isinstance(blobs, list) else list(blobs)
-        self._charge_each(blobs)
+        self.ledger.charge_hashes(self.inner.cost, len(blobs))
         return self.inner.digest_many(blobs)
 
     def tagged_digest_many(
         self, tag: bytes, blobs: Sequence[bytes]
     ) -> list[bytes]:
         blobs = blobs if isinstance(blobs, list) else list(blobs)
-        self._charge_each(blobs)
+        self.ledger.charge_hashes(self.inner.cost, len(blobs))
         return self.inner.tagged_digest_many(tag, blobs)
 
     def tagged_digest_pairs(
         self, tag: bytes, level: Sequence[bytes]
     ) -> list[bytes]:
-        charge, cost = self.ledger.charge_hash, self.inner.cost
-        for _ in range(len(level) // 2):
-            charge(cost)
+        self.ledger.charge_hashes(self.inner.cost, len(level) // 2)
         return self.inner.tagged_digest_pairs(tag, level)
 
     def fold_path(
@@ -314,13 +313,8 @@ class CountingHash(HashFunction):
         index: int,
         siblings: Sequence[bytes],
     ) -> bytes:
-        self._charge_each(siblings)
+        self.ledger.charge_hashes(self.inner.cost, len(siblings))
         return self.inner.fold_path(tag, leaf, index, siblings)
-
-    def _charge_each(self, blobs: Sequence[bytes]) -> None:
-        charge, cost = self.ledger.charge_hash, self.inner.cost
-        for _ in blobs:
-            charge(cost)
 
 
 def _stdlib(name: str) -> HashFunction:

@@ -1,6 +1,7 @@
 """Typed binary job codec: cluster jobs are data, not code.
 
-Cluster wire v5 replaces the pickle envelope.  A job on the wire is a
+A cluster job payload (the ``payload`` field of the binary ``job`` and
+``result`` frames in :mod:`repro.service.codec`) is a
 ``(callable-name, args, kwargs)`` triple encoded with a restricted,
 versioned, schema-checked value codec: every value is a tagged binary
 term from a closed vocabulary (primitives, containers, registered

@@ -26,9 +26,18 @@ class Domain(abc.ABC):
     def __getitem__(self, index: int) -> Any:
         """The input ``x_index`` (0-based)."""
 
+    def inputs(self) -> Sequence[Any]:
+        """All inputs in index order, as one read-only sequence.
+
+        What the participant's batch path evaluates over; subclasses
+        return what they already hold (a ``range``, the backing list —
+        not a copy, so not to be mutated) instead of ``n``
+        bounds-checked ``__getitem__`` calls.
+        """
+        return [self[i] for i in range(len(self))]
+
     def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self)):
-            yield self[i]
+        return iter(self.inputs())
 
     def indices(self) -> range:
         """``range(n)`` over the domain's leaf indices."""
@@ -91,6 +100,9 @@ class RangeDomain(Domain):
             raise DomainError(f"index {index} outside [0, {len(self)})")
         return self.start + index
 
+    def inputs(self) -> range:
+        return range(self.start, self.stop)
+
     def slice(self, start: int, stop: int) -> "RangeDomain":
         self._check_slice(start, stop)
         return RangeDomain(self.start + start, self.start + stop)
@@ -125,6 +137,9 @@ class ExplicitDomain(Domain):
         if not 0 <= index < len(self):
             raise DomainError(f"index {index} outside [0, {len(self)})")
         return self._items[index]
+
+    def inputs(self) -> Sequence[Any]:
+        return self._items
 
     def slice(self, start: int, stop: int) -> "ExplicitDomain":
         self._check_slice(start, stop)

@@ -26,7 +26,7 @@ deterministic function with:
 from __future__ import annotations
 
 import abc
-from typing import Any
+from typing import Any, Sequence
 
 from repro.exceptions import TaskError
 
@@ -47,6 +47,16 @@ class TaskFunction(abc.ABC):
     def evaluate(self, x: Any) -> bytes:
         """Compute ``f(x)`` and return its canonical byte encoding."""
 
+    def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
+        """``[evaluate(x) for x in xs]`` in one call.
+
+        The participant's entry: it hands over a whole assignment's
+        inputs at once, so a workload can hoist what its evaluations
+        share (a keyed PRF prefix, say) and a wrapper can meter per
+        batch.  Overrides must return exactly what the loop would.
+        """
+        return [self.evaluate(x) for x in xs]
+
     def verify(self, x: Any, claimed: bytes) -> bool:
         """Check a claimed result, re-computing by default.
 
@@ -64,9 +74,9 @@ class TaskFunction(abc.ABC):
     def result_size(self) -> int:
         """Size in bytes of one encoded result (for wire accounting).
 
-        Subclasses with fixed-size results override; the default probes
-        lazily and caches.  Variable-size results should override
-        explicitly.
+        Subclasses override the property, or set ``_result_size`` when
+        the size is fixed; the default raises
+        :class:`~repro.exceptions.TaskError` when they did neither.
         """
         cached = getattr(self, "_result_size", None)
         if cached is None:
@@ -104,6 +114,9 @@ class GuessableFunction(TaskFunction):
     def evaluate(self, x: Any) -> bytes:
         return self.inner.evaluate(x)
 
+    def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
+        return self.inner.evaluate_many(xs)
+
     def verify(self, x: Any, claimed: bytes) -> bool:
         return self.inner.verify(x, claimed)
 
@@ -116,7 +129,8 @@ class MeteredFunction(TaskFunction):
     """Charge every evaluation/verification of ``inner`` to a ledger.
 
     The ledger is duck-typed (``charge_evaluation(cost)`` /
-    ``charge_verification(cost)``) to avoid importing the grid layer.
+    ``charge_evaluations(cost, count)`` / ``charge_verification(cost)``)
+    to avoid importing the grid layer.
     """
 
     def __init__(self, inner: TaskFunction, ledger) -> None:
@@ -130,6 +144,17 @@ class MeteredFunction(TaskFunction):
     def evaluate(self, x: Any) -> bytes:
         self.ledger.charge_evaluation(self.inner.cost)
         return self.inner.evaluate(x)
+
+    def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
+        """One ledger charge for the batch, made before it runs.
+
+        As with :meth:`evaluate`, the charge precedes the work: if
+        ``inner`` raises part-way, all ``len(xs)`` evaluations stay
+        charged (the per-input loop would have stopped the books at
+        the failing input).
+        """
+        self.ledger.charge_evaluations(self.inner.cost, len(xs))
+        return self.inner.evaluate_many(xs)
 
     def verify(self, x: Any, claimed: bytes) -> bool:
         self.ledger.charge_verification(self.inner.effective_verify_cost)

@@ -34,18 +34,21 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any
+from typing import Any, Sequence
 
 from repro.exceptions import TaskError
 from repro.tasks.function import TaskFunction
-from repro.utils.prf import prf_bytes, prf_float
+from repro.utils.prf import PrfPrefix, prf_bytes, prf_float
 
 
 def _encode_int(x: Any) -> bytes:
+    # Once per evaluated input: the common type is tested first.
+    if isinstance(x, int):
+        if x < 0:
+            raise TaskError(f"negative input {x} has no canonical encoding")
+        return x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")
     if isinstance(x, bytes):
         return x
-    if isinstance(x, int):
-        return x.to_bytes((max(x.bit_length(), 1) + 7) // 8, "big", signed=False)
     if isinstance(x, str):
         return x.encode("utf-8")
     raise TaskError(f"unsupported input type {type(x).__name__}")
@@ -83,6 +86,12 @@ class PasswordSearch(TaskFunction):
 
     def evaluate(self, x: Any) -> bytes:
         return prf_bytes(self.salt, _encode_int(x), n_bytes=self.digest_bytes)
+
+    def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
+        # The salt is absorbed once for the whole batch.
+        return PrfPrefix(self.salt).bytes_many(
+            map(_encode_int, xs), n_bytes=self.digest_bytes
+        )
 
     @property
     def result_size(self) -> int:

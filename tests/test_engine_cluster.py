@@ -19,7 +19,12 @@ import time
 import pytest
 
 from repro.baselines import NaiveSamplingScheme
-from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.cheating import (
+    ColludingCheater,
+    HonestBehavior,
+    MaliciousBehavior,
+    SemiHonestCheater,
+)
 from repro.cheating.strategies import ComputedWork, WorkSummary
 from repro.core import CBSScheme, NICBSScheme
 from repro.engine import (
@@ -266,6 +271,45 @@ class TestPopulationParity:
             for bs in (1, 3, 8)
         }
         assert len(fingerprints) == 1
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            CBSScheme(n_samples=8),
+            CBSScheme(n_samples=8, subtree_height=3),
+            NICBSScheme(n_samples=8),
+        ],
+        ids=["cbs", "cbs-partial", "ni-cbs"],
+    )
+    def test_ragged_partition_is_identical_on_every_engine(self, cluster, scheme):
+        """7 participants over 1000 inputs: subdomains of 143 and 142,
+        neither a power of two, each evaluated, fabricated and metered
+        as one batch, by every kind of behaviour."""
+
+        def ragged(engine, **kwargs):
+            return report_fingerprint(
+                run_population(
+                    RangeDomain(0, 1000),
+                    PasswordSearch(cost=0.1),
+                    scheme,
+                    behaviors=[
+                        HonestBehavior(),
+                        SemiHonestCheater(0.6),
+                        SemiHonestCheater(0.9, selection="prefix"),
+                        ColludingCheater(0.5, b"cartel"),
+                        MaliciousBehavior(),
+                    ],
+                    n_participants=7,
+                    seed=5,
+                    engine=engine,
+                    **kwargs,
+                )
+            )
+
+        serial = ragged("serial")
+        assert ragged("threads", workers=2) == serial
+        assert ragged("processes", workers=2) == serial
+        assert ragged(cluster) == serial
 
     def test_scheme_cache_reused_across_chunks(self, cluster):
         """One population, many chunks: the scheme is constructed once
