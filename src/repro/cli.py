@@ -444,18 +444,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
 
+        count = registry.value
+
         async def snapshot_loop() -> None:
             while True:
                 await asyncio.sleep(args.stats_interval)
-                stats = server.stats
                 log_event(
                     _log,
                     "stats_snapshot",
-                    connections=stats.connections,
-                    verifications=stats.verifications,
+                    connections=int(count("repro_connections_total")),
+                    verifications=int(count("repro_verifications_total")),
                     sessions_active=server.sessions.active,
-                    errors=stats.errors,
-                    auth_failures=stats.auth_failures,
+                    errors=int(registry.sum_values("repro_errors_total")),
+                    auth_failures=int(
+                        count("repro_auth_failures_total", plane="service")
+                    ),
                 )
 
         snapshot_task = (
@@ -495,9 +498,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                     print(f"flight recorder dumped to {path}", flush=True)
             print(
-                f"supervisor stopped — {server.stats.connections} "
-                f"connections, {server.stats.verifications} verifications, "
-                f"{server.sessions.stats.evicted} sessions evicted",
+                f"supervisor stopped — "
+                f"{int(count('repro_connections_total'))} connections, "
+                f"{int(count('repro_verifications_total'))} verifications, "
+                f"{int(count('repro_sessions_total', event='evicted'))} "
+                "sessions evicted",
                 flush=True,
             )
 

@@ -21,48 +21,66 @@ the wire) — the ``O(n)`` cost CBS eliminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
+from repro.core.wire import KINDS as _SHARED_KINDS, VARINT_MAX, Field, WireMessage
 from repro.exceptions import CodecError
 from repro.merkle.proof import AuthenticationPath
 from repro.merkle.serialize import decode_auth_path, encode_auth_path
 from repro.utils.encoding import (
     encode_bytes,
-    encode_bytes_list,
     encode_uint,
-    encode_uint_list,
     read_bytes,
-    read_bytes_list,
     read_uint,
-    read_uint_list,
 )
 
-
-def _encode_task_id(task_id: str) -> bytes:
-    return encode_bytes(task_id.encode("utf-8"))
-
-
-def _decode_text(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid UTF-8 in {what}: {exc}") from exc
+# A protocol message declares no range of its own, and everything its
+# decoder rejects is a malformed encoding: a CodecError.
+_field = partial(Field, hi=VARINT_MAX, error=CodecError)
+_TASK_ID = _field("task_id", "str")
 
 
-def _read_task_id(data: bytes, offset: int) -> tuple[str, int]:
-    raw, pos = read_bytes(data, offset)
-    return _decode_text(raw, "task id"), pos
+@dataclass(frozen=True)
+class CommitmentMsg(WireMessage):
+    """Step 1: the Merkle root ``Φ(R)`` commits all ``n`` results."""
+
+    task_id: str
+    root: bytes
+    n_leaves: int
+
+    FIELDS = (_TASK_ID, _field("root", "bytes"), _field("n_leaves", "uint"))
 
 
-def _encode_proofs(head: bytes, proofs: Sequence[SampleProof]) -> bytes:
-    """``head`` followed by a run of proofs — the one proof encoder.
+@dataclass(frozen=True)
+class SampleChallengeMsg(WireMessage):
+    """Step 2: the supervisor's ``m`` sample indices (0-based)."""
 
-    Per proof: ``index ‖ claimed result ‖ authentication path``.
-    :class:`ProofBundleMsg` and :class:`NICBSSubmissionMsg` pass their
-    header and proof count as ``head``; :meth:`SampleProof.encode` is a
-    run of one behind an empty head.
-    """
-    parts = [head]
+    task_id: str
+    indices: tuple[int, ...]
+
+    FIELDS = (_TASK_ID, _field("indices", "uints"))
+
+
+@dataclass(frozen=True)
+class SampleProof(WireMessage):
+    """Step 3 payload for one sample: claimed result + auth path."""
+
+    index: int
+    claimed_result: bytes
+    path: AuthenticationPath
+
+    FIELDS = (
+        _field("index", "uint"),
+        _field("claimed_result", "bytes"),
+        _field("path", "path"),
+    )
+
+
+def _encode_proofs(spec: Field, proofs: tuple[SampleProof, ...]) -> bytes:
+    """The ``proofs`` kind: a count, then that many :class:`SampleProof`
+    rows back to back — the same bytes as encoding each proof on its
+    own, built in one pass per bundle."""
+    parts = [encode_uint(len(proofs))]
     append = parts.append
     for proof in proofs:
         append(encode_uint(proof.index))
@@ -72,9 +90,9 @@ def _encode_proofs(head: bytes, proofs: Sequence[SampleProof]) -> bytes:
 
 
 def _read_proofs(
-    data: bytes, pos: int, count: int
+    spec: Field, data: bytes, pos: int
 ) -> tuple[tuple[SampleProof, ...], int]:
-    """Decode a run of ``count`` proofs at ``pos`` — the one proof decoder."""
+    count, pos = read_uint(data, pos)
     proofs = []
     append = proofs.append
     for _ in range(count):
@@ -85,102 +103,22 @@ def _read_proofs(
     return tuple(proofs), pos
 
 
-@dataclass(frozen=True)
-class CommitmentMsg:
-    """Step 1: the Merkle root ``Φ(R)`` commits all ``n`` results."""
-
-    task_id: str
-    root: bytes
-    n_leaves: int
-
-    def encode(self) -> bytes:
-        return (
-            _encode_task_id(self.task_id)
-            + encode_bytes(self.root)
-            + encode_uint(self.n_leaves)
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "CommitmentMsg":
-        task_id, pos = _read_task_id(data, 0)
-        root, pos = read_bytes(data, pos)
-        n_leaves, pos = read_uint(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in CommitmentMsg")
-        return cls(task_id=task_id, root=root, n_leaves=n_leaves)
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+#: The shared kinds plus the one only this module can build.
+KINDS = {**_SHARED_KINDS, "proofs": (_encode_proofs, _read_proofs)}
 
 
 @dataclass(frozen=True)
-class SampleChallengeMsg:
-    """Step 2: the supervisor's ``m`` sample indices (0-based)."""
-
-    task_id: str
-    indices: tuple[int, ...]
-
-    def encode(self) -> bytes:
-        return _encode_task_id(self.task_id) + encode_uint_list(list(self.indices))
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SampleChallengeMsg":
-        task_id, pos = _read_task_id(data, 0)
-        indices, pos = read_uint_list(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in SampleChallengeMsg")
-        return cls(task_id=task_id, indices=tuple(indices))
-
-    def wire_size(self) -> int:
-        return len(self.encode())
-
-
-@dataclass(frozen=True)
-class SampleProof:
-    """Step 3 payload for one sample: claimed result + auth path."""
-
-    index: int
-    claimed_result: bytes
-    path: AuthenticationPath
-
-    def encode(self) -> bytes:
-        return _encode_proofs(b"", (self,))
-
-    @classmethod
-    def decode_at(cls, data: bytes, offset: int) -> tuple["SampleProof", int]:
-        (proof,), pos = _read_proofs(data, offset, 1)
-        return proof, pos
-
-    def wire_size(self) -> int:
-        return len(self.encode())
-
-
-@dataclass(frozen=True)
-class ProofBundleMsg:
+class ProofBundleMsg(WireMessage, kinds=KINDS):
     """Step 3: proofs for all challenged samples."""
 
     task_id: str
     proofs: tuple[SampleProof, ...]
 
-    def encode(self) -> bytes:
-        head = _encode_task_id(self.task_id) + encode_uint(len(self.proofs))
-        return _encode_proofs(head, self.proofs)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ProofBundleMsg":
-        task_id, pos = _read_task_id(data, 0)
-        count, pos = read_uint(data, pos)
-        proofs, pos = _read_proofs(data, pos, count)
-        if pos != len(data):
-            raise CodecError("trailing bytes in ProofBundleMsg")
-        return cls(task_id=task_id, proofs=proofs)
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (_TASK_ID, _field("proofs", "proofs"))
 
 
 @dataclass(frozen=True)
-class BatchProofMsg:
+class BatchProofMsg(WireMessage):
     """Step 3 variant: one compressed multiproof for all samples.
 
     An optimization over :class:`ProofBundleMsg` (E11): the sampled
@@ -195,35 +133,16 @@ class BatchProofMsg:
     claimed_results: tuple[bytes, ...]
     proof_bytes: bytes  # encoded MerkleMultiProof
 
-    def encode(self) -> bytes:
-        return (
-            _encode_task_id(self.task_id)
-            + encode_uint_list(list(self.indices))
-            + encode_bytes_list(self.claimed_results)
-            + encode_bytes(self.proof_bytes)
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BatchProofMsg":
-        task_id, pos = _read_task_id(data, 0)
-        indices, pos = read_uint_list(data, pos)
-        claimed, pos = read_bytes_list(data, pos)
-        proof, pos = read_bytes(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in BatchProofMsg")
-        return cls(
-            task_id=task_id,
-            indices=tuple(indices),
-            claimed_results=tuple(claimed),
-            proof_bytes=proof,
-        )
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (
+        _TASK_ID,
+        _field("indices", "uints"),
+        _field("claimed_results", "bytes_list"),
+        _field("proof_bytes", "bytes"),
+    )
 
 
 @dataclass(frozen=True)
-class NICBSSubmissionMsg:
+class NICBSSubmissionMsg(WireMessage, kinds=KINDS):
     """NI-CBS single-shot submission: commitment + self-derived proofs.
 
     The broker architecture (§4) forwards this from participant to
@@ -235,81 +154,36 @@ class NICBSSubmissionMsg:
     n_leaves: int
     proofs: tuple[SampleProof, ...]
 
-    def encode(self) -> bytes:
-        head = (
-            _encode_task_id(self.task_id)
-            + encode_bytes(self.root)
-            + encode_uint(self.n_leaves)
-            + encode_uint(len(self.proofs))
-        )
-        return _encode_proofs(head, self.proofs)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "NICBSSubmissionMsg":
-        task_id, pos = _read_task_id(data, 0)
-        root, pos = read_bytes(data, pos)
-        n_leaves, pos = read_uint(data, pos)
-        count, pos = read_uint(data, pos)
-        proofs, pos = _read_proofs(data, pos, count)
-        if pos != len(data):
-            raise CodecError("trailing bytes in NICBSSubmissionMsg")
-        return cls(task_id=task_id, root=root, n_leaves=n_leaves, proofs=proofs)
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (
+        _TASK_ID,
+        _field("root", "bytes"),
+        _field("n_leaves", "uint"),
+        _field("proofs", "proofs"),
+    )
 
 
 @dataclass(frozen=True)
-class FullResultsMsg:
+class FullResultsMsg(WireMessage):
     """All ``n`` results on the wire — the naive baselines' payload."""
 
     task_id: str
     results: tuple[bytes, ...]
 
-    def encode(self) -> bytes:
-        return _encode_task_id(self.task_id) + encode_bytes_list(self.results)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "FullResultsMsg":
-        task_id, pos = _read_task_id(data, 0)
-        results, pos = read_bytes_list(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in FullResultsMsg")
-        return cls(task_id=task_id, results=tuple(results))
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (_TASK_ID, _field("results", "bytes_list"))
 
 
 @dataclass(frozen=True)
-class ReportsMsg:
+class ReportsMsg(WireMessage):
     """Screener hits (the results of interest) — normal grid payload."""
 
     task_id: str
     reports: tuple[str, ...] = field(default_factory=tuple)
 
-    def encode(self) -> bytes:
-        return _encode_task_id(self.task_id) + encode_bytes_list(
-            [r.encode("utf-8") for r in self.reports]
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ReportsMsg":
-        task_id, pos = _read_task_id(data, 0)
-        raw, pos = read_bytes_list(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in ReportsMsg")
-        return cls(
-            task_id=task_id,
-            reports=tuple(_decode_text(r, "report") for r in raw),
-        )
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (_TASK_ID, _field("reports", "strs"))
 
 
 @dataclass(frozen=True)
-class AssignMsg:
+class AssignMsg(WireMessage):
     """Task assignment descriptor sent supervisor → participant.
 
     Carries enough to identify the work (task id, domain bounds and a
@@ -321,57 +195,15 @@ class AssignMsg:
     n_inputs: int
     workload: str = ""
 
-    def encode(self) -> bytes:
-        return (
-            _encode_task_id(self.task_id)
-            + encode_uint(self.n_inputs)
-            + encode_bytes(self.workload.encode("utf-8"))
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "AssignMsg":
-        task_id, pos = _read_task_id(data, 0)
-        n_inputs, pos = read_uint(data, pos)
-        workload, pos = read_bytes(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in AssignMsg")
-        return cls(
-            task_id=task_id,
-            n_inputs=n_inputs,
-            workload=_decode_text(workload, "workload"),
-        )
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (_TASK_ID, _field("n_inputs", "uint"), _field("workload", "str"))
 
 
 @dataclass(frozen=True)
-class VerdictMsg:
+class VerdictMsg(WireMessage):
     """Step 4 outcome: accepted, or caught with a reason."""
 
     task_id: str
     accepted: bool
     reason: str = ""
 
-    def encode(self) -> bytes:
-        return (
-            _encode_task_id(self.task_id)
-            + encode_uint(1 if self.accepted else 0)
-            + encode_bytes(self.reason.encode("utf-8"))
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "VerdictMsg":
-        task_id, pos = _read_task_id(data, 0)
-        flag, pos = read_uint(data, pos)
-        reason, pos = read_bytes(data, pos)
-        if pos != len(data):
-            raise CodecError("trailing bytes in VerdictMsg")
-        return cls(
-            task_id=task_id,
-            accepted=bool(flag),
-            reason=_decode_text(reason, "reason"),
-        )
-
-    def wire_size(self) -> int:
-        return len(self.encode())
+    FIELDS = (_TASK_ID, _field("accepted", "bool"), _field("reason", "str"))

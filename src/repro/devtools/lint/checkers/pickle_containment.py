@@ -1,11 +1,11 @@
 """RL001: no pickle anywhere in the library — the allowlist is empty.
 
-Cluster wire v5 replaced the pickle envelope with the typed job codec
+Cluster payloads ride the typed job codec
 (:mod:`repro.service.jobcodec`): jobs are registered callable names
 plus schema-checked arguments — data, never code — so nothing in
 ``src`` has any business importing a pickle-shaped serializer.  Any
-such import reopens the deserialize-to-RCE surface this repo spent a
-wire version retiring, silently.  ``SANCTIONED_SUFFIXES`` is kept (and
+such import reopens a deserialize-to-RCE surface, silently.
+``SANCTIONED_SUFFIXES`` is kept (and
 kept empty) so a future exemption is one reviewed diff line, not a new
 mechanism.
 """
@@ -27,8 +27,8 @@ FORBIDDEN_MODULES = frozenset(
     {"pickle", "cPickle", "_pickle", "dill", "cloudpickle", "shelve"}
 )
 
-#: Files allowed to use pickle (repo-relative posix suffixes).  Empty
-#: since wire v5: the typed jobcodec carries every cluster payload.
+#: Files allowed to use pickle (repo-relative posix suffixes).  Empty:
+#: the typed jobcodec carries every cluster payload.
 SANCTIONED_SUFFIXES: tuple[str, ...] = ()
 
 

@@ -52,7 +52,6 @@ from repro.engine.cluster.coordinator import (
 )
 from repro.engine.cluster.worker import (
     default_worker_id,
-    execute_chunk,
     execute_chunk_report,
     execute_payload,
     pack_outcome_parts,
@@ -69,7 +68,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "default_worker_id",
-    "execute_chunk",
     "execute_chunk_report",
     "execute_payload",
     "pack_outcome_parts",

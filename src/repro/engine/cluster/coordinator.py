@@ -73,6 +73,7 @@ import sys
 import threading
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.engine.executor import Executor, _metered_map, default_workers
@@ -137,6 +138,21 @@ _CHUNK_BYTE_BUDGET = MAX_CLUSTER_PAYLOAD_BYTES // 2
 
 #: Chunk-size histogram buckets: chunk job counts are small powers-ish.
 _CHUNK_JOBS_BUCKETS = tuple(float(1 << i) for i in range(11))
+
+#: The counter keys of :attr:`ClusterExecutor.stats` and what each one
+#: reads off the coordinator.
+_STAT_COUNTERS = {
+    "jobs_completed": attrgetter("_m_jobs_completed.value"),
+    "jobs_requeued": attrgetter("_m_jobs_requeued.value"),
+    "chunks_completed": attrgetter("_m_chunks_completed.value"),
+    "chunks_requeued": attrgetter("_m_chunks_requeued.value"),
+    "result_parts": attrgetter("_m_result_parts.value"),
+    "result_bytes": attrgetter("_m_result_bytes.sum"),
+    "workers_lost": attrgetter("_m_workers_lost.value"),
+    "auth_rejects": attrgetter("_m_auth_rejects.value"),
+    "scheme_cache_hits": attrgetter("_m_cache_hits.value"),
+    "scheme_cache_misses": attrgetter("_m_cache_misses.value"),
+}
 
 _log = get_logger("cluster.coordinator")
 
@@ -333,7 +349,8 @@ class _Coordinator:
         )
         # The coordinator's view of the typed job plane: spec bytes at
         # submission, plus the cluster-wide scheme-cache totals summed
-        # from the ``ch``/``cm`` deltas workers ship on result frames
+        # from the ``cache_hits``/``cache_misses`` deltas workers ship
+        # on result frames
         # (workers count their own activity under plane="worker" on
         # their own registries — distinct labels, no double counting
         # when both ends share a process).
@@ -367,50 +384,6 @@ class _Coordinator:
         self._monitor_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._send_tasks: set[asyncio.Task] = set()
-
-    # ------------------------------------------------------------------
-    # Counter views (the pre-registry int attributes, now read-only)
-    # ------------------------------------------------------------------
-
-    @property
-    def jobs_completed(self) -> int:
-        return int(self._m_jobs_completed.value)
-
-    @property
-    def jobs_requeued(self) -> int:
-        return int(self._m_jobs_requeued.value)
-
-    @property
-    def chunks_completed(self) -> int:
-        return int(self._m_chunks_completed.value)
-
-    @property
-    def chunks_requeued(self) -> int:
-        return int(self._m_chunks_requeued.value)
-
-    @property
-    def result_parts(self) -> int:
-        return int(self._m_result_parts.value)
-
-    @property
-    def workers_lost(self) -> int:
-        return int(self._m_workers_lost.value)
-
-    @property
-    def auth_rejects(self) -> int:
-        return int(self._m_auth_rejects.value)
-
-    @property
-    def result_bytes(self) -> int:
-        return int(self._m_result_bytes.sum)
-
-    @property
-    def scheme_cache_hits(self) -> int:
-        return int(self._m_cache_hits.value)
-
-    @property
-    def scheme_cache_misses(self) -> int:
-        return int(self._m_cache_misses.value)
 
     # ------------------------------------------------------------------
     # Lifecycle (awaited from the loop thread)
@@ -1286,7 +1259,7 @@ class ClusterExecutor(Executor):
         if worker_engine == "cluster":
             raise EngineError("cluster workers cannot use the cluster engine")
         # Security material (repro.net): shared-secret HMAC auth gates
-        # every worker connection before the pickle plane; the TLS
+        # every worker connection before any frame is decoded; the TLS
         # cert/key pair encrypts the wire.  A TLS coordinator needs
         # both; workers pin the cert (no key) — validated here so a
         # misconfigured deployment fails at construction, not mid-map.
@@ -1376,30 +1349,20 @@ class ClusterExecutor(Executor):
         streamed parts, accepted result bytes, worker churn, per-worker
         EWMA rates)."""
         co = self._co
-        if co is None:
-            return {"jobs_completed": 0, "jobs_requeued": 0,
-                    "chunks_completed": 0, "chunks_requeued": 0,
-                    "result_parts": 0, "result_bytes": 0,
-                    "workers_lost": 0, "auth_rejects": 0,
-                    "scheme_cache_hits": 0, "scheme_cache_misses": 0,
-                    "workers_live": 0, "worker_rates": {}}
+        counts = dict.fromkeys(_STAT_COUNTERS, 0)
+        links: list[_WorkerLink] = []
+        if co is not None:
+            for key, read in _STAT_COUNTERS.items():
+                counts[key] = int(read(co))
+            # list() snapshots atomically under the GIL: the loop
+            # thread mutates co.workers while callers read stats.
+            links = list(co.workers.values())
         return {
-            "jobs_completed": co.jobs_completed,
-            "jobs_requeued": co.jobs_requeued,
-            "chunks_completed": co.chunks_completed,
-            "chunks_requeued": co.chunks_requeued,
-            "result_parts": co.result_parts,
-            "result_bytes": co.result_bytes,
-            "workers_lost": co.workers_lost,
-            "auth_rejects": co.auth_rejects,
-            "scheme_cache_hits": co.scheme_cache_hits,
-            "scheme_cache_misses": co.scheme_cache_misses,
-            "workers_live": len(co.workers),
+            **counts,
+            "workers_live": len(links),
             "worker_rates": {
                 link.worker_id: round(link.ewma_rate, 3)
-                # list() snapshots atomically under the GIL: the loop
-                # thread mutates co.workers while callers read stats.
-                for link in list(co.workers.values())
+                for link in links
                 if link.ewma_rate is not None
             },
         }

@@ -16,8 +16,8 @@ Scheme memory: cacheable structs (the verification schemes) decode
 through a bounded process-wide LRU keyed by (scheme name, canonical
 param bytes), so one population constructs its scheme once per worker
 process, not once per chunk.  Hit/miss deltas ride back on each
-result frame (``ch``/``cm``) and feed this worker's own
-``repro_scheme_cache_*_total`` counters.
+result frame (``cache_hits``/``cache_misses``) and feed this worker's
+own ``repro_scheme_cache_*_total`` counters.
 
 Small outcome lists travel as one ``result`` frame; once the encoded
 outcomes exceed ``stream_threshold`` bytes the worker streams them as
@@ -237,12 +237,6 @@ def execute_chunk_report(
     return out, report
 
 
-def execute_chunk(raw: bytes, throttle: float = 0.0) -> list[tuple[bool, bytes]]:
-    """:func:`execute_chunk_report` without the report (compat shim)."""
-    entries, _report = execute_chunk_report(raw, throttle)
-    return entries
-
-
 def pack_outcome_parts(
     entries: "list[tuple[bool, bytes]]", threshold: int
 ) -> list[list[tuple[bool, bytes]]]:
@@ -439,7 +433,7 @@ async def run_worker(
                 # decode (CodecError) — or any other chunk-level
                 # surprise — comes back as data, never a worker crash.
                 # Per-job failures were already folded into ``entries``
-                # by execute_chunk and do not land here.
+                # by execute_chunk_report and do not land here.
                 error_spans: tuple = ()
                 if exec_span is not None:
                     exec_span.finish(status=f"error:{type(exc).__name__}")

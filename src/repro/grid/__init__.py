@@ -3,7 +3,7 @@
 Models the paper's §2.1 environment: a supervisor, a population of
 untrusted participants, an optional GRACE-style resource broker (§4),
 and a network whose traffic is accounted byte-by-byte.  All costs land
-in :class:`~repro.grid.accounting.CostLedger` instances so experiments
+in :class:`~repro.accounting.CostLedger` instances so experiments
 report machine-independent shapes.
 """
 

@@ -7,11 +7,11 @@ profitability (Eq. 5).  This module provides:
 
 * :class:`HashFunction` — a named wrapper over a ``bytes -> bytes``
   digest with an abstract *cost* (in cost units, see
-  :mod:`repro.grid.accounting`) so analyses can reason about ``C_g``
+  :mod:`repro.accounting`) so analyses can reason about ``C_g``
   without wall-clock noise.
 * :class:`IteratedHash` — ``g = h^k``; cost scales linearly with ``k``.
 * :class:`CountingHash` — a decorator that charges each invocation to a
-  :class:`~repro.grid.accounting.CostLedger`.
+  :class:`~repro.accounting.CostLedger`.
 * :func:`get_hash` — registry lookup (``sha256`` default; ``md5`` and
   ``sha1`` retained for paper fidelity, ``blake2b`` for the ablation
   experiment E9).
@@ -270,7 +270,7 @@ class CountingHash(HashFunction):
 
     The ledger interface is duck-typed (``charge_hash(cost)`` for one
     digest, ``charge_hashes(cost, count)`` for a batch) to avoid a
-    circular import with :mod:`repro.grid.accounting`.
+    circular import with :mod:`repro.accounting`.
     """
 
     def __init__(self, inner: HashFunction, ledger) -> None:

@@ -1,10 +1,9 @@
 """Unified observability plane: metrics, traces, structured logs.
 
-Before this package each plane kept private ad-hoc counters
-(``ServiceStats``, ``SessionStore.stats``, the coordinator's stats
-dict) with no shared schema, no histograms, and no way to follow one
-population's chunk from coordinator dispatch through worker execution
-to result acceptance.  This is the one substrate they all use now:
+Every plane counts into one substrate with a shared schema, so one
+scrape covers the process and one population's chunk can be followed
+from coordinator dispatch through worker execution to result
+acceptance:
 
 * :mod:`repro.obs.metrics` — thread-safe labelled counters, gauges and
   log-bucket histograms in a :class:`MetricsRegistry`; per-instance

@@ -502,7 +502,7 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------
-    # Introspection helpers (tests, compatibility views)
+    # Introspection helpers (tests, CLI summaries)
     # ------------------------------------------------------------------
 
     def value(self, name: str, **labels: str) -> float:

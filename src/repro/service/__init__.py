@@ -67,6 +67,7 @@ from repro.service.codec import (
     write_frame,
 )
 from repro.service.client import ParticipantRun, ServiceClient
+from repro.service.jobcodec import ensure_default_registry
 from repro.service.loadgen import (
     LoadgenStats,
     percentile,
@@ -77,7 +78,6 @@ from repro.service.loadgen import (
 from repro.service.server import (
     MemoryStreamWriter,
     ServiceConfig,
-    ServiceStats,
     SupervisorServer,
     memory_duplex,
 )
@@ -85,7 +85,6 @@ from repro.service.sessions import (
     Session,
     SessionState,
     SessionStore,
-    StoreStats,
 )
 
 __all__ = [
@@ -126,10 +125,8 @@ __all__ = [
     "Session",
     "SessionState",
     "SessionStore",
-    "StoreStats",
     # server
     "ServiceConfig",
-    "ServiceStats",
     "SupervisorServer",
     "MemoryStreamWriter",
     "memory_duplex",
@@ -143,3 +140,8 @@ __all__ = [
     "run_service_loadgen",
     "run_service_loadgen_sync",
 ]
+
+# Load the job codec's struct table now that every class it names can
+# be imported: a drifted row fails this import, like a drifted frame or
+# term table, instead of the first job.
+ensure_default_registry()

@@ -4,14 +4,13 @@ Every stream in the repository moves length-prefixed frames
 (:mod:`repro.net.framing` owns the 4-byte prefix and the size caps);
 this module owns what is inside one: ``tag byte ‖ fields``.  Each of
 the 19 frame types is one row of :data:`FRAMES` — tag byte, wire name,
-dataclass, ordered field specs — and one generic encoder and one
-generic decoder walk that table.  Field kinds are the primitives of
-:mod:`repro.utils.encoding` that :mod:`repro.core.protocol` and
-:mod:`repro.service.jobcodec` already use (varints, length-prefixed
-bytes, bounds-checked before any slice), so a protocol message or a
-typed job payload rides as the raw, length-delimited bytes it already
-is: the wire bytes the E3 accounting measures are the bytes a remote
-participant ships.  README "Frame wire format" lists every row.
+dataclass, ordered :class:`~repro.core.wire.Field` specs — walked by
+the same :class:`~repro.core.wire.Layout` that walks the protocol
+messages of :mod:`repro.core.protocol`; this module adds only the two
+kinds frames alone carry (``payload``, ``json``).  A protocol message
+or a typed job payload rides as the raw, length-delimited bytes it
+already is: the wire bytes the E3 accounting measures are the bytes a
+remote participant ships.  README "Wire formats" lists every row.
 
 * Client ↔ supervisor: ``task_request`` → ``assign``, then the
   interactive CBS round of §3.1 (``commitment`` → ``challenge`` →
@@ -52,7 +51,8 @@ from repro.core.protocol import (
     SampleChallengeMsg,
     VerdictMsg,
 )
-from repro.exceptions import CodecError, ProtocolError, ReproError
+from repro.core.wire import KINDS as _SHARED_KINDS, Field, Layout, read_sized
+from repro.exceptions import CodecError, ProtocolError
 from repro.obs.metrics import SIZE_BUCKETS, default_registry
 from repro.obs.spans import validate_wire_spans
 from repro.obs.trace import MAX_TRACE_ID_LEN
@@ -89,22 +89,13 @@ from repro.tasks.workloads import (
     PasswordSearch,
     SignalSearch,
 )
-from repro.utils.encoding import (
-    encode_bytes,
-    encode_uint,
-    read_bytes,
-    read_uint,
-    unzigzag,
-    zigzag,
-)
+from repro.utils.encoding import encode_bytes, read_bytes
 
 #: Version every cluster peer declares in ``hello`` and every
 #: payload-bearing cluster frame leads with.  There is no compat
 #: window: ``hello`` decodes any plausible version so the coordinator
 #: can answer a skewed peer with a ``bye`` naming the version it speaks
 #: (:meth:`coordinator._serve_worker`); everything else must match.
-#: v6: frames are ``tag byte ‖ typed binary fields``; a v5 peer's JSON
-#: object frames are refused as an unknown tag byte at the first ``{``.
 CLUSTER_WIRE_VERSION = 6
 
 #: Byte ceilings on text fields: a worker id (it becomes a metrics
@@ -373,106 +364,49 @@ class ByeFrame:
 
 
 # ----------------------------------------------------------------------
-# Field specs (validation-first: hostile bytes must not crash)
+# The two field kinds only frames carry (the rest: repro.core.wire)
 # ----------------------------------------------------------------------
 
-
-class Field(NamedTuple):
-    """One frame field: attribute, wire kind, and the bounds the
-    decoder holds the peer to (raising ``error`` when they are broken).
-
-    ``uint`` is an unsigned varint in ``lo..hi``, ``int`` a zigzag
-    varint in ``-hi-1..hi``, ``flag`` one byte, 0 or 1.  The other
-    kinds are length-prefixed byte strings of ``lo..hi`` bytes, ``hi``
-    being the cap each must declare: ``str`` is UTF-8 (one of ``arg``,
-    if given), ``msg`` the canonical encoding of protocol message class
-    ``arg``, ``payload`` a typed job payload (``check_payload_size`` at
-    encode *and* decode), and ``json`` the observability blob — UTF-8
-    JSON whose shape :mod:`repro.obs` owns; ``arg`` is ``(empty,
-    validate)`` and zero length stands for ``empty()``, so an untraced
-    result frame never touches ``json``.  An ``optional`` field leads
-    with a presence flag byte and is ``None`` when it is clear.
-    """
-
-    attr: str
-    kind: str
-    lo: int = 0
-    hi: int = (1 << 63) - 1
-    arg: Any = None
-    optional: bool = False
-    error: type = ProtocolError
+# ``payload`` is a typed job payload, ``check_payload_size``d at encode
+# *and* decode; ``json`` is the observability blob — UTF-8 JSON whose
+# shape :mod:`repro.obs` owns.  Its ``arg`` is ``(empty, validate)`` and
+# zero length stands for ``empty()``, so an untraced result frame never
+# touches ``json``.
 
 
-def _encode_field(field: Field, value: Any) -> bytes:
-    """Encoding trusts its local caller, except that a payload over
-    its cap never leaves."""
-    attr, kind, _lo, hi, _arg, optional, _error = field
-    if optional and value is None:
-        return b"\x00"
-    if kind == "uint":
-        body = encode_uint(value)
-    elif kind == "str":
-        body = encode_bytes(value.encode("utf-8"))
-    elif kind == "payload":
-        check_payload_size(attr, len(value), hi)
-        body = encode_bytes(value)
-    elif kind == "msg":
-        body = encode_bytes(value.encode())
-    elif kind == "int":
-        body = encode_uint(zigzag(value))
-    elif kind == "flag":
-        body = b"\x01" if value else b"\x00"
-    elif value:  # json
-        text = json.dumps(value, separators=(",", ":"), sort_keys=True)
-        body = encode_bytes(text.encode("utf-8"))
-    else:
-        body = b"\x00"
-    return b"\x01" + body if optional else body
+def _encode_payload_field(field: Field, value: bytes) -> bytes:
+    check_payload_size(field.attr, len(value), field.hi)
+    return encode_bytes(value)
 
 
-def _read_flag(data: bytes, pos: int) -> tuple[bool, int]:
-    if pos >= len(data):
-        raise CodecError("truncated flag byte")
-    if data[pos] > 1:
-        raise ProtocolError(f"flag byte must be 0 or 1, got {data[pos]}")
-    return data[pos] == 1, pos + 1
-
-
-def _read_field(field: Field, data: bytes, pos: int) -> tuple[Any, int]:
-    """Decoding polices everything the peer sent: ranges, sizes, UTF-8,
-    inner encodings."""
-    attr, kind, lo, hi, arg, optional, error = field
-    if optional:
-        present, pos = _read_flag(data, pos)
-        if not present:
-            return None, pos
-    if kind == "uint" or kind == "int":
-        value, pos = read_uint(data, pos)
-        if kind == "int":
-            value, lo = unzigzag(value), -hi - 1
-        if not lo <= value <= hi:
-            raise error(f"must be in {lo}..{hi}, got {value}")
-        return value, pos
-    if kind == "flag":
-        return _read_flag(data, pos)
+def _read_payload_field(field: Field, data: bytes, pos: int) -> tuple[bytes, int]:
     raw, pos = read_bytes(data, pos)
-    if kind == "payload":
-        check_payload_size(attr, len(raw), hi)
-        return raw, pos
-    if not lo <= len(raw) <= hi:
-        raise error(f"must be {lo}..{hi} bytes, got {len(raw)}")
-    if kind == "msg":
-        return arg.decode(raw), pos
+    check_payload_size(field.attr, len(raw), field.hi)
+    return raw, pos
+
+
+def _encode_json(field: Field, value: Any) -> bytes:
+    if not value:
+        return b"\x00"
+    text = json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return encode_bytes(text.encode("utf-8"))
+
+
+def _read_json(field: Field, data: bytes, pos: int) -> tuple[Any, int]:
+    raw, pos = read_sized(field, data, pos)
+    empty, validate = field.arg
     try:
-        text = raw.decode("utf-8")
-        if kind == "json":
-            empty, validate = arg
-            return (validate(json.loads(text)) if raw else empty()), pos
+        return (validate(json.loads(raw.decode("utf-8"))) if raw else empty()), pos
     except (ValueError, RecursionError) as exc:
-        raise ProtocolError(f"bad {kind}: {exc}") from exc
-    if arg and text not in arg:
-        raise ProtocolError(f"must be one of {arg}, got {text!r}")
-    return text, pos
+        raise ProtocolError(f"bad json: {exc}") from exc
+
+
+#: The shared kinds plus the two only frames carry.
+KINDS = {
+    **_SHARED_KINDS,
+    "payload": (_encode_payload_field, _read_payload_field),
+    "json": (_encode_json, _read_json),
+}
 
 
 def _stats_object(value: object) -> dict:
@@ -487,6 +421,10 @@ _TRACE_CONTEXT = (
     _TRACE_ID._replace(attr="span_id", optional=True),
 )
 _WORKER_ID = Field("worker_id", "str", 1, MAX_WORKER_ID_BYTES)
+#: The per-task seed of an ``assign`` frame.  Public because whoever
+#: derives those seeds (:class:`~repro.service.server.ServiceConfig`)
+#: must keep every one of them inside this field's range.
+ASSIGN_SEED = Field("seed", "uint")
 # Exact on every payload-bearing frame; ``hello`` alone reads any
 # plausible version, so the coordinator can answer a skewed peer.
 _CHUNK = (
@@ -509,13 +447,15 @@ _CLOSING = (Field("cache_hits", "uint"), Field("cache_misses", "uint"), _SPANS)
 class FrameRow(NamedTuple):
     """One frame type: tag byte, wire name, dataclass, the ordered
     fields that follow the tag, and an optional cross-field check on a
-    decoded frame."""
+    decoded frame.  ``layout`` is the bound walker of ``fields``, filled
+    in when the table is indexed."""
 
     tag: int
     name: str
     cls: type
     fields: tuple[Field, ...] = ()
     check: Callable[[Any], None] | None = None
+    layout: Layout | None = None
 
 
 def _nonempty_domain(frame: TaskAssign) -> None:
@@ -549,7 +489,7 @@ FRAMES: tuple[FrameRow, ...] = (
         Field("hash_name", "str", hi=MAX_NAME_BYTES),
         Field("sample_hash_name", "str", hi=MAX_NAME_BYTES),
         Field("leaf_encoding", "str", hi=MAX_NAME_BYTES, arg=("hashed", "raw")),
-        Field("seed", "uint"),
+        ASSIGN_SEED,
     ), _nonempty_domain),
     _msg_row(0x03, "commitment", CommitmentFrame, CommitmentMsg),
     _msg_row(0x04, "challenge", ChallengeFrame, SampleChallengeMsg),
@@ -584,18 +524,24 @@ FRAMES: tuple[FrameRow, ...] = (
 
 
 def _index_frames(rows: tuple[FrameRow, ...]) -> tuple[dict, dict]:
-    """Index the table by tag byte and by class.  A duplicate tag, name
-    or class, or a row that does not cover its dataclass's fields
-    exactly, raises here — at import."""
-    by_tag = {row.tag: row for row in rows}
-    by_cls = {row.cls: row for row in rows}
-    names = {row.name for row in rows}
+    """Bind every row's fields and index the table by tag byte and by
+    class.  A duplicate tag, name or class, an unknown field kind, or a
+    row that does not cover its dataclass's fields exactly, raises here
+    — at import."""
+    bound = [
+        row._replace(layout=Layout(
+            f"{row.name} frame",
+            row.fields,
+            [field.name for field in dataclass_fields(row.cls)],
+            KINDS,
+        ))
+        for row in rows
+    ]
+    by_tag = {row.tag: row for row in bound}
+    by_cls = {row.cls: row for row in bound}
+    names = {row.name for row in bound}
     if not len(by_tag) == len(by_cls) == len(names) == len(rows):
         raise ValueError("duplicate tag byte, wire name or class in FRAMES")
-    for row in rows:
-        declared = sorted(field.name for field in dataclass_fields(row.cls))
-        if sorted(field.attr for field in row.fields) != declared:
-            raise ValueError(f"frame row {row.name!r} != {row.cls.__name__} fields")
     return by_tag, by_cls
 
 
@@ -606,7 +552,7 @@ Frame = Union[tuple(row.cls for row in FRAMES)]
 
 
 # ----------------------------------------------------------------------
-# Encode / decode: one walk over the table each
+# Encode / decode: the row's bound layout does the walking
 # ----------------------------------------------------------------------
 
 
@@ -617,13 +563,7 @@ def _encode_payload(frame: Frame) -> bytes:
     row = _BY_CLASS.get(type(frame))
     if row is None:
         raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
-    parts = [bytes((row.tag,))]
-    try:
-        for field in row.fields:
-            parts.append(_encode_field(field, getattr(frame, field.attr)))
-    except ReproError as exc:
-        raise type(exc)(f"{row.name} frame, field {field.attr}: {exc}") from exc
-    return b"".join(parts)
+    return row.layout.encode(frame, bytes((row.tag,)))
 
 
 def encode_frame(frame: Frame, max_frame: int = MAX_FRAME_BYTES) -> bytes:
@@ -639,13 +579,7 @@ def decode_frame_payload(payload: bytes) -> Frame:
             f"unknown frame tag {payload[:1].hex() or '(empty payload)'}: "
             f"wire v{CLUSTER_WIRE_VERSION} frames are binary — is the peer older?"
         )
-    values = {}
-    pos = 1
-    try:
-        for field in row.fields:
-            values[field.attr], pos = _read_field(field, payload, pos)
-    except ReproError as exc:
-        raise type(exc)(f"{row.name} frame, field {field.attr}: {exc}") from exc
+    values, pos = row.layout.read(payload, 1)
     if pos != len(payload):
         raise ProtocolError(f"{row.name} frame: {len(payload) - pos} trailing bytes")
     frame = row.cls(**values)

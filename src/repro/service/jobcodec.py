@@ -13,38 +13,24 @@ chain — the two registries below are the *only* way bytes become
 objects, so a coordinator port is no longer a remote-code-execution
 surface.
 
-Vocabulary (one tag byte per term; varints are LEB128 as in
-:mod:`repro.utils.encoding`):
-
-====  =========  ====================================================
-tag   name       encoding
-====  =========  ====================================================
-0x00  none       —
-0x01  true       —
-0x02  false      —
-0x03  int        zigzag varint (|x| < 2^63)
-0x04  bigint     sign byte + length-prefixed big-endian magnitude
-0x05  float      8-byte IEEE-754 big-endian
-0x06  str        varint length + UTF-8 bytes (capped)
-0x07  bytes      varint length + raw bytes (capped)
-0x08  tuple      varint count + items
-0x09  list       varint count + items
-0x0A  dict       varint count + key/value term pairs
-0x0B  set        varint count + items (encoded-bytes sorted)
-0x0C  struct     name ref + varint body length + packed fields
-0x0D  callable   name ref (resolved via the callable registry)
-0x0E  ref        varint back-reference into the payload's object memo
-====  =========  ====================================================
+Vocabulary: one tag byte per term, one row of :data:`TERMS` per tag
+(varints are LEB128 as in :mod:`repro.utils.encoding`).  That table is
+the only place a tag byte, its name or its decoder is spelled; README
+"Job wire format" gives each term's layout and is checked against it.
 
 **Struct registry.**  Domain objects (schemes, behaviours, workloads,
 domains, outcome records) cross the wire as named structs: ``pack``
 reduces an instance to a tuple of codec values, ``unpack`` rebuilds it
-through the real constructor, which re-validates every parameter.
+through the real constructor, which re-validates every parameter.  The
+repo's own plain structs are rows of one table in
+:func:`_register_defaults` — wire name, class, attributes in wire
+order — served by one generic ``pack``/``unpack`` and checked against
+each class's constructor before anything is registered; only structs
+that carry state or packed records bring their own functions.
 Struct names are interned per payload (first use spells the name,
 later uses are a 2-byte index) and instances are memoized by identity
 (a behaviour shared by fifty jobs in a batch is encoded once and
-back-referenced), which is what makes the typed envelope several times
-smaller than the pickle envelope it replaces.
+back-referenced).
 
 **Callable registry.**  A payload can only invoke a callable that both
 sides registered under an explicit name at import time
@@ -65,6 +51,7 @@ worker, not once per chunk.  Cache traffic is counted on
 
 from __future__ import annotations
 
+import inspect
 import operator
 import struct as _struct
 import threading
@@ -121,45 +108,6 @@ MAX_NAME_BYTES = 120
 #: Ceiling on a bigint magnitude in bytes.
 MAX_INT_BYTES = 4096
 
-
-class Tag:
-    """Wire tag byte for each term kind (see the module table)."""
-
-    NONE = 0x00
-    TRUE = 0x01
-    FALSE = 0x02
-    INT = 0x03
-    BIGINT = 0x04
-    FLOAT = 0x05
-    STR = 0x06
-    BYTES = 0x07
-    TUPLE = 0x08
-    LIST = 0x09
-    DICT = 0x0A
-    SET = 0x0B
-    STRUCT = 0x0C
-    CALLABLE = 0x0D
-    REF = 0x0E
-
-
-#: Human-readable tag names (docs, errors, and the RL006 tag table).
-_TAG_NAMES = {
-    Tag.NONE: "none",
-    Tag.TRUE: "true",
-    Tag.FALSE: "false",
-    Tag.INT: "int",
-    Tag.BIGINT: "bigint",
-    Tag.FLOAT: "float",
-    Tag.STR: "str",
-    Tag.BYTES: "bytes",
-    Tag.TUPLE: "tuple",
-    Tag.LIST: "list",
-    Tag.DICT: "dict",
-    Tag.SET: "set",
-    Tag.STRUCT: "struct",
-    Tag.CALLABLE: "callable",
-    Tag.REF: "ref",
-}
 
 _INT_LIMIT = 1 << 63  # |x| below this rides the zigzag varint path
 
@@ -266,6 +214,82 @@ def registered_callables() -> dict[str, Callable]:
         return dict(sorted(_CALLABLES.items()))
 
 
+class _StructField(NamedTuple):
+    """One field of a plain struct row: constructor keyword ``arg``,
+    packed from attribute path ``attr`` (dotted for an enum's
+    ``.value``); ``from_wire`` rebuilds a value whose in-memory form is
+    not a codec term."""
+
+    arg: str
+    attr: str
+    from_wire: Callable[[Any], Any] | None = None
+
+
+def _packer(attrs: list[str]) -> Callable[[Any], tuple]:
+    """``obj -> (obj.<attr>, ...)``: one C-level getter call per job
+    where it can be (``attrgetter`` returns a tuple only from two up)."""
+    if len(attrs) > 1:
+        return operator.attrgetter(*attrs)
+    getters = [operator.attrgetter(attr) for attr in attrs]
+    return lambda obj: tuple(get(obj) for get in getters)
+
+
+class _StructRow:
+    """One plain struct: wire name, class, its fields in wire order, and
+    whether decoded instances may be shared (:class:`SchemeCache`).  A
+    field given as a bare string is the attribute named like the
+    constructor argument it feeds.  ``pack``/``unpack`` are the one
+    generic pair every row is served by; ``unpack`` goes through the
+    real constructor, by keyword, so its validation re-runs."""
+
+    def __init__(
+        self,
+        name: str,
+        cls: type,
+        *fields: str | _StructField,
+        cacheable: bool = False,
+    ) -> None:
+        specs = [
+            f if isinstance(f, _StructField) else _StructField(f, f)
+            for f in fields
+        ]
+        self.name = name
+        self.cls = cls
+        self.cacheable = cacheable
+        self.args = [f.arg for f in specs]
+        self.pack = _packer([f.attr for f in specs])
+        self._from_wire = [(f.arg, f.from_wire) for f in specs if f.from_wire]
+
+    def unpack(self, values: tuple) -> Any:
+        if len(values) != len(self.args):
+            raise CodecError(
+                f"struct {self.name!r} has {len(values)} fields, "
+                f"not {len(self.args)}"
+            )
+        kwargs = dict(zip(self.args, values))
+        for arg, convert in self._from_wire:
+            kwargs[arg] = convert(kwargs[arg])
+        return self.cls(**kwargs)
+
+
+def _index_structs(rows: tuple[_StructRow, ...]) -> tuple[_StructRow, ...]:
+    """Check the struct table before any of it is registered: a
+    duplicate wire name or class, or a row whose fields are not exactly
+    its class's constructor parameters, raises."""
+    names = {row.name for row in rows}
+    classes = {row.cls for row in rows}
+    if not len(names) == len(classes) == len(rows):
+        raise ValueError("duplicate wire name or class in the struct table")
+    for row in rows:
+        declared = sorted(inspect.signature(row.cls).parameters)
+        if sorted(row.args) != declared:
+            raise ValueError(
+                f"struct row {row.name!r} does not cover "
+                f"{row.cls.__name__}({', '.join(declared)})"
+            )
+    return rows
+
+
 # ----------------------------------------------------------------------
 # Encoder
 # ----------------------------------------------------------------------
@@ -323,9 +347,9 @@ class _Encoder:
             out += encode_uint(len(raw))
             out += raw
         elif type(obj) is tuple:
-            self._items(Tag.TUPLE, obj, depth)
+            self._items(Tag.TUPLE, "tuple", obj, depth)
         elif type(obj) is list:
-            self._items(Tag.LIST, obj, depth)
+            self._items(Tag.LIST, "list", obj, depth)
         elif type(obj) is dict:
             _check_count("dict", len(obj))
             out.append(Tag.DICT)
@@ -351,8 +375,8 @@ class _Encoder:
         self.out += encode_uint(len(raw))
         self.out += raw
 
-    def _items(self, tag: int, obj: Any, depth: int) -> None:
-        _check_count(_TAG_NAMES[tag], len(obj))
+    def _items(self, tag: int, what: str, obj: Any, depth: int) -> None:
+        _check_count(what, len(obj))
         self.out.append(tag)
         self.out += encode_uint(len(obj))
         for item in obj:
@@ -482,23 +506,21 @@ class _Decoder:
         return decoder(self, depth)
 
 
-def _dec_none(dec: _Decoder, depth: int) -> None:
-    return None
+def _constant(value: Any) -> Callable[[_Decoder, int], Any]:
+    def decode(dec: _Decoder, depth: int) -> Any:
+        return value
 
-
-def _dec_true(dec: _Decoder, depth: int) -> bool:
-    return True
-
-
-def _dec_false(dec: _Decoder, depth: int) -> bool:
-    return False
+    return decode
 
 
 def _dec_int(dec: _Decoder, depth: int) -> int:
     folded = dec.uint("int")
-    if folded >> 64:
+    value = unzigzag(folded)
+    # -2**63 included: the encoder sends it as a bigint, and a value
+    # has one encoding.
+    if not -_INT_LIMIT < value < _INT_LIMIT:
         raise CodecError(f"int term out of range: zigzag {folded}")
-    return unzigzag(folded)
+    return value
 
 
 def _dec_bigint(dec: _Decoder, depth: int) -> int:
@@ -643,24 +665,51 @@ def _dec_ref(dec: _Decoder, depth: int) -> Any:
     return obj
 
 
-#: Tag dispatch table; RL006 pins this to cover every Tag member.
-_DECODERS = {
-    Tag.NONE: _dec_none,
-    Tag.TRUE: _dec_true,
-    Tag.FALSE: _dec_false,
-    Tag.INT: _dec_int,
-    Tag.BIGINT: _dec_bigint,
-    Tag.FLOAT: _dec_float,
-    Tag.STR: _dec_str,
-    Tag.BYTES: _dec_bytes,
-    Tag.TUPLE: _dec_tuple,
-    Tag.LIST: _dec_list,
-    Tag.DICT: _dec_dict,
-    Tag.SET: _dec_set,
-    Tag.STRUCT: _dec_struct,
-    Tag.CALLABLE: _dec_callable,
-    Tag.REF: _dec_ref,
-}
+class Term(NamedTuple):
+    """One term kind: tag byte, name and decoder (README "Job wire
+    format" gives the layout that follows each tag byte)."""
+
+    tag: int
+    name: str
+    decode: Callable[[_Decoder, int], Any]
+
+
+#: The term vocabulary.  ``Tag.<NAME>`` is derived from it.
+TERMS: tuple[Term, ...] = (
+    Term(0x00, "none", _constant(None)),
+    Term(0x01, "true", _constant(True)),
+    Term(0x02, "false", _constant(False)),
+    Term(0x03, "int", _dec_int),
+    Term(0x04, "bigint", _dec_bigint),
+    Term(0x05, "float", _dec_float),
+    Term(0x06, "str", _dec_str),
+    Term(0x07, "bytes", _dec_bytes),
+    Term(0x08, "tuple", _dec_tuple),
+    Term(0x09, "list", _dec_list),
+    Term(0x0A, "dict", _dec_dict),
+    Term(0x0B, "set", _dec_set),
+    Term(0x0C, "struct", _dec_struct),
+    Term(0x0D, "callable", _dec_callable),
+    Term(0x0E, "ref", _dec_ref),
+)
+
+
+def _index_terms(rows: tuple[Term, ...]) -> tuple[type, dict]:
+    """Derive ``Tag`` (one ``NAME = tag byte`` member per row) and the
+    decoder dispatch table.  A duplicate tag byte or name, or a row
+    without a decoder, raises here — at import."""
+    members = {row.name.upper(): row.tag for row in rows}
+    decoders = {row.tag: row.decode for row in rows}
+    if not len(members) == len(decoders) == len(rows):
+        raise ValueError("duplicate tag byte or name in TERMS")
+    for row in rows:
+        if not callable(row.decode):
+            raise ValueError(f"term {row.name!r} has no decoder")
+    doc = "Wire tag byte for each term kind (see :data:`TERMS`)."
+    return type("Tag", (), {"__doc__": doc, **members}), decoders
+
+
+Tag, _DECODERS = _index_terms(TERMS)
 
 
 # ----------------------------------------------------------------------
@@ -677,9 +726,9 @@ class SchemeCache:
     Thread-safe.  Hit/miss/eviction totals are plain counters here;
     the planes that own a cache publish them as
     ``repro_scheme_cache_{hits,misses}_total{plane=...}`` on their own
-    registries (worker daemon directly, coordinator from the ``ch``/
-    ``cm`` result-frame fields), which keeps one process from double
-    counting when it hosts both ends.
+    registries (worker daemon directly, coordinator from the
+    ``cache_hits``/``cache_misses`` result-frame fields), which keeps
+    one process from double counting when it hosts both ends.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -984,110 +1033,96 @@ def _register_defaults() -> None:
         SignalSearch,
     )
 
-    # --- domains and task plumbing ---------------------------------
-    register_struct(
-        "range_domain",
-        RangeDomain,
-        lambda d: (d.start, d.stop),
-        lambda f: RangeDomain(*f),
-    )
-    register_struct(
-        "explicit_domain",
-        ExplicitDomain,
-        lambda d: (list(d),),
-        lambda f: ExplicitDomain(f[0]),
-    )
-    register_struct(
-        "task_assignment",
-        TaskAssignment,
-        lambda a: (a.task_id, a.domain, a.function, a.screener),
-        lambda f: TaskAssignment(
-            task_id=f[0], domain=f[1], function=f[2], screener=f[3]
+    row, field = _StructRow, _StructField
+    leaf_encoding = field("leaf_encoding", "leaf_encoding.value", LeafEncoding)
+    # The plain structs.  Wire order is field order.  Schemes are
+    # cacheable: stateless across runs, so one decoded instance serves
+    # every chunk of a population.
+    rows = (
+        row("range_domain", RangeDomain, "start", "stop"),
+        row("explicit_domain", ExplicitDomain, field("inputs", "_items")),
+        row(
+            "task_assignment", TaskAssignment,
+            "task_id", "domain", "function", "screener",
         ),
+        row("password_search", PasswordSearch, "salt", "digest_bytes", "cost"),
+        row(
+            "molecule_screening", MoleculeScreening,
+            "library_seed", "resolution", "cost",
+        ),
+        row("signal_search", SignalSearch, "sky_seed", "threshold", "cost"),
+        row("mersenne_check", MersenneCheck, "cost"),
+        row("monte_carlo_estimate", MonteCarloEstimate, "n_samples", "cost"),
+        row(
+            "factoring_task", FactoringTask,
+            "bits", "cost", "verify_cost", "seed",
+        ),
+        row(
+            "optimization_search", OptimizationSearch,
+            "landscape_seed", "n_wells", "resolution", "grid_side", "cost",
+        ),
+        row(
+            "guessable_function", GuessableFunction,
+            "inner", field("q", "guess_success_probability"),
+        ),
+        row("match_screener", MatchScreener, "target"),
+        row("threshold_screener", ThresholdScreener, "threshold", "direction"),
+        row("report_all_screener", ReportAllScreener),
+        row("zero_guess", ZeroGuess),
+        row("bernoulli_guess", BernoulliGuess, "q"),
+        row("uniform_value_guess", UniformValueGuess, "alphabet"),
+        row("honest_behavior", HonestBehavior),
+        row(
+            "semi_honest_cheater", SemiHonestCheater,
+            "honesty_ratio", "guesser", "selection",
+        ),
+        row(
+            "colluding_cheater", ColludingCheater,
+            "honesty_ratio", "cartel_key", "guesser",
+        ),
+        row("malicious_behavior", MaliciousBehavior, "corruption_rate"),
+        row(
+            "cbs_scheme", CBSScheme,
+            "n_samples", "hash_name", leaf_encoding, "subtree_height",
+            "with_replacement", "include_reports", "stop_on_first_failure",
+            "batch_proofs",
+            cacheable=True,
+        ),
+        row(
+            "nicbs_scheme", NICBSScheme,
+            "n_samples", "sample_hash_name", "hash_name", leaf_encoding,
+            "subtree_height", "stop_on_first_failure",
+            cacheable=True,
+        ),
+        row(
+            "naive_sampling_scheme", NaiveSamplingScheme,
+            "n_samples", "with_replacement",
+            cacheable=True,
+        ),
+        row(
+            "double_check_scheme", DoubleCheckScheme,
+            "replication", "replica_behaviors",
+            cacheable=True,
+        ),
+        row(
+            "ringer_scheme", RingerScheme,
+            "n_ringers", "require_all",
+            cacheable=True,
+        ),
+        row(
+            "hardened_probe_scheme", HardenedProbeScheme,
+            "n_probes",
+            cacheable=True,
+        ),
+        row("scheme_job", _jobs.SchemeJob, "assignment", "behavior", "seed"),
+        row("scheme_batch", _jobs.SchemeBatch, "scheme", "jobs"),
     )
+    for spec in _index_structs(rows):
+        register_struct(
+            spec.name, spec.cls, spec.pack, spec.unpack, spec.cacheable
+        )
 
-    # --- workloads --------------------------------------------------
-    register_struct(
-        "password_search",
-        PasswordSearch,
-        lambda w: (w.salt, w.digest_bytes, w.cost),
-        lambda f: PasswordSearch(
-            salt=f[0], digest_bytes=f[1], cost=f[2]
-        ),
-    )
-    register_struct(
-        "molecule_screening",
-        MoleculeScreening,
-        lambda w: (w.library_seed, w.resolution, w.cost),
-        lambda f: MoleculeScreening(
-            library_seed=f[0], resolution=f[1], cost=f[2]
-        ),
-    )
-    register_struct(
-        "signal_search",
-        SignalSearch,
-        lambda w: (w.sky_seed, w.threshold, w.cost),
-        lambda f: SignalSearch(sky_seed=f[0], threshold=f[1], cost=f[2]),
-    )
-    register_struct(
-        "mersenne_check",
-        MersenneCheck,
-        lambda w: (w.cost,),
-        lambda f: MersenneCheck(cost=f[0]),
-    )
-    register_struct(
-        "monte_carlo_estimate",
-        MonteCarloEstimate,
-        lambda w: (w.n_samples, w.cost),
-        lambda f: MonteCarloEstimate(n_samples=f[0], cost=f[1]),
-    )
-    register_struct(
-        "factoring_task",
-        FactoringTask,
-        lambda w: (w.bits, w.cost, w.verify_cost, w.seed),
-        lambda f: FactoringTask(
-            bits=f[0], cost=f[1], verify_cost=f[2], seed=f[3]
-        ),
-    )
-    register_struct(
-        "optimization_search",
-        OptimizationSearch,
-        lambda w: (
-            w.landscape_seed,
-            len(w.wells),
-            w.resolution,
-            w.grid_side,
-            w.cost,
-        ),
-        lambda f: OptimizationSearch(
-            landscape_seed=f[0],
-            n_wells=f[1],
-            resolution=f[2],
-            grid_side=f[3],
-            cost=f[4],
-        ),
-    )
-    register_struct(
-        "guessable_function",
-        GuessableFunction,
-        lambda w: (w.inner, w.guess_success_probability),
-        lambda f: GuessableFunction(f[0], f[1]),
-    )
-
-    # --- screeners --------------------------------------------------
-    register_struct(
-        "match_screener",
-        MatchScreener,
-        lambda s: (s.target,),
-        lambda f: MatchScreener(f[0]),
-    )
-    register_struct(
-        "threshold_screener",
-        ThresholdScreener,
-        lambda s: (s.threshold, s.direction),
-        lambda f: ThresholdScreener(f[0], direction=f[1]),
-    )
-
+    # --- the custom structs: state or packing a row cannot express ---
     def _pack_topk(s: TopKScreener) -> tuple:
         # Running top-k state rides along so a mid-population handoff
         # resumes exactly where a single-process run would be.
@@ -1099,147 +1134,6 @@ def _register_defaults() -> None:
         return screener
 
     register_struct("topk_screener", TopKScreener, _pack_topk, _unpack_topk)
-    register_struct(
-        "report_all_screener",
-        ReportAllScreener,
-        lambda s: (),
-        lambda f: ReportAllScreener(),
-    )
-
-    # --- guess models and behaviours --------------------------------
-    register_struct(
-        "zero_guess", ZeroGuess, lambda g: (), lambda f: ZeroGuess()
-    )
-    register_struct(
-        "bernoulli_guess",
-        BernoulliGuess,
-        lambda g: (g.q,),
-        lambda f: BernoulliGuess(f[0]),
-    )
-    register_struct(
-        "uniform_value_guess",
-        UniformValueGuess,
-        lambda g: (list(g.alphabet),),
-        lambda f: UniformValueGuess(f[0]),
-    )
-    register_struct(
-        "honest_behavior",
-        HonestBehavior,
-        lambda b: (),
-        lambda f: HonestBehavior(),
-    )
-    register_struct(
-        "semi_honest_cheater",
-        SemiHonestCheater,
-        lambda b: (b.honesty_ratio, b.guesser, b.selection),
-        lambda f: SemiHonestCheater(f[0], guesser=f[1], selection=f[2]),
-    )
-    register_struct(
-        "colluding_cheater",
-        ColludingCheater,
-        lambda b: (b.honesty_ratio, b.cartel_key, b.guesser),
-        lambda f: ColludingCheater(f[0], cartel_key=f[1], guesser=f[2]),
-    )
-    register_struct(
-        "malicious_behavior",
-        MaliciousBehavior,
-        lambda b: (b.corruption_rate,),
-        lambda f: MaliciousBehavior(corruption_rate=f[0]),
-    )
-
-    # --- verification schemes (cacheable: stateless across runs) ----
-    register_struct(
-        "cbs_scheme",
-        CBSScheme,
-        lambda s: (
-            s.n_samples,
-            s.hash_name,
-            s.leaf_encoding.value,
-            s.subtree_height,
-            s.with_replacement,
-            s.include_reports,
-            s.stop_on_first_failure,
-            s.batch_proofs,
-        ),
-        lambda f: CBSScheme(
-            n_samples=f[0],
-            hash_name=f[1],
-            leaf_encoding=LeafEncoding(f[2]),
-            subtree_height=f[3],
-            with_replacement=f[4],
-            include_reports=f[5],
-            stop_on_first_failure=f[6],
-            batch_proofs=f[7],
-        ),
-        cacheable=True,
-    )
-    register_struct(
-        "nicbs_scheme",
-        NICBSScheme,
-        lambda s: (
-            s.n_samples,
-            s.sample_hash_name,
-            s.hash_name,
-            s.leaf_encoding.value,
-            s.subtree_height,
-            s.stop_on_first_failure,
-        ),
-        lambda f: NICBSScheme(
-            n_samples=f[0],
-            sample_hash_name=f[1],
-            hash_name=f[2],
-            leaf_encoding=LeafEncoding(f[3]),
-            subtree_height=f[4],
-            stop_on_first_failure=f[5],
-        ),
-        cacheable=True,
-    )
-    register_struct(
-        "naive_sampling_scheme",
-        NaiveSamplingScheme,
-        lambda s: (s.n_samples, s.with_replacement),
-        lambda f: NaiveSamplingScheme(f[0], with_replacement=f[1]),
-        cacheable=True,
-    )
-    register_struct(
-        "double_check_scheme",
-        DoubleCheckScheme,
-        lambda s: (s.replication, list(s.replica_behaviors)),
-        lambda f: DoubleCheckScheme(
-            replication=f[0], replica_behaviors=f[1]
-        ),
-        cacheable=True,
-    )
-    register_struct(
-        "ringer_scheme",
-        RingerScheme,
-        lambda s: (s.n_ringers, s.require_all),
-        lambda f: RingerScheme(f[0], require_all=f[1]),
-        cacheable=True,
-    )
-    register_struct(
-        "hardened_probe_scheme",
-        HardenedProbeScheme,
-        lambda s: (s.n_probes,),
-        lambda f: HardenedProbeScheme(f[0]),
-        cacheable=True,
-    )
-
-    # --- engine jobs -------------------------------------------------
-    register_struct(
-        "scheme_job",
-        _jobs.SchemeJob,
-        lambda j: (j.assignment, j.behavior, j.seed),
-        lambda f: _jobs.SchemeJob(
-            assignment=f[0], behavior=f[1], seed=f[2]
-        ),
-    )
-    register_struct(
-        "scheme_batch",
-        _jobs.SchemeBatch,
-        lambda b: (b.scheme, b.jobs),
-        lambda f: _jobs.SchemeBatch(scheme=f[0], jobs=f[1]),
-    )
 
     # --- outcome records (the result plane) -------------------------
     # Packed, not nested: one result is ~a dozen primitive terms (see

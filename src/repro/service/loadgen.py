@@ -227,7 +227,7 @@ async def run_service_loadgen(
     ``security`` applies to both ends: the server gates its socket
     with it, the generated participants authenticate with it.  The
     stopped server is returned so callers can inspect
-    ``server.outcomes`` / ``server.stats`` — e.g. the parity tests
+    ``server.outcomes`` / ``server.registry`` — e.g. the parity tests
     comparing service verdicts against the synchronous simulator.
     """
     if transport not in ("memory", "tcp"):

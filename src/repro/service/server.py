@@ -61,6 +61,7 @@ from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spans import SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace
 from repro.service.codec import (
+    ASSIGN_SEED,
     MAX_FRAME_BYTES,
     ChallengeFrame,
     CommitmentFrame,
@@ -124,49 +125,20 @@ class ServiceConfig:
                 f"n_participants must be >= 1, got {self.n_participants}"
             )
         resolve_workload(self.workload)  # fail fast on unknown kernels
+        # Participant i is assigned derive_seed(seed, i): the encoder
+        # trusts its caller, so a child outside the assign frame's seed
+        # field would be refused by every client, one session at a time.
+        first = derive_seed(self.seed, 0)
+        last = derive_seed(self.seed, self.n_participants - 1)
+        if first < ASSIGN_SEED.lo or last > ASSIGN_SEED.hi:
+            raise ProtocolError(
+                f"seed {self.seed} with {self.n_participants} participants "
+                f"derives task seeds {first}..{last}, outside the assign "
+                f"frame's {ASSIGN_SEED.lo}..{ASSIGN_SEED.hi}"
+            )
 
 
 _log = get_logger("service")
-
-
-class ServiceStats:
-    """Compatibility view over the server's metrics registry.
-
-    These used to be a private dataclass of ints; the counts now live
-    in the server's :class:`MetricsRegistry` (one labelled counter per
-    family), and this view keeps the established read API
-    (``server.stats.verifications`` etc.) working unchanged for smoke
-    tests and embedded uses.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    @property
-    def connections(self) -> int:
-        return int(self._registry.value("repro_connections_total"))
-
-    @property
-    def frames_in(self) -> int:
-        return int(
-            self._registry.value("repro_frames_total", direction="in")
-        )
-
-    @property
-    def verifications(self) -> int:
-        return int(self._registry.value("repro_verifications_total"))
-
-    @property
-    def errors(self) -> int:
-        return int(self._registry.sum_values("repro_errors_total"))
-
-    @property
-    def auth_failures(self) -> int:
-        return int(
-            self._registry.value(
-                "repro_auth_failures_total", plane="service"
-            )
-        )
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +252,6 @@ class SupervisorServer:
         self.sessions = SessionStore(
             ttl=session_ttl, clock=clock, registry=self.registry
         )
-        self.stats = ServiceStats(self.registry)
         self._m_connections = self.registry.counter(
             "repro_connections_total", "Participant connections accepted"
         )

@@ -58,42 +58,6 @@ class Session:
     span_id: str | None = None
 
 
-class StoreStats:
-    """Compatibility view over the ``repro_sessions_total`` counter.
-
-    Before the observability plane these were a private dataclass of
-    ints; they now live in the store's :class:`MetricsRegistry` as one
-    labelled counter, and this view keeps the established read API
-    (``store.stats.created`` etc.) working unchanged.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._counter = registry.counter(
-            "repro_sessions_total",
-            "Session lifecycle events, by event kind",
-            ("event",),
-        )
-
-    def _value(self, event: str) -> int:
-        return int(self._counter.labels(event=event).value)
-
-    @property
-    def created(self) -> int:
-        return self._value("created")
-
-    @property
-    def completed(self) -> int:
-        return self._value("completed")
-
-    @property
-    def evicted(self) -> int:
-        return self._value("evicted")
-
-    @property
-    def rejected_duplicates(self) -> int:
-        return self._value("rejected_duplicate")
-
-
 class SessionStore:
     """Lifecycle store with TTL eviction for abandoned sessions."""
 
@@ -111,7 +75,6 @@ class SessionStore:
         # standalone store gets a private one so embedded/test uses
         # stay exactly-counted and isolated.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.stats = StoreStats(self.registry)
         self._events = self.registry.counter(
             "repro_sessions_total",
             "Session lifecycle events, by event kind",

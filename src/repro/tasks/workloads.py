@@ -380,6 +380,7 @@ class OptimizationSearch(TaskFunction):
         if resolution < 2:
             raise TaskError(f"resolution must be >= 2, got {resolution}")
         self.landscape_seed = landscape_seed
+        self.n_wells = n_wells
         self.resolution = resolution
         self.grid_side = grid_side
         self.cost = cost

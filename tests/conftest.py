@@ -4,9 +4,11 @@ cert) the repro.net suites use."""
 
 from __future__ import annotations
 
+import os
 import secrets
 
 import pytest
+from hypothesis import settings
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.tasks import (
@@ -16,6 +18,16 @@ from repro.tasks import (
     SignalSearch,
     TaskAssignment,
 )
+
+# Tier-1 runs every property test at hypothesis's small default.  CI's
+# cluster job sets HYPOTHESIS_PROFILE=ci for the tests that take their
+# example budget from the profile (the scheduler state machine): more
+# examples, the same ones on every run, and no per-example deadline on a
+# shared runner.
+settings.register_profile(
+    "ci", max_examples=600, derandomize=True, deadline=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,33 @@ class TestServeShutdown:
                 proc.kill()
                 proc.communicate(timeout=10)
         assert proc.returncode == 0, out
+        assert "supervisor stopped" in out
+        assert "Traceback" not in out
+
+    def test_stats_interval_logs_snapshots_until_shutdown(self):
+        """--stats-interval reads the registry on a timer; the task
+        must survive its first tick and not poison the shutdown path."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--n", "256",
+             "--participants", "4", "--m", "8", "--port", "0",
+             "--stats-interval", "0.05"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "supervisor listening" in banner
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, out
+        assert out.count("event=stats_snapshot") >= 2, out
+        assert "connections=0 verifications=0" in out
         assert "supervisor stopped" in out
         assert "Traceback" not in out
 

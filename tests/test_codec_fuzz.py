@@ -852,6 +852,19 @@ class TestTypedCodecLimits:
             with pytest.raises(CodecError):
                 decode_cluster_payload(bytes([byte]))
 
+    def test_minus_two_to_the_63_has_one_encoding(self):
+        """``-2**63`` rides the bigint tag (the encoder's choice); the
+        zigzag varint that also unfolds to it is rejected, as the
+        mirror-image bigint-for-a-small-int already is."""
+        canonical = bytes.fromhex("040108" + "80" + "00" * 7)
+        assert encode_cluster_payload(-(1 << 63)) == canonical
+        assert decode_cluster_payload(canonical) == -(1 << 63)
+        with pytest.raises(CodecError, match="out of range"):
+            decode_cluster_payload(bytes.fromhex("03" + "ff" * 9 + "01"))
+        neighbour = bytes.fromhex("03fd" + "ff" * 8 + "01")
+        assert encode_cluster_payload(-(1 << 63) + 1) == neighbour
+        assert decode_cluster_payload(neighbour) == -(1 << 63) + 1
+
     def test_oversized_field_rejected_at_encode(self):
         from repro.service.jobcodec import MAX_FIELD_BYTES
 

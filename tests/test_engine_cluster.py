@@ -37,7 +37,7 @@ from repro.engine import (
 )
 from repro.engine.cluster.coordinator import _Coordinator, _WorkerLink
 from repro.engine.cluster.worker import (
-    execute_chunk,
+    execute_chunk_report,
     execute_payload,
     pack_outcome_parts,
     run_worker,
@@ -674,6 +674,14 @@ def attach_worker(co: _Coordinator, worker_id: str, capacity: int = 1):
     return link, writer
 
 
+def job_events(co: _Coordinator, event: str) -> float:
+    return co.registry.value("repro_cluster_jobs_total", event=event)
+
+
+def chunk_events(co: _Coordinator, event: str) -> float:
+    return co.registry.value("repro_cluster_chunks_total", event=event)
+
+
 def job_payload(value: int) -> bytes:
     return encode_job(_square, (value,), {})
 
@@ -713,7 +721,8 @@ class TestLateResultRace:
             # chunk lingers as a zombie on the live worker.
             clock.advance(1.0)
             co._scan_timeouts(clock())
-            assert co.jobs_requeued == 1 and co.chunks_requeued == 1
+            assert job_events(co, "requeued") == 1
+            assert chunk_events(co, "requeued") == 1
             assert frame_a.job_id in co.chunks  # zombie, not retired
             assert co.chunks[frame_a.job_id].requeued
 
@@ -730,7 +739,7 @@ class TestLateResultRace:
                             payload=ok_outcomes(36)),
             )
             assert future.result(timeout=0) == 36
-            assert co.jobs_completed == 1
+            assert job_events(co, "completed") == 1
 
             # The slow original's late result: dropped exactly once,
             # cleanly — the future is untouched (no InvalidStateError
@@ -742,8 +751,8 @@ class TestLateResultRace:
                             payload=ok_outcomes(36)),
             )
             assert future.result(timeout=0) == 36
-            assert co.jobs_completed == 1  # not double-counted
-            assert co.jobs_requeued == 1  # not re-requeued
+            assert job_events(co, "completed") == 1  # not double-counted
+            assert job_events(co, "requeued") == 1  # not re-requeued
             assert co.jobs == {} and co.chunks == {}
             assert not co.pending
 
@@ -753,7 +762,7 @@ class TestLateResultRace:
                 ResultFrame(job_id=frame_a.job_id, ok=True,
                             payload=ok_outcomes(36)),
             )
-            assert co.jobs_completed == 1
+            assert job_events(co, "completed") == 1
 
         asyncio.run(scenario())
 
@@ -783,7 +792,7 @@ class TestLateResultRace:
                             payload=ok_outcomes(25)),
             )
             assert future.result(timeout=0) == 25
-            assert co.jobs_completed == 1
+            assert job_events(co, "completed") == 1
 
             # The reassigned copy's result is now the late duplicate.
             co._on_result(
@@ -791,7 +800,7 @@ class TestLateResultRace:
                 ResultFrame(job_id=frame_b.job_id, ok=True,
                             payload=ok_outcomes(25)),
             )
-            assert co.jobs_completed == 1
+            assert job_events(co, "completed") == 1
             assert co.jobs == {} and co.chunks == {} and not co.pending
 
         asyncio.run(scenario())
@@ -850,7 +859,8 @@ class TestLateResultRace:
 
             co._drop_worker(link_a)
             assert co.chunks == {}  # no result can arrive on a dead link
-            assert co.jobs_requeued == 1  # the timeout requeue, no double
+            # The timeout requeue only — no double.
+            assert job_events(co, "requeued") == 1
             assert list(co.pending) == [0]
             assert not future.done()
 
@@ -889,7 +899,7 @@ class TestStreamedReassembly:
                 link, ResultEndFrame(job_id=frame.job_id, parts=2)
             )
             assert [f.result(timeout=0) for f in futures] == [0, 1, 4]
-            assert co.result_parts == 2
+            assert co.registry.value("repro_cluster_result_parts_total") == 2
             assert co.jobs == {} and co.chunks == {}
 
         asyncio.run(scenario())
@@ -918,7 +928,7 @@ class TestStreamedReassembly:
                 link, ResultEndFrame(job_id=frame.job_id, parts=1)
             )
             assert not futures[0].done() and not futures[1].done()
-            assert co.jobs_requeued == 2  # whole chunk requeued
+            assert job_events(co, "requeued") == 2  # whole chunk requeued
             assert 0 in co.jobs and 1 in co.jobs  # neither failed
             # The pump inside _on_result_end reassigned both under a
             # fresh chunk id; a complete stream then delivers them.
@@ -958,7 +968,7 @@ class TestStreamedReassembly:
                                 payload=ok_outcomes(0)),
             )
             assert "a" not in co.workers  # protocol violation
-            assert co.workers_lost == 1
+            assert co.registry.value("repro_cluster_workers_lost_total") == 1
             assert sorted(co.pending) == [0, 1]  # chunk disbanded
 
         asyncio.run(scenario())
@@ -1069,7 +1079,7 @@ class TestAdaptiveChunkSizing:
 class TestWorkerChunkExecution:
     def test_execute_chunk_runs_jobs_in_order(self):
         raw = encode_cluster_chunk([job_payload(i) for i in range(5)])
-        entries = execute_chunk(raw)
+        entries, _report = execute_chunk_report(raw)
         assert [ok for ok, _ in entries] == [True] * 5
         from repro.service.codec import decode_cluster_payload
 
@@ -1085,7 +1095,7 @@ class TestWorkerChunkExecution:
                 job_payload(2),
             ]
         )
-        entries = execute_chunk(raw)
+        entries, _report = execute_chunk_report(raw)
         assert [ok for ok, _ in entries] == [True, False, True]
         from repro.service.codec import decode_cluster_payload
 
@@ -1093,9 +1103,9 @@ class TestWorkerChunkExecution:
 
     def test_execute_chunk_rejects_corrupt_envelope(self):
         with pytest.raises(CodecError):
-            execute_chunk(b"\x00 garbage")
+            execute_chunk_report(b"\x00 garbage")
         with pytest.raises(CodecError):
-            execute_chunk(encode_cluster_payload("not a chunk"))
+            execute_chunk_report(encode_cluster_payload("not a chunk"))
 
     def test_pack_outcome_parts_identity_and_bounds(self):
         entries = [(True, bytes(range(10)) * k) for k in (1, 5, 2, 9, 1)]

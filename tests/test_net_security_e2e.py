@@ -283,6 +283,10 @@ def _behaviors():
     return [HonestBehavior(), SemiHonestCheater(0.6)]
 
 
+def auth_failures(server) -> float:
+    return server.registry.value("repro_auth_failures_total", plane="service")
+
+
 def outcome_fingerprint(server) -> dict:
     return {
         task_id: (outcome.accepted, outcome.reason.value)
@@ -310,7 +314,7 @@ class TestServiceAuthTLS:
         assert outcome_fingerprint(secured_server) == outcome_fingerprint(
             plain_server
         )
-        assert secured_server.stats.auth_failures == 0
+        assert auth_failures(secured_server) == 0
 
     def test_memory_transport_authenticates_too(self, secret_file):
         security = SecurityConfig.from_options(secret_file=secret_file)
@@ -320,7 +324,7 @@ class TestServiceAuthTLS:
             )
         )
         assert stats.n_errors == 0 and stats.n_completed == 8
-        assert server.stats.auth_failures == 0
+        assert auth_failures(server) == 0
 
     def test_wrong_secret_client_rejected_before_any_session(
         self, secret_file, wrong_secret_file
@@ -347,7 +351,7 @@ class TestServiceAuthTLS:
                     # If the handshake somehow passed, the request
                     # must still be refused.
                     await client.request_task()
-                assert server.stats.auth_failures >= 1
+                assert auth_failures(server) >= 1
                 assert len(server.sessions) == 0  # nothing was decoded
             finally:
                 await server.stop()
@@ -371,7 +375,7 @@ class TestServiceAuthTLS:
                     # this request dies cleanly, never hangs.
                     await asyncio.wait_for(client.request_task(), timeout=20)
                 await client.close()
-                assert server.stats.auth_failures >= 1
+                assert auth_failures(server) >= 1
             finally:
                 await server.stop()
 

@@ -129,6 +129,10 @@ class TestClusterTraceEndToEnd:
 # ----------------------------------------------------------------------
 
 
+def auth_failures(server) -> float:
+    return server.registry.value("repro_auth_failures_total", plane="service")
+
+
 def _service_config() -> ServiceConfig:
     return ServiceConfig(
         domain=RangeDomain(0, 1 << 8),
@@ -179,7 +183,7 @@ class TestStatsFrame:
                 with pytest.raises((ReproError, ConnectionError, OSError)):
                     await asyncio.wait_for(client.stats(), timeout=20)
                 await client.close()
-                assert server.stats.auth_failures >= 1
+                assert auth_failures(server) >= 1
             finally:
                 await server.stop()
 

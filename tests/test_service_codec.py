@@ -7,6 +7,7 @@ import typing
 
 import pytest
 
+from repro.core import protocol, wire
 from repro.core.protocol import (
     AssignMsg,
     CommitmentMsg,
@@ -19,7 +20,7 @@ from repro.core.protocol import (
 from repro.exceptions import CodecError, ProtocolError, ReproError
 from repro.merkle.proof import AuthenticationPath
 from repro.merkle.tree import LeafEncoding
-from repro.service import codec
+from repro.service import codec, jobcodec
 from repro.service import (
     FRAME_HEADER_BYTES,
     WORKLOADS,
@@ -209,11 +210,12 @@ class TestFrameTable:
         }
         (field,) = payload_fields  # one spec, shared by job/result/result_part
         assert (field.kind, field.hi) == ("payload", limit)
+        encode, read = codec.KINDS["payload"]
         with pytest.raises(CodecError, match="exceeds limit"):
-            codec._encode_field(field, b"\x00" * (limit + 1))
+            encode(field, b"\x00" * (limit + 1))
         oversized = encode_uint(limit + 1) + b"\x00" * (limit + 1)
         with pytest.raises(CodecError, match="exceeds limit"):
-            codec._read_field(field, oversized, 0)
+            read(field, oversized, 0)
 
     @pytest.mark.parametrize(
         "tag, name, cls, keep_fields",
@@ -246,37 +248,82 @@ def _size(n: int) -> str:
     return f"{n} B"
 
 
-def _readme_field(field: codec.Field) -> str:
+def _readme_field(field: wire.Field) -> str:
+    """One field as the README spells it: ``attr`` (``?`` if optional),
+    its kind, then whatever range or cap the row declares."""
+    spec = field.kind
+    ranged = field.hi not in (wire.Field("x", "uint").hi, wire.VARINT_MAX)
     if field.kind == "uint":
         if field.lo == field.hi:
-            spec = f"uvarint = {field.lo}"
-        elif field.hi != codec.Field("x", "uint").hi:
-            spec = f"uvarint {field.lo}..{field.hi}"
-        else:
-            spec = "uvarint" if field.lo == 0 else f"uvarint ≥ {field.lo}"
-    elif field.kind == "str":
-        spec = f"str {field.lo}..{_size(field.hi)}"
-        if field.arg:
-            spec += " ∈ {" + ", ".join(field.arg) + "}"
+            spec += f" = {field.lo}"
+        elif ranged:
+            spec += f" {field.lo}..{field.hi}"
+        elif field.lo:
+            spec += f" ≥ {field.lo}"
     elif field.kind == "msg":
-        spec = f"{field.arg.__name__} ≤ {_size(field.hi)}"
+        spec += f" {field.arg.__name__} ≤ {_size(field.hi)}"
     elif field.kind in ("json", "payload"):
-        spec = f"{'JSON' if field.kind == 'json' else 'bytes'} ≤ {_size(field.hi)}"
-    else:
-        spec = {"int": "zigzag varint", "flag": "flag byte"}[field.kind]
+        spec += f" ≤ {_size(field.hi)}"
+    elif field.kind in ("str", "bytes") and ranged:
+        spec += f" {field.lo}..{_size(field.hi)}"
+    if field.kind == "str" and field.arg:
+        spec += " ∈ {" + ", ".join(field.arg) + "}"
     return f"`{field.attr}`{'?' if field.optional else ''} {spec}"
 
 
-class TestReadmeTable:
-    def test_frame_wire_format_table_matches_the_code(self):
-        """README "Frame wire format" is rendered from ``FRAMES``: a
-        tag, name, field, range or cap that moves must move there too."""
-        readme = (
-            pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        ).read_text(encoding="utf-8")
-        for row in codec.FRAMES:
-            layout = " · ".join(map(_readme_field, row.fields)) or "—"
-            assert f"| `0x{row.tag:02X}` | `{row.name}` | {layout} |" in readme
+def _readme_section(title: str) -> str:
+    readme = (
+        pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    ).read_text(encoding="utf-8")
+    _, _, rest = readme.partition(f"\n## {title}\n")
+    assert rest, f"README has no section {title!r}"
+    return rest.partition("\n## ")[0]
+
+
+def _table_rows(section: str) -> list[str]:
+    """A section's table body rows (header and ``---`` row dropped)."""
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    return [row for row in rows if not row.startswith("| ---")][1:]
+
+
+class TestReadmeTables:
+    """The README's wire tables are the code tables, row for row: a
+    tag, name, kind, field, range or cap that moves must move there
+    too, and a row added to either side alone fails."""
+
+    def test_field_kinds_list_matches_the_code(self):
+        rows = _table_rows(_readme_section("Wire formats: one field table"))
+        assert [row.split("|")[1].strip() for row in rows] == [
+            f"`{kind}`" for kind in {**protocol.KINDS, **codec.KINDS}
+        ]
+
+    def test_frame_table_matches_the_code(self):
+        assert _table_rows(_readme_section("Frame wire format")) == [
+            f"| `0x{row.tag:02X}` | `{row.name}` | "
+            f"{' · '.join(map(_readme_field, row.fields)) or '—'} |"
+            for row in codec.FRAMES
+        ]
+
+    def test_term_table_matches_the_code(self):
+        section = _readme_section("Job wire format").partition("\n### ")[0]
+        # Tag byte and name, row for row; the third column is prose.
+        assert [row.rsplit(" | ", 1)[0] for row in _table_rows(section)] == [
+            f"| `0x{term.tag:02X}` | `{term.name}`" for term in jobcodec.TERMS
+        ]
+
+    def test_message_layouts_match_the_code(self):
+        messages = [
+            cls
+            for cls in vars(protocol).values()
+            if isinstance(cls, type)
+            and issubclass(cls, wire.WireMessage)
+            and cls.__module__ == protocol.__name__
+        ]
+        assert len(messages) == 10
+        assert _table_rows(_readme_section("Proof wire format")) == [
+            f"| `{cls.__name__}` | {' · '.join(map(_readme_field, cls.FIELDS))} |"
+            for cls in messages
+        ]
 
 
 _SPAN = {"tid": "t1", "sid": "s1", "name": "worker.execute", "ts": 1.5, "dur": 0.25}

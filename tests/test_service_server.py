@@ -127,7 +127,7 @@ class TestEndToEnd:
 
         server = asyncio.run(scenario())
         assert server.outcomes == sync_outcomes(cfg)
-        assert server.stats.verifications == 3
+        assert server.registry.value("repro_verifications_total") == 3
 
 
 class TestInterleavedCBS:
@@ -258,7 +258,7 @@ class TestProtocolPolicing:
         )
         assert isinstance(replies[-1], ErrorFrame)
         assert "unknown task" in replies[-1].message
-        assert server.stats.errors == 1
+        assert server.registry.sum_values("repro_errors_total") == 1
 
     def test_commitment_in_nicbs_mode_rejected(self):
         cfg = config("ni-cbs")
@@ -360,7 +360,7 @@ class TestProtocolPolicing:
         assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
         assert session.state is SessionState.DONE
         assert session.outcome.reason == RejectReason.MALFORMED_PROOF
-        assert server.stats.errors == 0
+        assert server.registry.sum_values("repro_errors_total") == 0
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):
         cfg = config("ni-cbs")
@@ -445,7 +445,7 @@ class TestEvictionIntegration:
         reply, rerun, server = asyncio.run(scenario())
         assert isinstance(reply, ErrorFrame)
         assert "unknown task" in reply.message
-        assert server.stats.errors == 1
+        assert server.registry.sum_values("repro_errors_total") == 1
         assert rerun.accepted
 
     def test_abandoned_session_evicted_then_slot_reusable(self):
@@ -462,7 +462,9 @@ class TestEvictionIntegration:
                 await client.close()
 
                 await asyncio.sleep(0.2)  # > ttl: the sweeper fires
-                assert server.sessions.stats.evicted == 1
+                assert server.registry.value(
+                    "repro_sessions_total", event="evicted"
+                ) == 1
 
                 # The slot is assignable again; the rerun completes.
                 client = ServiceClient(*server.connect_memory())
@@ -492,3 +494,24 @@ class TestConfigValidation:
 
         with pytest.raises(ProtocolError):
             ServiceConfig(domain=ExplicitDomain([1, 2, 3]))
+
+    def test_seed_whose_children_overflow_the_assign_frame_rejected(self):
+        """Participant i gets ``derive_seed(seed, i)``; the assign frame
+        carries it as a uint below 2**63.  A master seed whose last
+        child does not fit used to start cleanly and then have every
+        client refuse its assignment."""
+        from repro.engine import derive_seed
+        from repro.service.codec import ASSIGN_SEED
+
+        domain = RangeDomain(0, 64)
+        edge = ASSIGN_SEED.hi // derive_seed(1, 0)  # largest seed with room
+        fits = ServiceConfig(domain=domain, n_participants=4, seed=edge)
+        assert derive_seed(fits.seed, 3) <= ASSIGN_SEED.hi
+        for seed, n in ((edge + 1, 1), (10**13, 4), (-1, 1)):
+            with pytest.raises(ProtocolError, match="assign frame"):
+                ServiceConfig(domain=domain, n_participants=n, seed=seed)
+        # The last child, not the first, decides.
+        tight = ASSIGN_SEED.hi - derive_seed(edge, 0)
+        ServiceConfig(domain=domain, n_participants=tight + 1, seed=edge)
+        with pytest.raises(ProtocolError, match="assign frame"):
+            ServiceConfig(domain=domain, n_participants=tight + 2, seed=edge)

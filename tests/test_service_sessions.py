@@ -24,6 +24,10 @@ class FakeClock:
         self.now = seconds
 
 
+def events(store: SessionStore, event: str) -> float:
+    return store.registry.value("repro_sessions_total", event=event)
+
+
 def assignment(task_id: str = "task-0") -> TaskAssignment:
     return TaskAssignment(task_id, RangeDomain(0, 32), PasswordSearch())
 
@@ -60,7 +64,7 @@ class TestLifecycle:
         store.create("task-0", 0, assignment(), seed=7, protocol="cbs")
         with pytest.raises(ProtocolError):
             store.create("task-0", 1, assignment(), seed=8, protocol="cbs")
-        assert store.stats.rejected_duplicates == 1
+        assert events(store, "rejected_duplicate") == 1
         assert len(store) == 1  # the original survives
 
     def test_unknown_task_rejected(self):
@@ -117,7 +121,7 @@ class TestEviction:
         clock.advance(6)  # task-0 idle 11s, task-1 idle 6s
         assert store.evict_stale() == ["task-0"]
         assert "task-0" not in store and "task-1" in store
-        assert store.stats.evicted == 1
+        assert events(store, "evicted") == 1
         # A participant returning after eviction looks brand new.
         with pytest.raises(ProtocolError):
             store.get("task-0")
@@ -180,7 +184,7 @@ class TestEvictionRacingVerification:
         assert store.evict_stale() == ["task-0"]
         with pytest.raises(ProtocolError, match="unknown task"):
             store.record_outcome("task-0", outcome())
-        assert store.stats.completed == 0
+        assert events(store, "completed") == 0
         assert store.outcomes == {}
 
 
@@ -197,7 +201,7 @@ class TestBackwardJumpingClock:
         clock.jump_to(0.0)  # the clock falls over
         assert store.evict_stale() == []
         assert "task-0" in store
-        assert store.stats.evicted == 0
+        assert events(store, "evicted") == 0
 
     def test_touch_during_backward_jump_does_not_rewind(self):
         # The dangerous interleaving: create at t=100, clock jumps to
