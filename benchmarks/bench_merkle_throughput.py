@@ -14,6 +14,7 @@ import _perf
 from repro.analysis import format_table
 from repro.merkle import MerkleTree, StreamingMerkleBuilder, get_hash
 from repro.tasks import PasswordSearch
+from repro.utils.encoding import encode_uint
 
 FN = PasswordSearch()
 
@@ -67,7 +68,18 @@ def test_proof_size_table(benchmark, save_table):
         for exp in (8, 10, 12, 14, 16):
             n = 1 << exp
             tree = MerkleTree(payloads(n))
-            size = tree.auth_path(0).wire_size()
+            # One independent path as the paper ships it (the per-path
+            # reference form): leaf index, leaf count, encoding code,
+            # sibling count, then a length byte and a digest per level.
+            path = tree.auth_path(0)
+            digest_size = tree.hash_fn.digest_size
+            size = (
+                len(encode_uint(path.leaf_index))
+                + len(encode_uint(path.n_leaves))
+                + 1
+                + len(encode_uint(path.height))
+                + path.height * (1 + digest_size)
+            )
             rows.append(
                 {
                     "n": f"2^{exp}",

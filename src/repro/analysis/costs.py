@@ -4,8 +4,12 @@ These are the analytic models the measured ledgers are compared with:
 
 * **Communication (E3).**  Naive schemes put all ``n`` results on the
   wire; CBS ships one digest plus ``m`` proofs of ``⌈log2 n⌉`` sibling
-  digests each.  The byte models below include the codec's framing so
-  they can be checked against measured ``wire_size()`` exactly.
+  digests each.  The byte models below include the codec's framing.
+  The naive model is checked against measured ``wire_size()`` exactly;
+  the CBS model is the paper's *per-path* count (``m·H`` digests) and
+  bounds the measured bytes from above — a bundle travels as one
+  multiproof, which ships a digest several samples share, or can
+  derive from each other, once or not at all.
 * **Storage trade-off (§3.3, E4)** — re-exported from
   :mod:`repro.core.storage_opt`.
 * **Regrinding economics (Eq. 5, E5).**  Expected attack cost
@@ -59,9 +63,12 @@ def cbs_participant_bytes(
 ) -> int:
     """Wire bytes a CBS participant sends: commitment + ``m`` proofs.
 
-    The ``O(m log n)`` term: each proof carries the claimed result and
-    ``H = ⌈log2 n⌉`` sibling digests (plus codec framing).  Matches the
-    measured ledger exactly for power-of-two ``n``.
+    The ``O(m log n)`` term as the paper counts it: ``m`` independent
+    proofs, each carrying the claimed result and ``H = ⌈log2 n⌉``
+    sibling digests (plus per-path codec framing).  An upper bound on
+    the measured ledger, whose bundle is one multiproof; the digest
+    counts agree when no two samples share an ancestor below the root
+    (``m = 1``).
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -69,7 +76,7 @@ def cbs_participant_bytes(
     commitment = (
         _framed_bytes(task_id_size) + _framed_bytes(digest_size) + _varint_size(n)
     )
-    # SampleProof: index varint + framed result + auth path
+    # One sample on its own: index varint + framed result + auth path
     #   (leaf_index + n_leaves + encoding code + framed sibling list).
     per_proof_fixed = (
         _framed_bytes(result_size)

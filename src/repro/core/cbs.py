@@ -27,7 +27,6 @@ import random
 
 from repro.cheating.strategies import Behavior, ComputedWork
 from repro.core.protocol import (
-    BatchProofMsg,
     CommitmentMsg,
     ProofBundleMsg,
     ReportsMsg,
@@ -37,17 +36,15 @@ from repro.core.protocol import (
 )
 from repro.core.scheme import (
     RejectReason,
-    SampleVerdict,
     SchemeRunResult,
     VerificationOutcome,
     VerificationScheme,
 )
 from repro.core.storage_opt import TreeBackend
 from repro.core.verification import verify_proof_bundle
-from repro.exceptions import ProtocolError, ReproError, SchemeConfigurationError
+from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
-from repro.merkle.multiproof import MerkleMultiProof, build_multiproof
 from repro.merkle.tree import LeafEncoding
 from repro.tasks.function import MeteredFunction
 from repro.tasks.result import TaskAssignment
@@ -155,35 +152,6 @@ class CBSParticipant:
         )
         self.ledger.bump("proofs", len(proofs))
         return ProofBundleMsg(task_id=self.assignment.task_id, proofs=proofs)
-
-    def prove_batch(self, challenge: SampleChallengeMsg) -> BatchProofMsg:
-        """Step 3 with one compressed multiproof for all samples (E11).
-
-        Duplicate sample indices (with-replacement draws) collapse to
-        one proven leaf.  Requires the full-tree backend.
-        """
-        if self.backend is None:
-            raise ProtocolError("prove_batch() before compute_and_commit()")
-        if challenge.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"challenge for task {challenge.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
-        n = self.assignment.n_inputs
-        distinct = sorted(set(challenge.indices))
-        for index in distinct:
-            if not 0 <= index < n:
-                raise ProtocolError(f"challenged index {index} outside [0, {n})")
-        proof = build_multiproof(self.backend.full_tree, distinct)
-        self.ledger.bump("proofs", len(distinct))
-        return BatchProofMsg(
-            task_id=self.assignment.task_id,
-            indices=tuple(distinct),
-            claimed_results=tuple(
-                self.backend.committed_payload(i) for i in distinct
-            ),
-            proof_bytes=proof.encode(),
-        )
 
     # ------------------------------------------------------------------
     # Screener reports (the grid's normal payload, §2.1)
@@ -331,82 +299,6 @@ class CBSSupervisor:
         outcome.record(verdicts)
         return outcome
 
-    def verify_batch(self, msg: BatchProofMsg) -> VerificationOutcome:
-        """Step 4 over a compressed multiproof (E11).
-
-        Checks: (a) the proven set is exactly the distinct challenged
-        indices; (b) every claimed result passes the f-check; (c) the
-        single root reconstruction matches the commitment.
-        """
-        if self._challenge is None:
-            raise ProtocolError("verify before challenge")
-        if msg.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"proofs for task {msg.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
-        outcome = VerificationOutcome(
-            task_id=self.assignment.task_id, accepted=True
-        )
-        expected = tuple(sorted(set(self._challenge.indices)))
-        if (
-            msg.indices != expected
-            or len(msg.claimed_results) != len(expected)
-        ):
-            outcome.accepted = False
-            outcome.reason = RejectReason.MALFORMED_PROOF
-            return outcome
-        try:
-            proof = MerkleMultiProof.decode(msg.proof_bytes)
-        except ReproError:
-            outcome.accepted = False
-            outcome.reason = RejectReason.MALFORMED_PROOF
-            return outcome
-        if (
-            proof.leaf_indices != expected
-            or proof.n_leaves != self._commitment.n_leaves
-            or proof.leaf_encoding != self.leaf_encoding
-        ):
-            outcome.accepted = False
-            outcome.reason = RejectReason.MALFORMED_PROOF
-            return outcome
-
-        # Check 1 per sample: claimed f(x) correctness.
-        claims = dict(zip(msg.indices, msg.claimed_results))
-        for index in expected:
-            self.ledger.bump("samples_verified")
-            ok = self._metered.verify(
-                self.assignment.domain[index], claims[index]
-            )
-            outcome.verdicts.append(
-                SampleVerdict(
-                    index=index,
-                    accepted=ok,
-                    reason=RejectReason.OK if ok else RejectReason.WRONG_RESULT,
-                )
-            )
-            if not ok:
-                outcome.accepted = False
-                outcome.reason = RejectReason.WRONG_RESULT
-                if self.stop_on_first_failure:
-                    return outcome
-
-        # Check 2 once: the batch root reconstruction.
-        if outcome.accepted and not proof.verify(
-            claims, self._commitment.root, self.hash_fn
-        ):
-            outcome.accepted = False
-            outcome.reason = RejectReason.ROOT_MISMATCH
-            outcome.verdicts = [
-                SampleVerdict(
-                    index=v.index,
-                    accepted=False,
-                    reason=RejectReason.ROOT_MISMATCH,
-                )
-                for v in outcome.verdicts
-            ]
-        return outcome
-
     def verdict_message(self, outcome: VerificationOutcome) -> VerdictMsg:
         """Wrap an outcome for the wire (Step 4 notification)."""
         return VerdictMsg(
@@ -430,9 +322,7 @@ class CBSScheme(VerificationScheme):
     Parameters mirror the participant/supervisor constructors; ``m`` is
     the paper's sample count.  ``include_reports=True`` additionally
     ships the screener hits (the grid's useful output) so end-to-end
-    traffic matches a real deployment.  ``batch_proofs=True`` replaces
-    the ``m`` independent authentication paths with one compressed
-    multiproof (the E11 optimization; full-tree backend only).
+    traffic matches a real deployment.
     """
 
     def __init__(
@@ -444,13 +334,7 @@ class CBSScheme(VerificationScheme):
         with_replacement: bool = True,
         include_reports: bool = True,
         stop_on_first_failure: bool = True,
-        batch_proofs: bool = False,
     ) -> None:
-        if batch_proofs and subtree_height:
-            raise SchemeConfigurationError(
-                "batched proofs need the full tree; the §3.3 partial "
-                "backend cannot serve interior digests below the cut"
-            )
         self.n_samples = n_samples
         self.hash_name = hash_name
         self.leaf_encoding = leaf_encoding
@@ -458,10 +342,7 @@ class CBSScheme(VerificationScheme):
         self.with_replacement = with_replacement
         self.include_reports = include_reports
         self.stop_on_first_failure = stop_on_first_failure
-        self.batch_proofs = batch_proofs
-        self.name = (
-            f"cbs-batched(m={n_samples})" if batch_proofs else f"cbs(m={n_samples})"
-        )
+        self.name = f"cbs(m={n_samples})"
 
     def run(
         self,
@@ -500,18 +381,10 @@ class CBSScheme(VerificationScheme):
         challenge = transfer(
             supervisor.make_challenge(), supervisor_ledger, participant_ledger
         )
-        if self.batch_proofs:
-            proofs = transfer(
-                participant.prove_batch(challenge),
-                participant_ledger,
-                supervisor_ledger,
-            )
-            outcome = supervisor.verify_batch(proofs)
-        else:
-            proofs = transfer(
-                participant.prove(challenge), participant_ledger, supervisor_ledger
-            )
-            outcome = supervisor.verify(proofs)
+        proofs = transfer(
+            participant.prove(challenge), participant_ledger, supervisor_ledger
+        )
+        outcome = supervisor.verify(proofs)
         transfer(
             supervisor.verdict_message(outcome), supervisor_ledger, participant_ledger
         )

@@ -10,7 +10,9 @@ Message flow (interactive CBS, §3.1):
 1. participant → supervisor: :class:`CommitmentMsg` (``Φ(R)``)
 2. supervisor → participant: :class:`SampleChallengeMsg` (``i_1..i_m``)
 3. participant → supervisor: :class:`ProofBundleMsg`
-   (per sample: claimed ``f(x_i)`` + sibling digests ``λ_1..λ_H``)
+   (per sample: claimed ``f(x_i)`` + sibling digests ``λ_1..λ_H`` —
+   on the wire one multiproof: a digest several samples share, or can
+   derive from each other, travels once or not at all)
 4. supervisor → participant: :class:`VerdictMsg`
 
 NI-CBS (§4) collapses 1–3 into a single :class:`NICBSSubmissionMsg`.
@@ -23,21 +25,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.core.wire import KINDS as _SHARED_KINDS, VARINT_MAX, Field, WireMessage
+from repro.core.wire import (
+    KINDS as _SHARED_KINDS,
+    MAX_CONTAINER_ITEMS,
+    VARINT_MAX,
+    Field,
+    WireMessage,
+)
 from repro.exceptions import CodecError
+from repro.merkle.multiproof import supplied_siblings
 from repro.merkle.proof import AuthenticationPath
-from repro.merkle.serialize import decode_auth_path, encode_auth_path
+from repro.merkle.serialize import ENCODING_CODES, ENCODING_FROM_CODE
+from repro.merkle.tree import LeafEncoding
 from repro.utils.encoding import (
-    encode_bytes,
+    encode_bytes_list,
     encode_uint,
-    read_bytes,
+    read_bytes_list,
     read_uint,
+    read_uints,
 )
 
 # A protocol message declares no range of its own, and everything its
 # decoder rejects is a malformed encoding: a CodecError.
 _field = partial(Field, hi=VARINT_MAX, error=CodecError)
 _TASK_ID = _field("task_id", "str")
+
+#: Tallest path a bundle may claim: a tree over 2^64 leaves (§3's
+#: headline domain).
+MAX_PATH_HEIGHT = 64
 
 
 @dataclass(frozen=True)
@@ -62,45 +77,138 @@ class SampleChallengeMsg(WireMessage):
 
 
 @dataclass(frozen=True)
-class SampleProof(WireMessage):
-    """Step 3 payload for one sample: claimed result + auth path."""
+class SampleProof:
+    """Step 3 payload for one sample: claimed result + auth path.
+
+    The in-memory form only; on the wire a whole bundle is one
+    multiproof (the ``proofs`` kind below).
+    """
 
     index: int
     claimed_result: bytes
     path: AuthenticationPath
 
-    FIELDS = (
-        _field("index", "uint"),
-        _field("claimed_result", "bytes"),
-        _field("path", "path"),
-    )
-
 
 def _encode_proofs(spec: Field, proofs: tuple[SampleProof, ...]) -> bytes:
-    """The ``proofs`` kind: a count, then that many :class:`SampleProof`
-    rows back to back — the same bytes as encoding each proof on its
-    own, built in one pass per bundle."""
-    parts = [encode_uint(len(proofs))]
-    append = parts.append
+    """The ``proofs`` kind: a bundle as one multiproof.
+
+    ``m ‖ n_leaves ‖ leaf-encoding code ‖ height ‖ the m sample indices
+    in sample order ‖ the claimed results of the distinct leaves,
+    ascending ‖ the supplied sibling digests, level-major, left to
+    right`` (both lists counted); an empty bundle is ``m = 0`` alone.
+    Only the positions :func:`~repro.merkle.multiproof.supplied_siblings`
+    names are read from the paths, so a decoded bundle re-encodes to
+    the bytes it came from.  One header means one geometry: a bundle
+    that mixes tree sizes, encodings or heights, whose path disagrees
+    with its sample index, or that claims two results for one leaf has
+    no encoding and raises :class:`CodecError`.
+    """
+    if not proofs:
+        return encode_uint(0)
+    first = proofs[0].path
+    n_leaves, height = first.n_leaves, len(first.siblings)
+    # A path built without an encoding has always meant HASHED.
+    encoding = first.leaf_encoding or LeafEncoding.HASHED
+    by_leaf: dict[int, SampleProof] = {}
     for proof in proofs:
-        append(encode_uint(proof.index))
-        append(encode_bytes(proof.claimed_result))
-        append(encode_auth_path(proof.path))
-    return b"".join(parts)
+        path = proof.path
+        if (
+            path.leaf_index != proof.index
+            or path.n_leaves != n_leaves
+            or len(path.siblings) != height
+            or (path.leaf_encoding or LeafEncoding.HASHED) is not encoding
+            or by_leaf.setdefault(proof.index, proof).claimed_result
+            != proof.claimed_result
+        ):
+            raise CodecError(
+                f"sample {proof.index} does not share the bundle's tree "
+                "(one index, size, encoding, height and result per leaf)"
+            )
+    leaves = sorted(by_leaf)
+    digests = [
+        by_leaf[leaf].path.siblings[level]
+        for level, row in enumerate(supplied_siblings(leaves, height))
+        for _node, leaf in row
+    ]
+    if None in digests:
+        raise CodecError("a sibling digest the bundle has to supply is missing")
+    return b"".join(
+        (
+            encode_uint(len(proofs)),
+            encode_uint(n_leaves),
+            encode_uint(ENCODING_CODES[encoding]),
+            encode_uint(height),
+            *[encode_uint(proof.index) for proof in proofs],
+            encode_bytes_list([by_leaf[leaf].claimed_result for leaf in leaves]),
+            encode_bytes_list(digests),
+        )
+    )
 
 
 def _read_proofs(
     spec: Field, data: bytes, pos: int
 ) -> tuple[tuple[SampleProof, ...], int]:
+    """Read one bundle back as ``m`` :class:`SampleProof`s.
+
+    Samples of one leaf share one proof object, and a path holds
+    ``None`` wherever its sibling is derivable from the other samples —
+    so folding a received path on its own fails loudly rather than
+    folding garbage.  Everything sized from a claimed count is bounded
+    first: ``m`` by the bytes left (an index is at least one), ``height``
+    by :data:`MAX_PATH_HEIGHT`, the ``m × height`` sibling slots by
+    :data:`~repro.core.wire.MAX_CONTAINER_ITEMS`.
+    """
     count, pos = read_uint(data, pos)
-    proofs = []
-    append = proofs.append
-    for _ in range(count):
-        index, pos = read_uint(data, pos)
-        claimed, pos = read_bytes(data, pos)
-        path, pos = decode_auth_path(data, pos)
-        append(SampleProof(index, claimed, path))
-    return tuple(proofs), pos
+    if not count:
+        return (), pos
+    n_leaves, pos = read_uint(data, pos)
+    code, pos = read_uint(data, pos)
+    encoding = ENCODING_FROM_CODE.get(code)
+    if encoding is None:
+        raise CodecError(f"unknown leaf-encoding code {code}")
+    height, pos = read_uint(data, pos)
+    if (
+        count > len(data) - pos
+        or height > MAX_PATH_HEIGHT
+        or count * height > MAX_CONTAINER_ITEMS
+    ):
+        raise CodecError(
+            f"bundle of {count} samples over height {height} exceeds the "
+            "bytes that follow or the sibling-slot limit"
+        )
+    indices, pos = read_uints(data, pos, count)
+    leaves = sorted(set(indices))
+    results, pos = read_bytes_list(data, pos)
+    if len(results) != len(leaves):
+        raise CodecError(
+            f"{len(results)} claimed results for {len(leaves)} distinct leaves"
+        )
+    digests, pos = read_bytes_list(data, pos)
+    levels = supplied_siblings(leaves, height)
+    if len(digests) != sum(map(len, levels)):
+        raise CodecError(
+            f"{len(digests)} supplied digests, the samples need "
+            f"{sum(map(len, levels))}"
+        )
+    # One column per level — for every leaf, the digest supplied beside
+    # its ancestor there, or None — then transposed into the paths.
+    supply = iter(digests)
+    columns = []
+    ancestors = leaves
+    for row in levels:
+        beside = {node ^ 1: digest for (node, _leaf), digest in zip(row, supply)}
+        columns.append(list(map(beside.get, ancestors)))
+        ancestors = [node >> 1 for node in ancestors]
+    paths = map(list, zip(*columns)) if height else ([] for _ in leaves)
+    by_leaf = {
+        leaf: SampleProof(
+            leaf,
+            result,
+            AuthenticationPath.from_uniform(leaf, siblings, n_leaves, encoding),
+        )
+        for leaf, result, siblings in zip(leaves, results, paths)
+    }
+    return tuple(map(by_leaf.__getitem__, indices)), pos
 
 
 #: The shared kinds plus the one only this module can build.
@@ -115,30 +223,6 @@ class ProofBundleMsg(WireMessage, kinds=KINDS):
     proofs: tuple[SampleProof, ...]
 
     FIELDS = (_TASK_ID, _field("proofs", "proofs"))
-
-
-@dataclass(frozen=True)
-class BatchProofMsg(WireMessage):
-    """Step 3 variant: one compressed multiproof for all samples.
-
-    An optimization over :class:`ProofBundleMsg` (E11): the sampled
-    leaves' authentication paths share interior digests, so a single
-    :class:`~repro.merkle.multiproof.MerkleMultiProof` is strictly
-    smaller than ``m`` independent paths.  Claimed results ride along
-    per distinct index (duplicate samples collapse).
-    """
-
-    task_id: str
-    indices: tuple[int, ...]
-    claimed_results: tuple[bytes, ...]
-    proof_bytes: bytes  # encoded MerkleMultiProof
-
-    FIELDS = (
-        _TASK_ID,
-        _field("indices", "uints"),
-        _field("claimed_results", "bytes_list"),
-        _field("proof_bytes", "bytes"),
-    )
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,12 @@ class RejectReason(enum.Enum):
     PROTOCOL_VIOLATION = "protocol_violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleVerdict:
-    """Per-sample verification result (CBS Step 4)."""
+    """Per-sample verification result (CBS Step 4).
+
+    Slotted: a service retains one per verified sample per session.
+    """
 
     index: int
     accepted: bool

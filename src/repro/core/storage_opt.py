@@ -147,17 +147,3 @@ class TreeBackend:
         if self._full is not None:
             return self._full.auth_path(index)
         return self._partial.auth_path(index)
-
-    @property
-    def full_tree(self) -> MerkleTree:
-        """The in-memory tree (batched multiproofs need it).
-
-        Raises :class:`~repro.exceptions.MerkleError` in §3.3 partial
-        mode, where interior nodes below the cut are not stored.
-        """
-        if self._full is None:
-            raise MerkleError(
-                "batched proofs require the full-tree backend "
-                "(subtree_height in (None, 0))"
-            )
-        return self._full

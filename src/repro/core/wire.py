@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 from repro.exceptions import CodecError, ProtocolError, ReproError
-from repro.merkle.serialize import decode_auth_path, encode_auth_path
 from repro.utils.encoding import (
     encode_bytes,
     encode_bytes_list,
@@ -41,6 +40,12 @@ from repro.utils.encoding import (
 #: (eleven 7-bit groups): the ``hi`` of a field that declares no range.
 VARINT_MAX = (1 << 77) - 1
 
+#: Ceiling on anything a reader sizes from a count the peer claimed
+#: rather than from bytes the peer sent: one job-payload container
+#: (:mod:`repro.service.jobcodec`), the ``m × height`` sibling slots of
+#: a proof bundle (:mod:`repro.core.protocol`).
+MAX_CONTAINER_ITEMS = 1 << 21
+
 
 class Field(NamedTuple):
     """One field of a layout: attribute, wire kind, and the bounds the
@@ -52,11 +57,10 @@ class Field(NamedTuple):
     ``arg``, if given) and ``msg`` (the canonical encoding of message
     class ``arg``) are length-prefixed and ``lo..hi`` bytes long.
     ``uints``, ``bytes_list`` and ``strs`` are a count followed by that
-    many items, read back as tuples; ``path`` is one Merkle
-    authentication path (:mod:`repro.merkle.serialize`).  A module
-    binds the kinds only it can build from its own extension of
-    :data:`KINDS`.  An ``optional`` field leads with a presence flag
-    byte and is ``None`` when it is clear.
+    many items, read back as tuples.  A module binds the kinds only it
+    can build from its own extension of :data:`KINDS`.  An ``optional``
+    field leads with a presence flag byte and is ``None`` when it is
+    clear.
     """
 
     attr: str
@@ -180,10 +184,6 @@ KINDS: dict[str, tuple[Callable, Callable]] = {
     "uints": (_of_value(encode_uint_list), _tupled(read_uint_list)),
     "bytes_list": (_of_value(encode_bytes_list), _tupled(read_bytes_list)),
     "strs": (_encode_strs, _read_strs),
-    "path": (
-        _of_value(encode_auth_path),
-        lambda field, data, pos: decode_auth_path(data, pos),
-    ),
 }
 
 

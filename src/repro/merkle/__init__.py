@@ -27,6 +27,10 @@ Public surface:
 * :func:`~repro.merkle.tree.chunked_proofs` — parallel proof
   generation for sampled leaves, same chunk decomposition, paths
   byte-identical to :meth:`~repro.merkle.tree.MerkleTree.auth_path`.
+* :func:`~repro.merkle.multiproof.supplied_siblings` and
+  :func:`~repro.merkle.multiproof.shared_root` — which sibling digests
+  a bundle of paths actually has to ship, and the one fold of the tree
+  they span (the wire and verification form of a proof bundle).
 """
 
 from repro.merkle.hashing import (
@@ -36,7 +40,7 @@ from repro.merkle.hashing import (
     available_hashes,
     get_hash,
 )
-from repro.merkle.multiproof import MerkleMultiProof, build_multiproof
+from repro.merkle.multiproof import shared_root, supplied_siblings
 from repro.merkle.partial import PartialMerkleTree
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
 from repro.merkle.streaming import StreamingMerkleBuilder
@@ -71,6 +75,6 @@ __all__ = [
     "StreamingMerkleBuilder",
     "AuthenticationPath",
     "compute_root_from_path",
-    "MerkleMultiProof",
-    "build_multiproof",
+    "supplied_siblings",
+    "shared_root",
 ]

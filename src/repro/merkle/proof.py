@@ -133,9 +133,3 @@ class AuthenticationPath:
     ) -> bool:
         """Check whether ``payload`` at ``leaf_index`` matches ``expected_root``."""
         return self.root_from_payload(payload, hash_fn) == expected_root
-
-    def wire_size(self) -> int:
-        """Approximate serialized size in bytes (see serialize module)."""
-        from repro.merkle.serialize import encode_auth_path
-
-        return len(encode_auth_path(self))

@@ -96,7 +96,7 @@ from repro.utils.encoding import encode_bytes, read_bytes
 #: window: ``hello`` decodes any plausible version so the coordinator
 #: can answer a skewed peer with a ``bye`` naming the version it speaks
 #: (:meth:`coordinator._serve_worker`); everything else must match.
-CLUSTER_WIRE_VERSION = 6
+CLUSTER_WIRE_VERSION = 7
 
 #: Byte ceilings on text fields: a worker id (it becomes a metrics
 #: label, a log field and a ``bye`` reason on the coordinator), a scheme

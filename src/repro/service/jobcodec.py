@@ -57,6 +57,7 @@ import struct as _struct
 import threading
 from typing import Any, Callable, NamedTuple
 
+from repro.core.wire import MAX_CONTAINER_ITEMS
 from repro.exceptions import CodecError
 from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES, check_payload_size
 from repro.utils.encoding import (
@@ -99,8 +100,6 @@ __all__ = [
 #: result values stay far below this; the whole payload is additionally
 #: bounded by ``MAX_CLUSTER_PAYLOAD_BYTES``.
 MAX_FIELD_BYTES = 8 * 1024 * 1024
-#: Ceiling on one container's element count.
-MAX_CONTAINER_ITEMS = 1 << 21
 #: Ceiling on term nesting depth.
 MAX_DEPTH = 64
 #: Ceiling on a registry (struct/callable) name.
@@ -1085,7 +1084,6 @@ def _register_defaults() -> None:
             "cbs_scheme", CBSScheme,
             "n_samples", "hash_name", leaf_encoding, "subtree_height",
             "with_replacement", "include_reports", "stop_on_first_failure",
-            "batch_proofs",
             cacheable=True,
         ),
         row(

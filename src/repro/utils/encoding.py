@@ -12,7 +12,9 @@ and accepts exactly the bytes the generic loops do: a varint below 128
 is one table lookup / one index, and a *uniform run* — a list whose
 items all have one length below 128, which is what a sibling-digest
 list or a results vector is — is one ``join`` to encode and one
-strided compare of every length prefix to decode.  Which path runs is
+strided compare of every length prefix to decode; a two-byte varint
+(a leaf index below 2^14) is likewise built and read inline.  Which
+path runs is
 decided from the values or the bytes themselves; anything else
 (mixed lengths, long items, multi-byte or overlong prefixes, truncated
 input) goes through the generic loops.
@@ -33,6 +35,8 @@ def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a varint."""
     if 0 <= value < 0x80:
         return _ONE_BYTE[value]
+    if 0x80 <= value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
     if value < 0:
         raise CodecError(f"cannot varint-encode negative value {value}")
     out = bytearray()
@@ -120,14 +124,33 @@ def encode_uint_list(values: list[int]) -> bytes:
     return bytes(out)
 
 
+def read_uints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """Decode ``count`` varints back to back at ``pos``.
+
+    One- and two-byte varints (every index into a domain below 2^14)
+    are read inline; anything longer, overlong or truncated goes
+    through :func:`read_uint`, which decodes or rejects it.
+    """
+    values: list[int] = []
+    append = values.append
+    end = len(data)
+    for _ in range(count):
+        if pos < end and (low := data[pos]) < 0x80:
+            append(low)
+            pos += 1
+        elif pos + 1 < end and (high := data[pos + 1]) < 0x80:
+            append(low & 0x7F | high << 7)
+            pos += 2
+        else:
+            value, pos = read_uint(data, pos)
+            append(value)
+    return values, pos
+
+
 def read_uint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
     """Decode a list written by :func:`encode_uint_list`."""
     count, pos = read_uint(data, offset)
-    values: list[int] = []
-    for _ in range(count):
-        value, pos = read_uint(data, pos)
-        values.append(value)
-    return values, pos
+    return read_uints(data, pos, count)
 
 
 def encode_bytes_list(items: Sequence[bytes]) -> bytes:

@@ -19,11 +19,11 @@ from repro.tasks import (
     TaskAssignment,
 )
 
-# Tier-1 runs every property test at hypothesis's small default.  CI's
-# cluster job sets HYPOTHESIS_PROFILE=ci for the tests that take their
-# example budget from the profile (the scheduler state machine): more
-# examples, the same ones on every run, and no per-example deadline on a
-# shared runner.
+# Tier-1 runs every property test at hypothesis's small default.  CI
+# sets HYPOTHESIS_PROFILE=ci for the tests that take their example
+# budget from the profile (the scheduler state machine, the per-path
+# verifier against the shared fold): more examples, the same ones on
+# every run, and no per-example deadline on a shared runner.
 settings.register_profile(
     "ci", max_examples=600, derandomize=True, deadline=None
 )

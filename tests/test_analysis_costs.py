@@ -13,7 +13,8 @@ from repro.analysis.costs import (
 )
 from repro.baselines import NaiveSamplingScheme
 from repro.cheating import HonestBehavior
-from repro.core import CBSScheme
+from repro.core import CBSParticipant, CBSScheme
+from repro.core.protocol import ProofBundleMsg, SampleChallengeMsg
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 
@@ -28,6 +29,9 @@ class TestCommunicationModels:
         assert result.participant_ledger.bytes_sent == predicted
 
     def test_cbs_model_matches_measured_for_pow2_n(self):
+        # The model is the paper's per-path count: m independent paths
+        # of H digests.  What is measured is one multiproof, so the
+        # model bounds it from above — by whatever the samples share.
         n, m = 256, 8
         task = TaskAssignment("t" * 8, RangeDomain(0, n), PasswordSearch())
         scheme = CBSScheme(m, include_reports=False)
@@ -36,11 +40,39 @@ class TestCommunicationModels:
             n, m, digest_size=32, result_size=16, task_id_size=8
         )
         measured = result.participant_ledger.bytes_sent
-        # Index varints vary with the sampled values: the model uses
-        # the worst case, so measured <= predicted within a few bytes
-        # per sample.
         assert measured <= predicted
-        assert predicted - measured <= 3 * m
+        # Eight samples of a 256-leaf tree meet at least in the top
+        # three levels: 8·8 digests would need 8 distinct subtrees
+        # under every node, and there are 2, 4, 8 nodes to share.
+        assert predicted - measured >= (8 - 2 + 8 - 4) * 33
+
+    @pytest.mark.parametrize("indices", [(5,), (77,), (0, 255)])
+    def test_cbs_model_digest_count_is_exact_without_shared_ancestors(
+        self, indices
+    ):
+        # m = 1 — or two samples in opposite halves, whose paths share
+        # only the root — supplies every sibling of every path except
+        # the two top-level ones that cover each other: the closed
+        # form's m·H digests, to the digest.
+        n, height = 256, 8
+        task = TaskAssignment("t" * 8, RangeDomain(0, n), PasswordSearch())
+        participant = CBSParticipant(task, HonestBehavior())
+        commitment = participant.compute_and_commit()
+        bundle = participant.prove(SampleChallengeMsg(task.task_id, indices))
+        received = ProofBundleMsg.decode(bundle.encode())
+        supplied = sum(
+            digest is not None
+            for proof in received.proofs
+            for digest in proof.path.siblings
+        )
+        m = len(indices)
+        assert supplied == m * height - (2 if m == 2 else 0)
+        predicted = cbs_participant_bytes(
+            n, m, digest_size=32, result_size=16, task_id_size=8
+        )
+        measured = commitment.wire_size() + bundle.wire_size()
+        saved = (m * height - supplied) * 33
+        assert 0 <= predicted - measured - saved <= 4 * m
 
     def test_supervisor_side_model(self):
         n, m = 256, 8

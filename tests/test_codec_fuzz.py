@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import (
     AssignMsg,
-    BatchProofMsg,
     CommitmentMsg,
     FullResultsMsg,
     NICBSSubmissionMsg,
@@ -30,9 +29,7 @@ from repro.core.protocol import (
     VerdictMsg,
 )
 from repro.exceptions import ProtocolError, ReproError
-from repro.merkle.multiproof import MerkleMultiProof
 from repro.merkle.proof import AuthenticationPath
-from repro.merkle.serialize import decode_auth_path
 from repro.merkle.tree import LeafEncoding
 from repro.exceptions import CodecError
 from repro.service.codec import (
@@ -78,14 +75,11 @@ DECODERS = [
     CommitmentMsg.decode,
     SampleChallengeMsg.decode,
     ProofBundleMsg.decode,
-    BatchProofMsg.decode,
     NICBSSubmissionMsg.decode,
     FullResultsMsg.decode,
     ReportsMsg.decode,
     VerdictMsg.decode,
     AssignMsg.decode,
-    MerkleMultiProof.decode,
-    decode_auth_path,
 ]
 
 
@@ -129,41 +123,48 @@ class TestGarbageRejection:
             _try_decode(SampleChallengeMsg.decode, bytes(mutated))
 
 
+def _bundle(leaf_encoding=LeafEncoding.HASHED) -> ProofBundleMsg:
+    """Samples 1, 4, 1 of a six-leaf tree: three supplied digests at the
+    leaf level and above, one result per distinct leaf."""
+    digest = b"\x11" * 8
+    return ProofBundleMsg(
+        "",
+        tuple(
+            SampleProof(
+                leaf,
+                bytes([leaf]),
+                AuthenticationPath(leaf, [digest] * 3, 6, leaf_encoding),
+            )
+            for leaf in (1, 4, 1)
+        ),
+    )
+
+
 class TestMultiProofFuzz:
     @given(code=st.integers(min_value=2, max_value=1 << 40))
     @settings(max_examples=40, deadline=None)
     def test_unknown_leaf_encoding_codes_rejected(self, code):
         # Codes outside the table used to decode as RAW, so one proof
         # had many encodings; only 0 and 1 name a leaf encoding.
-        from repro.utils.encoding import encode_uint
-
-        proof = MerkleMultiProof(
-            leaf_indices=(1, 4), siblings=(b"\x11" * 8,) * 3, n_leaves=6
-        )
-        encoded = proof.encode()
-        assert encoded[:2] == b"\x06\x00"
+        encoded = _bundle().encode()
+        assert encoded[:4] == b"\x00\x03\x06\x00"  # task, m, n_leaves, code
         with pytest.raises(ReproError):
-            MerkleMultiProof.decode(
-                encoded[:1] + encode_uint(code) + encoded[2:]
-            )
+            ProofBundleMsg.decode(encoded[:3] + encode_uint(code) + encoded[4:])
 
     def test_every_truncation_and_bit_flip_rejected_cleanly(self):
-        proof = MerkleMultiProof(
-            leaf_indices=(1, 4),
-            siblings=(b"\x11" * 8,) * 3,
-            n_leaves=6,
-            leaf_encoding=LeafEncoding.RAW,
-        )
-        encoded = proof.encode()
-        assert MerkleMultiProof.decode(encoded) == proof
+        bundle = _bundle(LeafEncoding.RAW)
+        encoded = bundle.encode()
+        decoded = ProofBundleMsg.decode(encoded)
+        assert decoded.encode() == encoded
+        assert [p.index for p in decoded.proofs] == [1, 4, 1]
         for cut in range(len(encoded)):
             with pytest.raises(ReproError):
-                MerkleMultiProof.decode(encoded[:cut])
+                ProofBundleMsg.decode(encoded[:cut])
         for i in range(len(encoded)):
             for bit in range(8):
                 mutated = bytearray(encoded)
                 mutated[i] ^= 1 << bit
-                _try_decode(MerkleMultiProof.decode, bytes(mutated))
+                _try_decode(ProofBundleMsg.decode, bytes(mutated))
 
 
 _task_ids = st.text(max_size=12)
@@ -171,26 +172,40 @@ _digests = st.binary(min_size=8, max_size=8)
 
 
 @st.composite
-def _auth_paths(draw):
+def _proof_bundles(draw):
+    """Up to four samples of one tree, as a peer receives them: every
+    sibling position a digest of the node it names, or ``None`` where
+    another sample determines it — the form a frame decodes *to*, so a
+    round trip is an identity."""
     height = draw(st.integers(min_value=0, max_value=4))
     n_leaves = 1 << height
-    return AuthenticationPath(
-        leaf_index=draw(st.integers(min_value=0, max_value=n_leaves - 1)),
-        siblings=draw(
-            st.lists(_digests, min_size=height, max_size=height)
-        ),
-        n_leaves=n_leaves,
-        leaf_encoding=draw(st.sampled_from(list(LeafEncoding))),
+    indices = draw(
+        st.lists(st.integers(min_value=0, max_value=n_leaves - 1), max_size=4)
     )
-
-
-@st.composite
-def _sample_proofs(draw):
-    return SampleProof(
-        index=draw(st.integers(min_value=0, max_value=1 << 20)),
-        claimed_result=draw(st.binary(max_size=16)),
-        path=draw(_auth_paths()),
-    )
+    encoding = draw(st.sampled_from(list(LeafEncoding)))
+    covered = [{index >> level for index in indices} for level in range(height)]
+    digest_at, result_at = {}, {}
+    proofs = []
+    for index in indices:
+        siblings = []
+        for level in range(height):
+            node = (index >> level) ^ 1
+            if node in covered[level]:
+                siblings.append(None)
+                continue
+            if (level, node) not in digest_at:
+                digest_at[level, node] = draw(_digests)
+            siblings.append(digest_at[level, node])
+        if index not in result_at:
+            result_at[index] = draw(st.binary(max_size=16))
+        proofs.append(
+            SampleProof(
+                index,
+                result_at[index],
+                AuthenticationPath.from_uniform(index, siblings, n_leaves, encoding),
+            )
+        )
+    return tuple(proofs)
 
 
 # Optional trace/span ids: absent (None) or 1..64 chars of printable
@@ -353,7 +368,7 @@ def _wire_frames(draw):
         return ProofsFrame(
             msg=ProofBundleMsg(
                 task_id=task_id,
-                proofs=tuple(draw(st.lists(_sample_proofs(), max_size=4))),
+                proofs=draw(_proof_bundles()),
             )
         )
     if kind == 5:
@@ -362,7 +377,7 @@ def _wire_frames(draw):
                 task_id=task_id,
                 root=draw(st.binary(max_size=40)),
                 n_leaves=draw(st.integers(min_value=0, max_value=1 << 20)),
-                proofs=tuple(draw(st.lists(_sample_proofs(), max_size=4))),
+                proofs=draw(_proof_bundles()),
             )
         )
     if kind == 6:
@@ -519,8 +534,9 @@ class TestClusterEnvelope:
     def test_wrong_version_rejected(self, frame):
         """No compat window: every payload-bearing frame leads with
         the wire version and is refused unless it matches exactly —
-        a v5 (JSON-era) or future frame never reaches a field decoder."""
-        assert CLUSTER_WIRE_VERSION == 6
+        a v6 (per-path proof bundles) or future frame never reaches a
+        field decoder."""
+        assert CLUSTER_WIRE_VERSION == 7
         payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
         assert payload[1] == CLUSTER_WIRE_VERSION
         for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
@@ -891,7 +907,6 @@ def _registered_scheme_instances():
             with_replacement=False,
             include_reports=False,
             stop_on_first_failure=False,
-            batch_proofs=True,
         ),
         NICBSScheme(
             n_samples=12,
@@ -1413,8 +1428,8 @@ class TestVersionSkewHandshake:
                     writer,
                     ByeFrame(
                         reason=(
-                            "incompatible cluster wire version 5: this "
-                            "coordinator speaks v6; upgrade the worker"
+                            "incompatible cluster wire version 6: this "
+                            "coordinator speaks v7; upgrade the worker"
                         )
                     ),
                 )

@@ -1,10 +1,15 @@
 """Differential tests: the proof codec against a naive reference.
 
-The reference below is deliberately slow and straight-line — one byte
-at a time, no tables, no strided compares, no shared helpers — and it
-imports nothing from :mod:`repro.utils.encoding` or
-:mod:`repro.merkle.serialize`, so it cannot inherit their mistakes.
-It decodes to plain tuples, not to the library's classes.
+The reference (``tests/proof_reference.py``) is deliberately slow and
+straight-line — one byte at a time, no tables, no strided compares, no
+shared helpers — and imports nothing from :mod:`repro.utils.encoding`,
+:mod:`repro.core.protocol` or :mod:`repro.merkle.multiproof`, so it
+cannot inherit their mistakes.  It decodes to plain tuples, not to the
+library's classes, and it is built from the *per-path* form of SNIPPETS
+snippet 1 (one sibling dict per level per sample): a bundle's multiproof
+is every sample expanded to its own path, minus what another sample
+determines.  The per-path encoder itself — the wire format until v7 —
+is kept as the reference for the paper's ``m·H`` digest count.
 
 Two properties are checked everywhere:
 
@@ -19,12 +24,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proof_reference import (
+    RefCodec,
+    RefShape,
+    compact,
+    per_path_digest_count,
+    plain_proofs,
+    ref_bundle,
+    ref_bytes_list,
+    ref_decode_bundle,
+    ref_decode_submission,
+    ref_multiproof,
+    ref_needed,
+    ref_per_path_proofs,
+    ref_read_bytes,
+    ref_read_bytes_list,
+    ref_read_text,
+    ref_read_uint,
+    ref_submission,
+    ref_uint,
+)
 from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg, SampleProof
 from repro.exceptions import CodecError, ProofShapeError
 from repro.merkle.proof import AuthenticationPath
-from repro.merkle.serialize import decode_auth_path, encode_auth_path
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 from repro.utils.encoding import (
@@ -35,188 +59,16 @@ from repro.utils.encoding import (
 )
 
 # ----------------------------------------------------------------------
-# The reference codec
-# ----------------------------------------------------------------------
-
-
-class RefCodec(Exception):
-    """The bytes are not a well-formed message."""
-
-
-class RefShape(Exception):
-    """Well-formed bytes describing an impossible authentication path."""
-
-
-def ref_uint(value):
-    out = []
-    while value >= 0x80:
-        out.append(0x80 | (value & 0x7F))
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
-def ref_read_uint(data, pos):
-    # Up to eleven bytes: ten with the continuation bit, then a last.
-    value = 0
-    for k in range(11):
-        if pos + k >= len(data):
-            raise RefCodec("varint runs off the end")
-        byte = data[pos + k]
-        value += (byte & 0x7F) << (7 * k)
-        if byte < 0x80:
-            return value, pos + k + 1
-    raise RefCodec("varint longer than eleven bytes")
-
-
-def ref_bytes(payload):
-    return ref_uint(len(payload)) + payload
-
-
-def ref_read_bytes(data, pos):
-    length, pos = ref_read_uint(data, pos)
-    if pos + length > len(data):
-        raise RefCodec("payload runs off the end")
-    return data[pos : pos + length], pos + length
-
-
-def ref_bytes_list(items):
-    out = ref_uint(len(items))
-    for item in items:
-        out += ref_bytes(item)
-    return out
-
-
-def ref_read_bytes_list(data, pos):
-    count, pos = ref_read_uint(data, pos)
-    items = []
-    for _ in range(count):
-        item, pos = ref_read_bytes(data, pos)
-        items.append(item)
-    return items, pos
-
-
-def ref_read_text(data, pos):
-    raw, pos = ref_read_bytes(data, pos)
-    try:
-        return raw.decode("utf-8"), pos
-    except UnicodeDecodeError:
-        raise RefCodec("task id is not UTF-8") from None
-
-
-# A path is the plain tuple (leaf_index, n_leaves, code, siblings); a
-# proof is (index, claimed_result, path).
-
-
-def ref_path(path):
-    leaf_index, n_leaves, code, siblings = path
-    return (
-        ref_uint(leaf_index)
-        + ref_uint(n_leaves)
-        + ref_uint(code)
-        + ref_bytes_list(siblings)
-    )
-
-
-def ref_read_path(data, pos):
-    leaf_index, pos = ref_read_uint(data, pos)
-    n_leaves, pos = ref_read_uint(data, pos)
-    code, pos = ref_read_uint(data, pos)
-    if code not in (0, 1):
-        raise RefCodec("no such leaf encoding")
-    siblings, pos = ref_read_bytes_list(data, pos)
-    if n_leaves and leaf_index >= n_leaves:
-        raise RefShape("leaf index outside the tree")
-    if len({len(sibling) for sibling in siblings}) > 1:
-        raise RefShape("sibling digests of different sizes")
-    return (leaf_index, n_leaves, code, siblings), pos
-
-
-def ref_proof(proof):
-    index, claimed, path = proof
-    return ref_uint(index) + ref_bytes(claimed) + ref_path(path)
-
-
-def ref_read_proof(data, pos):
-    index, pos = ref_read_uint(data, pos)
-    claimed, pos = ref_read_bytes(data, pos)
-    path, pos = ref_read_path(data, pos)
-    return (index, claimed, path), pos
-
-
-def ref_read_proofs(data, pos):
-    count, pos = ref_read_uint(data, pos)
-    proofs = []
-    for _ in range(count):
-        proof, pos = ref_read_proof(data, pos)
-        proofs.append(proof)
-    return proofs, pos
-
-
-def ref_bundle(task_id, proofs):
-    out = ref_bytes(task_id.encode("utf-8")) + ref_uint(len(proofs))
-    for proof in proofs:
-        out += ref_proof(proof)
-    return out
-
-
-def ref_decode_bundle(data):
-    task_id, pos = ref_read_text(data, 0)
-    proofs, pos = ref_read_proofs(data, pos)
-    if pos != len(data):
-        raise RefCodec("bytes after the last proof")
-    return task_id, proofs
-
-
-def ref_submission(task_id, root, n_leaves, proofs):
-    out = ref_bytes(task_id.encode("utf-8")) + ref_bytes(root)
-    out += ref_uint(n_leaves) + ref_uint(len(proofs))
-    for proof in proofs:
-        out += ref_proof(proof)
-    return out
-
-
-def ref_decode_submission(data):
-    task_id, pos = ref_read_text(data, 0)
-    root, pos = ref_read_bytes(data, pos)
-    n_leaves, pos = ref_read_uint(data, pos)
-    proofs, pos = ref_read_proofs(data, pos)
-    if pos != len(data):
-        raise RefCodec("bytes after the last proof")
-    return task_id, root, n_leaves, proofs
-
-
-# ----------------------------------------------------------------------
 # Library values as the reference's plain tuples, and parity itself
 # ----------------------------------------------------------------------
 
-_CODES = {None: 0, LeafEncoding.HASHED: 0, LeafEncoding.RAW: 1}
-
-
-def plain_path(path):
-    return (
-        path.leaf_index,
-        path.n_leaves,
-        _CODES[path.leaf_encoding],
-        list(path.siblings),
-    )
-
-
-def plain_proof(proof):
-    return (proof.index, proof.claimed_result, plain_path(proof.path))
-
 
 def plain_bundle(msg):
-    return msg.task_id, [plain_proof(p) for p in msg.proofs]
+    return msg.task_id, plain_proofs(msg.proofs)
 
 
 def plain_submission(msg):
-    return (
-        msg.task_id,
-        msg.root,
-        msg.n_leaves,
-        [plain_proof(p) for p in msg.proofs],
-    )
+    return msg.task_id, msg.root, msg.n_leaves, plain_proofs(msg.proofs)
 
 
 def outcome(decode, data, codec_error, shape_error):
@@ -243,24 +95,6 @@ def bundle_parity(data):
 def submission_parity(data):
     assert_parity(
         data, NICBSSubmissionMsg.decode, plain_submission, ref_decode_submission
-    )
-
-
-def proof_parity(data, offset=0):
-    assert_parity(
-        data,
-        lambda d: SampleProof.decode_at(d, offset),
-        lambda got: (plain_proof(got[0]), got[1]),
-        lambda d: ref_read_proof(d, offset),
-    )
-
-
-def path_parity(data, offset=0):
-    assert_parity(
-        data,
-        lambda d: decode_auth_path(d, offset),
-        lambda got: (plain_path(got[0]), got[1]),
-        lambda d: ref_read_path(d, offset),
     )
 
 
@@ -302,34 +136,50 @@ _mixed_items = st.lists(
 
 
 @st.composite
-def _paths(draw):
-    n_leaves = draw(st.one_of(st.just(0), _uints.filter(lambda v: v > 0)))
-    if n_leaves:
-        leaf_index = draw(st.integers(min_value=0, max_value=n_leaves - 1))
-    else:
-        leaf_index = draw(_uints)
-    return AuthenticationPath(
-        leaf_index=leaf_index,
-        siblings=draw(_uniform_items()),
-        n_leaves=n_leaves,
-        leaf_encoding=draw(st.sampled_from([None, *LeafEncoding])),
+def _proof_runs(draw, min_samples=0, max_samples=6):
+    """A run of proofs cut from one tree: one height, one leaf count,
+    one encoding, one digest per node, one result per leaf — samples may
+    repeat, cluster under one subtree or sit 2^35 leaves apart."""
+    count = draw(st.integers(min_value=min_samples, max_value=max_samples))
+    height = draw(st.integers(min_value=0, max_value=5))
+    near = st.integers(min_value=0, max_value=(1 << height) - 1)
+    pool = draw(
+        st.lists(st.one_of(near, near, _uints), min_size=1, max_size=4)
     )
-
-
-@st.composite
-def _proofs(draw):
-    return SampleProof(
-        index=draw(_uints),
-        claimed_result=draw(st.binary(max_size=40)),
-        path=draw(_paths()),
+    indices = [draw(st.sampled_from(pool)) for _ in range(count)]
+    n_leaves = draw(
+        st.one_of(st.just(0), _uints.map(lambda v: v + max(pool) + 1))
     )
+    raw = draw(st.booleans())
+    size = draw(_item_sizes)
+    digest_at, result_at = {}, {}
+
+    def digest(level, node):
+        if (level, node) not in digest_at:
+            digest_at[level, node] = draw(st.binary(min_size=size, max_size=size))
+        return digest_at[level, node]
+
+    proofs = []
+    for index in indices:
+        if index not in result_at:
+            result_at[index] = draw(st.binary(max_size=40))
+        encoding = (
+            LeafEncoding.RAW
+            if raw
+            else draw(st.sampled_from([None, LeafEncoding.HASHED]))
+        )
+        path = AuthenticationPath(
+            leaf_index=index,
+            siblings=[
+                digest(level, (index >> level) ^ 1) for level in range(height)
+            ],
+            n_leaves=n_leaves,
+            leaf_encoding=encoding,
+        )
+        proofs.append(SampleProof(index, result_at[index], path))
+    return tuple(proofs)
 
 
-_proof_runs = st.one_of(
-    st.just(()),
-    st.tuples(_proofs()),
-    st.lists(_proofs(), min_size=2, max_size=6).map(tuple),
-)
 _task_ids = st.text(max_size=12)
 
 
@@ -435,52 +285,128 @@ class TestBytesListAgainstReference:
 
 
 # ----------------------------------------------------------------------
-# Paths, proofs and the two bundle messages
+# Bundles: the per-path form, the multiproof, the two bundle messages
 # ----------------------------------------------------------------------
 
 
+def assert_round_trip(msg, decoded, encoded):
+    """decode∘encode is the compact form, samples of one leaf share one
+    path object, and encode∘decode∘encode is the identity on bytes."""
+    assert plain_proofs(decoded.proofs) == compact(plain_proofs(msg.proofs))
+    by_leaf = {}
+    for proof in decoded.proofs:
+        assert by_leaf.setdefault(proof.index, proof.path) is proof.path
+    assert decoded.encode() == encoded
+
+
 class TestStructuredEncodingsAgainstReference:
-    @given(_paths())
-    def test_auth_path(self, path):
-        encoded = encode_auth_path(path)
-        assert encoded == ref_path(plain_path(path))
-        assert path.wire_size() == len(encoded)
-        path_parity(encoded)
-        path_parity(b"\x00\x00" + encoded, 2)
+    @given(_proof_runs(min_samples=1, max_samples=1))
+    def test_auth_path(self, proofs):
+        # One sample: nothing is derivable, so the multiproof supplies
+        # exactly the path's H digests, in the path's order — the
+        # per-path encoder is the reference for that count.
+        ((_index, _claimed, path),) = plain = plain_proofs(proofs)
+        height = len(path[3])
+        assert per_path_digest_count(plain) == height
+        needed = ref_needed([path[0]], height)
+        assert [len(nodes) for nodes in needed] == [1] * height
+        encoded = ProofBundleMsg("", proofs).encode()
+        assert encoded.endswith(ref_bytes_list(path[3]))
+        assert compact(plain) == plain
 
-    @given(_proofs())
-    def test_sample_proof(self, proof):
-        encoded = proof.encode()
-        assert encoded == ref_proof(plain_proof(proof))
-        proof_parity(encoded)
-        proof_parity(b"\xff" + encoded, 1)
+    @given(_proof_runs(min_samples=1, max_samples=1))
+    def test_sample_proof(self, proofs):
+        # A one-sample bundle is a multiproof of one.
+        msg = ProofBundleMsg(task_id="t", proofs=proofs)
+        encoded = msg.encode()
+        assert encoded == ref_bundle("t", plain_proofs(proofs))
+        decoded = ProofBundleMsg.decode(encoded)
+        assert plain_bundle(decoded) == plain_bundle(msg)
+        assert decoded.encode() == encoded
+        bundle_parity(encoded)
 
-    @given(_task_ids, _proof_runs)
-    @settings(max_examples=60, deadline=None)
+    @given(_task_ids, _proof_runs())
+    @settings(max_examples=100, deadline=None)
     def test_proof_bundle(self, task_id, proofs):
         msg = ProofBundleMsg(task_id=task_id, proofs=proofs)
         encoded = msg.encode()
         assert encoded == ref_bundle(*plain_bundle(msg))
-        assert plain_bundle(ProofBundleMsg.decode(encoded)) == plain_bundle(msg)
+        assert_round_trip(msg, ProofBundleMsg.decode(encoded), encoded)
         bundle_parity(encoded)
+        # Never more digests than the independent paths ship.
+        if proofs:
+            leaves = [proof.index for proof in proofs]
+            needed = ref_needed(leaves, len(proofs[0].path.siblings))
+            assert sum(map(len, needed)) <= per_path_digest_count(
+                plain_proofs(proofs)
+            )
 
-    @given(_task_ids, st.binary(max_size=40), _uints, _proof_runs)
-    @settings(max_examples=60, deadline=None)
+    @given(_task_ids, st.binary(max_size=40), _uints, _proof_runs())
+    @settings(max_examples=100, deadline=None)
     def test_nicbs_submission(self, task_id, root, n_leaves, proofs):
         msg = NICBSSubmissionMsg(
             task_id=task_id, root=root, n_leaves=n_leaves, proofs=proofs
         )
         encoded = msg.encode()
         assert encoded == ref_submission(*plain_submission(msg))
-        decoded = NICBSSubmissionMsg.decode(encoded)
-        assert plain_submission(decoded) == plain_submission(msg)
+        assert_round_trip(msg, NICBSSubmissionMsg.decode(encoded), encoded)
         submission_parity(encoded)
 
     def test_empty_sibling_list(self):
-        # A one-leaf tree: height 0, no siblings.
+        # A one-leaf tree: height 0, no siblings, any number of samples.
         path = AuthenticationPath(0, [], 1, LeafEncoding.HASHED)
-        assert encode_auth_path(path) == ref_path(plain_path(path))
-        path_parity(encode_auth_path(path))
+        proofs = (SampleProof(0, b"r", path),) * 3
+        encoded = ProofBundleMsg("t", proofs).encode()
+        assert encoded == ref_bundle("t", plain_proofs(proofs))
+        assert encoded == b"\x01t" + bytes([3, 1, 0, 0, 0, 0, 0, 1, 1]) + b"r\x00"
+        assert ProofBundleMsg.decode(encoded).proofs == proofs
+        bundle_parity(encoded)
+        # ... and no samples at all is the count alone.
+        assert ProofBundleMsg("t", ()).encode() == b"\x01t\x00"
+        bundle_parity(b"\x01t\x00")
+
+
+class TestEncoderRefusesWhatOneHeaderCannotSay:
+    """One header is one geometry: the encoder raises rather than emit
+    bytes that would decode to something else."""
+
+    @staticmethod
+    def proof(index, result=b"r", n_leaves=8, height=3, encoding=LeafEncoding.HASHED):
+        path = AuthenticationPath(index, [b"\x11" * 4] * height, n_leaves, encoding)
+        return SampleProof(index, result, path)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            dict(n_leaves=7),
+            dict(height=2),
+            dict(encoding=LeafEncoding.RAW),
+            dict(index=1, result=b"another result for leaf 1"),
+        ],
+        ids=["tree-size", "height", "encoding", "two-results-one-leaf"],
+    )
+    def test_mixed_bundle(self, odd):
+        proofs = (self.proof(1), self.proof(**{"index": 5, **odd}))
+        with pytest.raises(CodecError, match="ProofBundleMsg, field proofs"):
+            ProofBundleMsg("t", proofs).encode()
+        with pytest.raises(CodecError):
+            NICBSSubmissionMsg("t", b"root", 8, proofs[::-1]).encode()
+
+    def test_path_for_another_leaf_than_its_sample(self):
+        good = self.proof(5)
+        crossed = SampleProof(4, b"r", good.path)
+        with pytest.raises(CodecError):
+            ProofBundleMsg("t", (crossed,)).encode()
+
+    def test_part_of_a_received_bundle_cannot_be_re_sent_alone(self):
+        # Leaves 4 and 5 determine each other's leaf-level sibling, so
+        # a received path holds None there; alone it is not a proof.
+        received = ProofBundleMsg.decode(
+            ProofBundleMsg("t", (self.proof(4), self.proof(5))).encode()
+        )
+        assert received.proofs[0].path.siblings[0] is None
+        with pytest.raises(CodecError, match="missing"):
+            ProofBundleMsg("t", received.proofs[:1]).encode()
 
 
 class TestRejectionParityOnMutatedMessages:
@@ -488,7 +414,7 @@ class TestRejectionParityOnMutatedMessages:
     @settings(max_examples=300, deadline=None)
     def test_mutated_bundles(self, data):
         msg = ProofBundleMsg(
-            task_id=data.draw(_task_ids), proofs=data.draw(_proof_runs)
+            task_id=data.draw(_task_ids), proofs=data.draw(_proof_runs())
         )
         bundle_parity(data.draw(_mutations(msg.encode())))
 
@@ -499,7 +425,7 @@ class TestRejectionParityOnMutatedMessages:
             task_id=data.draw(_task_ids),
             root=data.draw(st.binary(max_size=40)),
             n_leaves=data.draw(_uints),
-            proofs=data.draw(_proof_runs),
+            proofs=data.draw(_proof_runs()),
         )
         submission_parity(data.draw(_mutations(msg.encode())))
 
@@ -508,8 +434,6 @@ class TestRejectionParityOnMutatedMessages:
     def test_arbitrary_bytes(self, data):
         bundle_parity(data)
         submission_parity(data)
-        proof_parity(data)
-        path_parity(data)
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +448,7 @@ def real_submission(n, m):
 
 @pytest.fixture(scope="module")
 def heavy():
-    """The ledger's proof-heavy shape: 512 leaves, 256 proofs, ~82 KB."""
+    """The ledger's proof-heavy shape: 512 leaves, 256 proofs."""
     msg = real_submission(512, 256)
     return msg, msg.encode()
 
@@ -535,39 +459,66 @@ def light():
     return msg, msg.encode()
 
 
-def proof_offsets(msg, raw):
-    """Where each proof starts in ``raw``, plus the end (reference walk)."""
-    _task, pos = ref_read_text(raw, 0)
-    _root, pos = ref_read_bytes(raw, pos)
-    _n, pos = ref_read_uint(raw, pos)
-    _count, pos = ref_read_uint(raw, pos)
-    offsets = [pos]
-    for _ in msg.proofs:
-        _proof, pos = ref_read_proof(raw, pos)
-        offsets.append(pos)
-    assert pos == len(raw)
-    return offsets
+class Layout:
+    """Where each field of a submission's bundle starts (reference walk)."""
+
+    def __init__(self, msg, raw):
+        _task, pos = ref_read_text(raw, 0)
+        _root, pos = ref_read_bytes(raw, pos)
+        _n, self.count_at = ref_read_uint(raw, pos)
+        count, self.n_leaves_at = ref_read_uint(raw, self.count_at)
+        assert count == len(msg.proofs)
+        _n, self.code_at = ref_read_uint(raw, self.n_leaves_at)
+        _code, self.height_at = ref_read_uint(raw, self.code_at)
+        self.height, pos = ref_read_uint(raw, self.height_at)
+        self.indices_at = pos
+        for _ in range(count):
+            _index, pos = ref_read_uint(raw, pos)
+        self.results_at = pos  # the results count; items follow
+        self.results, self.digests_at = ref_read_bytes_list(raw, pos)
+        self.digests, end = ref_read_bytes_list(raw, self.digests_at)
+        assert end == len(raw)
+
+    def after(self, raw, at):
+        """Offset just past the varint at ``at``."""
+        return ref_read_uint(raw, at)[1]
 
 
-def first_sibling_prefix(raw, proof_start):
-    """Offset of the sibling count of the proof at ``proof_start``; the
-    first sibling's length prefix is the byte after it."""
-    _index, pos = ref_read_uint(raw, proof_start)
-    _claimed, pos = ref_read_bytes(raw, pos)
-    _leaf, pos = ref_read_uint(raw, pos)
-    _n, pos = ref_read_uint(raw, pos)
-    _code, pos = ref_read_uint(raw, pos)
-    return pos
+def replace_uint(raw, layout, at, value):
+    return raw[:at] + ref_uint(value) + raw[layout.after(raw, at) :]
 
 
 class TestRealSubmissionsAgainstReference:
     def test_encodings_equal(self, heavy, light):
         for msg, raw in (heavy, light):
+            plain = plain_proofs(msg.proofs)
             assert raw == ref_submission(*plain_submission(msg))
-            assert NICBSSubmissionMsg.decode(raw) == msg
+            assert_round_trip(msg, NICBSSubmissionMsg.decode(raw), raw)
             bundle = ProofBundleMsg(task_id=msg.task_id, proofs=msg.proofs)
             assert bundle.encode() == ref_bundle(*plain_bundle(bundle))
-            assert ProofBundleMsg.decode(bundle.encode()) == bundle
+            assert_round_trip(
+                bundle, ProofBundleMsg.decode(bundle.encode()), bundle.encode()
+            )
+            # Against the per-path form: m·H digests there, only the
+            # undetermined ones here.
+            m, height = len(plain), len(plain[0][2][3])
+            assert per_path_digest_count(plain) == m * height
+            assert len(Layout(msg, raw).digests) < m * height
+            assert len(ref_multiproof(plain)) < len(ref_per_path_proofs(plain))
+
+    def test_the_256_proof_submission_against_its_per_path_form(self, heavy):
+        # The numbers the ledger's proof-heavy workload ships: 2 304
+        # sibling digests as independent paths (82 362 bytes, the whole
+        # message at wire v6), 188 once each sample stops repeating what
+        # the others determine.
+        msg, raw = heavy
+        plain = plain_proofs(msg.proofs)
+        layout = Layout(msg, raw)
+        assert per_path_digest_count(plain) == 256 * 9 == 2304
+        head = len(raw) - len(ref_multiproof(plain))
+        assert head + len(ref_per_path_proofs(plain)) == 82_362
+        assert len(layout.results) == len({p.index for p in msg.proofs})
+        assert (len(layout.digests), len(raw)) == (188, 10_247)
 
     def test_every_truncation_of_a_real_submission(self, light):
         _msg, raw = light
@@ -578,74 +529,153 @@ class TestRealSubmissionsAgainstReference:
             submission_parity(raw[:cut])
 
     def test_truncations_of_the_256_proof_bundle(self, heavy):
-        # Every cut costs a decode of everything before it, so all
-        # ~82 000 cuts would take minutes.  Instead: every cut through
-        # the header and the first two proofs and through the last
-        # proof, the three cuts around every eighth proof boundary, and
-        # a sweep whose stride is coprime to every field width.
+        # Every cut costs a decode of everything before it (and the
+        # reference is slow on purpose), so: every cut through the
+        # header, the indices and the first results, the three cuts
+        # around each list boundary, every cut through the last two
+        # digests, and a sweep whose stride is coprime to every field
+        # width.
         msg, raw = heavy
-        offsets = proof_offsets(msg, raw)
-        cuts = set(range(offsets[2] + 1))
-        cuts.update(range(offsets[-2], len(raw)))
-        for offset in offsets[::8]:
-            cuts.update((offset - 1, offset, offset + 1))
-        cuts.update(range(0, len(raw), 397))
+        layout = Layout(msg, raw)
+        cuts = set(range(layout.results_at + 60))
+        cuts.update(range(len(raw) - 70, len(raw)))
+        for at in (layout.results_at, layout.digests_at):
+            cuts.update((at - 1, at, at + 1, at + 2))
+        cuts.update(range(0, len(raw), 97))
         for cut in sorted(cuts):
             submission_parity(raw[:cut])
         bundle_raw = ProofBundleMsg(
             task_id=msg.task_id, proofs=msg.proofs
         ).encode()
-        for cut in range(0, len(bundle_raw), 997):
+        for cut in range(0, len(bundle_raw), 397):
             bundle_parity(bundle_raw[:cut])
 
     def test_one_flipped_length_prefix_inside_a_uniform_run(self, heavy):
         msg, raw = heavy
-        offsets = proof_offsets(msg, raw)
-        height = len(msg.proofs[0].path.siblings)
-        for proof_no in (0, 1, 100, 255):
-            count_at = first_sibling_prefix(raw, offsets[proof_no])
-            assert raw[count_at] == height and raw[count_at + 1] == 32
-            for sibling in (0, 1, height // 2, height - 1):
-                at = count_at + 1 + 33 * sibling
-                assert raw[at] == 32
+        layout = Layout(msg, raw)
+        runs = (
+            (layout.after(raw, layout.results_at), 16, len(layout.results)),
+            (layout.after(raw, layout.digests_at), 32, len(layout.digests)),
+        )
+        for start, size, count in runs:
+            for item in (0, 1, count // 2, count - 1):
+                at = start + (size + 1) * item
+                assert raw[at] == size
                 for byte in (0x00, 0x01, 0x1F, 0x21, 0x7F, 0x80, 0xA0, 0xFF):
                     hostile = raw[:at] + bytes([byte]) + raw[at + 1 :]
                     submission_parity(hostile)
 
     def test_lying_counts(self, heavy, light):
         for msg, raw in (heavy, light):
-            offsets = proof_offsets(msg, raw)
-            n_proofs = len(msg.proofs)
-            head = len(ref_uint(n_proofs))
-            count_at = offsets[0] - head
-            assert raw[count_at : offsets[0]] == ref_uint(n_proofs)
-            for lie in (0, 1, n_proofs - 1, n_proofs + 1, 1 << 20, 1 << 62):
-                submission_parity(raw[:count_at] + ref_uint(lie) + raw[offsets[0] :])
-            # ... and the sibling count of the first, a middle and the
-            # last proof.
-            height = len(msg.proofs[0].path.siblings)
-            for proof_no in (0, n_proofs // 2, n_proofs - 1):
-                at = first_sibling_prefix(raw, offsets[proof_no])
-                for lie in (0, 1, height - 1, height + 1, 127, 1 << 30, 1 << 62):
-                    submission_parity(raw[:at] + ref_uint(lie) + raw[at + 1 :])
+            layout = Layout(msg, raw)
+            m, height = len(msg.proofs), layout.height
+            lies = {
+                layout.count_at: (0, 1, m - 1, m + 1, 1 << 20, 1 << 62),
+                layout.height_at: (0, 1, height - 1, height + 1, 64, 65, 1 << 30),
+                layout.results_at: (
+                    0, len(layout.results) - 1, len(layout.results) + 1, 1 << 62,
+                ),
+                layout.digests_at: (
+                    0, len(layout.digests) - 1, len(layout.digests) + 1, 1 << 62,
+                ),
+            }
+            for at, values in lies.items():
+                for lie in values:
+                    hostile = replace_uint(raw, layout, at, lie)
+                    submission_parity(hostile)
+                    # A shorter height can be a well-formed bundle of
+                    # another tree (the verifier's business, not the
+                    # decoder's); every other lie is malformed bytes.
+                    if at != layout.height_at or lie > height:
+                        assert outcome(
+                            NICBSSubmissionMsg.decode, hostile, CodecError, ()
+                        ) == ("codec", None)
+
+    def test_surplus_and_missing_supplied_digests(self, light):
+        # Well-formed lists of the wrong length: the geometry of the
+        # sample indices, not the count on the wire, says how many
+        # digests a bundle supplies.
+        msg, raw = light
+        layout = Layout(msg, raw)
+        head = raw[: layout.digests_at]
+        for digests in (
+            layout.digests + [b"\xaa" * 32],
+            layout.digests[:-1],
+            layout.digests[1:],
+            [],
+        ):
+            hostile = head + ref_bytes_list(digests)
+            assert outcome(
+                NICBSSubmissionMsg.decode, hostile, CodecError, ()
+            ) == ("codec", None)
+            submission_parity(hostile)
+
+    def test_claimed_results_count_is_the_distinct_leaves(self, light):
+        msg, raw = light
+        layout = Layout(msg, raw)
+        assert len(layout.results) < len(msg.proofs)  # a repeated sample
+        head, tail = raw[: layout.results_at], raw[layout.digests_at :]
+        for results in (
+            layout.results[:-1],
+            layout.results + [b"\x00" * 16],
+            [proof.claimed_result for proof in msg.proofs],  # one per sample
+        ):
+            hostile = head + ref_bytes_list(results) + tail
+            assert outcome(
+                NICBSSubmissionMsg.decode, hostile, CodecError, ()
+            ) == ("codec", None)
+            submission_parity(hostile)
+
+    def test_sibling_slot_amplification_is_refused_before_allocation(self, light):
+        # 40 000 one-byte indices under a height of 64 claim 2.56M
+        # sibling slots — 64x what the bytes could justify.  Refused on
+        # the header, with the indices unread.
+        msg, raw = light
+        layout = Layout(msg, raw)
+        head = raw[: layout.count_at]
+        for count, height, body in (
+            (40_000, 64, b"\x00" * 40_000),
+            (1 << 15, 64, b"\x00" * (1 << 15)),
+            (1 << 15, 65, b"\x00" * (1 << 15)),
+            (2, 1 << 40, b"\x00\x01"),
+            (1 << 62, 6, b"\x00" * 64),
+        ):
+            hostile = (
+                head + ref_uint(count) + ref_uint(64) + b"\x00" + ref_uint(height)
+                + body + b"\x00\x00"
+            )
+            assert outcome(
+                NICBSSubmissionMsg.decode, hostile, CodecError, ()
+            ) == ("codec", None)
+            submission_parity(hostile)
+        # Just inside every bound the same shape decodes: 2^15 samples
+        # of leaf 0 under height 64 supply one digest per level.
+        inside = (
+            head + ref_uint(1 << 15) + ref_uint(0) + b"\x00" + ref_uint(64)
+            + b"\x00" * (1 << 15)
+            + ref_bytes_list([b"r"]) + ref_bytes_list([b"\x11" * 4] * 64)
+        )
+        decoded = NICBSSubmissionMsg.decode(inside)
+        assert len(decoded.proofs) == 1 << 15
+        assert len({id(proof) for proof in decoded.proofs}) == 1
 
     def test_overlong_varints(self, light):
         # The same value in a longer, non-canonical form is off the
         # single-byte path; it decodes as it always has, up to the
         # eleven-byte bound.
         msg, raw = light
-        offsets = proof_offsets(msg, raw)
-        at = first_sibling_prefix(raw, offsets[3]) + 1
+        layout = Layout(msg, raw)
+        at = layout.after(raw, layout.digests_at) + 33 * 3
         assert raw[at] == 32
         for padding in (1, 2, 9, 10, 11):
             overlong = b"\xa0" + b"\x80" * (padding - 1) + b"\x00"
             submission_parity(raw[:at] + overlong + raw[at + 1 :])
-        # An overlong proof count, and an overlong sibling count.
-        count_at = offsets[0] - 1
-        assert raw[count_at] == len(msg.proofs)
-        submission_parity(
-            raw[:count_at] + bytes([0x80 | len(msg.proofs), 0x00]) + raw[offsets[0] :]
-        )
+        # An overlong sample count, height and digest count.
+        for at in (layout.count_at, layout.height_at, layout.digests_at):
+            assert raw[at] < 0x80
+            submission_parity(
+                raw[:at] + bytes([0x80 | raw[at], 0x00]) + raw[at + 1 :]
+            )
 
     def test_trailing_bytes(self, heavy, light):
         for _msg, raw in (heavy, light):
@@ -653,15 +683,18 @@ class TestRealSubmissionsAgainstReference:
                 submission_parity(raw + tail)
 
     def test_path_index_outside_its_tree_is_a_shape_error(self, light):
-        # leaf_index >= n_leaves inside an otherwise perfect run: the
-        # decoder's own shape check, after the bytes parsed cleanly.
+        # A sample index >= the bundle's n_leaves inside an otherwise
+        # perfect bundle: the path's own shape check, after the bytes
+        # parsed cleanly.
         msg, raw = light
-        offsets = proof_offsets(msg, raw)
-        _index, pos = ref_read_uint(raw, offsets[5])
-        _claimed, pos = ref_read_bytes(raw, pos)
-        leaf_index, after = ref_read_uint(raw, pos)
-        hostile = raw[:pos] + ref_uint(leaf_index + 64) + raw[after:]
-        assert outcome(
-            NICBSSubmissionMsg.decode, hostile, CodecError, ProofShapeError
-        ) == ("shape", None)
-        submission_parity(hostile)
+        layout = Layout(msg, raw)
+        top = max(proof.index for proof in msg.proofs)
+        for n_leaves in (top, 1):
+            hostile = replace_uint(raw, layout, layout.n_leaves_at, n_leaves)
+            assert outcome(
+                NICBSSubmissionMsg.decode, hostile, CodecError, ProofShapeError
+            ) == ("shape", None)
+            submission_parity(hostile)
+        submission_parity(replace_uint(raw, layout, layout.n_leaves_at, top + 1))
+        # n_leaves = 0 claims nothing, as on a path it never has.
+        submission_parity(replace_uint(raw, layout, layout.n_leaves_at, 0))

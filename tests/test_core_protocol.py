@@ -15,7 +15,19 @@ from repro.core.protocol import (
     SampleProof,
     VerdictMsg,
 )
+from repro.core.verification import verify_proof_bundle
 from repro.merkle import MerkleTree
+from repro.tasks import RangeDomain
+
+
+class _Echo:
+    """A task function whose result for input ``i`` is ``results[i]``."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def verify(self, x, claimed):
+        return self.results[x] == claimed
 
 
 def sample_proofs(n: int = 8, count: int = 3) -> tuple[SampleProof, ...]:
@@ -63,24 +75,51 @@ class TestSampleChallengeMsg:
 
 class TestProofBundle:
     def test_roundtrip_preserves_proofs(self):
+        # decode∘encode is the compact form: samples 0, 1, 2 of an
+        # 8-leaf tree.  0 and 1 are each other's leaf-level sibling and
+        # their parent is 2's level-1 sibling, so those positions read
+        # back as None; everything else is the digest that was sent.
         bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())
         decoded = ProofBundleMsg.decode(bundle.encode())
         assert decoded.task_id == "t"
         assert len(decoded.proofs) == 3
+        derivable = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)}
         for orig, got in zip(bundle.proofs, decoded.proofs):
-            assert got.index == orig.index
+            assert got.index == orig.index == got.path.leaf_index
             assert got.claimed_result == orig.claimed_result
-            assert got.path.siblings == orig.path.siblings
+            assert got.path.n_leaves == 8
+            assert got.path.siblings == [
+                None if (orig.index, level) in derivable else digest
+                for level, digest in enumerate(orig.path.siblings)
+            ]
+        # encode∘decode∘encode is the identity on bytes.
+        assert decoded.encode() == bundle.encode()
+        assert ProofBundleMsg.decode(decoded.encode()) == decoded
 
     def test_decoded_proofs_still_verify(self):
         leaves = [f"r{i}".encode() for i in range(8)]
         tree = MerkleTree(leaves)
         bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())
         decoded = ProofBundleMsg.decode(bundle.encode())
-        for proof in decoded.proofs:
-            assert proof.path.verify(
-                proof.claimed_result, tree.root, tree.hash_fn
-            )
+        verdicts = verify_proof_bundle(
+            decoded.proofs,
+            (0, 1, 2),
+            root=tree.root,
+            n_leaves=8,
+            domain=RangeDomain(0, 8),
+            function=_Echo(leaves),
+            hash_fn=tree.hash_fn,
+            leaf_encoding=tree.leaf_encoding,
+        )
+        assert [v.accepted for v in verdicts] == [True] * 3
+        # A one-sample bundle supplies its whole path, which still
+        # folds on its own.
+        for proof in bundle.proofs:
+            (alone,) = ProofBundleMsg.decode(
+                ProofBundleMsg("t", (proof,)).encode()
+            ).proofs
+            assert alone == proof
+            assert alone.path.verify(alone.claimed_result, tree.root, tree.hash_fn)
 
     def test_wire_size(self):
         bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())

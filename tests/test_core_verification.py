@@ -9,9 +9,10 @@ import dataclasses
 
 import pytest
 
-from repro.core.protocol import SampleProof
+from repro.core.protocol import ProofBundleMsg, SampleProof
 from repro.core.scheme import RejectReason
-from repro.core.verification import verify_sample_proof
+from repro.core.verification import verify_proof_bundle, verify_sample_proof
+from repro.exceptions import CodecError
 from repro.merkle import AuthenticationPath, MerkleTree, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain
@@ -146,6 +147,187 @@ class TestTamperedProofsRejected:
         verdict = verify(proof, 2, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
+
+
+class TestOneHeaderPerBundle:
+    """The encoding code and the height ride once per bundle, so a lie
+    about either — or about which digests the samples need — is a lie
+    about every sample: ``malformed_proof`` for all of them, with
+    nothing hashed or evaluated, and an encoder asked to put two
+    geometries under one header refuses."""
+
+    INDICES = (2, 3, 9, 2)
+
+    @staticmethod
+    def verdicts(proofs, indices, tree, domain, fn, stop=False):
+        counted = _Counting(fn)
+        verdicts = verify_proof_bundle(
+            proofs,
+            indices,
+            root=tree.root,
+            n_leaves=16,
+            domain=domain,
+            function=counted,
+            hash_fn=get_hash("sha256"),
+            leaf_encoding=LeafEncoding.HASHED,
+            stop_on_first_failure=stop,
+        )
+        return [(v.index, v.reason) for v in verdicts], counted.calls
+
+    def bundle(self, tree, leaves):
+        return tuple(proof_for(tree, leaves, i) for i in self.INDICES)
+
+    def test_honest_bundle_in_memory_and_as_received(self, setup):
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        want = [(i, RejectReason.OK) for i in self.INDICES]
+        assert self.verdicts(proofs, self.INDICES, tree, domain, fn) == (want, 4)
+        got = ProofBundleMsg.decode(ProofBundleMsg("t", proofs).encode()).proofs
+        assert got[0].path.siblings[0] is None  # leaf 3 determines it
+        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 4)
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_every_path_one_level_short(self, setup, stop):
+        fn, domain, leaves, tree = setup
+        short = tuple(
+            dataclasses.replace(
+                p, path=dataclasses.replace(p.path, siblings=p.path.siblings[:-1])
+            )
+            for p in self.bundle(tree, leaves)
+        )
+        # One consistent geometry, so it has an encoding and arrives...
+        got = ProofBundleMsg.decode(ProofBundleMsg("t", short).encode()).proofs
+        # ...and is malformed throughout: the commitment says height 4.
+        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
+        assert self.verdicts(got, self.INDICES, tree, domain, fn, stop) == (
+            want[:1] if stop else want,
+            0,
+        )
+
+    def test_one_path_short_has_no_encoding_and_spoils_the_bundle(self, setup):
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        odd = dataclasses.replace(
+            proofs[2],
+            path=dataclasses.replace(
+                proofs[2].path, siblings=proofs[2].path.siblings[:-1]
+            ),
+        )
+        mixed = proofs[:2] + (odd,) + proofs[3:]
+        with pytest.raises(CodecError):
+            ProofBundleMsg("t", mixed).encode()
+        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
+        assert self.verdicts(mixed, self.INDICES, tree, domain, fn) == (want, 0)
+
+    def test_bundle_naming_another_encoding(self, setup):
+        fn, domain, leaves, tree = setup
+        raw = tuple(
+            dataclasses.replace(
+                p, path=dataclasses.replace(p.path, leaf_encoding=LeafEncoding.RAW)
+            )
+            for p in self.bundle(tree, leaves)
+        )
+        got = ProofBundleMsg.decode(ProofBundleMsg("t", raw).encode()).proofs
+        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
+        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 0)
+
+    def test_two_results_for_one_leaf(self, setup):
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        conflicting = proofs[:3] + (
+            dataclasses.replace(proofs[3], claimed_result=leaves[3]),
+        )
+        with pytest.raises(CodecError):
+            ProofBundleMsg("t", conflicting).encode()
+        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
+        assert self.verdicts(conflicting, self.INDICES, tree, domain, fn) == (
+            want,
+            0,
+        )
+
+    def test_needed_sibling_that_is_not_a_digest(self, setup):
+        # Leaf 9 is alone in its half: its whole path is supplied.
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
+        for bad in (None, b"\x00" * 31, b"\x00" * 33, bytearray(32)):
+            siblings = list(proofs[2].path.siblings)
+            siblings[1] = bad
+            forged = dataclasses.replace(
+                proofs[2],
+                path=AuthenticationPath.from_uniform(
+                    9, siblings, 16, LeafEncoding.HASHED
+                ),
+            )
+            spoiled = proofs[:2] + (forged,) + proofs[3:]
+            assert self.verdicts(spoiled, self.INDICES, tree, domain, fn) == (
+                want,
+                0,
+            )
+
+    def test_derivable_sibling_is_never_read(self, setup):
+        # Leaves 2 and 3 determine each other's leaf-level sibling:
+        # whatever sits there in memory is not part of the proof.
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        siblings = [b"not even a digest"] + list(proofs[0].path.siblings[1:])
+        forged = dataclasses.replace(
+            proofs[0],
+            path=AuthenticationPath.from_uniform(
+                2, siblings, 16, LeafEncoding.HASHED
+            ),
+        )
+        want = [(i, RejectReason.OK) for i in self.INDICES]
+        assert self.verdicts(
+            (forged,) + proofs[1:], self.INDICES, tree, domain, fn
+        ) == (want, 4)
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_sample_for_another_index_is_malformed_on_its_own(self, setup, stop):
+        # The bundle proves leaves 2, 3, 9, 2 — a fold that holds — but
+        # the third challenge was for leaf 8.
+        fn, domain, leaves, tree = setup
+        proofs = self.bundle(tree, leaves)
+        challenged = (2, 3, 8, 2)
+        want = [
+            (2, RejectReason.OK),
+            (3, RejectReason.OK),
+            (8, RejectReason.MALFORMED_PROOF),
+            (2, RejectReason.OK),
+        ]
+        assert self.verdicts(proofs, challenged, tree, domain, fn, stop) == (
+            (want[:3], 2) if stop else (want, 3)
+        )
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_root_miss_is_the_bundles_not_one_samples(self, setup, stop):
+        # Leaf 9 was committed as garbage and is claimed correctly now:
+        # check 1 passes everywhere, the one fold misses, and every
+        # sample awaiting attestation (the first only, under stop)
+        # carries the mismatch.
+        fn, domain, leaves, tree = setup
+        forged_leaves = list(leaves)
+        forged_leaves[9] = b"\xff" * 16
+        forged_tree = MerkleTree(forged_leaves)
+        proofs = tuple(
+            SampleProof(i, leaves[i], forged_tree.auth_path(i))
+            for i in self.INDICES
+        )
+        want = [(i, RejectReason.ROOT_MISMATCH) for i in self.INDICES]
+        assert self.verdicts(
+            proofs, self.INDICES, forged_tree, domain, fn, stop
+        ) == (want[:1] if stop else want, 4)
+
+
+class _Counting:
+    """A task function that counts its ``verify`` calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def verify(self, x, claimed):
+        self.calls += 1
+        return self.fn.verify(x, claimed)
 
 
 class TestLeafEncodingIsTheSupervisors:

@@ -38,7 +38,6 @@ from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 ALL_SCHEMES = [
     CBSScheme(n_samples=8),
-    CBSScheme(n_samples=8, batch_proofs=True),
     CBSScheme(n_samples=8, subtree_height=2),
     NICBSScheme(n_samples=8),
     NaiveSamplingScheme(8),

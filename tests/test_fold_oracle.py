@@ -1,25 +1,46 @@
 """Fold and ledger oracle: verification against a plain-``hashlib`` reference.
 
-The reference verifier below is straight-line in the manner of
-SNIPPETS.md snippet 1's ``validate_merkle_proof`` — one ``hashlib``
-call per node, sibling on the left or the right by the index's parity —
-and it keeps its own books: ``hash_cost += cost`` once per hash, in the
-order the hashes happen.  The supervisors must agree with it verdict
-for verdict and, on the ledger, *bit for bit*: the batched fold crosses
-the hash wrappers once per path, and that must not change a single
-charge or the order floating-point costs are summed in.
+The reference verifier (``tests/proof_reference.py``) is straight-line
+in the manner of SNIPPETS.md snippet 1's ``validate_merkle_proof`` —
+one independent path per sample, one ``hashlib`` call per node, sibling
+on the left or the right by the index's parity — and it keeps its own
+books.  The supervisors verify a bundle as one multiproof instead: the
+tree the samples span is folded once.  What must hold between the two:
+
+* ``accepted`` is always what the per-path verifier says;
+* whenever the claimed values are the committed ones (honest,
+  semi-honest, colluding) the whole verdict list is the per-path one;
+* the supervisor's hash ledger reads an *independent count* of the
+  shared fold — one hash per distinct claimed leaf and per node of the
+  cover above them, none when no sample passed check 1 — bit for bit,
+  floats included; evaluation charges are the per-path verifier's;
+* nothing a participant is charged moves.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from proof_reference import (
+    RefBooks,
+    RefHash,
+    ref_needed,
+    ref_root_from_path,
+    ref_tree_root,
+    ref_verify,
+    shared_fold_hashes,
+)
 from repro.accounting import CostLedger
-from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.cheating import ColludingCheater, HonestBehavior, SemiHonestCheater
 from repro.core.cbs import CBSParticipant, CBSSupervisor
 from repro.core.ni_cbs import NICBSParticipant, NICBSSupervisor
-from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg, SampleProof
-from repro.merkle import AuthenticationPath, MerkleTree, get_hash
+from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
+from repro.core.scheme import RejectReason
+from repro.core.verification import verify_proof_bundle
+from repro.merkle import MerkleTree, get_hash
 from repro.merkle.hashing import CountingHash, HashFunction
 from repro.merkle.proof import compute_root_from_path
 from repro.merkle.tree import LeafEncoding
@@ -48,95 +69,6 @@ HASHES = {
 }
 
 
-# ----------------------------------------------------------------------
-# The reference
-# ----------------------------------------------------------------------
-
-
-class RefBooks:
-    """What the supervisor's ledger should read afterwards."""
-
-    def __init__(self):
-        self.hashes = 0
-        self.hash_cost = 0.0
-        self.verifications = 0
-        self.verification_cost = 0.0
-        self.samples_verified = 0
-
-
-class RefHash:
-    def __init__(self, name, rounds, cost, books):
-        self.name, self.rounds, self.cost, self.books = name, rounds, cost, books
-        self.digest_size = hashlib.new(name).digest_size
-
-    def __call__(self, data):
-        for _ in range(self.rounds):
-            data = hashlib.new(self.name, data).digest()
-        self.books.hashes += 1
-        self.books.hash_cost += self.cost
-        return data
-
-
-def ref_root_from_path(h, leaf_phi, index, siblings):
-    digest = leaf_phi
-    for sibling in siblings:
-        if index % 2:  # the sibling is a left node
-            digest = h(b"\x01" + sibling + digest)
-        else:  # the sibling is a right node
-            digest = h(b"\x01" + digest + sibling)
-        index //= 2
-    return digest
-
-
-def ref_tree_root(h, payloads, raw=False):
-    level = [p if raw else h(b"\x00" + p) for p in payloads]
-    width = 1
-    while width < len(level):
-        width *= 2
-    level += [h(b"\x02repro/empty")] * (width - len(level))
-    while len(level) > 1:
-        level = [
-            h(b"\x01" + level[i] + level[i + 1]) for i in range(0, len(level), 2)
-        ]
-    return level[0]
-
-
-def ref_verify(h, books, proofs, expected, root, n_leaves, task, stop):
-    """Step 4, by the book.  Returns ``[(index, accepted, reason)]``."""
-    height = 0
-    while (1 << height) < n_leaves:
-        height += 1
-    fn = task.function
-    verdicts = []
-    for proof, want in zip(proofs, expected):
-        books.samples_verified += 1
-        path = proof.path
-        if (
-            proof.index != want
-            or len(path.siblings) != height
-            or path.leaf_index != want
-            or any(len(s) != h.digest_size for s in path.siblings)
-            or path.leaf_encoding is LeafEncoding.RAW
-        ):
-            verdict = (want, False, "malformed_proof")
-        else:
-            books.verifications += 1
-            books.verification_cost += fn.cost
-            if fn.evaluate(task.domain[want]) != proof.claimed_result:
-                verdict = (want, False, "wrong_result")
-            else:
-                leaf = h(b"\x00" + proof.claimed_result)
-                rebuilt = ref_root_from_path(h, leaf, want, path.siblings)
-                if rebuilt != root:
-                    verdict = (want, False, "root_mismatch")
-                else:
-                    verdict = (want, True, "ok")
-        verdicts.append(verdict)
-        if stop and not verdict[1]:
-            break
-    return verdicts
-
-
 def assert_books_equal(ledger: CostLedger, books: RefBooks):
     # ``==`` on the floats: bit-identical, not approximately equal.
     assert ledger.hashes == books.hashes
@@ -151,37 +83,117 @@ def plain(outcome):
 
 
 # ----------------------------------------------------------------------
-# Bundles: honest, semi-honest, one tampered sibling
+# Tampering with a bundle held in memory
+# ----------------------------------------------------------------------
+
+
+def with_digest_flipped(proofs, level, node):
+    """``proofs`` with one bit of the digest of ``(level, node)`` flipped
+    in every path that carries it."""
+    forged = []
+    for proof in proofs:
+        siblings = list(proof.path.siblings)
+        if (proof.index >> level) ^ 1 == node:
+            siblings[level] = bytes([siblings[level][0] ^ 0x01]) + siblings[level][1:]
+        forged.append(
+            dataclasses.replace(
+                proof, path=dataclasses.replace(proof.path, siblings=siblings)
+            )
+        )
+    return tuple(forged)
+
+
+def a_supplied_node(proofs):
+    """``(level, node)`` of a digest no sample determines, mid-tree."""
+    leaves = [proof.index for proof in proofs]
+    needed = ref_needed(leaves, len(proofs[0].path.siblings))
+    level = max(lv for lv, nodes in enumerate(needed) if nodes and lv <= len(needed) // 2)
+    return level, needed[level][0]
+
+
+def a_derivable_node(proofs):
+    """``(level, node)`` of a sibling digest that another sample's own
+    ancestor determines, or ``None`` when no two samples meet below the
+    root."""
+    leaves = {proof.index for proof in proofs}
+    for level in range(len(proofs[0].path.siblings)):
+        ancestors = {leaf >> level for leaf in leaves}
+        for node in sorted(ancestors):
+            if node ^ 1 in ancestors:
+                return level, node
+    return None
+
+
+# ----------------------------------------------------------------------
+# Bundles: honest, semi-honest, nothing computed, one tampered digest
 # ----------------------------------------------------------------------
 
 N, M = 50, 12  # 50 leaves: height 6 with 14 padding leaves
+HEIGHT = 6
 TASK = TaskAssignment("task-oracle", RangeDomain(0, N), PasswordSearch(cost=0.3))
 
-
-def tampered(proofs, victim):
-    """``proofs`` with one byte of one sibling of proof ``victim`` flipped."""
-    proof = proofs[victim]
-    siblings = list(proof.path.siblings)
-    level = len(siblings) // 2
-    siblings[level] = bytes([siblings[level][0] ^ 0x01]) + siblings[level][1:]
-    forged = SampleProof(
-        index=proof.index,
-        claimed_result=proof.claimed_result,
-        path=AuthenticationPath(
-            leaf_index=proof.path.leaf_index,
-            siblings=siblings,
-            n_leaves=proof.path.n_leaves,
-            leaf_encoding=proof.path.leaf_encoding,
-        ),
-    )
-    return proofs[:victim] + (forged,) + proofs[victim + 1 :]
-
-
+#: behaviour, whether a supplied digest is flipped, a reason that must show
 SCENARIOS = {
-    "honest": (HonestBehavior(), None, "ok"),
-    "semi-honest": (SemiHonestCheater(0.5), None, "wrong_result"),
-    "tampered-sibling": (HonestBehavior(), M // 2, "root_mismatch"),
+    "honest": (HonestBehavior(), False, "ok"),
+    "semi-honest": (SemiHonestCheater(0.5), False, "wrong_result"),
+    "nothing-computed": (SemiHonestCheater(0.0), False, "wrong_result"),
+    "tampered-sibling": (HonestBehavior(), True, "root_mismatch"),
 }
+
+
+def expected_run(h, books, proofs, expected, root, stop, tampered):
+    """Verdicts and books of the declared bundle semantics, derived from
+    the per-path reference's findings and an independent hash count."""
+    if not tampered:
+        # Claimed values are the committed ones: the per-path verdicts,
+        # and the per-path evaluation charges, exactly.
+        scratch = RefBooks()
+        want = ref_verify(
+            RefHash(h.name, h.rounds, h.cost, scratch),
+            scratch, proofs, expected, root, N, TASK, stop,
+        )
+        awaiting = [v for v in want if v[1]]
+    else:
+        # Every sample's own path, to the end: check 1 passes everywhere
+        # and the flipped digest sits on some paths, not all — which the
+        # one fold cannot tell apart.  Every sample is evaluated before
+        # the fold, so under stop the charge is m, not victim + 1.
+        scratch = RefBooks()
+        each = ref_verify(
+            RefHash(h.name, h.rounds, h.cost, scratch),
+            scratch, proofs, expected, root, N, TASK, False,
+        )
+        assert {v[2] for v in each} == {"ok", "root_mismatch"}
+        want = [(index, False, "root_mismatch") for index, _ok, _why in each]
+        awaiting = want
+        if stop:
+            want = want[:1]
+    books.verifications += scratch.verifications
+    books.verification_cost += scratch.verification_cost
+    books.samples_verified += len(want)
+    if awaiting:
+        leaves = [proof.index for proof in proofs]
+        for _ in range(shared_fold_hashes(leaves, HEIGHT)):
+            books.hashes += 1
+            books.hash_cost += h.cost
+    return want
+
+
+def assert_participant_charges_are_heads(ledger, behavior, cost, g_hashes=0):
+    # Producing a bundle costs what it did when every sample shipped its
+    # own path: the evaluations the behaviour chose to do, one hash per
+    # leaf, one for the padding digest, one per interior node of the
+    # 64-wide tree (114), the whole tree stored (127), M proofs built.
+    assert ledger.evaluations == round(getattr(behavior, "honesty_ratio", 1.0) * N)
+    assert ledger.hashes == N + 1 + 63 + g_hashes
+    books = RefBooks()
+    for _ in range(N + 1 + 63):
+        books.hash_cost += cost
+    for _ in range(g_hashes):
+        books.hash_cost += 1.0
+    assert ledger.hash_cost == books.hash_cost
+    assert ledger.storage_digests == 127
+    assert ledger.counters == {"commitments": 1, "proofs": M}
 
 
 @pytest.mark.parametrize("stop", [True, False], ids=["stop-first", "verify-all"])
@@ -190,7 +202,7 @@ SCENARIOS = {
 class TestLedgerExactness:
     def test_cbs(self, hash_name, scenario, stop):
         hash_fn, ref_name, rounds, cost = HASHES[hash_name]
-        behavior, victim, expected_reason = SCENARIOS[scenario]
+        behavior, tamper, expected_reason = SCENARIOS[scenario]
         participant = CBSParticipant(TASK, behavior, hash_fn=hash_fn)
         supervisor = CBSSupervisor(
             TASK, n_samples=M, hash_fn=hash_fn, seed=5, stop_on_first_failure=stop
@@ -199,16 +211,20 @@ class TestLedgerExactness:
         supervisor.receive_commitment(commitment)
         challenge = supervisor.make_challenge()
         bundle = participant.prove(challenge)
-        if victim is not None:
+        assert_participant_charges_are_heads(participant.ledger, behavior, cost)
+        if tamper:
             bundle = ProofBundleMsg(
-                task_id=bundle.task_id, proofs=tampered(bundle.proofs, victim)
+                task_id=bundle.task_id,
+                proofs=with_digest_flipped(
+                    bundle.proofs, *a_supplied_node(bundle.proofs)
+                ),
             )
         outcome = supervisor.verify(bundle)
 
         books = RefBooks()
         h = RefHash(ref_name, rounds, cost, books)
-        want = ref_verify(
-            h, books, bundle.proofs, challenge.indices, commitment.root, N, TASK, stop
+        want = expected_run(
+            h, books, bundle.proofs, challenge.indices, commitment.root, stop, tamper
         )
         assert plain(outcome) == want
         assert outcome.accepted == all(v[1] for v in want)
@@ -217,21 +233,32 @@ class TestLedgerExactness:
         )[-1]
         assert expected_reason in {v[2] for v in want}
         assert_books_equal(supervisor.ledger, books)
+        # The same bundle as a peer receives it: same verdicts.
+        received = ProofBundleMsg.decode(bundle.encode())
+        again = CBSSupervisor(
+            TASK, n_samples=M, hash_fn=hash_fn, seed=5, stop_on_first_failure=stop
+        )
+        again.receive_commitment(commitment)
+        again.make_challenge()
+        assert plain(again.verify(received)) == want
+        assert_books_equal(again.ledger, books)
 
     def test_ni_cbs(self, hash_name, scenario, stop):
         hash_fn, ref_name, rounds, cost = HASHES[hash_name]
-        behavior, victim, expected_reason = SCENARIOS[scenario]
+        behavior, tamper, expected_reason = SCENARIOS[scenario]
         # g = sha256 at cost 1.0 throughout, so with a 0.1-cost tree
         # hash the ledger sums two different float costs in sequence.
-        submission = NICBSParticipant(
-            TASK, behavior, n_samples=M, hash_fn=hash_fn
-        ).compute_and_submit()
-        if victim is not None:
-            submission = NICBSSubmissionMsg(
-                task_id=submission.task_id,
-                root=submission.root,
-                n_leaves=submission.n_leaves,
-                proofs=tampered(submission.proofs, victim),
+        participant = NICBSParticipant(TASK, behavior, n_samples=M, hash_fn=hash_fn)
+        submission = participant.compute_and_submit()
+        assert_participant_charges_are_heads(
+            participant.ledger, behavior, cost, g_hashes=M
+        )
+        if tamper:
+            submission = dataclasses.replace(
+                submission,
+                proofs=with_digest_flipped(
+                    submission.proofs, *a_supplied_node(submission.proofs)
+                ),
             )
         supervisor = NICBSSupervisor(
             TASK, n_samples=M, hash_fn=hash_fn, stop_on_first_failure=stop
@@ -246,13 +273,203 @@ class TestLedgerExactness:
             expected.append(int.from_bytes(value, "big") % N)
         assert [p.index for p in submission.proofs] == expected
         h = RefHash(ref_name, rounds, cost, books)
-        want = ref_verify(
-            h, books, submission.proofs, expected, submission.root, N, TASK, stop
+        want = expected_run(
+            h, books, submission.proofs, expected, submission.root, stop, tamper
         )
         assert plain(outcome) == want
         assert outcome.accepted == all(v[1] for v in want)
         assert expected_reason in {v[2] for v in want}
         assert_books_equal(supervisor.ledger, books)
+        received = NICBSSubmissionMsg.decode(submission.encode())
+        again = NICBSSupervisor(
+            TASK, n_samples=M, hash_fn=hash_fn, stop_on_first_failure=stop
+        )
+        assert plain(again.verify(received)) == want
+        assert_books_equal(again.ledger, books)
+
+
+def test_nothing_is_hashed_when_the_first_sample_fails_check_one():
+    # Under stop-on-first-failure a guessed first sample ends the run
+    # before any fold: zero hashes, one evaluation.
+    participant = CBSParticipant(TASK, SemiHonestCheater(0.0))
+    supervisor = CBSSupervisor(TASK, n_samples=M, seed=5)
+    supervisor.receive_commitment(participant.compute_and_commit())
+    outcome = supervisor.verify(participant.prove(supervisor.make_challenge()))
+    assert [v.reason for v in outcome.verdicts] == [RejectReason.WRONG_RESULT]
+    assert (supervisor.ledger.hashes, supervisor.ledger.verifications) == (0, 1)
+
+
+# ----------------------------------------------------------------------
+# Per-path verifier vs the shared fold, under hypothesis
+# ----------------------------------------------------------------------
+
+_BEHAVIORS = st.one_of(
+    st.just(HonestBehavior()),
+    st.floats(min_value=0.0, max_value=1.0).map(SemiHonestCheater),
+    st.floats(min_value=0.0, max_value=1.0).map(
+        lambda r: ColludingCheater(r, cartel_key=b"cartel")
+    ),
+)
+_REJECTIONS = {
+    RejectReason.MALFORMED_PROOF,
+    RejectReason.WRONG_RESULT,
+    RejectReason.ROOT_MISMATCH,
+}
+
+
+@st.composite
+def _runs(draw):
+    """A committed tree, a challenge and its in-memory bundle."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    m = draw(st.integers(min_value=1, max_value=24))
+    task = TaskAssignment("t", RangeDomain(0, n), PasswordSearch())
+    participant = CBSParticipant(
+        task,
+        draw(_BEHAVIORS),
+        # §3.3 partial trees (where the tree is tall enough) prove
+        # through the same bundle.
+        subtree_height=draw(st.sampled_from([None, None, 2])) if n > 4 else None,
+        salt=draw(st.binary(max_size=2)),
+    )
+    commitment = participant.compute_and_commit()
+    supervisor = CBSSupervisor(
+        task, n_samples=m, seed=draw(st.integers(min_value=0, max_value=10_000))
+    )
+    supervisor.receive_commitment(commitment)
+    challenge = supervisor.make_challenge()
+    return task, commitment, challenge.indices, participant.prove(challenge).proofs
+
+
+def shared_fold(task, root, indices, proofs, stop):
+    verdicts = verify_proof_bundle(
+        proofs,
+        indices,
+        root=root,
+        n_leaves=task.n_inputs,
+        domain=task.domain,
+        function=task.function,
+        hash_fn=get_hash("sha256"),
+        leaf_encoding=LeafEncoding.HASHED,
+        stop_on_first_failure=stop,
+    )
+    return [(v.index, v.accepted, v.reason.value) for v in verdicts]
+
+
+def both_verifiers(task, root, indices, proofs, stop):
+    """``(per-path verdicts, shared-fold verdicts)`` as plain tuples."""
+    books = RefBooks()
+    per_path = ref_verify(
+        RefHash("sha256", 1, 1.0, books),
+        books, proofs, indices, root, task.n_inputs, task, stop,
+    )
+    return per_path, shared_fold(task, root, indices, proofs, stop)
+
+
+def _tamper(draw, task, proofs):
+    """One of the ways to lie inside a bundle that is part of the proof."""
+    victim = draw(st.integers(min_value=0, max_value=len(proofs) - 1))
+    proof = proofs[victim]
+    height = len(proof.path.siblings)
+    supplied = [
+        (level, node)
+        for level, row in enumerate(ref_needed([p.index for p in proofs], height))
+        for node in row
+    ]
+    kinds = ["uncommitted-result", "foreign-encoding", "wrong-index"]
+    if height:
+        kinds.append("short-path")
+    if supplied:
+        kinds.append("flipped-supplied-digest")
+    truth = task.function.evaluate(task.domain[proof.index])
+    if proof.claimed_result != truth:
+        # The attack CBS exists to stop (§3): a guess was committed,
+        # f(x) computed only once the sample was known.
+        kinds.append("correct-result-never-committed")
+    if any(p.index == proof.index for p in proofs[:victim] + proofs[victim + 1 :]):
+        kinds.append("conflicting-duplicate")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "flipped-supplied-digest":
+        return kind, with_digest_flipped(proofs, *draw(st.sampled_from(supplied)))
+    if kind == "correct-result-never-committed":
+        return kind, _with_result(proofs, proof.index, truth)
+    flipped = proof.claimed_result[:-1] + bytes([proof.claimed_result[-1] ^ 1])
+    if kind == "uncommitted-result":
+        return kind, _with_result(proofs, proof.index, flipped)
+    if kind == "conflicting-duplicate":
+        forged = dataclasses.replace(proof, claimed_result=flipped)
+        return kind, proofs[:victim] + (forged,) + proofs[victim + 1 :]
+    if kind == "foreign-encoding":
+        path = dataclasses.replace(proof.path, leaf_encoding=LeafEncoding.RAW)
+    elif kind == "short-path":
+        path = dataclasses.replace(proof.path, siblings=proof.path.siblings[:-1])
+    else:
+        other = (proof.index + 1) % task.n_inputs
+        if other == proof.index:
+            return "uncommitted-result", _with_result(proofs, proof.index, flipped)
+        path = dataclasses.replace(proof.path, leaf_index=other)
+        proof = dataclasses.replace(proof, index=other)
+    forged = dataclasses.replace(proof, path=path)
+    return kind, proofs[:victim] + (forged,) + proofs[victim + 1 :]
+
+
+def _with_result(proofs, leaf, result):
+    """Every sample of ``leaf`` claiming ``result``."""
+    return tuple(
+        dataclasses.replace(p, claimed_result=result) if p.index == leaf else p
+        for p in proofs
+    )
+
+
+class TestPerPathVersusSharedFold:
+    """The same bundles through snippet 1's per-path verifier and
+    through ``verify_proof_bundle``.  Example counts come from the
+    hypothesis profile: CI runs this class under ``ci`` (600)."""
+
+    @given(_runs(), st.booleans())
+    def test_committed_values_give_the_per_path_verdicts(self, run, stop):
+        task, commitment, indices, proofs = run
+        per_path, shared = both_verifiers(task, commitment.root, indices, proofs, stop)
+        assert shared == per_path
+        # ... and the bundle as received, derivable positions gone
+        # (which snippet 1, folding each path alone, could not take).
+        received = ProofBundleMsg.decode(ProofBundleMsg("t", proofs).encode())
+        assert (
+            shared_fold(task, commitment.root, indices, received.proofs, stop)
+            == per_path
+        )
+
+    @given(_runs(), st.booleans(), st.data())
+    def test_tampered_bundles_are_rejected_by_both(self, run, stop, data):
+        task, commitment, indices, honest = run
+        kind, proofs = _tamper(data.draw, task, honest)
+        per_path, shared = both_verifiers(task, commitment.root, indices, proofs, stop)
+        assert not all(v[1] for v in per_path), kind
+        assert not all(v[1] for v in shared), kind
+        rejected = [v for v in shared if not v[1]]
+        assert {RejectReason(v[2]) for v in rejected} <= _REJECTIONS
+        assert len(shared) == (
+            1 + [v[1] for v in shared].index(False) if stop else len(proofs)
+        )
+
+    @given(_runs(), st.booleans())
+    def test_a_derivable_digest_is_not_part_of_the_proof(self, run, stop):
+        # Flip a sibling digest that another sample's own ancestor
+        # determines, in a bundle that never crossed a wire: the one
+        # fold never reads it, so nothing changes — verdicts, bytes.
+        # (The per-path verifier, which folds every path alone, would
+        # reject; that is the difference between the two forms.)
+        task, commitment, indices, proofs = run
+        where = a_derivable_node(proofs)
+        if where is None:
+            return
+        forged = with_digest_flipped(proofs, *where)
+        assert forged != proofs
+        _, before = both_verifiers(task, commitment.root, indices, proofs, stop)
+        per_path, after = both_verifiers(task, commitment.root, indices, forged, stop)
+        assert after == before
+        if all(v[1] for v in before):
+            assert not all(v[1] for v in per_path)
+        assert ProofBundleMsg("t", forged).encode() == ProofBundleMsg("t", proofs).encode()
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.tasks import (
 
 ALL_SCHEMES = [
     CBSScheme(20),
-    CBSScheme(20, batch_proofs=True),
     CBSScheme(20, subtree_height=3),
     NICBSScheme(20),
     NaiveSamplingScheme(20),
@@ -158,10 +157,12 @@ class TestFullPipelineScenario:
         assert not result.outcome.accepted
 
     def test_population_simulation_with_batched_cbs(self):
+        # Every CBS bundle is one multiproof now; 1200 leaves is a
+        # padded tree, where samples and padding share ancestors.
         report = run_population(
             RangeDomain(0, 1200),
             PasswordSearch(),
-            CBSScheme(15, batch_proofs=True),
+            CBSScheme(15),
             behaviors=[HonestBehavior(), SemiHonestCheater(0.5)],
             n_participants=6,
             seed=3,

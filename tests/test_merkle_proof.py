@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protocol import ProofBundleMsg, SampleProof
 from repro.exceptions import ProofShapeError
 from repro.merkle import MerkleTree, get_hash
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
@@ -120,10 +121,13 @@ class TestWireSize:
         sizes = {}
         for n in (4, 16, 64, 256):
             tree, _ = build(n)
-            sizes[n] = tree.auth_path(0).wire_size()
+            # One path on the wire is a bundle of one: every sibling
+            # is supplied, each a length byte and a 32-byte digest.
+            path = tree.auth_path(0)
+            sizes[n] = len(ProofBundleMsg("", (SampleProof(0, b"", path),)).encode())
         # Each 4x in n adds exactly 2 sibling digests (2 * 33 bytes).
-        assert sizes[16] - sizes[4] == pytest.approx(2 * 33, abs=4)
-        assert sizes[256] - sizes[64] == pytest.approx(2 * 33, abs=4)
+        assert sizes[16] - sizes[4] == 2 * 33
+        assert sizes[256] - sizes[64] == pytest.approx(2 * 33, abs=1)
 
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=20, deadline=None)

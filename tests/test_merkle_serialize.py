@@ -1,26 +1,36 @@
-"""Tests for Merkle wire serialization."""
+"""Tests for Merkle wire serialization.
+
+An authentication path crosses a wire only inside a proof bundle; a
+bundle of one supplies every sibling of its path, so these round trips
+are the per-path codec's, through the one form there is."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protocol import ProofBundleMsg, SampleProof
 from repro.exceptions import CodecError
 from repro.merkle import MerkleTree
-from repro.merkle.serialize import (
-    decode_auth_path,
-    decode_digest,
-    encode_auth_path,
-    encode_digest,
-)
+from repro.merkle.serialize import decode_digest, encode_digest
 from repro.merkle.tree import LeafEncoding
+
+
+def encode_auth_path(path, payload=b"") -> bytes:
+    return ProofBundleMsg(
+        "", (SampleProof(path.leaf_index, payload, path),)
+    ).encode()
+
+
+def decode_auth_path(data):
+    (proof,) = ProofBundleMsg.decode(data).proofs
+    return proof.path
 
 
 class TestAuthPathRoundtrip:
     def test_roundtrip_preserves_fields(self):
         tree = MerkleTree([bytes([i]) for i in range(20)])
         path = tree.auth_path(13)
-        decoded, pos = decode_auth_path(encode_auth_path(path))
-        assert pos == len(encode_auth_path(path))
+        decoded = decode_auth_path(encode_auth_path(path))
         assert decoded.leaf_index == path.leaf_index
         assert decoded.siblings == path.siblings
         assert decoded.n_leaves == path.n_leaves
@@ -29,7 +39,7 @@ class TestAuthPathRoundtrip:
     def test_decoded_path_still_verifies(self):
         leaves = [f"v{i}".encode() for i in range(10)]
         tree = MerkleTree(leaves)
-        decoded, _ = decode_auth_path(encode_auth_path(tree.auth_path(7)))
+        decoded = decode_auth_path(encode_auth_path(tree.auth_path(7)))
         assert decoded.verify(leaves[7], tree.root, tree.hash_fn)
 
     def test_raw_encoding_survives(self):
@@ -37,15 +47,16 @@ class TestAuthPathRoundtrip:
             MerkleTree([b"x"]).hash_fn.digest(bytes([i])) for i in range(4)
         ]
         tree = MerkleTree(h_leaves, leaf_encoding=LeafEncoding.RAW)
-        decoded, _ = decode_auth_path(encode_auth_path(tree.auth_path(1)))
+        decoded = decode_auth_path(encode_auth_path(tree.auth_path(1)))
         assert decoded.leaf_encoding == LeafEncoding.RAW
 
     def test_unknown_encoding_code_rejected(self):
         tree = MerkleTree([b"a", b"b"])
         data = bytearray(encode_auth_path(tree.auth_path(0)))
-        # Byte layout: leaf_index varint (1B for 0), n_leaves varint,
-        # then the encoding code.
-        data[2] = 9
+        # Byte layout: empty task id, m = 1, n_leaves, then the
+        # encoding code.
+        assert data[:4] == bytes([0, 1, 2, 0])
+        data[3] = 9
         with pytest.raises(CodecError):
             decode_auth_path(bytes(data))
 
@@ -55,7 +66,7 @@ class TestAuthPathRoundtrip:
         tree = MerkleTree([bytes([i % 256, 1]) for i in range(n)])
         index = data.draw(st.integers(min_value=0, max_value=n - 1))
         path = tree.auth_path(index)
-        decoded, _ = decode_auth_path(encode_auth_path(path))
+        decoded = decode_auth_path(encode_auth_path(path))
         assert decoded.siblings == path.siblings
         assert decoded.leaf_index == index
 

@@ -319,7 +319,7 @@ class TestReadmeTables:
             and issubclass(cls, wire.WireMessage)
             and cls.__module__ == protocol.__name__
         ]
-        assert len(messages) == 10
+        assert len(messages) == 8
         assert _table_rows(_readme_section("Proof wire format")) == [
             f"| `{cls.__name__}` | {' · '.join(map(_readme_field, cls.FIELDS))} |"
             for cls in messages
@@ -327,15 +327,18 @@ class TestReadmeTables:
 
 
 _SPAN = {"tid": "t1", "sid": "s1", "name": "worker.execute", "ts": 1.5, "dur": 0.25}
-_PROOF = SampleProof(
-    index=1,
-    claimed_result=b"\xaa\xbb",
-    path=AuthenticationPath(
-        leaf_index=1,
-        siblings=[b"\x11" * 4, b"\x22" * 4],
-        n_leaves=4,
-        leaf_encoding=LeafEncoding.HASHED,
-    ),
+# Leaves 1 and 0 of a four-leaf tree, as a peer receives them: each is
+# the other's leaf-level sibling (derivable, so ``None`` and never on
+# the wire) and both paths meet the one supplied digest at level 1.
+_PROOFS = tuple(
+    SampleProof(
+        index=leaf,
+        claimed_result=result,
+        path=AuthenticationPath.from_uniform(
+            leaf, [None, b"\x22" * 4], 4, LeafEncoding.HASHED
+        ),
+    )
+    for leaf, result in ((1, b"\xaa\xbb"), (0, b"\xcc"))
 )
 _SPAN_HEX = (
     "455b7b22647572223a302e32352c226e616d65223a22776f726b65722e65786563757465"
@@ -374,39 +377,40 @@ GOLDEN = [
         "040601740201ac02",
     ),
     (
-        ProofsFrame(ProofBundleMsg(task_id="t", proofs=(_PROOF,))),
-        "05150174010102aabb0104000204111111110422222222",
+        ProofsFrame(ProofBundleMsg(task_id="t", proofs=_PROOFS)),
+        "0514" "0174" "02040002" "0100" "0201cc02aabb" "010422222222",
     ),
     (
         SubmissionFrame(
             NICBSSubmissionMsg(
-                task_id="t", root=b"\x01" * 8, n_leaves=4, proofs=(_PROOF,)
+                task_id="t", root=b"\x01" * 8, n_leaves=4, proofs=_PROOFS
             )
         ),
-        "061f017408010101010101010104010102aabb0104000204111111110422222222",
+        "061e" "0174" "080101010101010101" "04"
+        "02040002" "0100" "0201cc02aabb" "010422222222",
     ),
     (
         VerdictFrame(VerdictMsg(task_id="t", accepted=False, reason="wrong_result")),
         "07100174000c77726f6e675f726573756c74",
     ),
     (ErrorFrame("nope"), "08046e6f7065"),
-    (codec.WorkerHello("w-0", 2), "090603772d3002"),
+    (codec.WorkerHello("w-0", 2), "090703772d3002"),
     (codec.HeartbeatFrame("w-0"), "0a03772d30"),
     (
         codec.JobFrame(
             job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
         ),
-        "0b06ac02010274310102733103000102",
+        "0b07ac02010274310102733103000102",
     ),
     (
         codec.ResultFrame(
             job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
             cache_hits=2, cache_misses=1,
         ),
-        "0c06ac02010201" + _SPAN_HEX + "020304",
+        "0c07ac02010201" + _SPAN_HEX + "020304",
     ),
-    (codec.ResultPartFrame(job_id=300, seq=1, payload=b"\x05"), "0d06ac02010105"),
-    (codec.ResultEndFrame(job_id=300, parts=2, cache_hits=1), "0e06ac0202010000"),
+    (codec.ResultPartFrame(job_id=300, seq=1, payload=b"\x05"), "0d07ac02010105"),
+    (codec.ResultEndFrame(job_id=300, parts=2, cache_hits=1), "0e07ac0202010000"),
     (codec.StatsRequest(), "0f"),
     (
         codec.StatsReply({"repro_x_total": {"type": "counter", "value": 3}}),

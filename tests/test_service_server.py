@@ -19,7 +19,7 @@ from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, derive_seed, run_scheme_jobs
-from repro.exceptions import ProtocolError
+from repro.exceptions import CodecError, ProtocolError
 from repro.grid import GridSimulation, Network, ParticipantNode, SimulationConfig, SupervisorNode
 from repro.service import (
     ChallengeFrame,
@@ -316,13 +316,31 @@ class TestProtocolPolicing:
         assert run.accepted
 
     def test_submission_naming_another_leaf_encoding_gets_a_verdict(self):
-        # One path relabelled RAW over a 16-byte result.  The verifier
-        # used to take the label at its word and raise out of the
-        # offloaded job: an error frame, and a session parked in
-        # VERIFYING with no verdict until the TTL swept it.
+        # The leaf-encoding code and the height ride once per bundle.
+        # A bundle labelled RAW over 16-byte results used to make the
+        # verifier raise out of the offloaded job (an error frame, and a
+        # session parked in VERIFYING until the TTL swept it); a bundle
+        # one level short of the commitment's height is the same kind
+        # of lie.  Both get a verdict frame, never a dropped connection.
         cfg = config("ni-cbs")
 
-        async def scenario():
+        def relabelled(proof):
+            return dataclasses.replace(
+                proof,
+                path=dataclasses.replace(
+                    proof.path, leaf_encoding=LeafEncoding.RAW
+                ),
+            )
+
+        def shortened(proof):
+            return dataclasses.replace(
+                proof,
+                path=dataclasses.replace(
+                    proof.path, siblings=proof.path.siblings[:-1]
+                ),
+            )
+
+        async def scenario(forge):
             server = SupervisorServer(cfg, engine="threads", workers=2)
             try:
                 reader, writer = server.connect_memory()
@@ -334,18 +352,15 @@ class TestProtocolPolicing:
                     HonestBehavior(),
                     n_samples=cfg.n_samples,
                 ).compute_and_submit()
-                first = honest.proofs[0]
-                relabelled = dataclasses.replace(
-                    first,
-                    path=dataclasses.replace(
-                        first.path, leaf_encoding=LeafEncoding.RAW
-                    ),
+                # One header cannot say two things: a bundle that
+                # mixes geometries has no encoding at all.
+                mixed = dataclasses.replace(
+                    honest, proofs=(forge(honest.proofs[0]),) + honest.proofs[1:]
                 )
-                hostile = NICBSSubmissionMsg(
-                    task_id=task_id,
-                    root=honest.root,
-                    n_leaves=honest.n_leaves,
-                    proofs=(relabelled,) + honest.proofs[1:],
+                with pytest.raises(CodecError):
+                    mixed.encode()
+                hostile = dataclasses.replace(
+                    honest, proofs=tuple(map(forge, honest.proofs))
                 )
                 await write_frame(writer, SubmissionFrame(msg=hostile))
                 reply = await read_frame(reader)
@@ -354,13 +369,14 @@ class TestProtocolPolicing:
             finally:
                 await server.stop()
 
-        reply, session, server = asyncio.run(scenario())
-        assert isinstance(reply, VerdictFrame)
-        assert not reply.msg.accepted
-        assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
-        assert session.state is SessionState.DONE
-        assert session.outcome.reason == RejectReason.MALFORMED_PROOF
-        assert server.registry.sum_values("repro_errors_total") == 0
+        for forge in (relabelled, shortened):
+            reply, session, server = asyncio.run(scenario(forge))
+            assert isinstance(reply, VerdictFrame)
+            assert not reply.msg.accepted
+            assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
+            assert session.state is SessionState.DONE
+            assert session.outcome.reason == RejectReason.MALFORMED_PROOF
+            assert server.registry.sum_values("repro_errors_total") == 0
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):
         cfg = config("ni-cbs")

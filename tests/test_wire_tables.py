@@ -23,7 +23,6 @@ from repro.merkle.proof import AuthenticationPath
 from repro.merkle.tree import LeafEncoding
 from repro.service import codec, jobcodec
 from repro.tasks.domain import RangeDomain
-from repro.utils.encoding import encode_uint
 
 
 class TestFieldRows:
@@ -87,7 +86,7 @@ class TestMessageRows:
             if isinstance(cls, type) and issubclass(cls, wire.WireMessage)
             and cls is not wire.WireMessage
         ]
-        assert len(messages) == 10
+        assert len(messages) == 8
         for cls in messages:
             assert isinstance(cls._layout, wire.Layout)
             assert [f.attr for f in cls.FIELDS] == [
@@ -105,25 +104,35 @@ class TestMessageRows:
                     assert name not in vars(cls) or cls is wire.WireMessage
 
     def test_proofs_kind_is_a_run_of_sample_proof_rows(self):
+        """In memory, that is: on the wire the run is one multiproof —
+        one header, each sample's index, one result per distinct leaf,
+        each digest no sample determines once — and ``SampleProof`` has
+        no encoding of its own."""
+        assert not issubclass(SampleProof, wire.WireMessage)
+        tall, wide = b"\x11" * 4, b"\x22" * 4
         proofs = tuple(
             SampleProof(
                 index=i,
                 claimed_result=bytes([i]) * 3,
-                path=AuthenticationPath(
-                    i, [b"\x11" * 4, b"\x22" * 4], 4, LeafEncoding.RAW
-                ),
+                path=AuthenticationPath(i, [tall, wide], 4, LeafEncoding.RAW),
             )
-            for i in range(3)
+            for i in (2, 0, 2)
         )
         bundle = ProofBundleMsg("t", proofs).encode()
-        head = b"\x01t" + encode_uint(len(proofs))
-        assert bundle == head + b"".join(p.encode() for p in proofs)
-        assert ProofBundleMsg.decode(bundle).proofs == proofs
-        pos = len(head)
-        for proof in proofs:
-            decoded, pos = SampleProof.decode_at(bundle, pos)
-            assert decoded == proof
-        assert pos == len(bundle)
+        assert bundle == b"\x01t" + b"".join(
+            (
+                bytes([3, 4, 1, 2]),         # m, n_leaves, RAW, height
+                bytes([2, 0, 2]),            # the samples, in sample order
+                b"\x02\x03\x00\x00\x00\x03\x02\x02\x02",  # leaves 0 and 2
+                b"\x02\x04" + tall + b"\x04" + tall,  # leaf level: nodes 1, 3
+            )                                # level 1: 0 and 1 cover each other
+        )
+        decoded = ProofBundleMsg.decode(bundle)
+        assert [p.index for p in decoded.proofs] == [2, 0, 2]
+        assert decoded.proofs[0] is decoded.proofs[2]
+        assert [p.path.siblings for p in decoded.proofs[:2]] == [[tall, None]] * 2
+        assert decoded.encode() == bundle
+        assert ProofBundleMsg.decode(decoded.encode()) == decoded
 
     def test_errors_name_the_message_and_the_field(self):
         with pytest.raises(CodecError, match="CommitmentMsg, field root"):
