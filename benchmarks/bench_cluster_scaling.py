@@ -35,7 +35,7 @@ overhead, not scheduling).
 
 ``--quick`` (the CI pull-request smoke) shrinks the domain and skips
 the wall-clock assertions while still driving the whole plane —
-spawn, adapt, stream, reassemble — end to end.
+spawn, adapt, answer, reassemble — end to end.
 
 Emits ``benchmarks/results/cluster_scaling.json`` and
 ``cluster_skew.json`` via the shared ``save_json`` path plus the usual

@@ -43,7 +43,7 @@ from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
 from repro.engine import default_workers, get_executor
 from repro.grid import run_population
 from repro.merkle import get_hash
-from repro.merkle.tree import _LEAF_TAG, _NODE_TAG, LeafEncoding, chunked_root
+from repro.merkle.tree import _LEAF_TAG, _NODE_TAG, LeafEncoding, MerkleTree
 from repro.net.framing import frame_buffer, split_frame_buffer
 from repro.service.codec import decode_cluster_payload, encode_cluster_payload
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
@@ -151,7 +151,7 @@ def _phase_breakdown(n: int, payloads: list, raw_payload: bytes) -> dict:
     phases["leaf_hash"] = _time(
         lambda: hash_fn.tagged_digest_many(_LEAF_TAG, payloads)
     )
-    phases["merkle_root"] = _time(lambda: chunked_root(payloads))
+    phases["merkle_root"] = _time(lambda: MerkleTree(payloads).root)
     phases["scheme_run"] = _time(
         lambda: run_population(
             RangeDomain(0, n),
@@ -238,11 +238,11 @@ def test_profile_worker_second(save_json, save_table, trajectory, quick):
 
     legacy_hash = _LegacyHash()
     # Same commitment either way — the speedup is pure call-path.
-    assert _legacy_root(payloads, legacy_hash) == chunked_root(payloads)
+    assert _legacy_root(payloads, legacy_hash) == MerkleTree(payloads).root
     best = _interleaved_best(
         {
             "legacy": lambda: _legacy_root(payloads, legacy_hash),
-            "current": lambda: chunked_root(payloads),
+            "current": lambda: MerkleTree(payloads).root,
         },
         rounds,
     )

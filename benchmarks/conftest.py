@@ -26,7 +26,7 @@ def pytest_addoption(parser) -> None:
 
     Benches shrink their domains and skip the wall-clock assertions —
     the *machinery* (spawning clusters, adaptive scheduling, result
-    streaming, JSON records) still runs end to end, so a scheduler
+    acceptance, JSON records) still runs end to end, so a scheduler
     regression that breaks or wedges the plane surfaces on every PR
     instead of only on full bench runs.
     """

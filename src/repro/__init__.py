@@ -93,7 +93,6 @@ from repro.merkle import (
     MerkleTree,
     PartialMerkleTree,
     StreamingMerkleBuilder,
-    chunked_root,
     get_hash,
 )
 from repro.tasks import (
@@ -168,7 +167,6 @@ __all__ = [
     "run_population",
     # merkle
     "MerkleTree",
-    "chunked_root",
     "PartialMerkleTree",
     "StreamingMerkleBuilder",
     "AuthenticationPath",

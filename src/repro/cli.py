@@ -33,10 +33,8 @@ execution backend (see :mod:`repro.engine`); backends change
 wall-clock only, never results.  ``--engine cluster`` self-hosts
 ``--cluster-workers N`` local worker daemons and exposes the adaptive
 scheduler's tuning surface — ``--cluster-chunk-min``/``max`` bound the
-throughput-sized chunks, ``--stream-threshold`` sets where workers
-start streaming results as bounded sub-frames (README "Cluster
-tuning").  The multi-host recipe (one coordinator, workers on other
-machines) is in the README.
+throughput-sized chunks (README "Cluster tuning").  The multi-host
+recipe (one coordinator, workers on other machines) is in the README.
 
 Transport security (README "Security model"): ``--secret-file`` gates
 every connection behind the mutual repro.net HMAC handshake,
@@ -758,7 +756,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         workers=args.workers,
         worker_id=args.worker_id,
         heartbeat_interval=args.heartbeat_interval,
-        stream_threshold=args.stream_threshold,
         throttle=args.throttle,
         connect_retry_s=args.connect_retry_s,
         secret_file=args.secret_file,
@@ -822,14 +819,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="cluster_chunk_max",
         help="largest adaptive chunk (jobs) the cluster scheduler sends",
-    )
-    parser.add_argument(
-        "--stream-threshold",
-        type=_positive_int,
-        default=None,
-        dest="stream_threshold",
-        help="encoded result bytes above which cluster workers stream a "
-        "chunk's outcomes as bounded result_part frames",
     )
     _add_security_args(parser)
 
@@ -903,8 +892,6 @@ def _engine_options(
         options["chunk_min"] = args.cluster_chunk_min
     if args.cluster_chunk_max is not None:
         options["chunk_max"] = args.cluster_chunk_max
-    if args.stream_threshold is not None:
-        options["stream_threshold"] = args.stream_threshold
     # --cluster-secret-file always wins for the cluster plane (and is
     # passed through — hence rejected loudly — for in-process engines);
     # a bare --secret-file reaches the cluster only where no service

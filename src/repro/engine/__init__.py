@@ -41,18 +41,17 @@ small protocol:
     in-flight windows, requeue from dead/slow workers, at-most-once
     results).  Scheduling is throughput-adaptive — per-worker EWMA
     rates size each outgoing chunk within ``chunk_min``/``chunk_max``
-    — and giant results stream back as bounded ``result_part`` frames
-    (``stream_threshold``); :func:`~repro.engine.executor.get_executor`
-    forwards these knobs as keyword options.  See
+    — and each chunk's outcomes come home in one ``result`` frame;
+    :func:`~repro.engine.executor.get_executor` forwards the knobs as
+    keyword options.  See
     :mod:`repro.engine.cluster`.  Imported lazily so the in-process
     backends stay free of the service layer.
 
 Every population-shaped entry point threads an ``engine=`` option down
 here: ``GridSimulation`` / ``run_population`` (one job per
 participant), ``analysis.montecarlo`` (one job per trial),
-``analysis.sweep`` (one job per grid point), the CLI
-(``--engine serial|threads|processes|cluster --workers N``) and the
-chunked Merkle root builder (:func:`repro.merkle.tree.chunked_root`).
+``analysis.sweep`` (one job per grid point) and the CLI
+(``--engine serial|threads|processes|cluster --workers N``).
 """
 
 from repro.engine.executor import (

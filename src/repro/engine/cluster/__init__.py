@@ -18,19 +18,18 @@ flag gain multi-host dispatch by naming ``"cluster"``.
   carries, within ``chunk_min``/``chunk_max``), requeue of chunks from
   dead or slow workers with at-most-once result acceptance (chunk ids
   are single-use, so a straggler's late result is dropped exactly
-  once), ordered reassembly — including of ``result_part`` streams.
+  once), ordered reassembly.
 * :mod:`repro.engine.cluster.worker` — the worker daemon: registers,
   decodes job specs through a bounded LRU scheme cache (one scheme
   construction per population per worker process, not per chunk),
-  executes chunks on a local engine, answers with per-job outcomes
-  (streamed as bounded sub-frames above ``stream_threshold`` bytes),
-  and never dies because of a job.
+  executes chunks on a local engine, answers each chunk with its
+  per-job outcomes in one ``result`` frame, and never dies because of
+  a job.
 
 Parity: a cluster run produces byte-identical
 :class:`~repro.grid.report.DetectionReport`'s to the serial backend —
-including under worker kills mid-population or mid-stream — because
-every job is a pure function of its payload and results are accepted
-at most once.
+including under worker kills mid-population — because every job is a
+pure function of its payload and results are accepted at most once.
 
 Security: jobs are data, never code — the typed codec only resolves
 registered callable names and schema-checked arguments, so the
@@ -54,7 +53,6 @@ from repro.engine.cluster.worker import (
     default_worker_id,
     execute_chunk_report,
     execute_payload,
-    pack_outcome_parts,
     run_worker,
     run_worker_sync,
     scheme_cache,
@@ -70,7 +68,6 @@ __all__ = [
     "default_worker_id",
     "execute_chunk_report",
     "execute_payload",
-    "pack_outcome_parts",
     "run_worker",
     "run_worker_sync",
     "scheme_cache",

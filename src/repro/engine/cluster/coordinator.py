@@ -38,10 +38,10 @@ Topology and scheduling:
   job, exactly once: the **first arriving result wins** (every job is
   a pure function of its payload, so the copies are byte-identical)
   and the loser's duplicate is dropped cleanly — never double-set,
-  never double-requeued, even when the loser dies mid-stream;
-* large results arrive as ``result_part`` sub-frames closed by a
-  ``result_end``; the coordinator reassembles the ordered outcome
-  list per chunk and requeues cleanly if the worker dies mid-stream;
+  never double-requeued;
+* a chunk's ordered outcomes arrive in exactly one ``result`` frame,
+  and only from the worker the chunk was sent to — an answer for
+  another worker's chunk is a protocol violation that drops the sender;
 * results are reassembled in submission order, which is what makes a
   cluster population run produce byte-identical
   :class:`~repro.grid.report.DetectionReport`'s to the serial backend.
@@ -85,15 +85,11 @@ from repro.obs.spans import Span, SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace, current_trace, new_span_id
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
-    DEFAULT_STREAM_THRESHOLD_BYTES,
     MAX_CLUSTER_FRAME_BYTES,
     MAX_CLUSTER_PAYLOAD_BYTES,
     ByeFrame,
-    HeartbeatFrame,
     JobFrame,
-    ResultEndFrame,
     ResultFrame,
-    ResultPartFrame,
     WorkerHello,
     decode_cluster_outcomes,
     decode_cluster_payload,
@@ -119,7 +115,7 @@ DEFAULT_CHUNK_MIN = 1
 
 #: Largest chunk the adaptive scheduler will send.  Bounds both the
 #: work stranded on a worker that dies and the result bytes one frame
-#: or stream has to carry.
+#: has to carry.
 DEFAULT_CHUNK_MAX = 32
 
 #: Target seconds of work per chunk: a worker's next chunk is sized as
@@ -146,7 +142,6 @@ _STAT_COUNTERS = {
     "jobs_requeued": attrgetter("_m_jobs_requeued.value"),
     "chunks_completed": attrgetter("_m_chunks_completed.value"),
     "chunks_requeued": attrgetter("_m_chunks_requeued.value"),
-    "result_parts": attrgetter("_m_result_parts.value"),
     "result_bytes": attrgetter("_m_result_bytes.sum"),
     "workers_lost": attrgetter("_m_workers_lost.value"),
     "auth_rejects": attrgetter("_m_auth_rejects.value"),
@@ -198,8 +193,7 @@ class _Chunk:
     """
 
     __slots__ = ("chunk_id", "job_ids", "worker_id", "started_at",
-                 "entries", "parts_received", "requeued",
-                 "trace_id", "span_id")
+                 "requeued", "trace_id", "span_id")
 
     def __init__(
         self,
@@ -214,8 +208,6 @@ class _Chunk:
         self.job_ids = job_ids
         self.worker_id = worker_id
         self.started_at = started_at
-        self.entries: list[tuple[bool, bytes]] = []  # streamed outcomes
-        self.parts_received = 0
         self.requeued = False
         # Trace of the population this chunk serves; span minted per
         # chunk at dispatch.  Ride the JobFrame so the worker's records
@@ -307,9 +299,6 @@ class _Coordinator:
         self._m_jobs_requeued = jobs.labels(event="requeued")
         self._m_chunks_completed = chunks.labels(event="completed")
         self._m_chunks_requeued = chunks.labels(event="requeued")
-        self._m_result_parts = self.registry.counter(
-            "repro_cluster_result_parts_total", "Streamed result sub-frames"
-        )
         self._m_workers_lost = self.registry.counter(
             "repro_cluster_workers_lost_total",
             "Workers dropped (EOF, heartbeat timeout, protocol violation)",
@@ -692,13 +681,8 @@ class _Coordinator:
                 link.last_seen = self.clock()
                 if isinstance(frame, ResultFrame):
                     self._on_result(link, frame)
-                elif isinstance(frame, ResultPartFrame):
-                    self._on_result_part(link, frame)
-                elif isinstance(frame, ResultEndFrame):
-                    self._on_result_end(link, frame)
-                elif isinstance(frame, HeartbeatFrame):
-                    pass
-                # Anything else from a registered worker is ignored.
+                # A heartbeat only refreshes last_seen; anything else
+                # from a registered worker is ignored.
                 if self.workers.get(link.worker_id) is not link:
                     return  # dropped for a protocol violation mid-loop
         except (ReproError, ConnectionError, OSError) as exc:
@@ -721,30 +705,39 @@ class _Coordinator:
                 await writer.wait_closed()
 
     # ------------------------------------------------------------------
-    # Results (single-frame and streamed)
+    # Results
     # ------------------------------------------------------------------
 
-    def _observe_cache(self, hits: int, misses: int) -> None:
-        """Fold one result frame's worker cache deltas into the totals.
-
-        Counted even for zombie/duplicate chunks — the construction
-        (or reuse) really happened on the worker either way.
-        """
-        if hits:
-            self._m_cache_hits.inc(hits)
-        if misses:
-            self._m_cache_misses.inc(misses)
-
     def _on_result(self, link: _WorkerLink, frame: ResultFrame) -> None:
+        chunk = self.chunks.get(frame.job_id)
+        if chunk is not None and chunk.worker_id != link.worker_id:
+            # Answering a chunk this link was never sent is a protocol
+            # violation: the chunk stays with its owner (window slot,
+            # EWMA sample and all) and the sender is dropped.
+            log_event(
+                _log,
+                "result_not_owned",
+                level=logging.WARNING,
+                worker=link.worker_id,
+                chunk=frame.job_id,
+                owner=chunk.worker_id,
+            )
+            self._drop_worker(link)
+            return
         link.inflight.discard(frame.job_id)
-        self._observe_cache(frame.cache_hits, frame.cache_misses)
-        chunk = self.chunks.pop(frame.job_id, None)
+        # The worker's scheme-cache deltas count even for a zombie or
+        # duplicate chunk — the construction (or reuse) really happened.
+        if frame.cache_hits:
+            self._m_cache_hits.inc(frame.cache_hits)
+        if frame.cache_misses:
+            self._m_cache_misses.inc(frame.cache_misses)
         if chunk is None:
             # The chunk id was retired (its worker was declared dead
             # and the jobs rehomed, or it already delivered) — this
             # straggler duplicate is dropped here, exactly once.
             self._pump()
             return
+        del self.chunks[frame.job_id]
         if not frame.ok:
             if chunk.requeued:
                 # A zombie chunk erroring changes nothing: its jobs
@@ -778,62 +771,6 @@ class _Coordinator:
             self._pump()
             return
         self._complete_chunk(link, chunk, entries, frame.spans)
-        self._pump()
-
-    def _on_result_part(
-        self, link: _WorkerLink, frame: ResultPartFrame
-    ) -> None:
-        chunk = self.chunks.get(frame.job_id)
-        if chunk is None:
-            return  # late stream for a retired chunk: drop silently
-        if frame.seq != chunk.parts_received:
-            # The transport is ordered, so a gap can only be a worker
-            # bug; its chunks are requeued elsewhere.
-            self._drop_worker(link)
-            return
-        try:
-            entries = decode_cluster_outcomes(frame.payload)
-        except CodecError:
-            self._drop_worker(link)
-            return
-        if len(chunk.entries) + len(entries) > len(chunk.job_ids):
-            self._drop_worker(link)  # more outcomes than jobs: nonsense
-            return
-        chunk.parts_received += 1
-        self._m_result_parts.inc()
-        chunk.entries.extend(entries)
-
-    def _on_result_end(
-        self, link: _WorkerLink, frame: ResultEndFrame
-    ) -> None:
-        link.inflight.discard(frame.job_id)
-        self._observe_cache(frame.cache_hits, frame.cache_misses)
-        chunk = self.chunks.pop(frame.job_id, None)
-        if chunk is None:
-            self._pump()
-            return
-        if (
-            frame.parts != chunk.parts_received
-            or len(chunk.entries) != len(chunk.job_ids)
-        ):
-            # Incomplete stream ended: never partially accept — requeue
-            # the whole chunk (attempts bound a deterministic repeat).
-            # A zombie's jobs are already back in the queue.
-            if not chunk.requeued:
-                self._m_chunks_requeued.inc()
-                with bind_trace(chunk.trace_id, chunk.span_id):
-                    log_event(
-                        _log,
-                        "chunk_requeued",
-                        level=logging.WARNING,
-                        chunk=chunk.chunk_id,
-                        worker=link.worker_id,
-                        reason="incomplete_stream",
-                    )
-                self._requeue_jobs(chunk.job_ids)
-            self._pump()
-            return
-        self._complete_chunk(link, chunk, chunk.entries, frame.spans)
         self._pump()
 
     def _complete_chunk(
@@ -970,7 +907,9 @@ class _Coordinator:
         # Sorted so jobs re-enter the queue in submission order — the
         # scheduler keeps its front-of-queue bias after any failure.
         for chunk_id in sorted(link.inflight):
-            self._requeue_chunk(chunk_id)
+            chunk = self.chunks.pop(chunk_id, None)
+            if chunk is not None and not chunk.requeued:
+                self._requeue_chunk(chunk, "worker_lost")
         link.inflight.clear()
         # Zombie chunks (timed out earlier, jobs already requeued) can
         # never deliver on a dead link: retire their ids now, so any
@@ -982,13 +921,8 @@ class _Coordinator:
             del self.chunks[chunk.chunk_id]
         self._pump()
 
-    def _requeue_chunk(self, chunk_id: int) -> None:
-        """Disband one in-flight chunk and retire its id for good."""
-        chunk = self.chunks.pop(chunk_id, None)
-        if chunk is None:
-            return
-        if chunk.requeued:
-            return  # zombie: its jobs were already requeued at timeout
+    def _requeue_chunk(self, chunk: _Chunk, reason: str) -> None:
+        """Count, log under the chunk's trace, and requeue its jobs."""
         self._m_chunks_requeued.inc()
         with bind_trace(chunk.trace_id, chunk.span_id):
             log_event(
@@ -997,7 +931,7 @@ class _Coordinator:
                 level=logging.WARNING,
                 chunk=chunk.chunk_id,
                 worker=chunk.worker_id,
-                reason="worker_lost",
+                reason=reason,
             )
         self._requeue_jobs(chunk.job_ids)
 
@@ -1020,16 +954,20 @@ class _Coordinator:
                     # while an answer may be seconds away.
                     self.parked.setdefault(job_id, self.clock())
                     continue
-                del self.jobs[job_id]
-                job.future.set_exception(
-                    EngineError(
-                        f"cluster job {job_id} failed after "
-                        f"{job.attempts} assignments"
-                    )
-                )
+                self._fail_spent(job)
                 continue
             self._m_jobs_requeued.inc()
             self.pending.appendleft(job_id)
+
+    def _fail_spent(self, job: _Job) -> None:
+        """Fail a job no assignment, live or zombie, can still answer."""
+        self._fail_jobs(
+            (job.job_id,),
+            EngineError(
+                f"cluster job {job.job_id} failed after "
+                f"{job.attempts} assignments"
+            ),
+        )
 
     def _zombie_holds(self, job_id: int) -> bool:
         """True if a live worker's zombie chunk still carries this job.
@@ -1073,20 +1011,10 @@ class _Coordinator:
             budget = self.job_timeout * max(1, len(chunk.job_ids))
             if now - chunk.started_at > budget:
                 chunk.requeued = True
-                self._m_chunks_requeued.inc()
-                with bind_trace(chunk.trace_id, chunk.span_id):
-                    log_event(
-                        _log,
-                        "chunk_requeued",
-                        level=logging.WARNING,
-                        chunk=chunk.chunk_id,
-                        worker=chunk.worker_id,
-                        reason="timeout",
-                    )
                 link = self.workers.get(chunk.worker_id)
                 if link is not None:
                     link.inflight.discard(chunk.chunk_id)
-                self._requeue_jobs(chunk.job_ids)
+                self._requeue_chunk(chunk, "timeout")
         for job_id, since in list(self.parked.items()):
             if job_id not in self.jobs:
                 del self.parked[job_id]  # a zombie's copy won the race
@@ -1097,14 +1025,7 @@ class _Coordinator:
             ):
                 continue
             del self.parked[job_id]
-            job = self.jobs.pop(job_id)
-            if not job.future.done():
-                job.future.set_exception(
-                    EngineError(
-                        f"cluster job {job_id} failed after "
-                        f"{job.attempts} assignments"
-                    )
-                )
+            self._fail_spent(self.jobs[job_id])
 
     async def _monitor(self) -> None:
         interval = min(self.heartbeat_timeout / 4.0, 0.25)
@@ -1167,10 +1088,9 @@ class ClusterExecutor(Executor):
     (``min_workers`` blocks the first dispatch until that many joined).
 
     Tuning surface (see README "Cluster tuning"): ``chunk_min`` /
-    ``chunk_max`` bound the adaptive per-worker chunk size,
+    ``chunk_max`` bound the adaptive per-worker chunk size and
     ``chunk_target_s`` sets how many seconds of work one chunk should
-    carry, and ``stream_threshold`` is the worker-side byte count above
-    which chunk results stream as bounded ``result_part`` frames.
+    carry.
 
     Security surface (see README "Security model"): ``secret_file``
     enables the mutual repro.net HMAC handshake — every worker must
@@ -1207,7 +1127,6 @@ class ClusterExecutor(Executor):
         chunk_min: int = DEFAULT_CHUNK_MIN,
         chunk_max: int = DEFAULT_CHUNK_MAX,
         chunk_target_s: float = DEFAULT_CHUNK_TARGET_S,
-        stream_threshold: int = DEFAULT_STREAM_THRESHOLD_BYTES,
         secret_file: str | None = None,
         tls_cert: str | None = None,
         tls_key: str | None = None,
@@ -1235,10 +1154,6 @@ class ClusterExecutor(Executor):
         if chunk_target_s <= 0:
             raise EngineError(
                 f"chunk_target_s must be positive, got {chunk_target_s}"
-            )
-        if stream_threshold < 1:
-            raise EngineError(
-                f"stream_threshold must be >= 1 byte, got {stream_threshold}"
             )
         if heartbeat_interval <= 0:
             raise EngineError(
@@ -1300,7 +1215,6 @@ class ClusterExecutor(Executor):
         self._chunk_min = chunk_min
         self._chunk_max = chunk_max
         self._chunk_target_s = chunk_target_s
-        self._stream_threshold = stream_threshold
         self._startup_timeout = startup_timeout
         self._max_frame = max_frame
         self._registry = registry
@@ -1334,8 +1248,11 @@ class ClusterExecutor(Executor):
     def workers(self) -> int:
         """Total registered capacity (spawn target before startup)."""
         co = self._co
-        if co is not None and co.workers:
-            return max(1, sum(w.capacity for w in co.workers.values()))
+        # Snapshot, as in ``stats``: the loop thread registers and
+        # drops workers while callers read this.
+        links = list(co.workers.values()) if co is not None else []
+        if links:
+            return max(1, sum(link.capacity for link in links))
         return max(1, self._n_local)
 
     @property
@@ -1346,8 +1263,7 @@ class ClusterExecutor(Executor):
     @property
     def stats(self) -> dict:
         """Scheduling counters (jobs/chunks completed and requeued,
-        streamed parts, accepted result bytes, worker churn, per-worker
-        EWMA rates)."""
+        accepted result bytes, worker churn, per-worker EWMA rates)."""
         co = self._co
         counts = dict.fromkeys(_STAT_COUNTERS, 0)
         links: list[_WorkerLink] = []
@@ -1517,7 +1433,6 @@ class ClusterExecutor(Executor):
                 "--engine", self._worker_engine,
                 "--id", f"local-{i}",
                 "--heartbeat", str(self._heartbeat_interval),
-                "--stream-threshold", str(self._stream_threshold),
             ]
             if self._worker_processes is not None:
                 cmd += ["--workers", str(self._worker_processes)]

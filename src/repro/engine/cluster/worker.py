@@ -19,17 +19,14 @@ process, not once per chunk.  Hit/miss deltas ride back on each
 result frame (``cache_hits``/``cache_misses``) and feed this worker's
 own ``repro_scheme_cache_*_total`` counters.
 
-Small outcome lists travel as one ``result`` frame; once the encoded
-outcomes exceed ``stream_threshold`` bytes the worker streams them as
-bounded ``result_part`` sub-frames closed by a ``result_end`` — so a
-giant chunk never materialises as one giant envelope on either side
-of the wire.
+A chunk's outcomes travel home in exactly one ``result`` frame.
 
 Survival contract: a worker never dies because of a job.  A corrupted
-or oversized chunk payload comes back as a chunk-level ``ok=False``
-result; a single job whose function raises (or whose result the typed
-codec cannot encode) comes back as that job's ``ok=False`` outcome
-while its chunk siblings succeed — and the worker keeps serving.
+or oversized chunk payload — or outcomes too large to frame — comes
+back as a chunk-level ``ok=False`` result; a single job whose function
+raises (or whose result the typed codec cannot encode) comes back as
+that job's ``ok=False`` outcome while its chunk siblings succeed — and
+the worker keeps serving.
 Jobs run off the event loop (on the engine's pool, or a thread for
 the serial engine) so heartbeats keep flowing while a chunk computes
 — that is what lets the coordinator tell *busy* from *dead*.
@@ -74,14 +71,11 @@ from repro.service.jobcodec import (
     ensure_default_registry,
 )
 from repro.service.codec import (
-    DEFAULT_STREAM_THRESHOLD_BYTES,
     MAX_CLUSTER_FRAME_BYTES,
     ByeFrame,
     HeartbeatFrame,
     JobFrame,
-    ResultEndFrame,
     ResultFrame,
-    ResultPartFrame,
     WorkerHello,
     decode_cluster_chunk,
     encode_cluster_outcomes,
@@ -237,33 +231,6 @@ def execute_chunk_report(
     return out, report
 
 
-def pack_outcome_parts(
-    entries: "list[tuple[bool, bytes]]", threshold: int
-) -> list[list[tuple[bool, bytes]]]:
-    """Split an outcome list into contiguous runs of ~``threshold`` bytes.
-
-    Greedy packing over the encoded payload sizes: a part closes as
-    soon as adding the next outcome would push it past ``threshold``.
-    A single outcome larger than the threshold gets a part of its own
-    — entries are never split, so reassembly is pure concatenation.
-    """
-    if threshold < 1:
-        raise EngineError(f"stream threshold must be >= 1, got {threshold}")
-    parts: list[list[tuple[bool, bytes]]] = []
-    current: list[tuple[bool, bytes]] = []
-    size = 0
-    for entry in entries:
-        entry_size = len(entry[1]) + 16  # envelope slack per entry
-        if current and size + entry_size > threshold:
-            parts.append(current)
-            current, size = [], 0
-        current.append(entry)
-        size += entry_size
-    if current:
-        parts.append(current)
-    return parts
-
-
 async def run_worker(
     host: str,
     port: int,
@@ -272,7 +239,6 @@ async def run_worker(
     workers: int | None = None,
     worker_id: str | None = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    stream_threshold: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     throttle: float = 0.0,
     connect_retry_s: float = 0.0,
     security: SecurityConfig | None = None,
@@ -285,9 +251,7 @@ async def run_worker(
 
     ``engine``/``workers`` pick the worker's local execution backend —
     ``"cluster"`` is rejected (a worker must not recurse into another
-    coordinator).  ``stream_threshold`` is the encoded-outcome byte
-    count above which a chunk's results go back as ``result_part``
-    sub-frames instead of one ``result`` envelope.  ``throttle`` adds
+    coordinator).  ``throttle`` adds
     an artificial per-job delay (straggler injection for benches and
     scheduler tests).  ``connect_retry_s`` keeps re-dialling a
     coordinator that has not bound its port yet — workers racing the
@@ -309,10 +273,6 @@ async def run_worker(
     if heartbeat_interval <= 0:
         raise EngineError(
             f"heartbeat interval must be positive, got {heartbeat_interval}"
-        )
-    if stream_threshold < 1:
-        raise EngineError(
-            f"stream threshold must be >= 1 byte, got {stream_threshold}"
         )
     if throttle < 0:
         raise EngineError(f"throttle must be >= 0, got {throttle}")
@@ -481,62 +441,24 @@ async def run_worker(
                 default_span_buffer().add(exec_span)
                 wire_spans = (exec_span.to_wire(),)
             try:
-                parts = pack_outcome_parts(entries, stream_threshold)
-                if len(parts) == 1:
-                    await send(
-                        ResultFrame(
-                            job_id=frame.job_id,
-                            ok=True,
-                            payload=encode_cluster_outcomes(parts[0]),
-                            spans=wire_spans,
-                            cache_hits=cache_hits,
-                            cache_misses=cache_misses,
-                        )
-                    )
-                    return
-                # Giant chunk: stream bounded sub-frames.  Each send
-                # drains the transport, so a slow coordinator applies
-                # backpressure here instead of ballooning this
-                # worker's write buffer.
-                stream_span: Span | None = None
-                if frame.trace_id is not None:
-                    stream_span = Span.begin(
-                        "worker.stream",
-                        trace_id=frame.trace_id,
-                        parent_id=frame.span_id,
-                    )
-                    stream_span.attributes.update(
-                        worker=worker_id, chunk=frame.job_id
-                    )
-                for seq, part in enumerate(parts):
-                    await send(
-                        ResultPartFrame(
-                            job_id=frame.job_id,
-                            seq=seq,
-                            payload=encode_cluster_outcomes(part),
-                        )
-                    )
-                if stream_span is not None:
-                    stream_span.finish(parts=len(parts))
-                    default_span_buffer().add(stream_span)
-                    wire_spans = wire_spans + (stream_span.to_wire(),)
                 await send(
-                    ResultEndFrame(
+                    ResultFrame(
                         job_id=frame.job_id,
-                        parts=len(parts),
+                        ok=True,
+                        payload=encode_cluster_outcomes(entries),
                         spans=wire_spans,
                         cache_hits=cache_hits,
                         cache_misses=cache_misses,
                     )
                 )
             except ReproError as exc:
-                # The survival contract extends to the *answer* path: a
-                # part that will not encode or frame (oversized results
-                # vs a small max_frame, a stream_threshold misconfigured
-                # above the payload cap) must come back as a chunk-level
-                # error — an unanswered chunk would hang the caller
-                # forever on a worker that still heartbeats.  (Transport
-                # errors propagate: EOF handling owns those.)
+                # The survival contract extends to the *answer* path:
+                # outcomes that will not encode or frame (past the
+                # payload cap, or past a small max_frame) must come back
+                # as a chunk-level error — an unanswered chunk would
+                # hang the caller forever on a worker that still
+                # heartbeats.  (Transport errors propagate: EOF handling
+                # owns those.)
                 await send(
                     ResultFrame(
                         job_id=frame.job_id,
@@ -649,12 +571,6 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_HEARTBEAT_INTERVAL,
                         dest="heartbeat_interval",
                         help="seconds between liveness beacons")
-    parser.add_argument("--stream-threshold", type=_positive_int,
-                        default=DEFAULT_STREAM_THRESHOLD_BYTES,
-                        dest="stream_threshold",
-                        help="encoded result bytes above which a chunk's "
-                        "outcomes stream as bounded result_part frames "
-                        f"(default: {DEFAULT_STREAM_THRESHOLD_BYTES})")
     parser.add_argument("--throttle", type=float, default=0.0,
                         help="artificial per-job delay in seconds "
                         "(straggler injection for benches/tests)")
@@ -711,7 +627,6 @@ def run_worker_sync(
     workers: int | None = None,
     worker_id: str | None = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    stream_threshold: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     throttle: float = 0.0,
     connect_retry_s: float = 0.0,
     secret_file: str | None = None,
@@ -768,7 +683,6 @@ def run_worker_sync(
                 workers=workers,
                 worker_id=worker_id,
                 heartbeat_interval=heartbeat_interval,
-                stream_threshold=stream_threshold,
                 throttle=throttle,
                 connect_retry_s=connect_retry_s,
                 security=security,
@@ -819,7 +733,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         worker_id=args.worker_id,
         heartbeat_interval=args.heartbeat_interval,
-        stream_threshold=args.stream_threshold,
         throttle=args.throttle,
         connect_retry_s=args.connect_retry_s,
         secret_file=args.secret_file,

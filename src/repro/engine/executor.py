@@ -272,7 +272,7 @@ def get_executor(
     self-hosts ``workers`` local worker daemons, and ``options`` are
     forwarded to :class:`~repro.engine.cluster.ClusterExecutor` —
     the tuning surface (``chunk_min``/``chunk_max``,
-    ``stream_threshold``, ``job_timeout``, …) and the transport
+    ``chunk_target_s``, ``job_timeout``, …) and the transport
     security material (``secret_file``/``tls_cert``/``tls_key``,
     README "Security model") reach the scheduler without every
     dispatch site learning cluster-specific arguments.

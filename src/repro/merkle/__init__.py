@@ -20,13 +20,6 @@ Public surface:
 * :class:`~repro.merkle.proof.AuthenticationPath` — the ``λ1..λH``
   sibling digests plus the root-reconstruction procedure
   ``Λ(f(x), λ1..λH)`` used by the supervisor.
-* :func:`~repro.merkle.tree.chunked_root` — parallel root
-  construction: contiguous leaf chunks become independent subtree
-  builds (dispatchable on any :mod:`repro.engine` backend) whose roots
-  fold to the identical ``Φ(R)``.
-* :func:`~repro.merkle.tree.chunked_proofs` — parallel proof
-  generation for sampled leaves, same chunk decomposition, paths
-  byte-identical to :meth:`~repro.merkle.tree.MerkleTree.auth_path`.
 * :func:`~repro.merkle.multiproof.supplied_siblings` and
   :func:`~repro.merkle.multiproof.shared_root` — which sibling digests
   a bundle of paths actually has to ship, and the one fold of the tree
@@ -47,20 +40,14 @@ from repro.merkle.streaming import StreamingMerkleBuilder
 from repro.merkle.tree import (
     LeafEncoding,
     MerkleTree,
-    chunked_proofs,
-    chunked_root,
     combine_level,
     encode_leaf,
     encode_leaves,
     hash_leaves,
-    subtree_root,
 )
 
 __all__ = [
-    "chunked_root",
-    "chunked_proofs",
     "hash_leaves",
-    "subtree_root",
     "combine_level",
     "encode_leaves",
     "HashFunction",

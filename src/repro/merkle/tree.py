@@ -18,36 +18,18 @@ Two leaf encodings are supported (experiment E9 ablates them):
 Domains whose size is not a power of two are padded with a
 domain-separated empty-leaf digest (``hash(0x02 || "repro/empty")``);
 padding leaves are structural only and are never sampled by any scheme.
-
-For large domains the leaf level dominates build time, so this module
-also provides *chunked* construction: :func:`chunked_root` splits the
-(padded) leaf level into contiguous power-of-two chunks, has workers
-build each chunk's subtree root independently (:func:`subtree_root` /
-the picklable :func:`hash_leaf_chunk` job), and folds the chunk roots
-into ``Φ(R)``.  Because a complete binary tree over the padded leaves
-is exactly the fold of its aligned subtrees, the chunked root is
-byte-identical to :attr:`MerkleTree.root` on every execution backend.
-
-Proof *generation* parallelizes the same way: an authentication path
-is a within-chunk sibling run followed by top-of-tree siblings over
-the chunk roots, so :func:`chunked_proofs` has workers fold each
-sampled chunk (:func:`prove_leaf_chunk`) and splices the serialized
-top levels on — byte-identical to :meth:`MerkleTree.auth_path`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import EmptyTreeError, LeafIndexError, MerkleError
 from repro.merkle.hashing import HashFunction, get_hash
 from repro.merkle.proof import NODE_TAG as _NODE_TAG
 from repro.merkle.proof import AuthenticationPath
 from repro.utils.bitmath import next_power_of_two, tree_height
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.engine.executor import Executor
 
 _LEAF_TAG = b"\x00"
 _EMPTY_TAG = b"\x02repro/empty"
@@ -131,9 +113,8 @@ def hash_leaves(
 ) -> list[bytes]:
     """``Φ`` values for a contiguous run of leaves, plus padding.
 
-    The shared leaf-level primitive: :class:`MerkleTree` calls it once
-    over the whole domain; the chunked builder calls it per chunk in
-    pooled workers.
+    The leaf-level primitive :class:`MerkleTree` calls once over the
+    whole domain, padding out to the next power of two.
     """
     if n_padding < 0:
         raise MerkleError(f"n_padding must be >= 0, got {n_padding}")
@@ -141,209 +122,6 @@ def hash_leaves(
     if n_padding:
         digests.extend([empty_leaf_digest(hash_fn)] * n_padding)
     return digests
-
-
-def subtree_root(digests: Sequence[bytes], hash_fn: HashFunction) -> bytes:
-    """Fold a power-of-two-wide digest level to its subtree root."""
-    n = len(digests)
-    if n == 0 or n & (n - 1):
-        raise MerkleError(
-            f"subtree width must be a positive power of two, got {n}"
-        )
-    level = list(digests)
-    while len(level) > 1:
-        level = combine_level(hash_fn, level)
-    return level[0]
-
-
-def hash_leaf_chunk(
-    job: tuple[tuple[bytes, ...], int, str, str],
-) -> bytes:
-    """Worker-side chunk job: leaf payloads → subtree root.
-
-    ``job`` is ``(payloads, n_padding, hash_name, encoding_value)`` —
-    plain picklable values, so process-pool workers can rebuild the
-    hash function locally instead of shipping it over IPC.
-    """
-    payloads, n_padding, hash_name, encoding_value = job
-    hash_fn = get_hash(hash_name)
-    digests = hash_leaves(
-        payloads, hash_fn, LeafEncoding(encoding_value), n_padding=n_padding
-    )
-    return subtree_root(digests, hash_fn)
-
-
-def chunked_root(
-    payloads: Sequence[bytes],
-    hash_name: str = "sha256",
-    leaf_encoding: LeafEncoding = LeafEncoding.HASHED,
-    executor: "Executor | str | None" = None,
-    chunk_size: int | None = None,
-) -> bytes:
-    """``Φ(R)`` via contiguous leaf chunks built as independent subtrees.
-
-    The padded leaf level is cut into aligned power-of-two chunks; each
-    chunk's subtree root is computed by :func:`hash_leaf_chunk` (on the
-    given :class:`~repro.engine.executor.Executor`, engine name, or
-    serially when ``executor`` is ``None``), and the roots are folded
-    with the internal-node rule.  Byte-identical to
-    ``MerkleTree(payloads, get_hash(hash_name), leaf_encoding).root``
-    for every chunk size and backend.
-
-    ``chunk_size`` must be a power of two; the default targets ~4
-    chunks per worker, with a floor that keeps IPC overhead amortized.
-    """
-    from repro.engine.executor import resolved_executor
-
-    n = len(payloads)
-    if n == 0:
-        raise EmptyTreeError("cannot build a Merkle tree over zero leaves")
-    padded = next_power_of_two(n)
-    with resolved_executor(executor if executor is not None else "serial") as exec_:
-        if chunk_size is None:
-            target_chunks = next_power_of_two(exec_.workers * 4)
-            chunk_size = max(1024, padded // target_chunks)
-        if chunk_size < 1 or chunk_size & (chunk_size - 1):
-            raise MerkleError(
-                f"chunk_size must be a positive power of two, got {chunk_size}"
-            )
-        chunk_size = min(chunk_size, padded)
-        hash_fn = get_hash(hash_name)
-        jobs = []
-        for start in range(0, padded, chunk_size):
-            chunk = tuple(payloads[start : min(start + chunk_size, n)])
-            jobs.append(
-                (chunk, chunk_size - len(chunk), hash_name, leaf_encoding.value)
-            )
-        roots = exec_.map(hash_leaf_chunk, jobs)
-        return subtree_root(roots, hash_fn)
-
-
-def _fold_levels(
-    digests: Sequence[bytes], hash_fn: HashFunction
-) -> list[list[bytes]]:
-    """All levels of the fold of a power-of-two digest row, bottom first."""
-    n = len(digests)
-    if n == 0 or n & (n - 1):
-        raise MerkleError(
-            f"subtree width must be a positive power of two, got {n}"
-        )
-    levels = [list(digests)]
-    while len(levels[-1]) > 1:
-        levels.append(combine_level(hash_fn, levels[-1]))
-    return levels
-
-
-def _siblings_in_levels(levels: list[list[bytes]], index: int) -> list[bytes]:
-    """Sibling digests for ``index``, leaf-upward, root level excluded."""
-    siblings: list[bytes] = []
-    node = index
-    for level in levels[:-1]:
-        siblings.append(level[node ^ 1])
-        node >>= 1
-    return siblings
-
-
-def prove_leaf_chunk(
-    job: tuple[tuple[bytes, ...], int, str, str, tuple[int, ...]],
-) -> tuple[bytes, dict[int, list[bytes]]]:
-    """Worker-side proof job: chunk root + within-chunk sibling runs.
-
-    ``job`` is ``(payloads, n_padding, hash_name, encoding_value,
-    local_indices)`` — picklable values, like :func:`hash_leaf_chunk`,
-    plus the chunk-relative indices of the sampled leaves whose
-    partial authentication paths this chunk must supply.
-    """
-    payloads, n_padding, hash_name, encoding_value, local_indices = job
-    hash_fn = get_hash(hash_name)
-    digests = hash_leaves(
-        payloads, hash_fn, LeafEncoding(encoding_value), n_padding=n_padding
-    )
-    if not local_indices:
-        # The dominant case at large domains: most chunks carry no
-        # sampled leaf and only contribute their root to the top fold.
-        return subtree_root(digests, hash_fn), {}
-    levels = _fold_levels(digests, hash_fn)
-    paths = {
-        local: _siblings_in_levels(levels, local) for local in local_indices
-    }
-    return levels[-1][0], paths
-
-
-def chunked_proofs(
-    payloads: Sequence[bytes],
-    indices: Sequence[int],
-    hash_name: str = "sha256",
-    leaf_encoding: LeafEncoding = LeafEncoding.HASHED,
-    executor: "Executor | str | None" = None,
-    chunk_size: int | None = None,
-) -> list[AuthenticationPath]:
-    """Authentication paths for sampled leaves, built chunk-parallel.
-
-    The proof-generation sibling of :func:`chunked_root`: the padded
-    leaf level is cut into aligned power-of-two chunks, each chunk's
-    subtree is folded by a worker (:func:`prove_leaf_chunk`) which
-    also extracts the within-chunk sibling runs for the sampled leaves
-    it contains, and the serial tail folds the chunk roots and splices
-    the top-of-tree siblings on.  Paths are byte-identical to
-    ``MerkleTree(payloads, ...).auth_path(i)`` for every chunk size
-    and backend, in the order the indices were given (duplicates
-    allowed — with-replacement challenges produce them).
-    """
-    from repro.engine.executor import resolved_executor
-
-    n = len(payloads)
-    if n == 0:
-        raise EmptyTreeError("cannot build a Merkle tree over zero leaves")
-    for index in indices:
-        if not 0 <= index < n:
-            raise LeafIndexError(f"leaf index {index} outside [0, {n})")
-    padded = next_power_of_two(n)
-    with resolved_executor(executor if executor is not None else "serial") as exec_:
-        if chunk_size is None:
-            target_chunks = next_power_of_two(exec_.workers * 4)
-            chunk_size = max(1024, padded // target_chunks)
-        if chunk_size < 1 or chunk_size & (chunk_size - 1):
-            raise MerkleError(
-                f"chunk_size must be a positive power of two, got {chunk_size}"
-            )
-        chunk_size = min(chunk_size, padded)
-        hash_fn = get_hash(hash_name)
-
-        wanted: dict[int, set[int]] = {}
-        for index in indices:
-            wanted.setdefault(index // chunk_size, set()).add(
-                index % chunk_size
-            )
-        jobs = []
-        for chunk_no, start in enumerate(range(0, padded, chunk_size)):
-            chunk = tuple(payloads[start : min(start + chunk_size, n)])
-            jobs.append(
-                (
-                    chunk,
-                    chunk_size - len(chunk),
-                    hash_name,
-                    leaf_encoding.value,
-                    tuple(sorted(wanted.get(chunk_no, ()))),
-                )
-            )
-        results = exec_.map(prove_leaf_chunk, jobs)
-
-    top_levels = _fold_levels([root for root, _paths in results], hash_fn)
-    paths: list[AuthenticationPath] = []
-    for index in indices:
-        chunk_no, local = divmod(index, chunk_size)
-        siblings = list(results[chunk_no][1][local])
-        siblings.extend(_siblings_in_levels(top_levels, chunk_no))
-        paths.append(
-            AuthenticationPath(
-                leaf_index=index,
-                siblings=siblings,
-                n_leaves=n,
-                leaf_encoding=leaf_encoding,
-            )
-        )
-    return paths
 
 
 class MerkleTree:

@@ -32,7 +32,6 @@ from repro.net.auth import (
     load_secret,
 )
 from repro.net.framing import (
-    DEFAULT_STREAM_THRESHOLD_BYTES,
     FRAME_HEADER_BYTES,
     MAX_AUTH_FRAME_BYTES,
     MAX_CLUSTER_FRAME_BYTES,
@@ -61,7 +60,6 @@ __all__ = [
     "MAX_CLUSTER_PAYLOAD_BYTES",
     "MAX_CLUSTER_FRAME_BYTES",
     "MAX_AUTH_FRAME_BYTES",
-    "DEFAULT_STREAM_THRESHOLD_BYTES",
     "check_payload_size",
     "frame_buffer",
     "split_frame_buffer",

@@ -51,19 +51,16 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Ceiling on one typed ``job``/``result`` payload (the jobcodec
 #: bytes a cluster frame carries).  A chunk of scheme batches or their
 #: results at large domains fits with room to spare; anything bigger
-#: is a misconfigured batch size or a hostile frame.
+#: is a misconfigured batch size or a hostile frame.  A chunk's
+#: outcomes come home in one ``result`` frame, so this is also the
+#: ceiling on one chunk's encoded outcomes: past it the worker answers
+#: a chunk-level error instead.
 MAX_CLUSTER_PAYLOAD_BYTES = 32 * 1024 * 1024
 
 #: Frame ceiling for cluster-plane connections: the payload rides raw,
 #: so the cap is the payload cap plus slack for the frame's other
 #: fields (ids, trace context, a span export).
 MAX_CLUSTER_FRAME_BYTES = MAX_CLUSTER_PAYLOAD_BYTES + 64 * 1024
-
-#: Default worker-side ceiling on one streamed ``result_part``
-#: payload.  A chunk whose encoded outcomes exceed this is shipped as
-#: multiple bounded sub-frames instead of one giant ``result`` frame,
-#: so neither side ever materialises an unbounded result frame.
-DEFAULT_STREAM_THRESHOLD_BYTES = 1 * 1024 * 1024
 
 #: Ceiling on one authentication handshake frame.  Handshake messages
 #: are tens of bytes; a pre-auth peer claiming anything bigger is
@@ -75,8 +72,8 @@ def check_payload_size(what: str, size: int, limit: int) -> None:
     """Enforce a payload size cap, naming the frame type and size.
 
     The single chokepoint for every typed payload ceiling — ``job``,
-    ``result``, ``result_part``, handshake — so cap violations always
-    read the same: *which* frame, *how big*, against *what* limit.
+    ``result``, handshake — so cap violations always read the same:
+    *which* frame, *how big*, against *what* limit.
     """
     if size > limit:
         raise CodecError(f"{what} of {size} bytes exceeds limit {limit}")

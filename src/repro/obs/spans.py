@@ -411,8 +411,8 @@ def render_waterfall(spans: Sequence[Span], width: int = 100) -> str:
     """Render one trace's spans as an ASCII waterfall.
 
     One row per span, indented by parent depth, with a proportional
-    bar on a shared wall-clock axis — the dispatch → execute → stream
-    → accept shape is visible at a glance, no log grepping.
+    bar on a shared wall-clock axis — the dispatch → execute → accept
+    shape is visible at a glance, no log grepping.
     """
     if not spans:
         return "(no spans)"

@@ -3,7 +3,7 @@
 Every stream in the repository moves length-prefixed frames
 (:mod:`repro.net.framing` owns the 4-byte prefix and the size caps);
 this module owns what is inside one: ``tag byte ‖ fields``.  Each of
-the 19 frame types is one row of :data:`FRAMES` — tag byte, wire name,
+the 17 frame types is one row of :data:`FRAMES` — tag byte, wire name,
 dataclass, ordered :class:`~repro.core.wire.Field` specs — walked by
 the same :class:`~repro.core.wire.Layout` that walks the protocol
 messages of :mod:`repro.core.protocol`; this module adds only the two
@@ -17,10 +17,10 @@ remote participant ships.  README "Wire formats" lists every row.
   ``proofs`` → ``verdict``) or the one-shot NI-CBS flow of §4
   (``submission`` → ``verdict``); ``error`` before a hang-up.
 * Worker ↔ coordinator (:mod:`repro.engine.cluster`): ``hello``,
-  ``heartbeat``, ``job`` out and ``result`` back — or a sequenced run
-  of bounded ``result_part`` frames closed by ``result_end``.
-  Payloads are *data, never code*: typed job chunks and outcome lists,
-  size-capped at encode and decode, behind an exact wire version.
+  ``heartbeat``, ``job`` out and exactly one ``result`` back per
+  chunk.  Payloads are *data, never code*: typed job chunks and
+  outcome lists, size-capped at encode and decode, behind an exact
+  wire version.
 * Either plane: ``stats_request`` → ``stats``, ``trace_get`` →
   ``trace``, and ``bye``.
 
@@ -60,7 +60,6 @@ from repro.obs.trace import MAX_TRACE_ID_LEN
 # job envelope in repro.service.jobcodec; both are re-exported because
 # this module is the wire-level import home for both planes.
 from repro.net.framing import (
-    DEFAULT_STREAM_THRESHOLD_BYTES as DEFAULT_STREAM_THRESHOLD_BYTES,
     FRAME_HEADER_BYTES as FRAME_HEADER_BYTES,
     MAX_CLUSTER_FRAME_BYTES as MAX_CLUSTER_FRAME_BYTES,
     MAX_CLUSTER_PAYLOAD_BYTES as MAX_CLUSTER_PAYLOAD_BYTES,
@@ -96,7 +95,7 @@ from repro.utils.encoding import encode_bytes, read_bytes
 #: window: ``hello`` decodes any plausible version so the coordinator
 #: can answer a skewed peer with a ``bye`` naming the version it speaks
 #: (:meth:`coordinator._serve_worker`); everything else must match.
-CLUSTER_WIRE_VERSION = 7
+CLUSTER_WIRE_VERSION = 8
 
 #: Byte ceilings on text fields: a worker id (it becomes a metrics
 #: label, a log field and a ``bye`` reason on the coordinator), a scheme
@@ -273,42 +272,6 @@ class ResultFrame:
 
 
 @dataclass(frozen=True)
-class ResultPartFrame:
-    """Worker → coordinator: one bounded slice of a chunk's outcomes.
-
-    ``seq`` numbers the parts of one chunk from zero; the transport is
-    ordered, so the coordinator rejects any gap as a protocol
-    violation.  The payload is an :func:`encode_cluster_outcomes`
-    envelope holding a contiguous run of per-job outcomes.
-    """
-
-    job_id: int
-    seq: int
-    payload: bytes
-    version: int = CLUSTER_WIRE_VERSION
-
-
-@dataclass(frozen=True)
-class ResultEndFrame:
-    """Worker → coordinator: closes one chunk's result stream.
-
-    ``parts`` is the number of ``result_part`` frames the worker sent;
-    a mismatch with what arrived means the stream is incomplete and
-    the chunk must be requeued, never partially accepted.  ``spans``
-    and ``cache_hits``/``cache_misses`` are the same span export and
-    scheme-cache counts as on ``result`` (the streamed path closes
-    with this frame, so both ride here).
-    """
-
-    job_id: int
-    parts: int
-    version: int = CLUSTER_WIRE_VERSION
-    spans: tuple = ()
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
-@dataclass(frozen=True)
 class StatsRequest:
     """Client → supervisor/worker: send me your metrics snapshot.
 
@@ -436,7 +399,6 @@ _CHUNK = (
 )
 _PAYLOAD = Field("payload", "payload", hi=MAX_CLUSTER_PAYLOAD_BYTES)
 _SPANS = Field("spans", "json", hi=MAX_FRAME_BYTES, arg=(tuple, validate_wire_spans))
-_CLOSING = (Field("cache_hits", "uint"), Field("cache_misses", "uint"), _SPANS)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +435,8 @@ def _msg_row(tag: int, name: str, cls: type, msg_cls: type) -> FrameRow:
 
 
 #: The wire vocabulary — the only place a frame's tag byte, wire name
-#: or layout is spelled.  Wire order is row order.
+#: or layout is spelled.  Wire order is row order.  Tag bytes 0x0D and
+#: 0x0E are unassigned: they decode as unknown tags.
 FRAMES: tuple[FrameRow, ...] = (
     FrameRow(0x01, "task_request", TaskRequest, (
         Field("participant", "uint", optional=True),
@@ -505,13 +468,9 @@ FRAMES: tuple[FrameRow, ...] = (
     FrameRow(0x0A, "heartbeat", HeartbeatFrame, (_WORKER_ID,)),
     FrameRow(0x0B, "job", JobFrame, (*_CHUNK, *_TRACE_CONTEXT, _PAYLOAD)),
     FrameRow(0x0C, "result", ResultFrame, (
-        *_CHUNK, Field("ok", "flag"), *_CLOSING, _PAYLOAD,
-    )),
-    FrameRow(0x0D, "result_part", ResultPartFrame, (
-        *_CHUNK, Field("seq", "uint"), _PAYLOAD,
-    )),
-    FrameRow(0x0E, "result_end", ResultEndFrame, (
-        *_CHUNK, Field("parts", "uint", lo=1), *_CLOSING,
+        *_CHUNK, Field("ok", "flag"),
+        Field("cache_hits", "uint"), Field("cache_misses", "uint"), _SPANS,
+        _PAYLOAD,
     )),
     FrameRow(0x0F, "stats_request", StatsRequest),
     FrameRow(0x10, "stats", StatsReply, (

@@ -96,8 +96,8 @@ __all__ = [
 # Size caps (per field, enforced on both encode and decode)
 # ----------------------------------------------------------------------
 
-#: Ceiling on one str/bytes field.  Leaf-payload vectors and streamed
-#: result values stay far below this; the whole payload is additionally
+#: Ceiling on one str/bytes field.  Leaf-payload vectors and result
+#: values stay far below this; the whole payload is additionally
 #: bounded by ``MAX_CLUSTER_PAYLOAD_BYTES``.
 MAX_FIELD_BYTES = 8 * 1024 * 1024
 #: Ceiling on term nesting depth.
@@ -897,8 +897,8 @@ def encode_cluster_outcomes(
     """Frame per-job ``(ok, payload)`` outcomes as one result body.
 
     ``ok`` distinguishes an encoded result payload from an encoded
-    error description; a chunk's outcome list (or any contiguous slice
-    of it, for ``result_part`` streaming) travels in this envelope.
+    error description; a chunk's whole ordered outcome list travels in
+    this one envelope, so ``max_bytes`` caps the chunk's answer.
     """
     items = tuple(entries)
     _check_count("outcomes", len(items))
@@ -1010,7 +1010,6 @@ def _register_defaults() -> None:
         VerificationOutcome,
     )
     from repro.engine import jobs as _jobs
-    from repro.merkle import tree as _tree
     from repro.merkle.tree import LeafEncoding
     from repro.service import verification_jobs as _verify
     from repro.tasks.domain import ExplicitDomain, RangeDomain
@@ -1303,8 +1302,6 @@ def _register_defaults() -> None:
     # Names are short on purpose: each payload spells each name once,
     # so name length is fixed per-job overhead on the wire.
     register_callable("engine.execute_batch", _jobs.execute_batch)
-    register_callable("merkle.hash_leaf_chunk", _tree.hash_leaf_chunk)
-    register_callable("merkle.prove_leaf_chunk", _tree.prove_leaf_chunk)
     # `repro.analysis` re-exports a `sweep` *function*, shadowing the
     # submodule attribute — resolve the module itself.
     _sweep = importlib.import_module("repro.analysis.sweep")

@@ -43,9 +43,7 @@ from repro.service.codec import (
     HeartbeatFrame,
     JobFrame,
     ProofsFrame,
-    ResultEndFrame,
     ResultFrame,
-    ResultPartFrame,
     StatsReply,
     StatsRequest,
     SubmissionFrame,
@@ -255,20 +253,8 @@ _wire_span_lists = st.lists(_wire_span_dicts(), max_size=3).map(tuple)
 
 @st.composite
 def _wire_frames(draw):
-    kind = draw(st.integers(min_value=0, max_value=18))
+    kind = draw(st.integers(min_value=0, max_value=16))
     task_id = draw(_task_ids)
-    if kind == 13:
-        return ResultPartFrame(
-            job_id=draw(st.integers(min_value=0, max_value=1 << 32)),
-            seq=draw(st.integers(min_value=0, max_value=1 << 16)),
-            payload=draw(st.binary(max_size=64)),
-        )
-    if kind == 14:
-        return ResultEndFrame(
-            job_id=draw(st.integers(min_value=0, max_value=1 << 32)),
-            parts=draw(st.integers(min_value=1, max_value=1 << 16)),
-            spans=draw(_wire_span_lists),
-        )
     if kind == 8:
         return WorkerHello(
             worker_id=draw(st.text(min_size=1, max_size=16)),
@@ -283,9 +269,9 @@ def _wire_frames(draw):
             trace_id=draw(_trace_ids),
             span_id=draw(_trace_ids),
         )
-    if kind == 15:
+    if kind == 13:
         return StatsRequest()
-    if kind == 16:
+    if kind == 14:
         return StatsReply(
             stats=draw(
                 st.dictionaries(
@@ -305,9 +291,9 @@ def _wire_frames(draw):
             payload=draw(st.binary(max_size=64)),
             spans=draw(_wire_span_lists),
         )
-    if kind == 17:
+    if kind == 15:
         return TraceGetRequest(trace_id=draw(_required_ids))
-    if kind == 18:
+    if kind == 16:
         return TraceReply(
             trace_id=draw(_required_ids),
             spans=draw(_wire_span_lists),
@@ -447,7 +433,8 @@ class TestServiceFrames:
 
     def test_every_unknown_tag_byte_rejected(self):
         known = {row.tag for row in FRAMES}
-        assert len(known) == len(FRAMES) == 19
+        assert len(known) == len(FRAMES) == 17
+        assert known.isdisjoint({0x0D, 0x0E})  # retired with wire v7
         for tag in set(range(256)) - known:
             for body in (b"", b"\x00" * 8, encode_bytes(b"x")):
                 with pytest.raises(ProtocolError, match="unknown frame tag"):
@@ -526,17 +513,14 @@ class TestClusterEnvelope:
         [
             JobFrame(job_id=0, payload=b"x"),
             ResultFrame(job_id=0, ok=True, payload=b"x"),
-            ResultPartFrame(job_id=0, seq=0, payload=b"x"),
-            ResultEndFrame(job_id=0, parts=1),
         ],
         ids=lambda frame: type(frame).__name__,
     )
     def test_wrong_version_rejected(self, frame):
         """No compat window: every payload-bearing frame leads with
         the wire version and is refused unless it matches exactly —
-        a v6 (per-path proof bundles) or future frame never reaches a
-        field decoder."""
-        assert CLUSTER_WIRE_VERSION == 7
+        a v7 or future frame never reaches a field decoder."""
+        assert CLUSTER_WIRE_VERSION == 8
         payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
         assert payload[1] == CLUSTER_WIRE_VERSION
         for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
@@ -584,17 +568,13 @@ class TestClusterEnvelope:
             (TAG["hello"] + u(1 << 16) + b(b"w") + u(1), CodecError),
             (TAG["heartbeat"], CodecError),
             (TAG["bye"], CodecError),
-            (TAG["result_part"], CodecError),
-            (TAG["result_part"] + head + b(b"x"), CodecError),   # no seq
-            (TAG["result_part"] + head + u(0) + b"\x05x", CodecError),
-            (TAG["result_end"], CodecError),
-            (TAG["result_end"] + head, CodecError),          # no parts
-            (TAG["result_end"] + head + u(0) + u(0) + u(0) + b(b""),
-             ProtocolError),                                 # parts == 0
-            (TAG["result_end"] + head + u(1) + u(1 << 63) + u(0) + b(b""),
-             ProtocolError),                                 # count >= 2^63
-            (TAG["result_end"] + head + u(1) + u(0) + u(0) + b(b"") + b"x",
-             ProtocolError),                                 # trailing
+            (TAG["result"] + head + b"\x01" + u(1 << 63) + u(0) + b(b"")
+             + b(b"x"), ProtocolError),                      # count >= 2^63
+            (TAG["result"] + head + b"\x01" + u(0) + u(0) + b(b"") + b(b"x")
+             + b"x", ProtocolError),                         # trailing
+            # The v7 streamed-answer tags are unassigned, whatever follows.
+            (b"\x0d" + head + u(0) + b(b"x"), ProtocolError),
+            (b"\x0e" + head + u(1) + u(0) + u(0) + b(b""), ProtocolError),
         ):
             with pytest.raises(error):
                 decode_frame_payload(payload)
@@ -636,11 +616,8 @@ class TestClusterEnvelope:
              "ts": 1.5, "dur": 0.25, "pid": "p1",
              "attrs": {"worker": "w-0", "jobs": 3}},
         )
-        for frame in (
-            ResultFrame(job_id=1, ok=True, payload=b"x", spans=spans),
-            ResultEndFrame(job_id=1, parts=2, spans=spans),
-        ):
-            assert decode_frame(encode_frame(frame)) == frame
+        frame = ResultFrame(job_id=1, ok=True, payload=b"x", spans=spans)
+        assert decode_frame(encode_frame(frame)) == frame
 
     @pytest.mark.parametrize(
         "sp",
@@ -694,14 +671,17 @@ class TestClusterEnvelope:
             with pytest.raises(error):
                 decode_frame_payload(payload)
 
-    def test_oversized_result_part_rejected_at_encode(self):
+    def test_oversized_result_rejected_at_encode(self):
+        """One frame answers a chunk, so this cap bounds a chunk's
+        outcomes: the worker turns this error into a chunk-level
+        ``ok=False`` (see ``TestAnswerPathSurvival``)."""
         from repro.service.codec import MAX_CLUSTER_PAYLOAD_BYTES
 
-        frame = ResultPartFrame(
-            job_id=0, seq=0,
+        frame = ResultFrame(
+            job_id=0, ok=True,
             payload=b"\x00" * (MAX_CLUSTER_PAYLOAD_BYTES + 1),
         )
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="exceeds limit"):
             encode_frame(frame, max_frame=1 << 62)
 
 
@@ -1428,8 +1408,8 @@ class TestVersionSkewHandshake:
                     writer,
                     ByeFrame(
                         reason=(
-                            "incompatible cluster wire version 6: this "
-                            "coordinator speaks v7; upgrade the worker"
+                            "incompatible cluster wire version 7: this "
+                            "coordinator speaks v8; upgrade the worker"
                         )
                     ),
                 )

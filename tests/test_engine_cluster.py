@@ -12,6 +12,7 @@ worker crash), payload hygiene and the external-worker topology.
 
 import asyncio
 import os
+import re
 import signal
 import threading
 import time
@@ -39,7 +40,6 @@ from repro.engine.cluster.coordinator import _Coordinator, _WorkerLink
 from repro.engine.cluster.worker import (
     execute_chunk_report,
     execute_payload,
-    pack_outcome_parts,
     run_worker,
 )
 from repro.exceptions import CodecError, EngineError, ProtocolError
@@ -54,9 +54,7 @@ from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
     FRAMES,
     MAX_CLUSTER_FRAME_BYTES,
-    ResultEndFrame,
     ResultFrame,
-    ResultPartFrame,
     decode_cluster_chunk,
     decode_frame,
     decode_frame_payload,
@@ -867,148 +865,87 @@ class TestLateResultRace:
         asyncio.run(scenario())
 
 
-class TestStreamedReassembly:
-    """result_part/result_end reassembly and its failure modes."""
+class TestResultOwnership:
+    """A chunk is answered by the worker it was sent to, or not at all."""
 
-    def test_parts_reassemble_in_order(self):
+    def test_result_for_another_workers_chunk_drops_the_sender(self):
         async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=3, chunk_max=3)
             import concurrent.futures
 
-            futures = [concurrent.futures.Future() for _ in range(3)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
-            co._pump()
-            await settle()
-            [frame] = writer.frames
-            assert len(decode_cluster_chunk(frame.payload)) == 3
-
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=0,
-                                payload=ok_outcomes(0, 1)),
-            )
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=1,
-                                payload=ok_outcomes(4)),
-            )
-            co._on_result_end(
-                link, ResultEndFrame(job_id=frame.job_id, parts=2)
-            )
-            assert [f.result(timeout=0) for f in futures] == [0, 1, 4]
-            assert co.registry.value("repro_cluster_result_parts_total") == 2
-            assert co.jobs == {} and co.chunks == {}
-
-        asyncio.run(scenario())
-
-    def test_incomplete_stream_end_requeues_never_partially_accepts(self):
-        async def scenario():
             clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=2, chunk_max=2)
-            import concurrent.futures
-
+            co = make_coordinator(clock, window_depth=1)
             futures = [concurrent.futures.Future() for _ in range(2)]
             for i, future in enumerate(futures):
                 co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
+            owner, owner_writer = attach_worker(co, "owner")
+            thief, thief_writer = attach_worker(co, "thief")
             co._pump()
             await settle()
-            [frame] = writer.frames
+            [owned] = owner_writer.frames
+            [thiefs_own] = thief_writer.frames
 
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=0,
-                                payload=ok_outcomes(0)),
+            # The thief answers the owner's chunk id: rejected before
+            # anything is accepted, credited or released.
+            clock.advance(5.0)
+            co._on_result(
+                thief,
+                ResultFrame(job_id=owned.job_id, ok=True,
+                            payload=ok_outcomes(0)),
             )
-            # The worker claims the stream is over after 1 of 2 jobs.
-            co._on_result_end(
-                link, ResultEndFrame(job_id=frame.job_id, parts=1)
-            )
-            assert not futures[0].done() and not futures[1].done()
-            assert job_events(co, "requeued") == 2  # whole chunk requeued
-            assert 0 in co.jobs and 1 in co.jobs  # neither failed
-            # The pump inside _on_result_end reassigned both under a
-            # fresh chunk id; a complete stream then delivers them.
-            await settle()
-            retry = writer.frames[1]
-            assert retry.job_id != frame.job_id
-            assert len(decode_cluster_chunk(retry.payload)) == 2
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=retry.job_id, seq=0,
-                                payload=ok_outcomes(0, 1)),
-            )
-            co._on_result_end(
-                link, ResultEndFrame(job_id=retry.job_id, parts=1)
-            )
-            assert [f.result(timeout=0) for f in futures] == [0, 1]
-
-        asyncio.run(scenario())
-
-    def test_out_of_order_part_drops_the_worker_and_requeues(self):
-        async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=2, chunk_max=2)
-            import concurrent.futures
-
-            futures = [concurrent.futures.Future() for _ in range(2)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
-            co._pump()
-            await settle()
-            [frame] = writer.frames
-
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=5,
-                                payload=ok_outcomes(0)),
-            )
-            assert "a" not in co.workers  # protocol violation
+            assert "thief" not in co.workers  # protocol violation
             assert co.registry.value("repro_cluster_workers_lost_total") == 1
-            assert sorted(co.pending) == [0, 1]  # chunk disbanded
+            assert not futures[0].done()
+            assert job_events(co, "completed") == 0
+            assert thief.ewma_rate is None  # no EWMA sample taken
 
-        asyncio.run(scenario())
+            # The stolen chunk stays with its owner, slot still held ...
+            assert co.chunks[owned.job_id].worker_id == "owner"
+            assert owner.inflight == {owned.job_id}
+            # ... while the thief's own chunk was disbanded and, the
+            # owner's one-slot window being full, waits in the queue.
+            assert thiefs_own.job_id not in co.chunks
+            assert list(co.pending) == [1]
+            assert job_events(co, "requeued") == 1
 
-    def test_death_mid_stream_discards_partial_results(self):
-        async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=2, chunk_max=2)
-            import concurrent.futures
-
-            futures = [concurrent.futures.Future() for _ in range(2)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
-            co._pump()
+            # The owner's answer is accepted, and frees its slot for
+            # the requeued job.
+            co._on_result(
+                owner,
+                ResultFrame(job_id=owned.job_id, ok=True,
+                            payload=ok_outcomes(0)),
+            )
+            assert futures[0].result(timeout=0) == 0
             await settle()
-            [frame] = writer.frames
-
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=0,
-                                payload=ok_outcomes(0)),
+            retry = owner_writer.frames[1]
+            co._on_result(
+                owner,
+                ResultFrame(job_id=retry.job_id, ok=True,
+                            payload=ok_outcomes(1)),
             )
-            co._drop_worker(link)  # dies mid-stream
-            assert co.chunks == {}
-            assert not futures[0].done()  # nothing partially accepted
-            assert sorted(co.pending) == [0, 1]
-
-            # Late frames from the dead worker's stream are inert.
-            co._on_result_part(
-                link,
-                ResultPartFrame(job_id=frame.job_id, seq=1,
-                                payload=ok_outcomes(1)),
-            )
-            co._on_result_end(
-                link, ResultEndFrame(job_id=frame.job_id, parts=2)
-            )
-            assert not futures[0].done() and not futures[1].done()
+            assert futures[1].result(timeout=0) == 1
+            assert co.jobs == {} and co.chunks == {} and not co.pending
 
         asyncio.run(scenario())
+
+
+class TestWorkersPropertyRace:
+    def test_workers_snapshots_the_link_table(self):
+        """The loop thread registers and drops workers while callers
+        read ``workers``: a link table that grows mid-read (here, from
+        the stand-in's ``capacity``) must not raise."""
+        co = make_coordinator(FakeClock())
+
+        class RegisteringLink:
+            @property
+            def capacity(self):
+                co.workers[f"late-{len(co.workers)}"] = self
+                return 2
+
+        co.workers["a"] = RegisteringLink()
+        executor = ClusterExecutor(workers=1)
+        executor._co = co
+        assert executor.workers == 2
+        assert len(co.workers) == 2  # the registration did happen
 
 
 class TestAdaptiveChunkSizing:
@@ -1107,85 +1044,6 @@ class TestWorkerChunkExecution:
         with pytest.raises(CodecError):
             execute_chunk_report(encode_cluster_payload("not a chunk"))
 
-    def test_pack_outcome_parts_identity_and_bounds(self):
-        entries = [(True, bytes(range(10)) * k) for k in (1, 5, 2, 9, 1)]
-        parts = pack_outcome_parts(entries, 60)
-        assert [e for part in parts for e in part] == entries  # identity
-        assert all(len(part) >= 1 for part in parts)
-        big = pack_outcome_parts(entries, 10 ** 9)
-        assert len(big) == 1  # everything fits in one part
-
-    def test_pack_outcome_parts_oversized_entry_gets_own_part(self):
-        entries = [(True, b"x")] * 2 + [(True, b"y" * 500)] + [(True, b"x")]
-        parts = pack_outcome_parts(entries, 100)
-        assert [e for part in parts for e in part] == entries
-        assert [len(p) for p in parts] == [2, 1, 1]
-
-
-class TestStreamedEndToEnd:
-    """Real workers forced into streaming via a tiny threshold."""
-
-    def test_streamed_map_matches_serial(self):
-        with ClusterExecutor(
-            workers=2,
-            stream_threshold=1,
-            chunk_min=4,
-            chunk_max=8,
-            worker_preload=PRELOAD,
-        ) as executor:
-            assert executor.map(_square, range(64)) == [
-                i * i for i in range(64)
-            ]
-            assert executor.stats["result_parts"] > 0  # streaming happened
-
-    def test_streamed_population_parity(self):
-        scheme = CBSScheme(n_samples=8)
-        serial = report_fingerprint(population(scheme, engine="serial"))
-        with ClusterExecutor(
-            workers=2,
-            stream_threshold=1,
-            chunk_min=2,
-            chunk_max=4,
-            worker_preload=PRELOAD,
-        ) as executor:
-            streamed = report_fingerprint(
-                population(scheme, engine=executor, batch_size=1)
-            )
-            assert executor.stats["result_parts"] > 0
-        assert serial == streamed
-
-    def test_sigkill_mid_streaming_population_stays_byte_identical(self):
-        """The ISSUE acceptance: death mid-stream requeues cleanly."""
-        scheme = CBSScheme(n_samples=8)
-        serial = report_fingerprint(
-            population(scheme, engine="serial", n=1 << 15, participants=32)
-        )
-        with ClusterExecutor(
-            workers=2,
-            stream_threshold=1,
-            chunk_min=4,
-            chunk_max=8,
-            worker_preload=PRELOAD,
-        ) as executor:
-            executor.map(_square, [0])  # force startup; pids known
-            victim = executor.local_worker_pids[0]
-            report_box: list = []
-
-            def run() -> None:
-                report_box.append(
-                    population(
-                        scheme,
-                        engine=executor,
-                        n=1 << 15,
-                        participants=32,
-                        batch_size=1,
-                    )
-                )
-
-            stats = sigkill_mid_population(executor, victim, run, n_jobs=32)
-        assert stats["workers_lost"] >= 1
-        assert report_fingerprint(report_box[0]) == serial
-
 
 class TestTuningValidation:
     @pytest.mark.parametrize(
@@ -1194,7 +1052,6 @@ class TestTuningValidation:
             {"chunk_min": 0},
             {"chunk_min": 8, "chunk_max": 4},
             {"chunk_target_s": 0.0},
-            {"stream_threshold": 0},
             {"job_timeout": 0.0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_timeout": -1.0},
@@ -1208,13 +1065,13 @@ class TestTuningValidation:
 
     def test_get_executor_forwards_cluster_options(self):
         executor = get_executor(
-            "cluster", 1, chunk_min=2, chunk_max=4, stream_threshold=128
+            "cluster", 1, chunk_min=2, chunk_max=4, chunk_target_s=0.5
         )
         try:
             assert isinstance(executor, ClusterExecutor)
             assert executor._chunk_min == 2
             assert executor._chunk_max == 4
-            assert executor._stream_threshold == 128
+            assert executor._chunk_target_s == 0.5
         finally:
             executor.close()
 
@@ -1226,7 +1083,7 @@ class TestTuningValidation:
         with pytest.raises(EngineError):
             get_executor("serial", chunk_min=2)
         with pytest.raises(EngineError):
-            get_executor("threads", 2, stream_threshold=1)
+            get_executor("threads", 2, chunk_max=4)
 
     def test_get_executor_rejects_options_on_instances(self):
         executor = get_executor("serial")
@@ -1243,9 +1100,11 @@ class TestAnswerPathSurvival:
     caller on a worker that still heartbeats."""
 
     def test_unframeable_result_fails_fast_instead_of_hanging(self):
-        """Worker max_frame too small for the 1 MiB result: the send
-        fails on the worker, the fallback error frame (which fits)
-        arrives, and map() raises promptly instead of blocking."""
+        """Worker max_frame too small for a two-job chunk of 1 MiB
+        results: the one ``result`` frame cannot be sent, the fallback
+        error frame (which fits) arrives, and both jobs raise promptly
+        instead of blocking.  The same path answers a chunk whose
+        outcomes exceed the 32 MiB payload cap."""
         import socket
 
         with socket.socket() as probe:
@@ -1253,7 +1112,8 @@ class TestAnswerPathSurvival:
             port = probe.getsockname()[1]
 
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0
+            workers=1, port=port, spawn_local=False, startup_timeout=30.0,
+            window_depth=1, chunk_min=2, chunk_max=2,
         )
 
         def worker_thread() -> None:
@@ -1263,7 +1123,7 @@ class TestAnswerPathSurvival:
                     port,
                     engine="serial",
                     connect_retry_s=30.0,
-                    max_frame=64 * 1024,  # cannot frame a 1 MiB result
+                    max_frame=64 * 1024,  # cannot frame 1 MiB results
                 )
 
             asyncio.run(dial())
@@ -1271,10 +1131,22 @@ class TestAnswerPathSurvival:
         thread = threading.Thread(target=worker_thread, daemon=True)
         thread.start()
         try:
-            with pytest.raises(EngineError, match="exceeds limit"):
-                executor.map(_megabyte, [1])
+            # One slow job holds the worker's only window slot while
+            # two 1 MiB jobs queue behind it: they leave as one chunk.
+            blocker = executor.submit(_sleepy_square, (0.5, 3))
+            big = [executor.submit(_megabyte, x) for x in (1, 2)]
+            assert blocker.result(timeout=30) == 9
+            for future in big:
+                with pytest.raises(EngineError) as caught:
+                    future.result(timeout=30)
+                # Both outcomes were in the frame that would not send.
+                size = re.search(
+                    r"of (\d+) bytes exceeds limit", str(caught.value)
+                )
+                assert size and int(size.group(1)) > 2 << 20
             # The worker survived its own answer failure.
             assert executor.map(_square, [5]) == [25]
+            assert executor.stats["workers_lost"] == 0
         finally:
             executor.close()
         thread.join(timeout=10)

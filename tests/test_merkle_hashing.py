@@ -1,11 +1,12 @@
-"""Tests for the hash registry, iterated hashes and cost counting."""
+"""Tests for the hash registry, iterated hashes, cost counting and the
+batched leaf-level primitive the tree is built from."""
 
 import hashlib
 
 import pytest
 
 from repro.accounting import CostLedger
-from repro.exceptions import ReproError
+from repro.exceptions import MerkleError, ReproError
 from repro.merkle.hashing import (
     CountingHash,
     HashFunction,
@@ -14,6 +15,7 @@ from repro.merkle.hashing import (
     get_hash,
     register_hash,
 )
+from repro.merkle.tree import MerkleTree, empty_leaf_digest, hash_leaves
 
 
 class TestRegistry:
@@ -189,3 +191,21 @@ class TestHashFunctionValidation:
     def test_callable_interface(self):
         h = get_hash("sha256")
         assert h(b"x") == h.digest(b"x")
+
+
+class TestHashLeaves:
+    SHA = get_hash("sha256")
+
+    def test_matches_tree_leaf_level(self):
+        payloads = [i.to_bytes(4, "big") for i in range(5)]
+        tree = MerkleTree(payloads)
+        digests = hash_leaves(payloads, self.SHA, n_padding=3)
+        assert digests == [tree.phi(tree.height, i) for i in range(8)]
+
+    def test_padding_uses_empty_leaf_digest(self):
+        digests = hash_leaves([], self.SHA, n_padding=2)
+        assert digests == [empty_leaf_digest(self.SHA)] * 2
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(MerkleError):
+            hash_leaves([b"x"], self.SHA, n_padding=-1)

@@ -8,8 +8,8 @@ writers, links attached by hand) with arbitrary interleavings of the
 events the class exists to survive: submissions, workers joining and
 dying, results for *any* chunk id ever issued — live, timed-out
 (zombie) or retired; honest, failed, short, undecodable; once or twice;
-whole or streamed, in order or not — callers cancelling, and time
-passing.
+from the worker the chunk was sent to or from another — callers
+cancelling, and time passing.
 
 Checked after every step:
 
@@ -50,9 +50,7 @@ from hypothesis.stateful import (
 from repro.exceptions import EngineError
 from repro.service.codec import (
     JobFrame,
-    ResultEndFrame,
     ResultFrame,
-    ResultPartFrame,
     decode_cluster_chunk,
     decode_frame,
     encode_cluster_outcomes,
@@ -240,34 +238,37 @@ class SchedulerMachine(RuleBasedStateMachine):
             )
         self.run(self.co._on_result, link, frame)
 
-    @precondition(lambda self: self.issued)
-    @rule(
-        data=st.data(),
-        shape=st.sampled_from(
-            ["in_order", "out_of_order", "short_end", "miscounted_end"]
-        ),
-    )
-    def streamed_result(self, data, shape: str) -> None:
-        chunk_id, link, jobs = self.chunk(data)
-        entries = self.outcomes(jobs)
-        parts = [entries[i:i + 1] for i in range(len(entries))]
-        seqs = list(range(len(parts)))
-        if shape == "out_of_order":
-            seqs = [seq + 1 for seq in seqs]  # the first part is a gap
-        elif shape == "short_end":
-            parts, seqs = parts[:-1], seqs[:-1]
-        for seq, part in zip(seqs, parts):
-            self.run(
-                self.co._on_result_part,
-                link,
-                ResultPartFrame(chunk_id, seq, encode_cluster_outcomes(part)),
-            )
-        declared = len(parts) + (shape == "miscounted_end")
-        self.run(
-            self.co._on_result_end,
-            link,
-            ResultEndFrame(job_id=chunk_id, parts=max(1, declared)),
+    def thefts(self) -> list[tuple[int, str]]:
+        """Every (issued chunk id, live worker it was *not* sent to)."""
+        return [
+            (chunk_id, worker_id)
+            for chunk_id, (owner, _jobs) in sorted(self.issued.items())
+            for worker_id in sorted(self.co.workers)
+            if worker_id != owner
+        ]
+
+    @precondition(lambda self: self.thefts())
+    @rule(data=st.data(), ok=st.booleans())
+    def stolen_result(self, data, ok: bool) -> None:
+        chunk_id, thief = data.draw(
+            st.sampled_from(self.thefts()), label="theft"
         )
+        held = chunk_id in self.co.chunks
+        # Nothing is excused here: an answer from a link that was never
+        # sent the chunk may neither resolve nor fail any of its jobs.
+        if ok:
+            jobs = self.issued[chunk_id][1]
+            frame = ResultFrame(
+                chunk_id, True, encode_cluster_outcomes(self.outcomes(jobs))
+            )
+        else:
+            frame = ResultFrame(
+                chunk_id, False, encode_cluster_payload("not my chunk")
+            )
+        self.run(self.co._on_result, self.links[thief][0], frame)
+        if held:  # a protocol violation: the chunk stays, the thief goes
+            assert chunk_id in self.co.chunks
+            assert thief not in self.co.workers
 
     @precondition(lambda self: self.futures)
     @rule(data=st.data())

@@ -117,8 +117,10 @@ class TestRejection:
                 decode_frame_payload(payload)
 
     def test_unknown_type_tag_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_frame_payload(b"\x7f")
+        # 0x0D/0x0E: wire v7's streamed-answer frames, byte for byte.
+        for payload in ("7f", "0d07ac02010105", "0e07ac0202010000"):
+            with pytest.raises(ProtocolError, match="unknown frame tag"):
+                decode_frame_payload(bytes.fromhex(payload))
 
     def test_assign_value_validation(self):
         # Well-formed bytes, illegal values: a hostile supervisor must
@@ -181,9 +183,9 @@ class TestFrameTable:
         }
         union = set(typing.get_args(codec.Frame))
         assert {row.cls for row in codec.FRAMES} == union == defined
-        assert len(codec.FRAMES) == len(union) == 19
-        assert len({row.tag for row in codec.FRAMES}) == 19
-        assert len({row.name for row in codec.FRAMES}) == 19
+        assert len(codec.FRAMES) == len(union) == 17
+        assert len({row.tag for row in codec.FRAMES}) == 17
+        assert len({row.name for row in codec.FRAMES}) == 17
 
     def test_every_length_delimited_field_declares_a_cap(self):
         """``Field.hi`` defaults to the varint ceiling, so a bytes/str
@@ -208,7 +210,7 @@ class TestFrameTable:
             for field in row.fields
             if field.attr == "payload"
         }
-        (field,) = payload_fields  # one spec, shared by job/result/result_part
+        (field,) = payload_fields  # one spec, shared by job and result
         assert (field.kind, field.hi) == ("payload", limit)
         encode, read = codec.KINDS["payload"]
         with pytest.raises(CodecError, match="exceeds limit"):
@@ -394,23 +396,21 @@ GOLDEN = [
         "07100174000c77726f6e675f726573756c74",
     ),
     (ErrorFrame("nope"), "08046e6f7065"),
-    (codec.WorkerHello("w-0", 2), "090703772d3002"),
+    (codec.WorkerHello("w-0", 2), "090803772d3002"),
     (codec.HeartbeatFrame("w-0"), "0a03772d30"),
     (
         codec.JobFrame(
             job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
         ),
-        "0b07ac02010274310102733103000102",
+        "0b08ac02010274310102733103000102",
     ),
     (
         codec.ResultFrame(
             job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
             cache_hits=2, cache_misses=1,
         ),
-        "0c07ac02010201" + _SPAN_HEX + "020304",
+        "0c08ac02010201" + _SPAN_HEX + "020304",
     ),
-    (codec.ResultPartFrame(job_id=300, seq=1, payload=b"\x05"), "0d07ac02010105"),
-    (codec.ResultEndFrame(job_id=300, parts=2, cache_hits=1), "0e07ac0202010000"),
     (codec.StatsRequest(), "0f"),
     (
         codec.StatsReply({"repro_x_total": {"type": "counter", "value": 3}}),
