@@ -1,7 +1,7 @@
 """E9 — design-choice ablations: hash function, leaf encoding, builder.
 
-DESIGN.md §5 calls out three implementation choices the paper leaves
-open; each is ablated here:
+The paper leaves three implementation choices open; each is ablated
+here:
 
 * **hash function** — MD5/SHA-1 (the paper's suggestions) vs SHA-256
   (our default) vs BLAKE2b: build throughput and proof size;

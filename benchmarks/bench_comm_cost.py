@@ -20,6 +20,10 @@ records for the bundle as it travels, one multiproof that ships a
 digest several samples share (or can derive from each other) once or
 not at all.  ``per_path_ratio`` is the first over the second: what the
 shared form saves, largest where ``m`` samples crowd a small tree.
+
+E8 rides here too: the proof-size table backing §3.1's "the
+communication cost of this process is proportional to the height of
+the tree".
 """
 
 from repro.analysis import format_table
@@ -27,9 +31,16 @@ from repro.analysis.costs import cbs_participant_bytes, naive_bytes_per_task
 from repro.baselines import DoubleCheckScheme, NaiveSamplingScheme
 from repro.cheating import HonestBehavior
 from repro.core import CBSScheme
+from repro.merkle import MerkleTree
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.utils.encoding import encode_uint
 
 M = 50  # the paper's "almost impossible" sample count
+FN = PasswordSearch()
+
+
+def payloads(n: int) -> list[bytes]:
+    return [FN.evaluate(i) for i in range(n)]
 
 
 def measure_for(n: int) -> dict:
@@ -123,3 +134,45 @@ def test_comm_cost_paper_extrapolation(benchmark, save_table):
     assert 10e6 < by_n["2^64"]["naive_terabytes"] < 400e6
     # CBS at 2^64 with m=50 stays in the ~100 KB range.
     assert by_n["2^64"]["cbs_bytes"] < 150_000
+
+
+def test_proof_size_table(benchmark, save_table):
+    def measure():
+        rows = []
+        for exp in (8, 10, 12, 14, 16):
+            n = 1 << exp
+            tree = MerkleTree(payloads(n))
+            # One independent path as the paper ships it (the per-path
+            # reference form): leaf index, leaf count, encoding code,
+            # sibling count, then a length byte and a digest per level.
+            path = tree.auth_path(0)
+            digest_size = tree.hash_fn.digest_size
+            size = (
+                len(encode_uint(path.leaf_index))
+                + len(encode_uint(path.n_leaves))
+                + 1
+                + len(encode_uint(path.height))
+                + path.height * (1 + digest_size)
+            )
+            rows.append(
+                {
+                    "n": f"2^{exp}",
+                    "height": tree.height,
+                    "proof_bytes": size,
+                    "bytes_per_level": round(size / tree.height, 1),
+                }
+            )
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    table = format_table(
+        rows, title="E8 — proof size grows with log n (33 B per level)"
+    )
+    save_table("E8_proof_sizes", table)
+
+    # Perfectly linear in the height: constant bytes per level.
+    per_level = {row["bytes_per_level"] for row in rows}
+    assert max(per_level) - min(per_level) < 2.0
+    # Doubling the exponent adds exactly height-delta levels.
+    heights = [row["height"] for row in rows]
+    assert heights == [8, 10, 12, 14, 16]

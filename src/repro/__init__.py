@@ -27,7 +27,7 @@ Quickstart::
     assert not lazy.outcome.accepted               # caught w.p. 1 - 0.5^20
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
-per-figure reproduction harnesses (indexed in DESIGN.md §4).
+per-figure reproduction harnesses (indexed in README "Benchmarks").
 """
 
 from repro._version import __version__

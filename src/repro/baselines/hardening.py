@@ -19,7 +19,7 @@ This preserves the two properties the paper's comparison needs (E7):
 The implementation is a faithful simplification: the published scheme
 also randomizes task boundaries and seeds sub-sequences for Monte-Carlo
 workloads; those engineering layers do not change the cost/detection
-shape measured here (see DESIGN.md substitution table).
+shape measured here.
 """
 
 from __future__ import annotations

@@ -859,7 +859,8 @@ def _add_security_args(parser: argparse.ArgumentParser) -> None:
         help="separate shared secret for the cluster plane; without it "
         "a serve/loadgen --engine cluster run keys both planes from "
         "--secret-file — avoid that when participants hold the service "
-        "secret (the cluster secret admits pickled code to workers)",
+        "secret (whoever holds the cluster secret can submit jobs and "
+        "burn worker CPU)",
     )
 
 

@@ -2,8 +2,8 @@
 
 An :class:`Executor` maps a function over a list of items and returns
 the results *in submission order* — that ordering guarantee is what
-lets the grid simulator, the Monte-Carlo estimators and the chunked
-Merkle builder produce byte-identical output on every backend.
+lets the grid simulator and the Monte-Carlo estimators produce
+byte-identical output on every backend.
 
 * :class:`SerialExecutor` — plain in-process loop; zero overhead, the
   reference semantics every other backend must match.
@@ -69,7 +69,8 @@ def _metered_map(engine: str, n_items: int) -> Iterator[None]:
 
     When the caller has a trace bound, the whole batch is also
     bracketed by an ``engine.map`` span; untraced maps pay zero span
-    cost (pinned by ``bench_obs_overhead``).
+    cost (the ledger's ``obs.tracing_overhead_share`` row reads what a
+    traced one pays).
     """
     tasks, inflight = _engine_metrics()
     tasks.labels(engine=engine, event="submitted").inc(n_items)

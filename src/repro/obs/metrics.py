@@ -10,8 +10,7 @@ dict (for the service ``stats`` frame and the CLI) or rendered as
 Prometheus text exposition (for the ``--metrics-port`` endpoint).
 
 Dependency-free by design — no prometheus_client, no third-party
-anything — and cheap enough to leave on: a disabled registry turns
-every record call into one attribute check, and instruments are
+anything — and cheap enough to be always on: instruments are
 deliberately kept *out* of the core scheme hot loops (leaf hashing,
 Merkle folding); only plane boundaries (frames, chunks, submissions)
 are metered.
@@ -39,7 +38,7 @@ import math
 import re
 import threading
 import time
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -114,15 +113,9 @@ class _Child:
 
 
 class _CounterChild(_Child):
-    __slots__ = ("enabled_ref",)
-
-    def __init__(self, enabled_ref: "MetricsRegistry") -> None:
-        super().__init__()
-        self.enabled_ref = enabled_ref
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self.enabled_ref.enabled:
-            return
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
@@ -130,21 +123,13 @@ class _CounterChild(_Child):
 
 
 class _GaugeChild(_Child):
-    __slots__ = ("enabled_ref",)
-
-    def __init__(self, enabled_ref: "MetricsRegistry") -> None:
-        super().__init__()
-        self.enabled_ref = enabled_ref
+    __slots__ = ()
 
     def set(self, value: float) -> None:
-        if not self.enabled_ref.enabled:
-            return
         with self._lock:
             self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self.enabled_ref.enabled:
-            return
         with self._lock:
             self.value += amount
 
@@ -153,21 +138,16 @@ class _GaugeChild(_Child):
 
 
 class _HistogramChild:
-    __slots__ = ("_lock", "enabled_ref", "bounds", "bucket_counts", "sum", "count")
+    __slots__ = ("_lock", "bounds", "bucket_counts", "sum", "count")
 
-    def __init__(
-        self, enabled_ref: "MetricsRegistry", bounds: tuple[float, ...]
-    ) -> None:
+    def __init__(self, bounds: tuple[float, ...]) -> None:
         self._lock = threading.Lock()
-        self.enabled_ref = enabled_ref
         self.bounds = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # last slot is +Inf
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        if not self.enabled_ref.enabled:
-            return
         value = float(value)
         # Linear scan: bucket lists are short (<= ~20) and fixed, and
         # a scan beats bisect's call overhead at that size.
@@ -189,13 +169,8 @@ class _Metric:
     _child_cls: type = _Child
 
     def __init__(
-        self,
-        registry: "MetricsRegistry",
-        name: str,
-        help: str,
-        labelnames: Sequence[str],
+        self, name: str, help: str, labelnames: Sequence[str]
     ) -> None:
-        self.registry = registry
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
@@ -209,7 +184,7 @@ class _Metric:
             self._default = None
 
     def _make_child(self):
-        return self._child_cls(self.registry)
+        return self._child_cls()
 
     def labels(self, **labels: str):
         key = _validate_labels(self.labelnames, labels)
@@ -280,7 +255,6 @@ class Histogram(_Metric):
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
         name: str,
         help: str,
         labelnames: Sequence[str],
@@ -292,10 +266,10 @@ class Histogram(_Metric):
         if len(set(bounds)) != len(bounds):
             raise ValueError(f"histogram {name!r} has duplicate buckets")
         self.bounds = bounds
-        super().__init__(registry, name, help, labelnames)
+        super().__init__(name, help, labelnames)
 
     def _make_child(self):
-        return _HistogramChild(self.registry, self.bounds)
+        return _HistogramChild(self.bounds)
 
     def observe(self, value: float) -> None:
         self._require_default().observe(value)
@@ -342,8 +316,7 @@ class MetricsRegistry:
     cannot silently fight over one name.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
         self._collect_hooks: list[Callable[[], None]] = []
@@ -392,7 +365,7 @@ class MetricsRegistry:
                         f"{metric.labelnames}, not {tuple(labelnames)}"
                     )
                 return metric
-            metric = cls(self, name, help, labelnames, **kw)
+            metric = cls(name, help, labelnames, **kw)
             self._metrics[name] = metric
             return metric
 

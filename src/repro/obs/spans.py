@@ -22,7 +22,8 @@ and :func:`render_waterfall` can draw it without touching a log file.
 
 Recording is deliberately *boundary-grained*: one span per chunk /
 map / submission, never per item, and only when a trace is bound on
-the hot engine path — ``bench_obs_overhead.py`` gates the cost.
+the hot engine path — the ledger's ``obs.tracing_overhead_share`` row
+reads the cost.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ pipelines are proprietary or impractically large, but the verification
 schemes only interact with ``f`` through (a) its canonical output
 bytes, (b) its abstract cost ``C_f``, (c) one-wayness and (d) the guess
 probability ``q``.  Each workload here reproduces exactly those four
-properties with a deterministic PRF-backed kernel (substitution table
-in DESIGN.md §2):
+properties with a deterministic PRF-backed kernel:
 
 * :class:`PasswordSearch` — find the key whose hash matches a target;
   genuinely one-way (it *is* a hash), ``q ≈ 0``.  This is the §3

@@ -78,6 +78,23 @@ class TestSecurityFlagRouting:
         options = _engine_options(args, service_plane=True)
         assert options["secret_file"] == "cluster-secret"
 
+    def test_cluster_secret_help_claims_no_code_execution(self):
+        # Jobs are typed data (registered names + schema-checked
+        # arguments): the secret buys CPU on the workers, not code.
+        import argparse
+
+        (subcommands,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("population", "serve", "loadgen"):
+            (flag,) = (
+                action for action in subcommands.choices[command]._actions
+                if "--cluster-secret-file" in action.option_strings
+            )
+            assert "burn worker CPU" in flag.help
+            assert "pickl" not in flag.help and "code" not in flag.help
+
     def test_misconfigured_security_exits_2_not_traceback(self):
         assert main(["serve", "--secret-file", "/nonexistent"]) == 2
         assert main(["population", "--n", "64", "--participants", "2",
