@@ -39,28 +39,32 @@ ENGINE_NAMES = ("serial", "threads", "processes", "cluster")
 # Engine instruments live on the process-global registry (an executor
 # has no natural owner to scope to) and are created on first map(),
 # not at import.  Metering is per-map, not per-item: one counter add
-# for a whole batch keeps the engine hot path unmetered.
-_metrics_handles: tuple | None = None
+# for a whole batch keeps the engine hot path unmetered, and each
+# engine name's three series are bound once, not per map.
+_engine_series: dict[str, tuple] = {}
 
 
-def _engine_metrics():
-    global _metrics_handles
-    if _metrics_handles is None:
+def _series_for(engine: str) -> tuple:
+    series = _engine_series.get(engine)
+    if series is None:
         reg = default_registry()
-        _metrics_handles = (
-            reg.counter(
-                "repro_engine_tasks_total",
-                "Engine map items, by backend and event",
-                ("engine", "event"),
-            ),
-            reg.gauge(
-                "repro_engine_inflight_maps",
-                "map() calls currently executing, by backend "
-                "(saturation proxy)",
-                ("engine",),
-            ),
+        tasks = reg.counter(
+            "repro_engine_tasks_total",
+            "Engine map items, by backend and event",
+            ("engine", "event"),
         )
-    return _metrics_handles
+        inflight = reg.gauge(
+            "repro_engine_inflight_maps",
+            "map() calls currently executing, by backend "
+            "(saturation proxy)",
+            ("engine",),
+        )
+        series = _engine_series[engine] = (
+            tasks.labels(engine=engine, event="submitted"),
+            tasks.labels(engine=engine, event="completed"),
+            inflight.labels(engine=engine),
+        )
+    return series
 
 
 @contextlib.contextmanager
@@ -72,9 +76,9 @@ def _metered_map(engine: str, n_items: int) -> Iterator[None]:
     cost (the ledger's ``obs.tracing_overhead_share`` row reads what a
     traced one pays).
     """
-    tasks, inflight = _engine_metrics()
-    tasks.labels(engine=engine, event="submitted").inc(n_items)
-    inflight.labels(engine=engine).inc()
+    submitted, completed, inflight = _series_for(engine)
+    submitted.inc(n_items)
+    inflight.inc()
     try:
         if current_trace() is not None:
             with _span(
@@ -83,9 +87,9 @@ def _metered_map(engine: str, n_items: int) -> Iterator[None]:
                 yield
         else:
             yield
-        tasks.labels(engine=engine, event="completed").inc(n_items)
+        completed.inc(n_items)
     finally:
-        inflight.labels(engine=engine).dec()
+        inflight.dec()
 
 
 def default_workers() -> int:

@@ -13,9 +13,9 @@ untrusted clients:
 * :mod:`repro.service.sessions` — the assignment → commitment →
   outcome lifecycle store with TTL eviction of abandoned sessions.
 * :mod:`repro.service.server` — :class:`SupervisorServer`, a
-  concurrent asyncio TCP (or in-process) supervisor with
-  per-connection bounded queues and verification offloaded onto the
-  execution engine via ``loop.run_in_executor``.
+  concurrent asyncio TCP (or in-process) supervisor: one coroutine
+  per connection, each verification run on the loop or on the
+  execution engine's pool by its measured cost.
 * :mod:`repro.service.client` — the async participant.
 * :mod:`repro.service.loadgen` — N concurrent honest/cheating
   participants, reporting a

@@ -558,33 +558,33 @@ def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> Frame:
 
 # Net-plane instrumentation lives on the process-global registry (one
 # transport, one scrape), created lazily so importing the codec never
-# touches the registry.
-_net_frames = None
-_net_bytes = None
+# touches the registry; each (frame type, direction) pair binds its
+# two series on first use.
+_net_series: dict[tuple[type, str], tuple] = {}
 
 
-def _net_metrics():
-    global _net_frames, _net_bytes
-    if _net_frames is None:
+def _record_frame(frame: Frame, payload_len: int, direction: str) -> None:
+    cls = type(frame)
+    series = _net_series.get((cls, direction))
+    if series is None:
         registry = default_registry()
-        _net_frames = registry.counter(
+        frames = registry.counter(
             "repro_net_frames_total",
             "Wire frames read/written, by frame type and direction",
             ("type", "direction"),
         )
-        _net_bytes = registry.histogram(
+        sizes = registry.histogram(
             "repro_net_frame_payload_bytes",
             "Frame payload sizes in bytes, by direction",
             ("direction",),
             buckets=SIZE_BUCKETS,
         )
-    return _net_frames, _net_bytes
-
-
-def _record_frame(frame: Frame, payload_len: int, direction: str) -> None:
-    frames, sizes = _net_metrics()
-    frames.labels(type=_BY_CLASS[type(frame)].name, direction=direction).inc()
-    sizes.labels(direction=direction).observe(payload_len)
+        series = _net_series[cls, direction] = (
+            frames.labels(type=_BY_CLASS[cls].name, direction=direction),
+            sizes.labels(direction=direction),
+        )
+    series[0].inc()
+    series[1].observe(payload_len)
 
 
 async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> Frame | None:

@@ -1308,3 +1308,4 @@ def _register_defaults() -> None:
     register_callable("sweep.eval_point", _sweep._eval_point)
     register_callable("service.verify_cbs", _verify.verify_cbs_job)
     register_callable("service.verify_nicbs", _verify.verify_nicbs_job)
+    register_callable("service.timed", _verify.timed)

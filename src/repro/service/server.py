@@ -6,8 +6,8 @@ remote, untrusted participants it never meets.  The in-memory
 :class:`~repro.grid.network.Network` loop exercises the *message
 flow*; this server exercises the *system* — framed bytes on sockets,
 concurrent sessions, backpressure, abandoned-session eviction, and
-CPU-bound proof verification offloaded from the event loop onto the
-execution engine (:mod:`repro.engine`).
+proof verification placed on the event loop or on the execution engine
+(:mod:`repro.engine`) by what it is measured to cost.
 
 Determinism is preserved end to end: task ``i`` gets subdomain ``i``
 of the configured domain and seed ``derive_seed(config.seed, i)`` —
@@ -18,17 +18,23 @@ scheme layer (the parity tests pin this).
 
 Concurrency model:
 
-* one reader task per connection feeds a **bounded** frame queue; when
-  the queue fills, the reader stops reading and TCP flow control
-  pushes back on the client — a flooding participant slows itself, not
-  the supervisor;
-* one processor task per connection consumes frames in order (CBS
-  rounds are stateful, so per-connection ordering matters);
-* verification is shipped to the engine's worker pool through
-  ``loop.run_in_executor`` as module-level jobs
-  (:mod:`repro.service.verification_jobs`), bounded by a server-wide
-  semaphore so a burst of submissions queues instead of swamping the
-  pool;
+* one coroutine per connection runs read -> dispatch -> write: the next
+  frame is read only after the last was answered (CBS rounds are
+  stateful, so per-connection order matters), and a flooding
+  participant fills its own socket buffer — TCP flow control slows the
+  peer, never the supervisor;
+* every verification is timed where it runs, in thread CPU seconds
+  (:func:`~repro.service.verification_jobs.timed`), into one server-wide
+  estimate that jumps to a dearer reading at once and decays towards
+  cheaper ones.  A job runs inline on the loop iff the estimate is
+  known and at or under :data:`INLINE_BUDGET_S`; the first job of a
+  server, any job after a slow one and every job over the budget go
+  through ``loop.run_in_executor`` to the engine's ``futures_pool``
+  (``serial`` has none and is always inline).  The pool buys loop
+  responsiveness — other sessions' frames move while a long fold runs
+  — never GIL parallelism, so a sub-millisecond job is cheaper where
+  its frame landed.  A server-wide semaphore bounds the verifications
+  in flight under both placements;
 * a sweeper task periodically evicts abandoned sessions.
 """
 
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -81,7 +86,11 @@ from repro.service.codec import (
     write_frame,
 )
 from repro.service.sessions import Session, SessionState, SessionStore
-from repro.service.verification_jobs import verify_cbs_job, verify_nicbs_job
+from repro.service.verification_jobs import (
+    timed,
+    verify_cbs_job,
+    verify_nicbs_job,
+)
 from repro.tasks.domain import RangeDomain
 from repro.tasks.result import TaskAssignment
 
@@ -139,6 +148,14 @@ class ServiceConfig:
 
 
 _log = get_logger("service")
+
+#: Thread-CPU seconds a verification may cost and still run on the
+#: loop: what decoding a 10 KB submission, done inline already, costs.
+INLINE_BUDGET_S = 1e-3
+#: Share of the gap to a *cheaper* reading the cost estimate closes per
+#: job (a dearer one replaces it at once): one slow job sends the next
+#: to the pool, and ~8 cheap ones in a row return from 2x the budget.
+_COST_DECAY = 0.1
 
 
 # ----------------------------------------------------------------------
@@ -212,15 +229,12 @@ class SupervisorServer:
         engine_options: dict | None = None,
         security: SecurityConfig | None = None,
         session_ttl: float = 300.0,
-        queue_size: int = 32,
         max_pending_verifications: int = 128,
         max_frame: int = MAX_FRAME_BYTES,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
         span_buffer: SpanBuffer | None = None,
     ) -> None:
-        if queue_size < 1:
-            raise ProtocolError(f"queue_size must be >= 1, got {queue_size}")
         if max_pending_verifications < 1:
             raise ProtocolError(
                 "max_pending_verifications must be >= 1, "
@@ -235,9 +249,11 @@ class SupervisorServer:
         # listener, and — when a secret is configured — the repro.net
         # HMAC handshake before any frame is decoded.
         self._security = security
-        self._queue_size = queue_size
         self._max_frame = max_frame
         self._verify_slots = asyncio.Semaphore(max_pending_verifications)
+        # Estimated thread-CPU seconds of one verification; None until
+        # the first job has been timed (see _offload).
+        self._job_cost: float | None = None
         # A fresh per-instance registry by default (exactly-counted,
         # isolated — what tests and embedded servers want); the CLI
         # injects the process-global default registry so one scrape
@@ -255,11 +271,14 @@ class SupervisorServer:
         self._m_connections = self.registry.counter(
             "repro_connections_total", "Participant connections accepted"
         )
-        self._m_frames = self.registry.counter(
+        frames = self.registry.counter(
             "repro_frames_total",
             "Service frames processed, by direction",
             ("direction",),
         )
+        # Bound once: labels() on every frame was ~3% of the loop.
+        self._m_frames_in = frames.labels(direction="in")
+        self._m_frames_out = frames.labels(direction="out")
         self._m_verifications = self.registry.counter(
             "repro_verifications_total", "Verifications completed"
         )
@@ -429,40 +448,19 @@ class SupervisorServer:
                 await writer.wait_closed()
 
     async def _handle_connection(self, reader, writer) -> None:
-        # Bounded frame queue between the socket and the processor:
-        # when the processor falls behind (verification pool busy), the
-        # reader stops pulling bytes and TCP pushes back on the peer.
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self._queue_size)
-
-        async def read_loop() -> None:
-            try:
-                while True:
-                    frame = await read_frame(reader, max_frame=self._max_frame)
-                    await queue.put(frame)
-                    if frame is None:
-                        return
-            except ReproError as exc:
-                await queue.put(exc)
-
-        reader_task = asyncio.ensure_future(read_loop())
-        trace_id: str | None = None
-        span_id: str | None = None
+        # The next frame is read only once the last was answered: a
+        # peer that floods fills its own socket buffer, and a busy
+        # verification pool slows exactly the connections waiting on it.
+        trace_id = span_id = None
         try:
             while True:
-                item = await queue.get()
-                if item is None:
+                frame = await read_frame(reader, max_frame=self._max_frame)
+                if frame is None:
                     return
-                if isinstance(item, Exception):
-                    raise item
-                self._m_frames.labels(direction="in").inc()
-                trace_id, span_id = self._trace_for(item)
+                self._m_frames_in.inc()
+                trace_id, span_id = self._trace_for(frame)
                 with bind_trace(trace_id, span_id):
-                    replies = await self._dispatch(item)
-                    for reply in replies:
-                        await write_frame(
-                            writer, reply, max_frame=self._max_frame
-                        )
-                        self._m_frames.labels(direction="out").inc()
+                    await self._send(writer, await self._dispatch(frame))
         except ReproError as exc:
             # A misbehaving peer gets one terminal error frame, then
             # the connection closes; the server itself never crashes.
@@ -476,11 +474,11 @@ class SupervisorServer:
                     error=str(exc),
                 )
             with contextlib.suppress(Exception):
-                await write_frame(writer, ErrorFrame(str(exc)))
-        finally:
-            reader_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await reader_task
+                await self._send(writer, ErrorFrame(str(exc)))
+
+    async def _send(self, writer, frame: Frame) -> None:
+        await write_frame(writer, frame, max_frame=self._max_frame)
+        self._m_frames_out.inc()
 
     def _trace_for(self, frame: Frame) -> tuple[str | None, str | None]:
         """The trace context a frame belongs to.
@@ -502,27 +500,24 @@ class SupervisorServer:
     # Frame dispatch
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, frame: Frame) -> list[Frame]:
+    async def _dispatch(self, frame: Frame) -> Frame:
         if isinstance(frame, TaskRequest):
-            return [self._handle_task_request(frame)]
+            return self._handle_task_request(frame)
         if isinstance(frame, CommitmentFrame):
-            return [self._handle_commitment(frame.msg)]
+            return self._handle_commitment(frame.msg)
         if isinstance(frame, ProofsFrame):
-            return [await self._handle_proofs(frame.msg)]
+            return await self._handle_proofs(frame.msg)
         if isinstance(frame, SubmissionFrame):
-            return [await self._handle_submission(frame.msg)]
+            return await self._handle_submission(frame.msg)
         if isinstance(frame, StatsRequest):
-            return [StatsReply(stats=self.stats_snapshot())]
+            return StatsReply(stats=self.stats_snapshot())
         if isinstance(frame, TraceGetRequest):
-            return [
-                TraceReply(
-                    trace_id=frame.trace_id,
-                    spans=tuple(
-                        s.to_wire()
-                        for s in self.span_buffer.trace(frame.trace_id)
-                    ),
-                )
-            ]
+            return TraceReply(
+                trace_id=frame.trace_id,
+                spans=tuple(
+                    s.to_wire() for s in self.span_buffer.trace(frame.trace_id)
+                ),
+            )
         raise ProtocolError(
             f"unexpected frame {type(frame).__name__} at the supervisor"
         )
@@ -622,43 +617,33 @@ class SupervisorServer:
             msg.task_id, SessionState.COMMITTED
         )
         assert session.commitment is not None
-        started = time.perf_counter()
         outcome = await self._offload(
-            functools.partial(
-                verify_cbs_job,
-                session.assignment,
-                self.config.n_samples,
-                self.config.hash_name,
-                self.config.leaf_encoding.value,
-                session.seed,
-                session.commitment,
-                msg,
-            )
+            verify_cbs_job,
+            session.assignment,
+            self.config.n_samples,
+            self.config.hash_name,
+            self.config.leaf_encoding.value,
+            session.seed,
+            session.commitment,
+            msg,
         )
-        self._m_latency.observe(time.perf_counter() - started)
         return self._record_verdict(session, outcome)
 
     async def _handle_submission(self, msg: NICBSSubmissionMsg) -> VerdictFrame:
         if self.config.protocol != "ni-cbs":
-            raise ProtocolError(
-                "one-shot submissions only arrive in NI-CBS"
-            )
+            raise ProtocolError("one-shot submissions only arrive in NI-CBS")
         session = self.sessions.begin_verification(
             msg.task_id, SessionState.ASSIGNED
         )
-        started = time.perf_counter()
         outcome = await self._offload(
-            functools.partial(
-                verify_nicbs_job,
-                session.assignment,
-                self.config.n_samples,
-                self.config.sample_hash_name,
-                self.config.hash_name,
-                self.config.leaf_encoding.value,
-                msg,
-            )
+            verify_nicbs_job,
+            session.assignment,
+            self.config.n_samples,
+            self.config.sample_hash_name,
+            self.config.hash_name,
+            self.config.leaf_encoding.value,
+            msg,
         )
-        self._m_latency.observe(time.perf_counter() - started)
         return self._record_verdict(session, outcome)
 
     def _record_verdict(
@@ -684,24 +669,39 @@ class SupervisorServer:
         )
 
     # ------------------------------------------------------------------
-    # Engine offload
+    # Verification placement
     # ------------------------------------------------------------------
 
-    async def _offload(self, job) -> VerificationOutcome:
-        """Run a verification job off the event loop, bounded.
+    async def _offload(self, job, *args) -> VerificationOutcome:
+        """Run one verification job where it is cheapest, bounded.
 
-        The semaphore caps verifications in flight server-wide; with a
-        serial engine (``futures_pool`` is ``None``) the job runs
-        inline, which is the deterministic single-thread debug mode.
+        Inline on the loop when the server's cost estimate is known and
+        within :data:`INLINE_BUDGET_S` (or the engine has no pool),
+        otherwise on the engine's ``futures_pool``.  The semaphore caps
+        verifications in flight server-wide either way.
         """
+        started = time.perf_counter()
         async with self._verify_slots:
             pool = self._executor.futures_pool
-            # Each verification job is a one-item engine map: offload
-            # bypasses Executor.map, so meter it here or the engine
-            # plane goes dark under a pure service workload.
-            with _metered_map(self._executor.name, 1):
-                if pool is None:
-                    return job()
-                return await asyncio.get_running_loop().run_in_executor(
-                    pool, job
-                )
+            inline = pool is None or (
+                self._job_cost is not None
+                and self._job_cost <= INLINE_BUDGET_S
+            )
+            # Each verification is a one-item engine map that bypasses
+            # Executor.map: meter it here, under the name of the engine
+            # that actually ran it, or the engine plane goes dark under
+            # a pure service workload.
+            with _metered_map("serial" if inline else self._executor.name, 1):
+                if inline:
+                    outcome, cost = timed(job, *args)
+                else:
+                    loop = asyncio.get_running_loop()
+                    outcome, cost = await loop.run_in_executor(
+                        pool, timed, job, *args
+                    )
+        self._m_latency.observe(time.perf_counter() - started)
+        known = self._job_cost
+        if known is not None and cost < known:
+            cost = known + _COST_DECAY * (cost - known)
+        self._job_cost = cost
+        return outcome

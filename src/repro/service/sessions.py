@@ -37,9 +37,14 @@ class SessionState(enum.Enum):
     DONE = "done"            # verdict recorded
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
-    """One task's lifecycle record."""
+    """One task's lifecycle record.
+
+    Completed sessions are retained for the life of the server (their
+    outcomes are its product), so the record is slotted and drops its
+    protocol state at ``DONE``.
+    """
 
     task_id: str
     participant: int
@@ -179,6 +184,8 @@ class SessionStore:
             raise ProtocolError(f"task {task_id!r} already verified")
         session.outcome = outcome
         session.state = SessionState.DONE
+        # Nothing reads the interactive state after the verdict.
+        session.commitment = session.challenge = None
         self._events.labels(event="completed").inc()
         return session
 

@@ -12,9 +12,15 @@ Everything a verdict depends on is deterministic given the arguments —
 the challenge re-drawn from ``seed`` matches the one the server issued
 — so a rebuilt supervisor reproduces exactly what a long-lived
 in-process session would have computed.
+
+:func:`timed` is how the server learns what a job costs: it travels
+with the job (a registered callable, like the jobs themselves) and
+reads the clock on whichever thread, process or remote worker ran it.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.core.cbs import CBSSupervisor
 from repro.core.ni_cbs import NICBSSupervisor
@@ -24,7 +30,18 @@ from repro.merkle.hashing import get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks.result import TaskAssignment
 
-__all__ = ["verify_cbs_job", "verify_nicbs_job"]
+__all__ = ["timed", "verify_cbs_job", "verify_nicbs_job"]
+
+
+def timed(job, *args):
+    """Run ``job(*args)``; returns ``(result, thread-CPU seconds)``.
+
+    Thread CPU time, not wall: a job preempted on a busy box must not
+    read as a slow job.
+    """
+    started = time.thread_time()
+    result = job(*args)
+    return result, time.thread_time() - started
 
 
 def verify_cbs_job(

@@ -10,6 +10,7 @@ order.
 
 import asyncio
 import dataclasses
+import threading
 
 import pytest
 
@@ -36,6 +37,12 @@ from repro.service import (
     write_frame,
 )
 from repro.merkle.tree import LeafEncoding
+from repro.obs.metrics import default_registry
+from repro.obs.trace import bind_trace, new_trace_id
+from repro.service import server as server_module
+from repro.service import verification_jobs
+from repro.service.codec import TaskAssign, TraceGetRequest
+from repro.service.server import INLINE_BUDGET_S
 from repro.service.sessions import SessionState
 from repro.tasks import PasswordSearch, RangeDomain
 
@@ -128,6 +135,274 @@ class TestEndToEnd:
         server = asyncio.run(scenario())
         assert server.outcomes == sync_outcomes(cfg)
         assert server.registry.value("repro_verifications_total") == 3
+
+
+async def drive_in_turn(
+    server: SupervisorServer, cfg: ServiceConfig, trace_ids=None
+):
+    """One participant after another, so verifications never overlap;
+    session *i* runs under ``trace_ids[i]`` when given."""
+    runs = []
+    for i in range(cfg.n_participants):
+        client = ServiceClient(*server.connect_memory())
+        try:
+            with bind_trace(trace_ids[i] if trace_ids else None):
+                runs.append(
+                    await client.run_participant(
+                        BEHAVIORS[i % len(BEHAVIORS)], participant=i
+                    )
+                )
+        finally:
+            await client.close()
+    return runs
+
+
+class FakeCpuClock:
+    """Stands in for ``time.thread_time`` under ``timed``: job *k* reads
+    ``costs[k]`` thread-CPU seconds, and the thread it ran on is kept."""
+
+    def __init__(self, costs) -> None:
+        self.costs = iter(costs)
+        self.now = 0.0
+        self.threads: list[int] = []
+        self.in_job = False
+
+    def __call__(self) -> float:
+        if self.in_job:
+            self.now += next(self.costs)
+        else:
+            self.threads.append(threading.get_ident())
+        self.in_job = not self.in_job
+        return self.now
+
+
+CHEAP, DEAR = INLINE_BUDGET_S / 4, INLINE_BUDGET_S * 4
+
+
+class TestPlacement:
+    """Where a verification runs follows the cost the server measured."""
+
+    def place(
+        self, monkeypatch, costs, engine="threads", protocol="ni-cbs",
+        trace_ids=None,
+    ):
+        """Run ``len(costs)`` sessions in turn; returns the server and
+        ``"loop"``/``"pool"`` per verification."""
+        clock = FakeCpuClock(costs)
+        monkeypatch.setattr(verification_jobs.time, "thread_time", clock)
+        cfg = config(protocol, n_participants=len(costs))
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine=engine, workers=2)
+            try:
+                runs = await drive_in_turn(server, cfg, trace_ids)
+            finally:
+                await server.stop()
+            return server, runs, threading.get_ident()
+
+        server, runs, loop_thread = asyncio.run(scenario())
+        placed = ["loop" if t == loop_thread else "pool" for t in clock.threads]
+        return server, runs, placed
+
+    def test_first_job_pooled_then_small_jobs_run_on_the_loop(self, monkeypatch):
+        _server, _runs, placed = self.place(monkeypatch, [CHEAP] * 4)
+        assert placed == ["pool", "loop", "loop", "loop"]
+
+    def test_jobs_over_the_budget_stay_on_the_pool(self, monkeypatch):
+        _server, _runs, placed = self.place(monkeypatch, [DEAR] * 4)
+        assert placed == ["pool"] * 4
+
+    def test_a_reading_at_the_budget_is_inline_and_just_over_is_not(
+        self, monkeypatch
+    ):
+        over = INLINE_BUDGET_S * 1.0001
+        _server, _runs, placed = self.place(
+            monkeypatch, [INLINE_BUDGET_S, over, over]
+        )
+        assert placed == ["pool", "loop", "pool"]
+
+    def test_one_slow_reading_moves_the_next_job_back_at_once(self, monkeypatch):
+        # 1.05x the budget, then one free job: the estimate decays a
+        # tenth of the way (0.945x) and the loop is allowed again.
+        slow = 1.05 * INLINE_BUDGET_S
+        _server, _runs, placed = self.place(
+            monkeypatch, [0.0, 0.0, slow, 0.0, 0.0]
+        )
+        assert placed == ["pool", "loop", "loop", "pool", "loop"]
+        # A dear one takes many cheap readings to forget.
+        _server, _runs, placed = self.place(
+            monkeypatch, [CHEAP, DEAR] + [CHEAP] * 4
+        )
+        assert placed == ["pool", "loop"] + ["pool"] * 4
+
+    def test_serial_never_touches_a_pool(self, monkeypatch):
+        _server, _runs, placed = self.place(
+            monkeypatch, [DEAR] * 3, engine="serial"
+        )
+        assert placed == ["loop"] * 3
+
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    @pytest.mark.parametrize("cost", [CHEAP, DEAR])
+    def test_verdicts_equal_the_scheme_layer_under_both_placements(
+        self, monkeypatch, protocol, cost
+    ):
+        server, runs, placed = self.place(
+            monkeypatch, [cost] * 6, protocol=protocol
+        )
+        assert placed[1:] == ["loop" if cost == CHEAP else "pool"] * 5
+        expected = sync_outcomes(server.config)
+        assert server.outcomes == expected
+        assert {r.task_id: r.accepted for r in runs} == {
+            task_id: o.accepted for task_id, o in expected.items()
+        }
+        assert [r.accepted for r in runs] == [True, False] * 3
+
+    def test_a_job_is_metered_under_the_engine_that_ran_it(self, monkeypatch):
+        def completed(engine):
+            return default_registry().value(
+                "repro_engine_tasks_total", engine=engine, event="completed"
+            )
+
+        before = completed("threads"), completed("serial")
+        trace_ids = [new_trace_id() for _ in range(3)]
+        server, _runs, _placed = self.place(
+            monkeypatch, [CHEAP] * 3, trace_ids=trace_ids
+        )
+        assert completed("threads") - before[0] == 1
+        assert completed("serial") - before[1] == 2
+        engines = [
+            span.attributes["engine"]
+            for trace_id in trace_ids
+            for span in server.span_buffer.trace(trace_id)
+            if span.name == "engine.map"
+        ]
+        assert engines == ["threads", "serial", "serial"]
+
+
+class TestConnectionLoop:
+    """One coroutine per connection: read -> dispatch -> write."""
+
+    def test_pipelined_frames_are_answered_in_order(self):
+        cfg = config("ni-cbs")
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="serial")
+            try:
+                reader, writer = server.connect_memory()
+                for i in (3, 1):
+                    await write_frame(writer, TaskRequest(participant=i))
+                replies = [await read_frame(reader) for _ in range(2)]
+                writer.close()
+                return replies
+            finally:
+                await server.stop()
+
+        replies = asyncio.run(scenario())
+        assert all(isinstance(r, TaskAssign) for r in replies)
+        assert [r.participant for r in replies] == [3, 1]
+
+    def test_malformed_second_frame_first_reply_then_one_counted_error(self):
+        cfg = config("ni-cbs")
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="serial")
+            try:
+                reader, writer = server.connect_memory()
+                await write_frame(writer, TaskRequest(participant=0))
+                writer.write(b"\x00\x00\x00\x05notjs")
+                replies = []
+                while (reply := await read_frame(reader)) is not None:
+                    replies.append(reply)
+                return replies, server
+            finally:
+                await server.stop()
+
+        replies, server = asyncio.run(scenario())
+        assert [type(r) for r in replies] == [TaskAssign, ErrorFrame]
+        # The terminal error frame goes out through the same counted
+        # write as every other reply.
+        frames = server.registry.value
+        assert frames("repro_frames_total", direction="in") == 1
+        assert frames("repro_frames_total", direction="out") == 2
+
+    def test_eof_mid_verification_closes_cleanly(self, monkeypatch):
+        cfg = config("ni-cbs")
+        entered, release = threading.Event(), threading.Event()
+
+        def held(*args):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return verification_jobs.verify_nicbs_job(*args)
+
+        monkeypatch.setattr(server_module, "verify_nicbs_job", held)
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="threads", workers=2)
+            try:
+                reader, writer = server.connect_memory()
+                await write_frame(writer, TaskRequest(participant=0))
+                assign = await read_frame(reader)
+                submission = NICBSParticipant(
+                    server.sessions.peek(assign.assign.task_id).assignment,
+                    HonestBehavior(),
+                    n_samples=cfg.n_samples,
+                ).compute_and_submit()
+                await write_frame(writer, SubmissionFrame(msg=submission))
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                writer.close()  # the peer is gone before the verdict
+                (task,) = server._conn_tasks
+                release.set()
+                await asyncio.wait_for(task, timeout=10.0)
+                return task, server
+            finally:
+                release.set()
+                await server.stop()
+
+        task, server = asyncio.run(scenario())
+        assert task.exception() is None
+        assert server.outcomes["task-0"].accepted
+        assert server.registry.sum_values("repro_errors_total") == 0
+
+    def test_flooding_peer_is_never_more_than_one_frame_ahead(self, monkeypatch):
+        cfg = config("ni-cbs")
+        decoded = processed = 0
+        lead: list[int] = []
+        real_read = server_module.read_frame
+
+        async def counting_read(reader, max_frame):
+            nonlocal decoded
+            frame = await real_read(reader, max_frame=max_frame)
+            decoded += frame is not None
+            return frame
+
+        monkeypatch.setattr(server_module, "read_frame", counting_read)
+
+        async def scenario():
+            nonlocal processed
+            server = SupervisorServer(cfg, engine="serial")
+            real_dispatch = server._dispatch
+
+            async def counting_dispatch(frame):
+                nonlocal processed
+                lead.append(decoded - processed)
+                processed += 1
+                return await real_dispatch(frame)
+
+            server._dispatch = counting_dispatch
+            try:
+                _reader, writer = server.connect_memory()
+                for _ in range(1000):  # written, never read back
+                    await write_frame(writer, TraceGetRequest(trace_id="0" * 32))
+                writer.close()
+                (task,) = server._conn_tasks
+                await asyncio.wait_for(task, timeout=30.0)
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+        assert processed == 1000
+        assert set(lead) == {1}
 
 
 class TestInterleavedCBS:

@@ -54,10 +54,15 @@ class TestLifecycle:
 
         store.record_commitment("task-0", commitment(), challenge())
         assert session.state is SessionState.COMMITTED
+        assert session.commitment == commitment()
         store.record_outcome("task-0", outcome())
         assert session.state is SessionState.DONE
         assert store.active == 0
         assert store.outcomes == {"task-0": outcome()}
+        # A retained record holds the verdict, not the protocol state
+        # that led to it, and has no per-instance dict.
+        assert session.commitment is None and session.challenge is None
+        assert not hasattr(session, "__dict__")
 
     def test_duplicate_task_id_rejected(self):
         store = SessionStore()
