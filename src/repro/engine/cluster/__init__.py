@@ -42,13 +42,15 @@ pinned-certificate TLS (README "Security model").
 """
 
 from repro.engine.cluster.coordinator import (
-    DEFAULT_CHUNK_MAX,
-    DEFAULT_CHUNK_MIN,
-    DEFAULT_CHUNK_TARGET_S,
-    DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
     ClusterExecutor,
 )
+from repro.engine.cluster.scheduler import (
+    DEFAULT_CHUNK_MAX,
+    DEFAULT_CHUNK_MIN,
+    DEFAULT_CHUNK_TARGET_S,
+)
+from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL
 from repro.engine.cluster.worker import (
     default_worker_id,
     execute_chunk_report,

@@ -53,6 +53,7 @@ import time
 from repro.engine.executor import get_executor
 from repro.exceptions import EngineError, ReproError
 from repro.net.transport import (
+    DEFAULT_HEARTBEAT_INTERVAL,
     SecurityConfig,
     close_writer,
     heartbeat_loop,
@@ -83,9 +84,6 @@ from repro.service.codec import (
     read_frame,
     write_frame,
 )
-
-#: Default seconds between liveness beacons.
-DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 _log = get_logger("cluster.worker")
 
@@ -570,7 +568,8 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--heartbeat", type=float,
                         default=DEFAULT_HEARTBEAT_INTERVAL,
                         dest="heartbeat_interval",
-                        help="seconds between liveness beacons")
+                        help="seconds between liveness beacons "
+                        "(default: %(default)s)")
     parser.add_argument("--throttle", type=float, default=0.0,
                         help="artificial per-job delay in seconds "
                         "(straggler injection for benches/tests)")

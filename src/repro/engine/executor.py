@@ -1,4 +1,4 @@
-"""Execution backends: one protocol, three implementations.
+"""Execution backends: one protocol, four implementations.
 
 An :class:`Executor` maps a function over a list of items and returns
 the results *in submission order* — that ordering guarantee is what
@@ -14,10 +14,14 @@ byte-identical output on every backend.
   Requires the mapped function to be a module-level callable and every
   item/result to be picklable; wins on CPU-bound populations once the
   per-item work amortizes the IPC cost.
+* :class:`~repro.engine.cluster.ClusterExecutor` (in
+  :mod:`repro.engine.cluster`, built by name here) — worker daemons
+  over TCP; jobs travel as typed specs, so only jobcodec-registered
+  callables can be mapped.
 
 Pools are created lazily on first :meth:`Executor.map` and reused until
 :meth:`Executor.close`, so one executor can serve a whole sweep without
-re-spawning workers per population.  All three are context managers.
+re-spawning workers per population.  All four are context managers.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def default_workers() -> int:
 class Executor(abc.ABC):
     """Ordered-map execution backend (the engine protocol)."""
 
-    #: Registry name ("serial", "threads", "processes").
+    #: Registry name: one of :data:`ENGINE_NAMES`.
     name: str = "executor"
 
     @property

@@ -11,11 +11,14 @@ worker crash), payload hygiene and the external-worker topology.
 """
 
 import asyncio
+import concurrent.futures
+import logging
 import os
 import re
 import signal
 import threading
 import time
+import types
 
 import pytest
 
@@ -36,7 +39,7 @@ from repro.engine import (
     get_executor,
     run_scheme_jobs,
 )
-from repro.engine.cluster.coordinator import _Coordinator, _WorkerLink
+from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.cluster.worker import (
     execute_chunk_report,
     execute_payload,
@@ -50,13 +53,13 @@ from repro.grid.simulation import (
     run_population,
 )
 from repro.net.framing import frame_buffer
+from repro.obs.metrics import MetricsRegistry
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
     FRAMES,
-    MAX_CLUSTER_FRAME_BYTES,
+    JobFrame,
     ResultFrame,
     decode_cluster_chunk,
-    decode_frame,
     decode_frame_payload,
     encode_cluster_chunk,
     encode_cluster_outcomes,
@@ -211,9 +214,9 @@ class TestMapSemantics:
         with pytest.raises(EngineError, match="boom"):
             cluster.map(_boom_on_three, range(6))
         deadline = time.monotonic() + 10.0
-        while cluster._co.jobs and time.monotonic() < deadline:
+        while cluster._co.scheduler.jobs and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert cluster._co.jobs == {}
+        assert cluster._co.scheduler.jobs == {}
         assert cluster.map(_square, [4]) == [16]
 
     def test_unregistered_job_rejected_before_dispatch(self, cluster):
@@ -447,6 +450,33 @@ class TestFaultTolerance:
             assert executor.stats["jobs_requeued"] >= 1
 
 
+class TestShutdown:
+    def test_close_with_work_in_flight_is_not_a_fault(self, caplog):
+        """Closing mid-population fails what is unresolved, once, and
+        is not mistaken for worker loss: nothing requeued, nothing
+        counted lost, no fault record logged."""
+        registry = MetricsRegistry()
+        executor = ClusterExecutor(
+            workers=2, worker_preload=PRELOAD, registry=registry
+        )
+        try:
+            futures = [
+                executor.submit(_sleepy_square, (1.0, x)) for x in range(6)
+            ]
+            time.sleep(0.3)  # four chunks in flight, two jobs queued
+        finally:
+            with caplog.at_level(logging.WARNING, logger="repro"):
+                executor.close()
+        for future in futures:
+            with pytest.raises(EngineError, match="cluster executor closed"):
+                future.result(timeout=10)
+        assert registry.value("repro_cluster_chunks_total", event="requeued") == 0
+        assert registry.value("repro_cluster_jobs_total", event="requeued") == 0
+        assert registry.value("repro_cluster_workers_lost_total") == 0
+        logged = {getattr(record, "event", None) for record in caplog.records}
+        assert not logged & {"chunk_requeued", "worker_lost"}
+
+
 class TestWarmPoolLifecycle:
     """The worker daemon's local pool is prewarmed at startup and
     reused across every chunk it serves — never respawned between
@@ -606,7 +636,7 @@ def _worker_labels(snapshot: dict) -> set:
 
 
 # ----------------------------------------------------------------------
-# Deterministic scheduler harness (no sockets, injectable clock)
+# Deterministic scheduler harness (no sockets, no loop, injectable clock)
 # ----------------------------------------------------------------------
 
 
@@ -621,30 +651,26 @@ class FakeClock:
         self.now += seconds
 
 
-class FakeWriter:
-    """Collects frames the coordinator 'sends'; never blocks."""
+class Outbox:
+    """The scheduler's two outputs, recorded in the order they happen."""
 
     def __init__(self) -> None:
-        self.raw: list[bytes] = []
-        self.closed = False
+        self.sent: list[tuple[str, JobFrame]] = []
+        self.hung_up: list[str] = []
 
-    def write(self, data: bytes) -> None:
-        self.raw.append(data)
+    def send(self, worker_id: str, frame: JobFrame) -> None:
+        self.sent.append((worker_id, frame))
 
-    async def drain(self) -> None:
-        pass
+    def hang_up(self, worker_id: str) -> None:
+        self.hung_up.append(worker_id)
 
-    def close(self) -> None:
-        self.closed = True
-
-    @property
-    def frames(self):
-        return [decode_frame(chunk) for chunk in self.raw]
+    def frames(self, worker_id: str) -> list[JobFrame]:
+        return [frame for to, frame in self.sent if to == worker_id]
 
 
-def make_coordinator(clock, **overrides) -> _Coordinator:
+def make_scheduler(clock, **overrides) -> tuple[Scheduler, Outbox]:
+    out = Outbox()
     kwargs = dict(
-        max_frame=MAX_CLUSTER_FRAME_BYTES,
         window_depth=2,
         heartbeat_timeout=10.0,
         job_timeout=0.5,
@@ -652,48 +678,43 @@ def make_coordinator(clock, **overrides) -> _Coordinator:
         chunk_min=1,
         chunk_max=32,
         chunk_target_s=0.25,
-        more_workers_expected=lambda: True,
+        send=out.send,
+        hang_up=out.hang_up,
         clock=clock,
     )
     kwargs.update(overrides)
-    return _Coordinator(**kwargs)
+    return Scheduler(**kwargs), out
 
 
-def attach_worker(co: _Coordinator, worker_id: str, capacity: int = 1):
-    writer = FakeWriter()
-    link = _WorkerLink(
-        worker_id=worker_id,
-        capacity=capacity,
-        writer=writer,
-        window=max(1, capacity) * co.window_depth,
-        now=co.clock(),
-    )
-    co.workers[worker_id] = link
-    return link, writer
+def submit_jobs(sched: Scheduler, values) -> list[concurrent.futures.Future]:
+    futures = []
+    for value in values:
+        futures.append(concurrent.futures.Future())
+        sched.submit(job_payload(value), futures[-1])
+    return futures
 
 
-def job_events(co: _Coordinator, event: str) -> float:
-    return co.registry.value("repro_cluster_jobs_total", event=event)
+def job_events(sched: Scheduler, event: str) -> float:
+    return sched.registry.value("repro_cluster_jobs_total", event=event)
 
 
-def chunk_events(co: _Coordinator, event: str) -> float:
-    return co.registry.value("repro_cluster_chunks_total", event=event)
+def chunk_events(sched: Scheduler, event: str) -> float:
+    return sched.registry.value("repro_cluster_chunks_total", event=event)
 
 
 def job_payload(value: int) -> bytes:
     return encode_job(_square, (value,), {})
 
 
-def ok_outcomes(*values) -> bytes:
-    return encode_cluster_outcomes(
-        [(True, encode_cluster_payload(v)) for v in values]
+def ok_result(frame: JobFrame, *values) -> ResultFrame:
+    """The honest answer to one dispatched chunk."""
+    return ResultFrame(
+        job_id=frame.job_id,
+        ok=True,
+        payload=encode_cluster_outcomes(
+            [(True, encode_cluster_payload(v)) for v in values]
+        ),
     )
-
-
-async def settle() -> None:
-    """Let the coordinator's _send_chunk tasks run to completion."""
-    for _ in range(5):
-        await asyncio.sleep(0)
 
 
 class TestLateResultRace:
@@ -703,314 +724,261 @@ class TestLateResultRace:
     never a double requeue, never leaked bookkeeping."""
 
     def test_requeue_then_reassigned_copy_wins_then_late_result_dropped(self):
-        async def scenario():
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock)
+        sched.worker_joined("a", 1)
+        [future] = submit_jobs(sched, [6])
+        [frame_a] = out.frames("a")
+        assert decode_cluster_chunk(frame_a.payload) == (job_payload(6),)
 
-            clock = FakeClock()
-            co = make_coordinator(clock)
-            link, writer = attach_worker(co, "a")
-            future = concurrent.futures.Future()
-            co.submit(job_payload(6), future)
-            await settle()
-            [frame_a] = writer.frames
-            assert decode_cluster_chunk(frame_a.payload) == (job_payload(6),)
+        # The chunk stalls past the timeout: its job requeues, the
+        # chunk lingers as a zombie on the live worker, and the same
+        # tick reassigns the requeued copy under a fresh chunk id.
+        clock.advance(1.0)
+        sched.tick(clock(), True)
+        assert job_events(sched, "requeued") == 1
+        assert chunk_events(sched, "requeued") == 1
+        assert frame_a.job_id in sched.chunks  # zombie, not retired
+        assert sched.chunks[frame_a.job_id].requeued
+        frame_b = out.frames("a")[1]
+        assert frame_b.job_id != frame_a.job_id
 
-            # The chunk stalls past the timeout: its job requeues, the
-            # chunk lingers as a zombie on the live worker.
-            clock.advance(1.0)
-            co._scan_timeouts(clock())
-            assert job_events(co, "requeued") == 1
-            assert chunk_events(co, "requeued") == 1
-            assert frame_a.job_id in co.chunks  # zombie, not retired
-            assert co.chunks[frame_a.job_id].requeued
+        # The reassigned copy finishes first and wins.
+        sched.result("a", ok_result(frame_b, 36))
+        assert future.result(timeout=0) == 36
+        assert job_events(sched, "completed") == 1
 
-            # The requeued copy is reassigned under a fresh chunk id.
-            co._pump()
-            await settle()
-            frame_b = writer.frames[1]
-            assert frame_b.job_id != frame_a.job_id
+        # The slow original's late result: dropped exactly once,
+        # cleanly — the future is untouched (no InvalidStateError
+        # from a second set_result), the zombie id is retired,
+        # nothing is requeued again.
+        sched.result("a", ok_result(frame_a, 36))
+        assert future.result(timeout=0) == 36
+        assert job_events(sched, "completed") == 1  # not double-counted
+        assert job_events(sched, "requeued") == 1  # not re-requeued
+        assert sched.jobs == {} and sched.chunks == {}
+        assert not sched.pending
 
-            # The reassigned copy finishes first and wins.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame_b.job_id, ok=True,
-                            payload=ok_outcomes(36)),
-            )
-            assert future.result(timeout=0) == 36
-            assert job_events(co, "completed") == 1
-
-            # The slow original's late result: dropped exactly once,
-            # cleanly — the future is untouched (no InvalidStateError
-            # from a second set_result), the zombie id is retired,
-            # nothing is requeued again.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame_a.job_id, ok=True,
-                            payload=ok_outcomes(36)),
-            )
-            assert future.result(timeout=0) == 36
-            assert job_events(co, "completed") == 1  # not double-counted
-            assert job_events(co, "requeued") == 1  # not re-requeued
-            assert co.jobs == {} and co.chunks == {}
-            assert not co.pending
-
-            # And a *third* arrival of the same retired id is inert.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame_a.job_id, ok=True,
-                            payload=ok_outcomes(36)),
-            )
-            assert job_events(co, "completed") == 1
-
-        asyncio.run(scenario())
+        # And a *third* arrival of the same retired id is inert.
+        sched.result("a", ok_result(frame_a, 36))
+        assert job_events(sched, "completed") == 1
 
     def test_requeue_then_slow_original_wins_before_reassignment_lands(self):
-        async def scenario():
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock)
+        sched.worker_joined("a", 1)
+        [future] = submit_jobs(sched, [5])
+        [frame_a] = out.frames("a")
 
-            clock = FakeClock()
-            co = make_coordinator(clock)
-            link, writer = attach_worker(co, "a")
-            future = concurrent.futures.Future()
-            co.submit(job_payload(5), future)
-            await settle()
-            [frame_a] = writer.frames
+        clock.advance(1.0)
+        sched.tick(clock(), True)
+        frame_b = out.frames("a")[1]  # reassigned copy in flight
 
-            clock.advance(1.0)
-            co._scan_timeouts(clock())
-            co._pump()
-            await settle()
-            frame_b = writer.frames[1]  # reassigned copy in flight
+        # The slow original answers first: accepted (first result
+        # wins — byte-identical by purity), job resolves once.
+        sched.result("a", ok_result(frame_a, 25))
+        assert future.result(timeout=0) == 25
+        assert job_events(sched, "completed") == 1
 
-            # The slow original answers first: accepted (first result
-            # wins — byte-identical by purity), job resolves once.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame_a.job_id, ok=True,
-                            payload=ok_outcomes(25)),
-            )
-            assert future.result(timeout=0) == 25
-            assert job_events(co, "completed") == 1
-
-            # The reassigned copy's result is now the late duplicate.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame_b.job_id, ok=True,
-                            payload=ok_outcomes(25)),
-            )
-            assert job_events(co, "completed") == 1
-            assert co.jobs == {} and co.chunks == {} and not co.pending
-
-        asyncio.run(scenario())
+        # The reassigned copy's result is now the late duplicate.
+        sched.result("a", ok_result(frame_b, 25))
+        assert job_events(sched, "completed") == 1
+        assert sched.jobs == {} and sched.chunks == {} and not sched.pending
 
     def test_zombie_error_result_cannot_fail_a_requeued_job(self):
-        async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock)
-            link_a, writer_a = attach_worker(co, "a")
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock)
+        sched.worker_joined("a", 1)
+        [future] = submit_jobs(sched, [3])
+        [frame_a] = out.frames("a")
+        clock.advance(1.0)
+        sched.tick(clock(), True)
 
-            future = concurrent.futures.Future()
-            co.submit(job_payload(3), future)
-            await settle()
-            [frame_a] = writer_a.frames
-            clock.advance(1.0)
-            co._scan_timeouts(clock())
+        # The timed-out worker eventually answers with an error —
+        # that must not fail a job whose requeued copy is live.
+        sched.result(
+            "a",
+            ResultFrame(job_id=frame_a.job_id, ok=False,
+                        payload=encode_cluster_payload("boom")),
+        )
+        assert not future.done()
+        assert 0 in sched.jobs  # still tracked, not failed
 
-            # The timed-out worker eventually answers with an error —
-            # that must not fail a job whose requeued copy is live.
-            co._on_result(
-                link_a,
-                ResultFrame(job_id=frame_a.job_id, ok=False,
-                            payload=encode_cluster_payload("boom")),
-            )
-            assert not future.done()
-            assert 0 in co.jobs  # still tracked, not failed
-
-            # The requeued copy (the pump inside _on_result already
-            # reassigned it) still completes the job.
-            await settle()
-            frame_b = writer_a.frames[1]
-            co._on_result(
-                link_a,
-                ResultFrame(job_id=frame_b.job_id, ok=True,
-                            payload=ok_outcomes(9)),
-            )
-            assert future.result(timeout=0) == 9
-
-        asyncio.run(scenario())
+        # The requeued copy (reassigned by the tick) still completes
+        # the job.
+        frame_b = out.frames("a")[1]
+        sched.result("a", ok_result(frame_b, 9))
+        assert future.result(timeout=0) == 9
 
     def test_worker_death_retires_zombie_chunks(self):
-        async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock)
-            link_a, writer_a = attach_worker(co, "a")
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock)
+        sched.worker_joined("a", 1)
+        [future] = submit_jobs(sched, [2])
+        [frame_a] = out.frames("a")
+        clock.advance(1.0)
+        sched.tick(clock(), True)
+        assert sched.chunks[frame_a.job_id].requeued  # zombie
+        assert len(out.frames("a")) == 2  # and its job's live copy
 
-            future = concurrent.futures.Future()
-            co.submit(job_payload(2), future)
-            await settle()
-            [frame_a] = writer_a.frames
-            clock.advance(1.0)
-            co._scan_timeouts(clock())
-            assert frame_a.job_id in co.chunks  # zombie
+        sched.worker_left("a", "connection_closed")
+        assert out.hung_up == ["a"]
+        assert sched.chunks == {}  # no result can arrive on a dead link
+        # The timeout's requeue and the live copy's — the zombie's
+        # retirement adds none.
+        assert job_events(sched, "requeued") == 2
+        assert list(sched.pending) == [0]
+        assert not future.done()
 
-            co._drop_worker(link_a)
-            assert co.chunks == {}  # no result can arrive on a dead link
-            # The timeout requeue only — no double.
-            assert job_events(co, "requeued") == 1
-            assert list(co.pending) == [0]
-            assert not future.done()
 
-        asyncio.run(scenario())
+class TestCallerCancels:
+    def test_answer_for_a_job_cancelled_in_flight_is_dropped(self):
+        """A caller that gave up (a sibling failed mid-map) must not
+        meet ``InvalidStateError`` from the loop: the cancelled job is
+        forgotten, its chunk-mates resolve."""
+        sched, out = make_scheduler(FakeClock(), chunk_min=2, chunk_max=2)
+        futures = submit_jobs(sched, range(2))  # no worker yet: queued
+        sched.worker_joined("a", 1)
+        [frame] = out.frames("a")
+        assert futures[0].cancel()
+        sched.result("a", ok_result(frame, 0, 1))
+        assert futures[1].result(timeout=0) == 1
+        assert job_events(sched, "completed") == 1
+        assert sched.jobs == {} and sched.chunks == {}
 
 
 class TestResultOwnership:
     """A chunk is answered by the worker it was sent to, or not at all."""
 
     def test_result_for_another_workers_chunk_drops_the_sender(self):
-        async def scenario():
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock, window_depth=1)
+        futures = submit_jobs(sched, range(2))  # no worker yet: queued
+        sched.worker_joined("owner", 1)
+        sched.worker_joined("thief", 1)
+        owner, thief = sched.workers["owner"], sched.workers["thief"]
+        [owned] = out.frames("owner")
+        [thiefs_own] = out.frames("thief")
 
-            clock = FakeClock()
-            co = make_coordinator(clock, window_depth=1)
-            futures = [concurrent.futures.Future() for _ in range(2)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            owner, owner_writer = attach_worker(co, "owner")
-            thief, thief_writer = attach_worker(co, "thief")
-            co._pump()
-            await settle()
-            [owned] = owner_writer.frames
-            [thiefs_own] = thief_writer.frames
+        # The thief answers the owner's chunk id: rejected before
+        # anything is accepted, credited or released.
+        clock.advance(5.0)
+        sched.result("thief", ok_result(owned, 0))
+        assert "thief" not in sched.workers  # protocol violation
+        assert out.hung_up == ["thief"]
+        assert sched.registry.value("repro_cluster_workers_lost_total") == 1
+        assert not futures[0].done()
+        assert job_events(sched, "completed") == 0
+        assert thief.ewma_rate is None  # no EWMA sample taken
 
-            # The thief answers the owner's chunk id: rejected before
-            # anything is accepted, credited or released.
-            clock.advance(5.0)
-            co._on_result(
-                thief,
-                ResultFrame(job_id=owned.job_id, ok=True,
-                            payload=ok_outcomes(0)),
-            )
-            assert "thief" not in co.workers  # protocol violation
-            assert co.registry.value("repro_cluster_workers_lost_total") == 1
-            assert not futures[0].done()
-            assert job_events(co, "completed") == 0
-            assert thief.ewma_rate is None  # no EWMA sample taken
+        # The stolen chunk stays with its owner, slot still held ...
+        assert sched.chunks[owned.job_id].worker_id == "owner"
+        assert owner.inflight == {owned.job_id}
+        # ... while the thief's own chunk was disbanded and, the
+        # owner's one-slot window being full, waits in the queue.
+        assert thiefs_own.job_id not in sched.chunks
+        assert list(sched.pending) == [1]
+        assert job_events(sched, "requeued") == 1
 
-            # The stolen chunk stays with its owner, slot still held ...
-            assert co.chunks[owned.job_id].worker_id == "owner"
-            assert owner.inflight == {owned.job_id}
-            # ... while the thief's own chunk was disbanded and, the
-            # owner's one-slot window being full, waits in the queue.
-            assert thiefs_own.job_id not in co.chunks
-            assert list(co.pending) == [1]
-            assert job_events(co, "requeued") == 1
-
-            # The owner's answer is accepted, and frees its slot for
-            # the requeued job.
-            co._on_result(
-                owner,
-                ResultFrame(job_id=owned.job_id, ok=True,
-                            payload=ok_outcomes(0)),
-            )
-            assert futures[0].result(timeout=0) == 0
-            await settle()
-            retry = owner_writer.frames[1]
-            co._on_result(
-                owner,
-                ResultFrame(job_id=retry.job_id, ok=True,
-                            payload=ok_outcomes(1)),
-            )
-            assert futures[1].result(timeout=0) == 1
-            assert co.jobs == {} and co.chunks == {} and not co.pending
-
-        asyncio.run(scenario())
+        # The owner's answer is accepted, and frees its slot for
+        # the requeued job.
+        sched.result("owner", ok_result(owned, 0))
+        assert futures[0].result(timeout=0) == 0
+        retry = out.frames("owner")[1]
+        sched.result("owner", ok_result(retry, 1))
+        assert futures[1].result(timeout=0) == 1
+        assert sched.jobs == {} and sched.chunks == {} and not sched.pending
 
 
 class TestWorkersPropertyRace:
     def test_workers_snapshots_the_link_table(self):
         """The loop thread registers and drops workers while callers
-        read ``workers``: a link table that grows mid-read (here, from
+        read ``workers``: a worker table that grows mid-read (here, from
         the stand-in's ``capacity``) must not raise."""
-        co = make_coordinator(FakeClock())
+        sched, _out = make_scheduler(FakeClock())
 
         class RegisteringLink:
             @property
             def capacity(self):
-                co.workers[f"late-{len(co.workers)}"] = self
+                sched.workers[f"late-{len(sched.workers)}"] = self
                 return 2
 
-        co.workers["a"] = RegisteringLink()
+        sched.workers["a"] = RegisteringLink()
         executor = ClusterExecutor(workers=1)
-        executor._co = co
+        executor._co = types.SimpleNamespace(scheduler=sched)
         assert executor.workers == 2
-        assert len(co.workers) == 2  # the registration did happen
+        assert len(sched.workers) == 2  # the registration did happen
 
 
 class TestAdaptiveChunkSizing:
     """EWMA throughput → per-worker chunk size, clamped and fair."""
 
+    @staticmethod
+    def jobs_in(sched: Scheduler, frame: JobFrame) -> int:
+        return len(sched.chunks[frame.job_id].job_ids)
+
     def test_unmeasured_worker_probes_at_chunk_min(self):
-        clock = FakeClock()
-        co = make_coordinator(clock, chunk_min=2, chunk_max=16)
-        link, _writer = attach_worker(co, "a")
-        co.pending.extend(range(100))
-        assert co._chunk_size(link) == 2
+        sched, out = make_scheduler(FakeClock(), chunk_min=2, chunk_max=16)
+        submit_jobs(sched, range(100))
+        sched.worker_joined("a", 1)
+        assert [self.jobs_in(sched, f) for f in out.frames("a")] == [2, 2]
 
     def test_fast_worker_gets_bigger_chunks_than_straggler(self):
         clock = FakeClock()
-        co = make_coordinator(clock, chunk_min=1, chunk_max=16,
-                              chunk_target_s=0.5)
-        fast, _ = attach_worker(co, "fast")
-        slow, _ = attach_worker(co, "slow")
-        fast.ewma_rate = 40.0  # jobs/sec
-        slow.ewma_rate = 4.0
-        co.pending.extend(range(1000))
-        assert co._chunk_size(fast) == 16  # 40*0.5 clamped to max
-        assert co._chunk_size(slow) == 2  # 4*0.5
-        assert co._chunk_size(fast) > co._chunk_size(slow)
+        sched, out = make_scheduler(
+            clock, window_depth=1, chunk_min=1, chunk_max=16,
+            chunk_target_s=0.5,
+        )
+        submit_jobs(sched, range(1000))
+        sched.worker_joined("fast", 1)
+        sched.worker_joined("slow", 1)
+        [fast_probe] = out.frames("fast")
+        [slow_probe] = out.frames("slow")
+        clock.advance(1 / 32)  # 32 jobs/s
+        sched.result("fast", ok_result(fast_probe, 0))
+        clock.advance(7 / 32)  # a quarter second in all: 4 jobs/s
+        sched.result("slow", ok_result(slow_probe, 1))
+        assert sched.workers["fast"].ewma_rate == 32.0
+        assert sched.workers["slow"].ewma_rate == 4.0
+        assert self.jobs_in(sched, out.frames("fast")[1]) == 16  # 32*0.5
+        assert self.jobs_in(sched, out.frames("slow")[1]) == 2  # 4*0.5
 
     def test_fair_share_clamp_protects_the_tail(self):
         clock = FakeClock()
-        co = make_coordinator(clock, chunk_min=1, chunk_max=32)
-        fast, _ = attach_worker(co, "fast")
-        attach_worker(co, "other")
-        fast.ewma_rate = 1000.0
-        co.pending.extend(range(6))  # 6 jobs left, 2 workers
-        assert co._chunk_size(fast) == 3  # not all 6
+        sched, out = make_scheduler(
+            clock, window_depth=1, chunk_min=1, chunk_max=32
+        )
+        sched.worker_joined("fast", 1)
+        sched.worker_joined("other", 1)
+        submit_jobs(sched, range(8))  # one each in flight, 6 queued
+        [probe] = out.frames("fast")
+        clock.advance(1 / 1024)
+        sched.result("fast", ok_result(probe, 0))
+        assert sched.workers["fast"].ewma_rate == 1024.0
+        # 6 jobs left, 2 workers: not all 6.
+        assert self.jobs_in(sched, out.frames("fast")[1]) == 3
 
     def test_ewma_update_blends_samples(self):
         clock = FakeClock()
-        co = make_coordinator(clock)
-        link, _ = attach_worker(co, "a")
-        co._observe_rate(link, 10.0)
-        assert link.ewma_rate == 10.0
-        co._observe_rate(link, 20.0)
-        assert 10.0 < link.ewma_rate < 20.0
+        sched, out = make_scheduler(clock, window_depth=1)
+        sched.worker_joined("a", 1)
+        submit_jobs(sched, range(2))
+        clock.advance(1 / 8)
+        sched.result("a", ok_result(out.frames("a")[0], 0))
+        assert sched.workers["a"].ewma_rate == 8.0
+        clock.advance(1 / 16)
+        sched.result("a", ok_result(out.frames("a")[1], 1))
+        assert 8.0 < sched.workers["a"].ewma_rate < 16.0
 
     def test_completion_timing_feeds_the_ewma(self):
-        async def scenario():
-            clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=4, chunk_max=4)
-            import concurrent.futures
-
-            futures = [concurrent.futures.Future() for _ in range(4)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
-            co._pump()
-            await settle()
-            [frame] = writer.frames
-            clock.advance(2.0)  # 4 jobs in 2s -> 2 jobs/s
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame.job_id, ok=True,
-                            payload=ok_outcomes(0, 1, 4, 9)),
-            )
-            assert link.ewma_rate == pytest.approx(2.0)
-
-        asyncio.run(scenario())
+        clock = FakeClock()
+        sched, out = make_scheduler(clock, chunk_min=4, chunk_max=4)
+        submit_jobs(sched, range(4))  # no worker yet: queued
+        sched.worker_joined("a", 1)
+        [frame] = out.frames("a")
+        clock.advance(2.0)  # 4 jobs in 2s -> 2 jobs/s
+        sched.result("a", ok_result(frame, 0, 1, 4, 9))
+        assert sched.workers["a"].ewma_rate == pytest.approx(2.0)
 
 
 class TestWorkerChunkExecution:
@@ -1153,44 +1121,26 @@ class TestAnswerPathSurvival:
         assert not thread.is_alive()
 
     def test_zombie_count_mismatch_cannot_fail_requeued_jobs(self):
-        async def scenario():
-            import concurrent.futures
+        clock = FakeClock()
+        sched, out = make_scheduler(clock, chunk_min=2, chunk_max=2)
+        futures = submit_jobs(sched, range(2))  # no worker yet: queued
+        sched.worker_joined("a", 1)
+        [frame] = out.frames("a")
 
-            clock = FakeClock()
-            co = make_coordinator(clock, chunk_min=2, chunk_max=2)
-            futures = [concurrent.futures.Future() for _ in range(2)]
-            for i, future in enumerate(futures):
-                co.submit(job_payload(i), future)  # no worker yet: queued
-            link, writer = attach_worker(co, "a")
-            co._pump()
-            await settle()
-            [frame] = writer.frames
+        clock.advance(2.5)  # past the size-scaled budget (0.5 * 2)
+        sched.tick(clock(), True)  # zombie; jobs requeued and reassigned
+        assert sched.chunks[frame.job_id].requeued
 
-            clock.advance(2.5)  # past the size-scaled budget (0.5 * 2)
-            co._scan_timeouts(clock())  # zombie; jobs requeued
-            assert co.chunks[frame.job_id].requeued
+        # The slow worker answers with the wrong outcome count —
+        # the requeued copies own these jobs now; nothing fails.
+        sched.result("a", ok_result(frame, 0))  # 1 of 2
+        assert not futures[0].done() and not futures[1].done()
+        assert 0 in sched.jobs and 1 in sched.jobs
 
-            # The slow worker answers with the wrong outcome count —
-            # the requeued copies own these jobs now; nothing fails.
-            co._on_result(
-                link,
-                ResultFrame(job_id=frame.job_id, ok=True,
-                            payload=ok_outcomes(0)),  # 1 of 2
-            )
-            assert not futures[0].done() and not futures[1].done()
-            assert 0 in co.jobs and 1 in co.jobs
-
-            # The reassigned copy (pumped by _on_result) delivers.
-            await settle()
-            retry = writer.frames[1]
-            co._on_result(
-                link,
-                ResultFrame(job_id=retry.job_id, ok=True,
-                            payload=ok_outcomes(0, 1)),
-            )
-            assert [f.result(timeout=0) for f in futures] == [0, 1]
-
-        asyncio.run(scenario())
+        # The reassigned copy delivers.
+        retry = out.frames("a")[1]
+        sched.result("a", ok_result(retry, 0, 1))
+        assert [f.result(timeout=0) for f in futures] == [0, 1]
 
     def test_min_workers_cannot_exceed_spawn_local_count(self):
         with pytest.raises(EngineError, match="min_workers"):

@@ -1,33 +1,39 @@
 """Property test for the cluster scheduler: exactly once, under any
 interleaving.
 
-A hypothesis ``RuleBasedStateMachine`` drives a real
-:class:`~repro.engine.cluster.coordinator._Coordinator` through the
-socket-free harness of ``test_engine_cluster`` (fake clock, fake
-writers, links attached by hand) with arbitrary interleavings of the
-events the class exists to survive: submissions, workers joining and
-dying, results for *any* chunk id ever issued — live, timed-out
-(zombie) or retired; honest, failed, short, undecodable; once or twice;
-from the worker the chunk was sent to or from another — callers
-cancelling, and time passing.
+A hypothesis ``RuleBasedStateMachine`` drives a bare
+:class:`~repro.engine.cluster.scheduler.Scheduler` — fake clock, its two
+outputs recorded, no loop, no socket, no bytes — through its public
+events only (``submit``, ``worker_joined``, ``worker_seen``, ``result``,
+``worker_left``, ``tick``, ``close``), in arbitrary interleavings of
+what the class exists to survive: submissions, workers joining, dying
+and falling silent, results for *any* chunk id ever issued — live,
+timed-out (zombie) or retired; honest, failed, short, undecodable; once
+or twice; from the worker the chunk was sent to or from another —
+callers cancelling, time passing, the last worker gone for good, and
+shutdown mid-flight.
 
 Checked after every step:
 
 * no future is resolved twice (a second ``set_result`` would raise
   ``InvalidStateError`` out of the rule; the counting future checks it
   independently);
-* a job whose future is done is never in ``co.jobs`` — so it can be
+* a job whose future is done is never in ``jobs`` — so it can be
   neither dispatched nor resolved again — unless the *caller* cancelled
   it and the scheduler has not yet met it in its queue.  (A stale id may
   sit in ``pending``/``parked`` until the next pump or scan drops it;
   those are covered at quiescence.);
 * a resolved job holds the serial value, and a job fails only if a
-  worker answered for it with an error or a malformed result, or every
-  one of its ``max_attempts`` assignments was spent;
-* the queues only name jobs the model submitted, and every in-flight
-  chunk id is one a worker was really sent.
+  worker answered for it with an error or a malformed result, every
+  one of its ``max_attempts`` assignments was spent, or the scheduler
+  was closed (or left with no worker and none expected) while it was
+  unresolved;
+* the queues only name jobs the model submitted, every in-flight
+  chunk id is one a worker was really sent, no job is sent out more than
+  ``max_attempts`` times, and a worker the scheduler dropped on its own
+  was hung up on.
 
-At quiescence (teardown attaches one honest worker and answers
+At quiescence (teardown joins one honest worker and answers
 everything): every job resolved exactly once, and ``jobs``, ``chunks``,
 ``pending`` and ``parked`` are empty.
 
@@ -35,7 +41,6 @@ The default hypothesis profile keeps this small for tier-1; CI's
 cluster job runs it under ``HYPOTHESIS_PROFILE=ci`` (see conftest).
 """
 
-import asyncio
 import concurrent.futures
 
 from hypothesis import settings
@@ -49,24 +54,16 @@ from hypothesis.stateful import (
 
 from repro.exceptions import EngineError
 from repro.service.codec import (
-    JobFrame,
     ResultFrame,
-    decode_cluster_chunk,
-    decode_frame,
     encode_cluster_outcomes,
     encode_cluster_payload,
 )
 
-from test_engine_cluster import (
-    FakeClock,
-    attach_worker,
-    job_payload,
-    make_coordinator,
-    settle,
-)
+from test_engine_cluster import FakeClock, job_payload, make_scheduler
 
-MAX_ATTEMPTS = 3
+MAX_ATTEMPTS = 2
 JOB_TIMEOUT = 0.5
+HEARTBEAT_TIMEOUT = 100.0
 MAX_LIVE_WORKERS = 3
 
 
@@ -89,53 +86,40 @@ class CountingFuture(concurrent.futures.Future):
 class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.loop = asyncio.new_event_loop()
         self.clock = FakeClock()
-        self.co = make_coordinator(
-            self.clock, job_timeout=JOB_TIMEOUT, max_attempts=MAX_ATTEMPTS
+        self.sched, self.out = make_scheduler(
+            self.clock,
+            send=self.on_send,
+            heartbeat_timeout=HEARTBEAT_TIMEOUT,
+            job_timeout=JOB_TIMEOUT,
+            max_attempts=MAX_ATTEMPTS,
         )
         # The model.  Job i computes i*i; its payload names it.
         self.futures: list[CountingFuture] = []
-        self.job_of_payload: dict[bytes, int] = {}
-        self.links: dict[str, tuple] = {}  # worker id -> (link, writer)
-        self.frames_seen: dict[str, int] = {}  # worker id -> frames read
+        self.n_workers = 0
         self.issued: dict[int, tuple[str, tuple[int, ...]]] = {}
         self.assignments: dict[int, int] = {}  # job -> times dispatched
-        self.excused: set[int] = set()  # jobs a worker answered badly
+        self.excused: set[int] = set()  # jobs that may fail before spent
+        self.dropped: list[str] = []  # workers the model expects hung up on
 
     def teardown(self) -> None:
-        try:
-            self.quiesce()
-        finally:
-            self.loop.close()
+        self.quiesce()
 
     # -- plumbing --------------------------------------------------------
 
-    def run(self, step, *args):
-        """One scheduler event on a live loop, then let its sends land
-        and note which chunks went out to whom."""
-
-        async def scenario():
-            step(*args)
-            await settle()
-
-        self.loop.run_until_complete(scenario())
-        for worker_id, (_link, writer) in self.links.items():
-            for raw in writer.raw[self.frames_seen[worker_id]:]:
-                self.note_frame(worker_id, raw)
-            self.frames_seen[worker_id] = len(writer.raw)
-
-    def note_frame(self, worker_id: str, raw: bytes) -> None:
-        frame = decode_frame(raw)
-        assert isinstance(frame, JobFrame)
-        jobs = tuple(
-            self.job_of_payload[payload]
-            for payload in decode_cluster_chunk(frame.payload)
-        )
+    def on_send(self, worker_id: str, frame) -> None:
+        """The scheduler's ``send`` output: a chunk it holds in flight
+        goes to a worker it holds registered, under a fresh id."""
+        assert worker_id in self.sched.workers, "sent to a dropped worker"
         assert frame.job_id not in self.issued, "chunk id reused"
+        jobs = self.sched.chunks[frame.job_id].job_ids
         self.issued[frame.job_id] = (worker_id, jobs)
         for job in jobs:
             self.assignments[job] = self.assignments.get(job, 0) + 1
+            assert self.assignments[job] <= MAX_ATTEMPTS, f"job {job} respent"
+
+    def unresolved(self) -> list[int]:
+        return [j for j, f in enumerate(self.futures) if not f.done()]
 
     def outcomes(self, jobs, failing: int | None = None):
         return [
@@ -145,20 +129,31 @@ class SchedulerMachine(RuleBasedStateMachine):
             for job in jobs
         ]
 
-    def chunk(self, data) -> tuple[int, object, tuple[int, ...]]:
-        """Any chunk id ever issued, with the link it went out on."""
-        chunk_id = data.draw(
-            st.sampled_from(sorted(self.issued)), label="chunk"
+    def honest(self, chunk_id: int) -> ResultFrame:
+        jobs = self.issued[chunk_id][1]
+        return ResultFrame(
+            job_id=chunk_id,
+            ok=True,
+            payload=encode_cluster_outcomes(self.outcomes(jobs)),
         )
-        worker_id, jobs = self.issued[chunk_id]
-        return chunk_id, self.links[worker_id][0], jobs
+
+    def chunk(self, data) -> tuple[int, str, tuple[int, ...]]:
+        """Any chunk id ever issued, with the worker it went out to;
+        half the draws are among the chunks still held, while there are
+        any (in a long run most ids ever issued are retired)."""
+        pool = sorted(self.issued)
+        held = [chunk_id for chunk_id in pool if chunk_id in self.sched.chunks]
+        if data.draw(st.booleans(), label="held") and held:
+            pool = held
+        chunk_id = data.draw(st.sampled_from(pool), label="chunk")
+        return (chunk_id, *self.issued[chunk_id])
 
     def state(self, chunk_id: int) -> str:
         """``live`` (its answer is authoritative), ``zombie`` (timed
         out, jobs requeued, but a late answer can still win a job) or
         ``retired`` (answers are dropped)."""
-        chunk = self.co.chunks.get(chunk_id)
-        if chunk is None or chunk.worker_id not in self.co.workers:
+        chunk = self.sched.chunks.get(chunk_id)
+        if chunk is None or chunk.worker_id not in self.sched.workers:
             return "retired"
         return "zombie" if chunk.requeued else "live"
 
@@ -167,40 +162,40 @@ class SchedulerMachine(RuleBasedStateMachine):
     @rule()
     def submit(self) -> None:
         job = len(self.futures)
-        future = CountingFuture()
-        self.futures.append(future)
-        payload = job_payload(job)
-        self.job_of_payload[payload] = job
-        self.run(self.co.submit, payload, future)
+        self.futures.append(CountingFuture())
+        self.sched.submit(job_payload(job), self.futures[job])
 
-    @precondition(lambda self: len(self.co.workers) < MAX_LIVE_WORKERS)
+    @precondition(lambda self: len(self.sched.workers) < MAX_LIVE_WORKERS)
     @rule(capacity=st.integers(1, 2))
     def worker_joins(self, capacity: int) -> None:
-        worker_id = f"w{len(self.links)}"
-        self.links[worker_id] = attach_worker(self.co, worker_id, capacity)
-        self.frames_seen[worker_id] = 0
-        self.run(self.co._pump)  # what _serve_worker does after hello
+        self.n_workers += 1
+        self.sched.worker_joined(f"w{self.n_workers}", capacity)
 
-    @precondition(lambda self: self.co.workers)
+    @precondition(lambda self: self.sched.workers)
     @rule(data=st.data())
-    def worker_dropped(self, data) -> None:
+    def worker_leaves(self, data) -> None:
         worker_id = data.draw(
-            st.sampled_from(sorted(self.co.workers)), label="worker"
+            st.sampled_from(sorted(self.sched.workers)), label="worker"
         )
-        self.run(self.co._drop_worker, self.links[worker_id][0])
+        self.dropped.append(worker_id)
+        self.sched.worker_left(worker_id, "connection_closed")
+        assert worker_id not in self.sched.workers
+
+    @precondition(lambda self: self.sched.workers)
+    @rule(data=st.data())
+    def heartbeat(self, data) -> None:
+        worker_id = data.draw(
+            st.sampled_from(sorted(self.sched.workers)), label="worker"
+        )
+        self.sched.worker_seen(worker_id)
+        assert self.sched.workers[worker_id].last_seen == self.clock()
 
     @precondition(lambda self: self.issued)
     @rule(data=st.data(), twice=st.booleans())
     def honest_result(self, data, twice: bool) -> None:
-        chunk_id, link, jobs = self.chunk(data)
-        frame = ResultFrame(
-            job_id=chunk_id,
-            ok=True,
-            payload=encode_cluster_outcomes(self.outcomes(jobs)),
-        )
-        self.run(self.co._on_result, link, frame)
-        if twice:
-            self.run(self.co._on_result, link, frame)
+        chunk_id, worker_id, _jobs = self.chunk(data)
+        for _ in range(1 + twice):
+            self.sched.result(worker_id, self.honest(chunk_id))
 
     @precondition(lambda self: self.issued)
     @rule(
@@ -210,7 +205,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         ),
     )
     def bad_result(self, data, kind: str) -> None:
-        chunk_id, link, jobs = self.chunk(data)
+        chunk_id, worker_id, jobs = self.chunk(data)
         # Only an answer the scheduler accepts may fail a job: a live
         # chunk's, or — for one job's own error inside a well-formed
         # answer — a zombie's too (first result wins).
@@ -236,16 +231,20 @@ class SchedulerMachine(RuleBasedStateMachine):
             frame = ResultFrame(
                 chunk_id, True, encode_cluster_outcomes(entries)
             )
-        self.run(self.co._on_result, link, frame)
+        self.sched.result(worker_id, frame)
 
     def thefts(self) -> list[tuple[int, str]]:
-        """Every (issued chunk id, live worker it was *not* sent to)."""
-        return [
+        """Every (issued chunk id, live worker it was *not* sent to) —
+        of chunks still held when there are any (the violation), else
+        of retired ones (a stray duplicate)."""
+        every = [
             (chunk_id, worker_id)
             for chunk_id, (owner, _jobs) in sorted(self.issued.items())
-            for worker_id in sorted(self.co.workers)
+            for worker_id in sorted(self.sched.workers)
             if worker_id != owner
         ]
+        held = [theft for theft in every if theft[0] in self.sched.chunks]
+        return held or every
 
     @precondition(lambda self: self.thefts())
     @rule(data=st.data(), ok=st.booleans())
@@ -253,34 +252,96 @@ class SchedulerMachine(RuleBasedStateMachine):
         chunk_id, thief = data.draw(
             st.sampled_from(self.thefts()), label="theft"
         )
-        held = chunk_id in self.co.chunks
-        # Nothing is excused here: an answer from a link that was never
+        held = chunk_id in self.sched.chunks
+        # Nothing is excused here: an answer from a worker that was never
         # sent the chunk may neither resolve nor fail any of its jobs.
         if ok:
-            jobs = self.issued[chunk_id][1]
-            frame = ResultFrame(
-                chunk_id, True, encode_cluster_outcomes(self.outcomes(jobs))
-            )
+            frame = self.honest(chunk_id)
         else:
             frame = ResultFrame(
                 chunk_id, False, encode_cluster_payload("not my chunk")
             )
-        self.run(self.co._on_result, self.links[thief][0], frame)
+        self.sched.result(thief, frame)
         if held:  # a protocol violation: the chunk stays, the thief goes
-            assert chunk_id in self.co.chunks
-            assert thief not in self.co.workers
+            assert chunk_id in self.sched.chunks
+            assert thief not in self.sched.workers
+            self.dropped.append(thief)
 
     @precondition(lambda self: self.futures)
     @rule(data=st.data())
     def caller_cancels(self, data) -> None:
-        job = data.draw(st.integers(0, len(self.futures) - 1), label="job")
-        self.futures[job].cancel()
+        """Any job; half the draws among those out on a worker right
+        now, while there are any (cancelling a resolved future does
+        nothing, and an answer is on its way for these)."""
+        pool = range(len(self.futures))
+        in_flight = sorted(
+            {
+                job
+                for chunk in self.sched.chunks.values()
+                for job in chunk.job_ids
+                if not self.futures[job].done()
+            }
+        )
+        if data.draw(st.booleans(), label="in flight") and in_flight:
+            pool = in_flight
+        self.futures[data.draw(st.sampled_from(pool), label="job")].cancel()
 
-    @rule(seconds=st.sampled_from([0.1, JOB_TIMEOUT + 0.1, 40 * JOB_TIMEOUT]))
+    @rule(
+        seconds=st.sampled_from(
+            [0.1, JOB_TIMEOUT + 0.1, 40 * JOB_TIMEOUT, HEARTBEAT_TIMEOUT + 1]
+        )
+    )
     def time_passes(self, seconds: float) -> None:
+        """The clock moves and the monitor ticks; a worker that was not
+        heard from for ``heartbeat_timeout`` is dropped, and its chunks
+        are requeued, by the tick."""
         self.clock.advance(seconds)
-        self.run(self.co._scan_timeouts, self.clock())
-        self.run(self.co._pump)  # the monitor tick's last act
+        now = self.clock()
+        silent = [
+            worker_id
+            for worker_id, link in self.sched.workers.items()
+            if now - link.last_seen > HEARTBEAT_TIMEOUT
+        ]
+        held = {
+            chunk_id
+            for worker_id in silent
+            for chunk_id in self.sched.workers[worker_id].inflight
+        }
+        self.sched.tick(now, True)
+        for worker_id in silent:
+            assert worker_id not in self.sched.workers, "silent, not dropped"
+        assert not held & set(self.sched.chunks), "a dead worker's chunk kept"
+        self.dropped.extend(silent)
+
+    @precondition(lambda self: self.n_workers and not self.sched.workers)
+    @rule()
+    def none_can_rejoin(self) -> None:
+        """A tick with no worker left and none expected fails every
+        tracked job, once, rather than letting it wait forever."""
+        self.excused.update(self.unresolved())
+        self.sched.tick(self.clock(), False)
+        assert self.sched.jobs == {}
+        assert all(future.done() for future in self.futures)
+
+    @precondition(lambda self: self.sched.chunks)
+    @rule()
+    def close_mid_flight(self) -> None:
+        """Shutdown with chunks out: everything unresolved fails with
+        the given error, nothing is requeued, nobody is hung up on —
+        and the scheduler is empty, so late frames find nothing."""
+        doomed = self.unresolved()
+        requeued = self.sched.registry.value(
+            "repro_cluster_jobs_total", event="requeued"
+        )
+        self.excused.update(doomed)
+        error = EngineError("cluster executor closed")
+        self.sched.close(error)
+        for job in doomed:
+            assert self.futures[job].exception(timeout=0) is error
+        assert self.sched.workers == {} and self.sched.chunks == {}
+        assert requeued == self.sched.registry.value(
+            "repro_cluster_jobs_total", event="requeued"
+        )
 
     # -- invariants ------------------------------------------------------
 
@@ -294,7 +355,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def a_resolved_job_is_forgotten(self) -> None:
         for job, future in enumerate(self.futures):
             if future.resolutions:
-                assert job not in self.co.jobs, f"job {job} still tracked"
+                assert job not in self.sched.jobs, f"job {job} still tracked"
 
     @invariant()
     def results_are_serial_and_failures_are_earned(self) -> None:
@@ -314,42 +375,39 @@ class SchedulerMachine(RuleBasedStateMachine):
     @invariant()
     def bookkeeping_names_only_real_things(self) -> None:
         known = range(len(self.futures))
-        assert all(job in known for job in self.co.jobs)
-        assert all(job in known for job in self.co.pending)
-        assert all(job in known for job in self.co.parked)
-        assert all(chunk in self.issued for chunk in self.co.chunks)
-        for link in self.co.workers.values():
+        assert all(job in known for job in self.sched.jobs)
+        assert all(job in known for job in self.sched.pending)
+        assert all(job in known for job in self.sched.parked)
+        assert all(chunk in self.issued for chunk in self.sched.chunks)
+        for link in self.sched.workers.values():
             assert all(chunk in self.issued for chunk in link.inflight)
             assert len(link.inflight) <= link.window
+
+    @invariant()
+    def every_dropped_worker_was_hung_up_on(self) -> None:
+        assert self.out.hung_up == self.dropped
 
     # -- quiescence ------------------------------------------------------
 
     def quiesce(self) -> None:
         """One honest worker joins and everything outstanding is
         answered honestly: the scheduler must drain completely."""
-        worker_id = "honest"
-        self.links[worker_id] = attach_worker(self.co, worker_id, 2)
-        self.frames_seen[worker_id] = 0
+        self.sched.worker_joined("honest", 2)
         for _ in range(10 * (len(self.futures) + 1)):
-            self.run(self.co._pump)
             answerable = [
-                c for c in self.co.chunks if self.state(c) != "retired"
+                c for c in self.sched.chunks if self.state(c) != "retired"
             ]
-            if not answerable and not self.co.pending:
+            if not answerable and not self.sched.pending:
                 break
             for chunk_id in answerable:
-                holder, jobs = self.issued[chunk_id]
-                frame = ResultFrame(
-                    job_id=chunk_id,
-                    ok=True,
-                    payload=encode_cluster_outcomes(self.outcomes(jobs)),
+                self.sched.result(
+                    self.issued[chunk_id][0], self.honest(chunk_id)
                 )
-                self.run(self.co._on_result, self.links[holder][0], frame)
         else:
             raise AssertionError("the scheduler did not drain")
         # Zombies whose jobs are all resolved, and parked ids a zombie's
-        # answer already settled, go at the next scan.
-        self.run(self.co._scan_timeouts, self.clock())
+        # answer already settled, go at the next tick.
+        self.sched.tick(self.clock(), True)
         for check in (
             self.resolved_at_most_once,
             self.a_resolved_job_is_forgotten,
@@ -359,10 +417,10 @@ class SchedulerMachine(RuleBasedStateMachine):
         for job, future in enumerate(self.futures):
             assert future.done(), f"job {job} never resolved"
             assert future.cancelled() or future.resolutions == 1
-        assert self.co.jobs == {}
-        assert self.co.chunks == {}
-        assert not self.co.pending
-        assert self.co.parked == {}
+        assert self.sched.jobs == {}
+        assert self.sched.chunks == {}
+        assert not self.sched.pending
+        assert self.sched.parked == {}
 
 
 TestScheduler = SchedulerMachine.TestCase

@@ -8,9 +8,14 @@ one indexing step that runs when the table loads.  These tests feed
 each step a drifted table and expect :class:`ValueError` — the check a
 lint rule (RL006) used to approximate from the outside.  The frame
 table's own cases live in ``test_service_codec.TestFrameTable``.
+
+One more structural check rides here: ``engine/cluster/scheduler.py``
+stays synchronous and I/O-free (``TestSchedulerSeam``).
 """
 
+import ast
 import dataclasses
+import pathlib
 import subprocess
 import sys
 
@@ -225,3 +230,38 @@ class TestStructTable:
         domain = RangeDomain(3, 9)
         raw = jobcodec.encode_cluster_payload(domain)
         assert jobcodec.decode_cluster_payload(raw) == domain
+
+
+class TestSchedulerSeam:
+    """The scheduler decides and the coordinator moves bytes; this is
+    the check that the first cannot quietly start doing the second."""
+
+    BANNED_MODULES = ("asyncio", "socket", "ssl", "subprocess", "threading",
+                      "repro.net")
+    BANNED_NAMES = {"read_frame", "write_frame"}
+
+    def test_scheduler_module_is_synchronous_and_io_free(self):
+        from repro.engine.cluster import scheduler
+
+        tree = ast.parse(pathlib.Path(scheduler.__file__).read_text())
+        imported, named = set(), set()
+        for node in ast.walk(tree):
+            assert not isinstance(
+                node, (ast.AsyncFunctionDef, ast.AsyncFor, ast.AsyncWith,
+                       ast.Await)
+            ), f"line {node.lineno}: the scheduler is synchronous"
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or ".")
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        for module in imported:
+            for banned in self.BANNED_MODULES:
+                assert module != banned and not module.startswith(
+                    banned + "."
+                ), f"scheduler.py imports {module}"
+        assert not named & self.BANNED_NAMES
