@@ -391,10 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         health = HealthState()
         lag_probe = EventLoopLagProbe()
         health.add_probe("event_loop_lag", lag_probe)
-        health.add_probe(
-            "sessions",
-            lambda: (True, {"active": server.sessions.active}),
-        )
         if args.engine == "cluster":
             health.add_probe(
                 "cluster_workers",

@@ -54,12 +54,10 @@ def derive_sample_indices(
         raise SchemeConfigurationError(f"domain size must be >= 1, got {n}")
     if m < 1:
         raise SchemeConfigurationError(f"m must be >= 1, got {m}")
-    value = root
-    indices: list[int] = []
-    for _ in range(m):
-        value = sample_hash.digest(value)
-        indices.append(int.from_bytes(value, "big") % n)
-    return indices
+    return [
+        int.from_bytes(link, "big") % n
+        for link in sample_hash.digest_chain(root, m)
+    ]
 
 
 class NICBSParticipant(CBSParticipant):

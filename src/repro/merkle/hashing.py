@@ -82,9 +82,10 @@ class HashFunction:
 
     # ------------------------------------------------------------------
     # Batched digests — the Merkle call boundary: three level-wide
-    # methods for the builders, :meth:`fold_path` for the verifier.
+    # methods for the builders, :meth:`fold_path` for the verifier,
+    # :meth:`digest_chain` for Eq. (4)'s sample derivation.
     #
-    # All four methods are byte-identical to their per-digest loops;
+    # All five methods are byte-identical to their per-digest loops;
     # registry entries dispatch through a cached constructor (and, for
     # the tagged forms, a pre-seeded hasher copied per item, skipping
     # the ``tag + blob`` concatenation), while wrappers
@@ -184,6 +185,18 @@ class HashFunction:
             digest = hasher.digest()
             index >>= 1
         return digest
+
+    def digest_chain(self, value: bytes, count: int) -> list[bytes]:
+        """The first ``count`` links of ``h(value), h(h(value)), ...``.
+
+        Eq. (4)'s chain, one call for all ``m`` links instead of one
+        wrapper crossing per link.
+        """
+        factory = self._factory
+        if factory is None:
+            digest = self.digest
+            return [value := digest(value) for _ in range(count)]
+        return [value := factory(value).digest() for _ in range(count)]
 
     def __call__(self, data: bytes) -> bytes:
         return self.digest(data)
@@ -315,6 +328,10 @@ class CountingHash(HashFunction):
     ) -> bytes:
         self.ledger.charge_hashes(self.inner.cost, len(siblings))
         return self.inner.fold_path(tag, leaf, index, siblings)
+
+    def digest_chain(self, value: bytes, count: int) -> list[bytes]:
+        self.ledger.charge_hashes(self.inner.cost, count)
+        return self.inner.digest_chain(value, count)
 
 
 def _stdlib(name: str) -> HashFunction:

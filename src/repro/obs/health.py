@@ -9,8 +9,8 @@ questions:
   orchestrator's call, not ours.
 * **readiness** (``/readyz``) — "should traffic be routed here *now*?"
   A :class:`HealthState` aggregates a drain flag plus named per-plane
-  probes (event-loop lag, session-store pressure, worker-pool
-  liveness, coordinator stall watchdog); any failing probe or an
+  probes (event-loop lag, worker-pool liveness, coordinator stall
+  watchdog); any failing probe or an
   active drain flips the endpoint to 503 with a JSON body explaining
   which probe and why.
 

@@ -11,7 +11,8 @@ untrusted clients:
   job payloads as raw length-delimited bytes, plus the shared workload
   catalogue.
 * :mod:`repro.service.sessions` — the assignment → commitment →
-  outcome lifecycle store with TTL eviction of abandoned sessions.
+  outcome lifecycle store: live sessions with TTL eviction, one state
+  byte per slot once the verdict is out, the last 256 outcomes.
 * :mod:`repro.service.server` — :class:`SupervisorServer`, a
   concurrent asyncio TCP (or in-process) supervisor: one coroutine
   per connection, each verification run on the loop or on the

@@ -14,7 +14,10 @@ of the configured domain and seed ``derive_seed(config.seed, i)`` —
 exactly the job list :class:`~repro.grid.simulation.GridSimulation`
 builds — so a service run at a fixed seed produces byte-identical
 :class:`~repro.core.scheme.VerificationOutcome`s to the synchronous
-scheme layer (the parity tests pin this).
+scheme layer (the parity tests pin this).  Both are arithmetic on
+``i``, done when slot ``i`` is requested: the server holds no per-slot
+table, and what it remembers of a slot once its verdict is out is one
+byte (:mod:`repro.service.sessions`).
 
 Concurrency model:
 
@@ -85,7 +88,12 @@ from repro.service.codec import (
     resolve_workload,
     write_frame,
 )
-from repro.service.sessions import Session, SessionState, SessionStore
+from repro.service.sessions import (
+    Session,
+    SessionState,
+    SessionStore,
+    task_name,
+)
 from repro.service.verification_jobs import (
     timed,
     verify_cbs_job,
@@ -302,22 +310,14 @@ class SupervisorServer:
             "Wall-clock from submission/proofs arrival to verdict",
             buckets=LATENCY_BUCKETS,
         )
-        self._m_active = self.registry.gauge(
-            "repro_sessions_active", "Sessions currently mid-protocol"
-        )
 
-        function = resolve_workload(config.workload)
-        subdomains = config.domain.partition(config.n_participants)
-        self._assignments: list[TaskAssignment] = [
-            TaskAssignment(
-                task_id=f"task-{i}", domain=subdomain, function=function
-            )
-            for i, subdomain in enumerate(subdomains)
-        ]
-        self._seeds = [
-            derive_seed(config.seed, i) for i in range(config.n_participants)
-        ]
-        self._next_participant = 0
+        self._function = resolve_workload(config.workload)
+        # Slot subdomains are cut when requested; a domain with fewer
+        # inputs than slots still fails here, not at the first request.
+        config.domain.part(0, config.n_participants)
+        # Where auto-assignment looks next; slots behind it are taken
+        # unless eviction freed them.
+        self._cursor = 0
 
         self._server: asyncio.base_events.Server | None = None
         self._sweeper: asyncio.Task | None = None
@@ -409,7 +409,7 @@ class SupervisorServer:
 
     @property
     def outcomes(self) -> dict[str, VerificationOutcome]:
-        """Per-task verdicts recorded so far."""
+        """The most recent verdicts (``sessions.RECENT_OUTCOMES`` of them)."""
         return self.sessions.outcomes
 
     # ------------------------------------------------------------------
@@ -510,7 +510,7 @@ class SupervisorServer:
         if isinstance(frame, SubmissionFrame):
             return await self._handle_submission(frame.msg)
         if isinstance(frame, StatsRequest):
-            return StatsReply(stats=self.stats_snapshot())
+            return StatsReply(stats=self.registry.snapshot())
         if isinstance(frame, TraceGetRequest):
             return TraceReply(
                 trace_id=frame.trace_id,
@@ -522,44 +522,30 @@ class SupervisorServer:
             f"unexpected frame {type(frame).__name__} at the supervisor"
         )
 
-    def stats_snapshot(self) -> dict:
-        """The registry snapshot, with liveness gauges refreshed."""
-        self._m_active.set(self.sessions.active)
-        return self.registry.snapshot()
-
     def _handle_task_request(self, request: TaskRequest) -> TaskAssign:
         config = self.config
+        n_slots = config.n_participants
         if request.participant is not None:
             index = request.participant
-            if not 0 <= index < config.n_participants:
+            if not 0 <= index < n_slots:
                 raise ProtocolError(
-                    f"participant {index} outside [0, {config.n_participants})"
+                    f"participant {index} outside [0, {n_slots})"
                 )
         else:
-            while (
-                self._next_participant < config.n_participants
-                and f"task-{self._next_participant}" in self.sessions
-            ):
-                self._next_participant += 1
-            if self._next_participant < config.n_participants:
-                index = self._next_participant
-            else:
-                # The cursor is exhausted, but eviction may have freed
-                # earlier slots — one scan keeps them assignable.
-                freed = next(
-                    (
-                        i
-                        for i in range(config.n_participants)
-                        if f"task-{i}" not in self.sessions
-                    ),
-                    None,
-                )
-                if freed is None:
-                    raise ProtocolError("no unassigned participant slots left")
-                index = freed
-        assignment = self._assignments[index]
-        seed = self._seeds[index]
-        session = self.sessions.create(
+            index = self.sessions.first_free(self._cursor, n_slots)
+            if index is None:
+                # Nothing ahead of the cursor, but eviction may have
+                # freed slots behind it.
+                index = self.sessions.first_free(0, self._cursor)
+            if index is None:
+                raise ProtocolError("no unassigned participant slots left")
+            self._cursor = index + 1
+        domain = config.domain.part(index, n_slots)
+        assignment = TaskAssignment(
+            task_id=task_name(index), domain=domain, function=self._function
+        )
+        seed = derive_seed(config.seed, index)
+        self.sessions.create(
             task_id=assignment.task_id,
             participant=index,
             assignment=assignment,
@@ -575,7 +561,6 @@ class SupervisorServer:
             task_id=assignment.task_id,
             participant=index,
         )
-        domain: RangeDomain = session.assignment.domain  # type: ignore[assignment]
         return TaskAssign(
             assign=AssignMsg(
                 task_id=assignment.task_id,

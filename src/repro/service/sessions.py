@@ -1,12 +1,19 @@
 """Session and commitment store for the supervisor service.
 
-The GRACE supervisor (§4) is long-lived: thousands of participants it
+The GRACE supervisor (§4) is long-lived: millions of participants it
 never meets take assignments, and some of them vanish mid-protocol —
 after the commitment, before the proofs.  The store tracks every
 task's assignment → commitment → outcome lifecycle, rejects protocol
-replays (duplicate ``task_id``s, second commitments), and evicts
-abandoned interactive sessions after a TTL so a slow-loris population
-cannot pin supervisor memory forever.
+replays (duplicate ``task_id``s, second commitments, anything after
+the verdict), and evicts abandoned sessions after a TTL so a slow-loris
+population cannot pin supervisor memory forever.
+
+It holds what is in flight, not what it has ever served: a
+:class:`Session` lives in the store from its assignment to its verdict
+and no longer.  What outlasts the verdict is one state byte per slot
+(free / live / done — exactly-once assignment and the "already
+verified" answer to a replay), the lifecycle counters, and a ring of
+the last :data:`RECENT_OUTCOMES` outcomes for inspection.
 
 The store is event-loop-local state: the asyncio server mutates it
 only from the loop thread, so no locking is needed.  Time is an
@@ -17,7 +24,9 @@ without real sleeps.
 from __future__ import annotations
 
 import enum
+import re
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,22 +37,45 @@ from repro.obs.metrics import MetricsRegistry
 from repro.tasks.result import TaskAssignment
 
 
+#: Outcomes :attr:`SessionStore.outcomes` can still show.  The durable
+#: record of a verdict is its log line and its counters, not this ring.
+RECENT_OUTCOMES = 256
+
+# One byte per slot.  Slots past the end of the array were never
+# touched and read as free, so a store costs nothing per unused slot.
+_FREE, _LIVE, _DONE = 0, 1, 2
+
+# What task_name produces, and nothing else: ASCII digits, no leading
+# zeros, short enough for int() whatever an untrusted peer sends.
+_TASK_ID = re.compile(r"task-(0|[1-9][0-9]{0,17})")
+
+
+def task_name(slot: int) -> str:
+    """The task id of participant slot ``slot``."""
+    return f"task-{slot}"
+
+
+def _slot_of(task_id: str) -> int | None:
+    """Inverse of :func:`task_name`; ``None`` for any other string."""
+    match = _TASK_ID.fullmatch(task_id)
+    return int(match[1]) if match else None
+
+
 class SessionState(enum.Enum):
     """Where one task sits in its verification lifecycle."""
 
     ASSIGNED = "assigned"    # assignment sent, nothing received yet
     COMMITTED = "committed"  # CBS commitment in, challenge issued
     VERIFYING = "verifying"  # proofs/submission in, worker verifying
-    DONE = "done"            # verdict recorded
+    DONE = "done"            # verdict recorded, session released
 
 
 @dataclass(slots=True)
 class Session:
-    """One task's lifecycle record.
+    """One task's lifecycle record, held from assignment to verdict.
 
-    Completed sessions are retained for the life of the server (their
-    outcomes are its product), so the record is slotted and drops its
-    protocol state at ``DONE``.
+    The store drops its reference when the verdict is recorded (or the
+    TTL expires); only the slot's state byte remains.
     """
 
     task_id: str
@@ -56,7 +88,6 @@ class Session:
     state: SessionState = SessionState.ASSIGNED
     commitment: CommitmentMsg | None = None
     challenge: SampleChallengeMsg | None = None
-    outcome: VerificationOutcome | None = None
     # Optional trace context the client sent with its task request;
     # every log record and verdict for this task carries these ids.
     trace_id: str | None = None
@@ -64,7 +95,7 @@ class Session:
 
 
 class SessionStore:
-    """Lifecycle store with TTL eviction for abandoned sessions."""
+    """Live sessions, one state byte per slot, and the recent outcomes."""
 
     def __init__(
         self,
@@ -85,11 +116,34 @@ class SessionStore:
             "Session lifecycle events, by event kind",
             ("event",),
         )
+        # Moved where the live dict changes, so a scrape reads it true
+        # without anyone having asked for a snapshot first.
+        self._active = self.registry.gauge(
+            "repro_sessions_active", "Sessions currently mid-protocol"
+        )
         self._sessions: dict[str, Session] = {}
+        self._slots = bytearray()
+        self._recent: deque[VerificationOutcome] = deque(
+            maxlen=RECENT_OUTCOMES
+        )
+
+    def _state(self, slot: int) -> int:
+        return self._slots[slot] if 0 <= slot < len(self._slots) else _FREE
+
+    def _finished(self, task_id: str) -> bool:
+        slot = _slot_of(task_id)
+        return slot is not None and self._state(slot) == _DONE
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+
+    def first_free(self, start: int, stop: int) -> int | None:
+        """The lowest free slot in ``[start, stop)``, or ``None``."""
+        found = self._slots.find(_FREE, start, stop)
+        if found < 0:
+            found = max(start, len(self._slots))
+        return found if found < stop else None
 
     def create(
         self,
@@ -101,10 +155,18 @@ class SessionStore:
         trace_id: str | None = None,
         span_id: str | None = None,
     ) -> Session:
-        """Open a session; duplicate ``task_id``s are rejected."""
-        if task_id in self._sessions:
+        """Open slot ``participant``'s session; a slot is assigned once.
+
+        A live or finished slot is refused (and counted); an evicted,
+        unfinished one is free again.
+        """
+        if task_id in self._sessions or self._state(participant) != _FREE:
             self._events.labels(event="rejected_duplicate").inc()
             raise ProtocolError(f"task {task_id!r} already assigned")
+        if participant < 0 or task_id != task_name(participant):
+            raise ProtocolError(
+                f"task {task_id!r} does not name slot {participant}"
+            )
         now = self.clock()
         session = Session(
             task_id=task_id,
@@ -117,18 +179,24 @@ class SessionStore:
             trace_id=trace_id,
             span_id=span_id,
         )
+        if participant >= len(self._slots):
+            self._slots.extend(bytes(participant + 1 - len(self._slots)))
+        self._slots[participant] = _LIVE
         self._sessions[task_id] = session
         self._events.labels(event="created").inc()
+        self._active.inc()
         return session
 
     def peek(self, task_id: str) -> Session | None:
-        """Look up a session without touching its TTL clock."""
+        """Look up a live session without touching its TTL clock."""
         return self._sessions.get(task_id)
 
     def get(self, task_id: str) -> Session:
         """Look up a live session (evicted/unknown ids are equivalent)."""
         session = self._sessions.get(task_id)
         if session is None:
+            if self._finished(task_id):
+                raise ProtocolError(f"task {task_id!r} already verified")
             raise ProtocolError(f"unknown task {task_id!r}")
         # Monotone clamp: the clock is supposed to be monotonic, but an
         # injectable (or broken) one may jump backwards.  Letting
@@ -178,15 +246,18 @@ class SessionStore:
     def record_outcome(
         self, task_id: str, outcome: VerificationOutcome
     ) -> Session:
-        """Terminal transition: the verdict is in."""
+        """Terminal transition: the verdict is in, the session goes.
+
+        The slot's byte turns done — it is never assigned again and a
+        replay is told so — and the outcome joins the recent ring.
+        """
         session = self.get(task_id)
-        if session.state is SessionState.DONE:
-            raise ProtocolError(f"task {task_id!r} already verified")
-        session.outcome = outcome
+        del self._sessions[task_id]
+        self._slots[session.participant] = _DONE
         session.state = SessionState.DONE
-        # Nothing reads the interactive state after the verdict.
-        session.commitment = session.challenge = None
+        self._recent.append(outcome)
         self._events.labels(event="completed").inc()
+        self._active.dec()
         return session
 
     # ------------------------------------------------------------------
@@ -194,13 +265,12 @@ class SessionStore:
     # ------------------------------------------------------------------
 
     def evict_stale(self) -> list[str]:
-        """Drop unfinished sessions idle past the TTL; return their ids.
+        """Drop sessions idle past the TTL; return their ids.
 
-        Completed sessions are kept — their outcomes are the service's
-        product (the detection report) — only abandoned interactive
-        state is reclaimed.  A participant returning after eviction
-        sees ``unknown task``, exactly as if it had never been
-        assigned.
+        Every session in the store is unfinished, so this walks the
+        work in flight and nothing else.  An evicted slot is free
+        again: a participant returning after eviction sees ``unknown
+        task``, exactly as if it had never been assigned.
 
         Ages are clamped at zero: a clock that jumped backwards makes
         sessions look *newer*, never older, so a live session can
@@ -211,13 +281,13 @@ class SessionStore:
         stale = [
             task_id
             for task_id, session in self._sessions.items()
-            if session.state is not SessionState.DONE
-            and max(0.0, now - session.touched_at) > self.ttl
+            if max(0.0, now - session.touched_at) > self.ttl
         ]
         for task_id in stale:
-            del self._sessions[task_id]
+            self._slots[self._sessions.pop(task_id).participant] = _FREE
         if stale:
             self._events.labels(event="evicted").inc(len(stale))
+            self._active.dec(len(stale))
         return stale
 
     # ------------------------------------------------------------------
@@ -226,25 +296,14 @@ class SessionStore:
 
     @property
     def outcomes(self) -> dict[str, VerificationOutcome]:
-        """Verdicts for every completed task."""
-        return {
-            task_id: session.outcome
-            for task_id, session in self._sessions.items()
-            if session.state is SessionState.DONE
-            and session.outcome is not None
-        }
+        """The last :data:`RECENT_OUTCOMES` verdicts, by task id."""
+        return {outcome.task_id: outcome for outcome in self._recent}
 
     @property
     def active(self) -> int:
-        """Sessions still mid-protocol."""
-        return sum(
-            1
-            for session in self._sessions.values()
-            if session.state is not SessionState.DONE
-        )
-
-    def __len__(self) -> int:
+        """Sessions still mid-protocol — all the store holds."""
         return len(self._sessions)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self._sessions
+        """Whether ``task_id`` is assigned: live or finished."""
+        return task_id in self._sessions or self._finished(task_id)

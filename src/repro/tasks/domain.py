@@ -50,14 +50,7 @@ class Domain(abc.ABC):
         so sizes differ by at most one and every input is assigned
         exactly once.
         """
-        n = len(self)
-        if n_parts <= 0:
-            raise DomainError(f"n_parts must be positive, got {n_parts}")
-        if n_parts > n:
-            raise DomainError(
-                f"cannot partition {n} inputs into {n_parts} non-empty parts"
-            )
-        base, extra = divmod(n, n_parts)
+        base, extra = self._part_sizes(n_parts)
         parts: list[Domain] = []
         start = 0
         for i in range(n_parts):
@@ -65,6 +58,24 @@ class Domain(abc.ABC):
             parts.append(self.slice(start, start + size))
             start += size
         return parts
+
+    def part(self, index: int, n_parts: int) -> "Domain":
+        """``partition(n_parts)[index]`` without building the others."""
+        base, extra = self._part_sizes(n_parts)
+        if not 0 <= index < n_parts:
+            raise DomainError(f"part {index} outside [0, {n_parts})")
+        start = index * base + min(index, extra)
+        return self.slice(start, start + base + (index < extra))
+
+    def _part_sizes(self, n_parts: int) -> tuple[int, int]:
+        n = len(self)
+        if n_parts <= 0:
+            raise DomainError(f"n_parts must be positive, got {n_parts}")
+        if n_parts > n:
+            raise DomainError(
+                f"cannot partition {n} inputs into {n_parts} non-empty parts"
+            )
+        return divmod(n, n_parts)
 
     @abc.abstractmethod
     def slice(self, start: int, stop: int) -> "Domain":

@@ -1,16 +1,18 @@
 """Tests for the non-interactive CBS scheme (paper §4)."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.accounting import CostLedger
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import NICBSParticipant, NICBSScheme, NICBSSupervisor
 from repro.core.ni_cbs import derive_sample_indices
 from repro.core.protocol import NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
 from repro.exceptions import SchemeConfigurationError
-from repro.merkle import get_hash
+from repro.merkle import CountingHash, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
@@ -27,6 +29,30 @@ class TestSampleDerivation:
             value = g.digest(value)
             expected.append(int.from_bytes(value, "big") % 100)
         assert indices == expected
+
+    @pytest.mark.parametrize(
+        "name, algorithm, rounds", [("sha256", "sha256", 1), ("md5^7", "md5", 7)]
+    )
+    def test_eq4_against_bare_hashlib(self, name, algorithm, rounds):
+        # The reference shares nothing with the system: no registry,
+        # no wrapper, only hashlib — g = h^rounds applied link by link.
+        root = hashlib.new(algorithm, b"some commitment").digest()
+        n, m = 4099, 40
+        value, expected = root, []
+        for _ in range(m):
+            for _ in range(rounds):
+                value = hashlib.new(algorithm, value).digest()
+            expected.append(int.from_bytes(value, "big") % n)
+        assert derive_sample_indices(root, n, m, get_hash(name)) == expected
+        # Through the metering wrapper the participant and supervisor
+        # use: same indices, one charge of g's cost per link.
+        ledger = CostLedger()
+        counted = CountingHash(get_hash(name), ledger)
+        assert derive_sample_indices(root, n, m, counted) == expected
+        per_link = CostLedger()
+        for _ in range(m):
+            per_link.charge_hash(float(rounds))
+        assert (ledger.hashes, ledger.hash_cost) == (m, per_link.hash_cost)
 
     def test_deterministic(self):
         g = get_hash("sha256")

@@ -126,6 +126,16 @@ class TestBatchedDigests:
             for i in range(0, len(self.LEVEL), 2)
         ]
 
+    @pytest.mark.parametrize("name", ["sha256", "md5", "blake2b", "md5^3"])
+    def test_digest_chain_matches_loop(self, name):
+        plain = HashFunction("plainfn", get_hash(name).digest, 16)
+        for h in (get_hash(name), plain):
+            value, links = b"seed", []
+            for _ in range(6):
+                links.append(value := h.digest(value))
+            assert h.digest_chain(b"seed", 6) == links
+            assert h.digest_chain(b"seed", 0) == []
+
     def test_batched_accepts_iterators(self):
         h = get_hash("sha256")
         assert h.digest_many(iter(self.BLOBS)) == h.digest_many(self.BLOBS)

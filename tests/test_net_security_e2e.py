@@ -352,7 +352,7 @@ class TestServiceAuthTLS:
                     # must still be refused.
                     await client.request_task()
                 assert auth_failures(server) >= 1
-                assert len(server.sessions) == 0  # nothing was decoded
+                assert server.sessions.active == 0  # nothing was decoded
             finally:
                 await server.stop()
 

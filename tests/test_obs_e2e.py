@@ -15,17 +15,21 @@ Three acceptance properties of the observability plane:
 """
 
 import asyncio
+import dataclasses
 import json
 import logging
 import socket
 import threading
+import urllib.request
 
 import pytest
 
 from repro.engine import ClusterExecutor
 from repro.engine.cluster.worker import run_worker
+from repro.core.protocol import NICBSSubmissionMsg
 from repro.exceptions import ProtocolError, ReproError
 from repro.net.transport import SecurityConfig
+from repro.obs.http import MetricsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanBuffer, render_waterfall
 from repro.obs.trace import bind_trace, new_trace_id
@@ -35,10 +39,14 @@ from repro.service.codec import (
     JobFrame,
     StatsReply,
     StatsRequest,
+    SubmissionFrame,
     TaskRequest,
+    VerdictFrame,
     decode_frame,
     decode_frame_payload,
     encode_frame,
+    read_frame,
+    write_frame,
 )
 from repro.service.server import ServiceConfig, SupervisorServer
 from repro.tasks import RangeDomain
@@ -204,6 +212,47 @@ class TestStatsFrame:
 
         snap = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
         assert "repro_verifications_total" in snap
+
+    def test_scrape_sees_a_live_session_without_any_stats_frame(self):
+        """``repro_sessions_active`` moves with the store, not with the
+        last ``stats`` frame: an HTTP scrape between an assignment and
+        its verdict reads 1, and 0 after — no ``stats`` frame sent."""
+
+        def scrape(port: int) -> str:
+            url = f"http://127.0.0.1:{port}/metrics"
+            with urllib.request.urlopen(url, timeout=10) as resp:
+                return resp.read().decode()
+
+        async def scenario():
+            server = SupervisorServer(
+                dataclasses.replace(_service_config(), protocol="ni-cbs"),
+                engine="serial",
+            )
+            with MetricsServer(server.registry, port=0) as http:
+                try:
+                    reader, writer = server.connect_memory()
+                    await write_frame(writer, TaskRequest(participant=0))
+                    await read_frame(reader)
+                    during = await asyncio.to_thread(scrape, http.port)
+                    # Any submission earns a verdict; this one a refusal.
+                    await write_frame(
+                        writer,
+                        SubmissionFrame(
+                            msg=NICBSSubmissionMsg(
+                                task_id="task-0", root=b"\x00" * 32,
+                                n_leaves=1, proofs=(),
+                            )
+                        ),
+                    )
+                    assert isinstance(await read_frame(reader), VerdictFrame)
+                    writer.close()
+                    return during, await asyncio.to_thread(scrape, http.port)
+                finally:
+                    await server.stop()
+
+        during, after = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        assert "repro_sessions_active 1" in during.splitlines()
+        assert "repro_sessions_active 0" in after.splitlines()
 
 
 # ----------------------------------------------------------------------

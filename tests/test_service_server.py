@@ -43,7 +43,6 @@ from repro.service import server as server_module
 from repro.service import verification_jobs
 from repro.service.codec import TaskAssign, TraceGetRequest
 from repro.service.server import INLINE_BUDGET_S
-from repro.service.sessions import SessionState
 from repro.tasks import PasswordSearch, RangeDomain
 
 D = RangeDomain(0, 1 << 9)
@@ -640,17 +639,20 @@ class TestProtocolPolicing:
                 await write_frame(writer, SubmissionFrame(msg=hostile))
                 reply = await read_frame(reader)
                 writer.close()
-                return reply, server.sessions.peek(task_id), server
+                return reply, task_id, server
             finally:
                 await server.stop()
 
         for forge in (relabelled, shortened):
-            reply, session, server = asyncio.run(scenario(forge))
+            reply, task_id, server = asyncio.run(scenario(forge))
             assert isinstance(reply, VerdictFrame)
             assert not reply.msg.accepted
             assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
-            assert session.state is SessionState.DONE
-            assert session.outcome.reason == RejectReason.MALFORMED_PROOF
+            # Not parked in VERIFYING: the session is gone, its verdict
+            # recorded.
+            assert server.sessions.active == 0
+            outcome = server.outcomes[task_id]
+            assert outcome.reason == RejectReason.MALFORMED_PROOF
             assert server.registry.sum_values("repro_errors_total") == 0
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):

@@ -59,9 +59,10 @@ class TestLifecycle:
         assert session.state is SessionState.DONE
         assert store.active == 0
         assert store.outcomes == {"task-0": outcome()}
-        # A retained record holds the verdict, not the protocol state
-        # that led to it, and has no per-instance dict.
-        assert session.commitment is None and session.challenge is None
+        # The verdict releases the record: what stays is the slot's
+        # byte (still assigned, never live again) and the outcome.
+        assert store.peek("task-0") is None
+        assert "task-0" in store
         assert not hasattr(session, "__dict__")
 
     def test_duplicate_task_id_rejected(self):
@@ -70,7 +71,7 @@ class TestLifecycle:
         with pytest.raises(ProtocolError):
             store.create("task-0", 1, assignment(), seed=8, protocol="cbs")
         assert events(store, "rejected_duplicate") == 1
-        assert len(store) == 1  # the original survives
+        assert store.active == 1  # the original survives
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ProtocolError):
@@ -87,8 +88,9 @@ class TestLifecycle:
         store = SessionStore()
         store.create("task-0", 0, assignment(), seed=7, protocol="ni-cbs")
         store.record_outcome("task-0", outcome())
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="already verified"):
             store.record_outcome("task-0", outcome(accepted=False))
+        assert store.outcomes == {"task-0": outcome()}
 
     def test_begin_verification_claims_the_session_once(self):
         # The anti-replay guard: the VERIFYING transition happens
