@@ -69,6 +69,39 @@ def test_unresolvable_base_ref_exits_2_before_anything_runs(tmp_path, capsys):
 
 
 @needs_git
+def test_each_side_runs_equally_cold_from_an_export(tmp_path, monkeypatch):
+    before = ab.git("worktree", "list").stdout
+    seen: list[tuple] = []
+
+    def fake_run_ledger(tree, env, args):
+        # What the side's run.py would see, read while it would run.
+        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((tree, env, cache.is_dir() and not any(cache.iterdir()),
+                     (tree / "benchmarks" / "ledger" / "run.py").is_file(),
+                     (tree / ".git").exists()))
+        return 0
+
+    monkeypatch.setattr(ab, "run_ledger", fake_run_ledger)
+    ab.main(["HEAD", "--pairs", "2", "--workload", NAMES[0]], out=tmp_path)
+    assert len(seen) == 4
+    trees = {tree for tree, *_ in seen}
+    assert len(trees) == 2 and ab.REPO in trees
+    [base] = trees - {ab.REPO}
+    caches = {}
+    for tree, env, cache_empty, has_ledger, has_git in seen:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert cache_empty and has_ledger
+        caches.setdefault(tree, set()).add(env["PYTHONPYCACHEPREFIX"])
+        if tree == base:
+            assert not has_git  # an export, not a checkout
+    # One fresh prefix per side, shared by none.
+    assert all(len(prefixes) == 1 for prefixes in caches.values())
+    assert caches[base] != caches[ab.REPO]
+    assert not base.exists()  # the export is gone afterwards
+    assert ab.git("worktree", "list").stdout == before
+
+
+@needs_git
 def test_one_pair_end_to_end_leaves_no_worktree(tmp_path, capfd):
     before = ab.git("worktree", "list").stdout
     status = ab.main(

@@ -559,7 +559,13 @@ class ClusterExecutor(Executor):
                 raise EngineError("cluster executor already closed")
             return []
         with _metered_map(self.name, len(items)):
-            futures = [self.submit(fn, item) for item in items]
+            self._ensure_started()
+            # Every item is encoded before any is queued: an item that
+            # does not encode fails the map with nothing dispatched, and
+            # the scheduler sizes the first chunks against the whole map.
+            futures = self._submit(
+                [encode_job(fn, (item,), {}) for item in items]
+            )
             try:
                 return [future.result() for future in futures]
             except BaseException:
@@ -577,16 +583,24 @@ class ClusterExecutor(Executor):
         touches the wire.
         """
         self._ensure_started()
-        payload = encode_job(fn, args, kwargs)
-        future: concurrent.futures.Future = concurrent.futures.Future()
+        [future] = self._submit([encode_job(fn, args, kwargs)])
+        return future
+
+    def _submit(
+        self, payloads: list[bytes]
+    ) -> list[concurrent.futures.Future]:
+        """Hand encoded jobs to the loop thread as one scheduler event."""
+        futures = [concurrent.futures.Future() for _ in payloads]
         assert self._loop is not None and self._co is not None
         # The caller's trace context lives in this thread's contextvars;
         # the coordinator runs on its own loop thread, so the id is
         # captured here and handed over explicitly.
         self._loop.call_soon_threadsafe(
-            self._co.scheduler.submit, payload, future, current_trace()
+            self._co.scheduler.submit,
+            list(zip(payloads, futures)),
+            current_trace(),
         )
-        return future
+        return futures
 
     @property
     def futures_pool(self) -> concurrent.futures.Executor:

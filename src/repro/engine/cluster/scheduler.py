@@ -11,7 +11,10 @@ the same events:
 ==============================================  ==============================
 event                                           when the shell raises it
 ==============================================  ==============================
-``submit(payload, future, trace_id)``           a caller submitted one job
+``submit(jobs, trace_id)``                      a caller submitted a batch
+                                                of ``(payload, future)``
+                                                pairs (a whole ``map``, or
+                                                one call)
 ``worker_joined(worker_id, capacity)``          a ``hello`` passed the
                                                 handshake (ids are unique
                                                 among live workers)
@@ -37,10 +40,18 @@ Topology and scheduling:
 * scheduling is **throughput-adaptive**: every completed chunk updates
   the worker's EWMA jobs/sec, and the next chunk sent to that worker
   is sized so it takes roughly ``chunk_target_s`` seconds, clamped to
-  ``[chunk_min, chunk_max]`` and to a fair share of the remaining
-  queue.  Fast workers get bigger chunks, stragglers get smaller ones
-  — resizing regroups jobs at the transport layer only, so results
-  stay byte-identical to serial no matter how the chunks fall;
+  ``[chunk_min, chunk_max]``.  Fast workers get bigger chunks,
+  stragglers get smaller ones — resizing regroups jobs at the
+  transport layer only, so results stay byte-identical to serial no
+  matter how the chunks fall;
+* chunks are cut by **factoring** (Hummel, Schonberg & Flynn, 1992):
+  no chunk carries more than ``ceil(pending / Σ window)`` jobs, its
+  share of what is left spread over every window slot of every live
+  worker.  A ``map`` arrives as one ``submit``, so the first chunks are
+  shares of the whole map; sizes then fall geometrically as the queue
+  drains and the last chunks are single jobs, so the workers finish
+  together instead of one idling while another works through a large
+  tail chunk;
 * liveness is EOF *plus* heartbeats: a SIGKILLed worker drops its
   socket and is detected immediately (``worker_left``); a silently
   wedged one trips the heartbeat timeout (``tick``).  Either way its
@@ -88,9 +99,10 @@ from repro.service.codec import (
     encode_cluster_chunk,
 )
 
-#: Smallest chunk the adaptive scheduler will send.  One job is the
-#: probing size: an unmeasured (or demoted) worker costs at most one
-#: job's latency to size up.
+#: Smallest chunk the adaptive scheduler will send while the queue
+#: holds at least that many jobs per window slot (see ``_chunk_size``).
+#: One job is the probing size: an unmeasured (or demoted) worker costs
+#: at most one job's latency to size up.
 DEFAULT_CHUNK_MIN = 1
 
 #: Largest chunk the adaptive scheduler will send.  Bounds both the
@@ -320,15 +332,20 @@ class Scheduler:
 
     def submit(
         self,
-        payload: bytes,
-        future: concurrent.futures.Future,
+        jobs: Sequence[tuple[bytes, concurrent.futures.Future]],
         trace_id: str | None = None,
     ) -> None:
-        self._m_job_bytes.observe(len(payload))
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        self.jobs[job_id] = _Job(job_id, payload, future, trace_id=trace_id)
-        self.pending.append(job_id)
+        """Queue a batch of encoded jobs, then dispatch once.
+
+        Queuing the whole batch before the pump is what lets the first
+        chunks be sized against all of it.
+        """
+        for payload, future in jobs:
+            self._m_job_bytes.observe(len(payload))
+            job_id = self._next_job_id
+            self._next_job_id += 1
+            self.jobs[job_id] = _Job(job_id, payload, future, trace_id=trace_id)
+            self.pending.append(job_id)
         self._pump()
 
     def worker_joined(self, worker_id: str, capacity: int) -> None:
@@ -468,16 +485,23 @@ class Scheduler:
         """How many jobs the next chunk for this worker should carry.
 
         Unmeasured workers probe at ``chunk_min``; measured ones aim
-        for ``chunk_target_s`` seconds of work.  The fair-share clamp
-        (remaining queue / live workers) keeps one fast worker from
-        swallowing the whole tail while its peers idle.
+        for ``chunk_target_s`` seconds of work.  Either way the chunk
+        takes at most one window slot's share of the queue — remaining
+        jobs / Σ window over live workers (factoring) — so with
+        ``window_depth`` 2 one dispatch takes at most half of this
+        worker's share of what is left, sizes halve as the queue
+        drains, and the tail goes out as single jobs.  Dividing by live
+        workers alone would ignore the peers' in-flight windows and hand
+        the first worker back half of what is left while its peer idles
+        at the end.
         """
         if link.ewma_rate is None:
             size = self.chunk_min
         else:
             size = int(link.ewma_rate * self.chunk_target_s)
         size = max(self.chunk_min, min(self.chunk_max, size))
-        fair = math.ceil(len(self.pending) / max(1, len(self.workers)))
+        slots = sum(worker.window for worker in self.workers.values())
+        fair = math.ceil(len(self.pending) / max(1, slots))
         return max(1, min(size, fair))
 
     def _take_jobs(self, limit: int) -> list[_Job]:

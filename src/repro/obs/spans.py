@@ -408,22 +408,51 @@ def _attr_text(item: Span, limit: int = 48) -> str:
     return text
 
 
+def _end_wall(item: Span) -> float:
+    return item.end_wall if item.end_wall is not None else item.start_wall
+
+
+def _worker_lines(ordered: Sequence[Span], t0: float, t1: float) -> list[str]:
+    """One line per worker, from the ``worker`` attribute its
+    ``worker.execute`` spans carry: busy ms, chunks, jobs, and idle ms
+    within the map — the ``engine.map`` spans' interval when the trace
+    has them, else the whole trace."""
+    maps = [s for s in ordered if s.name == "engine.map"]
+    if maps:
+        t0 = min(s.start_wall for s in maps)
+        t1 = max(_end_wall(s) for s in maps)
+    executed: dict[str, list[Span]] = {}
+    for item in ordered:
+        worker = item.attributes.get("worker")
+        if item.name == "worker.execute" and worker is not None:
+            executed.setdefault(str(worker), []).append(item)
+    lines = []
+    for worker, chunks in sorted(executed.items()):
+        busy = sum(s.duration_s for s in chunks)
+        jobs = sum(int(s.attributes.get("jobs", 0)) for s in chunks)
+        idle = max(0.0, t1 - t0 - busy)
+        lines.append(
+            f"worker {worker}: busy {busy * 1e3:.2f}ms, "
+            f"{len(chunks)} chunks, {jobs} jobs, idle {idle * 1e3:.2f}ms"
+        )
+    return lines
+
+
 def render_waterfall(spans: Sequence[Span], width: int = 100) -> str:
     """Render one trace's spans as an ASCII waterfall.
 
     One row per span, indented by parent depth, with a proportional
     bar on a shared wall-clock axis — the dispatch → execute → accept
-    shape is visible at a glance, no log grepping.
+    shape is visible at a glance, no log grepping.  A cluster trace
+    ends with one line per worker (:func:`_worker_lines`), so an uneven
+    split of the map reads from the trace alone.
     """
     if not spans:
         return "(no spans)"
     ordered = sorted(spans, key=lambda s: (s.start_wall, s.name))
     by_id = {s.span_id: s for s in ordered}
     t0 = min(s.start_wall for s in ordered)
-    t1 = max(
-        (s.end_wall if s.end_wall is not None else s.start_wall)
-        for s in ordered
-    )
+    t1 = max(_end_wall(s) for s in ordered)
     total = max(t1 - t0, 1e-9)
     labels = [
         "  " * _span_depth(s, by_id) + s.name for s in ordered
@@ -452,4 +481,5 @@ def render_waterfall(spans: Sequence[Span], width: int = 100) -> str:
         if attrs:
             row += f"  {attrs}"
         lines.append(row)
+    lines.extend(_worker_lines(ordered, t0, t1))
     return "\n".join(lines)

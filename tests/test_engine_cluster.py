@@ -223,6 +223,23 @@ class TestMapSemantics:
         with pytest.raises(CodecError):
             cluster.map(lambda x: x, [1])  # not a registered callable
 
+    def test_map_that_cannot_encode_leaves_nothing_running(self):
+        """The last item does not encode: the three before it must not
+        run either — the map is encoded whole before anything queues."""
+        with ClusterExecutor(workers=1, worker_preload=PRELOAD) as executor:
+            assert executor.map(_square, [0]) == [0]  # started and idle
+            registry = executor._co.registry
+            stats = executor.stats
+            dispatched = registry.sum_values("repro_cluster_chunk_jobs")
+            with pytest.raises(CodecError):
+                executor.map(_square, [1, 2, 3, object()])
+            # Anything queued would be dispatched on the next loop turn
+            # and answered well within this wait.
+            time.sleep(0.5)
+            assert registry.sum_values("repro_cluster_chunk_jobs") == dispatched
+            assert executor.stats == stats
+            assert executor._co.scheduler.jobs == {}
+
     def test_futures_pool_submits_single_calls(self, cluster):
         future = cluster.futures_pool.submit(_square, 12)
         assert future.result(timeout=30) == 144
@@ -687,10 +704,11 @@ def make_scheduler(clock, **overrides) -> tuple[Scheduler, Outbox]:
 
 
 def submit_jobs(sched: Scheduler, values) -> list[concurrent.futures.Future]:
-    futures = []
-    for value in values:
-        futures.append(concurrent.futures.Future())
-        sched.submit(job_payload(value), futures[-1])
+    """One ``submit`` event carrying every value, as ``map`` sends it."""
+    futures = [concurrent.futures.Future() for _ in values]
+    sched.submit(
+        [(job_payload(v), f) for v, f in zip(values, futures)]
+    )
     return futures
 
 
@@ -836,7 +854,10 @@ class TestCallerCancels:
         """A caller that gave up (a sibling failed mid-map) must not
         meet ``InvalidStateError`` from the loop: the cancelled job is
         forgotten, its chunk-mates resolve."""
-        sched, out = make_scheduler(FakeClock(), chunk_min=2, chunk_max=2)
+        # One window slot, so both jobs are that slot's share: one chunk.
+        sched, out = make_scheduler(
+            FakeClock(), window_depth=1, chunk_min=2, chunk_max=2
+        )
         futures = submit_jobs(sched, range(2))  # no worker yet: queued
         sched.worker_joined("a", 1)
         [frame] = out.frames("a")
@@ -958,6 +979,92 @@ class TestAdaptiveChunkSizing:
         # 6 jobs left, 2 workers: not all 6.
         assert self.jobs_in(sched, out.frames("fast")[1]) == 3
 
+    # -- balance across a map (factoring) --------------------------------
+
+    @staticmethod
+    def run_map(rates: dict[str, float], n_jobs: int = 16):
+        """One ``n_jobs`` map over measured workers, run to the end.
+
+        Each worker (capacity 1, ``window_depth`` 2) runs the chunks it
+        was sent one at a time, in order, at ``rates[worker]`` jobs/s;
+        the fake clock jumps from one completion to the next, so who
+        comes back first is decided by chunk sizes, as on real workers.
+        Returns every dispatch of the map as ``(worker, jobs, bound)`` —
+        ``bound`` being ``ceil(pending / Σ window)`` just before it —
+        and the time each worker finished its last chunk.
+        """
+        clock = FakeClock()
+        queues = {worker: [] for worker in rates}
+        dispatches: list[tuple[str, int, int]] = []
+
+        def send(worker_id: str, frame: JobFrame) -> None:
+            jobs = len(sched.chunks[frame.job_id].job_ids)
+            slots = sum(link.window for link in sched.workers.values())
+            pending = len(sched.pending) + jobs
+            dispatches.append((worker_id, jobs, -(-pending // slots)))
+            queues[worker_id].append((frame, jobs))
+
+        def drain() -> dict[str, float]:
+            finished, running = {}, {}
+            while any(queues.values()):
+                for worker, queue in queues.items():
+                    if queue and worker not in running:
+                        running[worker] = clock() + queue[0][1] / rates[worker]
+                worker = min(running, key=running.get)
+                clock.now = finished[worker] = running.pop(worker)
+                frame, jobs = queues[worker].pop(0)
+                sched.result(worker, ok_result(frame, *[0] * jobs))
+            return finished
+
+        sched, _out = make_scheduler(clock, send=send, window_depth=2)
+        for worker in rates:
+            sched.worker_joined(worker, 1)
+        submit_jobs(sched, range(len(rates)))  # one probe job each
+        drain()
+        for worker, rate in rates.items():
+            assert sched.workers[worker].ewma_rate == pytest.approx(rate)
+        dispatches.clear()
+        futures = submit_jobs(sched, range(n_jobs))
+        finished = drain()
+        assert all(future.done() for future in futures)
+        assert sched.jobs == {} and sched.chunks == {}
+        return dispatches, finished
+
+    @staticmethod
+    def totals(dispatches) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for worker, jobs, _bound in dispatches:
+            out[worker] = out.get(worker, 0) + jobs
+        return out
+
+    def test_equal_workers_finish_a_map_together(self):
+        dispatches, finished = self.run_map({"a": 1000.0, "b": 1000.0})
+        for _worker, jobs, bound in dispatches:
+            assert jobs <= bound
+        totals = self.totals(dispatches)
+        assert sum(totals.values()) == 16
+        assert abs(totals["a"] - totals["b"]) <= dispatches[-1][1]
+        # Both done within one job of each other, on no more chunks
+        # than the live-worker clamp cut (8 on this shape).
+        assert abs(finished["a"] - finished["b"]) <= 1 / 1000.0 + 1e-12
+        assert len(dispatches) <= 8
+        assert [jobs for _w, jobs, _b in dispatches] == [4, 3, 3, 2, 1, 1, 1, 1]
+
+    def test_faster_worker_takes_the_larger_share(self):
+        dispatches, _finished = self.run_map({"fast": 2000.0, "slow": 1000.0})
+        for _worker, jobs, bound in dispatches:
+            assert jobs <= bound
+        totals = self.totals(dispatches)
+        assert totals["fast"] > totals["slow"]
+        slow_chunks = [jobs for worker, jobs, _b in dispatches if worker == "slow"]
+        assert slow_chunks[-1] == 1
+
+    def test_one_worker_pays_extra_chunks_for_a_geometric_tail(self):
+        # The live-worker clamp sent this map as one 16-job chunk; the
+        # per-slot share halves it instead.  A stated cost: 5 chunks.
+        dispatches, _finished = self.run_map({"only": 1000.0})
+        assert [jobs for _w, jobs, _b in dispatches] == [8, 4, 2, 1, 1]
+
     def test_ewma_update_blends_samples(self):
         clock = FakeClock()
         sched, out = make_scheduler(clock, window_depth=1)
@@ -972,7 +1079,9 @@ class TestAdaptiveChunkSizing:
 
     def test_completion_timing_feeds_the_ewma(self):
         clock = FakeClock()
-        sched, out = make_scheduler(clock, chunk_min=4, chunk_max=4)
+        sched, out = make_scheduler(
+            clock, window_depth=1, chunk_min=4, chunk_max=4
+        )
         submit_jobs(sched, range(4))  # no worker yet: queued
         sched.worker_joined("a", 1)
         [frame] = out.frames("a")
@@ -1122,7 +1231,9 @@ class TestAnswerPathSurvival:
 
     def test_zombie_count_mismatch_cannot_fail_requeued_jobs(self):
         clock = FakeClock()
-        sched, out = make_scheduler(clock, chunk_min=2, chunk_max=2)
+        sched, out = make_scheduler(
+            clock, window_depth=1, chunk_min=2, chunk_max=2
+        )
         futures = submit_jobs(sched, range(2))  # no worker yet: queued
         sched.worker_joined("a", 1)
         [frame] = out.frames("a")

@@ -207,6 +207,42 @@ class TestWaterfall:
     def test_empty_input(self):
         assert render_waterfall([]) == "(no spans)"
 
+    @staticmethod
+    def timed(name, start_ms, end_ms, status="ok", **attributes) -> Span:
+        start, end = 1000.0 + start_ms / 1e3, 1000.0 + end_ms / 1e3
+        return Span(
+            trace_id="t1", span_id=f"{name}@{start_ms}", parent_id=None,
+            name=name, start_wall=start, start_mono=0.0, end_wall=end,
+            end_mono=end - start, status=status, attributes=attributes,
+        )
+
+    def test_ends_with_one_line_per_worker(self):
+        spans = [
+            self.timed("engine.map", 0, 100, engine="cluster", items=9),
+            self.timed("worker.execute", 0, 40, worker="a", chunk=0, jobs=4),
+            self.timed("worker.execute", 40, 90, worker="a", chunk=2, jobs=3),
+            self.timed("worker.execute", 0, 30, worker="b", chunk=1, jobs=2),
+            # A failed chunk ran (busy, counted) but finished no job.
+            self.timed("worker.execute", 30, 35, "error:Boom", worker="b",
+                       chunk=3),
+            # Coordinator spans name a worker too; only execution counts.
+            self.timed("coordinator.chunk", 0, 45, worker="a", chunk=0, jobs=4),
+        ]
+        lines = render_waterfall(spans).splitlines()
+        assert lines[-2:] == [
+            "worker a: busy 90.00ms, 2 chunks, 7 jobs, idle 10.00ms",
+            "worker b: busy 35.00ms, 2 chunks, 2 jobs, idle 65.00ms",
+        ]
+
+    def test_idle_is_read_against_the_whole_trace_without_a_map_span(self):
+        spans = [
+            self.timed("coordinator.chunk", 0, 50, worker="a", chunk=0, jobs=1),
+            self.timed("worker.execute", 10, 40, worker="a", chunk=0, jobs=1),
+        ]
+        assert render_waterfall(spans).splitlines()[-1] == (
+            "worker a: busy 30.00ms, 1 chunks, 1 jobs, idle 20.00ms"
+        )
+
 
 # ----------------------------------------------------------------------
 # Flight recorder

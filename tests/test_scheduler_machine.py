@@ -6,7 +6,8 @@ A hypothesis ``RuleBasedStateMachine`` drives a bare
 outputs recorded, no loop, no socket, no bytes — through its public
 events only (``submit``, ``worker_joined``, ``worker_seen``, ``result``,
 ``worker_left``, ``tick``, ``close``), in arbitrary interleavings of
-what the class exists to survive: submissions, workers joining, dying
+what the class exists to survive: submissions (batches of one to
+``MAX_BATCH`` jobs, as ``map`` and ``submit`` send them), workers joining, dying
 and falling silent, results for *any* chunk id ever issued — live,
 timed-out (zombie) or retired; honest, failed, short, undecodable; once
 or twice; from the worker the chunk was sent to or from another —
@@ -65,6 +66,7 @@ MAX_ATTEMPTS = 2
 JOB_TIMEOUT = 0.5
 HEARTBEAT_TIMEOUT = 100.0
 MAX_LIVE_WORKERS = 3
+MAX_BATCH = 6
 
 
 class CountingFuture(concurrent.futures.Future):
@@ -159,11 +161,17 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     # -- rules -----------------------------------------------------------
 
-    @rule()
-    def submit(self) -> None:
-        job = len(self.futures)
-        self.futures.append(CountingFuture())
-        self.sched.submit(job_payload(job), self.futures[job])
+    @rule(n=st.integers(1, MAX_BATCH))
+    def submit(self, n: int) -> None:
+        """One ``submit`` event: a map of ``n`` jobs, or a single call."""
+        first = len(self.futures)
+        self.futures.extend(CountingFuture() for _ in range(n))
+        self.sched.submit(
+            [
+                (job_payload(job), self.futures[job])
+                for job in range(first, first + n)
+            ]
+        )
 
     @precondition(lambda self: len(self.sched.workers) < MAX_LIVE_WORKERS)
     @rule(capacity=st.integers(1, 2))
