@@ -7,6 +7,11 @@ commit-then-challenge round of CBS is impossible.  NI-CBS derives the
 samples from the commitment itself (Eq. 4) and the whole proof travels
 supervisor-ward in a single message via the broker.
 
+The supervisor here is the real service (``repro.service``) over an
+in-process connection: the broker is one client that takes every slot,
+hands each assignment to a participant, and relays each submission
+frame back unopened.
+
 Also demonstrates §4.2's regrinding attack and the Eq. 5 economics:
 with a cheap sample hash ``g`` the attack is profitable; iterating
 ``g`` per Eq. 5 destroys the profit.
@@ -14,14 +19,13 @@ with a cheap sample hash ``g`` the attack is profitable; iterating
 Run:  python examples/grace_broker.py
 """
 
+import asyncio
+
 from repro import (
-    GridResourceBroker,
     HonestBehavior,
-    Network,
-    ParticipantNode,
+    NICBSParticipant,
     SemiHonestCheater,
     SignalSearch,
-    SupervisorNode,
     RangeDomain,
     TaskAssignment,
 )
@@ -29,53 +33,80 @@ from repro.analysis import format_table
 from repro.analysis.costs import min_sample_hash_cost, uncheatable_g_rounds
 from repro.cheating.regrind import expected_regrind_attempts, run_regrind_attack
 from repro.merkle import get_hash
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    SubmissionFrame,
+    SupervisorServer,
+    TaskRequest,
+    read_frame,
+    write_frame,
+)
+
+
+async def broker(server: SupervisorServer, workers: list) -> dict[str, bool]:
+    """Take one slot per worker, place it on that worker, then relay
+    each worker's submission; returns the verdicts by task id."""
+    reader, writer = server.connect_memory()
+    submissions = []
+    for behavior in workers:
+        await write_frame(writer, TaskRequest(participant=None))
+        assign = await read_frame(reader)
+        # The worker's side: rebuild the task from the envelope, run it.
+        participant = NICBSParticipant(
+            ServiceClient.build_assignment(assign),
+            behavior,
+            n_samples=assign.n_samples,
+            sample_hash=get_hash(assign.sample_hash_name),
+            hash_fn=get_hash(assign.hash_name),
+            salt=assign.seed.to_bytes(8, "big"),
+        )
+        submissions.append(SubmissionFrame(msg=participant.compute_and_submit()))
+    verdicts = {}
+    for submission in submissions:
+        await write_frame(writer, submission)
+        verdict = (await read_frame(reader)).msg
+        verdicts[verdict.task_id] = verdict.accepted
+    writer.close()
+    return verdicts
 
 
 def run_brokered_grid() -> None:
     print("== NI-CBS over the GRACE broker topology ==")
-    sky = RangeDomain(0, 4_096)
-    fn = SignalSearch(sky_seed=b"examples/grace")
-    chunks = sky.partition(4)
-    catalogue = {
-        f"wu-{i}": TaskAssignment(f"wu-{i}", chunks[i], fn) for i in range(4)
-    }
-
-    net = Network()
-    supervisor = SupervisorNode("sup", net, protocol="ni-cbs", n_samples=24)
-    broker = GridResourceBroker("grb", net, supervisor_name="sup")
-    behaviors = [
+    config = ServiceConfig(
+        domain=RangeDomain(0, 4_096),
+        workload="SignalSearch",
+        protocol="ni-cbs",
+        n_samples=24,
+        n_participants=4,
+    )
+    workers = [
         HonestBehavior(),
         HonestBehavior(),
         SemiHonestCheater(0.5),
         HonestBehavior(),
     ]
-    for i in range(4):
-        ParticipantNode(
-            f"worker-{i}",
-            net,
-            behaviors[i],
-            catalogue.__getitem__,
-            protocol="ni-cbs",
-            n_samples=24,
-        )
-        broker.register_worker(f"worker-{i}")
 
-    for task_id in catalogue:
-        supervisor.assign(catalogue[task_id], "grb")
-    net.deliver_all()
+    async def run() -> tuple[dict[str, bool], int]:
+        server = SupervisorServer(config, engine="serial")
+        try:
+            verdicts = await broker(server, workers)
+        finally:
+            await server.stop()
+        return verdicts, int(server.registry.value("repro_connections_total"))
 
+    verdicts, connections = asyncio.run(run())
     rows = [
         {
             "task": task_id,
-            "placed_on": broker.placements[task_id],
-            "behavior": behaviors[i].name,
-            "accepted": supervisor.outcomes[task_id].accepted,
+            "placed_on": f"worker-{i}",
+            "behavior": workers[i].name,
+            "accepted": accepted,
         }
-        for i, task_id in enumerate(catalogue)
+        for i, (task_id, accepted) in enumerate(verdicts.items())
     ]
     print(format_table(rows))
-    direct = [link for link in net.links if set(link) == {"sup", "worker-2"}]
-    print(f"supervisor↔worker direct links: {len(direct)} (all via broker)\n")
+    print(f"supervisor connections: {connections} (all via broker)\n")
 
 
 def run_regrind_economics() -> None:

@@ -78,12 +78,8 @@ from repro.engine import (
 )
 from repro.grid import (
     DetectionReport,
-    GridResourceBroker,
     GridSimulation,
-    Network,
-    ParticipantNode,
     SimulationConfig,
-    SupervisorNode,
     run_population,
 )
 from repro.merkle import (
@@ -157,10 +153,6 @@ __all__ = [
     "SchemeJob",
     "run_scheme_jobs",
     # grid
-    "Network",
-    "ParticipantNode",
-    "SupervisorNode",
-    "GridResourceBroker",
     "GridSimulation",
     "SimulationConfig",
     "DetectionReport",

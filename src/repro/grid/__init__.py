@@ -1,28 +1,21 @@
 """Grid-computing simulator substrate.
 
-Models the paper's §2.1 environment: a supervisor, a population of
-untrusted participants, an optional GRACE-style resource broker (§4),
-and a network whose traffic is accounted byte-by-byte.  All costs land
-in :class:`~repro.accounting.CostLedger` instances so experiments
-report machine-independent shapes.
+Models the paper's §2.1 environment: a supervisor partitioning a
+domain across a population of untrusted participants, some of whom
+drop out or cheat.  All costs land in
+:class:`~repro.accounting.CostLedger` instances so experiments report
+machine-independent shapes.  The same exchange over real framed bytes
+— including the §4 broker topology — is :mod:`repro.service`.
 """
 
 from repro.accounting import CostLedger
-from repro.grid.broker import GridResourceBroker
 from repro.grid.faults import DroppedOut, FlakyParticipant, RetryingScheme
-from repro.grid.network import Network
-from repro.grid.participant import ParticipantNode
 from repro.grid.report import DetectionReport, ParticipantReport
 from repro.grid.simulation import GridSimulation, SimulationConfig, run_population
-from repro.grid.supervisor import SupervisorNode
 
 __all__ = [
     "run_population",
     "CostLedger",
-    "Network",
-    "ParticipantNode",
-    "SupervisorNode",
-    "GridResourceBroker",
     "FlakyParticipant",
     "RetryingScheme",
     "DroppedOut",

@@ -2,12 +2,12 @@
 
 This is the paper's §4 topology made executable: one long-lived
 supervisor process verifying commitment-based submissions from many
-remote, untrusted participants it never meets.  The in-memory
-:class:`~repro.grid.network.Network` loop exercises the *message
-flow*; this server exercises the *system* — framed bytes on sockets,
-concurrent sessions, backpressure, abandoned-session eviction, and
-proof verification placed on the event loop or on the execution engine
-(:mod:`repro.engine`) by what it is measured to cost.
+remote, untrusted participants it never meets: framed bytes over TCP
+or in-process (:func:`memory_duplex`), concurrent sessions,
+backpressure, abandoned-session eviction, and verification placed on
+the loop or on the execution engine (:mod:`repro.engine`) by its
+measured cost.  A §4 broker is one connection that takes many slots
+and relays each participant's submission.
 
 Determinism is preserved end to end: task ``i`` gets subdomain ``i``
 of the configured domain and seed ``derive_seed(config.seed, i)`` —

@@ -1,9 +1,9 @@
 """Canonical wire codec: varints, zigzag and length-prefixed bytes.
 
 Protocol messages (commitments, sample challenges, proofs — see
-:mod:`repro.core.protocol`) are serialized with this codec so the
-simulated network (:mod:`repro.grid.network`) can account communication
-costs in *actual bytes on the wire* rather than hand-waved O(·) terms.
+:mod:`repro.core.protocol`) are serialized with this codec so cost
+ledgers account communication in *actual bytes on the wire* rather
+than hand-waved O(·) terms.
 The format is the LEB128-style varint used by protobuf: 7 payload bits
 per byte, most-significant-bit set on every byte except the last.
 

@@ -1,85 +1,60 @@
-"""Actor-layer tests: one worker serving several concurrent tasks."""
+"""One worker serving several concurrent CBS tasks: a single connection
+to ``serve`` holds four sessions, commits them all, then proves them in
+reverse order."""
 
-from repro.cheating import HonestBehavior, SemiHonestCheater
-from repro.grid import Network, ParticipantNode, SupervisorNode
-from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+import pytest
+
+from test_service_server import (
+    BEHAVIORS,
+    cbs_rounds_on_one_connection,
+    config,
+    sync_outcomes,
+)
+
+N_TASKS = 4
 
 
-def catalogue_of(n_tasks: int, size: int = 64):
-    fn = PasswordSearch()
-    parts = RangeDomain(0, size * n_tasks).partition(n_tasks)
-    return {
-        f"job-{i}": TaskAssignment(f"job-{i}", parts[i], fn)
-        for i in range(n_tasks)
-    }
+@pytest.fixture(scope="module")
+def four_tasks():
+    cfg = config("cbs", n_participants=N_TASKS)
+    behaviors = [BEHAVIORS[i % len(BEHAVIORS)] for i in range(N_TASKS)]
+    commitments, challenges, verdicts, server = cbs_rounds_on_one_connection(
+        cfg, behaviors
+    )
+    return cfg, commitments, challenges, verdicts, server
 
 
 class TestOneWorkerManyTasks:
-    def test_sessions_are_isolated(self):
-        net = Network()
-        catalogue = catalogue_of(3)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=8)
-        worker = ParticipantNode(
-            "w", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
-        )
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "w")
-        net.deliver_all()
-        assert len(supervisor.outcomes) == 3
-        assert all(o.accepted for o in supervisor.outcomes.values())
+    def test_sessions_are_isolated(self, four_tasks):
+        cfg, commitments, _challenges, verdicts, server = four_tasks
+        assert server.outcomes == sync_outcomes(cfg)
+        # Verified out of order, each against its own session.
+        assert list(verdicts) == [f"task-{i}" for i in reversed(range(N_TASKS))]
         # Distinct sessions, distinct commitments.
-        roots = {
-            worker.session(task_id).backend.root for task_id in catalogue
+        assert len({c.task_id for c in commitments}) == N_TASKS
+        assert len({c.root for c in commitments}) == N_TASKS
+        # Request, commitment, proofs in; assign, challenge, verdict out.
+        frames = server.registry.value
+        assert frames("repro_frames_total", direction="in") == 3 * N_TASKS
+        assert frames("repro_frames_total", direction="out") == 3 * N_TASKS
+        assert server.registry.value("repro_connections_total") == 1
+
+    def test_cheating_on_one_task_only_rejects_that_task(self, four_tasks):
+        cfg, _commitments, _challenges, verdicts, _server = four_tasks
+        expected = sync_outcomes(cfg)
+        assert verdicts == {
+            task_id: outcome.accepted for task_id, outcome in expected.items()
         }
-        assert len(roots) == 3
+        # Slots alternate honest and cheating on the same connection;
+        # verdict bookkeeping stays per task.
+        assert [verdicts[f"task-{i}"] for i in range(N_TASKS)] == [
+            True, False, True, False
+        ]
 
-    def test_single_ledger_accumulates_across_tasks(self):
-        net = Network()
-        catalogue = catalogue_of(2, size=50)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=4)
-        worker = ParticipantNode(
-            "w", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
-        )
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "w")
-        net.deliver_all()
-        assert worker.ledger.evaluations == 100
-
-    def test_cheating_on_one_task_only_rejects_that_task(self):
-        # The same *worker object* can't mix behaviours, but two tasks
-        # with the same cheating behaviour and different domains are
-        # judged independently; verify verdict bookkeeping stays per
-        # task.
-        net = Network()
-        catalogue = catalogue_of(2, size=200)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=25)
-        worker = ParticipantNode(
-            "w",
-            net,
-            SemiHonestCheater(0.5),
-            catalogue.__getitem__,
-            protocol="cbs",
-        )
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "w")
-        net.deliver_all()
-        assert len(worker.verdicts) == 2
-        for task_id in catalogue:
-            assert supervisor.outcomes[task_id].accepted == worker.verdicts[
-                task_id
-            ].accepted
-            assert not supervisor.outcomes[task_id].accepted
-
-    def test_per_task_challenge_seeds_differ(self):
-        net = Network()
-        catalogue = catalogue_of(2)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=6)
-        ParticipantNode(
-            "w", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
-        )
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "w")
-        net.deliver_all()
-        # Challenges were drawn from task-dependent seeds; verdicts per
-        # task all recorded.
-        assert set(supervisor.outcomes) == {"job-0", "job-1"}
+    def test_per_task_challenge_seeds_differ(self, four_tasks):
+        _cfg, commitments, challenges, _verdicts, _server = four_tasks
+        assert [c.task_id for c in challenges] == [
+            c.task_id for c in commitments
+        ]
+        # Each task draws its own challenge.
+        assert len({c.indices for c in challenges}) == N_TASKS

@@ -1,206 +1,122 @@
-"""Actor-layer integration: supervisor/participant/broker over the
-network, both interactive CBS and NI-CBS-through-GRB (paper §4)."""
+"""Supervisor and participants over the wire: interactive CBS rounds
+against ``serve``, and NI-CBS through a GRACE broker (paper §4) that
+holds the supervisor's only connection."""
+
+import asyncio
 
 import pytest
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.exceptions import ProtocolError
-from repro.grid import (
-    GridResourceBroker,
-    Network,
-    ParticipantNode,
-    SupervisorNode,
+from repro.service import ServiceClient, SupervisorServer
+from test_service_server import (
+    BEHAVIORS,
+    cbs_rounds_on_one_connection,
+    config,
+    drive_all,
+    relay_through_broker,
+    sync_outcomes,
 )
-from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
-
-
-def make_assignments(n_tasks: int, size: int = 64) -> dict[str, TaskAssignment]:
-    fn = PasswordSearch()
-    domain = RangeDomain(0, size * n_tasks)
-    parts = domain.partition(n_tasks)
-    return {
-        f"job-{i}": TaskAssignment(f"job-{i}", parts[i], fn)
-        for i in range(n_tasks)
-    }
 
 
 class TestInteractiveCBSOverNetwork:
     def test_honest_flow(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=8)
-        worker = ParticipantNode(
-            "w0", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
+        cfg = config("cbs", n_participants=1, m=8)
+        _, _, verdicts, server = cbs_rounds_on_one_connection(
+            cfg, [HonestBehavior()]
         )
-        supervisor.assign(catalogue["job-0"], "w0")
-        net.deliver_all()
-        assert supervisor.outcomes["job-0"].accepted
-        assert worker.verdicts["job-0"].accepted
+        assert server.outcomes["task-0"].accepted
+        assert verdicts == {"task-0": True}
 
     def test_cheater_flow(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=20)
-        worker = ParticipantNode(
-            "w0",
-            net,
-            SemiHonestCheater(0.5),
-            catalogue.__getitem__,
-            protocol="cbs",
+        cfg = config("cbs", n_participants=1, m=20)
+        _, _, verdicts, server = cbs_rounds_on_one_connection(
+            cfg, [SemiHonestCheater(0.5)]
         )
-        supervisor.assign(catalogue["job-0"], "w0")
-        net.deliver_all()
-        assert not supervisor.outcomes["job-0"].accepted
-        assert not worker.verdicts["job-0"].accepted
+        assert not server.outcomes["task-0"].accepted
+        assert verdicts == {"task-0": False}
 
     def test_four_message_exchange(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        SupervisorNode("sup", net, protocol="cbs", n_samples=4)
-        ParticipantNode(
-            "w0", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
-        )
-        net.node("sup").assign(catalogue["job-0"], "w0")
-        delivered = net.deliver_all()
-        # assign, commitment, challenge, proofs, verdict.
-        assert delivered == 5
+        cfg = config("cbs", n_participants=1, m=4)
+        _, _, _, server = cbs_rounds_on_one_connection(cfg, [HonestBehavior()])
+        # The assignment, then commitment, challenge, proofs, verdict:
+        # request, commitment, proofs in; assign, challenge, verdict out.
+        frames = server.registry.value
+        assert frames("repro_frames_total", direction="in") == 3
+        assert frames("repro_frames_total", direction="out") == 3
 
     def test_multiple_workers(self):
-        net = Network()
-        catalogue = make_assignments(3)
-        supervisor = SupervisorNode("sup", net, protocol="cbs", n_samples=16)
-        behaviors = [HonestBehavior(), SemiHonestCheater(0.3), HonestBehavior()]
-        for i in range(3):
-            ParticipantNode(
-                f"w{i}",
-                net,
-                behaviors[i],
-                catalogue.__getitem__,
-                protocol="cbs",
-            )
-            supervisor.assign(catalogue[f"job-{i}"], f"w{i}")
-        net.deliver_all()
-        assert supervisor.outcomes["job-0"].accepted
-        assert not supervisor.outcomes["job-1"].accepted
-        assert supervisor.outcomes["job-2"].accepted
+        cfg = config("cbs", n_participants=3)
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="serial")
+            try:
+                runs = await drive_all(server, cfg)
+            finally:
+                await server.stop()
+            return runs, server
+
+        runs, server = asyncio.run(scenario())
+        assert server.outcomes == sync_outcomes(cfg)
+        assert [run.accepted for run in runs] == [True, False, True]
+        assert server.registry.value("repro_connections_total") == 3
 
     def test_duplicate_assignment_rejected(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        supervisor = SupervisorNode("sup", net, protocol="cbs")
-        ParticipantNode(
-            "w0", net, HonestBehavior(), catalogue.__getitem__, protocol="cbs"
-        )
-        supervisor.assign(catalogue["job-0"], "w0")
-        with pytest.raises(ProtocolError):
-            supervisor.assign(catalogue["job-0"], "w0")
+        cfg = config("cbs", n_participants=2)
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="serial")
+            try:
+                first = ServiceClient(*server.connect_memory())
+                second = ServiceClient(*server.connect_memory())
+                await first.request_task(participant=0)
+                # A second worker cannot take a slot the first holds.
+                with pytest.raises(ProtocolError, match="already assigned"):
+                    await second.request_task(participant=0)
+                await first.close()
+                await second.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
 
 
 class TestBrokeredNICBS:
     """The GRACE topology: supervisor → GRB → participants (§4)."""
 
-    def build(self, behaviors):
-        net = Network()
-        catalogue = make_assignments(len(behaviors))
-        supervisor = SupervisorNode(
-            "sup", net, protocol="ni-cbs", n_samples=16
-        )
-        broker = GridResourceBroker("grb", net, supervisor_name="sup")
-        for i, behavior in enumerate(behaviors):
-            ParticipantNode(
-                f"w{i}",
-                net,
-                behavior,
-                catalogue.__getitem__,
-                protocol="ni-cbs",
-                n_samples=16,
-            )
-            broker.register_worker(f"w{i}")
-        return net, catalogue, supervisor, broker
-
     def test_bulk_assignment_through_broker(self):
-        net, catalogue, supervisor, broker = self.build(
-            [HonestBehavior(), HonestBehavior()]
+        cfg = config("ni-cbs", n_participants=2, m=16)
+        verdicts, server = relay_through_broker(
+            cfg, [HonestBehavior(), HonestBehavior()]
         )
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "grb")
-        net.deliver_all()
-        assert all(o.accepted for o in supervisor.outcomes.values())
-        # Round-robin placement.
-        assert broker.placements == {"job-0": "w0", "job-1": "w1"}
+        # The broker took every slot and each came back accepted.
+        assert verdicts == {"task-0": True, "task-1": True}
+        assert all(o.accepted for o in server.outcomes.values())
 
     def test_supervisor_never_talks_to_workers_directly(self):
-        net, catalogue, supervisor, broker = self.build([HonestBehavior()])
-        supervisor.assign(catalogue["job-0"], "grb")
-        net.deliver_all()
-        worker_links = [
-            link for link in net.links if "sup" in link and "w0" in link
-        ]
-        assert worker_links == []  # all traffic via the broker
+        cfg = config("ni-cbs", n_participants=1, m=16)
+        _, server = relay_through_broker(cfg, [HonestBehavior()])
+        # All traffic rode the broker's one connection.
+        assert server.registry.value("repro_connections_total") == 1
 
     def test_cheater_caught_through_broker(self):
-        net, catalogue, supervisor, broker = self.build(
-            [SemiHonestCheater(0.4)]
-        )
-        supervisor.assign(catalogue["job-0"], "grb")
-        net.deliver_all()
-        assert not supervisor.outcomes["job-0"].accepted
+        cfg = config("ni-cbs", n_participants=1, m=16)
+        verdicts, server = relay_through_broker(cfg, [SemiHonestCheater(0.4)])
+        assert verdicts == {"task-0": False}
+        assert not server.outcomes["task-0"].accepted
 
     def test_broker_is_pure_relay(self):
-        net, catalogue, supervisor, broker = self.build([HonestBehavior()])
-        supervisor.assign(catalogue["job-0"], "grb")
-        net.deliver_all()
-        assert broker.ledger.evaluations == 0
-        assert broker.ledger.counters["assignments_routed"] == 1
-        assert broker.ledger.counters["submissions_routed"] == 1
-
-    def test_custom_scheduler(self):
-        net = Network()
-        catalogue = make_assignments(2)
-        supervisor = SupervisorNode("sup", net, protocol="ni-cbs", n_samples=8)
-        broker = GridResourceBroker(
-            "grb",
-            net,
-            supervisor_name="sup",
-            scheduler=lambda workers, msg: workers[-1],
+        cfg = config("ni-cbs", n_participants=4)
+        verdicts, server = relay_through_broker(
+            cfg, [BEHAVIORS[i % len(BEHAVIORS)] for i in range(4)]
         )
-        for i in range(2):
-            ParticipantNode(
-                f"w{i}",
-                net,
-                HonestBehavior(),
-                catalogue.__getitem__,
-                protocol="ni-cbs",
-                n_samples=8,
-            )
-            broker.register_worker(f"w{i}")
-        supervisor.assign(catalogue["job-0"], "grb")
-        net.deliver_all()
-        assert broker.placements["job-0"] == "w1"
-
-    def test_no_workers_rejected(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        supervisor = SupervisorNode("sup", net, protocol="ni-cbs")
-        GridResourceBroker("grb", net, supervisor_name="sup")
-        supervisor.assign(catalogue["job-0"], "grb")
-        with pytest.raises(ProtocolError, match="no workers"):
-            net.deliver_all()
-
-    def test_assignment_from_stranger_rejected(self):
-        net = Network()
-        catalogue = make_assignments(1)
-        SupervisorNode("sup", net, protocol="ni-cbs")
-        broker = GridResourceBroker("grb", net, supervisor_name="sup")
-        broker.register_worker("w0")
-        ParticipantNode(
-            "w0",
-            net,
-            HonestBehavior(),
-            catalogue.__getitem__,
-            protocol="ni-cbs",
-        )
-        stranger = SupervisorNode("impostor", net, protocol="ni-cbs")
-        stranger.assign(catalogue["job-0"], "grb")
-        with pytest.raises(ProtocolError, match="non-supervisor"):
-            net.deliver_all()
+        expected = sync_outcomes(cfg)
+        assert server.outcomes == expected
+        assert verdicts == {
+            task_id: outcome.accepted for task_id, outcome in expected.items()
+        }
+        # Request and submission in; assign and verdict out: the broker
+        # adds no frame of its own.
+        frames = server.registry.value
+        assert frames("repro_frames_total", direction="in") == 2 * 4
+        assert frames("repro_frames_total", direction="out") == 2 * 4

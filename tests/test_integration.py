@@ -11,15 +11,9 @@ from repro.baselines import (
 )
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme, NICBSScheme
-from repro.grid import (
-    FlakyParticipant,
-    GridResourceBroker,
-    Network,
-    ParticipantNode,
-    RetryingScheme,
-    SupervisorNode,
-)
+from repro.grid import FlakyParticipant, RetryingScheme
 from repro.grid.simulation import run_population
+from repro.service import ServiceConfig
 from repro.tasks import (
     FactoringTask,
     MatchScreener,
@@ -27,6 +21,7 @@ from repro.tasks import (
     RangeDomain,
     TaskAssignment,
 )
+from test_service_server import relay_through_broker
 
 ALL_SCHEMES = [
     CBSScheme(20),
@@ -93,46 +88,24 @@ class TestFullPipelineScenario:
     workload."""
 
     def test_brokered_grid_with_mixed_population(self):
-        fn = PasswordSearch()
-        domain = RangeDomain(0, 2048)
-        parts = domain.partition(4)
-        secret = 777
-        target = fn.target_for(secret)
-        catalogue = {
-            f"wu-{i}": TaskAssignment(
-                f"wu-{i}", parts[i], fn, screener=MatchScreener(target)
-            )
-            for i in range(4)
-        }
-
-        net = Network()
-        supervisor = SupervisorNode("sup", net, protocol="ni-cbs", n_samples=24)
-        broker = GridResourceBroker("grb", net, supervisor_name="sup")
+        cfg = ServiceConfig(
+            domain=RangeDomain(0, 2048),
+            protocol="ni-cbs",
+            n_samples=24,
+            n_participants=4,
+        )
         behaviors = [
             HonestBehavior(),
             SemiHonestCheater(0.6),
             HonestBehavior(),
             SemiHonestCheater(0.2),
         ]
-        for i, behavior in enumerate(behaviors):
-            ParticipantNode(
-                f"w{i}",
-                net,
-                behavior,
-                catalogue.__getitem__,
-                protocol="ni-cbs",
-                n_samples=24,
-            )
-            broker.register_worker(f"w{i}")
-        for task_id in catalogue:
-            supervisor.assign(catalogue[task_id], "grb")
-        net.deliver_all()
-
-        verdicts = [supervisor.outcomes[f"wu-{i}"].accepted for i in range(4)]
-        assert verdicts == [True, False, True, False]
-        # Broker relayed everything; supervisor touched no worker.
-        assert broker.ledger.counters["assignments_routed"] == 4
-        assert all("sup" not in link or "grb" in link for link in net.links)
+        verdicts, server = relay_through_broker(cfg, behaviors)
+        assert [verdicts[f"task-{i}"] for i in range(4)] == [
+            True, False, True, False
+        ]
+        # The broker's one connection carried every session.
+        assert server.registry.value("repro_connections_total") == 1
 
     def test_storage_optimized_factoring_with_retries(self):
         # Cheap-verify workload + §3.3 partial trees + churn + retry.

@@ -2,10 +2,11 @@
 
 The headline property is end-to-end parity: the service at a fixed
 seed must produce the exact per-task ``VerificationOutcome``s of the
-synchronous scheme layer (``GridSimulation`` job semantics) and of the
-actor-based ``SupervisorNode`` topology (given the same per-task seed
-rule), with sessions interleaved across concurrent connections in any
-order.
+synchronous scheme layer (``GridSimulation`` job semantics), with
+sessions interleaved in any order across concurrent connections.  The
+one-connection drivers here (a participant holding several CBS tasks,
+the §4 broker relaying NI-CBS for many participants) are exercised by
+``test_grid_multitask.py`` and ``test_grid_nodes.py``.
 """
 
 import asyncio
@@ -16,12 +17,14 @@ import pytest
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme, NICBSScheme
+from repro.core.cbs import CBSParticipant
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
-from repro.engine import SerialExecutor, derive_seed, run_scheme_jobs
+from repro.engine import SerialExecutor, run_scheme_jobs
 from repro.exceptions import CodecError, ProtocolError
-from repro.grid import GridSimulation, Network, ParticipantNode, SimulationConfig, SupervisorNode
+from repro.grid import GridSimulation, SimulationConfig
+from repro.merkle import get_hash
 from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
@@ -95,6 +98,91 @@ async def drive_all(server: SupervisorServer, cfg: ServiceConfig):
             await client.close()
 
     return await asyncio.gather(*(one(i) for i in range(cfg.n_participants)))
+
+
+def cbs_participant(assign: TaskAssign, behavior) -> CBSParticipant:
+    """The participant side of one CBS round, built as the client does."""
+    return CBSParticipant(
+        ServiceClient.build_assignment(assign),
+        behavior,
+        hash_fn=get_hash(assign.hash_name),
+        salt=assign.seed.to_bytes(8, "big"),
+    )
+
+
+def cbs_rounds_on_one_connection(cfg: ServiceConfig, behaviors):
+    """One connection against a fresh server takes a slot per behaviour
+    (slot *i* runs ``behaviors[i]``), commits every task, then proves in
+    reverse order.  Returns the commitments and challenges in slot
+    order, the verdicts by task id in arrival order, and the stopped
+    server."""
+
+    async def scenario():
+        server = SupervisorServer(cfg, engine="serial")
+        try:
+            client = ServiceClient(*server.connect_memory())
+            sessions = []
+            for _ in behaviors:
+                assign = await client.request_task()
+                sessions.append(
+                    cbs_participant(assign, behaviors[assign.participant])
+                )
+            commitments, challenges = [], []
+            for session in sessions:
+                commitments.append(session.compute_and_commit())
+                await client._send(CommitmentFrame(msg=commitments[-1]))
+                challenges.append((await client._recv(ChallengeFrame)).msg)
+            verdicts = {}
+            for session, challenge in reversed(list(zip(sessions, challenges))):
+                await client._send(ProofsFrame(msg=session.prove(challenge)))
+                verdict = (await client._recv(VerdictFrame)).msg
+                verdicts[verdict.task_id] = verdict.accepted
+            await client.close()
+            return commitments, challenges, verdicts, server
+        finally:
+            await server.stop()
+
+    return asyncio.run(scenario())
+
+
+def relay_through_broker(
+    cfg: ServiceConfig, behaviors
+) -> tuple[dict[str, bool], SupervisorServer]:
+    """The §4 GRACE broker against a fresh server: one connection takes
+    every slot, hands each assignment to its own NI-CBS participant
+    (slot *i* runs ``behaviors[i]``), then relays each submission frame
+    verbatim.  Returns the verdicts by task id, and the stopped server."""
+
+    async def scenario():
+        server = SupervisorServer(cfg, engine="serial")
+        try:
+            reader, writer = server.connect_memory()
+            submissions = []
+            for _ in behaviors:
+                await write_frame(writer, TaskRequest(participant=None))
+                assign = await read_frame(reader)
+                participant = NICBSParticipant(
+                    ServiceClient.build_assignment(assign),
+                    behaviors[assign.participant],
+                    n_samples=assign.n_samples,
+                    sample_hash=get_hash(assign.sample_hash_name),
+                    hash_fn=get_hash(assign.hash_name),
+                    salt=assign.seed.to_bytes(8, "big"),
+                )
+                submissions.append(
+                    SubmissionFrame(msg=participant.compute_and_submit())
+                )
+            verdicts = {}
+            for submission in submissions:
+                await write_frame(writer, submission)
+                verdict = (await read_frame(reader)).msg
+                verdicts[verdict.task_id] = verdict.accepted
+            writer.close()
+            return verdicts, server
+        finally:
+            await server.stop()
+
+    return asyncio.run(scenario())
 
 
 class TestEndToEnd:
@@ -405,10 +493,9 @@ class TestConnectionLoop:
 
 
 class TestInterleavedCBS:
-    def test_interleaved_rounds_match_supervisor_node(self):
+    def test_interleaved_rounds_match_scheme_layer(self):
         """Two clients interleave commit/prove arbitrarily; outcomes
-        equal both the scheme layer and a synchronous SupervisorNode
-        driven with the same per-task seed rule."""
+        equal the scheme layer's."""
         cfg = config("cbs", n_participants=2)
 
         async def scenario():
@@ -417,22 +504,13 @@ class TestInterleavedCBS:
                 clients = [
                     ServiceClient(*server.connect_memory()) for _ in range(2)
                 ]
-                assigns = [
-                    await clients[i].request_task(participant=i)
+                sessions = [
+                    cbs_participant(
+                        await clients[i].request_task(participant=i),
+                        BEHAVIORS[i % len(BEHAVIORS)],
+                    )
                     for i in range(2)
                 ]
-                from repro.core.cbs import CBSParticipant
-                from repro.merkle import get_hash
-
-                sessions = []
-                for i, assign in enumerate(assigns):
-                    session = CBSParticipant(
-                        ServiceClient.build_assignment(assign),
-                        BEHAVIORS[i % len(BEHAVIORS)],
-                        hash_fn=get_hash(assign.hash_name),
-                        salt=assign.seed.to_bytes(8, "big"),
-                    )
-                    sessions.append(session)
 
                 # Interleave: both commitments first, then proofs in
                 # *reverse* client order.
@@ -461,38 +539,6 @@ class TestInterleavedCBS:
         assert verdicts == {
             task_id: outcome.accepted for task_id, outcome in expected.items()
         }
-
-        # The actor topology agrees too, given the same seed rule.
-        network = Network()
-        supervisor = SupervisorNode(
-            "supervisor",
-            network,
-            protocol="cbs",
-            n_samples=cfg.n_samples,
-            seed_fn=lambda task_id: derive_seed(
-                cfg.seed, int(task_id.split("-")[1])
-            ),
-        )
-        subdomains = cfg.domain.partition(cfg.n_participants)
-        catalogue = {}
-        for i, subdomain in enumerate(subdomains):
-            from repro.tasks import TaskAssignment
-
-            catalogue[f"task-{i}"] = TaskAssignment(
-                f"task-{i}", subdomain, PasswordSearch()
-            )
-            ParticipantNode(
-                f"p{i}",
-                network,
-                BEHAVIORS[i % len(BEHAVIORS)],
-                catalogue.__getitem__,
-                protocol="cbs",
-                salt=derive_seed(cfg.seed, i).to_bytes(8, "big"),
-            )
-        for i in range(cfg.n_participants):
-            supervisor.assign(catalogue[f"task-{i}"], f"p{i}")
-        network.deliver_all()
-        assert supervisor.outcomes == expected
 
 
 class TestProtocolPolicing:
@@ -696,16 +742,8 @@ class TestEvictionIntegration:
             try:
                 reader, writer = server.connect_memory()
                 await write_frame(writer, TaskRequest(participant=0))
-                assign = await read_frame(reader)
-
-                from repro.core.cbs import CBSParticipant
-                from repro.merkle import get_hash
-
-                session = CBSParticipant(
-                    ServiceClient.build_assignment(assign),
-                    HonestBehavior(),
-                    hash_fn=get_hash(assign.hash_name),
-                    salt=assign.seed.to_bytes(8, "big"),
+                session = cbs_participant(
+                    await read_frame(reader), HonestBehavior()
                 )
                 await write_frame(
                     writer, CommitmentFrame(msg=session.compute_and_commit())
