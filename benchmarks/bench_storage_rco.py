@@ -39,6 +39,10 @@ def run_ell_sweep() -> list[dict]:
         ).run(task, HonestBehavior(), seed=3)
         assert result.outcome.accepted
         extra = result.participant_ledger.evaluations - N
+        # The samples (the honest run verifies all M) and the height-ℓ
+        # subtrees they touch: a rebuild per touched subtree, not per
+        # sample, is what a bundle strictly needs.
+        touched = {verdict.index >> ell for verdict in result.outcome.verdicts}
         rows.append(
             {
                 "ell": ell,
@@ -46,6 +50,8 @@ def run_ell_sweep() -> list[dict]:
                 "rebuild_evals": extra,
                 "measured_rco": extra / N,
                 "paper_rco": predicted_rco(M, N, ell),
+                "distinct_subtrees": len(touched),
+                "sharing": len(touched) / M,
             }
         )
     return rows
@@ -64,6 +70,11 @@ def test_storage_rco_sweep(benchmark, save_table):
     for ell in (2, 4, 6, 8):
         assert by_ell[ell]["stored_digests"] < by_ell[ell - 2]["stored_digests"]
         assert by_ell[ell]["measured_rco"] <= by_ell[ell]["paper_rco"] + 1e-12
+    # Every sample is its own leaf (drawn without replacement); wider
+    # subtrees can only gather more of them.
+    assert by_ell[0]["sharing"] == 1.0
+    for ell in (2, 4, 6, 8):
+        assert 0 < by_ell[ell]["sharing"] <= by_ell[ell - 2]["sharing"]
     # At ℓ=8 subtrees are 256 leaves wide: a full rebuild per sample.
     assert by_ell[8]["rebuild_evals"] % 256 == 0
 

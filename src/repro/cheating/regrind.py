@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from repro.accounting import CostLedger
 from repro.cheating.strategies import SemiHonestCheater
 from repro.core.ni_cbs import derive_sample_indices
-from repro.core.protocol import NICBSSubmissionMsg, SampleProof
+from repro.core.protocol import NICBSSubmissionMsg
 from repro.exceptions import SchemeConfigurationError
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.tree import (
     LeafEncoding,
     combine,
@@ -96,18 +96,9 @@ class _MutableMerkleTree:
             node >>= 1
             self.levels[height][node] = parent
 
-    def auth_path(self, index: int) -> AuthenticationPath:
-        siblings = []
-        node = index
-        for height in range(len(self.levels) - 1):
-            siblings.append(self.levels[height][node ^ 1])
-            node >>= 1
-        return AuthenticationPath(
-            leaf_index=index,
-            siblings=siblings,
-            n_leaves=self.n_leaves,
-            leaf_encoding=self.leaf_encoding,
-        )
+    def multiproof(self, indices: list[int], payloads: list[bytes]) -> Multiproof:
+        levels, encoding = self.levels[:-1], self.leaf_encoding
+        return Multiproof.from_rows(levels, indices, payloads, self.n_leaves, encoding)
 
 
 @dataclass
@@ -203,20 +194,13 @@ def run_regrind_attack(
         )
 
     def finish(tree: _MutableMerkleTree, samples: list[int]) -> None:
-        proofs = tuple(
-            SampleProof(
-                index=index,
-                claimed_result=base_work.leaf_payloads[index],
-                path=tree.auth_path(index),
-            )
-            for index in samples
-        )
+        # Every sample is honest, so the claimed results are base_work's.
         result.succeeded = True
         result.submission = NICBSSubmissionMsg(
             task_id=assignment.task_id,
             root=tree.root,
             n_leaves=n,
-            proofs=proofs,
+            proofs=tree.multiproof(samples, base_work.leaf_payloads),
         )
 
     if incremental:

@@ -10,7 +10,7 @@ Protocol (Steps 1–4 of the paper):
    at random and sends them — crucially, *after* the commitment landed.
 3. **Proof of honesty.**  For each sampled index the participant sends
    the claimed ``f(x_i)`` plus the sibling ``Φ`` values along the
-   leaf-to-root path.
+   leaf-to-root path — as one multiproof, each digest once.
 4. **Verification.**  The supervisor checks the claimed result and
    reconstructs the root; any failure means the participant is caught.
 
@@ -31,7 +31,6 @@ from repro.core.protocol import (
     ProofBundleMsg,
     ReportsMsg,
     SampleChallengeMsg,
-    SampleProof,
     VerdictMsg,
 )
 from repro.core.scheme import (
@@ -144,14 +143,9 @@ class CBSParticipant:
         for index in challenge.indices:
             if not 0 <= index < n:
                 raise ProtocolError(f"challenged index {index} outside [0, {n})")
-        payload_at = self.backend.committed_payload
-        path_to = self.backend.auth_path
-        proofs = tuple(
-            SampleProof(index, payload_at(index), path_to(index))
-            for index in challenge.indices
-        )
-        self.ledger.bump("proofs", len(proofs))
-        return ProofBundleMsg(task_id=self.assignment.task_id, proofs=proofs)
+        bundle = self.backend.multiproof(challenge.indices)
+        self.ledger.bump("proofs", len(bundle))
+        return ProofBundleMsg(task_id=self.assignment.task_id, proofs=bundle)
 
     # ------------------------------------------------------------------
     # Screener reports (the grid's normal payload, §2.1)
@@ -279,13 +273,13 @@ class CBSSupervisor:
             task_id=self.assignment.task_id, accepted=True
         )
         expected = self._challenge.indices
-        if len(bundle.proofs) != len(expected):
+        if len(bundle.bundle) != len(expected):
             outcome.accepted = False
             outcome.reason = RejectReason.MALFORMED_PROOF
             return outcome
 
         verdicts = verify_proof_bundle(
-            bundle.proofs,
+            bundle.bundle,
             expected,
             root=self._commitment.root,
             n_leaves=self._commitment.n_leaves,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Any
 
 from repro.core.wire import (
     KINDS as _SHARED_KINDS,
@@ -32,11 +33,9 @@ from repro.core.wire import (
     Field,
     WireMessage,
 )
-from repro.exceptions import CodecError
-from repro.merkle.multiproof import supplied_siblings
-from repro.merkle.proof import AuthenticationPath
-from repro.merkle.serialize import ENCODING_CODES, ENCODING_FROM_CODE
-from repro.merkle.tree import LeafEncoding
+from repro.exceptions import CodecError, ProofShapeError
+from repro.merkle.multiproof import Multiproof
+from repro.merkle.proof import LeafEncoding, SampleProof
 from repro.utils.encoding import (
     encode_bytes_list,
     encode_uint,
@@ -53,6 +52,10 @@ _TASK_ID = _field("task_id", "str")
 #: Tallest path a bundle may claim: a tree over 2^64 leaves (§3's
 #: headline domain).
 MAX_PATH_HEIGHT = 64
+
+#: Wire code of each leaf encoding (carried once per proof bundle).
+ENCODING_CODES = {LeafEncoding.HASHED: 0, LeafEncoding.RAW: 1}
+ENCODING_FROM_CODE = {code: enc for enc, code in ENCODING_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -76,91 +79,38 @@ class SampleChallengeMsg(WireMessage):
     FIELDS = (_TASK_ID, _field("indices", "uints"))
 
 
-@dataclass(frozen=True)
-class SampleProof:
-    """Step 3 payload for one sample: claimed result + auth path.
-
-    The in-memory form only; on the wire a whole bundle is one
-    multiproof (the ``proofs`` kind below).
-    """
-
-    index: int
-    claimed_result: bytes
-    path: AuthenticationPath
-
-
-def _encode_proofs(spec: Field, proofs: tuple[SampleProof, ...]) -> bytes:
-    """The ``proofs`` kind: a bundle as one multiproof.
-
-    ``m ‖ n_leaves ‖ leaf-encoding code ‖ height ‖ the m sample indices
-    in sample order ‖ the claimed results of the distinct leaves,
-    ascending ‖ the supplied sibling digests, level-major, left to
-    right`` (both lists counted); an empty bundle is ``m = 0`` alone.
-    Only the positions :func:`~repro.merkle.multiproof.supplied_siblings`
-    names are read from the paths, so a decoded bundle re-encodes to
-    the bytes it came from.  One header means one geometry: a bundle
-    that mixes tree sizes, encodings or heights, whose path disagrees
-    with its sample index, or that claims two results for one leaf has
-    no encoding and raises :class:`CodecError`.
-    """
-    if not proofs:
+def _encode_proofs(spec: Field, bundle: Multiproof | tuple[SampleProof, ...]) -> bytes:
+    """The ``proofs`` kind: ``m ‖ n_leaves ‖ leaf-encoding code ‖ height
+    ‖ the m sample indices in sample order ‖ the claimed results of the
+    distinct leaves, ascending ‖ the supplied digests, level-major, left
+    to right`` (both lists counted; ``m = 0`` alone when empty) — the
+    fields of the bundle's :class:`Multiproof`, packed here when the
+    message holds in-memory :class:`SampleProof` values."""
+    proof = Multiproof.from_proofs(bundle)
+    if not proof.indices:
         return encode_uint(0)
-    first = proofs[0].path
-    n_leaves, height = first.n_leaves, len(first.siblings)
-    # A path built without an encoding has always meant HASHED.
-    encoding = first.leaf_encoding or LeafEncoding.HASHED
-    by_leaf: dict[int, SampleProof] = {}
-    for proof in proofs:
-        path = proof.path
-        if (
-            path.leaf_index != proof.index
-            or path.n_leaves != n_leaves
-            or len(path.siblings) != height
-            or (path.leaf_encoding or LeafEncoding.HASHED) is not encoding
-            or by_leaf.setdefault(proof.index, proof).claimed_result
-            != proof.claimed_result
-        ):
-            raise CodecError(
-                f"sample {proof.index} does not share the bundle's tree "
-                "(one index, size, encoding, height and result per leaf)"
-            )
-    leaves = sorted(by_leaf)
-    digests = [
-        by_leaf[leaf].path.siblings[level]
-        for level, row in enumerate(supplied_siblings(leaves, height))
-        for _node, leaf in row
-    ]
-    if None in digests:
-        raise CodecError("a sibling digest the bundle has to supply is missing")
     return b"".join(
         (
-            encode_uint(len(proofs)),
-            encode_uint(n_leaves),
-            encode_uint(ENCODING_CODES[encoding]),
-            encode_uint(height),
-            *[encode_uint(proof.index) for proof in proofs],
-            encode_bytes_list([by_leaf[leaf].claimed_result for leaf in leaves]),
-            encode_bytes_list(digests),
+            encode_uint(len(proof.indices)),
+            encode_uint(proof.n_leaves),
+            encode_uint(ENCODING_CODES[proof.leaf_encoding]),
+            encode_uint(proof.height),
+            *[encode_uint(index) for index in proof.indices],
+            encode_bytes_list(proof.results),
+            encode_bytes_list(proof.digests),
         )
     )
 
 
-def _read_proofs(
-    spec: Field, data: bytes, pos: int
-) -> tuple[tuple[SampleProof, ...], int]:
-    """Read one bundle back as ``m`` :class:`SampleProof`s.
-
-    Samples of one leaf share one proof object, and a path holds
-    ``None`` wherever its sibling is derivable from the other samples —
-    so folding a received path on its own fails loudly rather than
-    folding garbage.  Everything sized from a claimed count is bounded
-    first: ``m`` by the bytes left (an index is at least one), ``height``
-    by :data:`MAX_PATH_HEIGHT`, the ``m × height`` sibling slots by
-    :data:`~repro.core.wire.MAX_CONTAINER_ITEMS`.
-    """
+def _read_proofs(spec: Field, data: bytes, pos: int) -> tuple[Multiproof, int]:
+    """Read one bundle back as its :class:`Multiproof`.  Anything sized
+    from a claimed count is bounded first: ``m`` by the bytes left,
+    ``height`` by :data:`MAX_PATH_HEIGHT`, the ``m × height`` sibling
+    slots by :data:`~repro.core.wire.MAX_CONTAINER_ITEMS`.  A sample outside
+    the bundle's own tree is an impossible path: :class:`ProofShapeError`."""
     count, pos = read_uint(data, pos)
     if not count:
-        return (), pos
+        return Multiproof.from_proofs(()), pos
     n_leaves, pos = read_uint(data, pos)
     code, pos = read_uint(data, pos)
     encoding = ENCODING_FROM_CODE.get(code)
@@ -177,42 +127,41 @@ def _read_proofs(
             "bytes that follow or the sibling-slot limit"
         )
     indices, pos = read_uints(data, pos, count)
-    leaves = sorted(set(indices))
     results, pos = read_bytes_list(data, pos)
-    if len(results) != len(leaves):
-        raise CodecError(
-            f"{len(results)} claimed results for {len(leaves)} distinct leaves"
-        )
+    distinct = len(set(indices))
+    if len(results) != distinct:
+        raise CodecError(f"{len(results)} claimed results for {distinct} leaves")
     digests, pos = read_bytes_list(data, pos)
-    levels = supplied_siblings(leaves, height)
-    if len(digests) != sum(map(len, levels)):
-        raise CodecError(
-            f"{len(digests)} supplied digests, the samples need "
-            f"{sum(map(len, levels))}"
-        )
-    # One column per level — for every leaf, the digest supplied beside
-    # its ancestor there, or None — then transposed into the paths.
-    supply = iter(digests)
-    columns = []
-    ancestors = leaves
-    for row in levels:
-        beside = {node ^ 1: digest for (node, _leaf), digest in zip(row, supply)}
-        columns.append(list(map(beside.get, ancestors)))
-        ancestors = [node >> 1 for node in ancestors]
-    paths = map(list, zip(*columns)) if height else ([] for _ in leaves)
-    by_leaf = {
-        leaf: SampleProof(
-            leaf,
-            result,
-            AuthenticationPath.from_uniform(leaf, siblings, n_leaves, encoding),
-        )
-        for leaf, result, siblings in zip(leaves, results, paths)
-    }
-    return tuple(map(by_leaf.__getitem__, indices)), pos
+    proof = Multiproof(
+        tuple(indices), n_leaves, encoding, height, tuple(results), tuple(digests)
+    )
+    need = sum(map(len, proof.nodes))
+    if len(digests) != need:
+        raise CodecError(f"{len(digests)} supplied digests, the samples need {need}")
+    if n_leaves and proof.leaves[-1] >= n_leaves:
+        raise ProofShapeError(f"leaf index {proof.leaves[-1]} outside [0, {n_leaves})")
+    return proof, pos
 
 
 #: The shared kinds plus the one only this module can build.
 KINDS = {**_SHARED_KINDS, "proofs": (_encode_proofs, _read_proofs)}
+
+
+class _Proofs:
+    """A bundle message's ``proofs`` field.  It stores what it is given —
+    a :class:`Multiproof`, or in-memory :class:`SampleProof` values that
+    are packed when the message is encoded or verified — and that is
+    what the layout encodes and ``bundle`` returns.  Read as ``proofs``
+    it is ``m`` :class:`SampleProof` values, derived on first read."""
+
+    def __get__(self, msg: Any, owner: type | None = None) -> Any:
+        if msg is None:
+            raise AttributeError("proofs")  # a required field: no default
+        stored = msg.__dict__["proofs"]
+        return stored.proofs if isinstance(stored, Multiproof) else stored
+
+    def __set__(self, msg: Any, stored: Any) -> None:
+        msg.__dict__["proofs"] = stored
 
 
 @dataclass(frozen=True)
@@ -220,9 +169,10 @@ class ProofBundleMsg(WireMessage, kinds=KINDS):
     """Step 3: proofs for all challenged samples."""
 
     task_id: str
-    proofs: tuple[SampleProof, ...]
+    proofs: Multiproof | tuple[SampleProof, ...] = _Proofs()
 
     FIELDS = (_TASK_ID, _field("proofs", "proofs"))
+    bundle = property(lambda msg: msg.__dict__["proofs"], doc="``proofs`` as stored.")
 
 
 @dataclass(frozen=True)
@@ -236,7 +186,7 @@ class NICBSSubmissionMsg(WireMessage, kinds=KINDS):
     task_id: str
     root: bytes
     n_leaves: int
-    proofs: tuple[SampleProof, ...]
+    proofs: Multiproof | tuple[SampleProof, ...] = _Proofs()
 
     FIELDS = (
         _TASK_ID,
@@ -244,6 +194,7 @@ class NICBSSubmissionMsg(WireMessage, kinds=KINDS):
         _field("n_leaves", "uint"),
         _field("proofs", "proofs"),
     )
+    bundle = ProofBundleMsg.bundle
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 from repro.exceptions import MerkleError
 from repro.merkle.hashing import HashFunction
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.partial import PartialMerkleTree
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.proof import SampleProof
 from repro.merkle.tree import LeafEncoding, MerkleTree
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 
@@ -138,12 +139,12 @@ class TreeBackend:
         """Leaf re-evaluations triggered by proofs (partial mode only)."""
         return 0 if self._partial is None else self._partial.leaves_recomputed
 
-    def committed_payload(self, index: int) -> bytes:
-        """The payload committed at leaf ``index`` (the claimed result)."""
-        return self._payloads[index]
-
-    def auth_path(self, index: int) -> AuthenticationPath:
-        """Authentication path for leaf ``index``."""
+    def multiproof(self, indices: Sequence[int]) -> Multiproof:
+        """The bundle proving ``indices``: off the full tree's rows, or
+        packed from one §3.3 subtree rebuild per sample."""
+        payloads = self._payloads
         if self._full is not None:
-            return self._full.auth_path(index)
-        return self._partial.auth_path(index)
+            return self._full.multiproof(indices, payloads)
+        path_to = self._partial.auth_path
+        proofs = [SampleProof(i, payloads[i], path_to(i)) for i in indices]
+        return Multiproof.from_proofs(proofs)

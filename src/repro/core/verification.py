@@ -18,7 +18,7 @@ its samples span is folded once, each node hashed once, so check 2 is
 a statement about the whole bundle: a root match attests every
 sampled leaf together, and a miss cannot be pinned on one sample.
 Sibling positions that another sample determines are not part of the
-proof and are never read (on a received bundle they hold ``None``).
+proof and are never read.
 
 Malformed proofs (wrong index, wrong path length, wrong digest sizes,
 a leaf encoding other than the supervisor's, two results claimed for
@@ -30,62 +30,39 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.protocol import SampleProof
 from repro.core.scheme import RejectReason, SampleVerdict
+from repro.exceptions import CodecError
 from repro.merkle.hashing import HashFunction
-from repro.merkle.multiproof import shared_root, supplied_siblings
+from repro.merkle.multiproof import Multiproof, shared_root
+from repro.merkle.proof import SampleProof
 from repro.merkle.tree import LeafEncoding, encode_leaves
 from repro.tasks.function import TaskFunction
 from repro.tasks.domain import Domain
 from repro.utils.bitmath import next_power_of_two, tree_height
 
 
-def _supplied_digests(
-    proofs: Sequence[SampleProof],
-    n_leaves: int,
-    hash_fn: HashFunction,
-    leaf_encoding: LeafEncoding,
-) -> tuple[dict[int, bytes], list[list[tuple[int, bytes]]]] | None:
-    """The bundle's shape: its claimed leaves and the digests it supplies.
-
-    Returns ``(claimed result by leaf, (node, digest) rows per level)``
-    for the leaf set the bundle itself names, or ``None`` when that set
-    has no fold: a path of the wrong height or for another leaf than
-    its sample's, a leaf outside the tree, a leaf encoding that is not
-    the supervisor's (the encoding is never the peer's say-so), a RAW
-    leaf that is not digest-sized, two results for one leaf, or a
-    needed sibling that is not a digest.  Nothing is hashed or
-    evaluated here.
-    """
-    height = tree_height(next_power_of_two(n_leaves))
-    digest_size = hash_fn.digest_size
-    raw_leaves = leaf_encoding is LeafEncoding.RAW
-    by_leaf: dict[int, SampleProof] = {}
-    for proof in proofs:
-        path = proof.path
-        claimed = proof.claimed_result
-        if (
-            not 0 <= proof.index < n_leaves
-            or path.leaf_index != proof.index
-            or len(path.siblings) != height
-            or (path.leaf_encoding or LeafEncoding.HASHED) is not leaf_encoding
-            or (raw_leaves and len(claimed) != digest_size)
-            or by_leaf.setdefault(proof.index, proof).claimed_result != claimed
-        ):
-            return None
-    leaves = sorted(by_leaf)
-    supplied = [
-        [(node, by_leaf[leaf].path.siblings[level]) for node, leaf in row]
-        for level, row in enumerate(supplied_siblings(leaves, height))
-    ]
-    digests = [digest for row in supplied for _node, digest in row]
-    if set(map(type, digests)) - {bytes} or set(map(len, digests)) - {digest_size}:
-        return None
-    return {leaf: by_leaf[leaf].claimed_result for leaf in leaves}, supplied
+def _fits(
+    proof: Multiproof, n_leaves: int, hash_fn: HashFunction, leaf_encoding: LeafEncoding
+) -> bool:
+    """Whether ``proof`` folds in the supervisor's tree: its height, leaf
+    range and leaf encoding (never the peer's say-so) are the tree's, a
+    RAW leaf is digest-sized, every supplied sibling is a digest."""
+    leaves, digests, digest_size = proof.leaves, proof.digests, hash_fn.digest_size
+    return (
+        proof.height == tree_height(next_power_of_two(n_leaves))
+        and (not leaves or (0 <= leaves[0] and leaves[-1] < n_leaves))
+        and proof.leaf_encoding is leaf_encoding
+        and (
+            leaf_encoding is not LeafEncoding.RAW
+            or set(map(len, proof.results)) <= {digest_size}
+        )
+        and set(map(type, digests)) <= {bytes}
+        and set(map(len, digests)) <= {digest_size}
+    )
 
 
 def verify_proof_bundle(
-    proofs: Sequence[SampleProof],
+    bundle: Multiproof | Sequence[SampleProof],
     expected_indices: Sequence[int],
     root: bytes,
     n_leaves: int,
@@ -99,8 +76,9 @@ def verify_proof_bundle(
 
     Verdicts come back in bundle order and stop after the first
     rejection when ``stop_on_first_failure`` is set.  Three passes:
-    the bundle's shape, with nothing hashed or evaluated; check 1 per
-    sample, in order; then — iff some sample came through both and
+    the bundle's shape, with nothing hashed or evaluated (in-memory
+    proofs that have no multiproof are malformed throughout); check 1
+    per sample, in order; then — iff some sample came through both and
     awaits attestation — one fold of the shared tree against ``root``.  A
     miss is ``ROOT_MISMATCH`` for every awaiting sample (the first
     only, under stop).  The caller charges verification cost to its
@@ -108,15 +86,22 @@ def verify_proof_bundle(
     protocol logic): one hash per distinct claimed leaf and per covered
     interior node, none when no sample awaits attestation.
     """
-    shape = _supplied_digests(proofs, n_leaves, hash_fn, leaf_encoding)
+    try:
+        proof = Multiproof.from_proofs(bundle)
+    except CodecError:
+        proof = None
+    fits = proof is not None and _fits(proof, n_leaves, hash_fn, leaf_encoding)
+    claimed = dict(zip(proof.leaves, proof.results)) if fits else {}
     verify_result = function.verify
     verdicts: list[SampleVerdict] = []
     awaiting: list[int] = []
-    for proof, expected_index in zip(proofs, expected_indices):
-        if shape is None or proof.index != expected_index:
+    # Unpacked, the bundle's own items stand in for indices nobody reads.
+    samples = proof.indices if proof is not None else bundle
+    for index, expected_index in zip(samples, expected_indices):
+        if not fits or index != expected_index:
             reason = RejectReason.MALFORMED_PROOF
         # Check 1: is the claimed f(x) actually correct?
-        elif not verify_result(domain[expected_index], proof.claimed_result):
+        elif not verify_result(domain[expected_index], claimed[index]):
             reason = RejectReason.WRONG_RESULT
         else:
             reason = RejectReason.OK
@@ -129,9 +114,10 @@ def verify_proof_bundle(
     if not awaiting:
         return verdicts
     # Check 2: were these exact values committed?  Λ(f(x)s, λs) == Φ(R)?
-    claimed, supplied = shape
-    leaf_digests = encode_leaves(list(claimed.values()), hash_fn, leaf_encoding)
-    if shared_root(dict(zip(claimed, leaf_digests)), supplied, hash_fn) != root:
+    leaf_digests = dict(
+        zip(proof.leaves, encode_leaves(proof.results, hash_fn, leaf_encoding))
+    )
+    if shared_root(leaf_digests, proof.supplied(), hash_fn) != root:
         if stop_on_first_failure:
             del verdicts[awaiting[0] + 1 :]
             awaiting = awaiting[:1]

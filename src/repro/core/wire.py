@@ -232,11 +232,12 @@ class Layout:
         self._steps = tuple(steps)
 
     def encode(self, obj: Any, head: bytes = b"") -> bytes:
-        """``head`` followed by every field of ``obj``, in row order."""
-        parts = [head]
+        """``head`` followed by every field of ``obj``, in row order: the
+        values ``obj`` stores, not a view a field's attribute may read as."""
+        parts, stored = [head], vars(obj)
         try:
             for attr, field, encode, _read in self._steps:
-                parts.append(encode(field, getattr(obj, attr)))
+                parts.append(encode(field, stored[attr]))
         except ReproError as exc:
             raise type(exc)(f"{self.what}, field {attr}: {exc}") from exc
         return b"".join(parts)

@@ -20,10 +20,10 @@ Public surface:
 * :class:`~repro.merkle.proof.AuthenticationPath` — the ``λ1..λH``
   sibling digests plus the root-reconstruction procedure
   ``Λ(f(x), λ1..λH)`` used by the supervisor.
-* :func:`~repro.merkle.multiproof.supplied_siblings` and
-  :func:`~repro.merkle.multiproof.shared_root` — which sibling digests
-  a bundle of paths actually has to ship, and the one fold of the tree
-  they span (the wire and verification form of a proof bundle).
+* :class:`~repro.merkle.multiproof.Multiproof` — a proof bundle as it
+  is built, travels and is verified — with the rule for which sibling
+  digests it ships (``supplied_siblings``) and its one fold of the tree
+  the samples span (``shared_root``).
 """
 
 from repro.merkle.hashing import (
@@ -33,7 +33,7 @@ from repro.merkle.hashing import (
     available_hashes,
     get_hash,
 )
-from repro.merkle.multiproof import shared_root, supplied_siblings
+from repro.merkle.multiproof import Multiproof, shared_root, supplied_siblings
 from repro.merkle.partial import PartialMerkleTree
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
 from repro.merkle.streaming import StreamingMerkleBuilder
@@ -62,6 +62,7 @@ __all__ = [
     "StreamingMerkleBuilder",
     "AuthenticationPath",
     "compute_root_from_path",
+    "Multiproof",
     "supplied_siblings",
     "shared_root",
 ]

@@ -20,18 +20,9 @@ profitability (Eq. 5).  This module provides:
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
-
-
-class SupportsDigest(Protocol):
-    """Structural type for anything usable as a Merkle hash."""
-
-    name: str
-    digest_size: int
-
-    def digest(self, data: bytes) -> bytes: ...  # pragma: no cover
 
 
 class HashFunction:

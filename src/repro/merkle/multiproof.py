@@ -1,19 +1,18 @@
-"""The shared tree of a proof bundle: which siblings travel, and its fold.
+"""A proof bundle as one multiproof: which siblings travel, and its fold.
 
 The paper's Step 3 ships one authentication path per sample — ``m·H``
 sibling digests (§3.1's ``O(m log n)``).  When sampled leaves share
 ancestors most of those digests can be recomputed from the other
-samples, so a bundle travels, and is verified, as one *multiproof*:
-every digest the verifier cannot derive, once, and one fold of the
-tree the samples span.
+samples, so a bundle is built, travels and is verified as one
+:class:`Multiproof` (Ramabaja & Avdullahu's compact multiproof): every
+digest the verifier cannot derive, once, and one fold of the tree the
+samples span.
 
 Mark the sampled leaves *covered*; a node is covered when either child
 is.  A digest must be **supplied** iff it is the sibling of a covered
 node and is not itself covered — everything else on the samples' paths
 is derivable from the claimed leaves and the supplied digests below it.
-:func:`supplied_siblings` is that rule, written once: the wire encoder
-and decoder (:mod:`repro.core.protocol`) and the verifier
-(:mod:`repro.core.verification`) all walk the geometry through it, and
+:func:`supplied_siblings` is that rule, written once, and
 :func:`shared_root` folds what it describes.  The supplied set is never
 larger than the concatenated paths, and equal only when no two samples
 share an ancestor below the root.
@@ -21,10 +20,13 @@ share an ancestor below the root.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+from repro.exceptions import CodecError, LeafIndexError
 from repro.merkle.hashing import HashFunction
-from repro.merkle.proof import NODE_TAG
+from repro.merkle.proof import NODE_TAG, AuthenticationPath, LeafEncoding, SampleProof
 
 
 def supplied_siblings(
@@ -78,3 +80,126 @@ def shared_root(
         known = dict(zip([node >> 1 for node in order[::2]], parents))
     (root,) = known.values()
     return root
+
+
+@dataclass(frozen=True)
+class Multiproof:
+    """A proof bundle in the form it travels (paper §3.1 Step 3, §4):
+    the wire's fields, in order — sample indices in sample order, the
+    tree's real leaf count, leaf encoding and height, the claimed results
+    of the distinct sampled leaves (ascending), and the supplied digests,
+    level-major, left to right.  ``len()`` is the sample count ``m``."""
+
+    indices: tuple[int, ...]
+    n_leaves: int
+    leaf_encoding: LeafEncoding
+    height: int
+    results: tuple[bytes, ...]
+    digests: tuple[bytes, ...]
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[list[bytes]], indices: Sequence[int],
+        payloads: Sequence[bytes], n_leaves: int, leaf_encoding: LeafEncoding,
+    ) -> "Multiproof":
+        """The multiproof of ``indices`` read off a tree's level rows (leaf
+        level first, the root's excluded; SNIPPETS snippet 2); ``payloads[i]``
+        is leaf ``i``'s committed result.  Nothing is hashed and no path is
+        built; the rows must not change while the bundle is in use."""
+        leaves = sorted(set(indices))
+        if leaves and not 0 <= leaves[0] <= leaves[-1] < n_leaves:
+            raise LeafIndexError(f"a sample lies outside [0, {n_leaves})")
+        supplied = supplied_siblings(leaves, len(rows))
+        bundle = cls(
+            tuple(indices), n_leaves, leaf_encoding, len(rows),
+            tuple([payloads[leaf] for leaf in leaves]),
+            tuple([row[node] for row, need in zip(rows, supplied) for node, _ in need]),
+        )
+        bundle.__dict__["_rows"] = rows
+        return bundle
+
+    @classmethod
+    def from_proofs(cls, proofs: Sequence[SampleProof]) -> "Multiproof":
+        """Pack in-memory :class:`SampleProof` values (a multiproof is
+        returned as it is), reading only the positions
+        :func:`supplied_siblings` names.  Proofs that mix tree sizes,
+        encodings or heights, whose path is for another leaf, that claim
+        two results for one leaf, or that lack a needed digest have no
+        multiproof: :class:`CodecError`.  No encoding has always meant HASHED.
+        """
+        if isinstance(proofs, cls):
+            return proofs
+        proofs = tuple(proofs)
+        first = proofs[0].path if proofs else AuthenticationPath(0)
+        n_leaves, height = first.n_leaves, len(first.siblings)
+        encoding = first.leaf_encoding or LeafEncoding.HASHED
+        by_leaf: dict[int, SampleProof] = {}
+        for proof in proofs:
+            path = proof.path
+            if (
+                path.leaf_index != proof.index
+                or path.n_leaves != n_leaves
+                or len(path.siblings) != height
+                or (path.leaf_encoding or LeafEncoding.HASHED) is not encoding
+                or by_leaf.setdefault(proof.index, proof).claimed_result
+                != proof.claimed_result
+            ):
+                raise CodecError(
+                    f"sample {proof.index} does not share the bundle's tree "
+                    "(one index, size, encoding, height and result per leaf)"
+                )
+        leaves = sorted(by_leaf)
+        digests = [
+            by_leaf[leaf].path.siblings[level]
+            for level, row in enumerate(supplied_siblings(leaves, height))
+            for _node, leaf in row
+        ]
+        if None in digests:
+            raise CodecError("a sibling digest the bundle has to supply is missing")
+        packed = cls(
+            tuple(proof.index for proof in proofs), n_leaves, encoding, height,
+            tuple(by_leaf[leaf].claimed_result for leaf in leaves), tuple(digests),
+        )
+        packed.__dict__["proofs"] = proofs
+        return packed
+
+    @cached_property
+    def leaves(self) -> list[int]:
+        """The distinct sampled leaves, ascending: ``results``' order."""
+        return sorted(set(self.indices))
+
+    @cached_property
+    def nodes(self) -> list[list[int]]:
+        """Per level, the nodes whose digests ``digests`` holds, in order."""
+        rows = supplied_siblings(self.leaves, self.height)
+        return [[node for node, _ in row] for row in rows]
+
+    def supplied(self) -> list[list[tuple[int, bytes]]]:
+        """``nodes`` paired with ``digests``: what :func:`shared_root` folds."""
+        supply = iter(self.digests)
+        return [list(zip(row, supply)) for row in self.nodes]
+
+    @cached_property
+    def proofs(self) -> tuple[SampleProof, ...]:
+        """The bundle as ``m`` :class:`SampleProof` values, derived on
+        first read: full paths off a tree's rows, the proofs it was packed
+        from, or — received — one proof per distinct leaf whose path
+        holds ``None`` wherever another sample determines the sibling."""
+        rows = self.__dict__.get("_rows")
+        # Per level, node -> digest: a tree's whole row, or the supplied
+        # digests alone (None where another sample determines it).
+        at = (
+            [row.__getitem__ for row in rows] if rows is not None
+            else [dict(level).get for level in self.supplied()]
+        )
+        by_leaf = {
+            leaf: SampleProof(leaf, result, AuthenticationPath.from_uniform(
+                leaf, [get((leaf >> level) ^ 1) for level, get in enumerate(at)],
+                self.n_leaves, self.leaf_encoding,
+            ))
+            for leaf, result in zip(self.leaves, self.results)
+        }
+        return tuple(map(by_leaf.__getitem__, self.indices))
+
+    def __len__(self) -> int:
+        return len(self.indices)

@@ -10,6 +10,7 @@ that the participant knew ``f(x)`` *before* committing.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +23,13 @@ from repro.merkle import hashing
 NODE_TAG = b"\x01"
 
 _new = object.__new__
+
+
+class LeafEncoding(enum.Enum):
+    """How a leaf payload is mapped to its ``Φ`` value (see tree.py)."""
+
+    HASHED = "hashed"
+    RAW = "raw"
 
 
 def compute_root_from_path(
@@ -50,7 +58,8 @@ class AuthenticationPath:
     leaf_index:
         0-based index of the proven leaf within the domain.
     siblings:
-        Sibling ``Φ`` values in leaf-to-root order (length = tree height).
+        Sibling ``Φ`` values in leaf-to-root order (length = tree height);
+        ``None`` where a received bundle's other samples determine it.
     n_leaves:
         Number of real (non-padding) leaves, kept for sanity checks.
     leaf_encoding:
@@ -61,7 +70,7 @@ class AuthenticationPath:
     leaf_index: int
     siblings: list[bytes] = field(default_factory=list)
     n_leaves: int = 0
-    leaf_encoding: "object" = None  # LeafEncoding; kept loose to avoid cycle
+    leaf_encoding: LeafEncoding | None = None
 
     def __post_init__(self) -> None:
         if self.leaf_index < 0:
@@ -70,7 +79,7 @@ class AuthenticationPath:
             raise ProofShapeError(
                 f"leaf index {self.leaf_index} outside [0, {self.n_leaves})"
             )
-        sizes = {len(s) for s in self.siblings}
+        sizes = {len(s) for s in self.siblings if s is not None}
         if len(sizes) > 1:
             raise ProofShapeError(f"inconsistent sibling digest sizes: {sizes}")
 
@@ -80,15 +89,15 @@ class AuthenticationPath:
         leaf_index: int,
         siblings: list[bytes],
         n_leaves: int,
-        leaf_encoding: "object",
+        leaf_encoding: LeafEncoding | None,
     ) -> "AuthenticationPath":
         """Build a path whose siblings are already known to be equal-length.
 
-        For the two producers that have just established that — a tree
-        handing out its own digest rows, the wire decoder after its
-        uniform-run check — so a bundle of ``m`` paths does not re-scan
-        ``m·H`` digest lengths.  The index checks are kept: a bad index
-        takes the validating constructor and raises as it always has.
+        For a tree handing out its own digest rows and for the
+        :class:`~repro.merkle.multiproof.Multiproof` view of a bundle,
+        so ``m`` paths do not re-scan ``m·H`` digest lengths.  The index
+        checks are kept: a bad index takes the validating constructor
+        and raises as it always has.
         """
         if leaf_index < 0 or (n_leaves and leaf_index >= n_leaves):
             return cls(leaf_index, siblings, n_leaves, leaf_encoding)
@@ -111,7 +120,7 @@ class AuthenticationPath:
         self, payload: bytes, hash_fn: "hashing.HashFunction"
     ) -> bytes:
         """Reconstruct the root from a claimed leaf *payload* (``f(x)``)."""
-        from repro.merkle.tree import LeafEncoding, encode_leaf
+        from repro.merkle.tree import encode_leaf
 
         encoding = self.leaf_encoding or LeafEncoding.HASHED
         leaf_phi = encode_leaf(payload, hash_fn, encoding)
@@ -121,6 +130,11 @@ class AuthenticationPath:
         self, leaf_phi: bytes, hash_fn: "hashing.HashFunction"
     ) -> bytes:
         """Reconstruct the root from an already-encoded leaf ``Φ`` value."""
+        if None in self.siblings:
+            raise ProofShapeError(
+                f"no sibling at level {self.siblings.index(None)}: another "
+                "sample of this path's bundle determines it"
+            )
         return compute_root_from_path(
             leaf_phi, self.leaf_index, self.siblings, hash_fn
         )
@@ -133,3 +147,16 @@ class AuthenticationPath:
     ) -> bool:
         """Check whether ``payload`` at ``leaf_index`` matches ``expected_root``."""
         return self.root_from_payload(payload, hash_fn) == expected_root
+
+
+@dataclass(frozen=True)
+class SampleProof:
+    """Step 3 payload for one sample: claimed result + auth path.
+
+    The in-memory form only; a bundle is built, travels and is verified
+    as one :class:`~repro.merkle.multiproof.Multiproof`.
+    """
+
+    index: int
+    claimed_result: bytes
+    path: AuthenticationPath

@@ -22,24 +22,17 @@ padding leaves are structural only and are never sampled by any scheme.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence
 
 from repro.exceptions import EmptyTreeError, LeafIndexError, MerkleError
 from repro.merkle.hashing import HashFunction, get_hash
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.proof import NODE_TAG as _NODE_TAG
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.proof import AuthenticationPath, LeafEncoding
 from repro.utils.bitmath import next_power_of_two, tree_height
 
 _LEAF_TAG = b"\x00"
 _EMPTY_TAG = b"\x02repro/empty"
-
-
-class LeafEncoding(enum.Enum):
-    """How a leaf payload is mapped to its ``Φ`` value."""
-
-    HASHED = "hashed"
-    RAW = "raw"
 
 
 def encode_leaf(
@@ -216,12 +209,20 @@ class MerkleTree:
     # Proofs
     # ------------------------------------------------------------------
 
+    def multiproof(
+        self, indices: Sequence[int], payloads: Sequence[bytes]
+    ) -> Multiproof:
+        """CBS Step 3 for every sample at once, off the level rows
+        (``payloads[i]`` is the result committed at leaf ``i``)."""
+        levels, encoding = self._levels[:0:-1], self.leaf_encoding
+        return Multiproof.from_rows(levels, indices, payloads, self.n_leaves, encoding)
+
     def auth_path(self, index: int) -> AuthenticationPath:
         """Sibling digests ``λ1..λH`` along the path from leaf ``index``.
 
-        This is the participant side of CBS Step 3: for each node ``v``
-        on the leaf-to-root path (root excluded) send ``Φ(v's sibling)``
-        (paper §3.1 and footnote 1).  Siblings are ordered leaf-upward.
+        For one sample (paper §3.1 and footnote 1): for each node ``v``
+        on the leaf-to-root path (root excluded), ``Φ(v's sibling)``.
+        Siblings are ordered leaf-upward.
         """
         self._check_leaf_index(index)
         # Leaf level (last) up to level 1 (children of the root); the

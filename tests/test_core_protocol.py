@@ -1,9 +1,16 @@
 """Codec roundtrips and wire sizes for all protocol messages."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_codec_oracle import real_submission
+from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.cheating.regrind import run_regrind_attack
+from repro.core.cbs import CBSParticipant, CBSSupervisor
+from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import (
     AssignMsg,
     CommitmentMsg,
@@ -17,7 +24,7 @@ from repro.core.protocol import (
 )
 from repro.core.verification import verify_proof_bundle
 from repro.merkle import MerkleTree
-from repro.tasks import RangeDomain
+from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 
 class _Echo:
@@ -136,6 +143,49 @@ class TestNICBSSubmission:
         assert decoded.root == tree.root
         assert decoded.n_leaves == 8
         assert len(decoded.proofs) == 3
+
+
+def _pinned_messages():
+    """Every producer of a proof bundle, once: honest and cheating NI-CBS
+    at the ledger's two shapes, an interactive CBS bundle, and a
+    regrinder's winning submission (tree updated leaf by leaf)."""
+    yield "honest 512/256", real_submission(512, 256)
+    yield "honest 64/16", real_submission(64, 16)
+    for n, m in ((512, 256), (64, 16)):
+        task = TaskAssignment("task-7", RangeDomain(0, n), PasswordSearch())
+        cheater = NICBSParticipant(task, SemiHonestCheater(0.5), n_samples=m)
+        yield f"semi-honest {n}/{m}", cheater.compute_and_submit()
+    task = TaskAssignment("task-cbs", RangeDomain(0, 4096), PasswordSearch())
+    participant = CBSParticipant(task, HonestBehavior())
+    supervisor = CBSSupervisor(task, n_samples=16, seed=3)
+    supervisor.receive_commitment(participant.compute_and_commit())
+    yield "cbs 4096/16", participant.prove(supervisor.make_challenge())
+    grind = TaskAssignment("grind", RangeDomain(0, 128), PasswordSearch(cost=100.0))
+    attack = run_regrind_attack(
+        grind, honesty_ratio=0.5, n_samples=4, seed=1, max_attempts=5000
+    )
+    assert attack.attempts == 12
+    yield "regrind", attack.submission
+
+
+#: sha256 of each pinned message's encoding.  A change here is a wire
+#: change, whatever else the diff says.
+PINNED = {
+    "honest 512/256": "e790140044bd9405c107cb8cec0967e580b1e4983f478048bdcd02793fb793ea",
+    "honest 64/16": "7d6ba39585a78d03d7359ef359ec4d148edcdd987f98b45bc9d56f1d4b36e300",
+    "semi-honest 512/256": "f002d4fe1067e0234b3d9b60073fb1090a2c27cb802341094f7bd73058bcd088",
+    "semi-honest 64/16": "5bf4c2894942d86c0d5a361495dd40c225dc9852439fe2cf779c95b872fc90b4",
+    "cbs 4096/16": "f9808ec6cef9d18f011cd62ce686bb6a6d94f0abb431fdbf4547602effd808f3",
+    "regrind": "3dd0363c9a001985c223c67f6995701b4aca11472a4a28ac3d072a53381e86f7",
+}
+
+
+def test_wire_is_pinned():
+    got = {
+        name: hashlib.sha256(msg.encode()).hexdigest()
+        for name, msg in _pinned_messages()
+    }
+    assert got == PINNED
 
 
 class TestFullResultsMsg:

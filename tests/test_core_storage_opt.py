@@ -101,8 +101,7 @@ class TestTreeBackend:
             subtree_height=3,
             recompute=lambda i: payloads[i],
         )
-        backend.auth_path(10)
-        backend.auth_path(50)
+        backend.multiproof([10, 50])
         assert backend.leaves_recomputed == 2 * 8
 
 

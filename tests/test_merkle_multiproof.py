@@ -1,14 +1,18 @@
-"""Tests for the multiproof a proof bundle travels and is verified as:
-which siblings are supplied (``supplied_siblings``), the one fold of the
-tree the samples span (``shared_root``), and the bundle codec on top."""
+"""Tests for the multiproof a proof bundle is built, travels and is
+verified as: which siblings are supplied (``supplied_siblings``), the one
+fold of the tree the samples span (``shared_root``), the producers that
+read it off level rows, and the bundle codec on top."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proof_reference import plain_proofs, ref_per_path_proofs
+from repro.cheating.regrind import _MutableMerkleTree
 from repro.core.protocol import ProofBundleMsg, SampleProof
-from repro.exceptions import CodecError, ProofShapeError
+from repro.exceptions import CodecError, LeafIndexError, ProofShapeError
 from repro.merkle import MerkleTree, get_hash, shared_root, supplied_siblings
 from repro.merkle.tree import LeafEncoding, encode_leaves
 from repro.utils.encoding import encode_bytes_list
@@ -185,7 +189,7 @@ class TestCodec:
         assert fold(tree, claimed, supplied) == tree.root
         # ... and hold nothing where another sample determines the digest.
         assert decoded.proofs[0].path.siblings[4] is None
-        with pytest.raises(TypeError):
+        with pytest.raises(ProofShapeError, match="no sibling at level 2"):
             decoded.proofs[0].path.root_from_payload(leaves[1], tree.hash_fn)
 
     def test_raw_encoding_survives(self):
@@ -206,6 +210,60 @@ class TestCodec:
         data[4] = code
         with pytest.raises(CodecError, match="leaf-encoding code"):
             ProofBundleMsg.decode(bytes(data))
+
+
+@st.composite
+def _samples(draw):
+    """A tree size, its 32-byte payloads (valid under either encoding)
+    and a list of sample indices: duplicates allowed, any order."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 513]))
+    payloads = [hashlib.sha256(b"leaf %d" % i).digest() for i in range(n)]
+    indices = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=24))
+    return payloads, indices, draw(st.sampled_from(list(LeafEncoding)))
+
+
+def assert_same_bundle(bundle, reference):
+    """``bundle`` (a ``Multiproof``) is the reference ``SampleProof``s:
+    same bytes on the wire, and the same proofs when read back."""
+    assert ProofBundleMsg("t", bundle).encode() == ProofBundleMsg("t", reference).encode()
+    assert ProofBundleMsg("t", bundle).proofs == reference
+    assert [p.path for p in bundle.proofs] == [p.path for p in reference]
+
+
+class TestProducers:
+    """Every producer fills the multiproof from level rows; the
+    reference is the per-sample ``auth_path`` form it replaced."""
+
+    @given(_samples())
+    @settings(max_examples=80, deadline=None)
+    def test_tree_rows(self, sample):
+        payloads, indices, encoding = sample
+        tree = MerkleTree(payloads, leaf_encoding=encoding)
+        reference = tuple(
+            SampleProof(i, payloads[i], tree.auth_path(i)) for i in indices
+        )
+        assert_same_bundle(tree.multiproof(indices, payloads), reference)
+
+    @given(_samples(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_regrinder_rows_after_updates(self, sample, data):
+        payloads, indices, encoding = sample
+        tree = _MutableMerkleTree(list(payloads), get_hash(), encoding)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            leaf = data.draw(st.integers(min_value=0, max_value=len(payloads) - 1))
+            payloads[leaf] = data.draw(st.binary(min_size=32, max_size=32))
+            tree.update_leaf(leaf, payloads[leaf])
+        rebuilt = MerkleTree(payloads, leaf_encoding=encoding)
+        assert tree.root == rebuilt.root
+        reference = tuple(
+            SampleProof(i, payloads[i], rebuilt.auth_path(i)) for i in indices
+        )
+        assert_same_bundle(tree.multiproof(indices, payloads), reference)
+
+    def test_sample_outside_the_tree(self):
+        tree, leaves = make(8)
+        with pytest.raises(LeafIndexError):
+            tree.multiproof([3, 8], leaves)
 
 
 class TestPropertyBased:

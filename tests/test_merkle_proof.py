@@ -1,5 +1,7 @@
 """Tests for authentication paths and root reconstruction Λ."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,41 @@ class TestValidation:
     def test_inconsistent_sibling_sizes_rejected(self):
         with pytest.raises(ProofShapeError):
             AuthenticationPath(leaf_index=0, siblings=[b"ab", b"abcd"])
+
+
+class TestReceivedPath:
+    """A path read out of a received bundle holds ``None`` where the
+    bundle's other samples determine the sibling."""
+
+    @staticmethod
+    def received(tree, leaves, indices):
+        proofs = tuple(SampleProof(i, leaves[i], tree.auth_path(i)) for i in indices)
+        return ProofBundleMsg.decode(ProofBundleMsg("", proofs).encode()).proofs
+
+    def test_replace_keeps_the_holes(self):
+        # The validating constructor used to take len() of every sibling
+        # and raise a bare TypeError on the first hole.
+        tree, leaves = build(8)
+        path = self.received(tree, leaves, (0, 1))[0].path
+        assert path.siblings[0] is None
+        moved = dataclasses.replace(path, n_leaves=8)
+        assert moved.siblings == path.siblings
+        with pytest.raises(ProofShapeError):
+            dataclasses.replace(path, siblings=[b"ab", None, b"abcd"])
+
+    def test_folding_a_holed_path_names_the_missing_level(self):
+        tree, leaves = build(8)
+        first, second, _third = self.received(tree, leaves, (2, 3, 5))
+        h = tree.hash_fn
+        for proof, level in ((first, 0), (second, 0)):
+            path = proof.path
+            with pytest.raises(ProofShapeError, match=f"no sibling at level {level}"):
+                path.root_from_phi(encode_leaf(leaves[proof.index], h, LeafEncoding.HASHED), h)
+            with pytest.raises(ProofShapeError, match=f"no sibling at level {level}"):
+                path.verify(leaves[proof.index], tree.root, h)
+        # At level 2 the ancestors of leaves 2-3 and of leaf 5 are each
+        # other's siblings: derivable as well.
+        assert [s is None for s in first.path.siblings] == [True, False, True]
 
 
 class TestReconstruction:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.core.protocol import ProofBundleMsg, SampleProof
 from repro.exceptions import CodecError
 from repro.merkle import MerkleTree
-from repro.merkle.serialize import decode_digest, encode_digest
 from repro.merkle.tree import LeafEncoding
 
 
@@ -70,10 +69,3 @@ class TestAuthPathRoundtrip:
         assert decoded.siblings == path.siblings
         assert decoded.leaf_index == index
 
-
-class TestDigest:
-    def test_roundtrip(self):
-        digest = bytes(range(32))
-        decoded, pos = decode_digest(encode_digest(digest))
-        assert decoded == digest
-        assert pos == len(encode_digest(digest))

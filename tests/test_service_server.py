@@ -24,7 +24,7 @@ from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, run_scheme_jobs
 from repro.exceptions import CodecError, ProtocolError
 from repro.grid import GridSimulation, SimulationConfig
-from repro.merkle import get_hash
+from repro.merkle import AuthenticationPath, get_hash
 from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
@@ -222,6 +222,51 @@ class TestEndToEnd:
         server = asyncio.run(scenario())
         assert server.outcomes == sync_outcomes(cfg)
         assert server.registry.value("repro_verifications_total") == 3
+
+
+class TestProofHeavySession:
+    def test_no_authentication_path_is_built(self, monkeypatch):
+        """The ``svc_nicbs_proofheavy`` shape (512 leaves, m = 256)
+        through ``serve``: the client proves and encodes, ``serve``
+        decodes and verifies, and neither end expands the multiproof
+        into per-sample paths."""
+        built = []
+        init = AuthenticationPath.__init__
+        from_uniform = AuthenticationPath.from_uniform.__func__
+
+        def counted_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counted_from_uniform(cls, *args):
+            built.append("from_uniform")
+            return from_uniform(cls, *args)
+
+        monkeypatch.setattr(AuthenticationPath, "__init__", counted_init)
+        monkeypatch.setattr(
+            AuthenticationPath, "from_uniform", classmethod(counted_from_uniform)
+        )
+        cfg = ServiceConfig(
+            domain=RangeDomain(0, 1024),
+            protocol="ni-cbs",
+            n_samples=256,
+            n_participants=2,
+            seed=21,
+        )
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="serial")
+            try:
+                return await drive_all(server, cfg)
+            finally:
+                await server.stop()
+
+        runs = asyncio.run(scenario())
+        assert [run.accepted for run in runs] == [True, False]
+        assert built == []
+        # ... and the patch is live: a direct call is counted.
+        AuthenticationPath.from_uniform(0, [], 1, LeafEncoding.HASHED)
+        assert built == ["from_uniform"]
 
 
 async def drive_in_turn(
