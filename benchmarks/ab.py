@@ -13,7 +13,13 @@ and finishes with ``ledger/compare.py base change``, whose exit status
 ``PYTHONDONTWRITEBYTECODE=1`` and a fresh, empty ``PYTHONPYCACHEPREFIX``
 per side, so neither loads bytecode the other lacks (a tree that kept
 stale ``__pycache__`` from a test run once read 35–60% ``worse`` on
-``setup_s``).  Records land in
+``setup_s``).  Both sides also run with ``MALLOC_TOP_PAD_=1048576``:
+without it the harness's client process can land in a glibc state where
+every asyncio ``recv(256 KiB)`` grows the heap top and the next free
+trims it again, and which state a build lands in flips on changes as
+small as a private rename — that moved ``svc_nicbs_plain`` by ±6–14%
+between trees whose service code was identical.  A megabyte of top pad
+keeps the heap from being trimmed between reads.  Records land in
 ``benchmarks/results/ab/{base,change}/seed-<i>/`` (git-ignored, wiped
 at the start of every run).
 """
@@ -78,13 +84,15 @@ def export(commit: str, dest: pathlib.Path) -> str | None:
 
 
 def side_env(scratch: pathlib.Path, side: str) -> dict[str, str]:
-    """One side's environment: no bytecode written, none read."""
+    """One side's environment: no bytecode written, none read, one
+    allocator setting."""
     cache = scratch / f"pycache-{side}"
     cache.mkdir()
     return {
         **os.environ,
         "PYTHONDONTWRITEBYTECODE": "1",
         "PYTHONPYCACHEPREFIX": str(cache),
+        "MALLOC_TOP_PAD_": "1048576",  # see the module docstring
     }
 
 

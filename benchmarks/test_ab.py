@@ -90,6 +90,9 @@ def test_each_side_runs_equally_cold_from_an_export(tmp_path, monkeypatch):
     caches = {}
     for tree, env, cache_empty, has_ledger, has_git in seen:
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        # The pinned allocator: glibc heap-trim flips moved
+        # svc_nicbs_plain by 6-14% between trees without it.
+        assert env["MALLOC_TOP_PAD_"] == "1048576"
         assert cache_empty and has_ledger
         caches.setdefault(tree, set()).add(env["PYTHONPYCACHEPREFIX"])
         if tree == base:

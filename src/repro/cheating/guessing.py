@@ -105,8 +105,8 @@ class ZeroGuess(GuessModel):
         result_size: int,
         salt: bytes = b"",
     ) -> list[bytes]:
-        return PrfPrefix(b"zero-guess", salt).bytes_many(
-            (index.to_bytes(8, "big") for index in indices), n_bytes=result_size
+        return PrfPrefix(b"zero-guess", salt).fixed_bytes_many(
+            indices, 8, n_bytes=result_size
         )
 
 

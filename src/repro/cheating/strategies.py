@@ -90,31 +90,37 @@ def _evaluate_many(
 def _leaf_vector(
     assignment: TaskAssignment,
     evaluate: Callable[[Any], bytes],
-    honest: set[int],
+    honest: Sequence[int] = (),
+    skipped: Sequence[int] = (),
     guesser: GuessModel | None = None,
     salt: bytes = b"",
 ) -> ComputedWork:
     """The one place leaves are produced: ``f`` on the ``honest``
-    indices in one batch, ``guesser`` on the rest in another."""
+    indices in one batch, ``guesser`` on the ``skipped`` ones in another.
+
+    Both index lists are ascending and together cover the domain; with
+    nothing ``skipped``, every index is honest.  Each payload is placed
+    at its index from the two lists, with no membership test per leaf.
+    """
     inputs = assignment.domain.inputs()
     n = len(inputs)
-    if len(honest) == n:
-        return ComputedWork(_evaluate_many(evaluate, inputs), honest)
-    computed = iter(
-        _evaluate_many(evaluate, [inputs[i] for i in range(n) if i in honest])
+    if not skipped:
+        return ComputedWork(_evaluate_many(evaluate, inputs), set(range(n)))
+    computed = _evaluate_many(evaluate, [inputs[i] for i in honest])
+    fabricated = guesser.guess_many(
+        skipped,
+        inputs,
+        # Zero-cost oracle: realizes lucky guesses only.
+        assignment.function.evaluate,
+        assignment.function.result_size,
+        salt,
     )
-    fabricated = iter(
-        guesser.guess_many(
-            [i for i in range(n) if i not in honest],
-            inputs,
-            # Zero-cost oracle: realizes lucky guesses only.
-            assignment.function.evaluate,
-            assignment.function.result_size,
-            salt,
-        )
-    )
-    payloads = [next(computed if i in honest else fabricated) for i in range(n)]
-    return ComputedWork(payloads, honest)
+    payloads = [b""] * n
+    for i, payload in zip(honest, computed):
+        payloads[i] = payload
+    for i, payload in zip(skipped, fabricated):
+        payloads[i] = payload
+    return ComputedWork(payloads, set(honest))
 
 
 class Behavior(abc.ABC):
@@ -154,7 +160,7 @@ class HonestBehavior(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        return _leaf_vector(assignment, evaluate, set(assignment.domain.indices()))
+        return _leaf_vector(assignment, evaluate)
 
 
 class SemiHonestCheater(Behavior):
@@ -195,24 +201,31 @@ class SemiHonestCheater(Behavior):
         self.selection = selection
         self.name = f"semi-honest(r={honesty_ratio:g}, q={self.guesser.q:g})"
 
-    def _choose_honest(self, n: int, task_id: str, salt: bytes) -> set[int]:
-        """Pick ``round(r·n)`` indices to compute honestly."""
+    def _choose_honest(
+        self, n: int, task_id: str, salt: bytes
+    ) -> tuple[Sequence[int], Sequence[int]]:
+        """Pick ``round(r·n)`` indices to compute honestly.
+
+        Returns ``(honest, skipped)``, each ascending, together
+        ``range(n)``.
+        """
         n_honest = round(self.honesty_ratio * n)
         n_honest = min(max(n_honest, 0), n)
         if self.selection == "prefix":
-            return set(range(n_honest))
+            return range(n_honest), range(n_honest, n)
         # PRF-keyed partial Fisher–Yates: uniform n_honest-subset.  Draw
         # ``i`` depends on nothing but ``i``, so all come from one keyed
         # prefix before the swaps.
-        draws = PrfPrefix(b"dprime", task_id.encode("utf-8"), salt).int_many(
-            (i.to_bytes(8, "big") for i in range(n_honest)),
-            range(n, n - n_honest, -1),
+        draws = PrfPrefix(b"dprime", task_id.encode("utf-8"), salt).fixed_int_many(
+            range(n_honest), 8, range(n, n - n_honest, -1)
         )
         order = list(range(n))
         for i, draw in enumerate(draws):
             j = i + draw
             order[i], order[j] = order[j], order[i]
-        return set(order[:n_honest])
+        # A set of small ints iterates almost in order, so sorting one is
+        # about linear: cheaper than sorting either half as it stands.
+        return sorted(set(order[:n_honest])), sorted(set(order[n_honest:]))
 
     def produce(
         self,
@@ -220,8 +233,12 @@ class SemiHonestCheater(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        honest = self._choose_honest(assignment.n_inputs, assignment.task_id, salt)
-        return _leaf_vector(assignment, evaluate, honest, self.guesser, salt)
+        honest, skipped = self._choose_honest(
+            assignment.n_inputs, assignment.task_id, salt
+        )
+        return _leaf_vector(
+            assignment, evaluate, honest, skipped, self.guesser, salt
+        )
 
 
 class ColludingCheater(SemiHonestCheater):
@@ -290,7 +307,7 @@ class MaliciousBehavior(Behavior):
         evaluate: Callable[[Any], bytes],
         salt: bytes = b"",
     ) -> ComputedWork:
-        return _leaf_vector(assignment, evaluate, set(assignment.domain.indices()))
+        return _leaf_vector(assignment, evaluate)
 
     def corrupt_report(self, report: str | None, index: int) -> str | None:
         from repro.utils.prf import prf_coin

@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
+from itertools import islice
+from operator import lt
 from typing import Any, Sequence
 
 from repro.exceptions import TaskError
@@ -51,6 +54,36 @@ def _encode_int(x: Any) -> bytes:
     if isinstance(x, str):
         return x.encode("utf-8")
     raise TaskError(f"unsupported input type {type(x).__name__}")
+
+
+def _width_runs(xs: Sequence[Any]) -> list[tuple[int, int, int]] | None:
+    """``xs`` cut into ``(lo, hi, width)`` runs of one encoded width.
+
+    Only for strictly ascending non-negative ``int`` inputs — a
+    ``range`` with a positive step, or a list or tuple of exact ints —
+    whose canonical encodings then change width at most once per byte
+    (every ``RangeDomain`` slice and every honest subset of one).
+    ``None`` for anything else: bytes, str, unsorted, duplicated or
+    negative inputs keep the per-input :func:`_encode_int`.
+    """
+    if isinstance(xs, range):
+        if xs.step < 0:
+            return None
+    elif not (
+        type(xs) in (list, tuple)
+        and set(map(type, xs)) <= {int}
+        and all(map(lt, xs, islice(xs, 1, None)))
+    ):
+        return None
+    if not xs or xs[0] < 0:
+        return None
+    runs, lo = [], 0
+    while lo < len(xs):
+        width = (xs[lo].bit_length() + 7) // 8 or 1
+        hi = bisect_left(xs, 1 << 8 * width, lo)
+        runs.append((lo, hi, width))
+        lo = hi
+    return runs
 
 
 class PasswordSearch(TaskFunction):
@@ -87,10 +120,20 @@ class PasswordSearch(TaskFunction):
         return prf_bytes(self.salt, _encode_int(x), n_bytes=self.digest_bytes)
 
     def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
-        # The salt is absorbed once for the whole batch.
-        return PrfPrefix(self.salt).bytes_many(
-            map(_encode_int, xs), n_bytes=self.digest_bytes
-        )
+        # The salt is absorbed once for the whole batch, and each run of
+        # one key width its length frame too.
+        prefix = PrfPrefix(self.salt)
+        runs = _width_runs(xs)
+        if runs is None:
+            return prefix.bytes_many(
+                map(_encode_int, xs), n_bytes=self.digest_bytes
+            )
+        results: list[bytes] = []
+        for lo, hi, width in runs:
+            results += prefix.fixed_bytes_many(
+                xs[lo:hi], width, n_bytes=self.digest_bytes
+            )
+        return results
 
     @property
     def result_size(self) -> int:

@@ -15,7 +15,9 @@ across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+import struct
+from itertools import repeat
+from typing import Iterable, Sequence
 
 
 _sha256 = hashlib.sha256
@@ -23,15 +25,41 @@ _sha256 = hashlib.sha256
 _BLOCK0 = (0).to_bytes(8, "big")
 #: Integers are reduced from uniform draws on ``[0, 2**64)``.
 _DRAW_SPACE = 1 << 64
+#: A draw is the first 8 bytes of an output block, big-endian.
+_draw = struct.Struct(">Q").unpack_from
 
 
 def _frame(part: bytes) -> bytes:
     """``part`` behind its 8-byte length: how every part is absorbed.
 
-    The per-item loops below spell this out inline; at ~1 us an item a
-    call is a measurable share.
+    The hot per-item loops below spell this out inline or absorb it
+    once; at ~1 us an item a call is a measurable share.
     """
     return len(part).to_bytes(8, "big") + part
+
+
+#: Counter 0's frame: the end of every first-try draw's input.
+_FIRST_TRY = _frame(_BLOCK0)
+
+
+def _fixed(values: Iterable[int], width: int) -> Iterable[bytes]:
+    """``v.to_bytes(width, "big")`` for each value, lazily and in C."""
+    return map(int.to_bytes, values, repeat(width), repeat("big"))
+
+
+def _first_draws(copy, tails: Iterable[bytes]) -> list[int]:
+    """Counter 0's 64-bit draw per tail; ``copy()`` lacks only the tail.
+
+    A tail here is already framed, or its frame is in ``copy``.
+    """
+    return [
+        _draw(
+            _sha256(
+                ((h := copy()).update(tail + _FIRST_TRY) or h.digest()) + _BLOCK0
+            ).digest()
+        )[0]
+        for tail in tails
+    ]
 
 
 def _expand(seed: bytes, n_bytes: int) -> bytes:
@@ -96,19 +124,35 @@ class PrfPrefix:
     then the index).  The shared parts go into one ``hashlib`` object
     here and each item costs a ``copy()`` plus its own tail, the shape
     :meth:`repro.merkle.hashing.HashFunction.tagged_digest_many` gives
-    leaf hashing.  Every method equals its per-item ``prf_*`` call.
+    leaf hashing.
+
+    A tail that is a non-negative integer at a fixed byte width (a leaf
+    index at 8 bytes, a run of keys that share a width) has the same
+    8-byte length frame on every item, so the ``fixed_*`` methods absorb
+    that frame into the seeded hasher too.  An item then pays only
+    ``copy()``, ``update(v.to_bytes(width, "big"))``, ``digest()`` and
+    the one-block expansion: the two SHA-256 calls every PRF output
+    costs, and almost nothing else (``benchmarks/bench_commit_floor.py``
+    times each use against a bare-``hashlib`` transcription).  Every
+    method equals its per-item ``prf_*`` call.
     """
 
-    __slots__ = ("_copy",)
+    __slots__ = ("_hasher",)
 
     def __init__(self, *parts: bytes) -> None:
-        self._copy = _sha256(b"".join(map(_frame, parts))).copy
+        self._hasher = _sha256(b"".join(map(_frame, parts)))
+
+    def _framed(self, width: int):
+        """``copy`` of the seeded hasher with a ``width``-byte tail's frame in."""
+        hasher = self._hasher.copy()
+        hasher.update(width.to_bytes(8, "big"))
+        return hasher.copy
 
     def bytes_many(
         self, tails: Iterable[bytes], n_bytes: int = 32
     ) -> list[bytes]:
         """``[prf_bytes(*parts, tail, n_bytes=n_bytes) for tail in tails]``."""
-        copy = self._copy
+        copy = self._hasher.copy
         if not 0 <= n_bytes <= 32:
             return [
                 _expand((h := copy()).update(_frame(tail)) or h.digest(), n_bytes)
@@ -128,33 +172,70 @@ class PrfPrefix:
             for tail in tails
         ]
 
+    def fixed_bytes_many(
+        self, values: Iterable[int], width: int, n_bytes: int = 32
+    ) -> list[bytes]:
+        """:meth:`bytes_many` over the tails ``v.to_bytes(width, "big")``."""
+        if not 0 <= n_bytes <= 32:
+            return self.bytes_many(_fixed(values, width), n_bytes)
+        copy = self._framed(width)
+        return [
+            _sha256(
+                ((h := copy()).update(tail) or h.digest()) + _BLOCK0
+            ).digest()[:n_bytes]
+            for tail in _fixed(values, width)
+        ]
+
     def int_many(
         self, tails: Iterable[bytes], bounds: Iterable[int]
     ) -> list[int]:
         """``prf_int(*parts, tail, bound=bound)`` for each pair, zipped."""
-        copy = self._copy
-        # A draw is rejected with probability < bound / 2**64, so all but
-        # a vanishing few are decided by counter 0: its frame is hoisted.
-        first_try = _frame(_BLOCK0)
-        draws: list[int] = []
-        for tail, bound in zip(tails, bounds):
+        tails = list(tails)
+        draws = _first_draws(self._hasher.copy, map(_frame, tails))
+        return self._reduce(draws, bounds, tails)
+
+    def fixed_int_many(
+        self, values: Sequence[int], width: int, bounds: Iterable[int]
+    ) -> list[int]:
+        """:meth:`int_many` over the tails ``v.to_bytes(width, "big")``.
+
+        ``values`` is a sequence: the rare fallback reads it again.
+        """
+        draws = _first_draws(self._framed(width), _fixed(values, width))
+        return self._reduce(draws, bounds, _fixed(values, width))
+
+    def _reduce(
+        self, draws: list[int], bounds: Iterable[int], tails: Iterable[bytes]
+    ) -> list[int]:
+        """Each counter-0 ``draw`` reduced ``mod`` its bound, zipped.
+
+        A draw is rejected with probability < bound / 2**64, so counter 0
+        decides all but a vanishing few: when every bound is positive
+        and no draw reaches ``2**64 - max(bounds)`` (below every
+        rejection limit), one comprehension decides them all.  Otherwise
+        the per-item loop runs, which keeps counter 0's draw, hashes the
+        next counter only where a draw is rejected, and raises on a bound
+        outside ``[1, 2**64]``.
+        """
+        bounds = list(bounds)
+        if (
+            draws
+            and bounds
+            and min(bounds) > 0
+            and max(draws) < _DRAW_SPACE - max(bounds)
+        ):
+            return [draw % bound for draw, bound in zip(draws, bounds)]
+        reduced = []
+        for draw, bound, tail in zip(draws, bounds, tails):
             limit = _rejection_limit(bound)
-            tail = len(tail).to_bytes(8, "big") + tail
             counter = 0
-            while True:
-                keyed = copy()
-                keyed.update(
-                    tail
-                    + (_frame(counter.to_bytes(8, "big")) if counter else first_try)
-                )
-                draw = int.from_bytes(
-                    _sha256(keyed.digest() + _BLOCK0).digest()[:8], "big"
-                )
-                if draw < limit:
-                    break
+            while draw >= limit:
                 counter += 1
-            draws.append(draw % bound)
-        return draws
+                keyed = self._hasher.copy()
+                keyed.update(_frame(tail) + _frame(counter.to_bytes(8, "big")))
+                draw = _draw(_sha256(keyed.digest() + _BLOCK0).digest())[0]
+            reduced.append(draw % bound)
+        return reduced
 
 
 def prf_float(*parts: bytes) -> float:
