@@ -20,9 +20,7 @@ without touching pytest:
   detection plus submissions/sec and latency percentiles
   (``--json PATH`` additionally saves a machine-readable record);
 * ``worker`` — a cluster worker daemon executing engine chunks for a
-  coordinator (see :mod:`repro.engine.cluster`);
-* ``lint`` — the repro-lint static invariant checkers
-  (:mod:`repro.devtools.lint`; README "Static analysis").
+  coordinator (see :mod:`repro.engine.cluster`).
 
 All subcommands accept ``--seed`` and print the same tables the
 benchmark harness saves under ``benchmarks/results/``.  Subcommands
@@ -721,29 +719,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repro-lint invariant checkers (README "Static analysis").
-
-    A thin forwarder to :mod:`repro.devtools.lint.runner` — same flags,
-    same exit codes — so operators get the gate CI runs without
-    remembering the module path.  Imported lazily: the runtime planes
-    must never depend on devtools.
-    """
-    from repro.devtools.lint.runner import main as lint_main
-
-    forwarded: list[str] = list(args.paths)
-    forwarded += ["--format", args.format]
-    if args.baseline is not None:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline is not None:
-        forwarded += ["--write-baseline", args.write_baseline]
-    if args.rules is not None:
-        forwarded += ["--rules", args.rules]
-    if args.list_rules:
-        forwarded += ["--list-rules"]
-    return lint_main(forwarded)
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     return run_worker_sync(
         args.host,
@@ -1089,26 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_worker_args(p)
     p.set_defaults(fn=_cmd_worker)
-
-    p = sub.add_parser(
-        "lint",
-        help="run the repro-lint invariant checkers (pickle containment, "
-        "lock discipline, async blocking, swallowed exceptions, metrics "
-        "naming, wire-schema coverage)",
-    )
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline of grandfathered findings")
-    p.add_argument("--write-baseline", default=None, metavar="FILE",
-                   dest="write_baseline",
-                   help="write current findings as a fresh baseline")
-    p.add_argument("--rules", default=None, metavar="RL001,RL002",
-                   help="comma-separated rule IDs to run (default: all)")
-    p.add_argument("--list-rules", action="store_true", dest="list_rules",
-                   help="print the rule catalogue and exit")
-    p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("demo", help="one narrated CBS run")
     p.add_argument("--n", type=int, default=4096)

@@ -1,22 +1,17 @@
 """repro-lint: AST-based invariant checks for this repo's conventions.
 
 The test suite proves the code *works*; these checkers prove the code
-keeps the promises that make it safe to grow — pickle stays inside the
-versioned codec envelope, ``_lock`` holders actually hold their lock,
-async planes never block the loop, swallowed exceptions are counted,
-metrics follow the naming contract, and the wire schema stays closed
-(README "Static analysis").
+keeps the promises that make it safe to grow — pickle stays out of the
+library, ``_lock`` holders actually hold their lock, async planes
+never block the loop, swallowed exceptions are counted, metrics follow
+the naming contract, and the job codec stays bounds-checked (README
+"Static analysis").
 
-Run it as ``python -m repro.devtools.lint [paths...]`` or via
-``repro.cli lint``.  The framework is dependency-free (stdlib ``ast``
-+ ``tokenize`` only) so it runs anywhere the repo does.
+Run it as ``python -m repro.devtools.lint [paths...]``.  The framework
+is dependency-free (stdlib ``ast`` only) so it runs anywhere the repo
+does.
 """
 
-from repro.devtools.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.lint.framework import (
     Checker,
     FileContext,
@@ -24,17 +19,13 @@ from repro.devtools.lint.framework import (
     collect_files,
     lint_paths,
 )
-from repro.devtools.lint.checkers import ALL_CHECKERS, checker_catalogue
+from repro.devtools.lint.checkers import ALL_CHECKERS
 
 __all__ = [
     "ALL_CHECKERS",
     "Checker",
     "FileContext",
     "Finding",
-    "apply_baseline",
-    "checker_catalogue",
     "collect_files",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
 ]

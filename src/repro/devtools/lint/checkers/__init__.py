@@ -9,7 +9,8 @@ from repro.devtools.lint.checkers.exceptions import SwallowedException
 from repro.devtools.lint.checkers.metrics import MetricsNaming
 from repro.devtools.lint.checkers.wire_schema import WireSchemaCoverage
 
-#: Every shipped rule, in rule-ID order.  Instantiated fresh per run.
+#: Every shipped rule, in rule-ID order (README "Static analysis" lists
+#: them in the same order).  Instantiated fresh per run.
 ALL_CHECKERS = (
     PickleContainment,
     LockDiscipline,
@@ -18,16 +19,3 @@ ALL_CHECKERS = (
     MetricsNaming,
     WireSchemaCoverage,
 )
-
-
-def checker_catalogue() -> list[dict]:
-    """Rule metadata for ``--list-rules`` and the docs."""
-    return [
-        {
-            "rule": cls.rule,
-            "name": cls.name,
-            "severity": cls.severity,
-            "description": cls.description,
-        }
-        for cls in ALL_CHECKERS
-    ]

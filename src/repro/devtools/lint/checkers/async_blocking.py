@@ -56,11 +56,6 @@ BLOCKING_BUILTINS = {
 class BlockingInAsync(Checker):
     rule = "RL003"
     name = "blocking-in-async"
-    description = (
-        "async def bodies must not call blocking primitives "
-        "(time.sleep, subprocess, sync sockets/files, hashlib loops) — "
-        "offload via run_in_executor/futures_pool"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -47,11 +47,6 @@ def _is_broad(type_node: ast.expr | None) -> bool:
 class SwallowedException(Checker):
     rule = "RL004"
     name = "swallowed-exception"
-    description = (
-        "broad except handlers must re-raise, reference the bound "
-        "exception, log via log_event/logger, or increment an error "
-        "counter — or narrow the exception type"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -89,11 +89,6 @@ def _holds_lock(with_node: ast.With | ast.AsyncWith, self_name: str) -> bool:
 class LockDiscipline(Checker):
     rule = "RL002"
     name = "lock-discipline"
-    description = (
-        "instance-state mutations in classes declaring self._lock must "
-        "happen inside `with self._lock:` (init/repr and *_locked "
-        "methods exempt)"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

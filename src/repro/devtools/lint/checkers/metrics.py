@@ -28,10 +28,6 @@ NAME_RE = re.compile(r"repro_[a-z0-9_]+")
 class MetricsNaming(Checker):
     rule = "RL005"
     name = "metrics-naming"
-    description = (
-        "metric names carry the repro_ prefix, counters end _total "
-        "(and only counters do), and HELP text is present"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

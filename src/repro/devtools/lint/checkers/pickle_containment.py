@@ -5,9 +5,6 @@ Cluster payloads ride the typed job codec
 plus schema-checked arguments — data, never code — so nothing in
 ``src`` has any business importing a pickle-shaped serializer.  Any
 such import reopens a deserialize-to-RCE surface, silently.
-``SANCTIONED_SUFFIXES`` is kept (and
-kept empty) so a future exemption is one reviewed diff line, not a new
-mechanism.
 """
 
 from __future__ import annotations
@@ -27,24 +24,12 @@ FORBIDDEN_MODULES = frozenset(
     {"pickle", "cPickle", "_pickle", "dill", "cloudpickle", "shelve"}
 )
 
-#: Files allowed to use pickle (repo-relative posix suffixes).  Empty:
-#: the typed jobcodec carries every cluster payload.
-SANCTIONED_SUFFIXES: tuple[str, ...] = ()
-
 
 class PickleContainment(Checker):
     rule = "RL001"
     name = "pickle-containment"
-    description = (
-        "pickle (and pickle-shaped serializers) are banned from the "
-        "library: cluster payloads go through the typed job codec in "
-        "repro.service.jobcodec (registered names + schema-checked "
-        "arguments, never code)"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if SANCTIONED_SUFFIXES and ctx.rel_path.endswith(SANCTIONED_SUFFIXES):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

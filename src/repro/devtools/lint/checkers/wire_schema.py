@@ -29,10 +29,6 @@ JOBCODEC_SUFFIX = "service/jobcodec.py"
 class WireSchemaCoverage(Checker):
     rule = "RL006"
     name = "wire-schema-coverage"
-    description = (
-        "jobcodec envelope entry points must call check_payload_size, "
-        "and byte reads go through the bounds-checked _Decoder accessors"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.rel_path.endswith(JOBCODEC_SUFFIX):

@@ -1,36 +1,24 @@
-"""The lint framework: findings, suppressions, and the file walk.
+"""The lint framework: findings, the parsed file, and the file walk.
 
 Checkers are small ``ast`` visitors (one module per rule under
 :mod:`repro.devtools.lint.checkers`); everything shared lives here so
 a new rule costs ~50 lines:
 
-* :class:`Finding` — one diagnostic, with a content-based fingerprint
-  (rule + file + flagged-line text) so baselines survive line shifts;
-* :class:`FileContext` — a parsed file plus its inline suppressions
-  (``# repro-lint: disable=RL001[,RL002]`` on the flagged line or on a
-  standalone comment line directly above it);
+* :class:`Finding` — one diagnostic;
+* :class:`FileContext` — a parsed file, shared by every checker;
 * :class:`Checker` — the rule interface;
-* :func:`lint_paths` — parse each file once, dispatch to every
-  checker, drop suppressed findings.
+* :func:`lint_paths` — parse each file once, dispatch to every checker.
+
+Nothing excuses a finding: it is fixed in the code, or its rule
+changes in the checker along with a fixture.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
-import io
-import re
-import tokenize
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-#: Severity levels, strongest first (ordering used for sorting output).
-SEVERITIES = ("error", "warning")
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_*,\s]+)"
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,82 +26,13 @@ class Finding:
     """One diagnostic emitted by a checker."""
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
     message: str
-    snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining.
-
-        Content-based — rule + file + the flagged line's stripped text
-        — so inserting unrelated lines above a grandfathered finding
-        does not invalidate the baseline, while editing the flagged
-        line itself (i.e. touching the code in question) does.
-        """
-        basis = "\x00".join((self.rule, self.path, self.snippet))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} {self.severity}: {self.message}"
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class _Suppression:
-    rules: frozenset[str]
-    standalone: bool  # comment-only line → also covers the next line
-
-
-def parse_suppressions(source: str) -> dict[int, _Suppression]:
-    """Map line number → suppression parsed from ``# repro-lint:`` comments.
-
-    Tokenize-based (not regex-over-lines) so a ``repro-lint`` string
-    inside a string literal never counts as a directive.  Returns an
-    empty map for source that fails to tokenize — the parse error is
-    reported separately.
-    """
-    out: dict[int, _Suppression] = {}
-    lines = source.splitlines()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(tok.string)
-            if match is None:
-                continue
-            rules = frozenset(
-                part.strip()
-                for part in match.group(1).split(",")
-                if part.strip()
-            )
-            if not rules:
-                continue
-            lineno, col = tok.start
-            before = lines[lineno - 1][:col] if lineno <= len(lines) else ""
-            out[lineno] = _Suppression(
-                rules=rules, standalone=not before.strip()
-            )
-    except tokenize.TokenError:
-        return {}
-    return out
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 class FileContext:
@@ -123,68 +42,29 @@ class FileContext:
         self.path = path
         self.rel_path = rel_path
         self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=rel_path)
-        self.suppressions = parse_suppressions(source)
-
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """True if ``rule`` is disabled for ``line``.
-
-        A directive suppresses its own line; a *standalone* comment
-        line additionally suppresses the line directly below it.
-        """
-        own = self.suppressions.get(line)
-        if own is not None and ("*" in own.rules or rule in own.rules):
-            return True
-        above = self.suppressions.get(line - 1)
-        if (
-            above is not None
-            and above.standalone
-            and ("*" in above.rules or rule in above.rules)
-        ):
-            return True
-        return False
 
 
 class Checker:
     """Base class for one rule.
 
-    Subclasses set ``rule`` (stable ID), ``name``, ``description`` and
-    implement :meth:`check`.
+    Subclasses set ``rule`` (stable ID) and ``name`` and implement
+    :meth:`check`.
     """
 
     rule: str = "RL000"
     name: str = "unnamed"
-    severity: str = "error"
-    description: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        ctx: FileContext,
-        node: ast.AST | None,
-        message: str,
-        *,
-        line: int | None = None,
-        severity: str | None = None,
-    ) -> Finding:
-        lineno = line if line is not None else getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) if line is None else 0
+    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=self.rule,
-            severity=severity or self.severity,
             path=ctx.rel_path,
-            line=lineno,
-            col=col + 1,
+            line=node.lineno,
+            col=node.col_offset + 1,
             message=message,
-            snippet=ctx.snippet(lineno),
         )
 
 
@@ -238,7 +118,6 @@ def lint_paths(
             findings.append(
                 Finding(
                     rule="RL000",
-                    severity="error",
                     path=rel,
                     line=getattr(exc, "lineno", None) or 1,
                     col=1,
@@ -247,9 +126,7 @@ def lint_paths(
             )
     for ctx in contexts:
         for checker in checkers:
-            for finding in checker.check(ctx):
-                if not ctx.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
+            findings.extend(checker.check(ctx))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
     return findings, len(contexts)
 

@@ -1,29 +1,16 @@
 """The CLI runner behind ``python -m repro.devtools.lint``.
 
-Exit codes: 0 clean (all findings suppressed or baselined), 1 at
-least one new finding, 2 usage/configuration error.  ``repro.cli
-lint`` forwards here, so the two entry points can never diverge.
+Runs every rule over the given paths and prints one
+``path:line:col: RULE message`` line per finding, then a summary.
+Exit codes: 0 clean, 1 at least one finding, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-from collections import Counter
-from pathlib import Path
 
-from repro.devtools.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.lint.checkers import ALL_CHECKERS, checker_catalogue
+from repro.devtools.lint.checkers import ALL_CHECKERS
 from repro.devtools.lint.framework import lint_paths
-
-#: Stable JSON report schema version (tests pin the field set).
-REPORT_VERSION = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,107 +28,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=["src"],
         help="files or directories to lint (default: src)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings; defaults to "
-        f"{DEFAULT_BASELINE_NAME} in the current directory when present",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        dest="write_baseline",
-        help="write current findings as a fresh baseline and exit 0",
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        metavar="RL001,RL002",
-        help="comma-separated rule IDs to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        dest="list_rules",
-        help="print the rule catalogue and exit",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.list_rules:
-        for entry in checker_catalogue():
-            print(
-                f"{entry['rule']} {entry['name']} [{entry['severity']}]: "
-                f"{entry['description']}"
-            )
-        return 0
-
-    checkers = [cls() for cls in ALL_CHECKERS]
-    if args.rules is not None:
-        wanted = {part.strip() for part in args.rules.split(",") if part.strip()}
-        unknown = wanted - {c.rule for c in checkers}
-        if unknown:
-            print(
-                f"repro-lint: unknown rule(s): {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        checkers = [c for c in checkers if c.rule in wanted]
-
-    findings, files_scanned = lint_paths(args.paths, checkers)
-
-    if args.write_baseline is not None:
-        write_baseline(findings, args.write_baseline)
-        print(
-            f"repro-lint: wrote {len(findings)} finding(s) to baseline "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    baseline: Counter = Counter()
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE_NAME).is_file():
-        baseline_path = DEFAULT_BASELINE_NAME
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-    fresh, baselined = apply_baseline(findings, baseline)
-
-    if args.format == "json":
-        report = {
-            "version": REPORT_VERSION,
-            "files_scanned": files_scanned,
-            "baselined": baselined,
-            "findings": [f.to_dict() for f in fresh],
-        }
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for finding in fresh:
-            print(finding.render())
-        summary = (
-            f"repro-lint: {len(fresh)} finding(s) in {files_scanned} "
-            f"file(s)"
-        )
-        if baselined:
-            summary += f" ({baselined} baselined)"
-        print(summary)
-    return 1 if fresh else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    findings, files_scanned = lint_paths(
+        args.paths, [cls() for cls in ALL_CHECKERS]
+    )
+    for finding in findings:
+        print(finding.render())
+    print(
+        f"repro-lint: {len(findings)} finding(s) in {files_scanned} file(s)"
+    )
+    return 1 if findings else 0

@@ -1,27 +1,21 @@
 """Fixture matrix for repro-lint (repro.devtools.lint).
 
 Per rule: at least one positive (flagged) and one negative (clean)
-sample, plus framework behavior — suppression honoring, baseline
-round-trip and fingerprint stability, JSON report schema, runner exit
-codes — and the repo-level gates: ``src`` lints clean, and injecting
-a violation into a copy of the tree makes the run fail.
+sample, plus framework behavior — no comment silences a rule, the
+README's rule table is the rule list, runner output and exit codes —
+and the repo-level gates: ``src`` lints clean, and injecting a
+violation into a copy of the tree makes the run fail.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
+from test_service_codec import _readme_section, _table_rows
 
-from repro.devtools.lint import (
-    ALL_CHECKERS,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.devtools.lint import ALL_CHECKERS, lint_paths
 from repro.devtools.lint.runner import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -435,27 +429,28 @@ class TestWireSchemaJobcodec:
 
 
 # ----------------------------------------------------------------------
-# Suppressions
+# No escape hatches: a finding is fixed, or its rule changes
 # ----------------------------------------------------------------------
 
 
 class TestSuppressions:
-    def test_same_line_suppression(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {"a.py": "import pickle  # repro-lint: disable=RL001\n"},
-            rules={"RL001"},
-        )
-        assert findings == []
-
-    def test_standalone_comment_suppresses_next_line(self, tmp_path):
-        source = (
-            "# justification: exercised by the codec fixture\n"
-            "# repro-lint: disable=RL001\n"
-            "import pickle\n"
-        )
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(
+                "import pickle  # repro-lint: disable=RL001\n", id="same-line"
+            ),
+            pytest.param(
+                "# repro-lint: disable=*\nimport pickle\n", id="line-above"
+            ),
+            pytest.param(
+                "import pickle  # repro-lint: disable=*\n", id="star"
+            ),
+        ],
+    )
+    def test_disable_comments_are_ordinary_comments(self, tmp_path, source):
         findings = run_lint(tmp_path, {"a.py": source}, rules={"RL001"})
-        assert findings == []
+        assert [(f.path, f.rule) for f in findings] == [("a.py", "RL001")]
 
     def test_wrong_rule_id_does_not_suppress(self, tmp_path):
         findings = run_lint(
@@ -465,79 +460,23 @@ class TestSuppressions:
         )
         assert len(findings) == 1
 
-    def test_star_suppresses_everything(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            {"a.py": "import pickle  # repro-lint: disable=*\n"},
-            rules={"RL001"},
-        )
-        assert findings == []
-
     def test_directive_in_string_literal_is_not_a_directive(self, tmp_path):
         source = 'DOC = "# repro-lint: disable=RL001"\nimport pickle\n'
         findings = run_lint(tmp_path, {"a.py": source}, rules={"RL001"})
         assert len(findings) == 1
 
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_admits_grandfathered_findings(self, tmp_path):
-        findings = run_lint(
-            tmp_path, {"a.py": "import pickle\n"}, rules={"RL001"}
-        )
-        assert findings
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(findings, baseline_file)
-        fresh, baselined = apply_baseline(
-            findings, load_baseline(baseline_file)
-        )
-        assert fresh == []
-        assert baselined == len(findings)
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        original = run_lint(
-            tmp_path, {"a.py": "import pickle\n"}, rules={"RL001"}
-        )
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(original, baseline_file)
-        shifted = run_lint(
-            tmp_path,
-            {"a.py": "import json\n\n\nimport pickle\n"},
-            rules={"RL001"},
-        )
-        assert shifted[0].line != original[0].line
-        fresh, _ = apply_baseline(shifted, load_baseline(baseline_file))
-        assert fresh == []
-
-    def test_new_finding_is_not_admitted(self, tmp_path):
-        original = run_lint(
-            tmp_path, {"a.py": "import pickle\n"}, rules={"RL001"}
-        )
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(original, baseline_file)
-        grown = run_lint(
-            tmp_path,
-            {"a.py": "import pickle\nimport dill\n"},
-            rules={"RL001"},
-        )
-        fresh, baselined = apply_baseline(grown, load_baseline(baseline_file))
-        assert baselined == 1
-        assert len(fresh) == 1
-        assert "dill" in fresh[0].message
-
-    def test_malformed_baseline_is_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(bad)
+class TestReadmeCatalogue:
+    def test_rule_table_lists_every_checker_in_order(self):
+        rows = _table_rows(_readme_section("Static analysis"))
+        # Rule ID and name, row for row; the third column is prose.
+        assert [row.split(" | ")[:2] for row in rows] == [
+            [f"| `{cls.rule}`", cls.name] for cls in ALL_CHECKERS
+        ]
 
 
 # ----------------------------------------------------------------------
-# Runner: formats, exit codes, schema
+# Runner: output and exit codes
 # ----------------------------------------------------------------------
 
 
@@ -553,41 +492,21 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "RL001" in out and "bad.py:1:1" in out
 
-    def test_json_report_schema_is_stable(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import pickle\n", encoding="utf-8")
-        assert lint_main([str(tmp_path), "--format", "json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert set(report) == {
-            "version", "files_scanned", "baselined", "findings",
-        }
-        assert report["version"] == 1
-        (finding,) = report["findings"]
-        assert set(finding) == {
-            "rule", "severity", "path", "line", "col", "message",
-            "fingerprint",
-        }
-
-    def test_baseline_flag_gates_only_new_findings(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import pickle\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert (
-            lint_main([str(tmp_path), "--write-baseline", str(baseline)]) == 0
-        )
-        capsys.readouterr()
-        assert (
-            lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        )
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_unknown_rule_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path), "--rules", "RL999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_list_rules_covers_all_six(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
-            assert rule in out
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--baseline", "b.json"],
+            ["--write-baseline", "b.json"],
+            ["--format", "json"],
+            ["--rules", "RL001"],
+            ["--list-rules"],
+        ],
+        ids=["baseline", "write-baseline", "format", "rules", "list-rules"],
+    )
+    def test_retired_flags_are_usage_errors(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([str(tmp_path), *flags])
+        assert exit_info.value.code == 2
 
     def test_syntax_error_becomes_rl000_not_a_crash(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def f(:\n", encoding="utf-8")

@@ -4,15 +4,19 @@ The metrics registry is the substrate every plane records into
 (README "Observability"), so its semantics are pinned here in
 isolation: instrument identity, label validation, cardinality
 overflow, histogram bucketing, Prometheus rendering, and thread
-safety under concurrent recording.
+safety under concurrent recording — and every series ``src``
+registers has a row in that section's catalogue.
 """
 
+import ast
 import json
 import logging
+import pathlib
 import threading
 import urllib.request
 
 import pytest
+from test_service_codec import _readme_section
 
 from repro.obs.http import MetricsServer
 from repro.obs.logging import (
@@ -37,6 +41,8 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
 )
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestCounters:
@@ -318,3 +324,25 @@ class TestMetricsHttp:
             assert snap["repro_scraped_total"]["values"][0]["value"] == 4
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"{base}/nope")
+
+
+class TestMetricCatalogue:
+    def test_every_registered_metric_is_in_the_readme(self):
+        """Each ``repro_*`` name ``src`` registers through a string
+        literal, plus the two process-identity series, has a row (or a
+        sentence) in README "Observability"."""
+        registered = {"repro_build_info", "repro_uptime_seconds"}
+        for path in (REPO_ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and str(node.args[0].value).startswith("repro_")
+                ):
+                    registered.add(node.args[0].value)
+        assert "repro_spans_dropped_total" in registered  # the walk ran
+        section = _readme_section("Observability")
+        assert [n for n in sorted(registered) if f"`{n}`" not in section] == []
