@@ -1,17 +1,17 @@
-"""Cluster straggler — adaptive vs fixed chunking with one slow worker.
+"""Cluster straggler — one slow worker costs the map little.
 
 The one scheduler claim the performance ledger cannot express, because
-it is a *ratio between two policies* on the same code and not a speed
-of one: with one of four workers artificially slowed (the
-``--throttle`` straggler hook), throughput-aware chunk sizing must
-beat fixed-size chunking by >= 10%.  The EWMA scheduler learns the
-straggler's rate and strands less work on it, exactly the
-feedback-driven allocation the storage-subnet related repo applies
-to heterogeneous miners.  It is the evidence for the
-``--cluster-chunk-min/max`` knobs (README "Cluster tuning").
+it is a *ratio between two pools* on the same code and not a speed of
+one: with one of four workers artificially slowed (the ``--throttle``
+straggler hook), the shipped chunk policy (throughput-sized chunks,
+factoring at the tail — ``repro.engine.cluster.scheduler``) must finish
+the map within 1.3x of the same map on the three unthrottled workers
+alone.  The EWMA scheduler learns the straggler's rate and strands
+little work on it: its chunks shrink to a couple of jobs while the
+fast workers' grow, and the tail leaves as single jobs.
 
 Results are byte-identical to serial on every worker count and chunk
-policy — pinned by tests/test_engine_cluster.py — so only wall-clock
+layout — pinned by tests/test_engine_cluster.py — so only wall-clock
 is at stake.  Hosts with fewer than 4 cores record the measurement
 honestly in the table and skip the assertion (worker daemons then
 share cores with the coordinator, which measures contention, not
@@ -30,12 +30,10 @@ from _cluster_jobs import bench_item
 from repro.analysis import format_table
 from repro.engine import ClusterExecutor, default_workers
 
-SKEW_WORKERS = 4  # external daemons; the first one is throttled
-SKEW_THROTTLE_S = 0.08
+FAST_WORKERS = 3  # external daemons at full speed
+SKEW_THROTTLE_S = 0.08  # per-job delay of the one extra, slow daemon
 SKEW_ITEMS = 96
-FIXED_CHUNK = 4  # min == max: the static baseline
-ADAPTIVE_MIN, ADAPTIVE_MAX = 1, 8
-TARGET_SKEW_GAIN = 1.10
+MAX_STRAGGLER_COST = 1.30  # skewed pool / fast workers alone
 
 
 def _free_port() -> int:
@@ -56,7 +54,6 @@ def _spawn_worker(port: int, worker_id: str, throttle: float) -> subprocess.Pope
         sys.executable, "-c", entry,
         "--host", "127.0.0.1",
         "--port", str(port),
-        "--engine", "serial",
         "--id", worker_id,
         "--heartbeat", "0.5",
         "--connect-retry", "30",
@@ -67,23 +64,21 @@ def _spawn_worker(port: int, worker_id: str, throttle: float) -> subprocess.Pope
     return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
 
 
-def _run_skewed(chunk_min: int, chunk_max: int) -> tuple[float, dict]:
-    """Map the items over 4 external workers, one throttled."""
+def _run(with_straggler: bool) -> tuple[float, dict]:
+    """Map the items over the fast workers, plus one throttled if asked."""
     port = _free_port()
+    throttles = [0.0] * FAST_WORKERS
+    if with_straggler:
+        throttles.insert(0, SKEW_THROTTLE_S)
     procs = [
-        _spawn_worker(
-            port, f"skew-{i}", SKEW_THROTTLE_S if i == 0 else 0.0
-        )
-        for i in range(SKEW_WORKERS)
+        _spawn_worker(port, f"skew-{i}", throttle)
+        for i, throttle in enumerate(throttles)
     ]
     try:
         with ClusterExecutor(
             port=port,
             spawn_local=False,
-            min_workers=SKEW_WORKERS,
-            chunk_min=chunk_min,
-            chunk_max=chunk_max,
-            chunk_target_s=0.2,
+            min_workers=len(procs),
             startup_timeout=60.0,
         ) as executor:
             start = time.perf_counter()
@@ -104,39 +99,37 @@ def _run_skewed(chunk_min: int, chunk_max: int) -> tuple[float, dict]:
                 proc.wait(timeout=5.0)
 
 
-def test_adaptive_beats_fixed_chunking_with_straggler(save_table):
+def test_one_straggler_costs_the_map_at_most_30_percent(save_table):
     cores = default_workers()
 
-    fixed_t, fixed_stats = _run_skewed(FIXED_CHUNK, FIXED_CHUNK)
-    adaptive_t, adaptive_stats = _run_skewed(ADAPTIVE_MIN, ADAPTIVE_MAX)
+    fast_t, fast_stats = _run(with_straggler=False)
+    skewed_t, skewed_stats = _run(with_straggler=True)
 
     assertable = cores >= 4
-    if assertable and fixed_t / adaptive_t < TARGET_SKEW_GAIN:
+    if assertable and skewed_t / fast_t > MAX_STRAGGLER_COST:
         # Shared CI runners are noisy: best-of-two before judging.
-        retry_fixed, retry_fixed_stats = _run_skewed(FIXED_CHUNK, FIXED_CHUNK)
-        if retry_fixed < fixed_t:  # each policy keeps its best run
-            fixed_t, fixed_stats = retry_fixed, retry_fixed_stats
-        retry_adaptive, retry_adaptive_stats = _run_skewed(
-            ADAPTIVE_MIN, ADAPTIVE_MAX
-        )
-        if retry_adaptive < adaptive_t:
-            adaptive_t, adaptive_stats = retry_adaptive, retry_adaptive_stats
+        retry_fast, retry_fast_stats = _run(with_straggler=False)
+        if retry_fast < fast_t:  # each pool keeps its best run
+            fast_t, fast_stats = retry_fast, retry_fast_stats
+        retry_skewed, retry_skewed_stats = _run(with_straggler=True)
+        if retry_skewed < skewed_t:
+            skewed_t, skewed_stats = retry_skewed, retry_skewed_stats
 
-    gain = fixed_t / adaptive_t
+    cost = skewed_t / fast_t
     rows = [
         {
-            "policy": f"fixed (chunk={FIXED_CHUNK})",
-            "elapsed_s": round(fixed_t, 4),
-            "items_per_s": round(SKEW_ITEMS / fixed_t, 1),
-            "chunks": fixed_stats["chunks_completed"],
-            "gain_vs_fixed": 1.0,
+            "pool": f"{FAST_WORKERS} fast workers",
+            "elapsed_s": round(fast_t, 4),
+            "items_per_s": round(SKEW_ITEMS / fast_t, 1),
+            "chunks": fast_stats["chunks_completed"],
+            "vs_fast_alone": 1.0,
         },
         {
-            "policy": f"adaptive ({ADAPTIVE_MIN}..{ADAPTIVE_MAX})",
-            "elapsed_s": round(adaptive_t, 4),
-            "items_per_s": round(SKEW_ITEMS / adaptive_t, 1),
-            "chunks": adaptive_stats["chunks_completed"],
-            "gain_vs_fixed": round(gain, 2),
+            "pool": f"{FAST_WORKERS} fast + 1 throttled",
+            "elapsed_s": round(skewed_t, 4),
+            "items_per_s": round(SKEW_ITEMS / skewed_t, 1),
+            "chunks": skewed_stats["chunks_completed"],
+            "vs_fast_alone": round(cost, 2),
         },
     ]
     save_table(
@@ -144,7 +137,7 @@ def test_adaptive_beats_fixed_chunking_with_straggler(save_table):
         format_table(
             rows,
             title=(
-                f"Skewed cluster — {SKEW_WORKERS} workers, one throttled "
+                f"Skewed cluster — one extra worker throttled "
                 f"{SKEW_THROTTLE_S * 1e3:.0f} ms/job, {SKEW_ITEMS} items, "
                 f"{cores} core(s)"
             ),
@@ -152,9 +145,9 @@ def test_adaptive_beats_fixed_chunking_with_straggler(save_table):
     )
 
     if assertable:
-        assert gain >= TARGET_SKEW_GAIN, (
-            f"adaptive chunking should beat fixed chunking by >= "
-            f"{(TARGET_SKEW_GAIN - 1) * 100:.0f}% with a straggler "
-            f"(measured {gain:.2f}x: fixed {fixed_t:.3f}s, "
-            f"adaptive {adaptive_t:.3f}s)"
+        assert cost <= MAX_STRAGGLER_COST, (
+            f"one throttled worker should cost the map at most "
+            f"{MAX_STRAGGLER_COST:.1f}x the fast workers alone "
+            f"(measured {cost:.2f}x: fast alone {fast_t:.3f}s, "
+            f"with straggler {skewed_t:.3f}s)"
         )

@@ -28,11 +28,10 @@ that run many independent protocol executions (``eq2``,
 ``population``) additionally accept ``--engine
 serial|threads|processes|cluster`` and ``--workers N`` to pick the
 execution backend (see :mod:`repro.engine`); backends change
-wall-clock only, never results.  ``--engine cluster`` self-hosts
-``--cluster-workers N`` local worker daemons and exposes the adaptive
-scheduler's tuning surface — ``--cluster-chunk-min``/``max`` bound the
-throughput-sized chunks (README "Cluster tuning").  The multi-host
-recipe (one coordinator, workers on other machines) is in the README.
+wall-clock only, never results.  ``--engine cluster --workers N``
+self-hosts N local worker daemons.  The multi-host recipe (one
+coordinator, one worker daemon per core on other machines) is in the
+README.
 
 Transport security (README "Security model"): ``--secret-file`` gates
 every connection behind the mutual repro.net HMAC handshake,
@@ -69,7 +68,7 @@ from repro.cheating.regrind import expected_regrind_attempts, run_regrind_attack
 from repro.core import CBSScheme, predicted_rco
 from repro.baselines import NaiveSamplingScheme
 from repro.engine import ENGINE_NAMES, get_executor
-from repro.engine.cluster.worker import add_worker_args, run_worker_sync
+from repro.engine.cluster.worker import add_worker_args, run_parsed
 from repro.exceptions import ReproError
 from repro.grid import run_population
 from repro.merkle import get_hash
@@ -147,7 +146,7 @@ def _cmd_eq2(args: argparse.Namespace) -> int:
     # One warm pool across all four m-values (the loop would otherwise
     # spawn and tear down a process pool per cell).
     with get_executor(
-        args.engine, _engine_workers(args), **_engine_options(args)
+        args.engine, args.workers, **_engine_options(args)
     ) as executor:
         for m in (1, 2, 4, 8):
             estimate = estimate_escape_rate(
@@ -315,9 +314,9 @@ def _cmd_population(args: argparse.Namespace) -> int:
     behaviors = [HonestBehavior(), SemiHonestCheater(args.r)]
     start = time.perf_counter()
     # The executor is built here (not inside run_population) so the
-    # cluster tuning flags reach the backend constructor.
+    # cluster-plane flags reach the backend constructor.
     with _traced_run(args), get_executor(
-        args.engine, _engine_workers(args), **_engine_options(args)
+        args.engine, args.workers, **_engine_options(args)
     ) as executor:
         report = run_population(
             domain,
@@ -377,7 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = SupervisorServer(
             config,
             engine=args.engine,
-            workers=_engine_workers(args),
+            workers=args.workers,
             engine_options=_engine_options(args, service_plane=True),
             security=_service_security(args),
             session_ttl=args.session_ttl,
@@ -522,10 +521,12 @@ async def _loadgen_connect(args, behaviors):
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     behaviors = [HonestBehavior(), SemiHonestCheater(args.r)]
+    if (args.host is None) != (args.port is None):
+        # One without the other is a half-stated address: neither
+        # self-host silently nor guess the missing half.
+        print("loadgen: --host and --port go together", file=sys.stderr)
+        return 2
     if args.host is not None:
-        if args.port is None:
-            print("loadgen: --host requires --port", file=sys.stderr)
-            return 2
         print(
             "connected mode: the supervisor's own config governs the "
             "workload — local --n/--m/--protocol/--workload/--seed/"
@@ -542,7 +543,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                     behaviors,
                     transport="tcp",
                     engine=args.engine,
-                    workers=_engine_workers(args),
+                    workers=args.workers,
                     engine_options=_engine_options(args, service_plane=True),
                     security=_service_security(args),
                     concurrency=args.concurrency,
@@ -596,6 +597,28 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ask_supervisor(args: argparse.Namespace, request):
+    """One authenticated request to the supervisor at ``--connect``.
+
+    Opens a :class:`ServiceClient` with the ``--secret-file`` /
+    ``--tls-cert`` material (:func:`_add_connect_args`), returns what
+    ``request(client)`` answers and closes the client.
+    """
+    host, port = args.connect
+    security = SecurityConfig.from_options(
+        secret_file=args.secret_file, tls_cert=args.tls_cert
+    )
+
+    async def ask():
+        client = await ServiceClient.open_tcp(host, port, security=security)
+        try:
+            return await request(client)
+        finally:
+            await client.close()
+
+    return asyncio.run(ask())
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Fetch a running supervisor's live metrics snapshot.
 
@@ -603,24 +626,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     it works wherever a participant could connect — including supervisors
     with no ``--metrics-port`` exposed.
     """
-    host, _, port_s = args.connect.rpartition(":")
-    if not host or not port_s.isdigit():
-        print("stats: --connect must be HOST:PORT", file=sys.stderr)
-        return 2
-    security = SecurityConfig.from_options(
-        secret_file=args.secret_file, tls_cert=args.tls_cert
-    )
-
-    async def fetch() -> dict:
-        client = await ServiceClient.open_tcp(
-            host, int(port_s), security=security
-        )
-        try:
-            return await client.stats()
-        finally:
-            await client.close()
-
-    snapshot = asyncio.run(fetch())
+    snapshot = _ask_supervisor(args, ServiceClient.stats)
     if args.json:
         json.dump(snapshot, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -645,7 +651,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 }
             )
     if rows:
-        print(format_table(rows, title=f"Supervisor metrics — {args.connect}"))
+        host, port = args.connect
+        print(format_table(rows, title=f"Supervisor metrics — {host}:{port}"))
     else:
         print("no metrics recorded yet")
     return 0
@@ -688,25 +695,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print("trace: --trace-id is required with --connect",
                   file=sys.stderr)
             return 2
-        host, _, port_s = args.connect.rpartition(":")
-        if not host or not port_s.isdigit():
-            print("trace: --connect must be HOST:PORT", file=sys.stderr)
-            return 2
-        security = SecurityConfig.from_options(
-            secret_file=args.secret_file, tls_cert=args.tls_cert
-        )
         trace_id = args.trace_id
-
-        async def fetch() -> list[dict]:
-            client = await ServiceClient.open_tcp(
-                host, int(port_s), security=security
-            )
-            try:
-                return await client.trace(trace_id)
-            finally:
-                await client.close()
-
-        spans = [Span.from_wire(wire) for wire in asyncio.run(fetch())]
+        wires = _ask_supervisor(args, lambda client: client.trace(trace_id))
+        spans = [Span.from_wire(wire) for wire in wires]
     if not spans:
         if trace_id is None:
             print("no traced spans in this dump (run with --trace to "
@@ -717,25 +708,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spans.sort(key=lambda s: s.start_wall)
     print(render_waterfall(spans))
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    return run_worker_sync(
-        args.host,
-        args.port,
-        engine=args.engine,
-        workers=args.workers,
-        worker_id=args.worker_id,
-        heartbeat_interval=args.heartbeat_interval,
-        throttle=args.throttle,
-        connect_retry_s=args.connect_retry_s,
-        secret_file=args.secret_file,
-        tls_cert=args.tls_cert,
-        trace=args.trace,
-        metrics_port=args.metrics_port,
-        flight_dir=args.flight_dir,
-        preload=tuple(args.preload or ()),
-    )
 
 
 def _positive_int(value: str) -> int:
@@ -766,30 +738,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=None,
-        help="pool size for threads/processes (default: CPU count)",
-    )
-    parser.add_argument(
-        "--cluster-workers",
-        type=_positive_int,
-        default=None,
-        dest="cluster_workers",
-        help="local worker daemons to self-host with --engine cluster "
-        "(default: --workers, else CPU count)",
-    )
-    parser.add_argument(
-        "--cluster-chunk-min",
-        type=_positive_int,
-        default=None,
-        dest="cluster_chunk_min",
-        help="smallest adaptive chunk (jobs) the cluster scheduler sends; "
-        "set min == max for fixed-size chunking",
-    )
-    parser.add_argument(
-        "--cluster-chunk-max",
-        type=_positive_int,
-        default=None,
-        dest="cluster_chunk_max",
-        help="largest adaptive chunk (jobs) the cluster scheduler sends",
+        help="pool size for threads/processes, or the local worker "
+        "daemons --engine cluster self-hosts (default: CPU count)",
     )
     _add_security_args(parser)
 
@@ -835,35 +785,40 @@ def _add_security_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_workers(args: argparse.Namespace) -> int | None:
-    """The worker count the chosen backend actually consumes.
+def _host_port(value: str) -> tuple[str, int]:
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(f"must be HOST:PORT, got {value!r}")
+    return host, int(port)
 
-    ``--cluster-workers`` wins for the cluster backend, but a bare
-    ``--engine cluster --workers N`` still means N daemons — silently
-    ignoring an explicit ``--workers`` would surprise.
-    """
-    if args.engine == "cluster" and args.cluster_workers is not None:
-        return args.cluster_workers
-    return args.workers
+
+def _add_connect_args(
+    parser: argparse.ArgumentParser, *, required: bool, help: str
+) -> None:
+    """``--connect HOST:PORT`` plus the dialling side's half of the
+    security flags — a secret to prove, a certificate to pin — for the
+    subcommands that ask a running supervisor (``stats``, ``trace``)."""
+    parser.add_argument("--connect", required=required, default=None,
+                        type=_host_port, metavar="HOST:PORT", help=help)
+    parser.add_argument("--secret-file", default=None, dest="secret_file",
+                        help="shared secret to authenticate with")
+    parser.add_argument("--tls-cert", default=None, dest="tls_cert",
+                        help="supervisor TLS certificate to pin")
 
 
 def _engine_options(
     args: argparse.Namespace, service_plane: bool = False
 ) -> dict:
-    """Cluster tuning knobs as ``get_executor`` keyword options.
+    """Cluster-plane options as ``get_executor`` keyword options.
 
-    Collected regardless of ``--engine``: passing a cluster knob to an
-    in-process backend is an error the engine layer raises loudly —
-    never a silently ignored flag.  The security flags follow the same
-    rule, except under ``service_plane=True`` (``serve``/``loadgen``),
-    where a non-cluster engine leaves them to the participant socket
-    (see :func:`_service_security`) instead of erroring.
+    The security flags are collected regardless of ``--engine``:
+    passing one to an in-process backend is an error the engine layer
+    raises loudly — never a silently ignored flag — except under
+    ``service_plane=True`` (``serve``/``loadgen``), where a non-cluster
+    engine leaves them to the participant socket (see
+    :func:`_service_security`) instead of erroring.
     """
     options: dict = {}
-    if args.cluster_chunk_min is not None:
-        options["chunk_min"] = args.cluster_chunk_min
-    if args.cluster_chunk_max is not None:
-        options["chunk_max"] = args.cluster_chunk_max
     # --cluster-secret-file always wins for the cluster plane (and is
     # passed through — hence rejected loudly — for in-process engines);
     # a bare --secret-file reaches the cluster only where no service
@@ -1025,14 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch a running supervisor's live metrics snapshot "
         "over the authenticated service protocol",
     )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="supervisor address to query")
+    _add_connect_args(p, required=True, help="supervisor address to query")
     p.add_argument("--json", action="store_true",
                    help="print the raw JSON snapshot")
-    p.add_argument("--secret-file", default=None, dest="secret_file",
-                   help="shared secret to authenticate with")
-    p.add_argument("--tls-cert", default=None, dest="tls_cert",
-                   help="supervisor TLS certificate to pin")
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser(
@@ -1042,19 +992,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=("view",),
                    help="what to do with the trace")
-    p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                   help="fetch spans from this supervisor over the "
-                   "authenticated service protocol")
+    _add_connect_args(
+        p, required=False,
+        help="fetch spans from this supervisor over the authenticated "
+        "service protocol",
+    )
     p.add_argument("--trace-id", default=None, dest="trace_id",
                    help="trace id (printed as '[trace ID]' by --trace "
                    "runs; required with --connect)")
     p.add_argument("--dump", default=None, metavar="PATH",
                    help="render from a flight-recorder JSON artifact "
                    "instead of a live server")
-    p.add_argument("--secret-file", default=None, dest="secret_file",
-                   help="shared secret to authenticate with")
-    p.add_argument("--tls-cert", default=None, dest="tls_cert",
-                   help="supervisor TLS certificate to pin")
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
@@ -1063,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator (see README for the multi-host recipe)",
     )
     add_worker_args(p)
-    p.set_defaults(fn=_cmd_worker)
+    p.set_defaults(fn=run_parsed)
 
     p = sub.add_parser("demo", help="one narrated CBS run")
     p.add_argument("--n", type=int, default=4096)
@@ -1079,9 +1027,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
     Configuration errors (an unreadable ``--secret-file``, a
-    ``--tls-key`` without its cert, a cluster knob on an in-process
-    engine) surface as one clean line on stderr and exit code 2 —
-    the same UX the ``worker`` daemon already had — not a traceback.
+    ``--tls-key`` without its cert, a cluster security flag on an
+    in-process engine) surface as one clean line on stderr and exit
+    code 2 — the same UX the ``worker`` daemon already had — not a
+    traceback.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -40,10 +40,9 @@ small protocol:
     across remote worker daemons over TCP (heartbeats, bounded
     in-flight windows, requeue from dead/slow workers, at-most-once
     results).  Scheduling is throughput-adaptive — per-worker EWMA
-    rates size each outgoing chunk within ``chunk_min``/``chunk_max``
-    — and each chunk's outcomes come home in one ``result`` frame;
-    :func:`~repro.engine.executor.get_executor` forwards the knobs as
-    keyword options.  See
+    rates size each outgoing chunk, under one fixed policy — and each
+    chunk's outcomes come home in one ``result`` frame; each worker
+    daemon is one serial process.  See
     :mod:`repro.engine.cluster`.  Imported lazily so the in-process
     backends stay free of the service layer.
 

@@ -15,16 +15,17 @@ flag gain multi-host dispatch by naming ``"cluster"``.
   coordinator: worker registry, heartbeat/EOF liveness, bounded
   per-worker in-flight windows, **throughput-adaptive chunk sizing**
   (per-worker EWMA jobs/sec decide how many jobs each outgoing chunk
-  carries, within ``chunk_min``/``chunk_max``), requeue of chunks from
+  carries — one fixed policy, see
+  :mod:`repro.engine.cluster.scheduler`), requeue of chunks from
   dead or slow workers with at-most-once result acceptance (chunk ids
   are single-use, so a straggler's late result is dropped exactly
   once), ordered reassembly.
-* :mod:`repro.engine.cluster.worker` — the worker daemon: registers,
-  decodes job specs through a bounded LRU scheme cache (one scheme
-  construction per population per worker process, not per chunk),
-  executes chunks on a local engine, answers each chunk with its
-  per-job outcomes in one ``result`` frame, and never dies because of
-  a job.
+* :mod:`repro.engine.cluster.worker` — the worker daemon, one serial
+  process: registers, decodes job specs through a bounded LRU scheme
+  cache (one scheme construction per population, not per chunk),
+  executes one chunk at a time, answers each chunk with its per-job
+  outcomes in one ``result`` frame, and never dies because of a job.
+  A host uses its cores by running one daemon per core.
 
 Parity: a cluster run produces byte-identical
 :class:`~repro.grid.report.DetectionReport`'s to the serial backend —
@@ -45,11 +46,6 @@ from repro.engine.cluster.coordinator import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     ClusterExecutor,
 )
-from repro.engine.cluster.scheduler import (
-    DEFAULT_CHUNK_MAX,
-    DEFAULT_CHUNK_MIN,
-    DEFAULT_CHUNK_TARGET_S,
-)
 from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL
 from repro.engine.cluster.worker import (
     default_worker_id,
@@ -62,9 +58,6 @@ from repro.engine.cluster.worker import (
 
 __all__ = [
     "ClusterExecutor",
-    "DEFAULT_CHUNK_MAX",
-    "DEFAULT_CHUNK_MIN",
-    "DEFAULT_CHUNK_TARGET_S",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "default_worker_id",

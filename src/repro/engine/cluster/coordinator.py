@@ -24,7 +24,7 @@ holds writers and tasks, and no scheduling state.
 
 Deployment modes: **spawn-local** (default — the coordinator launches
 ``workers`` daemon subprocesses on this host; benches, tests, and the
-CLI's ``--engine cluster --cluster-workers N``) and **external**
+CLI's ``--engine cluster --workers N``) and **external**
 (``spawn_local=False`` — bind a fixed port and let operators start
 workers on other hosts with ``python -m repro.cli worker``;
 ``min_workers`` optionally blocks the first dispatch until that many
@@ -50,12 +50,7 @@ import time
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
-from repro.engine.cluster.scheduler import (
-    DEFAULT_CHUNK_MAX,
-    DEFAULT_CHUNK_MIN,
-    DEFAULT_CHUNK_TARGET_S,
-    Scheduler,
-)
+from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.executor import Executor, _metered_map, default_workers
 from repro.exceptions import EngineError, ReproError
 from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL, SecurityConfig
@@ -110,13 +105,11 @@ class _Coordinator:
     def __init__(
         self,
         *,
-        max_frame: int,
         more_workers_expected: Callable[[], bool],
         security: SecurityConfig | None = None,
         registry: MetricsRegistry | None = None,
         **scheduling,
     ) -> None:
-        self.max_frame = max_frame
         self.security = security
         self._more_workers_expected = more_workers_expected
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -209,7 +202,7 @@ class _Coordinator:
 
     async def _send_chunk(self, worker_id: str, writer, frame: JobFrame) -> None:
         try:
-            await write_frame(writer, frame, max_frame=self.max_frame)
+            await write_frame(writer, frame, max_frame=MAX_CLUSTER_FRAME_BYTES)
         except Exception as exc:
             # The link is dead mid-write; the scheduler requeues the
             # chunk.  Counted and logged — a worker vanishing on the
@@ -244,7 +237,9 @@ class _Coordinator:
     async def _say_bye(self, writer, reason: str) -> None:
         with contextlib.suppress(Exception):
             await write_frame(
-                writer, ByeFrame(reason=reason), max_frame=self.max_frame
+                writer,
+                ByeFrame(reason=reason),
+                max_frame=MAX_CLUSTER_FRAME_BYTES,
             )
 
     async def _serve_worker(self, reader, writer) -> None:
@@ -266,7 +261,7 @@ class _Coordinator:
                         error=str(exc),
                     )
                     return
-            frame = await read_frame(reader, max_frame=self.max_frame)
+            frame = await read_frame(reader, max_frame=MAX_CLUSTER_FRAME_BYTES)
             if not isinstance(frame, WorkerHello):
                 await self._say_bye(writer, "expected hello")
                 return
@@ -295,7 +290,9 @@ class _Coordinator:
             self.writers[worker_id] = writer
             self.scheduler.worker_joined(worker_id, frame.capacity)
             while True:
-                frame = await read_frame(reader, max_frame=self.max_frame)
+                frame = await read_frame(
+                    reader, max_frame=MAX_CLUSTER_FRAME_BYTES
+                )
                 if frame is None or isinstance(frame, ByeFrame):
                     return
                 # A heartbeat is only a sign of life; anything else but
@@ -349,16 +346,16 @@ class ClusterExecutor(Executor):
 
     ``workers`` is the number of *local worker daemons* to spawn in
     the default self-hosting mode (tests, benches, ``--engine cluster
-    --cluster-workers N``).  With ``spawn_local=False`` the coordinator
+    --workers N``).  With ``spawn_local=False`` the coordinator
     only binds ``host:port`` and serves whatever external workers
     register — start them with ``python -m repro.cli worker --host
-    <coordinator> --port <port>`` on any number of hosts
+    <coordinator> --port <port>``, one per core, on any number of hosts
     (``min_workers`` blocks the first dispatch until that many joined).
 
-    Tuning surface (see README "Cluster tuning"): ``chunk_min`` /
-    ``chunk_max`` bound the adaptive per-worker chunk size and
-    ``chunk_target_s`` sets how many seconds of work one chunk should
-    carry.
+    Chunk sizing is one fixed policy
+    (:mod:`repro.engine.cluster.scheduler`); what remains to set is
+    liveness — ``heartbeat_interval``/``heartbeat_timeout``,
+    ``job_timeout``, ``max_attempts`` (README "Cluster tuning").
 
     Security surface (see README "Security model"): ``secret_file``
     enables the mutual repro.net HMAC handshake — every worker must
@@ -385,21 +382,14 @@ class ClusterExecutor(Executor):
         port: int = 0,
         spawn_local: bool = True,
         min_workers: int | None = None,
-        worker_engine: str = "serial",
-        worker_processes: int | None = None,
-        window_depth: int = 2,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         job_timeout: float | None = None,
         max_attempts: int = 3,
-        chunk_min: int = DEFAULT_CHUNK_MIN,
-        chunk_max: int = DEFAULT_CHUNK_MAX,
-        chunk_target_s: float = DEFAULT_CHUNK_TARGET_S,
         secret_file: str | None = None,
         tls_cert: str | None = None,
         tls_key: str | None = None,
         startup_timeout: float = 60.0,
-        max_frame: int = MAX_CLUSTER_FRAME_BYTES,
         registry: MetricsRegistry | None = None,
         trace: bool = False,
         span_buffer: SpanBuffer | None = None,
@@ -409,20 +399,8 @@ class ClusterExecutor(Executor):
             raise EngineError(f"workers must be >= 1, got {workers}")
         if min_workers is not None and min_workers < 1:
             raise EngineError(f"min_workers must be >= 1, got {min_workers}")
-        if window_depth < 1:
-            raise EngineError(f"window_depth must be >= 1, got {window_depth}")
         if max_attempts < 1:
             raise EngineError(f"max_attempts must be >= 1, got {max_attempts}")
-        if chunk_min < 1:
-            raise EngineError(f"chunk_min must be >= 1, got {chunk_min}")
-        if chunk_max < chunk_min:
-            raise EngineError(
-                f"chunk_max ({chunk_max}) must be >= chunk_min ({chunk_min})"
-            )
-        if chunk_target_s <= 0:
-            raise EngineError(
-                f"chunk_target_s must be positive, got {chunk_target_s}"
-            )
         if heartbeat_interval <= 0:
             raise EngineError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
@@ -439,8 +417,6 @@ class ClusterExecutor(Executor):
             raise EngineError(
                 f"startup_timeout must be positive, got {startup_timeout}"
             )
-        if worker_engine == "cluster":
-            raise EngineError("cluster workers cannot use the cluster engine")
         # Security material (repro.net): shared-secret HMAC auth gates
         # every worker connection before any frame is decoded; the TLS
         # cert/key pair encrypts the wire.  A TLS coordinator needs
@@ -473,18 +449,11 @@ class ClusterExecutor(Executor):
         self._port = port
         self._spawn_local = spawn_local
         self._min_workers = min_workers
-        self._worker_engine = worker_engine
-        self._worker_processes = worker_processes
-        self._window_depth = window_depth
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._job_timeout = job_timeout
         self._max_attempts = max_attempts
-        self._chunk_min = chunk_min
-        self._chunk_max = chunk_max
-        self._chunk_target_s = chunk_target_s
         self._startup_timeout = startup_timeout
-        self._max_frame = max_frame
         self._registry = registry
         self._trace = trace
         self._span_buffer = span_buffer
@@ -662,14 +631,9 @@ class ClusterExecutor(Executor):
             )
             thread.start()
             co = _Coordinator(
-                max_frame=self._max_frame,
-                window_depth=self._window_depth,
                 heartbeat_timeout=self._heartbeat_timeout,
                 job_timeout=self._job_timeout,
                 max_attempts=self._max_attempts,
-                chunk_min=self._chunk_min,
-                chunk_max=self._chunk_max,
-                chunk_target_s=self._chunk_target_s,
                 more_workers_expected=self._more_workers_expected,
                 security=self._security,
                 registry=self._registry,
@@ -711,12 +675,9 @@ class ClusterExecutor(Executor):
                 sys.executable, "-c", entry,
                 "--host", host,
                 "--port", str(port),
-                "--engine", self._worker_engine,
                 "--id", f"local-{i}",
                 "--heartbeat", str(self._heartbeat_interval),
             ]
-            if self._worker_processes is not None:
-                cmd += ["--workers", str(self._worker_processes)]
             for module_name in self._worker_preload:
                 cmd += ["--preload", module_name]
             if self._secret_file is not None:

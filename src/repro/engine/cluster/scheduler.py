@@ -31,7 +31,8 @@ callables: ``send(worker_id, JobFrame)`` (ship one chunk) and
 ``hang_up(worker_id)`` (the scheduler dropped this worker: close its
 connection).  Neither may call back into the scheduler synchronously.
 
-Topology and scheduling:
+Topology and scheduling — one fixed policy, not a tuning surface (the
+constants below; only tests construct a ``Scheduler`` with others):
 
 * each worker gets a **bounded in-flight window** (capacity ×
   ``window_depth`` chunks): a slow worker fills its window and simply
@@ -99,26 +100,31 @@ from repro.service.codec import (
     encode_cluster_chunk,
 )
 
-#: Smallest chunk the adaptive scheduler will send while the queue
-#: holds at least that many jobs per window slot (see ``_chunk_size``).
-#: One job is the probing size: an unmeasured (or demoted) worker costs
-#: at most one job's latency to size up.
-DEFAULT_CHUNK_MIN = 1
+# Smallest chunk the adaptive scheduler will send while the queue
+# holds at least that many jobs per window slot (see ``_chunk_size``).
+# One job is the probing size: an unmeasured (or demoted) worker costs
+# at most one job's latency to size up.
+_CHUNK_MIN = 1
 
-#: Largest chunk the adaptive scheduler will send.  Bounds both the
-#: work stranded on a worker that dies and the result bytes one frame
-#: has to carry.
-DEFAULT_CHUNK_MAX = 32
+# Largest chunk the adaptive scheduler will send.  Bounds both the
+# work stranded on a worker that dies and the result bytes one frame
+# has to carry.
+_CHUNK_MAX = 32
 
-#: Target seconds of work per chunk: a worker's next chunk is sized as
-#: ``ewma_rate * chunk_target_s`` jobs (clamped).  Small enough to
-#: re-observe throughput frequently, large enough to amortize framing.
-DEFAULT_CHUNK_TARGET_S = 0.25
+# Target seconds of work per chunk: a worker's next chunk is sized as
+# ``ewma_rate * chunk_target_s`` jobs (clamped).  Small enough to
+# re-observe throughput frequently, large enough to amortize framing.
+_CHUNK_TARGET_S = 0.25
 
-#: EWMA smoothing for per-worker throughput samples.  0.4 weights the
-#: newest chunk heavily (workers change speed when co-tenants arrive)
-#: without letting one noisy sample whipsaw the chunk size.
-EWMA_ALPHA = 0.4
+# EWMA smoothing for per-worker throughput samples.  0.4 weights the
+# newest chunk heavily (workers change speed when co-tenants arrive)
+# without letting one noisy sample whipsaw the chunk size.
+_EWMA_ALPHA = 0.4
+
+# Chunks in flight per unit of worker capacity: one computing, one
+# already on the wire behind it, so a worker never idles on a round
+# trip.
+_WINDOW_DEPTH = 2
 
 #: Byte budget for one outgoing chunk payload: leave chunk-envelope
 #: headroom under the hard payload cap so regrouped jobs always frame.
@@ -208,19 +214,19 @@ class Scheduler:
     def __init__(
         self,
         *,
-        window_depth: int,
         heartbeat_timeout: float,
         job_timeout: float | None,
         max_attempts: int,
-        chunk_min: int,
-        chunk_max: int,
-        chunk_target_s: float,
         send: Callable[[str, JobFrame], None],
         hang_up: Callable[[str], None],
         clock: Callable[[], float] = time.monotonic,
         registry: MetricsRegistry | None = None,
         trace: bool = False,
         span_buffer: SpanBuffer | None = None,
+        window_depth: int = _WINDOW_DEPTH,
+        chunk_min: int = _CHUNK_MIN,
+        chunk_max: int = _CHUNK_MAX,
+        chunk_target_s: float = _CHUNK_TARGET_S,
     ) -> None:
         self.window_depth = window_depth
         self.heartbeat_timeout = heartbeat_timeout
@@ -477,7 +483,7 @@ class Scheduler:
             link.ewma_rate = sample
         else:
             link.ewma_rate = (
-                EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * link.ewma_rate
+                _EWMA_ALPHA * sample + (1.0 - _EWMA_ALPHA) * link.ewma_rate
             )
         self._m_worker_rate.labels(worker=link.worker_id).set(link.ewma_rate)
 

@@ -1,23 +1,23 @@
 """Cluster worker daemon: execute typed job chunks for a coordinator.
 
-One worker is one long-lived process on one host.  It dials the
-coordinator, registers with a ``hello`` frame (id, capacity, wire
-version), then serves ``job`` frames until a ``bye``, an EOF or a
+One worker is one long-lived, serial process on one host: it runs one
+chunk at a time, so a host uses its cores by running one daemon per
+core (the coordinator's spawn-local mode does exactly that).  It dials
+the coordinator, registers with a ``hello`` frame (id, capacity 1,
+wire version), then serves ``job`` frames until a ``bye``, an EOF or a
 shutdown signal: each payload is a *chunk* — an ordered sequence of
 typed ``(fn, args, kwargs)`` job specs (:mod:`repro.service.jobcodec`
 — data, never code: functions arrive as registered names, arguments as
 schema-checked values), sized per worker by the coordinator's
-throughput tracker — executed on the worker's *local* execution engine
-(serial, threads or processes — a cluster worker is itself a
-single-host engine user) and answered with the chunk's ordered
-per-job ``(ok, payload)`` outcomes in the same typed encoding.
+throughput tracker — executed in order and answered with the chunk's
+ordered per-job ``(ok, payload)`` outcomes in the same typed encoding.
 
 Scheme memory: cacheable structs (the verification schemes) decode
 through a bounded process-wide LRU keyed by (scheme name, canonical
-param bytes), so one population constructs its scheme once per worker
-process, not once per chunk.  Hit/miss deltas ride back on each
-result frame (``cache_hits``/``cache_misses``) and feed this worker's
-own ``repro_scheme_cache_*_total`` counters.
+param bytes), so one population constructs its scheme once per worker,
+not once per chunk.  Hit/miss deltas ride back on each result frame
+(``cache_hits``/``cache_misses``) and feed this worker's own
+``repro_scheme_cache_*_total`` counters.
 
 A chunk's outcomes travel home in exactly one ``result`` frame.
 
@@ -27,9 +27,9 @@ back as a chunk-level ``ok=False`` result; a single job whose function
 raises (or whose result the typed codec cannot encode) comes back as
 that job's ``ok=False`` outcome while its chunk siblings succeed — and
 the worker keeps serving.
-Jobs run off the event loop (on the engine's pool, or a thread for
-the serial engine) so heartbeats keep flowing while a chunk computes
-— that is what lets the coordinator tell *busy* from *dead*.
+Jobs run off the event loop, on a thread, so heartbeats keep flowing
+while a chunk computes — that is what lets the coordinator tell *busy*
+from *dead*.
 
 Run it standalone (``python -m repro.engine.cluster.worker``) or via
 the CLI (``python -m repro.cli worker``); the coordinator's spawn-local
@@ -50,7 +50,6 @@ import signal
 import sys
 import time
 
-from repro.engine.executor import get_executor
 from repro.exceptions import EngineError, ReproError
 from repro.net.transport import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -109,7 +108,7 @@ def _worker_metrics():
             ),
             reg.histogram(
                 "repro_worker_dispatch_seconds",
-                "Seconds a chunk waits for a local pool slot",
+                "Seconds a chunk waits for the chunk ahead of it",
                 buckets=LATENCY_BUCKETS,
             ),
             reg.histogram(
@@ -138,28 +137,14 @@ def _worker_metrics():
     return _metrics_handles
 
 
-# One scheme cache per worker *process*: the daemon shares it across
-# chunks on the serial/threads engines, and each process-pool child
-# grows its own copy — either way a population's scheme is built once
-# per process, not once per chunk.
+# One scheme cache per worker process, shared by every chunk it runs:
+# a population's scheme is built once, not once per chunk.
 _scheme_cache = SchemeCache()
 
 
 def scheme_cache() -> SchemeCache:
     """This process's job-decode scheme cache (tests and stats)."""
     return _scheme_cache
-
-
-def _import_preload(preload: tuple[str, ...]) -> None:
-    """Import codec-registration modules by name (idempotent).
-
-    ``sys.modules`` makes repeat calls free, so this can run inside
-    every chunk execution — which is exactly what gets third-party
-    struct/callable registrations into process-pool children that
-    never ran the daemon's startup path.
-    """
-    for name in preload:
-        importlib.import_module(name)
 
 
 def default_worker_id() -> str:
@@ -174,17 +159,14 @@ def execute_payload(raw: bytes) -> object:
     ``fn`` is a registered callable; anything else — junk bytes, an
     unregistered name, the wrong shape — raises
     :class:`~repro.exceptions.CodecError`.  Cacheable schemes decode
-    through this process's :func:`scheme_cache`.  Module-level so the
-    process-engine pool can ship it by reference.
+    through this process's :func:`scheme_cache`.
     """
     fn, args, kwargs = decode_job(raw, cache=_scheme_cache)
     return fn(*args, **kwargs)
 
 
 def execute_chunk_report(
-    raw: bytes,
-    throttle: float = 0.0,
-    preload: tuple[str, ...] = (),
+    raw: bytes, throttle: float = 0.0
 ) -> tuple[list[tuple[bool, bytes]], dict]:
     """Run one chunk payload; return outcomes plus an execution report.
 
@@ -193,19 +175,15 @@ def execute_chunk_report(
     path); inside it, every job is isolated: a job that raises, or
     whose result the typed codec cannot encode, becomes its own
     ``ok=False`` outcome carrying the error text while its siblings
-    still succeed.  Module-level so the process-engine pool can ship
-    it by reference — the report travels back with the outcomes, which
-    is how scheme-cache activity inside pool children reaches the
-    daemon.
+    still succeed.
 
     The report dict carries ``cache_hits``/``cache_misses`` (this
-    chunk's scheme-cache deltas) and ``job_bytes`` (per-job encoded
-    spec sizes).  ``throttle`` sleeps that many seconds after each job
-    — an artificial straggler for benchmarks and scheduler tests,
-    never set in production.
+    chunk's scheme-cache deltas — exact, because a worker runs one
+    chunk at a time) and ``job_bytes`` (per-job encoded spec sizes).
+    ``throttle`` sleeps that many seconds after each job — an
+    artificial straggler for benchmarks and scheduler tests, never set
+    in production.
     """
-    ensure_default_registry()
-    _import_preload(preload)
     before = _scheme_cache.stats()
     out: list[tuple[bool, bytes]] = []
     job_bytes: list[int] = []
@@ -233,8 +211,6 @@ async def run_worker(
     host: str,
     port: int,
     *,
-    engine: str = "serial",
-    workers: int | None = None,
     worker_id: str | None = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     throttle: float = 0.0,
@@ -247,12 +223,11 @@ async def run_worker(
 ) -> int:
     """Serve one coordinator until bye/EOF/``shutdown``; return jobs done.
 
-    ``engine``/``workers`` pick the worker's local execution backend —
-    ``"cluster"`` is rejected (a worker must not recurse into another
-    coordinator).  ``throttle`` adds
-    an artificial per-job delay (straggler injection for benches and
-    scheduler tests).  ``connect_retry_s`` keeps re-dialling a
-    coordinator that has not bound its port yet — workers racing the
+    Chunks run one at a time, in arrival order, on a thread off the
+    loop.  ``throttle`` adds an artificial per-job delay (straggler
+    injection for benches and scheduler tests).  ``connect_retry_s``
+    keeps re-dialling a coordinator that has not bound its port yet —
+    workers racing the
     coordinator's startup across hosts is normal, not an error
     (shared :func:`repro.net.transport.open_connection` backoff).
     ``security`` carries the coordinator's shared secret and TLS pin:
@@ -262,12 +237,10 @@ async def run_worker(
     tracks readiness: ready once the hello is sent, flipped to
     draining the moment a shutdown begins — the ``/readyz`` half of a
     worker's ``--metrics-port`` endpoint.  ``preload`` names modules
-    imported before serving (and again inside every chunk, where
-    ``sys.modules`` makes it free) so third-party jobcodec
-    registrations exist in the daemon *and* in process-pool children.
+    imported before serving, so third-party jobcodec registrations
+    exist before the first chunk; ``max_frame`` caps frames both ways
+    (a test hook for the answer path).
     """
-    if engine == "cluster":
-        raise EngineError("a cluster worker cannot use the cluster engine")
     if heartbeat_interval <= 0:
         raise EngineError(
             f"heartbeat interval must be positive, got {heartbeat_interval}"
@@ -280,274 +253,257 @@ async def run_worker(
         )
     worker_id = worker_id or default_worker_id()
     jobs_done = 0
-    preload = tuple(preload)
     # Registry + preloads resolve before dialling: a misspelled
     # --preload module is a startup error, not a per-chunk surprise.
     ensure_default_registry()
-    _import_preload(preload)
+    for name in preload:
+        importlib.import_module(name)
 
-    with get_executor(engine, workers) as executor:
-        loop = asyncio.get_running_loop()
-        # Warm the local pool before dialling: the coordinator starts
-        # scheduling the moment the hello lands, and the first chunk
-        # must not pay process-pool startup on the request path.
-        # Synchronous on purpose — nothing else is on the loop yet.
-        executor.prewarm()
-        reader, writer = await open_connection(
-            host,
-            port,
-            ssl_context=(
-                security.client_ssl_context() if security is not None else None
-            ),
-            connect_retry_s=connect_retry_s,
+    loop = asyncio.get_running_loop()
+    reader, writer = await open_connection(
+        host,
+        port,
+        ssl_context=(
+            security.client_ssl_context() if security is not None else None
+        ),
+        connect_retry_s=connect_retry_s,
+    )
+    if security is not None:
+        # Authenticate before the hello: a worker that cannot
+        # prove the shared secret never gets to speak the codec.
+        try:
+            await security.authenticate_outbound(reader, writer)
+        except BaseException:
+            await close_writer(writer)
+            raise
+    write_lock = asyncio.Lock()
+    # One chunk computes at a time; the rest wait here in arrival
+    # order (the coordinator keeps up to two in flight).
+    compute_lock = asyncio.Lock()
+    inflight: set[asyncio.Task] = set()
+
+    async def send(frame) -> None:
+        async with write_lock:
+            await write_frame(writer, frame, max_frame=max_frame)
+
+    def heartbeats():
+        return heartbeat_loop(
+            lambda: send(HeartbeatFrame(worker_id=worker_id)),
+            heartbeat_interval,
         )
-        if security is not None:
-            # Authenticate before the hello: a worker that cannot
-            # prove the shared secret never gets to speak the codec.
-            try:
-                await security.authenticate_outbound(reader, writer)
-            except BaseException:
-                await close_writer(writer)
-                raise
-        write_lock = asyncio.Lock()
-        slots = asyncio.Semaphore(executor.workers)
-        inflight: set[asyncio.Task] = set()
 
-        async def send(frame) -> None:
-            async with write_lock:
-                await write_frame(writer, frame, max_frame=max_frame)
-
-        def heartbeats():
-            return heartbeat_loop(
-                lambda: send(HeartbeatFrame(worker_id=worker_id)),
-                heartbeat_interval,
-            )
-
-        async def run_job(frame: JobFrame) -> None:
-            nonlocal jobs_done
-            (
-                m_chunks,
-                m_jobs,
-                m_dispatch,
-                m_job_bytes,
-                m_result_bytes,
-                m_cache_hits,
-                m_cache_misses,
-            ) = _worker_metrics()
-            queued_at = time.perf_counter()
-            # Span export: a traced chunk's execution is
-            # timed as a span parented under the coordinator's chunk
-            # span, recorded locally (flight recorder) and attached to
-            # the result envelope so the coordinator can assemble the
-            # full distributed waterfall.  Untraced chunks pay nothing.
-            exec_span: Span | None = None
-            try:
-                async with slots:
-                    m_dispatch.observe(time.perf_counter() - queued_at)
-                    with bind_trace(frame.trace_id, frame.span_id):
-                        log_event(
-                            _log,
-                            "chunk_executing",
-                            level=logging.DEBUG,
-                            chunk=frame.job_id,
-                            worker=worker_id,
-                        )
-                    started = time.perf_counter()
-                    if frame.trace_id is not None:
-                        exec_span = Span.begin(
-                            "worker.execute",
-                            trace_id=frame.trace_id,
-                            parent_id=frame.span_id,
-                        )
-                        exec_span.attributes.update(
-                            worker=worker_id, chunk=frame.job_id
-                        )
-                    # futures_pool is None on the serial engine; the
-                    # loop's default thread pool keeps heartbeats alive
-                    # during compute either way.
-                    entries, report = await loop.run_in_executor(
-                        executor.futures_pool,
-                        functools.partial(
-                            execute_chunk_report,
-                            frame.payload,
-                            throttle,
-                            preload,
-                        ),
-                    )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                m_chunks.labels(outcome="error").inc()
+    async def run_job(frame: JobFrame) -> None:
+        nonlocal jobs_done
+        (
+            m_chunks,
+            m_jobs,
+            m_dispatch,
+            m_job_bytes,
+            m_result_bytes,
+            m_cache_hits,
+            m_cache_misses,
+        ) = _worker_metrics()
+        queued_at = time.perf_counter()
+        # Span export: a traced chunk's execution is
+        # timed as a span parented under the coordinator's chunk
+        # span, recorded locally (flight recorder) and attached to
+        # the result envelope so the coordinator can assemble the
+        # full distributed waterfall.  Untraced chunks pay nothing.
+        exec_span: Span | None = None
+        try:
+            async with compute_lock:
+                m_dispatch.observe(time.perf_counter() - queued_at)
                 with bind_trace(frame.trace_id, frame.span_id):
                     log_event(
                         _log,
-                        "chunk_failed",
-                        level=logging.WARNING,
+                        "chunk_executing",
+                        level=logging.DEBUG,
                         chunk=frame.job_id,
                         worker=worker_id,
-                        error=f"{type(exc).__name__}: {exc}",
                     )
-                # The survival contract: a chunk envelope that does not
-                # decode (CodecError) — or any other chunk-level
-                # surprise — comes back as data, never a worker crash.
-                # Per-job failures were already folded into ``entries``
-                # by execute_chunk_report and do not land here.
-                error_spans: tuple = ()
-                if exec_span is not None:
-                    exec_span.finish(status=f"error:{type(exc).__name__}")
-                    default_span_buffer().add(exec_span)
-                    error_spans = (exec_span.to_wire(),)
-                await send(
-                    ResultFrame(
-                        job_id=frame.job_id,
-                        ok=False,
-                        payload=encode_cluster_payload(
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                        spans=error_spans,
+                started = time.perf_counter()
+                if frame.trace_id is not None:
+                    exec_span = Span.begin(
+                        "worker.execute",
+                        trace_id=frame.trace_id,
+                        parent_id=frame.span_id,
                     )
+                    exec_span.attributes.update(
+                        worker=worker_id, chunk=frame.job_id
+                    )
+                # The loop's default thread pool keeps heartbeats
+                # alive during compute.
+                entries, report = await loop.run_in_executor(
+                    None,
+                    functools.partial(
+                        execute_chunk_report, frame.payload, throttle
+                    ),
                 )
-                return
-            jobs_done += len(entries)
-            m_chunks.labels(outcome="ok").inc()
-            m_jobs.inc(len(entries))
-            cache_hits = report["cache_hits"]
-            cache_misses = report["cache_misses"]
-            for size in report["job_bytes"]:
-                m_job_bytes.labels(plane="worker").observe(size)
-            observe_result = m_result_bytes.labels(plane="worker").observe
-            for ok, payload in entries:
-                if ok:
-                    observe_result(len(payload))
-            if cache_hits:
-                m_cache_hits.labels(plane="worker").inc(cache_hits)
-            if cache_misses:
-                m_cache_misses.labels(plane="worker").inc(cache_misses)
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            m_chunks.labels(outcome="error").inc()
             with bind_trace(frame.trace_id, frame.span_id):
                 log_event(
                     _log,
-                    "chunk_executed",
-                    level=logging.DEBUG,
+                    "chunk_failed",
+                    level=logging.WARNING,
                     chunk=frame.job_id,
                     worker=worker_id,
-                    jobs=len(entries),
-                    elapsed_s=round(time.perf_counter() - started, 6),
+                    error=f"{type(exc).__name__}: {exc}",
                 )
-            wire_spans: tuple = ()
+            # The survival contract: a chunk envelope that does not
+            # decode (CodecError) — or any other chunk-level
+            # surprise — comes back as data, never a worker crash.
+            # Per-job failures were already folded into ``entries``
+            # by execute_chunk_report and do not land here.
+            error_spans: tuple = ()
             if exec_span is not None:
-                exec_span.finish(jobs=len(entries))
+                exec_span.finish(status=f"error:{type(exc).__name__}")
                 default_span_buffer().add(exec_span)
-                wire_spans = (exec_span.to_wire(),)
-            try:
-                await send(
-                    ResultFrame(
-                        job_id=frame.job_id,
-                        ok=True,
-                        payload=encode_cluster_outcomes(entries),
-                        spans=wire_spans,
-                        cache_hits=cache_hits,
-                        cache_misses=cache_misses,
-                    )
+                error_spans = (exec_span.to_wire(),)
+            await send(
+                ResultFrame(
+                    job_id=frame.job_id,
+                    ok=False,
+                    payload=encode_cluster_payload(
+                        f"{type(exc).__name__}: {exc}"
+                    ),
+                    spans=error_spans,
                 )
-            except ReproError as exc:
-                # The survival contract extends to the *answer* path:
-                # outcomes that will not encode or frame (past the
-                # payload cap, or past a small max_frame) must come back
-                # as a chunk-level error — an unanswered chunk would
-                # hang the caller forever on a worker that still
-                # heartbeats.  (Transport errors propagate: EOF handling
-                # owns those.)
-                await send(
-                    ResultFrame(
-                        job_id=frame.job_id,
-                        ok=False,
-                        payload=encode_cluster_payload(
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                )
-
-        hb_task = asyncio.ensure_future(heartbeats())
-        stop_task = (
-            asyncio.ensure_future(shutdown.wait())
-            if shutdown is not None
-            else None
-        )
+            )
+            return
+        jobs_done += len(entries)
+        m_chunks.labels(outcome="ok").inc()
+        m_jobs.inc(len(entries))
+        cache_hits = report["cache_hits"]
+        cache_misses = report["cache_misses"]
+        for size in report["job_bytes"]:
+            m_job_bytes.labels(plane="worker").observe(size)
+        observe_result = m_result_bytes.labels(plane="worker").observe
+        for ok, payload in entries:
+            if ok:
+                observe_result(len(payload))
+        if cache_hits:
+            m_cache_hits.labels(plane="worker").inc(cache_hits)
+        if cache_misses:
+            m_cache_misses.labels(plane="worker").inc(cache_misses)
+        with bind_trace(frame.trace_id, frame.span_id):
+            log_event(
+                _log,
+                "chunk_executed",
+                level=logging.DEBUG,
+                chunk=frame.job_id,
+                worker=worker_id,
+                jobs=len(entries),
+                elapsed_s=round(time.perf_counter() - started, 6),
+            )
+        wire_spans: tuple = ()
+        if exec_span is not None:
+            exec_span.finish(jobs=len(entries))
+            default_span_buffer().add(exec_span)
+            wire_spans = (exec_span.to_wire(),)
         try:
             await send(
-                WorkerHello(worker_id=worker_id, capacity=executor.workers)
+                ResultFrame(
+                    job_id=frame.job_id,
+                    ok=True,
+                    payload=encode_cluster_outcomes(entries),
+                    spans=wire_spans,
+                    cache_hits=cache_hits,
+                    cache_misses=cache_misses,
+                )
             )
-            if health is not None:
-                # Registered with a coordinator and able to take work —
-                # the moment /readyz should start answering 200.
-                health.set_ready(True)
-            while True:
-                frame_task = asyncio.ensure_future(
-                    read_frame(reader, max_frame=max_frame)
+        except ReproError as exc:
+            # The survival contract extends to the *answer* path:
+            # outcomes that will not encode or frame (past the
+            # payload cap, or past a small max_frame) must come back
+            # as a chunk-level error — an unanswered chunk would
+            # hang the caller forever on a worker that still
+            # heartbeats.  (Transport errors propagate: EOF handling
+            # owns those.)
+            await send(
+                ResultFrame(
+                    job_id=frame.job_id,
+                    ok=False,
+                    payload=encode_cluster_payload(
+                        f"{type(exc).__name__}: {exc}"
+                    ),
                 )
-                waits = {frame_task}
-                if stop_task is not None:
-                    waits.add(stop_task)
-                done, _pending = await asyncio.wait(
-                    waits, return_when=asyncio.FIRST_COMPLETED
-                )
-                if stop_task is not None and stop_task in done:
-                    if health is not None:
-                        # Drain: flip readiness *before* flushing
-                        # in-flight chunks so an LB stops routing
-                        # while the work completes.
-                        health.set_ready(False, "draining")
-                    frame_task.cancel()
-                    with contextlib.suppress(
-                        asyncio.CancelledError, ReproError
-                    ):
-                        await frame_task
-                    if inflight:  # flush chunks already computing
-                        await asyncio.wait(inflight, timeout=5.0)
-                    with contextlib.suppress(Exception):
-                        await send(ByeFrame(reason="worker shutdown"))
-                    break
-                frame = frame_task.result()  # ProtocolError/CodecError here
-                if frame is None:
-                    break
-                if isinstance(frame, ByeFrame):
-                    # A refusal (version skew, bad hello) is an
-                    # operator problem — exit loudly, not a quiet
-                    # zero-job success.
-                    if frame.reason.startswith("incompatible"):
-                        raise EngineError(
-                            f"coordinator refused worker: {frame.reason}"
-                        )
-                    break
-                if isinstance(frame, JobFrame):
-                    task = asyncio.ensure_future(run_job(frame))
-                    inflight.add(task)
-                    task.add_done_callback(inflight.discard)
-                # Anything else from a well-behaved coordinator is
-                # unexpected but harmless; ignore it.
-        finally:
-            if health is not None:
-                health.set_ready(False, "stopped")
-            hb_task.cancel()
+            )
+
+    hb_task = asyncio.ensure_future(heartbeats())
+    stop_task = (
+        asyncio.ensure_future(shutdown.wait())
+        if shutdown is not None
+        else None
+    )
+    try:
+        await send(WorkerHello(worker_id=worker_id, capacity=1))
+        if health is not None:
+            # Registered with a coordinator and able to take work —
+            # the moment /readyz should start answering 200.
+            health.set_ready(True)
+        while True:
+            frame_task = asyncio.ensure_future(
+                read_frame(reader, max_frame=max_frame)
+            )
+            waits = {frame_task}
             if stop_task is not None:
-                stop_task.cancel()
-            for task in list(inflight):
-                task.cancel()
-            for task in (hb_task, stop_task, *inflight):
-                if task is not None:
-                    with contextlib.suppress(
-                        asyncio.CancelledError, Exception
-                    ):
-                        await task
-            await close_writer(writer)
+                waits.add(stop_task)
+            done, _pending = await asyncio.wait(
+                waits, return_when=asyncio.FIRST_COMPLETED
+            )
+            if stop_task is not None and stop_task in done:
+                if health is not None:
+                    # Drain: flip readiness *before* flushing
+                    # in-flight chunks so an LB stops routing
+                    # while the work completes.
+                    health.set_ready(False, "draining")
+                frame_task.cancel()
+                with contextlib.suppress(
+                    asyncio.CancelledError, ReproError
+                ):
+                    await frame_task
+                if inflight:  # flush chunks already computing
+                    await asyncio.wait(inflight, timeout=5.0)
+                with contextlib.suppress(Exception):
+                    await send(ByeFrame(reason="worker shutdown"))
+                break
+            frame = frame_task.result()  # ProtocolError/CodecError here
+            if frame is None:
+                break
+            if isinstance(frame, ByeFrame):
+                # A refusal (version skew, bad hello) is an
+                # operator problem — exit loudly, not a quiet
+                # zero-job success.
+                if frame.reason.startswith("incompatible"):
+                    raise EngineError(
+                        f"coordinator refused worker: {frame.reason}"
+                    )
+                break
+            if isinstance(frame, JobFrame):
+                task = asyncio.ensure_future(run_job(frame))
+                inflight.add(task)
+                task.add_done_callback(inflight.discard)
+            # Anything else from a well-behaved coordinator is
+            # unexpected but harmless; ignore it.
+    finally:
+        if health is not None:
+            health.set_ready(False, "stopped")
+        hb_task.cancel()
+        if stop_task is not None:
+            stop_task.cancel()
+        for task in list(inflight):
+            task.cancel()
+        for task in (hb_task, stop_task, *inflight):
+            if task is not None:
+                with contextlib.suppress(
+                    asyncio.CancelledError, Exception
+                ):
+                    await task
+        await close_writer(writer)
     return jobs_done
-
-
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
 
 
 def add_worker_args(parser: argparse.ArgumentParser) -> None:
@@ -558,11 +514,6 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
                         help="coordinator host")
     parser.add_argument("--port", type=int, required=True,
                         help="coordinator port")
-    parser.add_argument("--engine", default="serial",
-                        choices=("serial", "threads", "processes"),
-                        help="local execution backend for job chunks")
-    parser.add_argument("--workers", type=_positive_int, default=None,
-                        help="local pool size (default: CPU count)")
     parser.add_argument("--id", default=None, dest="worker_id",
                         help="worker id (default: pid-based)")
     parser.add_argument("--heartbeat", type=float,
@@ -577,10 +528,7 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
                         metavar="MODULE", dest="preload",
                         help="import this module before serving (repeat "
                         "for more) — the hook for registering extra "
-                        "jobcodec structs/callables on the worker; "
-                        "imported again inside each chunk so "
-                        "process-pool children get the registrations "
-                        "too")
+                        "jobcodec structs/callables on the worker")
     parser.add_argument("--connect-retry", type=float, default=0.0,
                         dest="connect_retry_s",
                         help="seconds to keep re-dialling a coordinator "
@@ -622,8 +570,6 @@ def run_worker_sync(
     host: str,
     port: int,
     *,
-    engine: str = "serial",
-    workers: int | None = None,
     worker_id: str | None = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     throttle: float = 0.0,
@@ -678,8 +624,6 @@ def run_worker_sync(
             return await run_worker(
                 host,
                 port,
-                engine=engine,
-                workers=workers,
                 worker_id=worker_id,
                 heartbeat_interval=heartbeat_interval,
                 throttle=throttle,
@@ -722,14 +666,11 @@ def run_worker_sync(
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: run one worker daemon until signalled or dismissed."""
-    args = build_parser().parse_args(argv)
+def run_parsed(args: argparse.Namespace) -> int:
+    """Run the daemon from :func:`add_worker_args`' parsed flags."""
     return run_worker_sync(
         args.host,
         args.port,
-        engine=args.engine,
-        workers=args.workers,
         worker_id=args.worker_id,
         heartbeat_interval=args.heartbeat_interval,
         throttle=args.throttle,
@@ -741,6 +682,11 @@ def main(argv: list[str] | None = None) -> int:
         flight_dir=args.flight_dir,
         preload=tuple(args.preload or ()),
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point: run one worker daemon until signalled or dismissed."""
+    return run_parsed(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

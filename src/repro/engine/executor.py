@@ -280,10 +280,9 @@ def get_executor(
     ``"processes"``, ``"cluster"``.  For ``"cluster"`` the executor
     self-hosts ``workers`` local worker daemons, and ``options`` are
     forwarded to :class:`~repro.engine.cluster.ClusterExecutor` —
-    the tuning surface (``chunk_min``/``chunk_max``,
-    ``chunk_target_s``, ``job_timeout``, …) and the transport
+    liveness (``job_timeout``, heartbeats, …) and the transport
     security material (``secret_file``/``tls_cert``/``tls_key``,
-    README "Security model") reach the scheduler without every
+    README "Security model") reach the coordinator without every
     dispatch site learning cluster-specific arguments.
     The in-process backends take no options; passing any raises
     :class:`EngineError` rather than silently ignoring a knob.  Build

@@ -9,7 +9,6 @@ coordinator's ``PYTHONPATH`` propagation), exactly the hook a
 deployment uses for its own job modules.
 """
 
-import os
 import time
 
 from repro.service.jobcodec import register_callable
@@ -35,10 +34,6 @@ def _boom_on_three(x: int) -> int:
     return x * x
 
 
-def _worker_pid(_item) -> int:
-    return os.getpid()
-
-
 def _unencodable_result(_item) -> object:
     return object()  # no jobcodec registration: the result cannot encode
 
@@ -51,6 +46,5 @@ register_callable("tests.square", _square)
 register_callable("tests.sleepy_square", _sleepy_square)
 register_callable("tests.boom", _boom)
 register_callable("tests.boom_on_three", _boom_on_three)
-register_callable("tests.worker_pid", _worker_pid)
 register_callable("tests.unencodable_result", _unencodable_result)
 register_callable("tests.megabyte", _megabyte)

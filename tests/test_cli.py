@@ -33,14 +33,14 @@ class TestParser:
         args = build_parser().parse_args(["worker", "--port", "7641"])
         assert args.command == "worker"
         assert args.port == 7641
-        assert args.engine == "serial"
+        assert not hasattr(args, "engine")  # one serial process
 
     def test_cluster_engine_and_workers_accepted(self):
         args = build_parser().parse_args(
-            ["population", "--engine", "cluster", "--cluster-workers", "3"]
+            ["population", "--engine", "cluster", "--workers", "3"]
         )
         assert args.engine == "cluster"
-        assert args.cluster_workers == 3
+        assert args.workers == 3
 
 
 class TestSecurityFlagRouting:
@@ -186,6 +186,13 @@ class TestLoadgen:
     def test_host_without_port_is_usage_error(self, capsys):
         assert main(["loadgen", "--host", "127.0.0.1"]) == 2
 
+    def test_port_without_host_is_usage_error(self, capsys):
+        # Not a silent self-hosted run that ignores the port.
+        assert main(["loadgen", "--port", "7641"]) == 2
+        captured = capsys.readouterr()
+        assert "--host and --port" in captured.err
+        assert captured.out == ""
+
     def test_json_output_lands_on_disk(self, capsys, tmp_path):
         out_path = tmp_path / "loadgen.json"
         code = main([
@@ -205,7 +212,7 @@ class TestPopulationCluster:
     def test_cluster_engine_end_to_end(self, capsys):
         code = main([
             "population", "--n", "512", "--participants", "4", "--m", "8",
-            "--engine", "cluster", "--cluster-workers", "2",
+            "--engine", "cluster", "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0, out

@@ -1345,7 +1345,7 @@ class TestVersionSkewHandshake:
             async def dial() -> None:
                 for _ in range(200):  # coordinator may not be bound yet
                     try:
-                        await run_worker("127.0.0.1", port, engine="serial")
+                        await run_worker("127.0.0.1", port)
                         return
                     except (ConnectionError, OSError):
                         await asyncio.sleep(0.05)
@@ -1421,7 +1421,7 @@ class TestVersionSkewHandshake:
                 with pytest.raises(
                     EngineError, match="coordinator refused worker"
                 ):
-                    await run_worker("127.0.0.1", port, engine="serial")
+                    await run_worker("127.0.0.1", port)
             finally:
                 server.close()
                 await server.wait_closed()

@@ -41,6 +41,7 @@ from repro.engine import (
 )
 from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.cluster.worker import (
+    build_parser,
     execute_chunk_report,
     execute_payload,
     run_worker,
@@ -74,7 +75,6 @@ from cluster_helpers import (
     _boom_on_three,
     _sleepy_square,
     _square,
-    _worker_pid,
 )
 
 
@@ -175,8 +175,10 @@ class TestRegistry:
             ClusterExecutor(workers=0)
 
     def test_worker_engine_cannot_recurse(self):
-        with pytest.raises(EngineError):
-            ClusterExecutor(worker_engine="cluster")
+        # A worker daemon is one serial process: it has no engine to
+        # name, so it cannot be pointed at another coordinator.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--port", "1", "--engine", "cluster"])
 
     def test_map_after_close_rejected(self):
         executor = ClusterExecutor(workers=1)
@@ -430,11 +432,10 @@ class TestFaultTolerance:
         serial = report_fingerprint(
             population(scheme, engine="serial", n=1 << 16, participants=32)
         )
-        # chunk_max=2 with batch_size=1: at least 16 chunks, so the
-        # first accepted result leaves most of the run outstanding.
-        with ClusterExecutor(
-            workers=2, chunk_max=2, worker_preload=PRELOAD
-        ) as executor:
+        # batch_size=1: 32 jobs, and each worker's first chunks are
+        # one-job probes, so the first accepted result leaves most of
+        # the run outstanding.
+        with ClusterExecutor(workers=2, worker_preload=PRELOAD) as executor:
             executor.map(_square, [0])  # force startup; pids known
             victim = executor.local_worker_pids[0]
             report_box: list = []
@@ -495,23 +496,8 @@ class TestShutdown:
 
 
 class TestWarmPoolLifecycle:
-    """The worker daemon's local pool is prewarmed at startup and
-    reused across every chunk it serves — never respawned between
-    chunks — and a signalled worker drains cleanly."""
-
-    def test_process_pool_reused_across_consecutive_chunks(self):
-        with ClusterExecutor(
-            workers=1,
-            worker_engine="processes",
-            worker_processes=2,
-            worker_preload=PRELOAD,
-        ) as executor:
-            first = set(executor.map(_worker_pid, range(16)))
-            second = set(executor.map(_worker_pid, range(16)))
-        assert first and second
-        # One warm pool of 2 processes serving both maps: a pool
-        # respawn between chunks would surface fresh pids here.
-        assert len(first | second) <= 2
+    """A worker daemon is one long-lived serial process: it serves
+    chunks until signalled, then drains cleanly."""
 
     @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
     def test_signalled_worker_drains_cleanly(self, sig):
@@ -533,8 +519,7 @@ class TestWarmPoolLifecycle:
             proc = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro.engine.cluster.worker",
-                    "--port", str(port), "--engine", "processes",
-                    "--workers", "2", "--connect-retry", "10",
+                    "--port", str(port), "--connect-retry", "10",
                     "--preload", "cluster_helpers",
                 ],
                 stdout=subprocess.PIPE,
@@ -550,12 +535,8 @@ class TestWarmPoolLifecycle:
                 out, err = proc.communicate(timeout=30)
             finally:
                 if proc.poll() is None:
-                    # Don't communicate() here: the daemon's forked
-                    # pool children hold the pipes open after a kill.
                     proc.kill()
-                    proc.wait(timeout=10)
-                    proc.stdout.close()
-                    proc.stderr.close()
+                    proc.communicate(timeout=10)
         assert proc.returncode == 0, err
         assert "cluster worker done" in out
 
@@ -579,7 +560,7 @@ class TestExternalWorkers:
             async def dial() -> None:
                 for _ in range(200):  # coordinator may not be bound yet
                     try:
-                        await run_worker("127.0.0.1", port, engine="serial")
+                        await run_worker("127.0.0.1", port)
                         return
                     except (ConnectionError, OSError):
                         await asyncio.sleep(0.05)
@@ -688,13 +669,9 @@ class Outbox:
 def make_scheduler(clock, **overrides) -> tuple[Scheduler, Outbox]:
     out = Outbox()
     kwargs = dict(
-        window_depth=2,
         heartbeat_timeout=10.0,
         job_timeout=0.5,
         max_attempts=3,
-        chunk_min=1,
-        chunk_max=32,
-        chunk_target_s=0.25,
         send=out.send,
         hang_up=out.hang_up,
         clock=clock,
@@ -985,7 +962,7 @@ class TestAdaptiveChunkSizing:
     def run_map(rates: dict[str, float], n_jobs: int = 16):
         """One ``n_jobs`` map over measured workers, run to the end.
 
-        Each worker (capacity 1, ``window_depth`` 2) runs the chunks it
+        Each worker (capacity 1, the shipped window) runs the chunks it
         was sent one at a time, in order, at ``rates[worker]`` jobs/s;
         the fake clock jumps from one completion to the next, so who
         comes back first is decided by chunk sizes, as on real workers.
@@ -1016,7 +993,7 @@ class TestAdaptiveChunkSizing:
                 sched.result(worker, ok_result(frame, *[0] * jobs))
             return finished
 
-        sched, _out = make_scheduler(clock, send=send, window_depth=2)
+        sched, _out = make_scheduler(clock, send=send)
         for worker in rates:
             sched.worker_joined(worker, 1)
         submit_jobs(sched, range(len(rates)))  # one probe job each
@@ -1049,6 +1026,21 @@ class TestAdaptiveChunkSizing:
         assert abs(finished["a"] - finished["b"]) <= 1 / 1000.0 + 1e-12
         assert len(dispatches) <= 8
         assert [jobs for _w, jobs, _b in dispatches] == [4, 3, 3, 2, 1, 1, 1, 1]
+
+    def test_a_pop_small_cluster_epoch_leaves_as_ten_chunks(self):
+        # 512 participants in batches of 16: 32 jobs over two measured
+        # workers.  The sequence the shipped policy has always produced
+        # on this shape, so ``engine.cluster.chunks_per_epoch`` holds.
+        dispatches, finished = self.run_map(
+            {"a": 1000.0, "b": 1000.0}, n_jobs=32
+        )
+        for _worker, jobs, bound in dispatches:
+            assert jobs <= bound
+        assert [jobs for _w, jobs, _b in dispatches] == [
+            8, 6, 5, 4, 3, 2, 1, 1, 1, 1
+        ]
+        assert self.totals(dispatches) == {"a": 16, "b": 16}
+        assert abs(finished["a"] - finished["b"]) <= 1 / 1000.0 + 1e-12
 
     def test_faster_worker_takes_the_larger_share(self):
         dispatches, _finished = self.run_map({"fast": 2000.0, "slow": 1000.0})
@@ -1126,14 +1118,14 @@ class TestTuningValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"chunk_min": 0},
-            {"chunk_min": 8, "chunk_max": 4},
-            {"chunk_target_s": 0.0},
             {"job_timeout": 0.0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_timeout": -1.0},
             {"startup_timeout": 0.0},
             {"min_workers": 0},
+            {"max_attempts": 0},
+            {"tls_cert": "cert.pem"},  # a TLS listener needs its key
+            {"worker_preload": ("",)},
         ],
     )
     def test_bad_tuning_rejected(self, kwargs):
@@ -1142,15 +1134,23 @@ class TestTuningValidation:
 
     def test_get_executor_forwards_cluster_options(self):
         executor = get_executor(
-            "cluster", 1, chunk_min=2, chunk_max=4, chunk_target_s=0.5
+            "cluster", 1, job_timeout=2.0, heartbeat_timeout=5.0
         )
         try:
             assert isinstance(executor, ClusterExecutor)
-            assert executor._chunk_min == 2
-            assert executor._chunk_max == 4
-            assert executor._chunk_target_s == 0.5
+            assert executor._job_timeout == 2.0
+            assert executor._heartbeat_timeout == 5.0
         finally:
             executor.close()
+
+    @pytest.mark.parametrize(
+        "option",
+        ["chunk_min", "chunk_max", "chunk_target_s", "window_depth",
+         "max_frame", "worker_engine", "worker_processes"],
+    )
+    def test_chunk_policy_is_not_an_option(self, option):
+        with pytest.raises(EngineError):
+            get_executor("cluster", 1, **{option: 1})
 
     def test_get_executor_rejects_unknown_cluster_option(self):
         with pytest.raises(EngineError):
@@ -1158,14 +1158,14 @@ class TestTuningValidation:
 
     def test_get_executor_rejects_options_for_inprocess_engines(self):
         with pytest.raises(EngineError):
-            get_executor("serial", chunk_min=2)
+            get_executor("serial", job_timeout=2.0)
         with pytest.raises(EngineError):
-            get_executor("threads", 2, chunk_max=4)
+            get_executor("threads", 2, job_timeout=2.0)
 
     def test_get_executor_rejects_options_on_instances(self):
         executor = get_executor("serial")
         with pytest.raises(EngineError):
-            get_executor(executor, chunk_min=2)
+            get_executor(executor, job_timeout=2.0)
 
 
 from cluster_helpers import _megabyte  # noqa: E402
@@ -1177,11 +1177,11 @@ class TestAnswerPathSurvival:
     caller on a worker that still heartbeats."""
 
     def test_unframeable_result_fails_fast_instead_of_hanging(self):
-        """Worker max_frame too small for a two-job chunk of 1 MiB
-        results: the one ``result`` frame cannot be sent, the fallback
-        error frame (which fits) arrives, and both jobs raise promptly
-        instead of blocking.  The same path answers a chunk whose
-        outcomes exceed the 32 MiB payload cap."""
+        """Worker max_frame too small for a 1 MiB result: each chunk's
+        one ``result`` frame cannot be sent, the fallback error frame
+        (which fits) arrives, and every job raises promptly instead of
+        blocking.  The same path answers a chunk whose outcomes exceed
+        the 32 MiB payload cap."""
         import socket
 
         with socket.socket() as probe:
@@ -1190,7 +1190,6 @@ class TestAnswerPathSurvival:
 
         executor = ClusterExecutor(
             workers=1, port=port, spawn_local=False, startup_timeout=30.0,
-            window_depth=1, chunk_min=2, chunk_max=2,
         )
 
         def worker_thread() -> None:
@@ -1198,7 +1197,6 @@ class TestAnswerPathSurvival:
                 await run_worker(
                     "127.0.0.1",
                     port,
-                    engine="serial",
                     connect_retry_s=30.0,
                     max_frame=64 * 1024,  # cannot frame 1 MiB results
                 )
@@ -1208,19 +1206,16 @@ class TestAnswerPathSurvival:
         thread = threading.Thread(target=worker_thread, daemon=True)
         thread.start()
         try:
-            # One slow job holds the worker's only window slot while
-            # two 1 MiB jobs queue behind it: they leave as one chunk.
-            blocker = executor.submit(_sleepy_square, (0.5, 3))
+            # Unmeasured, the worker is sent one-job probe chunks: each
+            # 1 MiB outcome is its own frame that will not send.
             big = [executor.submit(_megabyte, x) for x in (1, 2)]
-            assert blocker.result(timeout=30) == 9
             for future in big:
                 with pytest.raises(EngineError) as caught:
                     future.result(timeout=30)
-                # Both outcomes were in the frame that would not send.
                 size = re.search(
                     r"of (\d+) bytes exceeds limit", str(caught.value)
                 )
-                assert size and int(size.group(1)) > 2 << 20
+                assert size and int(size.group(1)) > 1 << 20
             # The worker survived its own answer failure.
             assert executor.map(_square, [5]) == [25]
             assert executor.stats["workers_lost"] == 0

@@ -93,7 +93,7 @@ class TestClusterAuthTLS:
         )
         with ClusterExecutor(
             workers=2, secret_file=secret_file, tls_cert=cert, tls_key=key,
-            chunk_max=2, worker_preload=PRELOAD,
+            worker_preload=PRELOAD,
         ) as executor:
             executor.map(_square, [0])  # force startup; pids known
             victim = executor.local_worker_pids[0]
@@ -137,7 +137,6 @@ class TestClusterAuthTLS:
                     await run_worker(
                         "127.0.0.1",
                         port,
-                        engine="serial",
                         connect_retry_s=30.0,
                         security=SecurityConfig.from_options(
                             secret_file=wrong_secret_file
@@ -153,7 +152,6 @@ class TestClusterAuthTLS:
                 await run_worker(
                     "127.0.0.1",
                     port,
-                    engine="serial",
                     connect_retry_s=30.0,
                     security=SecurityConfig.from_options(
                         secret_file=secret_file
@@ -243,7 +241,6 @@ class TestClusterAuthTLS:
                     await run_worker(
                         "127.0.0.1",
                         port,
-                        engine="serial",
                         security=SecurityConfig(
                             secret=b"0123456789abcdef0123456789abcdef",
                             handshake_timeout=0.5,

@@ -82,7 +82,7 @@ class TestClusterTraceEndToEnd:
             async def dial() -> None:
                 for _ in range(200):  # coordinator may not be bound yet
                     try:
-                        await run_worker("127.0.0.1", port, engine="serial")
+                        await run_worker("127.0.0.1", port)
                         return
                     except (ConnectionError, OSError):
                         await asyncio.sleep(0.05)
@@ -334,7 +334,7 @@ class TestDistributedTraceFrame:
             async def dial() -> None:
                 for _ in range(200):
                     try:
-                        await run_worker("127.0.0.1", port, engine="serial")
+                        await run_worker("127.0.0.1", port)
                         return
                     except (ConnectionError, OSError):
                         await asyncio.sleep(0.05)
