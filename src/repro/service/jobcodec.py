@@ -26,11 +26,19 @@ repo's own plain structs are rows of one table in
 :func:`_register_defaults` — wire name, class, attributes in wire
 order — served by one generic ``pack``/``unpack`` and checked against
 each class's constructor before anything is registered; only structs
-that carry state or packed records bring their own functions.
-Struct names are interned per payload (first use spells the name,
-later uses are a 2-byte index) and instances are memoized by identity
-(a behaviour shared by fifty jobs in a batch is encoded once and
-back-referenced).
+that carry state bring their own functions.  Struct names are
+interned per payload (first use spells the name, later uses are a
+2-byte index) and instances are memoized by identity.
+
+**Records.**  A row may also carry a fixed ``struct`` record for its
+body, used whenever the record reproduces the value exactly (the field
+tuple carries anything else).  The population's two values have one:
+a ``scheme_batch`` is a head, its scheme and a table of the distinct
+functions, screeners and behaviours as terms, then one packed row per
+job; a ``scheme_run_result`` is one head holding both ledgers, then its
+verdict and counter rows.  The layouts are :data:`BATCH_HEAD`,
+:data:`BATCH_ROW`, :data:`RESULT_HEAD`, :data:`VERDICT_ROW` and
+:data:`COUNTER_ROW` (README "Batch records" / "Result records").
 
 **Callable registry.**  A payload can only invoke a callable that both
 sides registered under an explicit name at import time
@@ -110,6 +118,27 @@ MAX_INT_BYTES = 4096
 
 _INT_LIMIT = 1 << 63  # |x| below this rides the zigzag varint path
 
+# The population's two records (README "Batch records" and "Result
+# records"), big-endian ``struct`` layouts.  A record body opens with a
+# byte >= 0x80, which no term tag is: that byte tells it from a field
+# tuple.
+_RECORD_BIT = 0x80
+#: One ``CostLedger``'s twelve slots: costs binary64, counts ``i64``.
+LEDGER_LAYOUT = "dqdqdqqqqqqd"
+#: ``scheme_batch``: 0x80, job count; then the scheme and table terms.
+BATCH_HEAD = _struct.Struct(">BI")
+#: One job: domain start and stop, seed, the function, screener and
+#: behaviour's table indices, task-id byte length.
+BATCH_ROW = _struct.Struct(">qqQHHHB")
+#: ``scheme_run_result``: 0x80 | accepted << 6 | has-work << 5 | reason
+#: code; verdict count; task-id bytes; participant and supervisor
+#: counter counts; work counts; the participant and supervisor ledgers.
+RESULT_HEAD = _struct.Struct(">BHBBBII" + 2 * LEDGER_LAYOUT)
+#: One sample verdict: index, accepted << 7 | reason code.
+VERDICT_ROW = _struct.Struct(">IB")
+#: One ledger counter: value, name byte length (the UTF-8 name follows).
+COUNTER_ROW = _struct.Struct(">IB")
+
 
 def _check_field_size(what: str, size: int, limit: int) -> None:
     """Reject an oversized field before any allocation happens."""
@@ -129,12 +158,25 @@ def _check_count(what: str, count: int) -> None:
 # ----------------------------------------------------------------------
 
 
+class _Record(NamedTuple):
+    """A struct's fixed-layout body.  ``pack(obj, enc, depth)`` returns
+    the record, or None when it cannot reproduce ``obj`` exactly (the
+    generic field tuple carries it then); ``unpack(body, dec)`` reads
+    one back.  ``enc``/``dec`` are the payload's pass, for the terms a
+    record embeds.  A record's first byte is ``>= 0x80``, which no term
+    tag is."""
+
+    pack: Callable[[Any, "_Encoder", int], bytes | None]
+    unpack: Callable[[bytes, "_Decoder"], Any]
+
+
 class _StructSpec(NamedTuple):
     name: str
     cls: type
     pack: Callable[[Any], tuple]
     unpack: Callable[[tuple], Any]
     cacheable: bool
+    record: _Record | None = None
 
 
 _registry_lock = threading.Lock()
@@ -164,18 +206,21 @@ def register_struct(
     instances.  Dispatch is by exact type: subclasses need their own
     registration.
     """
-    if len(name.encode("utf-8")) > MAX_NAME_BYTES:
-        raise CodecError(f"struct name too long: {name!r}")
+    _register(_StructSpec(name, cls, pack, unpack, cacheable))
+
+
+def _register(spec: _StructSpec) -> None:
+    if len(spec.name.encode("utf-8")) > MAX_NAME_BYTES:
+        raise CodecError(f"struct name too long: {spec.name!r}")
     with _registry_lock:
-        existing = _STRUCTS.get(name)
-        if existing is not None and existing.cls is not cls:
+        existing = _STRUCTS.get(spec.name)
+        if existing is not None and existing.cls is not spec.cls:
             raise CodecError(
-                f"struct name {name!r} already registered for "
+                f"struct name {spec.name!r} already registered for "
                 f"{existing.cls.__name__}"
             )
-        spec = _StructSpec(name, cls, pack, unpack, cacheable)
-        _STRUCTS[name] = spec
-        _STRUCTS_BY_TYPE[cls] = spec
+        _STRUCTS[spec.name] = spec
+        _STRUCTS_BY_TYPE[spec.cls] = spec
 
 
 def register_callable(name: str, fn: Callable) -> None:
@@ -247,6 +292,7 @@ class _StructRow:
         cls: type,
         *fields: str | _StructField,
         cacheable: bool = False,
+        record: _Record | None = None,
     ) -> None:
         specs = [
             f if isinstance(f, _StructField) else _StructField(f, f)
@@ -255,6 +301,7 @@ class _StructRow:
         self.name = name
         self.cls = cls
         self.cacheable = cacheable
+        self.record = record
         self.args = [f.arg for f in specs]
         self.pack = _packer([f.attr for f in specs])
         self._from_wire = [(f.arg, f.from_wire) for f in specs if f.from_wire]
@@ -267,8 +314,25 @@ class _StructRow:
             )
         kwargs = dict(zip(self.args, values))
         for arg, convert in self._from_wire:
-            kwargs[arg] = convert(kwargs[arg])
+            try:
+                kwargs[arg] = convert(kwargs[arg])
+            except (TypeError, ValueError) as exc:
+                raise CodecError(
+                    f"struct {self.name!r} field {arg!r}: {exc}"
+                ) from exc
         return self.cls(**kwargs)
+
+
+def _typed(*types: type) -> Callable[[Any], Any]:
+    """A ``from_wire`` that passes a value of exactly one of ``types``
+    through and refuses anything else (a ``bool`` is not an ``int``)."""
+
+    def check(value: Any) -> Any:
+        if type(value) not in types:
+            raise TypeError(f"{type(value).__name__} is not allowed here")
+        return value
+
+    return check
 
 
 def _index_structs(rows: tuple[_StructRow, ...]) -> tuple[_StructRow, ...]:
@@ -305,6 +369,14 @@ class _Encoder:
         self.keepalive: list[Any] = []
         # Name interning: registry name -> index of first spelling.
         self.names: dict[str, int] = {}
+
+    def sharing(self) -> "_Encoder":
+        """A fresh byte sink on this pass's memo and name interning."""
+        sub = _Encoder()
+        sub.memo = self.memo
+        sub.keepalive = self.keepalive
+        sub.names = self.names
+        return sub
 
     def emit_name(self, name: str) -> None:
         """Interned name: 0 = literal follows, k = names[k - 1]."""
@@ -417,28 +489,30 @@ class _Encoder:
                 "register_callable for functions)"
             )
         self._remember(obj)
-        fields = spec.pack(obj)
-        if type(fields) is not tuple:
-            raise CodecError(
-                f"pack for struct {spec.name!r} must return a tuple"
-            )
         # Tag and name go out before the body is encoded so shared
         # name-interning indices are assigned in the same order the
         # decoder will observe them.
         self.out.append(Tag.STRUCT)
         self.emit_name(spec.name)
-        if spec.cacheable:
+        record = spec.record
+        body = None if record is None else record.pack(obj, self, depth + 1)
+        if body is None:
+            fields = spec.pack(obj)
+            if type(fields) is not tuple:
+                raise CodecError(
+                    f"pack for struct {spec.name!r} must return a tuple"
+                )
+            if not spec.cacheable:
+                # Written in place, then prefixed with its length.
+                start = len(self.out)
+                self.value(fields, depth + 1)
+                self.out[start:start] = encode_uint(len(self.out) - start)
+                return
             # Self-contained body: fresh interning state, so the body
             # bytes are a canonical SchemeCache key.
             sub = _Encoder()
             sub.value(fields, 0)
-        else:
-            sub = _Encoder()
-            sub.memo = self.memo
-            sub.keepalive = self.keepalive
-            sub.names = self.names
-            sub.value(fields, depth + 1)
-        body = bytes(sub.out)
+            body = bytes(sub.out)
         self.out += encode_uint(len(body))
         self.out += body
 
@@ -463,6 +537,21 @@ class _Decoder:
         self.cache = cache
         self.memo: list[Any] = []
         self.names: list[str] = []
+        # Verdicts the result records rebuilt, by row: a verdict is
+        # frozen, so one instance per distinct row per payload.
+        self.verdicts: dict[tuple, Any] = {}
+
+    def sharing(self, data: bytes) -> "_Decoder":
+        """A pass over ``data`` on this payload's memo, names and cache."""
+        sub = _Decoder(data, self.cache)
+        sub.memo = self.memo
+        sub.names = self.names
+        sub.verdicts = self.verdicts
+        return sub
+
+    def at_record(self) -> bool:
+        """Whether the next byte opens a record (no term tag is)."""
+        return self.pos < len(self.data) and self.data[self.pos] >= _RECORD_BIT
 
     def take(self, n: int, what: str) -> bytes:
         end = self.pos + n
@@ -473,8 +562,12 @@ class _Decoder:
         return raw
 
     def uint(self, what: str) -> int:
+        pos = self.pos
+        if pos < len(self.data) and self.data[pos] < 0x80:  # one byte
+            self.pos = pos + 1
+            return self.data[pos]
         try:
-            value, self.pos = read_uint(self.data, self.pos)
+            value, self.pos = read_uint(self.data, pos)
         except CodecError as exc:
             raise CodecError(f"bad varint in {what}: {exc}") from exc
         return value
@@ -498,7 +591,11 @@ class _Decoder:
     def value(self, depth: int = 0) -> Any:
         if depth > MAX_DEPTH:
             raise CodecError(f"value nesting exceeds depth limit {MAX_DEPTH}")
-        tag = self.take(1, "tag")[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise CodecError("truncated tag (wanted 1 bytes)")
+        tag = self.data[pos]
+        self.pos = pos + 1
         decoder = _DECODERS.get(tag)
         if decoder is None:
             raise CodecError(f"unknown value tag 0x{tag:02x}")
@@ -602,43 +699,55 @@ def _dec_struct(dec: _Decoder, depth: int) -> Any:
         raise CodecError(f"unknown struct name {name!r}")
     body_len = dec.uint("struct body length")
     _check_field_size("struct body", body_len, MAX_FIELD_BYTES)
+    end = dec.pos + body_len
+    if end > len(dec.data):
+        raise CodecError(f"truncated struct {name!r} body")
     slot = len(dec.memo)
     dec.memo.append(_UNFILLED)
-    body = dec.take(body_len, f"struct {name!r} body")
-    if spec.cacheable and dec.cache is not None:
-        obj = dec.cache.get_or_build(name, body, spec)
+    if spec.cacheable:
+        body = dec.take(body_len, "struct body")
+        if dec.cache is None:
+            obj = _build_struct(spec, body)
+        else:
+            obj = dec.cache.get_or_build(name, body, spec)
+    elif spec.record is not None and body_len and dec.at_record():
+        obj = _construct(
+            spec, spec.record.unpack, dec.take(body_len, "record"), dec
+        )
     else:
-        obj = _build_struct(spec, body, None if spec.cacheable else dec)
+        # Any other body reads in place, on the payload's interning state.
+        obj = _construct(spec, _fields, spec, dec, depth + 1, end)
     dec.memo[slot] = obj
     return obj
 
 
-def _build_struct(
-    spec: _StructSpec, body: bytes, outer: "_Decoder | None"
-) -> Any:
-    """Decode a struct body and run it through the registered ctor."""
-    sub = _Decoder(body, None)
-    if outer is not None:
-        # Non-cacheable bodies share the payload's interning state.
-        sub.cache = outer.cache
-        sub.memo = outer.memo
-        sub.names = outer.names
-    fields = sub.value(0)
-    if sub.pos != len(body):
-        raise CodecError(
-            f"{len(body) - sub.pos} trailing bytes in struct "
-            f"{spec.name!r} body"
-        )
+def _fields(spec: _StructSpec, dec: _Decoder, depth: int, end: int) -> Any:
+    """A struct's field tuple, ending exactly where its body does, run
+    through the registered ctor."""
+    fields = dec.value(depth)
+    if dec.pos != end:
+        raise CodecError(f"struct {spec.name!r} fields do not fill its body")
     if type(fields) is not tuple:
         raise CodecError(f"struct {spec.name!r} body is not a field tuple")
+    return spec.unpack(fields)
+
+
+def _build_struct(spec: _StructSpec, body: bytes) -> Any:
+    """A self-contained (cacheable) struct from its body alone."""
+    dec = _Decoder(body, None)
+    return _construct(spec, _fields, spec, dec, 0, len(body))
+
+
+def _construct(spec: _StructSpec, build: Callable, *args: Any) -> Any:
+    """``build(*args)``, with whatever a constructor raises turned into
+    a :class:`CodecError` naming the struct."""
     try:
-        return spec.unpack(fields)
+        return build(*args)
     except CodecError:
         raise
     except Exception as exc:
         raise CodecError(
-            f"struct {spec.name!r} rejected by its constructor: "
-            f"{type(exc).__name__}: {exc}"
+            f"struct {spec.name!r} rejected: {type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -750,7 +859,7 @@ class SchemeCache:
                 self._entries[key] = obj
                 self.hits += 1
                 return obj
-        obj = _build_struct(spec, body, None)
+        obj = _build_struct(spec, body)
         with self._lock:
             self.misses += 1
             if key not in self._entries:
@@ -1031,6 +1140,257 @@ def _register_defaults() -> None:
         SignalSearch,
     )
 
+    # --- the population's two records (README "Batch records" and
+    # "Result records") -----------------------------------------------
+    SchemeBatch, SchemeJob = _jobs.SchemeBatch, _jobs.SchemeJob
+    reasons = tuple(RejectReason)  # wire code = position: append only
+    # By the member's id: an enum member hashes in Python, an id in C.
+    reason_code = {id(reason): code for code, reason in enumerate(reasons)}
+    # A verdict row's second byte read back: accepted << 7 | reason code.
+    verdict_values = {
+        accepted << 7 | code: (accepted, reason)
+        for accepted in (False, True)
+        for code, reason in enumerate(reasons)
+    }
+    ledger_fields = (
+        "evaluation_cost", "evaluations", "verification_cost",
+        "verifications", "hash_cost", "hashes", "bytes_sent",
+        "bytes_received", "messages_sent", "messages_received",
+        "storage_digests", "screening_cost",
+    )
+    ledger_values = operator.attrgetter(*ledger_fields)
+    ledger_types = tuple(float if c == "d" else int for c in LEDGER_LAYOUT)
+    two_ledger_types = 2 * ledger_types
+    zero_values = ledger_values(CostLedger())
+    ledger_row = _struct.Struct(">" + LEDGER_LAYOUT)
+    zero_row = ledger_row.pack(*zero_values)
+    ledger = _typed(CostLedger)
+
+    def _reason_code(reason: RejectReason) -> int:
+        if type(reason) is not RejectReason:
+            raise CodecError(f"not a RejectReason: {reason!r}")
+        return reason_code[id(reason)]
+
+    def _reason(code: Any) -> RejectReason:
+        if type(code) is not int or not 0 <= code < len(reasons):
+            raise CodecError(f"unknown reject-reason code {code!r}")
+        return reasons[code]
+
+    def _counters(value: Any) -> dict:
+        if type(value) is not dict or any(
+            type(k) is not str or type(v) is not int for k, v in value.items()
+        ):
+            raise TypeError("ledger counters map str to int")
+        return value
+
+    def _verdict_rows(verdicts: Any) -> bytes | None:
+        """The verdicts as rows, or None if one will not fit its row."""
+        rows = []
+        try:
+            for v in verdicts:
+                if type(v) is not SampleVerdict:
+                    return None
+                index, accepted = v.index, v.accepted
+                if type(index) is not int or type(accepted) is not bool:
+                    return None
+                rows.append(VERDICT_ROW.pack(
+                    index, accepted << 7 | reason_code[id(v.reason)]
+                ))
+        except (KeyError, _struct.error):
+            return None
+        return b"".join(rows)
+
+    def _new_verdict(shared: dict, row: tuple) -> SampleVerdict:
+        accepted, reason = verdict_values[row[1]]
+        verdict = shared[row] = SampleVerdict(row[0], accepted, reason)
+        return verdict
+
+    def _read_verdicts(rows: bytes, shared: dict) -> list[SampleVerdict]:
+        get = shared.get
+        return [
+            get(row) or _new_verdict(shared, row)
+            for row in VERDICT_ROW.iter_unpack(rows)
+        ]
+
+    def _zero(ledger: Any) -> bool:
+        """``ledger`` is ``CostLedger()`` bit for bit (-0.0 is not 0.0)."""
+        if type(ledger) is not CostLedger or ledger.counters:
+            return False
+        values = ledger_values(ledger)
+        return all(map(operator.is_, values, zero_values)) or (
+            values == zero_values
+            and tuple(map(type, values)) == ledger_types
+            and ledger_row.pack(*values) == zero_row
+        )
+
+    def _counter_rows(counters: Any, out: list) -> int:
+        if type(counters) is not dict:
+            raise TypeError("ledger counters are not a dict")
+        for name, value in counters.items():
+            if type(name) is not str or type(value) is not int:
+                raise TypeError("ledger counters map str to int")
+            raw = name.encode("utf-8")
+            out += (COUNTER_ROW.pack(value, len(raw)), raw)
+        return len(counters)
+
+    def _read_counters(body: bytes, pos: int, count: int) -> tuple[dict, int]:
+        counters = {}
+        for _ in range(count):
+            value, size = COUNTER_ROW.unpack_from(body, pos)
+            pos += COUNTER_ROW.size
+            counters[body[pos:pos + size].decode("utf-8")] = value
+            pos += size
+        if len(counters) != count:
+            raise CodecError("duplicate ledger counter names")
+        return counters, pos
+
+    def pack_result(r: Any, enc: _Encoder, depth: int) -> bytes | None:
+        work = r.work
+        if work is not None and type(work) is not WorkSummary:
+            raise CodecError(
+                f"a result's work crosses the wire as a WorkSummary, not "
+                f"{type(work).__name__}: leaf vectors stay where they "
+                "were computed (engine.jobs.execute_batch summarizes)"
+            )
+        o, p, s = r.outcome, r.participant_ledger, r.supervisor_ledger
+        if (
+            type(o) is not VerificationOutcome
+            or type(o.task_id) is not str
+            or type(o.accepted) is not bool
+            or type(p) is not CostLedger
+            or type(s) is not CostLedger
+            or not _zero(r.other_ledger)
+        ):
+            return None
+        values = ledger_values(p) + ledger_values(s)
+        rows = _verdict_rows(o.verdicts)
+        if rows is None or tuple(map(type, values)) != two_ledger_types:
+            return None
+        n_inputs, n_honest = (0, 0) if work is None else (
+            work.n_inputs, work.n_honest
+        )
+        if type(n_inputs) is not int or type(n_honest) is not int:
+            return None
+        try:
+            task_id = o.task_id.encode("utf-8")
+            tail = [rows, task_id]
+            head = RESULT_HEAD.pack(
+                _RECORD_BIT | o.accepted << 6 | (work is not None) << 5
+                | reason_code[id(o.reason)],
+                len(rows) // VERDICT_ROW.size, len(task_id),
+                _counter_rows(p.counters, tail),
+                _counter_rows(s.counters, tail),
+                n_inputs, n_honest, *values,
+            )
+        except (KeyError, TypeError, ValueError, _struct.error):
+            return None
+        return head + b"".join(tail)
+
+    def unpack_result(body: bytes, dec: _Decoder) -> Any:
+        flags, n_verdicts, n_task, n_p, n_s, n_inputs, n_honest, *values = (
+            RESULT_HEAD.unpack_from(body)
+        )
+        pos = RESULT_HEAD.size + VERDICT_ROW.size * n_verdicts
+        if pos + n_task > len(body):
+            raise CodecError("truncated result record")
+        verdicts = _read_verdicts(body[RESULT_HEAD.size:pos], dec.verdicts)
+        task_id = body[pos:pos + n_task].decode("utf-8")
+        p_counters, pos = _read_counters(body, pos + n_task, n_p)
+        s_counters, pos = _read_counters(body, pos, n_s)
+        if pos != len(body):
+            raise CodecError(f"{len(body) - pos} bytes after a result record")
+        if flags & 0x20:
+            work = WorkSummary(n_inputs, n_honest)
+        elif n_inputs or n_honest:
+            raise CodecError("work counts in a result record without work")
+        else:
+            work = None
+        return SchemeRunResult(
+            VerificationOutcome(
+                task_id, flags & 0x40 != 0, verdicts, reasons[flags & 0x1F]
+            ),
+            CostLedger(*values[:12], counters=p_counters),
+            CostLedger(*values[12:], counters=s_counters),
+            work,
+            CostLedger(),
+        )
+
+    def pack_batch(batch: Any, enc: _Encoder, depth: int) -> bytes | None:
+        jobs = batch.jobs
+        if type(jobs) is not tuple or len(jobs) > MAX_CONTAINER_ITEMS:
+            return None
+        # Functions, screeners and behaviours, once each by identity:
+        # id -> table index, and id -> the object, in first-use order.
+        slots: dict[int, int] = {}
+        table: dict[int, Any] = {}
+        rows, task_ids = [], []
+        for job in jobs:
+            if type(job) is not SchemeJob:
+                return None
+            task = job.assignment
+            if type(task) is not TaskAssignment:
+                return None
+            domain, task_id, seed = task.domain, task.task_id, job.seed
+            if (
+                type(domain) is not RangeDomain
+                or type(domain.start) is not int
+                or type(domain.stop) is not int
+                or type(seed) is not int
+                or type(task_id) is not str
+            ):
+                return None
+            fn, screener, behavior = task.function, task.screener, job.behavior
+            table[id(fn)] = fn
+            table[id(screener)] = screener
+            table[id(behavior)] = behavior
+            try:
+                raw = task_id.encode("utf-8")
+                rows.append(BATCH_ROW.pack(
+                    domain.start, domain.stop, seed,
+                    slots.setdefault(id(fn), len(slots)),
+                    slots.setdefault(id(screener), len(slots)),
+                    slots.setdefault(id(behavior), len(slots)),
+                    len(raw),
+                ))
+            except (ValueError, _struct.error):
+                return None
+            task_ids.append(raw)
+        sub = enc.sharing()
+        sub.out += BATCH_HEAD.pack(_RECORD_BIT, len(jobs))
+        sub.value(batch.scheme, depth)
+        sub.value(tuple(table.values()), depth)
+        sub.out += b"".join(rows)
+        sub.out += b"".join(task_ids)
+        return bytes(sub.out)
+
+    def unpack_batch(body: bytes, dec: _Decoder) -> Any:
+        marker, count = BATCH_HEAD.unpack_from(body)
+        if marker != _RECORD_BIT:
+            raise CodecError(f"bad batch record marker 0x{marker:02x}")
+        _check_count("batch", count)
+        sub = dec.sharing(body)
+        sub.pos = BATCH_HEAD.size
+        scheme = sub.value()
+        table = sub.value()
+        if type(table) is not tuple:
+            raise CodecError("batch record table is not a tuple")
+        end = sub.pos + BATCH_ROW.size * count
+        if end > len(body):
+            raise CodecError("truncated batch record")
+        jobs = []
+        for start, stop, seed, fn, screener, behavior, size in (
+            BATCH_ROW.iter_unpack(body[sub.pos:end])
+        ):
+            task = TaskAssignment(
+                body[end:end + size].decode("utf-8"), RangeDomain(start, stop),
+                table[fn], table[screener],
+            )
+            jobs.append(SchemeJob(task, table[behavior], seed))
+            end += size
+        if end != len(body):
+            raise CodecError("batch record task ids do not fill its body")
+        return SchemeBatch(scheme, tuple(jobs))
+
     row, field = _StructRow, _StructField
     leaf_encoding = field("leaf_encoding", "leaf_encoding.value", LeafEncoding)
     # The plain structs.  Wire order is field order.  Schemes are
@@ -1112,11 +1472,32 @@ def _register_defaults() -> None:
             cacheable=True,
         ),
         row("scheme_job", _jobs.SchemeJob, "assignment", "behavior", "seed"),
-        row("scheme_batch", _jobs.SchemeBatch, "scheme", "jobs"),
+        row(
+            "scheme_batch", _jobs.SchemeBatch, "scheme", "jobs",
+            record=_Record(pack_batch, unpack_batch),
+        ),
+        row("work_summary", WorkSummary, *(
+            field(arg, arg, _typed(int)) for arg in ("n_inputs", "n_honest")
+        )),
+        row("cost_ledger", CostLedger, *(
+            field(arg, arg, _typed(int, float, bool)) for arg in ledger_fields
+        ), field("counters", "counters", _counters)),
+        row(
+            "scheme_run_result", SchemeRunResult,
+            field("outcome", "outcome", _typed(VerificationOutcome)),
+            field("participant_ledger", "participant_ledger", ledger),
+            field("supervisor_ledger", "supervisor_ledger", ledger),
+            field("work", "work", _typed(WorkSummary, type(None))),
+            field("other_ledger", "other_ledger", ledger),
+            record=_Record(pack_result, unpack_result),
+        ),
     )
     for spec in _index_structs(rows):
-        register_struct(
-            spec.name, spec.cls, spec.pack, spec.unpack, spec.cacheable
+        _register(
+            _StructSpec(
+                spec.name, spec.cls, spec.pack, spec.unpack, spec.cacheable,
+                spec.record,
+            )
         )
 
     # --- the custom structs: state or packing a row cannot express ---
@@ -1132,157 +1513,46 @@ def _register_defaults() -> None:
 
     register_struct("topk_screener", TopKScreener, _pack_topk, _unpack_topk)
 
-    # --- outcome records (the result plane) -------------------------
-    # Packed, not nested: one result is ~a dozen primitive terms (see
-    # the README's "Result records"), where a struct per verdict and
-    # per reason cost a sub-encoder each.  Any value that will not fit
-    # its fixed record exactly rides the generic term path instead.
-    reasons = tuple(RejectReason)  # wire code = position: append only
-    reason_codes = {reason: code for code, reason in enumerate(reasons)}
-    verdict_record = _struct.Struct(">IB")  # index, accepted<<7 | reason
-    ledger_fields = (
-        "evaluation_cost", "evaluations", "verification_cost",
-        "verifications", "hash_cost", "hashes", "bytes_sent",
-        "bytes_received", "messages_sent", "messages_received",
-        "storage_digests", "screening_cost",
-    )
-    ledger_layout = "dqdqdqqqqqqd"  # costs binary64, counts int64
-    ledger_record = _struct.Struct(">" + ledger_layout)
-    ledger_types = tuple(float if c == "d" else int for c in ledger_layout)
-    ledger_values = operator.attrgetter(*ledger_fields)
-    zero_ledger = (ledger_record.pack(*ledger_values(CostLedger())), None)
-
-    def _reason_code(reason: RejectReason) -> int:
-        if type(reason) is not RejectReason:
-            raise CodecError(f"not a RejectReason: {reason!r}")
-        return reason_codes[reason]
-
-    def _reason(code: Any) -> RejectReason:
-        if type(code) is not int or not 0 <= code < len(reasons):
-            raise CodecError(f"unknown reject-reason code {code!r}")
-        return reasons[code]
-
-    def _pack_verdicts(verdicts: Any) -> bytes | list:
-        out = bytearray()
-        for v in verdicts:
-            if (
-                type(v) is not SampleVerdict
-                or type(v.index) is not int
-                or not 0 <= v.index <= 0xFFFFFFFF
-                or type(v.accepted) is not bool
-                or type(v.reason) is not RejectReason
-            ):
-                return list(verdicts)
-            out += verdict_record.pack(
-                v.index, v.accepted << 7 | reason_codes[v.reason]
-            )
-        return bytes(out)
-
-    def _unpack_verdicts(packed: Any) -> list[SampleVerdict]:
-        if type(packed) is list:
-            if any(type(v) is not SampleVerdict for v in packed):
-                raise CodecError("verdict list holds a non-verdict")
-            return packed
-        if type(packed) is not bytes or len(packed) % verdict_record.size:
-            raise CodecError("verdict blob is not a whole number of records")
-        return [
-            SampleVerdict(index, byte >= 0x80, _reason(byte & 0x7F))
-            for index, byte in verdict_record.iter_unpack(packed)
-        ]
+    # A service verification job answers with a bare outcome: its
+    # verdicts ride as the result record's rows, or as a list of
+    # ``sample_verdict`` structs when one will not fit a row.
+    def _unpack_verdict(f: tuple) -> SampleVerdict:
+        index, accepted, code = f
+        if type(index) is not int or type(accepted) is not bool:
+            raise CodecError("sample_verdict is (int, bool, reason code)")
+        return SampleVerdict(index, accepted, _reason(code))
 
     def _pack_outcome(o: VerificationOutcome) -> tuple:
+        rows = _verdict_rows(o.verdicts)
         return (
             o.task_id, o.accepted, _reason_code(o.reason),
-            _pack_verdicts(o.verdicts),
+            list(o.verdicts) if rows is None else rows,
         )
 
     def _unpack_outcome(f: tuple) -> VerificationOutcome:
         task_id, accepted, code, verdicts = f
-        return VerificationOutcome(
-            task_id=task_id,
-            accepted=accepted,
-            verdicts=_unpack_verdicts(verdicts),
-            reason=_reason(code),
-        )
-
-    def _pack_ledger(ledger: CostLedger) -> tuple:
-        record: Any = ledger_values(ledger)
-        if tuple(map(type, record)) == ledger_types:
-            try:
-                record = ledger_record.pack(*record)
-            except _struct.error:
-                pass  # a count beyond int64: the bigint term carries it
-        return record, ledger.counters or None
-
-    def _unpack_ledger(f: tuple) -> CostLedger:
-        record, counters = f
-        if type(record) is bytes:
-            if len(record) != ledger_record.size:
-                raise CodecError("ledger record has the wrong length")
-            record = ledger_record.unpack(record)
-        elif type(record) is not tuple or len(record) != len(ledger_fields):
-            raise CodecError("ledger record has the wrong shape")
-        if counters is None:
-            counters = {}
-        elif type(counters) is not dict:
-            raise CodecError("ledger counters are not a dict")
-        return CostLedger(**dict(zip(ledger_fields, record)), counters=counters)
-
-    def _pack_result(r: SchemeRunResult) -> tuple:
-        if r.work is None:
-            work = None
-        elif type(r.work) is WorkSummary:
-            work = (r.work.n_inputs, r.work.n_honest)
+        if type(task_id) is not str or type(accepted) is not bool:
+            raise CodecError("verification_outcome is (str, bool, ...)")
+        if type(verdicts) is list:
+            if any(type(v) is not SampleVerdict for v in verdicts):
+                raise CodecError("verdict list holds a non-verdict")
+        elif type(verdicts) is bytes and not len(verdicts) % VERDICT_ROW.size:
+            verdicts = _read_verdicts(verdicts, {})
         else:
-            raise CodecError(
-                f"a result's work crosses the wire as a WorkSummary, not "
-                f"{type(r.work).__name__}: leaf vectors stay where they "
-                "were computed (engine.jobs.execute_batch summarizes)"
-            )
-        other = _pack_ledger(r.other_ledger)
-        return (
-            *_pack_outcome(r.outcome),
-            *_pack_ledger(r.participant_ledger),
-            *_pack_ledger(r.supervisor_ledger),
-            *((None, None) if other == zero_ledger else other),
-            work,
-        )
-
-    def _unpack_result(f: tuple) -> SchemeRunResult:
-        if len(f) != 11:
-            raise CodecError(f"scheme_run_result has {len(f)} fields, not 11")
-        work = f[10]
-        if work is not None:
-            if type(work) is not tuple or [*map(type, work)] != [int, int]:
-                raise CodecError("work summary is not a pair of counts")
-            work = WorkSummary(*work)
-        return SchemeRunResult(
-            outcome=_unpack_outcome(f[0:4]),
-            participant_ledger=_unpack_ledger(f[4:6]),
-            supervisor_ledger=_unpack_ledger(f[6:8]),
-            work=work,
-            other_ledger=(
-                CostLedger() if f[8] is None else _unpack_ledger(f[8:10])
-            ),
-        )
+            raise CodecError("verdict blob is not a whole number of records")
+        return VerificationOutcome(task_id, accepted, verdicts, _reason(code))
 
     register_struct(
         "sample_verdict",
         SampleVerdict,
         lambda v: (v.index, v.accepted, _reason_code(v.reason)),
-        lambda f: SampleVerdict(
-            index=f[0], accepted=f[1], reason=_reason(f[2])
-        ),
+        _unpack_verdict,
     )
     register_struct(
         "verification_outcome",
         VerificationOutcome,
         _pack_outcome,
         _unpack_outcome,
-    )
-    register_struct("cost_ledger", CostLedger, _pack_ledger, _unpack_ledger)
-    register_struct(
-        "scheme_run_result", SchemeRunResult, _pack_result, _unpack_result
     )
 
     # --- protocol messages (reuse their canonical binary codecs) ----

@@ -519,8 +519,8 @@ class TestClusterEnvelope:
     def test_wrong_version_rejected(self, frame):
         """No compat window: every payload-bearing frame leads with
         the wire version and is refused unless it matches exactly —
-        a v7 or future frame never reaches a field decoder."""
-        assert CLUSTER_WIRE_VERSION == 8
+        a v8 or future frame never reaches a field decoder."""
+        assert CLUSTER_WIRE_VERSION == 9
         payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
         assert payload[1] == CLUSTER_WIRE_VERSION
         for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
@@ -984,16 +984,40 @@ class TestRegisteredSchemeRoundTrip:
 
 def _raw_struct(name: str, fields: tuple) -> bytes:
     """A struct term spelled by hand, so a test can put any field tuple
-    (valid or hostile) behind a registered struct name."""
+    (valid or hostile) behind a registered struct name.  The fields are
+    encoded as inside that struct: its name is interned and it holds
+    memo slot 0."""
+    from repro.service.jobcodec import _Encoder, ensure_default_registry
+
+    ensure_default_registry()
+    encoder = _Encoder()
+    encoder.names[name] = 0
+    encoder.memo[id(encoder)] = 0
+    encoder.value(fields)
+    return _raw_record(name, bytes(encoder.out))
+
+
+def _raw_record(name: str, body: bytes) -> bytes:
+    """Any body bytes behind a registered struct name."""
     from repro.service.jobcodec import Tag
     from repro.utils.encoding import encode_uint
 
-    body = encode_cluster_payload(fields)
     spelled = name.encode("utf-8")
     return (
         bytes([Tag.STRUCT]) + encode_uint(0) + encode_uint(len(spelled))
         + spelled + encode_uint(len(body)) + body
     )
+
+
+def _struct_body(raw: bytes) -> bytes:
+    """The body of the struct term a payload opens with."""
+    from repro.service.jobcodec import Tag
+    from repro.utils.encoding import read_uint
+
+    assert raw[0] == Tag.STRUCT and raw[1] == 0  # the name is spelled
+    size, pos = read_uint(raw, 2)
+    body_len, pos = read_uint(raw, pos + size)
+    return raw[pos:pos + body_len]
 
 
 def _ledger_bits(ledger) -> tuple:
@@ -1133,36 +1157,61 @@ class TestPackedResultRecords:
         assert encode_cluster_payload(back) == raw
 
     def test_values_beyond_the_fixed_records_take_the_generic_path(self):
+        """A result whose every value fits its slot is one record; one
+        value past its slot sends that whole result down the generic
+        term path, exactly."""
+        import dataclasses
+
         from repro.accounting import CostLedger
+        from repro.cheating.strategies import WorkSummary
         from repro.core.scheme import SampleVerdict, VerificationOutcome
+        from repro.service.jobcodec import Tag
 
-        packed = len(encode_cluster_payload(CostLedger(evaluations=-5)))
-        for ledger in (
-            CostLedger(evaluations=1 << 63),
-            CostLedger(bytes_sent=-(1 << 63) - 1),
-            CostLedger(evaluation_cost=3),  # int in a float slot
-            CostLedger(hashes=True),  # bool in an int slot
+        result = self.real_results()[0]
+        assert _struct_body(encode_cluster_payload(result))[0] >= 0x80
+        outcome = result.outcome
+        for change in (
+            {"participant_ledger": CostLedger(evaluations=1 << 63)},
+            {"supervisor_ledger": CostLedger(bytes_sent=-(1 << 63) - 1)},
+            {"participant_ledger": CostLedger(evaluation_cost=3)},  # an int cost
+            {"supervisor_ledger": CostLedger(hashes=True)},  # a bool count
+            {"participant_ledger": CostLedger(counters={"k": 1 << 32})},
+            {"participant_ledger": CostLedger(counters={"é" * 128: 1})},
+            {"other_ledger": CostLedger(hashes=1)},
+            {"work": WorkSummary(1 << 32, 0)},
+            {"outcome": dataclasses.replace(outcome, task_id="t" * 256)},
+            *(
+                {"outcome": VerificationOutcome("t", False, [SampleVerdict(i, False)])}
+                for i in (-1, 1 << 32)
+            ),
         ):
-            raw = encode_cluster_payload(ledger)
-            assert len(raw) != packed  # not the 96-byte record
-            assert _ledger_bits(decode_cluster_payload(raw)) == _ledger_bits(ledger)
-        for index in (-1, 1 << 32):
-            outcome = VerificationOutcome(
-                "t", False, [SampleVerdict(index, False)]
-            )
-            assert decode_cluster_payload(encode_cluster_payload(outcome)) == outcome
+            changed = dataclasses.replace(result, **change)
+            raw = encode_cluster_payload(changed)
+            assert _struct_body(raw)[0] == Tag.TUPLE, change
+            back = decode_cluster_payload(raw)
+            assert _result_bits(back) == _result_bits(changed)
+            assert encode_cluster_payload(back) == raw
 
-    def test_zero_other_ledger_costs_one_byte_and_signed_zero_survives(self):
+    def test_zero_other_ledger_costs_nothing_and_signed_zero_survives(self):
+        """The two-party case has no ``other_ledger`` in its record at
+        all; a ``-0.0`` cost is not zero, so that result goes generic."""
         import math
 
         from repro.accounting import CostLedger
+        from repro.service.jobcodec import RESULT_HEAD, Tag
 
         result = self.real_results()[0]
         assert result.other_ledger == CostLedger()
-        lean = encode_cluster_payload(result)
+        lean = _struct_body(encode_cluster_payload(result))
+        assert lean[0] >= 0x80 and len(lean) == (
+            RESULT_HEAD.size + 5 * len(result.outcome.verdicts)
+            + len(result.outcome.task_id)
+            + sum(5 + len(name) for name in result.participant_ledger.counters)
+            + sum(5 + len(name) for name in result.supervisor_ledger.counters)
+        )
         result.other_ledger = CostLedger(screening_cost=-0.0)
         signed = encode_cluster_payload(result)
-        assert len(signed) > len(lean) + 90  # the record is back
+        assert _struct_body(signed)[0] == Tag.TUPLE
         back = decode_cluster_payload(signed)
         assert math.copysign(1.0, back.other_ledger.screening_cost) == -1.0
 
@@ -1230,12 +1279,13 @@ class TestPackedResultRecords:
 
     def test_truncated_and_bit_flipped_results_rejected_cleanly(self):
         encoded = encode_cluster_payload(self.real_results()[1])
+        assert _struct_body(encoded)[0] >= 0x80  # the packed record
         for cut in range(len(encoded)):
             with pytest.raises(CodecError):
                 decode_cluster_payload(encoded[:cut])
-        for position in range(len(encoded)):
+        for bit in range(8 * len(encoded)):
             flipped = bytearray(encoded)
-            flipped[position] ^= 0xFF
+            flipped[bit // 8] ^= 1 << bit % 8
             try:
                 decode_cluster_payload(bytes(flipped))
             except CodecError:
@@ -1270,46 +1320,335 @@ class TestPackedResultRecords:
                 decode_cluster_payload(_raw_struct(name, fields))
 
     def test_junk_ledger_records_rejected(self):
+        """A ledger off the record is its twelve slots then its
+        counters, each slot an int, float or bool and the counters a
+        dict of str to int."""
         from repro.accounting import CostLedger
 
-        record = bytes(96)
+        zero = (0.0, 0, 0.0, 0, 0.0, 0, 0, 0, 0, 0, 0, 0.0)
         assert decode_cluster_payload(
-            _raw_struct("cost_ledger", (record, None))
+            _raw_struct("cost_ledger", zero + ({},))
         ) == CostLedger()
         for fields in (
-            (record[:-1], None),  # truncated
-            (record + b"\x00", None),  # over-long
-            (b"", None),
-            ((0.0,) * 11, None),  # generic path, one field short
-            ((0.0,) * 13, None),
-            ([0.0] * 12, None),
-            (None, None),
-            (record, [("k", 1)]),  # counters must be a dict
-            (record, 5),
-            (record,),  # arity
-            (record, None, None),
+            zero,  # arity: no counters
+            zero + ({}, None),
+            zero[1:] + ({},),
+            zero[:-1] + ("0.0", {}),  # a slot holds a number
+            zero[:-1] + (None, {}),
+            zero[:-1] + (b"", {}),
+            zero[:-1] + ([0.0], {}),
+            zero + (None,),  # counters must be a dict
+            zero + ([("k", 1)],),
+            zero + ({"k": "v"},),  # of str to int
+            zero + ({3: 1},),
+            zero + ({"k": True},),
+            zero + ({"k": 1.0},),
+            (bytes(96), {}),  # the bytes-blob ledger is gone
         ):
             with pytest.raises(CodecError):
                 decode_cluster_payload(_raw_struct("cost_ledger", fields))
 
     def test_junk_result_shapes_rejected(self):
-        record = bytes(96)
-        good = ("t", True, 0, b"", record, None, record, None, None, None, (4, 4))
+        from repro.accounting import CostLedger
+        from repro.cheating.strategies import WorkSummary
+        from repro.core.scheme import RejectReason, VerificationOutcome
+        from repro.service.jobcodec import COUNTER_ROW, RESULT_HEAD
+
+        # The record: every head slot, verdict row, task id and counter
+        # that does not add up is refused.
+        result = self.real_results()[0]
+        body = _struct_body(encode_cluster_payload(result))
+        head = RESULT_HEAD.unpack_from(body)
+        tail = body[RESULT_HEAD.size:]
+        slots = ("flags", "verdicts", "task", "p", "s", "n_inputs", "n_honest")
+        verdicts = 5 * head[1]
+        task = tail[verdicts:verdicts + head[2]]
+        counter = COUNTER_ROW.pack(1, 1) + b"k"
+
+        def record(tail=tail, **change):
+            values = {**dict(zip(slots, head)), **change}
+            return _raw_record(
+                "scheme_run_result",
+                RESULT_HEAD.pack(*values.values(), *head[7:]) + tail,
+            )
+
+        assert decode_cluster_payload(record()) == result
+        assert head[0] & 0x20 and head[5]  # the result carries work
+        for junk in (
+            record(flags=head[0] | 0x1F),  # reason code past the table
+            record(flags=head[0] & ~0x20),  # work counts without work
+            record(verdicts=head[1] + 1),  # more verdicts than rows
+            record(task=head[2] + 1),  # a task id running into counters
+            record(p=head[3] + 1),  # a counter past the end
+            record(tail=tail + b"\x00"),  # trailing byte
+            record(tail=tail[:-1]),
+            record(tail=tail[:4] + b"\x89" + tail[5:]),  # verdict reason 9
+            record(tail=tail[:verdicts] + b"\xff" * len(task)
+                   + tail[verdicts + len(task):]),  # task id not UTF-8
+            record(p=2, s=0, tail=tail[:verdicts + len(task)] + 2 * counter),
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(junk)
+
+        # Off the record: the five fields, each of its own type.
+        good = (
+            VerificationOutcome("t", True, [], RejectReason.OK),
+            CostLedger(), CostLedger(), WorkSummary(4, 4), CostLedger(),
+        )
         assert decode_cluster_payload(
             _raw_struct("scheme_run_result", good)
         ).work.honesty_ratio == 1.0
         for fields in (
             good[:-1],
             good + (None,),
-            good[:-1] + ((4,),),
-            good[:-1] + ((4, 4, 4),),
-            good[:-1] + ((4, "4"),),
-            good[:-1] + ([4, 4],),
-            good[:-1] + (b"leaf vector",),
-            good[:4] + (record[:5],) + good[5:],
+            ("t",) + good[1:],
+            good[:1] + (None,) + good[2:],
+            good[:2] + ({},) + good[3:],
+            good[:3] + ((4, 4),) + good[4:],
+            good[:3] + ([4, 4],) + good[4:],
+            good[:3] + (b"leaf vector",) + good[4:],
+            good[:4] + (None,),
         ):
             with pytest.raises(CodecError):
                 decode_cluster_payload(_raw_struct("scheme_run_result", fields))
+
+    def test_junk_field_types_rejected_at_decode(self):
+        """The encoder trusts its caller, so a peer can put any term
+        where a count, a flag or a name belongs: decode refuses it
+        rather than build a result that fails later, far from the wire
+        (a ledger of strings used to reach ``CostLedger.merge``)."""
+        import dataclasses
+
+        from repro.accounting import CostLedger
+        from repro.core.scheme import SampleVerdict, VerificationOutcome
+
+        result = self.real_results()[0]
+        for junk in (
+            CostLedger(*("junk",) * 12, counters={"k": "v", 3: None}),
+            CostLedger(counters={"k": "v"}),
+            CostLedger(counters={3: 1}),
+            VerificationOutcome(7, True),
+            VerificationOutcome("t", "yes"),
+            VerificationOutcome("t", True, [SampleVerdict("3", True)]),
+            VerificationOutcome("t", True, [SampleVerdict(3, 1)]),
+            SampleVerdict("3", True),
+            SampleVerdict(3, 1),
+            dataclasses.replace(
+                result, participant_ledger=CostLedger(hashes="many")
+            ),
+        ):
+            raw = encode_cluster_payload(junk)
+            with pytest.raises(CodecError):
+                decode_cluster_payload(raw)
+
+
+_I64 = (-(1 << 63), (1 << 63) - 1)
+
+
+@st.composite
+def _scheme_batches(draw):
+    """Batches in both shapes: a record when every job fits its row
+    (domains up to the i64 edges, seeds up to 2^64 - 1), the generic
+    path when one does not (a domain past i64 or not a range, a bigint,
+    negative or bool seed, a task id over 255 UTF-8 bytes).  Functions,
+    screeners and behaviours are shared instances, equal-but-distinct
+    ones, or fresh per job."""
+    from repro.cheating.strategies import HonestBehavior, SemiHonestCheater
+    from repro.core.cbs import CBSScheme
+    from repro.core.ni_cbs import NICBSScheme
+    from repro.engine.jobs import SchemeBatch, SchemeJob
+    from repro.tasks.domain import ExplicitDomain, RangeDomain
+    from repro.tasks.result import TaskAssignment
+    from repro.tasks.screener import MatchScreener, ThresholdScreener
+    from repro.tasks.workloads import PasswordSearch, SignalSearch
+
+    behaviors = [HonestBehavior(), SemiHonestCheater(0.5), SemiHonestCheater(0.5)]
+    functions = [PasswordSearch(), SignalSearch()]
+    screeners = [None, MatchScreener(b"\x00\x01"), ThresholdScreener(9)]
+    edges = st.sampled_from(
+        [_I64[0], _I64[0] + 1, -1, 0, _I64[1] - 1, _I64[1]]
+    )
+    starts = st.one_of(edges, st.integers(-(1 << 64), 1 << 64))
+    widths = st.one_of(st.just(1), st.integers(1, 1 << 65))
+    seeds = st.one_of(
+        st.integers(0, (1 << 64) - 1),
+        st.sampled_from([0, (1 << 64) - 1, 1 << 64, 1 << 70, -1, True]),
+    )
+
+    def job():
+        start = draw(starts)
+        domain = draw(st.one_of(
+            st.just(RangeDomain(start, start + draw(widths))),
+            st.builds(
+                ExplicitDomain, st.lists(st.integers(0, 9), min_size=1, max_size=3)
+            ),
+        ))
+        task = TaskAssignment(
+            draw(st.one_of(st.text(max_size=8), st.just("é" * 128))),
+            domain,
+            draw(st.sampled_from(functions) | st.builds(PasswordSearch)),
+            draw(
+                st.sampled_from(screeners)
+                | st.builds(MatchScreener, st.binary(min_size=1, max_size=3))
+            ),
+        )
+        behavior = draw(
+            st.sampled_from(behaviors)
+            | st.builds(SemiHonestCheater, st.sampled_from([0.25, 0.5]))
+        )
+        return SchemeJob(task, behavior, draw(seeds))
+
+    scheme = draw(st.sampled_from([CBSScheme(4), NICBSScheme(3)]))
+    n_jobs = draw(st.integers(0, 5))
+    return SchemeBatch(scheme, tuple(job() for _ in range(n_jobs)))
+
+
+def _fits_a_row(job) -> bool:
+    domain, task_id = job.assignment.domain, job.assignment.task_id
+    return (
+        type(domain).__name__ == "RangeDomain"
+        and _I64[0] <= domain.start and domain.stop <= _I64[1]
+        and type(job.seed) is int and 0 <= job.seed < 1 << 64
+        and len(task_id.encode("utf-8")) < 256
+    )
+
+
+def _batch_view(batch) -> tuple:
+    """What a batch is on the wire: its scheme's bytes, each job's
+    values, and which jobs share a function, screener or behaviour
+    (first-seen numbering by identity) with what canonical bytes."""
+    seen: dict[int, int] = {}
+
+    def shared(obj):
+        return seen.setdefault(id(obj), len(seen)), encode_cluster_payload(obj)
+
+    return encode_cluster_payload(batch.scheme), [
+        (
+            job.assignment.task_id, job.assignment.domain, type(job.seed),
+            job.seed, shared(job.assignment.function),
+            shared(job.assignment.screener), shared(job.behavior),
+        )
+        for job in batch.jobs
+    ]
+
+
+class TestPackedBatchRecords:
+    """The job plane's batch record: one head, the scheme, a table of
+    the distinct objects the jobs point at, one row per job.  Exact
+    round trips in both shapes, and CodecError — never a crash — on
+    junk."""
+
+    @staticmethod
+    def batch(n_jobs: int = 3):
+        from repro.cheating.strategies import HonestBehavior, SemiHonestCheater
+        from repro.core.cbs import CBSScheme
+        from repro.engine.jobs import SchemeBatch, SchemeJob
+        from repro.tasks.domain import RangeDomain
+        from repro.tasks.result import TaskAssignment
+        from repro.tasks.workloads import PasswordSearch
+
+        fn, behaviors = PasswordSearch(), (HonestBehavior(), SemiHonestCheater(0.5))
+        return SchemeBatch(CBSScheme(n_samples=4), tuple(
+            SchemeJob(
+                TaskAssignment(f"task-{i}", RangeDomain(16 * i, 16 * i + 16), fn),
+                behaviors[i % 2], seed=(1 << 63) + i,
+            )
+            for i in range(n_jobs)
+        ))
+
+    @given(batch=_scheme_batches())
+    @settings(deadline=None)
+    def test_any_batch_round_trips_exactly(self, batch):
+        from repro.engine.jobs import SchemeBatch
+
+        raw = encode_cluster_payload(batch)
+        assert (_struct_body(raw)[0] >= 0x80) == all(map(_fits_a_row, batch.jobs))
+        back = decode_cluster_payload(raw)
+        assert type(back) is SchemeBatch
+        assert _batch_view(back) == _batch_view(batch)
+        assert encode_cluster_payload(back) == raw
+
+    def test_the_record_layout(self):
+        from repro.service.jobcodec import BATCH_HEAD, BATCH_ROW
+
+        batch = self.batch()
+        body = _struct_body(encode_cluster_payload(batch))
+        assert BATCH_HEAD.unpack_from(body) == (0x80, 3)
+        ids = b"task-0task-1task-2"
+        rows = body[-len(ids) - 3 * BATCH_ROW.size:-len(ids)]
+        assert body.endswith(ids)
+        # Table: the function (0), no screener (1), two behaviours (2, 3).
+        assert list(BATCH_ROW.iter_unpack(rows)) == [
+            (0, 16, (1 << 63), 0, 1, 2, 6),
+            (16, 32, (1 << 63) + 1, 0, 1, 3, 6),
+            (32, 48, (1 << 63) + 2, 0, 1, 2, 6),
+        ]
+
+    def test_scheme_stays_one_cacheable_term(self):
+        """The batch record carries its scheme as the same struct term
+        a bare scheme is, so a worker's SchemeCache hits across batches."""
+        from repro.engine.jobs import execute_batch
+        from repro.service.jobcodec import SchemeCache, decode_job, encode_job
+
+        cache = SchemeCache()
+        first, second = self.batch(2), self.batch(4)
+        decoded = [
+            decode_job(encode_job(execute_batch, (b,), {}), cache=cache)[1][0]
+            for b in (first, second)
+        ]
+        assert decoded[0].scheme is decoded[1].scheme
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 1
+
+    def test_every_truncation_and_bit_flip_raises_only_codec_error(self):
+        from repro.engine.jobs import execute_batch
+        from repro.service.jobcodec import decode_job, encode_job
+
+        raw = encode_job(execute_batch, (self.batch(),), {})
+        assert decode_job(raw)[1][0].jobs[2].seed == (1 << 63) + 2
+        for cut in range(len(raw)):
+            with pytest.raises(CodecError):
+                decode_job(raw[:cut])
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << bit % 8
+            try:
+                decode_job(bytes(flipped))
+            except CodecError:
+                pass  # a changed-but-valid value is fine; a crash is not
+
+    def test_junk_batch_records_rejected(self):
+        from repro.service.jobcodec import BATCH_HEAD, BATCH_ROW
+
+        batch = self.batch()
+        body = _struct_body(encode_cluster_payload(batch))
+        ids = b"task-0task-1task-2"
+        rows_at = len(body) - len(ids) - 3 * BATCH_ROW.size
+        terms = body[BATCH_HEAD.size:rows_at]
+        rows = list(BATCH_ROW.iter_unpack(body[rows_at:-len(ids)]))
+
+        def record(head=(0x80, 3), rows=rows, ids=ids, terms=terms):
+            packed = b"".join(BATCH_ROW.pack(*row) for row in rows)
+            return _raw_record(
+                "scheme_batch", BATCH_HEAD.pack(*head) + terms + packed + ids
+            )
+
+        assert _batch_view(decode_cluster_payload(record())) == _batch_view(batch)
+        first = rows[0]
+        for junk in (
+            record(head=(0x81, 3)),  # not the record marker
+            record(head=(0x80, 4)),  # more rows than the body holds
+            record(head=(0x80, 2)),  # the task ids then do not add up
+            record(ids=ids + b"x"),  # trailing byte
+            record(ids=ids[:-1]),
+            record(rows=[(0, 0) + first[2:]] + rows[1:]),  # empty domain
+            record(rows=[first[:3] + (4,) + first[4:]] + rows[1:]),  # past the table
+            record(rows=[first[:5] + (9,) + first[6:]] + rows[1:]),
+            record(ids=b"\xff" * 6 + ids[6:]),  # task id not UTF-8
+            record(terms=terms[:-1] + b"\x00"),  # table is not a tuple
+            record(head=(0x80, 1 << 22)),  # a count past the container cap
+        ):
+            with pytest.raises(CodecError):
+                decode_cluster_payload(junk)
 
 
 class TestVersionSkewHandshake:
@@ -1408,8 +1747,8 @@ class TestVersionSkewHandshake:
                     writer,
                     ByeFrame(
                         reason=(
-                            "incompatible cluster wire version 7: this "
-                            "coordinator speaks v8; upgrade the worker"
+                            "incompatible cluster wire version 8: this "
+                            "coordinator speaks v9; upgrade the worker"
                         )
                     ),
                 )

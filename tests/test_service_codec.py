@@ -313,6 +313,21 @@ class TestReadmeTables:
             f"| `0x{term.tag:02X}` | `{term.name}`" for term in jobcodec.TERMS
         ]
 
+    def test_record_tables_match_the_code(self):
+        section = _readme_section("Job wire format")
+        for title, layouts in (
+            ("Batch records", (jobcodec.BATCH_HEAD, jobcodec.BATCH_ROW)),
+            (
+                "Result records",
+                (jobcodec.RESULT_HEAD, jobcodec.VERDICT_ROW, jobcodec.COUNTER_ROW),
+            ),
+        ):
+            table = section.partition(f"\n### {title}\n")[2].partition("\n### ")[0]
+            spelled = [row.split(" | ")[1] for row in _table_rows(table)]
+            assert [s.strip("`") for s in spelled if s.startswith("`>")] == [
+                layout.format for layout in layouts
+            ], title
+
     def test_message_layouts_match_the_code(self):
         messages = [
             cls
@@ -396,20 +411,20 @@ GOLDEN = [
         "07100174000c77726f6e675f726573756c74",
     ),
     (ErrorFrame("nope"), "08046e6f7065"),
-    (codec.WorkerHello("w-0", 2), "090803772d3002"),
+    (codec.WorkerHello("w-0", 2), "090903772d3002"),
     (codec.HeartbeatFrame("w-0"), "0a03772d30"),
     (
         codec.JobFrame(
             job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
         ),
-        "0b08ac02010274310102733103000102",
+        "0b09ac02010274310102733103000102",
     ),
     (
         codec.ResultFrame(
             job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
             cache_hits=2, cache_misses=1,
         ),
-        "0c08ac02010201" + _SPAN_HEX + "020304",
+        "0c09ac02010201" + _SPAN_HEX + "020304",
     ),
     (codec.StatsRequest(), "0f"),
     (
