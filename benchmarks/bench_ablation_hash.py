@@ -1,13 +1,13 @@
-"""E9 — design-choice ablations: hash function, leaf encoding, builder.
+"""E9 — design-choice ablations: hash function and leaf encoding.
 
-The paper leaves three implementation choices open; each is ablated
-here:
+The paper leaves these implementation choices open; each is ablated
+here (the third, a commitment's memory — full tree vs §3.3 partial
+tree — is E8's row in ``bench_storage_rco.py``):
 
 * **hash function** — MD5/SHA-1 (the paper's suggestions) vs SHA-256
   (our default) vs BLAKE2b: build throughput and proof size;
 * **leaf encoding** — the paper's raw ``Φ(L) = f(x)`` vs our
-  domain-separated hashed leaves: cost of the extra leaf hash;
-* **builder** — in-memory tree vs streaming root computation.
+  domain-separated hashed leaves: cost of the extra leaf hash.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import format_table
 from repro.cheating import HonestBehavior
 from repro.core import CBSScheme
-from repro.merkle import MerkleTree, StreamingMerkleBuilder, get_hash
+from repro.merkle import MerkleTree, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
@@ -106,22 +106,3 @@ def test_leaf_encoding_ablation(benchmark, save_table):
     assert hashed["participant_hashes"] - raw["participant_hashes"] == N
     assert raw["bytes_sent"] == hashed["bytes_sent"]
 
-
-def test_streaming_vs_inmemory(benchmark, save_table, digest_leaves):
-    def measure():
-        tree_root = MerkleTree(digest_leaves).root
-        builder = StreamingMerkleBuilder()
-        builder.add_leaves(digest_leaves)
-        assert builder.finalize() == tree_root
-        full_nodes = MerkleTree(digest_leaves).n_nodes
-        return {
-            "in_memory_nodes": full_nodes,
-            "streaming_peak_stack": len(builder._stack),
-        }
-
-    row = benchmark.pedantic(measure, rounds=1, iterations=1)
-    save_table(
-        "E9c_builder_ablation",
-        format_table([row], title="E9c — builder memory: full tree vs streaming"),
-    )
-    assert row["streaming_peak_stack"] <= 14

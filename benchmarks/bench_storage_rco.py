@@ -4,22 +4,31 @@ Paper claims reproduced:
 
 * storing the tree only up to level ``H − ℓ`` cuts storage to
   ``O(|D| / 2^ℓ)`` (we measure stored digests exactly);
-* answering one sample then costs a height-``ℓ`` subtree rebuild,
-  i.e. ``2^ℓ`` evaluations of ``f``;
+* answering a sample then costs a height-``ℓ`` subtree rebuild,
+  i.e. ``2^ℓ`` evaluations of ``f`` — once per subtree the bundle
+  touches, asserted exactly, with the mean touched count checked
+  against its closed-form expectation;
 * the relative computation overhead is ``rco = m·2^ℓ/|D| = 2m/S``,
-  *independent of task size*;
+  *independent of task size* (a bound: samples sharing a subtree share
+  its rebuild);
 * the paper's worked example: ``m = 64`` with 4 GB (``S = 2^32``)
   of tree storage gives ``rco = 2^−25`` for any task size.
 
-E8's memory half rides here: the streaming builder is the other end
-of the same trade-off, a commitment built in ``O(log n)`` slots.
+E8's memory half rides here: the ``tracemalloc`` peak of committing
+2^14 leaves, full tree against the partial tree, which holds one
+subtree at a time.
 """
 
+import math
+import random
+import tracemalloc
+
 from repro.analysis import format_table
+from repro.analysis.costs import expected_touched_subtrees
 from repro.cheating import HonestBehavior
 from repro.core import CBSScheme, predicted_rco, storage_for_rco
 from repro.core.storage_opt import rco_from_storage
-from repro.merkle import PartialMerkleTree, StreamingMerkleBuilder
+from repro.merkle import MerkleTree, PartialMerkleTree
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 N = 4096
@@ -40,8 +49,7 @@ def run_ell_sweep() -> list[dict]:
         assert result.outcome.accepted
         extra = result.participant_ledger.evaluations - N
         # The samples (the honest run verifies all M) and the height-ℓ
-        # subtrees they touch: a rebuild per touched subtree, not per
-        # sample, is what a bundle strictly needs.
+        # subtrees they touch: the bundle rebuilds each once.
         touched = {verdict.index >> ell for verdict in result.outcome.verdicts}
         rows.append(
             {
@@ -52,6 +60,7 @@ def run_ell_sweep() -> list[dict]:
                 "paper_rco": predicted_rco(M, N, ell),
                 "distinct_subtrees": len(touched),
                 "sharing": len(touched) / M,
+                "expected_sharing": expected_touched_subtrees(N, M, ell) / M,
             }
         )
     return rows
@@ -75,8 +84,43 @@ def test_storage_rco_sweep(benchmark, save_table):
     assert by_ell[0]["sharing"] == 1.0
     for ell in (2, 4, 6, 8):
         assert 0 < by_ell[ell]["sharing"] <= by_ell[ell - 2]["sharing"]
-    # At ℓ=8 subtrees are 256 leaves wide: a full rebuild per sample.
-    assert by_ell[8]["rebuild_evals"] % 256 == 0
+    # One rebuild of 2^ℓ leaves per touched subtree, exactly.
+    for ell in (2, 4, 6, 8):
+        row = by_ell[ell]
+        assert row["rebuild_evals"] == row["distinct_subtrees"] << ell, row
+    assert by_ell[0]["rebuild_evals"] == 0
+
+
+CHALLENGES = 2000
+
+
+def test_touched_subtrees_match_closed_form(save_table):
+    """Mean touched-subtree count over seeded challenges, drawn as
+    ``CBSScheme`` draws them (``with_replacement=False``), within a
+    99.9% interval of :func:`expected_touched_subtrees`."""
+    challenges = [
+        random.Random(seed).sample(range(N), M) for seed in range(CHALLENGES)
+    ]
+    rows = []
+    for ell in (2, 4, 6, 8):
+        counts = [len({i >> ell for i in c}) for c in challenges]
+        mean = sum(counts) / CHALLENGES
+        sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (CHALLENGES - 1))
+        half = 3.29 * sd / math.sqrt(CHALLENGES)  # two-sided 99.9%
+        expected = expected_touched_subtrees(N, M, ell)
+        rows.append(
+            {"ell": ell, "mean_touched": mean, "half_width": half,
+             "closed_form": expected}
+        )
+        assert abs(mean - expected) <= half, rows[-1]
+    save_table(
+        "E4_touched_subtrees",
+        format_table(
+            rows,
+            title=f"E4 — touched subtrees over {CHALLENGES} challenges "
+            f"(n = {N}, m = {M}) vs the closed form",
+        ),
+    )
 
 
 def test_paper_4gb_example(benchmark, save_table):
@@ -119,27 +163,37 @@ def test_partial_tree_proof_latency(benchmark):
     counter = iter(range(10**9))
 
     def prove_one():
-        return tree.auth_path(next(counter) % n)
+        return tree.multiproof([next(counter) % n], payloads)
 
     benchmark(prove_one)
 
 
-def test_streaming_memory_footprint(benchmark, save_table):
-    """The O(log n) builder keeps its stack logarithmic."""
+def test_commit_memory_footprint(benchmark, save_table):
+    """The partial tree commits holding one subtree plus the stored
+    rows; the full tree holds every node."""
+    ell = 7
+    payloads = [FN.evaluate(i) for i in range(1 << 14)]
+
+    def peak(commit):
+        tracemalloc.start()
+        try:
+            commit()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def run():
-        builder = StreamingMerkleBuilder()
-        peak = 0
-        for i in range(1 << 14):
-            builder.add_leaf(FN.evaluate(i))
-            peak = max(peak, len(builder._stack))
-        builder.finalize()
-        return peak
+        return {
+            "leaves": len(payloads),
+            "full_tree_peak_bytes": peak(lambda: MerkleTree(payloads)),
+            f"partial_tree_ell{ell}_peak_bytes": peak(
+                lambda: PartialMerkleTree(payloads, payloads.__getitem__, ell)
+            ),
+        }
 
-    peak = benchmark.pedantic(run, rounds=1, iterations=1)
+    row = benchmark.pedantic(run, rounds=1, iterations=1)
     save_table(
-        "E8_streaming_memory",
-        f"E8 — streaming builder peak stack over 2^14 leaves: {peak} "
-        "slots (vs 32767 nodes for the in-memory tree)",
+        "E8_commit_memory",
+        format_table([row], title="E8 — commitment memory: full vs §3.3 partial tree"),
     )
-    assert peak <= 15
+    assert row[f"partial_tree_ell{ell}_peak_bytes"] * 8 < row["full_tree_peak_bytes"]

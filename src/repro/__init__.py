@@ -88,7 +88,6 @@ from repro.merkle import (
     IteratedHash,
     MerkleTree,
     PartialMerkleTree,
-    StreamingMerkleBuilder,
     get_hash,
 )
 from repro.tasks import (
@@ -160,7 +159,6 @@ __all__ = [
     # merkle
     "MerkleTree",
     "PartialMerkleTree",
-    "StreamingMerkleBuilder",
     "AuthenticationPath",
     "HashFunction",
     "IteratedHash",

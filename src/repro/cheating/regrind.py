@@ -33,72 +33,28 @@ from repro.core.ni_cbs import derive_sample_indices
 from repro.core.protocol import NICBSSubmissionMsg
 from repro.exceptions import SchemeConfigurationError
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
-from repro.merkle.multiproof import Multiproof
-from repro.merkle.tree import (
-    LeafEncoding,
-    combine,
-    empty_leaf_digest,
-    encode_leaf,
-)
+from repro.merkle.tree import LeafEncoding, MerkleTree, combine, encode_leaf
 from repro.tasks.result import TaskAssignment
-from repro.utils.bitmath import next_power_of_two
 
 
-class _MutableMerkleTree:
-    """A Merkle tree supporting O(log n) single-leaf updates.
+class _MutableMerkleTree(MerkleTree):
+    """A :class:`MerkleTree` supporting O(log n) single-leaf updates.
 
-    The attacker's workhorse: levels are stored bottom-up as plain
-    lists; :meth:`update_leaf` rewrites one leaf digest and recomputes
-    its path to the root.  Hash costs flow through the (counting) hash
-    function handed in.
+    The attacker's workhorse: built like any tree, then
+    :meth:`update_leaf` rewrites one leaf digest and recomputes its path
+    to the root.  Hash costs flow through the (counting) hash function
+    handed in.
     """
-
-    def __init__(
-        self,
-        payloads: list[bytes],
-        hash_fn: HashFunction,
-        leaf_encoding: LeafEncoding,
-    ) -> None:
-        self.hash_fn = hash_fn
-        self.leaf_encoding = leaf_encoding
-        self.n_leaves = len(payloads)
-        padded = next_power_of_two(self.n_leaves)
-        leaf_row = [
-            encode_leaf(payload, hash_fn, leaf_encoding) for payload in payloads
-        ]
-        pad = empty_leaf_digest(hash_fn)
-        leaf_row.extend([pad] * (padded - self.n_leaves))
-        self.levels = [leaf_row]
-        row = leaf_row
-        while len(row) > 1:
-            row = [
-                combine(hash_fn, row[i], row[i + 1])
-                for i in range(0, len(row), 2)
-            ]
-            self.levels.append(row)
-
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
 
     def update_leaf(self, index: int, payload: bytes) -> None:
         """Replace leaf ``index`` and rehash its path (O(log n))."""
         digest = encode_leaf(payload, self.hash_fn, self.leaf_encoding)
-        self.levels[0][index] = digest
-        node = index
-        for height in range(1, len(self.levels)):
-            pair = node & ~1
-            parent = combine(
-                self.hash_fn,
-                self.levels[height - 1][pair],
-                self.levels[height - 1][pair + 1],
-            )
-            node >>= 1
-            self.levels[height][node] = parent
-
-    def multiproof(self, indices: list[int], payloads: list[bytes]) -> Multiproof:
-        levels, encoding = self.levels[:-1], self.leaf_encoding
-        return Multiproof.from_rows(levels, indices, payloads, self.n_leaves, encoding)
+        for row in self._levels[:0:-1]:  # the leaf row up to the root's children
+            row[index] = digest
+            pair = index & ~1
+            digest = combine(self.hash_fn, row[pair], row[pair + 1])
+            index >>= 1
+        self._levels[0][0] = digest
 
 
 @dataclass

@@ -6,8 +6,10 @@ tree (top ``H − ℓ`` levels only).  The closed forms of §3.3 are
 provided as functions for experiment E4:
 
 * storage ``S = 2^(H − ℓ + 1)`` digests,
-* per-sample rebuild cost ``2^ℓ`` evaluations of ``f``,
-* relative computation overhead ``rco = m · 2^ℓ / |D| = 2m / S``.
+* rebuild cost ``2^ℓ`` evaluations of ``f`` per touched subtree,
+* relative computation overhead ``rco = m · 2^ℓ / |D| = 2m / S``, the
+  bound reached when no two samples share a subtree
+  (:func:`repro.analysis.costs.expected_touched_subtrees` gives the mean).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.exceptions import MerkleError
 from repro.merkle.hashing import HashFunction
 from repro.merkle.multiproof import Multiproof
 from repro.merkle.partial import PartialMerkleTree
-from repro.merkle.proof import SampleProof
 from repro.merkle.tree import LeafEncoding, MerkleTree
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 
@@ -84,7 +85,7 @@ class TreeBackend:
         Callback ``index -> payload`` used by the partial tree to
         regenerate discarded leaves.  The caller passes a *metered*
         recomputation so rebuild costs land in the ledger (the paper's
-        ``2^ℓ`` evaluations of ``f`` per sample).
+        ``2^ℓ`` evaluations of ``f`` per touched subtree).
     """
 
     def __init__(
@@ -95,33 +96,22 @@ class TreeBackend:
         subtree_height: int | None = None,
         recompute: Callable[[int], bytes] | None = None,
     ) -> None:
-        self.hash_fn = hash_fn
-        self.leaf_encoding = leaf_encoding
-        self.subtree_height = int(subtree_height or 0)
         self._payloads = list(payloads)
-        if self.subtree_height > 0:
-            if recompute is None:
-                raise MerkleError(
-                    "partial tree backend requires a recompute callback"
-                )
-            self._partial = PartialMerkleTree(
-                self._payloads,
-                leaf_provider=recompute,
-                subtree_height=self.subtree_height,
-                hash_fn=hash_fn,
-                leaf_encoding=leaf_encoding,
-            )
-            self._full: MerkleTree | None = None
-        else:
-            self._partial = None
-            self._full = MerkleTree(
+        if not subtree_height:
+            self._tree = MerkleTree(
                 self._payloads, hash_fn=hash_fn, leaf_encoding=leaf_encoding
+            )
+        elif recompute is None:
+            raise MerkleError("partial tree backend requires a recompute callback")
+        else:
+            self._tree = PartialMerkleTree(
+                self._payloads, recompute, subtree_height, hash_fn, leaf_encoding
             )
 
     @property
     def root(self) -> bytes:
         """The commitment ``Φ(R)``."""
-        return self._full.root if self._full is not None else self._partial.root
+        return self._tree.root
 
     @property
     def n_leaves(self) -> int:
@@ -130,21 +120,13 @@ class TreeBackend:
     @property
     def stored_digests(self) -> int:
         """Storage footprint in digests (E4's measured ``S``)."""
-        if self._full is not None:
-            return self._full.n_nodes
-        return self._partial.stored_node_count
+        return self._tree.n_nodes
 
     @property
     def leaves_recomputed(self) -> int:
-        """Leaf re-evaluations triggered by proofs (partial mode only)."""
-        return 0 if self._partial is None else self._partial.leaves_recomputed
+        """Leaf re-evaluations triggered by proofs (a full tree makes none)."""
+        return getattr(self._tree, "leaves_recomputed", 0)
 
     def multiproof(self, indices: Sequence[int]) -> Multiproof:
-        """The bundle proving ``indices``: off the full tree's rows, or
-        packed from one §3.3 subtree rebuild per sample."""
-        payloads = self._payloads
-        if self._full is not None:
-            return self._full.multiproof(indices, payloads)
-        path_to = self._partial.auth_path
-        proofs = [SampleProof(i, payloads[i], path_to(i)) for i in indices]
-        return Multiproof.from_proofs(proofs)
+        """The bundle proving ``indices``, off the tree's rows."""
+        return self._tree.multiproof(indices, self._payloads)

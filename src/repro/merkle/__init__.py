@@ -14,9 +14,7 @@ Public surface:
 * :class:`~repro.merkle.tree.MerkleTree` — full in-memory tree.
 * :class:`~repro.merkle.partial.PartialMerkleTree` — the §3.3
   storage-optimized tree (top ``H − ℓ`` levels stored, height-``ℓ``
-  subtrees rebuilt on demand).
-* :class:`~repro.merkle.streaming.StreamingMerkleBuilder` —
-  ``O(log n)``-memory root computation.
+  subtrees rebuilt on demand, through the full tree's level code).
 * :class:`~repro.merkle.proof.AuthenticationPath` — the ``λ1..λH``
   sibling digests plus the root-reconstruction procedure
   ``Λ(f(x), λ1..λH)`` used by the supervisor.
@@ -36,7 +34,6 @@ from repro.merkle.hashing import (
 from repro.merkle.multiproof import Multiproof, shared_root, supplied_siblings
 from repro.merkle.partial import PartialMerkleTree
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
-from repro.merkle.streaming import StreamingMerkleBuilder
 from repro.merkle.tree import (
     LeafEncoding,
     MerkleTree,
@@ -57,7 +54,6 @@ __all__ = [
     "LeafEncoding",
     "encode_leaf",
     "PartialMerkleTree",
-    "StreamingMerkleBuilder",
     "AuthenticationPath",
     "compute_root_from_path",
     "Multiproof",

@@ -10,20 +10,29 @@ inputs.  The paper's relative computation overhead is::
 
     rco = m · 2^ℓ / |D| = 2m / S        (§3.3)
 
-:class:`PartialMerkleTree` exposes the same proving interface as the
-full tree and meters both rebuild events and leaf re-evaluations, which
-experiment E4 compares against the closed form.
+— a per-sample bound: a bundle rebuilds each subtree its samples touch
+once, however many samples land in it.
+
+Both halves run on :class:`~repro.merkle.tree.MerkleTree`'s level code,
+:func:`~repro.merkle.tree.hash_leaves` plus one
+:meth:`~repro.merkle.hashing.HashFunction.tagged_levels` call per
+subtree.  The commit builds the subtrees one ``2^ℓ``-wide run at a time
+and the stored rows from their roots; :meth:`PartialMerkleTree.multiproof`
+reads the bundle off the rebuilt rows below ``ℓ`` plus the stored rows.
+Rebuild events and leaf re-evaluations are metered for experiment E4.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
-from repro.exceptions import LeafIndexError, MerkleError
+from repro.exceptions import EmptyTreeError, LeafIndexError, MerkleError
 from repro.merkle.hashing import HashFunction, get_hash
-from repro.merkle.proof import AuthenticationPath
-from repro.merkle.streaming import StreamingMerkleBuilder
-from repro.merkle.tree import LeafEncoding, combine, empty_leaf_digest, encode_leaf
+from repro.merkle.multiproof import Multiproof
+from repro.merkle.proof import NODE_TAG, LeafEncoding
+from repro.merkle.tree import empty_leaf_digest, hash_leaves
+from repro.utils.bitmath import next_power_of_two, tree_height
 
 
 class PartialMerkleTree:
@@ -32,8 +41,8 @@ class PartialMerkleTree:
     Parameters
     ----------
     payloads:
-        Leaf payloads in domain order; consumed in a single streaming
-        pass (the full bottom of the tree is never held in memory).
+        Leaf payloads in domain order; consumed one ``2^ℓ``-wide run at
+        a time (the full bottom of the tree is never held in memory).
     leaf_provider:
         Callback ``index -> payload`` used to *recompute* leaf payloads
         when a subtree must be rebuilt for a proof.  In the paper this
@@ -62,111 +71,96 @@ class PartialMerkleTree:
         self.leaf_provider = leaf_provider
         self.subtree_height = subtree_height
 
-        builder = StreamingMerkleBuilder(
-            hash_fn=self.hash_fn,
-            leaf_encoding=leaf_encoding,
-            capture_above_level=subtree_height,
-        )
-        builder.add_leaves(payloads)
-        self._root = builder.finalize()
-        self.n_leaves = builder.n_leaves
-        self.height = builder.height
-        if subtree_height > self.height:
+        width, source, roots, rows = 1 << subtree_height, iter(payloads), [], []
+        self.n_leaves = 0
+        while run := list(islice(source, width)):
+            self.n_leaves += len(run)
+            rows = self._subtree(run)
+            roots.append(rows[-1][0])
+        if not self.n_leaves:
+            raise EmptyTreeError("cannot build a Merkle tree over zero leaves")
+        padded = next_power_of_two(self.n_leaves)
+        self.height = tree_height(padded)
+        if width > padded:
             raise MerkleError(
                 f"subtree_height {subtree_height} exceeds tree height {self.height}"
             )
-        self._stored = builder.captured_levels()
+        missing = (padded >> subtree_height) - len(roots)
+        if missing:
+            # All-padding subtrees.  The empty leaf is hashed once per
+            # commit: a ragged last run already holds it.
+            if self.n_leaves % width:
+                pad = rows[0][-1]
+            else:
+                pad = empty_leaf_digest(self.hash_fn)
+            roots += [self._levels([pad] * width)[-1][0] for _ in range(missing)]
+        # Heights ℓ..H, bottom-up; the last row is [Φ(R)].
+        self._stored = self._levels(roots)
 
         # Metering for experiment E4.
         self.subtree_rebuilds = 0
         self.leaves_recomputed = 0
+
+    def _levels(self, row: list[bytes]) -> list[list[bytes]]:
+        """``row`` and every level above it, bottom-up, to its root."""
+        return [row, *self.hash_fn.tagged_levels(NODE_TAG, row)]
+
+    def _subtree(self, payloads: list[bytes]) -> list[list[bytes]]:
+        """Rows of the height-ℓ subtree over ``payloads``, padded to
+        ``2^ℓ`` leaves with the structural empty leaf."""
+        padding = (1 << self.subtree_height) - len(payloads)
+        return self._levels(
+            hash_leaves(payloads, self.hash_fn, self.leaf_encoding, n_padding=padding)
+        )
 
     # ------------------------------------------------------------------
 
     @property
     def root(self) -> bytes:
         """The commitment ``Φ(R)``."""
-        return self._root
+        return self._stored[-1][0]
 
     @property
-    def stored_node_count(self) -> int:
-        """Number of digests held in storage (the paper's ``S``, roughly).
+    def n_nodes(self) -> int:
+        """Digests held in storage (the paper's ``S``, roughly).
 
-        For ``0 < ℓ <= H`` this is ``2^(H−ℓ+1) − 1``; the paper rounds
-        it to ``S = 2^(H−ℓ+1)``.
+        For ``0 <= ℓ <= H`` this is ``2^(H−ℓ+1) − 1`` — at ``ℓ = 0``
+        the full tree's node count; the paper rounds it to
+        ``S = 2^(H−ℓ+1)``.
         """
-        return sum(len(row) for row in self._stored.values())
+        return sum(len(row) for row in self._stored)
 
-    def _check_leaf_index(self, index: int) -> None:
-        if not 0 <= index < self.n_leaves:
-            raise LeafIndexError(f"leaf index {index} outside [0, {self.n_leaves})")
+    def multiproof(
+        self, indices: Sequence[int], payloads: Sequence[bytes]
+    ) -> Multiproof:
+        """CBS Step 3 for every sample at once (``payloads[i]`` is the
+        result committed at leaf ``i``).
 
-    # ------------------------------------------------------------------
-
-    def _rebuild_subtree(self, subtree_index: int) -> list[list[bytes]]:
-        """Recompute the height-ℓ subtree with leaf range
-        ``[subtree_index · 2^ℓ, (subtree_index + 1) · 2^ℓ)``.
-
-        Returns levels bottom-up: ``levels[0]`` is the subtree's leaf
-        row, ``levels[ℓ]`` is ``[subtree root]``.  Padding positions
-        beyond the real domain use the structural empty-leaf digest.
-        """
-        width = 1 << self.subtree_height
-        start = subtree_index * width
-        pad = empty_leaf_digest(self.hash_fn)
-        row: list[bytes] = []
-        for i in range(start, start + width):
-            if i < self.n_leaves:
-                payload = self.leaf_provider(i)
-                self.leaves_recomputed += 1
-                row.append(encode_leaf(payload, self.hash_fn, self.leaf_encoding))
-            else:
-                row.append(pad)
-        levels = [row]
-        while len(row) > 1:
-            row = [
-                combine(self.hash_fn, row[i], row[i + 1])
-                for i in range(0, len(row), 2)
-            ]
-            levels.append(row)
-        self.subtree_rebuilds += 1
-        return levels
-
-    def auth_path(self, index: int) -> AuthenticationPath:
-        """Authentication path for leaf ``index``.
-
-        Siblings at heights ``< ℓ`` come from the rebuilt subtree
+        Each height-ℓ subtree the samples touch is rebuilt once, its
+        real leaves re-read from ``leaf_provider`` in ascending order
         (Fig. 3(b): the ``V1..V3`` nodes whose Φ values "need to be
         recomputed"); siblings at heights ``>= ℓ`` come from storage.
         """
-        self._check_leaf_index(index)
-        siblings: list[bytes] = []
-
-        if self.subtree_height > 0:
-            subtree_index = index >> self.subtree_height
-            subtree = self._rebuild_subtree(subtree_index)
-            local = index & ((1 << self.subtree_height) - 1)
-            node = local
-            for height in range(self.subtree_height):
-                siblings.append(subtree[height][node ^ 1])
-                node >>= 1
-
-        node = index >> self.subtree_height
-        for height in range(self.subtree_height, self.height):
-            row = self._stored[height]
-            siblings.append(row[node ^ 1])
-            node >>= 1
-
-        return AuthenticationPath(
-            leaf_index=index,
-            siblings=siblings,
-            n_leaves=self.n_leaves,
-            leaf_encoding=self.leaf_encoding,
-        )
+        ell, n = self.subtree_height, self.n_leaves
+        if indices and not 0 <= min(indices) <= max(indices) < n:
+            raise LeafIndexError(f"a sample lies outside [0, {n})")
+        # Rows below ℓ, only where a subtree was rebuilt: node -> digest.
+        bottom: list[dict[int, bytes]] = [{} for _ in range(ell)]
+        for subtree in sorted({index >> ell for index in indices}) if ell else ():
+            start = subtree << ell
+            real = range(start, min(start + (1 << ell), n))
+            rows = self._subtree([self.leaf_provider(i) for i in real])
+            self.subtree_rebuilds += 1
+            self.leaves_recomputed += len(real)
+            for level, (row, known) in enumerate(zip(rows, bottom)):
+                first = start >> level
+                known.update(zip(range(first, first + len(row)), row))
+        rows = [*bottom, *self._stored[:-1]]
+        return Multiproof.from_rows(rows, indices, payloads, n, self.leaf_encoding)
 
     def __repr__(self) -> str:
         return (
             f"PartialMerkleTree(n_leaves={self.n_leaves}, height={self.height},"
             f" subtree_height={self.subtree_height},"
-            f" stored_nodes={self.stored_node_count})"
+            f" stored_nodes={self.n_nodes})"
         )

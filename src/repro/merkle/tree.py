@@ -72,8 +72,7 @@ def encode_leaves(
     """``Φ`` values for many leaves through one batched hash call.
 
     Byte-identical to ``[encode_leaf(p, ...) for p in payloads]``; the
-    leaf-level half of the batched hot path, shared by
-    :func:`hash_leaves` and the streaming builder's ``add_leaves``.
+    leaf-level half of the batched hot path behind :func:`hash_leaves`.
     """
     if encoding is LeafEncoding.RAW:
         return [encode_leaf(payload, hash_fn, encoding) for payload in payloads]
@@ -89,7 +88,8 @@ def hash_leaves(
     """``Φ`` values for a contiguous run of leaves, plus padding.
 
     The leaf-level primitive :class:`MerkleTree` calls once over the
-    whole domain, padding out to the next power of two.
+    whole domain, padding out to the next power of two, and
+    :class:`~repro.merkle.partial.PartialMerkleTree` once per subtree.
     """
     if n_padding < 0:
         raise MerkleError(f"n_padding must be >= 0, got {n_padding}")

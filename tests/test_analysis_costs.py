@@ -1,10 +1,13 @@
 """Tests for cost closed forms vs measured ledgers."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.analysis.costs import (
     cbs_participant_bytes,
     cbs_supervisor_bytes_per_task,
+    expected_touched_subtrees,
     honest_sample_generation_overhead,
     min_sample_hash_cost,
     naive_bytes_per_task,
@@ -110,6 +113,27 @@ class TestCommunicationModels:
             naive_bytes_per_task(0, 16)
         with pytest.raises(ValueError):
             cbs_participant_bytes(0, 1)
+
+
+class TestExpectedTouchedSubtrees:
+    @pytest.mark.parametrize("n, m, ell", [(8, 3, 1), (10, 3, 2), (13, 4, 3), (6, 6, 1), (5, 2, 3)])
+    def test_equals_the_mean_over_every_challenge(self, n, m, ell):
+        # Every m-subset is equally likely without replacement.
+        counts = [len({i >> ell for i in c}) for c in combinations(range(n), m)]
+        assert expected_touched_subtrees(n, m, ell) == pytest.approx(
+            sum(counts) / len(counts)
+        )
+
+    def test_e4_shapes(self):
+        # n = 4096, m = 16: K = 256, 64 and 16 subtrees.
+        got = [expected_touched_subtrees(4096, 16, ell) for ell in (4, 6, 8)]
+        assert got == pytest.approx([15.567, 14.278, 10.314], abs=1e-3)
+        assert expected_touched_subtrees(4096, 16, 0) == 16
+
+    def test_validation(self):
+        for args in ((0, 1, 0), (4, 5, 0), (4, -1, 0), (4, 2, -1)):
+            with pytest.raises(ValueError):
+                expected_touched_subtrees(*args)
 
 
 class TestEquationFive:

@@ -83,6 +83,23 @@ class TestAttackExecution:
         assert expected / 2 < mean < expected * 2
 
 
+class TestBooks:
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("n, tree_hashes", [(128, 128 + 127), (100, 100 + 1 + 127)])
+    def test_one_attempt_books_the_tree_and_m_samples(self, n, tree_hashes, incremental):
+        # One attempt builds the tree as MerkleTree books it (real
+        # leaves, the empty leaf only when the domain is padded, every
+        # interior node) and derives m samples through g.
+        m = 5
+        task = TaskAssignment("grind", RangeDomain(0, n), PasswordSearch(cost=100.0))
+        result = run_regrind_attack(
+            task, honesty_ratio=0.5, n_samples=m, seed=3, max_attempts=1,
+            incremental=incremental,
+        )
+        assert result.attempts == 1
+        assert result.ledger.hashes == tree_hashes + m
+
+
 class TestEconomics:
     def test_cheap_g_makes_cheating_profitable(self, task):
         # Unit-cost g: grinding costs ≪ n·C_f ⇒ Eq. 5 violated.

@@ -609,7 +609,8 @@ class TestBulkCharges:
 
 
 # ----------------------------------------------------------------------
-# The §3.3 recompute closure: rebuilt subtrees charge what they did
+# The §3.3 recompute closure: each touched subtree, rebuilt once,
+# charges what it did
 # ----------------------------------------------------------------------
 
 
@@ -647,20 +648,28 @@ class TestRecomputeCharges:
             assert ledger.evaluations == books.evaluations
             assert ledger.evaluation_cost == books.evaluation_cost
 
-        challenged = (0, 9, 9, 17, 44, 30)
+        challenged = (0, 9, 9, 17, 44, 30, 2)
         challenge = SampleChallengeMsg(task_id="t-33", indices=challenged)
+        committed = participant.ledger.hashes
         bundle = participant.prove(challenge)
         full.prove(challenge)
         assert full.ledger.evaluations == len(honest)
-        width = 1 << self.ELL
-        for index in challenged:
-            start = index // width * width
-            for leaf in range(start, min(start + width, self.N)):
+        # One rebuild per touched subtree, however many samples land in
+        # it (0 and 2 share one, 9 comes twice, 44 sits in the ragged
+        # last one): its honest real leaves re-evaluated, its real leaves
+        # re-hashed, plus the empty leaf if it is padded, plus 2^ℓ − 1
+        # interior nodes.
+        width, hashes = 1 << self.ELL, 0
+        for subtree in sorted({index // width for index in challenged}):
+            real = range(subtree * width, min((subtree + 1) * width, self.N))
+            for leaf in real:
                 if leaf in honest:  # a fabricated leaf is re-drawn for free
                     books.evaluations += 1
                     books.evaluation_cost += 0.1
+            hashes += len(real) + (len(real) < width) + width - 1
         assert participant.ledger.evaluations == books.evaluations
         assert participant.ledger.evaluation_cost == books.evaluation_cost
+        assert participant.ledger.hashes - committed == hashes
         assert [p.claimed_result for p in bundle.proofs] == [
             participant.work.leaf_payloads[i] for i in challenged
         ]

@@ -120,8 +120,8 @@ class TestEndToEndWithPartialTrees:
         assert not result.outcome.accepted
 
     def test_measured_rco_matches_closed_form(self, password_fn):
-        # Measured recompute cost / task cost == m·2^ℓ / |D| (honest
-        # participant; every proof rebuilds one subtree).
+        # Measured recompute cost / task cost <= m·2^ℓ / |D| (honest
+        # participant; each touched subtree is rebuilt once).
         n, m, ell = 256, 8, 4
         task = TaskAssignment("t", RangeDomain(0, n), password_fn)
         scheme = CBSScheme(
@@ -138,7 +138,8 @@ class TestEndToEndWithPartialTrees:
         # Distinct samples may share a subtree; measured <= predicted,
         # equality when all m samples hit distinct subtrees.
         assert measured_rco <= predicted_rco(m, n, ell) + 1e-9
-        assert rebuild_evals % (1 << ell) == 0
+        touched = {v.index >> ell for v in result.outcome.verdicts}
+        assert rebuild_evals == len(touched) << ell
 
     def test_storage_budget_drops_with_ell(self, password_fn):
         task = TaskAssignment("t", RangeDomain(0, 256), password_fn)

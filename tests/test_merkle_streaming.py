@@ -1,11 +1,18 @@
-"""Tests for the O(log n)-memory streaming Merkle builder."""
+"""Tests for the §3.3 tree's streaming commit.
+
+:class:`PartialMerkleTree` consumes its payloads one ``2^ℓ``-wide run at
+a time: each run's subtree is built, its root kept and the run dropped,
+so a commitment never holds the bottom of the tree.  The in-memory
+:class:`MerkleTree` is the oracle for the root and the stored rows.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import EmptyTreeError, MerkleError
-from repro.merkle import MerkleTree, StreamingMerkleBuilder, get_hash
+from repro.accounting import CostLedger
+from repro.exceptions import EmptyTreeError
+from repro.merkle import CountingHash, MerkleTree, PartialMerkleTree, get_hash
 from repro.merkle.tree import LeafEncoding
 
 
@@ -13,97 +20,80 @@ def leaves(n: int) -> list[bytes]:
     return [f"payload-{i}".encode() for i in range(n)]
 
 
+def commit(data, ell: int, **kwargs) -> PartialMerkleTree:
+    """Stream ``data`` (a generator, so nothing can be re-read) into a
+    partial tree storing heights ``>= ell``."""
+    return PartialMerkleTree(iter(data), lambda i: b"", ell, **kwargs)
+
+
 class TestRootEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 100])
     def test_matches_in_memory_tree(self, n):
         data = leaves(n)
-        builder = StreamingMerkleBuilder()
-        builder.add_leaves(data)
-        assert builder.finalize() == MerkleTree(data).root
+        tree = MerkleTree(data)
+        for ell in range(tree.height + 1):
+            assert commit(data, ell).root == tree.root, ell
 
     def test_matches_with_md5(self):
         data = leaves(10)
-        builder = StreamingMerkleBuilder(hash_fn=get_hash("md5"))
-        builder.add_leaves(data)
-        assert builder.root == MerkleTree(data, hash_fn=get_hash("md5")).root
+        md5 = get_hash("md5")
+        assert commit(data, 2, hash_fn=md5).root == MerkleTree(data, md5).root
 
     def test_raw_encoding(self):
         h = get_hash("sha256")
         data = [h.digest(bytes([i])) for i in range(6)]
-        builder = StreamingMerkleBuilder(leaf_encoding=LeafEncoding.RAW)
-        builder.add_leaves(data)
         expected = MerkleTree(data, leaf_encoding=LeafEncoding.RAW).root
-        assert builder.root == expected
+        assert commit(data, 1, leaf_encoding=LeafEncoding.RAW).root == expected
 
-    @given(st.lists(st.binary(max_size=24), min_size=1, max_size=80))
+    @given(
+        st.lists(st.binary(max_size=24), min_size=1, max_size=80), st.data()
+    )
     @settings(max_examples=40, deadline=None)
-    def test_property_equivalence(self, data):
-        builder = StreamingMerkleBuilder()
-        builder.add_leaves(data)
-        assert builder.root == MerkleTree(data).root
+    def test_property_equivalence(self, data, draw):
+        tree = MerkleTree(data)
+        ell = draw.draw(st.integers(min_value=0, max_value=tree.height))
+        assert commit(data, ell).root == tree.root
 
 
 class TestLifecycle:
-    def test_finalize_idempotent(self):
-        builder = StreamingMerkleBuilder()
-        builder.add_leaves(leaves(5))
-        assert builder.finalize() == builder.finalize() == builder.root
-
-    def test_add_after_finalize_rejected(self):
-        builder = StreamingMerkleBuilder()
-        builder.add_leaf(b"a")
-        builder.finalize()
-        with pytest.raises(MerkleError):
-            builder.add_leaf(b"b")
-
     def test_empty_finalize_rejected(self):
         with pytest.raises(EmptyTreeError):
-            StreamingMerkleBuilder().finalize()
-
-    def test_height_before_leaves_rejected(self):
-        with pytest.raises(EmptyTreeError):
-            StreamingMerkleBuilder().height
+            commit([], 0)
 
     def test_height(self):
-        builder = StreamingMerkleBuilder()
-        builder.add_leaves(leaves(9))
-        assert builder.height == 4
+        assert commit(leaves(9), 2).height == 4
 
 
 class TestMemoryBound:
-    def test_stack_stays_logarithmic(self):
-        builder = StreamingMerkleBuilder()
-        for i in range(1024):
-            builder.add_leaf(bytes([i % 256]))
-            assert len(builder._stack) <= 11
-        builder.finalize()
+    def test_commit_consumes_one_run_at_a_time(self):
+        # When payload k is pulled, every run before k's is already
+        # built: 2^ℓ leaf hashes and 2^ℓ − 1 interior ones each.
+        n, ell = 64, 3
+        width, books = 1 << ell, CostLedger()
+        built_before: list[int] = []
+
+        def stream():
+            for k, payload in enumerate(leaves(n)):
+                built_before.append(books.hashes)
+                yield payload
+
+        commit(stream(), ell, hash_fn=CountingHash(get_hash(), books))
+        for k, hashes in enumerate(built_before):
+            assert hashes == (k // width) * (2 * width - 1), k
 
 
 class TestCapture:
     def test_captured_top_levels_match_tree(self):
         n, ell = 32, 2
         data = leaves(n)
-        builder = StreamingMerkleBuilder(capture_above_level=ell)
-        builder.add_leaves(data)
-        builder.finalize()
-        captured = builder.captured_levels()
+        stored = commit(data, ell)._stored
         tree = MerkleTree(data)
         # Height h from leaves = tree level (tree.height - h) from root.
-        for h, row in captured.items():
-            level = tree.height - h
-            assert row == tree._levels[level], h
-
-    def test_capture_requires_finalize(self):
-        builder = StreamingMerkleBuilder(capture_above_level=1)
-        builder.add_leaf(b"x")
-        with pytest.raises(MerkleError):
-            builder.captured_levels()
+        for h, row in enumerate(stored, start=ell):
+            assert row == tree._levels[tree.height - h], h
+        assert len(stored) == tree.height - ell + 1
 
     def test_capture_zero_includes_leaf_digests(self):
         data = leaves(4)
-        builder = StreamingMerkleBuilder(capture_above_level=0)
-        builder.add_leaves(data)
-        builder.finalize()
-        captured = builder.captured_levels()
         tree = MerkleTree(data)
-        assert captured[0] == tree._levels[tree.height]
+        assert commit(data, 0)._stored[0] == tree._levels[tree.height]
