@@ -8,7 +8,9 @@ Grid points are independent, so sweeps can fan out through the
 execution engine: ``engine="threads"`` works with any row function,
 while ``engine="processes"`` requires the row function to be a
 picklable module-level callable (the usual multiprocessing rule).
-Row order always matches serial iteration order.
+``engine="cluster"`` is refused with a
+:class:`~repro.exceptions.CodecError` at submit: a grid point is not a
+registered job.  Row order always matches serial iteration order.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from repro.engine.cluster.worker import (
     execute_payload,
     run_worker,
     run_worker_sync,
-    scheme_cache,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "execute_payload",
     "run_worker",
     "run_worker_sync",
-    "scheme_cache",
 ]

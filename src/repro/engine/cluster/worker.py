@@ -13,8 +13,8 @@ throughput tracker — executed in order and answered with the chunk's
 ordered per-job ``(ok, payload)`` outcomes in the same typed encoding.
 
 Scheme memory: cacheable structs (the verification schemes) decode
-through a bounded process-wide LRU keyed by (scheme name, canonical
-param bytes), so one population constructs its scheme once per worker,
+through one process-wide LRU keyed by (scheme name, canonical param
+bytes), so one population constructs its scheme once per worker,
 not once per chunk.  Hit/miss deltas ride back on each result frame
 (``cache_hits``/``cache_misses``) and feed this worker's own
 ``repro_scheme_cache_*_total`` counters.
@@ -142,11 +142,6 @@ def _worker_metrics():
 _scheme_cache = SchemeCache()
 
 
-def scheme_cache() -> SchemeCache:
-    """This process's job-decode scheme cache (tests and stats)."""
-    return _scheme_cache
-
-
 def default_worker_id() -> str:
     """A collision-resistant id: pid plus a random suffix."""
     return f"worker-{os.getpid()}-{secrets.token_hex(3)}"
@@ -159,7 +154,7 @@ def execute_payload(raw: bytes) -> object:
     ``fn`` is a registered callable; anything else — junk bytes, an
     unregistered name, the wrong shape — raises
     :class:`~repro.exceptions.CodecError`.  Cacheable schemes decode
-    through this process's :func:`scheme_cache`.
+    through this process's one :class:`SchemeCache`.
     """
     fn, args, kwargs = decode_job(raw, cache=_scheme_cache)
     return fn(*args, **kwargs)

@@ -44,12 +44,14 @@ verdict and counter rows.  The layouts are :data:`BATCH_HEAD`,
 sides registered under an explicit name at import time
 (:func:`register_callable`).  There is deliberately no import-by-name
 fallback: an unregistered name is a :class:`CodecError`, never an
-``importlib`` call.  Workers preload registration modules via
-``--preload`` (operator-controlled argv, never wire-controlled).
+``importlib`` call, and a job's callable is the registered function
+itself (a ``functools.partial`` is not).  Workers preload
+registration modules via ``--preload`` (operator-controlled argv,
+never wire-controlled).
 
 **Scheme cache.**  Structs registered ``cacheable=True`` (the
 stateless verification schemes) have self-contained bodies: the body
-bytes are a canonical key, so a worker can keep a bounded LRU
+bytes are a canonical key, so a worker keeps a small LRU
 (:class:`SchemeCache`) mapping ``(name, body)`` to the constructed
 instance and skip both decode and construction for every chunk of a
 population after the first — scheme construction happens once per
@@ -65,7 +67,7 @@ import struct as _struct
 import threading
 from typing import Any, Callable, NamedTuple
 
-from repro.core.wire import MAX_CONTAINER_ITEMS
+from repro.core.wire import MAX_CONTAINER_ITEMS, VARINT_MAX
 from repro.exceptions import CodecError
 from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES, check_payload_size
 from repro.utils.encoding import (
@@ -81,7 +83,6 @@ __all__ = [
     "MAX_CONTAINER_ITEMS",
     "MAX_DEPTH",
     "MAX_FIELD_BYTES",
-    "MAX_INT_BYTES",
     "MAX_NAME_BYTES",
     "SchemeCache",
     "decode_cluster_chunk",
@@ -95,7 +96,6 @@ __all__ = [
     "ensure_default_registry",
     "register_callable",
     "register_struct",
-    "registered_callables",
     "registered_structs",
 ]
 
@@ -108,15 +108,14 @@ __all__ = [
 #: values stay far below this; the whole payload is additionally
 #: bounded by ``MAX_CLUSTER_PAYLOAD_BYTES``.
 MAX_FIELD_BYTES = 8 * 1024 * 1024
-#: Ceiling on term nesting depth.
+#: Ceiling on term nesting depth, record and cacheable bodies included.
 MAX_DEPTH = 64
 #: Ceiling on a registry (struct/callable) name.
 MAX_NAME_BYTES = 120
-#: Ceiling on a bigint magnitude in bytes.
-MAX_INT_BYTES = 4096
 
-
-_INT_LIMIT = 1 << 63  # |x| below this rides the zigzag varint path
+# The int term's range, -2^76 <= x < 2^76: every zigzag varint
+# ``read_uint`` can return unfolds into it, so decode needs no check.
+_INT_LIMIT = (VARINT_MAX + 1) >> 1
 
 # The population's two records (README "Batch records" and "Result
 # records"), big-endian ``struct`` layouts.  A record body opens with a
@@ -161,27 +160,18 @@ def _check_count(what: str, count: int) -> None:
 class _Record(NamedTuple):
     """A struct's fixed-layout body.  ``pack(obj, enc, depth)`` returns
     the record, or None when it cannot reproduce ``obj`` exactly (the
-    generic field tuple carries it then); ``unpack(body, dec)`` reads
-    one back.  ``enc``/``dec`` are the payload's pass, for the terms a
-    record embeds.  A record's first byte is ``>= 0x80``, which no term
-    tag is."""
+    generic field tuple carries it then); ``unpack(body, dec, depth)``
+    reads one back.  ``enc``/``dec`` are the payload's pass and
+    ``depth`` the body's nesting depth, for the terms a record embeds.
+    A record's first byte is ``>= 0x80``, which no term tag is."""
 
     pack: Callable[[Any, "_Encoder", int], bytes | None]
-    unpack: Callable[[bytes, "_Decoder"], Any]
-
-
-class _StructSpec(NamedTuple):
-    name: str
-    cls: type
-    pack: Callable[[Any], tuple]
-    unpack: Callable[[tuple], Any]
-    cacheable: bool
-    record: _Record | None = None
+    unpack: Callable[[bytes, "_Decoder", int], Any]
 
 
 _registry_lock = threading.Lock()
-_STRUCTS: dict[str, _StructSpec] = {}
-_STRUCTS_BY_TYPE: dict[type, _StructSpec] = {}
+_STRUCTS: dict[str, "_StructRow"] = {}
+_STRUCTS_BY_TYPE: dict[type, "_StructRow"] = {}
 _CALLABLES: dict[str, Callable] = {}
 _CALLABLE_NAMES: dict[Callable, str] = {}
 _defaults_loaded = False
@@ -206,21 +196,23 @@ def register_struct(
     instances.  Dispatch is by exact type: subclasses need their own
     registration.
     """
-    _register(_StructSpec(name, cls, pack, unpack, cacheable))
+    row = _StructRow(name, cls, cacheable=cacheable)
+    row.pack, row.unpack = pack, unpack
+    _register(row)
 
 
-def _register(spec: _StructSpec) -> None:
-    if len(spec.name.encode("utf-8")) > MAX_NAME_BYTES:
-        raise CodecError(f"struct name too long: {spec.name!r}")
+def _register(row: "_StructRow") -> None:
+    if len(row.name.encode("utf-8")) > MAX_NAME_BYTES:
+        raise CodecError(f"struct name too long: {row.name!r}")
     with _registry_lock:
-        existing = _STRUCTS.get(spec.name)
-        if existing is not None and existing.cls is not spec.cls:
+        existing = _STRUCTS.get(row.name)
+        if existing is not None and existing.cls is not row.cls:
             raise CodecError(
-                f"struct name {spec.name!r} already registered for "
+                f"struct name {row.name!r} already registered for "
                 f"{existing.cls.__name__}"
             )
-        _STRUCTS[spec.name] = spec
-        _STRUCTS_BY_TYPE[spec.cls] = spec
+        _STRUCTS[row.name] = row
+        _STRUCTS_BY_TYPE[row.cls] = row
 
 
 def register_callable(name: str, fn: Callable) -> None:
@@ -248,14 +240,7 @@ def registered_structs() -> dict[str, type]:
     """Snapshot of the struct registry (docs and round-trip tests)."""
     ensure_default_registry()
     with _registry_lock:
-        return {name: spec.cls for name, spec in sorted(_STRUCTS.items())}
-
-
-def registered_callables() -> dict[str, Callable]:
-    """Snapshot of the callable registry."""
-    ensure_default_registry()
-    with _registry_lock:
-        return dict(sorted(_CALLABLES.items()))
+        return {name: row.cls for name, row in sorted(_STRUCTS.items())}
 
 
 class _StructField(NamedTuple):
@@ -279,12 +264,14 @@ def _packer(attrs: list[str]) -> Callable[[Any], tuple]:
 
 
 class _StructRow:
-    """One plain struct: wire name, class, its fields in wire order, and
-    whether decoded instances may be shared (:class:`SchemeCache`).  A
-    field given as a bare string is the attribute named like the
-    constructor argument it feeds.  ``pack``/``unpack`` are the one
-    generic pair every row is served by; ``unpack`` goes through the
-    real constructor, by keyword, so its validation re-runs."""
+    """One registered struct: wire name, class, its fields in wire
+    order, whether decoded instances may be shared (:class:`SchemeCache`)
+    and its record, if any.  A field given as a bare string is the
+    attribute named like the constructor argument it feeds.  A plain
+    row is served by one generic ``pack``/``unpack`` pair; ``unpack``
+    goes through the real constructor, by keyword, so its validation
+    re-runs.  :func:`register_struct` gives a row of no fields its own
+    pair."""
 
     def __init__(
         self,
@@ -401,7 +388,10 @@ class _Encoder:
         elif obj is False:
             out.append(Tag.FALSE)
         elif type(obj) is int:
-            self._int(obj)
+            if not -_INT_LIMIT <= obj < _INT_LIMIT:
+                raise CodecError(f"int {obj} is outside the int term's range")
+            out.append(Tag.INT)
+            out += encode_uint(zigzag(obj))
         elif type(obj) is float:
             out.append(Tag.FLOAT)
             out += _struct.pack(">d", obj)
@@ -428,23 +418,8 @@ class _Encoder:
             for key, val in obj.items():
                 self.value(key, depth + 1)
                 self.value(val, depth + 1)
-        elif type(obj) in (set, frozenset):
-            self._set(obj, depth)
         else:
             self._registered(obj, depth)
-
-    def _int(self, obj: int) -> None:
-        if -_INT_LIMIT < obj < _INT_LIMIT:
-            self.out.append(Tag.INT)
-            self.out += encode_uint(zigzag(obj))
-            return
-        magnitude = abs(obj)
-        raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
-        _check_field_size("bigint field", len(raw), MAX_INT_BYTES)
-        self.out.append(Tag.BIGINT)
-        self.out.append(1 if obj < 0 else 0)
-        self.out += encode_uint(len(raw))
-        self.out += raw
 
     def _items(self, tag: int, what: str, obj: Any, depth: int) -> None:
         _check_count(what, len(obj))
@@ -452,20 +427,6 @@ class _Encoder:
         self.out += encode_uint(len(obj))
         for item in obj:
             self.value(item, depth + 1)
-
-    def _set(self, obj: Any, depth: int) -> None:
-        _check_count("set", len(obj))
-        # Canonical order: sort by each element's own encoding, so the
-        # bytes never depend on hash seeds or insertion history.
-        encoded: list[bytes] = []
-        for item in obj:
-            sub = _Encoder()
-            sub.value(item, depth + 1)
-            encoded.append(bytes(sub.out))
-        self.out.append(Tag.SET)
-        self.out += encode_uint(len(encoded))
-        for raw in sorted(encoded):
-            self.out += raw
 
     def _registered(self, obj: Any, depth: int) -> None:
         ref = self.memo.get(id(obj))
@@ -480,8 +441,8 @@ class _Encoder:
                 self.out.append(Tag.CALLABLE)
                 self.emit_name(name)
                 return
-        spec = _STRUCTS_BY_TYPE.get(type(obj))
-        if spec is None:
+        row = _STRUCTS_BY_TYPE.get(type(obj))
+        if row is None:
             raise CodecError(
                 f"type {type(obj).__name__} is not encodable on the "
                 "cluster wire: register it with "
@@ -493,16 +454,16 @@ class _Encoder:
         # name-interning indices are assigned in the same order the
         # decoder will observe them.
         self.out.append(Tag.STRUCT)
-        self.emit_name(spec.name)
-        record = spec.record
+        self.emit_name(row.name)
+        record = row.record
         body = None if record is None else record.pack(obj, self, depth + 1)
         if body is None:
-            fields = spec.pack(obj)
+            fields = row.pack(obj)
             if type(fields) is not tuple:
                 raise CodecError(
-                    f"pack for struct {spec.name!r} must return a tuple"
+                    f"pack for struct {row.name!r} must return a tuple"
                 )
-            if not spec.cacheable:
+            if not row.cacheable:
                 # Written in place, then prefixed with its length.
                 start = len(self.out)
                 self.value(fields, depth + 1)
@@ -511,7 +472,7 @@ class _Encoder:
             # Self-contained body: fresh interning state, so the body
             # bytes are a canonical SchemeCache key.
             sub = _Encoder()
-            sub.value(fields, 0)
+            sub.value(fields, depth + 1)
             body = bytes(sub.out)
         self.out += encode_uint(len(body))
         self.out += body
@@ -610,25 +571,7 @@ def _constant(value: Any) -> Callable[[_Decoder, int], Any]:
 
 
 def _dec_int(dec: _Decoder, depth: int) -> int:
-    folded = dec.uint("int")
-    value = unzigzag(folded)
-    # -2**63 included: the encoder sends it as a bigint, and a value
-    # has one encoding.
-    if not -_INT_LIMIT < value < _INT_LIMIT:
-        raise CodecError(f"int term out of range: zigzag {folded}")
-    return value
-
-
-def _dec_bigint(dec: _Decoder, depth: int) -> int:
-    sign = dec.take(1, "bigint sign")[0]
-    if sign not in (0, 1):
-        raise CodecError(f"bad bigint sign byte {sign}")
-    length = dec.uint("bigint length")
-    _check_field_size("bigint field", length, MAX_INT_BYTES)
-    magnitude = int.from_bytes(dec.take(length, "bigint"), "big")
-    if magnitude < _INT_LIMIT:
-        raise CodecError("bigint used for a value that fits the int tag")
-    return -magnitude if sign else magnitude
+    return unzigzag(dec.uint("int"))
 
 
 def _dec_float(dec: _Decoder, depth: int) -> float:
@@ -678,24 +621,10 @@ def _dec_dict(dec: _Decoder, depth: int) -> dict:
     return out
 
 
-def _dec_set(dec: _Decoder, depth: int) -> set:
-    count = dec.uint("set count")
-    _check_count("set", count)
-    out = set()
-    for _ in range(count):
-        try:
-            out.add(dec.value(depth + 1))
-        except TypeError as exc:
-            raise CodecError(f"unhashable set element: {exc}") from exc
-    if len(out) != count:
-        raise CodecError("duplicate set elements")
-    return out
-
-
 def _dec_struct(dec: _Decoder, depth: int) -> Any:
     name = dec.name()
-    spec = _STRUCTS.get(name)
-    if spec is None:
+    row = _STRUCTS.get(name)
+    if row is None:
         raise CodecError(f"unknown struct name {name!r}")
     body_len = dec.uint("struct body length")
     _check_field_size("struct body", body_len, MAX_FIELD_BYTES)
@@ -704,41 +633,43 @@ def _dec_struct(dec: _Decoder, depth: int) -> Any:
         raise CodecError(f"truncated struct {name!r} body")
     slot = len(dec.memo)
     dec.memo.append(_UNFILLED)
-    if spec.cacheable:
+    if row.cacheable:
         body = dec.take(body_len, "struct body")
         if dec.cache is None:
-            obj = _build_struct(spec, body)
+            obj = _build_struct(row, body, depth + 1)
         else:
-            obj = dec.cache.get_or_build(name, body, spec)
-    elif spec.record is not None and body_len and dec.at_record():
+            obj = dec.cache.get_or_build(row, body, depth + 1)
+    elif row.record is not None and body_len and dec.at_record():
         obj = _construct(
-            spec, spec.record.unpack, dec.take(body_len, "record"), dec
+            row, row.record.unpack, dec.take(body_len, "record"), dec,
+            depth + 1,
         )
     else:
         # Any other body reads in place, on the payload's interning state.
-        obj = _construct(spec, _fields, spec, dec, depth + 1, end)
+        obj = _construct(row, _fields, row, dec, depth + 1, end)
     dec.memo[slot] = obj
     return obj
 
 
-def _fields(spec: _StructSpec, dec: _Decoder, depth: int, end: int) -> Any:
+def _fields(row: _StructRow, dec: _Decoder, depth: int, end: int) -> Any:
     """A struct's field tuple, ending exactly where its body does, run
     through the registered ctor."""
     fields = dec.value(depth)
     if dec.pos != end:
-        raise CodecError(f"struct {spec.name!r} fields do not fill its body")
+        raise CodecError(f"struct {row.name!r} fields do not fill its body")
     if type(fields) is not tuple:
-        raise CodecError(f"struct {spec.name!r} body is not a field tuple")
-    return spec.unpack(fields)
+        raise CodecError(f"struct {row.name!r} body is not a field tuple")
+    return row.unpack(fields)
 
 
-def _build_struct(spec: _StructSpec, body: bytes) -> Any:
-    """A self-contained (cacheable) struct from its body alone."""
+def _build_struct(row: _StructRow, body: bytes, depth: int) -> Any:
+    """A self-contained (cacheable) struct from its body alone, read at
+    the nesting depth its term sits at."""
     dec = _Decoder(body, None)
-    return _construct(spec, _fields, spec, dec, 0, len(body))
+    return _construct(row, _fields, row, dec, depth, len(body))
 
 
-def _construct(spec: _StructSpec, build: Callable, *args: Any) -> Any:
+def _construct(row: _StructRow, build: Callable, *args: Any) -> Any:
     """``build(*args)``, with whatever a constructor raises turned into
     a :class:`CodecError` naming the struct."""
     try:
@@ -747,7 +678,7 @@ def _construct(spec: _StructSpec, build: Callable, *args: Any) -> Any:
         raise
     except Exception as exc:
         raise CodecError(
-            f"struct {spec.name!r} rejected: {type(exc).__name__}: {exc}"
+            f"struct {row.name!r} rejected: {type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -782,20 +713,19 @@ class Term(NamedTuple):
     decode: Callable[[_Decoder, int], Any]
 
 
-#: The term vocabulary.  ``Tag.<NAME>`` is derived from it.
+#: The term vocabulary.  ``Tag.<NAME>`` is derived from it.  Bytes 0x04
+#: (``bigint``) and 0x0B (``set``) are retired, not reassigned.
 TERMS: tuple[Term, ...] = (
     Term(0x00, "none", _constant(None)),
     Term(0x01, "true", _constant(True)),
     Term(0x02, "false", _constant(False)),
     Term(0x03, "int", _dec_int),
-    Term(0x04, "bigint", _dec_bigint),
     Term(0x05, "float", _dec_float),
     Term(0x06, "str", _dec_str),
     Term(0x07, "bytes", _dec_bytes),
     Term(0x08, "tuple", _dec_tuple),
     Term(0x09, "list", _dec_list),
     Term(0x0A, "dict", _dec_dict),
-    Term(0x0B, "set", _dec_set),
     Term(0x0C, "struct", _dec_struct),
     Term(0x0D, "callable", _dec_callable),
     Term(0x0E, "ref", _dec_ref),
@@ -825,32 +755,32 @@ Tag, _DECODERS = _index_terms(TERMS)
 # ----------------------------------------------------------------------
 
 
+#: How many distinct schemes a :class:`SchemeCache` keeps.
+_CACHE_ENTRIES = 64
+
+
 class SchemeCache:
-    """Bounded LRU of constructed cacheable structs, keyed by body bytes.
+    """Small LRU of constructed cacheable structs, keyed by body bytes.
 
     The key is ``(struct name, canonical body bytes)`` — cacheable
     struct bodies are encoded with payload-independent interning
     precisely so equal parameters always produce equal bytes.
-    Thread-safe.  Hit/miss/eviction totals are plain counters here;
-    the planes that own a cache publish them as
+    Thread-safe.  Hit/miss totals are plain counters here; the planes
+    that own a cache publish them as
     ``repro_scheme_cache_{hits,misses}_total{plane=...}`` on their own
     registries (worker daemon directly, coordinator from the
     ``cache_hits``/``cache_misses`` result-frame fields), which keeps
     one process from double counting when it hosts both ends.
     """
 
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, bytes], Any] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
-    def get_or_build(self, name: str, body: bytes, spec: _StructSpec) -> Any:
-        key = (name, bytes(body))
+    def get_or_build(self, row: _StructRow, body: bytes, depth: int) -> Any:
+        key = (row.name, bytes(body))
         with self._lock:
             obj = self._entries.get(key)
             if obj is not None:
@@ -859,29 +789,18 @@ class SchemeCache:
                 self._entries[key] = obj
                 self.hits += 1
                 return obj
-        obj = _build_struct(spec, body)
+        obj = _build_struct(row, body, depth)
         with self._lock:
             self.misses += 1
             if key not in self._entries:
-                while len(self._entries) >= self.max_entries:
-                    oldest = next(iter(self._entries))
-                    del self._entries[oldest]
-                    self.evictions += 1
+                if len(self._entries) >= _CACHE_ENTRIES:
+                    del self._entries[next(iter(self._entries))]
                 self._entries[key] = obj
         return obj
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+            return {"hits": self.hits, "misses": self.misses}
 
 
 # ----------------------------------------------------------------------
@@ -926,16 +845,11 @@ def decode_cluster_payload(
 def encode_job(fn: Callable, args: tuple, kwargs: dict) -> bytes:
     """Encode one job spec: a registered callable plus its arguments.
 
-    ``functools.partial`` stacks are flattened first, so pre-bound jobs
-    (the service plane's verification offloads) encode as their
-    underlying registered callable.
+    ``fn`` must itself be registered: the service plane's verification
+    offloads arrive as ``timed`` with the job and its arguments
+    positional, and anything else (a ``functools.partial``, a lambda)
+    is refused here, before it reaches the wire.
     """
-    import functools
-
-    while isinstance(fn, functools.partial):
-        kwargs = {**fn.keywords, **kwargs}
-        args = fn.args + tuple(args)
-        fn = fn.func
     ensure_default_registry()
     if _CALLABLE_NAMES.get(fn) is None:
         raise CodecError(
@@ -1086,8 +1000,6 @@ def ensure_default_registry() -> None:
 
 
 def _register_defaults() -> None:
-    import importlib
-
     from repro.accounting import CostLedger
     from repro.baselines.double_check import DoubleCheckScheme
     from repro.baselines.hardening import HardenedProbeScheme
@@ -1286,7 +1198,7 @@ def _register_defaults() -> None:
             return None
         return head + b"".join(tail)
 
-    def unpack_result(body: bytes, dec: _Decoder) -> Any:
+    def unpack_result(body: bytes, dec: _Decoder, depth: int) -> Any:
         flags, n_verdicts, n_task, n_p, n_s, n_inputs, n_honest, *values = (
             RESULT_HEAD.unpack_from(body)
         )
@@ -1363,15 +1275,15 @@ def _register_defaults() -> None:
         sub.out += b"".join(task_ids)
         return bytes(sub.out)
 
-    def unpack_batch(body: bytes, dec: _Decoder) -> Any:
+    def unpack_batch(body: bytes, dec: _Decoder, depth: int) -> Any:
         marker, count = BATCH_HEAD.unpack_from(body)
         if marker != _RECORD_BIT:
             raise CodecError(f"bad batch record marker 0x{marker:02x}")
         _check_count("batch", count)
         sub = dec.sharing(body)
         sub.pos = BATCH_HEAD.size
-        scheme = sub.value()
-        table = sub.value()
+        scheme = sub.value(depth)
+        table = sub.value(depth)
         if type(table) is not tuple:
             raise CodecError("batch record table is not a tuple")
         end = sub.pos + BATCH_ROW.size * count
@@ -1492,13 +1404,8 @@ def _register_defaults() -> None:
             record=_Record(pack_result, unpack_result),
         ),
     )
-    for spec in _index_structs(rows):
-        _register(
-            _StructSpec(
-                spec.name, spec.cls, spec.pack, spec.unpack, spec.cacheable,
-                spec.record,
-            )
-        )
+    for row in _index_structs(rows):
+        _register(row)
 
     # --- the custom structs: state or packing a row cannot express ---
     def _pack_topk(s: TopKScreener) -> tuple:
@@ -1572,10 +1479,6 @@ def _register_defaults() -> None:
     # Names are short on purpose: each payload spells each name once,
     # so name length is fixed per-job overhead on the wire.
     register_callable("engine.execute_batch", _jobs.execute_batch)
-    # `repro.analysis` re-exports a `sweep` *function*, shadowing the
-    # submodule attribute — resolve the module itself.
-    _sweep = importlib.import_module("repro.analysis.sweep")
-    register_callable("sweep.eval_point", _sweep._eval_point)
     register_callable("service.verify_cbs", _verify.verify_cbs_job)
     register_callable("service.verify_nicbs", _verify.verify_nicbs_job)
     register_callable("service.timed", _verify.timed)

@@ -86,12 +86,14 @@ def decode_uint(data: bytes) -> int:
 
 
 def zigzag(value: int) -> int:
-    """Fold a signed 64-bit integer onto the unsigned ones for a varint.
+    """Fold a signed integer onto the unsigned ones for a varint.
 
     Small magnitudes of either sign stay small: 0, -1, 1, -2 map to
-    0, 1, 2, 3.  The caller bounds ``value`` to ``[-2^63, 2^63)``.
+    0, 1, 2, 3.  Exact at any width (on every i64 it is the classic
+    ``(v << 1) ^ (v >> 63)``); the caller bounds ``value`` to what its
+    varint may carry.
     """
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+    return ~value << 1 | 1 if value < 0 else value << 1
 
 
 def unzigzag(value: int) -> int:

@@ -519,8 +519,8 @@ class TestClusterEnvelope:
     def test_wrong_version_rejected(self, frame):
         """No compat window: every payload-bearing frame leads with
         the wire version and is refused unless it matches exactly —
-        a v8 or future frame never reaches a field decoder."""
-        assert CLUSTER_WIRE_VERSION == 9
+        a v9 or future frame never reaches a field decoder."""
+        assert CLUSTER_WIRE_VERSION == 10
         payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
         assert payload[1] == CLUSTER_WIRE_VERSION
         for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
@@ -802,7 +802,7 @@ class TestTypedCodecLimits:
         from repro.service.jobcodec import MAX_CONTAINER_ITEMS, Tag
         from repro.utils.encoding import encode_uint
 
-        for tag in (Tag.TUPLE, Tag.LIST, Tag.DICT, Tag.SET):
+        for tag in (Tag.TUPLE, Tag.LIST, Tag.DICT):
             raw = bytes([tag]) + encode_uint(MAX_CONTAINER_ITEMS + 1)
             with pytest.raises(CodecError, match="exceeds limit"):
                 decode_cluster_payload(raw)
@@ -820,6 +820,40 @@ class TestTypedCodecLimits:
             nested = [nested]
         with pytest.raises(CodecError, match="depth"):
             encode_cluster_payload(nested)
+
+    def test_depth_bomb_through_nested_records_rejected(self):
+        """A record body is read at its term's depth: 65 ``scheme_batch``
+        records, each holding the next in its table term, are refused
+        at the cap, not after Python's recursion limit."""
+        from repro.core.cbs import CBSScheme
+        from repro.service.jobcodec import BATCH_HEAD, MAX_DEPTH, Tag
+
+        scheme = encode_cluster_payload(CBSScheme(4))
+        term = bytes([Tag.NONE])
+        for _ in range(MAX_DEPTH + 1):
+            body = BATCH_HEAD.pack(0x80, 0) + scheme + bytes([Tag.TUPLE, 1]) + term
+            term = _raw_record("scheme_batch", body)
+        with pytest.raises(CodecError, match="depth limit"):
+            decode_cluster_payload(term)
+
+    def test_depth_bomb_through_nested_cacheable_bodies_rejected(self):
+        """A cacheable body is read at its term's depth too, with or
+        without a scheme cache: 65 ``double_check_scheme`` bodies, each
+        the next one's only replica behaviour, are refused at the cap
+        before any constructor sees one."""
+        from repro.service.jobcodec import MAX_DEPTH, SchemeCache, Tag
+        from repro.utils.encoding import encode_uint
+
+        term = bytes([Tag.NONE])
+        for _ in range(MAX_DEPTH + 1):
+            fields = (
+                bytes([Tag.TUPLE, 2, Tag.INT]) + encode_uint(2)
+                + bytes([Tag.LIST, 1]) + term
+            )
+            term = _raw_record("double_check_scheme", fields)
+        for cache in (None, SchemeCache()):
+            with pytest.raises(CodecError, match="depth limit"):
+                decode_cluster_payload(term, cache=cache)
 
     def test_oversized_name_rejected(self):
         from repro.service.jobcodec import MAX_NAME_BYTES, Tag
@@ -842,24 +876,63 @@ class TestTypedCodecLimits:
             decode_cluster_payload(raw)
 
     def test_every_unknown_tag_byte_rejected(self):
-        from repro.service.jobcodec import Tag
+        """Every byte that is not a ``TERMS`` row, the retired 0x04
+        (``bigint``) and 0x0B (``set``) included, is an unknown tag."""
+        from repro.service.jobcodec import TERMS
 
-        for byte in range(Tag.REF + 1, 256):
-            with pytest.raises(CodecError):
+        known = {term.tag for term in TERMS}
+        assert not known & {0x04, 0x0B}
+        for byte in sorted(set(range(256)) - known):
+            with pytest.raises(CodecError, match="unknown value tag"):
                 decode_cluster_payload(bytes([byte]))
 
     def test_minus_two_to_the_63_has_one_encoding(self):
-        """``-2**63`` rides the bigint tag (the encoder's choice); the
-        zigzag varint that also unfolds to it is rejected, as the
-        mirror-image bigint-for-a-small-int already is."""
-        canonical = bytes.fromhex("040108" + "80" + "00" * 7)
+        """``-2**63`` is an ``int`` like every other i64, spelled as the
+        classic zigzag fold spells it; the retired ``bigint`` spelling
+        it used to take is an unknown tag."""
+        canonical = bytes.fromhex("03" + "ff" * 9 + "01")
         assert encode_cluster_payload(-(1 << 63)) == canonical
         assert decode_cluster_payload(canonical) == -(1 << 63)
-        with pytest.raises(CodecError, match="out of range"):
-            decode_cluster_payload(bytes.fromhex("03" + "ff" * 9 + "01"))
+        with pytest.raises(CodecError, match="unknown value tag 0x04"):
+            decode_cluster_payload(bytes.fromhex("040108" + "80" + "00" * 7))
         neighbour = bytes.fromhex("03fd" + "ff" * 8 + "01")
         assert encode_cluster_payload(-(1 << 63) + 1) == neighbour
         assert decode_cluster_payload(neighbour) == -(1 << 63) + 1
+
+    def test_every_int_a_varint_can_carry_is_one_int_term(self):
+        """The ``int`` term covers ``-2^76 <= x < 2^76``, every value a
+        zigzag varint of at most eleven bytes unfolds to; past either
+        end, encode refuses before anything reaches the wire."""
+        import random
+
+        from repro.service.jobcodec import Tag
+        from repro.utils.encoding import encode_uint
+
+        def classic(v):  # the i64 fold: every i64 keeps these bytes
+            return (v << 1) ^ (v >> 63)
+
+        rng = random.Random(0)
+        i64 = [-(1 << 63), (1 << 63) - 1, -1, 0, 1] + [
+            rng.randrange(-(1 << 63), 1 << 63) for _ in range(2000)
+        ]
+        for value in i64:
+            raw = bytes([Tag.INT]) + encode_uint(classic(value))
+            assert encode_cluster_payload(value) == raw
+            assert decode_cluster_payload(raw) == value
+        wide = [-(1 << 76), (1 << 76) - 1, -(1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+        for value in wide + [rng.randrange(-(1 << 76), 1 << 76) for _ in range(2000)]:
+            raw = encode_cluster_payload(value)
+            assert raw[0] == Tag.INT and len(raw) <= 12
+            assert decode_cluster_payload(raw) == value
+        assert decode_cluster_payload(b"\x03" + b"\xff" * 10 + b"\x7f") == -(1 << 76)
+        for value in (1 << 76, -(1 << 76) - 1, 1 << 200):
+            with pytest.raises(CodecError, match="outside the int term's range"):
+                encode_cluster_payload([0, value])
+
+    def test_sets_do_not_cross_the_wire(self):
+        for value in ({1, 2}, frozenset({3})):
+            with pytest.raises(CodecError, match="not encodable"):
+                encode_cluster_payload(value)
 
     def test_oversized_field_rejected_at_encode(self):
         from repro.service.jobcodec import MAX_FIELD_BYTES
@@ -1046,7 +1119,7 @@ def _result_bits(result) -> tuple:
 _LEDGER_INTS = st.one_of(
     st.integers(-5, 1 << 20),
     st.sampled_from(
-        [(1 << 63) - 1, 1 << 63, (1 << 80) + 7, -(1 << 63), -(1 << 63) - 1]
+        [(1 << 63) - 1, 1 << 63, (1 << 75) + 7, -(1 << 63), -(1 << 63) - 1]
     ),
 )
 _LEDGER_FLOATS = st.one_of(
@@ -1449,10 +1522,10 @@ _I64 = (-(1 << 63), (1 << 63) - 1)
 def _scheme_batches(draw):
     """Batches in both shapes: a record when every job fits its row
     (domains up to the i64 edges, seeds up to 2^64 - 1), the generic
-    path when one does not (a domain past i64 or not a range, a bigint,
-    negative or bool seed, a task id over 255 UTF-8 bytes).  Functions,
-    screeners and behaviours are shared instances, equal-but-distinct
-    ones, or fresh per job."""
+    path when one does not (a domain past i64 or not a range, a seed
+    past u64, negative or bool, a task id over 255 UTF-8 bytes).
+    Functions, screeners and behaviours are shared instances,
+    equal-but-distinct ones, or fresh per job."""
     from repro.cheating.strategies import HonestBehavior, SemiHonestCheater
     from repro.core.cbs import CBSScheme
     from repro.core.ni_cbs import NICBSScheme
@@ -1598,6 +1671,27 @@ class TestPackedBatchRecords:
         ]
         assert decoded[0].scheme is decoded[1].scheme
         assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 1
+
+    def test_a_u64_seed_off_the_record_rides_one_int_term(self):
+        """A batch on the generic path (here: an explicit domain) can
+        carry a seed in [2^63, 2^64); it is one ``int`` term, as every
+        other integer is, and comes back exact."""
+        from repro.cheating.strategies import HonestBehavior
+        from repro.core.cbs import CBSScheme
+        from repro.engine.jobs import SchemeBatch, SchemeJob
+        from repro.service.jobcodec import Tag
+        from repro.tasks.domain import ExplicitDomain
+        from repro.tasks.result import TaskAssignment
+        from repro.tasks.workloads import PasswordSearch
+
+        seed = (1 << 64) - 1
+        task = TaskAssignment("t", ExplicitDomain([1, 2, 3]), PasswordSearch())
+        batch = SchemeBatch(CBSScheme(4), (SchemeJob(task, HonestBehavior(), seed),))
+        raw = encode_cluster_payload(batch)
+        assert _struct_body(raw)[0] == Tag.TUPLE
+        assert encode_cluster_payload(seed) == b"\x03" + b"\xfe" + b"\xff" * 8 + b"\x03"
+        assert encode_cluster_payload(seed) in raw
+        assert decode_cluster_payload(raw).jobs[0].seed == seed
 
     def test_every_truncation_and_bit_flip_raises_only_codec_error(self):
         from repro.engine.jobs import execute_batch
@@ -1748,7 +1842,7 @@ class TestVersionSkewHandshake:
                     ByeFrame(
                         reason=(
                             "incompatible cluster wire version 8: this "
-                            "coordinator speaks v9; upgrade the worker"
+                            "coordinator speaks v10; upgrade the worker"
                         )
                     ),
                 )

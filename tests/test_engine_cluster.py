@@ -342,6 +342,42 @@ class TestPopulationParity:
         assert stats["scheme_cache_hits"] > stats["scheme_cache_misses"]
 
 
+class TestServiceOnTheCluster:
+    """``serve --engine cluster`` end to end: verifications offloaded as
+    ``timed(verify_*_job, ...)`` jobs cross the job wire to a worker
+    daemon and come back with the verdicts the thread pool reaches."""
+
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_verdicts_equal_the_thread_pool(self, protocol):
+        from repro.obs.metrics import default_registry
+        from repro.service import ServiceConfig, run_service_loadgen_sync
+
+        def completed_remotely():
+            return default_registry().value(
+                "repro_engine_tasks_total", engine="cluster", event="completed"
+            )
+
+        config = ServiceConfig(
+            domain=RangeDomain(0, 1 << 9),
+            protocol=protocol,
+            n_samples=12,
+            n_participants=6,
+            seed=5,
+        )
+        behaviors = [HonestBehavior(), SemiHonestCheater(0.5)]
+        before = completed_remotely()
+        _, stats, server = run_service_loadgen_sync(
+            config, behaviors, engine="cluster", workers=1
+        )
+        assert completed_remotely() > before
+        _, _, threaded = run_service_loadgen_sync(
+            config, behaviors, engine="threads", workers=1
+        )
+        assert stats.n_completed == 6 and stats.n_errors == 0
+        assert len(server.outcomes) == 6
+        assert server.outcomes == threaded.outcomes
+
+
 class TestLeanResults:
     """What comes back through an executor is verdicts, not work: the
     same lean results on every backend, O(m) bytes whatever |D| is."""

@@ -411,20 +411,20 @@ GOLDEN = [
         "07100174000c77726f6e675f726573756c74",
     ),
     (ErrorFrame("nope"), "08046e6f7065"),
-    (codec.WorkerHello("w-0", 2), "090903772d3002"),
+    (codec.WorkerHello("w-0", 2), "090a03772d3002"),
     (codec.HeartbeatFrame("w-0"), "0a03772d30"),
     (
         codec.JobFrame(
             job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
         ),
-        "0b09ac02010274310102733103000102",
+        "0b0aac02010274310102733103000102",
     ),
     (
         codec.ResultFrame(
             job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
             cache_hits=2, cache_misses=1,
         ),
-        "0c09ac02010201" + _SPAN_HEX + "020304",
+        "0c0aac02010201" + _SPAN_HEX + "020304",
     ),
     (codec.StatsRequest(), "0f"),
     (
