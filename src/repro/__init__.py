@@ -31,13 +31,7 @@ per-figure reproduction harnesses (indexed in README "Benchmarks").
 """
 
 from repro._version import __version__
-from repro.accounting import CostLedger
-from repro.analysis import (
-    cheat_success_probability,
-    detection_probability,
-    fig2_series,
-    required_sample_size,
-)
+from repro.analysis import cheat_success_probability, required_sample_size
 from repro.baselines import (
     DoubleCheckScheme,
     HardenedProbeScheme,
@@ -45,138 +39,51 @@ from repro.baselines import (
     RingerScheme,
 )
 from repro.cheating import (
-    Behavior,
-    BernoulliGuess,
     ColludingCheater,
-    GuessModel,
     HonestBehavior,
-    MaliciousBehavior,
     SemiHonestCheater,
     UniformValueGuess,
-    ZeroGuess,
 )
-from repro.core import (
-    CBSParticipant,
-    CBSScheme,
-    CBSSupervisor,
-    NICBSParticipant,
-    NICBSScheme,
-    NICBSSupervisor,
-    SchemeRunResult,
-    VerificationOutcome,
-    VerificationScheme,
-)
-from repro.engine import (
-    Executor,
-    ProcessPoolExecutor,
-    SchemeJob,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    derive_seed,
-    get_executor,
-    run_scheme_jobs,
-)
-from repro.grid import (
-    DetectionReport,
-    GridSimulation,
-    SimulationConfig,
-    run_population,
-)
-from repro.merkle import (
-    AuthenticationPath,
-    HashFunction,
-    IteratedHash,
-    MerkleTree,
-    PartialMerkleTree,
-    get_hash,
-)
+from repro.core import CBSScheme, NICBSParticipant, NICBSScheme
+from repro.grid import GridSimulation, SimulationConfig
 from repro.tasks import (
-    Domain,
-    ExplicitDomain,
-    FactoringTask,
     MatchScreener,
-    MersenneCheck,
     MoleculeScreening,
-    MonteCarloEstimate,
-    OptimizationSearch,
     PasswordSearch,
     RangeDomain,
     SignalSearch,
     TaskAssignment,
-    TaskFunction,
     ThresholdScreener,
-    TopKScreener,
 )
 
 __all__ = [
     "__version__",
-    # accounting
-    "CostLedger",
     # analysis
     "cheat_success_probability",
-    "detection_probability",
     "required_sample_size",
-    "fig2_series",
     # baselines
     "DoubleCheckScheme",
     "NaiveSamplingScheme",
     "RingerScheme",
     "HardenedProbeScheme",
     # cheating
-    "Behavior",
     "HonestBehavior",
     "SemiHonestCheater",
     "ColludingCheater",
-    "MaliciousBehavior",
-    "GuessModel",
-    "ZeroGuess",
-    "BernoulliGuess",
     "UniformValueGuess",
     # core
     "CBSScheme",
-    "CBSParticipant",
-    "CBSSupervisor",
     "NICBSScheme",
     "NICBSParticipant",
-    "NICBSSupervisor",
-    "VerificationScheme",
-    "VerificationOutcome",
-    "SchemeRunResult",
-    # engine
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "get_executor",
-    "derive_seed",
-    "SchemeJob",
-    "run_scheme_jobs",
     # grid
     "GridSimulation",
     "SimulationConfig",
-    "DetectionReport",
-    "run_population",
-    # merkle
-    "MerkleTree",
-    "PartialMerkleTree",
-    "AuthenticationPath",
-    "HashFunction",
-    "IteratedHash",
-    "get_hash",
     # tasks
-    "Domain",
     "RangeDomain",
-    "ExplicitDomain",
     "TaskAssignment",
-    "TaskFunction",
     "PasswordSearch",
-    "FactoringTask",
     "MoleculeScreening",
     "SignalSearch",
-    "MersenneCheck",
-    "MonteCarloEstimate",
-    "OptimizationSearch",
     "MatchScreener",
     "ThresholdScreener",
-    "TopKScreener",
 ]

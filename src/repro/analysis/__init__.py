@@ -16,15 +16,7 @@ from repro.analysis.probability import (
     fig2_series,
     required_sample_size,
 )
-from repro.analysis.costs import (
-    cbs_participant_bytes,
-    cbs_supervisor_bytes_per_task,
-    min_sample_hash_cost,
-    naive_bytes_per_task,
-    regrind_expected_cost,
-    uncheatable_g_rounds,
-)
-from repro.analysis.montecarlo import RateEstimate, estimate_escape_rate
+from repro.analysis.montecarlo import estimate_escape_rate
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 
@@ -33,13 +25,6 @@ __all__ = [
     "detection_probability",
     "required_sample_size",
     "fig2_series",
-    "cbs_participant_bytes",
-    "cbs_supervisor_bytes_per_task",
-    "naive_bytes_per_task",
-    "min_sample_hash_cost",
-    "regrind_expected_cost",
-    "uncheatable_g_rounds",
-    "RateEstimate",
     "estimate_escape_rate",
     "sweep",
     "format_table",

@@ -10,9 +10,9 @@ These are the analytic models the measured ledgers are compared with:
   bounds the measured bytes from above — a bundle travels as one
   multiproof, which ships a digest several samples share, or can
   derive from each other, once or not at all.
-* **Storage trade-off (§3.3, E4)** — re-exported from
-  :mod:`repro.core.storage_opt`, plus the expected number of subtrees a
-  challenge touches: a bundle rebuilds each once, so the measured
+* **Storage trade-off (§3.3, E4)** — the ``rco`` forms live in
+  :mod:`repro.core.storage_opt`; here is the expected number of subtrees
+  a challenge touches: a bundle rebuilds each once, so the measured
   recompute is that count times ``2^ℓ`` where §3.3 bounds it by ``m·2^ℓ``.
 * **Regrinding economics (Eq. 5, E5).**  Expected attack cost
   ``(1/r^m)·m·C_g`` vs honest cost ``n·C_f``; and the minimum ``C_g``
@@ -23,12 +23,6 @@ from __future__ import annotations
 
 import math
 
-from repro.core.storage_opt import (  # noqa: F401  (re-exported, E4)
-    predicted_rco,
-    rco_from_storage,
-    storage_for_rco,
-    subtree_height_for_storage,
-)
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 from repro.utils.encoding import encode_uint
 

@@ -52,11 +52,3 @@ def format_table(
     parts.extend([header, rule, body])
     return "\n".join(parts)
 
-
-def print_table(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Sequence[str] | None = None,
-    title: str | None = None,
-) -> None:
-    """Convenience wrapper printing :func:`format_table` output."""
-    print(format_table(rows, columns=columns, title=title))

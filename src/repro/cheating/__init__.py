@@ -17,12 +17,10 @@ lives in :mod:`repro.cheating.regrind`.
 
 from repro.cheating.guessing import (
     BernoulliGuess,
-    GuessModel,
     UniformValueGuess,
     ZeroGuess,
 )
 from repro.cheating.strategies import (
-    Behavior,
     ColludingCheater,
     HonestBehavior,
     MaliciousBehavior,
@@ -30,11 +28,9 @@ from repro.cheating.strategies import (
 )
 
 __all__ = [
-    "GuessModel",
     "ZeroGuess",
     "BernoulliGuess",
     "UniformValueGuess",
-    "Behavior",
     "HonestBehavior",
     "ColludingCheater",
     "SemiHonestCheater",

@@ -678,8 +678,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"trace: cannot read dump {args.dump}: {exc}",
                   file=sys.stderr)
             return 2
+        wires = artifact.get("spans") if isinstance(artifact, dict) else None
+        if not isinstance(wires, list):
+            print(f"trace: {args.dump} is not a flight-recorder dump "
+                  f"(no spans list)", file=sys.stderr)
+            return 2
         spans = []
-        for wire in artifact.get("spans", ()):
+        for wire in wires:
             try:
                 spans.append(Span.from_wire(wire))
             except (KeyError, TypeError, ValueError):
@@ -1028,9 +1033,9 @@ def main(argv: list[str] | None = None) -> int:
 
     Configuration errors (an unreadable ``--secret-file``, a
     ``--tls-key`` without its cert, a cluster security flag on an
-    in-process engine) surface as one clean line on stderr and exit
-    code 2 — the same UX the ``worker`` daemon already had — not a
-    traceback.
+    in-process engine) and OS errors (a refused ``--connect``) surface
+    as one clean line on stderr and exit code 2 — the same UX the
+    ``worker`` daemon already had — not a traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -1046,6 +1051,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except OSError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,20 +13,7 @@
 
 from repro.core.cbs import CBSParticipant, CBSScheme, CBSSupervisor
 from repro.core.ni_cbs import NICBSParticipant, NICBSScheme, NICBSSupervisor
-from repro.core.protocol import (
-    CommitmentMsg,
-    ProofBundleMsg,
-    SampleChallengeMsg,
-    SampleProof,
-    VerdictMsg,
-)
-from repro.core.scheme import (
-    SampleVerdict,
-    SchemeRunResult,
-    VerificationOutcome,
-    VerificationScheme,
-)
-from repro.core.storage_opt import TreeBackend, predicted_rco, storage_for_rco
+from repro.core.storage_opt import predicted_rco, storage_for_rco
 
 __all__ = [
     "CBSParticipant",
@@ -35,16 +22,6 @@ __all__ = [
     "NICBSParticipant",
     "NICBSSupervisor",
     "NICBSScheme",
-    "CommitmentMsg",
-    "SampleChallengeMsg",
-    "SampleProof",
-    "ProofBundleMsg",
-    "VerdictMsg",
-    "VerificationScheme",
-    "VerificationOutcome",
-    "SampleVerdict",
-    "SchemeRunResult",
-    "TreeBackend",
     "predicted_rco",
     "storage_for_rco",
 ]

@@ -12,20 +12,7 @@ is dependency-free (stdlib ``ast`` only) so it runs anywhere the repo
 does.
 """
 
-from repro.devtools.lint.framework import (
-    Checker,
-    FileContext,
-    Finding,
-    collect_files,
-    lint_paths,
-)
+from repro.devtools.lint.framework import lint_paths
 from repro.devtools.lint.checkers import ALL_CHECKERS
 
-__all__ = [
-    "ALL_CHECKERS",
-    "Checker",
-    "FileContext",
-    "Finding",
-    "collect_files",
-    "lint_paths",
-]
+__all__ = ["ALL_CHECKERS", "lint_paths"]

@@ -156,16 +156,3 @@ def is_self_attr(node: ast.AST, self_name: str, attr: str | None = None) -> bool
         and node.value.id == self_name
         and (attr is None or node.attr == attr)
     )
-
-
-def walk_no_functions(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk an AST without descending into nested function/class scopes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            stack.extend(ast.iter_child_nodes(child))

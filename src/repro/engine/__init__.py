@@ -70,7 +70,7 @@ from repro.engine.jobs import (
     run_scheme_jobs,
     split_batches,
 )
-from repro.engine.seeding import SEED_STRIDE, derive_seed
+from repro.engine.seeding import derive_seed
 
 
 def __getattr__(name: str):
@@ -98,6 +98,5 @@ __all__ = [
     "execute_batch",
     "run_scheme_jobs",
     "split_batches",
-    "SEED_STRIDE",
     "derive_seed",
 ]

@@ -42,26 +42,7 @@ still rides the shared :mod:`repro.net` transport layer —
 pinned-certificate TLS (README "Security model").
 """
 
-from repro.engine.cluster.coordinator import (
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    ClusterExecutor,
-)
-from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL
-from repro.engine.cluster.worker import (
-    default_worker_id,
-    execute_chunk_report,
-    execute_payload,
-    run_worker,
-    run_worker_sync,
-)
+from repro.engine.cluster.coordinator import ClusterExecutor
+from repro.engine.cluster.worker import run_worker
 
-__all__ = [
-    "ClusterExecutor",
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
-    "default_worker_id",
-    "execute_chunk_report",
-    "execute_payload",
-    "run_worker",
-    "run_worker_sync",
-]
+__all__ = ["ClusterExecutor", "run_worker"]

@@ -53,6 +53,7 @@ from typing import Any, Callable, Sequence
 from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.executor import Executor, _metered_map, default_workers
 from repro.exceptions import EngineError, ReproError
+from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
 from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL, SecurityConfig
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
@@ -60,7 +61,6 @@ from repro.obs.spans import SpanBuffer
 from repro.obs.trace import current_trace
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
-    MAX_CLUSTER_FRAME_BYTES,
     ByeFrame,
     JobFrame,
     ResultFrame,

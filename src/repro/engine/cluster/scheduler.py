@@ -88,13 +88,14 @@ from typing import Callable, Sequence
 
 from repro.exceptions import CodecError, EngineError
 from repro.obs.logging import get_logger, log_event
-from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, log_buckets
+from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry
 from repro.obs.spans import Span, SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace, new_span_id
-from repro.service.codec import (
+from repro.service.codec import JobFrame, ResultFrame
+# The payload cap comes with the chunk envelope that enforces it: the
+# scheduler imports nothing from repro.net, the socket layer.
+from repro.service.jobcodec import (
     MAX_CLUSTER_PAYLOAD_BYTES,
-    JobFrame,
-    ResultFrame,
     decode_cluster_outcomes,
     decode_cluster_payload,
     encode_cluster_chunk,
@@ -283,11 +284,6 @@ class Scheduler:
             "Jobs per dispatched chunk (adaptive sizing)",
             buckets=_CHUNK_JOBS_BUCKETS,
         )
-        self._m_dispatch_latency = self.registry.histogram(
-            "repro_cluster_chunk_seconds",
-            "Wall-clock from chunk dispatch to accepted result",
-            buckets=log_buckets(1e-3, 100.0),
-        )
         self._m_worker_rate = self.registry.gauge(
             "repro_cluster_worker_rate_jobs_per_s",
             "Per-worker EWMA throughput",
@@ -298,37 +294,24 @@ class Scheduler:
             "Seconds since the coordinator last dispatched or accepted "
             "a chunk while jobs were pending (0 when idle or flowing)",
         )
-        # The coordinator's view of the typed job plane: spec bytes at
-        # submission, plus the cluster-wide scheme-cache totals summed
-        # from the ``cache_hits``/``cache_misses`` deltas workers ship
-        # on result frames
-        # (workers count their own activity under plane="worker" on
-        # their own registries — distinct labels, no double counting
-        # when both ends share a process).
-        self._m_job_bytes = self.registry.histogram(
-            "repro_job_bytes",
-            "Encoded job-spec payload bytes, by plane",
-            ("plane",),
-            buckets=SIZE_BUCKETS,
-        ).labels(plane="coordinator")
-        # The return path's wire budget, per accepted result: a leaf
-        # vector creeping back into results shows here first.
+        # The return path's wire budget, per accepted result (a leaf
+        # vector creeping back into results shows here first), and the
+        # cluster-wide scheme-cache totals summed from the
+        # ``cache_hits``/``cache_misses`` deltas workers ship on result
+        # frames.
         self._m_result_bytes = self.registry.histogram(
             "repro_result_bytes",
-            "Encoded per-job result payload bytes, by plane",
-            ("plane",),
+            "Encoded per-job result payload bytes",
             buckets=SIZE_BUCKETS,
-        ).labels(plane="coordinator")
+        ).labels()
         self._m_cache_hits = self.registry.counter(
             "repro_scheme_cache_hits_total",
-            "Scheme-cache hits (schemes reused across chunks), by plane",
-            ("plane",),
-        ).labels(plane="coordinator")
+            "Scheme-cache hits (schemes reused across chunks)",
+        ).labels()
         self._m_cache_misses = self.registry.counter(
             "repro_scheme_cache_misses_total",
-            "Scheme-cache misses (schemes constructed), by plane",
-            ("plane",),
-        ).labels(plane="coordinator")
+            "Scheme-cache misses (schemes constructed)",
+        ).labels()
         self._next_job_id = 0
         self._next_chunk_id = 0
 
@@ -347,7 +330,6 @@ class Scheduler:
         chunks be sized against all of it.
         """
         for payload, future in jobs:
-            self._m_job_bytes.observe(len(payload))
             job_id = self._next_job_id
             self._next_job_id += 1
             self.jobs[job_id] = _Job(job_id, payload, future, trace_id=trace_id)
@@ -634,7 +616,6 @@ class Scheduler:
         self._last_progress = self.clock()
         self._observe_rate(link, len(chunk.job_ids) / elapsed)
         self._m_chunks_completed.inc()
-        self._m_dispatch_latency.observe(elapsed)
         with bind_trace(chunk.trace_id, chunk.span_id):
             log_event(
                 _log,

@@ -16,7 +16,7 @@ Scheme memory: cacheable structs (the verification schemes) decode
 through one process-wide LRU keyed by (scheme name, canonical param
 bytes), so one population constructs its scheme once per worker,
 not once per chunk.  Hit/miss deltas ride back on each result frame
-(``cache_hits``/``cache_misses``) and feed this worker's own
+(``cache_hits``/``cache_misses``) and feed the coordinator's
 ``repro_scheme_cache_*_total`` counters.
 
 A chunk's outcomes travel home in exactly one ``result`` frame.
@@ -51,6 +51,7 @@ import sys
 import time
 
 from repro.exceptions import EngineError, ReproError
+from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
 from repro.net.transport import (
     DEFAULT_HEARTBEAT_INTERVAL,
     SecurityConfig,
@@ -63,79 +64,27 @@ from repro.obs.http import MetricsServer
 from repro.obs.recorder import FlightRecorder, install_flight_recorder
 from repro.obs.spans import Span, default_span_buffer
 from repro.obs.logging import configure_logging, get_logger, log_event
-from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS, default_registry
+from repro.obs.metrics import default_registry
 from repro.obs.trace import bind_trace
 from repro.service.jobcodec import (
     SchemeCache,
+    decode_cluster_chunk,
     decode_job,
+    encode_cluster_outcomes,
+    encode_cluster_payload,
     ensure_default_registry,
 )
 from repro.service.codec import (
-    MAX_CLUSTER_FRAME_BYTES,
     ByeFrame,
     HeartbeatFrame,
     JobFrame,
     ResultFrame,
     WorkerHello,
-    decode_cluster_chunk,
-    encode_cluster_outcomes,
-    encode_cluster_payload,
     read_frame,
     write_frame,
 )
 
 _log = get_logger("cluster.worker")
-
-# Worker-side instruments live on the process-global registry: one
-# worker daemon is one process, so there is no instance to scope to,
-# and ``--metrics-port`` scrapes exactly this registry.
-_metrics_handles: tuple | None = None
-
-
-def _worker_metrics():
-    global _metrics_handles
-    if _metrics_handles is None:
-        reg = default_registry()
-        _metrics_handles = (
-            reg.counter(
-                "repro_worker_chunks_total",
-                "Chunks executed by this worker, by outcome",
-                ("outcome",),
-            ),
-            reg.counter(
-                "repro_worker_jobs_total",
-                "Jobs executed by this worker (chunk entries)",
-            ),
-            reg.histogram(
-                "repro_worker_dispatch_seconds",
-                "Seconds a chunk waits for the chunk ahead of it",
-                buckets=LATENCY_BUCKETS,
-            ),
-            reg.histogram(
-                "repro_job_bytes",
-                "Encoded job-spec payload bytes, by plane",
-                ("plane",),
-                buckets=SIZE_BUCKETS,
-            ),
-            reg.histogram(
-                "repro_result_bytes",
-                "Encoded per-job result payload bytes, by plane",
-                ("plane",),
-                buckets=SIZE_BUCKETS,
-            ),
-            reg.counter(
-                "repro_scheme_cache_hits_total",
-                "Scheme-cache hits (schemes reused across chunks), by plane",
-                ("plane",),
-            ),
-            reg.counter(
-                "repro_scheme_cache_misses_total",
-                "Scheme-cache misses (schemes constructed), by plane",
-                ("plane",),
-            ),
-        )
-    return _metrics_handles
-
 
 # One scheme cache per worker process, shared by every chunk it runs:
 # a population's scheme is built once, not once per chunk.
@@ -172,18 +121,16 @@ def execute_chunk_report(
     ``ok=False`` outcome carrying the error text while its siblings
     still succeed.
 
-    The report dict carries ``cache_hits``/``cache_misses`` (this
-    chunk's scheme-cache deltas — exact, because a worker runs one
-    chunk at a time) and ``job_bytes`` (per-job encoded spec sizes).
+    The report dict carries ``cache_hits``/``cache_misses``: this
+    chunk's scheme-cache deltas, exact because a worker runs one chunk
+    at a time.
     ``throttle`` sleeps that many seconds after each job — an
     artificial straggler for benchmarks and scheduler tests, never set
     in production.
     """
     before = _scheme_cache.stats()
     out: list[tuple[bool, bytes]] = []
-    job_bytes: list[int] = []
     for job_raw in decode_cluster_chunk(raw):
-        job_bytes.append(len(job_raw))
         try:
             result = execute_payload(job_raw)
             out.append((True, encode_cluster_payload(result)))
@@ -197,7 +144,6 @@ def execute_chunk_report(
     report = {
         "cache_hits": after["hits"] - before["hits"],
         "cache_misses": after["misses"] - before["misses"],
-        "job_bytes": job_bytes,
     }
     return out, report
 
@@ -289,16 +235,6 @@ async def run_worker(
 
     async def run_job(frame: JobFrame) -> None:
         nonlocal jobs_done
-        (
-            m_chunks,
-            m_jobs,
-            m_dispatch,
-            m_job_bytes,
-            m_result_bytes,
-            m_cache_hits,
-            m_cache_misses,
-        ) = _worker_metrics()
-        queued_at = time.perf_counter()
         # Span export: a traced chunk's execution is
         # timed as a span parented under the coordinator's chunk
         # span, recorded locally (flight recorder) and attached to
@@ -307,7 +243,6 @@ async def run_worker(
         exec_span: Span | None = None
         try:
             async with compute_lock:
-                m_dispatch.observe(time.perf_counter() - queued_at)
                 with bind_trace(frame.trace_id, frame.span_id):
                     log_event(
                         _log,
@@ -337,7 +272,6 @@ async def run_worker(
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            m_chunks.labels(outcome="error").inc()
             with bind_trace(frame.trace_id, frame.span_id):
                 log_event(
                     _log,
@@ -369,20 +303,6 @@ async def run_worker(
             )
             return
         jobs_done += len(entries)
-        m_chunks.labels(outcome="ok").inc()
-        m_jobs.inc(len(entries))
-        cache_hits = report["cache_hits"]
-        cache_misses = report["cache_misses"]
-        for size in report["job_bytes"]:
-            m_job_bytes.labels(plane="worker").observe(size)
-        observe_result = m_result_bytes.labels(plane="worker").observe
-        for ok, payload in entries:
-            if ok:
-                observe_result(len(payload))
-        if cache_hits:
-            m_cache_hits.labels(plane="worker").inc(cache_hits)
-        if cache_misses:
-            m_cache_misses.labels(plane="worker").inc(cache_misses)
         with bind_trace(frame.trace_id, frame.span_id):
             log_event(
                 _log,
@@ -405,8 +325,8 @@ async def run_worker(
                     ok=True,
                     payload=encode_cluster_outcomes(entries),
                     spans=wire_spans,
-                    cache_hits=cache_hits,
-                    cache_misses=cache_misses,
+                    cache_hits=report["cache_hits"],
+                    cache_misses=report["cache_misses"],
                 )
             )
         except ReproError as exc:

@@ -44,56 +44,42 @@ ENGINE_NAMES = ("serial", "threads", "processes", "cluster")
 # has no natural owner to scope to) and are created on first map(),
 # not at import.  Metering is per-map, not per-item: one counter add
 # for a whole batch keeps the engine hot path unmetered, and each
-# engine name's three series are bound once, not per map.
+# engine name's two series are bound once, not per map.
 _engine_series: dict[str, tuple] = {}
 
 
 def _series_for(engine: str) -> tuple:
     series = _engine_series.get(engine)
     if series is None:
-        reg = default_registry()
-        tasks = reg.counter(
+        tasks = default_registry().counter(
             "repro_engine_tasks_total",
             "Engine map items, by backend and event",
             ("engine", "event"),
         )
-        inflight = reg.gauge(
-            "repro_engine_inflight_maps",
-            "map() calls currently executing, by backend "
-            "(saturation proxy)",
-            ("engine",),
-        )
         series = _engine_series[engine] = (
             tasks.labels(engine=engine, event="submitted"),
             tasks.labels(engine=engine, event="completed"),
-            inflight.labels(engine=engine),
         )
     return series
 
 
 @contextlib.contextmanager
 def _metered_map(engine: str, n_items: int) -> Iterator[None]:
-    """Count one map() batch: items submitted/completed + inflight.
+    """Count one map() batch: items submitted, then completed.
 
     When the caller has a trace bound, the whole batch is also
     bracketed by an ``engine.map`` span; untraced maps pay zero span
     cost (the ledger's ``obs.tracing_overhead_share`` row reads what a
     traced one pays).
     """
-    submitted, completed, inflight = _series_for(engine)
+    submitted, completed = _series_for(engine)
     submitted.inc(n_items)
-    inflight.inc()
-    try:
-        if current_trace() is not None:
-            with _span(
-                "engine.map", attributes={"engine": engine, "items": n_items}
-            ):
-                yield
-        else:
+    if current_trace() is not None:
+        with _span("engine.map", attributes={"engine": engine, "items": n_items}):
             yield
-        completed.inc(n_items)
-    finally:
-        inflight.dec()
+    else:
+        yield
+    completed.inc(n_items)
 
 
 def default_workers() -> int:

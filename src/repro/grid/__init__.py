@@ -8,19 +8,13 @@ machine-independent shapes.  The same exchange over real framed bytes
 — including the §4 broker topology — is :mod:`repro.service`.
 """
 
-from repro.accounting import CostLedger
-from repro.grid.faults import DroppedOut, FlakyParticipant, RetryingScheme
-from repro.grid.report import DetectionReport, ParticipantReport
+from repro.grid.faults import FlakyParticipant, RetryingScheme
 from repro.grid.simulation import GridSimulation, SimulationConfig, run_population
 
 __all__ = [
     "run_population",
-    "CostLedger",
     "FlakyParticipant",
     "RetryingScheme",
-    "DroppedOut",
     "GridSimulation",
     "SimulationConfig",
-    "DetectionReport",
-    "ParticipantReport",
 ]

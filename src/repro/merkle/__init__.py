@@ -5,7 +5,7 @@ The participant commits to all ``n`` results with a single root digest
 authentication path (the ``Φ`` values of the siblings along the
 leaf-to-root path — Fig. 1 of the paper).
 
-Public surface:
+The pieces, by module:
 
 * :class:`~repro.merkle.hashing.HashFunction` and
   :func:`~repro.merkle.hashing.get_hash` — pluggable hash registry,
@@ -24,39 +24,18 @@ Public surface:
   the samples span (``shared_root``).
 """
 
-from repro.merkle.hashing import (
-    CountingHash,
-    HashFunction,
-    IteratedHash,
-    available_hashes,
-    get_hash,
-)
-from repro.merkle.multiproof import Multiproof, shared_root, supplied_siblings
+from repro.merkle.hashing import CountingHash, get_hash
+from repro.merkle.multiproof import shared_root, supplied_siblings
 from repro.merkle.partial import PartialMerkleTree
-from repro.merkle.proof import AuthenticationPath, compute_root_from_path
-from repro.merkle.tree import (
-    LeafEncoding,
-    MerkleTree,
-    encode_leaf,
-    encode_leaves,
-    hash_leaves,
-)
+from repro.merkle.proof import AuthenticationPath
+from repro.merkle.tree import MerkleTree
 
 __all__ = [
-    "hash_leaves",
-    "encode_leaves",
-    "HashFunction",
-    "IteratedHash",
     "CountingHash",
     "get_hash",
-    "available_hashes",
     "MerkleTree",
-    "LeafEncoding",
-    "encode_leaf",
     "PartialMerkleTree",
     "AuthenticationPath",
-    "compute_root_from_path",
-    "Multiproof",
     "supplied_siblings",
     "shared_root",
 ]

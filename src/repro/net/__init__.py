@@ -24,59 +24,6 @@ Layering rule: :mod:`repro.net` imports nothing from
 both stand on.
 """
 
-from repro.net.auth import (
-    DEFAULT_HANDSHAKE_TIMEOUT,
-    MIN_SECRET_BYTES,
-    authenticate_client,
-    authenticate_server,
-    load_secret,
-)
-from repro.net.framing import (
-    FRAME_HEADER_BYTES,
-    MAX_AUTH_FRAME_BYTES,
-    MAX_CLUSTER_FRAME_BYTES,
-    MAX_CLUSTER_PAYLOAD_BYTES,
-    MAX_FRAME_BYTES,
-    check_payload_size,
-    frame_buffer,
-    read_frame_bytes,
-    read_frame_bytes_sync,
-    split_frame_buffer,
-    write_frame_bytes,
-    write_frame_bytes_sync,
-)
-from repro.net.transport import (
-    SecurityConfig,
-    close_writer,
-    generate_self_signed_cert,
-    heartbeat_loop,
-    open_connection,
-)
+from repro.net.transport import SecurityConfig
 
-__all__ = [
-    # framing
-    "FRAME_HEADER_BYTES",
-    "MAX_FRAME_BYTES",
-    "MAX_CLUSTER_PAYLOAD_BYTES",
-    "MAX_CLUSTER_FRAME_BYTES",
-    "MAX_AUTH_FRAME_BYTES",
-    "check_payload_size",
-    "frame_buffer",
-    "split_frame_buffer",
-    "read_frame_bytes",
-    "write_frame_bytes",
-    "read_frame_bytes_sync",
-    "write_frame_bytes_sync",
-    # auth
-    "DEFAULT_HANDSHAKE_TIMEOUT",
-    "MIN_SECRET_BYTES",
-    "load_secret",
-    "authenticate_client",
-    "authenticate_server",
-    # transport
-    "SecurityConfig",
-    "open_connection",
-    "close_writer",
-    "heartbeat_loop",
-    "generate_self_signed_cert",
-]
+__all__ = ["SecurityConfig"]

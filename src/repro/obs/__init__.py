@@ -15,10 +15,10 @@ acceptance:
 * :mod:`repro.obs.logging` — structured (optionally JSON) log records
   under the ``repro`` logger hierarchy, NullHandler by default,
   trace ids stamped automatically.
-* :mod:`repro.obs.spans` — real timed spans (:class:`Span`,
-  :class:`SpanBuffer`, the :func:`span` context manager) that compose
-  with ``bind_trace`` and ride result envelopes cross-process, plus
-  the :func:`render_waterfall` ASCII timeline.
+* :mod:`repro.obs.spans` — real timed spans (:class:`Span`, the
+  buffer they land in, a ``span`` context manager) that compose with
+  ``bind_trace`` and ride result envelopes cross-process, plus the
+  :func:`render_waterfall` ASCII timeline.
 * :mod:`repro.obs.recorder` — the per-process flight recorder: a
   bounded ring of recent events + spans, dumped as one JSON artifact
   on crash, SIGUSR1, or clean shutdown.
@@ -40,68 +40,19 @@ from repro.obs.health import (
     gauge_min_probe,
 )
 from repro.obs.http import MetricsServer
-from repro.obs.logging import (
-    JsonFormatter,
-    TraceContextFilter,
-    configure_logging,
-    get_logger,
-    log_event,
-)
-from repro.obs.metrics import (
-    LATENCY_BUCKETS,
-    MAX_LABEL_SETS_PER_METRIC,
-    OVERFLOW_LABEL_VALUE,
-    SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    install_process_metrics,
-    log_buckets,
-)
+from repro.obs.logging import configure_logging, get_logger, log_event
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.recorder import FlightRecorder, install_flight_recorder
-from repro.obs.spans import (
-    MAX_WIRE_SPANS,
-    Span,
-    SpanBuffer,
-    default_span_buffer,
-    render_waterfall,
-    span,
-    validate_wire_span,
-    validate_wire_spans,
-)
-from repro.obs.trace import (
-    MAX_TRACE_ID_LEN,
-    bind_trace,
-    current_span,
-    current_trace,
-    new_span_id,
-    new_trace_id,
-)
+from repro.obs.spans import Span, render_waterfall
+from repro.obs.trace import bind_trace, new_trace_id
 
 __all__ = [
     # metrics
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "default_registry",
-    "log_buckets",
-    "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
-    "MAX_LABEL_SETS_PER_METRIC",
-    "OVERFLOW_LABEL_VALUE",
-    "install_process_metrics",
     # spans
     "Span",
-    "SpanBuffer",
-    "span",
-    "default_span_buffer",
     "render_waterfall",
-    "validate_wire_span",
-    "validate_wire_spans",
-    "MAX_WIRE_SPANS",
     # recorder
     "FlightRecorder",
     "install_flight_recorder",
@@ -112,17 +63,11 @@ __all__ = [
     "gauge_min_probe",
     # trace
     "new_trace_id",
-    "new_span_id",
     "bind_trace",
-    "current_trace",
-    "current_span",
-    "MAX_TRACE_ID_LEN",
     # logging
     "configure_logging",
     "get_logger",
     "log_event",
-    "TraceContextFilter",
-    "JsonFormatter",
     # http
     "MetricsServer",
 ]

@@ -25,79 +25,48 @@ untrusted clients:
 
 Transport mechanics — length-prefix framing, the HMAC shared-secret
 handshake, TLS contexts, connect retry/backoff — live one layer down
-in :mod:`repro.net`; :class:`repro.net.SecurityConfig` (re-exported
-here) is how a deployment hands the server and clients their secret
-and certificate material (README "Security model").
+in :mod:`repro.net`; :class:`repro.net.SecurityConfig` is how a
+deployment hands the server and clients their secret and certificate
+material (README "Security model").
 
 CLI entry points: ``repro-experiments serve`` and
 ``repro-experiments loadgen``.
 """
 
-from repro.net.transport import SecurityConfig
-
+from repro.net.framing import FRAME_HEADER_BYTES
 from repro.service.codec import (
-    CLUSTER_WIRE_VERSION,
-    FRAME_HEADER_BYTES,
-    MAX_CLUSTER_FRAME_BYTES,
-    MAX_CLUSTER_PAYLOAD_BYTES,
-    MAX_FRAME_BYTES,
     WORKLOADS,
-    ByeFrame,
     ChallengeFrame,
     CommitmentFrame,
     ErrorFrame,
-    Frame,
-    HeartbeatFrame,
-    JobFrame,
     ProofsFrame,
-    ResultFrame,
-    StatsReply,
-    StatsRequest,
     SubmissionFrame,
     TaskAssign,
     TaskRequest,
     VerdictFrame,
-    WorkerHello,
-    decode_cluster_payload,
     decode_frame,
     decode_frame_payload,
-    encode_cluster_payload,
     encode_frame,
     read_frame,
     resolve_workload,
     write_frame,
 )
-from repro.service.client import ParticipantRun, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.jobcodec import ensure_default_registry
 from repro.service.loadgen import (
-    LoadgenStats,
     percentile,
     run_loadgen,
     run_service_loadgen,
     run_service_loadgen_sync,
 )
-from repro.service.server import (
-    MemoryStreamWriter,
-    ServiceConfig,
-    SupervisorServer,
-    memory_duplex,
-)
-from repro.service.sessions import (
-    Session,
-    SessionState,
-    SessionStore,
-)
+from repro.service.server import ServiceConfig, SupervisorServer, memory_duplex
+from repro.service.sessions import SessionState, SessionStore
 
 __all__ = [
     # codec
     "FRAME_HEADER_BYTES",
-    "MAX_FRAME_BYTES",
-    "CLUSTER_WIRE_VERSION",
-    "MAX_CLUSTER_FRAME_BYTES",
-    "MAX_CLUSTER_PAYLOAD_BYTES",
     "WORKLOADS",
     "resolve_workload",
-    "Frame",
     "TaskRequest",
     "TaskAssign",
     "CommitmentFrame",
@@ -106,36 +75,21 @@ __all__ = [
     "SubmissionFrame",
     "VerdictFrame",
     "ErrorFrame",
-    "WorkerHello",
-    "HeartbeatFrame",
-    "JobFrame",
-    "ResultFrame",
-    "StatsRequest",
-    "StatsReply",
-    "ByeFrame",
     "encode_frame",
     "decode_frame",
     "decode_frame_payload",
-    "encode_cluster_payload",
-    "decode_cluster_payload",
     "read_frame",
     "write_frame",
-    # transport security (repro.net)
-    "SecurityConfig",
     # sessions
-    "Session",
     "SessionState",
     "SessionStore",
     # server
     "ServiceConfig",
     "SupervisorServer",
-    "MemoryStreamWriter",
     "memory_duplex",
     # client
     "ServiceClient",
-    "ParticipantRun",
     # loadgen
-    "LoadgenStats",
     "percentile",
     "run_loadgen",
     "run_service_loadgen",

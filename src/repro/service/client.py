@@ -30,6 +30,7 @@ from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError
 from repro.merkle.hashing import get_hash
 from repro.merkle.tree import LeafEncoding
+from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SecurityConfig, open_connection
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import (
@@ -39,7 +40,6 @@ from repro.obs.trace import (
     new_span_id,
 )
 from repro.service.codec import (
-    MAX_FRAME_BYTES,
     ChallengeFrame,
     CommitmentFrame,
     ErrorFrame,

@@ -56,27 +56,14 @@ from repro.exceptions import CodecError, ProtocolError
 from repro.obs.metrics import SIZE_BUCKETS, default_registry
 from repro.obs.spans import validate_wire_spans
 from repro.obs.trace import MAX_TRACE_ID_LEN
-# Framing geometry and size caps live in repro.net.framing, the cluster
-# job envelope in repro.service.jobcodec; both are re-exported because
-# this module is the wire-level import home for both planes.
 from repro.net.framing import (
-    FRAME_HEADER_BYTES as FRAME_HEADER_BYTES,
-    MAX_CLUSTER_FRAME_BYTES as MAX_CLUSTER_FRAME_BYTES,
-    MAX_CLUSTER_PAYLOAD_BYTES as MAX_CLUSTER_PAYLOAD_BYTES,
-    MAX_FRAME_BYTES as MAX_FRAME_BYTES,
+    MAX_CLUSTER_PAYLOAD_BYTES,
+    MAX_FRAME_BYTES,
     check_payload_size,
     frame_buffer,
     read_frame_bytes,
     split_frame_buffer,
     write_frame_bytes,
-)
-from repro.service.jobcodec import (
-    decode_cluster_chunk as decode_cluster_chunk,
-    decode_cluster_outcomes as decode_cluster_outcomes,
-    decode_cluster_payload as decode_cluster_payload,
-    encode_cluster_chunk as encode_cluster_chunk,
-    encode_cluster_outcomes as encode_cluster_outcomes,
-    encode_cluster_payload as encode_cluster_payload,
 )
 from repro.tasks.function import TaskFunction
 from repro.tasks.workloads import (

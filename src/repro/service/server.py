@@ -63,6 +63,7 @@ from repro.engine.executor import _metered_map
 from repro.engine.seeding import check_derived_seeds
 from repro.exceptions import ProtocolError, ReproError
 from repro.merkle.hashing import get_hash
+from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SecurityConfig
 from repro.merkle.tree import LeafEncoding
 from repro.obs.logging import get_logger, log_event
@@ -71,7 +72,6 @@ from repro.obs.spans import SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace
 from repro.service.codec import (
     ASSIGN_SEED,
-    MAX_FRAME_BYTES,
     ChallengeFrame,
     CommitmentFrame,
     ErrorFrame,
@@ -286,11 +286,6 @@ class SupervisorServer:
         self._m_frames_out = frames.labels(direction="out")
         self._m_verifications = self.registry.counter(
             "repro_verifications_total", "Verifications completed"
-        )
-        self._m_verdicts = self.registry.counter(
-            "repro_verdicts_total",
-            "Verdicts recorded, by outcome (accepted or rejection reason)",
-            ("outcome",),
         )
         self._m_errors = self.registry.counter(
             "repro_errors_total",
@@ -634,7 +629,6 @@ class SupervisorServer:
         self.sessions.record_outcome(session.task_id, outcome)
         self._m_verifications.inc()
         verdict = "accepted" if outcome.accepted else outcome.reason.value
-        self._m_verdicts.labels(outcome=verdict).inc()
         log_event(
             _log,
             "verdict",

@@ -19,15 +19,10 @@ reported to the supervisor.  This package provides:
 * :class:`~repro.tasks.screener.Screener` implementations.
 """
 
-from repro.tasks.domain import Domain, ExplicitDomain, RangeDomain
-from repro.tasks.function import GuessableFunction, TaskFunction
-from repro.tasks.result import ReportOfInterest, TaskAssignment, TaskResult
-from repro.tasks.screener import (
-    MatchScreener,
-    Screener,
-    ThresholdScreener,
-    TopKScreener,
-)
+from repro.tasks.domain import ExplicitDomain, RangeDomain
+from repro.tasks.function import TaskFunction
+from repro.tasks.result import TaskAssignment
+from repro.tasks.screener import MatchScreener, ThresholdScreener, TopKScreener
 from repro.tasks.workloads import (
     FactoringTask,
     MersenneCheck,
@@ -39,15 +34,10 @@ from repro.tasks.workloads import (
 )
 
 __all__ = [
-    "Domain",
     "RangeDomain",
     "ExplicitDomain",
     "TaskFunction",
-    "GuessableFunction",
     "TaskAssignment",
-    "TaskResult",
-    "ReportOfInterest",
-    "Screener",
     "MatchScreener",
     "ThresholdScreener",
     "TopKScreener",

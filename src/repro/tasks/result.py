@@ -1,9 +1,8 @@
-"""Task assignment and result containers shared across schemes."""
+"""The task assignment handed to one participant."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.tasks.domain import Domain
 from repro.tasks.function import TaskFunction
@@ -38,39 +37,3 @@ class TaskAssignment:
         """``n = |D|``."""
         return len(self.domain)
 
-
-@dataclass
-class TaskResult:
-    """One ``(index, result)`` pair produced by a participant."""
-
-    index: int
-    result: bytes
-
-
-@dataclass
-class ReportOfInterest:
-    """A screener hit reported back to the supervisor."""
-
-    task_id: str
-    index: int
-    input_value: Any
-    report: str
-
-    def wire_size(self) -> int:
-        """Approximate serialized size in bytes."""
-        return 8 + len(str(self.input_value)) + len(self.report)
-
-
-@dataclass
-class WorkOutput:
-    """Everything a participant produced for an assignment.
-
-    ``reports`` are the screener hits (the only payload an honest grid
-    normally returns); ``results`` is the full result vector, retained
-    participant-side for commitment/proof purposes and only shipped by
-    the naive baselines.
-    """
-
-    task_id: str
-    results: list[bytes] = field(default_factory=list)
-    reports: list[ReportOfInterest] = field(default_factory=list)

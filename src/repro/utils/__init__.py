@@ -1,39 +1,6 @@
-"""Shared low-level utilities: wire codec, PRF helpers, tree geometry."""
+"""Shared low-level utilities, imported from their modules.
 
-from repro.utils.bitmath import (
-    ceil_log2,
-    is_power_of_two,
-    next_power_of_two,
-    tree_height,
-)
-from repro.utils.encoding import (
-    decode_bytes,
-    decode_uint,
-    encode_bytes,
-    encode_uint,
-    read_bytes,
-    read_uint,
-)
-from repro.utils.prf import (
-    prf_bytes,
-    prf_coin,
-    prf_float,
-    prf_int,
-)
-
-__all__ = [
-    "ceil_log2",
-    "is_power_of_two",
-    "next_power_of_two",
-    "tree_height",
-    "encode_uint",
-    "decode_uint",
-    "encode_bytes",
-    "decode_bytes",
-    "read_uint",
-    "read_bytes",
-    "prf_bytes",
-    "prf_int",
-    "prf_float",
-    "prf_coin",
-]
+* :mod:`repro.utils.bitmath` — tree geometry (powers of two, heights).
+* :mod:`repro.utils.encoding` — varint and length-prefixed byte codec.
+* :mod:`repro.utils.prf` — the keyed PRF helpers.
+"""

@@ -282,3 +282,42 @@ class TestWorkerCommand:
             port = probe.getsockname()[1]
         assert main(["worker", "--port", str(port)]) == 1
         assert "cluster worker failed" in capsys.readouterr().err
+
+
+class TestOneLineFailures:
+    """A refused ``--connect`` or a dump that is not a flight-recorder
+    artifact prints one ``repro:``/``trace:`` line and exits 2."""
+
+    @staticmethod
+    def _closed_port() -> int:
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
+    @staticmethod
+    def _one_line(capsys, prefix: str) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    def test_stats_on_a_refused_port(self, capsys):
+        port = self._closed_port()
+        assert main(["stats", "--connect", f"127.0.0.1:{port}"]) == 2
+        self._one_line(capsys, "repro: ")
+
+    def test_trace_view_on_a_refused_port(self, capsys):
+        port = self._closed_port()
+        argv = ["trace", "view", "--connect", f"127.0.0.1:{port}",
+                "--trace-id", "ab"]
+        assert main(argv) == 2
+        self._one_line(capsys, "repro: ")
+
+    @pytest.mark.parametrize("artifact", [[], {"spans": 5}, "spans"])
+    def test_trace_view_on_a_dump_without_a_spans_list(
+        self, capsys, tmp_path, artifact
+    ):
+        dump = tmp_path / "f.json"
+        dump.write_text(json.dumps(artifact))
+        assert main(["trace", "view", "--dump", str(dump)]) == 2
+        self._one_line(capsys, "trace: ")

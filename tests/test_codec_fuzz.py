@@ -32,9 +32,9 @@ from repro.exceptions import ProtocolError, ReproError
 from repro.merkle.proof import AuthenticationPath
 from repro.merkle.tree import LeafEncoding
 from repro.exceptions import CodecError
+from repro.net.framing import FRAME_HEADER_BYTES
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
-    FRAME_HEADER_BYTES,
     FRAMES,
     ByeFrame,
     ChallengeFrame,
@@ -53,15 +53,17 @@ from repro.service.codec import (
     TraceReply,
     VerdictFrame,
     WorkerHello,
+    decode_frame,
+    decode_frame_payload,
+    encode_frame,
+)
+from repro.service.jobcodec import (
     decode_cluster_chunk,
     decode_cluster_outcomes,
     decode_cluster_payload,
-    decode_frame,
-    decode_frame_payload,
     encode_cluster_chunk,
     encode_cluster_outcomes,
     encode_cluster_payload,
-    encode_frame,
 )
 from repro.utils.encoding import encode_bytes, encode_uint
 
@@ -533,7 +535,7 @@ class TestClusterEnvelope:
             assert shipped[FRAME_HEADER_BYTES:] == bytes(payload)
 
     def test_oversized_job_frame_rejected_at_encode(self):
-        from repro.service.codec import MAX_CLUSTER_PAYLOAD_BYTES
+        from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES
 
         frame = JobFrame(
             job_id=0, payload=b"\x00" * (MAX_CLUSTER_PAYLOAD_BYTES + 1)
@@ -675,7 +677,7 @@ class TestClusterEnvelope:
         """One frame answers a chunk, so this cap bounds a chunk's
         outcomes: the worker turns this error into a chunk-level
         ``ok=False`` (see ``TestAnswerPathSurvival``)."""
-        from repro.service.codec import MAX_CLUSTER_PAYLOAD_BYTES
+        from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES
 
         frame = ResultFrame(
             job_id=0, ok=True,

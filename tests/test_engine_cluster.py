@@ -60,13 +60,16 @@ from repro.service.codec import (
     FRAMES,
     JobFrame,
     ResultFrame,
-    decode_cluster_chunk,
     decode_frame_payload,
+)
+from repro.service.jobcodec import (
+    decode_cluster_chunk,
+    decode_cluster_payload,
     encode_cluster_chunk,
     encode_cluster_outcomes,
     encode_cluster_payload,
+    encode_job,
 )
-from repro.service.jobcodec import encode_job
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 from repro.utils.encoding import encode_bytes, encode_uint
 
@@ -452,8 +455,9 @@ class TestLeanResults:
         assert results == 16
         per_result = (after["result_bytes"] - before["result_bytes"]) / results
         assert 0 < per_result < 1024
-        coordinator_side = cluster._co.registry.snapshot()["repro_result_bytes"]
-        assert coordinator_side["values"][0]["labels"] == {"plane": "coordinator"}
+        # One series: only the coordinator counts result bytes.
+        series = cluster._co.registry.snapshot()["repro_result_bytes"]
+        assert [v["labels"] for v in series["values"]] == [{}]
 
 
 class TestFaultTolerance:
@@ -1118,8 +1122,6 @@ class TestWorkerChunkExecution:
         raw = encode_cluster_chunk([job_payload(i) for i in range(5)])
         entries, _report = execute_chunk_report(raw)
         assert [ok for ok, _ in entries] == [True] * 5
-        from repro.service.codec import decode_cluster_payload
-
         assert [decode_cluster_payload(p) for _, p in entries] == [
             0, 1, 4, 9, 16
         ]
@@ -1134,8 +1136,6 @@ class TestWorkerChunkExecution:
         )
         entries, _report = execute_chunk_report(raw)
         assert [ok for ok, _ in entries] == [True, False, True]
-        from repro.service.codec import decode_cluster_payload
-
         assert "boom 3" in decode_cluster_payload(entries[1][1])
 
     def test_execute_chunk_rejects_corrupt_envelope(self):

@@ -30,14 +30,15 @@ from repro.net.framing import (
 
 class TestConstants:
     def test_service_codec_reuses_these_constants(self):
-        """Satellite: the old duplicated caps are gone — the codec's
-        names are literally repro.net.framing's objects."""
+        """The codec keeps no copy of the caps: the ones it bounds
+        fields with are literally repro.net.framing's objects, and it
+        is not a second import home for the framing geometry."""
         from repro.service import codec
 
-        assert codec.FRAME_HEADER_BYTES is FRAME_HEADER_BYTES
-        assert codec.MAX_FRAME_BYTES == MAX_FRAME_BYTES
-        assert codec.MAX_CLUSTER_PAYLOAD_BYTES == MAX_CLUSTER_PAYLOAD_BYTES
-        assert codec.MAX_CLUSTER_FRAME_BYTES == MAX_CLUSTER_FRAME_BYTES
+        assert codec.MAX_FRAME_BYTES is MAX_FRAME_BYTES
+        assert codec.MAX_CLUSTER_PAYLOAD_BYTES is MAX_CLUSTER_PAYLOAD_BYTES
+        assert not hasattr(codec, "FRAME_HEADER_BYTES")
+        assert not hasattr(codec, "MAX_CLUSTER_FRAME_BYTES")
 
     def test_cluster_frame_cap_covers_a_full_payload(self):
         """Payloads ride raw: the frame cap is the payload cap plus

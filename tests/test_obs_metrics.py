@@ -12,13 +12,15 @@ import ast
 import json
 import logging
 import pathlib
+import re
 import threading
 import urllib.request
 
 import pytest
-from test_service_codec import _readme_section
+from test_service_codec import _readme_section, _table_rows
 
 from repro.obs.http import MetricsServer
+from repro.obs.recorder import FlightRecorder
 from repro.obs.logging import (
     JsonFormatter,
     TraceContextFilter,
@@ -326,23 +328,126 @@ class TestMetricsHttp:
                 urllib.request.urlopen(f"{base}/nope")
 
 
+def _src_calls():
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                yield node
+
+
+def _callee(node: ast.Call) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _first_str(node: ast.Call) -> str | None:
+    if node.args and isinstance(node.args[0], ast.Constant):
+        value = node.args[0].value
+        return value if isinstance(value, str) else None
+    return None
+
+
+def _registered_metrics() -> set[str]:
+    """Each ``repro_*`` name ``src`` registers through a string literal,
+    plus the two process-identity series."""
+    registered = {"repro_build_info", "repro_uptime_seconds"}
+    for node in _src_calls():
+        name = _first_str(node)
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("counter", "gauge", "histogram")
+            and name is not None
+            and name.startswith("repro_")
+        ):
+            registered.add(name)
+    assert "repro_spans_dropped_total" in registered  # the walk ran
+    return registered
+
+
+def _emitted_span_names() -> set[str]:
+    """Span names ``src`` records: ``Span.begin("…")``, ``span("…")``
+    and ``Span(name="…")`` with a literal name."""
+    names = set()
+    for node in _src_calls():
+        callee = _callee(node)
+        if callee in ("begin", "span", "_span"):
+            name = _first_str(node)
+        elif callee == "Span":
+            name = next(
+                (
+                    kw.value.value
+                    for kw in node.keywords
+                    if kw.arg == "name" and isinstance(kw.value, ast.Constant)
+                ),
+                None,
+            )
+        else:
+            continue
+        if name is not None:
+            names.add(name)
+    return names
+
+
+def _table_after(header: str) -> list[str]:
+    """Body rows of the README "Observability" table after ``header``."""
+    _, _, rest = _readme_section("Observability").partition(header)
+    assert rest, f"README has no {header!r}"
+    return _table_rows(rest.lstrip("\n").split("\n\n", 1)[0])
+
+
+def _top_level_keys(jsonc: str) -> set[str]:
+    """The keys of the outermost object in a JSON(C) sketch."""
+    keys, depth = set(), 0
+    for match in re.finditer(r'[{}\[\]]|"(\w+)"\s*:', jsonc):
+        token = match.group(0)
+        if token in "{[":
+            depth += 1
+        elif token in "}]":
+            depth -= 1
+        elif depth == 1:
+            keys.add(match.group(1))
+    return keys
+
+
 class TestMetricCatalogue:
+    """README "Observability" and ``src`` name the same signals: every
+    metric, span name and flight-recorder field one side has, the
+    other has too."""
+
     def test_every_registered_metric_is_in_the_readme(self):
-        """Each ``repro_*`` name ``src`` registers through a string
-        literal, plus the two process-identity series, has a row (or a
-        sentence) in README "Observability"."""
-        registered = {"repro_build_info", "repro_uptime_seconds"}
-        for path in (REPO_ROOT / "src").rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("counter", "gauge", "histogram")
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and str(node.args[0].value).startswith("repro_")
-                ):
-                    registered.add(node.args[0].value)
-        assert "repro_spans_dropped_total" in registered  # the walk ran
+        """Each registered metric has a row (or a sentence) in README
+        "Observability"."""
         section = _readme_section("Observability")
-        assert [n for n in sorted(registered) if f"`{n}`" not in section] == []
+        assert [
+            n for n in sorted(_registered_metrics()) if f"`{n}`" not in section
+        ] == []
+
+    def test_every_catalogue_row_is_registered(self):
+        """A catalogue row names only metrics ``src`` registers: a
+        deleted metric takes its row with it."""
+        named = {
+            name
+            for row in _table_after("The metric catalogue:")
+            for name in re.findall(r"`(repro_\w+)`", row.split("|")[1])
+        }
+        assert len(named) > 20  # the table parsed
+        assert sorted(named - _registered_metrics()) == []
+
+    def test_span_table_matches_src(self):
+        table = {
+            re.search(r"`([\w.]+)`", row).group(1)
+            for row in _table_after("`src` emits):")
+        }
+        assert table == _emitted_span_names() == {
+            "engine.map",
+            "coordinator.chunk",
+            "coordinator.accept",
+            "worker.execute",
+        }
+
+    def test_flight_recorder_artifact_keys_match_dump(self):
+        section = _readme_section("Observability")
+        _, _, rest = section.partition("### Flight recorder")
+        sketch = rest.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        dumped = FlightRecorder(process="unit").dump()
+        assert _top_level_keys(sketch) == set(dumped)

@@ -54,11 +54,8 @@ from hypothesis.stateful import (
 )
 
 from repro.exceptions import EngineError
-from repro.service.codec import (
-    ResultFrame,
-    encode_cluster_outcomes,
-    encode_cluster_payload,
-)
+from repro.service.codec import ResultFrame
+from repro.service.jobcodec import encode_cluster_outcomes, encode_cluster_payload
 
 from test_engine_cluster import FakeClock, job_payload, make_scheduler
 

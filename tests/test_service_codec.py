@@ -20,6 +20,7 @@ from repro.core.protocol import (
 from repro.exceptions import CodecError, ProtocolError, ReproError
 from repro.merkle.proof import AuthenticationPath
 from repro.merkle.tree import LeafEncoding
+from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES
 from repro.service import codec, jobcodec
 from repro.service import (
     FRAME_HEADER_BYTES,
@@ -197,13 +198,13 @@ class TestFrameTable:
                 if field.kind in ("uint", "int", "flag"):
                     continue
                 assert field.kind in ("str", "msg", "json", "payload")
-                assert 0 < field.hi <= codec.MAX_CLUSTER_PAYLOAD_BYTES, (
+                assert 0 < field.hi <= MAX_CLUSTER_PAYLOAD_BYTES, (
                     row.name, field.attr,
                 )
         assert kinds == {"uint", "int", "flag", "str", "msg", "json", "payload"}
 
     def test_payload_fields_are_checked_at_both_ends(self):
-        limit = codec.MAX_CLUSTER_PAYLOAD_BYTES
+        limit = MAX_CLUSTER_PAYLOAD_BYTES
         payload_fields = {
             field
             for row in codec.FRAMES
