@@ -59,6 +59,17 @@ def test_unknown_workload_exits_2_before_anything_runs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_help_names_the_rows_the_defaults_cannot_judge(tmp_path, capsys):
+    with pytest.raises(SystemExit) as shown:
+        ab.main(["--help"], out=tmp_path / "out")
+    assert shown.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "`setup_s` (spread 25.6-32.4% against its 25% bound" in text
+    assert "`participants_per_s` on svc_cbs_secured (spread 40.2%)" in text
+    assert "--pairs 4 --seconds 2 cannot judge these rows" in text
+    assert not (tmp_path / "out").exists()
+
+
 @needs_git
 def test_unresolvable_base_ref_exits_2_before_anything_runs(tmp_path, capsys):
     before = ab.git("worktree", "list").stdout

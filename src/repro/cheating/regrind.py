@@ -156,7 +156,7 @@ def run_regrind_attack(
             task_id=assignment.task_id,
             root=tree.root,
             n_leaves=n,
-            proofs=tree.multiproof(samples, base_work.leaf_payloads),
+            bundle=tree.multiproof(samples, base_work.leaf_payloads),
         )
 
     if incremental:

@@ -146,7 +146,7 @@ class CBSParticipant:
             raise ProtocolError(f"challenged index {index} outside [0, {n})")
         bundle = self.backend.multiproof(indices)
         self.ledger.bump("proofs", len(bundle))
-        return ProofBundleMsg(task_id=self.assignment.task_id, proofs=bundle)
+        return ProofBundleMsg(task_id=self.assignment.task_id, bundle=bundle)
 
     # ------------------------------------------------------------------
     # Screener reports (the grid's normal payload, §2.1)

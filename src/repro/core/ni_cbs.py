@@ -37,7 +37,6 @@ from repro.core.verification import verify_proof_bundle
 from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
-from repro.merkle.multiproof import Multiproof
 from repro.merkle.tree import LeafEncoding
 from repro.tasks.function import MeteredFunction
 from repro.tasks.result import TaskAssignment
@@ -114,7 +113,7 @@ class NICBSParticipant(CBSParticipant):
             task_id=self.assignment.task_id,
             root=commitment.root,
             n_leaves=commitment.n_leaves,
-            proofs=bundle.bundle,
+            bundle=bundle.bundle,
         )
 
 
@@ -174,16 +173,13 @@ class NICBSSupervisor:
             m=self.n_samples,
             sample_hash=self.sample_hash,
         )
-        proofs = submission.bundle
-        bundled = isinstance(proofs, Multiproof)
-        submitted = list(proofs.indices) if bundled else [p.index for p in proofs]
-        if submitted != expected:
+        if list(submission.bundle.indices) != expected:
             outcome.accepted = False
             outcome.reason = RejectReason.SAMPLE_MISMATCH
             return outcome
 
         verdicts = verify_proof_bundle(
-            proofs,
+            submission.bundle,
             expected,
             root=submission.root,
             n_leaves=submission.n_leaves,

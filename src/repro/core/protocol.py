@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
 
 from repro.core.wire import (
     KINDS as _SHARED_KINDS,
@@ -35,7 +34,7 @@ from repro.core.wire import (
 )
 from repro.exceptions import CodecError, ProofShapeError
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding, SampleProof
+from repro.merkle.proof import LeafEncoding
 from repro.utils.encoding import (
     bytes_list_size,
     encode_bytes_list,
@@ -82,41 +81,38 @@ class SampleChallengeMsg(WireMessage):
     FIELDS = (_TASK_ID, _field("indices", "uints"))
 
 
-def _encode_proofs(spec: Field, bundle: Multiproof | tuple[SampleProof, ...]) -> bytes:
+def _encode_proofs(spec: Field, bundle: Multiproof) -> bytes:
     """The ``proofs`` kind: ``m ‖ n_leaves ‖ leaf-encoding code ‖ height
     ‖ the m sample indices in sample order ‖ the claimed results of the
     distinct leaves, ascending ‖ the supplied digests, level-major, left
     to right`` (both lists counted; ``m = 0`` alone when empty) — the
-    fields of the bundle's :class:`Multiproof`, packed here when the
-    message holds in-memory :class:`SampleProof` values."""
-    proof = Multiproof.from_proofs(bundle)
-    if not proof.indices:
+    fields of the bundle's :class:`Multiproof`, in order."""
+    if not bundle.indices:
         return encode_uint(0)
     return b"".join(
         (
-            encode_uint(len(proof.indices)),
-            encode_uint(proof.n_leaves),
-            encode_uint(ENCODING_CODES[proof.leaf_encoding]),
-            encode_uint(proof.height),
-            *[encode_uint(index) for index in proof.indices],
-            encode_bytes_list(proof.results),
-            encode_bytes_list(proof.digests),
+            encode_uint(len(bundle.indices)),
+            encode_uint(bundle.n_leaves),
+            encode_uint(ENCODING_CODES[bundle.leaf_encoding]),
+            encode_uint(bundle.height),
+            *[encode_uint(index) for index in bundle.indices],
+            encode_bytes_list(bundle.results),
+            encode_bytes_list(bundle.digests),
         )
     )
 
 
-def _proofs_size(spec: Field, bundle: Multiproof | tuple[SampleProof, ...]) -> int:
+def _proofs_size(spec: Field, bundle: Multiproof) -> int:
     """``len(_encode_proofs(spec, bundle))``, without building it."""
-    proof = Multiproof.from_proofs(bundle)
-    if not proof.indices:
+    if not bundle.indices:
         return 1
     return (
-        uint_list_size(proof.indices)  # m, then the indices
-        + uint_size(proof.n_leaves)
+        uint_list_size(bundle.indices)  # m, then the indices
+        + uint_size(bundle.n_leaves)
         + 1  # the leaf-encoding code
-        + uint_size(proof.height)
-        + bytes_list_size(proof.results)
-        + bytes_list_size(proof.digests)
+        + uint_size(bundle.height)
+        + bytes_list_size(bundle.results)
+        + bytes_list_size(bundle.digests)
     )
 
 
@@ -128,7 +124,7 @@ def _read_proofs(spec: Field, data: bytes, pos: int) -> tuple[Multiproof, int]:
     the bundle's own tree is an impossible path: :class:`ProofShapeError`."""
     count, pos = read_uint(data, pos)
     if not count:
-        return Multiproof.from_proofs(()), pos
+        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ()), pos
     n_leaves, pos = read_uint(data, pos)
     code, pos = read_uint(data, pos)
     encoding = ENCODING_FROM_CODE.get(code)
@@ -165,32 +161,16 @@ def _read_proofs(spec: Field, data: bytes, pos: int) -> tuple[Multiproof, int]:
 KINDS = {**_SHARED_KINDS, "proofs": (_encode_proofs, _read_proofs, _proofs_size)}
 
 
-class _Proofs:
-    """A bundle message's ``proofs`` field.  It stores what it is given —
-    a :class:`Multiproof`, or in-memory :class:`SampleProof` values that
-    are packed when the message is encoded or verified — and that is
-    what the layout encodes and ``bundle`` returns.  Read as ``proofs``
-    it is ``m`` :class:`SampleProof` values, derived on first read."""
-
-    def __get__(self, msg: Any, owner: type | None = None) -> Any:
-        if msg is None:
-            raise AttributeError("proofs")  # a required field: no default
-        stored = msg.__dict__["proofs"]
-        return stored.proofs if isinstance(stored, Multiproof) else stored
-
-    def __set__(self, msg: Any, stored: Any) -> None:
-        msg.__dict__["proofs"] = stored
-
-
 @dataclass(frozen=True)
 class ProofBundleMsg(WireMessage, kinds=KINDS):
     """Step 3: proofs for all challenged samples."""
 
     task_id: str
-    proofs: Multiproof | tuple[SampleProof, ...] = _Proofs()
+    bundle: Multiproof
 
-    FIELDS = (_TASK_ID, _field("proofs", "proofs"))
-    bundle = property(lambda msg: msg.__dict__["proofs"], doc="``proofs`` as stored.")
+    FIELDS = (_TASK_ID, _field("bundle", "proofs"))
+    #: The bundle as ``m`` per-sample proofs, derived when read.
+    proofs = property(lambda msg: msg.bundle.proofs)
 
 
 @dataclass(frozen=True)
@@ -204,15 +184,15 @@ class NICBSSubmissionMsg(WireMessage, kinds=KINDS):
     task_id: str
     root: bytes
     n_leaves: int
-    proofs: Multiproof | tuple[SampleProof, ...] = _Proofs()
+    bundle: Multiproof
 
     FIELDS = (
         _TASK_ID,
         _field("root", "bytes"),
         _field("n_leaves", "uint"),
-        _field("proofs", "proofs"),
+        _field("bundle", "proofs"),
     )
-    bundle = ProofBundleMsg.bundle
+    proofs = ProofBundleMsg.proofs
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ Sibling positions that another sample determines are not part of the
 proof and are never read.
 
 Malformed proofs (wrong index, wrong path length, wrong digest sizes,
-a leaf encoding other than the supervisor's, two results claimed for
-one leaf) are rejected without hashing — defensive checks a production
+a leaf encoding other than the supervisor's, a sample outside the
+tree) are rejected without hashing — defensive checks a production
 verifier needs and tests exercise via failure injection.
 """
 
@@ -32,10 +32,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.core.scheme import RejectReason, SampleVerdict
-from repro.exceptions import CodecError
 from repro.merkle.hashing import HashFunction
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import NODE_TAG, SampleProof
+from repro.merkle.proof import NODE_TAG
 from repro.merkle.tree import LeafEncoding, encode_leaves
 from repro.tasks.function import TaskFunction
 from repro.tasks.domain import Domain
@@ -51,19 +50,22 @@ _verdict = lru_cache(maxsize=1 << 10)(SampleVerdict)
 
 
 def _fits(
-    proof: Multiproof, n_leaves: int, hash_fn: HashFunction, leaf_encoding: LeafEncoding
+    bundle: Multiproof, n_leaves: int, hash_fn: HashFunction, leaf_encoding: LeafEncoding
 ) -> bool:
-    """Whether ``proof`` folds in the supervisor's tree: its height, leaf
+    """Whether ``bundle`` folds in the supervisor's tree: its height, leaf
     range and leaf encoding (never the peer's say-so) are the tree's, a
-    RAW leaf is digest-sized, every supplied sibling is a digest."""
-    leaves, digests, digest_size = proof.leaves, proof.digests, hash_fn.digest_size
+    RAW leaf is digest-sized, every supplied sibling is a digest.  No
+    leaf is negative: a decoded index is a uvarint and
+    :meth:`~repro.merkle.multiproof.Multiproof.from_rows` range-checks
+    its own."""
+    leaves, digests, digest_size = bundle.leaves, bundle.digests, hash_fn.digest_size
     return (
-        proof.height == tree_height(next_power_of_two(n_leaves))
-        and (not leaves or (0 <= leaves[0] and leaves[-1] < n_leaves))
-        and proof.leaf_encoding is leaf_encoding
+        bundle.height == tree_height(next_power_of_two(n_leaves))
+        and (not leaves or leaves[-1] < n_leaves)
+        and bundle.leaf_encoding is leaf_encoding
         and (
             leaf_encoding is not LeafEncoding.RAW
-            or set(map(len, proof.results)) <= {digest_size}
+            or set(map(len, bundle.results)) <= {digest_size}
         )
         and set(map(type, digests)) <= {bytes}
         and set(map(len, digests)) <= {digest_size}
@@ -71,7 +73,7 @@ def _fits(
 
 
 def verify_proof_bundle(
-    bundle: Multiproof | Sequence[SampleProof],
+    bundle: Multiproof,
     expected_indices: Sequence[int],
     root: bytes,
     n_leaves: int,
@@ -86,8 +88,7 @@ def verify_proof_bundle(
     Verdicts come back in bundle order and stop after the first
     rejection when ``stop_on_first_failure`` is set; samples with one
     index and reason share one verdict.  Three passes: the bundle's
-    shape, with nothing hashed or evaluated (in-memory proofs that have
-    no multiproof are malformed throughout); check 1 per sample, in
+    shape, with nothing hashed or evaluated; check 1 per sample, in
     order, through one ``function.verifier`` (one evaluation per leaf
     when ``verify`` re-computes); then — iff some sample came through
     both and awaits attestation — one fold of the shared tree against
@@ -98,19 +99,13 @@ def verify_proof_bundle(
     one hash per distinct claimed leaf and per covered interior node,
     none when no sample awaits attestation.
     """
-    try:
-        proof = Multiproof.from_proofs(bundle)
-    except CodecError:
-        proof = None
-    fits = proof is not None and _fits(proof, n_leaves, hash_fn, leaf_encoding)
+    fits = _fits(bundle, n_leaves, hash_fn, leaf_encoding)
     if fits:
-        claimed = dict(zip(proof.leaves, proof.results))
+        claimed = dict(zip(bundle.leaves, bundle.results))
         check = function.verifier(domain)
     verdicts: list[SampleVerdict] = []
     awaiting: list[int] = []
-    # Unpacked, the bundle's own items stand in for indices nobody reads.
-    samples = proof.indices if proof is not None else bundle
-    for index, expected_index in zip(samples, expected_indices):
+    for index, expected_index in zip(bundle.indices, expected_indices):
         if not fits or index != expected_index:
             verdict = _verdict(expected_index, False, _MALFORMED)
         # Check 1: is the claimed f(x) actually correct?
@@ -125,8 +120,8 @@ def verify_proof_bundle(
     if not awaiting:
         return verdicts
     # Check 2: were these exact values committed?  Λ(f(x)s, λs) == Φ(R)?
-    known = list(zip(proof.leaves, encode_leaves(proof.results, hash_fn, leaf_encoding)))
-    if hash_fn.tagged_fold(NODE_TAG, known, proof.nodes, proof.digests) != root:
+    known = list(zip(bundle.leaves, encode_leaves(bundle.results, hash_fn, leaf_encoding)))
+    if hash_fn.tagged_fold(NODE_TAG, known, bundle.nodes, bundle.digests) != root:
         if stop_on_first_failure:
             del verdicts[awaiting[0] + 1 :]
             awaiting = awaiting[:1]
@@ -135,27 +130,3 @@ def verify_proof_bundle(
                 verdicts[position].index, False, RejectReason.ROOT_MISMATCH
             )
     return verdicts
-
-
-def verify_sample_proof(
-    proof: SampleProof,
-    expected_index: int,
-    root: bytes,
-    n_leaves: int,
-    domain: Domain,
-    function: TaskFunction,
-    hash_fn: HashFunction,
-    leaf_encoding: LeafEncoding,
-) -> SampleVerdict:
-    """Verify one sample: a bundle of one (see :func:`verify_proof_bundle`)."""
-    (verdict,) = verify_proof_bundle(
-        (proof,),
-        (expected_index,),
-        root,
-        n_leaves,
-        domain,
-        function,
-        hash_fn,
-        leaf_encoding,
-    )
-    return verdict

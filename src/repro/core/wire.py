@@ -257,12 +257,11 @@ class Layout:
         self._steps = tuple(steps)
 
     def encode(self, obj: Any, head: bytes = b"") -> bytes:
-        """``head`` followed by every field of ``obj``, in row order: the
-        values ``obj`` stores, not a view a field's attribute may read as."""
-        parts, stored = [head], vars(obj)
+        """``head`` followed by every field of ``obj``, in row order."""
+        parts = [head]
         try:
             for attr, field, encode, _read, _size in self._steps:
-                parts.append(encode(field, stored[attr]))
+                parts.append(encode(field, getattr(obj, attr)))
         except ReproError as exc:
             raise type(exc)(f"{self.what}, field {attr}: {exc}") from exc
         return b"".join(parts)
@@ -270,10 +269,10 @@ class Layout:
     def size(self, obj: Any) -> int:
         """``len(self.encode(obj))``, summed from the fields' sizes (a
         row with an optional field, or a kind without a size, has none)."""
-        total, stored = 0, vars(obj)
+        total = 0
         try:
             for attr, field, _encode, _read, size in self._steps:
-                total += size(field, stored[attr])
+                total += size(field, getattr(obj, attr))
         except ReproError as exc:
             raise type(exc)(f"{self.what}, field {attr}: {exc}") from exc
         return total

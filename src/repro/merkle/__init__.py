@@ -20,12 +20,10 @@ The pieces, by module:
   ``Λ(f(x), λ1..λH)`` used by the supervisor.
 * :class:`~repro.merkle.multiproof.Multiproof` — a proof bundle as it
   is built, travels and is verified — with the rule for which sibling
-  digests it ships (``supplied_siblings``) and its one fold of the tree
-  the samples span (``shared_root``).
+  digests it ships (``supplied_nodes``).
 """
 
 from repro.merkle.hashing import CountingHash, get_hash
-from repro.merkle.multiproof import shared_root, supplied_siblings
 from repro.merkle.partial import PartialMerkleTree
 from repro.merkle.proof import AuthenticationPath
 from repro.merkle.tree import MerkleTree
@@ -36,6 +34,4 @@ __all__ = [
     "MerkleTree",
     "PartialMerkleTree",
     "AuthenticationPath",
-    "supplied_siblings",
-    "shared_root",
 ]

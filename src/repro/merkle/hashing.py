@@ -163,8 +163,8 @@ class HashFunction:
         nodes: Sequence[Sequence[int]],
         digests: Sequence[bytes],
     ) -> bytes:
-        """A multiproof's root in one call (the fold
-        :func:`~repro.merkle.multiproof.shared_root` describes).
+        """A multiproof's root in one call: the tree the samples span
+        (:mod:`repro.merkle.multiproof`), each node hashed once.
         ``known`` pairs the proven leaves, ascending, with their digests;
         ``nodes[level]`` names the supplied nodes at each level, none of
         them known, and ``digests`` holds theirs, level-major.  Per level

@@ -12,22 +12,21 @@ Mark the sampled leaves *covered*; a node is covered when either child
 is.  A digest must be **supplied** iff it is the sibling of a covered
 node and is not itself covered — everything else on the samples' paths
 is derivable from the claimed leaves and the supplied digests below it.
-:func:`supplied_nodes` is that rule, written once, and
-:func:`shared_root` folds what it describes.  The supplied set is never
-larger than the concatenated paths, and equal only when no two samples
-share an ancestor below the root.
+:func:`supplied_nodes` is that rule, written once; the verifier folds
+what it describes in one
+:meth:`~repro.merkle.hashing.HashFunction.tagged_fold` call.  The
+supplied set is never larger than the concatenated paths, and equal
+only when no two samples share an ancestor below the root.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from repro.exceptions import CodecError, LeafIndexError
-from repro.merkle.hashing import HashFunction
-from repro.merkle.proof import NODE_TAG, AuthenticationPath, LeafEncoding, SampleProof
+from repro.exceptions import LeafIndexError
+from repro.merkle.proof import AuthenticationPath, LeafEncoding, SampleProof
 
 
 def supplied_nodes(leaves: Sequence[int], height: int) -> list[list[int]]:
@@ -45,41 +44,6 @@ def supplied_nodes(leaves: Sequence[int], height: int) -> list[list[int]]:
         levels.append(sorted({node ^ 1 for node in covered} - covered))
         covered = {node >> 1 for node in covered}
     return levels
-
-
-def supplied_siblings(
-    leaves: Sequence[int], height: int
-) -> list[list[tuple[int, int]]]:
-    """:func:`supplied_nodes`, each node paired with ``leaf``: the
-    highest of ``leaves`` under the covered node beside it — the sample
-    whose authentication path carries that digest, at position
-    ``level``."""
-    return [
-        [(node, leaves[bisect_left(leaves, ((node ^ 1) + 1) << level) - 1]) for node in row]
-        for level, row in enumerate(supplied_nodes(leaves, height))
-    ]
-
-
-def shared_root(
-    leaf_digests: dict[int, bytes],
-    supplied: Sequence[Sequence[tuple[int, bytes]]],
-    hash_fn: HashFunction,
-) -> bytes:
-    """Fold the tree a multiproof spans to its root, each node once.
-
-    ``leaf_digests`` maps every proven leaf index to its ``Φ`` value;
-    ``supplied[level]`` pairs each node :func:`supplied_nodes` names
-    at that level with its digest.  A level's covered and supplied
-    nodes together are whole sibling pairs, so the fold is one
-    :meth:`~repro.merkle.hashing.HashFunction.tagged_fold` call: the
-    hash count is the number of covered interior nodes.
-    """
-    return hash_fn.tagged_fold(
-        NODE_TAG,
-        sorted(leaf_digests.items()),
-        [[node for node, _ in level] for level in supplied],
-        [digest for level in supplied for _, digest in level],
-    )
 
 
 @dataclass(frozen=True)
@@ -119,51 +83,6 @@ class Multiproof:
         bundle.__dict__.update(_rows=rows, leaves=leaves, nodes=nodes)
         return bundle
 
-    @classmethod
-    def from_proofs(cls, proofs: Sequence[SampleProof]) -> "Multiproof":
-        """Pack in-memory :class:`SampleProof` values (a multiproof is
-        returned as it is), reading only the positions
-        :func:`supplied_siblings` names.  Proofs that mix tree sizes,
-        encodings or heights, whose path is for another leaf, that claim
-        two results for one leaf, or that lack a needed digest have no
-        multiproof: :class:`CodecError`.  No encoding has always meant HASHED.
-        """
-        if isinstance(proofs, cls):
-            return proofs
-        proofs = tuple(proofs)
-        first = proofs[0].path if proofs else AuthenticationPath(0)
-        n_leaves, height = first.n_leaves, len(first.siblings)
-        encoding = first.leaf_encoding or LeafEncoding.HASHED
-        by_leaf: dict[int, SampleProof] = {}
-        for proof in proofs:
-            path = proof.path
-            if (
-                path.leaf_index != proof.index
-                or path.n_leaves != n_leaves
-                or len(path.siblings) != height
-                or (path.leaf_encoding or LeafEncoding.HASHED) is not encoding
-                or by_leaf.setdefault(proof.index, proof).claimed_result
-                != proof.claimed_result
-            ):
-                raise CodecError(
-                    f"sample {proof.index} does not share the bundle's tree "
-                    "(one index, size, encoding, height and result per leaf)"
-                )
-        leaves = sorted(by_leaf)
-        digests = [
-            by_leaf[leaf].path.siblings[level]
-            for level, row in enumerate(supplied_siblings(leaves, height))
-            for _node, leaf in row
-        ]
-        if None in digests:
-            raise CodecError("a sibling digest the bundle has to supply is missing")
-        packed = cls(
-            tuple(proof.index for proof in proofs), n_leaves, encoding, height,
-            tuple(by_leaf[leaf].claimed_result for leaf in leaves), tuple(digests),
-        )
-        packed.__dict__["proofs"] = proofs
-        return packed
-
     @cached_property
     def leaves(self) -> list[int]:
         """The distinct sampled leaves, ascending: ``results``' order."""
@@ -177,9 +96,9 @@ class Multiproof:
     @cached_property
     def proofs(self) -> tuple[SampleProof, ...]:
         """The bundle as ``m`` :class:`SampleProof` values, derived on
-        first read: full paths off a tree's rows, the proofs it was packed
-        from, or — received — one proof per distinct leaf whose path
-        holds ``None`` wherever another sample determines the sibling."""
+        first read: full paths off a tree's rows or — received — one
+        proof per distinct leaf whose path holds ``None`` wherever
+        another sample determines the sibling."""
         rows, supply = self.__dict__.get("_rows"), iter(self.digests)
         # Per level, node -> digest: a tree's whole row, or the supplied
         # digests alone (None where another sample determines it).

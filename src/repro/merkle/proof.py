@@ -70,7 +70,7 @@ class AuthenticationPath:
     leaf_index: int
     siblings: list[bytes] = field(default_factory=list)
     n_leaves: int = 0
-    leaf_encoding: LeafEncoding | None = None
+    leaf_encoding: LeafEncoding = LeafEncoding.HASHED
 
     def __post_init__(self) -> None:
         if self.leaf_index < 0:
@@ -89,7 +89,7 @@ class AuthenticationPath:
         leaf_index: int,
         siblings: list[bytes],
         n_leaves: int,
-        leaf_encoding: LeafEncoding | None,
+        leaf_encoding: LeafEncoding,
     ) -> "AuthenticationPath":
         """Build a path whose siblings are already known to be equal-length.
 
@@ -122,8 +122,7 @@ class AuthenticationPath:
         """Reconstruct the root from a claimed leaf *payload* (``f(x)``)."""
         from repro.merkle.tree import encode_leaf
 
-        encoding = self.leaf_encoding or LeafEncoding.HASHED
-        leaf_phi = encode_leaf(payload, hash_fn, encoding)
+        leaf_phi = encode_leaf(payload, hash_fn, self.leaf_encoding)
         return self.root_from_phi(leaf_phi, hash_fn)
 
     def root_from_phi(
@@ -153,8 +152,9 @@ class AuthenticationPath:
 class SampleProof:
     """Step 3 payload for one sample: claimed result + auth path.
 
-    The in-memory form only; a bundle is built, travels and is verified
-    as one :class:`~repro.merkle.multiproof.Multiproof`.
+    A read-only view only (``Multiproof.proofs``); a bundle is built,
+    travels and is verified as one
+    :class:`~repro.merkle.multiproof.Multiproof`.
     """
 
     index: int

@@ -20,7 +20,8 @@ Three things live here:
   reference the multiproof is checked against;
 * the **multiproof codec**, built from that form: expand every sample
   to its per-level sibling dicts, then drop what another sample
-  determines;
+  determines (per-sample paths no one multiproof can say are refused
+  with :class:`RefNoMultiproof`);
 * the **per-path verifier** with its own books.
 """
 
@@ -37,6 +38,10 @@ class RefCodec(Exception):
 
 class RefShape(Exception):
     """Well-formed bytes describing an impossible authentication path."""
+
+
+class RefNoMultiproof(Exception):
+    """Per-sample proofs that no single multiproof can say."""
 
 
 def ref_uint(value):
@@ -161,7 +166,12 @@ def ref_needed(leaves, height):
 
 def ref_multiproof(proofs):
     """The ``proofs`` field of a bundle: one header, the sample indices,
-    one result per distinct leaf, every undetermined digest once."""
+    one result per distinct leaf, every undetermined digest once.
+
+    One header is one tree: paths that mix leaf counts, encodings or
+    heights, a path for another leaf than its sample, two results for
+    one leaf, or a needed digest no path holds raise
+    :class:`RefNoMultiproof`."""
     if not proofs:
         return ref_uint(0)
     _index, _claimed, (_leaf, n_leaves, code, first_siblings) = proofs[0]
@@ -173,16 +183,22 @@ def ref_multiproof(proofs):
     claimed_at = {}
     sibling_at = {}  # (level, node) -> digest, from whichever path has it
     for proof in proofs:
-        index, claimed, _path = proof
-        claimed_at[index] = claimed
+        index, claimed, (leaf, n, c, siblings) = proof
+        if (leaf, n, c, len(siblings)) != (index, n_leaves, code, height):
+            raise RefNoMultiproof("a path of another leaf or tree")
+        if claimed_at.setdefault(index, claimed) != claimed:
+            raise RefNoMultiproof("two results for one leaf")
         for level, step in enumerate(expand(proof)):
             (digest,) = step.values()
-            sibling_at[level, (index >> level) ^ 1] = digest
+            if digest is not None:
+                sibling_at[level, (index >> level) ^ 1] = digest
     leaves = sorted(claimed_at)
     out += ref_bytes_list([claimed_at[leaf] for leaf in leaves])
     supplied = []
     for level, nodes in enumerate(ref_needed(leaves, height)):
         for node in nodes:
+            if (level, node) not in sibling_at:
+                raise RefNoMultiproof("a needed digest is missing")
             supplied.append(sibling_at[level, node])
     return out + ref_bytes_list(supplied)
 
@@ -272,7 +288,7 @@ def ref_decode_submission(data):
 
 
 def plain_path(path):
-    code = 1 if getattr(path.leaf_encoding, "value", None) == "raw" else 0
+    code = 1 if path.leaf_encoding.value == "raw" else 0
     return (path.leaf_index, path.n_leaves, code, list(path.siblings))
 
 
@@ -338,32 +354,33 @@ def ref_tree_root(h, payloads, raw=False):
 
 
 def ref_verify(h, books, proofs, expected, root, n_leaves, task, stop):
-    """Step 4 by the book, one independent path per sample (library
-    ``SampleProof``s in, ``[(index, accepted, reason)]`` out)."""
+    """Step 4 by the book, one independent path per sample (plain
+    proofs in, ``[(index, accepted, reason)]`` out)."""
     height = 0
     while (1 << height) < n_leaves:
         height += 1
     fn = task.function
     verdicts = []
-    for proof, want in zip(proofs, expected):
+    for (index, claimed, (leaf_index, _n, code, siblings)), want in zip(
+        proofs, expected
+    ):
         books.samples_verified += 1
-        path = proof.path
         if (
-            proof.index != want
-            or len(path.siblings) != height
-            or path.leaf_index != want
-            or any(len(s) != h.digest_size for s in path.siblings)
-            or getattr(path.leaf_encoding, "value", "hashed") != "hashed"
+            index != want
+            or len(siblings) != height
+            or leaf_index != want
+            or any(len(s) != h.digest_size for s in siblings)
+            or code != 0
         ):
             verdict = (want, False, "malformed_proof")
         else:
             books.verifications += 1
             books.verification_cost += fn.cost
-            if fn.evaluate(task.domain[want]) != proof.claimed_result:
+            if fn.evaluate(task.domain[want]) != claimed:
                 verdict = (want, False, "wrong_result")
             else:
-                leaf = h(b"\x00" + proof.claimed_result)
-                rebuilt = ref_root_from_path(h, leaf, want, path.siblings)
+                leaf = h(b"\x00" + claimed)
+                rebuilt = ref_root_from_path(h, leaf, want, siblings)
                 if rebuilt != root:
                     verdict = (want, False, "root_mismatch")
                 else:

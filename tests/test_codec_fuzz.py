@@ -25,11 +25,10 @@ from repro.core.protocol import (
     ProofBundleMsg,
     ReportsMsg,
     SampleChallengeMsg,
-    SampleProof,
     VerdictMsg,
 )
 from repro.exceptions import ProtocolError, ReproError
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.multiproof import Multiproof, supplied_nodes
 from repro.merkle.tree import LeafEncoding
 from repro.exceptions import CodecError
 from repro.net.framing import FRAME_HEADER_BYTES
@@ -124,18 +123,12 @@ class TestGarbageRejection:
 
 
 def _bundle(leaf_encoding=LeafEncoding.HASHED) -> ProofBundleMsg:
-    """Samples 1, 4, 1 of a six-leaf tree: three supplied digests at the
-    leaf level and above, one result per distinct leaf."""
-    digest = b"\x11" * 8
+    """Samples 1, 4, 1 of a six-leaf tree: four supplied digests, two at
+    the leaf level and two above, one result per distinct leaf."""
     return ProofBundleMsg(
         "",
-        tuple(
-            SampleProof(
-                leaf,
-                bytes([leaf]),
-                AuthenticationPath(leaf, [digest] * 3, 6, leaf_encoding),
-            )
-            for leaf in (1, 4, 1)
+        Multiproof(
+            (1, 4, 1), 6, leaf_encoding, 3, (b"\x01", b"\x04"), (b"\x11" * 8,) * 4
         ),
     )
 
@@ -173,39 +166,23 @@ _digests = st.binary(min_size=8, max_size=8)
 
 @st.composite
 def _proof_bundles(draw):
-    """Up to four samples of one tree, as a peer receives them: every
-    sibling position a digest of the node it names, or ``None`` where
-    another sample determines it — the form a frame decodes *to*, so a
-    round trip is an identity."""
+    """Up to four samples of one tree, in the form a frame decodes *to*
+    (no samples: the empty bundle), so a round trip is an identity."""
     height = draw(st.integers(min_value=0, max_value=4))
-    n_leaves = 1 << height
     indices = draw(
-        st.lists(st.integers(min_value=0, max_value=n_leaves - 1), max_size=4)
+        st.lists(st.integers(min_value=0, max_value=(1 << height) - 1), max_size=4)
     )
-    encoding = draw(st.sampled_from(list(LeafEncoding)))
-    covered = [{index >> level for index in indices} for level in range(height)]
-    digest_at, result_at = {}, {}
-    proofs = []
-    for index in indices:
-        siblings = []
-        for level in range(height):
-            node = (index >> level) ^ 1
-            if node in covered[level]:
-                siblings.append(None)
-                continue
-            if (level, node) not in digest_at:
-                digest_at[level, node] = draw(_digests)
-            siblings.append(digest_at[level, node])
-        if index not in result_at:
-            result_at[index] = draw(st.binary(max_size=16))
-        proofs.append(
-            SampleProof(
-                index,
-                result_at[index],
-                AuthenticationPath.from_uniform(index, siblings, n_leaves, encoding),
-            )
-        )
-    return tuple(proofs)
+    if not indices:
+        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
+    leaves = sorted(set(indices))
+    return Multiproof(
+        tuple(indices),
+        1 << height,
+        draw(st.sampled_from(list(LeafEncoding))),
+        height,
+        tuple(draw(st.binary(max_size=16)) for _ in leaves),
+        tuple(draw(_digests) for row in supplied_nodes(leaves, height) for _ in row),
+    )
 
 
 # Optional trace/span ids: absent (None) or 1..64 chars of printable
@@ -356,7 +333,7 @@ def _wire_frames(draw):
         return ProofsFrame(
             msg=ProofBundleMsg(
                 task_id=task_id,
-                proofs=draw(_proof_bundles()),
+                bundle=draw(_proof_bundles()),
             )
         )
     if kind == 5:
@@ -365,7 +342,7 @@ def _wire_frames(draw):
                 task_id=task_id,
                 root=draw(st.binary(max_size=40)),
                 n_leaves=draw(st.integers(min_value=0, max_value=1 << 20)),
-                proofs=draw(_proof_bundles()),
+                bundle=draw(_proof_bundles()),
             )
         )
     if kind == 6:

@@ -11,7 +11,9 @@ is every sample expanded to its own path, minus what another sample
 determines.  The per-path encoder itself — the wire format until v7 —
 is kept as the reference for the paper's ``m·H`` digest count.
 
-Two properties are checked everywhere:
+The library never packs per-sample proofs: the reference's bytes are
+what it decodes, and what it must encode back.  Two properties are
+checked everywhere:
 
 * **encodings are byte-equal**, and
 * **rejection parity**: on any bytes, hostile or not, the library's
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from proof_reference import (
     RefCodec,
+    RefNoMultiproof,
     RefShape,
     compact,
     per_path_digest_count,
@@ -46,10 +49,8 @@ from proof_reference import (
 )
 from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant
-from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg, SampleProof
+from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
 from repro.exceptions import CodecError, ProofShapeError
-from repro.merkle.proof import AuthenticationPath
-from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 from repro.utils.encoding import (
     encode_bytes_list,
@@ -137,9 +138,10 @@ _mixed_items = st.lists(
 
 @st.composite
 def _proof_runs(draw, min_samples=0, max_samples=6):
-    """A run of proofs cut from one tree: one height, one leaf count,
-    one encoding, one digest per node, one result per leaf — samples may
-    repeat, cluster under one subtree or sit 2^35 leaves apart."""
+    """A run of plain proofs cut from one tree: one height, one leaf
+    count, one encoding, one digest per node, one result per leaf —
+    samples may repeat, cluster under one subtree or sit 2^35 leaves
+    apart."""
     count = draw(st.integers(min_value=min_samples, max_value=max_samples))
     height = draw(st.integers(min_value=0, max_value=5))
     near = st.integers(min_value=0, max_value=(1 << height) - 1)
@@ -150,7 +152,7 @@ def _proof_runs(draw, min_samples=0, max_samples=6):
     n_leaves = draw(
         st.one_of(st.just(0), _uints.map(lambda v: v + max(pool) + 1))
     )
-    raw = draw(st.booleans())
+    code = int(draw(st.booleans()))  # 1: RAW leaves
     size = draw(_item_sizes)
     digest_at, result_at = {}, {}
 
@@ -163,21 +165,9 @@ def _proof_runs(draw, min_samples=0, max_samples=6):
     for index in indices:
         if index not in result_at:
             result_at[index] = draw(st.binary(max_size=40))
-        encoding = (
-            LeafEncoding.RAW
-            if raw
-            else draw(st.sampled_from([None, LeafEncoding.HASHED]))
-        )
-        path = AuthenticationPath(
-            leaf_index=index,
-            siblings=[
-                digest(level, (index >> level) ^ 1) for level in range(height)
-            ],
-            n_leaves=n_leaves,
-            leaf_encoding=encoding,
-        )
-        proofs.append(SampleProof(index, result_at[index], path))
-    return tuple(proofs)
+        siblings = [digest(level, (index >> level) ^ 1) for level in range(height)]
+        proofs.append((index, result_at[index], (index, n_leaves, code, siblings)))
+    return proofs
 
 
 _task_ids = st.text(max_size=12)
@@ -289,10 +279,11 @@ class TestBytesListAgainstReference:
 # ----------------------------------------------------------------------
 
 
-def assert_round_trip(msg, decoded, encoded):
-    """decode∘encode is the compact form, samples of one leaf share one
-    path object, and encode∘decode∘encode is the identity on bytes."""
-    assert plain_proofs(decoded.proofs) == compact(plain_proofs(msg.proofs))
+def assert_round_trip(proofs, decoded, encoded):
+    """The reference's bytes decode to the compact form of ``proofs``,
+    samples of one leaf share one path object, and the library encodes
+    what it decoded back to the same bytes."""
+    assert plain_proofs(decoded.proofs) == compact(proofs)
     by_leaf = {}
     for proof in decoded.proofs:
         assert by_leaf.setdefault(proof.index, proof.path) is proof.path
@@ -305,129 +296,123 @@ class TestStructuredEncodingsAgainstReference:
         # One sample: nothing is derivable, so the multiproof supplies
         # exactly the path's H digests, in the path's order — the
         # per-path encoder is the reference for that count.
-        ((_index, _claimed, path),) = plain = plain_proofs(proofs)
+        ((_index, _claimed, path),) = proofs
         height = len(path[3])
-        assert per_path_digest_count(plain) == height
+        assert per_path_digest_count(proofs) == height
         needed = ref_needed([path[0]], height)
         assert [len(nodes) for nodes in needed] == [1] * height
-        encoded = ProofBundleMsg("", proofs).encode()
+        encoded = ProofBundleMsg.decode(ref_bundle("", proofs)).encode()
         assert encoded.endswith(ref_bytes_list(path[3]))
-        assert compact(plain) == plain
+        assert compact(proofs) == proofs
 
     @given(_proof_runs(min_samples=1, max_samples=1))
     def test_sample_proof(self, proofs):
         # A one-sample bundle is a multiproof of one.
-        msg = ProofBundleMsg(task_id="t", proofs=proofs)
-        encoded = msg.encode()
-        assert encoded == ref_bundle("t", plain_proofs(proofs))
+        encoded = ref_bundle("t", proofs)
         decoded = ProofBundleMsg.decode(encoded)
-        assert plain_bundle(decoded) == plain_bundle(msg)
+        assert plain_bundle(decoded) == ("t", proofs)
         assert decoded.encode() == encoded
         bundle_parity(encoded)
 
     @given(_task_ids, _proof_runs())
     @settings(max_examples=100, deadline=None)
     def test_proof_bundle(self, task_id, proofs):
-        msg = ProofBundleMsg(task_id=task_id, proofs=proofs)
-        encoded = msg.encode()
-        assert encoded == ref_bundle(*plain_bundle(msg))
-        assert_round_trip(msg, ProofBundleMsg.decode(encoded), encoded)
+        encoded = ref_bundle(task_id, proofs)
+        assert_round_trip(proofs, ProofBundleMsg.decode(encoded), encoded)
         bundle_parity(encoded)
         # Never more digests than the independent paths ship.
         if proofs:
-            leaves = [proof.index for proof in proofs]
-            needed = ref_needed(leaves, len(proofs[0].path.siblings))
-            assert sum(map(len, needed)) <= per_path_digest_count(
-                plain_proofs(proofs)
-            )
+            leaves = [proof[0] for proof in proofs]
+            needed = ref_needed(leaves, len(proofs[0][2][3]))
+            assert sum(map(len, needed)) <= per_path_digest_count(proofs)
 
     @given(_task_ids, st.binary(max_size=40), _uints, _proof_runs())
     @settings(max_examples=100, deadline=None)
     def test_nicbs_submission(self, task_id, root, n_leaves, proofs):
-        msg = NICBSSubmissionMsg(
-            task_id=task_id, root=root, n_leaves=n_leaves, proofs=proofs
+        encoded = ref_submission(task_id, root, n_leaves, proofs)
+        decoded = NICBSSubmissionMsg.decode(encoded)
+        assert (decoded.task_id, decoded.root, decoded.n_leaves) == (
+            task_id, root, n_leaves
         )
-        encoded = msg.encode()
-        assert encoded == ref_submission(*plain_submission(msg))
-        assert_round_trip(msg, NICBSSubmissionMsg.decode(encoded), encoded)
+        assert_round_trip(proofs, decoded, encoded)
         submission_parity(encoded)
 
     def test_empty_sibling_list(self):
         # A one-leaf tree: height 0, no siblings, any number of samples.
-        path = AuthenticationPath(0, [], 1, LeafEncoding.HASHED)
-        proofs = (SampleProof(0, b"r", path),) * 3
-        encoded = ProofBundleMsg("t", proofs).encode()
-        assert encoded == ref_bundle("t", plain_proofs(proofs))
+        proofs = [(0, b"r", (0, 1, 0, []))] * 3
+        encoded = ref_bundle("t", proofs)
         assert encoded == b"\x01t" + bytes([3, 1, 0, 0, 0, 0, 0, 1, 1]) + b"r\x00"
-        assert ProofBundleMsg.decode(encoded).proofs == proofs
+        decoded = ProofBundleMsg.decode(encoded)
+        assert plain_proofs(decoded.proofs) == proofs
+        assert decoded.encode() == encoded
         bundle_parity(encoded)
         # ... and no samples at all is the count alone.
-        assert ProofBundleMsg("t", ()).encode() == b"\x01t\x00"
+        assert ref_bundle("t", []) == b"\x01t\x00"
+        assert ProofBundleMsg.decode(b"\x01t\x00").encode() == b"\x01t\x00"
         bundle_parity(b"\x01t\x00")
 
 
 class TestEncoderRefusesWhatOneHeaderCannotSay:
-    """One header is one geometry: the encoder raises rather than emit
-    bytes that would decode to something else."""
+    """One header is one geometry.  A :class:`Multiproof` holds one
+    header by construction; the reference encoder, which takes a path
+    per sample, raises rather than emit bytes that would decode to
+    something else."""
 
     @staticmethod
-    def proof(index, result=b"r", n_leaves=8, height=3, encoding=LeafEncoding.HASHED):
-        path = AuthenticationPath(index, [b"\x11" * 4] * height, n_leaves, encoding)
-        return SampleProof(index, result, path)
+    def proof(index, result=b"r", n_leaves=8, height=3, code=0):
+        return (index, result, (index, n_leaves, code, [b"\x11" * 4] * height))
 
     @pytest.mark.parametrize(
         "odd",
         [
             dict(n_leaves=7),
             dict(height=2),
-            dict(encoding=LeafEncoding.RAW),
+            dict(code=1),
             dict(index=1, result=b"another result for leaf 1"),
         ],
         ids=["tree-size", "height", "encoding", "two-results-one-leaf"],
     )
     def test_mixed_bundle(self, odd):
-        proofs = (self.proof(1), self.proof(**{"index": 5, **odd}))
-        with pytest.raises(CodecError, match="ProofBundleMsg, field proofs"):
-            ProofBundleMsg("t", proofs).encode()
-        with pytest.raises(CodecError):
-            NICBSSubmissionMsg("t", b"root", 8, proofs[::-1]).encode()
+        proofs = [self.proof(1), self.proof(**{"index": 5, **odd})]
+        with pytest.raises(RefNoMultiproof):
+            ref_bundle("t", proofs)
+        with pytest.raises(RefNoMultiproof):
+            ref_submission("t", b"root", 8, proofs[::-1])
 
     def test_path_for_another_leaf_than_its_sample(self):
-        good = self.proof(5)
-        crossed = SampleProof(4, b"r", good.path)
-        with pytest.raises(CodecError):
-            ProofBundleMsg("t", (crossed,)).encode()
+        _index, result, path = self.proof(5)
+        with pytest.raises(RefNoMultiproof):
+            ref_bundle("t", [(4, result, path)])
 
     def test_part_of_a_received_bundle_cannot_be_re_sent_alone(self):
         # Leaves 4 and 5 determine each other's leaf-level sibling, so
         # a received path holds None there; alone it is not a proof.
         received = ProofBundleMsg.decode(
-            ProofBundleMsg("t", (self.proof(4), self.proof(5))).encode()
+            ref_bundle("t", [self.proof(4), self.proof(5)])
         )
-        assert received.proofs[0].path.siblings[0] is None
-        with pytest.raises(CodecError, match="missing"):
-            ProofBundleMsg("t", received.proofs[:1]).encode()
+        alone = plain_proofs(received.proofs[:1])
+        assert alone[0][2][3][0] is None
+        with pytest.raises(RefNoMultiproof, match="missing"):
+            ref_bundle("t", alone)
 
 
 class TestRejectionParityOnMutatedMessages:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_mutated_bundles(self, data):
-        msg = ProofBundleMsg(
-            task_id=data.draw(_task_ids), proofs=data.draw(_proof_runs())
-        )
-        bundle_parity(data.draw(_mutations(msg.encode())))
+        encoded = ref_bundle(data.draw(_task_ids), data.draw(_proof_runs()))
+        bundle_parity(data.draw(_mutations(encoded)))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_mutated_submissions(self, data):
-        msg = NICBSSubmissionMsg(
-            task_id=data.draw(_task_ids),
-            root=data.draw(st.binary(max_size=40)),
-            n_leaves=data.draw(_uints),
-            proofs=data.draw(_proof_runs()),
+        encoded = ref_submission(
+            data.draw(_task_ids),
+            data.draw(st.binary(max_size=40)),
+            data.draw(_uints),
+            data.draw(_proof_runs()),
         )
-        submission_parity(data.draw(_mutations(msg.encode())))
+        submission_parity(data.draw(_mutations(encoded)))
 
     @given(st.binary(max_size=200))
     @settings(max_examples=200, deadline=None)
@@ -493,12 +478,10 @@ class TestRealSubmissionsAgainstReference:
         for msg, raw in (heavy, light):
             plain = plain_proofs(msg.proofs)
             assert raw == ref_submission(*plain_submission(msg))
-            assert_round_trip(msg, NICBSSubmissionMsg.decode(raw), raw)
-            bundle = ProofBundleMsg(task_id=msg.task_id, proofs=msg.proofs)
-            assert bundle.encode() == ref_bundle(*plain_bundle(bundle))
-            assert_round_trip(
-                bundle, ProofBundleMsg.decode(bundle.encode()), bundle.encode()
-            )
+            assert_round_trip(plain, NICBSSubmissionMsg.decode(raw), raw)
+            encoded = ProofBundleMsg(msg.task_id, msg.bundle).encode()
+            assert encoded == ref_bundle(msg.task_id, plain)
+            assert_round_trip(plain, ProofBundleMsg.decode(encoded), encoded)
             # Against the per-path form: m·H digests there, only the
             # undetermined ones here.
             m, height = len(plain), len(plain[0][2][3])
@@ -544,9 +527,7 @@ class TestRealSubmissionsAgainstReference:
         cuts.update(range(0, len(raw), 97))
         for cut in sorted(cuts):
             submission_parity(raw[:cut])
-        bundle_raw = ProofBundleMsg(
-            task_id=msg.task_id, proofs=msg.proofs
-        ).encode()
+        bundle_raw = ProofBundleMsg(msg.task_id, msg.bundle).encode()
         for cut in range(0, len(bundle_raw), 397):
             bundle_parity(bundle_raw[:cut])
 

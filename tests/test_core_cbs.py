@@ -1,5 +1,7 @@
 """Tests for the interactive CBS scheme (paper §3.1, Theorems 1–3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cheating import BernoulliGuess, HonestBehavior, SemiHonestCheater
@@ -219,8 +221,9 @@ class TestProtocolStateMachine:
         supervisor = CBSSupervisor(password_task, n_samples=5, seed=1)
         supervisor.receive_commitment(participant.compute_and_commit())
         challenge = supervisor.make_challenge()
-        bundle = participant.prove(challenge)
-        short = type(bundle)(task_id=bundle.task_id, proofs=bundle.proofs[:-1])
+        short = participant.prove(
+            dataclasses.replace(challenge, indices=challenge.indices[:-1])
+        )
         outcome = supervisor.verify(short)
         assert not outcome.accepted
         assert outcome.reason == RejectReason.MALFORMED_PROOF

@@ -59,8 +59,9 @@ class TestBatchedEndToEnd:
             bundle = participant.prove(challenge)
             books = RefBooks()
             classic = ref_verify(
-                RefHash("sha256", 1, 1.0, books), books, bundle.proofs,
-                challenge.indices, commitment.root, 512, task, True,
+                RefHash("sha256", 1, 1.0, books), books,
+                plain_proofs(bundle.proofs), challenge.indices, commitment.root,
+                512, task, True,
             )
             outcome = supervisor.verify(received(bundle))
             assert [
@@ -112,12 +113,10 @@ class TestBatchedProtocolChecks:
     @staticmethod
     def with_results(msg, results):
         """``msg`` with every sample of leaf ``i`` claiming ``results[i]``."""
+        bundle = msg.bundle
+        results = tuple(results[leaf] for leaf in bundle.leaves)
         return dataclasses.replace(
-            msg,
-            proofs=tuple(
-                dataclasses.replace(p, claimed_result=results[p.index])
-                for p in msg.proofs
-            ),
+            msg, bundle=dataclasses.replace(bundle, results=results)
         )
 
     def test_wrong_result_detected(self, task):

@@ -138,7 +138,9 @@ class TestSupervisorChecks:
             task_id=submission.task_id,
             root=submission.root,
             n_leaves=submission.n_leaves,
-            proofs=submission.proofs[::-1],  # reordered = not derived
+            bundle=dataclasses.replace(  # reordered = not derived
+                submission.bundle, indices=submission.bundle.indices[::-1]
+            ),
         )
         supervisor = NICBSSupervisor(password_task, n_samples=8)
         outcome = supervisor.verify(forged)
@@ -151,7 +153,7 @@ class TestSupervisorChecks:
             task_id=submission.task_id,
             root=submission.root,
             n_leaves=submission.n_leaves - 1,
-            proofs=submission.proofs,
+            bundle=submission.bundle,
         )
         outcome = NICBSSupervisor(password_task, n_samples=8).verify(forged)
         assert not outcome.accepted
@@ -163,7 +165,7 @@ class TestSupervisorChecks:
             task_id=submission.task_id,
             root=b"\x00" * 8,
             n_leaves=submission.n_leaves,
-            proofs=submission.proofs,
+            bundle=submission.bundle,
         )
         outcome = NICBSSupervisor(password_task, n_samples=8).verify(forged)
         assert not outcome.accepted
@@ -197,19 +199,14 @@ class TestSupervisorChecks:
     def test_path_naming_another_leaf_encoding_is_malformed(
         self, password_task
     ):
-        # First path relabelled RAW over a 16-byte result: this used to
-        # escape NICBSSupervisor.verify as a MerkleError.
+        # The bundle relabelled RAW over 16-byte results: a RAW label
+        # used to escape NICBSSupervisor.verify as a MerkleError.
         submission = self.make_submission(password_task)
-        first = submission.proofs[0]
-        relabelled = dataclasses.replace(
-            first,
-            path=dataclasses.replace(first.path, leaf_encoding=LeafEncoding.RAW),
-        )
-        hostile = NICBSSubmissionMsg(
-            task_id=submission.task_id,
-            root=submission.root,
-            n_leaves=submission.n_leaves,
-            proofs=(relabelled,) + submission.proofs[1:],
+        hostile = dataclasses.replace(
+            submission,
+            bundle=dataclasses.replace(
+                submission.bundle, leaf_encoding=LeafEncoding.RAW
+            ),
         )
         outcome = NICBSSupervisor(password_task, n_samples=8).verify(hostile)
         assert not outcome.accepted

@@ -19,11 +19,11 @@ from repro.core.protocol import (
     ProofBundleMsg,
     ReportsMsg,
     SampleChallengeMsg,
-    SampleProof,
     VerdictMsg,
 )
 from repro.core.verification import verify_proof_bundle
 from repro.merkle import MerkleTree
+from repro.merkle.multiproof import Multiproof
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment, TaskFunction
 
 
@@ -37,15 +37,9 @@ class _Echo(TaskFunction):
         return self.results[x]
 
 
-def sample_proofs(n: int = 8, count: int = 3) -> tuple[SampleProof, ...]:
+def sample_bundle(n: int = 8, count: int = 3) -> Multiproof:
     leaves = [f"r{i}".encode() for i in range(n)]
-    tree = MerkleTree(leaves)
-    return tuple(
-        SampleProof(
-            index=i, claimed_result=leaves[i], path=tree.auth_path(i)
-        )
-        for i in range(count)
-    )
+    return MerkleTree(leaves).multiproof(range(count), leaves)
 
 
 class TestCommitmentMsg:
@@ -86,7 +80,7 @@ class TestProofBundle:
         # 8-leaf tree.  0 and 1 are each other's leaf-level sibling and
         # their parent is 2's level-1 sibling, so those positions read
         # back as None; everything else is the digest that was sent.
-        bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())
+        bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
         decoded = ProofBundleMsg.decode(bundle.encode())
         assert decoded.task_id == "t"
         assert len(decoded.proofs) == 3
@@ -106,10 +100,10 @@ class TestProofBundle:
     def test_decoded_proofs_still_verify(self):
         leaves = [f"r{i}".encode() for i in range(8)]
         tree = MerkleTree(leaves)
-        bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())
+        bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
         decoded = ProofBundleMsg.decode(bundle.encode())
         verdicts = verify_proof_bundle(
-            decoded.proofs,
+            decoded.bundle,
             (0, 1, 2),
             root=tree.root,
             n_leaves=8,
@@ -123,13 +117,13 @@ class TestProofBundle:
         # folds on its own.
         for proof in bundle.proofs:
             (alone,) = ProofBundleMsg.decode(
-                ProofBundleMsg("t", (proof,)).encode()
+                ProofBundleMsg("t", tree.multiproof([proof.index], leaves)).encode()
             ).proofs
             assert alone == proof
             assert alone.path.verify(alone.claimed_result, tree.root, tree.hash_fn)
 
     def test_wire_size(self):
-        bundle = ProofBundleMsg(task_id="t", proofs=sample_proofs())
+        bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
         assert bundle.wire_size() == len(bundle.encode())
 
 
@@ -137,7 +131,7 @@ class TestNICBSSubmission:
     def test_roundtrip(self):
         tree = MerkleTree([f"r{i}".encode() for i in range(8)])
         msg = NICBSSubmissionMsg(
-            task_id="t", root=tree.root, n_leaves=8, proofs=sample_proofs()
+            task_id="t", root=tree.root, n_leaves=8, bundle=sample_bundle()
         )
         decoded = NICBSSubmissionMsg.decode(msg.encode())
         assert decoded.root == tree.root

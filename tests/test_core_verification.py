@@ -1,19 +1,24 @@
 """Failure-injection tests for supervisor-side sample verification.
 
 Theorem 2's guarantee is only as good as the verifier's checks; these
-tests tamper with every field of a valid proof and assert rejection
-with the right reason.
+tests tamper with every field of a valid bundle and assert rejection
+with the right reason.  A bundle is a :class:`Multiproof`: a lie one
+sample's path can tell and no multiproof can is refused by the
+reference encoder (``tests/proof_reference.py``) and told of the whole
+bundle instead.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.protocol import ProofBundleMsg, SampleProof
+from proof_reference import RefNoMultiproof, plain_proofs, ref_bundle, ref_multiproof
+from repro.accounting import CostLedger
+from repro.core.protocol import ProofBundleMsg
 from repro.core.scheme import RejectReason
-from repro.core.verification import verify_proof_bundle, verify_sample_proof
+from repro.core.verification import verify_proof_bundle
 from repro.exceptions import CodecError
-from repro.merkle import AuthenticationPath, MerkleTree, get_hash
+from repro.merkle import AuthenticationPath, CountingHash, MerkleTree, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskFunction
 
@@ -27,30 +32,44 @@ def setup():
     return fn, domain, leaves, tree
 
 
-def proof_for(tree, leaves, index) -> SampleProof:
-    return SampleProof(
-        index=index, claimed_result=leaves[index], path=tree.auth_path(index)
+def bundle_of(tree, leaves, *indices, **fields):
+    """The multiproof of ``indices`` off ``tree``, ``fields`` replaced."""
+    return dataclasses.replace(tree.multiproof(indices, leaves), **fields)
+
+
+def received(bundle):
+    """``bundle`` as a peer decodes it."""
+    return ProofBundleMsg.decode(ProofBundleMsg("t", bundle).encode()).bundle
+
+
+def without_top_level(bundle):
+    """``bundle`` told of a tree one level shorter: the top row of
+    supplied digests gone."""
+    top = len(bundle.digests) - len(bundle.nodes[-1])
+    return dataclasses.replace(
+        bundle, height=bundle.height - 1, digests=bundle.digests[:top]
     )
 
 
-def verify(proof, index, tree, domain, fn):
-    return verify_sample_proof(
-        proof=proof,
-        expected_index=index,
+def verify(bundle, index, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
+    (verdict,) = verify_proof_bundle(
+        bundle,
+        (index,),
         root=tree.root,
         n_leaves=16,
         domain=domain,
         function=fn,
         hash_fn=get_hash("sha256"),
-        leaf_encoding=LeafEncoding.HASHED,
+        leaf_encoding=leaf_encoding,
     )
+    return verdict
 
 
 class TestHonestProofAccepted:
     def test_every_index(self, setup):
         fn, domain, leaves, tree = setup
         for i in range(16):
-            verdict = verify(proof_for(tree, leaves, i), i, tree, domain, fn)
+            verdict = verify(bundle_of(tree, leaves, i), i, tree, domain, fn)
             assert verdict.accepted
             assert verdict.reason == RejectReason.OK
 
@@ -59,10 +78,8 @@ class TestTamperedProofsRejected:
     def test_wrong_claimed_result(self, setup):
         # Committed a guess: the claimed value fails the f(x) check.
         fn, domain, leaves, tree = setup
-        proof = SampleProof(
-            index=3, claimed_result=b"\x00" * 16, path=tree.auth_path(3)
-        )
-        verdict = verify(proof, 3, tree, domain, fn)
+        bundle = bundle_of(tree, leaves, 3, results=(b"\x00" * 16,))
+        verdict = verify(bundle, 3, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.WRONG_RESULT
 
@@ -74,77 +91,55 @@ class TestTamperedProofsRejected:
         forged_leaves = list(leaves)
         forged_leaves[3] = b"\xff" * 16  # tree committed garbage at 3
         forged_tree = MerkleTree(forged_leaves)
-        proof = SampleProof(
-            index=3,
-            claimed_result=leaves[3],  # now-correct f(x)
-            path=forged_tree.auth_path(3),
-        )
-        verdict = verify(proof, 3, forged_tree, domain, fn)
+        bundle = bundle_of(forged_tree, forged_leaves, 3, results=(leaves[3],))
+        verdict = verify(bundle, 3, forged_tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
 
     def test_proof_for_different_index(self, setup):
         fn, domain, leaves, tree = setup
-        verdict = verify(proof_for(tree, leaves, 5), 7, tree, domain, fn)
+        verdict = verify(bundle_of(tree, leaves, 5), 7, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF
 
     def test_path_index_mismatch(self, setup):
+        # Sample 7 carrying leaf 5's path has no multiproof: a bundle
+        # has no path index apart from its sample's.  Told as the one
+        # multiproof it can be — leaf 7 over leaf 5's siblings — the
+        # fold misses.
         fn, domain, leaves, tree = setup
-        honest = tree.auth_path(5)
-        mismatched = SampleProof(
-            index=7,
-            claimed_result=leaves[7],
-            path=honest,  # path says leaf 5
-        )
-        verdict = verify(mismatched, 7, tree, domain, fn)
+        ((_index, _claimed, path),) = plain_proofs(bundle_of(tree, leaves, 5).proofs)
+        with pytest.raises(RefNoMultiproof):
+            ref_multiproof([(7, leaves[7], path)])
+        bundle = bundle_of(tree, leaves, 5, indices=(7,), results=(leaves[7],))
+        verdict = verify(bundle, 7, tree, domain, fn)
         assert not verdict.accepted
-        assert verdict.reason == RejectReason.MALFORMED_PROOF
+        assert verdict.reason == RejectReason.ROOT_MISMATCH
 
     def test_truncated_path(self, setup):
         fn, domain, leaves, tree = setup
-        full = tree.auth_path(2)
-        truncated = AuthenticationPath(
-            leaf_index=2,
-            siblings=list(full.siblings)[:-1],
-            n_leaves=full.n_leaves,
-            leaf_encoding=full.leaf_encoding,
-        )
-        proof = SampleProof(index=2, claimed_result=leaves[2], path=truncated)
-        verdict = verify(proof, 2, tree, domain, fn)
+        bundle = without_top_level(bundle_of(tree, leaves, 2))
+        verdict = verify(received(bundle), 2, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF
 
     def test_oversized_sibling_digests(self, setup):
         fn, domain, leaves, tree = setup
-        full = tree.auth_path(2)
-        wrong_width = AuthenticationPath(
-            leaf_index=2,
-            siblings=[s + b"\x00" for s in full.siblings],
-            n_leaves=full.n_leaves,
-            leaf_encoding=full.leaf_encoding,
+        honest = bundle_of(tree, leaves, 2)
+        bundle = dataclasses.replace(
+            honest, digests=tuple(d + b"\x00" for d in honest.digests)
         )
-        proof = SampleProof(index=2, claimed_result=leaves[2], path=wrong_width)
-        verdict = verify(proof, 2, tree, domain, fn)
+        verdict = verify(received(bundle), 2, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF
 
     def test_swapped_siblings(self, setup):
         fn, domain, leaves, tree = setup
-        full = tree.auth_path(2)
-        swapped = list(full.siblings)
+        honest = bundle_of(tree, leaves, 2)
+        swapped = list(honest.digests)  # one sample: its path, in order
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        proof = SampleProof(
-            index=2,
-            claimed_result=leaves[2],
-            path=AuthenticationPath(
-                leaf_index=2,
-                siblings=swapped,
-                n_leaves=full.n_leaves,
-                leaf_encoding=full.leaf_encoding,
-            ),
-        )
-        verdict = verify(proof, 2, tree, domain, fn)
+        bundle = dataclasses.replace(honest, digests=tuple(swapped))
+        verdict = verify(received(bundle), 2, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
 
@@ -153,19 +148,19 @@ class TestOneHeaderPerBundle:
     """The encoding code and the height ride once per bundle, so a lie
     about either — or about which digests the samples need — is a lie
     about every sample: ``malformed_proof`` for all of them, with
-    nothing hashed or evaluated, and an encoder asked to put two
-    geometries under one header refuses."""
+    nothing hashed or evaluated; per-sample paths of two geometries
+    have no multiproof at all."""
 
     INDICES = (2, 3, 9, 2)
 
     @staticmethod
-    def verdicts(proofs, indices, tree, domain, fn, stop=False):
+    def verdicts(bundle, indices, tree, domain, fn, stop=False, n_leaves=16):
         counted = _Counting(fn)
         verdicts = verify_proof_bundle(
-            proofs,
+            bundle,
             indices,
             root=tree.root,
-            n_leaves=16,
+            n_leaves=n_leaves,
             domain=domain,
             function=counted,
             hash_fn=get_hash("sha256"),
@@ -174,29 +169,23 @@ class TestOneHeaderPerBundle:
         )
         return [(v.index, v.reason) for v in verdicts], counted.calls
 
-    def bundle(self, tree, leaves):
-        return tuple(proof_for(tree, leaves, i) for i in self.INDICES)
+    def bundle(self, tree, leaves, **fields):
+        return bundle_of(tree, leaves, *self.INDICES, **fields)
 
     def test_honest_bundle_in_memory_and_as_received(self, setup):
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
+        bundle = self.bundle(tree, leaves)
         want = [(i, RejectReason.OK) for i in self.INDICES]
-        assert self.verdicts(proofs, self.INDICES, tree, domain, fn) == (want, 4)
-        got = ProofBundleMsg.decode(ProofBundleMsg("t", proofs).encode()).proofs
-        assert got[0].path.siblings[0] is None  # leaf 3 determines it
+        assert self.verdicts(bundle, self.INDICES, tree, domain, fn) == (want, 4)
+        got = received(bundle)
+        assert got.proofs[0].path.siblings[0] is None  # leaf 3 determines it
         assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 4)
 
     @pytest.mark.parametrize("stop", [True, False])
     def test_every_path_one_level_short(self, setup, stop):
         fn, domain, leaves, tree = setup
-        short = tuple(
-            dataclasses.replace(
-                p, path=dataclasses.replace(p.path, siblings=p.path.siblings[:-1])
-            )
-            for p in self.bundle(tree, leaves)
-        )
         # One consistent geometry, so it has an encoding and arrives...
-        got = ProofBundleMsg.decode(ProofBundleMsg("t", short).encode()).proofs
+        got = received(without_top_level(self.bundle(tree, leaves)))
         # ...and is malformed throughout: the commitment says height 4.
         want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
         assert self.verdicts(got, self.INDICES, tree, domain, fn, stop) == (
@@ -206,60 +195,46 @@ class TestOneHeaderPerBundle:
 
     def test_one_path_short_has_no_encoding_and_spoils_the_bundle(self, setup):
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
-        odd = dataclasses.replace(
-            proofs[2],
-            path=dataclasses.replace(
-                proofs[2].path, siblings=proofs[2].path.siblings[:-1]
-            ),
-        )
-        mixed = proofs[:2] + (odd,) + proofs[3:]
-        with pytest.raises(CodecError):
-            ProofBundleMsg("t", mixed).encode()
+        bundle = self.bundle(tree, leaves)
+        proofs = plain_proofs(bundle.proofs)
+        index, claimed, (leaf, n_leaves, code, siblings) = proofs[2]
+        proofs[2] = (index, claimed, (leaf, n_leaves, code, siblings[:-1]))
+        with pytest.raises(RefNoMultiproof):
+            ref_multiproof(proofs)
+        # Of the whole bundle, the lie is every path short.
         want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
-        assert self.verdicts(mixed, self.INDICES, tree, domain, fn) == (want, 0)
+        got = received(without_top_level(bundle))
+        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 0)
 
     def test_bundle_naming_another_encoding(self, setup):
         fn, domain, leaves, tree = setup
-        raw = tuple(
-            dataclasses.replace(
-                p, path=dataclasses.replace(p.path, leaf_encoding=LeafEncoding.RAW)
-            )
-            for p in self.bundle(tree, leaves)
-        )
-        got = ProofBundleMsg.decode(ProofBundleMsg("t", raw).encode()).proofs
+        got = received(self.bundle(tree, leaves, leaf_encoding=LeafEncoding.RAW))
         want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
         assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 0)
 
     def test_two_results_for_one_leaf(self, setup):
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
-        conflicting = proofs[:3] + (
-            dataclasses.replace(proofs[3], claimed_result=leaves[3]),
-        )
-        with pytest.raises(CodecError):
-            ProofBundleMsg("t", conflicting).encode()
-        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
-        assert self.verdicts(conflicting, self.INDICES, tree, domain, fn) == (
-            want,
-            0,
-        )
+        bundle = self.bundle(tree, leaves)
+        proofs = plain_proofs(bundle.proofs)
+        proofs[3] = (2, leaves[3], proofs[3][2])
+        with pytest.raises(RefNoMultiproof):
+            ref_multiproof(proofs)
+        # Of the whole bundle, one result more than the distinct leaves:
+        # the decoder refuses it before any verifier sees it.
+        conflicting = dataclasses.replace(bundle, results=bundle.results + (leaves[3],))
+        with pytest.raises(CodecError, match="claimed results"):
+            received(conflicting)
 
     def test_needed_sibling_that_is_not_a_digest(self, setup):
         # Leaf 9 is alone in its half: its whole path is supplied.
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
+        bundle = self.bundle(tree, leaves)
+        at = len(bundle.nodes[0]) + bundle.nodes[1].index((9 >> 1) ^ 1)
         want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
         for bad in (None, b"\x00" * 31, b"\x00" * 33, bytearray(32)):
-            siblings = list(proofs[2].path.siblings)
-            siblings[1] = bad
-            forged = dataclasses.replace(
-                proofs[2],
-                path=AuthenticationPath.from_uniform(
-                    9, siblings, 16, LeafEncoding.HASHED
-                ),
-            )
-            spoiled = proofs[:2] + (forged,) + proofs[3:]
+            digests = list(bundle.digests)
+            digests[at] = bad
+            spoiled = dataclasses.replace(bundle, digests=tuple(digests))
             assert self.verdicts(spoiled, self.INDICES, tree, domain, fn) == (
                 want,
                 0,
@@ -267,19 +242,19 @@ class TestOneHeaderPerBundle:
 
     def test_derivable_sibling_is_never_read(self, setup):
         # Leaves 2 and 3 determine each other's leaf-level sibling:
-        # whatever sits there in memory is not part of the proof.
+        # whatever a per-sample path holds there is not part of the
+        # proof, and no multiproof carries it.
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
-        siblings = [b"not even a digest"] + list(proofs[0].path.siblings[1:])
-        forged = dataclasses.replace(
-            proofs[0],
-            path=AuthenticationPath.from_uniform(
-                2, siblings, 16, LeafEncoding.HASHED
-            ),
-        )
+        bundle = self.bundle(tree, leaves)
+        proofs = plain_proofs(bundle.proofs)
+        index, claimed, (leaf, n_leaves, code, siblings) = proofs[0]
+        siblings = [b"not even a digest"] + siblings[1:]
+        proofs[0] = (index, claimed, (leaf, n_leaves, code, siblings))
+        forged = ProofBundleMsg.decode(ref_bundle("t", proofs))
+        assert forged.encode() == ProofBundleMsg("t", bundle).encode()
         want = [(i, RejectReason.OK) for i in self.INDICES]
         assert self.verdicts(
-            (forged,) + proofs[1:], self.INDICES, tree, domain, fn
+            forged.bundle, self.INDICES, tree, domain, fn
         ) == (want, 4)
 
     @pytest.mark.parametrize("stop", [True, False])
@@ -287,7 +262,7 @@ class TestOneHeaderPerBundle:
         # The bundle proves leaves 2, 3, 9, 2 — a fold that holds — but
         # the third challenge was for leaf 8.
         fn, domain, leaves, tree = setup
-        proofs = self.bundle(tree, leaves)
+        bundle = self.bundle(tree, leaves)
         challenged = (2, 3, 8, 2)
         want = [
             (2, RejectReason.OK),
@@ -295,7 +270,7 @@ class TestOneHeaderPerBundle:
             (8, RejectReason.MALFORMED_PROOF),
             (2, RejectReason.OK),
         ]
-        assert self.verdicts(proofs, challenged, tree, domain, fn, stop) == (
+        assert self.verdicts(bundle, challenged, tree, domain, fn, stop) == (
             (want[:3], 2) if stop else (want, 3)
         )
 
@@ -309,14 +284,41 @@ class TestOneHeaderPerBundle:
         forged_leaves = list(leaves)
         forged_leaves[9] = b"\xff" * 16
         forged_tree = MerkleTree(forged_leaves)
-        proofs = tuple(
-            SampleProof(i, leaves[i], forged_tree.auth_path(i))
-            for i in self.INDICES
+        bundle = self.bundle(
+            forged_tree, forged_leaves, results=(leaves[2], leaves[3], leaves[9])
         )
         want = [(i, RejectReason.ROOT_MISMATCH) for i in self.INDICES]
         assert self.verdicts(
-            proofs, self.INDICES, forged_tree, domain, fn, stop
+            bundle, self.INDICES, forged_tree, domain, fn, stop
         ) == (want[:1] if stop else want, 4)
+
+    def test_sample_past_the_supervisors_leaf_count(self):
+        # The bundle's own tree holds 1 024 leaves, the height of the
+        # supervisor's 1 000, so it decodes and its height fits; leaf
+        # 1 000 is still outside the committed domain.  Malformed, all
+        # of it, with nothing hashed.
+        fn, domain = PasswordSearch(), RangeDomain(0, 1000)
+        payloads = [fn.evaluate(x) for x in domain] + [b"\x00" * 16] * 24
+        tree = MerkleTree(payloads)
+        indices = (3, 1000, 7)
+        got = received(tree.multiproof(indices, payloads))
+        assert (got.n_leaves, got.height) == (1024, 10)
+        ledger = CostLedger()
+        verdicts = verify_proof_bundle(
+            got,
+            indices,
+            root=tree.root,
+            n_leaves=1000,
+            domain=domain,
+            function=fn,
+            hash_fn=CountingHash(get_hash("sha256"), ledger),
+            leaf_encoding=LeafEncoding.HASHED,
+            stop_on_first_failure=False,
+        )
+        assert [(v.index, v.reason) for v in verdicts] == [
+            (i, RejectReason.MALFORMED_PROOF) for i in indices
+        ]
+        assert (ledger.hashes, ledger.hash_cost) == (0, 0.0)
 
 
 class _Counting(TaskFunction):
@@ -334,13 +336,9 @@ class _Counting(TaskFunction):
 
 
 class TestLeafEncodingIsTheSupervisors:
-    """The leaf encoding on a path is the peer's claim, not a setting:
-    the supervisor hashes leaves its own way and treats a path that
+    """The leaf encoding in a bundle is the peer's claim, not a setting:
+    the supervisor hashes leaves its own way and treats a bundle that
     names another encoding as malformed."""
-
-    @staticmethod
-    def relabelled(path, encoding) -> AuthenticationPath:
-        return dataclasses.replace(path, leaf_encoding=encoding)
 
     def test_raw_label_on_short_result_is_a_verdict_not_an_exception(
         self, setup
@@ -348,12 +346,8 @@ class TestLeafEncodingIsTheSupervisors:
         # 16-byte results under sha256: taking the peer's RAW label at
         # its word used to raise MerkleError out of the verifier.
         fn, domain, leaves, tree = setup
-        proof = SampleProof(
-            index=4,
-            claimed_result=leaves[4],
-            path=self.relabelled(tree.auth_path(4), LeafEncoding.RAW),
-        )
-        verdict = verify(proof, 4, tree, domain, fn)
+        bundle = bundle_of(tree, leaves, 4, leaf_encoding=LeafEncoding.RAW)
+        verdict = verify(received(bundle), 4, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF
 
@@ -365,20 +359,16 @@ class TestLeafEncodingIsTheSupervisors:
         domain = RangeDomain(0, 16)
         leaves = [fn.evaluate(x) for x in domain]
         tree = MerkleTree(leaves, leaf_encoding=LeafEncoding.RAW)
-        proof = proof_for(tree, leaves, 9)
-        assert proof.path.verify(leaves[9], tree.root, get_hash("sha256"))
-        verdict = verify(proof, 9, tree, domain, fn)
+        assert tree.auth_path(9).verify(leaves[9], tree.root, get_hash("sha256"))
+        verdict = verify(bundle_of(tree, leaves, 9), 9, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF
 
     def test_unlabelled_path_still_means_hashed(self, setup):
         fn, domain, leaves, tree = setup
-        proof = SampleProof(
-            index=4,
-            claimed_result=leaves[4],
-            path=self.relabelled(tree.auth_path(4), None),
-        )
-        assert verify(proof, 4, tree, domain, fn).accepted
+        path = AuthenticationPath(4, tree.auth_path(4).siblings, 16)
+        assert path.leaf_encoding is LeafEncoding.HASHED
+        assert path.verify(leaves[4], tree.root, get_hash("sha256"))
 
     def test_raw_supervisor_rejects_a_leaf_that_is_not_digest_sized(
         self, setup
@@ -386,20 +376,7 @@ class TestLeafEncodingIsTheSupervisors:
         # A RAW leaf *is* its Φ value, so a 16-byte claim under sha256
         # has the wrong shape whatever the function check says.
         fn, domain, leaves, tree = setup
-        proof = SampleProof(
-            index=4,
-            claimed_result=leaves[4],
-            path=self.relabelled(tree.auth_path(4), LeafEncoding.RAW),
-        )
-        verdict = verify_sample_proof(
-            proof=proof,
-            expected_index=4,
-            root=tree.root,
-            n_leaves=16,
-            domain=domain,
-            function=fn,
-            hash_fn=get_hash("sha256"),
-            leaf_encoding=LeafEncoding.RAW,
-        )
+        bundle = bundle_of(tree, leaves, 4, leaf_encoding=LeafEncoding.RAW)
+        verdict = verify(bundle, 4, tree, domain, fn, LeafEncoding.RAW)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF

@@ -15,6 +15,11 @@ tree the samples span is folded once.  What must hold between the two:
   cover above them, none when no sample passed check 1 — bit for bit,
   floats included; evaluation charges are the per-path verifier's;
 * nothing a participant is charged moves.
+
+Per-path proofs reach the library only as bytes: ``ref_bundle`` /
+``ref_submission`` encode them and the message decoders read them.  A
+lie no multiproof can tell is refused by that encoder and told of the
+whole bundle instead, one field of its ``Multiproof`` replaced.
 """
 
 import dataclasses
@@ -27,8 +32,12 @@ from hypothesis import strategies as st
 from proof_reference import (
     RefBooks,
     RefHash,
+    RefNoMultiproof,
+    plain_proofs,
+    ref_bundle,
     ref_needed,
     ref_root_from_path,
+    ref_submission,
     ref_tree_root,
     ref_verify,
     shared_fold_hashes,
@@ -40,6 +49,7 @@ from repro.core.ni_cbs import NICBSParticipant, NICBSSupervisor
 from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
 from repro.core.scheme import RejectReason
 from repro.core.verification import verify_proof_bundle
+from repro.exceptions import CodecError
 from repro.merkle import MerkleTree, get_hash
 from repro.merkle.hashing import CountingHash, HashFunction
 from repro.merkle.proof import compute_root_from_path
@@ -83,7 +93,7 @@ def plain(outcome):
 
 
 # ----------------------------------------------------------------------
-# Tampering with a bundle held in memory
+# Tampering with a bundle's per-path form (plain proofs)
 # ----------------------------------------------------------------------
 
 
@@ -91,22 +101,18 @@ def with_digest_flipped(proofs, level, node):
     """``proofs`` with one bit of the digest of ``(level, node)`` flipped
     in every path that carries it."""
     forged = []
-    for proof in proofs:
-        siblings = list(proof.path.siblings)
-        if (proof.index >> level) ^ 1 == node:
+    for index, claimed, (leaf, n_leaves, code, siblings) in proofs:
+        siblings = list(siblings)
+        if (index >> level) ^ 1 == node:
             siblings[level] = bytes([siblings[level][0] ^ 0x01]) + siblings[level][1:]
-        forged.append(
-            dataclasses.replace(
-                proof, path=dataclasses.replace(proof.path, siblings=siblings)
-            )
-        )
-    return tuple(forged)
+        forged.append((index, claimed, (leaf, n_leaves, code, siblings)))
+    return forged
 
 
 def a_supplied_node(proofs):
     """``(level, node)`` of a digest no sample determines, mid-tree."""
-    leaves = [proof.index for proof in proofs]
-    needed = ref_needed(leaves, len(proofs[0].path.siblings))
+    leaves = [proof[0] for proof in proofs]
+    needed = ref_needed(leaves, len(proofs[0][2][3]))
     level = max(lv for lv, nodes in enumerate(needed) if nodes and lv <= len(needed) // 2)
     return level, needed[level][0]
 
@@ -115,8 +121,8 @@ def a_derivable_node(proofs):
     """``(level, node)`` of a sibling digest that another sample's own
     ancestor determines, or ``None`` when no two samples meet below the
     root."""
-    leaves = {proof.index for proof in proofs}
-    for level in range(len(proofs[0].path.siblings)):
+    leaves = {proof[0] for proof in proofs}
+    for level in range(len(proofs[0][2][3])):
         ancestors = {leaf >> level for leaf in leaves}
         for node in sorted(ancestors):
             if node ^ 1 in ancestors:
@@ -172,7 +178,7 @@ def expected_run(h, books, proofs, expected, root, stop, tampered):
     books.verification_cost += scratch.verification_cost
     books.samples_verified += len(want)
     if awaiting:
-        leaves = [proof.index for proof in proofs]
+        leaves = [proof[0] for proof in proofs]
         for _ in range(shared_fold_hashes(leaves, HEIGHT)):
             books.hashes += 1
             books.hash_cost += h.cost
@@ -212,19 +218,16 @@ class TestLedgerExactness:
         challenge = supervisor.make_challenge()
         bundle = participant.prove(challenge)
         assert_participant_charges_are_heads(participant.ledger, behavior, cost)
+        proofs = plain_proofs(bundle.proofs)
         if tamper:
-            bundle = ProofBundleMsg(
-                task_id=bundle.task_id,
-                proofs=with_digest_flipped(
-                    bundle.proofs, *a_supplied_node(bundle.proofs)
-                ),
-            )
+            proofs = with_digest_flipped(proofs, *a_supplied_node(proofs))
+            bundle = ProofBundleMsg.decode(ref_bundle(bundle.task_id, proofs))
         outcome = supervisor.verify(bundle)
 
         books = RefBooks()
         h = RefHash(ref_name, rounds, cost, books)
         want = expected_run(
-            h, books, bundle.proofs, challenge.indices, commitment.root, stop, tamper
+            h, books, proofs, challenge.indices, commitment.root, stop, tamper
         )
         assert plain(outcome) == want
         assert outcome.accepted == all(v[1] for v in want)
@@ -253,12 +256,13 @@ class TestLedgerExactness:
         assert_participant_charges_are_heads(
             participant.ledger, behavior, cost, g_hashes=M
         )
+        proofs = plain_proofs(submission.proofs)
         if tamper:
-            submission = dataclasses.replace(
-                submission,
-                proofs=with_digest_flipped(
-                    submission.proofs, *a_supplied_node(submission.proofs)
-                ),
+            proofs = with_digest_flipped(proofs, *a_supplied_node(proofs))
+            submission = NICBSSubmissionMsg.decode(
+                ref_submission(
+                    submission.task_id, submission.root, submission.n_leaves, proofs
+                )
             )
         supervisor = NICBSSupervisor(
             TASK, n_samples=M, hash_fn=hash_fn, stop_on_first_failure=stop
@@ -271,10 +275,10 @@ class TestLedgerExactness:
         for _ in range(M):
             value = g(value)
             expected.append(int.from_bytes(value, "big") % N)
-        assert [p.index for p in submission.proofs] == expected
+        assert [proof[0] for proof in proofs] == expected
         h = RefHash(ref_name, rounds, cost, books)
         want = expected_run(
-            h, books, submission.proofs, expected, submission.root, stop, tamper
+            h, books, proofs, expected, submission.root, stop, tamper
         )
         assert plain(outcome) == want
         assert outcome.accepted == all(v[1] for v in want)
@@ -319,7 +323,7 @@ _REJECTIONS = {
 
 @st.composite
 def _runs(draw):
-    """A committed tree, a challenge and its in-memory bundle."""
+    """A committed tree, a challenge and the bundle that answers it."""
     n = draw(st.integers(min_value=1, max_value=70))
     m = draw(st.integers(min_value=1, max_value=24))
     task = TaskAssignment("t", RangeDomain(0, n), PasswordSearch())
@@ -337,12 +341,12 @@ def _runs(draw):
     )
     supervisor.receive_commitment(commitment)
     challenge = supervisor.make_challenge()
-    return task, commitment, challenge.indices, participant.prove(challenge).proofs
+    return task, commitment, challenge.indices, participant.prove(challenge).bundle
 
 
-def shared_fold(task, root, indices, proofs, stop):
+def shared_fold(task, root, indices, bundle, stop):
     verdicts = verify_proof_bundle(
-        proofs,
+        bundle,
         indices,
         root=root,
         n_leaves=task.n_inputs,
@@ -355,24 +359,40 @@ def shared_fold(task, root, indices, proofs, stop):
     return [(v.index, v.accepted, v.reason.value) for v in verdicts]
 
 
-def both_verifiers(task, root, indices, proofs, stop):
-    """``(per-path verdicts, shared-fold verdicts)`` as plain tuples."""
+def per_path(task, root, indices, proofs, stop):
+    """Snippet 1's verdicts on plain proofs."""
     books = RefBooks()
-    per_path = ref_verify(
+    return ref_verify(
         RefHash("sha256", 1, 1.0, books),
         books, proofs, indices, root, task.n_inputs, task, stop,
     )
-    return per_path, shared_fold(task, root, indices, proofs, stop)
 
 
-def _tamper(draw, task, proofs):
-    """One of the ways to lie inside a bundle that is part of the proof."""
+def received(proofs):
+    """The multiproof a peer decodes from the reference's bytes."""
+    return ProofBundleMsg.decode(ref_bundle("t", proofs)).bundle
+
+
+#: Lies one sample's path can tell and no multiproof can: a path of
+#: another height or encoding than the bundle's header (with more than
+#: one sample), two results for one leaf.
+_NO_MULTIPROOF = {"foreign-encoding", "short-path", "conflicting-duplicate"}
+
+
+def _tamper(draw, task, bundle):
+    """One of the ways to lie inside a bundle that is part of the proof:
+    ``(kind, per-path proofs, bytes the supervisor receives, whether
+    those bytes tell the lie of the whole bundle)``.  A lie a multiproof
+    can tell travels as ``ref_bundle`` of the per-path proofs; one it
+    cannot is refused by that encoder and told of the whole bundle
+    instead, one field of its multiproof replaced."""
+    proofs = plain_proofs(bundle.proofs)
     victim = draw(st.integers(min_value=0, max_value=len(proofs) - 1))
-    proof = proofs[victim]
-    height = len(proof.path.siblings)
+    index, claimed, (_leaf, n_leaves, code, siblings) = proofs[victim]
+    height = len(siblings)
     supplied = [
         (level, node)
-        for level, row in enumerate(ref_needed([p.index for p in proofs], height))
+        for level, row in enumerate(ref_needed([p[0] for p in proofs], height))
         for node in row
     ]
     kinds = ["uncommitted-result", "foreign-encoding", "wrong-index"]
@@ -380,44 +400,60 @@ def _tamper(draw, task, proofs):
         kinds.append("short-path")
     if supplied:
         kinds.append("flipped-supplied-digest")
-    truth = task.function.evaluate(task.domain[proof.index])
-    if proof.claimed_result != truth:
+    truth = task.function.evaluate(task.domain[index])
+    if claimed != truth:
         # The attack CBS exists to stop (§3): a guess was committed,
         # f(x) computed only once the sample was known.
         kinds.append("correct-result-never-committed")
-    if any(p.index == proof.index for p in proofs[:victim] + proofs[victim + 1 :]):
+    if any(p[0] == index for p in proofs[:victim] + proofs[victim + 1 :]):
         kinds.append("conflicting-duplicate")
     kind = draw(st.sampled_from(kinds))
+    flipped = claimed[:-1] + bytes([claimed[-1] ^ 1])
+    other = (index + 1) % task.n_inputs
+    if kind == "wrong-index" and other == index:
+        kind = "uncommitted-result"
+    whole = {}
     if kind == "flipped-supplied-digest":
-        return kind, with_digest_flipped(proofs, *draw(st.sampled_from(supplied)))
-    if kind == "correct-result-never-committed":
-        return kind, _with_result(proofs, proof.index, truth)
-    flipped = proof.claimed_result[:-1] + bytes([proof.claimed_result[-1] ^ 1])
-    if kind == "uncommitted-result":
-        return kind, _with_result(proofs, proof.index, flipped)
-    if kind == "conflicting-duplicate":
-        forged = dataclasses.replace(proof, claimed_result=flipped)
-        return kind, proofs[:victim] + (forged,) + proofs[victim + 1 :]
-    if kind == "foreign-encoding":
-        path = dataclasses.replace(proof.path, leaf_encoding=LeafEncoding.RAW)
-    elif kind == "short-path":
-        path = dataclasses.replace(proof.path, siblings=proof.path.siblings[:-1])
+        forged = with_digest_flipped(proofs, *draw(st.sampled_from(supplied)))
+    elif kind == "correct-result-never-committed":
+        forged = _with_result(proofs, index, truth)
+    elif kind == "uncommitted-result":
+        forged = _with_result(proofs, index, flipped)
     else:
-        other = (proof.index + 1) % task.n_inputs
-        if other == proof.index:
-            return "uncommitted-result", _with_result(proofs, proof.index, flipped)
-        path = dataclasses.replace(proof.path, leaf_index=other)
-        proof = dataclasses.replace(proof, index=other)
-    forged = dataclasses.replace(proof, path=path)
-    return kind, proofs[:victim] + (forged,) + proofs[victim + 1 :]
+        if kind == "conflicting-duplicate":
+            lie = (index, flipped, (index, n_leaves, code, siblings))
+            whole = {"results": bundle.results + (flipped,)}
+        elif kind == "foreign-encoding":
+            lie = (index, claimed, (index, n_leaves, 1, siblings))
+            whole = {"leaf_encoding": LeafEncoding.RAW}
+        elif kind == "short-path":
+            lie = (index, claimed, (index, n_leaves, code, siblings[:-1]))
+            top = len(bundle.digests) - len(bundle.nodes[-1])
+            whole = {"height": height - 1, "digests": bundle.digests[:top]}
+        else:
+            # Another leaf's sample carrying this one's result and path:
+            # two results for that leaf when it is sampled too.
+            lie = (other, claimed, (other, n_leaves, code, siblings))
+            indices = list(bundle.indices)
+            indices[victim] = other
+            whole = {"indices": tuple(indices)}
+        forged = proofs[:victim] + [lie] + proofs[victim + 1 :]
+    try:
+        data = ref_bundle("t", forged)
+    except RefNoMultiproof:
+        assert whole, kind
+        lie = dataclasses.replace(bundle, **whole)
+        return kind, forged, ProofBundleMsg("t", lie).encode(), True
+    assert kind not in _NO_MULTIPROOF or len(forged) == 1, kind
+    return kind, forged, data, False
 
 
 def _with_result(proofs, leaf, result):
     """Every sample of ``leaf`` claiming ``result``."""
-    return tuple(
-        dataclasses.replace(p, claimed_result=result) if p.index == leaf else p
-        for p in proofs
-    )
+    return [
+        (index, result if index == leaf else claimed, path)
+        for index, claimed, path in proofs
+    ]
 
 
 class TestPerPathVersusSharedFold:
@@ -427,49 +463,63 @@ class TestPerPathVersusSharedFold:
 
     @given(_runs(), st.booleans())
     def test_committed_values_give_the_per_path_verdicts(self, run, stop):
-        task, commitment, indices, proofs = run
-        per_path, shared = both_verifiers(task, commitment.root, indices, proofs, stop)
-        assert shared == per_path
+        task, commitment, indices, bundle = run
+        proofs = plain_proofs(bundle.proofs)
+        want = per_path(task, commitment.root, indices, proofs, stop)
+        assert shared_fold(task, commitment.root, indices, bundle, stop) == want
         # ... and the bundle as received, derivable positions gone
         # (which snippet 1, folding each path alone, could not take).
-        received = ProofBundleMsg.decode(ProofBundleMsg("t", proofs).encode())
         assert (
-            shared_fold(task, commitment.root, indices, received.proofs, stop)
-            == per_path
+            shared_fold(task, commitment.root, indices, received(proofs), stop)
+            == want
         )
 
     @given(_runs(), st.booleans(), st.data())
     def test_tampered_bundles_are_rejected_by_both(self, run, stop, data):
-        task, commitment, indices, honest = run
-        kind, proofs = _tamper(data.draw, task, honest)
-        per_path, shared = both_verifiers(task, commitment.root, indices, proofs, stop)
-        assert not all(v[1] for v in per_path), kind
+        task, commitment, indices, bundle = run
+        kind, proofs, raw, whole = _tamper(data.draw, task, bundle)
+        assert not all(v[1] for v in per_path(
+            task, commitment.root, indices, proofs, stop
+        )), kind
+        try:
+            lie = ProofBundleMsg.decode(raw).bundle
+        except CodecError:
+            assert whole, kind  # the decoder refuses a whole-bundle lie
+            return
+        shared = shared_fold(task, commitment.root, indices, lie, stop)
         assert not all(v[1] for v in shared), kind
         rejected = [v for v in shared if not v[1]]
         assert {RejectReason(v[2]) for v in rejected} <= _REJECTIONS
         assert len(shared) == (
             1 + [v[1] for v in shared].index(False) if stop else len(proofs)
         )
+        if whole:
+            # Under stop an earlier sample's own rejection can come first.
+            every = shared_fold(task, commitment.root, indices, lie, False)
+            assert "malformed_proof" in {v[2] for v in every}, kind
 
     @given(_runs(), st.booleans())
     def test_a_derivable_digest_is_not_part_of_the_proof(self, run, stop):
         # Flip a sibling digest that another sample's own ancestor
-        # determines, in a bundle that never crossed a wire: the one
-        # fold never reads it, so nothing changes — verdicts, bytes.
-        # (The per-path verifier, which folds every path alone, would
-        # reject; that is the difference between the two forms.)
-        task, commitment, indices, proofs = run
+        # determines: no multiproof carries it, so nothing changes —
+        # bytes, verdicts.  (The per-path verifier, which folds every
+        # path alone, would reject; that is the difference between the
+        # two forms.)
+        task, commitment, indices, bundle = run
+        proofs = plain_proofs(bundle.proofs)
         where = a_derivable_node(proofs)
         if where is None:
             return
         forged = with_digest_flipped(proofs, *where)
         assert forged != proofs
-        _, before = both_verifiers(task, commitment.root, indices, proofs, stop)
-        per_path, after = both_verifiers(task, commitment.root, indices, forged, stop)
+        assert ref_bundle("t", forged) == ProofBundleMsg("t", bundle).encode()
+        before = shared_fold(task, commitment.root, indices, bundle, stop)
+        after = shared_fold(task, commitment.root, indices, received(forged), stop)
         assert after == before
         if all(v[1] for v in before):
-            assert not all(v[1] for v in per_path)
-        assert ProofBundleMsg("t", forged).encode() == ProofBundleMsg("t", proofs).encode()
+            assert not all(
+                v[1] for v in per_path(task, commitment.root, indices, forged, stop)
+            )
 
 
 # ----------------------------------------------------------------------

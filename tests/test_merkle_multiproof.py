@@ -1,19 +1,22 @@
 """Tests for the multiproof a proof bundle is built, travels and is
-verified as: which siblings are supplied (``supplied_siblings``), the one
-fold of the tree the samples span (``shared_root``), the producers that
-read it off level rows, and the bundle codec on top."""
+verified as: which siblings are supplied (``supplied_nodes``), the one
+fold of the tree the samples span, the producers that read it off level
+rows, the value's immutability, and the bundle codec on top."""
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proof_reference import plain_proofs, ref_per_path_proofs
+from proof_reference import plain_proofs, ref_bundle, ref_per_path_proofs
 from repro.cheating.regrind import _MutableMerkleTree
-from repro.core.protocol import ProofBundleMsg, SampleProof
+from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import CodecError, LeafIndexError, ProofShapeError
-from repro.merkle import MerkleTree, get_hash, shared_root, supplied_siblings
+from repro.merkle import MerkleTree, get_hash
+from repro.merkle.multiproof import Multiproof, supplied_nodes
+from repro.merkle.proof import NODE_TAG, SampleProof
 from repro.merkle.tree import LeafEncoding, encode_leaves
 from repro.utils.encoding import encode_bytes_list
 
@@ -23,38 +26,26 @@ def make(n: int):
     return MerkleTree(leaves), leaves
 
 
-def supplied_from(tree, indices):
-    """The ``(node, digest)`` rows of the multiproof of ``indices``, each
-    digest read from the authentication path that carries it."""
-    paths = {index: tree.auth_path(index) for index in indices}
-    return [
-        [(node, paths[leaf].siblings[level]) for node, leaf in row]
-        for level, row in enumerate(
-            supplied_siblings(sorted(paths), tree.height)
-        )
-    ]
-
-
 def fold(tree, payloads, supplied=None):
-    """Root of the shared tree over ``payloads`` (index -> claimed)."""
+    """Root of the shared tree over ``payloads`` (index -> claimed), the
+    supplied digests ``supplied``'s (by default the tree's multiproof of
+    those leaves)."""
     indices = sorted(payloads)
+    supplied = supplied or tree.multiproof(indices, payloads)
     digests = encode_leaves(
         [payloads[i] for i in indices], tree.hash_fn, tree.leaf_encoding
     )
-    if supplied is None:
-        supplied = supplied_from(tree, indices)
-    return shared_root(dict(zip(indices, digests)), supplied, tree.hash_fn)
-
-
-def bundle(tree, leaves, indices) -> ProofBundleMsg:
-    return ProofBundleMsg(
-        "t",
-        tuple(SampleProof(i, leaves[i], tree.auth_path(i)) for i in indices),
+    return tree.hash_fn.tagged_fold(
+        NODE_TAG, list(zip(indices, digests)), supplied.nodes, supplied.digests
     )
 
 
+def bundle(tree, leaves, indices) -> ProofBundleMsg:
+    return ProofBundleMsg("t", tree.multiproof(indices, leaves))
+
+
 def n_supplied(indices, height) -> int:
-    return sum(map(len, supplied_siblings(sorted(set(indices)), height)))
+    return sum(map(len, supplied_nodes(sorted(set(indices)), height)))
 
 
 class TestCorrectness:
@@ -62,11 +53,9 @@ class TestCorrectness:
         tree, leaves = make(16)
         assert fold(tree, {5: leaves[5]}) == tree.root
         # Same digests as the classic path, in the path's order.
-        rows = supplied_from(tree, [5])
-        assert [digest for row in rows for _, digest in row] == list(
-            tree.auth_path(5).siblings
-        )
-        assert [[node for node, _ in row] for row in rows] == [[4], [3], [0], [1]]
+        single = tree.multiproof([5], leaves)
+        assert list(single.digests) == tree.auth_path(5).siblings
+        assert single.nodes == [[4], [3], [0], [1]]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 100])
     def test_all_leaves_at_once(self, n):
@@ -74,11 +63,11 @@ class TestCorrectness:
         assert fold(tree, dict(enumerate(leaves))) == tree.root
 
     def test_proving_everything_needs_no_siblings_pow2(self):
-        assert supplied_siblings(list(range(16)), 4) == [[], [], [], []]
+        assert supplied_nodes(list(range(16)), 4) == [[], [], [], []]
 
     def test_adjacent_pair_shares_everything_above(self):
         # Siblings of the pair cancel; need one digest per level above.
-        rows = supplied_siblings([6, 7], 4)
+        rows = supplied_nodes([6, 7], 4)
         assert [len(row) for row in rows] == [0, 1, 1, 1]
 
     def test_spread_pair_needs_two_paths_minus_root_share(self):
@@ -100,9 +89,7 @@ class TestCorrectness:
         assert decoded.proofs[2].path is decoded.proofs[3].path
         assert msg.encode() == b"\x01t" + bytes([4, 8, 0, 3, 3, 3, 1, 1]) + (
             encode_bytes_list([leaves[1], leaves[3]])
-            + encode_bytes_list(
-                [d for row in supplied_from(tree, [1, 3]) for _, d in row]
-            )
+            + encode_bytes_list(tree.multiproof([1, 3], leaves).digests)
         )
 
 
@@ -129,7 +116,7 @@ class TestRejection:
     def test_too_few_siblings_rejected(self):
         tree, leaves = make(16)
         raw = bundle(tree, leaves, [2, 9]).encode()
-        digests = [d for row in supplied_from(tree, [2, 9]) for _, d in row]
+        digests = list(tree.multiproof([2, 9], leaves).digests)
         assert raw.endswith(encode_bytes_list(digests))
         head = raw[: -len(encode_bytes_list(digests))]
         with pytest.raises(CodecError, match="5 supplied digests, the samples need 6"):
@@ -138,7 +125,7 @@ class TestRejection:
     def test_extra_siblings_rejected(self):
         tree, leaves = make(16)
         raw = bundle(tree, leaves, [2, 9]).encode()
-        digests = [d for row in supplied_from(tree, [2, 9]) for _, d in row]
+        digests = list(tree.multiproof([2, 9], leaves).digests)
         head = raw[: -len(encode_bytes_list(digests))]
         with pytest.raises(CodecError, match="7 supplied digests, the samples need 6"):
             ProofBundleMsg.decode(head + encode_bytes_list(digests + [bytes(32)]))
@@ -146,7 +133,7 @@ class TestRejection:
     def test_validation(self):
         # No samples, no siblings; a sample outside the bundle's own
         # tree is an impossible path.
-        assert supplied_siblings([], 3) == [[], [], []]
+        assert supplied_nodes([], 3) == [[], [], []]
         tree, leaves = make(8)
         raw = bytearray(bundle(tree, leaves, [7]).encode())
         assert raw[3] == 8  # task ‖ m ‖ n_leaves
@@ -179,14 +166,9 @@ class TestCodec:
         msg = bundle(tree, leaves, [1, 7, 19])
         decoded = ProofBundleMsg.decode(msg.encode())
         assert decoded.encode() == msg.encode()
-        # The received paths fold through the supplied positions alone.
-        paths = {p.index: p.path for p in decoded.proofs}
-        supplied = [
-            [(node, paths[leaf].siblings[level]) for node, leaf in row]
-            for level, row in enumerate(supplied_siblings(sorted(paths), 5))
-        ]
+        # The received bundle folds through its supplied digests alone.
         claimed = {p.index: p.claimed_result for p in decoded.proofs}
-        assert fold(tree, claimed, supplied) == tree.root
+        assert fold(tree, claimed, decoded.bundle) == tree.root
         # ... and hold nothing where another sample determines the digest.
         assert decoded.proofs[0].path.siblings[4] is None
         with pytest.raises(ProofShapeError, match="no sibling at level 2"):
@@ -224,8 +206,11 @@ def _samples(draw):
 
 def assert_same_bundle(bundle, reference):
     """``bundle`` (a ``Multiproof``) is the reference ``SampleProof``s:
-    same bytes on the wire, and the same proofs when read back."""
-    assert ProofBundleMsg("t", bundle).encode() == ProofBundleMsg("t", reference).encode()
+    the reference encoder's bytes for them on the wire, and the same
+    proofs when read back."""
+    assert ProofBundleMsg("t", bundle).encode() == ref_bundle(
+        "t", plain_proofs(reference)
+    )
     assert ProofBundleMsg("t", bundle).proofs == reference
     assert [p.path for p in bundle.proofs] == [p.path for p in reference]
 
@@ -264,6 +249,17 @@ class TestProducers:
         tree, leaves = make(8)
         with pytest.raises(LeafIndexError):
             tree.multiproof([3, 8], leaves)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Multiproof)])
+def test_a_multiproof_is_immutable(name):
+    # Built off rows, a bundle caches its leaves, supplied nodes and
+    # rows: a field reassigned afterwards would verify against stale
+    # geometry.
+    tree, leaves = make(8)
+    built = tree.multiproof([1, 6], leaves)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, getattr(built, name))
 
 
 class TestPropertyBased:

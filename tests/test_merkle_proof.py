@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import ProofBundleMsg, SampleProof
+from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import ProofShapeError
 from repro.merkle import MerkleTree, get_hash
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
@@ -94,8 +94,8 @@ class TestReceivedPath:
 
     @staticmethod
     def received(tree, leaves, indices):
-        proofs = tuple(SampleProof(i, leaves[i], tree.auth_path(i)) for i in indices)
-        return ProofBundleMsg.decode(ProofBundleMsg("", proofs).encode()).proofs
+        bundle = tree.multiproof(indices, leaves)
+        return ProofBundleMsg.decode(ProofBundleMsg("", bundle).encode()).proofs
 
     def test_replace_keeps_the_holes(self):
         # The validating constructor used to take len() of every sibling
@@ -160,8 +160,7 @@ class TestWireSize:
             tree, _ = build(n)
             # One path on the wire is a bundle of one: every sibling
             # is supplied, each a length byte and a 32-byte digest.
-            path = tree.auth_path(0)
-            sizes[n] = len(ProofBundleMsg("", (SampleProof(0, b"", path),)).encode())
+            sizes[n] = len(ProofBundleMsg("", tree.multiproof([0], [b""])).encode())
         # Each 4x in n adds exactly 2 sibling digests (2 * 33 bytes).
         assert sizes[16] - sizes[4] == 2 * 33
         assert sizes[256] - sizes[64] == pytest.approx(2 * 33, abs=1)

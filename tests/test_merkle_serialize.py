@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import ProofBundleMsg, SampleProof
+from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import CodecError
 from repro.merkle import MerkleTree
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.tree import LeafEncoding
 
 
 def encode_auth_path(path, payload=b"") -> bytes:
-    return ProofBundleMsg(
-        "", (SampleProof(path.leaf_index, payload, path),)
-    ).encode()
+    # One sample supplies its whole path, leaf level first.
+    return ProofBundleMsg("", Multiproof(
+        (path.leaf_index,), path.n_leaves, path.leaf_encoding, path.height,
+        (payload,), tuple(path.siblings),
+    )).encode()
 
 
 def decode_auth_path(data):

@@ -14,11 +14,10 @@ from repro.core.protocol import (
     NICBSSubmissionMsg,
     ProofBundleMsg,
     SampleChallengeMsg,
-    SampleProof,
     VerdictMsg,
 )
 from repro.exceptions import CodecError, ProtocolError, ReproError
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.tree import LeafEncoding
 from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES
 from repro.service import codec, jobcodec
@@ -345,18 +344,11 @@ class TestReadmeTables:
 
 
 _SPAN = {"tid": "t1", "sid": "s1", "name": "worker.execute", "ts": 1.5, "dur": 0.25}
-# Leaves 1 and 0 of a four-leaf tree, as a peer receives them: each is
-# the other's leaf-level sibling (derivable, so ``None`` and never on
-# the wire) and both paths meet the one supplied digest at level 1.
-_PROOFS = tuple(
-    SampleProof(
-        index=leaf,
-        claimed_result=result,
-        path=AuthenticationPath.from_uniform(
-            leaf, [None, b"\x22" * 4], 4, LeafEncoding.HASHED
-        ),
-    )
-    for leaf, result in ((1, b"\xaa\xbb"), (0, b"\xcc"))
+# Leaves 1 and 0 of a four-leaf tree: each is the other's leaf-level
+# sibling (derivable, so never on the wire) and both paths meet the one
+# supplied digest at level 1.
+_BUNDLE = Multiproof(
+    (1, 0), 4, LeafEncoding.HASHED, 2, (b"\xcc", b"\xaa\xbb"), (b"\x22" * 4,)
 )
 _SPAN_HEX = (
     "455b7b22647572223a302e32352c226e616d65223a22776f726b65722e65786563757465"
@@ -395,13 +387,13 @@ GOLDEN = [
         "040601740201ac02",
     ),
     (
-        ProofsFrame(ProofBundleMsg(task_id="t", proofs=_PROOFS)),
+        ProofsFrame(ProofBundleMsg(task_id="t", bundle=_BUNDLE)),
         "0514" "0174" "02040002" "0100" "0201cc02aabb" "010422222222",
     ),
     (
         SubmissionFrame(
             NICBSSubmissionMsg(
-                task_id="t", root=b"\x01" * 8, n_leaves=4, proofs=_PROOFS
+                task_id="t", root=b"\x01" * 8, n_leaves=4, bundle=_BUNDLE
             )
         ),
         "061e" "0174" "080101010101010101" "04"

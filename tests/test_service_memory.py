@@ -23,6 +23,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, ProofBundleMsg
+from repro.merkle.multiproof import Multiproof
+from repro.merkle.proof import LeafEncoding
 from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
@@ -126,6 +128,7 @@ class TestFlatMemory:
 
 
 SLOTS = 5
+_EMPTY = Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
 TTL = 10.0
 FREE, ASSIGNED, COMMITTED, DONE = "free", "assigned", "committed", "done"
 
@@ -228,7 +231,7 @@ class SlotMachine(RuleBasedStateMachine):
     @rule(slot=st.integers(0, SLOTS - 1))
     def prove(self, slot):
         reply = self.ask(
-            ProofsFrame(msg=ProofBundleMsg(task_id=task_name(slot), proofs=()))
+            ProofsFrame(msg=ProofBundleMsg(task_id=task_name(slot), bundle=_EMPTY))
         )
         if self.state[slot] == COMMITTED:
             assert isinstance(reply, VerdictFrame) and not reply.msg.accepted

@@ -22,7 +22,7 @@ from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, run_scheme_jobs
-from repro.exceptions import CodecError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.grid import GridSimulation, SimulationConfig
 from repro.merkle import AuthenticationPath, get_hash
 from repro.service import (
@@ -39,6 +39,7 @@ from repro.service import (
     read_frame,
     write_frame,
 )
+from repro.merkle.multiproof import Multiproof
 from repro.merkle.tree import LeafEncoding
 from repro.obs.metrics import default_registry
 from repro.obs.trace import bind_trace, new_trace_id
@@ -615,8 +616,8 @@ class TestProtocolPolicing:
             [
                 SubmissionFrame(
                     msg=NICBSSubmissionMsg(
-                        task_id="task-999", root=b"\x00" * 32,
-                        n_leaves=1, proofs=(),
+                        task_id="task-999", root=b"\x00" * 32, n_leaves=1,
+                        bundle=Multiproof((), 0, LeafEncoding.HASHED, 0, (), ()),
                     )
                 )
             ],
@@ -689,20 +690,13 @@ class TestProtocolPolicing:
         # of lie.  Both get a verdict frame, never a dropped connection.
         cfg = config("ni-cbs")
 
-        def relabelled(proof):
-            return dataclasses.replace(
-                proof,
-                path=dataclasses.replace(
-                    proof.path, leaf_encoding=LeafEncoding.RAW
-                ),
-            )
+        def relabelled(bundle):
+            return dataclasses.replace(bundle, leaf_encoding=LeafEncoding.RAW)
 
-        def shortened(proof):
+        def shortened(bundle):
+            top = len(bundle.digests) - len(bundle.nodes[-1])
             return dataclasses.replace(
-                proof,
-                path=dataclasses.replace(
-                    proof.path, siblings=proof.path.siblings[:-1]
-                ),
+                bundle, height=bundle.height - 1, digests=bundle.digests[:top]
             )
 
         async def scenario(forge):
@@ -717,16 +711,7 @@ class TestProtocolPolicing:
                     HonestBehavior(),
                     n_samples=cfg.n_samples,
                 ).compute_and_submit()
-                # One header cannot say two things: a bundle that
-                # mixes geometries has no encoding at all.
-                mixed = dataclasses.replace(
-                    honest, proofs=(forge(honest.proofs[0]),) + honest.proofs[1:]
-                )
-                with pytest.raises(CodecError):
-                    mixed.encode()
-                hostile = dataclasses.replace(
-                    honest, proofs=tuple(map(forge, honest.proofs))
-                )
+                hostile = dataclasses.replace(honest, bundle=forge(honest.bundle))
                 await write_frame(writer, SubmissionFrame(msg=hostile))
                 reply = await read_frame(reader)
                 writer.close()

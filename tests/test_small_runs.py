@@ -53,7 +53,7 @@ from repro.core.wire import WireMessage
 from repro.exceptions import CodecError, SchemeConfigurationError, TaskError
 from repro.grid.simulation import SimulationConfig
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding, SampleProof
+from repro.merkle.proof import LeafEncoding
 from repro.merkle.tree import MerkleTree
 from repro.tasks import FactoringTask, PasswordSearch, RangeDomain, TaskAssignment
 
@@ -350,12 +350,12 @@ BLOB = st.binary(max_size=300)
 
 @st.composite
 def bundles(draw):
-    """A bundle in every form a message may store: none, a tree's
-    multiproof, in-memory sample proofs, or bare wire fields (large
-    varints without building a tree that size)."""
-    form = draw(st.sampled_from(["empty", "tree", "proofs", "fields"]))
+    """A bundle in every form a message stores it: empty, a tree's
+    multiproof, or bare wire fields (large varints without building a
+    tree that size)."""
+    form = draw(st.sampled_from(["empty", "tree", "fields"]))
     if form == "empty":
-        return draw(st.sampled_from([(), Multiproof.from_proofs(())]))
+        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
     if form == "fields":
         indices = tuple(draw(st.lists(UINT, min_size=1, max_size=8)))
         return Multiproof(
@@ -365,13 +365,10 @@ def bundles(draw):
             tuple(draw(st.lists(st.binary(min_size=32, max_size=32), max_size=8))),
         )
     payloads = draw(st.lists(BLOB, min_size=1, max_size=40))
-    tree = MerkleTree(payloads)
     indices = draw(
         st.lists(st.integers(0, len(payloads) - 1), min_size=1, max_size=12)
     )
-    if form == "tree":
-        return tree.multiproof(indices, payloads)
-    return tuple(SampleProof(i, payloads[i], tree.auth_path(i)) for i in indices)
+    return MerkleTree(payloads).multiproof(indices, payloads)
 
 
 MESSAGES = {

@@ -22,9 +22,10 @@ import sys
 import pytest
 
 from repro.core import protocol, wire
-from repro.core.protocol import ProofBundleMsg, SampleProof
+from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import CodecError
-from repro.merkle.proof import AuthenticationPath
+from repro.merkle.multiproof import Multiproof
+from repro.merkle.proof import SampleProof
 from repro.merkle.tree import LeafEncoding
 from repro.service import codec, jobcodec
 from repro.tasks.domain import RangeDomain
@@ -109,21 +110,16 @@ class TestMessageRows:
                     assert name not in vars(cls) or cls is wire.WireMessage
 
     def test_proofs_kind_is_a_run_of_sample_proof_rows(self):
-        """In memory, that is: on the wire the run is one multiproof —
-        one header, each sample's index, one result per distinct leaf,
-        each digest no sample determines once — and ``SampleProof`` has
-        no encoding of its own."""
+        """Read as ``proofs``, that is: the run is one multiproof — one
+        header, each sample's index, one result per distinct leaf, each
+        digest no sample determines once — and ``SampleProof`` has no
+        encoding of its own."""
         assert not issubclass(SampleProof, wire.WireMessage)
-        tall, wide = b"\x11" * 4, b"\x22" * 4
-        proofs = tuple(
-            SampleProof(
-                index=i,
-                claimed_result=bytes([i]) * 3,
-                path=AuthenticationPath(i, [tall, wide], 4, LeafEncoding.RAW),
-            )
-            for i in (2, 0, 2)
+        tall = b"\x11" * 4
+        multiproof = Multiproof(
+            (2, 0, 2), 4, LeafEncoding.RAW, 2, (b"\x00" * 3, b"\x02" * 3), (tall, tall)
         )
-        bundle = ProofBundleMsg("t", proofs).encode()
+        bundle = ProofBundleMsg("t", multiproof).encode()
         assert bundle == b"\x01t" + b"".join(
             (
                 bytes([3, 4, 1, 2]),         # m, n_leaves, RAW, height
