@@ -108,8 +108,8 @@ def run_ledger(tree: pathlib.Path, env: dict[str, str], args: list[str]) -> int:
 #: default 10 pairs x 8 s (``benchmarks/NOTES.md``).
 EPILOG = """\
 rows that have read `unresolved` even at the defaults: `setup_s` (spread
-25.6-32.4% against its 25% bound, on several workloads) and
-`participants_per_s` on svc_cbs_secured (spread 40.2%).  --pairs 4
+7.5-30.9% against its 25% bound, past it on svc_cbs_secured) and
+`participants_per_s` on svc_cbs_secured (spread 26.0%).  --pairs 4
 --seconds 2 cannot judge these rows.
 """
 

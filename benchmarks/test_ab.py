@@ -64,8 +64,8 @@ def test_help_names_the_rows_the_defaults_cannot_judge(tmp_path, capsys):
         ab.main(["--help"], out=tmp_path / "out")
     assert shown.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert "`setup_s` (spread 25.6-32.4% against its 25% bound" in text
-    assert "`participants_per_s` on svc_cbs_secured (spread 40.2%)" in text
+    assert "`setup_s` (spread 7.5-30.9% against its 25% bound" in text
+    assert "`participants_per_s` on svc_cbs_secured (spread 26.0%)" in text
     assert "--pairs 4 --seconds 2 cannot judge these rows" in text
     assert not (tmp_path / "out").exists()
 

@@ -30,31 +30,66 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 per-figure reproduction harnesses (indexed in README "Benchmarks").
 """
 
+import sys
+import types
+
 from repro._version import __version__
-from repro.analysis import cheat_success_probability, required_sample_size
-from repro.baselines import (
-    DoubleCheckScheme,
-    HardenedProbeScheme,
-    NaiveSamplingScheme,
-    RingerScheme,
-)
-from repro.cheating import (
-    ColludingCheater,
-    HonestBehavior,
-    SemiHonestCheater,
-    UniformValueGuess,
-)
-from repro.core import CBSScheme, NICBSParticipant, NICBSScheme
-from repro.grid import GridSimulation, SimulationConfig
-from repro.tasks import (
-    MatchScreener,
-    MoleculeScreening,
-    PasswordSearch,
-    RangeDomain,
-    SignalSearch,
-    TaskAssignment,
-    ThresholdScreener,
-)
+
+
+class _Package(types.ModuleType):
+    """The one lazy re-export rule of every package ``__init__``.
+
+    PEP 562's module ``__getattr__``, held on the module's class: an
+    export is imported from its owning module on first read, and the
+    class also sees the import system bind a loaded submodule on its
+    package, so an export named like its own submodule
+    (``repro.analysis.sweep``) keeps its place.
+    """
+
+    def __getattr__(self, name: str):
+        if name not in self._owners:
+            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
+        # __import__, not importlib: -X importtime reports this import.
+        value = getattr(__import__(self._owners[name], fromlist=(name,)), name)
+        setattr(self, name, value)
+        return value
+
+    def __setattr__(self, name: str, value) -> None:
+        owner = self._owners.get(name)
+        if isinstance(value, types.ModuleType) and owner == value.__name__:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+    def __dir__(self) -> list[str]:
+        return sorted(set(self.__dict__) | set(self.__dict__.get("__all__", ())))
+
+
+def _reexport(package: str, exports: dict[str, str]) -> None:
+    """Give ``package`` the rule over ``exports``: each owning module
+    and the names it exports, which become a name -> owner table."""
+    module = sys.modules[package]
+    module._owners = {
+        name: owner for owner, names in exports.items() for name in names.split()
+    }
+    module.__class__ = _Package
+
+
+_reexport(__name__, {
+    "repro.analysis.probability": "cheat_success_probability required_sample_size",
+    "repro.baselines.double_check": "DoubleCheckScheme",
+    "repro.baselines.hardening": "HardenedProbeScheme",
+    "repro.baselines.naive_sampling": "NaiveSamplingScheme",
+    "repro.baselines.ringer": "RingerScheme",
+    "repro.cheating.strategies": "ColludingCheater HonestBehavior SemiHonestCheater",
+    "repro.cheating.guessing": "UniformValueGuess",
+    "repro.core.cbs": "CBSScheme",
+    "repro.core.ni_cbs": "NICBSParticipant NICBSScheme",
+    "repro.grid.simulation": "GridSimulation SimulationConfig",
+    "repro.tasks.screener": "MatchScreener ThresholdScreener",
+    "repro.tasks.workloads": "MoleculeScreening PasswordSearch SignalSearch",
+    "repro.tasks.domain": "RangeDomain",
+    "repro.tasks.result": "TaskAssignment",
+})
 
 __all__ = [
     "__version__",

@@ -10,15 +10,17 @@
   and table-rendering utilities shared by benches and examples.
 """
 
-from repro.analysis.probability import (
-    cheat_success_probability,
-    detection_probability,
-    fig2_series,
-    required_sample_size,
-)
-from repro.analysis.montecarlo import estimate_escape_rate
-from repro.analysis.sweep import sweep
-from repro.analysis.tables import format_table
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.analysis.probability": (
+        "cheat_success_probability detection_probability required_sample_size "
+        "fig2_series"
+    ),
+    "repro.analysis.montecarlo": "estimate_escape_rate",
+    "repro.analysis.sweep": "sweep",
+    "repro.analysis.tables": "format_table",
+})
 
 __all__ = [
     "cheat_success_probability",

@@ -14,10 +14,14 @@
   Monte-Carlo workloads where ringers don't apply.
 """
 
-from repro.baselines.double_check import DoubleCheckScheme
-from repro.baselines.hardening import HardenedProbeScheme
-from repro.baselines.naive_sampling import NaiveSamplingScheme
-from repro.baselines.ringer import RingerScheme
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.baselines.double_check": "DoubleCheckScheme",
+    "repro.baselines.naive_sampling": "NaiveSamplingScheme",
+    "repro.baselines.ringer": "RingerScheme",
+    "repro.baselines.hardening": "HardenedProbeScheme",
+})
 
 __all__ = [
     "DoubleCheckScheme",

@@ -15,17 +15,14 @@ can vary ``q`` independently of ``r``, and the NI-CBS regrinding attack
 lives in :mod:`repro.cheating.regrind`.
 """
 
-from repro.cheating.guessing import (
-    BernoulliGuess,
-    UniformValueGuess,
-    ZeroGuess,
-)
-from repro.cheating.strategies import (
-    ColludingCheater,
-    HonestBehavior,
-    MaliciousBehavior,
-    SemiHonestCheater,
-)
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.cheating.guessing": "ZeroGuess BernoulliGuess UniformValueGuess",
+    "repro.cheating.strategies": (
+        "HonestBehavior ColludingCheater SemiHonestCheater MaliciousBehavior"
+    ),
+})
 
 __all__ = [
     "ZeroGuess",

@@ -17,7 +17,7 @@ from repro.cheating.guessing import GuessModel, ZeroGuess
 from repro.exceptions import TaskError
 from repro.tasks.function import TaskFunction
 from repro.tasks.result import TaskAssignment
-from repro.utils.prf import PrfPrefix
+from repro.utils.prf import PrfPrefix, prf_coin
 
 
 @dataclass
@@ -310,8 +310,6 @@ class MaliciousBehavior(Behavior):
         return _leaf_vector(assignment, evaluate)
 
     def corrupt_report(self, report: str | None, index: int) -> str | None:
-        from repro.utils.prf import prf_coin
-
         flip = prf_coin(
             b"malicious", index.to_bytes(8, "big"), probability=self.corruption_rate
         )

@@ -45,7 +45,6 @@ its coordinator.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import json
 import logging
@@ -54,53 +53,10 @@ import signal
 import sys
 import time
 
-from repro.analysis import (
-    cheat_success_probability,
-    estimate_escape_rate,
-    fig2_series,
-    format_table,
-)
-from repro.analysis.costs import uncheatable_g_rounds
-from repro.analysis.incentives import IncentiveModel, deterrent_sample_size
-from repro.cheating import HonestBehavior, SemiHonestCheater
-from repro.cheating.guessing import guess_model_for_q
-from repro.cheating.regrind import expected_regrind_attempts, run_regrind_attack
-from repro.core import CBSScheme, predicted_rco
-from repro.baselines import NaiveSamplingScheme
-from repro.engine import ENGINE_NAMES, get_executor
-from repro.engine.cluster.worker import add_worker_args, run_parsed
-from repro.exceptions import ReproError
-from repro.grid import run_population
-from repro.merkle import get_hash
-from repro.net.transport import SecurityConfig
-from repro.obs import (
-    EventLoopLagProbe,
-    FlightRecorder,
-    HealthState,
-    MetricsServer,
-    Span,
-    bind_trace,
-    configure_logging,
-    default_registry,
-    gauge_max_probe,
-    gauge_min_probe,
-    get_logger,
-    install_flight_recorder,
-    log_event,
-    new_trace_id,
-    render_waterfall,
-)
-from repro.service import (
-    ServiceClient,
-    ServiceConfig,
-    SupervisorServer,
-    WORKLOADS,
-    run_loadgen,
-    run_service_loadgen,
-)
-from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
-
-_log = get_logger("cli")
+# Beside the standard library only the import-free repro.launch loads
+# with this module: each command imports the planes it runs, so
+# building the parser (or ``--help``) loads none of them.
+from repro.launch import ENGINE_NAMES, WORKLOAD_NAMES, add_worker_args
 
 
 @contextlib.contextmanager
@@ -115,17 +71,22 @@ def _traced_run(args: argparse.Namespace):
     if not getattr(args, "trace", False):
         yield None
         return
+    from repro.obs import bind_trace, configure_logging, get_logger
+    from repro.obs import log_event, new_trace_id
+
     configure_logging(json=True, level=logging.DEBUG)
     trace_id = new_trace_id()
     # Stderr so scripted pipelines that parse stdout stay clean; the
     # id is what `repro.cli trace view --trace-id` asks for.
     print(f"[trace {trace_id}]", file=sys.stderr, flush=True)
     with bind_trace(trace_id):
-        log_event(_log, "trace_started", command=args.command)
+        log_event(get_logger("cli"), "trace_started", command=args.command)
         yield trace_id
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    from repro.analysis import fig2_series, format_table
+
     points = fig2_series(epsilon=args.epsilon)
     by_r: dict[float, dict] = {}
     for p in points:
@@ -141,6 +102,15 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_eq2(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        cheat_success_probability, estimate_escape_rate, format_table,
+    )
+    from repro.cheating import SemiHonestCheater
+    from repro.cheating.guessing import guess_model_for_q
+    from repro.core import CBSScheme
+    from repro.engine import get_executor
+    from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+
     task = TaskAssignment("cli-eq2", RangeDomain(0, args.n), PasswordSearch())
     rows = []
     # One warm pool across all four m-values (the loop would otherwise
@@ -178,6 +148,12 @@ def _cmd_eq2(args: argparse.Namespace) -> int:
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.baselines import NaiveSamplingScheme
+    from repro.cheating import HonestBehavior
+    from repro.core import CBSScheme
+    from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+
     rows = []
     for exp in range(8, args.max_exp + 1, 2):
         n = 1 << exp
@@ -203,6 +179,11 @@ def _cmd_comm(args: argparse.Namespace) -> int:
 
 
 def _cmd_rco(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.cheating import HonestBehavior
+    from repro.core import CBSScheme, predicted_rco
+    from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+
     n = args.n
     task = TaskAssignment("cli-rco", RangeDomain(0, n), PasswordSearch())
     rows = []
@@ -231,6 +212,12 @@ def _cmd_rco(args: argparse.Namespace) -> int:
 
 
 def _cmd_regrind(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.analysis.costs import uncheatable_g_rounds
+    from repro.cheating.regrind import expected_regrind_attempts, run_regrind_attack
+    from repro.merkle import get_hash
+    from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+
     task = TaskAssignment(
         "cli-regrind", RangeDomain(0, args.n), PasswordSearch(cost=args.f_cost)
     )
@@ -264,6 +251,8 @@ def _cmd_regrind(args: argparse.Namespace) -> int:
 
 
 def _cmd_deterrence(args: argparse.Namespace) -> int:
+    from repro.analysis.incentives import IncentiveModel, deterrent_sample_size
+
     model = IncentiveModel(
         payment=args.payment,
         task_cost=args.task_cost,
@@ -283,6 +272,11 @@ def _cmd_deterrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.cheating import HonestBehavior, SemiHonestCheater
+    from repro.core import CBSScheme
+    from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+
     task = TaskAssignment("cli-demo", RangeDomain(0, args.n), PasswordSearch())
     scheme = CBSScheme(n_samples=args.m)
     honest = scheme.run(task, HonestBehavior(), seed=args.seed)
@@ -310,6 +304,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_population(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.cheating import HonestBehavior, SemiHonestCheater
+    from repro.core import CBSScheme
+    from repro.engine import get_executor
+    from repro.grid import run_population
+    from repro.tasks import PasswordSearch, RangeDomain
+
     domain = RangeDomain(0, args.n)
     behaviors = [HonestBehavior(), SemiHonestCheater(args.r)]
     start = time.perf_counter()
@@ -344,7 +345,10 @@ def _cmd_population(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_config(args: argparse.Namespace) -> ServiceConfig:
+def _service_config(args: argparse.Namespace):
+    from repro.service import ServiceConfig
+    from repro.tasks import RangeDomain
+
     return ServiceConfig(
         domain=RangeDomain(0, args.n),
         workload=args.workload,
@@ -356,6 +360,15 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.obs import (
+        EventLoopLagProbe, FlightRecorder, HealthState, configure_logging,
+        default_registry, gauge_max_probe, gauge_min_probe, get_logger,
+        install_flight_recorder, log_event,
+    )
+    from repro.service import SupervisorServer
+
     config = _service_config(args)
     if args.trace:
         configure_logging(json=True, level=logging.DEBUG)
@@ -424,8 +437,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{config.n_participants} participant slots, m={config.n_samples}",
             flush=True,
         )
-        metrics_server: MetricsServer | None = None
+        metrics_server = None
         if args.metrics_port is not None:
+            from repro.obs import MetricsServer
+
             metrics_server = MetricsServer(
                 server.registry, port=args.metrics_port, health=health
             )
@@ -441,7 +456,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             while True:
                 await asyncio.sleep(args.stats_interval)
                 log_event(
-                    _log,
+                    get_logger("cli"),
                     "stats_snapshot",
                     connections=int(count("repro_connections_total")),
                     verifications=int(count("repro_verifications_total")),
@@ -504,22 +519,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _loadgen_connect(args, behaviors):
-    """Drive a remote supervisor; the shared repro.net retry/backoff
-    helper inside ``ServiceClient.open_tcp`` absorbs a slow-starting
-    server (the old private probe loop is gone)."""
-    return await run_loadgen(
-        args.participants,
-        behaviors,
-        host=args.host,
-        port=args.port,
-        security=_service_security(args),
-        connect_retry_s=args.connect_timeout,
-        concurrency=args.concurrency,
-    )
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.analysis import format_table
+    from repro.cheating import HonestBehavior, SemiHonestCheater
+    from repro.service import run_loadgen, run_service_loadgen
+
     behaviors = [HonestBehavior(), SemiHonestCheater(args.r)]
     if (args.host is None) != (args.port is None):
         # One without the other is a half-stated address: neither
@@ -533,8 +539,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "--engine/--workers are ignored (--secret-file/--tls-cert "
             "still apply: they authenticate this client)"
         )
+        # ServiceClient.open_tcp's retry/backoff absorbs a slow-starting
+        # supervisor.
         with _traced_run(args):
-            report, stats = asyncio.run(_loadgen_connect(args, behaviors))
+            report, stats = asyncio.run(run_loadgen(
+                args.participants, behaviors, host=args.host, port=args.port,
+                security=_service_security(args),
+                connect_retry_s=args.connect_timeout,
+                concurrency=args.concurrency,
+            ))
     else:
         with _traced_run(args):
             report, stats, _server = asyncio.run(
@@ -604,6 +617,11 @@ def _ask_supervisor(args: argparse.Namespace, request):
     ``--tls-cert`` material (:func:`_add_connect_args`), returns what
     ``request(client)`` answers and closes the client.
     """
+    import asyncio
+
+    from repro.net import SecurityConfig
+    from repro.service import ServiceClient
+
     host, port = args.connect
     security = SecurityConfig.from_options(
         secret_file=args.secret_file, tls_cert=args.tls_cert
@@ -626,7 +644,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     it works wherever a participant could connect — including supervisors
     with no ``--metrics-port`` exposed.
     """
-    snapshot = _ask_supervisor(args, ServiceClient.stats)
+    from repro.analysis import format_table
+
+    snapshot = _ask_supervisor(args, lambda client: client.stats())
     if args.json:
         json.dump(snapshot, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -666,6 +686,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     dump file (``--dump``, trace id optional — defaults to the newest
     trace in the artifact).
     """
+    from repro.obs import Span, render_waterfall
+
     if args.dump is None and args.connect is None:
         print("trace: need --connect HOST:PORT or --dump PATH",
               file=sys.stderr)
@@ -720,6 +742,12 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.engine.cluster.worker import run_parsed
+
+    return run_parsed(args)
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -843,14 +871,18 @@ def _engine_options(
         # The cluster plane reports into the process-global registry
         # (so --metrics-port exposes it) and forwards --trace to the
         # coordinator and its spawn-local workers.
+        from repro.obs import default_registry
+
         options["registry"] = default_registry()
         if getattr(args, "trace", False):
             options["trace"] = True
     return options
 
 
-def _service_security(args: argparse.Namespace) -> SecurityConfig | None:
+def _service_security(args: argparse.Namespace):
     """Security material for the participant-facing service socket."""
+    from repro.net import SecurityConfig
+
     return SecurityConfig.from_options(
         secret_file=args.secret_file,
         tls_cert=args.tls_cert,
@@ -927,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="samples per task")
         p.add_argument("--protocol", choices=("cbs", "ni-cbs"),
                        default="ni-cbs")
-        p.add_argument("--workload", choices=sorted(WORKLOADS),
+        p.add_argument("--workload", choices=sorted(WORKLOAD_NAMES),
                        default="PasswordSearch")
         p.add_argument("--seed", type=int, default=0)
         _add_engine_args(p)
@@ -1016,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator (see README for the multi-host recipe)",
     )
     add_worker_args(p)
-    p.set_defaults(fn=run_parsed)
+    p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser("demo", help="one narrated CBS run")
     p.add_argument("--n", type=int, default=4096)
@@ -1037,6 +1069,8 @@ def main(argv: list[str] | None = None) -> int:
     as one clean line on stderr and exit code 2 — the same UX the
     ``worker`` daemon already had — not a traceback.
     """
+    from repro.exceptions import ReproError
+
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

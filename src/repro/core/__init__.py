@@ -11,9 +11,13 @@
   interface the grid simulator drives, plus outcome dataclasses.
 """
 
-from repro.core.cbs import CBSParticipant, CBSScheme, CBSSupervisor
-from repro.core.ni_cbs import NICBSParticipant, NICBSScheme, NICBSSupervisor
-from repro.core.storage_opt import predicted_rco, storage_for_rco
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.core.cbs": "CBSParticipant CBSSupervisor CBSScheme",
+    "repro.core.ni_cbs": "NICBSParticipant NICBSSupervisor NICBSScheme",
+    "repro.core.storage_opt": "predicted_rco storage_for_rco",
+})
 
 __all__ = [
     "CBSParticipant",

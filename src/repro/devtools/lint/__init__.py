@@ -12,7 +12,11 @@ is dependency-free (stdlib ``ast`` only) so it runs anywhere the repo
 does.
 """
 
-from repro.devtools.lint.framework import lint_paths
-from repro.devtools.lint.checkers import ALL_CHECKERS
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.devtools.lint.checkers": "ALL_CHECKERS",
+    "repro.devtools.lint.framework": "lint_paths",
+})
 
 __all__ = ["ALL_CHECKERS", "lint_paths"]

@@ -43,8 +43,7 @@ small protocol:
     rates size each outgoing chunk, under one fixed policy — and each
     chunk's outcomes come home in one ``result`` frame; each worker
     daemon is one serial process.  See
-    :mod:`repro.engine.cluster`.  Imported lazily so the in-process
-    backends stay free of the service layer.
+    :mod:`repro.engine.cluster`.
 
 Every population-shaped entry point threads an ``engine=`` option down
 here: ``GridSimulation`` / ``run_population`` (one job per
@@ -53,35 +52,19 @@ participant), ``analysis.montecarlo`` (one job per trial),
 (``--engine serial|threads|processes|cluster --workers N``).
 """
 
-from repro.engine.executor import (
-    ENGINE_NAMES,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    default_workers,
-    get_executor,
-    resolved_executor,
-)
-from repro.engine.jobs import (
-    SchemeBatch,
-    SchemeJob,
-    execute_batch,
-    run_scheme_jobs,
-    split_batches,
-)
-from repro.engine.seeding import derive_seed
+from repro import _reexport
 
-
-def __getattr__(name: str):
-    # Lazy re-export: repro.engine.cluster pulls in the service codec,
-    # which the lightweight in-process backends must not load eagerly.
-    if name == "ClusterExecutor":
-        from repro.engine.cluster.coordinator import ClusterExecutor
-
-        return ClusterExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+_reexport(__name__, {
+    "repro.engine.executor": (
+        "ENGINE_NAMES Executor SerialExecutor ThreadPoolExecutor ProcessPoolExecutor "
+        "default_workers get_executor resolved_executor"
+    ),
+    "repro.engine.cluster.coordinator": "ClusterExecutor",
+    "repro.engine.jobs": (
+        "SchemeJob SchemeBatch execute_batch run_scheme_jobs split_batches"
+    ),
+    "repro.engine.seeding": "derive_seed",
+})
 
 __all__ = [
     "ENGINE_NAMES",

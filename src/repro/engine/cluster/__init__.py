@@ -42,7 +42,11 @@ still rides the shared :mod:`repro.net` transport layer —
 pinned-certificate TLS (README "Security model").
 """
 
-from repro.engine.cluster.coordinator import ClusterExecutor
-from repro.engine.cluster.worker import run_worker
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.engine.cluster.coordinator": "ClusterExecutor",
+    "repro.engine.cluster.worker": "run_worker",
+})
 
 __all__ = ["ClusterExecutor", "run_worker"]

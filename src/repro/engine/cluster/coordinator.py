@@ -53,8 +53,9 @@ from typing import Any, Callable, Sequence
 from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.executor import Executor, _metered_map, default_workers
 from repro.exceptions import EngineError, ReproError
+from repro.launch import DEFAULT_HEARTBEAT_INTERVAL
 from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
-from repro.net.transport import DEFAULT_HEARTBEAT_INTERVAL, SecurityConfig
+from repro.net.transport import SecurityConfig
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanBuffer
@@ -75,6 +76,14 @@ from repro.service.jobcodec import encode_job
 #: detection catches crashes instantly, this only fences network
 #: half-death.
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
+
+#: The ``python -c`` program a spawn-local worker runs.  A shim rather
+#: than ``-m``: the daemon runs as the module repro.engine.cluster.worker,
+#: not as a ``__main__`` copy of it.
+WORKER_ENTRY = (
+    "import sys; from repro.engine.cluster.worker import main; "
+    "sys.exit(main(sys.argv[1:]))"
+)
 
 #: The counter keys of :attr:`ClusterExecutor.stats` and what each one
 #: reads off the coordinator.
@@ -663,16 +672,10 @@ class ClusterExecutor(Executor):
         # Workers must import repro exactly as this process does,
         # wherever pytest/CLI put it on sys.path.
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        # A -c shim rather than -m: runpy re-executing worker.py under
-        # a package whose __init__ already imported it would warn.
-        entry = (
-            "import sys; from repro.engine.cluster.worker import main; "
-            "sys.exit(main(sys.argv[1:]))"
-        )
         spawned: list[subprocess.Popen] = []
         for i in range(self._n_local):
             cmd = [
-                sys.executable, "-c", entry,
+                sys.executable, "-c", WORKER_ENTRY,
                 "--host", host,
                 "--port", str(port),
                 "--id", f"local-{i}",

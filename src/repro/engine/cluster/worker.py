@@ -51,16 +51,15 @@ import sys
 import time
 
 from repro.exceptions import EngineError, ReproError
+from repro.launch import DEFAULT_HEARTBEAT_INTERVAL, add_worker_args
 from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
 from repro.net.transport import (
-    DEFAULT_HEARTBEAT_INTERVAL,
     SecurityConfig,
     close_writer,
     heartbeat_loop,
     open_connection,
 )
 from repro.obs.health import HealthState
-from repro.obs.http import MetricsServer
 from repro.obs.recorder import FlightRecorder, install_flight_recorder
 from repro.obs.spans import Span, default_span_buffer
 from repro.obs.logging import configure_logging, get_logger, log_event
@@ -72,7 +71,6 @@ from repro.service.jobcodec import (
     decode_job,
     encode_cluster_outcomes,
     encode_cluster_payload,
-    ensure_default_registry,
 )
 from repro.service.codec import (
     ByeFrame,
@@ -194,9 +192,8 @@ async def run_worker(
         )
     worker_id = worker_id or default_worker_id()
     jobs_done = 0
-    # Registry + preloads resolve before dialling: a misspelled
-    # --preload module is a startup error, not a per-chunk surprise.
-    ensure_default_registry()
+    # Preloads resolve before dialling: a misspelled --preload module
+    # is a startup error, not a per-chunk surprise.
     for name in preload:
         importlib.import_module(name)
 
@@ -421,57 +418,6 @@ async def run_worker(
     return jobs_done
 
 
-def add_worker_args(parser: argparse.ArgumentParser) -> None:
-    """The worker daemon's flags — shared by this module's standalone
-    parser and the CLI's ``worker`` subcommand, so the two entry points
-    cannot drift."""
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="coordinator host")
-    parser.add_argument("--port", type=int, required=True,
-                        help="coordinator port")
-    parser.add_argument("--id", default=None, dest="worker_id",
-                        help="worker id (default: pid-based)")
-    parser.add_argument("--heartbeat", type=float,
-                        default=DEFAULT_HEARTBEAT_INTERVAL,
-                        dest="heartbeat_interval",
-                        help="seconds between liveness beacons "
-                        "(default: %(default)s)")
-    parser.add_argument("--throttle", type=float, default=0.0,
-                        help="artificial per-job delay in seconds "
-                        "(straggler injection for benches/tests)")
-    parser.add_argument("--preload", action="append", default=None,
-                        metavar="MODULE", dest="preload",
-                        help="import this module before serving (repeat "
-                        "for more) — the hook for registering extra "
-                        "jobcodec structs/callables on the worker")
-    parser.add_argument("--connect-retry", type=float, default=0.0,
-                        dest="connect_retry_s",
-                        help="seconds to keep re-dialling a coordinator "
-                        "that is not accepting yet (default: fail fast)")
-    parser.add_argument("--secret-file", default=None, dest="secret_file",
-                        help="path to the coordinator's shared secret; "
-                        "the worker authenticates (HMAC-SHA256 "
-                        "challenge/response) before its hello frame")
-    parser.add_argument("--tls-cert", default=None, dest="tls_cert",
-                        help="path to the coordinator's TLS certificate "
-                        "(pinned as the trust anchor; enables TLS)")
-    parser.add_argument("--trace", action="store_true",
-                        help="emit structured JSON log records (DEBUG) "
-                        "carrying the trace/span ids each chunk arrived "
-                        "with — the worker half of a --trace run")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        dest="metrics_port",
-                        help="serve this worker's /metrics (Prometheus "
-                        "text), /stats (JSON) and /healthz + /readyz "
-                        "probes on this localhost port (0 picks a free "
-                        "one)")
-    parser.add_argument("--flight-dir", default=None, dest="flight_dir",
-                        help="arm the flight recorder: dump a JSON "
-                        "artifact of recent events + spans into this "
-                        "directory on crash, SIGUSR1, and clean "
-                        "shutdown")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cluster-worker",
@@ -555,9 +501,11 @@ def run_worker_sync(
     # Not ready until run_worker has registered with a coordinator.
     health = HealthState()
     health.set_ready(False, "not connected")
-    metrics_server: MetricsServer | None = None
+    metrics_server = None
     try:
         if metrics_port is not None:
+            from repro.obs.http import MetricsServer
+
             metrics_server = MetricsServer(
                 default_registry(), port=metrics_port, health=health
             )
@@ -582,7 +530,7 @@ def run_worker_sync(
 
 
 def run_parsed(args: argparse.Namespace) -> int:
-    """Run the daemon from :func:`add_worker_args`' parsed flags."""
+    """Run the daemon from :func:`repro.launch.add_worker_args`' parsed flags."""
     return run_worker_sync(
         args.host,
         args.port,

@@ -33,12 +33,10 @@ from concurrent import futures as _futures
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.exceptions import EngineError
+from repro.launch import ENGINE_NAMES
 from repro.obs.metrics import default_registry
 from repro.obs.spans import span as _span
 from repro.obs.trace import current_trace
-
-#: Registry names accepted by :func:`get_executor`.
-ENGINE_NAMES = ("serial", "threads", "processes", "cluster")
 
 # Engine instruments live on the process-global registry (an executor
 # has no natural owner to scope to) and are created on first map(),

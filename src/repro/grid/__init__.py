@@ -8,8 +8,12 @@ machine-independent shapes.  The same exchange over real framed bytes
 — including the §4 broker topology — is :mod:`repro.service`.
 """
 
-from repro.grid.faults import FlakyParticipant, RetryingScheme
-from repro.grid.simulation import GridSimulation, SimulationConfig, run_population
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.grid.simulation": "run_population GridSimulation SimulationConfig",
+    "repro.grid.faults": "FlakyParticipant RetryingScheme",
+})
 
 __all__ = [
     "run_population",

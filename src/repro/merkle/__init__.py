@@ -23,10 +23,14 @@ The pieces, by module:
   digests it ships (``supplied_nodes``).
 """
 
-from repro.merkle.hashing import CountingHash, get_hash
-from repro.merkle.partial import PartialMerkleTree
-from repro.merkle.proof import AuthenticationPath
-from repro.merkle.tree import MerkleTree
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.merkle.hashing": "CountingHash get_hash",
+    "repro.merkle.tree": "MerkleTree",
+    "repro.merkle.partial": "PartialMerkleTree",
+    "repro.merkle.proof": "AuthenticationPath",
+})
 
 __all__ = [
     "CountingHash",

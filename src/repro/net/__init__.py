@@ -24,6 +24,8 @@ Layering rule: :mod:`repro.net` imports nothing from
 both stand on.
 """
 
-from repro.net.transport import SecurityConfig
+from repro import _reexport
+
+_reexport(__name__, {"repro.net.transport": "SecurityConfig"})
 
 __all__ = ["SecurityConfig"]

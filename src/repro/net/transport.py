@@ -241,12 +241,6 @@ async def close_writer(writer) -> None:
         await writer.wait_closed()
 
 
-#: Default seconds between a cluster worker's liveness beacons — the
-#: one value spawn-local daemons are started with and an operator-run
-#: ``repro.cli worker`` beats at.
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
-
-
 async def heartbeat_loop(send, interval: float) -> None:
     """Call ``send()`` every ``interval`` seconds, forever.
 

@@ -33,18 +33,17 @@ Layering rule: :mod:`repro.obs` imports nothing from any other
 :mod:`repro.net` and everything else stands on it.
 """
 
-from repro.obs.health import (
-    EventLoopLagProbe,
-    HealthState,
-    gauge_max_probe,
-    gauge_min_probe,
-)
-from repro.obs.http import MetricsServer
-from repro.obs.logging import configure_logging, get_logger, log_event
-from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.recorder import FlightRecorder, install_flight_recorder
-from repro.obs.spans import Span, render_waterfall
-from repro.obs.trace import bind_trace, new_trace_id
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.obs.metrics": "MetricsRegistry default_registry",
+    "repro.obs.spans": "Span render_waterfall",
+    "repro.obs.recorder": "FlightRecorder install_flight_recorder",
+    "repro.obs.health": "HealthState EventLoopLagProbe gauge_max_probe gauge_min_probe",
+    "repro.obs.trace": "new_trace_id bind_trace",
+    "repro.obs.logging": "configure_logging get_logger log_event",
+    "repro.obs.http": "MetricsServer",
+})
 
 __all__ = [
     # metrics

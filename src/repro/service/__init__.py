@@ -33,34 +33,22 @@ CLI entry points: ``repro-experiments serve`` and
 ``repro-experiments loadgen``.
 """
 
-from repro.net.framing import FRAME_HEADER_BYTES
-from repro.service.codec import (
-    WORKLOADS,
-    ChallengeFrame,
-    CommitmentFrame,
-    ErrorFrame,
-    ProofsFrame,
-    SubmissionFrame,
-    TaskAssign,
-    TaskRequest,
-    VerdictFrame,
-    decode_frame,
-    decode_frame_payload,
-    encode_frame,
-    read_frame,
-    resolve_workload,
-    write_frame,
-)
-from repro.service.client import ServiceClient
-from repro.service.jobcodec import ensure_default_registry
-from repro.service.loadgen import (
-    percentile,
-    run_loadgen,
-    run_service_loadgen,
-    run_service_loadgen_sync,
-)
-from repro.service.server import ServiceConfig, SupervisorServer, memory_duplex
-from repro.service.sessions import SessionState, SessionStore
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.net.framing": "FRAME_HEADER_BYTES",
+    "repro.service.codec": (
+        "WORKLOADS resolve_workload TaskRequest TaskAssign CommitmentFrame "
+        "ChallengeFrame ProofsFrame SubmissionFrame VerdictFrame ErrorFrame "
+        "encode_frame decode_frame decode_frame_payload read_frame write_frame"
+    ),
+    "repro.service.sessions": "SessionState SessionStore",
+    "repro.service.server": "ServiceConfig SupervisorServer memory_duplex",
+    "repro.service.client": "ServiceClient",
+    "repro.service.loadgen": (
+        "percentile run_loadgen run_service_loadgen run_service_loadgen_sync"
+    ),
+})
 
 __all__ = [
     # codec
@@ -95,8 +83,3 @@ __all__ = [
     "run_service_loadgen",
     "run_service_loadgen_sync",
 ]
-
-# Load the job codec's struct table now that every class it names can
-# be imported: a drifted row fails this import, like a drifted frame or
-# term table, instead of the first job.
-ensure_default_registry()

@@ -53,6 +53,7 @@ from repro.core.protocol import (
 )
 from repro.core.wire import KINDS as _SHARED_KINDS, Field, Layout, read_sized
 from repro.exceptions import CodecError, ProtocolError
+from repro.launch import WORKLOAD_NAMES
 from repro.obs.metrics import SIZE_BUCKETS, default_registry
 from repro.obs.spans import validate_wire_spans
 from repro.obs.trace import MAX_TRACE_ID_LEN
@@ -66,15 +67,7 @@ from repro.net.framing import (
     write_frame_bytes,
 )
 from repro.tasks.function import TaskFunction
-from repro.tasks.workloads import (
-    FactoringTask,
-    MersenneCheck,
-    MoleculeScreening,
-    MonteCarloEstimate,
-    OptimizationSearch,
-    PasswordSearch,
-    SignalSearch,
-)
+from repro.tasks import workloads as _workloads
 from repro.utils.encoding import encode_bytes, read_bytes
 
 #: Version every cluster peer declares in ``hello`` and every
@@ -99,13 +92,7 @@ MAX_TEXT_BYTES = 64 * 1024
 #: The shared work-unit catalogue: in real grids the client software
 #: embeds the kernel, so the wire only names it (AssignMsg.workload).
 WORKLOADS: dict[str, Callable[[], TaskFunction]] = {
-    "PasswordSearch": PasswordSearch,
-    "MoleculeScreening": MoleculeScreening,
-    "SignalSearch": SignalSearch,
-    "MersenneCheck": MersenneCheck,
-    "MonteCarloEstimate": MonteCarloEstimate,
-    "OptimizationSearch": OptimizationSearch,
-    "FactoringTask": FactoringTask,
+    name: getattr(_workloads, name) for name in WORKLOAD_NAMES
 }
 
 

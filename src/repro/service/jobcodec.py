@@ -93,7 +93,6 @@ __all__ = [
     "encode_cluster_outcomes",
     "encode_cluster_payload",
     "encode_job",
-    "ensure_default_registry",
     "register_callable",
     "register_struct",
     "registered_structs",
@@ -174,7 +173,6 @@ _STRUCTS: dict[str, "_StructRow"] = {}
 _STRUCTS_BY_TYPE: dict[type, "_StructRow"] = {}
 _CALLABLES: dict[str, Callable] = {}
 _CALLABLE_NAMES: dict[Callable, str] = {}
-_defaults_loaded = False
 
 
 def register_struct(
@@ -238,7 +236,6 @@ def register_callable(name: str, fn: Callable) -> None:
 
 def registered_structs() -> dict[str, type]:
     """Snapshot of the struct registry (docs and round-trip tests)."""
-    ensure_default_registry()
     with _registry_lock:
         return {name: row.cls for name, row in sorted(_STRUCTS.items())}
 
@@ -812,7 +809,6 @@ def encode_cluster_payload(
     obj: Any, max_bytes: int = MAX_CLUSTER_PAYLOAD_BYTES
 ) -> bytes:
     """Encode one value as a typed cluster payload, enforcing the cap."""
-    ensure_default_registry()
     encoder = _Encoder()
     encoder.value(obj)
     raw = bytes(encoder.out)
@@ -830,7 +826,6 @@ def decode_cluster_payload(
     ``cache`` (worker-side) shares decoded cacheable structs across
     payloads — see :class:`SchemeCache`.
     """
-    ensure_default_registry()
     check_payload_size("cluster payload", len(raw), max_bytes)
     decoder = _Decoder(bytes(raw), cache)
     value = decoder.value()
@@ -850,7 +845,6 @@ def encode_job(fn: Callable, args: tuple, kwargs: dict) -> bytes:
     positional, and anything else (a ``functools.partial``, a lambda)
     is refused here, before it reaches the wire.
     """
-    ensure_default_registry()
     if _CALLABLE_NAMES.get(fn) is None:
         raise CodecError(
             f"cannot dispatch {getattr(fn, '__name__', fn)!r} to the "
@@ -981,25 +975,15 @@ def decode_cluster_outcomes(
 # ----------------------------------------------------------------------
 
 
-def ensure_default_registry() -> None:
-    """Register the repo's own wire types and job entry points (once).
+def _register_defaults() -> None:
+    """Register the repo's own wire types and job entry points (once,
+    when this module is imported).
 
     Central on purpose: this function is the complete, auditable list
     of what cluster bytes can become.  Third-party jobs extend it via
     :func:`register_struct` / :func:`register_callable` in a module
     both sides import (workers: ``--preload``).
     """
-    global _defaults_loaded
-    if _defaults_loaded:
-        return
-    with _registry_lock:
-        if _defaults_loaded:
-            return
-        _defaults_loaded = True
-    _register_defaults()
-
-
-def _register_defaults() -> None:
     from repro.accounting import CostLedger
     from repro.baselines.double_check import DoubleCheckScheme
     from repro.baselines.hardening import HardenedProbeScheme
@@ -1482,3 +1466,8 @@ def _register_defaults() -> None:
     register_callable("service.verify_cbs", _verify.verify_cbs_job)
     register_callable("service.verify_nicbs", _verify.verify_nicbs_job)
     register_callable("service.timed", _verify.timed)
+
+
+# Loaded with this module, its owner: a drifted row fails this import,
+# like a drifted frame or term table, instead of the first job.
+_register_defaults()

@@ -19,19 +19,18 @@ reported to the supervisor.  This package provides:
 * :class:`~repro.tasks.screener.Screener` implementations.
 """
 
-from repro.tasks.domain import ExplicitDomain, RangeDomain
-from repro.tasks.function import TaskFunction
-from repro.tasks.result import TaskAssignment
-from repro.tasks.screener import MatchScreener, ThresholdScreener, TopKScreener
-from repro.tasks.workloads import (
-    FactoringTask,
-    MersenneCheck,
-    MoleculeScreening,
-    MonteCarloEstimate,
-    OptimizationSearch,
-    PasswordSearch,
-    SignalSearch,
-)
+from repro import _reexport
+
+_reexport(__name__, {
+    "repro.tasks.domain": "RangeDomain ExplicitDomain",
+    "repro.tasks.function": "TaskFunction",
+    "repro.tasks.result": "TaskAssignment",
+    "repro.tasks.screener": "MatchScreener ThresholdScreener TopKScreener",
+    "repro.tasks.workloads": (
+        "PasswordSearch FactoringTask MoleculeScreening SignalSearch MersenneCheck "
+        "MonteCarloEstimate OptimizationSearch"
+    ),
+})
 
 __all__ = [
     "RangeDomain",

@@ -964,12 +964,8 @@ class TestRegisteredSchemeRoundTrip:
     break here silently degrades the cache, not just one payload."""
 
     def test_registry_covers_every_scheme_struct(self):
-        from repro.service.jobcodec import (
-            ensure_default_registry,
-            registered_structs,
-        )
+        from repro.service.jobcodec import registered_structs
 
-        ensure_default_registry()
         scheme_names = {
             name for name in registered_structs() if name.endswith("_scheme")
         }
@@ -1039,9 +1035,8 @@ def _raw_struct(name: str, fields: tuple) -> bytes:
     (valid or hostile) behind a registered struct name.  The fields are
     encoded as inside that struct: its name is interned and it holds
     memo slot 0."""
-    from repro.service.jobcodec import _Encoder, ensure_default_registry
+    from repro.service.jobcodec import _Encoder
 
-    ensure_default_registry()
     encoder = _Encoder()
     encoder.names[name] = 0
     encoder.memo[id(encoder)] = 0

@@ -90,6 +90,13 @@ class TestSampleDerivation:
         with pytest.raises(SchemeConfigurationError):
             derive_sample_indices(b"\x00" * 32, n=10, m=0, sample_hash=g)
 
+    def test_one_sample_is_one_index(self):
+        # m = 1 is the smallest legal sample: one link of the chain.
+        g = get_hash("sha256")
+        root = b"\x05" * 32
+        expected = int.from_bytes(g.digest(root), "big") % 10
+        assert derive_sample_indices(root, n=10, m=1, sample_hash=g) == [expected]
+
 
 class TestEndToEnd:
     def test_honest_accepted(self, password_task):
@@ -169,6 +176,16 @@ class TestSupervisorChecks:
         )
         outcome = NICBSSupervisor(password_task, n_samples=8).verify(forged)
         assert not outcome.accepted
+
+    def test_one_sample_honest_submission_accepted(self, password_task):
+        submission = self.make_submission(password_task, n_samples=1)
+        assert len(submission.proofs) == 1
+        outcome = NICBSSupervisor(password_task, n_samples=1).verify(submission)
+        assert outcome.accepted, outcome.reason
+
+    def test_zero_samples_refused(self, password_task):
+        with pytest.raises(SchemeConfigurationError):
+            NICBSSupervisor(password_task, n_samples=0)
 
     def test_m_disagreement_rejected(self, password_task):
         # Supervisor expecting 16 samples rejects an 8-proof submission.
