@@ -10,13 +10,15 @@ untrusted clients:
   typed fields) that carries the canonical protocol messages and typed
   job payloads as raw length-delimited bytes, plus the shared workload
   catalogue.
-* :mod:`repro.service.sessions` — the assignment → commitment →
-  outcome lifecycle store: live sessions with TTL eviction, one state
-  byte per slot once the verdict is out, the last 256 outcomes.
-* :mod:`repro.service.server` — :class:`SupervisorServer`, a
-  concurrent asyncio TCP (or in-process) supervisor: one coroutine
-  per connection, each verification run on the loop or on the
-  execution engine's pool by its measured cost.
+* :mod:`repro.service.sessions` — the session protocol as one
+  synchronous, I/O-free core (``SupervisorCore``: frame in, reply
+  frame or verification to run out) over the lifecycle store: live
+  sessions with TTL eviction, one state byte per slot once the
+  verdict is out, the last 256 outcomes.
+* :mod:`repro.service.server` — :class:`SupervisorServer`, the core's
+  concurrent asyncio TCP (or in-process) shell: one coroutine per
+  connection, each verification run on the loop or on the execution
+  engine's pool by its measured cost.
 * :mod:`repro.service.client` — the async participant.
 * :mod:`repro.service.loadgen` — N concurrent honest/cheating
   participants, reporting a
@@ -42,8 +44,8 @@ _reexport(__name__, {
         "ChallengeFrame ProofsFrame SubmissionFrame VerdictFrame ErrorFrame "
         "encode_frame decode_frame decode_frame_payload read_frame write_frame"
     ),
-    "repro.service.sessions": "SessionState SessionStore",
-    "repro.service.server": "ServiceConfig SupervisorServer memory_duplex",
+    "repro.service.sessions": "ServiceConfig SessionState SessionStore",
+    "repro.service.server": "SupervisorServer memory_duplex",
     "repro.service.client": "ServiceClient",
     "repro.service.loadgen": (
         "percentile run_loadgen run_service_loadgen run_service_loadgen_sync"
@@ -69,10 +71,10 @@ __all__ = [
     "read_frame",
     "write_frame",
     # sessions
+    "ServiceConfig",
     "SessionState",
     "SessionStore",
     # server
-    "ServiceConfig",
     "SupervisorServer",
     "memory_duplex",
     # client

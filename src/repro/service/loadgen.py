@@ -30,7 +30,8 @@ from repro.exceptions import ProtocolError, ReproError
 from repro.grid.report import DetectionReport, ParticipantReport
 from repro.net.transport import SecurityConfig
 from repro.service.client import ParticipantRun, ServiceClient
-from repro.service.server import ServiceConfig, SupervisorServer
+from repro.service.server import SupervisorServer
+from repro.service.sessions import ServiceConfig
 
 
 @dataclass

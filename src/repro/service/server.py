@@ -9,15 +9,12 @@ the loop or on the execution engine (:mod:`repro.engine`) by its
 measured cost.  A §4 broker is one connection that takes many slots
 and relays each participant's submission.
 
-Determinism is preserved end to end: task ``i`` gets subdomain ``i``
-of the configured domain and seed ``derive_seed(config.seed, i)`` —
-exactly the job list :class:`~repro.grid.simulation.GridSimulation`
-builds — so a service run at a fixed seed produces byte-identical
-:class:`~repro.core.scheme.VerificationOutcome`s to the synchronous
-scheme layer (the parity tests pin this).  Both are arithmetic on
-``i``, done when slot ``i`` is requested: the server holds no per-slot
-table, and what it remembers of a slot once its verdict is out is one
-byte (:mod:`repro.service.sessions`).
+:class:`SupervisorServer` is the I/O shell around
+:class:`~repro.service.sessions.SupervisorCore`, which holds every
+rule of a round: the shell reads a frame, hands it to the core, writes
+the reply, and runs each :class:`~repro.service.sessions.Verify` the
+core returns before handing its outcome back.  Stats and trace frames
+read the registry and the span buffer, not sessions, and stay here.
 
 Concurrency model:
 
@@ -47,109 +44,34 @@ import asyncio
 import contextlib
 import logging
 import time
-from dataclasses import dataclass
 
-from repro.core.cbs import CBSSupervisor
-from repro.core.protocol import (
-    AssignMsg,
-    CommitmentMsg,
-    NICBSSubmissionMsg,
-    ProofBundleMsg,
-    VerdictMsg,
-)
 from repro.core.scheme import VerificationOutcome
-from repro.engine import Executor, derive_seed, get_executor
+from repro.engine import Executor, get_executor
 from repro.engine.executor import _metered_map
-from repro.engine.seeding import check_derived_seeds
 from repro.exceptions import ProtocolError, ReproError
-from repro.merkle.hashing import get_hash
 from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SecurityConfig
-from repro.merkle.tree import LeafEncoding
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spans import SpanBuffer, default_span_buffer
 from repro.obs.trace import bind_trace
 from repro.service.codec import (
-    ASSIGN_SEED,
-    ChallengeFrame,
-    CommitmentFrame,
     ErrorFrame,
     Frame,
-    ProofsFrame,
     StatsReply,
     StatsRequest,
-    SubmissionFrame,
-    TaskAssign,
-    TaskRequest,
     TraceGetRequest,
     TraceReply,
-    VerdictFrame,
     read_frame,
-    resolve_workload,
     write_frame,
 )
 from repro.service.sessions import (
-    Session,
-    SessionState,
+    ServiceConfig,
     SessionStore,
-    task_name,
+    SupervisorCore,
+    Verify,
 )
-from repro.service.verification_jobs import (
-    timed,
-    verify_cbs_job,
-    verify_nicbs_job,
-)
-from repro.tasks.domain import RangeDomain
-from repro.tasks.result import TaskAssignment
-
-
-@dataclass
-class ServiceConfig:
-    """Everything one service deployment needs.
-
-    Mirrors :class:`~repro.grid.simulation.SimulationConfig` minus the
-    behaviours (those live client-side, where cheating happens): the
-    global domain is partitioned across ``n_participants`` slots, task
-    ``i`` is seeded ``derive_seed(seed, i)``, and the scheme
-    parameters are shipped to clients in the assign frame.
-
-    Only :class:`~repro.tasks.domain.RangeDomain` travels over the
-    wire — remote clients rebuild their subdomain from two integers,
-    which is also how real grids describe work units (key ranges,
-    chunk ids).
-    """
-
-    domain: RangeDomain
-    workload: str = "PasswordSearch"
-    protocol: str = "ni-cbs"
-    n_samples: int = 16
-    hash_name: str = "sha256"
-    sample_hash_name: str = "sha256"
-    leaf_encoding: LeafEncoding = LeafEncoding.HASHED
-    n_participants: int = 4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.protocol not in ("cbs", "ni-cbs"):
-            raise ProtocolError(f"unknown protocol {self.protocol!r}")
-        if not isinstance(self.domain, RangeDomain):
-            raise ProtocolError(
-                "the service ships domain bounds on the wire; only "
-                f"RangeDomain is supported, got {type(self.domain).__name__}"
-            )
-        if self.n_participants < 1:
-            raise ProtocolError(
-                f"n_participants must be >= 1, got {self.n_participants}"
-            )
-        resolve_workload(self.workload)  # fail fast on unknown kernels
-        # Participant i is assigned derive_seed(seed, i): the encoder
-        # trusts its caller, so a child outside the assign frame's seed
-        # field would be refused by every client, one session at a time.
-        check_derived_seeds(
-            self.seed, self.n_participants, ASSIGN_SEED.lo, ASSIGN_SEED.hi,
-            f"the assign frame's {ASSIGN_SEED.lo}..{ASSIGN_SEED.hi}", ProtocolError,
-        )
+from repro.service.verification_jobs import timed
 
 
 _log = get_logger("service")
@@ -270,9 +192,10 @@ class SupervisorServer:
         self.span_buffer = (
             span_buffer if span_buffer is not None else default_span_buffer()
         )
-        self.sessions = SessionStore(
-            ttl=session_ttl, clock=clock, registry=self.registry
+        self.core = SupervisorCore(
+            config, SessionStore(session_ttl, clock, self.registry)
         )
+        self.sessions = self.core.sessions
         self._m_connections = self.registry.counter(
             "repro_connections_total", "Participant connections accepted"
         )
@@ -284,9 +207,6 @@ class SupervisorServer:
         # Bound once: labels() on every frame was ~3% of the loop.
         self._m_frames_in = frames.labels(direction="in")
         self._m_frames_out = frames.labels(direction="out")
-        self._m_verifications = self.registry.counter(
-            "repro_verifications_total", "Verifications completed"
-        )
         self._m_errors = self.registry.counter(
             "repro_errors_total",
             "Errors that dropped a connection or request, by site",
@@ -302,14 +222,6 @@ class SupervisorServer:
             "Wall-clock from submission/proofs arrival to verdict",
             buckets=LATENCY_BUCKETS,
         )
-
-        self._function = resolve_workload(config.workload)
-        # Slot subdomains are cut when requested; a domain with fewer
-        # inputs than slots still fails here, not at the first request.
-        config.domain.part(0, config.n_participants)
-        # Where auto-assignment looks next; slots behind it are taken
-        # unless eviction freed them.
-        self._cursor = 0
 
         self._server: asyncio.base_events.Server | None = None
         self._sweeper: asyncio.Task | None = None
@@ -450,7 +362,7 @@ class SupervisorServer:
                 if frame is None:
                     return
                 self._m_frames_in.inc()
-                trace_id, span_id = self._trace_for(frame)
+                trace_id, span_id = self.core.trace_for(frame)
                 with bind_trace(trace_id, span_id):
                     await self._send(writer, await self._dispatch(frame))
         except ReproError as exc:
@@ -472,35 +384,11 @@ class SupervisorServer:
         await write_frame(writer, frame, max_frame=self._max_frame)
         self._m_frames_out.inc()
 
-    def _trace_for(self, frame: Frame) -> tuple[str | None, str | None]:
-        """The trace context a frame belongs to.
-
-        A task request carries its own ids; protocol frames inherit
-        the ids their session was opened with (looked up without
-        touching the TTL clock — unknown tasks fail in the handler).
-        """
-        if isinstance(frame, TaskRequest):
-            return frame.trace_id, frame.span_id
-        task_id = getattr(getattr(frame, "msg", None), "task_id", None)
-        if task_id is not None:
-            session = self.sessions.peek(task_id)
-            if session is not None:
-                return session.trace_id, session.span_id
-        return None, None
-
     # ------------------------------------------------------------------
     # Frame dispatch
     # ------------------------------------------------------------------
 
     async def _dispatch(self, frame: Frame) -> Frame:
-        if isinstance(frame, TaskRequest):
-            return self._handle_task_request(frame)
-        if isinstance(frame, CommitmentFrame):
-            return self._handle_commitment(frame.msg)
-        if isinstance(frame, ProofsFrame):
-            return await self._handle_proofs(frame.msg)
-        if isinstance(frame, SubmissionFrame):
-            return await self._handle_submission(frame.msg)
         if isinstance(frame, StatsRequest):
             return StatsReply(stats=self.registry.snapshot())
         if isinstance(frame, TraceGetRequest):
@@ -510,139 +398,11 @@ class SupervisorServer:
                     s.to_wire() for s in self.span_buffer.trace(frame.trace_id)
                 ),
             )
-        raise ProtocolError(
-            f"unexpected frame {type(frame).__name__} at the supervisor"
-        )
-
-    def _handle_task_request(self, request: TaskRequest) -> TaskAssign:
-        config = self.config
-        n_slots = config.n_participants
-        if request.participant is not None:
-            index = request.participant
-            if not 0 <= index < n_slots:
-                raise ProtocolError(
-                    f"participant {index} outside [0, {n_slots})"
-                )
-        else:
-            index = self.sessions.first_free(self._cursor, n_slots)
-            if index is None:
-                # Nothing ahead of the cursor, but eviction may have
-                # freed slots behind it.
-                index = self.sessions.first_free(0, self._cursor)
-            if index is None:
-                raise ProtocolError("no unassigned participant slots left")
-            self._cursor = index + 1
-        domain = config.domain.part(index, n_slots)
-        assignment = TaskAssignment(
-            task_id=task_name(index), domain=domain, function=self._function
-        )
-        seed = derive_seed(config.seed, index)
-        self.sessions.create(
-            task_id=assignment.task_id,
-            participant=index,
-            assignment=assignment,
-            seed=seed,
-            protocol=config.protocol,
-            trace_id=request.trace_id,
-            span_id=request.span_id,
-        )
-        log_event(
-            _log,
-            "task_assigned",
-            level=logging.DEBUG,
-            task_id=assignment.task_id,
-            participant=index,
-        )
-        return TaskAssign(
-            assign=AssignMsg(
-                task_id=assignment.task_id,
-                n_inputs=assignment.n_inputs,
-                workload=config.workload,
-            ),
-            participant=index,
-            domain_start=domain.start,
-            domain_stop=domain.stop,
-            protocol=config.protocol,
-            n_samples=config.n_samples,
-            hash_name=config.hash_name,
-            sample_hash_name=config.sample_hash_name,
-            leaf_encoding=config.leaf_encoding.value,
-            seed=seed,
-        )
-
-    def _handle_commitment(self, msg: CommitmentMsg) -> ChallengeFrame:
-        if self.config.protocol != "cbs":
-            raise ProtocolError("commitments only arrive in interactive CBS")
-        session = self.sessions.get(msg.task_id)
-        # Validate and draw the challenge with the real CBS supervisor
-        # (cheap: digest-size checks plus m RNG draws); the heavyweight
-        # verify happens off-loop when the proofs arrive.
-        supervisor = CBSSupervisor(
-            session.assignment,
-            n_samples=self.config.n_samples,
-            hash_fn=get_hash(self.config.hash_name),
-            leaf_encoding=self.config.leaf_encoding,
-            seed=session.seed,
-        )
-        supervisor.receive_commitment(msg)
-        challenge = supervisor.make_challenge()
-        self.sessions.record_commitment(msg.task_id, msg, challenge)
-        return ChallengeFrame(msg=challenge)
-
-    async def _handle_proofs(self, msg: ProofBundleMsg) -> VerdictFrame:
-        session = self.sessions.begin_verification(
-            msg.task_id, SessionState.COMMITTED
-        )
-        assert session.commitment is not None
-        outcome = await self._offload(
-            verify_cbs_job,
-            session.assignment,
-            self.config.n_samples,
-            self.config.hash_name,
-            self.config.leaf_encoding.value,
-            session.seed,
-            session.commitment,
-            msg,
-        )
-        return self._record_verdict(session, outcome)
-
-    async def _handle_submission(self, msg: NICBSSubmissionMsg) -> VerdictFrame:
-        if self.config.protocol != "ni-cbs":
-            raise ProtocolError("one-shot submissions only arrive in NI-CBS")
-        session = self.sessions.begin_verification(
-            msg.task_id, SessionState.ASSIGNED
-        )
-        outcome = await self._offload(
-            verify_nicbs_job,
-            session.assignment,
-            self.config.n_samples,
-            self.config.sample_hash_name,
-            self.config.hash_name,
-            self.config.leaf_encoding.value,
-            msg,
-        )
-        return self._record_verdict(session, outcome)
-
-    def _record_verdict(
-        self, session: Session, outcome: VerificationOutcome
-    ) -> VerdictFrame:
-        self.sessions.record_outcome(session.task_id, outcome)
-        self._m_verifications.inc()
-        verdict = "accepted" if outcome.accepted else outcome.reason.value
-        log_event(
-            _log,
-            "verdict",
-            task_id=session.task_id,
-            participant=session.participant,
-            outcome=verdict,
-        )
-        return VerdictFrame(
-            msg=VerdictMsg(
-                task_id=session.task_id,
-                accepted=outcome.accepted,
-                reason="" if outcome.accepted else outcome.reason.value,
-            )
-        )
+        reply = self.core.receive(frame)
+        if isinstance(reply, Verify):
+            outcome = await self._offload(reply.job, *reply.args)
+            reply = self.core.verdict(reply, outcome)
+        return reply
 
     # ------------------------------------------------------------------
     # Verification placement

@@ -1,39 +1,74 @@
-"""Session and commitment store for the supervisor service.
+"""The supervisor's session protocol: one synchronous core, no I/O.
 
 The GRACE supervisor (§4) is long-lived: millions of participants it
 never meets take assignments, and some of them vanish mid-protocol —
-after the commitment, before the proofs.  The store tracks every
-task's assignment → commitment → outcome lifecycle, rejects protocol
-replays (duplicate ``task_id``s, second commitments, anything after
-the verdict), and evicts abandoned sessions after a TTL so a slow-loris
-population cannot pin supervisor memory forever.
+after the commitment, before the proofs.  :class:`SupervisorCore` holds
+every rule of a round: slot choice, the state each frame requires, the
+CBS challenge draw and verdict recording.  A frame goes in; a reply
+frame, or a :class:`Verify` for the caller to run and hand back to
+:meth:`SupervisorCore.verdict`, comes out; every refusal is a
+:class:`~repro.exceptions.ProtocolError`.  It reads no socket, awaits
+nothing and runs no verification, so tests drive it without an event
+loop; :class:`~repro.service.server.SupervisorServer` is its asyncio
+shell.
 
-It holds what is in flight, not what it has ever served: a
-:class:`Session` lives in the store from its assignment to its verdict
+Determinism is preserved end to end: task ``i`` gets subdomain ``i``
+of the configured domain and seed ``derive_seed(config.seed, i)`` —
+exactly the job list :class:`~repro.grid.simulation.GridSimulation`
+builds — so a service run at a fixed seed produces byte-identical
+:class:`~repro.core.scheme.VerificationOutcome`s to the synchronous
+scheme layer (the parity tests pin this).  Both are arithmetic on
+``i``, done when slot ``i`` is requested: there is no per-slot table.
+
+:class:`SessionStore` holds what is in flight, not what it has ever
+served: a :class:`Session` lives from its assignment to its verdict
 and no longer.  What outlasts the verdict is one state byte per slot
 (free / live / done — exactly-once assignment and the "already
 verified" answer to a replay), the lifecycle counters, and a ring of
-the last :data:`RECENT_OUTCOMES` outcomes for inspection.
+the last :data:`RECENT_OUTCOMES` outcomes.  Sessions idle past a TTL
+are evicted, so a slow-loris population cannot pin supervisor memory;
+the slot is free again, and a verdict whose session was evicted while
+it verified is refused, never recorded against the slot's next
+session.
 
-The store is event-loop-local state: the asyncio server mutates it
-only from the loop thread, so no locking is needed.  Time is an
-injectable monotonic clock, which is what makes eviction testable
-without real sleeps.
+The core is event-loop-local state: the shell calls it only from the
+loop thread, so no locking is needed.  Time is the store's injectable
+monotonic clock, which makes eviction testable without real sleeps.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import re
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from repro.core.protocol import CommitmentMsg, SampleChallengeMsg
+from repro.core.cbs import CBSSupervisor
+from repro.core.protocol import AssignMsg, CommitmentMsg, VerdictMsg
 from repro.core.scheme import VerificationOutcome
+from repro.engine.seeding import check_derived_seeds, derive_seed
 from repro.exceptions import ProtocolError
+from repro.merkle.hashing import get_hash
+from repro.merkle.tree import LeafEncoding
+from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
+from repro.service.codec import (
+    ASSIGN_SEED,
+    ChallengeFrame,
+    CommitmentFrame,
+    Frame,
+    ProofsFrame,
+    SubmissionFrame,
+    TaskAssign,
+    TaskRequest,
+    VerdictFrame,
+    resolve_workload,
+)
+from repro.service.verification_jobs import verify_cbs_job, verify_nicbs_job
+from repro.tasks.domain import RangeDomain
 from repro.tasks.result import TaskAssignment
 
 
@@ -49,6 +84,8 @@ _FREE, _LIVE, _DONE = 0, 1, 2
 # zeros, short enough for int() whatever an untrusted peer sends.
 _TASK_ID = re.compile(r"task-(0|[1-9][0-9]{0,17})")
 
+_log = get_logger("service")
+
 
 def task_name(slot: int) -> str:
     """The task id of participant slot ``slot``."""
@@ -59,6 +96,52 @@ def _slot_of(task_id: str) -> int | None:
     """Inverse of :func:`task_name`; ``None`` for any other string."""
     match = _TASK_ID.fullmatch(task_id)
     return int(match[1]) if match else None
+
+
+@dataclass
+class ServiceConfig:
+    """Everything one service deployment needs.
+
+    Mirrors :class:`~repro.grid.simulation.SimulationConfig` minus the
+    behaviours (those live client-side, where cheating happens): the
+    global domain is partitioned across ``n_participants`` slots, task
+    ``i`` is seeded ``derive_seed(seed, i)``, and the scheme
+    parameters are shipped to clients in the assign frame.  Only a
+    :class:`~repro.tasks.domain.RangeDomain` travels over the wire:
+    clients rebuild their subdomain from two integers, which is also
+    how real grids describe work units (key ranges, chunk ids).
+    """
+
+    domain: RangeDomain
+    workload: str = "PasswordSearch"
+    protocol: str = "ni-cbs"
+    n_samples: int = 16
+    hash_name: str = "sha256"
+    sample_hash_name: str = "sha256"
+    leaf_encoding: LeafEncoding = LeafEncoding.HASHED
+    n_participants: int = 4
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.protocol not in ("cbs", "ni-cbs"):
+            raise ProtocolError(f"unknown protocol {self.protocol!r}")
+        if not isinstance(self.domain, RangeDomain):
+            raise ProtocolError(
+                "the service ships domain bounds on the wire; only "
+                f"RangeDomain is supported, got {type(self.domain).__name__}"
+            )
+        if self.n_participants < 1:
+            raise ProtocolError(
+                f"n_participants must be >= 1, got {self.n_participants}"
+            )
+        resolve_workload(self.workload)  # fail fast on unknown kernels
+        # Participant i is assigned derive_seed(seed, i): the encoder
+        # trusts its caller, so a child outside the assign frame's seed
+        # field would be refused by every client, one session at a time.
+        check_derived_seeds(
+            self.seed, self.n_participants, ASSIGN_SEED.lo, ASSIGN_SEED.hi,
+            f"the assign frame's {ASSIGN_SEED.lo}..{ASSIGN_SEED.hi}", ProtocolError,
+        )
 
 
 class SessionState(enum.Enum):
@@ -82,12 +165,9 @@ class Session:
     participant: int
     assignment: TaskAssignment
     seed: int
-    protocol: str
-    created_at: float
     touched_at: float
     state: SessionState = SessionState.ASSIGNED
     commitment: CommitmentMsg | None = None
-    challenge: SampleChallengeMsg | None = None
     # Optional trace context the client sent with its task request;
     # every log record and verdict for this task carries these ids.
     trace_id: str | None = None
@@ -151,7 +231,7 @@ class SessionStore:
         participant: int,
         assignment: TaskAssignment,
         seed: int,
-        protocol: str,
+        protocol: str | None = None,  # unread; benchmarks/ledger passes it
         trace_id: str | None = None,
         span_id: str | None = None,
     ) -> Session:
@@ -167,15 +247,12 @@ class SessionStore:
             raise ProtocolError(
                 f"task {task_id!r} does not name slot {participant}"
             )
-        now = self.clock()
         session = Session(
             task_id=task_id,
             participant=participant,
             assignment=assignment,
             seed=seed,
-            protocol=protocol,
-            created_at=now,
-            touched_at=now,
+            touched_at=self.clock(),
             trace_id=trace_id,
             span_id=span_id,
         )
@@ -210,7 +287,7 @@ class SessionStore:
         self,
         task_id: str,
         commitment: CommitmentMsg,
-        challenge: SampleChallengeMsg,
+        challenge=None,  # unread; benchmarks/ledger passes it
     ) -> Session:
         """CBS step 1→2 transition; duplicate commitments are replays."""
         session = self.get(task_id)
@@ -220,7 +297,6 @@ class SessionStore:
                 f"(state {session.state.value})"
             )
         session.commitment = commitment
-        session.challenge = challenge
         session.state = SessionState.COMMITTED
         return session
 
@@ -307,3 +383,163 @@ class SessionStore:
     def __contains__(self, task_id: str) -> bool:
         """Whether ``task_id`` is assigned: live or finished."""
         return task_id in self._sessions or self._finished(task_id)
+
+
+class Verify(NamedTuple):
+    """A claimed session's verification: run ``job(*args)``, then hand
+    the outcome to :meth:`SupervisorCore.verdict` with this value."""
+
+    session: Session
+    job: Callable[..., VerificationOutcome]
+    args: tuple
+
+
+class SupervisorCore:
+    """The supervisor's side of every session, as synchronous calls."""
+
+    def __init__(
+        self, config: ServiceConfig, sessions: SessionStore | None = None
+    ) -> None:
+        self.config = config
+        self.sessions = sessions if sessions is not None else SessionStore()
+        self._verifications = self.sessions.registry.counter(
+            "repro_verifications_total", "Verifications completed"
+        )
+        self._function = resolve_workload(config.workload)
+        # Slot subdomains are cut when requested; a domain with fewer
+        # inputs than slots still fails here, not at the first request.
+        config.domain.part(0, config.n_participants)
+        # Where auto-assignment looks next; slots behind it are taken
+        # unless eviction freed them.
+        self._cursor = 0
+
+    def trace_for(self, frame: Frame) -> tuple[str | None, str | None]:
+        """The trace context a frame belongs to.
+
+        A task request carries its own ids; protocol frames inherit
+        the ids their session was opened with (looked up without
+        touching the TTL clock — unknown tasks fail in :meth:`receive`).
+        """
+        if isinstance(frame, TaskRequest):
+            return frame.trace_id, frame.span_id
+        task_id = getattr(getattr(frame, "msg", None), "task_id", None)
+        session = self.sessions.peek(task_id)
+        return (session.trace_id, session.span_id) if session else (None, None)
+
+    def receive(self, frame: Frame) -> Frame | Verify:
+        """A task request or commitment's reply frame, or the
+        :class:`Verify` that proofs or a submission claim."""
+        config = self.config
+        if isinstance(frame, TaskRequest):
+            return self._assign(frame)
+        if isinstance(frame, CommitmentFrame):
+            return self._challenge(frame.msg)
+        if isinstance(frame, ProofsFrame):
+            msg = frame.msg
+            session = self.sessions.begin_verification(
+                msg.task_id, SessionState.COMMITTED
+            )
+            return Verify(session, verify_cbs_job, (
+                session.assignment, config.n_samples, config.hash_name,
+                config.leaf_encoding.value, session.seed, session.commitment,
+                msg,
+            ))
+        if isinstance(frame, SubmissionFrame):
+            if config.protocol != "ni-cbs":
+                raise ProtocolError("one-shot submissions only arrive in NI-CBS")
+            msg = frame.msg
+            session = self.sessions.begin_verification(
+                msg.task_id, SessionState.ASSIGNED
+            )
+            return Verify(session, verify_nicbs_job, (
+                session.assignment, config.n_samples, config.sample_hash_name,
+                config.hash_name, config.leaf_encoding.value, msg,
+            ))
+        raise ProtocolError(
+            f"unexpected frame {type(frame).__name__} at the supervisor"
+        )
+
+    def verdict(
+        self, verify: Verify, outcome: VerificationOutcome
+    ) -> VerdictFrame:
+        """Record ``verify``'s outcome; its verdict frame goes back.
+
+        Only while the claimed session is still the slot's: one evicted
+        mid-verification may have been reassigned, and its outcome must
+        not land on the newcomer.
+        """
+        session = verify.session
+        task_id = session.task_id
+        if self.sessions.peek(task_id) is not session:
+            raise ProtocolError(f"task {task_id!r} evicted during verification")
+        self.sessions.record_outcome(task_id, outcome)
+        self._verifications.inc()
+        reason = "" if outcome.accepted else outcome.reason.value
+        log_event(_log, "verdict", task_id=task_id,
+                  participant=session.participant, outcome=reason or "accepted")
+        return VerdictFrame(
+            msg=VerdictMsg(task_id=task_id, accepted=outcome.accepted, reason=reason)
+        )
+
+    def _assign(self, request: TaskRequest) -> TaskAssign:
+        config = self.config
+        n_slots = config.n_participants
+        if request.participant is not None:
+            index = request.participant
+            if not 0 <= index < n_slots:
+                raise ProtocolError(
+                    f"participant {index} outside [0, {n_slots})"
+                )
+        else:
+            index = self.sessions.first_free(self._cursor, n_slots)
+            if index is None:
+                # Nothing ahead of the cursor, but eviction may have
+                # freed slots behind it.
+                index = self.sessions.first_free(0, self._cursor)
+            if index is None:
+                raise ProtocolError("no unassigned participant slots left")
+            self._cursor = index + 1
+        domain = config.domain.part(index, n_slots)
+        assignment = TaskAssignment(
+            task_id=task_name(index), domain=domain, function=self._function
+        )
+        seed = derive_seed(config.seed, index)
+        self.sessions.create(
+            assignment.task_id, index, assignment, seed,
+            trace_id=request.trace_id, span_id=request.span_id,
+        )
+        log_event(_log, "task_assigned", level=logging.DEBUG,
+                  task_id=assignment.task_id, participant=index)
+        return TaskAssign(
+            assign=AssignMsg(task_id=assignment.task_id,
+                             n_inputs=assignment.n_inputs,
+                             workload=config.workload),
+            participant=index,
+            domain_start=domain.start,
+            domain_stop=domain.stop,
+            protocol=config.protocol,
+            n_samples=config.n_samples,
+            hash_name=config.hash_name,
+            sample_hash_name=config.sample_hash_name,
+            leaf_encoding=config.leaf_encoding.value,
+            seed=seed,
+        )
+
+    def _challenge(self, msg: CommitmentMsg) -> ChallengeFrame:
+        if self.config.protocol != "cbs":
+            raise ProtocolError("commitments only arrive in interactive CBS")
+        session = self.sessions.get(msg.task_id)
+        # Validate and draw the challenge with the real CBS supervisor
+        # (cheap: digest-size checks plus m RNG draws); the heavyweight
+        # verify runs where the shell places the proofs' Verify.
+        supervisor = CBSSupervisor(
+            session.assignment,
+            n_samples=self.config.n_samples,
+            hash_fn=get_hash(self.config.hash_name),
+            leaf_encoding=self.config.leaf_encoding,
+            seed=session.seed,
+        )
+        supervisor.receive_commitment(msg)
+        challenge = supervisor.make_challenge()
+        self.sessions.record_commitment(msg.task_id, msg)
+        return ChallengeFrame(msg=challenge)

@@ -15,7 +15,12 @@ import threading
 
 import pytest
 
-from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.cheating import (
+    ColludingCheater,
+    HonestBehavior,
+    MaliciousBehavior,
+    SemiHonestCheater,
+)
 from repro.core import CBSScheme, NICBSScheme
 from repro.core.cbs import CBSParticipant
 from repro.core.ni_cbs import NICBSParticipant
@@ -44,13 +49,22 @@ from repro.merkle.tree import LeafEncoding
 from repro.obs.metrics import default_registry
 from repro.obs.trace import bind_trace, new_trace_id
 from repro.service import server as server_module
+from repro.service import sessions as sessions_module
 from repro.service import verification_jobs
 from repro.service.codec import TaskAssign, TraceGetRequest
 from repro.service.server import INLINE_BUDGET_S
+from repro.service.sessions import SupervisorCore
 from repro.tasks import PasswordSearch, RangeDomain
 
 D = RangeDomain(0, 1 << 9)
 BEHAVIORS = [HonestBehavior(), SemiHonestCheater(0.5)]
+#: One of each repro.cheating strategy.
+STRATEGIES = [
+    HonestBehavior(),
+    SemiHonestCheater(0.5),
+    ColludingCheater(0.5, b"cartel"),
+    MaliciousBehavior(),
+]
 
 
 def config(protocol: str, n_participants: int = 6, m: int = 12) -> ServiceConfig:
@@ -63,8 +77,9 @@ def config(protocol: str, n_participants: int = 6, m: int = 12) -> ServiceConfig
     )
 
 
-def sync_outcomes(cfg: ServiceConfig):
-    """Reference outcomes from the synchronous scheme layer."""
+def sync_outcomes(cfg: ServiceConfig, behaviors=BEHAVIORS):
+    """Reference outcomes from the synchronous scheme layer, slot *i*
+    running ``behaviors[i % len(behaviors)]``."""
     scheme = (
         CBSScheme(cfg.n_samples)
         if cfg.protocol == "cbs"
@@ -76,7 +91,7 @@ def sync_outcomes(cfg: ServiceConfig):
             function=PasswordSearch(),
             scheme=scheme,
             n_participants=cfg.n_participants,
-            behaviors=BEHAVIORS,
+            behaviors=behaviors,
             seed=cfg.seed,
         )
     )
@@ -109,6 +124,43 @@ def cbs_participant(assign: TaskAssign, behavior) -> CBSParticipant:
         hash_fn=get_hash(assign.hash_name),
         salt=assign.seed.to_bytes(8, "big"),
     )
+
+
+def nicbs_participant(assign: TaskAssign, behavior) -> NICBSParticipant:
+    """The participant side of one NI-CBS round, built as the client does."""
+    return NICBSParticipant(
+        ServiceClient.build_assignment(assign),
+        behavior,
+        n_samples=assign.n_samples,
+        sample_hash=get_hash(assign.sample_hash_name),
+        hash_fn=get_hash(assign.hash_name),
+        salt=assign.seed.to_bytes(8, "big"),
+    )
+
+
+def drive_core(cfg: ServiceConfig, behaviors):
+    """Every slot's round against a bare :class:`SupervisorCore`: no
+    loop, no bytes, each ``Verify`` run inline.  Slot *i* runs
+    ``behaviors[i % len(behaviors)]``; returns the recorded outcomes."""
+    core = SupervisorCore(cfg)
+    for i in range(cfg.n_participants):
+        behavior = behaviors[i % len(behaviors)]
+        assign = core.receive(TaskRequest(participant=i))
+        if cfg.protocol == "cbs":
+            participant = cbs_participant(assign, behavior)
+            commitment = CommitmentFrame(msg=participant.compute_and_commit())
+            challenge = core.receive(commitment).msg
+            claim = core.receive(ProofsFrame(msg=participant.prove(challenge)))
+        else:
+            participant = nicbs_participant(assign, behavior)
+            claim = core.receive(
+                SubmissionFrame(msg=participant.compute_and_submit())
+            )
+        verdict = core.verdict(claim, claim.job(*claim.args)).msg
+        outcome = core.sessions.outcomes[verdict.task_id]
+        assert verdict.accepted == outcome.accepted
+    assert core.sessions.active == 0
+    return core.sessions.outcomes
 
 
 def cbs_rounds_on_one_connection(cfg: ServiceConfig, behaviors):
@@ -162,13 +214,8 @@ def relay_through_broker(
             for _ in behaviors:
                 await write_frame(writer, TaskRequest(participant=None))
                 assign = await read_frame(reader)
-                participant = NICBSParticipant(
-                    ServiceClient.build_assignment(assign),
-                    behaviors[assign.participant],
-                    n_samples=assign.n_samples,
-                    sample_hash=get_hash(assign.sample_hash_name),
-                    hash_fn=get_hash(assign.hash_name),
-                    salt=assign.seed.to_bytes(8, "big"),
+                participant = nicbs_participant(
+                    assign, behaviors[assign.participant]
                 )
                 submissions.append(
                     SubmissionFrame(msg=participant.compute_and_submit())
@@ -207,6 +254,14 @@ class TestEndToEnd:
         # Theorem 1 at the service layer: no honest participant rejected.
         assert all(r.accepted for r in runs if r.honesty_ratio == 1.0)
         assert all(not r.accepted for r in runs if r.honesty_ratio < 1.0)
+
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_bare_core_parity_with_scheme_layer(self, protocol):
+        """The same parity with no server around the core: every
+        strategy's messages fed straight in, verdicts equal
+        ``scheme.run``'s."""
+        cfg = config(protocol, n_participants=8)
+        assert drive_core(cfg, STRATEGIES) == sync_outcomes(cfg, STRATEGIES)
 
     def test_serial_engine_runs_inline(self):
         cfg = config("ni-cbs", n_participants=3)
@@ -467,7 +522,7 @@ class TestConnectionLoop:
             assert release.wait(timeout=10.0)
             return verification_jobs.verify_nicbs_job(*args)
 
-        monkeypatch.setattr(server_module, "verify_nicbs_job", held)
+        monkeypatch.setattr(sessions_module, "verify_nicbs_job", held)
 
         async def scenario():
             server = SupervisorServer(cfg, engine="threads", workers=2)
@@ -808,6 +863,67 @@ class TestEvictionIntegration:
         assert "unknown task" in reply.message
         assert server.registry.sum_values("repro_errors_total") == 1
         assert rerun.accepted
+
+    def test_verdict_for_an_evicted_session_never_lands_on_the_next(
+        self, monkeypatch
+    ):
+        """A's cheating submission is held mid-verification while its
+        session is evicted and B takes the slot.  When A's job finishes,
+        A gets an error frame; B's session is untouched and B's honest
+        submission is verified."""
+        cfg = config("ni-cbs", n_participants=1)
+        now = [0.0]
+        entered, release = threading.Event(), threading.Event()
+
+        def held(*args):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return verification_jobs.verify_nicbs_job(*args)
+
+        monkeypatch.setattr(sessions_module, "verify_nicbs_job", held)
+
+        async def submit(reader, writer, behavior):
+            await write_frame(writer, TaskRequest(participant=0))
+            submission = nicbs_participant(
+                await read_frame(reader), behavior
+            ).compute_and_submit()
+            await write_frame(writer, SubmissionFrame(msg=submission))
+
+        async def scenario():
+            server = SupervisorServer(
+                cfg, engine="threads", workers=2, session_ttl=10.0,
+                clock=lambda: now[0],
+            )
+            try:
+                a_reader, a_writer = server.connect_memory()
+                await submit(a_reader, a_writer, SemiHonestCheater(0.5))
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                now[0] += 11.0
+                assert server.sessions.evict_stale() == ["task-0"]
+                b_reader, b_writer = server.connect_memory()
+                await write_frame(b_writer, TaskRequest(participant=0))
+                b_assign = await read_frame(b_reader)
+                release.set()
+                a_reply = await read_frame(a_reader)
+                b_submission = nicbs_participant(
+                    b_assign, HonestBehavior()
+                ).compute_and_submit()
+                await write_frame(b_writer, SubmissionFrame(msg=b_submission))
+                b_reply = await read_frame(b_reader)
+                a_writer.close()
+                b_writer.close()
+                return a_reply, b_reply, server
+            finally:
+                release.set()
+                await server.stop()
+
+        a_reply, b_reply, server = asyncio.run(scenario())
+        assert isinstance(a_reply, ErrorFrame)
+        assert "evicted during verification" in a_reply.message
+        assert isinstance(b_reply, VerdictFrame) and b_reply.msg.accepted
+        assert server.outcomes["task-0"].accepted
+        assert server.registry.value("repro_verifications_total") == 1
 
     def test_abandoned_session_evicted_then_slot_reusable(self):
         cfg = config("cbs", n_participants=1)

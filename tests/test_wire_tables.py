@@ -15,6 +15,7 @@ stays synchronous and I/O-free (``TestSchedulerSeam``).
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -338,23 +339,26 @@ def _one_instance_per_struct() -> list:
 
 
 class TestSchedulerSeam:
-    """The scheduler decides and the coordinator moves bytes; this is
-    the check that the first cannot quietly start doing the second."""
+    """The scheduler and the session core decide, and their shells (the
+    coordinator, the server) move bytes; this is the check that the
+    first cannot quietly start doing the second."""
 
     BANNED_MODULES = ("asyncio", "socket", "ssl", "subprocess", "threading",
                       "repro.net")
     BANNED_NAMES = {"read_frame", "write_frame"}
 
-    def test_scheduler_module_is_synchronous_and_io_free(self):
-        from repro.engine.cluster import scheduler
-
-        tree = ast.parse(pathlib.Path(scheduler.__file__).read_text())
+    @pytest.mark.parametrize(
+        "name", ["repro.engine.cluster.scheduler", "repro.service.sessions"]
+    )
+    def test_module_is_synchronous_and_io_free(self, name):
+        path = importlib.import_module(name).__file__
+        tree = ast.parse(pathlib.Path(path).read_text())
         imported, named = set(), set()
         for node in ast.walk(tree):
             assert not isinstance(
                 node, (ast.AsyncFunctionDef, ast.AsyncFor, ast.AsyncWith,
                        ast.Await)
-            ), f"line {node.lineno}: the scheduler is synchronous"
+            ), f"line {node.lineno}: {name} is synchronous"
             if isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
@@ -368,5 +372,5 @@ class TestSchedulerSeam:
             for banned in self.BANNED_MODULES:
                 assert module != banned and not module.startswith(
                     banned + "."
-                ), f"scheduler.py imports {module}"
+                ), f"{name} imports {module}"
         assert not named & self.BANNED_NAMES
