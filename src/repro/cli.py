@@ -49,7 +49,6 @@ import contextlib
 import json
 import logging
 import os
-import signal
 import sys
 import time
 
@@ -363,10 +362,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.obs import (
-        EventLoopLagProbe, FlightRecorder, HealthState, configure_logging,
-        default_registry, gauge_max_probe, gauge_min_probe, get_logger,
-        install_flight_recorder, log_event,
+        EventLoopLagProbe, configure_logging, default_registry,
+        gauge_max_probe, gauge_min_probe, get_logger, log_event,
     )
+    from repro.obs.health import Daemon
     from repro.service import SupervisorServer
 
     config = _service_config(args)
@@ -377,140 +376,106 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # --trace; keep it human-readable at INFO.
         configure_logging(json=False, level=logging.INFO)
 
-    # The flight recorder rides the whole command: attach early so
-    # startup failures land in the crash dump too.
-    recorder = FlightRecorder(process="serve")
-    recorder.attach()
-    if args.flight_dir is not None:
-        install_flight_recorder(recorder, args.flight_dir)
+    registry = default_registry()
+    count = registry.value
+
+    async def snapshot_loop(server) -> None:
+        while True:
+            await asyncio.sleep(args.stats_interval)
+            log_event(
+                get_logger("cli"),
+                "stats_snapshot",
+                connections=int(count("repro_connections_total")),
+                verifications=int(count("repro_verifications_total")),
+                sessions_active=server.sessions.active,
+                errors=int(registry.sum_values("repro_errors_total")),
+                auth_failures=int(
+                    count("repro_auth_failures_total", plane="service")
+                ),
+            )
 
     async def serve() -> None:
-        registry = default_registry()
-        server = SupervisorServer(
-            config,
-            engine=args.engine,
-            workers=args.workers,
-            engine_options=_engine_options(args, service_plane=True),
-            security=_service_security(args),
-            session_ttl=args.session_ttl,
-            registry=registry,
-        )
-        # Readiness plane: drain flag + per-plane probes.  The lag
-        # sampler runs as a loop task; cluster probes watch the
-        # scheduler gauges the coordinator keeps fresh.
-        health = HealthState()
-        lag_probe = EventLoopLagProbe()
-        health.add_probe("event_loop_lag", lag_probe)
-        if args.engine == "cluster":
-            health.add_probe(
-                "cluster_workers",
-                gauge_min_probe(
-                    registry, "repro_cluster_workers_live", 1.0
-                ),
+        # Entered before the server is built, so startup failures land
+        # in the crash dump and a supervisor that printed "listening"
+        # is already signal-safe: SIGINT/SIGTERM set daemon.stop.
+        async with Daemon(
+            "serve",
+            registry,
+            flight_dir=args.flight_dir,
+            metrics_port=args.metrics_port,
+        ) as daemon:
+            server = SupervisorServer(
+                config,
+                engine=args.engine,
+                workers=args.workers,
+                engine_options=_engine_options(args, service_plane=True),
+                security=_service_security(args),
+                session_ttl=args.session_ttl,
+                registry=registry,
             )
-            health.add_probe(
-                "cluster_stall",
-                gauge_max_probe(
-                    registry, "repro_cluster_stall_seconds", 60.0
-                ),
-            )
-        lag_task = asyncio.ensure_future(lag_probe.run())
-        # Graceful shutdown: SIGINT/SIGTERM set an event instead of
-        # tearing through the loop as KeyboardInterrupt; server.stop()
-        # then closes the listener, drains in-flight rounds and the
-        # engine pool, and releases session state.  Handlers go in
-        # before the readiness banner so a supervisor that printed
-        # "listening" is already signal-safe.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled: list[signal.Signals] = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                handled.append(sig)
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
-        host, port = await server.start(args.host, args.port)
-        print(
-            f"supervisor listening on {host}:{port} — protocol "
-            f"{config.protocol}, D={args.n}, "
-            f"{config.n_participants} participant slots, m={config.n_samples}",
-            flush=True,
-        )
-        metrics_server = None
-        if args.metrics_port is not None:
-            from repro.obs import MetricsServer
-
-            metrics_server = MetricsServer(
-                server.registry, port=args.metrics_port, health=health
-            )
-            print(
-                f"metrics on http://127.0.0.1:{metrics_server.port}/metrics "
-                f"(+ /stats /healthz /readyz)",
-                flush=True,
-            )
-
-        count = registry.value
-
-        async def snapshot_loop() -> None:
-            while True:
-                await asyncio.sleep(args.stats_interval)
-                log_event(
-                    get_logger("cli"),
-                    "stats_snapshot",
-                    connections=int(count("repro_connections_total")),
-                    verifications=int(count("repro_verifications_total")),
-                    sessions_active=server.sessions.active,
-                    errors=int(registry.sum_values("repro_errors_total")),
-                    auth_failures=int(
-                        count("repro_auth_failures_total", plane="service")
+            # Readiness plane: per-plane probes beside the drain flag.
+            # The lag sampler runs as a loop task; cluster probes watch
+            # the scheduler gauges the coordinator keeps fresh.
+            health = daemon.health
+            lag_probe = EventLoopLagProbe()
+            health.add_probe("event_loop_lag", lag_probe)
+            if args.engine == "cluster":
+                health.add_probe(
+                    "cluster_workers",
+                    gauge_min_probe(
+                        registry, "repro_cluster_workers_live", 1.0
                     ),
                 )
-
-        snapshot_task = (
-            asyncio.ensure_future(snapshot_loop())
-            if args.stats_interval is not None
-            else None
-        )
-        try:
-            await stop.wait()
-            # Drain protocol: flip readiness *first* so a load
-            # balancer polling /readyz sees 503 and stops routing,
-            # hold the listener open for --drain-grace seconds, and
-            # only then stop accepting and tear down.
-            health.set_ready(False, "draining")
-            recorder.record("drain_started", grace_s=args.drain_grace)
-            if args.drain_grace > 0:
-                await asyncio.sleep(args.drain_grace)
-        finally:
-            for sig in handled:
-                loop.remove_signal_handler(sig)
-            lag_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await lag_task
-            if snapshot_task is not None:
-                snapshot_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await snapshot_task
-            await server.stop()
-            # Probe endpoint closes after the drain so the final 503s
-            # were observable; the flight dump is the shutdown record.
-            if metrics_server is not None:
-                metrics_server.close()
-            if args.flight_dir is not None:
-                with contextlib.suppress(OSError):
-                    path = recorder.dump_to_dir(
-                        args.flight_dir, reason="shutdown"
+                health.add_probe(
+                    "cluster_stall",
+                    gauge_max_probe(
+                        registry, "repro_cluster_stall_seconds", 60.0
+                    ),
+                )
+            tasks = [asyncio.ensure_future(lag_probe.run())]
+            try:
+                host, port = await server.start(args.host, args.port)
+                print(
+                    f"supervisor listening on {host}:{port} — protocol "
+                    f"{config.protocol}, D={args.n}, "
+                    f"{config.n_participants} participant slots, "
+                    f"m={config.n_samples}",
+                    flush=True,
+                )
+                metrics_port = daemon.expose()
+                if metrics_port is not None:
+                    print(
+                        f"metrics on http://127.0.0.1:{metrics_port}/metrics "
+                        f"(+ /stats /healthz /readyz)",
+                        flush=True,
                     )
-                    print(f"flight recorder dumped to {path}", flush=True)
-            print(
-                f"supervisor stopped — "
-                f"{int(count('repro_connections_total'))} connections, "
-                f"{int(count('repro_verifications_total'))} verifications, "
-                f"{int(count('repro_sessions_total', event='evicted'))} "
-                "sessions evicted",
-                flush=True,
-            )
+                if args.stats_interval is not None:
+                    tasks.append(asyncio.ensure_future(snapshot_loop(server)))
+                await daemon.stop.wait()
+                # Drain protocol: flip readiness *first* so a load
+                # balancer polling /readyz sees 503 and stops routing,
+                # hold the listener open for --drain-grace seconds, and
+                # only then stop accepting and tear down.
+                health.set_ready(False, "draining")
+                daemon.recorder.record(
+                    "drain_started", grace_s=args.drain_grace
+                )
+                if args.drain_grace > 0:
+                    await asyncio.sleep(args.drain_grace)
+            finally:
+                for task in tasks:
+                    task.cancel()
+                    with contextlib.suppress(asyncio.CancelledError):
+                        await task
+                await server.stop()
+        print(
+            f"supervisor stopped — "
+            f"{int(count('repro_connections_total'))} connections, "
+            f"{int(count('repro_verifications_total'))} verifications, "
+            f"{int(count('repro_sessions_total', event='evicted'))} "
+            "sessions evicted",
+            flush=True,
+        )
 
     try:
         asyncio.run(serve())

@@ -81,7 +81,7 @@ def verify_proof_bundle(
     function: TaskFunction,
     hash_fn: HashFunction,
     leaf_encoding: LeafEncoding,
-    stop_on_first_failure: bool = True,
+    stop_on_first_failure: bool,
 ) -> list[SampleVerdict]:
     """Run both Step-4 checks over a bundle; one verdict per sample.
 

@@ -17,10 +17,11 @@ which jobs, what is requeued, parked, failed or resolved — is decided
 by :class:`repro.engine.cluster.scheduler.Scheduler`, synchronous and
 I/O-free (its module docstring has the topology, the scheduling policy
 and the event table).  :class:`_Coordinator` here is the socket shell
-around it: it binds a TCP listener, runs the auth + ``hello``
-handshake, turns each connection's frames into scheduler events,
-writes the chunks the scheduler sends, and ticks it from a timer.  It
-holds writers and tasks, and no scheduling state.
+around it: it listens through :class:`repro.net.transport.Listener`
+(which runs the auth handshake), reads each worker's ``hello``, turns
+each connection's frames into scheduler events, writes the chunks the
+scheduler sends, and ticks it from a timer.  It holds writers and
+tasks, and no scheduling state.
 
 Deployment modes: **spawn-local** (default — the coordinator launches
 ``workers`` daemon subprocesses on this host; benches, tests, and the
@@ -55,7 +56,7 @@ from repro.engine.executor import Executor, _metered_map, default_workers
 from repro.exceptions import EngineError, ReproError
 from repro.launch import DEFAULT_HEARTBEAT_INTERVAL
 from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
-from repro.net.transport import SecurityConfig
+from repro.net.transport import Listener, SecurityConfig
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanBuffer
@@ -94,7 +95,7 @@ _STAT_COUNTERS = {
     "chunks_requeued": attrgetter("scheduler._m_chunks_requeued.value"),
     "result_bytes": attrgetter("scheduler._m_result_bytes.sum"),
     "workers_lost": attrgetter("scheduler._m_workers_lost.value"),
-    "auth_rejects": attrgetter("_m_auth_rejects.value"),
+    "auth_rejects": attrgetter("listener.auth_failures.value"),
     "scheme_cache_hits": attrgetter("scheduler._m_cache_hits.value"),
     "scheme_cache_misses": attrgetter("scheduler._m_cache_misses.value"),
 }
@@ -105,10 +106,10 @@ _log = get_logger("cluster.coordinator")
 class _Coordinator:
     """The socket shell around a :class:`Scheduler`.
 
-    Loop-thread-only.  Owns the listener, one task per connection, one
-    task per outgoing chunk and the ``writers`` map (worker id -> the
-    stream its frames go out on); a connection speaks for its worker id
-    exactly while its writer is the one in that map.
+    Loop-thread-only.  Owns the listener (which holds one task per
+    connection), one task per outgoing chunk and the ``writers`` map
+    (worker id -> the stream its frames go out on); a connection speaks
+    for its worker id exactly while its writer is the one in that map.
     """
 
     def __init__(
@@ -119,7 +120,6 @@ class _Coordinator:
         registry: MetricsRegistry | None = None,
         **scheduling,
     ) -> None:
-        self.security = security
         self._more_workers_expected = more_workers_expected
         self.registry = registry if registry is not None else MetricsRegistry()
         # Everything else the executor was configured with is scheduling
@@ -131,19 +131,18 @@ class _Coordinator:
             **scheduling,
         )
         self.writers: dict[str, asyncio.StreamWriter] = {}
-        self._m_auth_rejects = self.registry.counter(
-            "repro_auth_failures_total",
-            "Rejected authentication handshakes, by plane",
-            ("plane",),
-        ).labels(plane="cluster")
+        # The repro.net HMAC handshake gates the job plane: a peer
+        # without the shared secret is rejected before any frame or
+        # typed payload is decoded.
+        self.listener = Listener(
+            self._serve_worker, security, self.registry, "cluster"
+        )
         self._m_errors = self.registry.counter(
             "repro_errors_total",
             "Errors that dropped a connection or request, by site",
             ("site",),
         )
-        self._server: asyncio.base_events.Server | None = None
         self._monitor_task: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._send_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
@@ -151,17 +150,9 @@ class _Coordinator:
     # ------------------------------------------------------------------
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        ssl_context = (
-            self.security.server_ssl_context()
-            if self.security is not None
-            else None
-        )
-        self._server = await asyncio.start_server(
-            self._spawn_connection, host, port, ssl=ssl_context
-        )
+        address = await self.listener.start(host, port)
         self._monitor_task = asyncio.ensure_future(self._monitor())
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return address
 
     async def stop(self) -> None:
         if self._monitor_task is not None:
@@ -169,25 +160,21 @@ class _Coordinator:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._monitor_task
             self._monitor_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self.listener.close()
         # Shutdown is not a fault: the scheduler forgets its work and
         # its workers first, so tearing the connections down below
         # requeues nothing and counts no worker lost.
         self.scheduler.close(EngineError("cluster executor closed"))
         for writer in list(self.writers.values()):
             await self._say_bye(writer, "coordinator shutdown")
-            with contextlib.suppress(Exception):
-                writer.close()
         self.writers.clear()
-        for task in list(self._conn_tasks) + list(self._send_tasks):
+        # Each connection's task closes its writer as it is cancelled.
+        await self.listener.stop()
+        for task in list(self._send_tasks):
             task.cancel()
-        for task in list(self._conn_tasks) + list(self._send_tasks):
+        for task in list(self._send_tasks):
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
-        self._conn_tasks.clear()
         self._send_tasks.clear()
 
     async def _monitor(self) -> None:
@@ -238,11 +225,6 @@ class _Coordinator:
     # Worker connections
     # ------------------------------------------------------------------
 
-    def _spawn_connection(self, reader, writer) -> None:
-        task = asyncio.ensure_future(self._serve_worker(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
     async def _say_bye(self, writer, reason: str) -> None:
         with contextlib.suppress(Exception):
             await write_frame(
@@ -254,22 +236,6 @@ class _Coordinator:
     async def _serve_worker(self, reader, writer) -> None:
         worker_id: str | None = None
         try:
-            if self.security is not None:
-                # The repro.net HMAC handshake gates the job plane: a
-                # peer without the shared secret is rejected here,
-                # before any frame or typed payload is decoded.
-                try:
-                    await self.security.authenticate_inbound(reader, writer)
-                except (ReproError, ConnectionError, OSError) as exc:
-                    self._m_auth_rejects.inc()
-                    log_event(
-                        _log,
-                        "auth_failure",
-                        level=logging.WARNING,
-                        plane="cluster",
-                        error=str(exc),
-                    )
-                    return
             frame = await read_frame(reader, max_frame=MAX_CLUSTER_FRAME_BYTES)
             if not isinstance(frame, WorkerHello):
                 await self._say_bye(writer, "expected hello")
@@ -325,10 +291,6 @@ class _Coordinator:
         finally:
             if worker_id is not None and self.writers.get(worker_id) is writer:
                 self.scheduler.worker_left(worker_id, "connection_closed")
-            with contextlib.suppress(Exception):
-                writer.close()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await writer.wait_closed()
 
 
 class _ClusterFuturesPool(concurrent.futures.Executor):

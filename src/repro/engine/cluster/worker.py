@@ -46,7 +46,6 @@ import importlib
 import logging
 import os
 import secrets
-import signal
 import sys
 import time
 
@@ -56,11 +55,10 @@ from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
 from repro.net.transport import (
     SecurityConfig,
     close_writer,
+    dial,
     heartbeat_loop,
-    open_connection,
 )
-from repro.obs.health import HealthState
-from repro.obs.recorder import FlightRecorder, install_flight_recorder
+from repro.obs.health import Daemon, HealthState
 from repro.obs.spans import Span, default_span_buffer
 from repro.obs.logging import configure_logging, get_logger, log_event
 from repro.obs.metrics import default_registry
@@ -166,19 +164,18 @@ async def run_worker(
     loop.  ``throttle`` adds an artificial per-job delay (straggler
     injection for benches and scheduler tests).  ``connect_retry_s``
     keeps re-dialling a coordinator that has not bound its port yet —
-    workers racing the
-    coordinator's startup across hosts is normal, not an error
-    (shared :func:`repro.net.transport.open_connection` backoff).
-    ``security`` carries the coordinator's shared secret and TLS pin:
-    when a secret is set the worker completes the repro.net HMAC
-    handshake before its ``hello`` frame.  ``shutdown`` is the
-    graceful-exit hook the signal handlers set.  ``health`` (optional)
-    tracks readiness: ready once the hello is sent, flipped to
-    draining the moment a shutdown begins — the ``/readyz`` half of a
-    worker's ``--metrics-port`` endpoint.  ``preload`` names modules
-    imported before serving, so third-party jobcodec registrations
-    exist before the first chunk; ``max_frame`` caps frames both ways
-    (a test hook for the answer path).
+    workers racing the coordinator's startup across hosts is normal,
+    not an error (:func:`repro.net.transport.dial`).  ``security``
+    carries the coordinator's shared secret and TLS pin: when a secret
+    is set the worker completes the repro.net HMAC handshake before its
+    ``hello`` frame.  ``shutdown`` is the graceful-exit hook the signal
+    handlers set; set while the worker is still dialling, it returns 0
+    at once.  ``health`` (optional) tracks readiness: ready once the
+    hello is sent, flipped to draining the moment a shutdown begins —
+    the ``/readyz`` half of a worker's ``--metrics-port`` endpoint.
+    ``preload`` names modules imported before serving, so third-party
+    jobcodec registrations exist before the first chunk; ``max_frame``
+    caps frames both ways (a test hook for the answer path).
     """
     if heartbeat_interval <= 0:
         raise EngineError(
@@ -186,10 +183,6 @@ async def run_worker(
         )
     if throttle < 0:
         raise EngineError(f"throttle must be >= 0, got {throttle}")
-    if connect_retry_s < 0:
-        raise EngineError(
-            f"connect retry must be >= 0, got {connect_retry_s}"
-        )
     worker_id = worker_id or default_worker_id()
     jobs_done = 0
     # Preloads resolve before dialling: a misspelled --preload module
@@ -198,22 +191,30 @@ async def run_worker(
         importlib.import_module(name)
 
     loop = asyncio.get_running_loop()
-    reader, writer = await open_connection(
-        host,
-        port,
-        ssl_context=(
-            security.client_ssl_context() if security is not None else None
-        ),
-        connect_retry_s=connect_retry_s,
+    # Without a shutdown event the stop never comes.
+    stop_task = (
+        asyncio.ensure_future(shutdown.wait())
+        if shutdown is not None
+        else loop.create_future()
     )
-    if security is not None:
-        # Authenticate before the hello: a worker that cannot
-        # prove the shared secret never gets to speak the codec.
-        try:
-            await security.authenticate_outbound(reader, writer)
-        except BaseException:
-            await close_writer(writer)
-            raise
+    dialling = asyncio.ensure_future(
+        dial(host, port, security, connect_retry_s=connect_retry_s)
+    )
+    try:
+        await asyncio.wait(
+            (dialling, stop_task), return_when=asyncio.FIRST_COMPLETED
+        )
+        if not dialling.done():
+            # A stop while dialling: nothing registered, nothing to drain.
+            dialling.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await dialling
+            return 0
+        reader, writer = dialling.result()
+    except BaseException:
+        stop_task.cancel()
+        dialling.cancel()
+        raise
     write_lock = asyncio.Lock()
     # One chunk computes at a time; the rest wait here in arrival
     # order (the coordinator keeps up to two in flight).
@@ -345,11 +346,6 @@ async def run_worker(
             )
 
     hb_task = asyncio.ensure_future(heartbeats())
-    stop_task = (
-        asyncio.ensure_future(shutdown.wait())
-        if shutdown is not None
-        else None
-    )
     try:
         await send(WorkerHello(worker_id=worker_id, capacity=1))
         if health is not None:
@@ -360,13 +356,10 @@ async def run_worker(
             frame_task = asyncio.ensure_future(
                 read_frame(reader, max_frame=max_frame)
             )
-            waits = {frame_task}
-            if stop_task is not None:
-                waits.add(stop_task)
             done, _pending = await asyncio.wait(
-                waits, return_when=asyncio.FIRST_COMPLETED
+                (frame_task, stop_task), return_when=asyncio.FIRST_COMPLETED
             )
-            if stop_task is not None and stop_task in done:
+            if stop_task in done:
                 if health is not None:
                     # Drain: flip readiness *before* flushing
                     # in-flight chunks so an LB stops routing
@@ -403,17 +396,11 @@ async def run_worker(
     finally:
         if health is not None:
             health.set_ready(False, "stopped")
-        hb_task.cancel()
-        if stop_task is not None:
-            stop_task.cancel()
-        for task in list(inflight):
+        for task in (hb_task, stop_task, *inflight):
             task.cancel()
         for task in (hb_task, stop_task, *inflight):
-            if task is not None:
-                with contextlib.suppress(
-                    asyncio.CancelledError, Exception
-                ):
-                    await task
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
         await close_writer(writer)
     return jobs_done
 
@@ -427,124 +414,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_worker_sync(
-    host: str,
-    port: int,
-    *,
-    worker_id: str | None = None,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    throttle: float = 0.0,
-    connect_retry_s: float = 0.0,
-    secret_file: str | None = None,
-    tls_cert: str | None = None,
-    trace: bool = False,
-    metrics_port: int | None = None,
-    flight_dir: str | None = None,
-    preload: tuple[str, ...] = (),
-) -> int:
-    """Blocking daemon wrapper with graceful SIGINT/SIGTERM exit.
+def run_parsed(args: argparse.Namespace) -> int:
+    """Run the daemon from :func:`repro.launch.add_worker_args`' flags;
+    returns a process exit code.
 
     The shared entry point behind ``python -m repro.cli worker`` and
-    ``python -m repro.engine.cluster.worker``; returns a process exit
-    code.  ``secret_file``/``tls_cert`` are the operator-distributed
-    security material (see README "Security model").  ``trace`` turns
-    on JSON logging at DEBUG so chunk execution records (with the
-    coordinator's trace/span ids) reach stderr; ``metrics_port``
-    serves the worker's registry plus ``/healthz``/``/readyz`` over
-    localhost HTTP; ``flight_dir`` arms the flight recorder (dump on
-    crash, SIGUSR1, and clean shutdown).
+    ``python -m repro.engine.cluster.worker``, inside the
+    :class:`~repro.obs.health.Daemon` shell (graceful SIGINT/SIGTERM
+    exit, ``--metrics-port``, ``--flight-dir``).  ``--secret-file`` and
+    ``--tls-cert`` are the operator-distributed security material (see
+    README "Security model"); ``--trace`` turns on JSON logging at DEBUG
+    so chunk execution records (with the coordinator's trace/span ids)
+    reach stderr.
     """
-    if trace:
+    if args.trace:
         configure_logging(json=True, level=logging.DEBUG)
-    recorder: FlightRecorder | None = None
-    if flight_dir is not None:
-        recorder = FlightRecorder(
-            process=f"worker-{worker_id or default_worker_id()}"
-        )
-        recorder.attach()
-        install_flight_recorder(recorder, flight_dir)
+    worker_id = args.worker_id or default_worker_id()
     try:
         security = SecurityConfig.from_options(
-            secret_file=secret_file, tls_cert=tls_cert
+            secret_file=args.secret_file, tls_cert=args.tls_cert
         )
     except ReproError as exc:
         print(f"cluster worker failed: {exc}", file=sys.stderr)
         return 1
 
     async def runner() -> int:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled: list[signal.Signals] = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                handled.append(sig)
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
-        try:
+        async with Daemon(
+            f"worker-{worker_id}",
+            default_registry(),
+            flight_dir=args.flight_dir,
+            metrics_port=args.metrics_port,
+        ) as daemon:
+            # Not ready until run_worker has registered with a coordinator.
+            daemon.health.set_ready(False, "not connected")
+            port = daemon.expose()
+            if port is not None:
+                print(
+                    f"cluster worker metrics on http://127.0.0.1:{port}/metrics",
+                    flush=True,
+                )
             return await run_worker(
-                host,
-                port,
+                args.host,
+                args.port,
                 worker_id=worker_id,
-                heartbeat_interval=heartbeat_interval,
-                throttle=throttle,
-                connect_retry_s=connect_retry_s,
+                heartbeat_interval=args.heartbeat_interval,
+                throttle=args.throttle,
+                connect_retry_s=args.connect_retry_s,
                 security=security,
-                shutdown=stop,
-                health=health,
-                preload=preload,
+                shutdown=daemon.stop,
+                health=daemon.health,
+                preload=tuple(args.preload or ()),
             )
-        finally:
-            for sig in handled:
-                loop.remove_signal_handler(sig)
 
-    # Not ready until run_worker has registered with a coordinator.
-    health = HealthState()
-    health.set_ready(False, "not connected")
-    metrics_server = None
     try:
-        if metrics_port is not None:
-            from repro.obs.http import MetricsServer
-
-            metrics_server = MetricsServer(
-                default_registry(), port=metrics_port, health=health
-            )
-            print(
-                f"cluster worker metrics on http://127.0.0.1:"
-                f"{metrics_server.port}/metrics",
-                flush=True,
-            )
         jobs_done = asyncio.run(runner())
     except (ReproError, ConnectionError, OSError) as exc:
         print(f"cluster worker failed: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
-        if recorder is not None and flight_dir is not None:
-            with contextlib.suppress(OSError):
-                path = recorder.dump_to_dir(flight_dir, reason="shutdown")
-                print(f"flight recorder dump: {path}", flush=True)
     print(f"cluster worker done ({jobs_done} jobs)", flush=True)
     return 0
-
-
-def run_parsed(args: argparse.Namespace) -> int:
-    """Run the daemon from :func:`repro.launch.add_worker_args`' parsed flags."""
-    return run_worker_sync(
-        args.host,
-        args.port,
-        worker_id=args.worker_id,
-        heartbeat_interval=args.heartbeat_interval,
-        throttle=args.throttle,
-        connect_retry_s=args.connect_retry_s,
-        secret_file=args.secret_file,
-        tls_cert=args.tls_cert,
-        trace=args.trace,
-        metrics_port=args.metrics_port,
-        flight_dir=args.flight_dir,
-        preload=tuple(args.preload or ()),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

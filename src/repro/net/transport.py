@@ -1,6 +1,6 @@
 """Connection lifecycle shared by the service and cluster planes.
 
-Three concerns every networked component in this repo used to solve
+The concerns every networked component in this repo used to solve
 privately, now solved once:
 
 * **Security material** — :class:`SecurityConfig` bundles the shared
@@ -14,10 +14,17 @@ privately, now solved once:
   call :meth:`SecurityConfig.server_ssl_context`, clients
   :meth:`SecurityConfig.client_ssl_context`.
 
-* **Connect with retry/backoff** — :func:`open_connection` keeps
-  re-dialling a listener that has not bound its port yet (workers
-  racing a coordinator's startup across hosts is normal, not an
-  error), with exponential backoff capped at
+* **Listening** — :class:`Listener` is the accepting side of both
+  planes: the TLS listener, one task per connection and the handshake
+  gate.  A peer that fails the HMAC handshake is counted in
+  ``repro_auth_failures_total{plane}``, logged as ``auth_failure`` and
+  hung up on; the plane's handler only ever sees a peer that passed.
+
+* **Dialling** — :func:`dial` is the connecting side: pinned TLS, the
+  handshake, and the socket closed if either fails.  Underneath it,
+  :func:`open_connection` keeps re-dialling a listener that has not
+  bound its port yet (workers racing a coordinator's startup across
+  hosts is normal, not an error), with exponential backoff capped at
   :data:`MAX_BACKOFF_S`.
 
 * **Liveness and teardown** — :func:`heartbeat_loop` is the beacon
@@ -30,18 +37,22 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 import shutil
 import ssl
 import subprocess
 from dataclasses import dataclass, field
 
-from repro.exceptions import AuthError, ProtocolError
+from repro.exceptions import AuthError, ProtocolError, ReproError
 from repro.net.auth import (
     DEFAULT_HANDSHAKE_TIMEOUT,
     authenticate_client,
     authenticate_server,
     load_secret,
 )
+from repro.obs.logging import get_logger, log_event
+
+_log = get_logger("net")
 
 #: First retry delay for :func:`open_connection`; doubles per attempt.
 INITIAL_BACKOFF_S = 0.05
@@ -239,6 +250,115 @@ async def close_writer(writer) -> None:
         writer.close()
     with contextlib.suppress(asyncio.CancelledError, Exception):
         await writer.wait_closed()
+
+
+async def dial(
+    host: str,
+    port: int,
+    security: SecurityConfig | None,
+    *,
+    connect_retry_s: float = 0.0,
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Dial ``host:port`` with ``security``'s TLS pin, then run the
+    client side of its handshake; the socket is closed on failure."""
+    reader, writer = await open_connection(
+        host,
+        port,
+        ssl_context=security.client_ssl_context() if security else None,
+        connect_retry_s=connect_retry_s,
+    )
+    if security is not None:
+        try:
+            await security.authenticate_outbound(reader, writer)
+        except BaseException:
+            await close_writer(writer)
+            raise
+    return reader, writer
+
+
+class Listener:
+    """The accepting side of a plane: TLS, one task per connection and
+    the handshake gate.  ``handler(reader, writer)`` runs once per peer
+    that passed, and the writer is closed when it returns; :meth:`accept`
+    takes in-process connections through the same gate."""
+
+    def __init__(
+        self, handler, security: SecurityConfig | None, registry, plane: str
+    ) -> None:
+        self._handler = handler
+        self._security = security
+        self._plane = plane
+        self.auth_failures = registry.counter(
+            "repro_auth_failures_total",
+            "Rejected authentication handshakes, by plane",
+            ("plane",),
+        ).labels(plane=plane)
+        self.tasks: set[asyncio.Task] = set()
+        self._server: asyncio.base_events.Server | None = None
+
+    async def start(self, host: str, port: int) -> tuple[str, int]:
+        """Bind the TCP listener; returns the actual (host, port)."""
+        if self._server is not None:
+            raise ProtocolError("listener already started")
+        # A sync callback spawning our own task: a coroutine wrapped by
+        # start_server would log noise when stop() cancels stragglers.
+        self._server = await asyncio.start_server(
+            self.accept,
+            host,
+            port,
+            ssl=self._security.server_ssl_context() if self._security else None,
+        )
+        sockname = self._server.sockets[0].getsockname()
+        return sockname[0], sockname[1]
+
+    def accept(self, reader, writer) -> None:
+        """Serve one connection on its own task."""
+        task = asyncio.ensure_future(self._serve(reader, writer))
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+
+    async def _serve(self, reader, writer) -> None:
+        try:
+            if self._security is not None:
+                # The HMAC handshake runs underneath the codec: a peer
+                # without the secret is cut off here, before a single
+                # application frame is decoded.
+                try:
+                    await self._security.authenticate_inbound(reader, writer)
+                except (ReproError, ConnectionError, OSError) as exc:
+                    self.auth_failures.inc()
+                    log_event(
+                        _log,
+                        "auth_failure",
+                        level=logging.WARNING,
+                        plane=self._plane,
+                        error=str(exc),
+                    )
+                    return
+            await self._handler(reader, writer)
+        finally:
+            await close_writer(writer)
+
+    async def close(self) -> None:
+        """Stop accepting; connections already served carry on."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+
+    async def stop(self, grace: float = 0.0) -> None:
+        """Stop accepting, give connections ``grace`` seconds to finish,
+        then cancel the stragglers."""
+        await self.close()
+        pending = set(self.tasks)
+        if pending and grace > 0:
+            _done, pending = await asyncio.wait(pending, timeout=grace)
+        for task in pending:
+            task.cancel()
+        for task in pending:
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
+        self.tasks.clear()
 
 
 async def heartbeat_loop(send, interval: float) -> None:

@@ -23,7 +23,8 @@ acceptance:
   bounded ring of recent events + spans, dumped as one JSON artifact
   on crash, SIGUSR1, or clean shutdown.
 * :mod:`repro.obs.health` — liveness/readiness aggregation
-  (:class:`HealthState` and per-plane probes).
+  (:class:`HealthState` and per-plane probes) and :class:`Daemon`, the
+  process shell of ``serve`` and the worker daemon.
 * :mod:`repro.obs.http` — the ``--metrics-port`` scrape endpoint
   (``/metrics`` Prometheus text, ``/stats`` JSON, ``/healthz`` and
   ``/readyz`` probes).
@@ -38,11 +39,9 @@ from repro import _reexport
 _reexport(__name__, {
     "repro.obs.metrics": "MetricsRegistry default_registry",
     "repro.obs.spans": "Span render_waterfall",
-    "repro.obs.recorder": "FlightRecorder install_flight_recorder",
-    "repro.obs.health": "HealthState EventLoopLagProbe gauge_max_probe gauge_min_probe",
+    "repro.obs.health": "EventLoopLagProbe gauge_max_probe gauge_min_probe",
     "repro.obs.trace": "new_trace_id bind_trace",
     "repro.obs.logging": "configure_logging get_logger log_event",
-    "repro.obs.http": "MetricsServer",
 })
 
 __all__ = [
@@ -52,11 +51,7 @@ __all__ = [
     # spans
     "Span",
     "render_waterfall",
-    # recorder
-    "FlightRecorder",
-    "install_flight_recorder",
     # health
-    "HealthState",
     "EventLoopLagProbe",
     "gauge_max_probe",
     "gauge_min_probe",
@@ -67,6 +62,4 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "log_event",
-    # http
-    "MetricsServer",
 ]

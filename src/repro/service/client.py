@@ -31,7 +31,7 @@ from repro.exceptions import ProtocolError
 from repro.merkle.hashing import get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.net.framing import MAX_FRAME_BYTES
-from repro.net.transport import SecurityConfig, open_connection
+from repro.net.transport import SecurityConfig, close_writer, dial
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import (
     bind_trace,
@@ -106,7 +106,7 @@ class ServiceClient:
         security: SecurityConfig | None = None,
         connect_retry_s: float = 0.0,
     ) -> "ServiceClient":
-        """Dial a supervisor (shared repro.net retry/backoff helper).
+        """Dial a supervisor through :func:`repro.net.transport.dial`.
 
         ``connect_retry_s`` keeps re-dialling a supervisor that has not
         bound its port yet — a participant racing a slow-starting
@@ -114,18 +114,10 @@ class ServiceClient:
         optional TLS pin and shared secret; when a secret is set the
         client authenticates before the first protocol frame.
         """
-        reader, writer = await open_connection(
-            host,
-            port,
-            ssl_context=(
-                security.client_ssl_context() if security is not None else None
-            ),
-            connect_retry_s=connect_retry_s,
+        reader, writer = await dial(
+            host, port, security, connect_retry_s=connect_retry_s
         )
-        client = cls(reader, writer, max_frame=max_frame)
-        if security is not None:
-            await client.authenticate(security)
-        return client
+        return cls(reader, writer, max_frame=max_frame)
 
     async def authenticate(self, security: SecurityConfig) -> None:
         """Run the client side of the HMAC handshake (no-op without a
@@ -138,11 +130,7 @@ class ServiceClient:
             raise
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # peer already gone
-            pass
+        await close_writer(self._writer)
 
     # ------------------------------------------------------------------
 

@@ -50,7 +50,7 @@ from repro.engine import Executor, get_executor
 from repro.engine.executor import _metered_map
 from repro.exceptions import ProtocolError, ReproError
 from repro.net.framing import MAX_FRAME_BYTES
-from repro.net.transport import SecurityConfig
+from repro.net.transport import Listener, SecurityConfig
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spans import SpanBuffer, default_span_buffer
@@ -116,14 +116,8 @@ class MemoryStreamWriter:
             self._closed = True
             self._peer.feed_eof()
 
-    def is_closing(self) -> bool:
-        return self._closed
-
     async def wait_closed(self) -> None:
         return None
-
-    def get_extra_info(self, name: str, default=None):
-        return default
 
 
 def memory_duplex() -> tuple[
@@ -172,10 +166,6 @@ class SupervisorServer:
         # engine's tuning knobs); an Executor instance takes none.
         self._executor = get_executor(engine, workers, **(engine_options or {}))
         self._owns_executor = self._executor is not engine
-        # security gates the participant socket: optional TLS on the
-        # listener, and — when a secret is configured — the repro.net
-        # HMAC handshake before any frame is decoded.
-        self._security = security
         self._max_frame = max_frame
         self._verify_slots = asyncio.Semaphore(max_pending_verifications)
         # Estimated thread-CPU seconds of one verification; None until
@@ -196,8 +186,15 @@ class SupervisorServer:
             config, SessionStore(session_ttl, clock, self.registry)
         )
         self.sessions = self.core.sessions
+        # security gates the participant socket: optional TLS on the
+        # listener, and — when a secret is configured — the repro.net
+        # HMAC handshake before any frame is decoded.
+        self._listener = Listener(
+            self._handle_connection, security, self.registry, "service"
+        )
         self._m_connections = self.registry.counter(
-            "repro_connections_total", "Participant connections accepted"
+            "repro_connections_total",
+            "Participant connections that passed the handshake",
         )
         frames = self.registry.counter(
             "repro_frames_total",
@@ -212,20 +209,12 @@ class SupervisorServer:
             "Errors that dropped a connection or request, by site",
             ("site",),
         )
-        self._m_auth_failures = self.registry.counter(
-            "repro_auth_failures_total",
-            "Rejected authentication handshakes, by plane",
-            ("plane",),
-        )
         self._m_latency = self.registry.histogram(
             "repro_submission_latency_seconds",
             "Wall-clock from submission/proofs arrival to verdict",
             buckets=LATENCY_BUCKETS,
         )
-
-        self._server: asyncio.base_events.Server | None = None
         self._sweeper: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -235,35 +224,16 @@ class SupervisorServer:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         """Bind the TCP listener; returns the actual (host, port)."""
-        if self._server is not None:
-            raise ProtocolError("server already started")
-        # A *sync* connected-callback that spawns our own task: if
-        # start_server wrapped a coroutine itself, its done-callback
-        # would call task.exception() and log noise when stop()
-        # cancels straggling connections.
-        ssl_context = (
-            self._security.server_ssl_context()
-            if self._security is not None
-            else None
-        )
-        self._server = await asyncio.start_server(
-            self._spawn_connection, host, port, ssl=ssl_context
-        )
+        address = await self._listener.start(host, port)
         self._ensure_sweeper()
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return address
 
     def connect_memory(self) -> tuple[asyncio.StreamReader, MemoryStreamWriter]:
         """Open an in-process connection; returns the client endpoint."""
-        (server_reader, server_writer), client = memory_duplex()
+        server_end, client = memory_duplex()
         self._ensure_sweeper()
-        self._spawn_connection(server_reader, server_writer)
+        self._listener.accept(*server_end)
         return client
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ProtocolError("start() the server before serve_forever()")
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Close listener, connections, sweeper and (owned) executor."""
@@ -272,21 +242,8 @@ class SupervisorServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweeper
             self._sweeper = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._conn_tasks:
-            # Let in-flight rounds drain briefly, then cancel stragglers.
-            _done, pending = await asyncio.wait(
-                list(self._conn_tasks), timeout=1.0
-            )
-            for task in pending:
-                task.cancel()
-            for task in pending:
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await task
-        self._conn_tasks.clear()
+        # Let in-flight rounds drain briefly, then cancel stragglers.
+        await self._listener.stop(grace=1.0)
         if self._owns_executor:
             self._executor.close()
 
@@ -320,41 +277,11 @@ class SupervisorServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _spawn_connection(self, reader, writer) -> None:
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        self._m_connections.inc()
-        try:
-            if self._security is not None:
-                # The HMAC handshake runs underneath the codec: a peer
-                # without the secret is cut off here, before a single
-                # application frame is decoded.
-                try:
-                    await self._security.authenticate_inbound(reader, writer)
-                except (ReproError, ConnectionError, OSError) as exc:
-                    self._m_auth_failures.labels(plane="service").inc()
-                    log_event(
-                        _log,
-                        "auth_failure",
-                        level=logging.WARNING,
-                        plane="service",
-                        error=str(exc),
-                    )
-                    return
-            await self._handle_connection(reader, writer)
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await writer.wait_closed()
-
     async def _handle_connection(self, reader, writer) -> None:
         # The next frame is read only once the last was answered: a
         # peer that floods fills its own socket buffer, and a busy
         # verification pool slows exactly the connections waiting on it.
+        self._m_connections.inc()
         trace_id = span_id = None
         try:
             while True:

@@ -283,6 +283,38 @@ class TestWorkerCommand:
         assert main(["worker", "--port", str(port)]) == 1
         assert "cluster worker failed" in capsys.readouterr().err
 
+    def test_sigterm_while_dialling_exits_promptly(self, tmp_path):
+        """A stop that lands while the worker is still re-dialling is a
+        clean exit well inside the retry budget, flight dump included."""
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker", "--port", str(port),
+             "--connect-retry", "30", "--metrics-port", "0",
+             "--flight-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            assert "cluster worker metrics on" in proc.stdout.readline()
+            time.sleep(0.5)  # well into the dialling
+            proc.send_signal(signal.SIGTERM)
+            signalled = time.monotonic()
+            out, _ = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - signalled
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, out
+        assert elapsed < 5.0, out
+        assert "cluster worker done (0 jobs)" in out
+        assert list(tmp_path.glob("flight-worker-*-shutdown.json")), out
+
 
 class TestOneLineFailures:
     """A refused ``--connect`` or a dump that is not a flight-recorder

@@ -216,6 +216,41 @@ class TestProtocolStateMachine:
                 CommitmentMsg("task-pw", b"\x00" * 8, n_leaves=500)
             )
 
+    @pytest.mark.parametrize(
+        "steps, refusal",
+        [
+            (("commit", "commit"), "duplicate commitment"),
+            (("foreign_commit",), "commitment for task 'other'"),
+            (("commit", "challenge", "challenge"), "duplicate challenge"),
+            (("commit", "verify"), "verify before challenge"),
+            (("commit", "challenge", "foreign_verify"), "proofs for task 'other'"),
+        ],
+        ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
+    )
+    def test_supervisor_refuses_out_of_turn_or_foreign_messages(
+        self, password_task, steps, refusal
+    ):
+        participant = CBSParticipant(password_task, HonestBehavior())
+        supervisor = CBSSupervisor(password_task, n_samples=5, seed=1)
+        commitment = participant.compute_and_commit()
+        proofs = participant.prove(SampleChallengeMsg("task-pw", (0, 1, 2, 3, 4)))
+        actions = {
+            "commit": lambda: supervisor.receive_commitment(commitment),
+            "foreign_commit": lambda: supervisor.receive_commitment(
+                dataclasses.replace(commitment, task_id="other")
+            ),
+            "challenge": supervisor.make_challenge,
+            "verify": lambda: supervisor.verify(proofs),
+            "foreign_verify": lambda: supervisor.verify(
+                dataclasses.replace(proofs, task_id="other")
+            ),
+        }
+        *before, last = steps
+        for step in before:
+            actions[step]()
+        with pytest.raises(ProtocolError, match=refusal):
+            actions[last]()
+
     def test_proof_count_mismatch_rejected(self, password_task):
         participant = CBSParticipant(password_task, HonestBehavior())
         supervisor = CBSSupervisor(password_task, n_samples=5, seed=1)

@@ -11,7 +11,7 @@ from repro.core import NICBSParticipant, NICBSScheme, NICBSSupervisor
 from repro.core.ni_cbs import derive_sample_indices
 from repro.core.protocol import NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
-from repro.exceptions import SchemeConfigurationError
+from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.merkle import CountingHash, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
@@ -153,6 +153,14 @@ class TestSupervisorChecks:
         outcome = supervisor.verify(forged)
         assert not outcome.accepted
         assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+
+    @pytest.mark.parametrize("task_id", ["other", "task-pw-small", ""])
+    def test_submission_for_another_task_refused(self, password_task, task_id):
+        submission = dataclasses.replace(
+            self.make_submission(password_task), task_id=task_id
+        )
+        with pytest.raises(ProtocolError, match="submission for task"):
+            NICBSSupervisor(password_task, n_samples=8).verify(submission)
 
     def test_wrong_leaf_count_rejected(self, password_task):
         submission = self.make_submission(password_task)

@@ -111,6 +111,7 @@ class TestProofBundle:
             function=_Echo(leaves),
             hash_fn=tree.hash_fn,
             leaf_encoding=tree.leaf_encoding,
+            stop_on_first_failure=True,
         )
         assert [v.accepted for v in verdicts] == [True] * 3
         # A one-sample bundle supplies its whole path, which still

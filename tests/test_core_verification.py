@@ -61,6 +61,7 @@ def verify(bundle, index, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
         function=fn,
         hash_fn=get_hash("sha256"),
         leaf_encoding=leaf_encoding,
+        stop_on_first_failure=True,
     )
     return verdict
 

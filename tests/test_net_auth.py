@@ -34,6 +34,7 @@ from repro.net.framing import (
     read_frame_bytes,
     write_frame_bytes,
 )
+from repro.net.transport import SecurityConfig, dial
 from repro.service.server import memory_duplex
 
 SECRET = b"0123456789abcdef0123456789abcdef"
@@ -176,6 +177,49 @@ class TestHandshake:
             )
             with pytest.raises(AuthError, match="MAC mismatch"):
                 await server
+
+        run(scenario())
+
+    @pytest.mark.parametrize("confirm", ["wrong_secret", "reflected"])
+    def test_dial_refuses_a_listener_that_cannot_prove_the_secret(
+        self, confirm
+    ):
+        """A rogue listener that challenges and then sends a confirm it
+        could not have computed is refused, and the socket is closed."""
+
+        async def scenario():
+            hung_up = asyncio.get_running_loop().create_future()
+
+            async def rogue(reader, writer):
+                nonce = b"\x07" * NONCE_BYTES
+                await write_frame_bytes(
+                    writer, encode_challenge(nonce), max_frame=MAX_AUTH_FRAME_BYTES
+                )
+                client_nonce, mac = decode_response(
+                    await read_frame_bytes(reader, max_frame=MAX_AUTH_FRAME_BYTES)
+                )
+                if confirm == "wrong_secret":
+                    mac = compute_mac(OTHER, b"server", client_nonce, nonce)
+                await write_frame_bytes(
+                    writer, encode_confirm(mac), max_frame=MAX_AUTH_FRAME_BYTES
+                )
+                hung_up.set_result(await reader.read())  # b"" at EOF
+                writer.close()
+
+            listener = await asyncio.start_server(rogue, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(
+                    AuthError, match="server failed to prove the secret"
+                ) as refused:
+                    await dial("127.0.0.1", port, SecurityConfig(secret=SECRET))
+                # ``refused`` keeps dial's frame, and so its writer, alive:
+                # only dial's own close can have hung up.
+                assert await asyncio.wait_for(hung_up, timeout=5.0) == b""
+                del refused
+            finally:
+                listener.close()
+                await listener.wait_closed()
 
         run(scenario())
 

@@ -51,7 +51,13 @@ from repro.obs.trace import bind_trace, new_trace_id
 from repro.service import server as server_module
 from repro.service import sessions as sessions_module
 from repro.service import verification_jobs
-from repro.service.codec import TaskAssign, TraceGetRequest
+from repro.service.codec import (
+    ByeFrame,
+    HeartbeatFrame,
+    StatsRequest,
+    TaskAssign,
+    TraceGetRequest,
+)
 from repro.service.server import INLINE_BUDGET_S
 from repro.service.sessions import SupervisorCore
 from repro.tasks import PasswordSearch, RangeDomain
@@ -539,7 +545,7 @@ class TestConnectionLoop:
                 while not entered.is_set():
                     await asyncio.sleep(0.001)
                 writer.close()  # the peer is gone before the verdict
-                (task,) = server._conn_tasks
+                (task,) = server._listener.tasks
                 release.set()
                 await asyncio.wait_for(task, timeout=10.0)
                 return task, server
@@ -583,7 +589,7 @@ class TestConnectionLoop:
                 for _ in range(1000):  # written, never read back
                     await write_frame(writer, TraceGetRequest(trace_id="0" * 32))
                 writer.close()
-                (task,) = server._conn_tasks
+                (task,) = server._listener.tasks
                 await asyncio.wait_for(task, timeout=30.0)
             finally:
                 await server.stop()
@@ -663,6 +669,26 @@ class TestProtocolPolicing:
                 await server.stop()
 
         return asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            ErrorFrame("from a participant"),
+            StatsRequest(),
+            TraceGetRequest(trace_id="0" * 32),
+            ByeFrame(reason="hello?"),
+            HeartbeatFrame(worker_id="w"),
+        ],
+        ids=lambda frame: type(frame).__name__,
+    )
+    def test_core_refuses_a_frame_outside_the_protocol(self, frame):
+        """The shell answers stats and trace frames itself; handed one,
+        or any frame no participant sends, the core refuses it."""
+        core = SupervisorCore(config("cbs"))
+        with pytest.raises(
+            ProtocolError, match=f"unexpected frame {type(frame).__name__}"
+        ):
+            core.receive(frame)
 
     def test_unknown_task_submission_gets_error_frame(self):
         cfg = config("ni-cbs")

@@ -73,6 +73,16 @@ class TestLifecycle:
         assert events(store, "rejected_duplicate") == 1
         assert store.active == 1  # the original survives
 
+    @pytest.mark.parametrize(
+        "task_id, participant",
+        [("task-1", 0), ("task-0", 1), ("slot-0", 0), ("task--1", -1)],
+    )
+    def test_id_that_does_not_name_its_slot_refused(self, task_id, participant):
+        store = SessionStore()
+        with pytest.raises(ProtocolError, match="does not name slot"):
+            store.create(task_id, participant, assignment(task_id), seed=7)
+        assert store.active == 0 and task_id not in store
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ProtocolError):
             SessionStore().get("task-404")
