@@ -440,7 +440,7 @@ def run_parsed(args: argparse.Namespace) -> int:
 
     async def runner() -> int:
         async with Daemon(
-            f"worker-{worker_id}",
+            worker_id if worker_id.startswith("worker-") else f"worker-{worker_id}",
             default_registry(),
             flight_dir=args.flight_dir,
             metrics_port=args.metrics_port,

@@ -9,8 +9,9 @@ The pieces, by module:
 
 * :class:`~repro.merkle.hashing.HashFunction` and
   :func:`~repro.merkle.hashing.get_hash` — pluggable hash registry,
-  including :class:`~repro.merkle.hashing.IteratedHash` (``g = h^k``,
-  the deliberately slow hash of paper §4.2 / Eq. 5).
+  each hash one ``hashlib``-style constructor, including
+  :class:`~repro.merkle.hashing.IteratedHash` (``g = h^k``, the
+  deliberately slow hash of paper §4.2 / Eq. 5).
 * :class:`~repro.merkle.tree.MerkleTree` — full in-memory tree.
 * :class:`~repro.merkle.partial.PartialMerkleTree` — the §3.3
   storage-optimized tree (top ``H − ℓ`` levels stored, height-``ℓ``

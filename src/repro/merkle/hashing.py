@@ -3,13 +3,17 @@
 The paper treats the hash as a pluggable one-way primitive ("such as
 MD5 or SHA", §3.1) and §4.2 constructs a *deliberately expensive* hash
 ``g ≡ (MD5)^k`` to price the NI-CBS regrinding attack out of
-profitability (Eq. 5).  This module provides:
+profitability (Eq. 5).  Every hash here is one ``hashlib``-style
+constructor (PEP 247/452: ``new(data)`` returns a hasher with
+``update``/``copy``/``digest``/``digest_size``), and each batched
+Merkle method is written once, over that constructor.  This module
+provides:
 
-* :class:`HashFunction` — a named wrapper over a ``bytes -> bytes``
-  digest with an abstract *cost* (in cost units, see
-  :mod:`repro.accounting`) so analyses can reason about ``C_g``
-  without wall-clock noise.
-* :class:`IteratedHash` — ``g = h^k``; cost scales linearly with ``k``.
+* :class:`HashFunction` — a named constructor with an abstract *cost*
+  (in cost units, see :mod:`repro.accounting`) so analyses can reason
+  about ``C_g`` without wall-clock noise.
+* :class:`IteratedHash` — ``g = h^k``; a constructor whose hashers
+  feed their digest back through ``h``; cost scales linearly with ``k``.
 * :class:`CountingHash` — a decorator that charges each invocation to a
   :class:`~repro.accounting.CostLedger`.
 * :func:`get_hash` — registry lookup (``sha256`` default; ``md5`` and
@@ -20,6 +24,7 @@ profitability (Eq. 5).  This module provides:
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
@@ -32,79 +37,49 @@ class HashFunction:
     ----------
     name:
         Registry name (e.g. ``"sha256"``).
-    fn:
-        The raw ``bytes -> bytes`` digest function.
-    digest_size:
-        Output size in bytes.
+    new:
+        A ``hashlib``-style constructor: ``new(data=b"")`` returns a
+        hasher with ``update``/``copy``/``digest``/``digest_size``.
+        The digest size is read off ``new(b"")``.
     cost:
         Abstract cost of one invocation, in the same units used for
         ``C_f`` by :class:`repro.tasks.function.TaskFunction`.  Defaults
         to 1.0; the iterated hash multiplies this by its round count.
-    hasher_factory:
-        Optional ``hashlib``-style constructor (``factory(data=b"")``
-        returns an object with ``copy``/``update``/``digest``).  When
-        present, the batched methods below hash whole levels through
-        cached, pre-seeded hasher objects instead of one Python call
-        chain per digest — the Merkle hot path.  The registry's stdlib
-        entries all carry one; wrapper classes compose without it.
     """
 
     def __init__(
-        self,
-        name: str,
-        fn: Callable[[bytes], bytes],
-        digest_size: int,
-        cost: float = 1.0,
-        hasher_factory: Callable[..., "hashlib._Hash"] | None = None,
+        self, name: str, new: Callable[..., "hashlib._Hash"], cost: float = 1.0
     ) -> None:
-        if digest_size <= 0:
-            raise ReproError(f"digest_size must be positive, got {digest_size}")
         if cost < 0:
             raise ReproError(f"cost must be non-negative, got {cost}")
         self.name = name
-        self._fn = fn
-        self._factory = hasher_factory
-        self.digest_size = digest_size
+        self.new = new
+        self.digest_size = new(b"").digest_size
         self.cost = cost
 
     def digest(self, data: bytes) -> bytes:
         """Hash ``data`` and return the digest."""
-        return self._fn(data)
+        return self.new(data).digest()
 
     # ------------------------------------------------------------------
     # Batched digests — the Merkle call boundary: three level-wide
     # methods for the builders, :meth:`fold_path` for the verifier,
     # :meth:`digest_chain` for Eq. (4)'s sample derivation.
     #
-    # All five methods are byte-identical to their per-digest loops;
-    # registry entries dispatch through a cached constructor (and, for
-    # the tagged forms, a pre-seeded hasher copied per item, skipping
-    # the ``tag + blob`` concatenation), while wrappers
-    # (:class:`IteratedHash`, :class:`CountingHash`) override them to
-    # preserve their semantics — so every composition still works and
-    # only the Python-call overhead changes.
+    # Each is byte-identical to its per-digest loop.  The tagged forms
+    # absorb the domain-separation tag into one seeded hasher and copy
+    # it per item, skipping the ``tag + blob`` concatenation; only the
+    # Python-call overhead differs from the loop.
     # ------------------------------------------------------------------
-
-    def digest_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        """Hash many blobs in one call; equals ``[digest(b) for b in blobs]``."""
-        factory = self._factory
-        if factory is not None:
-            return [factory(blob).digest() for blob in blobs]
-        fn = self._fn
-        return [fn(blob) for blob in blobs]
 
     def tagged_digest_many(
         self, tag: bytes, blobs: Sequence[bytes]
     ) -> list[bytes]:
         """``[digest(tag + b) for b in blobs]`` without per-item concats.
 
-        The leaf-level hot path: the domain-separation tag is absorbed
-        into one seeded hasher, copied per blob.
+        The leaf-level hot path.
         """
-        factory = self._factory
-        if factory is None:
-            return self.digest_many([tag + blob for blob in blobs])
-        copy = factory(tag).copy
+        copy = self.new(tag).copy
         # ``update`` returns None, so ``or`` chains it into the
         # comprehension — measurably faster than an append loop.
         return [
@@ -112,28 +87,12 @@ class HashFunction:
             for blob in blobs
         ]
 
-    def tagged_digest_pairs(
-        self, tag: bytes, level: Sequence[bytes]
-    ) -> list[bytes]:
-        """``[digest(tag + level[i] + level[i+1]) for even i]`` batched.
-
-        The internal-node hot path: consecutive pairs of an even-width
-        digest level are combined without materialising the
-        ``tag || left || right`` concatenations.
-        """
-        if self._factory is None:
-            pairs = iter(level)
-            return self.digest_many(
-                [tag + left + right for left, right in zip(pairs, pairs)]
-            )
-        return self._pairs_of(tag)(level)
-
     def _pairs_of(self, tag: bytes) -> Callable[[Sequence[bytes]], list[bytes]]:
-        """``tagged_digest_pairs(tag, ·)``, the tag absorbed once for
-        every level it is applied to."""
-        if self._factory is None:
-            return lambda level: self.tagged_digest_pairs(tag, level)
-        copy = self._factory(tag).copy
+        """``level -> [digest(tag + level[i] + level[i+1]) for even i]``,
+        the tag absorbed once for every level it is applied to: the
+        internal-node hot path, without the ``tag || left || right``
+        concatenations."""
+        copy = self.new(tag).copy
 
         def pairs_of(level: Sequence[bytes]) -> list[bytes]:
             pairs = iter(level)
@@ -147,9 +106,10 @@ class HashFunction:
         return pairs_of
 
     def tagged_levels(self, tag: bytes, level: Sequence[bytes]) -> list[list[bytes]]:
-        """Every level above ``level``, bottom-up, to its root:
-        :meth:`tagged_digest_pairs` applied until one digest is left
-        (``level``'s width a power of two)."""
+        """Every level above ``level``, bottom-up, to its root: each
+        level's consecutive pairs hashed as ``digest(tag + left +
+        right)`` until one digest is left (``level``'s width a power of
+        two)."""
         pairs_of, levels = self._pairs_of(tag), []
         while len(level) > 1:
             level = pairs_of(level)
@@ -189,26 +149,15 @@ class HashFunction:
     ) -> bytes:
         """Fold one authentication path to its root in a single call.
 
-        The read-side sibling of :meth:`tagged_digest_pairs`: starting
-        from ``leaf``, each sibling is combined as
-        ``digest(tag + left + right)``, the running digest on the right
-        when the matching bit of ``index`` (least significant first) is
-        set.  Equals the per-level ``digest`` loop byte for byte; the
-        registry entries copy one pre-seeded hasher per level instead
-        of concatenating.
+        The read-side sibling of :meth:`tagged_levels`: starting from
+        ``leaf``, each sibling is combined as ``digest(tag + left +
+        right)``, the running digest on the right when the matching bit
+        of ``index`` (least significant first) is set.  Equals the
+        per-level ``digest`` loop byte for byte, copying one pre-seeded
+        hasher per level instead of concatenating.
         """
         digest = leaf
-        factory = self._factory
-        if factory is None:
-            fn = self.digest
-            for sibling in siblings:
-                if index & 1:
-                    digest = fn(tag + sibling + digest)
-                else:
-                    digest = fn(tag + digest + sibling)
-                index >>= 1
-            return digest
-        copy = factory(tag).copy
+        copy = self.new(tag).copy
         for sibling in siblings:
             hasher = copy()
             if index & 1:
@@ -227,20 +176,38 @@ class HashFunction:
         Eq. (4)'s chain, one call for all ``m`` links instead of one
         wrapper crossing per link.
         """
-        factory = self._factory
-        if factory is None:
-            digest = self.digest
-            return [value := digest(value) for _ in range(count)]
-        return [value := factory(value).digest() for _ in range(count)]
-
-    def __call__(self, data: bytes) -> bytes:
-        return self.digest(data)
+        new = self.new
+        return [value := new(value).digest() for _ in range(count)]
 
     def __repr__(self) -> str:
         return (
             f"HashFunction(name={self.name!r}, digest_size={self.digest_size},"
             f" cost={self.cost})"
         )
+
+
+class _IteratedHasher:
+    """A hasher of ``h^k``: it absorbs like ``h``'s ``hasher``, and its
+    digest is fed back through ``h``'s constructor ``new`` ``k - 1``
+    more times."""
+
+    __slots__ = ("_new", "_rounds", "_hasher", "digest_size")
+
+    def __init__(self, new: Callable, rounds: int, hasher) -> None:
+        self._new, self._rounds, self._hasher = new, rounds, hasher
+        self.digest_size = hasher.digest_size
+
+    def update(self, data: bytes) -> None:
+        self._hasher.update(data)
+
+    def copy(self) -> "_IteratedHasher":
+        return _IteratedHasher(self._new, self._rounds, self._hasher.copy())
+
+    def digest(self) -> bytes:
+        digest, new = self._hasher.digest(), self._new
+        for _ in range(self._rounds - 1):
+            digest = new(digest).digest()
+        return digest
 
 
 class IteratedHash(HashFunction):
@@ -257,60 +224,12 @@ class IteratedHash(HashFunction):
             raise ReproError(f"rounds must be >= 1, got {rounds}")
         self.base = base
         self.rounds = rounds
+        new = base.new
         super().__init__(
-            name=f"{base.name}^{rounds}",
-            fn=self._iterate,
-            digest_size=base.digest_size,
-            cost=base.cost * rounds,
+            f"{base.name}^{rounds}",
+            lambda data=b"": _IteratedHasher(new, rounds, new(data)),
+            base.cost * rounds,
         )
-
-    def _iterate(self, data: bytes) -> bytes:
-        digest = data
-        for _ in range(self.rounds):
-            digest = self.base.digest(digest)
-        return digest
-
-    def digest_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        """Batched iteration: ``k`` level-wide passes over the base hash."""
-        digests = blobs if isinstance(blobs, list) else list(blobs)
-        for _ in range(self.rounds):
-            digests = self.base.digest_many(digests)
-        return digests
-
-    def tagged_digest_many(
-        self, tag: bytes, blobs: Sequence[bytes]
-    ) -> list[bytes]:
-        digests = self.base.tagged_digest_many(tag, blobs)
-        for _ in range(self.rounds - 1):
-            digests = self.base.digest_many(digests)
-        return digests
-
-    def tagged_digest_pairs(
-        self, tag: bytes, level: Sequence[bytes]
-    ) -> list[bytes]:
-        digests = self.base.tagged_digest_pairs(tag, level)
-        for _ in range(self.rounds - 1):
-            digests = self.base.digest_many(digests)
-        return digests
-
-    def fold_path(
-        self,
-        tag: bytes,
-        leaf: bytes,
-        index: int,
-        siblings: Sequence[bytes],
-    ) -> bytes:
-        # ``h^k`` feeds each level's output back through ``h``, so the
-        # levels cannot share one base fold; each is a one-sibling fold
-        # plus ``k - 1`` plain rounds.
-        base, extra = self.base, self.rounds - 1
-        digest = leaf
-        for sibling in siblings:
-            digest = base.fold_path(tag, digest, index & 1, (sibling,))
-            for _ in range(extra):
-                digest = base.digest(digest)
-            index >>= 1
-        return digest
 
 
 class CountingHash(HashFunction):
@@ -318,28 +237,19 @@ class CountingHash(HashFunction):
 
     The ledger interface is duck-typed (``charge_hash(cost)`` for one
     digest, ``charge_hashes(cost, count)`` for a batch) to avoid a
-    circular import with :mod:`repro.accounting`.
+    circular import with :mod:`repro.accounting`.  A batch is one
+    charge of its total, the books of one charge per digest; ``new``
+    is the inner hash's and charges nothing.
     """
 
     def __init__(self, inner: HashFunction, ledger) -> None:
         self.inner = inner
         self.ledger = ledger
-        super().__init__(
-            name=inner.name,
-            fn=self._counted,
-            digest_size=inner.digest_size,
-            cost=inner.cost,
-        )
+        super().__init__(inner.name, inner.new, inner.cost)
 
-    def _counted(self, data: bytes) -> bytes:
+    def digest(self, data: bytes) -> bytes:
         self.ledger.charge_hash(self.inner.cost)
         return self.inner.digest(data)
-
-    def digest_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        """Batched digests, charged as one invocation per blob."""
-        blobs = blobs if isinstance(blobs, list) else list(blobs)
-        self.ledger.charge_hashes(self.inner.cost, len(blobs))
-        return self.inner.digest_many(blobs)
 
     def tagged_digest_many(
         self, tag: bytes, blobs: Sequence[bytes]
@@ -347,15 +257,6 @@ class CountingHash(HashFunction):
         blobs = blobs if isinstance(blobs, list) else list(blobs)
         self.ledger.charge_hashes(self.inner.cost, len(blobs))
         return self.inner.tagged_digest_many(tag, blobs)
-
-    def tagged_digest_pairs(
-        self, tag: bytes, level: Sequence[bytes]
-    ) -> list[bytes]:
-        self.ledger.charge_hashes(self.inner.cost, len(level) // 2)
-        return self.inner.tagged_digest_pairs(tag, level)
-
-    # One charge of a batch's total: the books of one charge per level
-    # (``charge_hashes`` adds as that many single charges would).
 
     def tagged_levels(self, tag: bytes, level: Sequence[bytes]) -> list[list[bytes]]:
         # A complete tree over w leaves has w - 1 interior nodes.
@@ -391,41 +292,15 @@ class CountingHash(HashFunction):
         return self.inner.digest_chain(value, count)
 
 
-def _stdlib(name: str) -> HashFunction:
-    """Registry entry over a *bound* ``hashlib`` constructor.
-
-    ``hashlib.new(name, data)`` resolves the algorithm by string on
-    every call; caching the constructor once at registry construction
-    removes that lookup from every leaf and internal-node digest, and
-    exposing the constructor as ``hasher_factory`` unlocks the
-    pre-seeded batched paths.
-    """
-    ctor = getattr(hashlib, name)
-
-    def fn(data: bytes, _ctor=ctor) -> bytes:
-        return _ctor(data).digest()
-
-    return HashFunction(
-        name, fn, ctor(b"").digest_size, hasher_factory=ctor
-    )
-
-
-def _blake2b_32() -> HashFunction:
-    def ctor(data: bytes = b"", _b2=hashlib.blake2b):
-        return _b2(data, digest_size=32)
-
-    def fn(data: bytes, _ctor=ctor) -> bytes:
-        return _ctor(data).digest()
-
-    return HashFunction("blake2b", fn, 32, hasher_factory=ctor)
-
-
 _REGISTRY: dict[str, HashFunction] = {
-    "sha256": _stdlib("sha256"),
-    "sha1": _stdlib("sha1"),
-    "md5": _stdlib("md5"),
-    "blake2b": _blake2b_32(),
-    "sha512": _stdlib("sha512"),
+    name: HashFunction(name, new)
+    for name, new in (
+        ("sha256", hashlib.sha256),
+        ("sha1", hashlib.sha1),
+        ("md5", hashlib.md5),
+        ("blake2b", partial(hashlib.blake2b, digest_size=32)),
+        ("sha512", hashlib.sha512),
+    )
 }
 
 
@@ -450,8 +325,3 @@ def get_hash(name: str = "sha256") -> HashFunction:
     raise ReproError(
         f"unknown hash {name!r}; available: {', '.join(available_hashes())}"
     )
-
-
-def register_hash(fn: HashFunction) -> None:
-    """Add a custom hash to the registry (used by tests and ablations)."""
-    _REGISTRY[fn.name] = fn

@@ -93,7 +93,6 @@ async def run_loadgen(
     connect_retry_s: float = 0.0,
     concurrency: int = 32,
     compute_workers: int | None = 4,
-    max_errors: int | None = None,
 ) -> tuple[DetectionReport, LoadgenStats]:
     """Drive ``n_participants`` rounds; aggregate report and stats.
 
@@ -106,8 +105,7 @@ async def run_loadgen(
     A participant whose round fails with a protocol or transport error
     is counted in ``stats.n_errors`` and *omitted* from the report —
     there is no verdict and no ground truth for it, so a fabricated
-    row would corrupt the detection/false-alarm rates.  ``max_errors``
-    (default: allow all) aborts the run early when crossed.
+    row would corrupt the detection/false-alarm rates.
 
     ``security`` carries the supervisor's TLS pin and shared secret
     (every participant connection authenticates before its first
@@ -140,8 +138,6 @@ async def run_loadgen(
         nonlocal errors
         behavior = behaviors[index % len(behaviors)]
         async with semaphore:
-            if max_errors is not None and errors > max_errors:
-                return None
             try:
                 if server is not None:
                     reader, writer = server.connect_memory()

@@ -79,6 +79,8 @@ _log = get_logger("service")
 #: Thread-CPU seconds a verification may cost and still run on the
 #: loop: what decoding a 10 KB submission, done inline already, costs.
 INLINE_BUDGET_S = 1e-3
+#: Verifications that may wait for or run on the engine at once.
+MAX_PENDING_VERIFICATIONS = 128
 #: Share of the gap to a *cheaper* reading the cost estimate closes per
 #: job (a dearer one replaces it at once): one slow job sends the next
 #: to the pool, and ~8 cheap ones in a row return from 2x the budget.
@@ -150,24 +152,18 @@ class SupervisorServer:
         engine_options: dict | None = None,
         security: SecurityConfig | None = None,
         session_ttl: float = 300.0,
-        max_pending_verifications: int = 128,
         max_frame: int = MAX_FRAME_BYTES,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
         span_buffer: SpanBuffer | None = None,
     ) -> None:
-        if max_pending_verifications < 1:
-            raise ProtocolError(
-                "max_pending_verifications must be >= 1, "
-                f"got {max_pending_verifications}"
-            )
         self.config = config
         # engine_options reach backend constructors (the cluster
         # engine's tuning knobs); an Executor instance takes none.
         self._executor = get_executor(engine, workers, **(engine_options or {}))
         self._owns_executor = self._executor is not engine
         self._max_frame = max_frame
-        self._verify_slots = asyncio.Semaphore(max_pending_verifications)
+        self._verify_slots = asyncio.Semaphore(MAX_PENDING_VERIFICATIONS)
         # Estimated thread-CPU seconds of one verification; None until
         # the first job has been timed (see _offload).
         self._job_cost: float | None = None

@@ -124,7 +124,7 @@ class PrfPrefix:
     then the index).  The shared parts go into one ``hashlib`` object
     here and each item costs a ``copy()`` plus its own tail, the shape
     :meth:`repro.merkle.hashing.HashFunction.tagged_digest_many` gives
-    leaf hashing.
+    leaf hashing through any hash's constructor.
 
     A tail that is a non-negative integer at a fixed byte width (a leaf
     index at 8 bytes, a run of keys that share a width) has the same
@@ -169,7 +169,7 @@ class PrfPrefix:
             ]
         # The single-block body of ``_expand``, inlined.  ``update``
         # returns None, so ``or`` chains it into the comprehension (as
-        # in ``HashFunction.tagged_digest_many``).
+        # in ``HashFunction``'s batch methods).
         return [
             _sha256(
                 (

@@ -1,7 +1,5 @@
 """Tests for Eq. (2), Eq. (3) and the Fig. 2 reproduction values."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

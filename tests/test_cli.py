@@ -313,7 +313,9 @@ class TestWorkerCommand:
         assert proc.returncode == 0, out
         assert elapsed < 5.0, out
         assert "cluster worker done (0 jobs)" in out
-        assert list(tmp_path.glob("flight-worker-*-shutdown.json")), out
+        dumps = [p.name for p in tmp_path.glob("flight-worker-*-shutdown.json")]
+        assert dumps, out
+        assert not [name for name in dumps if "worker-worker" in name], dumps
 
 
 class TestOneLineFailures:

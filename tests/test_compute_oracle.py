@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_fold_oracle import PlainSha1
 from repro.accounting import CostLedger
 from repro.cheating import (
     BernoulliGuess,
@@ -584,28 +585,29 @@ class TestBulkCharges:
             getattr(ledger, method)(cost, count)
         assert ledger == CostLedger()
 
-    @pytest.mark.parametrize("factory", [None, hashlib.sha1], ids=["plain", "seeded"])
-    def test_counting_hash_batches_charge_like_the_loop(self, factory):
-        dime = HashFunction(
-            "dime", lambda d: hashlib.sha1(d).digest(), 20, cost=0.1,
-            hasher_factory=factory,
-        )
-        blobs = [bytes([i]) * 20 for i in range(14)]
+    @pytest.mark.parametrize("new", [PlainSha1, hashlib.sha1], ids=["plain", "seeded"])
+    def test_counting_hash_batches_charge_like_the_loop(self, new):
+        dime = HashFunction("dime", new, cost=0.1)
+        blobs = [bytes([i]) * 20 for i in range(16)]
         batched, looped = CostLedger(), CostLedger()
         b, l = CountingHash(dime, batched), CountingHash(dime, looped)
-        assert b.digest_many(blobs) == [l.digest(x) for x in blobs]
         assert b.tagged_digest_many(b"\x00", blobs) == [
             l.digest(b"\x00" + x) for x in blobs
         ]
-        assert b.tagged_digest_pairs(b"\x01", blobs) == [
-            l.digest(b"\x01" + blobs[i] + blobs[i + 1]) for i in range(0, 14, 2)
-        ]
+        levels, level = [], blobs
+        while len(level) > 1:
+            level = [
+                l.digest(b"\x01" + level[i] + level[i + 1])
+                for i in range(0, len(level), 2)
+            ]
+            levels.append(level)
+        assert b.tagged_levels(b"\x01", blobs) == levels
         digest = blobs[0]
         for sibling in blobs[1:6]:
             digest = l.digest(b"\x01" + digest + sibling)
         assert b.fold_path(b"\x01", blobs[0], 0, blobs[1:6]) == digest
         assert batched == looped
-        assert batched.hashes == 14 + 14 + 7 + 5
+        assert batched.hashes == 16 + 15 + 5
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import (
     MatchScreener,
-    PasswordSearch,
     RangeDomain,
     TaskAssignment,
 )

@@ -9,6 +9,7 @@ violation into a copy of the tree makes the run fail.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -543,3 +544,73 @@ class TestRepoGate:
         checkers = [cls() for cls in ALL_CHECKERS]
         findings, _ = lint_paths([tmp_path], checkers, root=tmp_path)
         assert any(f.rule == "RL001" for f in findings)
+
+
+# ----------------------------------------------------------------------
+# Unused imports (what CI's ``ruff check`` refuses as F401), stdlib ast
+# ----------------------------------------------------------------------
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that nothing in the module reads.  A name
+    counts as read when it appears as a name, in ``__all__``, or inside
+    a string annotation (``TYPE_CHECKING`` imports), as ruff counts it."""
+    tree = ast.parse(source)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        for annotation in (
+            getattr(node, "annotation", None), getattr(node, "returns", None)
+        ):
+            for const in ast.walk(annotation) if annotation else ():
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    used.update(
+                        name.id
+                        for name in ast.walk(ast.parse(const.value, mode="eval"))
+                        if isinstance(name, ast.Name)
+                    )
+    return [
+        f"{node.lineno}: {bound}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+        and (bound := alias.asname or alias.name.partition(".")[0]) not in used
+    ]
+
+
+class TestUnusedImports:
+    def test_flags_an_unused_import(self):
+        assert unused_imports("import os\nimport math as m\n") == [
+            "1: os", "2: m"
+        ]
+
+    def test_reads_count_as_use(self):
+        source = textwrap.dedent('''
+            from __future__ import annotations
+            import os.path
+            from typing import TYPE_CHECKING
+            from json import dumps
+            if TYPE_CHECKING:
+                from decimal import Decimal
+            __all__ = ["dumps"]
+            def f(x: "Decimal") -> None:
+                return os.path.sep
+        ''')
+        assert unused_imports(source) == []
+
+    def test_src_and_tests_import_nothing_unused(self):
+        found = [
+            f"{path.relative_to(REPO_ROOT)}:{line}"
+            for root in ("src", "tests")
+            for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            for line in unused_imports(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []

@@ -57,24 +57,36 @@ from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 
-def _sha1(data: bytes) -> bytes:
-    return hashlib.sha1(data).digest()
+class PlainSha1:
+    """A hasher in plain Python that speaks only the protocol a
+    :class:`HashFunction` reads (``update``, ``copy``, ``digest``,
+    ``digest_size``): it keeps the concatenation and hashes it whole."""
+
+    digest_size = 20
+
+    def __init__(self, data=b""):
+        self.data = bytes(data)
+
+    def update(self, data):
+        self.data += data
+
+    def copy(self):
+        return PlainSha1(self.data)
+
+    def digest(self):
+        return hashlib.sha1(self.data).digest()
 
 
 #: (library hash, hashlib name, rounds, cost per invocation).  The two
-#: 0.1-cost hashes differ in how they reach the fold: one carries a
-#: hasher factory (pre-seeded copies), one does not (the generic loop).
+#: 0.1-cost hashes, a cost that is not a whole number, differ in their
+#: constructor: a plain-Python one that concatenates, and hashlib's own
+#: (the fold copies one tag-seeded hasher per node).
 HASHES = {
     "sha256": (get_hash("sha256"), "sha256", 1, 1.0),
     "md5^3": (get_hash("md5^3"), "md5", 3, 3.0),
-    "dime-plain": (HashFunction("dime-plain", _sha1, 20, cost=0.1), "sha1", 1, 0.1),
+    "dime-plain": (HashFunction("dime-plain", PlainSha1, cost=0.1), "sha1", 1, 0.1),
     "dime-seeded": (
-        HashFunction(
-            "dime-seeded", _sha1, 20, cost=0.1, hasher_factory=hashlib.sha1
-        ),
-        "sha1",
-        1,
-        0.1,
+        HashFunction("dime-seeded", hashlib.sha1, cost=0.1), "sha1", 1, 0.1
     ),
 }
 

@@ -6,7 +6,7 @@ from repro.baselines import NaiveSamplingScheme
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme
 from repro.exceptions import TaskError
-from repro.grid import GridSimulation, SimulationConfig
+from repro.grid import SimulationConfig
 from repro.grid.simulation import run_population
 from repro.tasks import MatchScreener, PasswordSearch, RangeDomain
 

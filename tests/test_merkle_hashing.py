@@ -2,6 +2,7 @@
 batched leaf-level primitive the tree is built from."""
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -11,10 +12,11 @@ from repro.merkle.hashing import (
     CountingHash,
     HashFunction,
     IteratedHash,
+    _IteratedHasher,
     available_hashes,
     get_hash,
-    register_hash,
 )
+from repro.merkle.multiproof import supplied_nodes
 from repro.merkle.tree import MerkleTree, empty_leaf_digest, hash_leaves
 
 
@@ -40,11 +42,6 @@ class TestRegistry:
     def test_unknown_hash_rejected(self):
         with pytest.raises(ReproError, match="unknown hash"):
             get_hash("rot13")
-
-    def test_register_custom(self):
-        fn = HashFunction("testhash", lambda d: d[:4].ljust(4, b"\0"), 4)
-        register_hash(fn)
-        assert get_hash("testhash") is fn
 
 
 class TestIteratedHash:
@@ -107,11 +104,6 @@ class TestBatchedDigests:
     TAG = b"\x00"
 
     @pytest.mark.parametrize("name", ["sha256", "md5", "blake2b", "md5^3"])
-    def test_digest_many_matches_loop(self, name):
-        h = get_hash(name)
-        assert h.digest_many(self.BLOBS) == [h.digest(b) for b in self.BLOBS]
-
-    @pytest.mark.parametrize("name", ["sha256", "md5", "blake2b", "md5^3"])
     def test_tagged_digest_many_matches_loop(self, name):
         h = get_hash(name)
         assert h.tagged_digest_many(self.TAG, self.BLOBS) == [
@@ -119,51 +111,43 @@ class TestBatchedDigests:
         ]
 
     @pytest.mark.parametrize("name", ["sha256", "md5", "blake2b", "md5^3"])
-    def test_tagged_digest_pairs_matches_loop(self, name):
-        h = get_hash(name)
-        assert h.tagged_digest_pairs(self.TAG, self.LEVEL) == [
-            h.digest(self.TAG + self.LEVEL[i] + self.LEVEL[i + 1])
-            for i in range(0, len(self.LEVEL), 2)
-        ]
-
-    @pytest.mark.parametrize("name", ["sha256", "md5", "blake2b", "md5^3"])
     def test_digest_chain_matches_loop(self, name):
-        plain = HashFunction("plainfn", get_hash(name).digest, 16)
-        for h in (get_hash(name), plain):
-            value, links = b"seed", []
-            for _ in range(6):
-                links.append(value := h.digest(value))
-            assert h.digest_chain(b"seed", 6) == links
-            assert h.digest_chain(b"seed", 0) == []
+        h = get_hash(name)
+        value, links = b"seed", []
+        for _ in range(6):
+            links.append(value := h.digest(value))
+        assert h.digest_chain(b"seed", 6) == links
+        assert h.digest_chain(b"seed", 0) == []
 
     def test_batched_accepts_iterators(self):
         h = get_hash("sha256")
-        assert h.digest_many(iter(self.BLOBS)) == h.digest_many(self.BLOBS)
+        assert h.tagged_digest_many(self.TAG, iter(self.BLOBS)) == (
+            h.tagged_digest_many(self.TAG, self.BLOBS)
+        )
 
-    def test_custom_hash_without_factory(self):
-        # A registered custom hash has no hasher_factory; the batched
-        # methods must fall back to the plain function, byte-identically.
-        h = HashFunction("plainfn", lambda d: hashlib.sha1(d).digest(), 20)
-        assert h.digest_many(self.BLOBS) == [h.digest(b) for b in self.BLOBS]
+    def test_custom_hash_from_a_constructor(self):
+        # A hash built outside the registry batches like the loop too.
+        h = HashFunction("dime", hashlib.sha1, cost=0.1)
+        assert (h.digest_size, h.cost) == (20, 0.1)
         assert h.tagged_digest_many(self.TAG, self.BLOBS) == [
-            h.digest(self.TAG + b) for b in self.BLOBS
+            hashlib.sha1(self.TAG + b).digest() for b in self.BLOBS
         ]
 
     def test_counting_hash_charges_match_loop(self):
         batched, looped = CostLedger(), CostLedger()
         h_batched = CountingHash(get_hash("md5^4"), batched)
         h_looped = CountingHash(get_hash("md5^4"), looped)
-        assert h_batched.digest_many(self.BLOBS) == [
-            h_looped.digest(b) for b in self.BLOBS
+        assert h_batched.tagged_digest_many(self.TAG, self.BLOBS) == [
+            h_looped.digest(self.TAG + b) for b in self.BLOBS
         ]
         assert batched.hashes == looped.hashes == len(self.BLOBS)
         assert batched.hash_cost == looped.hash_cost
 
-    def test_counting_hash_tagged_pairs_charges(self):
+    def test_counting_hash_tagged_levels_charges(self):
         ledger = CostLedger()
         counted = CountingHash(get_hash("sha256"), ledger)
-        counted.tagged_digest_pairs(self.TAG, self.LEVEL)
-        assert ledger.hashes == len(self.LEVEL) // 2
+        counted.tagged_levels(self.TAG, self.LEVEL)
+        assert ledger.hashes == len(self.LEVEL) - 1
 
     def test_counting_iterated_composition(self):
         # CountingHash over IteratedHash: batched path must produce the
@@ -176,31 +160,159 @@ class TestBatchedDigests:
         assert ledger.hash_cost == 2 * len(self.BLOBS) * 5.0
 
     def test_registry_entries_carry_cached_factories(self):
-        # The stdlib registry entries must dispatch through a bound
-        # constructor, not a hashlib.new() string lookup per call.
+        # The stdlib registry entries hash through a bound constructor,
+        # not a hashlib.new() string lookup per call.
         for name in ("sha256", "sha1", "md5", "sha512"):
-            assert get_hash(name)._factory is getattr(hashlib, name)
-        assert get_hash("blake2b")._factory is not None
+            assert get_hash(name).new is getattr(hashlib, name)
+        assert get_hash("blake2b").digest_size == 32
 
     def test_empty_batches(self):
         h = get_hash("sha256")
-        assert h.digest_many([]) == []
         assert h.tagged_digest_many(self.TAG, []) == []
-        assert h.tagged_digest_pairs(self.TAG, []) == []
+        assert h.tagged_levels(self.TAG, self.LEVEL[:1]) == []
+        assert h.fold_path(self.TAG, self.LEVEL[0], 0, []) == self.LEVEL[0]
+
+
+# ----------------------------------------------------------------------
+# One protocol: every hash, bare and counted, through the same six
+# methods, against an independent hashlib transcription
+# ----------------------------------------------------------------------
+
+PROTOCOL_NAMES = [*available_hashes(), "md5^3"]
+TAG = b"\x01"
+BLOBS = [bytes([i]) * (i % 5) + b"blob" for i in range(7)] + [b""]
+LEVEL = [hashlib.sha256(bytes([i])).digest() for i in range(8)]
+INDEX, LEAVES = 5, [1, 2, 6]
+METHODS = [
+    "digest", "tagged_digest_many", "tagged_levels",
+    "tagged_fold", "fold_path", "digest_chain",
+]
+
+
+def reference(name):
+    """``name``'s digest as plain ``hashlib`` calls, iterated for ``^k``."""
+    base, _, rounds = name.partition("^")
+    new = (
+        partial(hashlib.blake2b, digest_size=32)
+        if base == "blake2b" else getattr(hashlib, base)
+    )
+
+    def digest(data):
+        for _ in range(int(rounds or 1)):
+            data = new(data).digest()
+        return data
+
+    return digest
+
+
+def tree_over(digest):
+    """LEVEL and every level above it, each node one ``digest`` call."""
+    levels = [LEVEL]
+    while len(levels[-1]) > 1:
+        row = levels[-1]
+        levels.append(
+            [digest(TAG + row[i] + row[i + 1]) for i in range(0, len(row), 2)]
+        )
+    return levels
+
+
+def by_loop(method, digest, levels):
+    """``method``'s answer as a loop of single ``digest`` calls, each
+    node hashed once — the same calls the batched method charges."""
+    if method == "digest":
+        return digest(BLOBS[3])
+    if method == "tagged_digest_many":
+        return [digest(TAG + blob) for blob in BLOBS]
+    if method == "tagged_levels":
+        return tree_over(digest)[1:]
+    if method == "tagged_fold":
+        known = {leaf: LEVEL[leaf] for leaf in LEAVES}
+        for level, row in enumerate(supplied_nodes(LEAVES, 3)):
+            known.update((node, levels[level][node]) for node in row)
+            known = {
+                node >> 1: digest(TAG + known[node] + known[node + 1])
+                for node in sorted(known)[::2]
+            }
+        return known[0]
+    if method == "fold_path":
+        node = LEVEL[INDEX]
+        for level in range(3):
+            sibling = levels[level][(INDEX >> level) ^ 1]
+            pair = sibling + node if INDEX >> level & 1 else node + sibling
+            node = digest(TAG + pair)
+        return node
+    value = b"seed"
+    return [value := digest(value) for _ in range(5)]
+
+
+def batched(method, h, levels):
+    """``method`` called once on ``h`` with the loop's inputs."""
+    if method == "digest":
+        return h.digest(BLOBS[3])
+    if method == "tagged_digest_many":
+        return h.tagged_digest_many(TAG, BLOBS)
+    if method == "tagged_levels":
+        return h.tagged_levels(TAG, LEVEL)
+    if method == "tagged_fold":
+        nodes = supplied_nodes(LEAVES, 3)
+        return h.tagged_fold(
+            TAG,
+            [(leaf, LEVEL[leaf]) for leaf in LEAVES],
+            nodes,
+            [levels[level][node] for level, row in enumerate(nodes) for node in row],
+        )
+    if method == "fold_path":
+        siblings = [levels[level][(INDEX >> level) ^ 1] for level in range(3)]
+        return h.fold_path(TAG, LEVEL[INDEX], INDEX, siblings)
+    return h.digest_chain(b"seed", 5)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["bare", "counted"])
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+class TestOneProtocol:
+    @staticmethod
+    def hash_of(name, counted):
+        h = get_hash(name)
+        return CountingHash(h, CostLedger()) if counted else h
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_equals_its_loop(self, name, counted, method):
+        digest = reference(name)
+        levels = tree_over(digest)
+        h = self.hash_of(name, counted)
+        assert batched(method, h, levels) == by_loop(method, digest, levels)
+
+    def test_counted_books_equal_the_loops(self, name, counted):
+        inner = self.hash_of(name, counted)
+        levels = tree_over(reference(name))
+        books, looped = CostLedger(), CostLedger()
+        one_call = CountingHash(inner, books)
+        one_digest = CountingHash(inner, looped)
+        for method in METHODS:
+            assert batched(method, one_call, levels) == by_loop(
+                method, one_digest.digest, levels
+            )
+            # Bit for bit: the floats too.
+            assert (books.hashes, books.hash_cost) == (
+                looped.hashes, looped.hash_cost
+            ), method
+
+    def test_copies_are_independent(self, name, counted):
+        h = self.hash_of(name, counted)
+        hasher = h.new(b"ab")
+        if "^" in name:
+            assert isinstance(hasher, _IteratedHasher)
+        copy = hasher.copy()
+        copy.update(b"cd")
+        assert hasher.digest() == reference(name)(b"ab")
+        assert copy.digest() == reference(name)(b"abcd")
+        assert hasher.digest_size == copy.digest_size == h.digest_size
 
 
 class TestHashFunctionValidation:
-    def test_rejects_bad_digest_size(self):
-        with pytest.raises(ReproError):
-            HashFunction("bad", lambda d: d, 0)
-
     def test_rejects_negative_cost(self):
         with pytest.raises(ReproError):
-            HashFunction("bad", lambda d: d, 4, cost=-1.0)
-
-    def test_callable_interface(self):
-        h = get_hash("sha256")
-        assert h(b"x") == h.digest(b"x")
+            HashFunction("bad", hashlib.sha1, cost=-1.0)
 
 
 class TestHashLeaves:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import ProofShapeError
-from repro.merkle import MerkleTree, get_hash
+from repro.merkle import MerkleTree
 from repro.merkle.proof import AuthenticationPath, compute_root_from_path
 from repro.merkle.tree import LeafEncoding, encode_leaf
 
