@@ -55,7 +55,6 @@ def _spawn_worker(port: int, worker_id: str, throttle: float) -> subprocess.Pope
         "--host", "127.0.0.1",
         "--port", str(port),
         "--id", worker_id,
-        "--heartbeat", "0.5",
         "--connect-retry", "30",
         "--preload", "_cluster_jobs",
     ]
@@ -79,7 +78,6 @@ def _run(with_straggler: bool) -> tuple[float, dict]:
             port=port,
             spawn_local=False,
             min_workers=len(procs),
-            startup_timeout=60.0,
         ) as executor:
             start = time.perf_counter()
             results = executor.map(bench_item, range(SKEW_ITEMS))

@@ -20,12 +20,16 @@ flag gain multi-host dispatch by naming ``"cluster"``.
   dead or slow workers with at-most-once result acceptance (chunk ids
   are single-use, so a straggler's late result is dropped exactly
   once), ordered reassembly.
+* :mod:`repro.engine.cluster.chunk` — the worker's chunk protocol,
+  synchronous and socket-free: :func:`~repro.engine.cluster.chunk.answer`
+  decodes job specs through a bounded LRU scheme cache (one scheme
+  construction per population, not per chunk), runs each job in
+  isolation and answers the chunk with its per-job outcomes in one
+  ``result`` frame; a worker never dies because of a job.
 * :mod:`repro.engine.cluster.worker` — the worker daemon, one serial
-  process: registers, decodes job specs through a bounded LRU scheme
-  cache (one scheme construction per population, not per chunk),
-  executes one chunk at a time, answers each chunk with its per-job
-  outcomes in one ``result`` frame, and never dies because of a job.
-  A host uses its cores by running one daemon per core.
+  process and the shell around ``answer``: registers, heartbeats and
+  computes one chunk at a time off its event loop.  A host uses its
+  cores by running one daemon per core.
 
 Parity: a cluster run produces byte-identical
 :class:`~repro.grid.report.DetectionReport`'s to the serial backend —

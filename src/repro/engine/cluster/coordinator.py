@@ -54,7 +54,6 @@ from typing import Any, Callable, Sequence
 from repro.engine.cluster.scheduler import Scheduler
 from repro.engine.executor import Executor, _metered_map, default_workers
 from repro.exceptions import EngineError, ReproError
-from repro.launch import DEFAULT_HEARTBEAT_INTERVAL
 from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
 from repro.net.transport import Listener, SecurityConfig
 from repro.obs.logging import get_logger, log_event
@@ -73,10 +72,17 @@ from repro.service.codec import (
 from repro.service.jobcodec import encode_job
 
 #: Seconds of silence (no frame, no heartbeat) before a worker is
-#: declared dead.  Generous relative to the beacon interval: EOF
-#: detection catches crashes instantly, this only fences network
-#: half-death.
-DEFAULT_HEARTBEAT_TIMEOUT = 10.0
+#: declared dead.  Generous relative to the workers' beacon interval
+#: (``repro.launch.DEFAULT_HEARTBEAT_INTERVAL``): EOF detection catches
+#: crashes instantly, this only fences network half-death.
+HEARTBEAT_TIMEOUT = 10.0
+
+#: Assignments a job gets before its map fails with the last error.
+MAX_ATTEMPTS = 3
+
+#: Seconds the first ``map`` waits for the listener to bind, then again
+#: for the workers to register.
+STARTUP_TIMEOUT = 60.0
 
 #: The ``python -c`` program a spawn-local worker runs.  A shim rather
 #: than ``-m``: the daemon runs as the module repro.engine.cluster.worker,
@@ -323,10 +329,10 @@ class ClusterExecutor(Executor):
     <coordinator> --port <port>``, one per core, on any number of hosts
     (``min_workers`` blocks the first dispatch until that many joined).
 
-    Chunk sizing is one fixed policy
-    (:mod:`repro.engine.cluster.scheduler`); what remains to set is
-    liveness — ``heartbeat_interval``/``heartbeat_timeout``,
-    ``job_timeout``, ``max_attempts`` (README "Cluster tuning").
+    Chunk sizing and liveness are fixed policy
+    (:mod:`repro.engine.cluster.scheduler`, :data:`HEARTBEAT_TIMEOUT`,
+    :data:`MAX_ATTEMPTS`); the one liveness option left is
+    ``job_timeout``, the straggler fence (README "Cluster tuning").
 
     Security surface (see README "Security model"): ``secret_file``
     enables the mutual repro.net HMAC handshake — every worker must
@@ -353,14 +359,10 @@ class ClusterExecutor(Executor):
         port: int = 0,
         spawn_local: bool = True,
         min_workers: int | None = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         job_timeout: float | None = None,
-        max_attempts: int = 3,
         secret_file: str | None = None,
         tls_cert: str | None = None,
         tls_key: str | None = None,
-        startup_timeout: float = 60.0,
         registry: MetricsRegistry | None = None,
         trace: bool = False,
         span_buffer: SpanBuffer | None = None,
@@ -370,23 +372,9 @@ class ClusterExecutor(Executor):
             raise EngineError(f"workers must be >= 1, got {workers}")
         if min_workers is not None and min_workers < 1:
             raise EngineError(f"min_workers must be >= 1, got {min_workers}")
-        if max_attempts < 1:
-            raise EngineError(f"max_attempts must be >= 1, got {max_attempts}")
-        if heartbeat_interval <= 0:
-            raise EngineError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
-        if heartbeat_timeout <= 0:
-            raise EngineError(
-                f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
-            )
         if job_timeout is not None and job_timeout <= 0:
             raise EngineError(
                 f"job_timeout must be positive or None, got {job_timeout}"
-            )
-        if startup_timeout <= 0:
-            raise EngineError(
-                f"startup_timeout must be positive, got {startup_timeout}"
             )
         # Security material (repro.net): shared-secret HMAC auth gates
         # every worker connection before any frame is decoded; the TLS
@@ -420,11 +408,7 @@ class ClusterExecutor(Executor):
         self._port = port
         self._spawn_local = spawn_local
         self._min_workers = min_workers
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
         self._job_timeout = job_timeout
-        self._max_attempts = max_attempts
-        self._startup_timeout = startup_timeout
         self._registry = registry
         self._trace = trace
         self._span_buffer = span_buffer
@@ -602,9 +586,9 @@ class ClusterExecutor(Executor):
             )
             thread.start()
             co = _Coordinator(
-                heartbeat_timeout=self._heartbeat_timeout,
+                heartbeat_timeout=HEARTBEAT_TIMEOUT,
                 job_timeout=self._job_timeout,
-                max_attempts=self._max_attempts,
+                max_attempts=MAX_ATTEMPTS,
                 more_workers_expected=self._more_workers_expected,
                 security=self._security,
                 registry=self._registry,
@@ -614,7 +598,7 @@ class ClusterExecutor(Executor):
             try:
                 self._address = asyncio.run_coroutine_threadsafe(
                     co.start(self._host, self._port), loop
-                ).result(timeout=self._startup_timeout)
+                ).result(timeout=STARTUP_TIMEOUT)
             except Exception:
                 loop.call_soon_threadsafe(loop.stop)
                 thread.join(timeout=5.0)
@@ -641,7 +625,6 @@ class ClusterExecutor(Executor):
                 "--host", host,
                 "--port", str(port),
                 "--id", f"local-{i}",
-                "--heartbeat", str(self._heartbeat_interval),
             ]
             for module_name in self._worker_preload:
                 cmd += ["--preload", module_name]
@@ -664,7 +647,7 @@ class ClusterExecutor(Executor):
 
     def _await_workers(self, target: int) -> None:
         """Block until ``target`` workers registered (or fail loudly)."""
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         while True:
             co = self._co
             if co is None:
@@ -684,7 +667,7 @@ class ClusterExecutor(Executor):
             if time.monotonic() >= deadline:
                 raise EngineError(
                     f"only {registered} of {target} cluster workers "
-                    f"registered within {self._startup_timeout}s"
+                    f"registered within {STARTUP_TIMEOUT}s"
                 )
             time.sleep(0.02)
 

@@ -1,35 +1,16 @@
-"""Cluster worker daemon: execute typed job chunks for a coordinator.
+"""Cluster worker daemon: the socket shell around the chunk protocol.
 
-One worker is one long-lived, serial process on one host: it runs one
-chunk at a time, so a host uses its cores by running one daemon per
-core (the coordinator's spawn-local mode does exactly that).  It dials
-the coordinator, registers with a ``hello`` frame (id, capacity 1,
-wire version), then serves ``job`` frames until a ``bye``, an EOF or a
-shutdown signal: each payload is a *chunk* — an ordered sequence of
-typed ``(fn, args, kwargs)`` job specs (:mod:`repro.service.jobcodec`
-— data, never code: functions arrive as registered names, arguments as
-schema-checked values), sized per worker by the coordinator's
-throughput tracker — executed in order and answered with the chunk's
-ordered per-job ``(ok, payload)`` outcomes in the same typed encoding.
-
-Scheme memory: cacheable structs (the verification schemes) decode
-through one process-wide LRU keyed by (scheme name, canonical param
-bytes), so one population constructs its scheme once per worker,
-not once per chunk.  Hit/miss deltas ride back on each result frame
-(``cache_hits``/``cache_misses``) and feed the coordinator's
-``repro_scheme_cache_*_total`` counters.
-
-A chunk's outcomes travel home in exactly one ``result`` frame.
-
-Survival contract: a worker never dies because of a job.  A corrupted
-or oversized chunk payload — or outcomes too large to frame — comes
-back as a chunk-level ``ok=False`` result; a single job whose function
-raises (or whose result the typed codec cannot encode) comes back as
-that job's ``ok=False`` outcome while its chunk siblings succeed — and
-the worker keeps serving.
-Jobs run off the event loop, on a thread, so heartbeats keep flowing
-while a chunk computes — that is what lets the coordinator tell *busy*
-from *dead*.
+One worker is one long-lived, serial process on one host, so a host
+uses its cores by running one daemon per core (the coordinator's
+spawn-local mode does exactly that).  It dials the coordinator,
+registers with a ``hello`` frame (id, capacity 1, wire version), then
+answers ``job`` frames until a ``bye``, an EOF or a shutdown signal.
+What a chunk means is :func:`repro.engine.cluster.chunk.answer`,
+synchronous and socket-free; this module only moves its frames.  Chunks
+compute one at a time, in arrival order, on a thread off the loop, so
+heartbeats keep flowing while one computes (that is how the coordinator
+tells *busy* from *dead*) and each result is written while the next
+chunk computes.
 
 Run it standalone (``python -m repro.engine.cluster.worker``) or via
 the CLI (``python -m repro.cli worker``); the coordinator's spawn-local
@@ -40,15 +21,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import concurrent.futures
 import contextlib
-import functools
 import importlib
 import logging
 import os
 import secrets
 import sys
-import time
 
+from repro.engine.cluster.chunk import answer, failed
 from repro.exceptions import EngineError, ReproError
 from repro.launch import DEFAULT_HEARTBEAT_INTERVAL, add_worker_args
 from repro.net.framing import MAX_CLUSTER_FRAME_BYTES
@@ -59,32 +40,16 @@ from repro.net.transport import (
     heartbeat_loop,
 )
 from repro.obs.health import Daemon, HealthState
-from repro.obs.spans import Span, default_span_buffer
-from repro.obs.logging import configure_logging, get_logger, log_event
+from repro.obs.logging import configure_logging
 from repro.obs.metrics import default_registry
-from repro.obs.trace import bind_trace
-from repro.service.jobcodec import (
-    SchemeCache,
-    decode_cluster_chunk,
-    decode_job,
-    encode_cluster_outcomes,
-    encode_cluster_payload,
-)
 from repro.service.codec import (
     ByeFrame,
     HeartbeatFrame,
     JobFrame,
-    ResultFrame,
     WorkerHello,
     read_frame,
     write_frame,
 )
-
-_log = get_logger("cluster.worker")
-
-# One scheme cache per worker process, shared by every chunk it runs:
-# a population's scheme is built once, not once per chunk.
-_scheme_cache = SchemeCache()
 
 
 def default_worker_id() -> str:
@@ -92,64 +57,11 @@ def default_worker_id() -> str:
     return f"worker-{os.getpid()}-{secrets.token_hex(3)}"
 
 
-def execute_payload(raw: bytes) -> object:
-    """Decode one typed job spec and run it (the worker-side hot path).
-
-    The payload must decode to a ``(fn, args, kwargs)`` job spec whose
-    ``fn`` is a registered callable; anything else — junk bytes, an
-    unregistered name, the wrong shape — raises
-    :class:`~repro.exceptions.CodecError`.  Cacheable schemes decode
-    through this process's one :class:`SchemeCache`.
-    """
-    fn, args, kwargs = decode_job(raw, cache=_scheme_cache)
-    return fn(*args, **kwargs)
-
-
-def execute_chunk_report(
-    raw: bytes, throttle: float = 0.0
-) -> tuple[list[tuple[bool, bytes]], dict]:
-    """Run one chunk payload; return outcomes plus an execution report.
-
-    The chunk envelope itself must decode (a corrupted chunk raises
-    :class:`~repro.exceptions.CodecError` — the chunk-level failure
-    path); inside it, every job is isolated: a job that raises, or
-    whose result the typed codec cannot encode, becomes its own
-    ``ok=False`` outcome carrying the error text while its siblings
-    still succeed.
-
-    The report dict carries ``cache_hits``/``cache_misses``: this
-    chunk's scheme-cache deltas, exact because a worker runs one chunk
-    at a time.
-    ``throttle`` sleeps that many seconds after each job — an
-    artificial straggler for benchmarks and scheduler tests, never set
-    in production.
-    """
-    before = _scheme_cache.stats()
-    out: list[tuple[bool, bytes]] = []
-    for job_raw in decode_cluster_chunk(raw):
-        try:
-            result = execute_payload(job_raw)
-            out.append((True, encode_cluster_payload(result)))
-        except Exception as exc:
-            out.append(
-                (False, encode_cluster_payload(f"{type(exc).__name__}: {exc}"))
-            )
-        if throttle > 0.0:
-            time.sleep(throttle)
-    after = _scheme_cache.stats()
-    report = {
-        "cache_hits": after["hits"] - before["hits"],
-        "cache_misses": after["misses"] - before["misses"],
-    }
-    return out, report
-
-
 async def run_worker(
     host: str,
     port: int,
     *,
     worker_id: str | None = None,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     throttle: float = 0.0,
     connect_retry_s: float = 0.0,
     security: SecurityConfig | None = None,
@@ -160,9 +72,8 @@ async def run_worker(
 ) -> int:
     """Serve one coordinator until bye/EOF/``shutdown``; return jobs done.
 
-    Chunks run one at a time, in arrival order, on a thread off the
-    loop.  ``throttle`` adds an artificial per-job delay (straggler
-    injection for benches and scheduler tests).  ``connect_retry_s``
+    ``throttle`` adds an artificial per-job delay (straggler injection
+    for benches and scheduler tests, :func:`answer`).  ``connect_retry_s``
     keeps re-dialling a coordinator that has not bound its port yet —
     workers racing the coordinator's startup across hosts is normal,
     not an error (:func:`repro.net.transport.dial`).  ``security``
@@ -177,10 +88,6 @@ async def run_worker(
     jobcodec registrations exist before the first chunk; ``max_frame``
     caps frames both ways (a test hook for the answer path).
     """
-    if heartbeat_interval <= 0:
-        raise EngineError(
-            f"heartbeat interval must be positive, got {heartbeat_interval}"
-        )
     if throttle < 0:
         raise EngineError(f"throttle must be >= 0, got {throttle}")
     worker_id = worker_id or default_worker_id()
@@ -215,137 +122,44 @@ async def run_worker(
         stop_task.cancel()
         dialling.cancel()
         raise
-    write_lock = asyncio.Lock()
-    # One chunk computes at a time; the rest wait here in arrival
-    # order (the coordinator keeps up to two in flight).
-    compute_lock = asyncio.Lock()
-    inflight: set[asyncio.Task] = set()
+    # One thread computes chunks in arrival order (the coordinator keeps
+    # up to two in flight); ``answers`` holds each chunk's pending
+    # answer, in the same order, for the one coroutine that writes them.
+    compute = concurrent.futures.ThreadPoolExecutor(
+        1, thread_name_prefix="repro-worker"
+    )
+    answers: asyncio.Queue = asyncio.Queue()
 
     async def send(frame) -> None:
-        async with write_lock:
-            await write_frame(writer, frame, max_frame=max_frame)
+        # Synchronous up to its drain: heartbeats and results cannot
+        # interleave.
+        await write_frame(writer, frame, max_frame=max_frame)
 
-    def heartbeats():
-        return heartbeat_loop(
-            lambda: send(HeartbeatFrame(worker_id=worker_id)),
-            heartbeat_interval,
-        )
-
-    async def run_job(frame: JobFrame) -> None:
+    async def write_answers() -> None:
         nonlocal jobs_done
-        # Span export: a traced chunk's execution is
-        # timed as a span parented under the coordinator's chunk
-        # span, recorded locally (flight recorder) and attached to
-        # the result envelope so the coordinator can assemble the
-        # full distributed waterfall.  Untraced chunks pay nothing.
-        exec_span: Span | None = None
-        try:
-            async with compute_lock:
-                with bind_trace(frame.trace_id, frame.span_id):
-                    log_event(
-                        _log,
-                        "chunk_executing",
-                        level=logging.DEBUG,
-                        chunk=frame.job_id,
-                        worker=worker_id,
-                    )
-                started = time.perf_counter()
-                if frame.trace_id is not None:
-                    exec_span = Span.begin(
-                        "worker.execute",
-                        trace_id=frame.trace_id,
-                        parent_id=frame.span_id,
-                    )
-                    exec_span.attributes.update(
-                        worker=worker_id, chunk=frame.job_id
-                    )
-                # The loop's default thread pool keeps heartbeats
-                # alive during compute.
-                entries, report = await loop.run_in_executor(
-                    None,
-                    functools.partial(
-                        execute_chunk_report, frame.payload, throttle
-                    ),
-                )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            with bind_trace(frame.trace_id, frame.span_id):
-                log_event(
-                    _log,
-                    "chunk_failed",
-                    level=logging.WARNING,
-                    chunk=frame.job_id,
-                    worker=worker_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            # The survival contract: a chunk envelope that does not
-            # decode (CodecError) — or any other chunk-level
-            # surprise — comes back as data, never a worker crash.
-            # Per-job failures were already folded into ``entries``
-            # by execute_chunk_report and do not land here.
-            error_spans: tuple = ()
-            if exec_span is not None:
-                exec_span.finish(status=f"error:{type(exc).__name__}")
-                default_span_buffer().add(exec_span)
-                error_spans = (exec_span.to_wire(),)
-            await send(
-                ResultFrame(
-                    job_id=frame.job_id,
-                    ok=False,
-                    payload=encode_cluster_payload(
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                    spans=error_spans,
-                )
-            )
-            return
-        jobs_done += len(entries)
-        with bind_trace(frame.trace_id, frame.span_id):
-            log_event(
-                _log,
-                "chunk_executed",
-                level=logging.DEBUG,
-                chunk=frame.job_id,
-                worker=worker_id,
-                jobs=len(entries),
-                elapsed_s=round(time.perf_counter() - started, 6),
-            )
-        wire_spans: tuple = ()
-        if exec_span is not None:
-            exec_span.finish(jobs=len(entries))
-            default_span_buffer().add(exec_span)
-            wire_spans = (exec_span.to_wire(),)
-        try:
-            await send(
-                ResultFrame(
-                    job_id=frame.job_id,
-                    ok=True,
-                    payload=encode_cluster_outcomes(entries),
-                    spans=wire_spans,
-                    cache_hits=report["cache_hits"],
-                    cache_misses=report["cache_misses"],
-                )
-            )
-        except ReproError as exc:
-            # The survival contract extends to the *answer* path:
-            # outcomes that will not encode or frame (past the
-            # payload cap, or past a small max_frame) must come back
-            # as a chunk-level error — an unanswered chunk would
-            # hang the caller forever on a worker that still
-            # heartbeats.  (Transport errors propagate: EOF handling
-            # owns those.)
-            await send(
-                ResultFrame(
-                    job_id=frame.job_id,
-                    ok=False,
-                    payload=encode_cluster_payload(
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-            )
+        while True:
+            frame, answering = await answers.get()
+            result, jobs = await answering
+            jobs_done += jobs
+            try:
+                await send(result)
+            except ReproError as exc:
+                # A result that will not frame (past a small max_frame)
+                # is still answered: an unanswered chunk would hang the
+                # caller on a worker that heartbeats.  Transport errors
+                # propagate; EOF handling owns those.
+                await send(failed(frame, exc))
+            answers.task_done()
 
-    hb_task = asyncio.ensure_future(heartbeats())
+    tasks = (
+        asyncio.ensure_future(
+            heartbeat_loop(
+                lambda: send(HeartbeatFrame(worker_id=worker_id)),
+                DEFAULT_HEARTBEAT_INTERVAL,
+            )
+        ),
+        asyncio.ensure_future(write_answers()),
+    )
     try:
         await send(WorkerHello(worker_id=worker_id, capacity=1))
         if health is not None:
@@ -370,8 +184,9 @@ async def run_worker(
                     asyncio.CancelledError, ReproError
                 ):
                     await frame_task
-                if inflight:  # flush chunks already computing
-                    await asyncio.wait(inflight, timeout=5.0)
+                # Flush the chunks already received.
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(answers.join(), 5.0)
                 with contextlib.suppress(Exception):
                     await send(ByeFrame(reason="worker shutdown"))
                 break
@@ -388,17 +203,19 @@ async def run_worker(
                     )
                 break
             if isinstance(frame, JobFrame):
-                task = asyncio.ensure_future(run_job(frame))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
+                answering = loop.run_in_executor(
+                    compute, answer, frame, worker_id, throttle
+                )
+                answers.put_nowait((frame, answering))
             # Anything else from a well-behaved coordinator is
             # unexpected but harmless; ignore it.
     finally:
         if health is not None:
             health.set_ready(False, "stopped")
-        for task in (hb_task, stop_task, *inflight):
+        compute.shutdown(wait=False, cancel_futures=True)
+        for task in (*tasks, stop_task):
             task.cancel()
-        for task in (hb_task, stop_task, *inflight):
+        for task in (*tasks, stop_task):
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         await close_writer(writer)
@@ -457,7 +274,6 @@ def run_parsed(args: argparse.Namespace) -> int:
                 args.host,
                 args.port,
                 worker_id=worker_id,
-                heartbeat_interval=args.heartbeat_interval,
                 throttle=args.throttle,
                 connect_retry_s=args.connect_retry_s,
                 security=security,

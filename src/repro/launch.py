@@ -1,7 +1,7 @@
 """What a command line reads before it loads a plane.
 
 The ``--engine`` and ``--workload`` choices, the worker's heartbeat
-default and the worker daemon's flags.  This module imports nothing,
+interval and the worker daemon's flags.  This module imports nothing,
 so ``repro.cli`` builds its parser without loading the engine, the
 service codec or the cluster plane, which read these values from here.
 """
@@ -23,9 +23,8 @@ WORKLOAD_NAMES = (
     "MonteCarloEstimate", "OptimizationSearch", "FactoringTask",
 )
 
-#: Default seconds between a cluster worker's liveness beacons — the
-#: one value spawn-local daemons are started with and an operator-run
-#: ``repro.cli worker`` beats at.
+#: Seconds between a cluster worker's liveness beacons: fixed policy,
+#: well inside the coordinator's ``HEARTBEAT_TIMEOUT``.
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
 
 
@@ -39,11 +38,6 @@ def add_worker_args(parser: argparse.ArgumentParser) -> None:
                         help="coordinator port")
     parser.add_argument("--id", default=None, dest="worker_id",
                         help="worker id (default: pid-based)")
-    parser.add_argument("--heartbeat", type=float,
-                        default=DEFAULT_HEARTBEAT_INTERVAL,
-                        dest="heartbeat_interval",
-                        help="seconds between liveness beacons "
-                        "(default: %(default)s)")
     parser.add_argument("--throttle", type=float, default=0.0,
                         help="artificial per-job delay in seconds "
                         "(straggler injection for benches/tests)")

@@ -187,38 +187,23 @@ async def write_frame_bytes(
 
 
 def _read_exactly(stream: BinaryIO, n: int) -> bytes:
-    """Read exactly ``n`` bytes from a blocking file-like stream.
+    """Read exactly ``n`` bytes from a blocking stream into one buffer.
 
     Fills one pre-sized buffer via ``readinto`` — a single allocation
-    per frame instead of one ``bytes`` chunk per ``read()`` plus a
-    join.  Streams without ``readinto`` (rare duck-typed wrappers)
-    fall back to chunked ``read``.
+    per frame instead of one ``bytes`` chunk per ``read()`` plus a join.
     """
     buffer = bytearray(n)
-    readinto = getattr(stream, "readinto", None)
+    view = memoryview(buffer)
     got = 0
-    if readinto is not None:
-        view = memoryview(buffer)
-        while got < n:
-            read = readinto(view[got:])
-            if not read:
-                if got == 0:
-                    raise EOFError  # clean EOF, translated by the caller
-                raise ProtocolError(
-                    f"connection closed mid frame ({got} of {n} bytes)"
-                )
-            got += read
-    else:
-        while got < n:
-            chunk = stream.read(n - got)
-            if not chunk:
-                if got == 0:
-                    raise EOFError  # clean EOF, translated by the caller
-                raise ProtocolError(
-                    f"connection closed mid frame ({got} of {n} bytes)"
-                )
-            buffer[got : got + len(chunk)] = chunk
-            got += len(chunk)
+    while got < n:
+        read = stream.readinto(view[got:])
+        if not read:
+            if got == 0:
+                raise EOFError  # clean EOF, translated by the caller
+            raise ProtocolError(
+                f"connection closed mid frame ({got} of {n} bytes)"
+            )
+        got += read
     return bytes(buffer)
 
 
@@ -227,8 +212,8 @@ def read_frame_bytes_sync(
 ) -> bytes | None:
     """Blocking twin of :func:`read_frame_bytes` for file-like streams.
 
-    ``stream`` is anything with a blocking ``read(n)`` (ideally also
-    ``readinto``) — a ``socket.makefile("rb")``, a pipe, a file.
+    ``stream`` needs a blocking ``readinto`` — a ``socket.makefile("rb")``,
+    a buffered pipe or file, an ``io.BytesIO``.
     Returns ``None`` on clean EOF at a frame boundary.
     """
     try:

@@ -47,9 +47,7 @@ _reexport(__name__, {
     "repro.service.sessions": "ServiceConfig SessionState SessionStore",
     "repro.service.server": "SupervisorServer memory_duplex",
     "repro.service.client": "ServiceClient",
-    "repro.service.loadgen": (
-        "percentile run_loadgen run_service_loadgen run_service_loadgen_sync"
-    ),
+    "repro.service.loadgen": "percentile run_loadgen run_service_loadgen",
 })
 
 __all__ = [
@@ -83,5 +81,4 @@ __all__ = [
     "percentile",
     "run_loadgen",
     "run_service_loadgen",
-    "run_service_loadgen_sync",
 ]

@@ -30,7 +30,6 @@ from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError
 from repro.merkle.hashing import get_hash
 from repro.merkle.tree import LeafEncoding
-from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SecurityConfig, close_writer, dial
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import (
@@ -91,17 +90,15 @@ def _reason_from_wire(reason: str) -> RejectReason:
 class ServiceClient:
     """One participant connection to the supervisor service."""
 
-    def __init__(self, reader, writer, max_frame: int = MAX_FRAME_BYTES) -> None:
+    def __init__(self, reader, writer) -> None:
         self._reader = reader
         self._writer = writer
-        self._max_frame = max_frame
 
     @classmethod
     async def open_tcp(
         cls,
         host: str,
         port: int,
-        max_frame: int = MAX_FRAME_BYTES,
         *,
         security: SecurityConfig | None = None,
         connect_retry_s: float = 0.0,
@@ -117,7 +114,7 @@ class ServiceClient:
         reader, writer = await dial(
             host, port, security, connect_retry_s=connect_retry_s
         )
-        return cls(reader, writer, max_frame=max_frame)
+        return cls(reader, writer)
 
     async def authenticate(self, security: SecurityConfig) -> None:
         """Run the client side of the HMAC handshake (no-op without a
@@ -135,10 +132,10 @@ class ServiceClient:
     # ------------------------------------------------------------------
 
     async def _send(self, frame: Frame) -> None:
-        await write_frame(self._writer, frame, max_frame=self._max_frame)
+        await write_frame(self._writer, frame)
 
     async def _recv(self, expected: type) -> Frame:
-        frame = await read_frame(self._reader, max_frame=self._max_frame)
+        frame = await read_frame(self._reader)
         if frame is None:
             raise ProtocolError("supervisor closed the connection")
         if isinstance(frame, ErrorFrame):

@@ -33,6 +33,10 @@ from repro.service.client import ParticipantRun, ServiceClient
 from repro.service.server import SupervisorServer
 from repro.service.sessions import ServiceConfig
 
+#: Threads a load generator computes participants on (evaluating ``f``,
+#: building the Merkle tree) while its loop multiplexes connections.
+COMPUTE_WORKERS = 4
+
 
 @dataclass
 class LoadgenStats:
@@ -92,15 +96,14 @@ async def run_loadgen(
     security: SecurityConfig | None = None,
     connect_retry_s: float = 0.0,
     concurrency: int = 32,
-    compute_workers: int | None = 4,
 ) -> tuple[DetectionReport, LoadgenStats]:
     """Drive ``n_participants`` rounds; aggregate report and stats.
 
     Exactly one transport must be given: ``host``/``port`` for a TCP
     supervisor, or ``server`` for in-process streams.  Participant
-    compute (tree building) runs on a small thread pool
-    (``compute_workers``; ``None`` computes inline) so the event loop
-    multiplexes connections instead of serializing on hashing.
+    compute (tree building) runs on a pool of :data:`COMPUTE_WORKERS`
+    threads so the event loop multiplexes connections instead of
+    serializing on hashing.
 
     A participant whose round fails with a protocol or transport error
     is counted in ``stats.n_errors`` and *omitted* from the report —
@@ -125,12 +128,8 @@ async def run_loadgen(
         raise ProtocolError("behaviors must be non-empty")
 
     semaphore = asyncio.Semaphore(max(1, concurrency))
-    pool = (
-        _FuturesThreadPool(
-            max_workers=compute_workers, thread_name_prefix="repro-loadgen"
-        )
-        if compute_workers
-        else None
+    pool = _FuturesThreadPool(
+        max_workers=COMPUTE_WORKERS, thread_name_prefix="repro-loadgen"
     )
     errors = 0
 
@@ -167,8 +166,7 @@ async def run_loadgen(
             *(one_round(i) for i in range(n_participants))
         )
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        pool.shutdown(wait=True)
     elapsed = time.perf_counter() - start
 
     completed = [run for run in runs if run is not None]
@@ -214,7 +212,6 @@ async def run_service_loadgen(
     engine_options: dict | None = None,
     security: SecurityConfig | None = None,
     concurrency: int = 32,
-    compute_workers: int | None = 4,
 ) -> tuple[DetectionReport, LoadgenStats, SupervisorServer]:
     """Self-contained run: spin up a supervisor, drive it, tear down.
 
@@ -246,7 +243,6 @@ async def run_service_loadgen(
                 port=port,
                 security=security,
                 concurrency=concurrency,
-                compute_workers=compute_workers,
             )
         else:
             report, stats = await run_loadgen(
@@ -255,17 +251,7 @@ async def run_service_loadgen(
                 server=server,
                 security=security,
                 concurrency=concurrency,
-                compute_workers=compute_workers,
             )
     finally:
         await server.stop()
     return report, stats, server
-
-
-def run_service_loadgen_sync(
-    config: ServiceConfig,
-    behaviors: Sequence[Behavior],
-    **kwargs,
-) -> tuple[DetectionReport, LoadgenStats, SupervisorServer]:
-    """Blocking wrapper over :func:`run_service_loadgen` (CLI, benches)."""
-    return asyncio.run(run_service_loadgen(config, behaviors, **kwargs))

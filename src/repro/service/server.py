@@ -152,7 +152,6 @@ class SupervisorServer:
         engine_options: dict | None = None,
         security: SecurityConfig | None = None,
         session_ttl: float = 300.0,
-        max_frame: int = MAX_FRAME_BYTES,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
         span_buffer: SpanBuffer | None = None,
@@ -162,7 +161,6 @@ class SupervisorServer:
         # engine's tuning knobs); an Executor instance takes none.
         self._executor = get_executor(engine, workers, **(engine_options or {}))
         self._owns_executor = self._executor is not engine
-        self._max_frame = max_frame
         self._verify_slots = asyncio.Semaphore(MAX_PENDING_VERIFICATIONS)
         # Estimated thread-CPU seconds of one verification; None until
         # the first job has been timed (see _offload).
@@ -281,7 +279,7 @@ class SupervisorServer:
         trace_id = span_id = None
         try:
             while True:
-                frame = await read_frame(reader, max_frame=self._max_frame)
+                frame = await read_frame(reader, max_frame=MAX_FRAME_BYTES)
                 if frame is None:
                     return
                 self._m_frames_in.inc()
@@ -304,7 +302,7 @@ class SupervisorServer:
                 await self._send(writer, ErrorFrame(str(exc)))
 
     async def _send(self, writer, frame: Frame) -> None:
-        await write_frame(writer, frame, max_frame=self._max_frame)
+        await write_frame(writer, frame, max_frame=MAX_FRAME_BYTES)
         self._m_frames_out.inc()
 
     # ------------------------------------------------------------------

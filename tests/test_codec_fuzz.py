@@ -1267,7 +1267,7 @@ class TestPackedResultRecords:
         from repro.core.cbs import CBSParticipant, CBSSupervisor
         from repro.core.ni_cbs import NICBSParticipant
         from repro.core.scheme import VerificationOutcome
-        from repro.engine.cluster.worker import execute_payload
+        from repro.engine.cluster.chunk import execute_payload
         from repro.merkle.hashing import get_hash
         from repro.service.jobcodec import encode_job
         from repro.service.verification_jobs import (
@@ -1745,7 +1745,7 @@ class TestVersionSkewHandshake:
             port = probe.getsockname()[1]
 
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0
+            workers=1, port=port, spawn_local=False
         )
 
         def worker_thread() -> None:

@@ -155,6 +155,7 @@ def test_worker_shim_loads_no_coordinator_scheduler_http_or_cli():
     assert "cluster worker failed" in proc.stderr  # it ran up to the dial
     modules = importtime_modules(proc.stderr)
     assert "repro.engine.cluster.worker" in modules
+    assert "repro.engine.cluster.chunk" in modules
     assert under(
         modules, "repro.engine.cluster.coordinator",
         "repro.engine.cluster.scheduler", "http.server", "repro.cli",

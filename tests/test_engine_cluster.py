@@ -39,13 +39,9 @@ from repro.engine import (
     get_executor,
     run_scheme_jobs,
 )
+from repro.engine.cluster.chunk import answer, execute_payload
 from repro.engine.cluster.scheduler import Scheduler
-from repro.engine.cluster.worker import (
-    build_parser,
-    execute_chunk_report,
-    execute_payload,
-    run_worker,
-)
+from repro.engine.cluster.worker import build_parser, run_worker
 from repro.exceptions import CodecError, EngineError, ProtocolError
 from repro.grid.faults import FlakyParticipant, RetryingScheme
 from repro.grid.simulation import (
@@ -53,8 +49,10 @@ from repro.grid.simulation import (
     SimulationConfig,
     run_population,
 )
-from repro.net.framing import frame_buffer
+from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES, frame_buffer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import default_span_buffer
+from repro.obs.trace import new_span_id, new_trace_id
 from repro.service.codec import (
     CLUSTER_WIRE_VERSION,
     FRAMES,
@@ -64,6 +62,7 @@ from repro.service.codec import (
 )
 from repro.service.jobcodec import (
     decode_cluster_chunk,
+    decode_cluster_outcomes,
     decode_cluster_payload,
     encode_cluster_chunk,
     encode_cluster_outcomes,
@@ -76,6 +75,7 @@ from repro.utils.encoding import encode_bytes, encode_uint
 from cluster_helpers import (
     _boom,
     _boom_on_three,
+    _megabyte,
     _sleepy_square,
     _square,
 )
@@ -353,7 +353,7 @@ class TestServiceOnTheCluster:
     @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
     def test_verdicts_equal_the_thread_pool(self, protocol):
         from repro.obs.metrics import default_registry
-        from repro.service import ServiceConfig, run_service_loadgen_sync
+        from repro.service import ServiceConfig, run_service_loadgen
 
         def completed_remotely():
             return default_registry().value(
@@ -369,13 +369,13 @@ class TestServiceOnTheCluster:
         )
         behaviors = [HonestBehavior(), SemiHonestCheater(0.5)]
         before = completed_remotely()
-        _, stats, server = run_service_loadgen_sync(
+        _, stats, server = asyncio.run(run_service_loadgen(
             config, behaviors, engine="cluster", workers=1
-        )
+        ))
         assert completed_remotely() > before
-        _, _, threaded = run_service_loadgen_sync(
+        _, _, threaded = asyncio.run(run_service_loadgen(
             config, behaviors, engine="threads", workers=1
-        )
+        ))
         assert stats.n_completed == 6 and stats.n_errors == 0
         assert len(server.outcomes) == 6
         assert server.outcomes == threaded.outcomes
@@ -549,7 +549,7 @@ class TestWarmPoolLifecycle:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         with ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0
+            workers=1, port=port, spawn_local=False
         ) as executor:
             proc = subprocess.Popen(
                 [
@@ -586,7 +586,7 @@ class TestExternalWorkers:
             port = probe.getsockname()[1]
 
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0
+            workers=1, port=port, spawn_local=False
         )
 
         def worker_thread() -> None:
@@ -1117,32 +1117,73 @@ class TestAdaptiveChunkSizing:
         assert sched.workers["a"].ewma_rate == pytest.approx(2.0)
 
 
+def chunk_frame(*jobs, job_id=7, **trace):
+    return JobFrame(
+        job_id=job_id, payload=encode_cluster_chunk(jobs), **trace
+    )
+
+
 class TestWorkerChunkExecution:
+    """The chunk protocol without a socket: one job frame in, one result
+    frame out (``repro.engine.cluster.chunk.answer``)."""
+
     def test_execute_chunk_runs_jobs_in_order(self):
-        raw = encode_cluster_chunk([job_payload(i) for i in range(5)])
-        entries, _report = execute_chunk_report(raw)
+        result, jobs = answer(
+            chunk_frame(*(job_payload(i) for i in range(5))), "w"
+        )
+        assert result.ok and result.job_id == 7 and jobs == 5
+        entries = decode_cluster_outcomes(result.payload)
         assert [ok for ok, _ in entries] == [True] * 5
         assert [decode_cluster_payload(p) for _, p in entries] == [
             0, 1, 4, 9, 16
         ]
 
     def test_execute_chunk_isolates_a_failing_job(self):
-        raw = encode_cluster_chunk(
-            [
-                job_payload(1),
-                encode_job(_boom, (3,), {}),
-                job_payload(2),
-            ]
+        result, jobs = answer(
+            chunk_frame(
+                job_payload(1), encode_job(_boom, (3,), {}), job_payload(2)
+            ),
+            "w",
         )
-        entries, _report = execute_chunk_report(raw)
+        assert result.ok and jobs == 3
+        entries = decode_cluster_outcomes(result.payload)
         assert [ok for ok, _ in entries] == [True, False, True]
         assert "boom 3" in decode_cluster_payload(entries[1][1])
 
     def test_execute_chunk_rejects_corrupt_envelope(self):
-        with pytest.raises(CodecError):
-            execute_chunk_report(b"\x00 garbage")
-        with pytest.raises(CodecError):
-            execute_chunk_report(encode_cluster_payload("not a chunk"))
+        for payload in (b"\x00 garbage", encode_cluster_payload("not a chunk")):
+            result, jobs = answer(JobFrame(job_id=3, payload=payload), "w")
+            assert not result.ok and result.job_id == 3 and jobs == 0
+            assert "CodecError" in decode_cluster_payload(result.payload)
+            assert result.spans == ()
+
+    def test_outcomes_past_the_payload_cap_fail_the_chunk(self):
+        megabytes = [encode_job(_megabyte, (i,), {}) for i in range(33)]
+        result, jobs = answer(chunk_frame(*megabytes), "w")
+        assert not result.ok and jobs == 0
+        assert f"exceeds limit {MAX_CLUSTER_PAYLOAD_BYTES}" in (
+            decode_cluster_payload(result.payload)
+        )
+
+    def test_a_traced_chunk_exports_one_worker_span(self):
+        trace_id, span_id = new_trace_id(), new_span_id()
+        frame = chunk_frame(job_payload(2), trace_id=trace_id, span_id=span_id)
+        result, _ = answer(frame, "w")
+        [wire] = result.spans
+        assert wire["name"] == "worker.execute" and wire["pid"] == span_id
+        [kept] = default_span_buffer().trace(trace_id)
+        assert kept.to_wire() == wire
+        untraced, _ = answer(chunk_frame(job_payload(2)), "w")
+        assert untraced.spans == ()
+
+    def test_a_repeated_scheme_hits_the_cache(self):
+        task = TaskAssignment("cache-0", RangeDomain(0, 16), PasswordSearch())
+        job = SchemeJob(task, HonestBehavior(), 1)
+        chunk = SchemeBatch(CBSScheme(n_samples=3), (job,))
+        frame = chunk_frame(encode_job(execute_batch, (chunk,), {}))
+        answer(frame, "w")
+        second, _ = answer(frame, "w")
+        assert second.cache_hits >= 1 and second.cache_misses == 0
 
 
 class TestTuningValidation:
@@ -1150,11 +1191,7 @@ class TestTuningValidation:
         "kwargs",
         [
             {"job_timeout": 0.0},
-            {"heartbeat_interval": 0.0},
-            {"heartbeat_timeout": -1.0},
-            {"startup_timeout": 0.0},
             {"min_workers": 0},
-            {"max_attempts": 0},
             {"tls_cert": "cert.pem"},  # a TLS listener needs its key
             {"worker_preload": ("",)},
         ],
@@ -1164,13 +1201,11 @@ class TestTuningValidation:
             ClusterExecutor(workers=1, **kwargs)
 
     def test_get_executor_forwards_cluster_options(self):
-        executor = get_executor(
-            "cluster", 1, job_timeout=2.0, heartbeat_timeout=5.0
-        )
+        executor = get_executor("cluster", 1, job_timeout=2.0, min_workers=1)
         try:
             assert isinstance(executor, ClusterExecutor)
             assert executor._job_timeout == 2.0
-            assert executor._heartbeat_timeout == 5.0
+            assert executor._min_workers == 1
         finally:
             executor.close()
 
@@ -1199,9 +1234,6 @@ class TestTuningValidation:
             get_executor(executor, job_timeout=2.0)
 
 
-from cluster_helpers import _megabyte  # noqa: E402
-
-
 class TestAnswerPathSurvival:
     """Review fix: a result that cannot encode or frame must come back
     as a chunk-level error — never an unanswered chunk that hangs the
@@ -1220,7 +1252,7 @@ class TestAnswerPathSurvival:
             port = probe.getsockname()[1]
 
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0,
+            workers=1, port=port, spawn_local=False,
         )
 
         def worker_thread() -> None:

@@ -162,21 +162,6 @@ class TestBufferViews:
 
         asyncio.run(scenario())
 
-    def test_sync_read_without_readinto_falls_back(self):
-        class ReadOnly:
-            def __init__(self, data):
-                self._stream = io.BytesIO(data)
-
-            def read(self, n):
-                return self._stream.read(min(n, 3))  # dribble in chunks
-
-        assert (
-            read_frame_bytes_sync(ReadOnly(frame_buffer(b"fallback-path")))
-            == b"fallback-path"
-        )
-        with pytest.raises(ProtocolError, match="mid frame"):
-            read_frame_bytes_sync(ReadOnly(frame_buffer(b"truncated")[:-2]))
-
 
 class TestSyncStreams:
     def test_round_trip(self):

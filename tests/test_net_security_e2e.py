@@ -127,7 +127,6 @@ class TestClusterAuthTLS:
             port=port,
             spawn_local=False,
             secret_file=secret_file,
-            startup_timeout=60.0,
         )
         impostor_error: list = []
 

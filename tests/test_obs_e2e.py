@@ -77,7 +77,7 @@ class TestClusterTraceEndToEnd:
         """Dispatch, execution and acceptance share trace + span ids."""
         port = _free_port()
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False, startup_timeout=30.0
+            workers=1, port=port, spawn_local=False
         )
 
         def worker_thread() -> None:
@@ -330,8 +330,7 @@ class TestDistributedTraceFrame:
         buffer = SpanBuffer(registry=MetricsRegistry())
         port = _free_port()
         executor = ClusterExecutor(
-            workers=1, port=port, spawn_local=False,
-            startup_timeout=30.0, span_buffer=buffer,
+            workers=1, port=port, spawn_local=False, span_buffer=buffer,
         )
 
         def worker_thread() -> None:

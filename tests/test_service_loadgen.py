@@ -23,7 +23,6 @@ from repro.service import (
     percentile,
     run_loadgen,
     run_service_loadgen,
-    run_service_loadgen_sync,
 )
 from repro.tasks import PasswordSearch, RangeDomain
 
@@ -63,9 +62,9 @@ def grid_report(protocol: str):
 class TestTCPParity:
     @pytest.mark.parametrize("protocol", ["ni-cbs", "cbs"])
     def test_loadgen_over_tcp_matches_grid_simulation(self, protocol):
-        report, stats, server = run_service_loadgen_sync(
+        report, stats, server = asyncio.run(run_service_loadgen(
             service_config(protocol), BEHAVIORS, transport="tcp"
-        )
+        ))
         sync_report, expected_outcomes = grid_report(protocol)
 
         # Per-task VerificationOutcomes are identical, verdict for
@@ -94,12 +93,12 @@ class TestTCPParity:
 
 class TestMemoryTransport:
     def test_memory_and_tcp_agree(self):
-        mem_report, _stats, mem_server = run_service_loadgen_sync(
+        mem_report, _stats, mem_server = asyncio.run(run_service_loadgen(
             service_config(), BEHAVIORS, transport="memory"
-        )
-        tcp_report, _stats2, tcp_server = run_service_loadgen_sync(
+        ))
+        tcp_report, _stats2, tcp_server = asyncio.run(run_service_loadgen(
             service_config(), BEHAVIORS, transport="tcp"
-        )
+        ))
         assert mem_server.outcomes == tcp_server.outcomes
         assert [p.accepted for p in mem_report.participants] == [
             p.accepted for p in tcp_report.participants
@@ -107,9 +106,9 @@ class TestMemoryTransport:
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ProtocolError):
-            run_service_loadgen_sync(
+            asyncio.run(run_service_loadgen(
                 service_config(), BEHAVIORS, transport="pigeon"
-            )
+            ))
 
 
 class TestErrorHandling:
@@ -120,7 +119,6 @@ class TestErrorHandling:
                 BEHAVIORS,
                 host="127.0.0.1",
                 port=1,  # nothing listens here
-                compute_workers=None,
             )
 
         report, stats = asyncio.run(scenario())

@@ -9,8 +9,9 @@ each step a drifted table and expect :class:`ValueError` — the check a
 lint rule (RL006) used to approximate from the outside.  The frame
 table's own cases live in ``test_service_codec.TestFrameTable``.
 
-One more structural check rides here: ``engine/cluster/scheduler.py``
-stays synchronous and I/O-free (``TestSchedulerSeam``).
+One more structural check rides here: the I/O-free cores
+(``engine/cluster/scheduler.py``, ``engine/cluster/chunk.py``,
+``service/sessions.py``) stay synchronous (``TestSchedulerSeam``).
 """
 
 import ast
@@ -339,16 +340,22 @@ def _one_instance_per_struct() -> list:
 
 
 class TestSchedulerSeam:
-    """The scheduler and the session core decide, and their shells (the
-    coordinator, the server) move bytes; this is the check that the
-    first cannot quietly start doing the second."""
+    """The scheduler, the chunk protocol and the session core decide, and
+    their shells (the coordinator, the worker, the server) move bytes;
+    this is the check that the first cannot quietly start doing the
+    second."""
 
     BANNED_MODULES = ("asyncio", "socket", "ssl", "subprocess", "threading",
                       "repro.net")
     BANNED_NAMES = {"read_frame", "write_frame"}
 
     @pytest.mark.parametrize(
-        "name", ["repro.engine.cluster.scheduler", "repro.service.sessions"]
+        "name",
+        [
+            "repro.engine.cluster.scheduler",
+            "repro.engine.cluster.chunk",
+            "repro.service.sessions",
+        ],
     )
     def test_module_is_synchronous_and_io_free(self, name):
         path = importlib.import_module(name).__file__
