@@ -44,9 +44,9 @@ from repro.analysis import format_table
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme
 from repro.core.cbs import CBSParticipant, CBSSupervisor, transfer
+from repro.core.protocol import VerdictMsg
 from repro.core.scheme import SchemeRunResult
 from repro.grid.simulation import GridSimulation, SimulationConfig
-from repro.merkle.hashing import get_hash
 from repro.tasks import PasswordSearch, RangeDomain
 
 M = 16
@@ -281,11 +281,9 @@ def library_steps(job):
     clock, scheme = time.perf_counter, SCHEME
     task, behavior, seed = job.assignment, job.behavior, job.seed
     t0 = clock()
-    p_ledger, s_ledger, hash_fn = CostLedger(), CostLedger(), get_hash(scheme.hash_name)
-    participant = CBSParticipant(
-        task, behavior, hash_fn=hash_fn, ledger=p_ledger, salt=seed.to_bytes(8, "big")
-    )
-    supervisor = CBSSupervisor(task, n_samples=M, hash_fn=hash_fn, seed=seed, ledger=s_ledger)
+    p_ledger, s_ledger = CostLedger(), CostLedger()
+    participant = scheme.participant(task, behavior, seed, p_ledger)
+    supervisor = scheme.supervisor(task, seed, s_ledger)
     t1 = clock()
     commitment = participant.compute_and_commit()
     t2 = clock()
@@ -301,7 +299,7 @@ def library_steps(job):
     transfer(proofs, p_ledger, s_ledger)
     t7 = clock()
     outcome = supervisor.verify(proofs)
-    verdict = supervisor.verdict_message(outcome)
+    verdict = VerdictMsg.of(outcome)
     t8 = clock()
     transfer(verdict, s_ledger, p_ledger)
     SchemeRunResult(outcome, p_ledger, s_ledger, participant.work)

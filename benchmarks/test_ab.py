@@ -5,6 +5,7 @@ Nothing here asserts a time; the end-to-end case accepts either verdict
 """
 
 import pathlib
+import subprocess
 
 import pytest
 
@@ -96,8 +97,11 @@ def test_each_side_runs_equally_cold_from_an_export(tmp_path, monkeypatch):
     ab.main(["HEAD", "--pairs", "2", "--workload", NAMES[0]], out=tmp_path)
     assert len(seen) == 4
     trees = {tree for tree, *_ in seen}
-    assert len(trees) == 2 and ab.REPO in trees
-    [base] = trees - {ab.REPO}
+    # Neither side runs from the checkout: both are copies in one
+    # temp dir (an A/A run, checkout against export, read a bias).
+    assert len(trees) == 2 and ab.REPO not in trees
+    assert {tree.name for tree in trees} == set(ab.SIDES)
+    assert len({tree.parent for tree in trees}) == 1
     caches = {}
     for tree, env, cache_empty, has_ledger, has_git in seen:
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
@@ -105,14 +109,45 @@ def test_each_side_runs_equally_cold_from_an_export(tmp_path, monkeypatch):
         # svc_nicbs_plain by 6-14% between trees without it.
         assert env["MALLOC_TOP_PAD_"] == "1048576"
         assert cache_empty and has_ledger
+        assert not has_git  # a copy, not a checkout
         caches.setdefault(tree, set()).add(env["PYTHONPYCACHEPREFIX"])
-        if tree == base:
-            assert not has_git  # an export, not a checkout
     # One fresh prefix per side, shared by none.
     assert all(len(prefixes) == 1 for prefixes in caches.values())
-    assert caches[base] != caches[ab.REPO]
-    assert not base.exists()  # the export is gone afterwards
+    assert len(set.union(*caches.values())) == 2
+    assert not any(tree.exists() for tree in trees)  # gone afterwards
     assert ab.git("worktree", "list").stdout == before
+
+
+def test_the_change_side_copies_the_working_tree(tmp_path, monkeypatch):
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    for name in ("kept.txt", "gone.txt"):
+        (repo / name).write_text("committed")
+    (repo / "sub").mkdir()
+    (repo / "sub" / "tracked.txt").write_text("committed")
+    git("add", "-A")
+    git("-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
+        "commit", "-qm", "base")
+    (repo / "kept.txt").write_text("edited")
+    (repo / "gone.txt").unlink()
+    (repo / "new.txt").write_text("untracked")
+    (repo / "ignored.txt").write_text("ignored")
+
+    monkeypatch.setattr(ab, "REPO", repo)
+    ab.copy_checkout(copy)
+    files = sorted(
+        path.relative_to(copy).as_posix()
+        for path in copy.rglob("*") if path.is_file()
+    )
+    assert files == [".gitignore", "kept.txt", "new.txt", "sub/tracked.txt"]
+    assert (copy / "kept.txt").read_text() == "edited"
 
 
 @needs_git

@@ -23,7 +23,6 @@ import asyncio
 
 from repro import (
     HonestBehavior,
-    NICBSParticipant,
     SemiHonestCheater,
     SignalSearch,
     RangeDomain,
@@ -42,6 +41,7 @@ from repro.service import (
     read_frame,
     write_frame,
 )
+from repro.service.codec import resolve_scheme
 
 
 async def broker(server: SupervisorServer, workers: list) -> dict[str, bool]:
@@ -52,14 +52,14 @@ async def broker(server: SupervisorServer, workers: list) -> dict[str, bool]:
     for behavior in workers:
         await write_frame(writer, TaskRequest(participant=None))
         assign = await read_frame(reader)
-        # The worker's side: rebuild the task from the envelope, run it.
-        participant = NICBSParticipant(
-            ServiceClient.build_assignment(assign),
-            behavior,
-            n_samples=assign.n_samples,
-            sample_hash=get_hash(assign.sample_hash_name),
-            hash_fn=get_hash(assign.hash_name),
-            salt=assign.seed.to_bytes(8, "big"),
+        # The worker's side: rebuild the task and the scheme from the
+        # envelope, and run the scheme's participant.
+        scheme = resolve_scheme(
+            assign.protocol, assign.n_samples, assign.hash_name,
+            assign.sample_hash_name, assign.leaf_encoding,
+        )
+        participant = scheme.participant(
+            ServiceClient.build_assignment(assign), behavior, assign.seed
         )
         submissions.append(SubmissionFrame(msg=participant.compute_and_submit()))
     verdicts = {}

@@ -83,7 +83,7 @@ _reexport(__name__, {
     "repro.cheating.strategies": "ColludingCheater HonestBehavior SemiHonestCheater",
     "repro.cheating.guessing": "UniformValueGuess",
     "repro.core.cbs": "CBSScheme",
-    "repro.core.ni_cbs": "NICBSParticipant NICBSScheme",
+    "repro.core.ni_cbs": "NICBSScheme",
     "repro.grid.simulation": "GridSimulation SimulationConfig",
     "repro.tasks.screener": "MatchScreener ThresholdScreener",
     "repro.tasks.workloads": "MoleculeScreening PasswordSearch SignalSearch",
@@ -109,7 +109,6 @@ __all__ = [
     # core
     "CBSScheme",
     "NICBSScheme",
-    "NICBSParticipant",
     # grid
     "GridSimulation",
     "SimulationConfig",

@@ -28,6 +28,7 @@ from repro.core.scheme import (
     SchemeRunResult,
     VerificationOutcome,
     VerificationScheme,
+    run_salt,
 )
 from repro.exceptions import SchemeConfigurationError
 from repro.tasks.function import MeteredFunction
@@ -74,7 +75,7 @@ class DoubleCheckScheme(VerificationScheme):
         # Subject participant.
         metered = MeteredFunction(assignment.function, participant_ledger)
         work = behavior.produce(
-            assignment, metered.evaluate, salt=seed.to_bytes(8, "big")
+            assignment, metered.evaluate, salt=run_salt(seed)
         )
         transfer(
             FullResultsMsg(
@@ -128,15 +129,7 @@ class DoubleCheckScheme(VerificationScheme):
                 outcome.reason = RejectReason.REPLICA_DISAGREEMENT
                 break
 
-        transfer(
-            VerdictMsg(
-                task_id=assignment.task_id,
-                accepted=outcome.accepted,
-                reason=outcome.reason.value if not outcome.accepted else "",
-            ),
-            supervisor_ledger,
-            participant_ledger,
-        )
+        transfer(VerdictMsg.of(outcome), supervisor_ledger, participant_ledger)
         return SchemeRunResult(
             outcome=outcome,
             participant_ledger=participant_ledger,

@@ -36,6 +36,7 @@ from repro.core.scheme import (
     SchemeRunResult,
     VerificationOutcome,
     VerificationScheme,
+    run_salt,
 )
 from repro.exceptions import SchemeConfigurationError
 from repro.tasks.function import MeteredFunction
@@ -84,7 +85,7 @@ class HardenedProbeScheme(VerificationScheme):
         # (probes are indistinguishable, so nothing narrower works).
         metered = MeteredFunction(assignment.function, participant_ledger)
         work = behavior.produce(
-            assignment, metered.evaluate, salt=seed.to_bytes(8, "big")
+            assignment, metered.evaluate, salt=run_salt(seed)
         )
         message = FullResultsMsg(
             task_id=assignment.task_id, results=tuple(work.leaf_payloads)
@@ -112,15 +113,7 @@ class HardenedProbeScheme(VerificationScheme):
                     outcome.reason = RejectReason.WRONG_RESULT
                     break
 
-        transfer(
-            VerdictMsg(
-                task_id=assignment.task_id,
-                accepted=outcome.accepted,
-                reason=outcome.reason.value if not outcome.accepted else "",
-            ),
-            supervisor_ledger,
-            participant_ledger,
-        )
+        transfer(VerdictMsg.of(outcome), supervisor_ledger, participant_ledger)
         return SchemeRunResult(
             outcome=outcome,
             participant_ledger=participant_ledger,

@@ -31,6 +31,7 @@ from repro.core.scheme import (
     SchemeRunResult,
     VerificationOutcome,
     VerificationScheme,
+    run_salt,
 )
 from repro.exceptions import SchemeConfigurationError
 from repro.tasks.function import MeteredFunction
@@ -104,7 +105,7 @@ class RingerScheme(VerificationScheme):
         # Participant: compute per behaviour, report matching inputs.
         metered = MeteredFunction(assignment.function, participant_ledger)
         work = behavior.produce(
-            assignment, metered.evaluate, salt=seed.to_bytes(8, "big")
+            assignment, metered.evaluate, salt=run_salt(seed)
         )
         image_set = set(images.values())
         found = [
@@ -135,15 +136,7 @@ class RingerScheme(VerificationScheme):
                 outcome.accepted = False
                 outcome.reason = RejectReason.MISSING_RINGER
 
-        transfer(
-            VerdictMsg(
-                task_id=assignment.task_id,
-                accepted=outcome.accepted,
-                reason=outcome.reason.value if not outcome.accepted else "",
-            ),
-            supervisor_ledger,
-            participant_ledger,
-        )
+        transfer(VerdictMsg.of(outcome), supervisor_ledger, participant_ledger)
         return SchemeRunResult(
             outcome=outcome,
             participant_ledger=participant_ledger,

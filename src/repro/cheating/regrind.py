@@ -31,6 +31,7 @@ from repro.accounting import CostLedger
 from repro.cheating.strategies import SemiHonestCheater
 from repro.core.ni_cbs import derive_sample_indices
 from repro.core.protocol import NICBSSubmissionMsg
+from repro.core.scheme import run_salt
 from repro.exceptions import SchemeConfigurationError
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
 from repro.merkle.tree import LeafEncoding, MerkleTree, combine, encode_leaf
@@ -120,7 +121,7 @@ def run_regrind_attack(
     n = assignment.n_inputs
 
     # Phase 1: honest work on D' (done once, reused every attempt).
-    base_salt = seed.to_bytes(8, "big")
+    base_salt = run_salt(seed)
     cheater = SemiHonestCheater(honesty_ratio)
 
     def metered_evaluate(x):

@@ -303,14 +303,6 @@ class CBSSupervisor:
         outcome.record(verdicts)
         return outcome
 
-    def verdict_message(self, outcome: VerificationOutcome) -> VerdictMsg:
-        """Wrap an outcome for the wire (Step 4 notification)."""
-        return VerdictMsg(
-            task_id=outcome.task_id,
-            accepted=outcome.accepted,
-            reason=outcome.reason.value if not outcome.accepted else "",
-        )
-
 
 def transfer(msg, sender: CostLedger, receiver: CostLedger):
     """Account a message transfer on both ledgers; return the message."""
@@ -348,6 +340,43 @@ class CBSScheme(VerificationScheme):
         self.stop_on_first_failure = stop_on_first_failure
         self.name = f"cbs(m={n_samples})"
 
+    def participant(
+        self,
+        assignment: TaskAssignment,
+        behavior: Behavior,
+        seed: int,
+        ledger: CostLedger | None = None,
+    ) -> CBSParticipant:
+        """The participant side of the round seeded ``seed``."""
+        return CBSParticipant(
+            assignment,
+            behavior,
+            hash_fn=get_hash(self.hash_name),
+            leaf_encoding=self.leaf_encoding,
+            subtree_height=self.subtree_height,
+            ledger=ledger,
+            salt=run_salt(seed),
+        )
+
+    def supervisor(
+        self,
+        assignment: TaskAssignment,
+        seed: int,
+        ledger: CostLedger | None = None,
+    ) -> CBSSupervisor:
+        """The supervisor side of the round seeded ``seed``: its
+        challenge is drawn from ``seed``."""
+        return CBSSupervisor(
+            assignment,
+            n_samples=self.n_samples,
+            hash_fn=get_hash(self.hash_name),
+            leaf_encoding=self.leaf_encoding,
+            seed=seed,
+            ledger=ledger,
+            with_replacement=self.with_replacement,
+            stop_on_first_failure=self.stop_on_first_failure,
+        )
+
     def run(
         self,
         assignment: TaskAssignment,
@@ -356,27 +385,10 @@ class CBSScheme(VerificationScheme):
     ) -> SchemeRunResult:
         participant_ledger = CostLedger()
         supervisor_ledger = CostLedger()
-        hash_fn = get_hash(self.hash_name)
-
-        participant = CBSParticipant(
-            assignment,
-            behavior,
-            hash_fn=hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            subtree_height=self.subtree_height,
-            ledger=participant_ledger,
-            salt=run_salt(seed),
+        participant = self.participant(
+            assignment, behavior, seed, participant_ledger
         )
-        supervisor = CBSSupervisor(
-            assignment,
-            n_samples=self.n_samples,
-            hash_fn=hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            seed=seed,
-            ledger=supervisor_ledger,
-            with_replacement=self.with_replacement,
-            stop_on_first_failure=self.stop_on_first_failure,
-        )
+        supervisor = self.supervisor(assignment, seed, supervisor_ledger)
 
         commitment = transfer(
             participant.compute_and_commit(), participant_ledger, supervisor_ledger
@@ -389,9 +401,7 @@ class CBSScheme(VerificationScheme):
             participant.prove(challenge), participant_ledger, supervisor_ledger
         )
         outcome = supervisor.verify(proofs)
-        transfer(
-            supervisor.verdict_message(outcome), supervisor_ledger, participant_ledger
-        )
+        transfer(VerdictMsg.of(outcome), supervisor_ledger, participant_ledger)
         if self.include_reports and assignment.screener is not None:
             transfer(participant.reports(), participant_ledger, supervisor_ledger)
 

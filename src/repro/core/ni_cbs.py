@@ -218,6 +218,44 @@ class NICBSScheme(VerificationScheme):
         self.stop_on_first_failure = stop_on_first_failure
         self.name = f"ni-cbs(m={n_samples}, g={sample_hash_name})"
 
+    def participant(
+        self,
+        assignment: TaskAssignment,
+        behavior: Behavior,
+        seed: int,
+        ledger: CostLedger | None = None,
+    ) -> NICBSParticipant:
+        """The participant side of the round seeded ``seed``."""
+        return NICBSParticipant(
+            assignment,
+            behavior,
+            n_samples=self.n_samples,
+            sample_hash=get_hash(self.sample_hash_name),
+            hash_fn=get_hash(self.hash_name),
+            leaf_encoding=self.leaf_encoding,
+            subtree_height=self.subtree_height,
+            ledger=ledger,
+            salt=run_salt(seed),
+        )
+
+    def supervisor(
+        self,
+        assignment: TaskAssignment,
+        seed: int,
+        ledger: CostLedger | None = None,
+    ) -> NICBSSupervisor:
+        """The supervisor side of the round seeded ``seed`` (unread:
+        the submission's root, not a seed, draws NI-CBS's samples)."""
+        return NICBSSupervisor(
+            assignment,
+            n_samples=self.n_samples,
+            sample_hash=get_hash(self.sample_hash_name),
+            hash_fn=get_hash(self.hash_name),
+            leaf_encoding=self.leaf_encoding,
+            ledger=ledger,
+            stop_on_first_failure=self.stop_on_first_failure,
+        )
+
     def run(
         self,
         assignment: TaskAssignment,
@@ -226,29 +264,10 @@ class NICBSScheme(VerificationScheme):
     ) -> SchemeRunResult:
         participant_ledger = CostLedger()
         supervisor_ledger = CostLedger()
-        hash_fn = get_hash(self.hash_name)
-        sample_hash = get_hash(self.sample_hash_name)
-
-        participant = NICBSParticipant(
-            assignment,
-            behavior,
-            n_samples=self.n_samples,
-            sample_hash=sample_hash,
-            hash_fn=hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            subtree_height=self.subtree_height,
-            ledger=participant_ledger,
-            salt=run_salt(seed),
+        participant = self.participant(
+            assignment, behavior, seed, participant_ledger
         )
-        supervisor = NICBSSupervisor(
-            assignment,
-            n_samples=self.n_samples,
-            sample_hash=sample_hash,
-            hash_fn=hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            ledger=supervisor_ledger,
-            stop_on_first_failure=self.stop_on_first_failure,
-        )
+        supervisor = self.supervisor(assignment, seed, supervisor_ledger)
 
         submission = transfer(
             participant.compute_and_submit(), participant_ledger, supervisor_ledger

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.core.scheme import RejectReason, VerificationOutcome
 from repro.core.wire import (
     KINDS as _SHARED_KINDS,
     MAX_CONTAINER_ITEMS,
@@ -240,3 +241,23 @@ class VerdictMsg(WireMessage):
     reason: str = ""
 
     FIELDS = (_TASK_ID, _field("accepted", "bool"), _field("reason", "str"))
+
+    @classmethod
+    def of(cls, outcome: VerificationOutcome) -> "VerdictMsg":
+        """``outcome`` for the wire: its reason, or ``""`` when accepted."""
+        return cls(
+            task_id=outcome.task_id,
+            accepted=outcome.accepted,
+            reason="" if outcome.accepted else outcome.reason.value,
+        )
+
+    @property
+    def reject_reason(self) -> RejectReason:
+        """The inverse of :meth:`of`'s reason: ``OK`` for ``""``, and a
+        name no :class:`RejectReason` has is a protocol violation."""
+        if not self.reason:
+            return RejectReason.OK
+        try:
+            return RejectReason(self.reason)
+        except ValueError:
+            return RejectReason.PROTOCOL_VIOLATION

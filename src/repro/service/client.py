@@ -3,16 +3,17 @@
 One :class:`ServiceClient` drives one connection through a full
 protocol round: request a slot, rebuild the
 :class:`~repro.tasks.result.TaskAssignment` from the assign frame's
-service envelope (domain bounds + the shared workload catalogue), run
-the behaviour-driven participant protocol objects from
-:mod:`repro.core`, and return the verdict with ground truth attached.
+service envelope (domain bounds + the shared workload catalogue),
+resolve the frame's scheme parameters into the scheme
+(:func:`~repro.service.codec.resolve_scheme`), play its participant
+side under a behaviour, and return the verdict with ground truth
+attached.
 
-Because the participant side reuses :class:`CBSParticipant` /
-:class:`NICBSParticipant` with the same salt rule as the scheme layer
-(``salt = seed.to_bytes(8, "big")``), a client at seed ``s`` produces
-byte-identical commitments and proofs to ``CBSScheme.run(...,
-seed=s)`` — which is what makes service runs comparable, outcome for
-outcome, with synchronous simulations.
+The participant is the one the scheme builds for ``CBSScheme.run``,
+salted by the same rule (:func:`~repro.core.scheme.run_salt`), so a
+client at seed ``s`` produces byte-identical commitments and proofs to
+``scheme.run(..., seed=s)`` — which is what makes service runs
+comparable, outcome for outcome, with synchronous simulations.
 """
 
 from __future__ import annotations
@@ -24,12 +25,8 @@ from dataclasses import dataclass
 
 from repro.accounting import CostLedger
 from repro.cheating.strategies import Behavior
-from repro.core.cbs import CBSParticipant
-from repro.core.ni_cbs import NICBSParticipant
 from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError
-from repro.merkle.hashing import get_hash
-from repro.merkle.tree import LeafEncoding
 from repro.net.transport import SecurityConfig, close_writer, dial
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import (
@@ -53,6 +50,7 @@ from repro.service.codec import (
     TraceReply,
     VerdictFrame,
     read_frame,
+    resolve_scheme,
     resolve_workload,
     write_frame,
 )
@@ -76,15 +74,6 @@ class ParticipantRun:
     n_samples: int
     latency_s: float
     ledger: CostLedger
-
-
-def _reason_from_wire(reason: str) -> RejectReason:
-    if not reason:
-        return RejectReason.OK
-    try:
-        return RejectReason(reason)
-    except ValueError:
-        return RejectReason.PROTOCOL_VIOLATION
 
 
 class ServiceClient:
@@ -236,20 +225,13 @@ class ServiceClient:
         start = time.perf_counter()
         assign = await self.request_task(participant)
         assignment = self.build_assignment(assign)
-        ledger = CostLedger()
-        hash_fn = get_hash(assign.hash_name)
-        leaf_encoding = LeafEncoding(assign.leaf_encoding)
-        salt = assign.seed.to_bytes(8, "big")
+        scheme = resolve_scheme(
+            assign.protocol, assign.n_samples, assign.hash_name,
+            assign.sample_hash_name, assign.leaf_encoding,
+        )
+        session = scheme.participant(assignment, behavior, assign.seed)
 
         if assign.protocol == "cbs":
-            session = CBSParticipant(
-                assignment,
-                behavior,
-                hash_fn=hash_fn,
-                leaf_encoding=leaf_encoding,
-                ledger=ledger,
-                salt=salt,
-            )
             commitment = await self._compute(
                 compute_pool, session.compute_and_commit
             )
@@ -259,23 +241,11 @@ class ServiceClient:
                 compute_pool, session.prove, challenge.msg
             )
             await self._send(ProofsFrame(msg=bundle))
-        elif assign.protocol == "ni-cbs":
-            session = NICBSParticipant(
-                assignment,
-                behavior,
-                n_samples=assign.n_samples,
-                sample_hash=get_hash(assign.sample_hash_name),
-                hash_fn=hash_fn,
-                leaf_encoding=leaf_encoding,
-                ledger=ledger,
-                salt=salt,
-            )
+        else:
             submission = await self._compute(
                 compute_pool, session.compute_and_submit
             )
             await self._send(SubmissionFrame(msg=submission))
-        else:
-            raise ProtocolError(f"unknown protocol {assign.protocol!r}")
 
         verdict = await self._recv(VerdictFrame)
         if verdict.msg.task_id != assignment.task_id:
@@ -297,11 +267,11 @@ class ServiceClient:
             behavior=behavior.name,
             honesty_ratio=session.work.honesty_ratio,
             accepted=verdict.msg.accepted,
-            reason=_reason_from_wire(verdict.msg.reason),
+            reason=verdict.msg.reject_reason,
             protocol=assign.protocol,
             n_samples=assign.n_samples,
             latency_s=time.perf_counter() - start,
-            ledger=ledger,
+            ledger=session.ledger,
         )
 
     @staticmethod

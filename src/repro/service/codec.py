@@ -43,6 +43,8 @@ import json
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, NamedTuple, Union
 
+from repro.core.cbs import CBSScheme
+from repro.core.ni_cbs import NICBSScheme
 from repro.core.protocol import (
     AssignMsg,
     CommitmentMsg,
@@ -57,6 +59,7 @@ from repro.launch import WORKLOAD_NAMES
 from repro.obs.metrics import SIZE_BUCKETS, default_registry
 from repro.obs.spans import validate_wire_spans
 from repro.obs.trace import MAX_TRACE_ID_LEN
+from repro.merkle.tree import LeafEncoding
 from repro.net.framing import (
     MAX_CLUSTER_PAYLOAD_BYTES,
     MAX_FRAME_BYTES,
@@ -101,6 +104,37 @@ def resolve_workload(name: str) -> TaskFunction:
     if name not in WORKLOADS:
         raise ProtocolError(f"unknown workload {name!r}")
     return WORKLOADS[name]()
+
+
+#: The hash every :class:`~repro.service.sessions.ServiceConfig`'s scheme
+#: builds its trees with and, under NI-CBS, derives its samples with.  A
+#: CBS assign frame carries it as the ``sample_hash_name`` CBS never reads.
+SERVICE_HASH = "sha256"
+
+
+def resolve_scheme(
+    protocol: str,
+    n_samples: int,
+    hash_name: str,
+    sample_hash_name: str,
+    leaf_encoding: str,
+) -> CBSScheme | NICBSScheme:
+    """The scheme whose round an assign frame's parameters name.
+
+    A CBS scheme ignores ``sample_hash_name``: its supervisor draws
+    the samples.
+    """
+    encoding = LeafEncoding(leaf_encoding)
+    if protocol == "cbs":
+        return CBSScheme(n_samples, hash_name=hash_name, leaf_encoding=encoding)
+    if protocol == "ni-cbs":
+        return NICBSScheme(
+            n_samples,
+            sample_hash_name=sample_hash_name,
+            hash_name=hash_name,
+            leaf_encoding=encoding,
+        )
+    raise ProtocolError(f"unknown protocol {protocol!r}")
 
 
 # ----------------------------------------------------------------------

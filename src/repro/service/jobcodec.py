@@ -1463,8 +1463,7 @@ def _register_defaults() -> None:
     # Names are short on purpose: each payload spells each name once,
     # so name length is fixed per-job overhead on the wire.
     register_callable("engine.execute_batch", _jobs.execute_batch)
-    register_callable("service.verify_cbs", _verify.verify_cbs_job)
-    register_callable("service.verify_nicbs", _verify.verify_nicbs_job)
+    register_callable("service.verify", _verify.verify_round)
     register_callable("service.timed", _verify.timed)
 
 

@@ -39,6 +39,7 @@ monotonic clock, which makes eviction testable without real sleeps.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import re
 import time
@@ -46,17 +47,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from repro.core.cbs import CBSSupervisor
+from repro.core.cbs import CBSScheme
+from repro.core.ni_cbs import NICBSScheme
 from repro.core.protocol import AssignMsg, CommitmentMsg, VerdictMsg
 from repro.core.scheme import VerificationOutcome
 from repro.engine.seeding import check_derived_seeds, derive_seed
 from repro.exceptions import ProtocolError
-from repro.merkle.hashing import get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.service.codec import (
     ASSIGN_SEED,
+    SERVICE_HASH,
     ChallengeFrame,
     CommitmentFrame,
     Frame,
@@ -65,9 +67,10 @@ from repro.service.codec import (
     TaskAssign,
     TaskRequest,
     VerdictFrame,
+    resolve_scheme,
     resolve_workload,
 )
-from repro.service.verification_jobs import verify_cbs_job, verify_nicbs_job
+from repro.service.verification_jobs import verify_round
 from repro.tasks.domain import RangeDomain
 from repro.tasks.result import TaskAssignment
 
@@ -105,26 +108,23 @@ class ServiceConfig:
     Mirrors :class:`~repro.grid.simulation.SimulationConfig` minus the
     behaviours (those live client-side, where cheating happens): the
     global domain is partitioned across ``n_participants`` slots, task
-    ``i`` is seeded ``derive_seed(seed, i)``, and the scheme
-    parameters are shipped to clients in the assign frame.  Only a
-    :class:`~repro.tasks.domain.RangeDomain` travels over the wire:
-    clients rebuild their subdomain from two integers, which is also
-    how real grids describe work units (key ranges, chunk ids).
+    ``i`` is seeded ``derive_seed(seed, i)``, and every slot plays
+    :attr:`scheme`'s round, whose parameters the assign frame ships to
+    clients.  Only a :class:`~repro.tasks.domain.RangeDomain` travels
+    over the wire: clients rebuild their subdomain from two integers,
+    which is also how real grids describe work units (key ranges,
+    chunk ids).
     """
 
     domain: RangeDomain
     workload: str = "PasswordSearch"
     protocol: str = "ni-cbs"
     n_samples: int = 16
-    hash_name: str = "sha256"
-    sample_hash_name: str = "sha256"
-    leaf_encoding: LeafEncoding = LeafEncoding.HASHED
     n_participants: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("cbs", "ni-cbs"):
-            raise ProtocolError(f"unknown protocol {self.protocol!r}")
+        self.scheme  # fail fast on an unknown protocol
         if not isinstance(self.domain, RangeDomain):
             raise ProtocolError(
                 "the service ships domain bounds on the wire; only "
@@ -141,6 +141,14 @@ class ServiceConfig:
         check_derived_seeds(
             self.seed, self.n_participants, ASSIGN_SEED.lo, ASSIGN_SEED.hi,
             f"the assign frame's {ASSIGN_SEED.lo}..{ASSIGN_SEED.hi}", ProtocolError,
+        )
+
+    @functools.cached_property
+    def scheme(self) -> CBSScheme | NICBSScheme:
+        """The scheme whose round every slot plays."""
+        return resolve_scheme(
+            self.protocol, self.n_samples, SERVICE_HASH, SERVICE_HASH,
+            LeafEncoding.HASHED.value,
         )
 
 
@@ -439,10 +447,9 @@ class SupervisorCore:
             session = self.sessions.begin_verification(
                 msg.task_id, SessionState.COMMITTED
             )
-            return Verify(session, verify_cbs_job, (
-                session.assignment, config.n_samples, config.hash_name,
-                config.leaf_encoding.value, session.seed, session.commitment,
-                msg,
+            return Verify(session, verify_round, (
+                config.scheme, session.assignment, session.seed,
+                session.commitment, msg,
             ))
         if isinstance(frame, SubmissionFrame):
             if config.protocol != "ni-cbs":
@@ -451,9 +458,8 @@ class SupervisorCore:
             session = self.sessions.begin_verification(
                 msg.task_id, SessionState.ASSIGNED
             )
-            return Verify(session, verify_nicbs_job, (
-                session.assignment, config.n_samples, config.sample_hash_name,
-                config.hash_name, config.leaf_encoding.value, msg,
+            return Verify(session, verify_round, (
+                config.scheme, session.assignment, session.seed, msg,
             ))
         raise ProtocolError(
             f"unexpected frame {type(frame).__name__} at the supervisor"
@@ -474,15 +480,14 @@ class SupervisorCore:
             raise ProtocolError(f"task {task_id!r} evicted during verification")
         self.sessions.record_outcome(task_id, outcome)
         self._verifications.inc()
-        reason = "" if outcome.accepted else outcome.reason.value
+        msg = VerdictMsg.of(outcome)
         log_event(_log, "verdict", task_id=task_id,
-                  participant=session.participant, outcome=reason or "accepted")
-        return VerdictFrame(
-            msg=VerdictMsg(task_id=task_id, accepted=outcome.accepted, reason=reason)
-        )
+                  participant=session.participant,
+                  outcome=msg.reason or "accepted")
+        return VerdictFrame(msg=msg)
 
     def _assign(self, request: TaskRequest) -> TaskAssign:
-        config = self.config
+        config, scheme = self.config, self.config.scheme
         n_slots = config.n_participants
         if request.participant is not None:
             index = request.participant
@@ -519,9 +524,12 @@ class SupervisorCore:
             domain_stop=domain.stop,
             protocol=config.protocol,
             n_samples=config.n_samples,
-            hash_name=config.hash_name,
-            sample_hash_name=config.sample_hash_name,
-            leaf_encoding=config.leaf_encoding.value,
+            hash_name=scheme.hash_name,
+            sample_hash_name=(
+                scheme.sample_hash_name
+                if isinstance(scheme, NICBSScheme) else SERVICE_HASH
+            ),
+            leaf_encoding=scheme.leaf_encoding.value,
             seed=seed,
         )
 
@@ -529,15 +537,11 @@ class SupervisorCore:
         if self.config.protocol != "cbs":
             raise ProtocolError("commitments only arrive in interactive CBS")
         session = self.sessions.get(msg.task_id)
-        # Validate and draw the challenge with the real CBS supervisor
+        # Validate and draw the challenge with the round's supervisor
         # (cheap: digest-size checks plus m RNG draws); the heavyweight
         # verify runs where the shell places the proofs' Verify.
-        supervisor = CBSSupervisor(
-            session.assignment,
-            n_samples=self.config.n_samples,
-            hash_fn=get_hash(self.config.hash_name),
-            leaf_encoding=self.config.leaf_encoding,
-            seed=session.seed,
+        supervisor = self.config.scheme.supervisor(
+            session.assignment, session.seed
         )
         supervisor.receive_commitment(msg)
         challenge = supervisor.make_challenge()

@@ -8,10 +8,12 @@ registered name through :mod:`repro.service.jobcodec`, and the codec's
 default registry must be importable without dragging in the whole
 asyncio server (and without an import cycle).
 
-Everything a verdict depends on is deterministic given the arguments —
-the challenge re-drawn from ``seed`` matches the one the server issued
-— so a rebuilt supervisor reproduces exactly what a long-lived
-in-process session would have computed.
+:func:`verify_round` plays a round's supervisor side through the
+scheme that built it (:meth:`CBSScheme.supervisor
+<repro.core.cbs.CBSScheme.supervisor>`), so the verdict depends only on
+its arguments: the CBS challenge re-drawn from ``seed`` is the one the
+session issued, and the participant's salt was ``run_salt(seed)`` —
+exactly what ``scheme.run(..., seed=seed)`` plays in process.
 
 :func:`timed` is how the server learns what a job costs: it travels
 with the job (a registered callable, like the jobs themselves) and
@@ -22,15 +24,12 @@ from __future__ import annotations
 
 import time
 
-from repro.core.cbs import CBSSupervisor
-from repro.core.ni_cbs import NICBSSupervisor
-from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg, ProofBundleMsg
+from repro.core.cbs import CBSScheme
+from repro.core.ni_cbs import NICBSScheme
 from repro.core.scheme import VerificationOutcome
-from repro.merkle.hashing import get_hash
-from repro.merkle.tree import LeafEncoding
 from repro.tasks.result import TaskAssignment
 
-__all__ = ["timed", "verify_cbs_job", "verify_nicbs_job"]
+__all__ = ["timed", "verify_round"]
 
 
 def timed(job, *args):
@@ -44,42 +43,19 @@ def timed(job, *args):
     return result, time.thread_time() - started
 
 
-def verify_cbs_job(
+def verify_round(
+    scheme: CBSScheme | NICBSScheme,
     assignment: TaskAssignment,
-    n_samples: int,
-    hash_name: str,
-    leaf_encoding_value: str,
     seed: int,
-    commitment: CommitmentMsg,
-    bundle: ProofBundleMsg,
+    *messages,
 ) -> VerificationOutcome:
-    """Rebuild the CBS supervisor and run Step 4 in a pooled worker."""
-    supervisor = CBSSupervisor(
-        assignment,
-        n_samples=n_samples,
-        hash_fn=get_hash(hash_name),
-        leaf_encoding=LeafEncoding(leaf_encoding_value),
-        seed=seed,
-    )
-    supervisor.receive_commitment(commitment)
-    supervisor.make_challenge()
-    return supervisor.verify(bundle)
-
-
-def verify_nicbs_job(
-    assignment: TaskAssignment,
-    n_samples: int,
-    sample_hash_name: str,
-    hash_name: str,
-    leaf_encoding_value: str,
-    submission: NICBSSubmissionMsg,
-) -> VerificationOutcome:
-    """One-shot NI-CBS verification in a pooled worker."""
-    supervisor = NICBSSupervisor(
-        assignment,
-        n_samples=n_samples,
-        sample_hash=get_hash(sample_hash_name),
-        hash_fn=get_hash(hash_name),
-        leaf_encoding=LeafEncoding(leaf_encoding_value),
-    )
-    return supervisor.verify(submission)
+    """The supervisor's verdict on one round's messages: a CBS
+    commitment and its proofs, or one NI-CBS submission."""
+    supervisor = scheme.supervisor(assignment, seed)
+    if isinstance(scheme, CBSScheme):
+        commitment, claim = messages
+        supervisor.receive_commitment(commitment)
+        supervisor.make_challenge()
+    else:
+        (claim,) = messages
+    return supervisor.verify(claim)

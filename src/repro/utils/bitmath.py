@@ -10,11 +10,6 @@ where "the root is at level 0").
 from __future__ import annotations
 
 
-def is_power_of_two(n: int) -> bool:
-    """Return ``True`` iff ``n`` is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def next_power_of_two(n: int) -> int:
     """Smallest power of two ``>= n`` (``n`` must be positive)."""
     if n <= 0:

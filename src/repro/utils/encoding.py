@@ -77,14 +77,6 @@ def read_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
             raise CodecError("varint too long (more than 10 bytes)")
 
 
-def decode_uint(data: bytes) -> int:
-    """Decode a varint occupying the whole of ``data``."""
-    value, pos = read_uint(data, 0)
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after varint")
-    return value
-
-
 def zigzag(value: int) -> int:
     """Fold a signed integer onto the unsigned ones for a varint.
 
@@ -115,14 +107,6 @@ def read_bytes(data: bytes, offset: int = 0) -> tuple[bytes, int]:
             f"length prefix {length} exceeds remaining {len(data) - pos} bytes"
         )
     return data[pos:end], end
-
-
-def decode_bytes(data: bytes) -> bytes:
-    """Decode a length-prefixed byte string occupying all of ``data``."""
-    payload, pos = read_bytes(data, 0)
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after payload")
-    return payload
 
 
 def encode_uint_list(values: list[int]) -> bytes:

@@ -258,15 +258,3 @@ def prf_coin(*parts: bytes, probability: float) -> bool:
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {probability}")
     return prf_float(*parts) < probability
-
-
-def prf_gauss(*parts: bytes, mean: float = 0.0, stdev: float = 1.0) -> float:
-    """A PRF-derived Gaussian sample (Box–Muller on two PRF uniforms)."""
-    import math
-
-    u1 = prf_float(*parts, b"gauss-u1")
-    u2 = prf_float(*parts, b"gauss-u2")
-    # Guard against log(0); the PRF cannot return exactly 1.0.
-    u1 = max(u1, 1e-300)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return mean + stdev * z

@@ -1264,23 +1264,19 @@ class TestPackedResultRecords:
 
     def test_service_verification_outcomes_ride_the_same_packing(self):
         from repro.cheating.strategies import SemiHonestCheater
-        from repro.core.cbs import CBSParticipant, CBSSupervisor
-        from repro.core.ni_cbs import NICBSParticipant
+        from repro.core.cbs import CBSParticipant, CBSScheme, CBSSupervisor
+        from repro.core.ni_cbs import NICBSParticipant, NICBSScheme
         from repro.core.scheme import VerificationOutcome
         from repro.engine.cluster.chunk import execute_payload
         from repro.merkle.hashing import get_hash
         from repro.service.jobcodec import encode_job
-        from repro.service.verification_jobs import (
-            verify_cbs_job,
-            verify_nicbs_job,
-        )
+        from repro.service.verification_jobs import verify_round
         from repro.tasks.domain import RangeDomain
         from repro.tasks.result import TaskAssignment
         from repro.tasks.workloads import PasswordSearch
 
         task = TaskAssignment("svc-0", RangeDomain(0, 64), PasswordSearch())
         sha = get_hash("sha256")
-        hashed = LeafEncoding.HASHED.value
         prover = CBSParticipant(task, SemiHonestCheater(0.5), hash_fn=sha)
         commitment = prover.compute_and_commit()
         supervisor = CBSSupervisor(task, n_samples=8, hash_fn=sha, seed=7)
@@ -1292,12 +1288,11 @@ class TestPackedResultRecords:
         ).compute_and_submit()
         for job in (
             encode_job(
-                verify_cbs_job,
-                (task, 8, "sha256", hashed, 7, commitment, bundle), {},
+                verify_round,
+                (CBSScheme(8), task, 7, commitment, bundle), {},
             ),
             encode_job(
-                verify_nicbs_job,
-                (task, 8, "sha256", "sha256", hashed, submission), {},
+                verify_round, (NICBSScheme(8), task, 7, submission), {},
             ),
         ):
             outcome = execute_payload(job)

@@ -347,7 +347,7 @@ class TestPopulationParity:
 
 class TestServiceOnTheCluster:
     """``serve --engine cluster`` end to end: verifications offloaded as
-    ``timed(verify_*_job, ...)`` jobs cross the job wire to a worker
+    ``timed(verify_round, ...)`` jobs cross the job wire to a worker
     daemon and come back with the verdicts the thread pool reaches."""
 
     @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
@@ -379,6 +379,34 @@ class TestServiceOnTheCluster:
         assert stats.n_completed == 6 and stats.n_errors == 0
         assert len(server.outcomes) == 6
         assert server.outcomes == threaded.outcomes
+
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_verifications_reuse_the_workers_decoded_scheme(
+        self, protocol, monkeypatch
+    ):
+        """Every verification carries the service's one scheme: the
+        worker decodes it once and reuses it for every later job."""
+        from repro.service import ServiceConfig, run_service_loadgen
+        from repro.service import server as server_module
+
+        # No verification is cheap enough for the loop: all go remote.
+        monkeypatch.setattr(server_module, "INLINE_BUDGET_S", 0.0)
+        config = ServiceConfig(
+            domain=RangeDomain(0, 1 << 9),
+            protocol=protocol,
+            n_samples=12,
+            n_participants=6,
+            seed=5,
+        )
+        registry = MetricsRegistry()
+        _, stats, _ = asyncio.run(run_service_loadgen(
+            config, [HonestBehavior(), SemiHonestCheater(0.5)],
+            engine="cluster", workers=1,
+            engine_options={"registry": registry},
+        ))
+        assert stats.n_completed == 6 and stats.n_errors == 0
+        assert registry.value("repro_scheme_cache_misses_total") == 1
+        assert registry.value("repro_scheme_cache_hits_total") == 5
 
 
 class TestLeanResults:
@@ -859,6 +887,60 @@ class TestLateResultRace:
         assert job_events(sched, "requeued") == 2
         assert list(sched.pending) == [0]
         assert not future.done()
+
+
+class TestParkedJobs:
+    """A job out of assignments whose timed-out copy still runs on a
+    live worker is parked for one more ``job_timeout`` of grace: the
+    zombie's late result may still win it, and nothing else can."""
+
+    def parked(self):
+        """One job, ``max_attempts=1``, timed out and parked at t=1."""
+        clock = FakeClock()
+        sched, out = make_scheduler(clock, max_attempts=1)
+        sched.worker_joined("a", 1)
+        [future] = submit_jobs(sched, [6])
+        [frame] = out.frames("a")
+        clock.advance(1.0)
+        sched.tick(clock(), True)
+        assert sched.parked == {0: 1.0}
+        assert sched.chunks[frame.job_id].requeued  # the zombie
+        return clock, sched, out, future, frame
+
+    def test_stays_parked_inside_its_grace_window(self):
+        clock, sched, out, future, _ = self.parked()
+        clock.advance(sched.job_timeout)  # the window's last instant
+        sched.tick(clock(), True)
+        assert sched.parked == {0: 1.0}
+        assert not future.done() and 0 in sched.jobs
+        assert len(out.sent) == 1  # spent: never reassigned
+
+    def test_the_zombies_late_result_resolves_it_once(self):
+        clock, sched, _, future, frame = self.parked()
+        sched.result("a", ok_result(frame, 36))
+        assert future.result(timeout=0) == 36
+        assert job_events(sched, "completed") == 1
+        sched.tick(clock(), True)
+        assert sched.parked == {}
+        assert future.result(timeout=0) == 36
+        assert job_events(sched, "completed") == 1
+        assert job_events(sched, "failed") == 0
+
+    def test_fails_when_the_grace_expires(self):
+        clock, sched, _, future, _ = self.parked()
+        clock.advance(sched.job_timeout + 0.01)
+        sched.tick(clock(), True)
+        assert sched.parked == {} and sched.jobs == {}
+        with pytest.raises(EngineError, match="failed after 1 assignments"):
+            future.result(timeout=0)
+
+    def test_fails_at_the_next_tick_once_the_zombies_worker_leaves(self):
+        clock, sched, _, future, _ = self.parked()
+        sched.worker_left("a", "connection_closed")
+        sched.tick(clock(), True)
+        assert sched.parked == {} and sched.jobs == {}
+        with pytest.raises(EngineError, match="failed after 1 assignments"):
+            future.result(timeout=0)
 
 
 class TestCallerCancels:

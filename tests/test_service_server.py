@@ -24,12 +24,12 @@ from repro.cheating import (
 from repro.core import CBSScheme, NICBSScheme
 from repro.core.cbs import CBSParticipant
 from repro.core.ni_cbs import NICBSParticipant
-from repro.core.protocol import CommitmentMsg, NICBSSubmissionMsg
+from repro.core.protocol import AssignMsg, CommitmentMsg, NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, run_scheme_jobs
 from repro.exceptions import ProtocolError
 from repro.grid import GridSimulation, SimulationConfig
-from repro.merkle import AuthenticationPath, get_hash
+from repro.merkle import AuthenticationPath
 from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
@@ -52,13 +52,15 @@ from repro.service import server as server_module
 from repro.service import sessions as sessions_module
 from repro.service import verification_jobs
 from repro.service.codec import (
+    SERVICE_HASH,
     ByeFrame,
     HeartbeatFrame,
     StatsRequest,
     TaskAssign,
     TraceGetRequest,
+    resolve_scheme,
 )
-from repro.service.server import INLINE_BUDGET_S
+from repro.service.server import INLINE_BUDGET_S, memory_duplex
 from repro.service.sessions import SupervisorCore
 from repro.tasks import PasswordSearch, RangeDomain
 
@@ -122,26 +124,26 @@ async def drive_all(server: SupervisorServer, cfg: ServiceConfig):
     return await asyncio.gather(*(one(i) for i in range(cfg.n_participants)))
 
 
+def frame_participant(protocol: str, assign: TaskAssign, behavior):
+    """The participant side of one ``protocol`` round on ``assign``'s
+    slot and parameters, built as the client does."""
+    scheme = resolve_scheme(
+        protocol, assign.n_samples, assign.hash_name,
+        assign.sample_hash_name, assign.leaf_encoding,
+    )
+    return scheme.participant(
+        ServiceClient.build_assignment(assign), behavior, assign.seed
+    )
+
+
 def cbs_participant(assign: TaskAssign, behavior) -> CBSParticipant:
     """The participant side of one CBS round, built as the client does."""
-    return CBSParticipant(
-        ServiceClient.build_assignment(assign),
-        behavior,
-        hash_fn=get_hash(assign.hash_name),
-        salt=assign.seed.to_bytes(8, "big"),
-    )
+    return frame_participant("cbs", assign, behavior)
 
 
 def nicbs_participant(assign: TaskAssign, behavior) -> NICBSParticipant:
     """The participant side of one NI-CBS round, built as the client does."""
-    return NICBSParticipant(
-        ServiceClient.build_assignment(assign),
-        behavior,
-        n_samples=assign.n_samples,
-        sample_hash=get_hash(assign.sample_hash_name),
-        hash_fn=get_hash(assign.hash_name),
-        salt=assign.seed.to_bytes(8, "big"),
-    )
+    return frame_participant("ni-cbs", assign, behavior)
 
 
 def drive_core(cfg: ServiceConfig, behaviors):
@@ -284,6 +286,57 @@ class TestEndToEnd:
         server = asyncio.run(scenario())
         assert server.outcomes == sync_outcomes(cfg)
         assert server.registry.value("repro_verifications_total") == 3
+
+
+class TestClientHonoursTheAssignFrame:
+    """The client plays the round the assign frame names, with every
+    parameter it carries, including ones ``serve`` never sends."""
+
+    @pytest.mark.parametrize("leaf_encoding", ["hashed", "raw"])
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_first_message_is_the_named_schemes(self, protocol, leaf_encoding):
+        sample_hash = "md5^3" if protocol == "ni-cbs" else "sha256"
+        assign = TaskAssign(
+            assign=AssignMsg(task_id="task-3", n_inputs=40,
+                             workload="PasswordSearch"),
+            participant=3, domain_start=120, domain_stop=160,
+            # md5: a raw leaf is the 16-byte result itself.
+            protocol=protocol, n_samples=5, hash_name="md5",
+            sample_hash_name=sample_hash, leaf_encoding=leaf_encoding,
+            seed=2**40 + 7,
+        )
+        behavior = SemiHonestCheater(0.5)
+
+        async def scripted_peer():
+            (client_r, client_w), (peer_r, peer_w) = memory_duplex()
+            client = ServiceClient(client_r, client_w)
+            run = asyncio.create_task(
+                client.run_participant(behavior, participant=3)
+            )
+            assert await read_frame(peer_r) == TaskRequest(participant=3)
+            await write_frame(peer_w, assign)
+            first = await asyncio.wait_for(read_frame(peer_r), timeout=30)
+            await write_frame(peer_w, ErrorFrame("scripted peer hangs up"))
+            with pytest.raises(ProtocolError, match="scripted peer"):
+                await run
+            return first
+
+        sent = asyncio.run(scripted_peer())
+
+        def first_message(*params):
+            participant = resolve_scheme(protocol, 5, *params).participant(
+                ServiceClient.build_assignment(assign), behavior, assign.seed
+            )
+            if protocol == "cbs":
+                return CommitmentFrame(msg=participant.compute_and_commit())
+            return SubmissionFrame(msg=participant.compute_and_submit())
+
+        expected = first_message("md5", sample_hash, leaf_encoding)
+        assert sent.msg.encode() == expected.msg.encode()
+        # What the service's own parameters would have produced differs:
+        # the client read the frame, not the service's defaults.
+        default = first_message(SERVICE_HASH, SERVICE_HASH, "hashed")
+        assert sent.msg.encode() != default.msg.encode()
 
 
 class TestProofHeavySession:
@@ -526,9 +579,9 @@ class TestConnectionLoop:
         def held(*args):
             entered.set()
             assert release.wait(timeout=10.0)
-            return verification_jobs.verify_nicbs_job(*args)
+            return verification_jobs.verify_round(*args)
 
-        monkeypatch.setattr(sessions_module, "verify_nicbs_job", held)
+        monkeypatch.setattr(sessions_module, "verify_round", held)
 
         async def scenario():
             server = SupervisorServer(cfg, engine="threads", workers=2)
@@ -904,9 +957,9 @@ class TestEvictionIntegration:
         def held(*args):
             entered.set()
             assert release.wait(timeout=10.0)
-            return verification_jobs.verify_nicbs_job(*args)
+            return verification_jobs.verify_round(*args)
 
-        monkeypatch.setattr(sessions_module, "verify_nicbs_job", held)
+        monkeypatch.setattr(sessions_module, "verify_round", held)
 
         async def submit(reader, writer, behavior):
             await write_frame(writer, TaskRequest(participant=0))

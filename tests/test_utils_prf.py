@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.prf import prf_bytes, prf_coin, prf_float, prf_gauss, prf_int
+from repro.utils.prf import prf_bytes, prf_coin, prf_float, prf_int
 
 
 class TestPrfBytes:
@@ -80,17 +80,3 @@ class TestPrfCoin:
             prf_coin(i.to_bytes(4, "big"), probability=0.3) for i in range(3000)
         )
         assert abs(hits / 3000 - 0.3) < 0.03
-
-
-class TestPrfGauss:
-    def test_moments(self):
-        values = [prf_gauss(i.to_bytes(4, "big")) for i in range(3000)]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert abs(mean) < 0.07
-        assert abs(var - 1.0) < 0.1
-
-    def test_shift_and_scale(self):
-        v0 = prf_gauss(b"s")
-        v1 = prf_gauss(b"s", mean=10.0, stdev=2.0)
-        assert v1 == pytest.approx(10.0 + 2.0 * v0)
