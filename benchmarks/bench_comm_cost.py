@@ -18,8 +18,12 @@ count — ``m`` independent authentication paths, ``m·H`` digests, the
 analytic closed form — and ``measured_bytes`` is what the ledger
 records for the bundle as it travels, one multiproof that ships a
 digest several samples share (or can derive from each other) once or
-not at all.  ``per_path_ratio`` is the first over the second: what the
-shared form saves, largest where ``m`` samples crowd a small tree.
+not at all, and a leaf-level sibling as its result.  Every measured
+bundle equals the shared fold's closed form
+(``analysis.costs.cbs_bundle_bytes``) to the byte, and is never more
+than the per-path count.  ``per_path_ratio`` is the per-path count over
+the measured bytes: what the shared form saves, largest where ``m``
+samples crowd a small tree.
 
 E8 rides here too: the proof-size table backing §3.1's "the
 communication cost of this process is proportional to the height of
@@ -27,10 +31,15 @@ the tree".
 """
 
 from repro.analysis import format_table
-from repro.analysis.costs import cbs_participant_bytes, naive_bytes_per_task
+from repro.analysis.costs import (
+    cbs_bundle_bytes,
+    cbs_participant_bytes,
+    naive_bytes_per_task,
+)
 from repro.baselines import DoubleCheckScheme, NaiveSamplingScheme
 from repro.cheating import HonestBehavior
 from repro.core import CBSScheme
+from repro.core.protocol import CommitmentMsg
 from repro.merkle import MerkleTree
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 from repro.utils.encoding import encode_uint
@@ -47,14 +56,22 @@ def measure_for(n: int) -> dict:
     task = TaskAssignment("comm", RangeDomain(0, n), PasswordSearch())
     naive = NaiveSamplingScheme(M).run(task, HonestBehavior(), seed=0)
     double = DoubleCheckScheme(2).run(task, HonestBehavior(), seed=0)
-    cbs = CBSScheme(M, include_reports=False).run(
-        task, HonestBehavior(), seed=0
-    )
+    scheme = CBSScheme(M, include_reports=False)
+    cbs = scheme.run(task, HonestBehavior(), seed=0)
     assert cbs.outcome.accepted
     per_path = cbs_participant_bytes(
         n, M, digest_size=32, result_size=16, task_id_size=len(task.task_id)
     )
     measured = cbs.participant_ledger.bytes_sent
+    # The run's challenge is its supervisor's seed-0 draw, and its
+    # participant sent the commitment and the bundle.
+    commitment = CommitmentMsg(task.task_id, bytes(32), n)
+    supervisor = scheme.supervisor(task, seed=0)
+    supervisor.receive_commitment(commitment)
+    indices = supervisor.make_challenge().indices
+    assert measured - commitment.wire_size() == cbs_bundle_bytes(
+        indices, n, digest_size=32, result_size=16, task_id_size=len(task.task_id)
+    )
     return {
         "n": n,
         "double_check_bytes": double.supervisor_ledger.bytes_received,

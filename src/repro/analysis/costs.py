@@ -9,7 +9,9 @@ These are the analytic models the measured ledgers are compared with:
   the CBS model is the paper's *per-path* count (``m·H`` digests) and
   bounds the measured bytes from above — a bundle travels as one
   multiproof, which ships a digest several samples share, or can
-  derive from each other, once or not at all.
+  derive from each other, once or not at all, and a leaf's pair
+  partner as its result.  :func:`cbs_bundle_bytes`, the shared fold's
+  closed form, gives those bytes exactly from the sample set.
 * **Storage trade-off (§3.3, E4)** — the ``rco`` forms live in
   :mod:`repro.core.storage_opt`; here is the expected number of subtrees
   a challenge touches: a bundle rebuilds each once, so the measured
@@ -22,6 +24,7 @@ These are the analytic models the measured ledgers are compared with:
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 from repro.utils.encoding import encode_uint
@@ -86,6 +89,46 @@ def cbs_participant_bytes(
     per_proof = per_proof_fixed + 2 * _varint_size(max(n - 1, 0))
     bundle_overhead = _framed_bytes(task_id_size) + _varint_size(m)
     return commitment + bundle_overhead + m * per_proof
+
+
+def _fixed_list_bytes(count: int, width: int) -> int:
+    """``count ‖ width ‖ items`` (the count alone when empty)."""
+    return _varint_size(count) + (_varint_size(width) + count * width if count else 0)
+
+
+def cbs_bundle_bytes(
+    indices: Sequence[int],
+    n: int,
+    digest_size: int = 32,
+    result_size: int = 16,
+    task_id_size: int = 8,
+) -> int:
+    """Wire bytes of the proof bundle that answers ``indices`` over ``n``
+    leaves: the shared fold's closed form, exact.
+
+    Counted from the sample set alone: one ``result_size`` result per
+    real leaf of every leaf pair a sample touches (the sample alone
+    when ``n = 1``), and one digest per level-``ℓ`` node (``ℓ >= 1``)
+    that is the sibling of an ancestor of a sample and no ancestor
+    itself — each list a fixed-width one.  At most ``m·(H − 1)``
+    digests where the per-path count has ``m·H``, so never more than
+    :func:`cbs_participant_bytes` less the commitment.
+    """
+    if n < 1 or any(not 0 <= index < n for index in indices):
+        raise ValueError("need n >= 1 and every sample in [0, n)")
+    height = ceil_log2(n)
+    samples = set(indices)
+    touched = {leaf ^ side for leaf in samples for side in (0, 1)} if height else samples
+    results = len([leaf for leaf in touched if leaf < n])
+    digests = 0
+    for level in range(1, height):
+        ancestors = {leaf >> level for leaf in samples}
+        digests += len({node ^ 1 for node in ancestors} - ancestors)
+    return (
+        _framed_bytes(task_id_size)
+        + _fixed_list_bytes(results, result_size)
+        + _fixed_list_bytes(digests, digest_size)
+    )
 
 
 def cbs_supervisor_bytes_per_task(

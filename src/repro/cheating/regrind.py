@@ -150,20 +150,22 @@ def run_regrind_attack(
             salt=salt,
         )
 
-    def finish(tree: _MutableMerkleTree, samples: list[int]) -> None:
-        # Every sample is honest, so the claimed results are base_work's.
+    def finish(
+        tree: _MutableMerkleTree, samples: list[int], payloads: list[bytes]
+    ) -> None:
+        # Every sample is honest; a sample's pair partner may be a
+        # filler, which travels as the tree now holds it.
         result.succeeded = True
         result.submission = NICBSSubmissionMsg(
             task_id=assignment.task_id,
             root=tree.root,
             n_leaves=n,
-            bundle=tree.multiproof(samples, base_work.leaf_payloads),
+            bundle=tree.multiproof(samples, payloads),
         )
 
     if incremental:
-        tree = _MutableMerkleTree(
-            list(base_work.leaf_payloads), tree_hash, leaf_encoding
-        )
+        payloads = list(base_work.leaf_payloads)
+        tree = _MutableMerkleTree(payloads, tree_hash, leaf_encoding)
         for attempt in range(max_attempts):
             result.attempts = attempt + 1
             ledger.bump("regrind_attempts")
@@ -171,15 +173,15 @@ def run_regrind_attack(
                 if not fillers:
                     break  # r = 1: nothing to regrind; first try decides
                 target = fillers[(attempt - 1) % len(fillers)]
-                tree.update_leaf(
-                    target,
-                    fresh_guess(target, base_salt + attempt.to_bytes(8, "big")),
+                payloads[target] = fresh_guess(
+                    target, base_salt + attempt.to_bytes(8, "big")
                 )
+                tree.update_leaf(target, payloads[target])
             samples = derive_sample_indices(
                 tree.root, n=n, m=n_samples, sample_hash=g
             )
             if all(index in honest for index in samples):
-                finish(tree, samples)
+                finish(tree, samples, payloads)
                 return result
         return result
 
@@ -199,7 +201,7 @@ def run_regrind_attack(
             tree.root, n=n, m=n_samples, sample_hash=g
         )
         if all(index in honest for index in samples):
-            finish(tree, samples)
+            finish(tree, samples, payloads)
             return result
     return result
 

@@ -145,7 +145,7 @@ class CBSParticipant:
             index = next(i for i in indices if not 0 <= i < n)
             raise ProtocolError(f"challenged index {index} outside [0, {n})")
         bundle = self.backend.multiproof(indices)
-        self.ledger.bump("proofs", len(bundle))
+        self.ledger.bump("proofs", len(indices))
         return ProofBundleMsg(task_id=self.assignment.task_id, bundle=bundle)
 
     # ------------------------------------------------------------------
@@ -282,15 +282,9 @@ class CBSSupervisor:
         outcome = VerificationOutcome(
             task_id=self.assignment.task_id, accepted=True
         )
-        expected = self._challenge.indices
-        if len(bundle.bundle) != len(expected):
-            outcome.accepted = False
-            outcome.reason = RejectReason.MALFORMED_PROOF
-            return outcome
-
         verdicts = verify_proof_bundle(
             bundle.bundle,
-            expected,
+            self._challenge.indices,
             root=self._commitment.root,
             n_leaves=self._commitment.n_leaves,
             domain=self.assignment.domain,
@@ -299,6 +293,10 @@ class CBSSupervisor:
             leaf_encoding=self.leaf_encoding,
             stop_on_first_failure=self.stop_on_first_failure,
         )
+        if verdicts is None:
+            outcome.accepted = False
+            outcome.reason = RejectReason.MALFORMED_PROOF
+            return outcome
         self.ledger.bump("samples_verified", len(verdicts))
         outcome.record(verdicts)
         return outcome

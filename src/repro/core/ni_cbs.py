@@ -121,8 +121,9 @@ class NICBSSupervisor:
     """Supervisor side of NI-CBS: re-derive samples, verify proofs.
 
     No challenge is sent; the supervisor recomputes Eq. (4) from the
-    submitted root (paying ``m`` evaluations of ``g``) and insists the
-    submitted proofs cover exactly those indices, in order.
+    submitted root (paying ``m`` evaluations of ``g``) and joins the
+    submitted proofs with exactly those indices: a bundle whose counts
+    do not fit them answers other samples.
     """
 
     def __init__(
@@ -173,11 +174,6 @@ class NICBSSupervisor:
             m=self.n_samples,
             sample_hash=self.sample_hash,
         )
-        if list(submission.bundle.indices) != expected:
-            outcome.accepted = False
-            outcome.reason = RejectReason.SAMPLE_MISMATCH
-            return outcome
-
         verdicts = verify_proof_bundle(
             submission.bundle,
             expected,
@@ -189,6 +185,11 @@ class NICBSSupervisor:
             leaf_encoding=self.leaf_encoding,
             stop_on_first_failure=self.stop_on_first_failure,
         )
+        if verdicts is None:
+            # A bundle for other samples than Eq. 4's.
+            outcome.accepted = False
+            outcome.reason = RejectReason.SAMPLE_MISMATCH
+            return outcome
         self.ledger.bump("samples_verified", len(verdicts))
         outcome.record(verdicts)
         return outcome

@@ -12,7 +12,8 @@ Message flow (interactive CBS, §3.1):
 3. participant → supervisor: :class:`ProofBundleMsg`
    (per sample: claimed ``f(x_i)`` + sibling digests ``λ_1..λ_H`` —
    on the wire one multiproof: a digest several samples share, or can
-   derive from each other, travels once or not at all)
+   derive from each other, travels once or not at all, and the samples
+   themselves, which the supervisor holds, not at all)
 4. supervisor → participant: :class:`VerdictMsg`
 
 NI-CBS (§4) collapses 1–3 into a single :class:`NICBSSubmissionMsg`.
@@ -28,37 +29,18 @@ from functools import partial
 from repro.core.scheme import RejectReason, VerificationOutcome
 from repro.core.wire import (
     KINDS as _SHARED_KINDS,
-    MAX_CONTAINER_ITEMS,
     VARINT_MAX,
     Field,
     WireMessage,
 )
-from repro.exceptions import CodecError, ProofShapeError
+from repro.exceptions import CodecError
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding
-from repro.utils.encoding import (
-    bytes_list_size,
-    encode_bytes_list,
-    encode_uint,
-    read_bytes_list,
-    read_uint,
-    read_uints,
-    uint_list_size,
-    uint_size,
-)
+from repro.utils.encoding import encode_fixed_list, fixed_list_size, read_fixed_list
 
 # A protocol message declares no range of its own, and everything its
 # decoder rejects is a malformed encoding: a CodecError.
 _field = partial(Field, hi=VARINT_MAX, error=CodecError)
 _TASK_ID = _field("task_id", "str")
-
-#: Tallest path a bundle may claim: a tree over 2^64 leaves (§3's
-#: headline domain).
-MAX_PATH_HEIGHT = 64
-
-#: Wire code of each leaf encoding (carried once per proof bundle).
-ENCODING_CODES = {LeafEncoding.HASHED: 0, LeafEncoding.RAW: 1}
-ENCODING_FROM_CODE = {code: enc for enc, code in ENCODING_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -83,79 +65,25 @@ class SampleChallengeMsg(WireMessage):
 
 
 def _encode_proofs(spec: Field, bundle: Multiproof) -> bytes:
-    """The ``proofs`` kind: ``m ‖ n_leaves ‖ leaf-encoding code ‖ height
-    ‖ the m sample indices in sample order ‖ the claimed results of the
-    distinct leaves, ascending ‖ the supplied digests, level-major, left
-    to right`` (both lists counted; ``m = 0`` alone when empty) — the
-    fields of the bundle's :class:`Multiproof`, in order."""
-    if not bundle.indices:
-        return encode_uint(0)
-    return b"".join(
-        (
-            encode_uint(len(bundle.indices)),
-            encode_uint(bundle.n_leaves),
-            encode_uint(ENCODING_CODES[bundle.leaf_encoding]),
-            encode_uint(bundle.height),
-            *[encode_uint(index) for index in bundle.indices],
-            encode_bytes_list(bundle.results),
-            encode_bytes_list(bundle.digests),
-        )
-    )
+    """The ``proofs`` kind: the claimed results, then the supplied
+    digests, each a fixed-width list (``count ‖ width ‖ concatenation``)
+    — the fields of the bundle's :class:`Multiproof`, in order, and
+    nothing the verifier derives."""
+    return encode_fixed_list(bundle.results) + encode_fixed_list(bundle.digests)
 
 
 def _proofs_size(spec: Field, bundle: Multiproof) -> int:
     """``len(_encode_proofs(spec, bundle))``, without building it."""
-    if not bundle.indices:
-        return 1
-    return (
-        uint_list_size(bundle.indices)  # m, then the indices
-        + uint_size(bundle.n_leaves)
-        + 1  # the leaf-encoding code
-        + uint_size(bundle.height)
-        + bytes_list_size(bundle.results)
-        + bytes_list_size(bundle.digests)
-    )
+    return fixed_list_size(bundle.results) + fixed_list_size(bundle.digests)
 
 
 def _read_proofs(spec: Field, data: bytes, pos: int) -> tuple[Multiproof, int]:
-    """Read one bundle back as its :class:`Multiproof`.  Anything sized
-    from a claimed count is bounded first: ``m`` by the bytes left,
-    ``height`` by :data:`MAX_PATH_HEIGHT`, the ``m × height`` sibling
-    slots by :data:`~repro.core.wire.MAX_CONTAINER_ITEMS`.  A sample outside
-    the bundle's own tree is an impossible path: :class:`ProofShapeError`."""
-    count, pos = read_uint(data, pos)
-    if not count:
-        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ()), pos
-    n_leaves, pos = read_uint(data, pos)
-    code, pos = read_uint(data, pos)
-    encoding = ENCODING_FROM_CODE.get(code)
-    if encoding is None:
-        raise CodecError(f"unknown leaf-encoding code {code}")
-    height, pos = read_uint(data, pos)
-    if (
-        count > len(data) - pos
-        or height > MAX_PATH_HEIGHT
-        or count * height > MAX_CONTAINER_ITEMS
-    ):
-        raise CodecError(
-            f"bundle of {count} samples over height {height} exceeds the "
-            "bytes that follow or the sibling-slot limit"
-        )
-    indices, pos = read_uints(data, pos, count)
-    results, pos = read_bytes_list(data, pos)
-    distinct = len(set(indices))
-    if len(results) != distinct:
-        raise CodecError(f"{len(results)} claimed results for {distinct} leaves")
-    digests, pos = read_bytes_list(data, pos)
-    proof = Multiproof(
-        tuple(indices), n_leaves, encoding, height, tuple(results), tuple(digests)
-    )
-    need = sum(map(len, proof.nodes))
-    if len(digests) != need:
-        raise CodecError(f"{len(digests)} supplied digests, the samples need {need}")
-    if n_leaves and proof.leaves[-1] >= n_leaves:
-        raise ProofShapeError(f"leaf index {proof.leaves[-1]} outside [0, {n_leaves})")
-    return proof, pos
+    """Read one bundle back as its :class:`Multiproof`.  Each count is
+    bounded by the bytes left before anything is sliced; whether the
+    counts and widths fit a sample set is for its verifier to say."""
+    results, pos = read_fixed_list(data, pos)
+    digests, pos = read_fixed_list(data, pos)
+    return Multiproof(tuple(results), tuple(digests)), pos
 
 
 #: The shared kinds plus the one only this module can build.
@@ -170,7 +98,8 @@ class ProofBundleMsg(WireMessage, kinds=KINDS):
     bundle: Multiproof
 
     FIELDS = (_TASK_ID, _field("bundle", "proofs"))
-    #: The bundle as ``m`` per-sample proofs, derived when read.
+    #: The participant's bundle as ``m`` per-sample proofs, derived
+    #: when read (a received one names no samples).
     proofs = property(lambda msg: msg.bundle.proofs)
 
 

@@ -13,32 +13,37 @@ paper specifies, in order:
    (Theorem 2), so even a *now-correct* result cannot retroactively
    prove the work was done before commitment.
 
-A bundle is verified as the one multiproof it travels as.  The tree
-its samples span is folded once, each node hashed once, so check 2 is
-a statement about the whole bundle: a root match attests every
-sampled leaf together, and a miss cannot be pinned on one sample.
-Sibling positions that another sample determines are not part of the
-proof and are never read.
+A bundle is verified as the one multiproof it travels as, joined with
+the supervisor's own sample set: the samples, ``n``, the height and
+the leaf encoding are the supervisor's, and the bundle is only the
+results and digests they cannot give.  The tree its samples span is
+folded once, each node hashed once, so check 2 is a statement about
+the whole bundle: a root match attests every sampled leaf together,
+and a miss cannot be pinned on one sample.  A touched pair's other
+leaf is only hashed into the fold — check 1 evaluates the sampled
+leaves alone.
 
-Malformed proofs (wrong index, wrong path length, wrong digest sizes,
-a leaf encoding other than the supervisor's, a sample outside the
-tree) are rejected without hashing — defensive checks a production
+A bundle whose counts do not fit the sample set is refused before
+anything is evaluated or hashed; one whose widths are not the
+function's result size and the hash's digest size, or a RAW tree whose
+results are not digests, is malformed — defensive checks a production
 verifier needs and tests exercise via failure injection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
 from repro.core.scheme import RejectReason, SampleVerdict
 from repro.merkle.hashing import HashFunction
-from repro.merkle.multiproof import Multiproof
+from repro.merkle.multiproof import Multiproof, bundle_shape
 from repro.merkle.proof import NODE_TAG
-from repro.merkle.tree import LeafEncoding, encode_leaves
+from repro.merkle.tree import LeafEncoding, empty_leaf_digest, encode_leaves
 from repro.tasks.function import TaskFunction
 from repro.tasks.domain import Domain
-from repro.utils.bitmath import next_power_of_two, tree_height
+from repro.utils.bitmath import ceil_log2
 
 
 _OK, _WRONG, _MALFORMED = (
@@ -50,31 +55,24 @@ _verdict = lru_cache(maxsize=1 << 10)(SampleVerdict)
 
 
 def _fits(
-    bundle: Multiproof, n_leaves: int, hash_fn: HashFunction, leaf_encoding: LeafEncoding
+    bundle: Multiproof, result_size: int, hash_fn: HashFunction,
+    leaf_encoding: LeafEncoding,
 ) -> bool:
-    """Whether ``bundle`` folds in the supervisor's tree: its height, leaf
-    range and leaf encoding (never the peer's say-so) are the tree's, a
-    RAW leaf is digest-sized, every supplied sibling is a digest.  No
-    leaf is negative: a decoded index is a uvarint and
-    :meth:`~repro.merkle.multiproof.Multiproof.from_rows` range-checks
-    its own."""
-    leaves, digests, digest_size = bundle.leaves, bundle.digests, hash_fn.digest_size
+    """Whether ``bundle``'s widths are the supervisor's: every result
+    ``result_size`` bytes, which a RAW leaf needs to be a digest, and
+    every supplied digest a digest."""
+    digest_size = hash_fn.digest_size
     return (
-        bundle.height == tree_height(next_power_of_two(n_leaves))
-        and (not leaves or leaves[-1] < n_leaves)
-        and bundle.leaf_encoding is leaf_encoding
-        and (
-            leaf_encoding is not LeafEncoding.RAW
-            or set(map(len, bundle.results)) <= {digest_size}
-        )
-        and set(map(type, digests)) <= {bytes}
-        and set(map(len, digests)) <= {digest_size}
+        set(map(len, bundle.results)) <= {result_size}
+        and (leaf_encoding is not LeafEncoding.RAW or result_size == digest_size)
+        and set(map(type, bundle.digests)) <= {bytes}
+        and set(map(len, bundle.digests)) <= {digest_size}
     )
 
 
 def verify_proof_bundle(
     bundle: Multiproof,
-    expected_indices: Sequence[int],
+    indices: Sequence[int],
     root: bytes,
     n_leaves: int,
     domain: Domain,
@@ -82,32 +80,45 @@ def verify_proof_bundle(
     hash_fn: HashFunction,
     leaf_encoding: LeafEncoding,
     stop_on_first_failure: bool,
-) -> list[SampleVerdict]:
-    """Run both Step-4 checks over a bundle; one verdict per sample.
+) -> list[SampleVerdict] | None:
+    """Run both Step-4 checks over a bundle of the supervisor's own
+    samples ``indices``; one verdict per sample, or ``None`` when the
+    bundle's result or digest count does not fit them, or a sample
+    lies past the tree (nothing evaluated or hashed; the caller names
+    the reason).
 
-    Verdicts come back in bundle order and stop after the first
+    Verdicts come back in sample order and stop after the first
     rejection when ``stop_on_first_failure`` is set; samples with one
     index and reason share one verdict.  Three passes: the bundle's
     shape, with nothing hashed or evaluated; check 1 per sample, in
-    order, through one ``function.verifier`` (one evaluation per leaf
-    when ``verify`` re-computes); then — iff some sample came through
-    both and awaits attestation — one fold of the shared tree against
-    ``root``.  A miss is ``ROOT_MISMATCH`` for every awaiting sample
-    (the first only, under stop).  The caller charges verification cost
-    to its ledger through ``function`` (one verification per sample
-    checked) and ``hash_fn`` (this function is pure protocol logic):
-    one hash per distinct claimed leaf and per covered interior node,
+    order, through one ``function.verifier`` (one evaluation per
+    sample when ``verify`` re-computes); then — iff some sample came
+    through both and awaits attestation — one fold of the shared tree
+    against ``root``.  A miss is ``ROOT_MISMATCH`` for every awaiting
+    sample (the first only, under stop).  The caller charges
+    verification cost to its ledger through ``function`` (one
+    verification per sample checked) and ``hash_fn`` (this function is
+    pure protocol logic): one hash per leaf of each touched pair (none
+    per RAW leaf but the padding one) and per covered interior node,
     none when no sample awaits attestation.
     """
-    fits = _fits(bundle, n_leaves, hash_fn, leaf_encoding)
+    leaves, nodes = bundle_shape(indices, ceil_log2(n_leaves))
+    real = bisect_left(leaves, n_leaves)
+    if (
+        len(bundle.results) != real
+        or len(bundle.digests) != sum(map(len, nodes))
+        or (leaves and max(indices) >= n_leaves)  # a sample past the tree
+    ):
+        return None
+    fits = _fits(bundle, function.result_size, hash_fn, leaf_encoding)
     if fits:
-        claimed = dict(zip(bundle.leaves, bundle.results))
+        claimed = dict(zip(leaves, bundle.results))
         check = function.verifier(domain)
     verdicts: list[SampleVerdict] = []
     awaiting: list[int] = []
-    for index, expected_index in zip(bundle.indices, expected_indices):
-        if not fits or index != expected_index:
-            verdict = _verdict(expected_index, False, _MALFORMED)
+    for index in indices:
+        if not fits:
+            verdict = _verdict(index, False, _MALFORMED)
         # Check 1: is the claimed f(x) actually correct?
         elif check(index, claimed[index]):
             verdict = _verdict(index, True, _OK)
@@ -120,8 +131,11 @@ def verify_proof_bundle(
     if not awaiting:
         return verdicts
     # Check 2: were these exact values committed?  Λ(f(x)s, λs) == Φ(R)?
-    known = list(zip(bundle.leaves, encode_leaves(bundle.results, hash_fn, leaf_encoding)))
-    if hash_fn.tagged_fold(NODE_TAG, known, bundle.nodes, bundle.digests) != root:
+    digests = encode_leaves(bundle.results, hash_fn, leaf_encoding)
+    if real < len(leaves):
+        digests.append(empty_leaf_digest(hash_fn))
+    known = list(zip(leaves, digests))
+    if hash_fn.tagged_fold(NODE_TAG, known, nodes, bundle.digests) != root:
         if stop_on_first_failure:
             del verdicts[awaiting[0] + 1 :]
             awaiting = awaiting[:1]

@@ -20,8 +20,8 @@ The pieces, by module:
   sibling digests plus the root-reconstruction procedure
   ``Λ(f(x), λ1..λH)`` used by the supervisor.
 * :class:`~repro.merkle.multiproof.Multiproof` — a proof bundle as it
-  is built, travels and is verified — with the rule for which sibling
-  digests it ships (``supplied_nodes``).
+  is built, travels and is verified — with the rule for which results
+  and sibling digests it ships (``bundle_shape``).
 """
 
 from repro import _reexport

@@ -58,8 +58,7 @@ class AuthenticationPath:
     leaf_index:
         0-based index of the proven leaf within the domain.
     siblings:
-        Sibling ``Φ`` values in leaf-to-root order (length = tree height);
-        ``None`` where a received bundle's other samples determine it.
+        Sibling ``Φ`` values in leaf-to-root order (length = tree height).
     n_leaves:
         Number of real (non-padding) leaves, kept for sanity checks.
     leaf_encoding:
@@ -79,7 +78,7 @@ class AuthenticationPath:
             raise ProofShapeError(
                 f"leaf index {self.leaf_index} outside [0, {self.n_leaves})"
             )
-        sizes = {len(s) for s in self.siblings if s is not None}
+        sizes = {len(s) for s in self.siblings}
         if len(sizes) > 1:
             raise ProofShapeError(f"inconsistent sibling digest sizes: {sizes}")
 
@@ -129,11 +128,6 @@ class AuthenticationPath:
         self, leaf_phi: bytes, hash_fn: "hashing.HashFunction"
     ) -> bytes:
         """Reconstruct the root from an already-encoded leaf ``Φ`` value."""
-        if None in self.siblings:
-            raise ProofShapeError(
-                f"no sibling at level {self.siblings.index(None)}: another "
-                "sample of this path's bundle determines it"
-            )
         return compute_root_from_path(
             leaf_phi, self.leaf_index, self.siblings, hash_fn
         )

@@ -27,6 +27,8 @@ from repro.accounting import CostLedger
 from repro.cheating.strategies import Behavior
 from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError
+from repro.merkle.hashing import get_hash
+from repro.merkle.proof import LeafEncoding
 from repro.net.transport import SecurityConfig, close_writer, dial
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import (
@@ -229,6 +231,16 @@ class ServiceClient:
             assign.protocol, assign.n_samples, assign.hash_name,
             assign.sample_hash_name, assign.leaf_encoding,
         )
+        if scheme.leaf_encoding is LeafEncoding.RAW:
+            # A RAW leaf is its result, which must be one digest wide.
+            digest_size = get_hash(assign.hash_name).digest_size
+            result_size = assignment.function.result_size
+            if digest_size != result_size:
+                raise ProtocolError(
+                    f"raw leaves over {assign.assign.workload}'s "
+                    f"{result_size}-byte results need a {result_size}-byte "
+                    f"hash, not {assign.hash_name}'s {digest_size}-byte digest"
+                )
         session = scheme.participant(assignment, behavior, assign.seed)
 
         if assign.protocol == "cbs":

@@ -32,28 +32,3 @@ def tree_height(n_leaves: int) -> int:
     the root).
     """
     return ceil_log2(n_leaves)
-
-
-def sibling_index(index: int) -> int:
-    """Index of the sibling of node ``index`` within its level."""
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
-    return index ^ 1
-
-
-def parent_index(index: int) -> int:
-    """Index of the parent (one level up) of node ``index``."""
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
-    return index >> 1
-
-
-def level_size(height: int, level: int) -> int:
-    """Number of nodes at ``level`` in a padded tree of ``height``.
-
-    Level 0 is the root (1 node); level ``height`` is the (padded) leaf
-    level with ``2^height`` nodes.
-    """
-    if not 0 <= level <= height:
-        raise ValueError(f"level {level} outside [0, {height}]")
-    return 1 << level

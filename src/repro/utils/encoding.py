@@ -10,10 +10,12 @@ per byte, most-significant-bit set on every byte except the last.
 Two shapes dominate real traffic and take a short path that produces
 and accepts exactly the bytes the generic loops do: a varint below 128
 is one table lookup / one index, and a *uniform run* — a list whose
-items all have one length below 128, which is what a sibling-digest
-list or a results vector is — is one ``join`` to encode and one
-strided compare of every length prefix to decode; a two-byte varint
-(a leaf index below 2^14) is likewise built and read inline.  Which
+items all have one length below 128, which is what a naive baseline's
+results vector is — is one ``join`` to encode and one strided compare
+of every length prefix to decode; a two-byte varint (a leaf index
+below 2^14) is likewise built and read inline.  A proof bundle's two
+lists have one width by contract and travel as fixed-width lists
+(:func:`encode_fixed_list`): the width once, no per-item prefix.  Which
 path runs is
 decided from the values or the bytes themselves; anything else
 (mixed lengths, long items, multi-byte or overlong prefixes, truncated
@@ -211,3 +213,45 @@ def read_bytes_list(data: bytes, offset: int = 0) -> tuple[list[bytes], int]:
         item, pos = read_bytes(data, pos)
         items.append(item)
     return items, pos
+
+
+def _fixed_width(items: Sequence[bytes]) -> int:
+    """The one nonzero width of ``items``; anything else has no
+    fixed-width encoding."""
+    width = len(items[0])
+    if not width or set(map(len, items)) != {width}:
+        raise CodecError("a fixed-width list needs items of one nonzero width")
+    return width
+
+
+def encode_fixed_list(items: Sequence[bytes]) -> bytes:
+    """Encode byte strings of one width: ``count ‖ width ‖ concatenation``
+    (the count alone when empty)."""
+    if not items:
+        return _ONE_BYTE[0]
+    return encode_uint(len(items)) + encode_uint(_fixed_width(items)) + b"".join(items)
+
+
+def fixed_list_size(items: Sequence[bytes]) -> int:
+    """``len(encode_fixed_list(items))``, without building it: refused
+    alike."""
+    if not items:
+        return 1
+    width = _fixed_width(items)
+    return uint_size(len(items)) + uint_size(width) + len(items) * width
+
+
+def read_fixed_list(data: bytes, offset: int = 0) -> tuple[list[bytes], int]:
+    """Decode a list written by :func:`encode_fixed_list`.  The count is
+    bounded by the bytes left before any item is sliced."""
+    count, pos = read_uint(data, offset)
+    if not count:
+        return [], pos
+    width, pos = read_uint(data, pos)
+    end = pos + count * width
+    if not width or end > len(data):
+        raise CodecError(
+            f"{count} items of width {width} do not fit the "
+            f"{len(data) - pos} bytes left"
+        )
+    return [data[start : start + width] for start in range(pos, end, width)], end

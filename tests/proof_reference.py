@@ -19,9 +19,11 @@ Three things live here:
   sample.  It was the wire format until cluster wire v7 and stays the
   reference the multiproof is checked against;
 * the **multiproof codec**, built from that form: expand every sample
-  to its per-level sibling dicts, then drop what another sample
-  determines (per-sample paths no one multiproof can say are refused
-  with :class:`RefNoMultiproof`);
+  to its per-level sibling dicts, then drop what the verifier works
+  out for itself — the samples, the tree, each level-0 sibling (whose
+  result travels instead) and every digest another sample determines
+  (per-sample paths no one multiproof can say are refused with
+  :class:`RefNoMultiproof`);
 * the **per-path verifier** with its own books.
 """
 
@@ -144,42 +146,77 @@ def expand(proof):
 
 
 # ----------------------------------------------------------------------
-# The multiproof: the per-path form minus what other samples determine
+# The multiproof: the per-path form minus what the verifier works out
 # ----------------------------------------------------------------------
 
-MAX_HEIGHT = 64
-MAX_SIBLING_SLOTS = 1 << 21
+
+def ref_fixed_list(items):
+    """``count ‖ width ‖ concatenation``; the count alone when empty."""
+    if not items:
+        return ref_uint(0)
+    width = len(items[0])
+    for item in items:
+        if len(item) != width or width == 0:
+            raise RefNoMultiproof("items of unequal or zero width")
+    out = ref_uint(len(items)) + ref_uint(width)
+    for item in items:
+        out += item
+    return out
 
 
-def ref_needed(leaves, height):
-    """Per level, the sorted node indices whose digests no sample
-    determines: siblings of a sample's ancestor that are not themselves
-    an ancestor of any sample."""
-    needed = []
-    for level in range(height):
+def ref_read_fixed_list(data, pos):
+    count, pos = ref_read_uint(data, pos)
+    if count == 0:
+        return [], pos
+    width, pos = ref_read_uint(data, pos)
+    if width == 0:
+        raise RefCodec("items of width zero")
+    if pos + count * width > len(data):
+        raise RefCodec("more items than bytes")
+    items = []
+    for _ in range(count):
+        items.append(data[pos : pos + width])
+        pos += width
+    return items, pos
+
+
+def ref_shape(leaves, n_leaves, height):
+    """The leaves whose results travel, and per level the sorted node
+    indices whose digests no sample determines.  Both leaves of every
+    pair a sample touches are known to the fold (the sample alone in a
+    one-leaf tree); those past ``n_leaves`` are padding, whose digest
+    the verifier knows, so they do not travel.  Above the leaves a
+    digest is needed when it is the sibling of an ancestor of a sample
+    and not itself one."""
+    carried = set(leaves)
+    if height > 0:
+        for leaf in leaves:
+            carried.add(leaf ^ 1)
+    real = sorted(leaf for leaf in carried if leaf < n_leaves)
+    needed = [[]] if height > 0 else []
+    for level in range(1, height):
         ancestors = {leaf >> level for leaf in leaves}
         needed.append(
             sorted({node ^ 1 for node in ancestors if node ^ 1 not in ancestors})
         )
-    return needed
+    return real, needed
 
 
-def ref_multiproof(proofs):
-    """The ``proofs`` field of a bundle: one header, the sample indices,
-    one result per distinct leaf, every undetermined digest once.
+def ref_multiproof(proofs, results_at):
+    """The ``proofs`` field of a bundle: the result of every real leaf
+    of every touched pair, ascending, then every undetermined digest
+    from level 1 up, level-major.  A sampled leaf's result is its
+    proof's claim, any other leaf's is ``results_at[leaf]``; nothing
+    else — not the samples, not the tree — travels.
 
-    One header is one tree: paths that mix leaf counts, encodings or
+    One bundle is one tree: paths that mix leaf counts, encodings or
     heights, a path for another leaf than its sample, two results for
-    one leaf, or a needed digest no path holds raise
-    :class:`RefNoMultiproof`."""
+    one leaf, results of unequal width, or a needed digest no path
+    holds raise :class:`RefNoMultiproof`."""
     if not proofs:
-        return ref_uint(0)
+        return ref_fixed_list([]) + ref_fixed_list([])
     _index, _claimed, (_leaf, n_leaves, code, first_siblings) = proofs[0]
     height = len(first_siblings)
-    out = ref_uint(len(proofs)) + ref_uint(n_leaves) + ref_uint(code)
-    out += ref_uint(height)
-    for index, _claimed, _path in proofs:
-        out += ref_uint(index)
     claimed_at = {}
     sibling_at = {}  # (level, node) -> digest, from whichever path has it
     for proof in proofs:
@@ -190,73 +227,32 @@ def ref_multiproof(proofs):
             raise RefNoMultiproof("two results for one leaf")
         for level, step in enumerate(expand(proof)):
             (digest,) = step.values()
-            if digest is not None:
-                sibling_at[level, (index >> level) ^ 1] = digest
-    leaves = sorted(claimed_at)
-    out += ref_bytes_list([claimed_at[leaf] for leaf in leaves])
+            sibling_at[level, (index >> level) ^ 1] = digest
+    real, needed = ref_shape(sorted(claimed_at), n_leaves, height)
+    results = []
+    for leaf in real:
+        if leaf in claimed_at:
+            results.append(claimed_at[leaf])
+        else:
+            results.append(results_at[leaf])
     supplied = []
-    for level, nodes in enumerate(ref_needed(leaves, height)):
+    for level, nodes in enumerate(needed):
         for node in nodes:
             if (level, node) not in sibling_at:
                 raise RefNoMultiproof("a needed digest is missing")
             supplied.append(sibling_at[level, node])
-    return out + ref_bytes_list(supplied)
+    return ref_fixed_list(results) + ref_fixed_list(supplied)
 
 
 def ref_read_multiproof(data, pos):
-    """Decode the ``proofs`` field to plain proofs, ``None`` at every
-    sibling position another sample determines."""
-    count, pos = ref_read_uint(data, pos)
-    if count == 0:
-        return [], pos
-    n_leaves, pos = ref_read_uint(data, pos)
-    code, pos = ref_read_uint(data, pos)
-    if code not in (0, 1):
-        raise RefCodec("no such leaf encoding")
-    height, pos = ref_read_uint(data, pos)
-    if count > len(data) - pos:
-        raise RefCodec("more samples than bytes")
-    if height > MAX_HEIGHT or count * height > MAX_SIBLING_SLOTS:
-        raise RefCodec("more sibling slots than a bundle may claim")
-    indices = []
-    for _ in range(count):
-        index, pos = ref_read_uint(data, pos)
-        indices.append(index)
-    leaves = sorted(set(indices))
-    results, pos = ref_read_bytes_list(data, pos)
-    if len(results) != len(leaves):
-        raise RefCodec("one result per distinct leaf")
-    supplied, pos = ref_read_bytes_list(data, pos)
-    needed = ref_needed(leaves, height)
-    if len(supplied) != sum(len(nodes) for nodes in needed):
-        raise RefCodec("surplus or missing supplied digests")
-    sibling_at = {}
-    rest = list(supplied)
-    for level, nodes in enumerate(needed):
-        for node in nodes:
-            sibling_at[level, node] = rest.pop(0)
-    for index in indices:
-        if n_leaves and index >= n_leaves:
-            raise RefShape("leaf index outside the tree")
-    claimed_at = dict(zip(leaves, results))
-    proofs = []
-    for index in indices:
-        siblings = [
-            sibling_at.get((level, (index >> level) ^ 1))
-            for level in range(height)
-        ]
-        proofs.append((index, claimed_at[index], (index, n_leaves, code, siblings)))
-    return proofs, pos
+    """Decode the ``proofs`` field to its two plain lists."""
+    results, pos = ref_read_fixed_list(data, pos)
+    digests, pos = ref_read_fixed_list(data, pos)
+    return (results, digests), pos
 
 
-def compact(proofs):
-    """What a bundle reads back as: the same proofs with ``None`` at
-    every derivable sibling position."""
-    return ref_read_multiproof(ref_multiproof(proofs), 0)[0]
-
-
-def ref_bundle(task_id, proofs):
-    return ref_bytes(task_id.encode("utf-8")) + ref_multiproof(proofs)
+def ref_bundle(task_id, proofs, results_at):
+    return ref_bytes(task_id.encode("utf-8")) + ref_multiproof(proofs, results_at)
 
 
 def ref_decode_bundle(data):
@@ -267,9 +263,9 @@ def ref_decode_bundle(data):
     return task_id, proofs
 
 
-def ref_submission(task_id, root, n_leaves, proofs):
+def ref_submission(task_id, root, n_leaves, proofs, results_at):
     out = ref_bytes(task_id.encode("utf-8")) + ref_bytes(root)
-    return out + ref_uint(n_leaves) + ref_multiproof(proofs)
+    return out + ref_uint(n_leaves) + ref_multiproof(proofs, results_at)
 
 
 def ref_decode_submission(data):
@@ -391,11 +387,16 @@ def ref_verify(h, books, proofs, expected, root, n_leaves, task, stop):
     return verdicts
 
 
-def shared_fold_hashes(leaves, height, raw=False):
+def shared_fold_hashes(leaves, n_leaves, height, raw=False):
     """Hashes one fold of the tree ``leaves`` span costs, counted from
-    the definition: one per distinct leaf (none under RAW) and one per
+    the definition: one per leaf of each touched pair (none per real
+    leaf under RAW; a padding leaf is the empty-leaf hash) and one per
     node of the cover above the leaf level, the root included."""
-    count = 0 if raw else len(set(leaves))
+    touched = set(leaves)
+    if height > 0:
+        touched |= {leaf ^ 1 for leaf in leaves}
+    padding = len([leaf for leaf in touched if leaf >= n_leaves])
+    count = padding if raw else len(touched)
     for level in range(1, height + 1):
         count += len({leaf >> level for leaf in leaves})
     return count

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from repro.analysis.costs import (
+    cbs_bundle_bytes,
     cbs_participant_bytes,
     cbs_supervisor_bytes_per_task,
     expected_touched_subtrees,
@@ -54,28 +55,27 @@ class TestCommunicationModels:
         self, indices
     ):
         # m = 1 — or two samples in opposite halves, whose paths share
-        # only the root — supplies every sibling of every path except
-        # the two top-level ones that cover each other: the closed
-        # form's m·H digests, to the digest.
+        # only the root — supplies every sibling of every path above
+        # the leaves except the two top-level ones that cover each
+        # other; the leaf-level siblings travel as results.  The shared
+        # fold's closed form counts the bytes exactly, and the per-path
+        # form's m·H digests bound them.
         n, height = 256, 8
         task = TaskAssignment("t" * 8, RangeDomain(0, n), PasswordSearch())
         participant = CBSParticipant(task, HonestBehavior())
         commitment = participant.compute_and_commit()
         bundle = participant.prove(SampleChallengeMsg(task.task_id, indices))
         received = ProofBundleMsg.decode(bundle.encode())
-        supplied = sum(
-            digest is not None
-            for proof in received.proofs
-            for digest in proof.path.siblings
-        )
         m = len(indices)
-        assert supplied == m * height - (2 if m == 2 else 0)
+        assert len(received.bundle.digests) == m * (height - 1) - (2 if m == 2 else 0)
+        assert len(received.bundle.results) == 2 * m
+        assert bundle.wire_size() == cbs_bundle_bytes(
+            indices, n, digest_size=32, result_size=16, task_id_size=8
+        )
         predicted = cbs_participant_bytes(
             n, m, digest_size=32, result_size=16, task_id_size=8
         )
-        measured = commitment.wire_size() + bundle.wire_size()
-        saved = (m * height - supplied) * 33
-        assert 0 <= predicted - measured - saved <= 4 * m
+        assert commitment.wire_size() + bundle.wire_size() < predicted
 
     def test_supervisor_side_model(self):
         n, m = 256, 8

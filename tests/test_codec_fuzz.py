@@ -28,8 +28,7 @@ from repro.core.protocol import (
     VerdictMsg,
 )
 from repro.exceptions import ProtocolError, ReproError
-from repro.merkle.multiproof import Multiproof, supplied_nodes
-from repro.merkle.tree import LeafEncoding
+from repro.merkle.multiproof import Multiproof, bundle_shape
 from repro.exceptions import CodecError
 from repro.net.framing import FRAME_HEADER_BYTES
 from repro.service.codec import (
@@ -122,34 +121,22 @@ class TestGarbageRejection:
             _try_decode(SampleChallengeMsg.decode, bytes(mutated))
 
 
-def _bundle(leaf_encoding=LeafEncoding.HASHED) -> ProofBundleMsg:
-    """Samples 1, 4, 1 of a six-leaf tree: four supplied digests, two at
-    the leaf level and two above, one result per distinct leaf."""
+def _bundle() -> ProofBundleMsg:
+    """Samples 1, 4, 1 of a six-leaf tree: the results of leaf pairs 0
+    and 2 and the two level-1 digests beside them."""
     return ProofBundleMsg(
         "",
-        Multiproof(
-            (1, 4, 1), 6, leaf_encoding, 3, (b"\x01", b"\x04"), (b"\x11" * 8,) * 4
-        ),
+        Multiproof((b"\x00", b"\x01", b"\x04", b"\x05"), (b"\x11" * 8,) * 2),
     )
 
 
 class TestMultiProofFuzz:
-    @given(code=st.integers(min_value=2, max_value=1 << 40))
-    @settings(max_examples=40, deadline=None)
-    def test_unknown_leaf_encoding_codes_rejected(self, code):
-        # Codes outside the table used to decode as RAW, so one proof
-        # had many encodings; only 0 and 1 name a leaf encoding.
-        encoded = _bundle().encode()
-        assert encoded[:4] == b"\x00\x03\x06\x00"  # task, m, n_leaves, code
-        with pytest.raises(ReproError):
-            ProofBundleMsg.decode(encoded[:3] + encode_uint(code) + encoded[4:])
-
     def test_every_truncation_and_bit_flip_rejected_cleanly(self):
-        bundle = _bundle(LeafEncoding.RAW)
+        bundle = _bundle()
         encoded = bundle.encode()
         decoded = ProofBundleMsg.decode(encoded)
+        assert decoded == bundle
         assert decoded.encode() == encoded
-        assert [p.index for p in decoded.proofs] == [1, 4, 1]
         for cut in range(len(encoded)):
             with pytest.raises(ReproError):
                 ProofBundleMsg.decode(encoded[:cut])
@@ -166,22 +153,22 @@ _digests = st.binary(min_size=8, max_size=8)
 
 @st.composite
 def _proof_bundles(draw):
-    """Up to four samples of one tree, in the form a frame decodes *to*
-    (no samples: the empty bundle), so a round trip is an identity."""
+    """The bundle of up to four samples of one tree, in the form a frame
+    decodes *to* (no samples: two empty lists), so a round trip is an
+    identity."""
     height = draw(st.integers(min_value=0, max_value=4))
+    n_leaves = draw(st.integers(min_value=1, max_value=1 << height))
     indices = draw(
-        st.lists(st.integers(min_value=0, max_value=(1 << height) - 1), max_size=4)
+        st.lists(st.integers(min_value=0, max_value=n_leaves - 1), max_size=4)
     )
-    if not indices:
-        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
-    leaves = sorted(set(indices))
+    leaves, nodes = bundle_shape(indices, height)
+    width = draw(st.integers(min_value=1, max_value=16))
     return Multiproof(
-        tuple(indices),
-        1 << height,
-        draw(st.sampled_from(list(LeafEncoding))),
-        height,
-        tuple(draw(st.binary(max_size=16)) for _ in leaves),
-        tuple(draw(_digests) for row in supplied_nodes(leaves, height) for _ in row),
+        tuple(
+            draw(st.binary(min_size=width, max_size=width))
+            for leaf in leaves if leaf < n_leaves
+        ),
+        tuple(draw(_digests) for row in nodes for _ in row),
     )
 
 
@@ -499,7 +486,7 @@ class TestClusterEnvelope:
         """No compat window: every payload-bearing frame leads with
         the wire version and is refused unless it matches exactly —
         a v9 or future frame never reaches a field decoder."""
-        assert CLUSTER_WIRE_VERSION == 10
+        assert CLUSTER_WIRE_VERSION == 11
         payload = bytearray(encode_frame(frame)[FRAME_HEADER_BYTES:])
         assert payload[1] == CLUSTER_WIRE_VERSION
         for skewed in (0, CLUSTER_WIRE_VERSION - 1, CLUSTER_WIRE_VERSION + 1):
@@ -1810,8 +1797,8 @@ class TestVersionSkewHandshake:
                     writer,
                     ByeFrame(
                         reason=(
-                            "incompatible cluster wire version 8: this "
-                            "coordinator speaks v10; upgrade the worker"
+                            "incompatible cluster wire version 10: this "
+                            "coordinator speaks v11; upgrade the worker"
                         )
                     ),
                 )

@@ -18,6 +18,7 @@ from repro.cheating import BernoulliGuess, HonestBehavior, SemiHonestCheater
 from repro.core import CBSParticipant, CBSScheme, CBSSupervisor
 from repro.core.protocol import ProofBundleMsg, SampleChallengeMsg
 from repro.core.scheme import RejectReason
+from repro.merkle.multiproof import bundle_shape
 from repro.exceptions import ReproError
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
@@ -112,16 +113,18 @@ class TestBatchedProtocolChecks:
 
     @staticmethod
     def with_results(msg, results):
-        """``msg`` with every sample of leaf ``i`` claiming ``results[i]``."""
-        bundle = msg.bundle
-        results = tuple(results[leaf] for leaf in bundle.leaves)
-        return dataclasses.replace(
-            msg, bundle=dataclasses.replace(bundle, results=results)
+        """``msg`` with leaf ``i`` claiming ``results[i]``, for every leaf
+        whose result travels (both of each touched pair; 512 leaves, so
+        none is padding)."""
+        leaves, _nodes = bundle_shape([p.index for p in msg.proofs], 9)
+        bundle = dataclasses.replace(
+            msg.bundle, results=tuple(results[leaf] for leaf in leaves)
         )
+        return dataclasses.replace(msg, bundle=bundle)
 
     def test_wrong_result_detected(self, task):
         participant, supervisor, msg = self.run_to_proofs(task)
-        results = {p.index: p.claimed_result for p in msg.proofs}
+        results = list(participant.work.leaf_payloads)
         results[msg.proofs[0].index] = b"\x00" * 16
         outcome = supervisor.verify(received(self.with_results(msg, results)))
         assert not outcome.accepted
@@ -129,6 +132,9 @@ class TestBatchedProtocolChecks:
 
     def test_index_set_mismatch_detected(self, task):
         # A bundle for the neighbouring leaves of the challenged ones.
+        # It names no samples, and here its counts happen to fit the
+        # challenge, so it is read as the challenged leaves' results and
+        # digests: the fold misses the root.
         participant, supervisor, msg = self.run_to_proofs(task)
         shifted = participant.prove(
             SampleChallengeMsg(
@@ -137,7 +143,7 @@ class TestBatchedProtocolChecks:
         )
         outcome = supervisor.verify(received(shifted))
         assert not outcome.accepted
-        assert outcome.reason == RejectReason.MALFORMED_PROOF
+        assert outcome.reason == RejectReason.ROOT_MISMATCH
 
     def test_garbage_proof_bytes_detected(self, task):
         _, _, msg = self.run_to_proofs(task)
@@ -149,16 +155,13 @@ class TestBatchedProtocolChecks:
     def test_correct_results_foreign_tree_detected(self, task):
         # The §3 attack: correct f(x) values proven against a
         # commitment built from garbage.
-        _, supervisor, msg = self.run_to_proofs(
+        participant, supervisor, msg = self.run_to_proofs(
             task, behavior=SemiHonestCheater(0.0, BernoulliGuess(0.0))
         )
-        corrected = self.with_results(
-            msg,
-            {
-                p.index: task.function.evaluate(task.domain[p.index])
-                for p in msg.proofs
-            },
-        )
+        results = list(participant.work.leaf_payloads)
+        for p in msg.proofs:
+            results[p.index] = task.function.evaluate(task.domain[p.index])
+        corrected = self.with_results(msg, results)
         outcome = supervisor.verify(received(corrected))
         assert not outcome.accepted
         assert outcome.reason == RejectReason.ROOT_MISMATCH
@@ -167,11 +170,12 @@ class TestBatchedProtocolChecks:
         participant = CBSParticipant(task, HonestBehavior())
         participant.compute_and_commit()
         msg = participant.prove(SampleChallengeMsg("batch", (5, 5, 9, 5, 9)))
-        got = received(msg)
-        assert [p.index for p in got.proofs] == [5, 5, 9, 5, 9]
-        assert len({id(p) for p in got.proofs}) == 2
+        assert [p.index for p in msg.proofs] == [5, 5, 9, 5, 9]
+        assert len({id(p) for p in msg.proofs}) == 2
+        # The samples do not travel: repeats cost nothing.
         once = participant.prove(SampleChallengeMsg("batch", (5, 9)))
-        assert len(msg.encode()) == len(once.encode()) + 3  # three more indices
+        assert received(msg) == received(once)
+        assert msg.encode() == once.encode()
 
     def test_codec_roundtrip(self, task):
         _, _, msg = self.run_to_proofs(task)

@@ -9,7 +9,7 @@ from repro.accounting import CostLedger
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import NICBSParticipant, NICBSScheme, NICBSSupervisor
 from repro.core.ni_cbs import derive_sample_indices
-from repro.core.protocol import NICBSSubmissionMsg
+from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
 from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.merkle import CountingHash, get_hash
@@ -139,20 +139,20 @@ class TestSupervisorChecks:
 
     def test_sample_mismatch_detected(self, password_task):
         # A participant that self-selects favourable samples (not the
-        # Eq. 4 derivation) is rejected outright.
-        submission = self.make_submission(password_task)
-        forged = NICBSSubmissionMsg(
-            task_id=submission.task_id,
-            root=submission.root,
-            n_leaves=submission.n_leaves,
-            bundle=dataclasses.replace(  # reordered = not derived
-                submission.bundle, indices=submission.bundle.indices[::-1]
-            ),
+        # Eq. 4 derivation) is rejected outright: the first eight
+        # leaves touch four pairs and no digest below level 3, which is
+        # not the shape Eq. 4's samples ask for.
+        participant = NICBSParticipant(password_task, HonestBehavior(), n_samples=8)
+        submission = participant.compute_and_submit()
+        chosen = participant.prove(
+            SampleChallengeMsg(submission.task_id, tuple(range(8)))
         )
+        forged = dataclasses.replace(submission, bundle=chosen.bundle)
         supervisor = NICBSSupervisor(password_task, n_samples=8)
         outcome = supervisor.verify(forged)
         assert not outcome.accepted
         assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+        assert supervisor.ledger.verifications == 0
 
     @pytest.mark.parametrize("task_id", ["other", "task-pw-small", ""])
     def test_submission_for_another_task_refused(self, password_task, task_id):
@@ -221,27 +221,32 @@ class TestSupervisorChecks:
         assert outcome.reason == RejectReason.SAMPLE_MISMATCH
 
 
-    def test_path_naming_another_leaf_encoding_is_malformed(
-        self, password_task
-    ):
-        # The bundle relabelled RAW over 16-byte results: a RAW label
-        # used to escape NICBSSupervisor.verify as a MerkleError.
+    def test_results_of_another_width_are_malformed(self, password_task):
+        # A bundle names no leaf encoding; the lie it can tell about
+        # its leaves is their width.  17-byte results where the
+        # workload's are 16: malformed, with nothing evaluated or
+        # hashed past Eq. 4's chain, never an exception.
         submission = self.make_submission(password_task)
+        bundle = submission.bundle
         hostile = dataclasses.replace(
             submission,
             bundle=dataclasses.replace(
-                submission.bundle, leaf_encoding=LeafEncoding.RAW
+                bundle, results=tuple(r + b"\x00" for r in bundle.results)
             ),
         )
-        outcome = NICBSSupervisor(password_task, n_samples=8).verify(hostile)
+        supervisor = NICBSSupervisor(password_task, n_samples=8)
+        outcome = supervisor.verify(hostile)
         assert not outcome.accepted
         assert outcome.reason == RejectReason.MALFORMED_PROOF
         assert [v.accepted for v in outcome.verdicts] == [False]
+        assert (supervisor.ledger.verifications, supervisor.ledger.hashes) == (0, 8)
 
     def test_raw_commitment_rejected_by_hashed_supervisor(self):
         # 32-byte results under sha256 make a RAW tree well-formed; a
         # supervisor configured HASHED used to verify it as RAW because
-        # the paths said so.
+        # the paths said so.  The bundle now names no encoding: the
+        # supervisor hashes the leaves its own way and the fold misses
+        # the RAW tree's root.
         task = TaskAssignment(
             "task-raw", RangeDomain(0, 64), PasswordSearch(digest_bytes=32)
         )
@@ -254,7 +259,7 @@ class TestSupervisorChecks:
         assert raw_side.verify(submission).accepted
         outcome = NICBSSupervisor(task, n_samples=8).verify(submission)
         assert not outcome.accepted
-        assert outcome.reason == RejectReason.MALFORMED_PROOF
+        assert outcome.reason == RejectReason.ROOT_MISMATCH
 
 
 class TestSamplesDependOnCommitment:

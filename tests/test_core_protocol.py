@@ -1,10 +1,12 @@
 """Codec roundtrips and wire sizes for all protocol messages."""
 
 import hashlib
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proof_reference import plain_proofs, ref_bundle, ref_submission
 from test_codec_oracle import real_submission
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.cheating.regrind import run_regrind_attack
@@ -31,6 +33,7 @@ class _Echo(TaskFunction):
 
     def __init__(self, results):
         self.results = results
+        self._result_size = len(results[0])
 
     def evaluate(self, x):
         return self.results[x]
@@ -75,23 +78,15 @@ class TestSampleChallengeMsg:
 
 class TestProofBundle:
     def test_roundtrip_preserves_proofs(self):
-        # decode∘encode is the compact form: samples 0, 1, 2 of an
-        # 8-leaf tree.  0 and 1 are each other's leaf-level sibling and
-        # their parent is 2's level-1 sibling, so those positions read
-        # back as None; everything else is the digest that was sent.
+        # decode∘encode is the bundle as it travels: samples 0, 1, 2 of
+        # an 8-leaf tree touch leaf pairs 0 and 1, whose four results
+        # travel; their parents cover each other, so the one digest is
+        # level 2's node 1.  The samples themselves do not travel.
         bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
         decoded = ProofBundleMsg.decode(bundle.encode())
-        assert decoded.task_id == "t"
-        assert len(decoded.proofs) == 3
-        derivable = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)}
-        for orig, got in zip(bundle.proofs, decoded.proofs):
-            assert got.index == orig.index == got.path.leaf_index
-            assert got.claimed_result == orig.claimed_result
-            assert got.path.n_leaves == 8
-            assert got.path.siblings == [
-                None if (orig.index, level) in derivable else digest
-                for level, digest in enumerate(orig.path.siblings)
-            ]
+        assert decoded == bundle
+        assert decoded.bundle.results == tuple(f"r{i}".encode() for i in range(4))
+        assert decoded.bundle.digests == (bundle.proofs[0].path.siblings[2],)
         # encode∘decode∘encode is the identity on bytes.
         assert decoded.encode() == bundle.encode()
         assert ProofBundleMsg.decode(decoded.encode()) == decoded
@@ -99,28 +94,26 @@ class TestProofBundle:
     def test_decoded_proofs_still_verify(self):
         leaves = [f"r{i}".encode() for i in range(8)]
         tree = MerkleTree(leaves)
-        bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
-        decoded = ProofBundleMsg.decode(bundle.encode())
-        verdicts = verify_proof_bundle(
-            decoded.bundle,
-            (0, 1, 2),
-            root=tree.root,
-            n_leaves=8,
-            domain=RangeDomain(0, 8),
-            function=_Echo(leaves),
-            hash_fn=tree.hash_fn,
-            leaf_encoding=tree.leaf_encoding,
-            stop_on_first_failure=True,
-        )
-        assert [v.accepted for v in verdicts] == [True] * 3
-        # A one-sample bundle supplies its whole path, which still
-        # folds on its own.
-        for proof in bundle.proofs:
-            (alone,) = ProofBundleMsg.decode(
-                ProofBundleMsg("t", tree.multiproof([proof.index], leaves)).encode()
-            ).proofs
-            assert alone == proof
-            assert alone.path.verify(alone.claimed_result, tree.root, tree.hash_fn)
+
+        def verify(bundle, indices):
+            return verify_proof_bundle(
+                ProofBundleMsg.decode(ProofBundleMsg("t", bundle).encode()).bundle,
+                indices,
+                root=tree.root,
+                n_leaves=8,
+                domain=RangeDomain(0, 8),
+                function=_Echo(leaves),
+                hash_fn=tree.hash_fn,
+                leaf_encoding=tree.leaf_encoding,
+                stop_on_first_failure=True,
+            )
+
+        assert [v.accepted for v in verify(sample_bundle(), (0, 1, 2))] == [True] * 3
+        # A one-sample bundle is its pair and its path above the
+        # leaves, which still folds on its own.
+        for index in range(8):
+            (verdict,) = verify(tree.multiproof([index], leaves), (index,))
+            assert verdict.accepted
 
     def test_wire_size(self):
         bundle = ProofBundleMsg(task_id="t", bundle=sample_bundle())
@@ -136,50 +129,71 @@ class TestNICBSSubmission:
         decoded = NICBSSubmissionMsg.decode(msg.encode())
         assert decoded.root == tree.root
         assert decoded.n_leaves == 8
-        assert len(decoded.proofs) == 3
+        assert decoded == msg
 
 
 def _pinned_messages():
-    """Every producer of a proof bundle, once: honest and cheating NI-CBS
-    at the ledger's two shapes, an interactive CBS bundle, and a
-    regrinder's winning submission (tree updated leaf by leaf)."""
-    yield "honest 512/256", real_submission(512, 256)
-    yield "honest 64/16", real_submission(64, 16)
+    """Every producer of a proof bundle, once, with the results its
+    tree committed: honest and cheating NI-CBS at the ledger's two
+    shapes, an interactive CBS bundle, and a regrinder's winning
+    submission (tree updated leaf by leaf)."""
+    for n, m in ((512, 256), (64, 16)):
+        msg, _raw, payloads, _task = real_submission(n, m)
+        yield f"honest {n}/{m}", msg, payloads
     for n, m in ((512, 256), (64, 16)):
         task = TaskAssignment("task-7", RangeDomain(0, n), PasswordSearch())
         cheater = NICBSParticipant(task, SemiHonestCheater(0.5), n_samples=m)
-        yield f"semi-honest {n}/{m}", cheater.compute_and_submit()
+        yield f"semi-honest {n}/{m}", cheater.compute_and_submit(), cheater.work.leaf_payloads
     task = TaskAssignment("task-cbs", RangeDomain(0, 4096), PasswordSearch())
     participant = CBSParticipant(task, HonestBehavior())
     supervisor = CBSSupervisor(task, n_samples=16, seed=3)
     supervisor.receive_commitment(participant.compute_and_commit())
-    yield "cbs 4096/16", participant.prove(supervisor.make_challenge())
+    bundle = participant.prove(supervisor.make_challenge())
+    yield "cbs 4096/16", bundle, participant.work.leaf_payloads
     grind = TaskAssignment("grind", RangeDomain(0, 128), PasswordSearch(cost=100.0))
-    attack = run_regrind_attack(
-        grind, honesty_ratio=0.5, n_samples=4, seed=1, max_attempts=5000
-    )
+    # The regrinder's tree changes leaf by leaf: read the results it
+    # proves from off the call that builds its bundle.
+    proved, multiproof = [], MerkleTree.multiproof
+
+    def recording(tree, indices, payloads):
+        proved.append(list(payloads))
+        return multiproof(tree, indices, payloads)
+
+    with mock.patch.object(MerkleTree, "multiproof", recording):
+        attack = run_regrind_attack(
+            grind, honesty_ratio=0.5, n_samples=4, seed=1, max_attempts=5000
+        )
     assert attack.attempts == 12
-    yield "regrind", attack.submission
+    yield "regrind", attack.submission, proved[-1]
 
 
 #: sha256 of each pinned message's encoding.  A change here is a wire
 #: change, whatever else the diff says.
 PINNED = {
-    "honest 512/256": "e790140044bd9405c107cb8cec0967e580b1e4983f478048bdcd02793fb793ea",
-    "honest 64/16": "7d6ba39585a78d03d7359ef359ec4d148edcdd987f98b45bc9d56f1d4b36e300",
-    "semi-honest 512/256": "f002d4fe1067e0234b3d9b60073fb1090a2c27cb802341094f7bd73058bcd088",
-    "semi-honest 64/16": "5bf4c2894942d86c0d5a361495dd40c225dc9852439fe2cf779c95b872fc90b4",
-    "cbs 4096/16": "f9808ec6cef9d18f011cd62ce686bb6a6d94f0abb431fdbf4547602effd808f3",
-    "regrind": "3dd0363c9a001985c223c67f6995701b4aca11472a4a28ac3d072a53381e86f7",
+    "honest 512/256": "6bc50078155fad68dc516646a7a6022c0702ff43e7240aed6f0859451d3efc31",
+    "honest 64/16": "299dd19e9adaaaaca9cf5a4ec4bcb6e3d34ebb462eaf2833375e165ba4713936",
+    "semi-honest 512/256": "8e65d2bec3cb4dad4f5d6e140d2eaf50647aaddb5e93759001e4260330f43586",
+    "semi-honest 64/16": "cd18dc43c64efce79a210ab65923a3b51338b9e9d244fd01845229ff7b2fca02",
+    "cbs 4096/16": "7488a56263cfa0af95382eabf28806ce7775498945be7c42603ef99de5c65083",
+    "regrind": "9e299d2db0b5d69229e9dcc8c42c0deffa0ede92cb4efdc8986ff5c24c544a47",
 }
 
 
 def test_wire_is_pinned():
-    got = {
-        name: hashlib.sha256(msg.encode()).hexdigest()
-        for name, msg in _pinned_messages()
-    }
+    got, references = {}, {}
+    for name, msg, payloads in _pinned_messages():
+        got[name] = hashlib.sha256(msg.encode()).hexdigest()
+        proofs = plain_proofs(msg.proofs)
+        if isinstance(msg, ProofBundleMsg):
+            reference = ref_bundle(msg.task_id, proofs, payloads)
+        else:
+            reference = ref_submission(
+                msg.task_id, msg.root, msg.n_leaves, proofs, payloads
+            )
+        references[name] = hashlib.sha256(reference).hexdigest()
     assert got == PINNED
+    # The hand-written encoder, from the per-path form, says the same.
+    assert references == PINNED
 
 
 class TestFullResultsMsg:

@@ -2,10 +2,14 @@
 
 Theorem 2's guarantee is only as good as the verifier's checks; these
 tests tamper with every field of a valid bundle and assert rejection
-with the right reason.  A bundle is a :class:`Multiproof`: a lie one
-sample's path can tell and no multiproof can is refused by the
-reference encoder (``tests/proof_reference.py``) and told of the whole
-bundle instead.
+with the right reason.  A bundle is a :class:`Multiproof` — the results
+of the leaf pairs its samples touch and the digests above them — read
+against the verifier's own samples: a lie one sample's path can tell
+and no multiproof can is refused by the reference encoder
+(``tests/proof_reference.py``) and told of the whole bundle instead.
+Counts that do not fit the samples are refused before anything is
+evaluated or hashed (``verify_proof_bundle`` returns ``None``; the
+supervisors name the reason).
 """
 
 import dataclasses
@@ -17,8 +21,8 @@ from repro.accounting import CostLedger
 from repro.core.protocol import ProofBundleMsg
 from repro.core.scheme import RejectReason
 from repro.core.verification import verify_proof_bundle
-from repro.exceptions import CodecError
 from repro.merkle import AuthenticationPath, CountingHash, MerkleTree, get_hash
+from repro.merkle.multiproof import bundle_shape
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskFunction
 
@@ -33,8 +37,10 @@ def setup():
 
 
 def bundle_of(tree, leaves, *indices, **fields):
-    """The multiproof of ``indices`` off ``tree``, ``fields`` replaced."""
-    return dataclasses.replace(tree.multiproof(indices, leaves), **fields)
+    """The multiproof of ``indices`` off ``tree``, ``fields`` replaced
+    (untouched, it keeps its per-sample view)."""
+    bundle = tree.multiproof(indices, leaves)
+    return dataclasses.replace(bundle, **fields) if fields else bundle
 
 
 def received(bundle):
@@ -42,19 +48,16 @@ def received(bundle):
     return ProofBundleMsg.decode(ProofBundleMsg("t", bundle).encode()).bundle
 
 
-def without_top_level(bundle):
-    """``bundle`` told of a tree one level shorter: the top row of
-    supplied digests gone."""
-    top = len(bundle.digests) - len(bundle.nodes[-1])
-    return dataclasses.replace(
-        bundle, height=bundle.height - 1, digests=bundle.digests[:top]
-    )
+def without_top_digest(bundle):
+    """``bundle`` told of a tree one level shorter: its last supplied
+    digest gone."""
+    return dataclasses.replace(bundle, digests=bundle.digests[:-1])
 
 
-def verify(bundle, index, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
-    (verdict,) = verify_proof_bundle(
+def verdicts_of(bundle, indices, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
+    return verify_proof_bundle(
         bundle,
-        (index,),
+        indices,
         root=tree.root,
         n_leaves=16,
         domain=domain,
@@ -63,6 +66,10 @@ def verify(bundle, index, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
         leaf_encoding=leaf_encoding,
         stop_on_first_failure=True,
     )
+
+
+def verify(bundle, index, tree, domain, fn, leaf_encoding=LeafEncoding.HASHED):
+    (verdict,) = verdicts_of(bundle, (index,), tree, domain, fn, leaf_encoding)
     return verdict
 
 
@@ -79,7 +86,7 @@ class TestTamperedProofsRejected:
     def test_wrong_claimed_result(self, setup):
         # Committed a guess: the claimed value fails the f(x) check.
         fn, domain, leaves, tree = setup
-        bundle = bundle_of(tree, leaves, 3, results=(b"\x00" * 16,))
+        bundle = bundle_of(tree, leaves, 3, results=(leaves[2], b"\x00" * 16))
         verdict = verify(bundle, 3, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.WRONG_RESULT
@@ -92,37 +99,40 @@ class TestTamperedProofsRejected:
         forged_leaves = list(leaves)
         forged_leaves[3] = b"\xff" * 16  # tree committed garbage at 3
         forged_tree = MerkleTree(forged_leaves)
-        bundle = bundle_of(forged_tree, forged_leaves, 3, results=(leaves[3],))
+        bundle = bundle_of(
+            forged_tree, forged_leaves, 3, results=(leaves[2], leaves[3])
+        )
         verdict = verify(bundle, 3, forged_tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
 
     def test_proof_for_different_index(self, setup):
+        # Leaf 5's bundle has leaf 7's shape, so it is read as leaf 7's:
+        # leaf 5's result sits where leaf 7's claim is read.
         fn, domain, leaves, tree = setup
         verdict = verify(bundle_of(tree, leaves, 5), 7, tree, domain, fn)
         assert not verdict.accepted
-        assert verdict.reason == RejectReason.MALFORMED_PROOF
+        assert verdict.reason == RejectReason.WRONG_RESULT
 
     def test_path_index_mismatch(self, setup):
         # Sample 7 carrying leaf 5's path has no multiproof: a bundle
         # has no path index apart from its sample's.  Told as the one
-        # multiproof it can be — leaf 7 over leaf 5's siblings — the
-        # fold misses.
+        # multiproof it can be — leaf 7's pair over leaf 5's digests —
+        # the fold misses.
         fn, domain, leaves, tree = setup
         ((_index, _claimed, path),) = plain_proofs(bundle_of(tree, leaves, 5).proofs)
         with pytest.raises(RefNoMultiproof):
-            ref_multiproof([(7, leaves[7], path)])
-        bundle = bundle_of(tree, leaves, 5, indices=(7,), results=(leaves[7],))
+            ref_multiproof([(7, leaves[7], path)], leaves)
+        bundle = bundle_of(tree, leaves, 5, results=(leaves[6], leaves[7]))
         verdict = verify(bundle, 7, tree, domain, fn)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.ROOT_MISMATCH
 
     def test_truncated_path(self, setup):
+        # One digest short of what sample 2 needs: refused unhashed.
         fn, domain, leaves, tree = setup
-        bundle = without_top_level(bundle_of(tree, leaves, 2))
-        verdict = verify(received(bundle), 2, tree, domain, fn)
-        assert not verdict.accepted
-        assert verdict.reason == RejectReason.MALFORMED_PROOF
+        bundle = without_top_digest(bundle_of(tree, leaves, 2))
+        assert verdicts_of(received(bundle), (2,), tree, domain, fn) is None
 
     def test_oversized_sibling_digests(self, setup):
         fn, domain, leaves, tree = setup
@@ -146,11 +156,12 @@ class TestTamperedProofsRejected:
 
 
 class TestOneHeaderPerBundle:
-    """The encoding code and the height ride once per bundle, so a lie
-    about either — or about which digests the samples need — is a lie
-    about every sample: ``malformed_proof`` for all of them, with
-    nothing hashed or evaluated; per-sample paths of two geometries
-    have no multiproof at all."""
+    """A bundle has no header any more: the supervisor's samples give
+    its shape, so a lie about which results or digests the samples
+    need is a lie about every sample — refused with nothing hashed or
+    evaluated, and a width that is not the supervisor's is
+    ``malformed_proof`` for all of them; per-sample paths of two
+    geometries have no multiproof at all."""
 
     INDICES = (2, 3, 9, 2)
 
@@ -168,6 +179,8 @@ class TestOneHeaderPerBundle:
             leaf_encoding=LeafEncoding.HASHED,
             stop_on_first_failure=stop,
         )
+        if verdicts is None:
+            return None, counted.calls
         return [(v.index, v.reason) for v in verdicts], counted.calls
 
     def bundle(self, tree, leaves, **fields):
@@ -179,20 +192,16 @@ class TestOneHeaderPerBundle:
         want = [(i, RejectReason.OK) for i in self.INDICES]
         assert self.verdicts(bundle, self.INDICES, tree, domain, fn) == (want, 4)
         got = received(bundle)
-        assert got.proofs[0].path.siblings[0] is None  # leaf 3 determines it
+        assert got == bundle
         assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 4)
 
     @pytest.mark.parametrize("stop", [True, False])
     def test_every_path_one_level_short(self, setup, stop):
         fn, domain, leaves, tree = setup
         # One consistent geometry, so it has an encoding and arrives...
-        got = received(without_top_level(self.bundle(tree, leaves)))
-        # ...and is malformed throughout: the commitment says height 4.
-        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
-        assert self.verdicts(got, self.INDICES, tree, domain, fn, stop) == (
-            want[:1] if stop else want,
-            0,
-        )
+        got = received(without_top_digest(self.bundle(tree, leaves)))
+        # ...and does not fit the samples: the commitment says height 4.
+        assert self.verdicts(got, self.INDICES, tree, domain, fn, stop) == (None, 0)
 
     def test_one_path_short_has_no_encoding_and_spoils_the_bundle(self, setup):
         fn, domain, leaves, tree = setup
@@ -201,17 +210,10 @@ class TestOneHeaderPerBundle:
         index, claimed, (leaf, n_leaves, code, siblings) = proofs[2]
         proofs[2] = (index, claimed, (leaf, n_leaves, code, siblings[:-1]))
         with pytest.raises(RefNoMultiproof):
-            ref_multiproof(proofs)
-        # Of the whole bundle, the lie is every path short.
-        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
-        got = received(without_top_level(bundle))
-        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 0)
-
-    def test_bundle_naming_another_encoding(self, setup):
-        fn, domain, leaves, tree = setup
-        got = received(self.bundle(tree, leaves, leaf_encoding=LeafEncoding.RAW))
-        want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
-        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (want, 0)
+            ref_multiproof(proofs, leaves)
+        # Of the whole bundle, the lie is a digest short.
+        got = received(without_top_digest(bundle))
+        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (None, 0)
 
     def test_two_results_for_one_leaf(self, setup):
         fn, domain, leaves, tree = setup
@@ -219,18 +221,20 @@ class TestOneHeaderPerBundle:
         proofs = plain_proofs(bundle.proofs)
         proofs[3] = (2, leaves[3], proofs[3][2])
         with pytest.raises(RefNoMultiproof):
-            ref_multiproof(proofs)
-        # Of the whole bundle, one result more than the distinct leaves:
-        # the decoder refuses it before any verifier sees it.
+            ref_multiproof(proofs, leaves)
+        # Of the whole bundle, one result more than the touched pairs
+        # hold: it decodes, and does not fit the samples.
         conflicting = dataclasses.replace(bundle, results=bundle.results + (leaves[3],))
-        with pytest.raises(CodecError, match="claimed results"):
-            received(conflicting)
+        got = received(conflicting)
+        assert self.verdicts(got, self.INDICES, tree, domain, fn) == (None, 0)
 
     def test_needed_sibling_that_is_not_a_digest(self, setup):
-        # Leaf 9 is alone in its half: its whole path is supplied.
+        # Leaf 9 is alone in its half: its whole path above the leaves
+        # is supplied.
         fn, domain, leaves, tree = setup
         bundle = self.bundle(tree, leaves)
-        at = len(bundle.nodes[0]) + bundle.nodes[1].index((9 >> 1) ^ 1)
+        _leaves, nodes = bundle_shape(self.INDICES, 4)
+        at = nodes[1].index((9 >> 1) ^ 1)
         want = [(i, RejectReason.MALFORMED_PROOF) for i in self.INDICES]
         for bad in (None, b"\x00" * 31, b"\x00" * 33, bytearray(32)):
             digests = list(bundle.digests)
@@ -251,7 +255,7 @@ class TestOneHeaderPerBundle:
         index, claimed, (leaf, n_leaves, code, siblings) = proofs[0]
         siblings = [b"not even a digest"] + siblings[1:]
         proofs[0] = (index, claimed, (leaf, n_leaves, code, siblings))
-        forged = ProofBundleMsg.decode(ref_bundle("t", proofs))
+        forged = ProofBundleMsg.decode(ref_bundle("t", proofs, leaves))
         assert forged.encode() == ProofBundleMsg("t", bundle).encode()
         want = [(i, RejectReason.OK) for i in self.INDICES]
         assert self.verdicts(
@@ -259,20 +263,20 @@ class TestOneHeaderPerBundle:
         ) == (want, 4)
 
     @pytest.mark.parametrize("stop", [True, False])
-    def test_sample_for_another_index_is_malformed_on_its_own(self, setup, stop):
-        # The bundle proves leaves 2, 3, 9, 2 — a fold that holds — but
-        # the third challenge was for leaf 8.
+    def test_a_bundle_answers_every_sample_of_its_pairs(self, setup, stop):
+        # The bundle for leaves 2, 3, 9, 2 carries leaf pair 4's two
+        # results, so it is the bundle for 2, 3, 8, 2 as well: check 1
+        # reads leaf 8's committed result.  Leaf 10 is another pair's:
+        # the same bytes give it leaf 8's result, and the digests are
+        # not its path's, so the fold misses too.
         fn, domain, leaves, tree = setup
         bundle = self.bundle(tree, leaves)
-        challenged = (2, 3, 8, 2)
-        want = [
-            (2, RejectReason.OK),
-            (3, RejectReason.OK),
-            (8, RejectReason.MALFORMED_PROOF),
-            (2, RejectReason.OK),
-        ]
-        assert self.verdicts(bundle, challenged, tree, domain, fn, stop) == (
-            (want[:3], 2) if stop else (want, 3)
+        want = [(i, RejectReason.OK) for i in (2, 3, 8, 2)]
+        assert self.verdicts(bundle, (2, 3, 8, 2), tree, domain, fn, stop) == (want, 4)
+        miss, wrong = RejectReason.ROOT_MISMATCH, RejectReason.WRONG_RESULT
+        assert self.verdicts(bundle, (2, 3, 10, 2), tree, domain, fn, stop) == (
+            ([(2, miss)], 3) if stop
+            else ([(2, miss), (3, miss), (10, wrong), (2, miss)], 4)
         )
 
     @pytest.mark.parametrize("stop", [True, False])
@@ -286,7 +290,8 @@ class TestOneHeaderPerBundle:
         forged_leaves[9] = b"\xff" * 16
         forged_tree = MerkleTree(forged_leaves)
         bundle = self.bundle(
-            forged_tree, forged_leaves, results=(leaves[2], leaves[3], leaves[9])
+            forged_tree, forged_leaves,
+            results=(leaves[2], leaves[3], leaves[8], leaves[9]),
         )
         want = [(i, RejectReason.ROOT_MISMATCH) for i in self.INDICES]
         assert self.verdicts(
@@ -294,16 +299,14 @@ class TestOneHeaderPerBundle:
         ) == (want[:1] if stop else want, 4)
 
     def test_sample_past_the_supervisors_leaf_count(self):
-        # The bundle's own tree holds 1 024 leaves, the height of the
-        # supervisor's 1 000, so it decodes and its height fits; leaf
-        # 1 000 is still outside the committed domain.  Malformed, all
-        # of it, with nothing hashed.
+        # A supervisor's samples lie in its tree; one past it (leaf
+        # 1 000 of 1 000) fits no bundle — not even the one a 1 024-leaf
+        # tree builds for it — and nothing is hashed.
         fn, domain = PasswordSearch(), RangeDomain(0, 1000)
         payloads = [fn.evaluate(x) for x in domain] + [b"\x00" * 16] * 24
         tree = MerkleTree(payloads)
         indices = (3, 1000, 7)
         got = received(tree.multiproof(indices, payloads))
-        assert (got.n_leaves, got.height) == (1024, 10)
         ledger = CostLedger()
         verdicts = verify_proof_bundle(
             got,
@@ -316,9 +319,7 @@ class TestOneHeaderPerBundle:
             leaf_encoding=LeafEncoding.HASHED,
             stop_on_first_failure=False,
         )
-        assert [(v.index, v.reason) for v in verdicts] == [
-            (i, RejectReason.MALFORMED_PROOF) for i in indices
-        ]
+        assert verdicts is None
         assert (ledger.hashes, ledger.hash_cost) == (0, 0.0)
 
 
@@ -327,6 +328,7 @@ class _Counting(TaskFunction):
 
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
+        self._result_size = fn.result_size
 
     def evaluate(self, x):
         return self.fn.evaluate(x)
@@ -337,33 +339,23 @@ class _Counting(TaskFunction):
 
 
 class TestLeafEncodingIsTheSupervisors:
-    """The leaf encoding in a bundle is the peer's claim, not a setting:
-    the supervisor hashes leaves its own way and treats a bundle that
-    names another encoding as malformed."""
-
-    def test_raw_label_on_short_result_is_a_verdict_not_an_exception(
-        self, setup
-    ):
-        # 16-byte results under sha256: taking the peer's RAW label at
-        # its word used to raise MerkleError out of the verifier.
-        fn, domain, leaves, tree = setup
-        bundle = bundle_of(tree, leaves, 4, leaf_encoding=LeafEncoding.RAW)
-        verdict = verify(received(bundle), 4, tree, domain, fn)
-        assert not verdict.accepted
-        assert verdict.reason == RejectReason.MALFORMED_PROOF
+    """The leaf encoding is the supervisor's setting: a bundle names
+    none, and the supervisor hashes leaves its own way."""
 
     def test_raw_tree_over_digest_sized_results_rejected_when_hashed(self):
         # Results as wide as the digest: the RAW tree is well-formed
-        # and every path verifies *as RAW*, which a HASHED supervisor
-        # must not do on the participant's say-so.
+        # and every path verifies *as RAW*; a HASHED supervisor hashes
+        # the leaves, and its fold misses the RAW tree's root.
         fn = PasswordSearch(digest_bytes=32)
         domain = RangeDomain(0, 16)
         leaves = [fn.evaluate(x) for x in domain]
         tree = MerkleTree(leaves, leaf_encoding=LeafEncoding.RAW)
         assert tree.auth_path(9).verify(leaves[9], tree.root, get_hash("sha256"))
+        assert verify(bundle_of(tree, leaves, 9), 9, tree, domain, fn,
+                      LeafEncoding.RAW).accepted
         verdict = verify(bundle_of(tree, leaves, 9), 9, tree, domain, fn)
         assert not verdict.accepted
-        assert verdict.reason == RejectReason.MALFORMED_PROOF
+        assert verdict.reason == RejectReason.ROOT_MISMATCH
 
     def test_unlabelled_path_still_means_hashed(self, setup):
         fn, domain, leaves, tree = setup
@@ -377,7 +369,6 @@ class TestLeafEncodingIsTheSupervisors:
         # A RAW leaf *is* its Φ value, so a 16-byte claim under sha256
         # has the wrong shape whatever the function check says.
         fn, domain, leaves, tree = setup
-        bundle = bundle_of(tree, leaves, 4, leaf_encoding=LeafEncoding.RAW)
-        verdict = verify(bundle, 4, tree, domain, fn, LeafEncoding.RAW)
+        verdict = verify(bundle_of(tree, leaves, 4), 4, tree, domain, fn, LeafEncoding.RAW)
         assert not verdict.accepted
         assert verdict.reason == RejectReason.MALFORMED_PROOF

@@ -11,13 +11,14 @@ tree the samples span is folded once.  What must hold between the two:
 * whenever the claimed values are the committed ones (honest,
   semi-honest, colluding) the whole verdict list is the per-path one;
 * the supervisor's hash ledger reads an *independent count* of the
-  shared fold — one hash per distinct claimed leaf and per node of the
-  cover above them, none when no sample passed check 1 — bit for bit,
-  floats included; evaluation charges are the per-path verifier's;
+  shared fold — one hash per leaf of each touched pair and per node of
+  the cover above them, none when no sample passed check 1 — bit for
+  bit, floats included; evaluation charges are the per-path verifier's;
 * nothing a participant is charged moves.
 
 Per-path proofs reach the library only as bytes: ``ref_bundle`` /
-``ref_submission`` encode them and the message decoders read them.  A
+``ref_submission`` encode them, with the committed results of the
+touched pairs' other leaves, and the message decoders read them.  A
 lie no multiproof can tell is refused by that encoder and told of the
 whole bundle instead, one field of its ``Multiproof`` replaced.
 """
@@ -35,8 +36,8 @@ from proof_reference import (
     RefNoMultiproof,
     plain_proofs,
     ref_bundle,
-    ref_needed,
     ref_root_from_path,
+    ref_shape,
     ref_submission,
     ref_tree_root,
     ref_verify,
@@ -46,15 +47,15 @@ from repro.accounting import CostLedger
 from repro.cheating import ColludingCheater, HonestBehavior, SemiHonestCheater
 from repro.core.cbs import CBSParticipant, CBSSupervisor
 from repro.core.ni_cbs import NICBSParticipant, NICBSSupervisor
-from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
+from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg, SampleChallengeMsg
 from repro.core.scheme import RejectReason
 from repro.core.verification import verify_proof_bundle
-from repro.exceptions import CodecError
 from repro.merkle import MerkleTree, get_hash
 from repro.merkle.hashing import CountingHash, HashFunction
 from repro.merkle.proof import compute_root_from_path
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.tasks.function import MeteredFunction
 
 
 class PlainSha1:
@@ -124,7 +125,7 @@ def with_digest_flipped(proofs, level, node):
 def a_supplied_node(proofs):
     """``(level, node)`` of a digest no sample determines, mid-tree."""
     leaves = [proof[0] for proof in proofs]
-    needed = ref_needed(leaves, len(proofs[0][2][3]))
+    _real, needed = ref_shape(leaves, N, len(proofs[0][2][3]))
     level = max(lv for lv, nodes in enumerate(needed) if nodes and lv <= len(needed) // 2)
     return level, needed[level][0]
 
@@ -191,7 +192,7 @@ def expected_run(h, books, proofs, expected, root, stop, tampered):
     books.samples_verified += len(want)
     if awaiting:
         leaves = [proof[0] for proof in proofs]
-        for _ in range(shared_fold_hashes(leaves, HEIGHT)):
+        for _ in range(shared_fold_hashes(leaves, N, HEIGHT)):
             books.hashes += 1
             books.hash_cost += h.cost
     return want
@@ -233,7 +234,9 @@ class TestLedgerExactness:
         proofs = plain_proofs(bundle.proofs)
         if tamper:
             proofs = with_digest_flipped(proofs, *a_supplied_node(proofs))
-            bundle = ProofBundleMsg.decode(ref_bundle(bundle.task_id, proofs))
+            bundle = ProofBundleMsg.decode(
+                ref_bundle(bundle.task_id, proofs, participant.work.leaf_payloads)
+            )
         outcome = supervisor.verify(bundle)
 
         books = RefBooks()
@@ -273,7 +276,8 @@ class TestLedgerExactness:
             proofs = with_digest_flipped(proofs, *a_supplied_node(proofs))
             submission = NICBSSubmissionMsg.decode(
                 ref_submission(
-                    submission.task_id, submission.root, submission.n_leaves, proofs
+                    submission.task_id, submission.root, submission.n_leaves,
+                    proofs, participant.work.leaf_payloads,
                 )
             )
         supervisor = NICBSSupervisor(
@@ -333,11 +337,21 @@ _REJECTIONS = {
 }
 
 
+#: How a run's samples are chosen: the supervisor's draw, or an edge
+#: shape — the last real leaf of an odd tree (its pair partner is
+#: padding), every sample on one leaf, both leaves of one pair.
+_SHAPES = ["drawn", "drawn", "drawn", "last-leaf", "one-leaf", "one-pair"]
+
+
 @st.composite
 def _runs(draw):
-    """A committed tree, a challenge and the bundle that answers it."""
-    n = draw(st.integers(min_value=1, max_value=70))
-    m = draw(st.integers(min_value=1, max_value=24))
+    """A committed tree, its samples and the bundle that answers them,
+    with the committed results (``payloads``)."""
+    shape = draw(st.sampled_from(_SHAPES))
+    n = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=70)))
+    m = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=24)))
+    if shape == "last-leaf":
+        n |= 1
     task = TaskAssignment("t", RangeDomain(0, n), PasswordSearch())
     participant = CBSParticipant(
         task,
@@ -352,11 +366,21 @@ def _runs(draw):
         task, n_samples=m, seed=draw(st.integers(min_value=0, max_value=10_000))
     )
     supervisor.receive_commitment(commitment)
-    challenge = supervisor.make_challenge()
-    return task, commitment, challenge.indices, participant.prove(challenge).bundle
+    indices = supervisor.make_challenge().indices
+    leaf = draw(st.integers(min_value=0, max_value=n - 1))
+    if shape == "last-leaf":
+        indices = (n - 1, *indices[1:])
+    elif shape == "one-leaf":
+        indices = (leaf,) * m
+    elif shape == "one-pair" and n > 1:
+        pair = min(leaf & ~1, n - 2)
+        indices = tuple(pair + (k % 2) for k in range(max(m, 2)))
+    bundle = participant.prove(SampleChallengeMsg("t", indices)).bundle
+    return task, commitment, indices, bundle, participant.work.leaf_payloads
 
 
 def shared_fold(task, root, indices, bundle, stop):
+    """The library's verdicts, or ``None`` for counts that do not fit."""
     verdicts = verify_proof_bundle(
         bundle,
         indices,
@@ -368,6 +392,8 @@ def shared_fold(task, root, indices, bundle, stop):
         leaf_encoding=LeafEncoding.HASHED,
         stop_on_first_failure=stop,
     )
+    if verdicts is None:
+        return None
     return [(v.index, v.accepted, v.reason.value) for v in verdicts]
 
 
@@ -380,38 +406,39 @@ def per_path(task, root, indices, proofs, stop):
     )
 
 
-def received(proofs):
+def received(proofs, payloads):
     """The multiproof a peer decodes from the reference's bytes."""
-    return ProofBundleMsg.decode(ref_bundle("t", proofs)).bundle
+    return ProofBundleMsg.decode(ref_bundle("t", proofs, payloads)).bundle
 
 
-#: Lies one sample's path can tell and no multiproof can: a path of
-#: another height or encoding than the bundle's header (with more than
-#: one sample), two results for one leaf.
-_NO_MULTIPROOF = {"foreign-encoding", "short-path", "conflicting-duplicate"}
+def _flip(value):
+    return value[:-1] + bytes([value[-1] ^ 1])
 
 
-def _tamper(draw, task, bundle):
+#: Lies no multiproof of the samples can tell: a result or digest
+#: count that does not fit them.  The verifier refuses them unhashed.
+_MISFIT = {"conflicting-duplicate", "missing-digest"}
+
+
+def _tamper(draw, task, bundle, payloads):
     """One of the ways to lie inside a bundle that is part of the proof:
-    ``(kind, per-path proofs, bytes the supervisor receives, whether
-    those bytes tell the lie of the whole bundle)``.  A lie a multiproof
-    can tell travels as ``ref_bundle`` of the per-path proofs; one it
-    cannot is refused by that encoder and told of the whole bundle
-    instead, one field of its multiproof replaced."""
+    ``(kind, per-path proofs, bytes the supervisor receives)``.  A lie a
+    multiproof can tell travels as ``ref_bundle`` of the per-path proofs
+    and the committed results; one it cannot is refused by that encoder
+    and told of the whole bundle instead, one list of its multiproof
+    replaced."""
     proofs = plain_proofs(bundle.proofs)
     victim = draw(st.integers(min_value=0, max_value=len(proofs) - 1))
     index, claimed, (_leaf, n_leaves, code, siblings) = proofs[victim]
-    height = len(siblings)
-    supplied = [
-        (level, node)
-        for level, row in enumerate(ref_needed([p[0] for p in proofs], height))
-        for node in row
-    ]
-    kinds = ["uncommitted-result", "foreign-encoding", "wrong-index"]
-    if height:
-        kinds.append("short-path")
+    sampled = {p[0] for p in proofs}
+    real, needed = ref_shape(sorted(sampled), n_leaves, len(siblings))
+    supplied = [(level, node) for level, row in enumerate(needed) for node in row]
+    partners = [leaf for leaf in real if leaf not in sampled]
+    kinds = ["uncommitted-result", "wrong-index"]
     if supplied:
-        kinds.append("flipped-supplied-digest")
+        kinds += ["flipped-supplied-digest", "missing-digest"]
+    if partners:
+        kinds.append("flipped-partner-result")
     truth = task.function.evaluate(task.domain[index])
     if claimed != truth:
         # The attack CBS exists to stop (§3): a guess was committed,
@@ -420,44 +447,57 @@ def _tamper(draw, task, bundle):
     if any(p[0] == index for p in proofs[:victim] + proofs[victim + 1 :]):
         kinds.append("conflicting-duplicate")
     kind = draw(st.sampled_from(kinds))
-    flipped = claimed[:-1] + bytes([claimed[-1] ^ 1])
     other = (index + 1) % task.n_inputs
     if kind == "wrong-index" and other == index:
         kind = "uncommitted-result"
-    whole = {}
+    results_at = payloads
     if kind == "flipped-supplied-digest":
         forged = with_digest_flipped(proofs, *draw(st.sampled_from(supplied)))
+    elif kind == "flipped-partner-result":
+        # The partner's result travels where its digest used to: on
+        # the per-path side, every path through it carries its digest.
+        partner = draw(st.sampled_from(partners))
+        results_at = list(payloads)
+        results_at[partner] = _flip(payloads[partner])
+        digest = hashlib.sha256(b"\x00" + results_at[partner]).digest()
+        forged = with_digest(proofs, 0, partner, digest)
     elif kind == "correct-result-never-committed":
         forged = _with_result(proofs, index, truth)
     elif kind == "uncommitted-result":
-        forged = _with_result(proofs, index, flipped)
+        forged = _with_result(proofs, index, _flip(claimed))
+    elif kind == "conflicting-duplicate":
+        lie = (index, _flip(claimed), (index, n_leaves, code, siblings))
+        forged = proofs[:victim] + [lie] + proofs[victim + 1 :]
+        whole = {"results": bundle.results + (_flip(claimed),)}
+    elif kind == "missing-digest":
+        lie = (index, claimed, (index, n_leaves, code, siblings[:-1]))
+        forged = proofs[:victim] + [lie] + proofs[victim + 1 :]
+        whole = {"digests": bundle.digests[:-1]}
     else:
-        if kind == "conflicting-duplicate":
-            lie = (index, flipped, (index, n_leaves, code, siblings))
-            whole = {"results": bundle.results + (flipped,)}
-        elif kind == "foreign-encoding":
-            lie = (index, claimed, (index, n_leaves, 1, siblings))
-            whole = {"leaf_encoding": LeafEncoding.RAW}
-        elif kind == "short-path":
-            lie = (index, claimed, (index, n_leaves, code, siblings[:-1]))
-            top = len(bundle.digests) - len(bundle.nodes[-1])
-            whole = {"height": height - 1, "digests": bundle.digests[:top]}
-        else:
-            # Another leaf's sample carrying this one's result and path:
-            # two results for that leaf when it is sampled too.
-            lie = (other, claimed, (other, n_leaves, code, siblings))
-            indices = list(bundle.indices)
-            indices[victim] = other
-            whole = {"indices": tuple(indices)}
+        # Another leaf's sample carrying this one's result and path.
+        lie = (other, claimed, (other, n_leaves, code, siblings))
         forged = proofs[:victim] + [lie] + proofs[victim + 1 :]
     try:
-        data = ref_bundle("t", forged)
+        data = ref_bundle("t", forged, results_at)
     except RefNoMultiproof:
-        assert whole, kind
+        if kind == "wrong-index":  # two results for ``other``
+            return _tamper(draw, task, bundle, payloads)
+        assert kind in _MISFIT, kind
         lie = dataclasses.replace(bundle, **whole)
-        return kind, forged, ProofBundleMsg("t", lie).encode(), True
-    assert kind not in _NO_MULTIPROOF or len(forged) == 1, kind
-    return kind, forged, data, False
+        return kind, forged, ProofBundleMsg("t", lie).encode()
+    return kind, forged, data
+
+
+def with_digest(proofs, level, node, digest):
+    """``proofs`` with the digest of ``(level, node)`` replaced by
+    ``digest`` in every path that carries it."""
+    forged = []
+    for index, claimed, (leaf, n_leaves, code, siblings) in proofs:
+        siblings = list(siblings)
+        if (index >> level) ^ 1 == node:
+            siblings[level] = digest
+        forged.append((index, claimed, (leaf, n_leaves, code, siblings)))
+    return forged
 
 
 def _with_result(proofs, leaf, result):
@@ -475,63 +515,90 @@ class TestPerPathVersusSharedFold:
 
     @given(_runs(), st.booleans())
     def test_committed_values_give_the_per_path_verdicts(self, run, stop):
-        task, commitment, indices, bundle = run
+        task, commitment, indices, bundle, payloads = run
         proofs = plain_proofs(bundle.proofs)
         want = per_path(task, commitment.root, indices, proofs, stop)
         assert shared_fold(task, commitment.root, indices, bundle, stop) == want
-        # ... and the bundle as received, derivable positions gone
+        # ... and the bundle as received, nothing derivable on the wire
         # (which snippet 1, folding each path alone, could not take).
         assert (
-            shared_fold(task, commitment.root, indices, received(proofs), stop)
+            shared_fold(task, commitment.root, indices, received(proofs, payloads), stop)
             == want
         )
 
     @given(_runs(), st.booleans(), st.data())
     def test_tampered_bundles_are_rejected_by_both(self, run, stop, data):
-        task, commitment, indices, bundle = run
-        kind, proofs, raw, whole = _tamper(data.draw, task, bundle)
+        task, commitment, indices, bundle, payloads = run
+        kind, proofs, raw = _tamper(data.draw, task, bundle, payloads)
         assert not all(v[1] for v in per_path(
             task, commitment.root, indices, proofs, stop
         )), kind
-        try:
-            lie = ProofBundleMsg.decode(raw).bundle
-        except CodecError:
-            assert whole, kind  # the decoder refuses a whole-bundle lie
-            return
+        lie = ProofBundleMsg.decode(raw).bundle
         shared = shared_fold(task, commitment.root, indices, lie, stop)
+        if shared is None:
+            # Counts that do not fit the samples: refused unhashed.
+            assert kind in _MISFIT | {"wrong-index"}, kind
+            return
+        assert kind not in _MISFIT, kind
         assert not all(v[1] for v in shared), kind
         rejected = [v for v in shared if not v[1]]
         assert {RejectReason(v[2]) for v in rejected} <= _REJECTIONS
         assert len(shared) == (
             1 + [v[1] for v in shared].index(False) if stop else len(proofs)
         )
-        if whole:
-            # Under stop an earlier sample's own rejection can come first.
-            every = shared_fold(task, commitment.root, indices, lie, False)
-            assert "malformed_proof" in {v[2] for v in every}, kind
 
     @given(_runs(), st.booleans())
     def test_a_derivable_digest_is_not_part_of_the_proof(self, run, stop):
         # Flip a sibling digest that another sample's own ancestor
-        # determines: no multiproof carries it, so nothing changes —
+        # determines, or a leaf-level one, whose result travels
+        # instead: no multiproof carries it, so nothing changes —
         # bytes, verdicts.  (The per-path verifier, which folds every
         # path alone, would reject; that is the difference between the
         # two forms.)
-        task, commitment, indices, bundle = run
+        task, commitment, indices, bundle, payloads = run
         proofs = plain_proofs(bundle.proofs)
         where = a_derivable_node(proofs)
+        if where is None and proofs[0][2][3]:
+            where = (0, proofs[0][0] ^ 1)
         if where is None:
             return
         forged = with_digest_flipped(proofs, *where)
         assert forged != proofs
-        assert ref_bundle("t", forged) == ProofBundleMsg("t", bundle).encode()
+        assert ref_bundle("t", forged, payloads) == ProofBundleMsg("t", bundle).encode()
         before = shared_fold(task, commitment.root, indices, bundle, stop)
-        after = shared_fold(task, commitment.root, indices, received(forged), stop)
+        after = shared_fold(
+            task, commitment.root, indices, received(forged, payloads), stop
+        )
         assert after == before
         if all(v[1] for v in before):
             assert not all(
                 v[1] for v in per_path(task, commitment.root, indices, forged, stop)
             )
+
+
+def test_check_one_covers_only_the_sampled_leaves():
+    # Leaf 5's committed result is not f(5); only leaf 4 is sampled.
+    # Its pair partner's result travels and is hashed into the fold,
+    # never evaluated: accepted, one verification.
+    payloads = [TASK.function.evaluate(x) for x in TASK.domain]
+    payloads[5] = _flip(payloads[5])
+    tree = MerkleTree(payloads)
+    bundle = tree.multiproof([4, 4], payloads)
+    assert payloads[5] in bundle.results
+    ledger = CostLedger()
+    verdicts = verify_proof_bundle(
+        received(plain_proofs(bundle.proofs), payloads),
+        [4, 4],
+        root=tree.root,
+        n_leaves=N,
+        domain=TASK.domain,
+        function=MeteredFunction(TASK.function, ledger),
+        hash_fn=get_hash("sha256"),
+        leaf_encoding=LeafEncoding.HASHED,
+        stop_on_first_failure=True,
+    )
+    assert [(v.index, v.accepted) for v in verdicts] == [(4, True), (4, True)]
+    assert ledger.verifications == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the multiproof a proof bundle is built, travels and is
-verified as: which siblings are supplied (``supplied_nodes``), the one
-fold of the tree the samples span, the producers that read it off level
-rows, the value's immutability, and the bundle codec on top."""
+verified as: its shape (``bundle_shape`` over ``supplied_nodes``), the
+one fold of the tree the samples span, the producers that read it off
+level rows, the value's immutability, and the bundle codec on top."""
 
 import dataclasses
 import hashlib
@@ -10,34 +10,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proof_reference import plain_proofs, ref_bundle, ref_per_path_proofs
+from proof_reference import plain_proofs, ref_bundle, ref_fixed_list, ref_per_path_proofs
 from repro.cheating.regrind import _MutableMerkleTree
 from repro.core.protocol import ProofBundleMsg
-from repro.exceptions import CodecError, LeafIndexError, ProofShapeError
+from repro.core.verification import verify_proof_bundle
+from repro.exceptions import LeafIndexError
 from repro.merkle import MerkleTree, get_hash
-from repro.merkle.multiproof import Multiproof, supplied_nodes
+from repro.merkle.multiproof import bundle_shape, supplied_nodes
 from repro.merkle.proof import NODE_TAG, SampleProof
-from repro.merkle.tree import LeafEncoding, encode_leaves
-from repro.utils.encoding import encode_bytes_list
+from repro.merkle.tree import LeafEncoding, empty_leaf_digest, encode_leaves
+from repro.utils.encoding import encode_fixed_list
 
 
 def make(n: int):
-    leaves = [f"result-{i}".encode() for i in range(n)]
+    leaves = [f"result-{i:03d}".encode() for i in range(n)]
     return MerkleTree(leaves), leaves
 
 
-def fold(tree, payloads, supplied=None):
-    """Root of the shared tree over ``payloads`` (index -> claimed), the
-    supplied digests ``supplied``'s (by default the tree's multiproof of
-    those leaves)."""
-    indices = sorted(payloads)
+def fold(tree, payloads, claimed, supplied=None):
+    """Root of the shared tree the samples ``claimed`` (index ->
+    claimed result) span: their pair partners' results read from
+    ``payloads``, the supplied digests ``supplied``'s (by default the
+    tree's multiproof of those samples)."""
+    indices = sorted(claimed)
     supplied = supplied or tree.multiproof(indices, payloads)
-    digests = encode_leaves(
-        [payloads[i] for i in indices], tree.hash_fn, tree.leaf_encoding
-    )
+    leaves, nodes = bundle_shape(indices, tree.height)
+    results = [claimed.get(leaf, payloads[leaf]) for leaf in leaves if leaf < tree.n_leaves]
+    digests = encode_leaves(results, tree.hash_fn, tree.leaf_encoding)
+    digests += [empty_leaf_digest(tree.hash_fn)] * (len(leaves) - len(results))
     return tree.hash_fn.tagged_fold(
-        NODE_TAG, list(zip(indices, digests)), supplied.nodes, supplied.digests
+        NODE_TAG, list(zip(leaves, digests)), nodes, supplied.digests
     )
+
+
+def refused_on_counts(bundle, indices, tree):
+    """Whether a supervisor of ``tree`` refuses ``bundle`` for its
+    samples ``indices`` on the counts alone, before any check."""
+    return verify_proof_bundle(
+        bundle, indices, root=tree.root, n_leaves=tree.n_leaves, domain=None,
+        function=None, hash_fn=tree.hash_fn, leaf_encoding=tree.leaf_encoding,
+        stop_on_first_failure=True,
+    ) is None
 
 
 def bundle(tree, leaves, indices) -> ProofBundleMsg:
@@ -45,22 +58,24 @@ def bundle(tree, leaves, indices) -> ProofBundleMsg:
 
 
 def n_supplied(indices, height) -> int:
-    return sum(map(len, supplied_nodes(sorted(set(indices)), height)))
+    return sum(map(len, bundle_shape(indices, height)[1]))
 
 
 class TestCorrectness:
     def test_single_leaf_equals_auth_path(self):
         tree, leaves = make(16)
-        assert fold(tree, {5: leaves[5]}) == tree.root
-        # Same digests as the classic path, in the path's order.
+        assert fold(tree, leaves, {5: leaves[5]}) == tree.root
+        # The classic path above the leaves, in the path's order; the
+        # leaf-level sibling travels as its result.
         single = tree.multiproof([5], leaves)
-        assert list(single.digests) == tree.auth_path(5).siblings
-        assert single.nodes == [[4], [3], [0], [1]]
+        assert list(single.digests) == tree.auth_path(5).siblings[1:]
+        assert single.results == (leaves[4], leaves[5])
+        assert bundle_shape([5], 4) == ([4, 5], [[], [3], [0], [1]])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 100])
     def test_all_leaves_at_once(self, n):
         tree, leaves = make(n)
-        assert fold(tree, dict(enumerate(leaves))) == tree.root
+        assert fold(tree, leaves, dict(enumerate(leaves))) == tree.root
 
     def test_proving_everything_needs_no_siblings_pow2(self):
         assert supplied_nodes(list(range(16)), 4) == [[], [], [], []]
@@ -72,74 +87,76 @@ class TestCorrectness:
 
     def test_spread_pair_needs_two_paths_minus_root_share(self):
         tree, leaves = make(16)
-        # Paths share only the root: 4 + 4 − 2 (top-level siblings are
-        # each other's covered ancestors) = 6.
-        assert n_supplied([0, 15], 4) == 6
-        assert fold(tree, {0: leaves[0], 15: leaves[15]}) == tree.root
+        # Paths share only the root: above the leaves 3 + 3 − 2
+        # (top-level siblings are each other's covered ancestors) = 4.
+        assert n_supplied([0, 15], 4) == 4
+        assert fold(tree, leaves, {0: leaves[0], 15: leaves[15]}) == tree.root
 
     def test_duplicates_deduplicated(self):
         # Samples may repeat (with-replacement draws); the bundle ships
-        # one result per distinct leaf and hands every sample of a leaf
-        # the same proof.
+        # each touched pair's results once, and the participant's view
+        # hands every sample of a leaf the same proof.
         tree, leaves = make(8)
         msg = bundle(tree, leaves, [3, 3, 1, 1])
-        decoded = ProofBundleMsg.decode(msg.encode())
-        assert [p.index for p in decoded.proofs] == [3, 3, 1, 1]
-        assert decoded.proofs[0] is decoded.proofs[1]
-        assert decoded.proofs[2].path is decoded.proofs[3].path
-        assert msg.encode() == b"\x01t" + bytes([4, 8, 0, 3, 3, 3, 1, 1]) + (
-            encode_bytes_list([leaves[1], leaves[3]])
-            + encode_bytes_list(tree.multiproof([1, 3], leaves).digests)
+        assert [p.index for p in msg.proofs] == [3, 3, 1, 1]
+        assert msg.proofs[0] is msg.proofs[1]
+        assert msg.proofs[2].path is msg.proofs[3].path
+        assert ProofBundleMsg.decode(msg.encode()) == msg
+        assert msg.encode() == b"\x01t" + (
+            encode_fixed_list(leaves[:4])
+            + encode_fixed_list(tree.multiproof([1, 3], leaves).digests)
         )
 
 
 class TestRejection:
     def test_wrong_payload_rejected(self):
         tree, leaves = make(16)
-        assert fold(tree, {2: b"forged", 9: leaves[9]}) != tree.root
+        assert fold(tree, leaves, {2: b"forged-000", 9: leaves[9]}) != tree.root
 
     def test_wrong_root_rejected(self):
         tree, leaves = make(16)
         other, _ = make(17)
-        assert fold(tree, {2: leaves[2], 9: leaves[9]}) != other.root
+        assert fold(tree, leaves, {2: leaves[2], 9: leaves[9]}) != other.root
 
     def test_missing_payload_rejected(self):
-        # One claimed result per distinct leaf, or the bytes are not a
-        # bundle.
+        # Both results of each touched pair, or the bundle does not fit
+        # the samples: it decodes, and is refused unhashed.
         tree, leaves = make(16)
         raw = bundle(tree, leaves, [2, 9]).encode()
-        both = encode_bytes_list([leaves[2], leaves[9]])
-        assert both in raw
-        with pytest.raises(CodecError, match="1 claimed results for 2"):
-            ProofBundleMsg.decode(raw.replace(both, encode_bytes_list([leaves[2]])))
+        four = ref_fixed_list([leaves[2], leaves[3], leaves[8], leaves[9]])
+        assert four in raw
+        short = raw.replace(four, ref_fixed_list([leaves[2], leaves[3], leaves[9]]))
+        assert refused_on_counts(ProofBundleMsg.decode(short).bundle, [2, 9], tree)
 
     def test_too_few_siblings_rejected(self):
         tree, leaves = make(16)
         raw = bundle(tree, leaves, [2, 9]).encode()
         digests = list(tree.multiproof([2, 9], leaves).digests)
-        assert raw.endswith(encode_bytes_list(digests))
-        head = raw[: -len(encode_bytes_list(digests))]
-        with pytest.raises(CodecError, match="5 supplied digests, the samples need 6"):
-            ProofBundleMsg.decode(head + encode_bytes_list(digests[:-1]))
+        assert (len(digests), n_supplied([2, 9], 4)) == (4, 4)
+        assert raw.endswith(ref_fixed_list(digests))
+        head = raw[: -len(ref_fixed_list(digests))]
+        short = ProofBundleMsg.decode(head + ref_fixed_list(digests[:-1]))
+        assert refused_on_counts(short.bundle, [2, 9], tree)
 
     def test_extra_siblings_rejected(self):
         tree, leaves = make(16)
         raw = bundle(tree, leaves, [2, 9]).encode()
         digests = list(tree.multiproof([2, 9], leaves).digests)
-        head = raw[: -len(encode_bytes_list(digests))]
-        with pytest.raises(CodecError, match="7 supplied digests, the samples need 6"):
-            ProofBundleMsg.decode(head + encode_bytes_list(digests + [bytes(32)]))
+        head = raw[: -len(ref_fixed_list(digests))]
+        long = ProofBundleMsg.decode(head + ref_fixed_list(digests + [bytes(32)]))
+        assert refused_on_counts(long.bundle, [2, 9], tree)
 
     def test_validation(self):
-        # No samples, no siblings; a sample outside the bundle's own
-        # tree is an impossible path.
+        # No samples, no siblings, no results; a one-leaf tree's sample
+        # is its own root; the last leaf of an odd tree has a padding
+        # partner, whose result never travels.
         assert supplied_nodes([], 3) == [[], [], []]
-        tree, leaves = make(8)
-        raw = bytearray(bundle(tree, leaves, [7]).encode())
-        assert raw[3] == 8  # task ‖ m ‖ n_leaves
-        raw[3] = 7
-        with pytest.raises(ProofShapeError):
-            ProofBundleMsg.decode(bytes(raw))
+        assert bundle_shape([], 3) == ([], [[], [], []])
+        assert bundle_shape([0, 0], 0) == ([0], [])
+        tree, leaves = make(7)
+        assert bundle_shape([6], 3) == ([6, 7], [[], [2], [0]])
+        assert tree.multiproof([6], leaves).results == (leaves[6],)
+        assert fold(tree, leaves, {6: leaves[6]}) == tree.root
 
 
 class TestCompression:
@@ -166,32 +183,18 @@ class TestCodec:
         msg = bundle(tree, leaves, [1, 7, 19])
         decoded = ProofBundleMsg.decode(msg.encode())
         assert decoded.encode() == msg.encode()
-        # The received bundle folds through its supplied digests alone.
-        claimed = {p.index: p.claimed_result for p in decoded.proofs}
-        assert fold(tree, claimed, decoded.bundle) == tree.root
-        # ... and hold nothing where another sample determines the digest.
-        assert decoded.proofs[0].path.siblings[4] is None
-        with pytest.raises(ProofShapeError, match="no sibling at level 2"):
-            decoded.proofs[0].path.root_from_payload(leaves[1], tree.hash_fn)
+        assert decoded == msg
+        # The received bundle folds through its own lists alone.
+        claimed = {p.index: p.claimed_result for p in msg.proofs}
+        assert fold(tree, leaves, claimed, decoded.bundle) == tree.root
 
     def test_raw_encoding_survives(self):
         digests = [get_hash("sha256").digest(bytes([i])) for i in range(8)]
         tree = MerkleTree(digests, leaf_encoding=LeafEncoding.RAW)
         msg = bundle(tree, digests, [2, 5])
         decoded = ProofBundleMsg.decode(msg.encode())
-        assert {p.path.leaf_encoding for p in decoded.proofs} == {LeafEncoding.RAW}
-        assert fold(tree, {2: digests[2], 5: digests[5]}) == tree.root
-
-    @pytest.mark.parametrize("code", [2, 9, 127])
-    def test_unknown_encoding_code_rejected(self, code):
-        # Byte layout: task id, m, n_leaves (1 B for 20), then the
-        # encoding code.  Only 0 and 1 name a leaf encoding.
-        tree, leaves = make(20)
-        data = bytearray(bundle(tree, leaves, [1, 7]).encode())
-        assert data[2:5] == bytes([2, 20, 0])
-        data[4] = code
-        with pytest.raises(CodecError, match="leaf-encoding code"):
-            ProofBundleMsg.decode(bytes(data))
+        assert decoded == msg
+        assert fold(tree, digests, {2: digests[2], 5: digests[5]}, decoded.bundle) == tree.root
 
 
 @st.composite
@@ -204,12 +207,12 @@ def _samples(draw):
     return payloads, indices, draw(st.sampled_from(list(LeafEncoding)))
 
 
-def assert_same_bundle(bundle, reference):
+def assert_same_bundle(bundle, reference, payloads):
     """``bundle`` (a ``Multiproof``) is the reference ``SampleProof``s:
-    the reference encoder's bytes for them on the wire, and the same
-    proofs when read back."""
+    the reference encoder's bytes for them (and the committed
+    ``payloads``) on the wire, and the same proofs in its own view."""
     assert ProofBundleMsg("t", bundle).encode() == ref_bundle(
-        "t", plain_proofs(reference)
+        "t", plain_proofs(reference), payloads
     )
     assert ProofBundleMsg("t", bundle).proofs == reference
     assert [p.path for p in bundle.proofs] == [p.path for p in reference]
@@ -227,7 +230,7 @@ class TestProducers:
         reference = tuple(
             SampleProof(i, payloads[i], tree.auth_path(i)) for i in indices
         )
-        assert_same_bundle(tree.multiproof(indices, payloads), reference)
+        assert_same_bundle(tree.multiproof(indices, payloads), reference, payloads)
 
     @given(_samples(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -243,7 +246,7 @@ class TestProducers:
         reference = tuple(
             SampleProof(i, payloads[i], rebuilt.auth_path(i)) for i in indices
         )
-        assert_same_bundle(tree.multiproof(indices, payloads), reference)
+        assert_same_bundle(tree.multiproof(indices, payloads), reference, payloads)
 
     def test_sample_outside_the_tree(self):
         tree, leaves = make(8)
@@ -251,11 +254,14 @@ class TestProducers:
             tree.multiproof([3, 8], leaves)
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Multiproof)])
+@pytest.mark.parametrize(
+    "name", ["indices", "n_leaves", "leaf_encoding", "height", "results", "digests"]
+)
 def test_a_multiproof_is_immutable(name):
-    # Built off rows, a bundle caches its leaves, supplied nodes and
-    # rows: a field reassigned afterwards would verify against stale
-    # geometry.
+    # Built off rows, a bundle holds its wire fields and, for the
+    # participant's own view, its samples and its tree's size, leaf
+    # encoding and height: one reassigned afterwards would describe
+    # other rows.
     tree, leaves = make(8)
     built = tree.multiproof([1, 6], leaves)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -282,13 +288,13 @@ class TestPropertyBased:
             )
         )
         payloads = {i: leaves[i] for i in indices}
-        assert fold(tree, payloads) == tree.root
+        assert fold(tree, leaves, payloads) == tree.root
         for i in indices:
             assert tree.auth_path(i).verify(leaves[i], tree.root, tree.hash_fn)
         # And never reaches the root with a corrupted payload.
         corrupt = dict(payloads)
         corrupt[indices[0]] = payloads[indices[0]] + b"!"
-        assert fold(tree, corrupt) != tree.root
+        assert fold(tree, leaves, corrupt) != tree.root
 
     @given(n=st.integers(min_value=2, max_value=120), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -306,6 +312,10 @@ class TestPropertyBased:
         )
         individual = sum(tree.auth_path(i).height for i in indices)
         assert n_supplied(indices, tree.height) <= individual
-        # Equal exactly when no two samples meet below the root.
+        # The per-sample rule, which supplies leaf-level siblings too:
+        # equal to the paths exactly when no two samples meet below the
+        # root, and one more per sample than the pair rule then.
+        per_sample = sum(map(len, supplied_nodes(indices, tree.height)))
+        assert per_sample <= individual
         if len(indices) == 1:
-            assert n_supplied(indices, tree.height) == individual
+            assert per_sample == individual == n_supplied(indices, tree.height) + 1

@@ -1,7 +1,5 @@
 """Tests for authentication paths and root reconstruction Λ."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,41 +86,6 @@ class TestValidation:
             AuthenticationPath(leaf_index=0, siblings=[b"ab", b"abcd"])
 
 
-class TestReceivedPath:
-    """A path read out of a received bundle holds ``None`` where the
-    bundle's other samples determine the sibling."""
-
-    @staticmethod
-    def received(tree, leaves, indices):
-        bundle = tree.multiproof(indices, leaves)
-        return ProofBundleMsg.decode(ProofBundleMsg("", bundle).encode()).proofs
-
-    def test_replace_keeps_the_holes(self):
-        # The validating constructor used to take len() of every sibling
-        # and raise a bare TypeError on the first hole.
-        tree, leaves = build(8)
-        path = self.received(tree, leaves, (0, 1))[0].path
-        assert path.siblings[0] is None
-        moved = dataclasses.replace(path, n_leaves=8)
-        assert moved.siblings == path.siblings
-        with pytest.raises(ProofShapeError):
-            dataclasses.replace(path, siblings=[b"ab", None, b"abcd"])
-
-    def test_folding_a_holed_path_names_the_missing_level(self):
-        tree, leaves = build(8)
-        first, second, _third = self.received(tree, leaves, (2, 3, 5))
-        h = tree.hash_fn
-        for proof, level in ((first, 0), (second, 0)):
-            path = proof.path
-            with pytest.raises(ProofShapeError, match=f"no sibling at level {level}"):
-                path.root_from_phi(encode_leaf(leaves[proof.index], h, LeafEncoding.HASHED), h)
-            with pytest.raises(ProofShapeError, match=f"no sibling at level {level}"):
-                path.verify(leaves[proof.index], tree.root, h)
-        # At level 2 the ancestors of leaves 2-3 and of leaf 5 are each
-        # other's siblings: derivable as well.
-        assert [s is None for s in first.path.siblings] == [True, False, True]
-
-
 class TestReconstruction:
     def test_footnote1_procedure(self):
         # The paper's footnote 1 walks x3 (leaf L3, 1-based; index 2
@@ -157,13 +120,13 @@ class TestWireSize:
     def test_grows_logarithmically(self):
         sizes = {}
         for n in (4, 16, 64, 256):
-            tree, _ = build(n)
-            # One path on the wire is a bundle of one: every sibling
-            # is supplied, each a length byte and a 32-byte digest.
-            sizes[n] = len(ProofBundleMsg("", tree.multiproof([0], [b""])).encode())
-        # Each 4x in n adds exactly 2 sibling digests (2 * 33 bytes).
-        assert sizes[16] - sizes[4] == 2 * 33
-        assert sizes[256] - sizes[64] == pytest.approx(2 * 33, abs=1)
+            tree, leaves = build(n)
+            # One path on the wire is a bundle of one: its leaf pair's
+            # results, then every sibling above them, 32 bytes each.
+            sizes[n] = len(ProofBundleMsg("", tree.multiproof([0], leaves)).encode())
+        # Each 4x in n adds exactly 2 sibling digests (2 * 32 bytes).
+        assert sizes[16] - sizes[4] == 2 * 32
+        assert sizes[256] - sizes[64] == 2 * 32
 
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=20, deadline=None)

@@ -1,47 +1,53 @@
 """Tests for Merkle wire serialization.
 
-An authentication path crosses a wire only inside a proof bundle; a
-bundle of one supplies every sibling of its path, so these round trips
-are the per-path codec's, through the one form there is."""
+An authentication path crosses a wire only inside a proof bundle.  A
+bundle of one carries its leaf pair's results and every sibling above
+them; the verifier, which knows the sample, the tree and the leaf
+encoding, reads the path back — its leaf-level sibling is the pair
+partner's leaf digest — so these round trips are the per-path codec's,
+through the one form there is."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import ProofBundleMsg
-from repro.exceptions import CodecError
-from repro.merkle import MerkleTree
-from repro.merkle.multiproof import Multiproof
-from repro.merkle.tree import LeafEncoding
+from repro.merkle import AuthenticationPath, MerkleTree
+from repro.merkle.tree import LeafEncoding, empty_leaf_digest, encode_leaf
 
 
-def encode_auth_path(path, payload=b"") -> bytes:
-    # One sample supplies its whole path, leaf level first.
-    return ProofBundleMsg("", Multiproof(
-        (path.leaf_index,), path.n_leaves, path.leaf_encoding, path.height,
-        (payload,), tuple(path.siblings),
-    )).encode()
+def encode_auth_path(tree, payloads, index) -> bytes:
+    # One sample: its pair's results, its path above the leaves.
+    return ProofBundleMsg("", tree.multiproof([index], payloads)).encode()
 
 
-def decode_auth_path(data):
-    (proof,) = ProofBundleMsg.decode(data).proofs
-    return proof.path
+def decode_auth_path(data, tree, index):
+    """The path a verifier reads out of a bundle of one, knowing the
+    sample, the tree's size and its leaf encoding."""
+    bundle = ProofBundleMsg.decode(data).bundle
+    siblings = list(bundle.digests)
+    if tree.height:
+        partner = index ^ 1
+        if partner < tree.n_leaves:
+            results = dict(zip(sorted({index, partner}), bundle.results))
+            leaf = encode_leaf(results[partner], tree.hash_fn, tree.leaf_encoding)
+        else:
+            leaf = empty_leaf_digest(tree.hash_fn)
+        siblings.insert(0, leaf)
+    return AuthenticationPath(index, siblings, tree.n_leaves, tree.leaf_encoding)
 
 
 class TestAuthPathRoundtrip:
     def test_roundtrip_preserves_fields(self):
-        tree = MerkleTree([bytes([i]) for i in range(20)])
+        payloads = [bytes([i]) for i in range(20)]
+        tree = MerkleTree(payloads)
         path = tree.auth_path(13)
-        decoded = decode_auth_path(encode_auth_path(path))
-        assert decoded.leaf_index == path.leaf_index
-        assert decoded.siblings == path.siblings
-        assert decoded.n_leaves == path.n_leaves
-        assert decoded.leaf_encoding == path.leaf_encoding
+        decoded = decode_auth_path(encode_auth_path(tree, payloads, 13), tree, 13)
+        assert decoded == path
 
     def test_decoded_path_still_verifies(self):
         leaves = [f"v{i}".encode() for i in range(10)]
         tree = MerkleTree(leaves)
-        decoded = decode_auth_path(encode_auth_path(tree.auth_path(7)))
+        decoded = decode_auth_path(encode_auth_path(tree, leaves, 7), tree, 7)
         assert decoded.verify(leaves[7], tree.root, tree.hash_fn)
 
     def test_raw_encoding_survives(self):
@@ -49,26 +55,17 @@ class TestAuthPathRoundtrip:
             MerkleTree([b"x"]).hash_fn.digest(bytes([i])) for i in range(4)
         ]
         tree = MerkleTree(h_leaves, leaf_encoding=LeafEncoding.RAW)
-        decoded = decode_auth_path(encode_auth_path(tree.auth_path(1)))
+        decoded = decode_auth_path(encode_auth_path(tree, h_leaves, 1), tree, 1)
+        assert decoded == tree.auth_path(1)
         assert decoded.leaf_encoding == LeafEncoding.RAW
-
-    def test_unknown_encoding_code_rejected(self):
-        tree = MerkleTree([b"a", b"b"])
-        data = bytearray(encode_auth_path(tree.auth_path(0)))
-        # Byte layout: empty task id, m = 1, n_leaves, then the
-        # encoding code.
-        assert data[:4] == bytes([0, 1, 2, 0])
-        data[3] = 9
-        with pytest.raises(CodecError):
-            decode_auth_path(bytes(data))
 
     @given(st.integers(min_value=1, max_value=64), st.data())
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, n, data):
-        tree = MerkleTree([bytes([i % 256, 1]) for i in range(n)])
+        payloads = [bytes([i % 256, 1]) for i in range(n)]
+        tree = MerkleTree(payloads)
         index = data.draw(st.integers(min_value=0, max_value=n - 1))
         path = tree.auth_path(index)
-        decoded = decode_auth_path(encode_auth_path(path))
+        decoded = decode_auth_path(encode_auth_path(tree, payloads, index), tree, index)
         assert decoded.siblings == path.siblings
         assert decoded.leaf_index == index
-

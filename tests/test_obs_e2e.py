@@ -29,7 +29,6 @@ from repro.engine.cluster.worker import run_worker
 from repro.core.protocol import NICBSSubmissionMsg
 from repro.exceptions import ProtocolError, ReproError
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding
 from repro.net.transport import SecurityConfig
 from repro.obs.http import MetricsServer
 from repro.obs.metrics import MetricsRegistry
@@ -242,9 +241,7 @@ class TestStatsFrame:
                         SubmissionFrame(
                             msg=NICBSSubmissionMsg(
                                 task_id="task-0", root=b"\x00" * 32,
-                                n_leaves=1, bundle=Multiproof(
-                                    (), 0, LeafEncoding.HASHED, 0, (), ()
-                                ),
+                                n_leaves=1, bundle=Multiproof((), ()),
                             )
                         ),
                     )

@@ -7,6 +7,7 @@ import typing
 
 import pytest
 
+from proof_reference import ref_multiproof
 from repro.core import protocol, wire
 from repro.core.protocol import (
     AssignMsg,
@@ -18,7 +19,6 @@ from repro.core.protocol import (
 )
 from repro.exceptions import CodecError, ProtocolError, ReproError
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.tree import LeafEncoding
 from repro.net.framing import MAX_CLUSTER_PAYLOAD_BYTES
 from repro.service import codec, jobcodec
 from repro.service import (
@@ -347,9 +347,9 @@ _SPAN = {"tid": "t1", "sid": "s1", "name": "worker.execute", "ts": 1.5, "dur": 0
 # Leaves 1 and 0 of a four-leaf tree: each is the other's leaf-level
 # sibling (derivable, so never on the wire) and both paths meet the one
 # supplied digest at level 1.
-_BUNDLE = Multiproof(
-    (1, 0), 4, LeafEncoding.HASHED, 2, (b"\xcc", b"\xaa\xbb"), (b"\x22" * 4,)
-)
+#: Samples 1 and 0 of a 4-leaf tree: leaf pair 0's two results and the
+#: level-1 digest of node 1.
+_BUNDLE = Multiproof((b"\xaa", b"\xcc"), (b"\x22" * 4,))
 _SPAN_HEX = (
     "455b7b22647572223a302e32352c226e616d65223a22776f726b65722e65786563757465"
     "222c22736964223a227331222c22746964223a227431222c227473223a312e357d5d"
@@ -388,7 +388,7 @@ GOLDEN = [
     ),
     (
         ProofsFrame(ProofBundleMsg(task_id="t", bundle=_BUNDLE)),
-        "0514" "0174" "02040002" "0100" "0201cc02aabb" "010422222222",
+        "050c" "0174" "0201aacc" "010422222222",
     ),
     (
         SubmissionFrame(
@@ -396,28 +396,27 @@ GOLDEN = [
                 task_id="t", root=b"\x01" * 8, n_leaves=4, bundle=_BUNDLE
             )
         ),
-        "061e" "0174" "080101010101010101" "04"
-        "02040002" "0100" "0201cc02aabb" "010422222222",
+        "0616" "0174" "080101010101010101" "04" "0201aacc" "010422222222",
     ),
     (
         VerdictFrame(VerdictMsg(task_id="t", accepted=False, reason="wrong_result")),
         "07100174000c77726f6e675f726573756c74",
     ),
     (ErrorFrame("nope"), "08046e6f7065"),
-    (codec.WorkerHello("w-0", 2), "090a03772d3002"),
+    (codec.WorkerHello("w-0", 2), "090b03772d3002"),
     (codec.HeartbeatFrame("w-0"), "0a03772d30"),
     (
         codec.JobFrame(
             job_id=300, payload=b"\x00\x01\x02", trace_id="t1", span_id="s1"
         ),
-        "0b0aac02010274310102733103000102",
+        "0b0bac02010274310102733103000102",
     ),
     (
         codec.ResultFrame(
             job_id=300, ok=True, payload=b"\x03\x04", spans=(_SPAN,),
             cache_hits=2, cache_misses=1,
         ),
-        "0c0aac02010201" + _SPAN_HEX + "020304",
+        "0c0bac02010201" + _SPAN_HEX + "020304",
     ),
     (codec.StatsRequest(), "0f"),
     (
@@ -445,6 +444,19 @@ class TestGoldenVectors:
         assert encode_frame(frame)[FRAME_HEADER_BYTES:] == payload
         assert decode_frame_payload(payload) == frame
         assert payload[0] == codec._BY_CLASS[type(frame)].tag
+
+    def test_the_bundle_vector_is_the_references(self):
+        # _BUNDLE from the per-path form: samples 1 and 0 of a 4-leaf
+        # tree, their level-0 siblings each other, node 1 above them.
+        top = b"\x22" * 4
+        proofs = [
+            (1, b"\xcc", (1, 4, 0, [b"\x00" * 4, top])),
+            (0, b"\xaa", (0, 4, 0, [b"\x00" * 4, top])),
+        ]
+        assert ref_multiproof(proofs, {}) == bytes.fromhex("0201aacc010422222222")
+        assert ProofBundleMsg("t", _BUNDLE).encode() == b"\x01t" + ref_multiproof(
+            proofs, {}
+        )
 
 
 class TestWorkloadCatalogue:

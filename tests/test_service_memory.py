@@ -24,7 +24,6 @@ from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, ProofBundleMsg
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding
 from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
@@ -128,7 +127,7 @@ class TestFlatMemory:
 
 
 SLOTS = 5
-_EMPTY = Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
+_EMPTY = Multiproof((), ())
 TTL = 10.0
 FREE, ASSIGNED, COMMITTED, DONE = "free", "assigned", "committed", "done"
 

@@ -338,6 +338,33 @@ class TestClientHonoursTheAssignFrame:
         default = first_message(SERVICE_HASH, SERVICE_HASH, "hashed")
         assert sent.msg.encode() != default.msg.encode()
 
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_raw_leaves_wider_than_the_result_are_refused(self, protocol):
+        # sha1 digests are 20 bytes, PasswordSearch results 16: no raw
+        # leaf can be both.  The client refuses the frame before any
+        # compute, naming both sizes, and sends nothing after it.
+        assign = TaskAssign(
+            assign=AssignMsg(task_id="task-4", n_inputs=8,
+                             workload="PasswordSearch"),
+            participant=4, domain_start=0, domain_stop=8,
+            protocol=protocol, n_samples=2, hash_name="sha1",
+            sample_hash_name="sha256", leaf_encoding="raw", seed=9,
+        )
+
+        async def scripted_peer():
+            (client_r, client_w), (peer_r, peer_w) = memory_duplex()
+            client = ServiceClient(client_r, client_w)
+            run = asyncio.create_task(client.run_participant(HonestBehavior()))
+            await read_frame(peer_r)
+            await write_frame(peer_w, assign)
+            with pytest.raises(ProtocolError, match="16-byte.*20-byte"):
+                await asyncio.wait_for(run, timeout=30)
+            client_w.close()
+            # End of stream: no commitment or submission ever left.
+            assert await asyncio.wait_for(read_frame(peer_r), timeout=5) is None
+
+        asyncio.run(scripted_peer())
+
 
 class TestProofHeavySession:
     def test_no_authentication_path_is_built(self, monkeypatch):
@@ -751,7 +778,7 @@ class TestProtocolPolicing:
                 SubmissionFrame(
                     msg=NICBSSubmissionMsg(
                         task_id="task-999", root=b"\x00" * 32, n_leaves=1,
-                        bundle=Multiproof((), 0, LeafEncoding.HASHED, 0, (), ()),
+                        bundle=Multiproof((), ()),
                     )
                 )
             ],
@@ -815,23 +842,19 @@ class TestProtocolPolicing:
         run = asyncio.run(scenario())
         assert run.accepted
 
-    def test_submission_naming_another_leaf_encoding_gets_a_verdict(self):
-        # The leaf-encoding code and the height ride once per bundle.
-        # A bundle labelled RAW over 16-byte results used to make the
-        # verifier raise out of the offloaded job (an error frame, and a
-        # session parked in VERIFYING until the TTL swept it); a bundle
-        # one level short of the commitment's height is the same kind
-        # of lie.  Both get a verdict frame, never a dropped connection.
+    def test_submission_of_another_shape_gets_a_verdict(self):
+        # A bundle whose results are wider than the workload's (one
+        # byte each), or whose digests are one short of what Eq. 4's
+        # samples need.  Both get a verdict frame — never an error from
+        # the offloaded job, a session parked in VERIFYING until the TTL
+        # swept it, or a dropped connection.
         cfg = config("ni-cbs")
 
-        def relabelled(bundle):
-            return dataclasses.replace(bundle, leaf_encoding=LeafEncoding.RAW)
+        def widened(bundle):
+            return Multiproof(tuple(r + b"\x00" for r in bundle.results), bundle.digests)
 
         def shortened(bundle):
-            top = len(bundle.digests) - len(bundle.nodes[-1])
-            return dataclasses.replace(
-                bundle, height=bundle.height - 1, digests=bundle.digests[:top]
-            )
+            return Multiproof(bundle.results, bundle.digests[:-1])
 
         async def scenario(forge):
             server = SupervisorServer(cfg, engine="threads", workers=2)
@@ -853,16 +876,19 @@ class TestProtocolPolicing:
             finally:
                 await server.stop()
 
-        for forge in (relabelled, shortened):
+        for forge, reason in (
+            (widened, RejectReason.MALFORMED_PROOF),
+            (shortened, RejectReason.SAMPLE_MISMATCH),
+        ):
             reply, task_id, server = asyncio.run(scenario(forge))
             assert isinstance(reply, VerdictFrame)
             assert not reply.msg.accepted
-            assert reply.msg.reason == RejectReason.MALFORMED_PROOF.value
+            assert reply.msg.reason == reason.value
             # Not parked in VERIFYING: the session is gone, its verdict
             # recorded.
             assert server.sessions.active == 0
             outcome = server.outcomes[task_id]
-            assert outcome.reason == RejectReason.MALFORMED_PROOF
+            assert outcome.reason == reason
             assert server.registry.sum_values("repro_errors_total") == 0
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):

@@ -53,7 +53,6 @@ from repro.core.wire import WireMessage
 from repro.exceptions import CodecError, SchemeConfigurationError, TaskError
 from repro.grid.simulation import SimulationConfig
 from repro.merkle.multiproof import Multiproof
-from repro.merkle.proof import LeafEncoding
 from repro.merkle.tree import MerkleTree
 from repro.tasks import FactoringTask, PasswordSearch, RangeDomain, TaskAssignment
 
@@ -118,9 +117,13 @@ def ref_levels(payloads):
 
 
 def ref_fold_hashes(indices, height):
-    """One fold of the tree the samples span: a hash per distinct leaf
-    and per covered node above the leaf level."""
-    count = len(set(indices))
+    """One fold of the tree the samples span: a hash per leaf of each
+    touched pair (a padding leaf's is the empty-leaf hash) and per
+    covered node above the leaf level."""
+    touched = set(indices)
+    if height:
+        touched |= {index ^ 1 for index in indices}
+    count = len(touched)
     for level in range(1, height + 1):
         count += len({index >> level for index in indices})
     return count
@@ -190,7 +193,7 @@ def reference_run(scheme_name, task, payloads, n_honest, seed, stop):
         counters={"samples_verified": len(verdicts)},
     )
     if scheme_name == "ni-cbs":
-        wire = [ref_submission(task.task_id, root, n, proofs)]
+        wire = [ref_submission(task.task_id, root, n, proofs, payloads)]
         for books in (participant, supervisor):
             books["hashes"] += m
             books["hash_cost"] += float(m)
@@ -204,7 +207,7 @@ def reference_run(scheme_name, task, payloads, n_honest, seed, stop):
             ref_bytes(task_id) + (b"\x01" if accepted else b"\x00")
             + ref_bytes(b"" if accepted else reason.encode())
         )
-        bundle = ref_bundle(task.task_id, proofs)
+        bundle = ref_bundle(task.task_id, proofs, payloads)
         wire = [commitment, challenge, bundle, verdict_msg]
         up = len(commitment) + len(bundle)
         down = len(challenge) + len(verdict_msg)
@@ -351,20 +354,19 @@ BLOB = st.binary(max_size=300)
 @st.composite
 def bundles(draw):
     """A bundle in every form a message stores it: empty, a tree's
-    multiproof, or bare wire fields (large varints without building a
-    tree that size)."""
+    multiproof, or bare wire fields (long lists and wide items without
+    building a tree that size)."""
     form = draw(st.sampled_from(["empty", "tree", "fields"]))
     if form == "empty":
-        return Multiproof((), 0, LeafEncoding.HASHED, 0, (), ())
+        return Multiproof((), ())
+    width = draw(st.integers(1, 300))
+    item = st.binary(min_size=width, max_size=width)
     if form == "fields":
-        indices = tuple(draw(st.lists(UINT, min_size=1, max_size=8)))
         return Multiproof(
-            indices, draw(UINT), draw(st.sampled_from(list(LeafEncoding))),
-            draw(st.integers(0, 64)),
-            tuple(draw(st.lists(BLOB, max_size=8))),
+            tuple(draw(st.lists(item, max_size=8))),
             tuple(draw(st.lists(st.binary(min_size=32, max_size=32), max_size=8))),
         )
-    payloads = draw(st.lists(BLOB, min_size=1, max_size=40))
+    payloads = draw(st.lists(item, min_size=1, max_size=40))
     indices = draw(
         st.lists(st.integers(0, len(payloads) - 1), min_size=1, max_size=12)
     )

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bitmath import (
-    ceil_log2,
-    level_size,
-    next_power_of_two,
-    parent_index,
-    sibling_index,
-    tree_height,
-)
+from repro.utils.bitmath import ceil_log2, next_power_of_two, tree_height
 
 
 class TestNextPowerOfTwo:
@@ -75,45 +68,3 @@ class TestTreeHeight:
     def test_padding_rounds_up(self):
         assert tree_height(5) == 3
         assert tree_height(13) == 4
-
-
-class TestSiblingParent:
-    def test_sibling_pairs(self):
-        assert sibling_index(0) == 1
-        assert sibling_index(1) == 0
-        assert sibling_index(6) == 7
-        assert sibling_index(7) == 6
-
-    def test_parent(self):
-        assert parent_index(0) == 0
-        assert parent_index(1) == 0
-        assert parent_index(6) == 3
-        assert parent_index(7) == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sibling_index(-1)
-        with pytest.raises(ValueError):
-            parent_index(-3)
-
-    @given(st.integers(min_value=0, max_value=1 << 30))
-    def test_sibling_involution(self, i):
-        assert sibling_index(sibling_index(i)) == i
-
-    @given(st.integers(min_value=0, max_value=1 << 30))
-    def test_siblings_share_parent(self, i):
-        assert parent_index(i) == parent_index(sibling_index(i))
-
-
-class TestLevelSize:
-    def test_root_level(self):
-        assert level_size(4, 0) == 1
-
-    def test_leaf_level(self):
-        assert level_size(4, 4) == 16
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            level_size(4, 5)
-        with pytest.raises(ValueError):
-            level_size(4, -1)

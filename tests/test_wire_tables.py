@@ -26,9 +26,8 @@ import pytest
 from repro.core import protocol, wire
 from repro.core.protocol import ProofBundleMsg
 from repro.exceptions import CodecError
-from repro.merkle.multiproof import Multiproof
+from repro.merkle.multiproof import Multiproof, bundle_shape
 from repro.merkle.proof import SampleProof
-from repro.merkle.tree import LeafEncoding
 from repro.service import codec, jobcodec
 from repro.tasks.domain import RangeDomain
 
@@ -112,28 +111,25 @@ class TestMessageRows:
                     assert name not in vars(cls) or cls is wire.WireMessage
 
     def test_proofs_kind_is_a_run_of_sample_proof_rows(self):
-        """Read as ``proofs``, that is: the run is one multiproof — one
-        header, each sample's index, one result per distinct leaf, each
-        digest no sample determines once — and ``SampleProof`` has no
-        encoding of its own."""
+        """Read as ``proofs``, that is: the run is one multiproof — the
+        results of every leaf pair a sample touches, then each digest
+        above them that no sample determines, once, as two fixed-width
+        lists — and ``SampleProof`` has no encoding of its own."""
         assert not issubclass(SampleProof, wire.WireMessage)
         tall = b"\x11" * 4
-        multiproof = Multiproof(
-            (2, 0, 2), 4, LeafEncoding.RAW, 2, (b"\x00" * 3, b"\x02" * 3), (tall, tall)
-        )
+        results = tuple(bytes([leaf]) * 3 for leaf in range(4))
+        leaves, nodes = bundle_shape((2, 0, 2), 3)  # an 8-leaf tree
+        assert (leaves, nodes) == ([0, 1, 2, 3], [[], [], [1]])
+        multiproof = Multiproof(results, (tall,))
         bundle = ProofBundleMsg("t", multiproof).encode()
         assert bundle == b"\x01t" + b"".join(
             (
-                bytes([3, 4, 1, 2]),         # m, n_leaves, RAW, height
-                bytes([2, 0, 2]),            # the samples, in sample order
-                b"\x02\x03\x00\x00\x00\x03\x02\x02\x02",  # leaves 0 and 2
-                b"\x02\x04" + tall + b"\x04" + tall,  # leaf level: nodes 1, 3
-            )                                # level 1: 0 and 1 cover each other
+                bytes([4, 3]) + b"".join(results),  # leaf pairs 0 and 1
+                bytes([1, 4]) + tall,   # level 2: node 1 (level 1 covers itself)
+            )
         )
         decoded = ProofBundleMsg.decode(bundle)
-        assert [p.index for p in decoded.proofs] == [2, 0, 2]
-        assert decoded.proofs[0] is decoded.proofs[2]
-        assert [p.path.siblings for p in decoded.proofs[:2]] == [[tall, None]] * 2
+        assert decoded == ProofBundleMsg("t", multiproof)
         assert decoded.encode() == bundle
         assert ProofBundleMsg.decode(decoded.encode()) == decoded
 
