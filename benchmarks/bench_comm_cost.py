@@ -25,16 +25,31 @@ than the per-path count.  ``per_path_ratio`` is the per-path count over
 the measured bytes: what the shared form saves, largest where ``m``
 samples crowd a small tree.
 
+The supervisor's side of the same bundles: the hashes its ledger
+charges for each equal ``analysis.costs.verifier_hashes`` of its
+samples, exactly, and the mean of that count over seeded uniform draws
+lies inside an exact (McDiarmid) interval around
+``expected_verifier_hashes``: one draw moves the count by at most
+``H + 1`` (its pair's two leaves and its ancestors below the root), so
+the mean of ``N`` sets of ``m`` draws misses its expectation by ``t``
+or more with probability at most ``2·exp(−2t²N / (m(H + 1)²))``.  No
+miss is tolerated.
+
 E8 rides here too: the proof-size table backing §3.1's "the
 communication cost of this process is proportional to the height of
 the tree".
 """
 
+import math
+import random
+
 from repro.analysis import format_table
 from repro.analysis.costs import (
     cbs_bundle_bytes,
     cbs_participant_bytes,
+    expected_verifier_hashes,
     naive_bytes_per_task,
+    verifier_hashes,
 )
 from repro.baselines import DoubleCheckScheme, NaiveSamplingScheme
 from repro.cheating import HonestBehavior
@@ -72,6 +87,8 @@ def measure_for(n: int) -> dict:
     assert measured - commitment.wire_size() == cbs_bundle_bytes(
         indices, n, digest_size=32, result_size=16, task_id_size=len(task.task_id)
     )
+    # And the supervisor's work on it: every hash it charged, exactly.
+    assert cbs.supervisor_ledger.hashes == verifier_hashes(indices, n)
     return {
         "n": n,
         "double_check_bytes": double.supervisor_ledger.bytes_received,
@@ -151,6 +168,53 @@ def test_comm_cost_paper_extrapolation(benchmark, save_table):
     assert 10e6 < by_n["2^64"]["naive_terabytes"] < 400e6
     # CBS at 2^64 with m=50 stays in the ~100 KB range.
     assert by_n["2^64"]["cbs_bytes"] < 150_000
+
+
+#: (n, m, chain): the two NI-CBS service shapes, with Eq. 4's links,
+#: and this sweep's CBS shape.
+WORK_SHAPES = ((512, 256, 256), (64, 16, 16), (4096, M, 0))
+#: Seeded sets per shape, and the interval's miss probability.
+DRAWS, DELTA = 2000, 1e-9
+
+
+def verifier_work_rows() -> list[dict]:
+    rows = []
+    for n, m, chain in WORK_SHAPES:
+        rng = random.Random(n * 1000 + m)
+        counts = [
+            verifier_hashes([rng.randrange(n) for _ in range(m)], n, chain=chain)
+            for _ in range(DRAWS)
+        ]
+        height = (n - 1).bit_length()
+        half_width = (height + 1) * math.sqrt(m * math.log(2 / DELTA) / (2 * DRAWS))
+        rows.append({
+            "n": n,
+            "m": m,
+            "chain": chain,
+            "expected_hashes": round(expected_verifier_hashes(n, m, chain=chain), 2),
+            "mean_hashes": round(sum(counts) / DRAWS, 2),
+            "half_width": round(half_width, 2),
+            "per_path_hashes": chain + m * (height + 1),
+        })
+    return rows
+
+
+def test_verifier_work_matches_closed_form(save_table):
+    rows = verifier_work_rows()
+    save_table(
+        "E3_verifier_work",
+        format_table(
+            rows,
+            title=(
+                f"E3 — supervisor hashes per honest bundle: mean of {DRAWS} "
+                f"seeded draws vs closed form (interval at δ = {DELTA:g})"
+            ),
+        ),
+    )
+    for row in rows:
+        assert abs(row["mean_hashes"] - row["expected_hashes"]) <= row["half_width"]
+        # The shared fold never hashes more than m paths would.
+        assert row["mean_hashes"] <= row["per_path_hashes"]
 
 
 def test_proof_size_table(benchmark, save_table):

@@ -89,6 +89,13 @@ def uint_size(value: int) -> int:
     return (value.bit_length() + 6) // 7 or 1
 
 
+def fixed_list_size(items) -> int:
+    """``count ‖ width ‖ items`` (the count alone when empty)."""
+    if not items:
+        return uint_size(0)
+    return uint_size(len(items)) + uint_size(len(items[0])) + len(items) * len(items[0])
+
+
 def floor_commit(job):
     task, salt = job.assignment, job.seed.to_bytes(8, "big")
     fn, start, n = task.function, task.domain.start, task.n_inputs
@@ -157,7 +164,8 @@ def floor_challenge(job, state):
 
 def floor_prove(state):
     levels, indices = state["levels"], state["indices"]
-    leaves = sorted(set(indices))
+    # Both leaves of every touched pair (n = 16: no padding partner).
+    leaves = sorted({leaf ^ side for leaf in indices for side in (0, 1)})
     covered, supplied, nodes = leaves, [], []
     for row in levels[:-1]:
         have = set(covered)
@@ -211,12 +219,7 @@ def floor_books(state):
     commitment = head + 1 + len(state["root"]) + uint_size(n)
     challenge = head + uint_size(M) + sum(map(uint_size, indices))
     results, supplied = state["results"], state["supplied"]
-    bundle = (
-        head + uint_size(M) + uint_size(n) + 1 + uint_size(len(state["nodes"]))
-        + sum(map(uint_size, indices))
-        + uint_size(len(results)) + sum(1 + len(r) for r in results)
-        + uint_size(len(supplied)) + sum(1 + len(d) for d in supplied)
-    )
+    bundle = head + fixed_list_size(results) + fixed_list_size(supplied)
     accepted = all(ok for _index, ok, _reason in state["verdicts"])
     reason = "" if accepted else state["verdicts"][-1][2]
     verdict = head + 1 + 1 + len(reason)

@@ -105,6 +105,14 @@ class CostLedger:
         self.verification_cost += cost
         self.verifications += 1
 
+    def charge_verifications(self, cost: float, count: int) -> None:
+        """Record ``count`` verifications of ``cost`` each, as that many
+        :meth:`charge_verification` calls would."""
+        self._check(cost, "verification")
+        self._check(count, "verification count")
+        self.verification_cost = _add_repeated(self.verification_cost, cost, count)
+        self.verifications += count
+
     def charge_hash(self, cost: float) -> None:
         """Record one hash invocation of the given cost."""
         self._check(cost, "hash")

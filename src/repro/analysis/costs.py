@@ -12,6 +12,11 @@ These are the analytic models the measured ledgers are compared with:
   derive from each other, once or not at all, and a leaf's pair
   partner as its result.  :func:`cbs_bundle_bytes`, the shared fold's
   closed form, gives those bytes exactly from the sample set.
+* **Verifier work (§3.1 Step 4).**  The paper prices the supervisor at
+  ``m`` evaluations plus the hashes of ``m`` authentication paths; a
+  shared fold hashes each covered node once, so the count depends on
+  the sample set: :func:`verifier_hashes` is exact for one set, and
+  :func:`expected_verifier_hashes` its mean over uniform draws.
 * **Storage trade-off (§3.3, E4)** — the ``rco`` forms live in
   :mod:`repro.core.storage_opt`; here is the expected number of subtrees
   a challenge touches: a bundle rebuilds each once, so the measured
@@ -24,8 +29,10 @@ These are the analytic models the measured ledgers are compared with:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Sequence
 
+from repro.merkle.multiproof import bundle_shape
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 from repro.utils.encoding import encode_uint
 
@@ -129,6 +136,72 @@ def cbs_bundle_bytes(
         + _fixed_list_bytes(results, result_size)
         + _fixed_list_bytes(digests, digest_size)
     )
+
+
+def verifier_hashes(
+    indices: Sequence[int],
+    n: int,
+    chain: int = 0,
+    raw: bool = False,
+    awaiting: bool = True,
+) -> int:
+    """Hashes the Step-4 verifier charges for the samples ``indices``
+    over ``n`` leaves, exact: written from :func:`bundle_shape`, the
+    shape the verifier folds.
+
+    ``chain`` hashes first (Eq. 4's ``m`` links under NI-CBS, none under
+    CBS); then, only when some sample came through check 1 and
+    ``awaiting`` attestation, one hash per leaf of each touched pair
+    (under RAW leaves, only the padding leaf's) and one per covered
+    interior node, the root included.
+    """
+    if n < 1 or any(not 0 <= index < n for index in indices):
+        raise ValueError("need n >= 1 and every sample in [0, n)")
+    if not awaiting:
+        return chain
+    leaves, nodes = bundle_shape(indices, ceil_log2(n))
+    count = len(leaves) - bisect_left(leaves, n) if raw else len(leaves)
+    width = len(leaves)
+    for supplied in nodes:
+        width = (width + len(supplied)) // 2
+        count += width
+    return chain + count
+
+
+def expected_verifier_hashes(
+    n: int, m: int, chain: int = 0, raw: bool = False
+) -> float:
+    """:func:`verifier_hashes`' mean over ``m`` uniform draws from
+    ``[0, n)`` with replacement, when some sample awaits attestation
+    (an honest bundle).
+
+    A level-``ℓ`` node over ``w`` of the ``n`` real leaves is covered
+    with probability ``1 − (1 − w/n)^m``; in a tree of ``2^h`` real
+    leaves that is ``2^(h−ℓ)·(1 − (1 − 2^(ℓ−h))^m)`` covered nodes per
+    level, and a ragged last node adds its own term.  The leaf level
+    hashes both leaves of each covered level-1 pair (under RAW only the
+    padding partner of the last leaf of an odd ``n``); the root is
+    always covered.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    height = ceil_log2(n)
+
+    def covered(level: int) -> float:
+        full, ragged = divmod(n, 1 << level)
+        return sum(
+            count * (1 - (1 - width / n) ** m)
+            for width, count in ((1 << level, full), (ragged, ragged > 0))
+            if count
+        )
+
+    if not height:
+        leaf = 0.0 if raw else 1.0
+    elif raw:
+        leaf = 1 - (1 - 1 / n) ** m if n % 2 else 0.0
+    else:
+        leaf = 2 * covered(1)
+    return chain + leaf + sum(covered(level) for level in range(1, height + 1))
 
 
 def cbs_supervisor_bytes_per_task(

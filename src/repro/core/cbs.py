@@ -212,7 +212,6 @@ class CBSSupervisor:
         self.seed = seed
         self.with_replacement = with_replacement
         self.stop_on_first_failure = stop_on_first_failure
-        self._metered = MeteredFunction(assignment.function, self.ledger)
         self._commitment: CommitmentMsg | None = None
         self._challenge: SampleChallengeMsg | None = None
 
@@ -288,10 +287,11 @@ class CBSSupervisor:
             root=self._commitment.root,
             n_leaves=self._commitment.n_leaves,
             domain=self.assignment.domain,
-            function=self._metered,
+            function=self.assignment.function,
             hash_fn=self.hash_fn,
             leaf_encoding=self.leaf_encoding,
             stop_on_first_failure=self.stop_on_first_failure,
+            ledger=self.ledger,
         )
         if verdicts is None:
             outcome.accepted = False

@@ -23,6 +23,8 @@ the arithmetic is otherwise identical.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.cheating.strategies import Behavior
 from repro.core.cbs import CBSParticipant, transfer
 from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
@@ -38,7 +40,6 @@ from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
 from repro.merkle.tree import LeafEncoding
-from repro.tasks.function import MeteredFunction
 from repro.tasks.result import TaskAssignment
 
 
@@ -55,10 +56,8 @@ def derive_sample_indices(
         raise SchemeConfigurationError(f"domain size must be >= 1, got {n}")
     if m < 1:
         raise SchemeConfigurationError(f"m must be >= 1, got {m}")
-    return [
-        int.from_bytes(link, "big") % n
-        for link in sample_hash.digest_chain(root, m)
-    ]
+    links = sample_hash.digest_chain(root, m)
+    return list(map(n.__rmod__, map(int.from_bytes, links, repeat("big"))))
 
 
 class NICBSParticipant(CBSParticipant):
@@ -147,7 +146,6 @@ class NICBSSupervisor:
         )
         self.leaf_encoding = leaf_encoding
         self.stop_on_first_failure = stop_on_first_failure
-        self._metered = MeteredFunction(assignment.function, self.ledger)
 
     def verify(self, submission: NICBSSubmissionMsg) -> VerificationOutcome:
         """Validate the one-shot submission end to end."""
@@ -180,10 +178,11 @@ class NICBSSupervisor:
             root=submission.root,
             n_leaves=submission.n_leaves,
             domain=self.assignment.domain,
-            function=self._metered,
+            function=self.assignment.function,
             hash_fn=self.hash_fn,
             leaf_encoding=self.leaf_encoding,
             stop_on_first_failure=self.stop_on_first_failure,
+            ledger=self.ledger,
         )
         if verdicts is None:
             # A bundle for other samples than Eq. 4's.

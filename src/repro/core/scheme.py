@@ -13,6 +13,8 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cheating.strategies import Behavior, ComputedWork, WorkSummary
@@ -68,6 +70,9 @@ class SampleVerdict:
     reason: RejectReason = RejectReason.OK
 
 
+_accepted = attrgetter("accepted")
+
+
 @dataclass
 class VerificationOutcome:
     """The supervisor's final decision for one participant's task."""
@@ -84,10 +89,9 @@ class VerificationOutcome:
         under stop-on-first-failure is the only one.
         """
         self.verdicts.extend(verdicts)
-        for verdict in verdicts:
-            if not verdict.accepted:
-                self.accepted = False
-                self.reason = verdict.reason
+        for verdict in filterfalse(_accepted, verdicts):
+            self.accepted = False
+            self.reason = verdict.reason
 
     @property
     def first_failure(self) -> SampleVerdict | None:

@@ -33,9 +33,12 @@ verifier needs and tests exercise via failure injection.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import compress, islice, takewhile
+from operator import truth
 from typing import Sequence
 
+from repro.accounting import CostLedger
 from repro.core.scheme import RejectReason, SampleVerdict
 from repro.merkle.hashing import HashFunction
 from repro.merkle.multiproof import Multiproof, bundle_shape
@@ -51,7 +54,13 @@ _OK, _WRONG, _MALFORMED = (
 )
 #: A verdict is a frozen value: one object per (index, accepted,
 #: reason), shared by every sample, and every bundle, that earns it.
+#: Check 1's two outcomes have a cache each, keyed by the index alone
+#: (the cheapest key on the per-sample path).
 _verdict = lru_cache(maxsize=1 << 10)(SampleVerdict)
+_passed = lru_cache(maxsize=1 << 10)(partial(SampleVerdict, accepted=True))
+_failed = lru_cache(maxsize=1 << 10)(
+    partial(SampleVerdict, accepted=False, reason=_WRONG)
+)
 
 
 def _fits(
@@ -80,54 +89,66 @@ def verify_proof_bundle(
     hash_fn: HashFunction,
     leaf_encoding: LeafEncoding,
     stop_on_first_failure: bool,
+    ledger: CostLedger | None = None,
 ) -> list[SampleVerdict] | None:
     """Run both Step-4 checks over a bundle of the supervisor's own
     samples ``indices``; one verdict per sample, or ``None`` when the
     bundle's result or digest count does not fit them, or a sample
-    lies past the tree (nothing evaluated or hashed; the caller names
-    the reason).
+    lies outside the tree (nothing evaluated or hashed; the caller
+    names the reason).
 
     Verdicts come back in sample order and stop after the first
     rejection when ``stop_on_first_failure`` is set; samples with one
     index and reason share one verdict.  Three passes: the bundle's
     shape, with nothing hashed or evaluated; check 1 per sample, in
-    order, through one ``function.verifier`` (one evaluation per
-    sample when ``verify`` re-computes); then — iff some sample came
-    through both and awaits attestation — one fold of the shared tree
-    against ``root``.  A miss is ``ROOT_MISMATCH`` for every awaiting
-    sample (the first only, under stop).  The caller charges
-    verification cost to its ledger through ``function`` (one
-    verification per sample checked) and ``hash_fn`` (this function is
-    pure protocol logic): one hash per leaf of each touched pair (none
-    per RAW leaf but the padding one) and per covered interior node,
-    none when no sample awaits attestation.
+    order and lazily (the first failure ends it under stop), through
+    one ``function.verifier`` (one evaluation per distinct leaf when
+    ``verify`` re-computes); then — iff some sample came through both
+    and awaits attestation — one fold of the shared tree against
+    ``root``.  A miss is ``ROOT_MISMATCH`` for every awaiting sample
+    (the first only, under stop).
+
+    ``ledger``, when given, is charged one verification per sample
+    checked, in one charge once check 1 is done; hashes are charged
+    through ``hash_fn`` (a :class:`~repro.merkle.hashing.CountingHash`):
+    one per leaf of each touched pair (none per RAW leaf but the
+    padding one) and per covered interior node, none when no sample
+    awaits attestation (:func:`repro.analysis.costs.verifier_hashes`).
     """
     leaves, nodes = bundle_shape(indices, ceil_log2(n_leaves))
     real = bisect_left(leaves, n_leaves)
     if (
         len(bundle.results) != real
         or len(bundle.digests) != sum(map(len, nodes))
-        or (leaves and max(indices) >= n_leaves)  # a sample past the tree
+        # a sample outside the tree
+        or (leaves and (leaves[0] < 0 or max(indices) >= n_leaves))
     ):
         return None
-    fits = _fits(bundle, function.result_size, hash_fn, leaf_encoding)
-    if fits:
-        claimed = dict(zip(leaves, bundle.results))
-        check = function.verifier(domain)
-    verdicts: list[SampleVerdict] = []
-    awaiting: list[int] = []
-    for index in indices:
-        if not fits:
-            verdict = _verdict(index, False, _MALFORMED)
-        # Check 1: is the claimed f(x) actually correct?
-        elif check(index, claimed[index]):
-            verdict = _verdict(index, True, _OK)
-            awaiting.append(len(verdicts))
-        else:
-            verdict = _verdict(index, False, _WRONG)
-        verdicts.append(verdict)
-        if stop_on_first_failure and not verdict.accepted:
-            break
+    if not _fits(bundle, function.result_size, hash_fn, leaf_encoding):
+        return [
+            _verdict(index, False, _MALFORMED)
+            for index in (indices[:1] if stop_on_first_failure else indices)
+        ]
+    # Check 1: is the claimed f(x) actually correct?
+    claimed = dict(zip(leaves, bundle.results))
+    checks = map(
+        function.verifier(domain), indices, map(claimed.__getitem__, indices)
+    )
+    if stop_on_first_failure:
+        passed = len(list(takewhile(truth, checks)))
+        verdicts = list(map(_passed, islice(indices, passed)))
+        if passed < len(indices):
+            verdicts.append(_failed(indices[passed]))
+        awaiting = range(passed)
+    else:
+        oks = list(checks)
+        verdicts = [
+            _passed(index) if ok else _failed(index)
+            for index, ok in zip(indices, oks)
+        ]
+        awaiting = list(compress(range(len(oks)), oks))
+    if ledger is not None:
+        ledger.charge_verifications(function.effective_verify_cost, len(verdicts))
     if not awaiting:
         return verdicts
     # Check 2: were these exact values committed?  Λ(f(x)s, λs) == Φ(R)?

@@ -40,9 +40,11 @@ def supplied_nodes(leaves: Sequence[int], height: int) -> list[list[int]]:
     """Per level, the nodes whose digests a multiproof of ``leaves`` must
     supply, left to right.
 
-    ``leaves`` are distinct leaf indices in ascending order and
-    ``height`` the path length; level 0 is the leaf level.  A supplied
-    node is the sibling of a covered node that is not covered itself.
+    ``leaves`` are distinct node indices of the walk's bottom level (the
+    leaf level, or a bundle's touched pairs one level up), ascending,
+    and ``height`` the number of levels walked; row 0 is the bottom
+    level.  A supplied node is the sibling of a covered node that is
+    not covered itself.
     Every other position of every path is derivable, and no consumer
     reads it.
     """
@@ -63,13 +65,16 @@ def bundle_shape(
     sample alone at height 0, where the one leaf is the root); those at
     or past the tree's real leaf count are padding, the only ones whose
     results do not travel.  Every level-0 sibling is then a covered
-    leaf, so the supplied digests start at level 1.
+    leaf, so level 0 supplies nothing and the walk starts at level 1,
+    from the touched pairs.
     """
     leaves = set(indices)
-    if height:
-        leaves.update([leaf ^ 1 for leaf in leaves])
+    if not height:
+        return sorted(leaves), []
+    leaves.update([leaf ^ 1 for leaf in leaves])
     leaves = sorted(leaves)
-    return leaves, supplied_nodes(leaves, height)
+    pairs = [leaf >> 1 for leaf in leaves[::2]]
+    return leaves, [[], *supplied_nodes(pairs, height - 1)]
 
 
 @dataclass(frozen=True)

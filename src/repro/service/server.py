@@ -27,22 +27,27 @@ Concurrency model:
   (:func:`~repro.service.verification_jobs.timed`), into one server-wide
   estimate that jumps to a dearer reading at once and decays towards
   cheaper ones.  A job runs inline on the loop iff the estimate is
-  known and at or under :data:`INLINE_BUDGET_S`; the first job of a
-  server, any job after a slow one and every job over the budget go
-  through ``loop.run_in_executor`` to the engine's ``futures_pool``
-  (``serial`` has none and is always inline).  The pool buys loop
-  responsiveness — other sessions' frames move while a long fold runs
-  — never GIL parallelism, so a sub-millisecond job is cheaper where
-  its frame landed.  A server-wide semaphore bounds the verifications
-  in flight under both placements;
+  known and at or under the pool's :func:`inline_budget`; the first
+  job of a server, any job after a slow one and every job over the
+  budget go through ``loop.run_in_executor`` to the engine's
+  ``futures_pool`` (``serial`` has none and is always inline).  A
+  thread pool buys loop responsiveness — other sessions' frames move
+  while a long fold runs — never GIL parallelism, and not even that
+  for a job that ends within the switch interval (the loop cannot
+  take the GIL back sooner), so on ``threads`` the budget is
+  ``sys.getswitchinterval()`` (5 ms) and on an out-of-process engine
+  :data:`INLINE_BUDGET_S` (1 ms).  A server-wide semaphore bounds the
+  verifications in flight under both placements;
 * a sweeper task periodically evicts abandoned sessions.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import logging
+import sys
 import time
 
 from repro.core.scheme import VerificationOutcome
@@ -85,6 +90,26 @@ MAX_PENDING_VERIFICATIONS = 128
 #: job (a dearer one replaces it at once): one slow job sends the next
 #: to the pool, and ~8 cheap ones in a row return from 2x the budget.
 _COST_DECAY = 0.1
+
+
+def inline_budget(pool: concurrent.futures.Executor) -> float:
+    """Thread-CPU seconds a job may cost and still run on the loop,
+    given the pool it would otherwise go to.
+
+    A verification is pure Python and holds the GIL for its whole run
+    (``hashlib`` lets it go only for inputs of 2 KiB or more), and the
+    loop thread must wait out the switch interval before it can force
+    the GIL back.  So a job on a thread pool that ends within the
+    interval buys neither parallelism nor a responsive loop, only the
+    hop: a future, thread wake-ups and GIL hand-offs.  On a thread pool
+    the budget is therefore the larger of :data:`INLINE_BUDGET_S` and
+    ``sys.getswitchinterval()``, read now; a pool out of the process
+    (``processes``, ``cluster``) runs beside the loop, and keeps
+    :data:`INLINE_BUDGET_S`.
+    """
+    if isinstance(pool, concurrent.futures.ThreadPoolExecutor):
+        return max(INLINE_BUDGET_S, sys.getswitchinterval())
+    return INLINE_BUDGET_S
 
 
 # ----------------------------------------------------------------------
@@ -333,16 +358,16 @@ class SupervisorServer:
         """Run one verification job where it is cheapest, bounded.
 
         Inline on the loop when the server's cost estimate is known and
-        within :data:`INLINE_BUDGET_S` (or the engine has no pool),
-        otherwise on the engine's ``futures_pool``.  The semaphore caps
-        verifications in flight server-wide either way.
+        within :func:`inline_budget` of the pool (or the engine has no
+        pool), otherwise on the engine's ``futures_pool``.  The
+        semaphore caps verifications in flight server-wide either way.
         """
         started = time.perf_counter()
         async with self._verify_slots:
             pool = self._executor.futures_pool
             inline = pool is None or (
                 self._job_cost is not None
-                and self._job_cost <= INLINE_BUDGET_S
+                and self._job_cost <= inline_budget(pool)
             )
             # Each verification is a one-item engine map that bypasses
             # Executor.map: meter it here, under the name of the engine

@@ -26,9 +26,12 @@ deterministic function with:
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.exceptions import TaskError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tasks.domain import Domain
 
 
 class TaskFunction(abc.ABC):
@@ -69,23 +72,26 @@ class TaskFunction(abc.ABC):
         """:meth:`evaluate`, with what its calls share set up once."""
         return self.evaluate
 
-    def verifier(self, domain: Sequence[Any]) -> Callable[[int, bytes], bool]:
+    def verifier(self, domain: Domain) -> Callable[[int, bytes], bool]:
         """Check 1 for one proof bundle: ``check(i, claimed)`` is
         ``verify(domain[i], claimed)``, uncharged.
 
-        The default :meth:`verify` re-computes, so the check evaluates
-        each leaf once, through one :meth:`evaluator`, however many
-        samples ask.  A function that overrides :meth:`verify` is asked
-        per sample.
+        Inputs are read off ``domain.inputs()`` (the caller keeps ``i``
+        inside the domain).  The default :meth:`verify` re-computes, so
+        the check evaluates each leaf once, through one
+        :meth:`evaluator`, however many samples ask.  A function that
+        overrides :meth:`verify` is asked per sample.
         """
+        inputs = domain.inputs()
         if type(self).verify is not TaskFunction.verify:
-            return lambda i, claimed: self.verify(domain[i], claimed)
+            verify = self.verify
+            return lambda i, claimed: verify(inputs[i], claimed)
         evaluate, values = self.evaluator(), {}
 
         def check(i: int, claimed: bytes) -> bool:
             value = values.get(i)
             if value is None:
-                value = values[i] = evaluate(domain[i])
+                value = values[i] = evaluate(inputs[i])
             return value == claimed
 
         return check
@@ -145,7 +151,7 @@ class GuessableFunction(TaskFunction):
     def verify(self, x: Any, claimed: bytes) -> bool:
         return self.inner.verify(x, claimed)
 
-    def verifier(self, domain: Sequence[Any]) -> Callable[[int, bytes], bool]:
+    def verifier(self, domain: Domain) -> Callable[[int, bytes], bool]:
         return self.inner.verifier(domain)
 
     @property
@@ -158,7 +164,10 @@ class MeteredFunction(TaskFunction):
 
     The ledger is duck-typed (``charge_evaluation(cost)`` /
     ``charge_evaluations(cost, count)`` / ``charge_verification(cost)``)
-    to avoid importing the grid layer.
+    to avoid importing the grid layer.  Its inherited
+    :meth:`verifier` asks :meth:`verify` per sample, so it charges one
+    verification per call; the supervisors do not wrap their function
+    and charge check 1 once, in bulk (``charge_verifications``).
     """
 
     def __init__(self, inner: TaskFunction, ledger) -> None:
@@ -187,18 +196,6 @@ class MeteredFunction(TaskFunction):
     def verify(self, x: Any, claimed: bytes) -> bool:
         self.ledger.charge_verification(self.inner.effective_verify_cost)
         return self.inner.verify(x, claimed)
-
-    def verifier(self, domain: Sequence[Any]) -> Callable[[int, bytes], bool]:
-        """``inner``'s verifier, charged one verification per call, as
-        :meth:`verify` is, whether or not the call evaluates."""
-        check, charge = self.inner.verifier(domain), self.ledger.charge_verification
-        cost = self.inner.effective_verify_cost
-
-        def metered(i: int, claimed: bytes) -> bool:
-            charge(cost)
-            return check(i, claimed)
-
-        return metered
 
     @property
     def result_size(self) -> int:

@@ -88,7 +88,8 @@ def _width_runs(xs: Sequence[Any]) -> list[tuple[int, int, int]] | None:
 
 
 #: One seeded hasher per salt, shared by every batch and verify pass
-#: (a ``PrfPrefix`` is read-only once built).
+#: (a ``PrfPrefix`` only ever adds a per-width framed hasher, the same
+#: one whichever thread builds it).
 _salted = lru_cache(maxsize=64)(PrfPrefix)
 
 
@@ -126,8 +127,7 @@ class PasswordSearch(TaskFunction):
         return prf_bytes(self.salt, _encode_int(x), n_bytes=self.digest_bytes)
 
     def evaluator(self) -> Callable[[Any], bytes]:
-        keyed, cut = _salted(self.salt).one, self.digest_bytes
-        return lambda x: keyed(_encode_int(x), cut)
+        return _salted(self.salt).keyed(_encode_int, self.digest_bytes)
 
     def evaluate_many(self, xs: Sequence[Any]) -> list[bytes]:
         # The salt is absorbed once per salt, and each run of one key

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 
 _sha256 = hashlib.sha256
@@ -137,12 +137,13 @@ class PrfPrefix:
     method equals its per-item ``prf_*`` call.
     """
 
-    __slots__ = ("_hasher",)
+    __slots__ = ("_hasher", "_widths")
 
     def __init__(self, *parts: bytes) -> None:
         self._hasher = _sha256(
             b"".join([len(part).to_bytes(8, "big") + part for part in parts])
         )
+        self._widths: dict[int, Callable] = {}
 
     def one(self, tail: bytes, n_bytes: int = 32) -> bytes:
         """``prf_bytes(*parts, tail, n_bytes=n_bytes)``."""
@@ -151,11 +152,42 @@ class PrfPrefix:
             return _sha256(h.digest() + _BLOCK0).digest()[:n_bytes]
         return _expand(h.digest(), n_bytes)
 
-    def _framed(self, width: int):
-        """``copy`` of the seeded hasher with a ``width``-byte tail's frame in."""
-        hasher = self._hasher.copy()
-        hasher.update(width.to_bytes(8, "big"))
-        return hasher.copy
+    def _framed(self, width: int) -> Callable:
+        """``copy`` of the seeded hasher with a ``width``-byte tail's frame
+        in, built once per width (two threads racing on a width build
+        the same hasher; either may be kept)."""
+        copy = self._widths.get(width)
+        if copy is None:
+            hasher = self._hasher.copy()
+            hasher.update(width.to_bytes(8, "big"))
+            copy = self._widths[width] = hasher.copy
+        return copy
+
+    def keyed(
+        self, encode: Callable[[Any], bytes], n_bytes: int = 32
+    ) -> Callable[[Any], bytes]:
+        """``x -> prf_bytes(*parts, encode(x), n_bytes=n_bytes)``, one
+        input at a time.
+
+        ``encode`` must write a non-negative ``int`` at its minimal
+        big-endian width (one byte for 0): such an input is absorbed
+        through :meth:`fixed_bytes_many`'s per-width framed hasher, and
+        pays the two SHA-256 calls and its ``to_bytes``; anything else
+        goes through ``encode`` and :meth:`one`.
+        """
+        one, widths, framed = self.one, self._widths, self._framed
+        if not 0 <= n_bytes <= 32:
+            return lambda x: one(encode(x), n_bytes)
+
+        def keyed(x: Any) -> bytes:
+            if type(x) is not int or x < 0:
+                return one(encode(x), n_bytes)
+            width = (x.bit_length() + 7) // 8 or 1
+            copy = widths.get(width) or framed(width)
+            (h := copy()).update(x.to_bytes(width, "big"))
+            return _sha256(h.digest() + _BLOCK0).digest()[:n_bytes]
+
+        return keyed
 
     def bytes_many(
         self, tails: Iterable[bytes], n_bytes: int = 32

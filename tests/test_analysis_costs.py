@@ -1,25 +1,32 @@
 """Tests for cost closed forms vs measured ledgers."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
+from proof_reference import shared_fold_hashes
 from repro.analysis.costs import (
     cbs_bundle_bytes,
     cbs_participant_bytes,
     cbs_supervisor_bytes_per_task,
     expected_touched_subtrees,
+    expected_verifier_hashes,
     honest_sample_generation_overhead,
     min_sample_hash_cost,
     naive_bytes_per_task,
     regrind_expected_cost,
     uncheatable_g_rounds,
+    verifier_hashes,
 )
 from repro.baselines import NaiveSamplingScheme
-from repro.cheating import HonestBehavior
-from repro.core import CBSParticipant, CBSScheme
+from repro.cheating import HonestBehavior, SemiHonestCheater
+from repro.core import CBSParticipant, CBSScheme, NICBSScheme
 from repro.core.protocol import ProofBundleMsg, SampleChallengeMsg
+from repro.core.scheme import RejectReason
+from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.utils.bitmath import ceil_log2
 
 
 class TestCommunicationModels:
@@ -134,6 +141,82 @@ class TestExpectedTouchedSubtrees:
         for args in ((0, 1, 0), (4, 5, 0), (4, -1, 0), (4, 2, -1)):
             with pytest.raises(ValueError):
                 expected_touched_subtrees(*args)
+
+
+class TestVerifierWork:
+    """The supervisor's charged hashes: exact per sample set, and in
+    expectation over uniform draws with replacement."""
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["hashed", "raw"])
+    def test_exact_count_is_the_reference_fold(self, raw):
+        rng = random.Random(7)
+        for n in [*range(1, 71), 128, 200, 1024]:
+            for m in (1, 2, 5, 16, 64):
+                indices = [rng.randrange(n) for _ in range(m)]
+                fold = shared_fold_hashes(indices, n, ceil_log2(n), raw)
+                assert verifier_hashes(indices, n, raw=raw) == fold
+                assert verifier_hashes(indices, n, chain=m, raw=raw) == m + fold
+                assert verifier_hashes(indices, n, chain=m, awaiting=False) == m
+
+    @pytest.mark.parametrize("encoding", [LeafEncoding.HASHED, LeafEncoding.RAW])
+    @pytest.mark.parametrize("behavior", [HonestBehavior(), SemiHonestCheater(0.5)])
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_exact_count_is_what_the_supervisor_charges(
+        self, protocol, behavior, encoding
+    ):
+        # Every sample's verdict is kept (no stop), so the verdicts name
+        # the sample multiset; a fold runs iff one passed check 1.
+        fn = PasswordSearch(digest_bytes=32)
+        for n, m in ((1, 3), (2, 2), (7, 5), (64, 16), (200, 40), (512, 256)):
+            scheme = (
+                CBSScheme(m, leaf_encoding=encoding, stop_on_first_failure=False)
+                if protocol == "cbs"
+                else NICBSScheme(m, leaf_encoding=encoding, stop_on_first_failure=False)
+            )
+            for seed in range(3):
+                task = TaskAssignment("w", RangeDomain(0, n), fn)
+                result = scheme.run(task, behavior, seed=seed)
+                verdicts = result.outcome.verdicts
+                assert len(verdicts) == m
+                expected = verifier_hashes(
+                    [v.index for v in verdicts], n,
+                    chain=m if protocol == "ni-cbs" else 0,
+                    raw=encoding is LeafEncoding.RAW,
+                    awaiting=any(v.reason is not RejectReason.WRONG_RESULT for v in verdicts),
+                )
+                assert result.supervisor_ledger.hashes == expected
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["hashed", "raw"])
+    @pytest.mark.parametrize(
+        "n, m", [(1, 2), (2, 3), (3, 3), (4, 2), (5, 3), (6, 3), (7, 2), (8, 3), (9, 3)]
+    )
+    def test_expectation_is_the_mean_over_every_draw(self, n, m, raw):
+        # Every sequence of m draws is equally likely with replacement.
+        counts = [
+            verifier_hashes(draw, n, chain=m, raw=raw)
+            for draw in product(range(n), repeat=m)
+        ]
+        assert expected_verifier_hashes(n, m, chain=m, raw=raw) == pytest.approx(
+            sum(counts) / len(counts), rel=1e-12
+        )
+
+    def test_the_power_of_two_closed_form(self):
+        # svc_nicbs_proofheavy: n = 2^9, m = 256, Eq. 4's 256 links.  Level
+        # ℓ holds 2^(h−ℓ)·(1 − (1 − 2^(ℓ−h))^m) covered nodes; the leaf
+        # level hashes both leaves of each covered pair.
+        h, m = 9, 256
+        covered = [2 ** (h - level) * (1 - (1 - 2.0 ** (level - h)) ** m) for level in range(h + 1)]
+        closed = m + 2 * covered[1] + sum(covered[1:])
+        assert expected_verifier_hashes(2**h, m, chain=m) == pytest.approx(closed, rel=1e-12)
+        assert 960 < closed < 1000
+
+    def test_validation(self):
+        for args in (([0], 0), ([3], 3), ([-1], 4)):
+            with pytest.raises(ValueError):
+                verifier_hashes(*args)
+        for args in ((0, 1), (4, 0)):
+            with pytest.raises(ValueError):
+                expected_verifier_hashes(*args)
 
 
 class TestEquationFive:

@@ -334,6 +334,17 @@ class TestEvaluateMany:
         want = [ref_password(fn, x) for x in xs]
         assert fn.evaluate_many(xs) == want
         assert [fn.evaluate(x) for x in xs] == want
+        # Check 1's evaluator: ints through the per-width framed hasher.
+        evaluate = fn.evaluator()
+        assert [evaluate(x) for x in xs] == want
+
+    @pytest.mark.parametrize("x", [-1, -(2**70), 1.5, None])
+    def test_the_evaluator_refuses_what_evaluate_refuses(self, x):
+        fn = PasswordSearch()
+        with pytest.raises(TaskError):
+            fn.evaluate(x)
+        with pytest.raises(TaskError):
+            fn.evaluator()(x)
 
     def test_a_range_is_taken_as_is(self):
         fn = PasswordSearch()
@@ -558,15 +569,28 @@ class TestBulkCharges:
         for each, n in ((first, first_n), (cost, count)):
             bulk.charge_hashes(each, n)
             bulk.charge_evaluations(each, n)
+            bulk.charge_verifications(each, n)
             for _ in range(n):
                 single.charge_hash(each)
                 single.charge_evaluation(each)
+                single.charge_verification(each)
         assert bulk == single  # dataclass ==: every float bit for bit
 
     def test_a_dime_a_time(self):
         ledger = CostLedger()
         ledger.charge_hashes(0.1, 10)
         assert ledger.hash_cost == sum([0.1] * 10) != 0.1 * 10
+
+    def test_a_dime_a_verification(self):
+        # The supervisors charge check 1 once, after it: the books of
+        # one charge per sample checked.
+        bulk, single = CostLedger(), CostLedger()
+        bulk.charge_verifications(0.1, 10)
+        for _ in range(10):
+            single.charge_verification(0.1)
+        assert bulk == single
+        assert bulk.verification_cost == sum([0.1] * 10) != 0.1 * 10
+        assert bulk.verifications == 10
 
     def test_integer_costs_past_exactness_still_add(self):
         bulk, single = CostLedger(), CostLedger()
@@ -577,7 +601,9 @@ class TestBulkCharges:
             single.charge_evaluation(3.0)
         assert bulk == single
 
-    @pytest.mark.parametrize("method", ["charge_hashes", "charge_evaluations"])
+    @pytest.mark.parametrize(
+        "method", ["charge_hashes", "charge_evaluations", "charge_verifications"]
+    )
     @pytest.mark.parametrize("cost, count", [(-0.5, 3), (1.0, -1), (-1.0, -1)])
     def test_negative_charges_are_refused(self, method, cost, count):
         ledger = CostLedger()

@@ -22,7 +22,7 @@ from repro.core.protocol import ProofBundleMsg
 from repro.core.scheme import RejectReason
 from repro.core.verification import verify_proof_bundle
 from repro.merkle import AuthenticationPath, CountingHash, MerkleTree, get_hash
-from repro.merkle.multiproof import bundle_shape
+from repro.merkle.multiproof import Multiproof, bundle_shape
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskFunction
 
@@ -321,6 +321,34 @@ class TestOneHeaderPerBundle:
         )
         assert verdicts is None
         assert (ledger.hashes, ledger.hash_cost) == (0, 0.0)
+
+
+    def test_sample_before_the_first_leaf(self):
+        # A negative sample is outside the tree too: refused with
+        # nothing hashed, never read off the domain from its end.
+        fn, domain = PasswordSearch(), RangeDomain(0, 16)
+        tree = MerkleTree([fn.evaluate(x) for x in domain])
+        indices = (3, -1)
+        leaves, nodes = bundle_shape(indices, 4)
+        # Counts and widths that fit the samples, so only the range
+        # check can refuse them.
+        fitting = Multiproof(
+            (bytes(16),) * len(leaves), (bytes(32),) * sum(map(len, nodes))
+        )
+        ledger = CostLedger()
+        verdicts = verify_proof_bundle(
+            fitting,
+            indices,
+            root=tree.root,
+            n_leaves=16,
+            domain=domain,
+            function=fn,
+            hash_fn=CountingHash(get_hash("sha256"), ledger),
+            leaf_encoding=LeafEncoding.HASHED,
+            stop_on_first_failure=False,
+        )
+        assert verdicts is None
+        assert (ledger.hashes, ledger.verifications) == (0, 0)
 
 
 class _Counting(TaskFunction):

@@ -10,7 +10,9 @@ the §4 broker relaying NI-CBS for many participants) are exercised by
 """
 
 import asyncio
+import concurrent.futures
 import dataclasses
+import sys
 import threading
 
 import pytest
@@ -26,7 +28,7 @@ from repro.core.cbs import CBSParticipant
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import AssignMsg, CommitmentMsg, NICBSSubmissionMsg
 from repro.core.scheme import RejectReason
-from repro.engine import SerialExecutor, run_scheme_jobs
+from repro.engine import SerialExecutor, get_executor, run_scheme_jobs
 from repro.exceptions import ProtocolError
 from repro.grid import GridSimulation, SimulationConfig
 from repro.merkle import AuthenticationPath
@@ -60,7 +62,7 @@ from repro.service.codec import (
     TraceGetRequest,
     resolve_scheme,
 )
-from repro.service.server import INLINE_BUDGET_S, memory_duplex
+from repro.service.server import INLINE_BUDGET_S, inline_budget, memory_duplex
 from repro.service.sessions import SupervisorCore
 from repro.tasks import PasswordSearch, RangeDomain
 
@@ -450,11 +452,56 @@ class FakeCpuClock:
         return self.now
 
 
-CHEAP, DEAR = INLINE_BUDGET_S / 4, INLINE_BUDGET_S * 4
+#: The inline budget on ``threads``: a job that ends within the switch
+#: interval holds the GIL no shorter on the pool than on the loop.
+SWITCH = sys.getswitchinterval()
+CHEAP, DEAR = INLINE_BUDGET_S / 4, SWITCH * 4
+#: Over the out-of-process budget, inside the thread pool's.
+BETWEEN = (INLINE_BUDGET_S + SWITCH) / 2
+
+
+class OutOfProcessPool(concurrent.futures.Executor):
+    """A pool outside the interpreter, as ``processes`` and ``cluster``
+    have, for placement: each job runs on a fresh thread, so the fake
+    clock still reads it, but it is no ``ThreadPoolExecutor``."""
+
+    def submit(self, fn, /, *args):
+        future = concurrent.futures.Future()
+        threading.Thread(target=lambda: future.set_result(fn(*args))).start()
+        return future
+
+
+class OutOfProcessEngine(SerialExecutor):
+    name = "processes"
+
+    @property
+    def futures_pool(self):
+        return OutOfProcessPool()
 
 
 class TestPlacement:
-    """Where a verification runs follows the cost the server measured."""
+    """Where a verification runs follows the cost the server measured,
+    against the budget of the pool it would go to."""
+
+    def test_the_budget_is_the_switch_interval_only_on_a_thread_pool(
+        self, monkeypatch
+    ):
+        assert SWITCH > INLINE_BUDGET_S  # CPython's 5 ms against 1 ms
+        threads = get_executor("threads", 1)
+        processes = get_executor("processes", 1)
+        try:
+            assert inline_budget(threads.futures_pool) == SWITCH
+            # Creating the pool starts no process; only a job would.
+            assert inline_budget(processes.futures_pool) == INLINE_BUDGET_S
+            assert inline_budget(OutOfProcessPool()) == INLINE_BUDGET_S
+            # Read at placement time, and never under the 1 ms budget.
+            monkeypatch.setattr(sys, "getswitchinterval", lambda: 0.002)
+            assert inline_budget(threads.futures_pool) == 0.002
+            monkeypatch.setattr(sys, "getswitchinterval", lambda: 1e-4)
+            assert inline_budget(threads.futures_pool) == INLINE_BUDGET_S
+        finally:
+            threads.close()
+            processes.close()
 
     def place(
         self, monkeypatch, costs, engine="threads", protocol="ni-cbs",
@@ -489,16 +536,32 @@ class TestPlacement:
     def test_a_reading_at_the_budget_is_inline_and_just_over_is_not(
         self, monkeypatch
     ):
+        # On threads the budget is the switch interval.
+        over = SWITCH * 1.0001
+        _server, _runs, placed = self.place(monkeypatch, [SWITCH, over, over])
+        assert placed == ["pool", "loop", "pool"]
+
+    def test_an_out_of_process_pool_keeps_the_one_millisecond_budget(
+        self, monkeypatch
+    ):
         over = INLINE_BUDGET_S * 1.0001
+        engine = OutOfProcessEngine()
         _server, _runs, placed = self.place(
-            monkeypatch, [INLINE_BUDGET_S, over, over]
+            monkeypatch, [INLINE_BUDGET_S, over, over], engine=engine
         )
         assert placed == ["pool", "loop", "pool"]
+        # A reading inline on threads stays on an out-of-process pool.
+        _server, _runs, placed = self.place(
+            monkeypatch, [CHEAP, BETWEEN, CHEAP], engine=engine
+        )
+        assert placed == ["pool", "loop", "pool"]
+        _server, _runs, placed = self.place(monkeypatch, [CHEAP, BETWEEN, CHEAP])
+        assert placed == ["pool", "loop", "loop"]
 
     def test_one_slow_reading_moves_the_next_job_back_at_once(self, monkeypatch):
         # 1.05x the budget, then one free job: the estimate decays a
         # tenth of the way (0.945x) and the loop is allowed again.
-        slow = 1.05 * INLINE_BUDGET_S
+        slow = 1.05 * SWITCH
         _server, _runs, placed = self.place(
             monkeypatch, [0.0, 0.0, slow, 0.0, 0.0]
         )
