@@ -76,7 +76,9 @@ LEDGER = (
     "hash_cost", "hashes", "bytes_sent", "bytes_received", "messages_sent",
     "messages_received", "storage_digests", "screening_cost",
 )
-REASONS = tuple(RejectReason)
+#: Wire code = position; code 4, retired, reads as a protocol violation.
+REASONS = (*tuple(RejectReason)[:4], RejectReason.PROTOCOL_VIOLATION,
+           *tuple(RejectReason)[4:])
 CODE = {reason: code for code, reason in enumerate(REASONS)}
 
 

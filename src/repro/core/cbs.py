@@ -19,15 +19,24 @@ steps as explicit methods (used directly by the examples), and
 :class:`CBSScheme` packages a full run behind the uniform
 :class:`~repro.core.scheme.VerificationScheme` interface with
 byte-accurate communication accounting.
+
+NI-CBS (:mod:`repro.core.ni_cbs`) changes only Step 2's source, the
+seed here, to Eq. 4's chain over the root (the Fiat–Shamir move), so
+both share this supervisor and one rule per malformed input: an
+envelope (task id, leaf count, root width) not the assignment's is a
+:class:`~repro.exceptions.ProtocolError`, a bundle whose counts do not
+fit the samples ``malformed_proof``, the rest a per-sample verdict.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from repro.cheating.strategies import Behavior, ComputedWork
 from repro.core.protocol import (
     CommitmentMsg,
+    NICBSSubmissionMsg,
     ProofBundleMsg,
     ReportsMsg,
     SampleChallengeMsg,
@@ -48,6 +57,14 @@ from repro.merkle.hashing import CountingHash, HashFunction, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks.function import MeteredFunction
 from repro.tasks.result import TaskAssignment
+
+
+def _own(msg, assignment: TaskAssignment) -> None:
+    """Refuse a message for another task: one wording for both sides."""
+    if msg.task_id != assignment.task_id:
+        raise ProtocolError(
+            f"message for task {msg.task_id!r}, expected {assignment.task_id!r}"
+        )
 
 
 class CBSParticipant:
@@ -135,11 +152,7 @@ class CBSParticipant:
         """Answer a sample challenge with claimed results + auth paths."""
         if self.backend is None:
             raise ProtocolError("prove() before compute_and_commit()")
-        if challenge.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"challenge for task {challenge.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
+        _own(challenge, self.assignment)
         n, indices = self.assignment.n_inputs, challenge.indices
         if indices and not 0 <= min(indices) <= max(indices) < n:
             index = next(i for i in indices if not 0 <= i < n)
@@ -178,12 +191,13 @@ class CBSParticipant:
 
 
 class CBSSupervisor:
-    """Supervisor side of interactive CBS.
+    """Supervisor side of interactive CBS, and NI-CBS's with another
+    :meth:`draw`.
 
-    Holds the task spec (domain + function), receives the commitment,
-    issues the challenge and verifies the proofs.  All verification
-    work (result checks, root reconstructions) is charged to the
-    supervisor's ledger.
+    :meth:`check` (the envelope) and :meth:`judge` (Step 4 against a
+    given root and given indices) keep no state; only the interactive
+    calls keep the commitment and the challenge between them.  All
+    verification work is charged to the supervisor's ledger.
     """
 
     def __init__(
@@ -217,15 +231,10 @@ class CBSSupervisor:
 
     # ------------------------------------------------------------------
 
-    def receive_commitment(self, msg: CommitmentMsg) -> None:
-        """Accept and validate the participant's commitment (Step 1)."""
-        if self._commitment is not None:
-            raise ProtocolError("duplicate commitment")
-        if msg.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"commitment for task {msg.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
+    def check(self, msg: CommitmentMsg | NICBSSubmissionMsg) -> None:
+        """Refuse a commitment (or submission) whose task id, leaf count
+        or root width is not the assignment's."""
+        _own(msg, self.assignment)
         if msg.n_leaves != self.assignment.n_inputs:
             raise ProtocolError(
                 f"commitment covers {msg.n_leaves} leaves, "
@@ -236,56 +245,45 @@ class CBSSupervisor:
                 f"root digest has {len(msg.root)} bytes, "
                 f"expected {self.hash_fn.digest_size}"
             )
-        self._commitment = msg
 
-    def make_challenge(self) -> SampleChallengeMsg:
-        """Draw the ``m`` sample indices (Step 2).
+    def draw(self, root: bytes) -> tuple[int, ...]:
+        """Step 2's ``m`` indices, from ``seed`` (``root`` is unread).
 
-        Sampling is uniform *with replacement* by default, matching the
-        independence assumption behind Eq. (2); ``with_replacement=False``
-        draws a distinct subset (slightly stronger in practice).
+        Uniform *with replacement* by default, matching the independence
+        assumption behind Eq. (2); ``with_replacement=False`` draws a
+        distinct subset (slightly stronger in practice).
         """
-        if self._commitment is None:
-            raise ProtocolError("challenge before commitment")
-        if self._challenge is not None:
-            raise ProtocolError("duplicate challenge")
         rng = random.Random(self.seed)
         n = self.assignment.n_inputs
-        if self.with_replacement:
-            # ``rng.randrange(n)`` per sample, written out as the
-            # ``getrandbits`` calls it makes: k-bit draws until one is
-            # below n.
-            bits, k, indices = rng.getrandbits, n.bit_length(), []
-            for _ in range(self.n_samples):
+        if not self.with_replacement:
+            return tuple(rng.sample(range(n), self.n_samples))
+        # ``rng.randrange(n)`` per sample, written out as the
+        # ``getrandbits`` calls it makes: k-bit draws until one is below n.
+        bits, k, indices = rng.getrandbits, n.bit_length(), []
+        for _ in range(self.n_samples):
+            draw = bits(k)
+            while draw >= n:
                 draw = bits(k)
-                while draw >= n:
-                    draw = bits(k)
-                indices.append(draw)
-            indices = tuple(indices)
-        else:
-            indices = tuple(rng.sample(range(n), self.n_samples))
-        self._challenge = SampleChallengeMsg(
-            task_id=self.assignment.task_id, indices=indices
-        )
-        return self._challenge
+            indices.append(draw)
+        return tuple(indices)
 
-    def verify(self, bundle: ProofBundleMsg) -> VerificationOutcome:
-        """Run Step 4 over the proof bundle and produce the verdict."""
-        if self._challenge is None:
-            raise ProtocolError("verify before challenge")
-        if bundle.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"proofs for task {bundle.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
+    def judge(
+        self,
+        msg: ProofBundleMsg | NICBSSubmissionMsg,
+        root: bytes,
+        indices: Sequence[int],
+    ) -> VerificationOutcome:
+        """Step 4: ``msg``'s bundle against ``root`` at ``indices``.  A
+        bundle whose counts do not fit the samples is malformed."""
+        _own(msg, self.assignment)
         outcome = VerificationOutcome(
             task_id=self.assignment.task_id, accepted=True
         )
         verdicts = verify_proof_bundle(
-            bundle.bundle,
-            self._challenge.indices,
-            root=self._commitment.root,
-            n_leaves=self._commitment.n_leaves,
+            msg.bundle,
+            indices,
+            root=root,
+            n_leaves=self.assignment.n_inputs,
             domain=self.assignment.domain,
             function=self.assignment.function,
             hash_fn=self.hash_fn,
@@ -300,6 +298,33 @@ class CBSSupervisor:
         self.ledger.bump("samples_verified", len(verdicts))
         outcome.record(verdicts)
         return outcome
+
+    # ------------------------------------------------------------------
+
+    def receive_commitment(self, msg: CommitmentMsg) -> None:
+        """Accept and validate the participant's commitment (Step 1)."""
+        if self._commitment is not None:
+            raise ProtocolError("duplicate commitment")
+        self.check(msg)
+        self._commitment = msg
+
+    def make_challenge(self) -> SampleChallengeMsg:
+        """Draw the ``m`` sample indices (Step 2)."""
+        if self._commitment is None:
+            raise ProtocolError("challenge before commitment")
+        if self._challenge is not None:
+            raise ProtocolError("duplicate challenge")
+        self._challenge = SampleChallengeMsg(
+            task_id=self.assignment.task_id,
+            indices=self.draw(self._commitment.root),
+        )
+        return self._challenge
+
+    def verify(self, bundle: ProofBundleMsg) -> VerificationOutcome:
+        """Run Step 4 over the proof bundle and produce the verdict."""
+        if self._challenge is None:
+            raise ProtocolError("verify before challenge")
+        return self.judge(bundle, self._commitment.root, self._challenge.indices)
 
 
 def transfer(msg, sender: CostLedger, receiver: CostLedger):
@@ -347,13 +372,8 @@ class CBSScheme(VerificationScheme):
     ) -> CBSParticipant:
         """The participant side of the round seeded ``seed``."""
         return CBSParticipant(
-            assignment,
-            behavior,
-            hash_fn=get_hash(self.hash_name),
-            leaf_encoding=self.leaf_encoding,
-            subtree_height=self.subtree_height,
-            ledger=ledger,
-            salt=run_salt(seed),
+            assignment, behavior, subtree_height=self.subtree_height,
+            salt=run_salt(seed), **self._side(ledger),
         )
 
     def supervisor(
@@ -365,15 +385,20 @@ class CBSScheme(VerificationScheme):
         """The supervisor side of the round seeded ``seed``: its
         challenge is drawn from ``seed``."""
         return CBSSupervisor(
-            assignment,
-            n_samples=self.n_samples,
-            hash_fn=get_hash(self.hash_name),
-            leaf_encoding=self.leaf_encoding,
-            seed=seed,
-            ledger=ledger,
+            assignment, self.n_samples, seed=seed,
             with_replacement=self.with_replacement,
             stop_on_first_failure=self.stop_on_first_failure,
+            **self._side(ledger),
         )
+
+    def _side(self, ledger: CostLedger | None) -> dict:
+        """What both sides are built with: the tree's hash and leaf
+        encoding, and the ledger they charge."""
+        return {
+            "hash_fn": get_hash(self.hash_name),
+            "leaf_encoding": self.leaf_encoding,
+            "ledger": ledger,
+        }
 
     def run(
         self,
@@ -387,25 +412,26 @@ class CBSScheme(VerificationScheme):
             assignment, behavior, seed, participant_ledger
         )
         supervisor = self.supervisor(assignment, seed, supervisor_ledger)
-
-        commitment = transfer(
-            participant.compute_and_commit(), participant_ledger, supervisor_ledger
+        outcome = self._round(
+            participant,
+            supervisor,
+            lambda msg: transfer(msg, participant_ledger, supervisor_ledger),
+            lambda msg: transfer(msg, supervisor_ledger, participant_ledger),
         )
-        supervisor.receive_commitment(commitment)
-        challenge = transfer(
-            supervisor.make_challenge(), supervisor_ledger, participant_ledger
-        )
-        proofs = transfer(
-            participant.prove(challenge), participant_ledger, supervisor_ledger
-        )
-        outcome = supervisor.verify(proofs)
-        transfer(VerdictMsg.of(outcome), supervisor_ledger, participant_ledger)
-        if self.include_reports and assignment.screener is not None:
-            transfer(participant.reports(), participant_ledger, supervisor_ledger)
-
         return SchemeRunResult(
             outcome=outcome,
             participant_ledger=participant_ledger,
             supervisor_ledger=supervisor_ledger,
             work=participant.work,
         )
+
+    def _round(self, participant, supervisor, up, down) -> VerificationOutcome:
+        """Steps 1–4, each message carried ``up`` to the supervisor or
+        ``down`` to the participant (and accounted on both ledgers)."""
+        supervisor.receive_commitment(up(participant.compute_and_commit()))
+        challenge = down(supervisor.make_challenge())
+        outcome = supervisor.verify(up(participant.prove(challenge)))
+        down(VerdictMsg.of(outcome))
+        if self.include_reports and participant.assignment.screener is not None:
+            up(participant.reports())
+        return outcome

@@ -1,7 +1,8 @@
 """The non-interactive CBS scheme (paper §4).
 
 The interactive round (commit → challenge) is removed by deriving the
-sample indices from the commitment itself::
+sample indices from the commitment itself — the one substitution
+:class:`NICBSSupervisor` makes in CBS's supervisor, as its ``draw``::
 
     i_k = (g^k(Φ(R)) mod n) + 1,   k = 1..m          (Eq. 4)
 
@@ -26,17 +27,10 @@ from __future__ import annotations
 from itertools import repeat
 
 from repro.cheating.strategies import Behavior
-from repro.core.cbs import CBSParticipant, transfer
+from repro.core.cbs import CBSParticipant, CBSScheme, CBSSupervisor
 from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
-from repro.core.scheme import (
-    RejectReason,
-    SchemeRunResult,
-    VerificationOutcome,
-    VerificationScheme,
-    run_salt,
-)
-from repro.core.verification import verify_proof_bundle
-from repro.exceptions import ProtocolError, SchemeConfigurationError
+from repro.core.scheme import VerificationOutcome, run_salt
+from repro.exceptions import SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
 from repro.merkle.tree import LeafEncoding
@@ -116,13 +110,14 @@ class NICBSParticipant(CBSParticipant):
         )
 
 
-class NICBSSupervisor:
-    """Supervisor side of NI-CBS: re-derive samples, verify proofs.
+class NICBSSupervisor(CBSSupervisor):
+    """Supervisor side of NI-CBS: CBS's, with Eq. (4) as the draw.
 
-    No challenge is sent; the supervisor recomputes Eq. (4) from the
-    submitted root (paying ``m`` evaluations of ``g``) and joins the
-    submitted proofs with exactly those indices: a bundle whose counts
-    do not fit them answers other samples.
+    No challenge is sent: :meth:`draw` recomputes Eq. (4) from the root,
+    paying ``m`` evaluations of ``g``, and :meth:`verify` is the whole
+    round in one call — :meth:`check` the envelope, draw from the
+    submitted root, :meth:`judge` the bundle.  It keeps no state, so one
+    supervisor verifies any number of submissions.
     """
 
     def __init__(
@@ -135,70 +130,34 @@ class NICBSSupervisor:
         ledger: CostLedger | None = None,
         stop_on_first_failure: bool = True,
     ) -> None:
-        if n_samples < 1:
-            raise SchemeConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        self.assignment = assignment
-        self.n_samples = n_samples
-        self.ledger = ledger if ledger is not None else CostLedger()
-        self.hash_fn = CountingHash(hash_fn or get_hash(), self.ledger)
+        super().__init__(
+            assignment, n_samples, hash_fn, leaf_encoding, ledger=ledger,
+            stop_on_first_failure=stop_on_first_failure,
+        )
         self.sample_hash = CountingHash(
             sample_hash or get_hash("sha256"), self.ledger
         )
-        self.leaf_encoding = leaf_encoding
-        self.stop_on_first_failure = stop_on_first_failure
+
+    def draw(self, root: bytes) -> list[int]:
+        """Eq. (4)'s ``m`` indices for ``root``, under ``g``."""
+        return derive_sample_indices(
+            root, self.assignment.n_inputs, self.n_samples, self.sample_hash
+        )
 
     def verify(self, submission: NICBSSubmissionMsg) -> VerificationOutcome:
         """Validate the one-shot submission end to end."""
-        if submission.task_id != self.assignment.task_id:
-            raise ProtocolError(
-                f"submission for task {submission.task_id!r}, "
-                f"expected {self.assignment.task_id!r}"
-            )
-        outcome = VerificationOutcome(
-            task_id=self.assignment.task_id, accepted=True
+        self.check(submission)
+        return self.judge(
+            submission, submission.root, self.draw(submission.root)
         )
-        if submission.n_leaves != self.assignment.n_inputs:
-            outcome.accepted = False
-            outcome.reason = RejectReason.PROTOCOL_VIOLATION
-            return outcome
-        if len(submission.root) != self.hash_fn.digest_size:
-            outcome.accepted = False
-            outcome.reason = RejectReason.PROTOCOL_VIOLATION
-            return outcome
-
-        expected = derive_sample_indices(
-            submission.root,
-            n=self.assignment.n_inputs,
-            m=self.n_samples,
-            sample_hash=self.sample_hash,
-        )
-        verdicts = verify_proof_bundle(
-            submission.bundle,
-            expected,
-            root=submission.root,
-            n_leaves=submission.n_leaves,
-            domain=self.assignment.domain,
-            function=self.assignment.function,
-            hash_fn=self.hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            stop_on_first_failure=self.stop_on_first_failure,
-            ledger=self.ledger,
-        )
-        if verdicts is None:
-            # A bundle for other samples than Eq. 4's.
-            outcome.accepted = False
-            outcome.reason = RejectReason.SAMPLE_MISMATCH
-            return outcome
-        self.ledger.bump("samples_verified", len(verdicts))
-        outcome.record(verdicts)
-        return outcome
 
 
-class NICBSScheme(VerificationScheme):
+class NICBSScheme(CBSScheme):
     """Full NI-CBS run behind the uniform scheme interface.
 
-    ``sample_hash_name`` selects ``g``; use ``"md5^<k>"``-style names to
-    reproduce the paper's iterated-MD5 hardening (Eq. 5).
+    Its sides are CBS's sides with ``g`` added, and its run is one
+    message.  ``sample_hash_name`` selects ``g``; use ``"md5^<k>"``-style
+    names to reproduce the paper's iterated-MD5 hardening (Eq. 5).
     """
 
     def __init__(
@@ -210,12 +169,18 @@ class NICBSScheme(VerificationScheme):
         subtree_height: int | None = None,
         stop_on_first_failure: bool = True,
     ) -> None:
-        self.n_samples = n_samples
+        # Eq. 4's indices may repeat, and the one message ships no
+        # screener reports.
+        super().__init__(
+            n_samples,
+            hash_name=hash_name,
+            leaf_encoding=leaf_encoding,
+            subtree_height=subtree_height,
+            with_replacement=True,
+            include_reports=False,
+            stop_on_first_failure=stop_on_first_failure,
+        )
         self.sample_hash_name = sample_hash_name
-        self.hash_name = hash_name
-        self.leaf_encoding = leaf_encoding
-        self.subtree_height = subtree_height
-        self.stop_on_first_failure = stop_on_first_failure
         self.name = f"ni-cbs(m={n_samples}, g={sample_hash_name})"
 
     def participant(
@@ -225,17 +190,10 @@ class NICBSScheme(VerificationScheme):
         seed: int,
         ledger: CostLedger | None = None,
     ) -> NICBSParticipant:
-        """The participant side of the round seeded ``seed``."""
         return NICBSParticipant(
-            assignment,
-            behavior,
-            n_samples=self.n_samples,
-            sample_hash=get_hash(self.sample_hash_name),
-            hash_fn=get_hash(self.hash_name),
-            leaf_encoding=self.leaf_encoding,
-            subtree_height=self.subtree_height,
-            ledger=ledger,
-            salt=run_salt(seed),
+            assignment, behavior, self.n_samples,
+            subtree_height=self.subtree_height, salt=run_salt(seed),
+            **self._side(ledger),
         )
 
     def supervisor(
@@ -247,36 +205,17 @@ class NICBSScheme(VerificationScheme):
         """The supervisor side of the round seeded ``seed`` (unread:
         the submission's root, not a seed, draws NI-CBS's samples)."""
         return NICBSSupervisor(
-            assignment,
-            n_samples=self.n_samples,
-            sample_hash=get_hash(self.sample_hash_name),
-            hash_fn=get_hash(self.hash_name),
-            leaf_encoding=self.leaf_encoding,
-            ledger=ledger,
+            assignment, self.n_samples,
             stop_on_first_failure=self.stop_on_first_failure,
+            **self._side(ledger),
         )
 
-    def run(
-        self,
-        assignment: TaskAssignment,
-        behavior: Behavior,
-        seed: int = 0,
-    ) -> SchemeRunResult:
-        participant_ledger = CostLedger()
-        supervisor_ledger = CostLedger()
-        participant = self.participant(
-            assignment, behavior, seed, participant_ledger
-        )
-        supervisor = self.supervisor(assignment, seed, supervisor_ledger)
+    def _side(self, ledger: CostLedger | None) -> dict:
+        """CBS's, plus ``g``."""
+        side = super()._side(ledger)
+        side["sample_hash"] = get_hash(self.sample_hash_name)
+        return side
 
-        submission = transfer(
-            participant.compute_and_submit(), participant_ledger, supervisor_ledger
-        )
-        outcome = supervisor.verify(submission)
-
-        return SchemeRunResult(
-            outcome=outcome,
-            participant_ledger=participant_ledger,
-            supervisor_ledger=supervisor_ledger,
-            work=participant.work,
-        )
+    def _round(self, participant, supervisor, up, down) -> VerificationOutcome:
+        """One message: the submission, verified."""
+        return supervisor.verify(up(participant.compute_and_submit()))

@@ -41,13 +41,17 @@ def run_salt(seed: int) -> bytes:
 
 
 class RejectReason(enum.Enum):
-    """Why a sample (or a whole run) was rejected."""
+    """Why a sample (or a whole run) was rejected.
+
+    CBS and NI-CBS share every reason: a bundle answering other samples
+    than the supervisor's — a seeded challenge or Eq. 4's — is
+    ``MALFORMED_PROOF`` under both.
+    """
 
     OK = "ok"
     WRONG_RESULT = "wrong_result"          # claimed f(x) fails verification
     ROOT_MISMATCH = "root_mismatch"        # Λ(f(x), λ...) != Φ(R)
-    MALFORMED_PROOF = "malformed_proof"    # wrong index/shape/length
-    SAMPLE_MISMATCH = "sample_mismatch"    # NI-CBS indices not derived from root
+    MALFORMED_PROOF = "malformed_proof"    # counts/widths do not fit the samples
     MISSING_RESULTS = "missing_results"    # naive schemes: wrong count
     REPLICA_DISAGREEMENT = "replica_disagreement"  # double-check baseline
     MISSING_RINGER = "missing_ringer"      # ringer baseline

@@ -1039,7 +1039,11 @@ def _register_defaults() -> None:
     # --- the population's two records (README "Batch records" and
     # "Result records") -----------------------------------------------
     SchemeBatch, SchemeJob = _jobs.SchemeBatch, _jobs.SchemeJob
-    reasons = tuple(RejectReason)  # wire code = position: append only
+    # Wire code = position, append only.  Code 4 was sample_mismatch,
+    # which nothing produces any more: it reads as a protocol violation,
+    # as VerdictMsg.reject_reason reads a name it does not know.
+    members = tuple(RejectReason)
+    reasons = (*members[:4], RejectReason.PROTOCOL_VIOLATION, *members[4:])
     # By the member's id: an enum member hashes in Python, an id in C.
     reason_code = {id(reason): code for code, reason in enumerate(reasons)}
     # A verdict row's second byte read back: accepted << 7 | reason code.

@@ -4,13 +4,14 @@ The GRACE supervisor (§4) is long-lived: millions of participants it
 never meets take assignments, and some of them vanish mid-protocol —
 after the commitment, before the proofs.  :class:`SupervisorCore` holds
 every rule of a round: slot choice, the state each frame requires, the
-CBS challenge draw and verdict recording.  A frame goes in; a reply
-frame, or a :class:`Verify` for the caller to run and hand back to
+envelope check, the CBS challenge draw and verdict recording.  A frame
+goes in; a reply frame, or a :class:`Verify` (one shape for CBS proofs
+and NI-CBS submissions) for the caller to run and hand back to
 :meth:`SupervisorCore.verdict`, comes out; every refusal is a
-:class:`~repro.exceptions.ProtocolError`.  It reads no socket, awaits
-nothing and runs no verification, so tests drive it without an event
-loop; :class:`~repro.service.server.SupervisorServer` is its asyncio
-shell.
+:class:`~repro.exceptions.ProtocolError`, raised before the session
+moves.  It reads no socket, awaits nothing and runs no verification,
+so tests drive it without an event loop;
+:class:`~repro.service.server.SupervisorServer` is its asyncio shell.
 
 Determinism is preserved end to end: task ``i`` gets subdomain ``i``
 of the configured domain and seed ``derive_seed(config.seed, i)`` —
@@ -47,8 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from repro.core.cbs import CBSScheme
-from repro.core.ni_cbs import NICBSScheme
+from repro.core.cbs import CBSScheme, CBSSupervisor
 from repro.core.protocol import AssignMsg, CommitmentMsg, VerdictMsg
 from repro.core.scheme import VerificationOutcome
 from repro.engine.seeding import check_derived_seeds, derive_seed
@@ -144,7 +144,7 @@ class ServiceConfig:
         )
 
     @functools.cached_property
-    def scheme(self) -> CBSScheme | NICBSScheme:
+    def scheme(self) -> CBSScheme:
         """The scheme whose round every slot plays."""
         return resolve_scheme(
             self.protocol, self.n_samples, SERVICE_HASH, SERVICE_HASH,
@@ -436,34 +436,33 @@ class SupervisorCore:
 
     def receive(self, frame: Frame) -> Frame | Verify:
         """A task request or commitment's reply frame, or the
-        :class:`Verify` that proofs or a submission claim."""
-        config = self.config
+        :class:`Verify` that proofs or a submission claim.  An envelope
+        is checked before its session moves: a refused one stays put."""
         if isinstance(frame, TaskRequest):
             return self._assign(frame)
         if isinstance(frame, CommitmentFrame):
             return self._challenge(frame.msg)
         if isinstance(frame, ProofsFrame):
-            msg = frame.msg
             session = self.sessions.begin_verification(
-                msg.task_id, SessionState.COMMITTED
+                frame.msg.task_id, SessionState.COMMITTED
             )
-            return Verify(session, verify_round, (
-                config.scheme, session.assignment, session.seed,
-                session.commitment, msg,
-            ))
-        if isinstance(frame, SubmissionFrame):
-            if config.protocol != "ni-cbs":
+            messages = (session.commitment, frame.msg)
+        elif isinstance(frame, SubmissionFrame):
+            if self.config.protocol != "ni-cbs":
                 raise ProtocolError("one-shot submissions only arrive in NI-CBS")
-            msg = frame.msg
+            messages = (frame.msg,)
+            task_id = frame.msg.task_id
+            self._supervisor(self.sessions.get(task_id)).check(frame.msg)
             session = self.sessions.begin_verification(
-                msg.task_id, SessionState.ASSIGNED
+                task_id, SessionState.ASSIGNED
             )
-            return Verify(session, verify_round, (
-                config.scheme, session.assignment, session.seed, msg,
-            ))
-        raise ProtocolError(
-            f"unexpected frame {type(frame).__name__} at the supervisor"
-        )
+        else:
+            raise ProtocolError(
+                f"unexpected frame {type(frame).__name__} at the supervisor"
+            )
+        return Verify(session, verify_round, (
+            self.config.scheme, session.assignment, session.seed, *messages,
+        ))
 
     def verdict(
         self, verify: Verify, outcome: VerificationOutcome
@@ -525,24 +524,22 @@ class SupervisorCore:
             protocol=config.protocol,
             n_samples=config.n_samples,
             hash_name=scheme.hash_name,
-            sample_hash_name=(
-                scheme.sample_hash_name
-                if isinstance(scheme, NICBSScheme) else SERVICE_HASH
-            ),
+            sample_hash_name=SERVICE_HASH,  # g, as ServiceConfig resolves it
             leaf_encoding=scheme.leaf_encoding.value,
             seed=seed,
         )
 
+    def _supervisor(self, session: Session) -> CBSSupervisor:
+        return self.config.scheme.supervisor(session.assignment, session.seed)
+
     def _challenge(self, msg: CommitmentMsg) -> ChallengeFrame:
         if self.config.protocol != "cbs":
             raise ProtocolError("commitments only arrive in interactive CBS")
-        session = self.sessions.get(msg.task_id)
-        # Validate and draw the challenge with the round's supervisor
-        # (cheap: digest-size checks plus m RNG draws); the heavyweight
-        # verify runs where the shell places the proofs' Verify.
-        supervisor = self.config.scheme.supervisor(
-            session.assignment, session.seed
-        )
+        # Check the envelope and draw the challenge with the round's
+        # supervisor (cheap: three comparisons plus m RNG draws); the
+        # heavyweight verify runs where the shell places the proofs'
+        # Verify.
+        supervisor = self._supervisor(self.sessions.get(msg.task_id))
         supervisor.receive_commitment(msg)
         challenge = supervisor.make_challenge()
         self.sessions.record_commitment(msg.task_id, msg)

@@ -8,12 +8,13 @@ registered name through :mod:`repro.service.jobcodec`, and the codec's
 default registry must be importable without dragging in the whole
 asyncio server (and without an import cycle).
 
-:func:`verify_round` plays a round's supervisor side through the
-scheme that built it (:meth:`CBSScheme.supervisor
-<repro.core.cbs.CBSScheme.supervisor>`), so the verdict depends only on
-its arguments: the CBS challenge re-drawn from ``seed`` is the one the
-session issued, and the participant's salt was ``run_salt(seed)`` —
-exactly what ``scheme.run(..., seed=seed)`` plays in process.
+:func:`verify_round` is the judge step of the round's supervisor, as
+the scheme builds it (:meth:`CBSScheme.supervisor
+<repro.core.cbs.CBSScheme.supervisor>`), at that supervisor's own draw
+— the CBS challenge re-drawn from ``seed``, the one the session issued,
+or Eq. 4's over the NI-CBS root — so the verdict depends only on its
+arguments, as in ``scheme.run(..., seed=seed)``.  The envelope was
+checked on arrival (``SupervisorCore.receive``).
 
 :func:`timed` is how the server learns what a job costs: it travels
 with the job (a registered callable, like the jobs themselves) and
@@ -25,7 +26,6 @@ from __future__ import annotations
 import time
 
 from repro.core.cbs import CBSScheme
-from repro.core.ni_cbs import NICBSScheme
 from repro.core.scheme import VerificationOutcome
 from repro.tasks.result import TaskAssignment
 
@@ -44,18 +44,14 @@ def timed(job, *args):
 
 
 def verify_round(
-    scheme: CBSScheme | NICBSScheme,
+    scheme: CBSScheme,
     assignment: TaskAssignment,
     seed: int,
     *messages,
 ) -> VerificationOutcome:
     """The supervisor's verdict on one round's messages: a CBS
-    commitment and its proofs, or one NI-CBS submission."""
+    commitment and its proofs, or one NI-CBS submission, which is both.
+    The root is the first message's, the bundle the last's."""
     supervisor = scheme.supervisor(assignment, seed)
-    if isinstance(scheme, CBSScheme):
-        commitment, claim = messages
-        supervisor.receive_commitment(commitment)
-        supervisor.make_challenge()
-    else:
-        (claim,) = messages
-    return supervisor.verify(claim)
+    root = messages[0].root
+    return supervisor.judge(messages[-1], root, supervisor.draw(root))

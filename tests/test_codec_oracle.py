@@ -55,7 +55,7 @@ from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant, NICBSSupervisor
 from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
 from repro.core.scheme import RejectReason
-from repro.exceptions import CodecError
+from repro.exceptions import CodecError, ProtocolError
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 from repro.utils.encoding import (
     encode_bytes_list,
@@ -545,22 +545,26 @@ def replace_uint(raw, layout, at, value):
 
 def assert_misfit(raw, task, m):
     """Bytes that decode to lists that do not fit Eq. 4's samples: a
-    bundle for other samples, refused with nothing evaluated and no
-    hash beyond Eq. 4's chain."""
+    malformed bundle, rejected with nothing evaluated and no hash
+    beyond Eq. 4's chain."""
     supervisor = NICBSSupervisor(task, n_samples=m)
     outcome = supervisor.verify(NICBSSubmissionMsg.decode(raw))
-    assert outcome.reason is RejectReason.SAMPLE_MISMATCH
+    assert outcome.reason is RejectReason.MALFORMED_PROOF
     assert (supervisor.ledger.verifications, supervisor.ledger.hashes) == (0, m)
 
 
 def assert_refused(raw, task, m):
-    """Hostile bytes end in a ``CodecError`` at decode or a rejected
-    verdict — never in another exception."""
+    """Hostile bytes end in a ``CodecError`` at decode, a
+    ``ProtocolError`` at the envelope (another root width or leaf
+    count) or a rejected verdict — never in another exception."""
     try:
         msg = NICBSSubmissionMsg.decode(raw)
     except CodecError:
         return "codec"
-    outcome = NICBSSupervisor(task, n_samples=m).verify(msg)
+    try:
+        outcome = NICBSSupervisor(task, n_samples=m).verify(msg)
+    except ProtocolError:
+        return "envelope"
     assert not outcome.accepted, raw.hex()
     return outcome.reason
 
@@ -665,8 +669,8 @@ class TestRealSubmissionsAgainstReference:
                 reasons.add(assert_refused(hostile, task, 256))
         assert reasons == {
             "codec",
-            RejectReason.PROTOCOL_VIOLATION,
-            RejectReason.SAMPLE_MISMATCH,
+            "envelope",
+            RejectReason.MALFORMED_PROOF,
             RejectReason.WRONG_RESULT,
             RejectReason.ROOT_MISMATCH,
         }
@@ -701,7 +705,7 @@ class TestRealSubmissionsAgainstReference:
                     hostile = replace_uint(raw, layout, at, lie)
                     submission_parity(hostile)
                     assert assert_refused(hostile, task, len(msg.proofs)) in (
-                        "codec", RejectReason.SAMPLE_MISMATCH,
+                        "codec", RejectReason.MALFORMED_PROOF,
                     )
 
     def test_surplus_and_missing_supplied_digests(self, light):

@@ -219,10 +219,10 @@ class TestProtocolStateMachine:
         "steps, refusal",
         [
             (("commit", "commit"), "duplicate commitment"),
-            (("foreign_commit",), "commitment for task 'other'"),
+            (("foreign_commit",), "message for task 'other'"),
             (("commit", "challenge", "challenge"), "duplicate challenge"),
             (("commit", "verify"), "verify before challenge"),
-            (("commit", "challenge", "foreign_verify"), "proofs for task 'other'"),
+            (("commit", "challenge", "foreign_verify"), "message for task 'other'"),
         ],
         ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
     )

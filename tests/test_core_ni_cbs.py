@@ -4,12 +4,29 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from repro.accounting import CostLedger
-from repro.cheating import HonestBehavior, SemiHonestCheater
-from repro.core import NICBSParticipant, NICBSScheme, NICBSSupervisor
+from repro.cheating import (
+    ColludingCheater,
+    HonestBehavior,
+    MaliciousBehavior,
+    SemiHonestCheater,
+)
+from repro.core import (
+    CBSSupervisor,
+    NICBSParticipant,
+    NICBSScheme,
+    NICBSSupervisor,
+)
 from repro.core.ni_cbs import derive_sample_indices
-from repro.core.protocol import NICBSSubmissionMsg, SampleChallengeMsg
+from repro.core.protocol import (
+    CommitmentMsg,
+    NICBSSubmissionMsg,
+    ProofBundleMsg,
+    SampleChallengeMsg,
+)
 from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.merkle import CountingHash, get_hash
@@ -137,11 +154,12 @@ class TestSupervisorChecks:
         )
         return participant.compute_and_submit()
 
-    def test_sample_mismatch_detected(self, password_task):
+    def test_self_selected_samples_are_malformed(self, password_task):
         # A participant that self-selects favourable samples (not the
         # Eq. 4 derivation) is rejected outright: the first eight
         # leaves touch four pairs and no digest below level 3, which is
-        # not the shape Eq. 4's samples ask for.
+        # not the shape Eq. 4's samples ask for — a malformed bundle,
+        # as a CBS bundle for another challenge is.
         participant = NICBSParticipant(password_task, HonestBehavior(), n_samples=8)
         submission = participant.compute_and_submit()
         chosen = participant.prove(
@@ -151,7 +169,7 @@ class TestSupervisorChecks:
         supervisor = NICBSSupervisor(password_task, n_samples=8)
         outcome = supervisor.verify(forged)
         assert not outcome.accepted
-        assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+        assert outcome.reason == RejectReason.MALFORMED_PROOF
         assert supervisor.ledger.verifications == 0
 
     @pytest.mark.parametrize("task_id", ["other", "task-pw-small", ""])
@@ -159,10 +177,12 @@ class TestSupervisorChecks:
         submission = dataclasses.replace(
             self.make_submission(password_task), task_id=task_id
         )
-        with pytest.raises(ProtocolError, match="submission for task"):
+        with pytest.raises(ProtocolError, match="message for task"):
             NICBSSupervisor(password_task, n_samples=8).verify(submission)
 
-    def test_wrong_leaf_count_rejected(self, password_task):
+    def test_wrong_leaf_count_refused(self, password_task):
+        # The envelope is a trust boundary, as under CBS: refused, with
+        # nothing hashed.
         submission = self.make_submission(password_task)
         forged = NICBSSubmissionMsg(
             task_id=submission.task_id,
@@ -170,11 +190,12 @@ class TestSupervisorChecks:
             n_leaves=submission.n_leaves - 1,
             bundle=submission.bundle,
         )
-        outcome = NICBSSupervisor(password_task, n_samples=8).verify(forged)
-        assert not outcome.accepted
-        assert outcome.reason == RejectReason.PROTOCOL_VIOLATION
+        supervisor = NICBSSupervisor(password_task, n_samples=8)
+        with pytest.raises(ProtocolError, match="covers 499 leaves"):
+            supervisor.verify(forged)
+        assert supervisor.ledger.hashes == 0
 
-    def test_wrong_root_width_rejected(self, password_task):
+    def test_wrong_root_width_refused(self, password_task):
         submission = self.make_submission(password_task)
         forged = NICBSSubmissionMsg(
             task_id=submission.task_id,
@@ -182,8 +203,10 @@ class TestSupervisorChecks:
             n_leaves=submission.n_leaves,
             bundle=submission.bundle,
         )
-        outcome = NICBSSupervisor(password_task, n_samples=8).verify(forged)
-        assert not outcome.accepted
+        supervisor = NICBSSupervisor(password_task, n_samples=8)
+        with pytest.raises(ProtocolError, match="root digest has 8 bytes"):
+            supervisor.verify(forged)
+        assert supervisor.ledger.hashes == 0
 
     def test_one_sample_honest_submission_accepted(self, password_task):
         submission = self.make_submission(password_task, n_samples=1)
@@ -202,7 +225,7 @@ class TestSupervisorChecks:
             submission
         )
         assert not outcome.accepted
-        assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+        assert outcome.reason == RejectReason.MALFORMED_PROOF
 
     def test_g_mismatch_rejected(self, password_task):
         # Different sample hash on each side → derived indices differ.
@@ -218,7 +241,7 @@ class TestSupervisorChecks:
         )
         outcome = supervisor.verify(submission)
         assert not outcome.accepted
-        assert outcome.reason == RejectReason.SAMPLE_MISMATCH
+        assert outcome.reason == RejectReason.MALFORMED_PROOF
 
 
     def test_results_of_another_width_are_malformed(self, password_task):
@@ -274,3 +297,77 @@ class TestSamplesDependOnCommitment:
         s2 = cheat.compute_and_submit()
         assert s1.root != s2.root
         assert [p.index for p in s1.proofs] != [p.index for p in s2.proofs]
+
+
+def eq4_reference(root: bytes, n: int, m: int) -> list[int]:
+    """Eq. (4) with bare hashlib: ``g = sha256``, link by link, mod n."""
+    value, indices = root, []
+    for _ in range(m):
+        value = hashlib.sha256(value).digest()
+        indices.append(int.from_bytes(value, "big") % n)
+    return indices
+
+
+BEHAVIORS = {
+    "honest": lambda ratio: HonestBehavior(),
+    "semi-honest": lambda ratio: SemiHonestCheater(ratio),
+    "colluding": lambda ratio: ColludingCheater(ratio, cartel_key=b"cartel"),
+    "malicious": lambda ratio: MaliciousBehavior(),
+}
+
+
+class TestFiatShamirSubstitution:
+    """§4 obtains NI-CBS from CBS by one substitution: Step 2's draw
+    becomes Eq. 4's chain over the committed root.  So NI-CBS's verdict
+    on a submission must be CBS's verdict on the same bundle once CBS's
+    challenge is Eq. 4's indices (a bare-hashlib chain here), and its
+    books CBS's plus the ``m`` links of ``g``."""
+
+    @given(
+        behavior=st.sampled_from(sorted(BEHAVIORS)),
+        ratio=st.floats(0.0, 1.0),
+        n=st.integers(1, 96),
+        m=st.integers(1, 24),
+        encoding=st.sampled_from(list(LeafEncoding)),
+        seed=st.integers(0, 1 << 16),
+        self_selected=st.booleans(),
+    )
+    def test_nicbs_verdicts_are_cbs_fed_eq4s_indices(
+        self, behavior, ratio, n, m, encoding, seed, self_selected
+    ):
+        # A RAW leaf is its result: one sha256 digest wide.
+        width = 32 if encoding is LeafEncoding.RAW else 16
+        task = TaskAssignment(
+            "task-fs", RangeDomain(0, n), PasswordSearch(digest_bytes=width)
+        )
+        participant = NICBSParticipant(
+            task, BEHAVIORS[behavior](ratio), n_samples=m,
+            leaf_encoding=encoding, salt=seed.to_bytes(8, "big"),
+        )
+        submission = participant.compute_and_submit()
+        if self_selected:  # proofs for the first m leaves, not Eq. 4's
+            chosen = SampleChallengeMsg(task.task_id, tuple(i % n for i in range(m)))
+            submission = dataclasses.replace(
+                submission, bundle=participant.prove(chosen).bundle
+            )
+        ni = NICBSSupervisor(task, n_samples=m, leaf_encoding=encoding)
+        outcome = ni.verify(submission)
+
+        eq4 = eq4_reference(submission.root, n, m)
+        cbs = CBSSupervisor(task, n_samples=m, leaf_encoding=encoding, seed=seed)
+        cbs.draw = lambda root: tuple(eq4)  # the substitution, and only it
+        cbs.receive_commitment(
+            CommitmentMsg(task.task_id, submission.root, submission.n_leaves)
+        )
+        assert list(cbs.make_challenge().indices) == eq4
+        fed = cbs.verify(ProofBundleMsg(task.task_id, submission.bundle))
+
+        assert outcome.verdicts == fed.verdicts
+        assert (outcome.accepted, outcome.reason) == (fed.accepted, fed.reason)
+        event(outcome.reason.value)
+        books = ni.ledger.as_dict()
+        books["hashes"] -= m
+        books["hash_cost"] -= m * get_hash("sha256").cost
+        assert books == cbs.ledger.as_dict()
+        # No state: the same supervisor says the same thing again.
+        assert ni.verify(submission) == outcome

@@ -233,15 +233,17 @@ class TestStatsFrame:
                 try:
                     reader, writer = server.connect_memory()
                     await write_frame(writer, TaskRequest(participant=0))
-                    await read_frame(reader)
+                    assign = await read_frame(reader)
                     during = await asyncio.to_thread(scrape, http.port)
-                    # Any submission earns a verdict; this one a refusal.
+                    # Any submission with the slot's envelope earns a
+                    # verdict; this empty bundle a malformed_proof one.
                     await write_frame(
                         writer,
                         SubmissionFrame(
                             msg=NICBSSubmissionMsg(
                                 task_id="task-0", root=b"\x00" * 32,
-                                n_leaves=1, bundle=Multiproof((), ()),
+                                n_leaves=assign.assign.n_inputs,
+                                bundle=Multiproof((), ()),
                             )
                         ),
                     )

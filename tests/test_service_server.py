@@ -63,7 +63,7 @@ from repro.service.codec import (
     resolve_scheme,
 )
 from repro.service.server import INLINE_BUDGET_S, inline_budget, memory_duplex
-from repro.service.sessions import SupervisorCore
+from repro.service.sessions import SessionState, SupervisorCore
 from repro.tasks import PasswordSearch, RangeDomain
 
 D = RangeDomain(0, 1 << 9)
@@ -908,9 +908,10 @@ class TestProtocolPolicing:
     def test_submission_of_another_shape_gets_a_verdict(self):
         # A bundle whose results are wider than the workload's (one
         # byte each), or whose digests are one short of what Eq. 4's
-        # samples need.  Both get a verdict frame — never an error from
-        # the offloaded job, a session parked in VERIFYING until the TTL
-        # swept it, or a dropped connection.
+        # samples need.  Both get a malformed_proof verdict frame, as
+        # under CBS — never an error from the offloaded job, a session
+        # parked in VERIFYING until the TTL swept it, or a dropped
+        # connection.
         cfg = config("ni-cbs")
 
         def widened(bundle):
@@ -941,7 +942,7 @@ class TestProtocolPolicing:
 
         for forge, reason in (
             (widened, RejectReason.MALFORMED_PROOF),
-            (shortened, RejectReason.SAMPLE_MISMATCH),
+            (shortened, RejectReason.MALFORMED_PROOF),
         ):
             reply, task_id, server = asyncio.run(scenario(forge))
             assert isinstance(reply, VerdictFrame)
@@ -953,6 +954,64 @@ class TestProtocolPolicing:
             outcome = server.outcomes[task_id]
             assert outcome.reason == reason
             assert server.registry.sum_values("repro_errors_total") == 0
+
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"n_leaves": +1},
+            {"n_leaves": -1},
+            {"root": b"\x00" * 8},
+        ],
+        ids=["n_leaves+1", "n_leaves-1", "8-byte-root"],
+    )
+    def test_an_envelope_of_another_shape_is_refused_before_the_claim(
+        self, protocol, envelope
+    ):
+        """A CBS commitment or an NI-CBS submission whose leaf count or
+        root width is not the slot's is refused where it arrives: an
+        error frame, its session still ASSIGNED and no verification
+        counted.  Refused from inside the verify job, the session would
+        read VERIFYING until the TTL swept it."""
+        cfg = config(protocol)
+
+        async def scenario():
+            server = SupervisorServer(cfg, engine="threads", workers=2)
+            try:
+                # One honest round first, so the counter has moved once.
+                client = ServiceClient(*server.connect_memory())
+                assert (await client.run_participant(
+                    HonestBehavior(), participant=1
+                )).accepted
+                await client.close()
+                counted = server.registry.value("repro_verifications_total")
+                reader, writer = server.connect_memory()
+                await write_frame(writer, TaskRequest(participant=0))
+                assign = await read_frame(reader)
+                participant = frame_participant(
+                    protocol, assign, HonestBehavior()
+                )
+                if protocol == "cbs":
+                    msg, wrap = participant.compute_and_commit(), CommitmentFrame
+                else:
+                    msg, wrap = participant.compute_and_submit(), SubmissionFrame
+                n_leaves = msg.n_leaves + envelope.get("n_leaves", 0)
+                root = envelope.get("root", msg.root)
+                hostile = dataclasses.replace(msg, n_leaves=n_leaves, root=root)
+                await write_frame(writer, wrap(msg=hostile))
+                reply = await read_frame(reader)
+                writer.close()
+                session = server.sessions.peek(assign.assign.task_id)
+                return reply, session.state, counted, server
+            finally:
+                await server.stop()
+
+        reply, state, counted, server = asyncio.run(scenario())
+        assert isinstance(reply, ErrorFrame)
+        assert "covers" in reply.message or "root digest" in reply.message
+        assert state is SessionState.ASSIGNED
+        assert counted == 1
+        assert server.registry.value("repro_verifications_total") == counted
 
     def test_hostile_bytes_close_the_connection_not_the_server(self):
         cfg = config("ni-cbs")

@@ -37,7 +37,6 @@ from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.cli import main
 from repro.core import CBSScheme, NICBSScheme
 from repro.core import cbs as cbs_module
-from repro.core import ni_cbs as ni_cbs_module
 from repro.core.cbs import CBSSupervisor
 from repro.core.protocol import (
     AssignMsg,
@@ -241,7 +240,8 @@ def books_of(ledger):
 
 @pytest.fixture
 def wire_log(monkeypatch):
-    """Every message ``transfer()`` accounts, as the bytes it encodes to."""
+    """Every message ``transfer()`` accounts, as the bytes it encodes to
+    (both schemes' runs go through ``CBSScheme.run``'s)."""
     sent = []
     original = cbs_module.transfer
 
@@ -250,7 +250,6 @@ def wire_log(monkeypatch):
         return original(msg, sender, receiver)
 
     monkeypatch.setattr(cbs_module, "transfer", recording)
-    monkeypatch.setattr(ni_cbs_module, "transfer", recording)
     return sent
 
 
