@@ -33,15 +33,13 @@ from repro.analysis.costs import min_sample_hash_cost, uncheatable_g_rounds
 from repro.cheating.regrind import expected_regrind_attempts, run_regrind_attack
 from repro.merkle import get_hash
 from repro.service import (
-    ServiceClient,
     ServiceConfig,
-    SubmissionFrame,
     SupervisorServer,
     TaskRequest,
     read_frame,
     write_frame,
 )
-from repro.service.codec import resolve_scheme
+from repro.service.client import ParticipantCore
 
 
 async def broker(server: SupervisorServer, workers: list) -> dict[str, bool]:
@@ -51,17 +49,10 @@ async def broker(server: SupervisorServer, workers: list) -> dict[str, bool]:
     submissions = []
     for behavior in workers:
         await write_frame(writer, TaskRequest(participant=None))
+        # The worker's side: the participant the assign frame names,
+        # whose first frame is its whole submission.
         assign = await read_frame(reader)
-        # The worker's side: rebuild the task and the scheme from the
-        # envelope, and run the scheme's participant.
-        scheme = resolve_scheme(
-            assign.protocol, assign.n_samples, assign.hash_name,
-            assign.sample_hash_name, assign.leaf_encoding,
-        )
-        participant = scheme.participant(
-            ServiceClient.build_assignment(assign), behavior, assign.seed
-        )
-        submissions.append(SubmissionFrame(msg=participant.compute_and_submit()))
+        submissions.append(ParticipantCore(assign, behavior).open())
     verdicts = {}
     for submission in submissions:
         await write_frame(writer, submission)

@@ -425,10 +425,14 @@ class CBSScheme(VerificationScheme):
             work=participant.work,
         )
 
+    def opening(self, participant: CBSParticipant) -> CommitmentMsg:
+        """The participant's first message: Step 1's commitment."""
+        return participant.compute_and_commit()
+
     def _round(self, participant, supervisor, up, down) -> VerificationOutcome:
         """Steps 1–4, each message carried ``up`` to the supervisor or
         ``down`` to the participant (and accounted on both ledgers)."""
-        supervisor.receive_commitment(up(participant.compute_and_commit()))
+        supervisor.receive_commitment(up(self.opening(participant)))
         challenge = down(supervisor.make_challenge())
         outcome = supervisor.verify(up(participant.prove(challenge)))
         down(VerdictMsg.of(outcome))

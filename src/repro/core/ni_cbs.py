@@ -216,6 +216,10 @@ class NICBSScheme(CBSScheme):
         side["sample_hash"] = get_hash(self.sample_hash_name)
         return side
 
+    def opening(self, participant: NICBSParticipant) -> NICBSSubmissionMsg:
+        """The participant's one message: the whole submission."""
+        return participant.compute_and_submit()
+
     def _round(self, participant, supervisor, up, down) -> VerificationOutcome:
         """One message: the submission, verified."""
-        return supervisor.verify(up(participant.compute_and_submit()))
+        return supervisor.verify(up(self.opening(participant)))

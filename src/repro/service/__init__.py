@@ -19,7 +19,9 @@ untrusted clients:
   concurrent asyncio TCP (or in-process) shell: one coroutine per
   connection, each verification run on the loop or on the execution
   engine's pool by its measured cost.
-* :mod:`repro.service.client` — the async participant.
+* :mod:`repro.service.client` — the participant's round as one
+  synchronous, I/O-free core (``ParticipantCore``) and its asyncio
+  shell over one connection (``ServiceClient``).
 * :mod:`repro.service.loadgen` — N concurrent honest/cheating
   participants, reporting a
   :class:`~repro.grid.report.DetectionReport` plus throughput and

@@ -1,13 +1,13 @@
-"""Async participant client for the supervisor service.
+"""The participant's side of the supervisor service.
 
-One :class:`ServiceClient` drives one connection through a full
-protocol round: request a slot, rebuild the
-:class:`~repro.tasks.result.TaskAssignment` from the assign frame's
-service envelope (domain bounds + the shared workload catalogue),
-resolve the frame's scheme parameters into the scheme
-(:func:`~repro.service.codec.resolve_scheme`), play its participant
-side under a behaviour, and return the verdict with ground truth
-attached.
+:class:`ParticipantCore` is one round as synchronous calls, with no
+socket and no loop: built from the assign frame and a behaviour, it
+rebuilds the task from the frame's service envelope (domain bounds +
+the shared workload catalogue), resolves the frame's scheme
+(:func:`~repro.service.codec.resolve_scheme`) and plays its
+participant, whose first message is the scheme's
+(:meth:`~repro.core.cbs.CBSScheme.opening`).  :class:`ServiceClient`
+is its shell over one connection, computing inline on the loop.
 
 The participant is the one the scheme builds for ``CBSScheme.run``,
 salted by the same rule (:func:`~repro.core.scheme.run_salt`), so a
@@ -18,8 +18,6 @@ comparable, outcome for outcome, with synchronous simulations.
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import time
 from dataclasses import dataclass
 
@@ -51,6 +49,7 @@ from repro.service.codec import (
     TraceGetRequest,
     TraceReply,
     VerdictFrame,
+    frame_of,
     read_frame,
     resolve_scheme,
     resolve_workload,
@@ -61,10 +60,31 @@ from repro.tasks.result import TaskAssignment
 
 _log = get_logger("client")
 
+#: The supervisor frame that answers each participant frame.
+_ANSWER = {
+    CommitmentFrame: ChallengeFrame,
+    ProofsFrame: VerdictFrame,
+    SubmissionFrame: VerdictFrame,
+}
+
+
+def _expect(frame: Frame | None, expected: type) -> Frame:
+    """``frame``, if it is an ``expected`` (``None``: end of stream)."""
+    if frame is None:
+        raise ProtocolError("supervisor closed the connection")
+    if isinstance(frame, ErrorFrame):
+        raise ProtocolError(f"supervisor error: {frame.message}")
+    if not isinstance(frame, expected):
+        raise ProtocolError(
+            f"expected {expected.__name__}, got {type(frame).__name__}"
+        )
+    return frame
+
 
 @dataclass
 class ParticipantRun:
-    """One completed protocol round, verdict plus ground truth."""
+    """One completed protocol round, verdict plus ground truth (and the
+    shell's request → verdict ``latency_s``: a core keeps no clock)."""
 
     participant: int
     task_id: str
@@ -74,8 +94,85 @@ class ParticipantRun:
     reason: RejectReason
     protocol: str
     n_samples: int
-    latency_s: float
     ledger: CostLedger
+    latency_s: float = 0.0
+
+
+class ParticipantCore:
+    """The participant's side of one round, as synchronous calls: an
+    assign frame it cannot play, or a frame out of turn, is a
+    :class:`~repro.exceptions.ProtocolError`."""
+
+    def __init__(self, assign: TaskAssign, behavior: Behavior) -> None:
+        msg = assign.assign
+        n = assign.domain_stop - assign.domain_start
+        if n != msg.n_inputs:
+            raise ProtocolError(
+                f"assign frame domain spans {n} inputs, "
+                f"AssignMsg says {msg.n_inputs}"
+            )
+        assignment = TaskAssignment(
+            task_id=msg.task_id,
+            domain=RangeDomain(assign.domain_start, assign.domain_stop),
+            function=resolve_workload(msg.workload),
+        )
+        scheme = resolve_scheme(
+            assign.protocol, assign.n_samples, assign.hash_name,
+            assign.sample_hash_name, assign.leaf_encoding,
+        )
+        digest_size = get_hash(assign.hash_name).digest_size
+        result_size = assignment.function.result_size
+        if scheme.leaf_encoding is LeafEncoding.RAW and digest_size != result_size:
+            # A RAW leaf is its result, which must be one digest wide.
+            raise ProtocolError(
+                f"raw leaves over {msg.workload}'s {result_size}-byte results "
+                f"need a {result_size}-byte hash, not {assign.hash_name}'s "
+                f"{digest_size}-byte digest"
+            )
+        self.assign = assign
+        self.scheme = scheme
+        self.participant = scheme.participant(assignment, behavior, assign.seed)
+        self._awaiting: type | None = None
+
+    def open(self) -> Frame:
+        """The round's first frame: what the scheme's participant sends
+        first (its commitment, or its whole submission)."""
+        return self._send(self.scheme.opening(self.participant))
+
+    def receive(self, frame: Frame | None) -> Frame | ParticipantRun:
+        """The reply to ``frame`` (``None``: the stream ended): the
+        proofs for a challenge, or the finished round for its verdict."""
+        if self._awaiting is None:
+            raise ProtocolError(f"no frame awaited, got {type(frame).__name__}")
+        frame = _expect(frame, self._awaiting)
+        self.participant.ledger.record_receive(frame.msg.wire_size())
+        if isinstance(frame, ChallengeFrame):
+            return self._send(self.participant.prove(frame.msg))
+        verdict, session = frame.msg, self.participant
+        if verdict.task_id != session.assignment.task_id:
+            raise ProtocolError(
+                f"verdict for task {verdict.task_id!r}, "
+                f"expected {session.assignment.task_id!r}"
+            )
+        self._awaiting = None
+        return ParticipantRun(
+            participant=self.assign.participant,
+            task_id=verdict.task_id,
+            behavior=session.behavior.name,
+            honesty_ratio=session.work.honesty_ratio,
+            accepted=verdict.accepted,
+            reason=verdict.reject_reason,
+            protocol=self.assign.protocol,
+            n_samples=self.assign.n_samples,
+            ledger=session.ledger,
+        )
+
+    def _send(self, msg) -> Frame:
+        """``msg``'s frame, booked as sent; its answer is awaited next."""
+        self.participant.ledger.record_send(msg.wire_size())
+        frame = frame_of(msg)
+        self._awaiting = _ANSWER[type(frame)]
+        return frame
 
 
 class ServiceClient:
@@ -120,31 +217,13 @@ class ServiceClient:
     async def close(self) -> None:
         await close_writer(self._writer)
 
-    # ------------------------------------------------------------------
-
-    async def _send(self, frame: Frame) -> None:
-        await write_frame(self._writer, frame)
-
     async def _recv(self, expected: type) -> Frame:
-        frame = await read_frame(self._reader)
-        if frame is None:
-            raise ProtocolError("supervisor closed the connection")
-        if isinstance(frame, ErrorFrame):
-            raise ProtocolError(f"supervisor error: {frame.message}")
-        if not isinstance(frame, expected):
-            raise ProtocolError(
-                f"expected {expected.__name__}, got {type(frame).__name__}"
-            )
-        return frame
-
-    # ------------------------------------------------------------------
+        return _expect(await read_frame(self._reader), expected)
 
     async def stats(self) -> dict:
         """Fetch the supervisor's live metrics snapshot."""
-        await self._send(StatsRequest())
-        reply = await self._recv(StatsReply)
-        assert isinstance(reply, StatsReply)
-        return reply.stats
+        await write_frame(self._writer, StatsRequest())
+        return (await self._recv(StatsReply)).stats
 
     async def trace(self, trace_id: str) -> list[dict]:
         """Fetch one distributed trace's wire spans from the supervisor.
@@ -155,10 +234,8 @@ class ServiceClient:
         Empty list when the id is unknown or its spans aged out of the
         bounded buffer.
         """
-        await self._send(TraceGetRequest(trace_id=trace_id))
-        reply = await self._recv(TraceReply)
-        assert isinstance(reply, TraceReply)
-        return list(reply.spans)
+        await write_frame(self._writer, TraceGetRequest(trace_id=trace_id))
+        return list((await self._recv(TraceReply)).spans)
 
     async def request_task(self, participant: int | None = None) -> TaskAssign:
         """Ask for a slot; returns the supervisor's assign frame.
@@ -171,41 +248,18 @@ class ServiceClient:
         span_id = (
             (current_span() or new_span_id()) if trace_id is not None else None
         )
-        await self._send(
-            TaskRequest(
-                participant=participant, trace_id=trace_id, span_id=span_id
-            )
+        request = TaskRequest(
+            participant=participant, trace_id=trace_id, span_id=span_id
         )
-        assign = await self._recv(TaskAssign)
-        n = assign.domain_stop - assign.domain_start
-        if n != assign.assign.n_inputs:
-            raise ProtocolError(
-                f"assign frame domain spans {n} inputs, "
-                f"AssignMsg says {assign.assign.n_inputs}"
-            )
-        return assign
-
-    @staticmethod
-    def build_assignment(assign: TaskAssign) -> TaskAssignment:
-        """Reconstruct the task from the wire envelope (shared kernel)."""
-        return TaskAssignment(
-            task_id=assign.assign.task_id,
-            domain=RangeDomain(assign.domain_start, assign.domain_stop),
-            function=resolve_workload(assign.assign.workload),
-        )
+        await write_frame(self._writer, request)
+        return await self._recv(TaskAssign)
 
     async def run_participant(
-        self,
-        behavior: Behavior,
-        participant: int | None = None,
-        compute_pool=None,
+        self, behavior: Behavior, participant: int | None = None
     ) -> ParticipantRun:
-        """Run one full protocol round under ``behavior``.
-
-        ``compute_pool`` is an optional ``concurrent.futures`` pool
-        for the CPU-heavy participant side (evaluating ``f``, building
-        the Merkle tree) so a load generator's event loop stays
-        responsive; ``None`` computes inline.
+        """Run one full protocol round under ``behavior``: the
+        :class:`ParticipantCore` of the slot's assign frame, its frames
+        written and the supervisor's read back until the verdict.
 
         When the caller has a trace bound, the whole round runs under
         a fresh span so client records and the supervisor's verdict
@@ -214,82 +268,13 @@ class ServiceClient:
         trace_id = current_trace()
         span_id = new_span_id() if trace_id is not None else None
         with bind_trace(trace_id, span_id):
-            return await self._run_participant(
-                behavior, participant, compute_pool
-            )
-
-    async def _run_participant(
-        self,
-        behavior: Behavior,
-        participant: int | None = None,
-        compute_pool=None,
-    ) -> ParticipantRun:
-        start = time.perf_counter()
-        assign = await self.request_task(participant)
-        assignment = self.build_assignment(assign)
-        scheme = resolve_scheme(
-            assign.protocol, assign.n_samples, assign.hash_name,
-            assign.sample_hash_name, assign.leaf_encoding,
-        )
-        if scheme.leaf_encoding is LeafEncoding.RAW:
-            # A RAW leaf is its result, which must be one digest wide.
-            digest_size = get_hash(assign.hash_name).digest_size
-            result_size = assignment.function.result_size
-            if digest_size != result_size:
-                raise ProtocolError(
-                    f"raw leaves over {assign.assign.workload}'s "
-                    f"{result_size}-byte results need a {result_size}-byte "
-                    f"hash, not {assign.hash_name}'s {digest_size}-byte digest"
-                )
-        session = scheme.participant(assignment, behavior, assign.seed)
-
-        if assign.protocol == "cbs":
-            commitment = await self._compute(
-                compute_pool, session.compute_and_commit
-            )
-            await self._send(CommitmentFrame(msg=commitment))
-            challenge = await self._recv(ChallengeFrame)
-            bundle = await self._compute(
-                compute_pool, session.prove, challenge.msg
-            )
-            await self._send(ProofsFrame(msg=bundle))
-        else:
-            submission = await self._compute(
-                compute_pool, session.compute_and_submit
-            )
-            await self._send(SubmissionFrame(msg=submission))
-
-        verdict = await self._recv(VerdictFrame)
-        if verdict.msg.task_id != assignment.task_id:
-            raise ProtocolError(
-                f"verdict for task {verdict.msg.task_id!r}, "
-                f"expected {assignment.task_id!r}"
-            )
-        assert session.work is not None
-        log_event(
-            _log,
-            "round_complete",
-            task_id=assignment.task_id,
-            participant=assign.participant,
-            accepted=verdict.msg.accepted,
-        )
-        return ParticipantRun(
-            participant=assign.participant,
-            task_id=assignment.task_id,
-            behavior=behavior.name,
-            honesty_ratio=session.work.honesty_ratio,
-            accepted=verdict.msg.accepted,
-            reason=verdict.msg.reject_reason,
-            protocol=assign.protocol,
-            n_samples=assign.n_samples,
-            latency_s=time.perf_counter() - start,
-            ledger=session.ledger,
-        )
-
-    @staticmethod
-    async def _compute(pool, fn, *args):
-        if pool is None:
-            return fn(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            pool, functools.partial(fn, *args)
-        )
+            start = time.perf_counter()
+            core = ParticipantCore(await self.request_task(participant), behavior)
+            reply = core.open()
+            while not isinstance(reply, ParticipantRun):
+                await write_frame(self._writer, reply)
+                reply = core.receive(await read_frame(self._reader))
+            reply.latency_s = time.perf_counter() - start
+            log_event(_log, "round_complete", task_id=reply.task_id,
+                      participant=reply.participant, accepted=reply.accepted)
+            return reply

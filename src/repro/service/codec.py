@@ -513,6 +513,8 @@ def _index_frames(rows: tuple[FrameRow, ...]) -> tuple[dict, dict]:
 
 
 _BY_TAG, _BY_CLASS = _index_frames(FRAMES)
+#: The frame that carries each protocol message: the ``_msg_row`` rows.
+_BY_MESSAGE = {f.arg: row.cls for row in FRAMES for f in row.fields if f.attr == "msg"}
 
 #: Any frame: the union of the table's dataclasses, in row order.
 Frame = Union[tuple(row.cls for row in FRAMES)]
@@ -531,6 +533,11 @@ def _encode_payload(frame: Frame) -> bytes:
     if row is None:
         raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
     return row.layout.encode(frame, bytes((row.tag,)))
+
+
+def frame_of(msg: Any) -> Frame:
+    """Protocol message ``msg`` in the frame the table carries it in."""
+    return _BY_MESSAGE[type(msg)](msg=msg)
 
 
 def encode_frame(frame: Frame, max_frame: int = MAX_FRAME_BYTES) -> bytes:

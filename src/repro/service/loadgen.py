@@ -7,7 +7,9 @@ supervisor reachable over TCP or the in-process transport, and
 reports both the paper's product (a
 :class:`~repro.grid.report.DetectionReport`: who was caught) and the
 system's product (:class:`LoadgenStats`: submissions/sec, p50/p99
-latency).
+latency).  Each participant is one
+:class:`~repro.service.client.ServiceClient` on one connection, its
+round computed inline on the loop.
 
 Participant ``i`` always claims slot ``i``, so a loadgen run at a
 fixed server seed is deterministic and comparable, outcome for
@@ -20,7 +22,6 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,10 +33,6 @@ from repro.net.transport import SecurityConfig
 from repro.service.client import ParticipantRun, ServiceClient
 from repro.service.server import SupervisorServer
 from repro.service.sessions import ServiceConfig
-
-#: Threads a load generator computes participants on (evaluating ``f``,
-#: building the Merkle tree) while its loop multiplexes connections.
-COMPUTE_WORKERS = 4
 
 
 @dataclass
@@ -100,10 +97,9 @@ async def run_loadgen(
     """Drive ``n_participants`` rounds; aggregate report and stats.
 
     Exactly one transport must be given: ``host``/``port`` for a TCP
-    supervisor, or ``server`` for in-process streams.  Participant
-    compute (tree building) runs on a pool of :data:`COMPUTE_WORKERS`
-    threads so the event loop multiplexes connections instead of
-    serializing on hashing.
+    supervisor, or ``server`` for in-process streams.  Each
+    participant computes inline on the loop: a thread pool sharing the
+    GIL bought no throughput (``benchmarks/NOTES.md``, 2026-10-19).
 
     A participant whose round fails with a protocol or transport error
     is counted in ``stats.n_errors`` and *omitted* from the report —
@@ -128,9 +124,6 @@ async def run_loadgen(
         raise ProtocolError("behaviors must be non-empty")
 
     semaphore = asyncio.Semaphore(max(1, concurrency))
-    pool = _FuturesThreadPool(
-        max_workers=COMPUTE_WORKERS, thread_name_prefix="repro-loadgen"
-    )
     errors = 0
 
     async def one_round(index: int) -> ParticipantRun | None:
@@ -151,9 +144,7 @@ async def run_loadgen(
                         connect_retry_s=connect_retry_s,
                     )
                 try:
-                    return await client.run_participant(
-                        behavior, participant=index, compute_pool=pool
-                    )
+                    return await client.run_participant(behavior, participant=index)
                 finally:
                     await client.close()
             except (ReproError, ConnectionError, OSError):
@@ -161,12 +152,7 @@ async def run_loadgen(
                 return None
 
     start = time.perf_counter()
-    try:
-        runs = await asyncio.gather(
-            *(one_round(i) for i in range(n_participants))
-        )
-    finally:
-        pool.shutdown(wait=True)
+    runs = await asyncio.gather(*(one_round(i) for i in range(n_participants)))
     elapsed = time.perf_counter() - start
 
     completed = [run for run in runs if run is not None]

@@ -24,9 +24,14 @@ from repro.cheating import (
     SemiHonestCheater,
 )
 from repro.core import CBSScheme, NICBSScheme
-from repro.core.cbs import CBSParticipant
 from repro.core.ni_cbs import NICBSParticipant
-from repro.core.protocol import AssignMsg, CommitmentMsg, NICBSSubmissionMsg
+from repro.core.protocol import (
+    AssignMsg,
+    CommitmentMsg,
+    NICBSSubmissionMsg,
+    SampleChallengeMsg,
+    VerdictMsg,
+)
 from repro.core.scheme import RejectReason
 from repro.engine import SerialExecutor, get_executor, run_scheme_jobs
 from repro.exceptions import ProtocolError
@@ -36,7 +41,6 @@ from repro.service import (
     ChallengeFrame,
     CommitmentFrame,
     ErrorFrame,
-    ProofsFrame,
     ServiceClient,
     ServiceConfig,
     SubmissionFrame,
@@ -53,6 +57,7 @@ from repro.obs.trace import bind_trace, new_trace_id
 from repro.service import server as server_module
 from repro.service import sessions as sessions_module
 from repro.service import verification_jobs
+from repro.service.client import ParticipantCore, ParticipantRun
 from repro.service.codec import (
     SERVICE_HASH,
     ByeFrame,
@@ -60,11 +65,12 @@ from repro.service.codec import (
     StatsRequest,
     TaskAssign,
     TraceGetRequest,
+    frame_of,
     resolve_scheme,
 )
 from repro.service.server import INLINE_BUDGET_S, inline_budget, memory_duplex
-from repro.service.sessions import SessionState, SupervisorCore
-from repro.tasks import PasswordSearch, RangeDomain
+from repro.service.sessions import SessionState, SupervisorCore, Verify
+from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
 D = RangeDomain(0, 1 << 9)
 BEHAVIORS = [HonestBehavior(), SemiHonestCheater(0.5)]
@@ -126,51 +132,26 @@ async def drive_all(server: SupervisorServer, cfg: ServiceConfig):
     return await asyncio.gather(*(one(i) for i in range(cfg.n_participants)))
 
 
-def frame_participant(protocol: str, assign: TaskAssign, behavior):
-    """The participant side of one ``protocol`` round on ``assign``'s
-    slot and parameters, built as the client does."""
-    scheme = resolve_scheme(
-        protocol, assign.n_samples, assign.hash_name,
-        assign.sample_hash_name, assign.leaf_encoding,
-    )
-    return scheme.participant(
-        ServiceClient.build_assignment(assign), behavior, assign.seed
-    )
-
-
-def cbs_participant(assign: TaskAssign, behavior) -> CBSParticipant:
-    """The participant side of one CBS round, built as the client does."""
-    return frame_participant("cbs", assign, behavior)
-
-
-def nicbs_participant(assign: TaskAssign, behavior) -> NICBSParticipant:
-    """The participant side of one NI-CBS round, built as the client does."""
-    return frame_participant("ni-cbs", assign, behavior)
-
-
-def drive_core(cfg: ServiceConfig, behaviors):
-    """Every slot's round against a bare :class:`SupervisorCore`: no
-    loop, no bytes, each ``Verify`` run inline.  Slot *i* runs
-    ``behaviors[i % len(behaviors)]``; returns the recorded outcomes."""
+def play_cores(cfg: ServiceConfig, behaviors):
+    """Every slot's round between a bare :class:`SupervisorCore` and a
+    :class:`ParticipantCore`: no loop, no bytes, each ``Verify`` run
+    inline.  Slot *i* runs ``behaviors[i % len(behaviors)]``; returns
+    the participants' finished rounds and the supervisor's outcomes."""
     core = SupervisorCore(cfg)
+    runs = []
     for i in range(cfg.n_participants):
-        behavior = behaviors[i % len(behaviors)]
         assign = core.receive(TaskRequest(participant=i))
-        if cfg.protocol == "cbs":
-            participant = cbs_participant(assign, behavior)
-            commitment = CommitmentFrame(msg=participant.compute_and_commit())
-            challenge = core.receive(commitment).msg
-            claim = core.receive(ProofsFrame(msg=participant.prove(challenge)))
-        else:
-            participant = nicbs_participant(assign, behavior)
-            claim = core.receive(
-                SubmissionFrame(msg=participant.compute_and_submit())
-            )
-        verdict = core.verdict(claim, claim.job(*claim.args)).msg
-        outcome = core.sessions.outcomes[verdict.task_id]
-        assert verdict.accepted == outcome.accepted
+        participant = ParticipantCore(assign, behaviors[i % len(behaviors)])
+        reply = participant.open()
+        while not isinstance(reply, ParticipantRun):
+            answer = core.receive(reply)
+            if isinstance(answer, Verify):
+                answer = core.verdict(answer, answer.job(*answer.args))
+            reply = participant.receive(answer)
+        assert reply.accepted == core.sessions.outcomes[reply.task_id].accepted
+        runs.append(reply)
     assert core.sessions.active == 0
-    return core.sessions.outcomes
+    return runs, core.sessions.outcomes
 
 
 def cbs_rounds_on_one_connection(cfg: ServiceConfig, behaviors):
@@ -183,25 +164,25 @@ def cbs_rounds_on_one_connection(cfg: ServiceConfig, behaviors):
     async def scenario():
         server = SupervisorServer(cfg, engine="serial")
         try:
-            client = ServiceClient(*server.connect_memory())
-            sessions = []
+            reader, writer = server.connect_memory()
+            cores = []
             for _ in behaviors:
-                assign = await client.request_task()
-                sessions.append(
-                    cbs_participant(assign, behaviors[assign.participant])
-                )
+                await write_frame(writer, TaskRequest())
+                assign = await read_frame(reader)
+                cores.append(ParticipantCore(assign, behaviors[assign.participant]))
             commitments, challenges = [], []
-            for session in sessions:
-                commitments.append(session.compute_and_commit())
-                await client._send(CommitmentFrame(msg=commitments[-1]))
-                challenges.append((await client._recv(ChallengeFrame)).msg)
+            for core in cores:
+                commitment = core.open()
+                commitments.append(commitment.msg)
+                await write_frame(writer, commitment)
+                challenges.append(await read_frame(reader))
             verdicts = {}
-            for session, challenge in reversed(list(zip(sessions, challenges))):
-                await client._send(ProofsFrame(msg=session.prove(challenge)))
-                verdict = (await client._recv(VerdictFrame)).msg
-                verdicts[verdict.task_id] = verdict.accepted
-            await client.close()
-            return commitments, challenges, verdicts, server
+            for core, challenge in reversed(list(zip(cores, challenges))):
+                await write_frame(writer, core.receive(challenge))
+                run = core.receive(await read_frame(reader))
+                verdicts[run.task_id] = run.accepted
+            writer.close()
+            return commitments, [c.msg for c in challenges], verdicts, server
         finally:
             await server.stop()
 
@@ -224,11 +205,8 @@ def relay_through_broker(
             for _ in behaviors:
                 await write_frame(writer, TaskRequest(participant=None))
                 assign = await read_frame(reader)
-                participant = nicbs_participant(
-                    assign, behaviors[assign.participant]
-                )
                 submissions.append(
-                    SubmissionFrame(msg=participant.compute_and_submit())
+                    ParticipantCore(assign, behaviors[assign.participant]).open()
                 )
             verdicts = {}
             for submission in submissions:
@@ -271,7 +249,8 @@ class TestEndToEnd:
         strategy's messages fed straight in, verdicts equal
         ``scheme.run``'s."""
         cfg = config(protocol, n_participants=8)
-        assert drive_core(cfg, STRATEGIES) == sync_outcomes(cfg, STRATEGIES)
+        _runs, outcomes = play_cores(cfg, STRATEGIES)
+        assert outcomes == sync_outcomes(cfg, STRATEGIES)
 
     def test_serial_engine_runs_inline(self):
         cfg = config("ni-cbs", n_participants=3)
@@ -308,30 +287,15 @@ class TestClientHonoursTheAssignFrame:
             seed=2**40 + 7,
         )
         behavior = SemiHonestCheater(0.5)
-
-        async def scripted_peer():
-            (client_r, client_w), (peer_r, peer_w) = memory_duplex()
-            client = ServiceClient(client_r, client_w)
-            run = asyncio.create_task(
-                client.run_participant(behavior, participant=3)
-            )
-            assert await read_frame(peer_r) == TaskRequest(participant=3)
-            await write_frame(peer_w, assign)
-            first = await asyncio.wait_for(read_frame(peer_r), timeout=30)
-            await write_frame(peer_w, ErrorFrame("scripted peer hangs up"))
-            with pytest.raises(ProtocolError, match="scripted peer"):
-                await run
-            return first
-
-        sent = asyncio.run(scripted_peer())
+        sent = ParticipantCore(assign, behavior).open()
 
         def first_message(*params):
-            participant = resolve_scheme(protocol, 5, *params).participant(
-                ServiceClient.build_assignment(assign), behavior, assign.seed
+            scheme = resolve_scheme(protocol, 5, *params)
+            assignment = TaskAssignment(
+                "task-3", RangeDomain(120, 160), PasswordSearch()
             )
-            if protocol == "cbs":
-                return CommitmentFrame(msg=participant.compute_and_commit())
-            return SubmissionFrame(msg=participant.compute_and_submit())
+            participant = scheme.participant(assignment, behavior, assign.seed)
+            return frame_of(scheme.opening(participant))
 
         expected = first_message("md5", sample_hash, leaf_encoding)
         assert sent.msg.encode() == expected.msg.encode()
@@ -343,8 +307,9 @@ class TestClientHonoursTheAssignFrame:
     @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
     def test_raw_leaves_wider_than_the_result_are_refused(self, protocol):
         # sha1 digests are 20 bytes, PasswordSearch results 16: no raw
-        # leaf can be both.  The client refuses the frame before any
-        # compute, naming both sizes, and sends nothing after it.
+        # leaf can be both.  The core refuses the frame before any
+        # compute, naming both sizes; that the client then sends
+        # nothing is TestParticipantRefusals' raw-wider-than-digest row.
         assign = TaskAssign(
             assign=AssignMsg(task_id="task-4", n_inputs=8,
                              workload="PasswordSearch"),
@@ -352,20 +317,103 @@ class TestClientHonoursTheAssignFrame:
             protocol=protocol, n_samples=2, hash_name="sha1",
             sample_hash_name="sha256", leaf_encoding="raw", seed=9,
         )
+        with pytest.raises(ProtocolError, match="16-byte.*20-byte"):
+            ParticipantCore(assign, HonestBehavior())
+
+
+#: A slot a scripted supervisor assigns, and the frames it answers with.
+ASSIGN = TaskAssign(
+    assign=AssignMsg(task_id="task-3", n_inputs=40, workload="PasswordSearch"),
+    participant=3, domain_start=120, domain_stop=160, protocol="cbs",
+    n_samples=5, hash_name="sha256", sample_hash_name="sha256",
+    leaf_encoding="hashed", seed=7,
+)
+CHALLENGE = ChallengeFrame(
+    msg=SampleChallengeMsg(task_id="task-3", indices=(0, 1))
+)
+
+
+def verdict_for(task_id: str) -> VerdictFrame:
+    return VerdictFrame(msg=VerdictMsg(task_id=task_id, accepted=True))
+
+
+#: Each refusal of the participant's round: the protocol, the assign
+#: frame's changes, the supervisor's frames after the assign (``None``
+#: ends the stream), and the text, which is the one the client raised
+#: for the same input before its round was a ParticipantCore.
+REFUSALS = {
+    "closed-stream": (
+        "ni-cbs", {}, [None], "supervisor closed the connection"
+    ),
+    "error-frame": (
+        "ni-cbs", {}, [ErrorFrame("scripted refusal")],
+        "supervisor error: scripted refusal",
+    ),
+    "challenge-to-ni-cbs": (
+        "ni-cbs", {}, [CHALLENGE], "expected VerdictFrame, got ChallengeFrame"
+    ),
+    "second-challenge": (
+        "cbs", {}, [CHALLENGE, CHALLENGE],
+        "expected VerdictFrame, got ChallengeFrame",
+    ),
+    "verdict-before-challenge": (
+        "cbs", {}, [verdict_for("task-3")],
+        "expected ChallengeFrame, got VerdictFrame",
+    ),
+    "verdict-for-another-task": (
+        "ni-cbs", {}, [verdict_for("task-9")],
+        "verdict for task 'task-9', expected 'task-3'",
+    ),
+    "domain-span": (
+        "cbs", {"domain_stop": 161}, [],
+        "assign frame domain spans 41 inputs, AssignMsg says 40",
+    ),
+    "raw-wider-than-digest": (
+        "cbs", {"hash_name": "sha1", "leaf_encoding": "raw"}, [],
+        "raw leaves over PasswordSearch's 16-byte results need a 16-byte "
+        "hash, not sha1's 20-byte digest",
+    ),
+}
+
+
+class TestParticipantRefusals:
+    @pytest.mark.parametrize("row", list(REFUSALS))
+    def test_core_and_client_refuse_with_one_text(self, row):
+        """The bare core refuses each input of the table, and the client
+        over ``memory_duplex`` raises the same text, then sends nothing
+        more."""
+        protocol, changes, script, text = REFUSALS[row]
+        assign = dataclasses.replace(ASSIGN, protocol=protocol, **changes)
+
+        with pytest.raises(ProtocolError) as refused:
+            core = ParticipantCore(assign, HonestBehavior())
+            core.open()
+            for frame in script:
+                core.receive(frame)
+        assert str(refused.value) == text
 
         async def scripted_peer():
             (client_r, client_w), (peer_r, peer_w) = memory_duplex()
             client = ServiceClient(client_r, client_w)
-            run = asyncio.create_task(client.run_participant(HonestBehavior()))
-            await read_frame(peer_r)
+            run = asyncio.create_task(
+                client.run_participant(HonestBehavior(), participant=3)
+            )
+            assert await read_frame(peer_r) == TaskRequest(participant=3)
             await write_frame(peer_w, assign)
-            with pytest.raises(ProtocolError, match="16-byte.*20-byte"):
+            for frame in script:
+                await asyncio.wait_for(read_frame(peer_r), timeout=30)
+                if frame is None:
+                    peer_w.close()
+                else:
+                    await write_frame(peer_w, frame)
+            with pytest.raises(ProtocolError) as refused:
                 await asyncio.wait_for(run, timeout=30)
             client_w.close()
-            # End of stream: no commitment or submission ever left.
+            # End of stream: nothing left after the refusal.
             assert await asyncio.wait_for(read_frame(peer_r), timeout=5) is None
+            return str(refused.value)
 
-        asyncio.run(scripted_peer())
+        assert asyncio.run(scripted_peer()) == text
 
 
 class TestProofHeavySession:
@@ -751,34 +799,29 @@ class TestInterleavedCBS:
         async def scenario():
             server = SupervisorServer(cfg, engine="serial")
             try:
-                clients = [
-                    ServiceClient(*server.connect_memory()) for _ in range(2)
-                ]
-                sessions = [
-                    cbs_participant(
-                        await clients[i].request_task(participant=i),
-                        BEHAVIORS[i % len(BEHAVIORS)],
-                    )
-                    for i in range(2)
-                ]
+                streams = [server.connect_memory() for _ in range(2)]
+                cores = []
+                for i, (reader, writer) in enumerate(streams):
+                    await write_frame(writer, TaskRequest(participant=i))
+                    cores.append(ParticipantCore(
+                        await read_frame(reader), BEHAVIORS[i % len(BEHAVIORS)]
+                    ))
 
                 # Interleave: both commitments first, then proofs in
                 # *reverse* client order.
                 challenges = []
                 for i in (0, 1):
-                    await clients[i]._send(
-                        CommitmentFrame(msg=sessions[i].compute_and_commit())
-                    )
-                    challenges.append(await clients[i]._recv(ChallengeFrame))
+                    reader, writer = streams[i]
+                    await write_frame(writer, cores[i].open())
+                    challenges.append(await read_frame(reader))
                 verdicts = {}
                 for i in (1, 0):
-                    await clients[i]._send(
-                        ProofsFrame(msg=sessions[i].prove(challenges[i].msg))
-                    )
-                    verdict = await clients[i]._recv(VerdictFrame)
-                    verdicts[verdict.msg.task_id] = verdict.msg.accepted
-                for client in clients:
-                    await client.close()
+                    reader, writer = streams[i]
+                    await write_frame(writer, cores[i].receive(challenges[i]))
+                    run = cores[i].receive(await read_frame(reader))
+                    verdicts[run.task_id] = run.accepted
+                for _reader, writer in streams:
+                    writer.close()
                 return verdicts, server
             finally:
                 await server.stop()
@@ -988,17 +1031,12 @@ class TestProtocolPolicing:
                 reader, writer = server.connect_memory()
                 await write_frame(writer, TaskRequest(participant=0))
                 assign = await read_frame(reader)
-                participant = frame_participant(
-                    protocol, assign, HonestBehavior()
-                )
-                if protocol == "cbs":
-                    msg, wrap = participant.compute_and_commit(), CommitmentFrame
-                else:
-                    msg, wrap = participant.compute_and_submit(), SubmissionFrame
+                first = ParticipantCore(assign, HonestBehavior()).open()
+                msg = first.msg
                 n_leaves = msg.n_leaves + envelope.get("n_leaves", 0)
                 root = envelope.get("root", msg.root)
                 hostile = dataclasses.replace(msg, n_leaves=n_leaves, root=root)
-                await write_frame(writer, wrap(msg=hostile))
+                await write_frame(writer, dataclasses.replace(first, msg=hostile))
                 reply = await read_frame(reader)
                 writer.close()
                 session = server.sessions.peek(assign.assign.task_id)
@@ -1054,12 +1092,8 @@ class TestEvictionIntegration:
             try:
                 reader, writer = server.connect_memory()
                 await write_frame(writer, TaskRequest(participant=0))
-                session = cbs_participant(
-                    await read_frame(reader), HonestBehavior()
-                )
-                await write_frame(
-                    writer, CommitmentFrame(msg=session.compute_and_commit())
-                )
+                core = ParticipantCore(await read_frame(reader), HonestBehavior())
+                await write_frame(writer, core.open())
                 challenge = await read_frame(reader)
 
                 # The participant stalls past the TTL; the sweeper (here
@@ -1068,9 +1102,7 @@ class TestEvictionIntegration:
                 now[0] += 11.0
                 assert server.sessions.evict_stale() == ["task-0"]
 
-                await write_frame(
-                    writer, ProofsFrame(msg=session.prove(challenge.msg))
-                )
+                await write_frame(writer, core.receive(challenge))
                 reply = await read_frame(reader)
                 writer.close()
 
@@ -1111,10 +1143,8 @@ class TestEvictionIntegration:
 
         async def submit(reader, writer, behavior):
             await write_frame(writer, TaskRequest(participant=0))
-            submission = nicbs_participant(
-                await read_frame(reader), behavior
-            ).compute_and_submit()
-            await write_frame(writer, SubmissionFrame(msg=submission))
+            assign = await read_frame(reader)
+            await write_frame(writer, ParticipantCore(assign, behavior).open())
 
         async def scenario():
             server = SupervisorServer(
@@ -1133,10 +1163,8 @@ class TestEvictionIntegration:
                 b_assign = await read_frame(b_reader)
                 release.set()
                 a_reply = await read_frame(a_reader)
-                b_submission = nicbs_participant(
-                    b_assign, HonestBehavior()
-                ).compute_and_submit()
-                await write_frame(b_writer, SubmissionFrame(msg=b_submission))
+                b_core = ParticipantCore(b_assign, HonestBehavior())
+                await write_frame(b_writer, b_core.open())
                 b_reply = await read_frame(b_reader)
                 a_writer.close()
                 b_writer.close()

@@ -27,11 +27,16 @@ refuses.  Checked after every step:
 
 The default hypothesis profile keeps this small for tier-1; CI's
 service job runs it under ``HYPOTHESIS_PROFILE=ci`` (see conftest).
+
+:class:`TestCoresPlayEachOther` plays the same core against each slot's
+:class:`~repro.service.client.ParticipantCore`, again with no loop and
+no socket: every slot ends as ``scheme.run`` does at its seed.
 """
 
 import dataclasses
 import functools
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -41,15 +46,16 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.protocol import VerdictMsg
+from repro.engine.seeding import derive_seed
 from repro.exceptions import ProtocolError
+from repro.service.client import ParticipantCore
 from repro.service.codec import (
     ChallengeFrame,
-    CommitmentFrame,
-    ProofsFrame,
-    SubmissionFrame,
     TaskAssign,
     TaskRequest,
     VerdictFrame,
+    resolve_workload,
 )
 from repro.service.sessions import (
     _DONE,
@@ -60,14 +66,9 @@ from repro.service.sessions import (
     Verify,
     task_name,
 )
+from repro.tasks.result import TaskAssignment
 
-from test_service_server import (
-    STRATEGIES,
-    cbs_participant,
-    config,
-    nicbs_participant,
-    sync_outcomes,
-)
+from test_service_server import STRATEGIES, config, play_cores, sync_outcomes
 from test_service_sessions import FakeClock
 
 N_SLOTS = 2
@@ -79,19 +80,20 @@ BOGUS_IDS = (task_name(N_SLOTS), "task-01", "nobody")
 @functools.cache
 def slot_frames() -> list[dict[str, object]]:
     """Slot *i*'s commitment, proofs and submission under
-    ``STRATEGIES[i]``, as its participant produces them."""
+    ``STRATEGIES[i]``, as its participant core produces them."""
     core = SupervisorCore(config("cbs", n_participants=N_SLOTS))
     frames = []
     for slot in range(N_SLOTS):
         assign = core.receive(TaskRequest(participant=slot))
-        cbs = cbs_participant(assign, STRATEGIES[slot])
-        commitment = cbs.compute_and_commit()
-        challenge = core.receive(CommitmentFrame(msg=commitment)).msg
-        submission = nicbs_participant(assign, STRATEGIES[slot])
+        cbs = ParticipantCore(assign, STRATEGIES[slot])
+        commitment = cbs.open()
+        ni_cbs = ParticipantCore(
+            dataclasses.replace(assign, protocol="ni-cbs"), STRATEGIES[slot]
+        )
         frames.append({
-            "commit": CommitmentFrame(msg=commitment),
-            "prove": ProofsFrame(msg=cbs.prove(challenge)),
-            "submit": SubmissionFrame(msg=submission.compute_and_submit()),
+            "commit": commitment,
+            "prove": cbs.receive(core.receive(commitment)),
+            "submit": ni_cbs.open(),
         })
     return frames
 
@@ -290,3 +292,37 @@ TestCBSSessions.settings = settings(
 )
 TestNICBSSessions = NICBSSessionMachine.TestCase
 TestNICBSSessions.settings = TestCBSSessions.settings
+
+
+class TestCoresPlayEachOther:
+    @pytest.mark.parametrize("protocol", ["cbs", "ni-cbs"])
+    def test_every_slot_ends_as_scheme_run_does(self, protocol):
+        """A bare :class:`SupervisorCore` against each slot's
+        :class:`ParticipantCore`, no loop and no socket, under every
+        strategy: each slot's verdict, ground truth and participant
+        ledger are ``scheme.run``'s at the slot's seed."""
+        cfg = config(protocol, n_participants=2 * len(STRATEGIES))
+        runs, _outcomes = play_cores(cfg, STRATEGIES)
+        function = resolve_workload(cfg.workload)
+        for slot, run in enumerate(runs):
+            assignment = TaskAssignment(
+                task_name(slot),
+                cfg.domain.part(slot, cfg.n_participants),
+                function,
+            )
+            expected = cfg.scheme.run(
+                assignment,
+                STRATEGIES[slot % len(STRATEGIES)],
+                seed=derive_seed(cfg.seed, slot),
+            )
+            assert run.task_id == task_name(slot)
+            assert (run.accepted, run.reason) == (
+                expected.outcome.accepted, expected.outcome.reason
+            )
+            assert run.honesty_ratio == expected.work.honesty_ratio
+            books = expected.participant_ledger
+            if protocol == "ni-cbs":
+                # The service answers the submission with a verdict
+                # frame; scheme.run's one-message round carries none.
+                books.record_receive(VerdictMsg.of(expected.outcome).wire_size())
+            assert run.ledger == books
