@@ -42,11 +42,11 @@ from repro.analysis import format_table
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core.ni_cbs import derive_sample_indices
 from repro.core.protocol import NICBSSubmissionMsg, ProofBundleMsg
-from repro.engine.seeding import derive_seed
+from repro.engine.seeding import slot_task
 from repro.merkle.hashing import get_hash
 from repro.merkle.multiproof import bundle_shape
-from repro.service.sessions import ServiceConfig, task_name
-from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.service.sessions import ServiceConfig
+from repro.tasks import PasswordSearch, RangeDomain
 from repro.utils.bitmath import ceil_log2
 
 from bench_run_floor import verdict
@@ -77,10 +77,10 @@ class Case:
             n_participants=(1 << 20) // n, seed=1,
         )
         self.name = (protocol, shape, participant)
-        scheme, seed = config.scheme, derive_seed(config.seed, SLOT)
-        assignment = TaskAssignment(
-            task_name(SLOT), config.domain.part(SLOT, config.n_participants),
-            PasswordSearch(),
+        scheme = config.scheme
+        assignment, seed = slot_task(
+            SLOT, config.n_participants, config.domain, PasswordSearch(),
+            config.seed,
         )
         prover = scheme.participant(assignment, behavior, seed)
         if protocol == "ni-cbs":

@@ -33,8 +33,6 @@ per-figure reproduction harnesses (indexed in README "Benchmarks").
 import sys
 import types
 
-from repro._version import __version__
-
 
 class _Package(types.ModuleType):
     """The one lazy re-export rule of every package ``__init__``.
@@ -66,15 +64,18 @@ class _Package(types.ModuleType):
 
 def _reexport(package: str, exports: dict[str, str]) -> None:
     """Give ``package`` the rule over ``exports``: each owning module
-    and the names it exports, which become a name -> owner table."""
+    and the names it exports, which become a name -> owner table and,
+    in its order, the package's ``__all__``."""
     module = sys.modules[package]
     module._owners = {
         name: owner for owner, names in exports.items() for name in names.split()
     }
+    module.__all__ = list(module._owners)
     module.__class__ = _Package
 
 
 _reexport(__name__, {
+    "repro._version": "__version__",
     "repro.analysis.probability": "cheat_success_probability required_sample_size",
     "repro.baselines.double_check": "DoubleCheckScheme",
     "repro.baselines.hardening": "HardenedProbeScheme",
@@ -90,34 +91,3 @@ _reexport(__name__, {
     "repro.tasks.domain": "RangeDomain",
     "repro.tasks.result": "TaskAssignment",
 })
-
-__all__ = [
-    "__version__",
-    # analysis
-    "cheat_success_probability",
-    "required_sample_size",
-    # baselines
-    "DoubleCheckScheme",
-    "NaiveSamplingScheme",
-    "RingerScheme",
-    "HardenedProbeScheme",
-    # cheating
-    "HonestBehavior",
-    "SemiHonestCheater",
-    "ColludingCheater",
-    "UniformValueGuess",
-    # core
-    "CBSScheme",
-    "NICBSScheme",
-    # grid
-    "GridSimulation",
-    "SimulationConfig",
-    # tasks
-    "RangeDomain",
-    "TaskAssignment",
-    "PasswordSearch",
-    "MoleculeScreening",
-    "SignalSearch",
-    "MatchScreener",
-    "ThresholdScreener",
-]

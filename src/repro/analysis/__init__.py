@@ -21,13 +21,3 @@ _reexport(__name__, {
     "repro.analysis.sweep": "sweep",
     "repro.analysis.tables": "format_table",
 })
-
-__all__ = [
-    "cheat_success_probability",
-    "detection_probability",
-    "required_sample_size",
-    "fig2_series",
-    "estimate_escape_rate",
-    "sweep",
-    "format_table",
-]

@@ -22,10 +22,3 @@ _reexport(__name__, {
     "repro.baselines.ringer": "RingerScheme",
     "repro.baselines.hardening": "HardenedProbeScheme",
 })
-
-__all__ = [
-    "DoubleCheckScheme",
-    "NaiveSamplingScheme",
-    "RingerScheme",
-    "HardenedProbeScheme",
-]

@@ -23,13 +23,3 @@ _reexport(__name__, {
         "HonestBehavior ColludingCheater SemiHonestCheater MaliciousBehavior"
     ),
 })
-
-__all__ = [
-    "ZeroGuess",
-    "BernoulliGuess",
-    "UniformValueGuess",
-    "HonestBehavior",
-    "ColludingCheater",
-    "SemiHonestCheater",
-    "MaliciousBehavior",
-]

@@ -4,7 +4,7 @@
 * :mod:`repro.core.ni_cbs` — the non-interactive variant (§4) where
   sample indices are derived from the committed root.
 * :mod:`repro.core.storage_opt` — the §3.3 storage/computation
-  trade-off (partial Merkle tree backend and the ``rco`` closed form).
+  trade-off's closed forms (``rco``, storage for a target ``rco``).
 * :mod:`repro.core.protocol` — the wire messages, with real byte
   encodings for communication accounting.
 * :mod:`repro.core.scheme` — the uniform ``VerificationScheme``
@@ -18,14 +18,3 @@ _reexport(__name__, {
     "repro.core.ni_cbs": "NICBSParticipant NICBSSupervisor NICBSScheme",
     "repro.core.storage_opt": "predicted_rco storage_for_rco",
 })
-
-__all__ = [
-    "CBSParticipant",
-    "CBSSupervisor",
-    "CBSScheme",
-    "NICBSParticipant",
-    "NICBSSupervisor",
-    "NICBSScheme",
-    "predicted_rco",
-    "storage_for_rco",
-]

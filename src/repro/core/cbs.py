@@ -49,12 +49,12 @@ from repro.core.scheme import (
     VerificationScheme,
     run_salt,
 )
-from repro.core.storage_opt import TreeBackend
 from repro.core.verification import verify_proof_bundle
 from repro.exceptions import ProtocolError, SchemeConfigurationError
 from repro.accounting import CostLedger
 from repro.merkle.hashing import CountingHash, HashFunction, get_hash
-from repro.merkle.tree import LeafEncoding
+from repro.merkle.partial import PartialMerkleTree
+from repro.merkle.tree import LeafEncoding, MerkleTree
 from repro.tasks.function import MeteredFunction
 from repro.tasks.result import TaskAssignment
 
@@ -79,8 +79,9 @@ class CBSParticipant:
     hash_fn, leaf_encoding:
         Merkle parameters (must match the supervisor's).
     subtree_height:
-        ``None``/``0`` for the full tree; ``ℓ > 0`` enables the §3.3
-        storage-optimized backend.
+        ``None``/``0`` for the full :class:`MerkleTree`; ``ℓ > 0`` keeps
+        the §3.3 :class:`PartialMerkleTree`, whose proofs rebuild each
+        touched subtree through a metered recomputation.
     ledger:
         Cost ledger charged with evaluations, hashing, storage and
         traffic; a fresh one is created if omitted.
@@ -107,7 +108,7 @@ class CBSParticipant:
         self.salt = salt
         self._metered = MeteredFunction(assignment.function, self.ledger)
         self.work: ComputedWork | None = None
-        self.backend: TreeBackend | None = None
+        self.tree: MerkleTree | PartialMerkleTree | None = None
 
     # ------------------------------------------------------------------
     # Step 1
@@ -129,18 +130,19 @@ class CBSParticipant:
                 return self._metered.evaluate(self.assignment.domain[index])
             return self.work.leaf_payloads[index]
 
-        self.backend = TreeBackend(
-            self.work.leaf_payloads,
-            hash_fn=self.hash_fn,
-            leaf_encoding=self.leaf_encoding,
-            subtree_height=self.subtree_height,
-            recompute=recompute,
-        )
-        self.ledger.record_storage(self.backend.stored_digests)
+        payloads = self.work.leaf_payloads
+        if self.subtree_height:
+            self.tree = PartialMerkleTree(
+                payloads, recompute, self.subtree_height, self.hash_fn,
+                self.leaf_encoding,
+            )
+        else:
+            self.tree = MerkleTree(payloads, self.hash_fn, self.leaf_encoding)
+        self.ledger.record_storage(self.tree.n_nodes)
         self.ledger.bump("commitments")
         return CommitmentMsg(
             task_id=self.assignment.task_id,
-            root=self.backend.root,
+            root=self.tree.root,
             n_leaves=self.assignment.n_inputs,
         )
 
@@ -150,14 +152,14 @@ class CBSParticipant:
 
     def prove(self, challenge: SampleChallengeMsg) -> ProofBundleMsg:
         """Answer a sample challenge with claimed results + auth paths."""
-        if self.backend is None:
+        if self.tree is None:
             raise ProtocolError("prove() before compute_and_commit()")
         _own(challenge, self.assignment)
         n, indices = self.assignment.n_inputs, challenge.indices
         if indices and not 0 <= min(indices) <= max(indices) < n:
             index = next(i for i in indices if not 0 <= i < n)
             raise ProtocolError(f"challenged index {index} outside [0, {n})")
-        bundle = self.backend.multiproof(indices)
+        bundle = self.tree.multiproof(indices, self.work.leaf_payloads)
         self.ledger.bump("proofs", len(indices))
         return ProofBundleMsg(task_id=self.assignment.task_id, bundle=bundle)
 
@@ -412,12 +414,19 @@ class CBSScheme(VerificationScheme):
             assignment, behavior, seed, participant_ledger
         )
         supervisor = self.supervisor(assignment, seed, supervisor_ledger)
-        outcome = self._round(
-            participant,
-            supervisor,
-            lambda msg: transfer(msg, participant_ledger, supervisor_ledger),
-            lambda msg: transfer(msg, supervisor_ledger, participant_ledger),
-        )
+
+        def up(msg):
+            return transfer(msg, participant_ledger, supervisor_ledger)
+
+        def down(msg):
+            return transfer(msg, supervisor_ledger, participant_ledger)
+
+        outcome = self._round(participant, supervisor, up, down)
+        # Either round ends with the verdict going down, as it does in
+        # a service session; CBS's screener reports follow it.
+        down(VerdictMsg.of(outcome))
+        if self.include_reports and assignment.screener is not None:
+            up(participant.reports())
         return SchemeRunResult(
             outcome=outcome,
             participant_ledger=participant_ledger,
@@ -434,8 +443,4 @@ class CBSScheme(VerificationScheme):
         ``down`` to the participant (and accounted on both ledgers)."""
         supervisor.receive_commitment(up(self.opening(participant)))
         challenge = down(supervisor.make_challenge())
-        outcome = supervisor.verify(up(participant.prove(challenge)))
-        down(VerdictMsg.of(outcome))
-        if self.include_reports and participant.assignment.screener is not None:
-            up(participant.reports())
-        return outcome
+        return supervisor.verify(up(participant.prove(challenge)))

@@ -155,9 +155,10 @@ class NICBSSupervisor(CBSSupervisor):
 class NICBSScheme(CBSScheme):
     """Full NI-CBS run behind the uniform scheme interface.
 
-    Its sides are CBS's sides with ``g`` added, and its run is one
-    message.  ``sample_hash_name`` selects ``g``; use ``"md5^<k>"``-style
-    names to reproduce the paper's iterated-MD5 hardening (Eq. 5).
+    Its sides are CBS's sides with ``g`` added, and its round is one
+    message, answered by the verdict.  ``sample_hash_name`` selects
+    ``g``; use ``"md5^<k>"``-style names to reproduce the paper's
+    iterated-MD5 hardening (Eq. 5).
     """
 
     def __init__(

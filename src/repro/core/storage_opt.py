@@ -1,9 +1,9 @@
-"""Storage/computation trade-off (paper §3.3) and the tree backend.
+"""Storage/computation trade-off (paper §3.3): its closed forms.
 
-:class:`TreeBackend` gives the CBS participant a uniform proving
-interface over either a full in-memory Merkle tree or the §3.3 partial
-tree (top ``H − ℓ`` levels only).  The closed forms of §3.3 are
-provided as functions for experiment E4:
+The participant keeps either the full Merkle tree or the §3.3 partial
+tree (:class:`~repro.merkle.partial.PartialMerkleTree`, top ``H − ℓ``
+levels only).  The closed forms of §3.3 are provided as functions for
+experiment E4:
 
 * storage ``S = 2^(H − ℓ + 1)`` digests,
 * rebuild cost ``2^ℓ`` evaluations of ``f`` per touched subtree,
@@ -14,13 +14,6 @@ provided as functions for experiment E4:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from repro.exceptions import MerkleError
-from repro.merkle.hashing import HashFunction
-from repro.merkle.multiproof import Multiproof
-from repro.merkle.partial import PartialMerkleTree
-from repro.merkle.tree import LeafEncoding, MerkleTree
 from repro.utils.bitmath import ceil_log2, next_power_of_two
 
 
@@ -66,67 +59,3 @@ def subtree_height_for_storage(n: int, storage_digests: int) -> int:
         if (1 << (height - ell + 1)) - 1 <= storage_digests:
             return ell
     return height
-
-
-class TreeBackend:
-    """Participant-side commitment tree: full or partial storage.
-
-    Parameters
-    ----------
-    payloads:
-        Leaf payloads in domain order (the behaviour's output).
-    hash_fn, leaf_encoding:
-        Merkle parameters; must match the supervisor's.
-    subtree_height:
-        ``None`` or ``0`` for the full tree; ``ℓ > 0`` enables the
-        §3.3 partial tree, with per-proof subtree rebuilds whose leaf
-        recomputation is charged through ``recompute``.
-    recompute:
-        Callback ``index -> payload`` used by the partial tree to
-        regenerate discarded leaves.  The caller passes a *metered*
-        recomputation so rebuild costs land in the ledger (the paper's
-        ``2^ℓ`` evaluations of ``f`` per touched subtree).
-    """
-
-    def __init__(
-        self,
-        payloads: Sequence[bytes],
-        hash_fn: HashFunction,
-        leaf_encoding: LeafEncoding,
-        subtree_height: int | None = None,
-        recompute: Callable[[int], bytes] | None = None,
-    ) -> None:
-        self._payloads = list(payloads)
-        if not subtree_height:
-            self._tree = MerkleTree(
-                self._payloads, hash_fn=hash_fn, leaf_encoding=leaf_encoding
-            )
-        elif recompute is None:
-            raise MerkleError("partial tree backend requires a recompute callback")
-        else:
-            self._tree = PartialMerkleTree(
-                self._payloads, recompute, subtree_height, hash_fn, leaf_encoding
-            )
-
-    @property
-    def root(self) -> bytes:
-        """The commitment ``Φ(R)``."""
-        return self._tree.root
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self._payloads)
-
-    @property
-    def stored_digests(self) -> int:
-        """Storage footprint in digests (E4's measured ``S``)."""
-        return self._tree.n_nodes
-
-    @property
-    def leaves_recomputed(self) -> int:
-        """Leaf re-evaluations triggered by proofs (a full tree makes none)."""
-        return getattr(self._tree, "leaves_recomputed", 0)
-
-    def multiproof(self, indices: Sequence[int]) -> Multiproof:
-        """The bundle proving ``indices``, off the tree's rows."""
-        return self._tree.multiproof(indices, self._payloads)

@@ -18,5 +18,3 @@ _reexport(__name__, {
     "repro.devtools.lint.checkers": "ALL_CHECKERS",
     "repro.devtools.lint.framework": "lint_paths",
 })
-
-__all__ = ["ALL_CHECKERS", "lint_paths"]

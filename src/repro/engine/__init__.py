@@ -65,21 +65,3 @@ _reexport(__name__, {
     ),
     "repro.engine.seeding": "derive_seed",
 })
-
-__all__ = [
-    "ENGINE_NAMES",
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "ClusterExecutor",
-    "default_workers",
-    "get_executor",
-    "resolved_executor",
-    "SchemeJob",
-    "SchemeBatch",
-    "execute_batch",
-    "run_scheme_jobs",
-    "split_batches",
-    "derive_seed",
-]

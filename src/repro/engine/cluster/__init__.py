@@ -52,5 +52,3 @@ _reexport(__name__, {
     "repro.engine.cluster.coordinator": "ClusterExecutor",
     "repro.engine.cluster.worker": "run_worker",
 })
-
-__all__ = ["ClusterExecutor", "run_worker"]

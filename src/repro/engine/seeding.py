@@ -1,4 +1,4 @@
-"""Deterministic per-task seed derivation.
+"""Deterministic per-task seed derivation, and the one rule for slot i.
 
 Cross-backend reproducibility requires exactly one thing: every job's
 seed is fixed *before* dispatch, as a pure function of the master seed
@@ -16,9 +16,24 @@ Note the Monte-Carlo estimators keep their own historical rule
 (``seed0 + trial`` — see :mod:`repro.analysis.montecarlo`); it is just
 as deterministic, and changing it would silently shift every published
 eq2/fig2 number.  Don't unify the two.
+
+:func:`slot_task` is everything else slot ``i`` of ``n`` owns — its
+task id, its subdomain and its run seed — and :func:`slot_behavior`
+the population's behaviour cycling; the grid simulator's jobs and the
+service's assignments are both built from them.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+from repro.tasks.result import TaskAssignment
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cheating.strategies import Behavior
+    from repro.tasks.domain import Domain
+    from repro.tasks.function import TaskFunction
+    from repro.tasks.screener import Screener
 
 #: Prime stride separating consecutive master seeds.
 SEED_STRIDE = 1_000_003
@@ -48,3 +63,34 @@ def check_derived_seeds(
             f"seed {seed} with {count} participants derives seeds "
             f"{first}..{last}, outside {where}"
         )
+
+
+def task_name(slot: int) -> str:
+    """The task id of participant slot ``slot``."""
+    return f"task-{slot}"
+
+
+def slot_task(
+    index: int,
+    n_slots: int,
+    domain: "Domain",
+    function: "TaskFunction",
+    seed: int,
+    screener: "Screener | None" = None,
+) -> tuple[TaskAssignment, int]:
+    """Slot ``index`` of ``n_slots`` under master ``seed``: its task
+    (id :func:`task_name`, subdomain ``domain.part(index, n_slots)``)
+    and its run seed."""
+    assignment = TaskAssignment(
+        task_id=task_name(index),
+        domain=domain.part(index, n_slots),
+        function=function,
+        screener=screener,
+    )
+    return assignment, derive_seed(seed, index)
+
+
+def slot_behavior(behaviors: Sequence["Behavior"], index: int) -> "Behavior":
+    """The behaviour slot ``index`` plays: ``behaviors`` cycled over
+    the population."""
+    return behaviors[index % len(behaviors)]

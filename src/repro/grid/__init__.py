@@ -14,11 +14,3 @@ _reexport(__name__, {
     "repro.grid.simulation": "run_population GridSimulation SimulationConfig",
     "repro.grid.faults": "FlakyParticipant RetryingScheme",
 })
-
-__all__ = [
-    "run_population",
-    "FlakyParticipant",
-    "RetryingScheme",
-    "GridSimulation",
-    "SimulationConfig",
-]

@@ -10,7 +10,7 @@ Experiments E2/E3/E7 are parameter sweeps over these simulations.
 Participant runs are independent protocol executions, so the
 simulation dispatches them through the pluggable execution engine
 (:mod:`repro.engine`): one :class:`~repro.engine.jobs.SchemeJob` per
-participant, seeded via :func:`~repro.engine.seeding.derive_seed`,
+participant, built by :func:`~repro.engine.seeding.slot_task`,
 batched onto the configured backend.  Report ordering and
 ledger-merge semantics are identical on every backend — the engine
 returns results in participant order and the merge loop below is the
@@ -24,13 +24,12 @@ from typing import Sequence
 
 from repro.cheating.strategies import Behavior, HonestBehavior
 from repro.core.scheme import SEED_BOUND, VerificationScheme
-from repro.engine import Executor, SchemeJob, derive_seed, run_scheme_jobs
-from repro.engine.seeding import check_derived_seeds
+from repro.engine import Executor, SchemeJob, run_scheme_jobs
+from repro.engine.seeding import check_derived_seeds, slot_behavior, slot_task
 from repro.exceptions import TaskError
 from repro.grid.report import DetectionReport, ParticipantReport
 from repro.tasks.domain import Domain
 from repro.tasks.function import TaskFunction
-from repro.tasks.result import TaskAssignment
 from repro.tasks.screener import Screener
 
 
@@ -90,20 +89,14 @@ class GridSimulation:
 
     def jobs(self) -> list[SchemeJob]:
         """The population as engine jobs, one per participant."""
-        cfg = self.config
-        return [
-            SchemeJob(
-                assignment=TaskAssignment(
-                    task_id=f"task-{i}",
-                    domain=subdomain,
-                    function=cfg.function,
-                    screener=cfg.screener,
-                ),
-                behavior=cfg.behaviors[i % len(cfg.behaviors)],
-                seed=derive_seed(cfg.seed, i),
+        cfg, n = self.config, self.config.n_participants
+        jobs = []
+        for i in range(n):
+            assignment, seed = slot_task(
+                i, n, cfg.domain, cfg.function, cfg.seed, cfg.screener
             )
-            for i, subdomain in enumerate(cfg.domain.partition(cfg.n_participants))
-        ]
+            jobs.append(SchemeJob(assignment, slot_behavior(cfg.behaviors, i), seed))
+        return jobs
 
     def run(self) -> DetectionReport:
         """Execute every participant's protocol; aggregate the report."""

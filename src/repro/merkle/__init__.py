@@ -32,11 +32,3 @@ _reexport(__name__, {
     "repro.merkle.partial": "PartialMerkleTree",
     "repro.merkle.proof": "AuthenticationPath",
 })
-
-__all__ = [
-    "CountingHash",
-    "get_hash",
-    "MerkleTree",
-    "PartialMerkleTree",
-    "AuthenticationPath",
-]

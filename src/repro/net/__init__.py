@@ -27,5 +27,3 @@ both stand on.
 from repro import _reexport
 
 _reexport(__name__, {"repro.net.transport": "SecurityConfig"})
-
-__all__ = ["SecurityConfig"]

@@ -43,23 +43,3 @@ _reexport(__name__, {
     "repro.obs.trace": "new_trace_id bind_trace",
     "repro.obs.logging": "configure_logging get_logger log_event",
 })
-
-__all__ = [
-    # metrics
-    "MetricsRegistry",
-    "default_registry",
-    # spans
-    "Span",
-    "render_waterfall",
-    # health
-    "EventLoopLagProbe",
-    "gauge_max_probe",
-    "gauge_min_probe",
-    # trace
-    "new_trace_id",
-    "bind_trace",
-    # logging
-    "configure_logging",
-    "get_logger",
-    "log_event",
-]

@@ -333,10 +333,6 @@ class SpanBuffer:
                 seen[item.trace_id] = None
         return list(seen)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)

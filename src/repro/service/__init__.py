@@ -51,36 +51,3 @@ _reexport(__name__, {
     "repro.service.client": "ServiceClient",
     "repro.service.loadgen": "percentile run_loadgen run_service_loadgen",
 })
-
-__all__ = [
-    # codec
-    "FRAME_HEADER_BYTES",
-    "WORKLOADS",
-    "resolve_workload",
-    "TaskRequest",
-    "TaskAssign",
-    "CommitmentFrame",
-    "ChallengeFrame",
-    "ProofsFrame",
-    "SubmissionFrame",
-    "VerdictFrame",
-    "ErrorFrame",
-    "encode_frame",
-    "decode_frame",
-    "decode_frame_payload",
-    "read_frame",
-    "write_frame",
-    # sessions
-    "ServiceConfig",
-    "SessionState",
-    "SessionStore",
-    # server
-    "SupervisorServer",
-    "memory_duplex",
-    # client
-    "ServiceClient",
-    # loadgen
-    "percentile",
-    "run_loadgen",
-    "run_service_loadgen",
-]

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from repro.accounting import CostLedger
 from repro.cheating.strategies import Behavior
+from repro.engine.seeding import slot_behavior
 from repro.exceptions import ProtocolError, ReproError
 from repro.grid.report import DetectionReport, ParticipantReport
 from repro.net.transport import SecurityConfig
@@ -128,7 +129,7 @@ async def run_loadgen(
 
     async def one_round(index: int) -> ParticipantRun | None:
         nonlocal errors
-        behavior = behaviors[index % len(behaviors)]
+        behavior = slot_behavior(behaviors, index)
         async with semaphore:
             try:
                 if server is not None:

@@ -13,12 +13,12 @@ moves.  It reads no socket, awaits nothing and runs no verification,
 so tests drive it without an event loop;
 :class:`~repro.service.server.SupervisorServer` is its asyncio shell.
 
-Determinism is preserved end to end: task ``i`` gets subdomain ``i``
-of the configured domain and seed ``derive_seed(config.seed, i)`` —
-exactly the job list :class:`~repro.grid.simulation.GridSimulation`
-builds — so a service run at a fixed seed produces byte-identical
+Determinism is preserved end to end: slot ``i``'s task and seed come
+from :func:`~repro.engine.seeding.slot_task`, the rule
+:class:`~repro.grid.simulation.GridSimulation`'s job list is built
+from, so a service run at a fixed seed produces byte-identical
 :class:`~repro.core.scheme.VerificationOutcome`s to the synchronous
-scheme layer (the parity tests pin this).  Both are arithmetic on
+scheme layer (the parity tests pin this).  The rule is arithmetic on
 ``i``, done when slot ``i`` is requested: there is no per-slot table.
 
 :class:`SessionStore` holds what is in flight, not what it has ever
@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 from repro.core.cbs import CBSScheme, CBSSupervisor
 from repro.core.protocol import AssignMsg, CommitmentMsg, VerdictMsg
 from repro.core.scheme import VerificationOutcome
-from repro.engine.seeding import check_derived_seeds, derive_seed
+from repro.engine.seeding import check_derived_seeds, slot_task, task_name
 from repro.exceptions import ProtocolError
 from repro.merkle.tree import LeafEncoding
 from repro.obs.logging import get_logger, log_event
@@ -90,11 +90,6 @@ _TASK_ID = re.compile(r"task-(0|[1-9][0-9]{0,17})")
 _log = get_logger("service")
 
 
-def task_name(slot: int) -> str:
-    """The task id of participant slot ``slot``."""
-    return f"task-{slot}"
-
-
 def _slot_of(task_id: str) -> int | None:
     """Inverse of :func:`task_name`; ``None`` for any other string."""
     match = _TASK_ID.fullmatch(task_id)
@@ -107,8 +102,8 @@ class ServiceConfig:
 
     Mirrors :class:`~repro.grid.simulation.SimulationConfig` minus the
     behaviours (those live client-side, where cheating happens): the
-    global domain is partitioned across ``n_participants`` slots, task
-    ``i`` is seeded ``derive_seed(seed, i)``, and every slot plays
+    global domain is partitioned across ``n_participants`` slots as
+    :func:`~repro.engine.seeding.slot_task` cuts them, and every slot plays
     :attr:`scheme`'s round, whose parameters the assign frame ships to
     clients.  Only a :class:`~repro.tasks.domain.RangeDomain` travels
     over the wire: clients rebuild their subdomain from two integers,
@@ -503,11 +498,9 @@ class SupervisorCore:
             if index is None:
                 raise ProtocolError("no unassigned participant slots left")
             self._cursor = index + 1
-        domain = config.domain.part(index, n_slots)
-        assignment = TaskAssignment(
-            task_id=task_name(index), domain=domain, function=self._function
+        assignment, seed = slot_task(
+            index, n_slots, config.domain, self._function, config.seed
         )
-        seed = derive_seed(config.seed, index)
         self.sessions.create(
             assignment.task_id, index, assignment, seed,
             trace_id=request.trace_id, span_id=request.span_id,
@@ -519,8 +512,8 @@ class SupervisorCore:
                              n_inputs=assignment.n_inputs,
                              workload=config.workload),
             participant=index,
-            domain_start=domain.start,
-            domain_stop=domain.stop,
+            domain_start=assignment.domain.start,
+            domain_stop=assignment.domain.stop,
             protocol=config.protocol,
             n_samples=config.n_samples,
             hash_name=scheme.hash_name,

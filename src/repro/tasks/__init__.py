@@ -31,20 +31,3 @@ _reexport(__name__, {
         "MonteCarloEstimate OptimizationSearch"
     ),
 })
-
-__all__ = [
-    "RangeDomain",
-    "ExplicitDomain",
-    "TaskFunction",
-    "TaskAssignment",
-    "MatchScreener",
-    "ThresholdScreener",
-    "TopKScreener",
-    "PasswordSearch",
-    "FactoringTask",
-    "MoleculeScreening",
-    "SignalSearch",
-    "MersenneCheck",
-    "MonteCarloEstimate",
-    "OptimizationSearch",
-]

@@ -44,30 +44,18 @@ class Domain(abc.ABC):
         return range(len(self))
 
     def partition(self, n_parts: int) -> list["Domain"]:
-        """Split into ``n_parts`` contiguous subdomains of near-equal size.
+        """Every :meth:`part` of the ``n_parts``-way split, in order."""
+        # range(1) at n_parts <= 0, so part() refuses it too.
+        return [self.part(i, n_parts) for i in range(max(n_parts, 1))]
+
+    def part(self, index: int, n_parts: int) -> "Domain":
+        """Part ``index`` of ``n_parts`` contiguous subdomains of
+        near-equal size.
 
         The first ``len(self) % n_parts`` parts receive one extra input,
         so sizes differ by at most one and every input is assigned
         exactly once.
         """
-        base, extra = self._part_sizes(n_parts)
-        parts: list[Domain] = []
-        start = 0
-        for i in range(n_parts):
-            size = base + (1 if i < extra else 0)
-            parts.append(self.slice(start, start + size))
-            start += size
-        return parts
-
-    def part(self, index: int, n_parts: int) -> "Domain":
-        """``partition(n_parts)[index]`` without building the others."""
-        base, extra = self._part_sizes(n_parts)
-        if not 0 <= index < n_parts:
-            raise DomainError(f"part {index} outside [0, {n_parts})")
-        start = index * base + min(index, extra)
-        return self.slice(start, start + base + (index < extra))
-
-    def _part_sizes(self, n_parts: int) -> tuple[int, int]:
         n = len(self)
         if n_parts <= 0:
             raise DomainError(f"n_parts must be positive, got {n_parts}")
@@ -75,7 +63,11 @@ class Domain(abc.ABC):
             raise DomainError(
                 f"cannot partition {n} inputs into {n_parts} non-empty parts"
             )
-        return divmod(n, n_parts)
+        if not 0 <= index < n_parts:
+            raise DomainError(f"part {index} outside [0, {n_parts})")
+        base, extra = divmod(n, n_parts)
+        start = index * base + min(index, extra)
+        return self.slice(start, start + base + (index < extra))
 
     @abc.abstractmethod
     def slice(self, start: int, stop: int) -> "Domain":

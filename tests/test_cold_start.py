@@ -53,9 +53,9 @@ def under(modules: set[str], *prefixes: str) -> list[str]:
     )
 
 
-def test_import_repro_loads_no_submodule_but_the_version():
+def test_import_repro_loads_no_submodule():
     modules = loaded_after("import repro")
-    assert under(modules, "repro") == ["repro", "repro._version"]
+    assert under(modules, "repro") == ["repro"]
 
 
 def test_every_export_still_resolves_and_dir_lists_it():
@@ -96,7 +96,7 @@ def test_serial_cold_start_loads_no_service_net_or_cluster():
 def test_building_the_cli_parser_loads_no_plane():
     modules = loaded_after("import repro.cli; repro.cli.build_parser()")
     assert under(modules, "repro") == [
-        "repro", "repro._version", "repro.cli", "repro.launch",
+        "repro", "repro.cli", "repro.launch",
     ]
     assert under(modules, *PLANES, "asyncio") == []
 

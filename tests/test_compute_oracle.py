@@ -668,10 +668,10 @@ class TestRecomputeCharges:
             behavior, task, ref_password, books, b"\x00" * 8
         )
         assert honest == want_honest
-        # The full-tree backend is the control: same commitment, and it
-        # never recomputes.
+        # The full tree is the control: same commitment, and it never
+        # recomputes.
         full = CBSParticipant(task, behavior, salt=b"\x00" * 8)
-        assert full.compute_and_commit().root == participant.backend.root
+        assert full.compute_and_commit().root == participant.tree.root
         for ledger in (participant.ledger, full.ledger):
             assert ledger.evaluations == books.evaluations
             assert ledger.evaluation_cost == books.evaluation_cost

@@ -26,6 +26,7 @@ from repro.core.protocol import (
     NICBSSubmissionMsg,
     ProofBundleMsg,
     SampleChallengeMsg,
+    VerdictMsg,
 )
 from repro.core.scheme import RejectReason
 from repro.exceptions import ProtocolError, SchemeConfigurationError
@@ -131,12 +132,16 @@ class TestEndToEnd:
             assert not result.outcome.accepted
 
     def test_single_message_protocol(self, password_task):
-        # NI-CBS: exactly one participant → supervisor message.
+        # NI-CBS: exactly one participant → supervisor message, answered
+        # by the verdict (as a service session answers it).
         result = NICBSScheme(n_samples=8).run(
             password_task, HonestBehavior(), seed=1
         )
         assert result.participant_ledger.messages_sent == 1
-        assert result.supervisor_ledger.messages_sent == 0
+        assert result.supervisor_ledger.messages_sent == 1
+        verdict = VerdictMsg.of(result.outcome).wire_size()
+        assert result.supervisor_ledger.bytes_sent == verdict
+        assert result.participant_ledger.bytes_received == verdict
 
     def test_iterated_g_charged_both_sides(self, password_task):
         scheme = NICBSScheme(n_samples=4, sample_hash_name="md5^50")

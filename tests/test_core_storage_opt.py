@@ -4,13 +4,8 @@ import pytest
 
 from repro.cheating import HonestBehavior, SemiHonestCheater
 from repro.core import CBSScheme, predicted_rco, storage_for_rco
-from repro.core.storage_opt import (
-    TreeBackend,
-    rco_from_storage,
-    subtree_height_for_storage,
-)
-from repro.exceptions import MerkleError
-from repro.merkle import get_hash
+from repro.core.storage_opt import rco_from_storage, subtree_height_for_storage
+from repro.merkle import MerkleTree, PartialMerkleTree, get_hash
 from repro.merkle.tree import LeafEncoding
 from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
 
@@ -55,54 +50,48 @@ class TestClosedForms:
             storage_for_rco(4, 0.0)
 
 
-class TestTreeBackend:
+class TestTheParticipantsTree:
+    """The participant keeps a full :class:`MerkleTree` at ℓ = 0 or
+    ``None`` and a :class:`PartialMerkleTree` at ℓ > 0."""
+
     def payloads(self, n=32):
         fn = PasswordSearch()
         return [fn.evaluate(i) for i in range(n)], fn
 
+    def partial(self, payloads, ell):
+        return PartialMerkleTree(
+            payloads, lambda i: payloads[i], ell, get_hash(), LeafEncoding.HASHED
+        )
+
     def test_full_and_partial_roots_agree(self):
         payloads, _ = self.payloads()
-        full = TreeBackend(payloads, get_hash(), LeafEncoding.HASHED)
-        partial = TreeBackend(
-            payloads,
-            get_hash(),
-            LeafEncoding.HASHED,
-            subtree_height=3,
-            recompute=lambda i: payloads[i],
-        )
-        assert full.root == partial.root
+        full = MerkleTree(payloads, get_hash(), LeafEncoding.HASHED)
+        assert full.root == self.partial(payloads, 3).root
 
-    def test_partial_requires_recompute(self):
-        payloads, _ = self.payloads()
-        with pytest.raises(MerkleError):
-            TreeBackend(
-                payloads, get_hash(), LeafEncoding.HASHED, subtree_height=2
-            )
+    @pytest.mark.parametrize(
+        "ell, kind",
+        [(None, MerkleTree), (0, MerkleTree), (1, PartialMerkleTree)],
+    )
+    def test_the_participant_keeps_the_tree_its_ell_names(self, ell, kind):
+        task = TaskAssignment("t", RangeDomain(0, 16), PasswordSearch())
+        participant = CBSScheme(n_samples=2, subtree_height=ell).participant(
+            task, HonestBehavior(), seed=0
+        )
+        commitment = participant.compute_and_commit()
+        assert type(participant.tree) is kind
+        assert commitment.root == participant.tree.root
 
     def test_storage_footprints(self):
         payloads, _ = self.payloads(64)  # H = 6
-        full = TreeBackend(payloads, get_hash(), LeafEncoding.HASHED)
-        partial = TreeBackend(
-            payloads,
-            get_hash(),
-            LeafEncoding.HASHED,
-            subtree_height=4,
-            recompute=lambda i: payloads[i],
-        )
-        assert full.stored_digests == 127  # 2^7 - 1
-        assert partial.stored_digests == 7  # 2^(6-4+1) - 1
+        full = MerkleTree(payloads, get_hash(), LeafEncoding.HASHED)
+        assert full.n_nodes == 127  # 2^7 - 1
+        assert self.partial(payloads, 4).n_nodes == 7  # 2^(6-4+1) - 1
 
     def test_recompute_metering(self):
         payloads, _ = self.payloads(64)
-        backend = TreeBackend(
-            payloads,
-            get_hash(),
-            LeafEncoding.HASHED,
-            subtree_height=3,
-            recompute=lambda i: payloads[i],
-        )
-        backend.multiproof([10, 50])
-        assert backend.leaves_recomputed == 2 * 8
+        partial = self.partial(payloads, 3)
+        partial.multiproof([10, 50], payloads)
+        assert partial.leaves_recomputed == 2 * 8
 
 
 class TestEndToEndWithPartialTrees:

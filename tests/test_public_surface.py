@@ -1,14 +1,14 @@
 """Every name a package exports has a reader.
 
-A package ``__init__``'s ``__all__`` is the one import path its names
-are promised under.  A name stays there only while some file outside
-that ``__init__`` reads it through the package: a ``from <pkg> import
-…`` or a ``<pkg>.<name>`` reference in ``src``, ``tests``, ``examples``,
-``benchmarks`` (the frozen ledger included), ``README.md`` or the CI
-workflow.  Everything else imports from the owning module.
+A package's ``__all__`` (the names of its ``_reexport`` table) is the
+one import path its names are promised under.  A name stays there only
+while some file outside that ``__init__`` reads it through the package:
+a ``from <pkg> import …`` or a ``<pkg>.<name>`` reference in ``src``,
+``tests``, ``examples``, ``benchmarks`` (the frozen ledger included),
+``README.md`` or the CI workflow.  Everything else imports from the owning module.
 """
 
-import ast
+import importlib
 import pathlib
 import re
 
@@ -25,12 +25,10 @@ def _exports() -> dict[str, tuple[pathlib.Path, list[str]]]:
     """Package dotted name -> (its ``__init__``, its ``__all__``)."""
     out = {}
     for init in sorted((REPO_ROOT / "src" / "repro").rglob("__init__.py")):
-        for node in ast.parse(init.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.Assign) and any(
-                getattr(target, "id", None) == "__all__" for target in node.targets
-            ):
-                package = ".".join(init.relative_to(REPO_ROOT / "src").parent.parts)
-                out[package] = (init, ast.literal_eval(node.value))
+        package = ".".join(init.relative_to(REPO_ROOT / "src").parent.parts)
+        names = getattr(importlib.import_module(package), "__all__", None)
+        if names is not None:
+            out[package] = (init, list(names))
     return out
 
 
@@ -77,8 +75,6 @@ def test_every_exported_name_has_a_reader():
 
 
 def test_every_exported_name_resolves():
-    import importlib
-
     for package, (_, names) in _exports().items():
         module = importlib.import_module(package)
         assert [n for n in names if not hasattr(module, n)] == [], package

@@ -23,6 +23,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.cheating import HonestBehavior
 from repro.core.ni_cbs import NICBSParticipant
 from repro.core.protocol import CommitmentMsg, ProofBundleMsg
+from repro.engine.seeding import slot_task
 from repro.merkle.multiproof import Multiproof
 from repro.service import (
     ChallengeFrame,
@@ -39,7 +40,7 @@ from repro.service import (
 )
 from repro.service.codec import TaskAssign
 from repro.service.sessions import RECENT_OUTCOMES, task_name
-from repro.tasks import PasswordSearch, RangeDomain, TaskAssignment
+from repro.tasks import PasswordSearch, RangeDomain
 
 
 class TestFlatMemory:
@@ -56,11 +57,7 @@ class TestFlatMemory:
         # is measured below is the supervisor and the wire.
         submissions = [
             NICBSParticipant(
-                TaskAssignment(
-                    task_name(i),
-                    cfg.domain.part(i, sessions),
-                    PasswordSearch(),
-                ),
+                slot_task(i, sessions, cfg.domain, PasswordSearch(), cfg.seed)[0],
                 HonestBehavior(),
                 n_samples=cfg.n_samples,
             ).compute_and_submit()

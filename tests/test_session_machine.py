@@ -46,8 +46,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.protocol import VerdictMsg
-from repro.engine.seeding import derive_seed
+from repro.engine.seeding import slot_behavior, slot_task
 from repro.exceptions import ProtocolError
 from repro.service.client import ParticipantCore
 from repro.service.codec import (
@@ -66,7 +65,6 @@ from repro.service.sessions import (
     Verify,
     task_name,
 )
-from repro.tasks.result import TaskAssignment
 
 from test_service_server import STRATEGIES, config, play_cores, sync_outcomes
 from test_service_sessions import FakeClock
@@ -305,24 +303,15 @@ class TestCoresPlayEachOther:
         runs, _outcomes = play_cores(cfg, STRATEGIES)
         function = resolve_workload(cfg.workload)
         for slot, run in enumerate(runs):
-            assignment = TaskAssignment(
-                task_name(slot),
-                cfg.domain.part(slot, cfg.n_participants),
-                function,
+            assignment, seed = slot_task(
+                slot, cfg.n_participants, cfg.domain, function, cfg.seed
             )
             expected = cfg.scheme.run(
-                assignment,
-                STRATEGIES[slot % len(STRATEGIES)],
-                seed=derive_seed(cfg.seed, slot),
+                assignment, slot_behavior(STRATEGIES, slot), seed=seed
             )
             assert run.task_id == task_name(slot)
             assert (run.accepted, run.reason) == (
                 expected.outcome.accepted, expected.outcome.reason
             )
             assert run.honesty_ratio == expected.work.honesty_ratio
-            books = expected.participant_ledger
-            if protocol == "ni-cbs":
-                # The service answers the submission with a verdict
-                # frame; scheme.run's one-message round carries none.
-                books.record_receive(VerdictMsg.of(expected.outcome).wire_size())
-            assert run.ledger == books
+            assert run.ledger == expected.participant_ledger

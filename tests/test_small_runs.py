@@ -191,31 +191,31 @@ def reference_run(scheme_name, task, payloads, n_honest, seed, stop):
         hash_cost=float(fold), hashes=fold,
         counters={"samples_verified": len(verdicts)},
     )
+    verdict_msg = (
+        ref_bytes(task_id) + (b"\x01" if accepted else b"\x00")
+        + ref_bytes(b"" if accepted else reason.encode())
+    )
     if scheme_name == "ni-cbs":
-        wire = [ref_submission(task.task_id, root, n, proofs, payloads)]
         for books in (participant, supervisor):
             books["hashes"] += m
             books["hash_cost"] += float(m)
-        participant.update(bytes_sent=len(wire[0]), messages_sent=1)
-        supervisor.update(bytes_received=len(wire[0]), messages_received=1)
+        wire = [ref_submission(task.task_id, root, n, proofs, payloads), verdict_msg]
+        up, down, sent = len(wire[0]), len(verdict_msg), 1
     else:
         challenge = ref_bytes(task_id) + ref_uint(m)
         for index in indices:
             challenge += ref_uint(index)
-        verdict_msg = (
-            ref_bytes(task_id) + (b"\x01" if accepted else b"\x00")
-            + ref_bytes(b"" if accepted else reason.encode())
-        )
         bundle = ref_bundle(task.task_id, proofs, payloads)
         wire = [commitment, challenge, bundle, verdict_msg]
         up = len(commitment) + len(bundle)
         down = len(challenge) + len(verdict_msg)
-        participant.update(
-            bytes_sent=up, bytes_received=down, messages_sent=2, messages_received=2
-        )
-        supervisor.update(
-            bytes_sent=down, bytes_received=up, messages_sent=2, messages_received=2
-        )
+        sent = 2
+    participant.update(
+        bytes_sent=up, bytes_received=down, messages_sent=sent, messages_received=sent
+    )
+    supervisor.update(
+        bytes_sent=down, bytes_received=up, messages_sent=sent, messages_received=sent
+    )
     return verdicts, accepted, reason, participant, supervisor, wire
 
 

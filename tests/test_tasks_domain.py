@@ -98,6 +98,12 @@ class TestPartition:
         parts = dom.partition(2)
         assert list(parts[0]) == list("abcd")
         assert list(parts[1]) == list("efg")
+        assert list(dom.part(1, 2)) == list("efg")
+
+    @pytest.mark.parametrize("index, n_parts", [(-1, 3), (3, 3), (0, 0), (0, 4)])
+    def test_part_refuses_what_has_no_part(self, index, n_parts):
+        with pytest.raises(DomainError):
+            RangeDomain(0, 3).part(index, n_parts)
 
     @given(
         st.integers(min_value=1, max_value=300),
@@ -109,7 +115,7 @@ class TestPartition:
             return
         parts = RangeDomain(0, n).partition(k)
         sizes = [len(p) for p in parts]
-        assert sum(sizes) == n
-        assert max(sizes) - min(sizes) <= 1
+        assert sizes == [n // k + (i < n % k) for i in range(k)]
+        assert [RangeDomain(0, n).part(i, k) for i in range(k)] == parts
         flat = [x for p in parts for x in p]
         assert flat == list(range(n))
